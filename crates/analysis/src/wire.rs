@@ -30,27 +30,14 @@ fn check_version(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<()> {
 impl Codec for AnalyzeOptions {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(ANALYSIS_WIRE_VERSION);
-        match self.window {
-            None => enc.put_u8(0),
-            Some(w) => {
-                enc.put_u8(1);
-                enc.put_uvar(w.start_ns);
-                enc.put_uvar(w.end_ns);
-            }
-        }
+        Window::encode_opt(self.window, enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         check_version(dec, "analyze options")?;
-        let window = match dec.get_u8()? {
-            0 => None,
-            1 => Some(Window {
-                start_ns: dec.get_uvar()?,
-                end_ns: dec.get_uvar()?,
-            }),
-            f => return Err(DecodeError(format!("unknown analyze window flag {f}"))),
-        };
-        Ok(AnalyzeOptions { window })
+        Ok(AnalyzeOptions {
+            window: Window::decode_opt(dec)?,
+        })
     }
 }
 

@@ -29,8 +29,8 @@
 
 use cypress_bench::harness;
 use cypress_core::{compress_trace, merge_all, CompressConfig};
-use cypress_query::{query_container_bytes, QueryOptions};
-use cypress_store::{JobStore, QueryClient, StoreConfig};
+use cypress_query::QueryOptions;
+use cypress_store::{JobStore, QueryClient, StoreConfig, StoreJob};
 use cypress_trace::{Codec, Container, SectionKind};
 use cypress_workloads::{by_name, quick_procs, Scale};
 use std::path::{Path, PathBuf};
@@ -169,13 +169,15 @@ fn main() {
         client.query_raw("job-0000", &opts).expect("remote query")
     });
 
-    // Identity sweep: local container query vs store vs daemon, per
-    // bundled workload, byte-for-byte.
+    // Identity sweep: a one-shot local open (what `cypress query FILE`
+    // does) vs the resident store vs the daemon, per bundled workload,
+    // byte-for-byte.
     let mut workload_rows = Vec::new();
     let mut all_identical = true;
     for &name in workload_names {
-        let image = std::fs::read(dir.join(format!("{name}.cytc"))).unwrap();
-        let local = query_container_bytes(&image, &opts).expect("local query");
+        let local = StoreJob::open(&dir.join(format!("{name}.cytc")), name)
+            .and_then(|job| job.query(&opts))
+            .expect("local query");
         let via_store = store.open(name).unwrap().query(&opts).expect("store query");
         let via_daemon = QueryClient::connect(server.addr(), timeout)
             .unwrap()

@@ -20,7 +20,7 @@ use cypress_core::{
 };
 use cypress_cst::StaticInfo;
 use cypress_deflate::{gzip_compress, Level};
-use cypress_simmpi::{from_raw_traces, simulate, LogGp, SimOp, SimResult};
+use cypress_simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress_trace::codec::Codec;
 use cypress_trace::raw::{encode_mpi_events, RawTrace};
 use cypress_workloads::{by_name, Scale, Workload};
@@ -327,11 +327,6 @@ pub fn predict(t: &Traced) -> Result<Prediction, cypress_simmpi::SimError> {
         predicted_s: predicted.total as f64 / 1e9,
         comm_pct: measured.comm_fraction() * 100.0,
     })
-}
-
-/// Simulate raw traces only (helper for examples/tests).
-pub fn simulate_raw(t: &Traced) -> Result<SimResult, cypress_simmpi::SimError> {
-    simulate(&from_raw_traces(&t.traces), &LogGp::default())
 }
 
 /// Render a size in KB the way the paper's axes do.

@@ -116,19 +116,7 @@ pub struct IntraCompressor<'a> {
     pending_wild: Vec<PendingWild>,
     /// End timestamp of the previous traced operation (for compute gaps).
     prev_end: u64,
-    /// Adaptive fold-run credit for [`IntraCompressor::push_batch`]. Runs of
-    /// length ≥ 2 earn credit, length-1 runs spend it; at zero the batch path
-    /// stops scanning ahead (the scan is pure overhead on alternating-gid
-    /// streams like sp) and dispatches per event for a probe period before
-    /// trying runs again. Negative values count down the probe skip.
-    run_credit: i32,
 }
-
-/// Initial and ceiling values for the fold-run credit, and how many events
-/// the degraded mode dispatches per-event before re-probing for runs.
-const RUN_CREDIT_START: i32 = 16;
-const RUN_CREDIT_MAX: i32 = 64;
-const RUN_PROBE_SKIP: i32 = 64;
 
 struct PendingWild {
     vertex: usize,
@@ -171,7 +159,6 @@ impl<'a> IntraCompressor<'a> {
             stale_exits: vec![0; n],
             pending_wild: Vec::new(),
             prev_end: 0,
-            run_credit: RUN_CREDIT_START,
         }
     }
 
@@ -184,118 +171,10 @@ impl<'a> IntraCompressor<'a> {
         }
     }
 
-    /// Feed a batch of events, equivalent to pushing each in order but with
-    /// the per-event dispatch hoisted out of loop bodies: runs of MPI records
-    /// naming the same leaf (the dominant shape inside compressed loops)
-    /// resolve the GID → vertex lookup and borrow the leaf's record list
-    /// once per run instead of once per event.
+    /// Feed a batch of events: exactly `push` on each, in order.
     pub fn push_batch(&mut self, evs: &[Event]) {
-        let mut i = 0;
-        while i < evs.len() {
-            match &evs[i] {
-                Event::Mpi(rec) if self.cfg.window <= 1 && Self::run_eligible(rec) => {
-                    if self.run_credit < 0 {
-                        // Degraded mode: the stream hasn't been forming runs,
-                        // so skip the look-ahead entirely and dispatch like
-                        // the per-event path until the probe counter expires.
-                        self.run_credit += 1;
-                        if self.run_credit == 0 {
-                            self.run_credit = RUN_CREDIT_START;
-                        }
-                        self.mpi(rec);
-                        i += 1;
-                        continue;
-                    }
-                    let gid = rec.gid;
-                    let mut j = i + 1;
-                    while j < evs.len() {
-                        match &evs[j] {
-                            Event::Mpi(r) if r.gid == gid && Self::run_eligible(r) => j += 1,
-                            _ => break,
-                        }
-                    }
-                    if j - i >= 2 {
-                        self.run_credit = (self.run_credit + 2).min(RUN_CREDIT_MAX);
-                        self.mpi_run(&evs[i..j]);
-                    } else {
-                        // A length-1 "run": the scan bought nothing. Spend
-                        // credit; on exhaustion switch to degraded mode for
-                        // the next RUN_PROBE_SKIP eligible records.
-                        self.run_credit -= 1;
-                        if self.run_credit == 0 {
-                            self.run_credit = -RUN_PROBE_SKIP;
-                        }
-                        self.mpi(rec);
-                    }
-                    i = j;
-                }
-                ev => {
-                    self.push(ev);
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    /// Records the batched fast path may handle directly: anything except the
-    /// deferred-compression wildcard receives and the completion ops that
-    /// flush them (those fall back to the general per-event path).
-    fn run_eligible(rec: &MpiRecord) -> bool {
-        !(rec.op.is_completion() || rec.op == MpiOp::Irecv && rec.params.src == ANY_SOURCE)
-    }
-
-    /// Fold a run of same-leaf MPI records with the leaf borrowed once.
-    /// Semantically identical to calling [`Self::mpi`] per record at
-    /// window ≤ 1: fold into the last record when all parameters match,
-    /// otherwise open a new record.
-    fn mpi_run(&mut self, evs: &[Event]) {
-        let Some(Event::Mpi(first)) = evs.first() else {
-            return;
-        };
-        let v = first.gid as usize;
-        debug_assert!(
-            v < self.data.len() && matches!(self.data[v], VertexData::Leaf { .. }),
-            "MPI record with gid {v} does not name a CTT leaf"
-        );
-        let rank = self.rank;
-        let relative = self.cfg.relative_ranks;
-        let time_mode = self.cfg.time_mode;
-        let mut prev_end = self.prev_end;
-        let (mut hits, mut misses) = (0u64, 0u64);
-        if let VertexData::Leaf { records } = &mut self.data[v] {
-            for ev in evs {
-                let Event::Mpi(rec) = ev else { continue };
-                let gap = rec.t_start.saturating_sub(prev_end);
-                prev_end = rec.t_start + rec.dur;
-                match records.last_mut() {
-                    Some(r) if r.params.matches_raw(rank, rec.op, &rec.params, relative) => {
-                        r.count += 1;
-                        r.time.add(rec.dur);
-                        r.gap.add(gap);
-                        hits += 1;
-                    }
-                    _ => {
-                        misses += 1;
-                        let params = EncParams::encode_with(rank, rec.op, &rec.params, relative);
-                        let mut time = TimeStats::new(time_mode);
-                        time.add(rec.dur);
-                        let mut g = TimeStats::new(time_mode);
-                        g.add(gap);
-                        records.push(LeafRecord {
-                            params,
-                            count: 1,
-                            time,
-                            gap: g,
-                        });
-                    }
-                }
-            }
-        }
-        self.prev_end = prev_end;
-        if cypress_obs::enabled() {
-            let m = obs();
-            m.fold_hits.add(hits);
-            m.fold_misses.add(misses);
+        for ev in evs {
+            self.push(ev);
         }
     }
 
@@ -770,80 +649,6 @@ mod tests {
             let offline_ctt = compress_trace(&info.cst, &trace, &CompressConfig::default());
             assert_eq!(online_ctt, offline_ctt, "rank {rank}");
         }
-    }
-
-    #[test]
-    fn push_batch_equals_per_event_push_on_async_workload() {
-        // The batched fast path must be observationally identical to the
-        // per-event path, including around its fallbacks: wildcard receives
-        // (deferred compression) and completion ops (pending flush) embedded
-        // in otherwise mergeable loop bodies.
-        let src = r#"fn main() {
-            for i in 0..50 {
-                let a = isend((rank() + 1) % size(), 64, 0);
-                let b = irecv(any_source(), 64, 0);
-                waitall(a, b);
-                allreduce(8);
-            }
-            barrier();
-        }"#;
-        let p = parse(src).unwrap();
-        check_program(&p).unwrap();
-        let info = analyze_program(&p);
-        let traces = trace_program(&p, &info, 4, &InterpConfig::default()).unwrap();
-        for t in &traces {
-            let mut per_event =
-                IntraCompressor::new(&info.cst, t.rank, t.nprocs, CompressConfig::default());
-            for ev in &t.events {
-                per_event.push(ev);
-            }
-            let reference = per_event.finish(t.app_time);
-
-            // Whole trace in one batch.
-            let mut whole =
-                IntraCompressor::new(&info.cst, t.rank, t.nprocs, CompressConfig::default());
-            whole.push_batch(&t.events);
-            assert_eq!(whole.finish(t.app_time), reference, "rank {}", t.rank);
-
-            // Awkward chunk sizes that split runs mid-way.
-            for chunk in [1usize, 3, 7, 64] {
-                let mut chunked =
-                    IntraCompressor::new(&info.cst, t.rank, t.nprocs, CompressConfig::default());
-                for c in t.events.chunks(chunk) {
-                    chunked.push_batch(c);
-                }
-                assert_eq!(
-                    chunked.finish(t.app_time),
-                    reference,
-                    "rank {} chunk {chunk}",
-                    t.rank
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn push_batch_respects_window_config() {
-        // Window > 1 disables the batched leaf fast path; results must still
-        // match the per-event path exactly.
-        let src = "fn main() { for i in 0..20 { bcast(0, 8 + 8 * (i % 2)); } }";
-        let p = parse(src).unwrap();
-        check_program(&p).unwrap();
-        let info = analyze_program(&p);
-        let t = &trace_program(&p, &info, 1, &InterpConfig::default()).unwrap()[0];
-        let cfg = CompressConfig {
-            window: 2,
-            ..Default::default()
-        };
-        let mut per_event = IntraCompressor::new(&info.cst, 0, 1, cfg.clone());
-        for ev in &t.events {
-            per_event.push(ev);
-        }
-        let mut batched = IntraCompressor::new(&info.cst, 0, 1, cfg);
-        batched.push_batch(&t.events);
-        let reference = per_event.finish(t.app_time);
-        assert_eq!(batched.finish(t.app_time), reference);
-        assert_eq!(reference.record_count(), 2);
     }
 
     #[test]

@@ -176,6 +176,22 @@ impl<'a> CompressSession<'a> {
     /// Feed one event; periodically samples the live footprint.
     pub fn push(&mut self, ev: &Event) {
         let t0 = self.trace_start();
+        self.ingest(ev);
+        self.trace_stop(t0);
+    }
+
+    /// Feed a batch of events: exactly `push` on each, in order, so
+    /// footprint sampling, budget accounting, and stats land on the same
+    /// event indices — with the timeline bookkeeping paid once per batch.
+    pub fn push_batch(&mut self, evs: &[Event]) {
+        let t0 = self.trace_start();
+        for ev in evs {
+            self.ingest(ev);
+        }
+        self.trace_stop(t0);
+    }
+
+    fn ingest(&mut self, ev: &Event) {
         self.inner.push(ev);
         self.stats.events += 1;
         if let Event::Mpi(rec) = ev {
@@ -191,34 +207,6 @@ impl<'a> CompressSession<'a> {
         {
             self.checkpoint();
         }
-        self.trace_stop(t0);
-    }
-
-    /// Feed a batch of events through the compressor's batched fast path.
-    /// Equivalent to pushing each event in order — the batch is split at
-    /// checkpoint boundaries so footprint sampling, budget accounting, and
-    /// stats land on exactly the same event indices as the per-event path.
-    pub fn push_batch(&mut self, evs: &[Event]) {
-        let t0 = self.trace_start();
-        let every = self.cfg.checkpoint_every.max(1);
-        let mut rest = evs;
-        while !rest.is_empty() {
-            let until_checkpoint = (every - self.stats.events % every) as usize;
-            let (chunk, tail) = rest.split_at(until_checkpoint.min(rest.len()));
-            self.inner.push_batch(chunk);
-            self.stats.events += chunk.len() as u64;
-            for ev in chunk {
-                if let Event::Mpi(rec) = ev {
-                    self.stats.mpi_events += 1;
-                    self.stats.raw_mpi_bytes += rec.encoded_len() as u64;
-                }
-            }
-            if self.stats.events.is_multiple_of(every) {
-                self.checkpoint();
-            }
-            rest = tail;
-        }
-        self.trace_stop(t0);
     }
 
     /// Sample the live CTT footprint now; returns the sampled byte count.

@@ -197,11 +197,10 @@ impl TimeStats {
     }
 }
 
-/// Legacy quantized mean/std encoding (read-only compatibility).
-const TAG_MEANSTD_V1: u8 = 0;
 const TAG_HIST: u8 = 1;
 const TAG_NONE: u8 = 2;
-/// Exact integer-moment encoding (current writer).
+/// Exact integer-moment encoding. Tag 0 was a quantized mean/std layout no
+/// writer emits; it is rejected like any other unknown tag.
 const TAG_MEANSTD: u8 = 3;
 
 fn put_u128(enc: &mut Encoder, v: u128) {
@@ -259,31 +258,6 @@ impl Codec for TimeStats {
                 let sumsq = get_u128(dec)?;
                 let min = dec.get_uvar()?;
                 let max = dec.get_uvar()?;
-                Ok(TimeStats::MeanStd {
-                    n,
-                    sum,
-                    sumsq,
-                    min: if n == 0 { u64::MAX } else { min },
-                    max,
-                })
-            }
-            TAG_MEANSTD_V1 => {
-                // Containers written before the exact-moment encoding stored
-                // whole-ns mean and deviation; reconstruct approximate
-                // moments so old files stay readable (statistics are within
-                // the quantization error they already carried).
-                let n = dec.get_uvar()?;
-                let mean = dec.get_uvar()? as f64;
-                let std = dec.get_uvar()? as f64;
-                let min = dec.get_uvar()?;
-                let max = dec.get_uvar()?;
-                let sum = (mean * n as f64).round() as u128;
-                let sumsq = if n >= 2 {
-                    let nf = n as f64;
-                    (std * std * (nf - 1.0) + mean * mean * nf).round() as u128
-                } else {
-                    (mean * mean * n as f64).round() as u128
-                };
                 Ok(TimeStats::MeanStd {
                     n,
                     sum,
@@ -456,26 +430,22 @@ mod tests {
         }
     }
 
-    /// Pre-exact-moment containers carried whole-ns mean/std (tag 0); they
-    /// must still decode to statistics within their own quantization error.
+    /// Only the tags this build writes decode; anything else — including
+    /// the retired quantized tag 0 — is an error that names the tag.
     #[test]
-    fn legacy_quantized_encoding_still_decodes() {
-        let mut enc = Encoder::new();
-        enc.put_u8(TAG_MEANSTD_V1);
-        enc.put_uvar(4); // n
-        enc.put_uvar(100); // mean ns
-        enc.put_uvar(10); // std ns
-        enc.put_uvar(88); // min
-        enc.put_uvar(115); // max
-        let bytes = enc.finish();
-        let s = TimeStats::from_bytes(&bytes).unwrap();
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 100.0).abs() <= 1.0, "mean {}", s.mean());
-        assert!((s.stddev() - 10.0).abs() <= 1.0, "std {}", s.stddev());
-        let TimeStats::MeanStd { min, max, .. } = s else {
-            panic!()
-        };
-        assert_eq!((min, max), (88, 115));
+    fn unknown_tag_is_a_loud_error_naming_the_tag() {
+        for tag in [0u8, 4, 0xff] {
+            let mut enc = Encoder::new();
+            enc.put_u8(tag);
+            for v in [4u64, 100, 10, 88, 115] {
+                enc.put_uvar(v);
+            }
+            let err = TimeStats::from_bytes(&enc.finish()).unwrap_err();
+            assert!(
+                err.0.contains(&format!("tag {tag}")),
+                "tag {tag}: error does not name it: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ pub struct ClientConfig {
     pub io_timeout: Duration,
     /// Events per `Events` frame in streaming mode.
     pub chunk_events: usize,
-    /// DEFLATE level for ctt-mode submissions. Only used when the
-    /// collector negotiates protocol ≥ 2, and only kept when compression
+    /// DEFLATE level for ctt-mode submissions. Only kept when compression
     /// actually shrinks the payload; `None` always sends raw `RankCtt`.
     pub ctt_level: Option<Level>,
 }
@@ -135,14 +134,15 @@ impl EventSink for ChunkSink<'_> {
     }
 }
 
-/// Returns `(negotiated_version, already_done)`.
+/// Returns `already_done`. A collector that acks with any version but our
+/// own is a different protocol: stop before sending it anything else.
 fn hello_exchange(
     stream: &mut Stream,
     rank: u32,
     nprocs: u32,
     mode: SubmitMode,
     cst_text: &str,
-) -> Result<(u8, bool), NetError> {
+) -> Result<bool, NetError> {
     write_frame(
         stream,
         &Frame::Hello {
@@ -155,9 +155,10 @@ fn hello_exchange(
     )?;
     match read_frame(stream)? {
         Frame::HelloAck {
-            version,
+            version: PROTO_VERSION,
             already_done,
-        } => Ok((version, already_done)),
+        } => Ok(already_done),
+        Frame::HelloAck { version, .. } => Err(NetError::Version { theirs: version }),
         Frame::Error { code, message } => Err(NetError::Remote { code, message }),
         f => Err(NetError::Protocol(format!(
             "expected HelloAck, got {}",
@@ -226,7 +227,7 @@ pub fn submit_stream(
         let mut stream = Stream::connect(addr, cfg.io_timeout)?;
         cypress_obs::trace_instant("net", "connect", rank as u64);
         stream.set_io_timeout(cfg.io_timeout)?;
-        if hello_exchange(&mut stream, rank, nprocs, SubmitMode::Stream, cst_text)?.1 {
+        if hello_exchange(&mut stream, rank, nprocs, SubmitMode::Stream, cst_text)? {
             stream.shutdown();
             return Ok(SubmitOutcome {
                 already_done: true,
@@ -283,7 +284,7 @@ pub fn submit_ctt(
 ) -> Result<SubmitOutcome, NetError> {
     let bytes = ctt.to_bytes();
     // Compress once up front; retried attempts reuse it. Kept only when it
-    // actually wins, and only sent to collectors that negotiated v2.
+    // actually wins.
     let compressed = cfg
         .ctt_level
         .map(|lvl| deflate(&bytes, lvl))
@@ -292,7 +293,7 @@ pub fn submit_ctt(
         let mut stream = Stream::connect(addr, cfg.io_timeout)?;
         cypress_obs::trace_instant("net", "connect", ctt.rank as u64);
         stream.set_io_timeout(cfg.io_timeout)?;
-        let (version, already_done) =
+        let already_done =
             hello_exchange(&mut stream, ctt.rank, ctt.nprocs, SubmitMode::Ctt, cst_text)?;
         if already_done {
             stream.shutdown();
@@ -304,11 +305,11 @@ pub fn submit_ctt(
             });
         }
         let frame = match &compressed {
-            Some(z) if version >= 2 => Frame::RankCttZ {
+            Some(z) => Frame::RankCttZ {
                 raw_len: bytes.len() as u64,
                 bytes: z.clone(),
             },
-            _ => Frame::RankCtt {
+            None => Frame::RankCtt {
                 bytes: bytes.clone(),
             },
         };
@@ -343,8 +344,7 @@ pub struct BlockUpload {
 /// Forward a relay's merged buddy blocks to its upstream collector. All
 /// blocks plus the `Finish` pipeline in one write with a single
 /// round-trip; duplicates are upstream no-ops, so a retry that re-sends
-/// blocks which already landed is harmless. Requires the upstream to
-/// negotiate protocol ≥ 4.
+/// blocks which already landed is harmless.
 pub fn submit_merged_blocks(
     addr: &Addr,
     cfg: &ClientConfig,
@@ -358,16 +358,13 @@ pub fn submit_merged_blocks(
         let mut stream = Stream::connect(addr, cfg.io_timeout)?;
         cypress_obs::trace_instant("net", "connect", hello_rank as u64);
         stream.set_io_timeout(cfg.io_timeout)?;
-        let (version, _) = hello_exchange(
+        hello_exchange(
             &mut stream,
             hello_rank,
             nprocs,
             SubmitMode::Blocks,
             cst_text,
         )?;
-        if version < 4 {
-            return Err(NetError::Version { theirs: version });
-        }
         let mut wire = Vec::new();
         for b in blocks {
             encode_frame_into(
@@ -436,7 +433,7 @@ mod tests {
             write_frame(
                 &mut s,
                 &Frame::HelloAck {
-                    version: 1,
+                    version: PROTO_VERSION,
                     already_done: false,
                 },
             )

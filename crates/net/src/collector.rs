@@ -41,9 +41,7 @@
 
 use crate::client::ClientConfig;
 use crate::poll::{PollSet, Waker};
-use crate::proto::{
-    codes, encode_frame_into, Frame, FrameBuf, SubmitMode, PROTO_VERSION, PROTO_VERSION_MIN,
-};
+use crate::proto::{codes, encode_frame_into, Frame, FrameBuf, SubmitMode, PROTO_VERSION};
 use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener, Stream};
 use crate::{obs, NetError};
@@ -950,28 +948,21 @@ fn on_hello<'a>(
     mode: SubmitMode,
     cst_text: String,
 ) {
-    if version < PROTO_VERSION_MIN {
+    if version != PROTO_VERSION {
         c.fail(
             sh,
             codes::VERSION,
-            format!("version {version} below minimum {PROTO_VERSION_MIN}"),
+            format!(
+                "client speaks protocol version {version}, this collector only {PROTO_VERSION}"
+            ),
         );
         return;
     }
-    let negotiated = version.min(PROTO_VERSION);
     if nprocs == 0 || rank >= nprocs {
         c.fail(
             sh,
             codes::BAD_RANK,
             format!("rank {rank} out of range for {nprocs} procs"),
-        );
-        return;
-    }
-    if mode == SubmitMode::Blocks && negotiated < 4 {
-        c.fail(
-            sh,
-            codes::VERSION,
-            format!("blocks mode requires protocol >= 4, negotiated {negotiated}"),
         );
         return;
     }
@@ -1056,7 +1047,7 @@ fn on_hello<'a>(
         }
     };
     c.queue(&Frame::HelloAck {
-        version: negotiated,
+        version: PROTO_VERSION,
         already_done,
     });
     if already_done {
@@ -1474,85 +1465,54 @@ mod tests {
         }
     }
 
+    /// One version: a Hello one version older or newer is answered over
+    /// the real socket with a `codes::VERSION` error frame naming the
+    /// offered and the expected version, and then the connection closes.
     #[test]
-    fn v1_client_negotiates_down_and_submits_raw() {
+    fn wrong_hello_version_is_a_loud_error_then_close() {
         let (info, traces) = traces(1);
         let cst_text = info.cst.to_text();
         let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
-
         let (addr, server) = serve_in_background(CollectorConfig {
             workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
-        // Hand-rolled v1 client: the collector must answer with version 1
-        // and accept the raw RankCtt frame.
-        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                version: 1,
-                rank: 0,
-                nprocs: 1,
-                mode: SubmitMode::Ctt,
-                cst_text: cst_text.clone(),
-            },
-        )
-        .unwrap();
-        match read_frame(&mut stream).unwrap() {
-            Frame::HelloAck { version, .. } => assert_eq!(version, 1),
-            f => panic!("expected HelloAck, got {}", f.name()),
+        for offered in [PROTO_VERSION - 1, PROTO_VERSION + 1] {
+            for mode in [SubmitMode::Stream, SubmitMode::Ctt, SubmitMode::Blocks] {
+                let mut stream =
+                    crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+                stream.set_io_timeout(Duration::from_secs(5)).unwrap();
+                write_frame(
+                    &mut stream,
+                    &Frame::Hello {
+                        version: offered,
+                        rank: 0,
+                        nprocs: 1,
+                        mode,
+                        cst_text: cst_text.clone(),
+                    },
+                )
+                .unwrap();
+                match read_frame(&mut stream).unwrap() {
+                    Frame::Error { code, message } => {
+                        assert_eq!(code, codes::VERSION, "{message}");
+                        assert!(
+                            message.contains(&format!("version {offered},"))
+                                && message.contains(&format!("only {PROTO_VERSION}")),
+                            "version {offered}: {message}"
+                        );
+                    }
+                    f => panic!("version {offered}: expected Error, got {}", f.name()),
+                }
+                assert!(
+                    read_frame(&mut stream).is_err(),
+                    "version {offered}: connection left open after the rejection"
+                );
+            }
         }
-        write_frame(
-            &mut stream,
-            &Frame::RankCtt {
-                bytes: ctt.to_bytes(),
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_frame(&mut stream).unwrap(),
-            Frame::FinAck { ranks_done: 1 }
-        ));
-        let job = server.join().unwrap().unwrap();
-        assert_eq!(job.merged.to_bytes(), merge_all(&[ctt]).to_bytes());
-    }
-
-    #[test]
-    fn blocks_mode_requires_protocol_v4() {
-        let (info, traces) = traces(2);
-        let cst_text = info.cst.to_text();
-        let local: Vec<_> = traces
-            .iter()
-            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
-            .collect();
-        let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
-            deadline: Some(Duration::from_secs(60)),
-            ..CollectorConfig::default()
-        });
-        // A v3 peer claiming blocks mode must be rejected loudly.
-        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                version: 3,
-                rank: 0,
-                nprocs: 2,
-                mode: SubmitMode::Blocks,
-                cst_text: cst_text.clone(),
-            },
-        )
-        .unwrap();
-        match read_frame(&mut stream).unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, codes::VERSION),
-            f => panic!("expected Error, got {}", f.name()),
-        }
-        // Finish the job so the server exits.
-        let cfg = ClientConfig::default();
-        for ctt in &local {
-            submit_ctt(&addr, &cfg, ctt, &cst_text).unwrap();
-        }
+        // The current version still gets in, so the server exits.
+        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
         server.join().unwrap().unwrap();
     }
 
@@ -1572,7 +1532,7 @@ mod tests {
         write_frame(
             &mut stream,
             &Frame::Hello {
-                version: 2,
+                version: PROTO_VERSION,
                 rank: 0,
                 nprocs: 1,
                 mode: SubmitMode::Ctt,

@@ -50,7 +50,7 @@ pub use client::{
     submit_ctt, submit_merged_blocks, submit_stream, BlockUpload, ClientConfig, SubmitOutcome,
 };
 pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
-pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION, PROTO_VERSION_MIN};
+pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
 pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 pub use transport::{Addr, Listener, Stream};
 pub use tree::{spawn_tree, Tree, TreeConfig};
@@ -70,7 +70,7 @@ pub enum NetError {
         stored: u32,
         computed: u32,
     },
-    /// The peer speaks a protocol version outside our supported range.
+    /// The peer speaks a protocol version other than [`PROTO_VERSION`].
     Version {
         theirs: u8,
     },
@@ -107,9 +107,7 @@ impl fmt::Display for NetError {
             ),
             NetError::Version { theirs } => write!(
                 f,
-                "peer protocol version {theirs} unsupported (accept {PROTO_VERSION_MIN}..={PROTO_VERSION})",
-                PROTO_VERSION_MIN = proto::PROTO_VERSION_MIN,
-                PROTO_VERSION = proto::PROTO_VERSION,
+                "peer protocol version {theirs} unsupported (this build speaks only {PROTO_VERSION})",
             ),
             NetError::Remote { code, message } => {
                 write!(f, "peer error {code} ({}): {message}", proto::codes::name(*code))

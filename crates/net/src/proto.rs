@@ -11,48 +11,39 @@
 //! ```
 //!
 //! The CRC covers the whole body, so a torn or bit-flipped frame is
-//! detected before any payload decoding runs. Versioning is negotiated in
-//! the first exchange: the client's `Hello` carries its protocol version;
-//! the collector answers `HelloAck` with `min(client, PROTO_VERSION)` if
-//! that is ≥ [`PROTO_VERSION_MIN`], and an `Error` frame with
-//! [`codes::VERSION`] otherwise.
+//! detected before any payload decoding runs. There is one protocol version,
+//! [`PROTO_VERSION`]: the client's `Hello` carries it, and the collector
+//! answers `HelloAck` with the same byte if it matches its own, or an
+//! `Error` frame with [`codes::VERSION`] naming both versions, and closes.
 //!
 //! Frame sequences (client → collector unless noted):
 //!
 //! ```text
 //! stream mode:  Hello → (HelloAck ←) → Events* → Finish → (FinAck ←)
 //! ctt mode:     Hello → (HelloAck ←) → RankCtt | RankCttZ → (FinAck ←)
-//! query mode:   QueryRequest → (QueryResponse ←), repeated per connection
+//! blocks mode:  Hello → (HelloAck ←) → MergedBlockZ* → Finish → (FinAck ←)
+//! query mode:   QueryRequest | AnalyzeRequest → (…Response ←), repeated
+//! stats mode:   StatsRequest → (Stats ←)
 //! any point:    Error ← (collector rejects; see codes)
 //! ```
 //!
-//! Protocol version 2 adds `RankCttZ`: a DEFLATE-compressed rank CTT with
-//! the raw length up front so the collector can bound decompression. A
-//! client only sends it when the negotiated version is ≥ 2; against a v1
-//! collector it falls back to the raw `RankCtt` frame.
+//! `RankCttZ` is a DEFLATE-compressed rank CTT with the raw length up front
+//! so the collector can bound decompression; a client sends the raw
+//! `RankCtt` instead when deflate does not shrink the payload.
 //!
-//! Protocol version 3 adds the analysis frames (`AnalyzeRequest` /
-//! `AnalyzeResponse`) and tolerant decoding of frame codes from the
-//! *future*: an unrecognized code decodes to [`Frame::Unknown`] instead of
-//! a hard frame error, so a resident daemon can answer it with a `protocol`
-//! error frame and keep the connection usable — the negotiation story for
-//! old-server/new-client pairs on the query port, which exchanges no
-//! `Hello`.
-//!
-//! Protocol version 4 adds the collector-tree frames: `Hello` mode 2
-//! (`SubmitMode::Blocks`) opens an inter-collector session, and each
-//! `MergedBlockZ` frame carries one DEFLATE-compressed *aligned buddy
-//! block* of the global binomial merge — a relay's resident partial merges,
-//! forwarded upstream without re-expanding to per-rank CTTs:
-//!
-//! ```text
-//! blocks mode:  Hello → (HelloAck ←) → MergedBlockZ* → Finish → (FinAck ←)
-//! ```
-//!
-//! `Finish.event_count` in blocks mode counts *blocks* (the cross-check the
+//! Blocks mode (`SubmitMode::Blocks`) is the inter-collector session of a
+//! relay tree: each `MergedBlockZ` frame carries one DEFLATE-compressed
+//! *aligned buddy block* of the global binomial merge — a relay's resident
+//! partial merges, forwarded upstream without re-expanding to per-rank
+//! CTTs. `Finish.event_count` then counts *blocks* (the cross-check the
 //! stream mode applies to events), and a duplicate block — a relay retry
 //! whose first attempt partially landed — is absorbed as a no-op exactly
 //! like a duplicate rank.
+//!
+//! The query port exchanges no `Hello`, so a frame code this build does not
+//! know decodes to [`Frame::Unknown`] instead of a hard frame error: a
+//! resident daemon answers it with a `protocol` error frame and keeps the
+//! connection usable, whatever bytes a peer invents.
 //!
 //! The `Finish`/`FinAck` round trip is the graceful-shutdown drain: a
 //! client that received `FinAck` knows its rank is merged and may
@@ -66,11 +57,8 @@ use cypress_trace::codec::{Codec, Decoder, Encoder};
 use cypress_trace::event::Event;
 use std::io::{Read, Write};
 
-/// Newest protocol version this build speaks.
+/// The protocol version this build speaks — the only one it accepts.
 pub const PROTO_VERSION: u8 = 4;
-
-/// Oldest protocol version this build accepts.
-pub const PROTO_VERSION_MIN: u8 = 1;
 
 /// Upper bound on a frame body; larger length prefixes are rejected before
 /// any allocation.
@@ -78,7 +66,7 @@ pub const MAX_FRAME_BODY: usize = 64 << 20;
 
 /// Protocol error codes carried by [`Frame::Error`].
 pub mod codes {
-    /// Version outside the collector's supported range.
+    /// The peer's version is not the collector's [`super::PROTO_VERSION`].
     pub const VERSION: u16 = 1;
     /// Rank out of range, or job size mismatch between clients.
     pub const BAD_RANK: u16 = 2;
@@ -119,7 +107,7 @@ pub enum SubmitMode {
     /// The client compressed locally and ships the finished CTT bytes.
     Ctt,
     /// The peer is a mid-tier relay collector forwarding already-merged
-    /// buddy blocks of the global binomial tree (protocol ≥ 4).
+    /// buddy blocks of the global binomial tree.
     Blocks,
 }
 
@@ -171,8 +159,9 @@ pub enum Frame {
         mode: SubmitMode,
         cst_text: String,
     },
-    /// Collector acceptance: the negotiated version, and whether this rank
-    /// is already merged (a retried client can stop immediately).
+    /// Collector acceptance: its protocol version (equal to the client's),
+    /// and whether this rank is already merged (a retried client can stop
+    /// immediately).
     HelloAck { version: u8, already_done: bool },
     /// A chunk of raw trace events, in execution order.
     Events { events: Vec<Event> },
@@ -183,16 +172,14 @@ pub enum Frame {
     FinAck { ranks_done: u32 },
     /// A finished per-rank CTT in codec bytes (ctt mode).
     RankCtt { bytes: Vec<u8> },
-    /// A finished per-rank CTT, DEFLATE-compressed (ctt mode, protocol ≥ 2).
+    /// A finished per-rank CTT, DEFLATE-compressed (ctt mode).
     /// `raw_len` is the decompressed size, checked by the collector before
     /// and after inflation.
     RankCttZ { raw_len: u64, bytes: Vec<u8> },
     /// Ask a collector's stats endpoint for a live snapshot.
     StatsRequest,
     /// The snapshot. The payload is a self-versioned blob (see
-    /// [`crate::stats::STATS_VERSION`]) nested as length-prefixed bytes, so
-    /// fields appended by newer collectors never trip the frame-level
-    /// trailing-bytes check.
+    /// [`crate::stats::STATS_VERSION`]) nested as length-prefixed bytes.
     Stats { stats: crate::stats::Stats },
     /// Ask a resident query daemon to evaluate a query against one job in
     /// its store. `options` is an opaque, self-versioned blob (the query
@@ -211,7 +198,7 @@ pub enum Frame {
     /// The answer: an opaque, self-versioned `AnalyzeReport` blob.
     AnalyzeResponse { result: Vec<u8> },
     /// One aligned buddy block of the global binomial merge, forwarded by a
-    /// relay collector (blocks mode, protocol ≥ 4). `bytes` is a
+    /// relay collector (blocks mode). `bytes` is a
     /// DEFLATE-compressed `MergedCtt` covering ranks
     /// `[first_rank, first_rank + nranks)`; `raw_len` bounds inflation like
     /// `RankCttZ`. `events`/`raw_mpi_bytes` carry the relay's accounting
@@ -227,8 +214,8 @@ pub enum Frame {
     },
     /// Rejection; `code` is one of [`codes`].
     Error { code: u16, message: String },
-    /// A frame code this build does not know (sent by a newer peer). Never
-    /// encoded; produced by the decoder — with the payload discarded — so a
+    /// A frame code this build does not know. Never encoded; produced by
+    /// the decoder — with the payload discarded — so a
     /// server can answer with a `protocol` error frame instead of tearing
     /// the connection down.
     Unknown { code: u8 },
@@ -456,10 +443,11 @@ impl Frame {
                 code: dec.get_uvar().map_err(|e| bad(e.to_string()))? as u16,
                 message: dec.get_str().map_err(|e| bad(e.to_string()))?,
             },
-            // The CRC already vouched for the body; an unknown code means a
-            // newer peer, not corruption. Discard the payload (we cannot
-            // parse it) and surface the code so the server can reply with a
-            // protocol error instead of dropping the connection.
+            // The CRC already vouched for the body, so an unknown code is a
+            // peer speaking something else, not corruption. Discard the
+            // payload (we cannot parse it) and surface the code so the
+            // server can reply with a protocol error instead of dropping
+            // the connection.
             c => {
                 let n = dec.remaining();
                 dec.skip(n).map_err(|e| bad(e.to_string()))?;
@@ -687,7 +675,7 @@ mod tests {
                 cst_text: "Root()".into(),
             },
             Frame::HelloAck {
-                version: 1,
+                version: PROTO_VERSION,
                 already_done: true,
             },
             Frame::Events {
@@ -954,7 +942,7 @@ mod tests {
 
     #[test]
     fn unknown_frame_code_decodes_tolerantly() {
-        // A future frame code with an arbitrary payload must decode to
+        // An unassigned frame code with an arbitrary payload must decode to
         // Frame::Unknown (payload discarded) rather than a frame error, so
         // a server can answer it and keep the connection; the stream must
         // stay aligned for the next frame.

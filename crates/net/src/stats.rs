@@ -9,9 +9,8 @@
 //! stays untouched.
 //!
 //! The payload is **self-versioned**: [`STATS_VERSION`] is the first byte of
-//! the body and new fields only ever append, so an old `cypress stats` can
-//! read a newer collector's leading fields and a new client rejects only
-//! versions older than it knows. Collector-side measurements feeding the
+//! the body, and a reader accepts exactly that version and exactly the
+//! fields it defines. Collector-side measurements feeding the
 //! quantiles use the ungated [`cypress_obs::Histogram::record`] path, so
 //! `stats` works whether or not the daemon runs with `--metrics`.
 
@@ -145,13 +144,15 @@ impl Stats {
         enc.finish()
     }
 
-    /// Decode a payload. Accepts any version ≥ 1 (newer collectors only
-    /// append fields, which a v1 reader leaves unread); rejects version 0.
+    /// Decode a whole payload: exactly [`STATS_VERSION`], nothing after the
+    /// last field.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Stats, DecodeError> {
         let bad = |m: &str| DecodeError(m.to_string());
         let version = dec.get_u8()?;
-        if version == 0 {
-            return Err(bad("stats payload version 0"));
+        if version != STATS_VERSION {
+            return Err(DecodeError(format!(
+                "stats payload version {version} unsupported (expected {STATS_VERSION})"
+            )));
         }
         let uptime_ns = dec.get_uvar()?;
         let nprocs = dec.get_uvar()? as u32;
@@ -191,8 +192,12 @@ impl Stats {
                 p99: dec.get_uvar()?,
             });
         }
-        // Version > STATS_VERSION may have appended fields; leave them
-        // unread (the frame layer tolerates them via this path only).
+        if !dec.is_done() {
+            return Err(DecodeError(format!(
+                "{} trailing bytes after stats payload",
+                dec.remaining()
+            )));
+        }
         Ok(Stats {
             version,
             uptime_ns,
@@ -359,25 +364,26 @@ mod tests {
     }
 
     #[test]
-    fn version_zero_rejected() {
-        let mut s = sample();
-        s.version = 0;
-        let bytes = s.encode();
-        assert!(Stats::decode(&mut Decoder::new(&bytes)).is_err());
+    fn wrong_version_is_a_loud_error_naming_both_versions() {
+        for offered in [STATS_VERSION - 1, STATS_VERSION + 1] {
+            let mut s = sample();
+            s.version = offered;
+            let err = Stats::decode(&mut Decoder::new(&s.encode())).unwrap_err();
+            assert!(
+                err.0.contains(&format!("version {offered} "))
+                    && err.0.contains(&format!("expected {STATS_VERSION}")),
+                "version {offered}: {}",
+                err.0
+            );
+        }
     }
 
     #[test]
-    fn newer_version_with_appended_fields_still_reads() {
-        let mut s = sample();
-        s.version = STATS_VERSION + 1;
-        let mut bytes = s.encode();
-        // A future collector appends a field we do not know about.
-        bytes.extend_from_slice(&[0x2a]);
-        let mut dec = Decoder::new(&bytes);
-        let got = Stats::decode(&mut dec).unwrap();
-        assert_eq!(got.nprocs, 8);
-        assert_eq!(got.clients.len(), 3);
-        assert!(!dec.is_done(), "appended field left unread");
+    fn appended_bytes_are_rejected() {
+        let mut bytes = sample().encode();
+        bytes.push(0x2a);
+        let err = Stats::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(err.0.contains("trailing"), "{}", err.0);
     }
 
     #[test]

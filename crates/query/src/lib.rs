@@ -44,18 +44,16 @@
 //! `tests/random_programs.rs` in the umbrella crate).
 
 mod accum;
-mod container;
 mod engine;
 mod hotspot;
 mod wire;
 
-pub use container::{query_container, query_container_bytes, query_container_path};
 pub use engine::{
-    needs_expansion, query_by_decompression, query_by_decompression_windowed, query_ctts,
-    query_merged,
+    has_complete_rank_set, needs_expansion, query_by_decompression,
+    query_by_decompression_windowed, query_ctts, query_job, query_merged,
 };
 pub use hotspot::HotSpot;
-pub use wire::{json_escape, QUERY_WIRE_VERSION, QUERY_WIRE_VERSION_WINDOWED};
+pub use wire::{json_escape, QUERY_WIRE_VERSION};
 
 use cypress_trace::{CommMatrix, MpiOp, Profile};
 use std::fmt;

@@ -22,12 +22,6 @@ use cypress_trace::{
 /// Version byte leading every [`QueryOptions`] / [`QueryResult`] blob.
 pub const QUERY_WIRE_VERSION: u8 = 1;
 
-/// Options version used only when a [`Window`] is present. Windowless
-/// options still encode as version 1 byte-for-byte, so new clients talk to
-/// old daemons unchanged; an old daemon receiving version-2 options rejects
-/// them with a clean version error instead of a mis-parse.
-pub const QUERY_WIRE_VERSION_WINDOWED: u8 = 2;
-
 fn check_version(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<()> {
     let v = dec.get_u8()?;
     if v != QUERY_WIRE_VERSION {
@@ -116,40 +110,47 @@ impl Strategy {
     }
 }
 
-impl Codec for QueryOptions {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(if self.window.is_some() {
-            QUERY_WIRE_VERSION_WINDOWED
-        } else {
-            QUERY_WIRE_VERSION
-        });
-        enc.put_u8(self.strategy.code());
-        enc.put_uvar(self.hotspot_limit as u64);
-        if let Some(w) = self.window {
-            enc.put_uvar(w.start_ns);
-            enc.put_uvar(w.end_ns);
+impl Window {
+    /// Wire form of an optional window, shared by every options blob that
+    /// carries one: a presence flag, then the two bounds.
+    pub fn encode_opt(window: Option<Window>, enc: &mut Encoder) {
+        match window {
+            None => enc.put_u8(0),
+            Some(w) => {
+                enc.put_u8(1);
+                enc.put_uvar(w.start_ns);
+                enc.put_uvar(w.end_ns);
+            }
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let v = dec.get_u8()?;
-        if v != QUERY_WIRE_VERSION && v != QUERY_WIRE_VERSION_WINDOWED {
-            return Err(DecodeError(format!(
-                "query options wire version {v} unsupported (expected {QUERY_WIRE_VERSION} or {QUERY_WIRE_VERSION_WINDOWED})"
-            )));
+    pub fn decode_opt(dec: &mut Decoder<'_>) -> DecodeResult<Option<Window>> {
+        match dec.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(Window {
+                start_ns: dec.get_uvar()?,
+                end_ns: dec.get_uvar()?,
+            })),
+            f => Err(DecodeError(format!("unknown window flag {f}"))),
         }
+    }
+}
+
+impl Codec for QueryOptions {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(QUERY_WIRE_VERSION);
+        enc.put_u8(self.strategy.code());
+        enc.put_uvar(self.hotspot_limit as u64);
+        Window::encode_opt(self.window, enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        check_version(dec, "query options")?;
         let code = dec.get_u8()?;
         let strategy = Strategy::from_code(code)
             .ok_or_else(|| DecodeError(format!("unknown strategy code {code}")))?;
         let hotspot_limit = dec.get_uvar()? as usize;
-        let window = if v == QUERY_WIRE_VERSION_WINDOWED {
-            Some(Window {
-                start_ns: dec.get_uvar()?,
-                end_ns: dec.get_uvar()?,
-            })
-        } else {
-            None
-        };
+        let window = Window::decode_opt(dec)?;
         Ok(QueryOptions {
             strategy,
             hotspot_limit,
@@ -343,48 +344,65 @@ mod tests {
     use super::*;
 
     #[test]
-    fn options_roundtrip_and_version_gate() {
-        let opts = QueryOptions {
-            strategy: Strategy::Symbolic,
-            hotspot_limit: 25,
-            window: None,
-        };
-        let bytes = opts.to_bytes();
-        assert_eq!(bytes[0], QUERY_WIRE_VERSION);
-        let back = QueryOptions::from_bytes(&bytes).unwrap();
-        assert_eq!(back.strategy, Strategy::Symbolic);
-        assert_eq!(back.hotspot_limit, 25);
-        assert_eq!(back.window, None);
-
-        let mut bad = bytes.clone();
-        bad[0] = 99;
-        let err = QueryOptions::from_bytes(&bad).unwrap_err();
-        assert!(err.0.contains("wire version 99"), "{}", err.0);
-    }
-
-    #[test]
-    fn windowed_options_use_v2_and_roundtrip() {
-        let opts = QueryOptions {
-            strategy: Strategy::Auto,
-            hotspot_limit: 10,
-            window: Some(Window {
+    fn options_roundtrip_with_and_without_window() {
+        for window in [
+            None,
+            Some(Window {
                 start_ns: 1_000,
                 end_ns: 9_999,
             }),
+        ] {
+            let opts = QueryOptions {
+                strategy: Strategy::Symbolic,
+                hotspot_limit: 25,
+                window,
+            };
+            let bytes = opts.to_bytes();
+            assert_eq!(bytes[0], QUERY_WIRE_VERSION);
+            let back = QueryOptions::from_bytes(&bytes).unwrap();
+            assert_eq!(back.strategy, Strategy::Symbolic);
+            assert_eq!(back.hotspot_limit, 25);
+            assert_eq!(back.window, window);
+        }
+    }
+
+    /// One version each way: a blob one version older or newer is a loud
+    /// error naming the offered and the expected version.
+    #[test]
+    fn wrong_version_is_a_loud_error_naming_both_versions() {
+        fn check<T: Codec>(what: &str, mut blob: Vec<u8>) {
+            for offered in [QUERY_WIRE_VERSION - 1, QUERY_WIRE_VERSION + 1] {
+                blob[0] = offered;
+                let Err(err) = T::from_bytes(&blob) else {
+                    panic!("{what} version {offered} decoded");
+                };
+                assert!(
+                    err.0.contains(&format!("{what} wire version {offered} "))
+                        && err.0.contains(&format!("expected {QUERY_WIRE_VERSION}")),
+                    "{what} version {offered}: {}",
+                    err.0
+                );
+            }
+        }
+        let windowed = QueryOptions {
+            window: Some(Window {
+                start_ns: 1,
+                end_ns: 2,
+            }),
+            ..QueryOptions::default()
         };
-        let bytes = opts.to_bytes();
-        assert_eq!(bytes[0], QUERY_WIRE_VERSION_WINDOWED);
-        let back = QueryOptions::from_bytes(&bytes).unwrap();
-        assert_eq!(
-            back.window,
-            Some(Window {
-                start_ns: 1_000,
-                end_ns: 9_999
-            })
-        );
-        // Windowless encoding is still plain v1 — byte-compatible with old
-        // daemons.
-        assert_eq!(QueryOptions::default().to_bytes()[0], QUERY_WIRE_VERSION);
+        check::<QueryOptions>("query options", QueryOptions::default().to_bytes());
+        check::<QueryOptions>("query options", windowed.to_bytes());
+        let result = QueryResult {
+            nprocs: 1,
+            strategy: StrategyUsed::Symbolic,
+            matrix: CommMatrix::new(1),
+            profile: Profile::new(1),
+            totals: vec![RankTotals::default()],
+            hotspots: Vec::new(),
+            loop_trips: 0,
+        };
+        check::<QueryResult>("query result", result.to_bytes());
     }
 
     #[test]

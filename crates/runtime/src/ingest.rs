@@ -19,8 +19,8 @@
 //!    discards the rank's partial state.
 //!
 //! Checkpoint boundaries are preserved by construction: consumers feed
-//! batches through `push_batch`-style entry points that split at the
-//! session's checkpoint cadence internally, so footprint samples land on
+//! batches through `push_batch`-style entry points that count events and
+//! checkpoint exactly as per-event pushes do, so footprint samples land on
 //! exactly the same event indices as the sequential path and the resulting
 //! CTTs are byte-identical (pinned by `tests/pipelined.rs`).
 

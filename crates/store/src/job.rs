@@ -4,7 +4,7 @@ use crate::StoreError;
 use cypress_analysis::{analyze_ctts, AnalyzeOptions, AnalyzeReport};
 use cypress_core::{CttSlab, CttSource, MergedCtt};
 use cypress_cst::Cst;
-use cypress_query::{query_ctts, query_merged, QueryOptions, QueryResult};
+use cypress_query::{has_complete_rank_set, query_job, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
 use cypress_trace::{Codec, ContainerError, PayloadArena, SectionKind, SectionTable};
 use std::path::Path;
@@ -56,10 +56,9 @@ impl StoreJob {
             let payload = arena.payload(&image, &table.sections()[idx], idx)?;
             slabs.push(CttSlab::from_bytes(payload)?);
         }
-        let complete = slabs.len() as u32 == nprocs
-            && nprocs > 0
-            && (0..nprocs).all(|r| slabs.iter().any(|s| s.rank() == r));
-
+        // `query_job` never reads the merged tree of a complete job, so its
+        // (often large) section stays un-inflated and un-decoded.
+        let complete = has_complete_rank_set(nprocs, &slabs);
         let merged = if complete {
             None
         } else {
@@ -84,21 +83,19 @@ impl StoreJob {
         })
     }
 
-    /// Evaluate the compressed-domain query suite. Selection matches the
-    /// umbrella `LoadedJob::query_with` exactly — a complete per-rank set
-    /// is preferred, then the merged tree — and slab evaluation is pinned
+    /// Evaluate the compressed-domain query suite through
+    /// [`cypress_query::query_job`], the same selection the umbrella
+    /// `LoadedJob::query_with` calls. Slab evaluation is pinned
     /// byte-identical to owned-CTT evaluation, so daemon answers equal
     /// local ones bit for bit.
     pub fn query(&self, opts: &QueryOptions) -> Result<QueryResult, StoreError> {
-        if self.complete {
-            return Ok(query_ctts(&self.cst, &self.slabs, opts)?);
-        }
-        if let Some(merged) = &self.merged {
-            return Ok(query_merged(&self.cst, merged, opts)?);
-        }
-        Err(StoreError::Container(ContainerError::MissingSection(
-            "merged-ctt or complete rank-ctt set",
-        )))
+        Ok(query_job(
+            &self.cst,
+            self.table.nprocs,
+            &self.slabs,
+            self.merged.as_ref(),
+            opts,
+        )?)
     }
 
     /// Run the compressed-domain analysis suite (CTT-native LogGP replay

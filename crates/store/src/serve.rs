@@ -7,10 +7,10 @@
 //! resident daemon. Failures map onto protocol error frames: unknown job →
 //! `not-found`, malformed options → `protocol`, anything else →
 //! `internal`; the connection stays open after an error reply, so a
-//! scripted client can probe jobs cheaply. Frame codes from a newer client
-//! (decoded as `Frame::Unknown`) also get a `protocol` error reply with
-//! the connection kept alive — that is the whole version-negotiation story
-//! on this port, which exchanges no `Hello`.
+//! scripted client can probe jobs cheaply. Frame codes this build does not
+//! know (decoded as `Frame::Unknown`) also get a `protocol` error reply
+//! with the connection kept alive — this port exchanges no `Hello`, so that
+//! reply is how a peer speaking something else finds out.
 
 use crate::{JobStore, StoreError};
 use cypress_analysis::{AnalyzeOptions, AnalyzeReport};

@@ -2,13 +2,13 @@
 //! budget accounting, handle validity across eviction, and the loopback
 //! daemon path.
 
-use cypress_core::{compress_trace, merge_all, CompressConfig};
-use cypress_cst::analyze_program;
+use cypress_core::{compress_trace, merge_all, CompressConfig, Ctt};
+use cypress_cst::{analyze_program, Cst};
 use cypress_minilang::{check_program, parse};
-use cypress_query::QueryOptions;
+use cypress_query::{query_ctts, QueryOptions};
 use cypress_runtime::{trace_program, InterpConfig};
 use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError};
-use cypress_trace::{Codec, Container, SectionKind};
+use cypress_trace::{Codec, Container, ContainerView, SectionKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
@@ -70,15 +70,25 @@ const PROG: &str = r#"fn main() {
 }"#;
 
 #[test]
-fn open_query_matches_direct_container_query() {
+fn open_query_matches_query_ctts_on_the_same_image() {
     let tmp = TempStore::new();
     write_job(&tmp.0, "job-a", PROG, 4);
     let store = JobStore::new(&tmp.0, StoreConfig::default()).unwrap();
     let job = store.open("job-a").unwrap();
     let from_store = job.query(&QueryOptions::default()).unwrap();
 
+    // Reference: owned CTTs decoded from the same image, straight into the
+    // engine — no store, no slabs.
     let image = std::fs::read(tmp.0.join("job-a.cytc")).unwrap();
-    let reference = cypress_query::query_container_bytes(&image, &QueryOptions::default()).unwrap();
+    let view = ContainerView::parse(&image).unwrap();
+    let cst_text = view.find_payload(SectionKind::CstText).unwrap().unwrap();
+    let cst = Cst::from_text(std::str::from_utf8(cst_text).unwrap()).unwrap();
+    let ctts: Vec<Ctt> = view
+        .table()
+        .rank_indices()
+        .map(|i| Ctt::from_bytes(view.payload(i).unwrap()).unwrap())
+        .collect();
+    let reference = query_ctts(&cst, &ctts, &QueryOptions::default()).unwrap();
     assert_eq!(from_store, reference);
     assert_eq!(from_store.to_bytes(), reference.to_bytes());
 }

@@ -1,15 +1,13 @@
-//! Lazy, zero-copy views over a container image.
+//! The container reader: lazy, zero-copy views over an image.
 //!
-//! [`Container::from_bytes`](crate::container::Container::from_bytes) is the
-//! eager path: every section payload is copied (and inflated) into an owned
-//! `Vec` up front. That is the wrong shape for a resident trace store that
-//! keeps thousands of `.cytc` images open — most opens touch two or three
-//! sections, and raw payloads never need to leave the backing buffer at all.
-//!
-//! This module splits the read path into three pieces:
+//! Copying (and inflating) every section payload into an owned `Vec` up
+//! front is the wrong shape for a resident trace store that keeps thousands
+//! of `.cytc` images open — most opens touch two or three sections, and raw
+//! payloads never need to leave the backing buffer at all. So the read path
+//! is three pieces, and every reader in the workspace goes through them:
 //!
 //! - [`SectionTable::parse`] validates all framing *without inflating
-//!   anything*: magic, version, the whole-image CRC (v3), body varints, and
+//!   anything*: magic, version, the whole-image CRC, body varints, and
 //!   every per-section CRC. It yields index-based [`SectionInfo`] records
 //!   (byte ranges into the image, not borrowed slices), so the table can be
 //!   stored next to the buffer it describes without self-reference.
@@ -19,15 +17,11 @@
 //!   section reports the same error on every access).
 //! - [`ContainerView`] bundles an image borrow with its table and arena —
 //!   the convenient form for one-shot readers like `cypress inspect`.
-//!
-//! The eager `Container::from_bytes` is reimplemented on top of
-//! [`SectionTable::parse`], so both paths share one parser and reject
-//! malformed images identically.
 
 use crate::codec::{DecodeError, Decoder};
 use crate::container::{
-    note_crc_failure, ContainerError, SectionKind, CONTAINER_MAGIC, CONTAINER_VERSION, ENC_DEFLATE,
-    ENC_RAW,
+    note_bytes_read, note_crc_failure, ContainerError, SectionKind, CONTAINER_MAGIC,
+    CONTAINER_VERSION, ENC_DEFLATE,
 };
 use cypress_deflate::{crc32, inflate};
 use std::ops::Range;
@@ -79,86 +73,66 @@ pub struct SectionTable {
 impl SectionTable {
     /// Parse and verify container framing over `image`.
     ///
-    /// Checks, in order: magic, version, the whole-image CRC trailer (v3+ —
-    /// verified over the full prefix *before* any body varint is trusted, so
-    /// a corrupted length field can never demand an absurd allocation), body
-    /// framing, and each section's stored-byte CRC. No payload is inflated.
+    /// Checks, in order: magic, version (exactly [`CONTAINER_VERSION`]), the
+    /// whole-image CRC trailer (verified over the full prefix *before* any
+    /// body varint is trusted, so a corrupted length field can never demand
+    /// an absurd allocation), body framing, and each section's stored-byte
+    /// CRC. No payload is inflated.
     pub fn parse(image: &[u8]) -> Result<SectionTable, ContainerError> {
         if image.len() < 5 || image[..4] != CONTAINER_MAGIC {
             return Err(ContainerError::BadMagic);
         }
+        note_bytes_read(image.len());
         let version = image[4];
-        if version == 0 || version > CONTAINER_VERSION {
+        if version != CONTAINER_VERSION {
             return Err(ContainerError::UnsupportedVersion(version));
         }
-        let body_end = if version >= 3 {
-            if image.len() < 9 {
-                return Err(ContainerError::Corrupt(DecodeError(
-                    "image too short for v3 crc trailer".into(),
-                )));
-            }
-            let split = image.len() - 4;
-            let stored = u32::from_le_bytes(image[split..].try_into().unwrap());
-            let computed = crc32(&image[..split]);
-            if stored != computed {
-                note_crc_failure();
-                return Err(ContainerError::ImageCrcMismatch { stored, computed });
-            }
-            split
-        } else {
-            image.len()
-        };
+        if image.len() < 9 {
+            return Err(corrupt("image too short for crc trailer".into()));
+        }
+        let body_end = image.len() - 4;
+        let stored = u32::from_le_bytes(image[body_end..].try_into().unwrap());
+        let computed = crc32(&image[..body_end]);
+        if stored != computed {
+            note_crc_failure();
+            return Err(ContainerError::ImageCrcMismatch { stored, computed });
+        }
         const BODY_START: usize = 5;
         let body = &image[BODY_START..body_end];
         let mut dec = Decoder::new(body);
-        let nprocs = dec.get_uvar()? as u32;
+        let nprocs = field_u32(dec.get_uvar()?, "nprocs")?;
         let nsections = dec.get_uvar()? as usize;
         if nsections > 1 << 24 {
-            return Err(ContainerError::Corrupt(DecodeError(format!(
-                "absurd section count {nsections}"
-            ))));
+            return Err(corrupt(format!("absurd section count {nsections}")));
         }
         let mut sections = Vec::with_capacity(nsections.min(1 << 12));
         for index in 0..nsections {
             let code = dec.get_u8()?;
-            let kind = SectionKind::from_code(code).ok_or_else(|| {
-                ContainerError::Corrupt(DecodeError(format!("bad section kind {code}")))
-            })?;
-            let rank_plus1 = dec.get_uvar()?;
-            let rank = if rank_plus1 == 0 {
-                None
-            } else {
-                Some((rank_plus1 - 1) as u32)
+            let kind = SectionKind::from_code(code)
+                .ok_or_else(|| corrupt(format!("bad section kind {code}")))?;
+            let rank = match dec.get_uvar()? {
+                0 => None,
+                rank_plus1 => Some(field_u32(rank_plus1 - 1, "section rank")?),
             };
-            // Version 1 sections are always raw; versions 2+ carry an
-            // explicit encoding byte (and the decompressed length for
-            // deflated payloads, bounding decompression up front).
-            let (encoding, deflated_len) = if version >= 2 {
-                let e = dec.get_u8()?;
-                if e > ENC_DEFLATE {
-                    return Err(ContainerError::Corrupt(DecodeError(format!(
-                        "bad section encoding {e}"
-                    ))));
+            let encoding = dec.get_u8()?;
+            if encoding > ENC_DEFLATE {
+                return Err(corrupt(format!("bad section encoding {encoding}")));
+            }
+            // Deflated sections carry their decompressed length, bounding
+            // decompression up front.
+            let deflated_len = if encoding == ENC_DEFLATE {
+                let n = dec.get_uvar()?;
+                if n > 1 << 32 {
+                    return Err(corrupt(format!("absurd section raw length {n}")));
                 }
-                let raw_len = if e == ENC_DEFLATE {
-                    let n = dec.get_uvar()?;
-                    if n > 1 << 32 {
-                        return Err(ContainerError::Corrupt(DecodeError(format!(
-                            "absurd section raw length {n}"
-                        ))));
-                    }
-                    Some(n as usize)
-                } else {
-                    None
-                };
-                (e, raw_len)
+                Some(n as usize)
             } else {
-                (ENC_RAW, None)
+                None
             };
             let stored_bytes = dec.get_bytes_ref()?;
             let end = BODY_START + (body.len() - dec.remaining());
             let stored = end - stored_bytes.len()..end;
-            let crc_stored = dec.get_uvar()? as u32;
+            let crc_stored = field_u32(dec.get_uvar()?, "section crc")?;
             // The CRC covers the stored bytes (what is actually in the
             // file), so corruption is caught before any decompression.
             let computed = crc32(stored_bytes);
@@ -186,10 +160,10 @@ impl SectionTable {
             });
         }
         if !dec.is_done() {
-            return Err(ContainerError::Corrupt(DecodeError(format!(
+            return Err(corrupt(format!(
                 "{} trailing bytes after container body",
                 dec.remaining()
-            ))));
+            )));
         }
         Ok(SectionTable {
             version,
@@ -228,6 +202,17 @@ impl SectionTable {
     pub fn payload_bytes(&self) -> usize {
         self.sections.iter().map(|s| s.raw_len).sum()
     }
+}
+
+fn corrupt(msg: String) -> ContainerError {
+    ContainerError::Corrupt(DecodeError(msg))
+}
+
+/// A header varint that must fit the 32-bit field it is stored into.
+/// Narrowing with `as` would let a (re-sealed) image claiming
+/// `nprocs = 2³² + 4` open as a 4-rank job.
+fn field_u32(v: u64, what: &str) -> Result<u32, ContainerError> {
+    u32::try_from(v).map_err(|_| corrupt(format!("{what} {v} does not fit in 32 bits")))
 }
 
 /// Exactly-once inflation arena for deflated section payloads.
@@ -309,7 +294,7 @@ fn inflate_payload(image: &[u8], info: &SectionInfo, index: usize) -> Result<Vec
 
 /// A lazily-decoded container borrowing its backing image: the parsed
 /// [`SectionTable`] plus a [`PayloadArena`]. Convenient for one-shot readers
-/// (`cypress inspect`, the eager `Container::from_bytes`). Long-lived owners
+/// (`cypress inspect`, `cypress::read_container`). Long-lived owners
 /// like the trace store hold the image, table, and arena as separate fields
 /// instead, to avoid a self-referential struct.
 pub struct ContainerView<'a> {
@@ -431,31 +416,15 @@ mod tests {
     }
 
     #[test]
-    fn table_metadata_matches_eager_reader() {
+    fn table_metadata_matches_the_written_container() {
         let c = sample();
         let image = c.to_bytes_with(Some(Level::Fast));
         let table = SectionTable::parse(&image).unwrap();
+        assert_eq!(table.version, CONTAINER_VERSION);
         assert_eq!(table.len(), c.sections.len());
         assert_eq!(table.payload_bytes(), c.payload_bytes());
         assert_eq!(table.find(SectionKind::MergedCtt), Some(2));
         assert_eq!(table.rank_indices().collect::<Vec<_>>(), vec![3]);
-        let back = Container::from_bytes(&image).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn lazy_and_eager_reject_the_same_images() {
-        let image = sample().to_bytes_with(Some(Level::Default));
-        for cut in 0..image.len() {
-            let lazy = SectionTable::parse(&image[..cut]);
-            let eager = Container::from_bytes(&image[..cut]);
-            assert!(lazy.is_err() && eager.is_err(), "cut {cut}");
-            assert_eq!(
-                lazy.unwrap_err().to_string(),
-                eager.unwrap_err().to_string(),
-                "cut {cut}"
-            );
-        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Error-path hardening for the container readers.
+//! Error-path hardening for the container reader.
 //!
 //! Property: every truncated prefix and every single-byte corruption of a
 //! valid `.cytc` image is rejected with a clean [`ContainerError`] — never a
-//! panic and never an attacker-sized allocation. The v3 layout makes this
-//! cheap to guarantee: the whole-image crc32 trailer is verified before any
-//! body varint is trusted, so a corrupted length field can never demand
-//! memory, and the eager and lazy readers share one parser, so they must
-//! reject an image with the *same* error.
+//! panic and never an attacker-sized allocation. The layout makes this cheap
+//! to guarantee: the whole-image crc32 trailer is verified before any body
+//! varint is trusted, so a corrupted length field can never demand memory.
+//!
+//! The trailer only stops *accidents*. Someone who edits a header field and
+//! recomputes the trailer gets past it, so the fields behind it are checked
+//! on their own: the crafted-image cases at the end re-seal each edit.
 
-use cypress_deflate::Level;
-use cypress_trace::{Container, SectionKind, SectionTable};
+use cypress_deflate::{crc32, Level};
+use cypress_trace::{Container, ContainerError, Encoder, SectionKind, SectionTable};
 
 /// A container with every section kind the pipeline writes, sized so the
 /// exhaustive sweeps below stay fast.
@@ -31,23 +33,10 @@ fn sample(level: Option<Level>) -> Vec<u8> {
     c.to_bytes_with(level)
 }
 
-/// Both readers must reject `bytes`, and with the same error — the lazy
-/// parser runs every integrity check the eager one does.
 fn assert_rejected(bytes: &[u8], what: &str) {
-    let eager = Container::from_bytes(bytes);
-    let lazy = SectionTable::parse(bytes);
-    let eager = match eager {
-        Ok(_) => panic!("{what}: eager reader accepted a corrupt image"),
-        Err(e) => e,
-    };
-    let lazy = match lazy {
-        Ok(_) => panic!("{what}: lazy parser accepted a corrupt image"),
-        Err(e) => e,
-    };
-    assert_eq!(
-        eager.to_string(),
-        lazy.to_string(),
-        "{what}: eager and lazy readers disagree"
+    assert!(
+        SectionTable::parse(bytes).is_err(),
+        "{what}: parser accepted a corrupt image"
     );
 }
 
@@ -85,9 +74,55 @@ fn every_single_byte_corruption_is_rejected_cleanly() {
 fn valid_images_still_parse_after_the_sweeps() {
     // Guard against the property tests passing vacuously on a bad sample.
     for level in [None, Some(Level::Default)] {
-        let image = sample(level);
-        let c = Container::from_bytes(&image).expect("sample must be valid");
-        assert_eq!(c.sections.len(), 5);
-        assert!(SectionTable::parse(&image).is_ok());
+        let table = SectionTable::parse(&sample(level)).expect("sample must be valid");
+        assert_eq!(table.len(), 5);
+    }
+}
+
+/// Hand-assemble a one-section image whose header varints are whatever the
+/// caller says, sealed with a correct trailer — what an attacker who knows
+/// the format would send.
+fn crafted(nprocs: u64, rank_plus1: u64, section_crc: impl Fn(u32) -> u64) -> Vec<u8> {
+    let payload = b"payload";
+    let mut enc = Encoder::new();
+    enc.put_uvar(nprocs);
+    enc.put_uvar(1); // section count
+    enc.put_u8(SectionKind::RankCtt.code());
+    enc.put_uvar(rank_plus1);
+    enc.put_u8(0); // raw encoding
+    enc.put_bytes(payload);
+    enc.put_uvar(section_crc(crc32(payload)));
+    let mut image = b"CYTC".to_vec();
+    image.push(cypress_trace::CONTAINER_VERSION);
+    image.extend_from_slice(&enc.finish());
+    let trailer = crc32(&image);
+    image.extend_from_slice(&trailer.to_le_bytes());
+    image
+}
+
+#[test]
+fn resealed_out_of_range_header_fields_are_corrupt_not_narrowed() {
+    // The honest image opens, so the rejections below are about the one
+    // oversized field and nothing else.
+    let table = SectionTable::parse(&crafted(4, 3, u64::from)).expect("honest image");
+    assert_eq!((table.nprocs, table.sections()[0].rank), (4, Some(2)));
+
+    let wrap = 1u64 << 32;
+    let cases: [(&str, Vec<u8>); 3] = [
+        // Would open as a 4-rank job.
+        ("nprocs", crafted(wrap + 4, 3, u64::from)),
+        // Would open as rank 2.
+        ("section rank", crafted(4, wrap + 3, u64::from)),
+        // Would compare equal to the real CRC.
+        ("section crc", crafted(4, 3, |crc| wrap | u64::from(crc))),
+    ];
+    for (field, image) in cases {
+        match SectionTable::parse(&image) {
+            Err(ContainerError::Corrupt(e)) => {
+                assert!(e.0.contains(field), "{field}: error does not name it: {e}")
+            }
+            Err(other) => panic!("{field}: expected Corrupt, got {other}"),
+            Ok(t) => panic!("{field}: opened as a {}-rank job", t.nprocs),
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! cypress compress <prog.mpi> -n P -o FILE    trace + compress + merge to FILE
 //!   --stream                                  compress online into a .cytc container
 //!   --per-rank                                also store each rank's CTT section
-//!   --level fast|default|best                 DEFLATE container sections (v2 layout)
+//!   --level fast|default|best                 DEFLATE container sections
 //!   --threads N                               parallel section encoding workers
 //! cypress decompress FILE [-r R]              replay rank R (default 0); containers
 //!   [--cst CST]                               are self-describing, legacy dumps need --cst
@@ -55,7 +55,7 @@ use cypress::net::{
     fetch_stats, spawn_tree, submit_ctt, submit_stream, Addr, ClientConfig, Collector,
     CollectorConfig, TreeConfig,
 };
-use cypress::query::{query_container_path, QueryOptions, QueryResult, Strategy, Window};
+use cypress::query::{QueryOptions, QueryResult, Strategy, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
@@ -216,7 +216,7 @@ OPTIONS:
                with one bounded SPSC ring per rank (byte-identical output)
   --ring-capacity  with --pipelined: ring capacity in batches (default 8)
   --level      compress/serve: DEFLATE container sections at this effort
-               (fast, default, best; omitted = raw v1 layout);
+               (fast, default, best; omitted = raw sections);
                submit --mode ctt: wire compression level, or `none`
   --threads    compress/serve: workers for parallel section encoding
   --hotspots   number of GID hot spots to print (default 10)
@@ -827,7 +827,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         (format!("{job} @ {addr}"), q)
     } else {
         let file = positional(args, "container file")?;
-        let q = query_container_path(&file, &opts).map_err(Error::from)?;
+        let q = StoreJob::open(Path::new(&file), &file)?.query(&opts)?;
         (file, q)
     };
     render_query(&label, &q, limit, has_flag(args, "--json"));

@@ -167,7 +167,7 @@ mod tests {
         assert!(matches!(decode_and_fail(), Err(Error::Decode(_))));
 
         fn container_and_fail() -> Result<()> {
-            cypress_trace::Container::from_bytes(b"nope")?;
+            cypress_trace::SectionTable::parse(b"nope")?;
             Ok(())
         }
         assert!(matches!(container_and_fail(), Err(Error::Container(_))));

@@ -43,14 +43,14 @@ use cypress_core::{
 use cypress_cst::{analyze_program, Cst, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
-use cypress_query::{query_ctts, query_merged, QueryOptions, QueryResult};
+use cypress_query::{query_ctts, query_job, QueryOptions, QueryResult};
 use cypress_runtime::{
     run_rank_with_sink, run_ranks, run_ranks_pipelined, trace_program_parallel, InterpConfig,
     DEFAULT_BATCH_EVENTS, DEFAULT_RING_CAPACITY,
 };
 use cypress_trace::{
-    assemble, encode_section, Codec, Container, ContainerError, Decoder, EncodedSection, Encoder,
-    SectionKind,
+    assemble, encode_section, Codec, Container, ContainerError, ContainerView, DecodeError,
+    Decoder, EncodedSection, Encoder, SectionKind,
 };
 use std::path::Path;
 use std::sync::OnceLock;
@@ -241,68 +241,6 @@ impl Pipeline {
     /// The current run configuration (what [`Pipeline::run`] will use).
     pub fn config_ref(&self) -> &PipelineConfig {
         &self.cfg
-    }
-
-    /// Compression knobs (window, time mode, relative ranks).
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::compress` via `configure`"
-    )]
-    pub fn config(mut self, cfg: CompressConfig) -> Self {
-        self.cfg.compress = cfg;
-        self
-    }
-
-    /// Interpreter knobs (step budget, virtual time model).
-    #[deprecated(since = "0.2.0", note = "set `PipelineConfig::interp` via `configure`")]
-    pub fn interp_config(mut self, cfg: InterpConfig) -> Self {
-        self.cfg.interp = cfg;
-        self
-    }
-
-    /// Streaming-session knobs (checkpoint cadence, soft byte budget).
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::session` via `configure`"
-    )]
-    pub fn session_config(mut self, cfg: SessionConfig) -> Self {
-        self.cfg.session = cfg;
-        self
-    }
-
-    /// Worker-pool width for rank execution and merging.
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::threads` via `configure`"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// `true`: compress online while each rank executes. `false`: record
-    /// raw traces first, then compress — same CTT bytes, linearly growing
-    /// memory.
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `PipelineConfig::mode` to `Ingest::Sequential` / `Ingest::Batch` via `configure`"
-    )]
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.cfg.mode = if on {
-            Ingest::Sequential
-        } else {
-            Ingest::Batch
-        };
-        self
-    }
-
-    /// DEFLATE container sections at this level when persisting
-    /// ([`CompressedJob::write_container`]). `None` (default) stores raw
-    /// sections in the version-1 layout.
-    #[deprecated(since = "0.2.0", note = "set `PipelineConfig::level` via `configure`")]
-    pub fn level(mut self, level: Option<Level>) -> Self {
-        self.cfg.level = level;
-        self
     }
 
     /// Parse, analyze, execute every rank, and compress. Rank execution runs
@@ -541,11 +479,10 @@ pub struct MetaInfo {
     pub tool: String,
     pub version: String,
     pub nprocs: u32,
-    /// Total MPI events the job traced (0 in containers written before the
-    /// field existed).
+    /// Total MPI events the job traced.
     pub events: u64,
     /// Serialized size of the raw MPI records before compression (0 when
-    /// unknown: batch-path jobs and older containers).
+    /// unknown: batch-path jobs).
     pub raw_bytes: u64,
 }
 
@@ -575,10 +512,14 @@ fn parse_meta(payload: &[u8]) -> Result<MetaInfo> {
     let mut dec = Decoder::new(payload);
     let tool = dec.get_str()?;
     let version = dec.get_str()?;
-    let nprocs = dec.get_uvar()? as u32;
-    // Trailing fields added after v0 containers shipped: absent means 0.
-    let events = if dec.is_done() { 0 } else { dec.get_uvar()? };
-    let raw_bytes = if dec.is_done() { 0 } else { dec.get_uvar()? };
+    let nprocs = dec.get_uvar()?;
+    let nprocs = u32::try_from(nprocs).map_err(|_| {
+        ContainerError::Corrupt(DecodeError(format!(
+            "meta nprocs {nprocs} does not fit in 32 bits"
+        )))
+    })?;
+    let events = dec.get_uvar()?;
+    let raw_bytes = dec.get_uvar()?;
     Ok(MetaInfo {
         tool,
         version,
@@ -603,27 +544,21 @@ pub struct LoadedJob {
 }
 
 impl LoadedJob {
-    /// Run the compressed-domain query suite on the loaded job. A complete
-    /// per-rank CTT set is preferred (exact per-rank timing); otherwise the
-    /// query runs on the merged tree.
+    /// Run the compressed-domain query suite on the loaded job; which tree
+    /// answers is [`cypress_query::query_job`]'s decision.
     pub fn query(&self) -> Result<QueryResult> {
         self.query_with(&QueryOptions::default())
     }
 
     /// [`LoadedJob::query`] with explicit strategy/reporting knobs.
     pub fn query_with(&self, opts: &QueryOptions) -> Result<QueryResult> {
-        let complete = self.rank_ctts.len() as u32 == self.nprocs
-            && self.nprocs > 0
-            && (0..self.nprocs).all(|r| self.rank_ctts.iter().any(|c| c.rank == r));
-        if complete {
-            return Ok(query_ctts(&self.cst, &self.rank_ctts, opts)?);
-        }
-        if let Some(merged) = &self.merged {
-            return Ok(query_merged(&self.cst, merged, opts)?);
-        }
-        Err(Error::Container(ContainerError::MissingSection(
-            "merged-ctt or complete rank-ctt set",
-        )))
+        Ok(query_job(
+            &self.cst,
+            self.nprocs,
+            &self.rank_ctts,
+            self.merged.as_ref(),
+            opts,
+        )?)
     }
 
     /// Replay one rank's sequence, preferring its dedicated section and
@@ -648,35 +583,33 @@ impl LoadedJob {
 }
 
 /// Load and verify a container file written by
-/// [`CompressedJob::write_container`].
+/// [`CompressedJob::write_container`], decoding every section it carries
+/// straight out of the image (raw payloads are never copied).
 pub fn read_container(path: impl AsRef<Path>) -> Result<LoadedJob> {
-    let c = Container::read_file(path)?;
-    let cst_text = c
-        .find(SectionKind::CstText)
-        .ok_or(Error::Container(ContainerError::MissingSection("cst-text")))?;
-    let cst_text = String::from_utf8(cst_text.payload.clone())
-        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
-    let cst = Cst::from_text(&cst_text)?;
+    let image = std::fs::read(path.as_ref()).map_err(ContainerError::Io)?;
+    let view = ContainerView::parse(&image)?;
+    let find = |kind| view.find_payload(kind).transpose();
 
-    let meta = match c.find(SectionKind::Meta) {
-        Some(s) => Some(parse_meta(&s.payload)?),
-        None => None,
-    };
-    let merged = match c.find(SectionKind::MergedCtt) {
-        Some(s) => Some(MergedCtt::from_bytes(&s.payload)?),
-        None => None,
-    };
-    let rank_ctts = c
-        .rank_sections()
-        .map(|s| Ctt::from_bytes(&s.payload))
-        .collect::<std::result::Result<Vec<_>, _>>()?;
-    let telemetry = match c.find(SectionKind::Telemetry) {
-        Some(s) => Some(crate::telemetry::TelemetrySummary::from_bytes(&s.payload)?),
-        None => None,
-    };
+    let cst_text = find(SectionKind::CstText)?.ok_or(ContainerError::MissingSection("cst-text"))?;
+    let cst_text = std::str::from_utf8(cst_text)
+        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
+    let cst = Cst::from_text(cst_text)?;
+
+    let meta = find(SectionKind::Meta)?.map(parse_meta).transpose()?;
+    let merged = find(SectionKind::MergedCtt)?
+        .map(MergedCtt::from_bytes)
+        .transpose()?;
+    let rank_ctts = view
+        .table()
+        .rank_indices()
+        .map(|i| Ok(Ctt::from_bytes(view.payload(i)?)?))
+        .collect::<Result<Vec<_>>>()?;
+    let telemetry = find(SectionKind::Telemetry)?
+        .map(crate::telemetry::TelemetrySummary::from_bytes)
+        .transpose()?;
 
     Ok(LoadedJob {
-        nprocs: c.nprocs,
+        nprocs: view.nprocs(),
         meta,
         cst,
         merged,
@@ -745,6 +678,36 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn meta_needs_every_field_and_a_32_bit_nprocs() {
+        let good = meta_payload(4, 1000, 64_000);
+        let meta = parse_meta(&good).unwrap();
+        assert_eq!(
+            (meta.nprocs, meta.events, meta.raw_bytes),
+            (4, 1000, 64_000)
+        );
+        // raw_bytes, then events too, cut off the end: no field defaults to 0.
+        for cut in [good.len() - 1, good.len() - 4] {
+            assert!(parse_meta(&good[..cut]).is_err(), "cut at {cut}");
+        }
+
+        let mut enc = Encoder::new();
+        enc.put_str("cypress");
+        enc.put_str("0.1.0");
+        enc.put_uvar((1 << 32) + 4); // would narrow to a 4-rank job
+        enc.put_uvar(1000);
+        enc.put_uvar(64_000);
+        match parse_meta(&enc.finish()) {
+            Err(Error::Container(ContainerError::Corrupt(e))) => {
+                assert!(e.0.contains("nprocs"), "{e}")
+            }
+            other => panic!(
+                "expected Corrupt naming nprocs, got {:?}",
+                other.map(|m| m.nprocs)
+            ),
+        }
     }
 
     #[test]
