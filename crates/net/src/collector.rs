@@ -6,17 +6,12 @@
 //! reduces finished rank CTTs through a [`BinomialMerger`] **as they
 //! arrive** — no barrier on the full rank set.
 //!
-//! Connection handling is a small pool of **event loops** (see
-//! [`crate::poll`]), each multiplexing many non-blocking sockets: every
-//! connection owns a reusable [`FrameBuf`] rx buffer and a pending-tx
-//! buffer, and a per-connection state machine ([`ConnState`]) advances on
-//! whatever frames arrived. Loop 0 additionally owns the job and stats
-//! listeners; accepted sockets are dealt round-robin to the loops through
-//! waker-signalled mailboxes. Nothing in this crate sleeps on a timer: the
-//! loops block in `poll(2)` until a socket, a peer loop, a deadline, or
-//! completion wakes them.
+//! Sockets, buffers and wake-ups belong to [`crate::server`]; this module
+//! is the collection [`Handler`] on it — a per-connection state machine
+//! ([`ConnState`]) that advances on whole frames, on a job listener and an
+//! optional stats listener.
 //!
-//! Two roles share the same machinery:
+//! Two roles share that handler:
 //!
 //! - **Root** (plain `serve`): completes when all `nprocs` ranks are
 //!   merged, yields the [`CollectedJob`].
@@ -40,10 +35,10 @@
 //! hang.
 
 use crate::client::ClientConfig;
-use crate::poll::{PollSet, Waker};
-use crate::proto::{codes, encode_frame_into, Frame, FrameBuf, SubmitMode, PROTO_VERSION};
+use crate::proto::{codes, Frame, SubmitMode, PROTO_VERSION};
+use crate::server::{Handler, Outbox, Server};
 use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
-use crate::transport::{Addr, Listener, Stream};
+use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
     BinomialMerger, CompressConfig, CompressSession, Ctt, MergedCtt, SessionConfig,
@@ -52,8 +47,7 @@ use cypress_cst::Cst;
 use cypress_deflate::crc32;
 use cypress_obs::{obs_log, Level};
 use cypress_trace::codec::Codec;
-use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -234,37 +228,23 @@ fn hists() -> &'static CollectorHists {
     })
 }
 
-/// Per-event-loop handoff slot: loop 0 deals accepted sockets here and
-/// rings the waker so the owning loop adopts them without polling.
-struct LoopShared {
-    mailbox: Mutex<VecDeque<Stream>>,
-    waker: Waker,
-}
-
-/// Everything an event loop needs, cheap to copy into its thread.
+/// Everything the handler needs, cheap to copy into each event loop.
 #[derive(Clone, Copy)]
 struct Shared<'a> {
     state: &'a State,
     cfg: &'a CollectorConfig,
     role: Role,
-    loops: &'a [LoopShared],
+    server: &'a Server,
 }
 
-fn wake_all(loops: &[LoopShared]) {
-    for l in loops {
-        l.waker.wake();
-    }
-}
-
-/// Record a collection-wide failure (first one wins) and wake every loop
-/// so they drain and exit.
+/// Record a collection-wide failure (first one wins) and stop the loops.
 fn fail_collection(sh: Shared<'_>, msg: String) {
     let mut g = sh.state.inner.lock().unwrap();
     if !g.done && g.fatal.is_none() {
         g.fatal = Some(msg);
     }
     drop(g);
-    wake_all(sh.loops);
+    sh.server.stop();
 }
 
 /// Protocol position of one multiplexed connection.
@@ -279,114 +259,112 @@ enum ConnState<'a> {
         nblocks: u64,
     },
     AwaitStatsReq,
-    /// Terminal: everything left to do is flush `tx` and close.
+    /// Terminal: everything left to do is flush the replies and close.
     Done,
 }
 
 struct Conn<'a> {
-    stream: Stream,
-    rx: FrameBuf,
-    tx: Vec<u8>,
-    tx_pos: usize,
     state: ConnState<'a>,
     rank: Option<u32>,
-    last_activity: Instant,
-    /// Close (after flushing `tx`) instead of reading further frames.
-    closing: bool,
 }
 
-impl<'a> Conn<'a> {
-    fn new(stream: Stream, state: ConnState<'a>) -> Conn<'a> {
-        let _ = stream.set_nonblocking(true);
-        Conn {
-            stream,
-            rx: FrameBuf::new(),
-            tx: Vec::new(),
-            tx_pos: 0,
-            state,
-            rank: None,
-            last_activity: Instant::now(),
-            closing: false,
-        }
-    }
-
-    fn queue(&mut self, frame: &Frame) {
-        encode_frame_into(frame, &mut self.tx);
-    }
-
-    fn tx_pending(&self) -> bool {
-        self.tx_pos < self.tx.len()
-    }
-
-    /// Nonblocking write of pending tx bytes; `Ok(())` on progress or
-    /// `WouldBlock`, `Err` only on a real transport failure.
-    fn try_flush(&mut self) -> std::io::Result<()> {
-        while self.tx_pending() {
-            match self.stream.write(&self.tx[self.tx_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped reading",
-                    ))
-                }
-                Ok(n) => {
-                    self.tx_pos += n;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if !self.tx_pending() && !self.tx.is_empty() {
-            self.tx.clear();
-            self.tx_pos = 0;
-        }
-        Ok(())
-    }
-
-    /// Exit-time drain: switch back to blocking I/O and push out whatever
-    /// acks are still queued, bounded by the io timeout.
-    fn flush_blocking(mut self, io_timeout: Duration) {
-        if self.tx_pending() {
-            let _ = self.stream.set_nonblocking(false);
-            let _ = self.stream.set_io_timeout(io_timeout);
-            let _ = self.stream.write_all(&self.tx[self.tx_pos..]);
-            let _ = self.stream.flush();
-        }
-        self.stream.shutdown();
-    }
-
-    /// Abort bookkeeping for a connection dropped mid-protocol.
-    fn abort(&self, sh: Shared<'_>, why: &str) {
-        if matches!(self.state, ConnState::Streaming { .. }) && cypress_obs::enabled() {
-            obs().sessions_aborted.inc();
-        }
-        if let Some(rank) = self.rank {
-            if !matches!(self.state, ConnState::Done) {
-                sh.state.mark_client(rank, ClientState::Aborted);
-            }
-        }
-        obs_log!(Level::Warn, "net", "connection dropped: {why}");
-    }
-
-    /// Reject with an `Error` frame and enter the flush-and-close path.
-    fn fail(&mut self, sh: Shared<'_>, code: u16, message: String) {
+impl Conn<'_> {
+    /// This connection's submission ended without merging.
+    fn mark_aborted(&self, sh: Shared<'_>) {
         if matches!(self.state, ConnState::Streaming { .. }) && cypress_obs::enabled() {
             obs().sessions_aborted.inc();
         }
         if let Some(rank) = self.rank {
             sh.state.mark_client(rank, ClientState::Aborted);
         }
-        obs_log!(
-            Level::Warn,
-            "net",
-            "rejecting client ({}): {message}",
-            codes::name(code)
+    }
+}
+
+/// Index of the job listener in the slice `run_core` serves; the stats
+/// listener, when there is one, follows it.
+const JOB: usize = 0;
+
+/// The collector as a [`Handler`]: the server loop owns sockets, buffers
+/// and wake-ups, this owns what the frames mean.
+impl<'a> Handler for Shared<'a> {
+    type Conn = Conn<'a>;
+
+    fn accept(&self, listener: usize) -> Conn<'a> {
+        let state = if listener == JOB {
+            if cypress_obs::enabled() {
+                obs().connections.inc();
+            }
+            ConnState::AwaitHello
+        } else {
+            ConnState::AwaitStatsReq
+        };
+        Conn { state, rank: None }
+    }
+
+    fn on_frame(&self, c: &mut Conn<'a>, frame: Frame, out: &mut Outbox) {
+        // A refused frame: answer with an `Error` frame, then flush and close.
+        if let Err((code, message)) = handle_frame(*self, c, frame, out) {
+            c.mark_aborted(*self);
+            obs_log!(
+                Level::Warn,
+                "net",
+                "rejecting client ({}): {message}",
+                codes::name(code)
+            );
+            out.send(&Frame::Error { code, message });
+            c.state = ConnState::Done;
+            out.close();
+        }
+    }
+
+    /// Abort bookkeeping for a connection dropped mid-protocol.
+    fn on_drop(&self, c: &mut Conn<'a>, why: &str) {
+        if !matches!(c.state, ConnState::Done) {
+            c.mark_aborted(*self);
+            obs_log!(Level::Warn, "net", "connection dropped: {why}");
+        }
+    }
+
+    fn idle_timeout(&self) -> Option<Duration> {
+        Some(self.cfg.io_timeout)
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.cfg.deadline.map(|d| self.state.started + d)
+    }
+
+    fn on_deadline(&self) {
+        let missing = {
+            let g = self.state.inner.lock().unwrap();
+            match (&g.merger, self.role) {
+                (Some(m), _) => {
+                    let mut v = m.missing_ranks();
+                    if let Role::Relay { first, last, .. } = self.role {
+                        v.retain(|r| *r >= first && *r < last);
+                    }
+                    format!("{v:?}")
+                }
+                // No client ever connected, but a relay still
+                // knows exactly which ranks it was waiting for.
+                (None, Role::Relay { first, last, .. }) => {
+                    format!("{:?}", (first..last).collect::<Vec<u32>>())
+                }
+                (None, Role::Root) => "all".into(),
+            }
+        };
+        let deadline = self.cfg.deadline.unwrap_or_default();
+        fail_collection(
+            *self,
+            format!("deadline {deadline:?} exceeded with ranks missing: {missing}"),
         );
-        self.queue(&Frame::Error { code, message });
-        self.state = ConnState::Done;
-        self.closing = true;
+    }
+
+    fn on_accept_error(&self, listener: usize, e: std::io::Error) {
+        if listener == JOB {
+            fail_collection(*self, format!("listener failed: {e}"));
+        } else {
+            obs_log!(Level::Warn, "net", "stats listener failed: {e}");
+        }
     }
 }
 
@@ -527,7 +505,7 @@ impl Collector {
     }
 }
 
-/// Run the event loops until completion or failure; returns the fixed job
+/// Run the server loops until completion or failure; returns the fixed job
 /// identity (if any client connected) and the accumulated state.
 fn run_core(
     listener: &Listener,
@@ -535,14 +513,6 @@ fn run_core(
     cfg: &CollectorConfig,
     role: Role,
 ) -> Result<(Option<JobInfo>, Inner), NetError> {
-    let nloops = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(8)
-    } else {
-        cfg.workers
-    };
     let state = State {
         job: OnceLock::new(),
         inner: Mutex::new(Inner {
@@ -557,9 +527,7 @@ fn run_core(
         }),
         started: Instant::now(),
     };
-    listener.set_nonblocking(true)?;
     if let Some(sl) = stats_listener {
-        sl.set_nonblocking(true)?;
         obs_log!(
             Level::Info,
             "net",
@@ -567,35 +535,25 @@ fn run_core(
             sl.local_addr().map(|a| a.to_string()).unwrap_or_default()
         );
     }
-    let loops: Vec<LoopShared> = (0..nloops)
-        .map(|_| {
-            Ok(LoopShared {
-                mailbox: Mutex::new(VecDeque::new()),
-                waker: Waker::new()?,
-            })
-        })
-        .collect::<std::io::Result<_>>()?;
+    let server = Server::new(cfg.workers)?;
     obs_log!(
         Level::Info,
         "net",
-        "collector listening on {} with {nloops} event loops",
+        "collector listening on {} with {} event loops",
         listener
             .local_addr()
             .map(|a| a.to_string())
-            .unwrap_or_default()
+            .unwrap_or_default(),
+        server.loops()
     );
     let sh = Shared {
         state: &state,
         cfg,
         role,
-        loops: &loops,
+        server: &server,
     };
-    std::thread::scope(|scope| {
-        for i in 1..nloops {
-            scope.spawn(move || event_loop(i, sh, None));
-        }
-        event_loop(0, sh, Some((listener, stats_listener)));
-    });
+    let listeners: Vec<&Listener> = std::iter::once(listener).chain(stats_listener).collect();
+    server.run(&sh, &listeners)?;
     let inner = state.inner.into_inner().unwrap();
     if let Some(f) = inner.fatal {
         return Err(NetError::Collect(f));
@@ -603,215 +561,16 @@ fn run_core(
     Ok((state.job.into_inner(), inner))
 }
 
-/// One multiplexing event loop. Loop 0 additionally owns the listeners.
-fn event_loop(idx: usize, sh: Shared<'_>, listeners: Option<(&Listener, Option<&Listener>)>) {
-    let me = &sh.loops[idx];
-    let mut conns: Vec<Conn<'_>> = Vec::new();
-    let mut poll = PollSet::new();
-    // Round-robin dispatch cursor (loop 0 only).
-    let mut next_loop = 0usize;
-    loop {
-        // Adopt connections handed over by the accepting loop.
-        {
-            let mut mb = me.mailbox.lock().unwrap();
-            while let Some(s) = mb.pop_front() {
-                conns.push(Conn::new(s, ConnState::AwaitHello));
-            }
-        }
-        // Finished (completed or fatal)? Drain queued acks and exit.
-        {
-            let g = sh.state.inner.lock().unwrap();
-            if g.done || g.fatal.is_some() {
-                drop(g);
-                for c in conns.drain(..) {
-                    c.flush_blocking(sh.cfg.io_timeout);
-                }
-                return;
-            }
-        }
-        if let Some(deadline) = sh.cfg.deadline {
-            if sh.state.started.elapsed() > deadline {
-                let missing = {
-                    let g = sh.state.inner.lock().unwrap();
-                    match (&g.merger, sh.role) {
-                        (Some(m), _) => {
-                            let mut v = m.missing_ranks();
-                            if let Role::Relay { first, last, .. } = sh.role {
-                                v.retain(|r| *r >= first && *r < last);
-                            }
-                            format!("{v:?}")
-                        }
-                        // No client ever connected, but a relay still
-                        // knows exactly which ranks it was waiting for.
-                        (None, Role::Relay { first, last, .. }) => {
-                            format!("{:?}", (first..last).collect::<Vec<u32>>())
-                        }
-                        (None, Role::Root) => "all".into(),
-                    }
-                };
-                fail_collection(
-                    sh,
-                    format!("deadline {deadline:?} exceeded with ranks missing: {missing}"),
-                );
-                continue;
-            }
-        }
-
-        // Rebuild the poll set: waker, listeners (loop 0), then every
-        // connection (write interest only while acks are pending).
-        poll.clear();
-        poll.push(me.waker.fd(), true, false);
-        let mut job_slot = None;
-        let mut stats_slot = None;
-        if let Some((l, sl)) = listeners {
-            job_slot = Some(poll.push(l.raw_fd(), true, false));
-            if let Some(sl) = sl {
-                stats_slot = Some(poll.push(sl.raw_fd(), true, false));
-            }
-        }
-        for c in &conns {
-            poll.push(c.stream.raw_fd(), true, c.tx_pending());
-        }
-        let mut timeout = sh
-            .cfg
-            .deadline
-            .map(|d| d.saturating_sub(sh.state.started.elapsed()));
-        if !conns.is_empty() {
-            // Bound the wait so idle connections are reaped on time.
-            timeout = Some(timeout.map_or(sh.cfg.io_timeout, |t| t.min(sh.cfg.io_timeout)));
-        }
-        if poll.wait(timeout).is_err() {
-            // A transient poll failure: loop and rebuild.
-            continue;
-        }
-        me.waker.drain();
-
-        // Accept everything pending, dealing job sockets round-robin.
-        if let Some((l, sl)) = listeners {
-            if job_slot.is_some_and(|i| poll.readable(i)) {
-                loop {
-                    match l.accept() {
-                        Ok(s) => {
-                            if cypress_obs::enabled() {
-                                obs().connections.inc();
-                            }
-                            let target = next_loop % sh.loops.len();
-                            next_loop += 1;
-                            if target == idx {
-                                conns.push(Conn::new(s, ConnState::AwaitHello));
-                            } else {
-                                let tl = &sh.loops[target];
-                                let mut mb = tl.mailbox.lock().unwrap();
-                                if !mb.is_empty() && cypress_obs::enabled() {
-                                    obs().backpressure_stalls.inc();
-                                }
-                                mb.push_back(s);
-                                drop(mb);
-                                tl.waker.wake();
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            fail_collection(sh, format!("listener failed: {e}"));
-                            break;
-                        }
-                    }
-                }
-            }
-            if let Some(sl) = sl {
-                if stats_slot.is_some_and(|i| poll.readable(i)) {
-                    loop {
-                        match sl.accept() {
-                            Ok(s) => conns.push(Conn::new(s, ConnState::AwaitStatsReq)),
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) => {
-                                obs_log!(Level::Warn, "net", "stats listener failed: {e}");
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Drive every connection (reads and writes are nonblocking, so an
-        // unready socket costs one WouldBlock).
-        let mut i = 0;
-        while i < conns.len() {
-            if drive_conn(sh, &mut conns[i]) {
-                i += 1;
-            } else {
-                conns.swap_remove(i).stream.shutdown();
-            }
-        }
-    }
-}
-
-/// How many socket reads one connection may take per loop tick — bounds a
-/// firehose client so it cannot starve its loop's other connections.
-const MAX_FILLS_PER_TICK: usize = 4;
-
-/// Advance one connection. Returns false when it should be removed.
-fn drive_conn<'a>(sh: Shared<'a>, c: &mut Conn<'a>) -> bool {
-    // Flush first: pending acks unblock pipelining clients.
-    if let Err(e) = c.try_flush() {
-        c.abort(sh, &format!("{e}"));
-        return false;
-    }
-    if !c.closing {
-        for _ in 0..MAX_FILLS_PER_TICK {
-            match c.rx.fill(&mut c.stream) {
-                Ok(0) => {
-                    // EOF. Clean iff the protocol finished.
-                    if !matches!(c.state, ConnState::Done) {
-                        c.abort(sh, "peer disconnected mid-protocol");
-                    }
-                    return false;
-                }
-                Ok(_) => {
-                    c.last_activity = Instant::now();
-                    loop {
-                        match c.rx.try_frame() {
-                            Ok(Some(frame)) => handle_frame(sh, c, frame),
-                            Ok(None) => break,
-                            Err(e) => {
-                                c.abort(sh, &format!("{e}"));
-                                return false;
-                            }
-                        }
-                        if c.closing {
-                            break;
-                        }
-                    }
-                    if c.closing {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    c.abort(sh, &format!("{e}"));
-                    return false;
-                }
-            }
-        }
-    }
-    if let Err(e) = c.try_flush() {
-        c.abort(sh, &format!("{e}"));
-        return false;
-    }
-    if c.closing && !c.tx_pending() {
-        return false;
-    }
-    if c.last_activity.elapsed() > sh.cfg.io_timeout {
-        c.abort(sh, "idle timeout");
-        return false;
-    }
-    true
-}
+/// Why a frame is refused: the `Error` frame's code and message.
+type Reject = (u16, String);
 
 /// The per-connection protocol state machine.
-fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
+fn handle_frame<'a>(
+    sh: Shared<'a>,
+    c: &mut Conn<'a>,
+    frame: Frame,
+    out: &mut Outbox,
+) -> Result<(), Reject> {
     let st = std::mem::replace(&mut c.state, ConnState::Done);
     match (st, frame) {
         (
@@ -823,7 +582,7 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
                 mode,
                 cst_text,
             },
-        ) => on_hello(sh, c, version, rank, nprocs, mode, cst_text),
+        ) => on_hello(sh, c, out, version, rank, nprocs, mode, cst_text),
         (
             ConnState::Streaming {
                 mut session,
@@ -841,6 +600,7 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
             }
             session.push_batch(&events);
             c.state = ConnState::Streaming { session, count };
+            Ok(())
         }
         (
             ConnState::Streaming { session, count },
@@ -851,29 +611,19 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
         ) => {
             if event_count != count {
                 c.state = ConnState::Streaming { session, count };
-                c.fail(
-                    sh,
-                    codes::PROTOCOL,
-                    format!("client sent {event_count} events, collector saw {count}"),
-                );
-                return;
+                let msg = format!("client sent {event_count} events, collector saw {count}");
+                return Err((codes::PROTOCOL, msg));
             }
             let (ctt, stats) = session.finish(app_time);
             let ranks_done = merge_in(sh, ctt, Some(stats), sh.cfg.keep_rank_ctts);
-            c.queue(&Frame::FinAck { ranks_done });
-            c.closing = true;
+            out.send(&Frame::FinAck { ranks_done });
+            out.close();
+            Ok(())
         }
-        (ConnState::AwaitCtt, Frame::RankCtt { bytes }) => on_ctt_bytes(sh, c, bytes),
+        (ConnState::AwaitCtt, Frame::RankCtt { bytes }) => on_ctt_bytes(sh, c, out, bytes),
         (ConnState::AwaitCtt, Frame::RankCttZ { raw_len, bytes }) => {
-            match cypress_deflate::inflate(&bytes) {
-                Ok(raw) if raw.len() as u64 == raw_len => on_ctt_bytes(sh, c, raw),
-                Ok(raw) => c.fail(
-                    sh,
-                    codes::PROTOCOL,
-                    format!("compressed CTT declared {raw_len} bytes, got {}", raw.len()),
-                ),
-                Err(e) => c.fail(sh, codes::PROTOCOL, format!("undecodable deflate: {e}")),
-            }
+            let raw = inflate_exact("compressed CTT", raw_len, &bytes)?;
+            on_ctt_bytes(sh, c, out, raw)
         }
         (
             ConnState::Blocks { nblocks },
@@ -886,54 +636,48 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
                 bytes,
             },
         ) => {
-            c.state = ConnState::Blocks { nblocks };
-            on_merged_block(
-                sh,
-                c,
-                first_rank,
-                nranks,
-                events,
-                raw_mpi_bytes,
-                raw_len,
-                bytes,
-            );
+            let raw = inflate_exact("merged block", raw_len, &bytes)?;
+            let done = on_merged_block(sh, first_rank, nranks, events, raw_mpi_bytes, &raw)?;
+            c.state = ConnState::Blocks {
+                nblocks: nblocks + 1,
+            };
+            if done {
+                sh.server.stop();
+            }
+            Ok(())
         }
         (ConnState::Blocks { nblocks }, Frame::Finish { event_count, .. }) => {
             // In blocks mode the Finish cross-check counts blocks.
             if event_count != nblocks {
-                c.fail(
-                    sh,
-                    codes::PROTOCOL,
-                    format!("relay sent {event_count} blocks, collector saw {nblocks}"),
-                );
-                return;
+                let msg = format!("relay sent {event_count} blocks, collector saw {nblocks}");
+                return Err((codes::PROTOCOL, msg));
             }
             let ranks_done = {
                 let g = sh.state.inner.lock().unwrap();
                 g.merger.as_ref().map(|m| m.received()).unwrap_or(0)
             };
-            c.queue(&Frame::FinAck { ranks_done });
-            c.closing = true;
+            out.send(&Frame::FinAck { ranks_done });
+            out.close();
+            Ok(())
         }
         (ConnState::AwaitStatsReq, Frame::StatsRequest) => {
             let stats = build_stats(sh.state);
-            c.queue(&Frame::Stats { stats });
-            c.closing = true;
+            out.send(&Frame::Stats { stats });
+            out.close();
+            Ok(())
         }
-        (ConnState::AwaitStatsReq, f) => c.fail(
-            sh,
-            codes::PROTOCOL,
-            format!("stats endpoint expects StatsRequest, got {}", f.name()),
-        ),
-        (ConnState::AwaitHello, f) => c.fail(
-            sh,
-            codes::PROTOCOL,
-            format!("first frame must be Hello, got {}", f.name()),
-        ),
+        (ConnState::AwaitStatsReq, f) => {
+            let msg = format!("stats endpoint expects StatsRequest, got {}", f.name());
+            Err((codes::PROTOCOL, msg))
+        }
+        (ConnState::AwaitHello, f) => {
+            let msg = format!("first frame must be Hello, got {}", f.name());
+            Err((codes::PROTOCOL, msg))
+        }
         (st, f) => {
             c.state = st;
             let msg = format!("unexpected {} frame here", f.name());
-            c.fail(sh, codes::PROTOCOL, msg);
+            Err((codes::PROTOCOL, msg))
         }
     }
 }
@@ -942,29 +686,22 @@ fn handle_frame<'a>(sh: Shared<'a>, c: &mut Conn<'a>, frame: Frame) {
 fn on_hello<'a>(
     sh: Shared<'a>,
     c: &mut Conn<'a>,
+    out: &mut Outbox,
     version: u8,
     rank: u32,
     nprocs: u32,
     mode: SubmitMode,
     cst_text: String,
-) {
+) -> Result<(), Reject> {
     if version != PROTO_VERSION {
-        c.fail(
-            sh,
-            codes::VERSION,
-            format!(
-                "client speaks protocol version {version}, this collector only {PROTO_VERSION}"
-            ),
+        let msg = format!(
+            "client speaks protocol version {version}, this collector only {PROTO_VERSION}"
         );
-        return;
+        return Err((codes::VERSION, msg));
     }
     if nprocs == 0 || rank >= nprocs {
-        c.fail(
-            sh,
-            codes::BAD_RANK,
-            format!("rank {rank} out of range for {nprocs} procs"),
-        );
-        return;
+        let msg = format!("rank {rank} out of range for {nprocs} procs");
+        return Err((codes::BAD_RANK, msg));
     }
     if let Role::Relay {
         first,
@@ -973,20 +710,12 @@ fn on_hello<'a>(
     } = sh.role
     {
         if nprocs != shard_nprocs {
-            c.fail(
-                sh,
-                codes::BAD_RANK,
-                format!("relay serves a {shard_nprocs}-rank job, client claims {nprocs}"),
-            );
-            return;
+            let msg = format!("relay serves a {shard_nprocs}-rank job, client claims {nprocs}");
+            return Err((codes::BAD_RANK, msg));
         }
         if rank < first || rank >= last {
-            c.fail(
-                sh,
-                codes::BAD_RANK,
-                format!("rank {rank} outside this relay's shard [{first}, {last})"),
-            );
-            return;
+            let msg = format!("rank {rank} outside this relay's shard [{first}, {last})");
+            return Err((codes::BAD_RANK, msg));
         }
     }
 
@@ -996,41 +725,26 @@ fn on_hello<'a>(
     let job = match sh.state.job.get() {
         Some(j) => j,
         None => {
-            match Cst::from_text(&cst_text) {
-                Ok(cst) => {
-                    let info = JobInfo {
-                        nprocs,
-                        cst_crc: client_crc,
-                        cst_text,
-                        cst,
-                    };
-                    // Another loop may have won the race; either way the
-                    // stored job is authoritative and validated below.
-                    let _ = sh.state.job.set(info);
-                }
-                Err(e) => {
-                    c.fail(sh, codes::INTERNAL, format!("unparseable CST: {e}"));
-                    return;
-                }
-            }
+            let cst = Cst::from_text(&cst_text)
+                .map_err(|e| (codes::INTERNAL, format!("unparseable CST: {e}")))?;
+            // Another loop may have won the race; either way the stored job
+            // is authoritative and validated below.
+            let _ = sh.state.job.set(JobInfo {
+                nprocs,
+                cst_crc: client_crc,
+                cst_text,
+                cst,
+            });
             sh.state.job.get().expect("just set")
         }
     };
     if job.nprocs != nprocs {
-        c.fail(
-            sh,
-            codes::BAD_RANK,
-            format!("job has {} procs, client claims {nprocs}", job.nprocs),
-        );
-        return;
+        let msg = format!("job has {} procs, client claims {nprocs}", job.nprocs);
+        return Err((codes::BAD_RANK, msg));
     }
     if job.cst_crc != client_crc {
-        c.fail(
-            sh,
-            codes::CST_MISMATCH,
-            "client CST differs from the CST this job was opened with".into(),
-        );
-        return;
+        let msg = "client CST differs from the CST this job was opened with";
+        return Err((codes::CST_MISMATCH, msg.into()));
     }
 
     let already_done = {
@@ -1046,13 +760,13 @@ fn on_hello<'a>(
             _ => g.merger.as_ref().expect("just set").has_rank(rank),
         }
     };
-    c.queue(&Frame::HelloAck {
+    out.send(&Frame::HelloAck {
         version: PROTO_VERSION,
         already_done,
     });
     if already_done {
-        c.closing = true;
-        return;
+        out.close();
+        return Ok(());
     }
     c.rank = Some(rank);
     cypress_obs::trace_instant("net", "client_accepted", rank as u64);
@@ -1079,133 +793,92 @@ fn on_hello<'a>(
         }
         SubmitMode::Blocks => c.state = ConnState::Blocks { nblocks: 0 },
     }
+    Ok(())
+}
+
+/// Inflate a `…Z` frame payload and hold it to its declared raw length.
+fn inflate_exact(what: &str, raw_len: u64, bytes: &[u8]) -> Result<Vec<u8>, Reject> {
+    match cypress_deflate::inflate(bytes) {
+        Ok(raw) if raw.len() as u64 == raw_len => Ok(raw),
+        Ok(raw) => {
+            let msg = format!("{what} declared {raw_len} bytes, got {}", raw.len());
+            Err((codes::PROTOCOL, msg))
+        }
+        Err(e) => Err((codes::PROTOCOL, format!("undecodable deflate: {e}"))),
+    }
 }
 
 /// Finish a ctt-mode submission from decoded CTT bytes.
-fn on_ctt_bytes(sh: Shared<'_>, c: &mut Conn<'_>, bytes: Vec<u8>) {
-    let rank = c.rank.expect("ctt conn has a rank");
-    let ctt = match Ctt::from_bytes(&bytes) {
-        Ok(ctt) => ctt,
-        Err(e) => {
-            c.fail(sh, codes::PROTOCOL, format!("undecodable CTT: {e}"));
-            return;
-        }
-    };
-    if ctt.rank != rank {
-        c.fail(
-            sh,
-            codes::BAD_RANK,
-            format!("Hello said rank {rank}, CTT says {}", ctt.rank),
-        );
-        return;
-    }
-    let ranks_done = merge_in(sh, ctt, None, sh.cfg.keep_rank_ctts);
-    c.queue(&Frame::FinAck { ranks_done });
-    c.state = ConnState::Done;
-    c.closing = true;
-}
-
-/// Absorb one relay-forwarded buddy block into the merge.
-#[allow(clippy::too_many_arguments)]
-fn on_merged_block(
+fn on_ctt_bytes(
     sh: Shared<'_>,
     c: &mut Conn<'_>,
+    out: &mut Outbox,
+    bytes: Vec<u8>,
+) -> Result<(), Reject> {
+    let rank = c.rank.expect("ctt conn has a rank");
+    let ctt =
+        Ctt::from_bytes(&bytes).map_err(|e| (codes::PROTOCOL, format!("undecodable CTT: {e}")))?;
+    if ctt.rank != rank {
+        let msg = format!("Hello said rank {rank}, CTT says {}", ctt.rank);
+        return Err((codes::BAD_RANK, msg));
+    }
+    let ranks_done = merge_in(sh, ctt, None, sh.cfg.keep_rank_ctts);
+    out.send(&Frame::FinAck { ranks_done });
+    out.close();
+    Ok(())
+}
+
+/// Absorb one relay-forwarded buddy block (inflated `raw`) into the merge;
+/// `Ok(true)` when it completed the collection.
+fn on_merged_block(
+    sh: Shared<'_>,
     first_rank: u32,
     nranks: u32,
     events: u64,
     raw_mpi_bytes: u64,
-    raw_len: u64,
-    bytes: Vec<u8>,
-) {
-    let raw = match cypress_deflate::inflate(&bytes) {
-        Ok(raw) if raw.len() as u64 == raw_len => raw,
-        Ok(raw) => {
-            c.fail(
-                sh,
-                codes::PROTOCOL,
-                format!("merged block declared {raw_len} bytes, got {}", raw.len()),
-            );
-            return;
-        }
-        Err(e) => {
-            c.fail(sh, codes::PROTOCOL, format!("undecodable deflate: {e}"));
-            return;
-        }
-    };
-    let block = match MergedCtt::from_bytes(&raw) {
-        Ok(b) => b,
-        Err(e) => {
-            c.fail(
-                sh,
-                codes::PROTOCOL,
-                format!("undecodable merged block: {e}"),
-            );
-            return;
-        }
-    };
+    raw: &[u8],
+) -> Result<bool, Reject> {
+    let block = MergedCtt::from_bytes(raw)
+        .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
     if let Role::Relay { first, last, .. } = sh.role {
         if first_rank < first || first_rank + nranks > last {
-            c.fail(
-                sh,
-                codes::BAD_RANK,
-                format!(
-                    "block [{first_rank}, {}) outside this relay's shard [{first}, {last})",
-                    first_rank + nranks
-                ),
+            let msg = format!(
+                "block [{first_rank}, {}) outside this relay's shard [{first}, {last})",
+                first_rank + nranks
             );
-            return;
+            return Err((codes::BAD_RANK, msg));
         }
     }
-    let complete = {
-        let mut g = sh.state.inner.lock().unwrap();
-        let Some(m) = g.merger.as_mut() else {
-            drop(g);
-            c.fail(sh, codes::INTERNAL, "merger missing at block time".into());
-            return;
-        };
-        let t0 = Instant::now();
-        let res = m.add_block(first_rank, nranks, block);
-        hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
-        match res {
-            Ok(true) => {
-                let received = g.merger.as_ref().expect("still set").received();
-                g.total_events += events;
-                g.raw_mpi_bytes += raw_mpi_bytes;
-                for r in first_rank..first_rank + nranks {
-                    let e = g.clients.entry(r).or_insert((ClientState::Merged, 0));
-                    e.0 = ClientState::Merged;
-                }
-                if events > 0 {
-                    g.clients
-                        .entry(first_rank)
-                        .or_insert((ClientState::Merged, 0))
-                        .1 += events;
-                }
-                if cypress_obs::enabled() {
-                    obs().ranks_merged.set_max(received as i64);
-                }
-                let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
-                received == sh.role.expected(job_nprocs)
-            }
-            // A relay retry re-sending blocks its first attempt landed.
-            Ok(false) => false,
-            Err(e) => {
-                drop(g);
-                c.fail(sh, codes::PROTOCOL, format!("bad merged block: {e}"));
-                return;
-            }
-        }
+    let mut g = sh.state.inner.lock().unwrap();
+    let Some(m) = g.merger.as_mut() else {
+        return Err((codes::INTERNAL, "merger missing at block time".into()));
     };
-    let ConnState::Blocks { nblocks } = &mut c.state else {
-        unreachable!("on_merged_block called outside blocks mode")
-    };
-    *nblocks += 1;
-    if complete {
-        let mut g = sh.state.inner.lock().unwrap();
-        g.done = true;
-        drop(g);
-        wake_all(sh.loops);
+    let t0 = Instant::now();
+    let res = m.add_block(first_rank, nranks, block);
+    hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
+    // `Ok(false)`: a relay retry re-sending blocks its first attempt landed.
+    if !res.map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))? {
+        return Ok(false);
     }
+    let received = g.merger.as_ref().expect("still set").received();
+    g.total_events += events;
+    g.raw_mpi_bytes += raw_mpi_bytes;
+    for r in first_rank..first_rank + nranks {
+        let e = g.clients.entry(r).or_insert((ClientState::Merged, 0));
+        e.0 = ClientState::Merged;
+    }
+    if events > 0 {
+        g.clients
+            .entry(first_rank)
+            .or_insert((ClientState::Merged, 0))
+            .1 += events;
+    }
+    if cypress_obs::enabled() {
+        obs().ranks_merged.set_max(received as i64);
+    }
+    let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
+    g.done = received == sh.role.expected(job_nprocs);
+    Ok(g.done)
 }
 
 /// Fold one finished rank CTT into the incremental binomial merge.
@@ -1258,7 +931,7 @@ fn merge_in(
     if received == sh.role.expected(job_nprocs) {
         g.done = true;
         drop(g);
-        wake_all(sh.loops);
+        sh.server.stop();
     }
     received
 }

@@ -19,13 +19,18 @@
 //!   abstraction over TCP and Unix-domain sockets (`TCP_NODELAY`
 //!   everywhere; small acks must not eat Nagle + delayed-ACK floors).
 //! - [`poll`] — readiness polling in pure std (`poll(2)` via `extern "C"`
-//!   plus a self-pipe waker); the collector blocks here, never in a sleep
-//!   loop.
+//!   plus a self-pipe waker); the server loops block here, never in a
+//!   sleep loop.
+//! - [`server`] — the one server loop: a small pool of event loops
+//!   multiplexing thousands of nonblocking connections, generic over a
+//!   [`Handler`] that sees whole frames and queues replies. The collector
+//!   and its stats endpoint are one handler; `cypress queryd`
+//!   (`cypress-store`) is another.
 //! - [`client`] / [`collector`] — the submitting side (connect/send retry
 //!   with exponential backoff, frame pipelining in coalesced writes,
-//!   per-request timeouts, drain-on-finish) and the daemon side (a small
-//!   pool of event loops multiplexing thousands of nonblocking
-//!   connections, incremental binomial merge, duplicate-rank tolerance).
+//!   per-request timeouts, drain-on-finish) and the collection handler
+//!   (per-connection protocol state machine, incremental binomial merge,
+//!   duplicate-rank tolerance).
 //! - [`tree`] — sharded collection: mid-tier **relay** collectors each own
 //!   a contiguous rank shard and forward merged buddy blocks upstream, so
 //!   the root handles `FANOUT` relay connections instead of `P` clients.
@@ -42,6 +47,7 @@ pub mod client;
 pub mod collector;
 pub mod poll;
 pub mod proto;
+pub mod server;
 pub mod stats;
 pub mod transport;
 pub mod tree;
@@ -51,6 +57,7 @@ pub use client::{
 };
 pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
 pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
+pub use server::{Handler, Outbox, Server};
 pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 pub use transport::{Addr, Listener, Stream};
 pub use tree::{spawn_tree, Tree, TreeConfig};

@@ -1,4 +1,4 @@
-//! Readiness polling in pure std — the collector's event loops block here.
+//! Readiness polling in pure std — the server's event loops block here.
 //!
 //! The repo's offline-build rule forbids external crates, so instead of mio
 //! we declare `poll(2)` directly with an `extern "C"` block (std already
@@ -11,7 +11,7 @@
 //! [`Waker`] is the classic self-pipe: a nonblocking `UnixStream::pair`
 //! whose read end sits in every poll set, so another thread can interrupt a
 //! blocked `poll` by writing one byte. That is what replaces the old
-//! `sleep(5ms)` accept/stats loops — the collector now sleeps *in the
+//! `sleep(5ms)` accept/stats loops — a server loop sleeps *in the
 //! kernel* until a socket or a peer loop has something for it.
 //!
 //! On non-unix targets the same API degrades to a short-timeout shim that
@@ -55,6 +55,7 @@ mod sys {
 
 /// A reusable, rebuilt-per-wait `poll(2)` fd set.
 #[cfg(unix)]
+#[derive(Default)]
 pub struct PollSet {
     fds: Vec<sys::pollfd>,
 }
@@ -130,6 +131,7 @@ impl PollSet {
 /// short sleep, and the caller's nonblocking I/O discovers the truth. Keeps
 /// the collector compiling (and correct, if slow) off unix.
 #[cfg(not(unix))]
+#[derive(Default)]
 pub struct PollSet {
     n: usize,
 }
@@ -156,12 +158,6 @@ impl PollSet {
     }
     pub fn writable(&self, _i: usize) -> bool {
         true
-    }
-}
-
-impl Default for PollSet {
-    fn default() -> Self {
-        PollSet::new()
     }
 }
 

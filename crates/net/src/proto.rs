@@ -496,6 +496,31 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), NetError> {
     Ok(())
 }
 
+/// Bound a length prefix before anything is allocated or awaited for it.
+fn check_len(body_len: usize) -> Result<(), NetError> {
+    if body_len == 0 || body_len > MAX_FRAME_BODY {
+        return Err(NetError::Frame(format!("bad frame body length {body_len}")));
+    }
+    Ok(())
+}
+
+/// The one validator behind [`read_frame`] and [`FrameBuf::try_frame`]:
+/// CRC before any payload decoding, rx accounting only for frames that
+/// passed it.
+fn check_and_decode(body: &[u8], stored: u32) -> Result<Frame, NetError> {
+    let computed = crc32(body);
+    if stored != computed {
+        return Err(NetError::Crc { stored, computed });
+    }
+    if cypress_obs::enabled() {
+        let m = obs();
+        m.bytes_in.add(body.len() as u64 + 8);
+        m.frames_in.inc();
+    }
+    cypress_obs::trace_instant("net", "frame_rx", body.len() as u64 + 8);
+    Frame::decode_body(body)
+}
+
 /// Receive and verify one frame. `Err(Frame(...))` covers a clean EOF
 /// mid-frame; an EOF before any byte of the length prefix surfaces as
 /// `Io(UnexpectedEof)` from the reader.
@@ -503,25 +528,12 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, NetError> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 || len > MAX_FRAME_BODY {
-        return Err(NetError::Frame(format!("bad frame body length {len}")));
-    }
+    check_len(len)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     let mut crc_buf = [0u8; 4];
     r.read_exact(&mut crc_buf)?;
-    let stored = u32::from_le_bytes(crc_buf);
-    let computed = crc32(&body);
-    if stored != computed {
-        return Err(NetError::Crc { stored, computed });
-    }
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.bytes_in.add(len as u64 + 8);
-        m.frames_in.inc();
-    }
-    cypress_obs::trace_instant("net", "frame_rx", len as u64 + 8);
-    Frame::decode_body(&body)
+    check_and_decode(&body, u32::from_le_bytes(crc_buf))
 }
 
 /// A reusable per-connection receive buffer for nonblocking frame decode.
@@ -597,42 +609,18 @@ impl FrameBuf {
     }
 
     /// Decode one complete frame if buffered; `Ok(None)` means more bytes
-    /// are needed. Validation order matches [`read_frame`]: length bound
-    /// before anything else, CRC before body decode.
+    /// are needed.
     pub fn try_frame(&mut self) -> Result<Option<Frame>, NetError> {
-        if self.len < 4 {
+        let Some(total) = self.pending_total_len() else {
             return Ok(None);
-        }
-        let body_len = {
-            let p = &self.buf[self.start..self.start + 4];
-            u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize
         };
-        if body_len == 0 || body_len > MAX_FRAME_BODY {
-            return Err(NetError::Frame(format!("bad frame body length {body_len}")));
-        }
-        let total = body_len + 8;
+        check_len(total - 8)?;
         if self.len < total {
             return Ok(None);
         }
-        let body = &self.buf[self.start + 4..self.start + 4 + body_len];
-        let crc_at = self.start + 4 + body_len;
-        let stored = u32::from_le_bytes([
-            self.buf[crc_at],
-            self.buf[crc_at + 1],
-            self.buf[crc_at + 2],
-            self.buf[crc_at + 3],
-        ]);
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(NetError::Crc { stored, computed });
-        }
-        if cypress_obs::enabled() {
-            let m = obs();
-            m.bytes_in.add(total as u64);
-            m.frames_in.inc();
-        }
-        cypress_obs::trace_instant("net", "frame_rx", total as u64);
-        let frame = Frame::decode_body(body)?;
+        let (body, crc) = self.buf[self.start + 4..self.start + total].split_at(total - 8);
+        let stored = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+        let frame = check_and_decode(body, stored)?;
         self.start += total;
         self.len -= total;
         if self.len == 0 {
@@ -646,18 +634,6 @@ impl Default for FrameBuf {
     fn default() -> Self {
         FrameBuf::new()
     }
-}
-
-/// Convenience: send a [`Frame::Error`] and ignore delivery failures (the
-/// peer may already be gone).
-pub fn send_error(w: &mut impl Write, code: u16, message: impl Into<String>) {
-    let _ = write_frame(
-        w,
-        &Frame::Error {
-            code,
-            message: message.into(),
-        },
-    );
 }
 
 #[cfg(test)]

@@ -24,25 +24,29 @@ impl QueryClient {
         Ok(QueryClient { stream })
     }
 
-    /// Query one job, returning the raw self-versioned result blob —
-    /// exactly the bytes the daemon computed, for byte-identity checks
-    /// against local evaluation.
-    pub fn query_raw(&mut self, job: &str, opts: &QueryOptions) -> Result<Vec<u8>, StoreError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::QueryRequest {
-                job: job.to_string(),
-                options: opts.to_bytes(),
-            },
-        )?;
-        match read_frame(&mut self.stream)? {
-            Frame::QueryResponse { result } => Ok(result),
-            Frame::Error { code, message } => Err(StoreError::Remote { code, message }),
-            f => Err(StoreError::Invalid(format!(
+    /// One request, one reply: the matching response's blob, or the
+    /// daemon's error.
+    fn request(&mut self, req: Frame) -> Result<Vec<u8>, StoreError> {
+        write_frame(&mut self.stream, &req)?;
+        match (req, read_frame(&mut self.stream)?) {
+            (Frame::QueryRequest { .. }, Frame::QueryResponse { result })
+            | (Frame::AnalyzeRequest { .. }, Frame::AnalyzeResponse { result }) => Ok(result),
+            (_, Frame::Error { code, message }) => Err(StoreError::Remote { code, message }),
+            (_, f) => Err(StoreError::Invalid(format!(
                 "unexpected {} frame from daemon",
                 f.name()
             ))),
         }
+    }
+
+    /// Query one job, returning the raw self-versioned result blob —
+    /// exactly the bytes the daemon computed, for byte-identity checks
+    /// against local evaluation.
+    pub fn query_raw(&mut self, job: &str, opts: &QueryOptions) -> Result<Vec<u8>, StoreError> {
+        self.request(Frame::QueryRequest {
+            job: job.to_string(),
+            options: opts.to_bytes(),
+        })
     }
 
     /// Query one job and decode the answer.
@@ -55,21 +59,10 @@ impl QueryClient {
     /// raw self-versioned report blob — exactly the bytes the daemon
     /// computed, for byte-identity checks against local evaluation.
     pub fn analyze_raw(&mut self, job: &str, opts: &AnalyzeOptions) -> Result<Vec<u8>, StoreError> {
-        write_frame(
-            &mut self.stream,
-            &Frame::AnalyzeRequest {
-                job: job.to_string(),
-                options: opts.to_bytes(),
-            },
-        )?;
-        match read_frame(&mut self.stream)? {
-            Frame::AnalyzeResponse { result } => Ok(result),
-            Frame::Error { code, message } => Err(StoreError::Remote { code, message }),
-            f => Err(StoreError::Invalid(format!(
-                "unexpected {} frame from daemon",
-                f.name()
-            ))),
-        }
+        self.request(Frame::AnalyzeRequest {
+            job: job.to_string(),
+            options: opts.to_bytes(),
+        })
     }
 
     /// Analyze one job and decode the report.

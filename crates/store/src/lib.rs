@@ -15,9 +15,10 @@
 //!   coalescing, and hit/miss/eviction metrics ([`StoreStats`], mirrored
 //!   into the `store` observability scope).
 //! * [`serve`]/[`spawn`] + [`QueryClient`] — `cypress queryd`: the store
-//!   served over the net transport's versioned frames
-//!   (`QueryRequest`/`QueryResponse` with self-versioned option/result
-//!   blobs), persistent connections, clean protocol errors.
+//!   as a frame handler on the net crate's one server loop
+//!   (`QueryRequest`/`QueryResponse` and `AnalyzeRequest`/`AnalyzeResponse`
+//!   with self-versioned option/result blobs), persistent multiplexed
+//!   connections, clean protocol errors.
 //!
 //! Evicted jobs are only *unpinned*: readers holding an `Arc<StoreJob>`
 //! keep a valid handle; memory is reclaimed when the last clone drops.
@@ -29,7 +30,7 @@ mod store;
 
 pub use client::{analyze_remote, query_remote, QueryClient};
 pub use job::StoreJob;
-pub use serve::{spawn, ServerHandle};
+pub use serve::{serve, spawn, ServerHandle};
 pub use store::{JobStore, StoreConfig, StoreStats};
 
 use cypress_query::QueryError;

@@ -1,37 +1,90 @@
-//! The resident query daemon: a [`JobStore`] served over the net
-//! transport's framed protocol.
+//! The resident query daemon: a [`JobStore`] as a [`Handler`] on the net
+//! crate's one server loop ([`cypress_net::server`]).
 //!
-//! One connection handles any number of `QueryRequest` and
-//! `AnalyzeRequest` frames until the client disconnects — the handle stays
-//! hot in the store across requests, which is the whole point of a
-//! resident daemon. Failures map onto protocol error frames: unknown job →
-//! `not-found`, malformed options → `protocol`, anything else →
-//! `internal`; the connection stays open after an error reply, so a
-//! scripted client can probe jobs cheaply. Frame codes this build does not
-//! know (decoded as `Frame::Unknown`) also get a `protocol` error reply
-//! with the connection kept alive — this port exchanges no `Hello`, so that
-//! reply is how a peer speaking something else finds out.
+//! A connection carries any number of `QueryRequest`/`AnalyzeRequest`
+//! frames, pipelined or not, answered in order; the job stays hot in the
+//! store across them. Failures are error frames and the connection stays
+//! open: unknown job → `not-found`; malformed options → `protocol`; a frame
+//! code this build does not know (`Frame::Unknown` — this port exchanges no
+//! `Hello`, so that reply is how a foreign peer finds out) → `protocol`;
+//! anything else that goes wrong → `internal`. Any other known frame is a
+//! `protocol` error and the connection closes.
+//!
+//! A request evaluates on its loop's thread, so connections sharing a loop
+//! wait for it; the thread count is the loop count, whatever the number of
+//! connections.
 
-use crate::{JobStore, StoreError};
-use cypress_analysis::{AnalyzeOptions, AnalyzeReport};
-use cypress_net::proto::{codes, read_frame, send_error, write_frame};
-use cypress_net::{Addr, Frame, Listener, NetError, Stream};
-use cypress_query::{QueryOptions, QueryResult};
+use crate::{JobStore, StoreError, StoreJob};
+use cypress_analysis::AnalyzeOptions;
+use cypress_net::proto::codes::{INTERNAL, NOT_FOUND, PROTOCOL};
+use cypress_net::{Addr, Frame, Handler, Listener, Outbox, Server};
+use cypress_query::QueryOptions;
 use cypress_trace::Codec;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Poll interval for the nonblocking accept loop and the per-connection
-/// read timeout; both bound how long shutdown can take.
-const POLL: Duration = Duration::from_millis(50);
+fn error(code: u16, message: String) -> Frame {
+    Frame::Error { code, message }
+}
 
-/// A running daemon. Dropping (or calling [`ServerHandle::stop`]) signals
-/// the accept loop and every connection handler, then joins them.
+impl JobStore {
+    /// Decode the request's options, open the job, evaluate, and turn the
+    /// outcome — answer or failure — into the one reply frame.
+    fn answer<O: Codec, R: Codec>(
+        &self,
+        job: &str,
+        options: &[u8],
+        eval: fn(&StoreJob, &O) -> Result<R, StoreError>,
+        reply: fn(Vec<u8>) -> Frame,
+    ) -> Frame {
+        let opts = match O::from_bytes(options) {
+            Ok(o) => o,
+            Err(e) => return error(PROTOCOL, format!("bad options: {e}")),
+        };
+        match self.open(job).and_then(|j| eval(&j, &opts)) {
+            Ok(result) => reply(result.to_bytes()),
+            Err(StoreError::NotFound(name)) => error(NOT_FOUND, format!("job {name:?} not found")),
+            Err(e) => error(INTERNAL, e.to_string()),
+        }
+    }
+}
+
+impl Handler for JobStore {
+    type Conn = ();
+
+    fn accept(&self, _listener: usize) {}
+
+    fn on_frame(&self, _: &mut (), frame: Frame, out: &mut Outbox) {
+        let reply = match frame {
+            Frame::QueryRequest { job, options } => {
+                let reply = |result| Frame::QueryResponse { result };
+                self.answer::<QueryOptions, _>(&job, &options, StoreJob::query, reply)
+            }
+            Frame::AnalyzeRequest { job, options } => {
+                let reply = |result| Frame::AnalyzeResponse { result };
+                self.answer::<AnalyzeOptions, _>(&job, &options, StoreJob::analyze, reply)
+            }
+            Frame::Unknown { code } => error(PROTOCOL, format!("unsupported frame code {code}")),
+            f => {
+                out.close();
+                error(PROTOCOL, format!("unexpected {} frame", f.name()))
+            }
+        };
+        out.send(&reply);
+    }
+}
+
+/// Serve `store` on `listener` from the calling thread (which runs event
+/// loop 0) until the process ends.
+pub fn serve(store: Arc<JobStore>, listener: &Listener) -> Result<(), StoreError> {
+    Ok(Server::new(0)?.run(&*store, &[listener])?)
+}
+
+/// A running daemon. Dropping (or calling [`ServerHandle::stop`]) stops the
+/// event loops and joins them; every open connection sees EOF.
 pub struct ServerHandle {
     addr: Addr,
-    stop: Arc<AtomicBool>,
+    server: Arc<Server>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -41,163 +94,35 @@ impl ServerHandle {
         &self.addr
     }
 
-    /// Signal shutdown and wait for the accept loop and all connection
-    /// handlers to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
+    /// Signal shutdown and wait for the event loops to exit.
+    pub fn stop(self) {
+        drop(self);
     }
+}
 
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.server.stop();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Bind `addr` and serve `store` on a background thread.
 pub fn spawn(store: Arc<JobStore>, addr: &Addr) -> Result<ServerHandle, StoreError> {
     let listener = Listener::bind(addr)?;
-    let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let thread = std::thread::spawn(move || accept_loop(listener, store, stop2));
+    let addr = listener.local_addr()?;
+    let server = Arc::new(Server::new(0)?);
+    let s = server.clone();
+    let thread = std::thread::spawn(move || {
+        if let Err(e) = s.run(&*store, &[&listener]) {
+            cypress_obs::obs_log!(cypress_obs::Level::Error, "store", "queryd failed: {e}");
+        }
+    });
     Ok(ServerHandle {
-        addr: local,
-        stop,
+        addr,
+        server,
         thread: Some(thread),
     })
-}
-
-fn accept_loop(listener: Listener, store: Arc<JobStore>, stop: Arc<AtomicBool>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                let store = store.clone();
-                let stop = stop.clone();
-                handlers.push(std::thread::spawn(move || {
-                    handle_conn(stream, store, stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-        handlers.retain(|h| !h.is_finished());
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
-}
-
-/// Serve one connection until EOF, error, or shutdown.
-fn handle_conn(mut stream: Stream, store: Arc<JobStore>, stop: Arc<AtomicBool>) {
-    // A short read timeout doubles as the shutdown poll: an idle persistent
-    // connection wakes every POLL to check the stop flag.
-    if stream.set_io_timeout(POLL).is_err() {
-        return;
-    }
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            stream.shutdown();
-            return;
-        }
-        let frame = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(NetError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return, // EOF, torn frame, or dead peer
-        };
-        match frame {
-            Frame::QueryRequest { job, options } => {
-                let opts = match QueryOptions::from_bytes(&options) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        send_error(&mut stream, codes::PROTOCOL, format!("bad options: {e}"));
-                        continue;
-                    }
-                };
-                match run_query(&store, &job, &opts) {
-                    Ok(result) => {
-                        if write_frame(&mut stream, &Frame::QueryResponse { result }).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e) => reply_store_error(&mut stream, e),
-                }
-            }
-            Frame::AnalyzeRequest { job, options } => {
-                let opts = match AnalyzeOptions::from_bytes(&options) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        send_error(&mut stream, codes::PROTOCOL, format!("bad options: {e}"));
-                        continue;
-                    }
-                };
-                match run_analyze(&store, &job, &opts) {
-                    Ok(result) => {
-                        if write_frame(&mut stream, &Frame::AnalyzeResponse { result }).is_err() {
-                            return;
-                        }
-                    }
-                    Err(e) => reply_store_error(&mut stream, e),
-                }
-            }
-            // A frame code from a newer client (e.g. an analysis kind this
-            // build predates): answer with the ordinary protocol error frame
-            // and keep serving — the client learns the capability is missing
-            // without losing the connection.
-            Frame::Unknown { code } => {
-                send_error(
-                    &mut stream,
-                    codes::PROTOCOL,
-                    format!("unsupported frame code {code}"),
-                );
-            }
-            f => {
-                send_error(
-                    &mut stream,
-                    codes::PROTOCOL,
-                    format!("unexpected {} frame", f.name()),
-                );
-                return;
-            }
-        }
-    }
-}
-
-fn reply_store_error(stream: &mut Stream, e: StoreError) {
-    match e {
-        StoreError::NotFound(name) => {
-            send_error(stream, codes::NOT_FOUND, format!("job {name:?} not found"));
-        }
-        e => send_error(stream, codes::INTERNAL, e.to_string()),
-    }
-}
-
-fn run_query(store: &JobStore, job: &str, opts: &QueryOptions) -> Result<Vec<u8>, StoreError> {
-    let handle = store.open(job)?;
-    let result: QueryResult = handle.query(opts)?;
-    Ok(result.to_bytes())
-}
-
-fn run_analyze(store: &JobStore, job: &str, opts: &AnalyzeOptions) -> Result<Vec<u8>, StoreError> {
-    let handle = store.open(job)?;
-    let result: AnalyzeReport = handle.analyze(opts)?;
-    Ok(result.to_bytes())
 }

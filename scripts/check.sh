@@ -14,6 +14,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one server loop: no timeout-poll server in store, one poll-set construction =="
+# (QueryClient's per-request socket timeout is client side and stays.)
+! grep -rnE 'thread::sleep|set_io_timeout' crates/store/src --exclude=client.rs || exit 1
+test "$(grep -rn 'PollSet::new()' crates/*/src src | grep -vc '^crates/net/src/poll.rs')" = 1
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -972,19 +972,15 @@ fn cmd_queryd(args: &[String]) -> CliResult {
             .parse()
             .map_err(|e| Error::Invalid(format!("bad --max-bytes value: {e}")))?;
     }
-    let addr = Addr::parse(&listen)?;
     let store = Arc::new(JobStore::new(&dir, cfg)?);
     let jobs = store.list()?.len();
-    let server = cypress::store::spawn(store, &addr)?;
+    let listener = cypress::net::Listener::bind(&Addr::parse(&listen)?)?;
+    let addr = listener.local_addr()?;
     eprintln!(
-        "cypress queryd serving {jobs} jobs from {dir} on {} (query with `cypress query --connect {} <job>`)",
-        server.addr(),
-        server.addr()
+        "cypress queryd serving {jobs} jobs from {dir} on {addr} (query with `cypress query --connect {addr} <job>`)"
     );
-    // The daemon runs until killed; the server threads do all the work.
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
+    // Runs until killed, event loop 0 on this thread.
+    Ok(cypress::store::serve(store, &listener)?)
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {

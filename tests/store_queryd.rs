@@ -9,7 +9,9 @@ use cypress::analysis::AnalyzeOptions;
 use cypress::net::proto::{codes, read_frame, write_frame, Frame};
 use cypress::net::{Addr, Listener, Stream};
 use cypress::query::Window;
-use cypress::store::{analyze_remote, query_remote, JobStore, StoreConfig, StoreError};
+use cypress::store::{
+    analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreError,
+};
 use cypress::trace::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale};
 use cypress::{Pipeline, QueryOptions};
@@ -178,6 +180,15 @@ fn client_surfaces_protocol_error_from_older_server() {
     }
 }
 
+/// Hand-craft a frame around any body: `[len u32][body = code +
+/// payload][crc32(body)]`.
+fn raw_frame(body: &[u8]) -> Vec<u8> {
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire.extend_from_slice(&cypress::deflate::crc32(body).to_le_bytes());
+    wire
+}
+
 /// Old-client/new-server direction: the server answers frame codes from the
 /// future with a protocol error frame *without dropping the connection*, so
 /// an interleaved v2-style query on the same stream still succeeds.
@@ -187,14 +198,8 @@ fn unknown_frame_gets_error_reply_and_connection_survives() {
     let mut s = Stream::connect(server.addr(), Duration::from_secs(5)).unwrap();
     s.set_io_timeout(Duration::from_secs(20)).unwrap();
 
-    // Hand-craft a frame with a code this server has never heard of:
-    // [len u32][body = code + payload][crc32(body)].
-    let body: &[u8] = &[0xEE, 7, 7, 7];
-    let mut wire = Vec::new();
-    wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    wire.extend_from_slice(body);
-    wire.extend_from_slice(&cypress::deflate::crc32(body).to_le_bytes());
-    s.write_all(&wire).unwrap();
+    // A frame with a code this server has never heard of.
+    s.write_all(&raw_frame(&[0xEE, 7, 7, 7])).unwrap();
     s.flush().unwrap();
 
     match read_frame(&mut s).unwrap() {
@@ -250,4 +255,99 @@ fn unknown_frame_gets_error_reply_and_connection_survives() {
         other => panic!("expected analyze response, got {}", other.name()),
     }
     server.stop();
+}
+
+fn frame_bytes(frame: &Frame) -> Vec<u8> {
+    let mut wire = Vec::new();
+    cypress::net::proto::encode_frame_into(frame, &mut wire);
+    wire
+}
+
+/// A request that arrives in pieces is still one request: the daemon waits
+/// for the rest of the frame instead of resetting the connection. Then, on
+/// the same connection, three pipelined requests get three replies in order.
+#[test]
+fn torn_and_pipelined_requests_are_answered_in_order() {
+    let (_tmp, store, server) = serve_one("torn", "jacobi");
+    let job = store.open("jacobi").unwrap();
+    let want_query = job.query(&QueryOptions::default()).unwrap().to_bytes();
+    let want_analyze = job.analyze(&AnalyzeOptions::default()).unwrap().to_bytes();
+    let query = frame_bytes(&Frame::QueryRequest {
+        job: "jacobi".into(),
+        options: QueryOptions::default().to_bytes(),
+    });
+    let analyze = frame_bytes(&Frame::AnalyzeRequest {
+        job: "jacobi".into(),
+        options: AnalyzeOptions::default().to_bytes(),
+    });
+    let unknown = raw_frame(&[0xEE, 1, 2]);
+
+    let mut s = Stream::connect(server.addr(), Duration::from_secs(5)).unwrap();
+    s.set_io_timeout(Duration::from_secs(20)).unwrap();
+    s.write_all(&query[..2]).unwrap();
+    s.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    s.write_all(&query[2..]).unwrap();
+    match read_frame(&mut s).unwrap() {
+        Frame::QueryResponse { result } => assert_eq!(result, want_query, "torn request"),
+        other => panic!("expected query response, got {}", other.name()),
+    }
+
+    s.write_all(&[query, analyze, unknown].concat()).unwrap();
+    match read_frame(&mut s).unwrap() {
+        Frame::QueryResponse { result } => assert_eq!(result, want_query, "pipelined query"),
+        other => panic!("first reply: got {}", other.name()),
+    }
+    match read_frame(&mut s).unwrap() {
+        Frame::AnalyzeResponse { result } => assert_eq!(result, want_analyze, "pipelined analyze"),
+        other => panic!("second reply: got {}", other.name()),
+    }
+    match read_frame(&mut s).unwrap() {
+        Frame::Error { code, message } => {
+            assert_eq!(code, codes::PROTOCOL);
+            assert!(message.contains("238"), "{message}");
+        }
+        other => panic!("third reply: got {}", other.name()),
+    }
+    server.stop();
+}
+
+/// Connections cost no threads: 256 idle ones stay open while another is
+/// served, and stopping the daemon closes every one of them.
+#[test]
+fn idle_connections_are_multiplexed_and_closed_on_stop() {
+    let (_tmp, store, server) = serve_one("idle", "jacobi");
+    let opts = QueryOptions::default();
+    let want = store
+        .open("jacobi")
+        .unwrap()
+        .query(&opts)
+        .unwrap()
+        .to_bytes();
+    let connect = || QueryClient::connect(server.addr(), Duration::from_secs(20)).unwrap();
+    let mut idle: Vec<QueryClient> = (0..256).map(|_| connect()).collect();
+
+    let mut busy = connect();
+    for i in 0..200 {
+        let got = busy.query_raw("jacobi", &opts).unwrap();
+        assert_eq!(got, want, "query {i} with 256 idle connections open");
+    }
+    // The idle ones were adopted, not left in a backlog: each still answers.
+    for i in [0, 100, 255] {
+        assert_eq!(idle[i].query_raw("jacobi", &opts).unwrap(), want);
+    }
+
+    server.stop();
+    for (i, c) in idle.iter_mut().enumerate() {
+        match c.query_raw("jacobi", &opts) {
+            Err(StoreError::Net(cypress::net::NetError::Io(e))) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "idle connection {i} still open after stop: {e}"
+            ),
+            other => panic!("idle connection {i}: expected EOF, got {other:?}"),
+        }
+    }
 }
