@@ -173,9 +173,9 @@ impl DiffReport {
     pub fn render_json(&self) -> String {
         let side = |s: &JobSummary| {
             format!(
-                "{{\"label\":\"{}\",\"nprocs\":{},\"predicted_ns\":{},\"measured_ns\":{},\
+                "{{\"label\":{},\"nprocs\":{},\"predicted_ns\":{},\"measured_ns\":{},\
                  \"volume\":{},\"calls\":{},\"loop_trips\":{},\"wait_ns\":{}}}",
-                cypress_query::json_escape(&s.label),
+                cypress_obs::json_str(&s.label),
                 s.query.nprocs,
                 s.analyze.predicted.total,
                 s.analyze.measured_app_ns,

@@ -11,21 +11,11 @@ use cypress_cst::tree::VertexKind;
 use cypress_cst::Cst;
 use cypress_query::Window;
 use cypress_simmpi::{SimResult, WaitReport};
-use cypress_trace::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_trace::{Codec, DecodeResult, Decoder, Encoder};
 use std::fmt::Write;
 
 /// Version byte leading every [`AnalyzeOptions`] / [`AnalyzeReport`] blob.
 pub const ANALYSIS_WIRE_VERSION: u8 = 1;
-
-fn check_version(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<()> {
-    let v = dec.get_u8()?;
-    if v != ANALYSIS_WIRE_VERSION {
-        return Err(DecodeError(format!(
-            "{what} wire version {v} unsupported (expected {ANALYSIS_WIRE_VERSION})"
-        )));
-    }
-    Ok(())
-}
 
 impl Codec for AnalyzeOptions {
     fn encode(&self, enc: &mut Encoder) {
@@ -34,7 +24,7 @@ impl Codec for AnalyzeOptions {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "analyze options")?;
+        dec.expect_version("analyze options wire", ANALYSIS_WIRE_VERSION)?;
         Ok(AnalyzeOptions {
             window: Window::decode_opt(dec)?,
         })
@@ -54,8 +44,8 @@ impl Codec for AnalysisStats {
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         Ok(AnalysisStats {
-            symbolic_loops: dec.get_uvar()? as u32,
-            unrolled_loops: dec.get_uvar()? as u32,
+            symbolic_loops: dec.get_u32("symbolic_loops")?,
+            unrolled_loops: dec.get_u32("unrolled_loops")?,
             flattened: dec.get_u8()? != 0,
             windowed: dec.get_u8()? != 0,
             fed_ops: dec.get_uvar()?,
@@ -76,9 +66,9 @@ impl Codec for AnalyzeReport {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "analyze report")?;
+        dec.expect_version("analyze report wire", ANALYSIS_WIRE_VERSION)?;
         Ok(AnalyzeReport {
-            nprocs: dec.get_uvar()? as u32,
+            nprocs: dec.get_u32("analyze report nprocs")?,
             measured_app_ns: dec.get_uvar()?,
             predicted: SimResult::decode(dec)?,
             waits: WaitReport::decode(dec)?,
@@ -261,13 +251,6 @@ mod tests {
         bad[0] = 42;
         let err = AnalyzeOptions::from_bytes(&bad).unwrap_err();
         assert!(err.0.contains("wire version 42"), "{}", err.0);
-    }
-
-    #[test]
-    fn report_roundtrip() {
-        let r = sample();
-        let bytes = r.to_bytes();
-        assert_eq!(AnalyzeReport::from_bytes(&bytes).unwrap(), r);
     }
 
     #[test]

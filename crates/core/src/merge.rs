@@ -577,32 +577,30 @@ impl BinomialMerger {
         if count == 0 || !count.is_power_of_two() {
             return Err(format!("block rank count {count} is not a power of two"));
         }
+        // `first` and `count` come off the wire: their sum must not wrap.
+        let end = first as u64 + count as u64;
         if !first.is_multiple_of(count) {
             return Err(format!(
-                "block [{first}, {}) is not aligned on the buddy tree",
-                first + count
+                "block [{first}, {end}) is not aligned on the buddy tree"
             ));
         }
-        if first + count > self.nprocs {
+        if end > self.nprocs as u64 {
             return Err(format!(
-                "block [{first}, {}) exceeds job size {}",
-                first + count,
+                "block [{first}, {end}) exceeds job size {}",
                 self.nprocs
             ));
         }
-        let seen: u32 = (first..first + count)
-            .map(|r| self.has_rank(r) as u32)
-            .sum();
+        let end = end as u32;
+        let seen: u32 = (first..end).map(|r| self.has_rank(r) as u32).sum();
         if seen == count {
             return Ok(false);
         }
         if seen != 0 {
             return Err(format!(
-                "block [{first}, {}) partially overlaps {seen} already-merged ranks",
-                first + count
+                "block [{first}, {end}) partially overlaps {seen} already-merged ranks"
             ));
         }
-        for r in first..first + count {
+        for r in first..end {
             self.seen[r as usize / 64] |= 1u64 << (r % 64);
         }
         self.received += count;
@@ -1118,6 +1116,8 @@ mod tests {
         assert!(bm.add_block(0, 3, one.clone()).is_err());
         assert!(bm.add_block(8, 1, one.clone()).is_err());
         assert!(bm.add_block(4, 8, one.clone()).is_err());
+        // first + count wraps to 0 in u32: still out of range, not accepted.
+        assert!(bm.add_block(0x8000_0000, 0x8000_0000, one.clone()).is_err());
         assert_eq!(bm.received(), 0);
         // A fully-duplicate block is a benign no-op; partial overlap is not.
         let mut relay = BinomialMerger::new(8);

@@ -10,7 +10,10 @@
 //! sources in this repo (the deterministic interpreter, recorded raw
 //! traces) replay exactly, so a retry submits identical bytes.
 
-use crate::proto::{encode_frame_into, read_frame, write_frame, Frame, SubmitMode, PROTO_VERSION};
+use crate::proto::{
+    encode_frame_into, read_frame, write_frame, Frame, Hello, MergedBlock, SubmitMode,
+    PROTO_VERSION,
+};
 use crate::transport::{Addr, Stream};
 use crate::NetError;
 use cypress_core::Ctt;
@@ -145,13 +148,13 @@ fn hello_exchange(
 ) -> Result<bool, NetError> {
     write_frame(
         stream,
-        &Frame::Hello {
+        &Frame::Hello(Hello {
             version: PROTO_VERSION,
             rank,
             nprocs,
             mode,
             cst_text: cst_text.to_string(),
-        },
+        }),
     )?;
     match read_frame(stream)? {
         Frame::HelloAck {
@@ -325,22 +328,6 @@ pub fn submit_ctt(
     })
 }
 
-/// One aligned buddy block a relay forwards upstream: ranks
-/// `[first, first + count)` of the global job, deflated `MergedCtt` bytes.
-#[derive(Debug, Clone)]
-pub struct BlockUpload {
-    pub first: u32,
-    pub count: u32,
-    /// Event total this block carries upstream (a relay puts its shard's
-    /// whole total on the first block and 0 on the rest).
-    pub events: u64,
-    pub raw_mpi_bytes: u64,
-    /// Serialized `MergedCtt` length before deflate.
-    pub raw_len: u64,
-    /// Deflated `MergedCtt` bytes.
-    pub z: Vec<u8>,
-}
-
 /// Forward a relay's merged buddy blocks to its upstream collector. All
 /// blocks plus the `Finish` pipeline in one write with a single
 /// round-trip; duplicates are upstream no-ops, so a retry that re-sends
@@ -350,10 +337,10 @@ pub fn submit_merged_blocks(
     cfg: &ClientConfig,
     nprocs: u32,
     cst_text: &str,
-    blocks: &[BlockUpload],
+    blocks: &[MergedBlock],
 ) -> Result<SubmitOutcome, NetError> {
     // The Hello rank only identifies the shard for validation.
-    let hello_rank = blocks.first().map(|b| b.first).unwrap_or(0);
+    let hello_rank = blocks.first().map(|b| b.first_rank).unwrap_or(0);
     with_retry(cfg, |attempt| {
         let mut stream = Stream::connect(addr, cfg.io_timeout)?;
         cypress_obs::trace_instant("net", "connect", hello_rank as u64);
@@ -367,17 +354,7 @@ pub fn submit_merged_blocks(
         )?;
         let mut wire = Vec::new();
         for b in blocks {
-            encode_frame_into(
-                &Frame::MergedBlockZ {
-                    first_rank: b.first,
-                    nranks: b.count,
-                    events: b.events,
-                    raw_mpi_bytes: b.raw_mpi_bytes,
-                    raw_len: b.raw_len,
-                    bytes: b.z.clone(),
-                },
-                &mut wire,
-            );
+            encode_frame_into(&Frame::MergedBlockZ(b.clone()), &mut wire);
         }
         encode_frame_into(
             &Frame::Finish {

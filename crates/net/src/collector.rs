@@ -35,7 +35,7 @@
 //! hang.
 
 use crate::client::ClientConfig;
-use crate::proto::{codes, Frame, SubmitMode, PROTO_VERSION};
+use crate::proto::{codes, Frame, Hello, MergedBlock, SubmitMode, PROTO_VERSION};
 use crate::server::{Handler, Outbox, Server};
 use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
@@ -48,7 +48,7 @@ use cypress_deflate::crc32;
 use cypress_obs::{obs_log, Level};
 use cypress_trace::codec::Codec;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Collector knobs.
@@ -156,6 +156,7 @@ struct JobInfo {
     cst: Cst,
 }
 
+#[derive(Default)]
 struct Inner {
     merger: Option<BinomialMerger>,
     rank_ctts: Vec<Ctt>,
@@ -271,7 +272,7 @@ struct Conn<'a> {
 impl Conn<'_> {
     /// This connection's submission ended without merging.
     fn mark_aborted(&self, sh: Shared<'_>) {
-        if matches!(self.state, ConnState::Streaming { .. }) && cypress_obs::enabled() {
+        if matches!(self.state, ConnState::Streaming { .. }) {
             obs().sessions_aborted.inc();
         }
         if let Some(rank) = self.rank {
@@ -291,9 +292,7 @@ impl<'a> Handler for Shared<'a> {
 
     fn accept(&self, listener: usize) -> Conn<'a> {
         let state = if listener == JOB {
-            if cypress_obs::enabled() {
-                obs().connections.inc();
-            }
+            obs().connections.inc();
             ConnState::AwaitHello
         } else {
             ConnState::AwaitStatsReq
@@ -305,12 +304,8 @@ impl<'a> Handler for Shared<'a> {
         // A refused frame: answer with an `Error` frame, then flush and close.
         if let Err((code, message)) = handle_frame(*self, c, frame, out) {
             c.mark_aborted(*self);
-            obs_log!(
-                Level::Warn,
-                "net",
-                "rejecting client ({}): {message}",
-                codes::name(code)
-            );
+            let name = codes::name(code);
+            obs_log!(Level::Warn, "net", "rejecting client ({name}): {message}");
             out.send(&Frame::Error { code, message });
             c.state = ConnState::Done;
             out.close();
@@ -467,19 +462,18 @@ impl Collector {
         let level = cfg.client.ctt_level.unwrap_or_default();
         let blocks = merger.into_blocks();
         let mut uploads = Vec::with_capacity(blocks.len());
-        for (i, (first, count, part)) in blocks.into_iter().enumerate() {
+        for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
             let raw = part.to_bytes();
-            let z = cypress_deflate::deflate(&raw, level);
-            uploads.push(crate::client::BlockUpload {
-                first,
-                count,
+            uploads.push(MergedBlock {
+                first_rank,
+                nranks,
                 // The shard's accounting totals ride on the first block;
                 // the root sums per-frame, so totals stay exact even though
                 // per-rank attribution is lost above the relay.
                 events: if i == 0 { inner.total_events } else { 0 },
                 raw_mpi_bytes: if i == 0 { inner.raw_mpi_bytes } else { 0 },
                 raw_len: raw.len() as u64,
-                z,
+                bytes: cypress_deflate::deflate(&raw, level),
             });
         }
         let blocks_forwarded = uploads.len() as u32;
@@ -490,15 +484,14 @@ impl Collector {
             &job.cst_text,
             &uploads,
         )?;
+        let (first, last) = (cfg.first_rank, cfg.last_rank);
         obs_log!(
             Level::Info,
             "net",
-            "relay for ranks [{}, {}) forwarded {blocks_forwarded} blocks upstream",
-            cfg.first_rank,
-            cfg.last_rank
+            "relay for ranks [{first}, {last}) forwarded {blocks_forwarded} blocks upstream"
         );
         Ok(RelaySummary {
-            ranks: cfg.last_rank - cfg.first_rank,
+            ranks: last - first,
             blocks_forwarded,
             events: inner.total_events,
         })
@@ -515,36 +508,19 @@ fn run_core(
 ) -> Result<(Option<JobInfo>, Inner), NetError> {
     let state = State {
         job: OnceLock::new(),
-        inner: Mutex::new(Inner {
-            merger: None,
-            rank_ctts: Vec::new(),
-            total_events: 0,
-            raw_mpi_bytes: 0,
-            peak_ctt_bytes: 0,
-            done: false,
-            fatal: None,
-            clients: BTreeMap::new(),
-        }),
+        inner: Mutex::default(),
         started: Instant::now(),
     };
+    let at = |l: &Listener| l.local_addr().map(|a| a.to_string()).unwrap_or_default();
     if let Some(sl) = stats_listener {
-        obs_log!(
-            Level::Info,
-            "net",
-            "collector stats endpoint on {}",
-            sl.local_addr().map(|a| a.to_string()).unwrap_or_default()
-        );
+        obs_log!(Level::Info, "net", "collector stats endpoint on {}", at(sl));
     }
     let server = Server::new(cfg.workers)?;
+    let (on, loops) = (at(listener), server.loops());
     obs_log!(
         Level::Info,
         "net",
-        "collector listening on {} with {} event loops",
-        listener
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_default(),
-        server.loops()
+        "collector listening on {on} with {loops} event loops"
     );
     let sh = Shared {
         state: &state,
@@ -573,16 +549,7 @@ fn handle_frame<'a>(
 ) -> Result<(), Reject> {
     let st = std::mem::replace(&mut c.state, ConnState::Done);
     match (st, frame) {
-        (
-            ConnState::AwaitHello,
-            Frame::Hello {
-                version,
-                rank,
-                nprocs,
-                mode,
-                cst_text,
-            },
-        ) => on_hello(sh, c, out, version, rank, nprocs, mode, cst_text),
+        (ConnState::AwaitHello, Frame::Hello(hello)) => on_hello(sh, c, out, hello),
         (
             ConnState::Streaming {
                 mut session,
@@ -615,9 +582,7 @@ fn handle_frame<'a>(
                 return Err((codes::PROTOCOL, msg));
             }
             let (ctt, stats) = session.finish(app_time);
-            let ranks_done = merge_in(sh, ctt, Some(stats), sh.cfg.keep_rank_ctts);
-            out.send(&Frame::FinAck { ranks_done });
-            out.close();
+            merge_in(sh, out, ctt, Some(stats));
             Ok(())
         }
         (ConnState::AwaitCtt, Frame::RankCtt { bytes }) => on_ctt_bytes(sh, c, out, bytes),
@@ -625,25 +590,11 @@ fn handle_frame<'a>(
             let raw = inflate_exact("compressed CTT", raw_len, &bytes)?;
             on_ctt_bytes(sh, c, out, raw)
         }
-        (
-            ConnState::Blocks { nblocks },
-            Frame::MergedBlockZ {
-                first_rank,
-                nranks,
-                events,
-                raw_mpi_bytes,
-                raw_len,
-                bytes,
-            },
-        ) => {
-            let raw = inflate_exact("merged block", raw_len, &bytes)?;
-            let done = on_merged_block(sh, first_rank, nranks, events, raw_mpi_bytes, &raw)?;
+        (ConnState::Blocks { nblocks }, Frame::MergedBlockZ(block)) => {
+            on_merged_block(sh, block)?;
             c.state = ConnState::Blocks {
                 nblocks: nblocks + 1,
             };
-            if done {
-                sh.server.stop();
-            }
             Ok(())
         }
         (ConnState::Blocks { nblocks }, Frame::Finish { event_count, .. }) => {
@@ -652,10 +603,9 @@ fn handle_frame<'a>(
                 let msg = format!("relay sent {event_count} blocks, collector saw {nblocks}");
                 return Err((codes::PROTOCOL, msg));
             }
-            let ranks_done = {
-                let g = sh.state.inner.lock().unwrap();
-                g.merger.as_ref().map(|m| m.received()).unwrap_or(0)
-            };
+            let g = sh.state.inner.lock().unwrap();
+            let ranks_done = g.merger.as_ref().map_or(0, |m| m.received());
+            drop(g);
             out.send(&Frame::FinAck { ranks_done });
             out.close();
             Ok(())
@@ -682,20 +632,17 @@ fn handle_frame<'a>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn on_hello<'a>(
     sh: Shared<'a>,
     c: &mut Conn<'a>,
     out: &mut Outbox,
-    version: u8,
-    rank: u32,
-    nprocs: u32,
-    mode: SubmitMode,
-    cst_text: String,
+    hello: Hello,
 ) -> Result<(), Reject> {
-    if version != PROTO_VERSION {
+    let (rank, nprocs) = (hello.rank, hello.nprocs);
+    if hello.version != PROTO_VERSION {
         let msg = format!(
-            "client speaks protocol version {version}, this collector only {PROTO_VERSION}"
+            "client speaks protocol version {}, this collector only {PROTO_VERSION}",
+            hello.version
         );
         return Err((codes::VERSION, msg));
     }
@@ -721,18 +668,18 @@ fn on_hello<'a>(
 
     // First Hello fixes the job: CST, job size, and the merger. Later
     // clients must match it exactly (CRC over the canonical CST text).
-    let client_crc = crc32(cst_text.as_bytes());
+    let client_crc = crc32(hello.cst_text.as_bytes());
     let job = match sh.state.job.get() {
         Some(j) => j,
         None => {
-            let cst = Cst::from_text(&cst_text)
+            let cst = Cst::from_text(&hello.cst_text)
                 .map_err(|e| (codes::INTERNAL, format!("unparseable CST: {e}")))?;
             // Another loop may have won the race; either way the stored job
             // is authoritative and validated below.
             let _ = sh.state.job.set(JobInfo {
                 nprocs,
                 cst_crc: client_crc,
-                cst_text,
+                cst_text: hello.cst_text,
                 cst,
             });
             sh.state.job.get().expect("just set")
@@ -752,7 +699,7 @@ fn on_hello<'a>(
         if g.merger.is_none() {
             g.merger = Some(BinomialMerger::new(job.nprocs));
         }
-        match mode {
+        match hello.mode {
             // A relay's Hello rank only identifies the shard; duplicate
             // blocks are per-frame no-ops, so there is no whole-session
             // short-circuit.
@@ -770,28 +717,21 @@ fn on_hello<'a>(
     }
     c.rank = Some(rank);
     cypress_obs::trace_instant("net", "client_accepted", rank as u64);
-    match mode {
+    c.state = match hello.mode {
         SubmitMode::Stream => {
-            if cypress_obs::enabled() {
-                obs().sessions_started.inc();
-            }
-            sh.state.mark_client(rank, ClientState::Streaming);
-            c.state = ConnState::Streaming {
-                session: Box::new(CompressSession::new(
-                    &job.cst,
-                    rank,
-                    nprocs,
-                    sh.cfg.compress.clone(),
-                    sh.cfg.session.clone(),
-                )),
+            obs().sessions_started.inc();
+            let (compress, limits) = (sh.cfg.compress.clone(), sh.cfg.session.clone());
+            let session = CompressSession::new(&job.cst, rank, nprocs, compress, limits);
+            ConnState::Streaming {
+                session: Box::new(session),
                 count: 0,
-            };
+            }
         }
-        SubmitMode::Ctt => {
-            sh.state.mark_client(rank, ClientState::Streaming);
-            c.state = ConnState::AwaitCtt;
-        }
-        SubmitMode::Blocks => c.state = ConnState::Blocks { nblocks: 0 },
+        SubmitMode::Ctt => ConnState::AwaitCtt,
+        SubmitMode::Blocks => ConnState::Blocks { nblocks: 0 },
+    };
+    if hello.mode != SubmitMode::Blocks {
+        sh.state.mark_client(rank, ClientState::Streaming);
     }
     Ok(())
 }
@@ -822,30 +762,22 @@ fn on_ctt_bytes(
         let msg = format!("Hello said rank {rank}, CTT says {}", ctt.rank);
         return Err((codes::BAD_RANK, msg));
     }
-    let ranks_done = merge_in(sh, ctt, None, sh.cfg.keep_rank_ctts);
-    out.send(&Frame::FinAck { ranks_done });
-    out.close();
+    merge_in(sh, out, ctt, None);
     Ok(())
 }
 
-/// Absorb one relay-forwarded buddy block (inflated `raw`) into the merge;
-/// `Ok(true)` when it completed the collection.
-fn on_merged_block(
-    sh: Shared<'_>,
-    first_rank: u32,
-    nranks: u32,
-    events: u64,
-    raw_mpi_bytes: u64,
-    raw: &[u8],
-) -> Result<bool, Reject> {
-    let block = MergedCtt::from_bytes(raw)
+/// Absorb one relay-forwarded buddy block into the merge.
+fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
+    let (first_rank, nranks, events) = (block.first_rank, block.nranks, block.events);
+    let raw = inflate_exact("merged block", block.raw_len, &block.bytes)?;
+    let merged = MergedCtt::from_bytes(&raw)
         .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
+    // Both ends of the range are the peer's: add them where they cannot wrap.
+    let end = first_rank as u64 + nranks as u64;
     if let Role::Relay { first, last, .. } = sh.role {
-        if first_rank < first || first_rank + nranks > last {
-            let msg = format!(
-                "block [{first_rank}, {}) outside this relay's shard [{first}, {last})",
-                first_rank + nranks
-            );
+        if first_rank < first || end > last as u64 {
+            let msg =
+                format!("block [{first_rank}, {end}) outside this relay's shard [{first}, {last})");
             return Err((codes::BAD_RANK, msg));
         }
     }
@@ -854,41 +786,43 @@ fn on_merged_block(
         return Err((codes::INTERNAL, "merger missing at block time".into()));
     };
     let t0 = Instant::now();
-    let res = m.add_block(first_rank, nranks, block);
+    let res = m.add_block(first_rank, nranks, merged);
     hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
     // `Ok(false)`: a relay retry re-sending blocks its first attempt landed.
     if !res.map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))? {
-        return Ok(false);
+        return Ok(());
     }
     let received = g.merger.as_ref().expect("still set").received();
     g.total_events += events;
-    g.raw_mpi_bytes += raw_mpi_bytes;
-    for r in first_rank..first_rank + nranks {
+    g.raw_mpi_bytes += block.raw_mpi_bytes;
+    // `add_block` accepted the range, so it lies inside the job.
+    for r in first_rank..end as u32 {
         let e = g.clients.entry(r).or_insert((ClientState::Merged, 0));
         e.0 = ClientState::Merged;
     }
-    if events > 0 {
-        g.clients
-            .entry(first_rank)
-            .or_insert((ClientState::Merged, 0))
-            .1 += events;
+    if let Some(e) = g.clients.get_mut(&first_rank) {
+        e.1 += events;
     }
-    if cypress_obs::enabled() {
-        obs().ranks_merged.set_max(received as i64);
-    }
-    let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
-    g.done = received == sh.role.expected(job_nprocs);
-    Ok(g.done)
+    note_merged(sh, g, received);
+    Ok(())
 }
 
-/// Fold one finished rank CTT into the incremental binomial merge.
-/// First-completion-wins: duplicates are acknowledged but discarded.
-fn merge_in(
-    sh: Shared<'_>,
-    ctt: Ctt,
-    stats: Option<cypress_core::SessionStats>,
-    keep: bool,
-) -> u32 {
+/// `received` ranks are merged; when that is every rank this collector
+/// expects, the collection is complete and the loops stop.
+fn note_merged(sh: Shared<'_>, mut g: MutexGuard<'_, Inner>, received: u32) {
+    obs().ranks_merged.set_max(received as i64);
+    let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
+    if received == sh.role.expected(job_nprocs) {
+        g.done = true;
+        drop(g);
+        sh.server.stop();
+    }
+}
+
+/// Fold one finished rank CTT into the incremental binomial merge and
+/// acknowledge it. First-completion-wins: duplicates are acknowledged but
+/// discarded.
+fn merge_in(sh: Shared<'_>, out: &mut Outbox, ctt: Ctt, stats: Option<cypress_core::SessionStats>) {
     let mut g = sh.state.inner.lock().unwrap();
     let (newly_merged, received) = {
         let m = g.merger.as_mut().expect("merger installed at Hello");
@@ -919,21 +853,16 @@ fn merge_in(
             }
             None => g.total_events += ctt.op_count(),
         }
-        if keep {
+        if sh.cfg.keep_rank_ctts {
             g.rank_ctts.push(ctt);
         }
-        if cypress_obs::enabled() {
-            obs().sessions_completed.inc();
-            obs().ranks_merged.set_max(received as i64);
-        }
+        obs().sessions_completed.inc();
     }
-    let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
-    if received == sh.role.expected(job_nprocs) {
-        g.done = true;
-        drop(g);
-        sh.server.stop();
-    }
-    received
+    note_merged(sh, g, received);
+    out.send(&Frame::FinAck {
+        ranks_done: received,
+    });
+    out.close();
 }
 
 /// Snapshot the running collection into a wire-ready [`Stats`].
@@ -957,9 +886,9 @@ fn build_stats(state: &State) -> Stats {
     let clients = g
         .clients
         .iter()
-        .map(|(&rank, &(st, events))| ClientStat {
+        .map(|(&rank, &(state, events))| ClientStat {
             rank,
-            state: st,
+            state,
             events,
         })
         .collect();
@@ -1158,13 +1087,13 @@ mod tests {
                 stream.set_io_timeout(Duration::from_secs(5)).unwrap();
                 write_frame(
                     &mut stream,
-                    &Frame::Hello {
+                    &Frame::Hello(Hello {
                         version: offered,
                         rank: 0,
                         nprocs: 1,
                         mode,
                         cst_text: cst_text.clone(),
-                    },
+                    }),
                 )
                 .unwrap();
                 match read_frame(&mut stream).unwrap() {
@@ -1204,13 +1133,13 @@ mod tests {
         let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
         write_frame(
             &mut stream,
-            &Frame::Hello {
+            &Frame::Hello(Hello {
                 version: PROTO_VERSION,
                 rank: 0,
                 nprocs: 1,
                 mode: SubmitMode::Ctt,
                 cst_text: cst_text.clone(),
-            },
+            }),
         )
         .unwrap();
         let _ack = read_frame(&mut stream).unwrap();
@@ -1231,6 +1160,66 @@ mod tests {
         // Finish the job properly so the server exits.
         submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
         server.join().unwrap().unwrap();
+    }
+
+    /// A block whose `first_rank + nranks` wraps `u32` used to pass the
+    /// range checks (release) or panic under the state lock (debug). Any
+    /// peer can send one; it must cost that peer an `Error` frame and
+    /// nothing else.
+    #[test]
+    fn wrapping_block_range_is_refused_and_the_job_still_completes() {
+        let nprocs = 4;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            workers: 1,
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+
+        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+        stream.set_io_timeout(Duration::from_secs(5)).unwrap();
+        let hello = Frame::Hello(Hello {
+            version: PROTO_VERSION,
+            rank: 0,
+            nprocs,
+            mode: SubmitMode::Blocks,
+            cst_text: cst_text.clone(),
+        });
+        write_frame(&mut stream, &hello).unwrap();
+        let _ack = read_frame(&mut stream).unwrap();
+        let raw = MergedCtt::from_ctt(&local[0]).to_bytes();
+        let block = Frame::MergedBlockZ(MergedBlock {
+            first_rank: 0x8000_0000,
+            nranks: 0x8000_0000,
+            events: 1,
+            raw_mpi_bytes: 1,
+            raw_len: raw.len() as u64,
+            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+        });
+        write_frame(&mut stream, &block).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error { code, message } => {
+                assert_eq!(code, codes::PROTOCOL, "{message}");
+                assert!(message.contains("exceeds job size 4"), "{message}");
+            }
+            f => panic!("expected Error, got {}", f.name()),
+        }
+
+        for ctt in &local {
+            submit_ctt(&addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+        }
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), want);
+        assert_eq!(
+            job.total_events,
+            local.iter().map(|c| c.op_count()).sum::<u64>()
+        );
     }
 
     #[test]

@@ -52,11 +52,9 @@ pub mod stats;
 pub mod transport;
 pub mod tree;
 
-pub use client::{
-    submit_ctt, submit_merged_blocks, submit_stream, BlockUpload, ClientConfig, SubmitOutcome,
-};
+pub use client::{submit_ctt, submit_merged_blocks, submit_stream, ClientConfig, SubmitOutcome};
 pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
-pub use proto::{Frame, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
+pub use proto::{Frame, Hello, MergedBlock, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
 pub use server::{Handler, Outbox, Server};
 pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 pub use transport::{Addr, Listener, Stream};
@@ -136,6 +134,13 @@ impl std::error::Error for NetError {
             NetError::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// A frame body that passed its CRC but does not decode.
+impl From<cypress_trace::DecodeError> for NetError {
+    fn from(e: cypress_trace::DecodeError) -> Self {
+        NetError::Frame(e.to_string())
     }
 }
 

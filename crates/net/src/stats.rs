@@ -17,7 +17,7 @@
 use crate::proto::{read_frame, write_frame, Frame};
 use crate::transport::{Addr, Stream};
 use crate::NetError;
-use cypress_trace::codec::{DecodeError, Decoder, Encoder};
+use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 use std::time::Duration;
 
 /// Version of the `Stats` payload this build writes.
@@ -25,7 +25,7 @@ pub const STATS_VERSION: u8 = 1;
 
 /// Upper bound on collection sizes inside a `Stats` payload (clients,
 /// quantile rows); rejects absurd length prefixes before allocation.
-const MAX_STATS_ITEMS: u64 = 1 << 20;
+const MAX_STATS_ITEMS: usize = 1 << 20;
 
 /// Where one client's submission stands, as the collector saw it last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +116,50 @@ pub struct Stats {
     pub quantiles: Vec<QuantileStat>,
 }
 
-impl Stats {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+impl Codec for ClientStat {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_uvar(self.rank as u64);
+        enc.put_u8(self.state.code());
+        enc.put_uvar(self.events);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        let rank = dec.get_u32("stats client rank")?;
+        let code = dec.get_u8()?;
+        let state = ClientState::from_code(code)
+            .ok_or_else(|| DecodeError(format!("bad stats client state {code}")))?;
+        Ok(ClientStat {
+            rank,
+            state,
+            events: dec.get_uvar()?,
+        })
+    }
+}
+
+impl Codec for QuantileStat {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.name);
+        enc.put_uvar(self.count);
+        enc.put_uvar(self.p50);
+        enc.put_uvar(self.p90);
+        enc.put_uvar(self.p99);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        Ok(QuantileStat {
+            name: dec.get_str()?,
+            count: dec.get_uvar()?,
+            p50: dec.get_uvar()?,
+            p90: dec.get_uvar()?,
+            p99: dec.get_uvar()?,
+        })
+    }
+}
+
+/// The whole payload: exactly [`STATS_VERSION`], every field, and (through
+/// [`Codec::from_bytes`]) nothing after the last one.
+impl Codec for Stats {
+    fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(self.version);
         enc.put_uvar(self.uptime_ns);
         enc.put_uvar(self.nprocs as u64);
@@ -127,91 +168,32 @@ impl Stats {
         enc.put_uvar(self.events_per_sec_x1000);
         enc.put_uvar(self.merge_depth as u64);
         enc.put_uvar(self.resident_blocks as u64);
-        enc.put_uvar(self.clients.len() as u64);
-        for c in &self.clients {
-            enc.put_uvar(c.rank as u64);
-            enc.put_u8(c.state.code());
-            enc.put_uvar(c.events);
-        }
-        enc.put_uvar(self.quantiles.len() as u64);
-        for q in &self.quantiles {
-            enc.put_str(&q.name);
-            enc.put_uvar(q.count);
-            enc.put_uvar(q.p50);
-            enc.put_uvar(q.p90);
-            enc.put_uvar(q.p99);
-        }
-        enc.finish()
+        enc.put_seq(&self.clients, |enc, c| c.encode(enc));
+        enc.put_seq(&self.quantiles, |enc, q| q.encode(enc));
     }
 
-    /// Decode a whole payload: exactly [`STATS_VERSION`], nothing after the
-    /// last field.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Stats, DecodeError> {
-        let bad = |m: &str| DecodeError(m.to_string());
-        let version = dec.get_u8()?;
-        if version != STATS_VERSION {
-            return Err(DecodeError(format!(
-                "stats payload version {version} unsupported (expected {STATS_VERSION})"
-            )));
-        }
-        let uptime_ns = dec.get_uvar()?;
-        let nprocs = dec.get_uvar()? as u32;
-        let ranks_done = dec.get_uvar()? as u32;
-        let events_total = dec.get_uvar()?;
-        let events_per_sec_x1000 = dec.get_uvar()?;
-        let merge_depth = dec.get_uvar()? as u32;
-        let resident_blocks = dec.get_uvar()? as u32;
-        let nclients = dec.get_uvar()?;
-        if nclients > MAX_STATS_ITEMS {
-            return Err(bad("absurd stats client count"));
-        }
-        let mut clients = Vec::with_capacity(nclients as usize);
-        for _ in 0..nclients {
-            let rank = dec.get_uvar()? as u32;
-            let code = dec.get_u8()?;
-            let state =
-                ClientState::from_code(code).ok_or_else(|| bad("bad stats client state"))?;
-            let events = dec.get_uvar()?;
-            clients.push(ClientStat {
-                rank,
-                state,
-                events,
-            });
-        }
-        let nq = dec.get_uvar()?;
-        if nq > MAX_STATS_ITEMS {
-            return Err(bad("absurd stats quantile count"));
-        }
-        let mut quantiles = Vec::with_capacity(nq as usize);
-        for _ in 0..nq {
-            quantiles.push(QuantileStat {
-                name: dec.get_str()?,
-                count: dec.get_uvar()?,
-                p50: dec.get_uvar()?,
-                p90: dec.get_uvar()?,
-                p99: dec.get_uvar()?,
-            });
-        }
-        if !dec.is_done() {
-            return Err(DecodeError(format!(
-                "{} trailing bytes after stats payload",
-                dec.remaining()
-            )));
-        }
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        dec.expect_version("stats payload", STATS_VERSION)?;
         Ok(Stats {
-            version,
-            uptime_ns,
-            nprocs,
-            ranks_done,
-            events_total,
-            events_per_sec_x1000,
-            merge_depth,
-            resident_blocks,
-            clients,
-            quantiles,
+            version: STATS_VERSION,
+            uptime_ns: dec.get_uvar()?,
+            nprocs: dec.get_u32("stats nprocs")?,
+            ranks_done: dec.get_u32("stats ranks_done")?,
+            events_total: dec.get_uvar()?,
+            events_per_sec_x1000: dec.get_uvar()?,
+            merge_depth: dec.get_u32("stats merge_depth")?,
+            resident_blocks: dec.get_u32("stats resident_blocks")?,
+            clients: dec.get_seq_capped("stats clients", MAX_STATS_ITEMS, ClientStat::decode)?,
+            quantiles: dec.get_seq_capped(
+                "stats quantiles",
+                MAX_STATS_ITEMS,
+                QuantileStat::decode,
+            )?,
         })
     }
+}
 
+impl Stats {
     /// Human-readable rendering for `cypress stats`.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -354,21 +336,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_round_trip() {
-        let s = sample();
-        let bytes = s.encode();
-        let mut dec = Decoder::new(&bytes);
-        let got = Stats::decode(&mut dec).unwrap();
-        assert!(dec.is_done());
-        assert_eq!(got, s);
-    }
-
-    #[test]
     fn wrong_version_is_a_loud_error_naming_both_versions() {
         for offered in [STATS_VERSION - 1, STATS_VERSION + 1] {
             let mut s = sample();
             s.version = offered;
-            let err = Stats::decode(&mut Decoder::new(&s.encode())).unwrap_err();
+            let err = Stats::from_bytes(&s.to_bytes()).unwrap_err();
             assert!(
                 err.0.contains(&format!("version {offered} "))
                     && err.0.contains(&format!("expected {STATS_VERSION}")),
@@ -376,14 +348,6 @@ mod tests {
                 err.0
             );
         }
-    }
-
-    #[test]
-    fn appended_bytes_are_rejected() {
-        let mut bytes = sample().encode();
-        bytes.push(0x2a);
-        let err = Stats::decode(&mut Decoder::new(&bytes)).unwrap_err();
-        assert!(err.0.contains("trailing"), "{}", err.0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod tracing;
 pub use fsio::{append_atomic, write_atomic};
 pub use log::{log_emit, log_enabled, log_level, set_log_level, Level};
 pub use metrics::{scope, Counter, Gauge, Histogram, Scope, TIME_BOUNDS_NS};
-pub use report::{report, MetricKind, MetricSnapshot, Report};
+pub use report::{json_str, push_json_u64_array, report, MetricKind, MetricSnapshot, Report};
 pub use span::{Span, Stopwatch};
 pub use tracing::{
     clear_thread_rank, set_thread_rank, set_trace_enabled, trace_begin, trace_complete,

@@ -7,6 +7,7 @@
 //! test.
 
 use crate::metrics::{registry, Metric};
+use std::fmt::{self, Write};
 use std::sync::atomic::Ordering;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -215,30 +216,24 @@ impl Report {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for m in &self.metrics {
-            out.push_str("{\"subsystem\":");
-            json_str(&mut out, &m.subsystem);
-            out.push_str(",\"name\":");
-            json_str(&mut out, &m.name);
-            out.push_str(",\"kind\":\"");
-            out.push_str(m.kind.as_str());
-            out.push('"');
+            out.push_str(&format!(
+                "{{\"subsystem\":{},\"name\":{},\"kind\":\"{}\"",
+                json_str(&m.subsystem),
+                json_str(&m.name),
+                m.kind.as_str()
+            ));
             match m.kind {
                 MetricKind::Counter | MetricKind::Gauge => {
                     out.push_str(&format!(",\"value\":{}", m.value));
                 }
                 MetricKind::Histogram => {
                     out.push_str(&format!(
-                        ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"bounds\":{},\"buckets\":{}",
-                        m.count,
-                        m.sum,
-                        m.min,
-                        m.max,
-                        m.p50,
-                        m.p90,
-                        m.p99,
-                        json_u64_array(&m.bounds),
-                        json_u64_array(&m.buckets),
+                        ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"bounds\":",
+                        m.count, m.sum, m.min, m.max, m.p50, m.p90, m.p99,
                     ));
+                    push_json_u64_array(&mut out, m.bounds.iter().copied());
+                    out.push_str(",\"buckets\":");
+                    push_json_u64_array(&mut out, m.buckets.iter().copied());
                 }
             }
             out.push_str("}\n");
@@ -247,32 +242,42 @@ impl Report {
     }
 }
 
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// `s` as a JSON string literal, quotes included — the workspace's one
+/// string escaper, written for `format!`/`write!` arguments.
+pub fn json_str(s: &str) -> impl fmt::Display + '_ {
+    JsonStr(s)
 }
 
-fn json_u64_array(xs: &[u64]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
-        s.push_str(&x.to_string());
+        f.write_char('"')
     }
-    s.push(']');
-    s
+}
+
+/// Append `vals` to `out` as a JSON array of integers.
+pub fn push_json_u64_array(out: &mut String, vals: impl IntoIterator<Item = u64>) {
+    out.push('[');
+    for (i, v) in vals.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    }
+    out.push(']');
 }
 
 #[cfg(test)]
@@ -325,9 +330,8 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
-        let mut s = String::new();
-        json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let s = json_str("a\"b\\c\nd\r\t\u{1}").to_string();
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\r\\t\\u0001\"");
     }
 
     #[test]

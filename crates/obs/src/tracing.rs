@@ -22,7 +22,9 @@
 //! wall-time attribution table with exclusive (self-time) accounting, so
 //! nested spans never double count.
 
+use crate::report::json_str;
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -328,17 +330,7 @@ pub fn trace_reset() {
     let _ = trace_drain();
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
+const STRING_WRITE: &str = "writing to a String cannot fail";
 
 fn push_us(out: &mut String, ns: u64) {
     // Chrome trace timestamps are microseconds; emit with ns precision.
@@ -356,11 +348,8 @@ impl TraceDump {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("{\"name\":\"");
-            json_escape(e.name, &mut out);
-            out.push_str("\",\"cat\":\"");
-            json_escape(e.stage, &mut out);
-            out.push_str("\",\"ph\":\"");
+            let (name, cat) = (json_str(e.name), json_str(e.stage));
+            write!(out, "{{\"name\":{name},\"cat\":{cat},\"ph\":\"").expect(STRING_WRITE);
             out.push_str(e.phase.chrome());
             out.push_str("\",\"pid\":1,\"tid\":");
             out.push_str(&e.tid.to_string());
@@ -407,11 +396,8 @@ impl TraceDump {
             out.push_str(&e.dur_ns.to_string());
             out.push_str(",\"ph\":\"");
             out.push_str(e.phase.chrome());
-            out.push_str("\",\"stage\":\"");
-            json_escape(e.stage, &mut out);
-            out.push_str("\",\"name\":\"");
-            json_escape(e.name, &mut out);
-            out.push_str("\",\"tid\":");
+            let (stage, name) = (json_str(e.stage), json_str(e.name));
+            write!(out, "\",\"stage\":{stage},\"name\":{name},\"tid\":").expect(STRING_WRITE);
             out.push_str(&e.tid.to_string());
             out.push_str(",\"rank\":");
             out.push_str(&e.rank.to_string());

@@ -53,7 +53,7 @@ pub use engine::{
     query_by_decompression_windowed, query_ctts, query_job, query_merged,
 };
 pub use hotspot::HotSpot;
-pub use wire::{json_escape, QUERY_WIRE_VERSION};
+pub use wire::QUERY_WIRE_VERSION;
 
 use cypress_trace::{CommMatrix, MpiOp, Profile};
 use std::fmt;
@@ -116,7 +116,7 @@ impl Window {
 }
 
 /// Query knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryOptions {
     pub strategy: Strategy,
     /// Maximum hot spots retained in [`QueryResult::hotspots`] *rendering*;

@@ -15,22 +15,13 @@
 //! test can diff local and remote answers structurally.
 
 use crate::{HotSpot, QueryOptions, QueryResult, RankTotals, Strategy, StrategyUsed, Window};
+use cypress_obs::{json_str, push_json_u64_array};
 use cypress_trace::{
     Codec, CommMatrix, DecodeError, DecodeResult, Decoder, Encoder, MpiOp, Profile,
 };
 
 /// Version byte leading every [`QueryOptions`] / [`QueryResult`] blob.
 pub const QUERY_WIRE_VERSION: u8 = 1;
-
-fn check_version(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<()> {
-    let v = dec.get_u8()?;
-    if v != QUERY_WIRE_VERSION {
-        return Err(DecodeError(format!(
-            "{what} wire version {v} unsupported (expected {QUERY_WIRE_VERSION})"
-        )));
-    }
-    Ok(())
-}
 
 impl Codec for RankTotals {
     fn encode(&self, enc: &mut Encoder) {
@@ -58,7 +49,7 @@ impl Codec for HotSpot {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let gid = dec.get_uvar()? as u32;
+        let gid = dec.get_u32("hot spot gid")?;
         let code = dec.get_u8()?;
         let op = MpiOp::from_code(code)
             .ok_or_else(|| DecodeError(format!("unknown MPI op code {code} in hot spot")))?;
@@ -145,7 +136,7 @@ impl Codec for QueryOptions {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "query options")?;
+        dec.expect_version("query options wire", QUERY_WIRE_VERSION)?;
         let code = dec.get_u8()?;
         let strategy = Strategy::from_code(code)
             .ok_or_else(|| DecodeError(format!("unknown strategy code {code}")))?;
@@ -166,86 +157,27 @@ impl Codec for QueryResult {
         enc.put_u8(self.strategy.code());
         self.matrix.encode(enc);
         self.profile.encode(enc);
-        enc.put_uvar(self.totals.len() as u64);
-        for t in &self.totals {
-            t.encode(enc);
-        }
-        enc.put_uvar(self.hotspots.len() as u64);
-        for h in &self.hotspots {
-            h.encode(enc);
-        }
+        enc.put_seq(&self.totals, |enc, t| t.encode(enc));
+        enc.put_seq(&self.hotspots, |enc, h| h.encode(enc));
         enc.put_uvar(self.loop_trips);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "query result")?;
-        let nprocs = dec.get_uvar()? as u32;
+        dec.expect_version("query result wire", QUERY_WIRE_VERSION)?;
+        let nprocs = dec.get_u32("query result nprocs")?;
         let code = dec.get_u8()?;
         let strategy = StrategyUsed::from_code(code)
             .ok_or_else(|| DecodeError(format!("unknown strategy-used code {code}")))?;
-        let matrix = CommMatrix::decode(dec)?;
-        let profile = Profile::decode(dec)?;
-        let ntotals = dec.get_uvar()? as usize;
-        if ntotals > dec.remaining() {
-            return Err(DecodeError(format!(
-                "query result claims {ntotals} rank totals but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut totals = Vec::with_capacity(ntotals);
-        for _ in 0..ntotals {
-            totals.push(RankTotals::decode(dec)?);
-        }
-        let nspots = dec.get_uvar()? as usize;
-        if nspots > dec.remaining() {
-            return Err(DecodeError(format!(
-                "query result claims {nspots} hot spots but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut hotspots = Vec::with_capacity(nspots);
-        for _ in 0..nspots {
-            hotspots.push(HotSpot::decode(dec)?);
-        }
         Ok(QueryResult {
             nprocs,
             strategy,
-            matrix,
-            profile,
-            totals,
-            hotspots,
+            matrix: CommMatrix::decode(dec)?,
+            profile: Profile::decode(dec)?,
+            totals: dec.get_seq("query result rank totals", RankTotals::decode)?,
+            hotspots: dec.get_seq("query result hot spots", HotSpot::decode)?,
             loop_trips: dec.get_uvar()?,
         })
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn push_u64_array(out: &mut String, vals: impl Iterator<Item = u64>) {
-    use std::fmt::Write;
-    out.push('[');
-    for (i, v) in vals.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{v}").unwrap();
-    }
-    out.push(']');
 }
 
 impl QueryResult {
@@ -272,7 +204,7 @@ impl QueryResult {
             if s > 0 {
                 out.push(',');
             }
-            push_u64_array(
+            push_json_u64_array(
                 &mut out,
                 (0..self.matrix.nprocs).map(|d| self.matrix.get(s, d)),
             );
@@ -286,8 +218,8 @@ impl QueryResult {
             }
             write!(
                 out,
-                "\"{}\":{{\"calls\":{},\"total_bytes\":{},\"total_time_ns\":{},\"min_time_ns\":{},\"max_time_ns\":{}}}",
-                json_escape(op.name()),
+                "{}:{{\"calls\":{},\"total_bytes\":{},\"total_time_ns\":{},\"min_time_ns\":{},\"max_time_ns\":{}}}",
+                json_str(op.name()),
                 s.calls,
                 s.total_bytes,
                 s.total_time_ns,
@@ -297,11 +229,11 @@ impl QueryResult {
             .unwrap();
         }
         out.push_str("},\"rank_mpi_time\":");
-        push_u64_array(&mut out, self.profile.rank_mpi_time.iter().copied());
+        push_json_u64_array(&mut out, self.profile.rank_mpi_time.iter().copied());
         out.push_str(",\"rank_app_time\":");
-        push_u64_array(&mut out, self.profile.rank_app_time.iter().copied());
+        push_json_u64_array(&mut out, self.profile.rank_app_time.iter().copied());
         out.push_str(",\"size_buckets\":");
-        push_u64_array(&mut out, self.profile.size_buckets.iter().copied());
+        push_json_u64_array(&mut out, self.profile.size_buckets.iter().copied());
         out.push('}');
 
         out.push_str(",\"totals\":[");
@@ -325,12 +257,12 @@ impl QueryResult {
             }
             write!(
                 out,
-                "{{\"gid\":{},\"op\":\"{}\",\"calls\":{},\"bytes\":{},\"path\":\"{}\"}}",
+                "{{\"gid\":{},\"op\":{},\"calls\":{},\"bytes\":{},\"path\":{}}}",
                 h.gid,
-                json_escape(h.op.name()),
+                json_str(h.op.name()),
                 h.calls,
                 h.bytes,
-                json_escape(&h.path)
+                json_str(&h.path)
             )
             .unwrap();
         }
@@ -342,29 +274,6 @@ impl QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn options_roundtrip_with_and_without_window() {
-        for window in [
-            None,
-            Some(Window {
-                start_ns: 1_000,
-                end_ns: 9_999,
-            }),
-        ] {
-            let opts = QueryOptions {
-                strategy: Strategy::Symbolic,
-                hotspot_limit: 25,
-                window,
-            };
-            let bytes = opts.to_bytes();
-            assert_eq!(bytes[0], QUERY_WIRE_VERSION);
-            let back = QueryOptions::from_bytes(&bytes).unwrap();
-            assert_eq!(back.strategy, Strategy::Symbolic);
-            assert_eq!(back.hotspot_limit, 25);
-            assert_eq!(back.window, window);
-        }
-    }
 
     /// One version each way: a blob one version older or newer is a loud
     /// error naming the offered and the expected version.
@@ -403,11 +312,5 @@ mod tests {
             loop_trips: 0,
         };
         check::<QueryResult>("query result", result.to_bytes());
-    }
-
-    #[test]
-    fn json_escape_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -8,80 +8,34 @@
 //! diffed byte-for-byte between local and queryd evaluation.
 
 use crate::engine::{SimResult, WaitReport, WaitSite};
-use cypress_trace::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_obs::push_json_u64_array;
+use cypress_trace::{Codec, DecodeResult, Decoder, Encoder};
 
 /// Version byte leading every [`SimResult`] / [`WaitReport`] blob.
 pub const SIM_WIRE_VERSION: u8 = 1;
 
-fn check_version(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<()> {
-    let v = dec.get_u8()?;
-    if v != SIM_WIRE_VERSION {
-        return Err(DecodeError(format!(
-            "{what} wire version {v} unsupported (expected {SIM_WIRE_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
-fn put_u64_vec(enc: &mut Encoder, vals: &[u64]) {
-    enc.put_uvar(vals.len() as u64);
-    for v in vals {
-        enc.put_uvar(*v);
-    }
-}
-
-fn get_u64_vec(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<Vec<u64>> {
-    let n = dec.get_uvar()? as usize;
-    if n > dec.remaining() {
-        return Err(DecodeError(format!(
-            "{what} claims {n} entries but only {} bytes remain",
-            dec.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec.get_uvar()?);
-    }
-    Ok(out)
-}
-
 impl Codec for SimResult {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(SIM_WIRE_VERSION);
-        put_u64_vec(enc, &self.finish);
+        enc.put_seq(&self.finish, |enc, v| enc.put_uvar(*v));
         enc.put_uvar(self.total);
-        put_u64_vec(enc, &self.comm_time);
-        enc.put_uvar(self.wildcard_sources.len() as u64);
-        for srcs in &self.wildcard_sources {
-            enc.put_uvar(srcs.len() as u64);
-            for s in srcs {
-                enc.put_uvar(*s as u64);
-            }
-        }
+        enc.put_seq(&self.comm_time, |enc, v| enc.put_uvar(*v));
+        enc.put_seq(&self.wildcard_sources, |enc, srcs| {
+            enc.put_seq(srcs, |enc, s| enc.put_uvar(*s as u64));
+        });
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "sim result")?;
-        let finish = get_u64_vec(dec, "sim result finish")?;
-        let total = dec.get_uvar()?;
-        let comm_time = get_u64_vec(dec, "sim result comm_time")?;
-        let nranks = dec.get_uvar()? as usize;
-        if nranks > dec.remaining() {
-            return Err(DecodeError(format!(
-                "sim result claims {nranks} wildcard lists but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut wildcard_sources = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let srcs = get_u64_vec(dec, "sim result wildcard sources")?;
-            wildcard_sources.push(srcs.into_iter().map(|s| s as u32).collect());
-        }
+        dec.expect_version("sim result wire", SIM_WIRE_VERSION)?;
         Ok(SimResult {
-            finish,
-            total,
-            comm_time,
-            wildcard_sources,
+            finish: dec.get_seq("sim result finish", Decoder::get_uvar)?,
+            total: dec.get_uvar()?,
+            comm_time: dec.get_seq("sim result comm_time", Decoder::get_uvar)?,
+            wildcard_sources: dec.get_seq("sim result wildcard lists", |dec| {
+                dec.get_seq("sim result wildcard sources", |dec| {
+                    dec.get_u32("wildcard source")
+                })
+            })?,
         })
     }
 }
@@ -95,7 +49,7 @@ impl Codec for WaitSite {
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         Ok(WaitSite {
-            gid: dec.get_uvar()? as u32,
+            gid: dec.get_u32("wait site gid")?,
             wait_ns: dec.get_uvar()?,
             count: dec.get_uvar()?,
         })
@@ -105,41 +59,17 @@ impl Codec for WaitSite {
 impl Codec for WaitReport {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(SIM_WIRE_VERSION);
-        put_u64_vec(enc, &self.per_rank);
-        enc.put_uvar(self.sites.len() as u64);
-        for s in &self.sites {
-            s.encode(enc);
-        }
+        enc.put_seq(&self.per_rank, |enc, v| enc.put_uvar(*v));
+        enc.put_seq(&self.sites, |enc, s| s.encode(enc));
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        check_version(dec, "wait report")?;
-        let per_rank = get_u64_vec(dec, "wait report per_rank")?;
-        let n = dec.get_uvar()? as usize;
-        if n > dec.remaining() {
-            return Err(DecodeError(format!(
-                "wait report claims {n} sites but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut sites = Vec::with_capacity(n);
-        for _ in 0..n {
-            sites.push(WaitSite::decode(dec)?);
-        }
-        Ok(WaitReport { per_rank, sites })
+        dec.expect_version("wait report wire", SIM_WIRE_VERSION)?;
+        Ok(WaitReport {
+            per_rank: dec.get_seq("wait report per_rank", Decoder::get_uvar)?,
+            sites: dec.get_seq("wait report sites", WaitSite::decode)?,
+        })
     }
-}
-
-fn push_u64_array(out: &mut String, vals: impl Iterator<Item = u64>) {
-    use std::fmt::Write;
-    out.push('[');
-    for (i, v) in vals.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "{v}").unwrap();
-    }
-    out.push(']');
 }
 
 impl SimResult {
@@ -168,15 +98,15 @@ impl SimResult {
         )
         .unwrap();
         out.push_str(",\"finish_ns\":");
-        push_u64_array(&mut out, self.finish.iter().copied());
+        push_json_u64_array(&mut out, self.finish.iter().copied());
         out.push_str(",\"comm_time_ns\":");
-        push_u64_array(&mut out, self.comm_time.iter().copied());
+        push_json_u64_array(&mut out, self.comm_time.iter().copied());
         out.push_str(",\"wildcard_sources\":[");
         for (i, srcs) in self.wildcard_sources.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_u64_array(&mut out, srcs.iter().map(|s| *s as u64));
+            push_json_u64_array(&mut out, srcs.iter().map(|s| *s as u64));
         }
         out.push_str("]}");
         out
@@ -191,7 +121,7 @@ impl WaitReport {
         let mut out = String::new();
         write!(out, "{{\"total_wait_ns\":{}", self.total_wait_ns()).unwrap();
         out.push_str(",\"per_rank_ns\":");
-        push_u64_array(&mut out, self.per_rank.iter().copied());
+        push_json_u64_array(&mut out, self.per_rank.iter().copied());
         out.push_str(",\"sites\":[");
         for (i, s) in self.sites.iter().enumerate() {
             if i > 0 {
@@ -251,13 +181,6 @@ mod tests {
         bad[0] = 77;
         let err = SimResult::from_bytes(&bad).unwrap_err();
         assert!(err.0.contains("wire version 77"), "{}", err.0);
-    }
-
-    #[test]
-    fn wait_report_roundtrip() {
-        let w = sample_waits();
-        let bytes = w.to_bytes();
-        assert_eq!(WaitReport::from_bytes(&bytes).unwrap(), w);
     }
 
     #[test]

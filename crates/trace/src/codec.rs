@@ -1,12 +1,27 @@
-//! Compact varint binary codec.
+//! Compact varint binary codec — the one encoding in the workspace.
 //!
 //! The build environment is fully offline (no serde, no format crates), so
-//! trace artifacts are serialized with a small hand-rolled codec: LEB128
-//! varints for unsigned integers, zigzag+LEB128 for signed, raw little-endian
-//! bits for `f64`. All trace-size numbers reported by the benchmark harness
-//! are sizes of these encodings. Whole-artifact traffic through
-//! [`Codec::to_bytes`] / [`Codec::from_bytes`] is counted under the
-//! `codec` observability scope.
+//! everything that is written to disk or to a socket is serialized with this
+//! small hand-rolled codec: LEB128 varints for unsigned integers,
+//! zigzag+LEB128 for signed, raw little-endian bits for `f64`. Every frame,
+//! self-versioned blob and container-section payload is an `impl` [`Codec`]
+//! built from the primitives here plus three combinators that hold the
+//! checks every decoder of outside input needs, so they exist once:
+//!
+//! - [`Encoder::put_seq`] / [`Decoder::get_seq`] — a count-prefixed
+//!   sequence. The count is held to [`Decoder::remaining`] *before* anything
+//!   is allocated (every element costs at least one byte), and the
+//!   preallocation is capped, so a hostile count can neither reserve memory
+//!   nor run the element decoder once.
+//! - [`Decoder::get_u32`] / [`Decoder::get_u16`] — a varint that must fit
+//!   the field it is stored into; an error naming the field, never an `as`
+//!   truncation.
+//! - [`Decoder::expect_version`] — the leading version byte of a blob: this
+//!   build's version or a loud error naming both.
+//!
+//! All trace-size numbers reported by the benchmark harness are sizes of
+//! these encodings. Whole-artifact traffic through [`Codec::to_bytes`] /
+//! [`Codec::from_bytes`] is counted under the `codec` observability scope.
 
 use std::sync::OnceLock;
 
@@ -90,6 +105,20 @@ impl Encoder {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
+
+    /// A count-prefixed sequence: the length as a varint, then every item
+    /// through `put`. Read back by [`Decoder::get_seq`].
+    pub fn put_seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Encoder, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_uvar(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+    }
 }
 
 /// Encoded length in bytes of [`Encoder::put_uvar`]`(v)`, without encoding.
@@ -149,8 +178,8 @@ impl<'a> Decoder<'a> {
         self.buf.is_empty()
     }
 
-    /// Discard the next `n` bytes (e.g. an unparseable payload from a newer
-    /// peer that has already passed integrity checks).
+    /// Discard the next `n` bytes: the payload behind a frame code this
+    /// build does not know, which it cannot parse but must step over.
     pub fn skip(&mut self, n: usize) -> DecodeResult<()> {
         if self.buf.len() < n {
             return Err(DecodeError(format!(
@@ -228,6 +257,91 @@ impl<'a> Decoder<'a> {
         String::from_utf8(self.get_bytes()?)
             .map_err(|e| DecodeError(format!("invalid utf-8 string: {e}")))
     }
+
+    /// A varint stored into a 32-bit field (a rank, a job size, a GID).
+    pub fn get_u32(&mut self, what: &str) -> DecodeResult<u32> {
+        narrow(self.get_uvar()?, what)
+    }
+
+    /// A varint stored into a 16-bit field.
+    pub fn get_u16(&mut self, what: &str) -> DecodeResult<u16> {
+        narrow(self.get_uvar()?, what)
+    }
+
+    /// The version byte leading a self-versioned blob: exactly `want`, or an
+    /// error naming the offered and the expected version.
+    pub fn expect_version(&mut self, what: &str, want: u8) -> DecodeResult<()> {
+        let v = self.get_u8()?;
+        if v != want {
+            return Err(DecodeError(format!(
+                "{what} version {v} unsupported (expected {want})"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Hold a claimed element count to the bytes left: every element costs
+    /// at least one encoded byte, so a larger count is a lie, refused before
+    /// anything is allocated for it.
+    pub(crate) fn check_count(&self, n: u64, what: &str) -> DecodeResult<usize> {
+        if n > self.remaining() as u64 {
+            return Err(DecodeError(format!(
+                "{what} claims {n} entries but only {} bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A count-prefixed sequence written by [`Encoder::put_seq`]: the count,
+    /// held to the bytes remaining, then `get` once per element.
+    pub fn get_seq<T, E: From<DecodeError>>(
+        &mut self,
+        what: &str,
+        get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        self.get_seq_capped(what, usize::MAX, get)
+    }
+
+    /// [`Decoder::get_seq`] for a sequence whose domain bounds it tighter
+    /// than "fits the buffer" (stage rows, container sections): more than
+    /// `cap` elements is refused up front like an impossible count.
+    pub fn get_seq_capped<T, E: From<DecodeError>>(
+        &mut self,
+        what: &str,
+        cap: usize,
+        mut get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let n = self.get_uvar()?;
+        let n = self.check_count(n, what)?;
+        if n > cap {
+            return Err(
+                DecodeError(format!("{what} claims {n} entries, at most {cap} allowed")).into(),
+            );
+        }
+        let mut out = Vec::with_capacity(n.min(SEQ_PREALLOC));
+        for _ in 0..n {
+            out.push(get(self)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Most elements [`Decoder::get_seq`] reserves room for up front. The count
+/// check bounds a sequence by the *bytes* left, but an element in memory can
+/// be a hundred times its one-byte minimum on the wire; longer (honest)
+/// sequences grow as they decode.
+const SEQ_PREALLOC: usize = 1 << 16;
+
+/// A decoded varint that must fit a narrower field. `as` would let a peer's
+/// `rank = 2³² + 3` in as rank 3.
+pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> DecodeResult<T> {
+    T::try_from(v).map_err(|_| {
+        DecodeError(format!(
+            "{what} {v} does not fit in {} bits",
+            8 * std::mem::size_of::<T>()
+        ))
+    })
 }
 
 /// Types that serialize with this codec.
@@ -331,6 +445,52 @@ mod tests {
         let mut d = Decoder::new(&b);
         assert_eq!(d.get_str().unwrap(), "héllo");
         assert_eq!(d.get_bytes().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn seq_round_trips_and_an_impossible_count_never_reaches_the_element_decoder() {
+        let mut e = Encoder::new();
+        e.put_seq([7u64, 300, 0], |e, v| e.put_uvar(v));
+        let b = e.finish();
+        let got: Vec<u64> = Decoder::new(&b).get_seq("vals", Decoder::get_uvar).unwrap();
+        assert_eq!(got, [7, 300, 0]);
+
+        // Four elements claimed over three bytes: refused on the count alone.
+        let mut calls = 0;
+        let err = Decoder::new(&[4, 1, 2, 3])
+            .get_seq("vals", |d| {
+                calls += 1;
+                d.get_uvar()
+            })
+            .unwrap_err();
+        assert!(err.0.contains("vals claims 4 entries"), "{err}");
+        assert_eq!(calls, 0);
+
+        let err = Decoder::new(&[3, 1, 2, 3])
+            .get_seq_capped("vals", 2, Decoder::get_uvar)
+            .unwrap_err();
+        assert!(err.0.contains("at most 2"), "{err}");
+    }
+
+    #[test]
+    fn narrowing_reads_refuse_what_does_not_fit() {
+        let mut e = Encoder::new();
+        e.put_uvar((1 << 32) + 3);
+        e.put_uvar(1 << 16);
+        e.put_uvar(u32::MAX as u64);
+        let b = e.finish();
+        let mut d = Decoder::new(&b);
+        let err = d.get_u32("rank").unwrap_err();
+        assert!(
+            err.0.contains("rank 4294967299 does not fit in 32 bits"),
+            "{err}"
+        );
+        let err = d.get_u16("code").unwrap_err();
+        assert!(
+            err.0.contains("code 65536 does not fit in 16 bits"),
+            "{err}"
+        );
+        assert_eq!(d.get_u32("rank").unwrap(), u32::MAX);
     }
 
     #[test]

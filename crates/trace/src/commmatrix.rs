@@ -156,14 +156,7 @@ impl Codec for CommMatrix {
         let cells = nprocs
             .checked_mul(nprocs)
             .ok_or_else(|| DecodeError(format!("comm matrix dimension {nprocs} overflows")))?;
-        // Every cell costs at least one encoded byte, so a huge claimed
-        // dimension over a short buffer is rejected before allocation.
-        if cells > dec.remaining() {
-            return Err(DecodeError(format!(
-                "comm matrix claims {cells} cells but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
+        dec.check_count(cells as u64, "comm matrix cells")?;
         let mut m = CommMatrix::new(nprocs);
         for cell in &mut m.data {
             *cell = dec.get_uvar()?;

@@ -222,58 +222,29 @@ impl Codec for OpStats {
     }
 }
 
-/// Decode a `uvar`-counted vector of `uvar` values, rejecting counts that
-/// could not possibly fit the remaining buffer (each value costs ≥ 1 byte).
-fn decode_uvar_vec(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<Vec<u64>> {
-    let n = dec.get_uvar()? as usize;
-    if n > dec.remaining() {
-        return Err(DecodeError(format!(
-            "{what} claims {n} entries but only {} bytes remain",
-            dec.remaining()
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec.get_uvar()?);
-    }
-    Ok(out)
-}
-
 impl Codec for Profile {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_uvar(self.by_op.len() as u64);
-        for (op, s) in &self.by_op {
+        enc.put_seq(&self.by_op, |enc, (op, s)| {
             enc.put_u8(op.code());
             s.encode(enc);
-        }
+        });
         for v in [&self.rank_mpi_time, &self.rank_app_time, &self.size_buckets] {
-            enc.put_uvar(v.len() as u64);
-            for x in v {
-                enc.put_uvar(*x);
-            }
+            enc.put_seq(v, |enc, x| enc.put_uvar(*x));
         }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let nops = dec.get_uvar()? as usize;
-        if nops > dec.remaining() {
-            return Err(DecodeError(format!(
-                "profile claims {nops} op entries but only {} bytes remain",
-                dec.remaining()
-            )));
-        }
-        let mut by_op = BTreeMap::new();
-        for _ in 0..nops {
+        let by_op = dec.get_seq("profile ops", |dec| {
             let code = dec.get_u8()?;
             let op = MpiOp::from_code(code)
                 .ok_or_else(|| DecodeError(format!("unknown MPI op code {code} in profile")))?;
-            by_op.insert(op, OpStats::decode(dec)?);
-        }
+            Ok::<_, DecodeError>((op, OpStats::decode(dec)?))
+        })?;
         Ok(Profile {
-            by_op,
-            rank_mpi_time: decode_uvar_vec(dec, "rank_mpi_time")?,
-            rank_app_time: decode_uvar_vec(dec, "rank_app_time")?,
-            size_buckets: decode_uvar_vec(dec, "size_buckets")?,
+            by_op: by_op.into_iter().collect(),
+            rank_mpi_time: dec.get_seq("rank_mpi_time", Decoder::get_uvar)?,
+            rank_app_time: dec.get_seq("rank_app_time", Decoder::get_uvar)?,
+            size_buckets: dec.get_seq("size_buckets", Decoder::get_uvar)?,
         })
     }
 }

@@ -89,10 +89,7 @@ impl Codec for MpiParams {
         enc.put_ivar(self.rtag);
         enc.put_ivar(self.root);
         enc.put_ivar(self.comm);
-        enc.put_uvar(self.req_gids.len() as u64);
-        for &g in &self.req_gids {
-            enc.put_uvar(g as u64);
-        }
+        enc.put_seq(&self.req_gids, |enc, &g| enc.put_uvar(g as u64));
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
@@ -104,14 +101,7 @@ impl Codec for MpiParams {
         let rtag = dec.get_ivar()?;
         let root = dec.get_ivar()?;
         let comm = dec.get_ivar()?;
-        let n = dec.get_uvar()? as usize;
-        if n > 1 << 24 {
-            return Err(DecodeError(format!("absurd req_gids length {n}")));
-        }
-        let mut req_gids = Vec::with_capacity(n);
-        for _ in 0..n {
-            req_gids.push(dec.get_uvar()? as u32);
-        }
+        let req_gids = dec.get_seq("req_gids", |dec| dec.get_u32("request gid"))?;
         Ok(MpiParams {
             dest,
             src,
@@ -136,7 +126,7 @@ impl Codec for MpiRecord {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let gid = dec.get_uvar()? as u32;
+        let gid = dec.get_u32("gid")?;
         let code = dec.get_u8()?;
         let op =
             MpiOp::from_code(code).ok_or_else(|| DecodeError(format!("bad MpiOp code {code}")))?;
@@ -178,10 +168,10 @@ impl Codec for Event {
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         match dec.get_u8()? {
             TAG_ENTER => Ok(Event::Enter {
-                gid: dec.get_uvar()? as u32,
+                gid: dec.get_u32("gid")?,
             }),
             TAG_EXIT => Ok(Event::Exit {
-                gid: dec.get_uvar()? as u32,
+                gid: dec.get_u32("gid")?,
             }),
             TAG_MPI => Ok(Event::Mpi(MpiRecord::decode(dec)?)),
             t => Err(DecodeError(format!("bad event tag {t}"))),
@@ -194,21 +184,14 @@ impl Codec for RawTrace {
         enc.put_uvar(self.rank as u64);
         enc.put_uvar(self.nprocs as u64);
         enc.put_uvar(self.app_time);
-        enc.put_uvar(self.events.len() as u64);
-        for e in &self.events {
-            e.encode(enc);
-        }
+        enc.put_seq(&self.events, |enc, e| e.encode(enc));
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let rank = dec.get_uvar()? as u32;
-        let nprocs = dec.get_uvar()? as u32;
+        let rank = dec.get_u32("rank")?;
+        let nprocs = dec.get_u32("nprocs")?;
         let app_time = dec.get_uvar()?;
-        let n = dec.get_uvar()? as usize;
-        let mut events = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            events.push(Event::decode(dec)?);
-        }
+        let events = dec.get_seq("raw trace events", Event::decode)?;
         Ok(RawTrace {
             rank,
             nprocs,

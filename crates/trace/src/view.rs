@@ -18,7 +18,7 @@
 //! - [`ContainerView`] bundles an image borrow with its table and arena —
 //!   the convenient form for one-shot readers like `cypress inspect`.
 
-use crate::codec::{DecodeError, Decoder};
+use crate::codec::{narrow, DecodeError, Decoder};
 use crate::container::{
     note_bytes_read, note_crc_failure, ContainerError, SectionKind, CONTAINER_MAGIC,
     CONTAINER_VERSION, ENC_DEFLATE,
@@ -27,6 +27,9 @@ use cypress_deflate::{crc32, inflate};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
+
+/// Most sections an image may declare.
+const MAX_SECTIONS: usize = 1 << 24;
 
 /// Framing metadata for one section: where its stored bytes live in the
 /// backing image and how to decode them. Holds byte *ranges* rather than
@@ -100,19 +103,15 @@ impl SectionTable {
         const BODY_START: usize = 5;
         let body = &image[BODY_START..body_end];
         let mut dec = Decoder::new(body);
-        let nprocs = field_u32(dec.get_uvar()?, "nprocs")?;
-        let nsections = dec.get_uvar()? as usize;
-        if nsections > 1 << 24 {
-            return Err(corrupt(format!("absurd section count {nsections}")));
-        }
-        let mut sections = Vec::with_capacity(nsections.min(1 << 12));
-        for index in 0..nsections {
+        let nprocs = dec.get_u32("nprocs")?;
+        let mut index = 0;
+        let sections = dec.get_seq_capped("container sections", MAX_SECTIONS, |dec| {
             let code = dec.get_u8()?;
             let kind = SectionKind::from_code(code)
                 .ok_or_else(|| corrupt(format!("bad section kind {code}")))?;
             let rank = match dec.get_uvar()? {
                 0 => None,
-                rank_plus1 => Some(field_u32(rank_plus1 - 1, "section rank")?),
+                rank_plus1 => Some(narrow(rank_plus1 - 1, "section rank")?),
             };
             let encoding = dec.get_u8()?;
             if encoding > ENC_DEFLATE {
@@ -132,7 +131,7 @@ impl SectionTable {
             let stored_bytes = dec.get_bytes_ref()?;
             let end = BODY_START + (body.len() - dec.remaining());
             let stored = end - stored_bytes.len()..end;
-            let crc_stored = field_u32(dec.get_uvar()?, "section crc")?;
+            let crc_stored = dec.get_u32("section crc")?;
             // The CRC covers the stored bytes (what is actually in the
             // file), so corruption is caught before any decompression.
             let computed = crc32(stored_bytes);
@@ -151,14 +150,15 @@ impl SectionTable {
                     kind: kind.name(),
                 });
             }
-            sections.push(SectionInfo {
+            index += 1;
+            Ok(SectionInfo {
                 kind,
                 rank,
                 encoding,
                 raw_len,
                 stored,
-            });
-        }
+            })
+        })?;
         if !dec.is_done() {
             return Err(corrupt(format!(
                 "{} trailing bytes after container body",
@@ -206,13 +206,6 @@ impl SectionTable {
 
 fn corrupt(msg: String) -> ContainerError {
     ContainerError::Corrupt(DecodeError(msg))
-}
-
-/// A header varint that must fit the 32-bit field it is stored into.
-/// Narrowing with `as` would let a (re-sealed) image claiming
-/// `nprocs = 2³² + 4` open as a 4-rank job.
-fn field_u32(v: u64, what: &str) -> Result<u32, ContainerError> {
-    u32::try_from(v).map_err(|_| corrupt(format!("{what} {v} does not fit in 32 bits")))
 }
 
 /// Exactly-once inflation arena for deflated section payloads.

@@ -19,6 +19,14 @@ echo "== one server loop: no timeout-poll server in store, one poll-set construc
 ! grep -rnE 'thread::sleep|set_io_timeout' crates/store/src --exclude=client.rs || exit 1
 test "$(grep -rn 'PollSet::new()' crates/*/src src | grep -vc '^crates/net/src/poll.rs')" = 1
 
+echo "== one codec: one version guard, one narrowing, one JSON escaper, handlers take structs =="
+# Every payload is an `impl Codec` on cypress_trace::codec's combinators.
+! grep -n 'map_err(|e| bad(' crates/net/src/proto.rs || exit 1
+test "$(grep -rn 'fn expect_version' crates/*/src src | wc -l)" = 1
+! grep -rn 'fn check_version' crates/*/src src || exit 1
+test "$(grep -rnF '"\\\""' crates/*/src src --include='*.rs' | grep -c '=>')" = 1
+! grep -rn 'too_many_arguments' crates/net/src || exit 1
+
 echo "== cargo test =="
 cargo test --workspace -q
 

@@ -55,6 +55,7 @@ use cypress::net::{
     fetch_stats, spawn_tree, submit_ctt, submit_stream, Addr, ClientConfig, Collector,
     CollectorConfig, TreeConfig,
 };
+use cypress::obs::json_str;
 use cypress::query::{QueryOptions, QueryResult, Strategy, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
@@ -411,25 +412,6 @@ fn window_of(args: &[String]) -> cypress::Result<Option<Window>> {
     }
 }
 
-/// Minimal JSON string escaping for CLI-emitted values (paths, names).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn read_source(args: &[String]) -> cypress::Result<(String, String)> {
     let path = file_arg(args, "program file")?;
     let src = fs::read_to_string(&path).map_err(|e| Error::Invalid(format!("read {path}: {e}")))?;
@@ -650,23 +632,11 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     let table = view.table();
     let json = has_flag(args, "--json");
 
-    // Meta payload: tool, version, nprocs, then (newer containers) traced
-    // event count and raw MPI byte size (see cypress::pipeline).
-    let mut written_by: Option<(String, String)> = None;
-    let mut events: Option<u64> = None;
-    let mut raw_bytes = 0u64;
-    if let Some(meta) = view.find_payload(SectionKind::Meta) {
-        let mut dec = cypress::trace::Decoder::new(meta?);
-        if let (Ok(tool), Ok(tool_version), Ok(_nprocs)) =
-            (dec.get_str(), dec.get_str(), dec.get_uvar())
-        {
-            written_by = Some((tool, tool_version));
-            if let (Ok(ev), Ok(raw)) = (dec.get_uvar(), dec.get_uvar()) {
-                events = Some(ev);
-                raw_bytes = raw;
-            }
-        }
-    }
+    let meta = match view.find_payload(SectionKind::Meta) {
+        Some(payload) => Some(cypress::MetaInfo::from_bytes(payload?)?),
+        None => None,
+    };
+    let raw_bytes = meta.as_ref().map_or(0, |m| m.raw_bytes);
     let merged_stats = match table.find(SectionKind::MergedCtt) {
         Some(i) => {
             let merged = MergedCtt::from_bytes(view.payload(i)?)?;
@@ -680,15 +650,13 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         out.push_str(&format!("\"file\":{},", json_str(&file)));
         out.push_str(&format!("\"version\":{},", view.version()));
         out.push_str(&format!("\"nprocs\":{},", view.nprocs()));
-        if let Some((tool, v)) = &written_by {
+        if let Some(m) = &meta {
             out.push_str(&format!(
-                "\"written_by\":{{\"tool\":{},\"version\":{}}},",
-                json_str(tool),
-                json_str(v)
+                "\"written_by\":{{\"tool\":{},\"version\":{}}},\"events\":{},\"raw_bytes\":{raw_bytes},",
+                json_str(&m.tool),
+                json_str(&m.version),
+                m.events
             ));
-        }
-        if let Some(ev) = events {
-            out.push_str(&format!("\"events\":{ev},\"raw_bytes\":{raw_bytes},"));
         }
         out.push_str("\"sections\":[");
         for (i, s) in table.sections().iter().enumerate() {
@@ -728,11 +696,12 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         view.version(),
         view.nprocs()
     );
-    if let Some((tool, v)) = &written_by {
-        println!("written by {tool} {v}");
-    }
-    if let Some(ev) = events {
-        println!("traced {ev} MPI events, raw record size {raw_bytes} B");
+    if let Some(m) = &meta {
+        println!("written by {} {}", m.tool, m.version);
+        println!(
+            "traced {} MPI events, raw record size {raw_bytes} B",
+            m.events
+        );
     }
     let payload = table.payload_bytes();
     println!("{} sections, {payload} payload bytes:", table.len());

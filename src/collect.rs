@@ -10,7 +10,7 @@
 //! between the two paths is pinned by `tests/net_collect.rs`.
 
 use crate::error::Result;
-use crate::pipeline::{meta_payload, write_container_parallel, LoadedJob, MetaInfo};
+use crate::pipeline::{write_container_parallel, LoadedJob, MetaInfo};
 use cypress_deflate::Level;
 use cypress_net::CollectedJob;
 use cypress_trace::{Codec, Container, SectionKind};
@@ -42,7 +42,7 @@ pub fn write_collected_container_with(
     c.push(
         SectionKind::Meta,
         None,
-        meta_payload(job.nprocs, job.total_events, job.raw_mpi_bytes),
+        MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes).to_bytes(),
     );
     c.push(
         SectionKind::CstText,
@@ -65,13 +65,11 @@ pub fn write_collected_container_with(
 pub fn loaded_from_collected(job: CollectedJob) -> LoadedJob {
     LoadedJob {
         nprocs: job.nprocs,
-        meta: Some(MetaInfo {
-            tool: "cypress".into(),
-            version: env!("CARGO_PKG_VERSION").into(),
-            nprocs: job.nprocs,
-            events: job.total_events,
-            raw_bytes: job.raw_mpi_bytes,
-        }),
+        meta: Some(MetaInfo::new(
+            job.nprocs,
+            job.total_events,
+            job.raw_mpi_bytes,
+        )),
         cst: job.cst,
         merged: Some(job.merged),
         rank_ctts: job.rank_ctts,

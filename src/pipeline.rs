@@ -49,7 +49,7 @@ use cypress_runtime::{
     DEFAULT_BATCH_EVENTS, DEFAULT_RING_CAPACITY,
 };
 use cypress_trace::{
-    assemble, encode_section, Codec, Container, ContainerError, ContainerView, DecodeError,
+    assemble, encode_section, Codec, Container, ContainerError, ContainerView, DecodeResult,
     Decoder, EncodedSection, Encoder, SectionKind,
 };
 use std::path::Path;
@@ -448,7 +448,7 @@ impl CompressedJob {
         c.push(
             SectionKind::Meta,
             None,
-            meta_payload(self.nprocs, self.total_events(), self.raw_mpi_bytes()),
+            MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()).to_bytes(),
         );
         c.push(
             SectionKind::CstText,
@@ -487,6 +487,17 @@ pub struct MetaInfo {
 }
 
 impl MetaInfo {
+    /// What this build records about a job it writes.
+    pub fn new(nprocs: u32, events: u64, raw_bytes: u64) -> MetaInfo {
+        MetaInfo {
+            tool: "cypress".into(),
+            version: env!("CARGO_PKG_VERSION").into(),
+            nprocs,
+            events,
+            raw_bytes,
+        }
+    }
+
     /// Raw-over-compressed compression ratio against a given compressed
     /// size, when the raw size is known.
     pub fn compression_ratio(&self, compressed_bytes: usize) -> Option<f64> {
@@ -498,35 +509,25 @@ impl MetaInfo {
     }
 }
 
-pub(crate) fn meta_payload(nprocs: u32, events: u64, raw_bytes: u64) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_str("cypress");
-    enc.put_str(env!("CARGO_PKG_VERSION"));
-    enc.put_uvar(nprocs as u64);
-    enc.put_uvar(events);
-    enc.put_uvar(raw_bytes);
-    enc.finish()
-}
+/// The `Meta` section payload: every field, nothing after the last one.
+impl Codec for MetaInfo {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.tool);
+        enc.put_str(&self.version);
+        enc.put_uvar(self.nprocs as u64);
+        enc.put_uvar(self.events);
+        enc.put_uvar(self.raw_bytes);
+    }
 
-fn parse_meta(payload: &[u8]) -> Result<MetaInfo> {
-    let mut dec = Decoder::new(payload);
-    let tool = dec.get_str()?;
-    let version = dec.get_str()?;
-    let nprocs = dec.get_uvar()?;
-    let nprocs = u32::try_from(nprocs).map_err(|_| {
-        ContainerError::Corrupt(DecodeError(format!(
-            "meta nprocs {nprocs} does not fit in 32 bits"
-        )))
-    })?;
-    let events = dec.get_uvar()?;
-    let raw_bytes = dec.get_uvar()?;
-    Ok(MetaInfo {
-        tool,
-        version,
-        nprocs,
-        events,
-        raw_bytes,
-    })
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        Ok(MetaInfo {
+            tool: dec.get_str()?,
+            version: dec.get_str()?,
+            nprocs: dec.get_u32("meta nprocs")?,
+            events: dec.get_uvar()?,
+            raw_bytes: dec.get_uvar()?,
+        })
+    }
 }
 
 /// A compression job reloaded from a container file — everything needed to
@@ -595,7 +596,9 @@ pub fn read_container(path: impl AsRef<Path>) -> Result<LoadedJob> {
         .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
     let cst = Cst::from_text(cst_text)?;
 
-    let meta = find(SectionKind::Meta)?.map(parse_meta).transpose()?;
+    let meta = find(SectionKind::Meta)?
+        .map(MetaInfo::from_bytes)
+        .transpose()?;
     let merged = find(SectionKind::MergedCtt)?
         .map(MergedCtt::from_bytes)
         .transpose()?;
@@ -682,15 +685,15 @@ mod tests {
 
     #[test]
     fn meta_needs_every_field_and_a_32_bit_nprocs() {
-        let good = meta_payload(4, 1000, 64_000);
-        let meta = parse_meta(&good).unwrap();
+        let good = MetaInfo::new(4, 1000, 64_000).to_bytes();
+        let meta = MetaInfo::from_bytes(&good).unwrap();
         assert_eq!(
             (meta.nprocs, meta.events, meta.raw_bytes),
             (4, 1000, 64_000)
         );
         // raw_bytes, then events too, cut off the end: no field defaults to 0.
         for cut in [good.len() - 1, good.len() - 4] {
-            assert!(parse_meta(&good[..cut]).is_err(), "cut at {cut}");
+            assert!(MetaInfo::from_bytes(&good[..cut]).is_err(), "cut at {cut}");
         }
 
         let mut enc = Encoder::new();
@@ -699,10 +702,8 @@ mod tests {
         enc.put_uvar((1 << 32) + 4); // would narrow to a 4-rank job
         enc.put_uvar(1000);
         enc.put_uvar(64_000);
-        match parse_meta(&enc.finish()) {
-            Err(Error::Container(ContainerError::Corrupt(e))) => {
-                assert!(e.0.contains("nprocs"), "{e}")
-            }
+        match MetaInfo::from_bytes(&enc.finish()) {
+            Err(e) => assert!(e.0.contains("nprocs"), "{e}"),
             other => panic!(
                 "expected Corrupt naming nprocs, got {:?}",
                 other.map(|m| m.nprocs)

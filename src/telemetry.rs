@@ -10,19 +10,18 @@
 //! containers without it, and readers ignore its absence.
 //!
 //! The payload is self-versioned like the net-layer `Stats` frame: the
-//! first byte is [`TELEMETRY_VERSION`], and future fields only append, so
-//! older readers keep working on newer containers.
+//! first byte is [`TELEMETRY_VERSION`], and a reader accepts exactly that
+//! version and exactly the fields it defines.
 
-use crate::error::{Error, Result};
 use cypress_obs::StageProfile;
-use cypress_trace::{Decoder, Encoder};
+use cypress_trace::{Codec, DecodeResult, Decoder, Encoder};
 
 /// Version of the telemetry payload this build writes.
 pub const TELEMETRY_VERSION: u8 = 1;
 
 /// Upper bound on the stage-row count in a decoded payload; rejects absurd
 /// length prefixes before allocation.
-const MAX_STAGES: u64 = 4096;
+const MAX_STAGES: usize = 4096;
 
 /// Exclusive time attributed to one pipeline stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,63 +84,6 @@ impl TelemetrySummary {
         }
     }
 
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_u8(self.version);
-        enc.put_uvar(self.wall_ns);
-        enc.put_uvar(self.events);
-        enc.put_uvar(self.nprocs as u64);
-        enc.put_uvar(self.threads as u64);
-        enc.put_uvar(self.dropped_events);
-        enc.put_uvar(self.stages.len() as u64);
-        for s in &self.stages {
-            enc.put_str(&s.name);
-            enc.put_uvar(s.wall_ns);
-            enc.put_uvar(s.cpu_ns);
-            enc.put_uvar(s.spans);
-        }
-        enc.finish()
-    }
-
-    /// Decode a payload. Accepts any version ≥ 1 (newer writers only append
-    /// fields, which are left unread); rejects version 0.
-    pub fn from_bytes(bytes: &[u8]) -> Result<TelemetrySummary> {
-        let mut dec = Decoder::new(bytes);
-        let version = dec.get_u8()?;
-        if version == 0 {
-            return Err(Error::Invalid("telemetry payload version 0".into()));
-        }
-        let wall_ns = dec.get_uvar()?;
-        let events = dec.get_uvar()?;
-        let nprocs = dec.get_uvar()? as u32;
-        let threads = dec.get_uvar()? as u32;
-        let dropped_events = dec.get_uvar()?;
-        let nstages = dec.get_uvar()?;
-        if nstages > MAX_STAGES {
-            return Err(Error::Invalid(format!(
-                "telemetry claims {nstages} stage rows"
-            )));
-        }
-        let mut stages = Vec::with_capacity(nstages as usize);
-        for _ in 0..nstages {
-            stages.push(StageSummary {
-                name: dec.get_str()?,
-                wall_ns: dec.get_uvar()?,
-                cpu_ns: dec.get_uvar()?,
-                spans: dec.get_uvar()?,
-            });
-        }
-        Ok(TelemetrySummary {
-            version,
-            wall_ns,
-            events,
-            nprocs,
-            threads,
-            dropped_events,
-            stages,
-        })
-    }
-
     /// Human-readable rendering for `cypress inspect`.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -175,6 +117,49 @@ impl TelemetrySummary {
             ));
         }
         out
+    }
+}
+
+impl Codec for StageSummary {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.name);
+        enc.put_uvar(self.wall_ns);
+        enc.put_uvar(self.cpu_ns);
+        enc.put_uvar(self.spans);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        Ok(StageSummary {
+            name: dec.get_str()?,
+            wall_ns: dec.get_uvar()?,
+            cpu_ns: dec.get_uvar()?,
+            spans: dec.get_uvar()?,
+        })
+    }
+}
+
+impl Codec for TelemetrySummary {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(self.version);
+        enc.put_uvar(self.wall_ns);
+        enc.put_uvar(self.events);
+        enc.put_uvar(self.nprocs as u64);
+        enc.put_uvar(self.threads as u64);
+        enc.put_uvar(self.dropped_events);
+        enc.put_seq(&self.stages, |enc, s| s.encode(enc));
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        dec.expect_version("telemetry payload", TELEMETRY_VERSION)?;
+        Ok(TelemetrySummary {
+            version: TELEMETRY_VERSION,
+            wall_ns: dec.get_uvar()?,
+            events: dec.get_uvar()?,
+            nprocs: dec.get_u32("telemetry nprocs")?,
+            threads: dec.get_u32("telemetry threads")?,
+            dropped_events: dec.get_uvar()?,
+            stages: dec.get_seq_capped("telemetry stages", MAX_STAGES, StageSummary::decode)?,
+        })
     }
 }
 
@@ -221,17 +206,18 @@ mod tests {
     }
 
     #[test]
-    fn version_zero_rejected_and_appended_fields_tolerated() {
-        let mut t = sample();
-        t.version = 0;
-        assert!(TelemetrySummary::from_bytes(&t.to_bytes()).is_err());
-
-        t.version = TELEMETRY_VERSION + 1;
-        let mut bytes = t.to_bytes();
-        bytes.push(0x2a); // a field from the future
-        let got = TelemetrySummary::from_bytes(&bytes).unwrap();
-        assert_eq!(got.stages.len(), 3);
-        assert_eq!(got.events, 40_000);
+    fn wrong_version_is_a_loud_error_naming_both_versions() {
+        for offered in [TELEMETRY_VERSION - 1, TELEMETRY_VERSION + 1] {
+            let mut t = sample();
+            t.version = offered;
+            let err = TelemetrySummary::from_bytes(&t.to_bytes()).unwrap_err();
+            assert!(
+                err.0.contains(&format!("version {offered} "))
+                    && err.0.contains(&format!("expected {TELEMETRY_VERSION}")),
+                "version {offered}: {}",
+                err.0
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use cypress::core::{merge_all, Ctt};
 use cypress::cst::analyze_program;
 use cypress::minilang::{check_program, parse};
-use cypress::net::proto::{read_frame, write_frame};
+use cypress::net::proto::{read_frame, write_frame, Hello};
 use cypress::net::{
     submit_stream, Addr, ClientConfig, CollectedJob, Collector, CollectorConfig, Frame, Stream,
     SubmitMode, PROTO_VERSION,
@@ -139,13 +139,13 @@ fn killed_mid_stream_client_retry_leaves_job_uncorrupted() {
         let mut s = Stream::connect(&addr, Duration::from_secs(5)).unwrap();
         write_frame(
             &mut s,
-            &Frame::Hello {
+            &Frame::Hello(Hello {
                 version: PROTO_VERSION,
                 rank: 2,
                 nprocs,
                 mode: SubmitMode::Stream,
                 cst_text: cst_text.clone(),
-            },
+            }),
         )
         .unwrap();
         match read_frame(&mut s).unwrap() {

@@ -1,0 +1,428 @@
+//! One fixed sample of every payload this build puts on a socket or into a
+//! container section, next to the bytes the commit *before* the one-codec
+//! refactor wrote for it (captured there, never regenerated). The golden test
+//! in `wire_golden.rs` holds today's encoders to those bytes; `wire_sweep.rs`
+//! feeds the same samples to the hostile-bytes sweep.
+//!
+//! Frames are listed by body (frame code, then payload); the length prefix
+//! and crc32 trailer around a body are derived from it, not stored.
+
+use cypress::analysis::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
+use cypress::net::proto::{codes, Hello, MergedBlock};
+use cypress::net::{
+    ClientStat, ClientState, Frame, QuantileStat, Stats, SubmitMode, PROTO_VERSION, STATS_VERSION,
+};
+use cypress::query::{HotSpot, QueryResult, RankTotals, Strategy, StrategyUsed, Window};
+use cypress::simmpi::{SimResult, WaitReport, WaitSite};
+use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Profile};
+use cypress::{MetaInfo, QueryOptions, StageSummary, TelemetrySummary, TELEMETRY_VERSION};
+use std::fmt::Debug;
+
+/// What a test does with each `(sample, golden bytes)` pair.
+pub trait Visitor {
+    fn visit<T: Codec + PartialEq + Debug>(&mut self, name: &str, sample: &T, golden_hex: &str);
+}
+
+pub fn unhex(hex: &str) -> Vec<u8> {
+    assert!(hex.len().is_multiple_of(2), "odd hex length");
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex digit"))
+        .collect()
+}
+
+fn hello(rank: u32, nprocs: u32, mode: SubmitMode, cst_text: &str) -> Frame {
+    Frame::Hello(Hello {
+        version: PROTO_VERSION,
+        rank,
+        nprocs,
+        mode,
+        cst_text: cst_text.into(),
+    })
+}
+
+fn merged_block() -> Frame {
+    Frame::MergedBlockZ(MergedBlock {
+        first_rank: 4,
+        nranks: 4,
+        events: 2048,
+        raw_mpi_bytes: 1 << 20,
+        raw_len: 512,
+        bytes: vec![5, 4, 3, 2, 1],
+    })
+}
+
+fn stats() -> Stats {
+    Stats {
+        version: STATS_VERSION,
+        uptime_ns: 1_234_567_890,
+        nprocs: 8,
+        ranks_done: 5,
+        events_total: 40_000,
+        events_per_sec_x1000: 32_400_500,
+        merge_depth: 2,
+        resident_blocks: 2,
+        clients: vec![
+            ClientStat {
+                rank: 0,
+                state: ClientState::Merged,
+                events: 8_000,
+            },
+            ClientStat {
+                rank: 1,
+                state: ClientState::Streaming,
+                events: 1_500,
+            },
+            ClientStat {
+                rank: 7,
+                state: ClientState::Aborted,
+                events: 12,
+            },
+            ClientStat {
+                rank: 300,
+                state: ClientState::Duplicate,
+                events: 0,
+            },
+        ],
+        quantiles: vec![QuantileStat {
+            name: "batch_events".into(),
+            count: 79,
+            p50: 512,
+            p90: 4096,
+            p99: 32_768,
+        }],
+    }
+}
+
+fn window() -> Option<Window> {
+    Some(Window {
+        start_ns: 1_000,
+        end_ns: 9_999_999,
+    })
+}
+
+fn windowed_query_options() -> QueryOptions {
+    QueryOptions {
+        strategy: Strategy::Symbolic,
+        hotspot_limit: 25,
+        window: window(),
+    }
+}
+
+fn query_result() -> QueryResult {
+    let mut matrix = CommMatrix::new(3);
+    matrix.add(0, 1, 150);
+    matrix.add(2, 0, 70_000);
+    let mut profile = Profile::new(3);
+    profile.add_repeated(0, MpiOp::Send, 1024, 35, 12);
+    profile.add_repeated(1, MpiOp::Recv, 1024, 90, 12);
+    profile.add_repeated(2, MpiOp::Allreduce, 8, 2_000, 3);
+    profile.set_app_time(0, 1_000_000);
+    profile.set_app_time(2, 1_200_000);
+    QueryResult {
+        nprocs: 3,
+        strategy: StrategyUsed::PartialExpansion,
+        matrix,
+        profile,
+        totals: vec![
+            RankTotals {
+                send_bytes: 12_288,
+                recv_bytes: 0,
+                calls: 13,
+            },
+            RankTotals {
+                send_bytes: 0,
+                recv_bytes: 12_288,
+                calls: 13,
+            },
+            RankTotals::default(),
+        ],
+        hotspots: vec![
+            HotSpot {
+                gid: 7,
+                op: MpiOp::Send,
+                calls: 12,
+                bytes: 12_288,
+                path: "Loop#3 > BrT#5".into(),
+            },
+            HotSpot {
+                gid: 200,
+                op: MpiOp::Allreduce,
+                calls: 3,
+                bytes: 0,
+                path: String::new(),
+            },
+        ],
+        loop_trips: 36,
+    }
+}
+
+fn sim_result() -> SimResult {
+    SimResult {
+        finish: vec![100, 250, 175],
+        total: 250,
+        comm_time: vec![40, 90, 0],
+        wildcard_sources: vec![vec![], vec![2, 0, 300], vec![]],
+    }
+}
+
+fn wait_report() -> WaitReport {
+    WaitReport {
+        per_rank: vec![0, 130, 20],
+        sites: vec![
+            WaitSite {
+                gid: 7,
+                wait_ns: 130,
+                count: 2,
+            },
+            WaitSite {
+                gid: 300,
+                wait_ns: 20,
+                count: 1,
+            },
+        ],
+    }
+}
+
+fn analyze_report() -> AnalyzeReport {
+    AnalyzeReport {
+        nprocs: 3,
+        measured_app_ns: 1_000,
+        predicted: sim_result(),
+        waits: wait_report(),
+        stats: AnalysisStats {
+            symbolic_loops: 1,
+            unrolled_loops: 2,
+            flattened: false,
+            windowed: true,
+            fed_ops: 10,
+            logical_ops: 100,
+            extrapolated_trips: 90,
+        },
+    }
+}
+
+fn telemetry() -> TelemetrySummary {
+    TelemetrySummary {
+        version: TELEMETRY_VERSION,
+        wall_ns: 12_345_678,
+        events: 40_000,
+        nprocs: 8,
+        threads: 4,
+        dropped_events: 3,
+        stages: vec![
+            StageSummary {
+                name: "ingest".into(),
+                wall_ns: 9_000_000,
+                cpu_ns: 30_000_000,
+                spans: 8,
+            },
+            StageSummary {
+                name: "(untraced)".into(),
+                wall_ns: 1_345_678,
+                cpu_ns: 1_345_678,
+                spans: 1,
+            },
+        ],
+    }
+}
+
+fn meta() -> MetaInfo {
+    MetaInfo {
+        tool: "cypress".into(),
+        version: "0.1.0".into(),
+        nprocs: 4,
+        events: 1_000,
+        raw_bytes: 64_000,
+    }
+}
+
+/// One frame of every kind, with the body bytes the pre-refactor commit
+/// encoded for it.
+pub fn frames() -> Vec<(&'static str, Frame, &'static str)> {
+    vec![
+        (
+            "Hello",
+            hello(3, 8, SubmitMode::Stream, "Root()"),
+            "010403080006526f6f742829",
+        ),
+        (
+            "Hello/blocks",
+            hello(300, 70_000, SubmitMode::Blocks, ""),
+            "0104ac02f0a2040200",
+        ),
+        (
+            "HelloAck",
+            Frame::HelloAck {
+                version: PROTO_VERSION,
+                already_done: true,
+            },
+            "020401",
+        ),
+        (
+            "Events",
+            Frame::Events {
+                events: vec![
+                    Event::Enter { gid: 1 },
+                    Event::Mpi(MpiRecord {
+                        gid: 2,
+                        op: MpiOp::Send,
+                        params: MpiParams::send(1, 4096, 7),
+                        t_start: 100,
+                        dur: 250,
+                    }),
+                    Event::Mpi(MpiRecord {
+                        gid: 300,
+                        op: MpiOp::Waitall,
+                        params: MpiParams::completion(vec![2, 70_000]),
+                        t_start: 400,
+                        dur: 3,
+                    }),
+                    Event::Exit { gid: 1 },
+                ],
+            },
+            "0304000102020002018040010e0101000064fa0102ac020501010101010101000202f0a2049003030101",
+        ),
+        (
+            "Events/empty",
+            Frame::Events { events: vec![] },
+            "0300",
+        ),
+        (
+            "Finish",
+            Frame::Finish {
+                app_time: 123_456,
+                event_count: 3,
+            },
+            "04c0c40703",
+        ),
+        (
+            "FinAck",
+            Frame::FinAck { ranks_done: 300 },
+            "05ac02",
+        ),
+        (
+            "RankCtt",
+            Frame::RankCtt {
+                bytes: vec![1, 2, 3],
+            },
+            "0603010203",
+        ),
+        (
+            "RankCttZ",
+            Frame::RankCttZ {
+                raw_len: 4096,
+                bytes: vec![9, 8, 7, 6],
+            },
+            "0880200409080706",
+        ),
+        (
+            "StatsRequest",
+            Frame::StatsRequest,
+            "09",
+        ),
+        (
+            "Stats",
+            Frame::Stats { stats: stats() },
+            "0a3701d285d8cc040805c0b802f4c8b90f0202040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
+        ),
+        (
+            "QueryRequest",
+            Frame::QueryRequest {
+                job: "jacobi-0042".into(),
+                options: vec![1, 0, 10, 0],
+            },
+            "0b0b6a61636f62692d303034320401000a00",
+        ),
+        (
+            "QueryResponse",
+            Frame::QueryResponse {
+                result: vec![1, 4, 0],
+            },
+            "0c03010400",
+        ),
+        (
+            "AnalyzeRequest",
+            Frame::AnalyzeRequest {
+                job: "jacobi-0042".into(),
+                options: vec![1, 1, 5, 9],
+            },
+            "0d0b6a61636f62692d303034320401010509",
+        ),
+        (
+            "AnalyzeResponse",
+            Frame::AnalyzeResponse {
+                result: vec![1, 2, 0, 0],
+            },
+            "0e0401020000",
+        ),
+        (
+            "MergedBlockZ",
+            merged_block(),
+            "0f040480108080408004050504030201",
+        ),
+        (
+            "Error",
+            Frame::Error {
+                code: codes::CST_MISMATCH,
+                message: "structure differs".into(),
+            },
+            "0703117374727563747572652064696666657273",
+        ),
+    ]
+}
+
+/// Every sample: the frames above, then each self-versioned blob and
+/// container-section payload.
+pub fn for_each_sample(v: &mut impl Visitor) {
+    for (name, frame, hex) in frames() {
+        v.visit(name, &frame, hex);
+    }
+    v.visit(
+        "Stats",
+        &stats(),
+        "01d285d8cc040805c0b802f4c8b90f0202040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
+    );
+    v.visit("QueryOptions", &QueryOptions::default(), "01000a00");
+    v.visit(
+        "QueryOptions+window",
+        &windowed_query_options(),
+        "01011901e807fface204",
+    );
+    v.visit(
+        "QueryResult",
+        &query_result(),
+        "0103010300960100000000f0a204000003000c8060a4032323010c8060b8085a5a090318f02ed00fd00f03a403b808f02e03c0843d00809f492800000000030000000000001800000000000000000000000000000000000000000000000000000000038060000d0080600d0000000207000c80600e4c6f6f702333203e204272542335c8010903000024",
+    );
+    v.visit("AnalyzeOptions", &AnalyzeOptions::default(), "0100");
+    v.visit(
+        "AnalyzeOptions+window",
+        &AnalyzeOptions { window: window() },
+        "0101e807fface204",
+    );
+    v.visit(
+        "AnalyzeReport",
+        &analyze_report(),
+        "0103e807010364fa01af01fa0103285a000300030200ac02000103008201140207820102ac021401010200010a645a",
+    );
+    v.visit(
+        "SimResult",
+        &sim_result(),
+        "010364fa01af01fa0103285a000300030200ac0200",
+    );
+    v.visit(
+        "WaitReport",
+        &wait_report(),
+        "0103008201140207820102ac021401",
+    );
+    v.visit(
+        "TelemetrySummary",
+        &telemetry(),
+        "01cec2f105c0b8020804030206696e67657374c0a8a5048087a70e080a28756e747261636564298e91528e915201",
+    );
+    v.visit(
+        "MetaInfo",
+        &meta(),
+        "076379707265737305302e312e3004e80780f403",
+    );
+}

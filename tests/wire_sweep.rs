@@ -1,0 +1,106 @@
+//! Hostile bytes, once for every decoder: the `wire_samples` table through
+//! one generic sweep instead of a round-trip/trailing-byte test per type.
+//!
+//! Property, for each sample: it round-trips; every truncated prefix is an
+//! error; every single-byte corruption is an error or some other value,
+//! never a panic or an allocation the input did not pay for; one appended
+//! byte is an error. Frames get the same treatment through [`FrameBuf`] with
+//! the CRC resealed, so the damage reaches the body decoder instead of
+//! stopping at the checksum.
+
+mod wire_samples;
+
+use cypress::deflate::crc32;
+use cypress::net::proto::FrameBuf;
+use cypress::net::{Frame, NetError};
+use cypress::trace::Codec;
+use std::fmt::Debug;
+use wire_samples::{for_each_sample, frames, unhex, Visitor};
+
+/// Low bit (varint value), high bit (varint continuation), full inversion.
+const MASKS: [u8; 3] = [0x01, 0x80, 0xff];
+
+fn sweep<T: Codec + PartialEq + Debug>(name: &str, sample: &T) {
+    let bytes = sample.to_bytes();
+    assert_eq!(
+        &T::from_bytes(&bytes).unwrap(),
+        sample,
+        "{name}: round trip"
+    );
+    for cut in 0..bytes.len() {
+        assert!(T::from_bytes(&bytes[..cut]).is_err(), "{name}: cut {cut}");
+    }
+    let mut work = bytes.clone();
+    for pos in 0..bytes.len() {
+        for mask in MASKS {
+            work[pos] ^= mask;
+            // Err, or a value (equal or not): returning at all is the test.
+            let _ = T::from_bytes(&work);
+            work[pos] = bytes[pos];
+        }
+    }
+    work.push(0x2a);
+    let err = T::from_bytes(&work).expect_err(name);
+    assert!(err.0.contains("trailing"), "{name}: {err}");
+}
+
+struct Sweep;
+
+impl Visitor for Sweep {
+    fn visit<T: Codec + PartialEq + Debug>(&mut self, name: &str, sample: &T, _golden: &str) {
+        sweep(name, sample);
+    }
+}
+
+#[test]
+fn every_payload_survives_the_hostile_bytes_sweep() {
+    for_each_sample(&mut Sweep);
+}
+
+/// `body` as it would sit on the wire, with a CRC that vouches for it.
+fn sealed(body: &[u8]) -> Vec<u8> {
+    let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(body);
+    wire.extend_from_slice(&crc32(body).to_le_bytes());
+    wire
+}
+
+fn decode_sealed(body: &[u8]) -> Result<Option<Frame>, NetError> {
+    let wire = sealed(body);
+    let mut fb = FrameBuf::new();
+    let mut src = &wire[..];
+    while !src.is_empty() {
+        fb.fill(&mut src).unwrap();
+    }
+    fb.try_frame()
+}
+
+#[test]
+fn resealed_frame_damage_is_a_frame_error_never_a_panic() {
+    for (name, frame, body_hex) in frames() {
+        let body = unhex(body_hex);
+        assert_eq!(decode_sealed(&body).unwrap(), Some(frame), "{name}");
+        for cut in 0..body.len() {
+            assert!(
+                matches!(decode_sealed(&body[..cut]), Err(NetError::Frame(_))),
+                "{name}: cut {cut}"
+            );
+        }
+        let mut work = body.clone();
+        for pos in 0..body.len() {
+            for mask in MASKS {
+                work[pos] ^= mask;
+                match decode_sealed(&work) {
+                    Ok(Some(_)) | Err(NetError::Frame(_)) => {}
+                    other => panic!("{name}: pos {pos} mask {mask:#04x}: {other:?}"),
+                }
+                work[pos] = body[pos];
+            }
+        }
+        work.push(0x2a);
+        assert!(
+            matches!(decode_sealed(&work), Err(NetError::Frame(_))),
+            "{name}: appended byte"
+        );
+    }
+}
