@@ -18,18 +18,22 @@
 
 use crate::build_ast::build_intra_ast;
 use crate::build_cfg::build_intra_cfg;
-use crate::sitemap::{CallAction, PathId, SiteMap, ROOT_PATH};
-use crate::tree::{Arm, Cst, Gid, VertexKind};
+use crate::sitemap::{CallAction, PathId, SiteMap, ACTION_CELL, FIRST_SITE, ROOT_PATH};
+use crate::tree::{Cst, Gid, VertexKind};
 use cypress_minilang::ast::{NodeId, Program};
+use cypress_minilang::{resolve_program, Resolved};
 use cypress_staticir::callgraph::CallGraph;
 use std::collections::HashMap;
 
 /// The complete static-analysis output for one program: the finalized
-/// whole-program CST plus the runtime instrumentation map.
+/// whole-program CST, the runtime instrumentation map, and the frame slots
+/// name resolution assigned — everything the interpreter indexes instead of
+/// looking up.
 #[derive(Debug, Clone)]
 pub struct StaticInfo {
     pub cst: Cst,
     pub sitemap: SiteMap,
+    pub resolved: Resolved,
 }
 
 /// Which intra-procedural builder to use.
@@ -47,6 +51,36 @@ pub fn analyze_program(prog: &Program) -> StaticInfo {
     analyze_program_with(prog, IntraBuilder::Cfg)
 }
 
+/// Number each function's sites — every vertex origin of its intermediate
+/// CST — from [`FIRST_SITE`]; returns the per-node index and each function's
+/// row length.
+fn number_sites(prog: &Program, intra: &[Cst]) -> (Vec<u32>, Vec<u32>) {
+    let mut site_of = vec![0u32; prog.node_count as usize];
+    let row_len = intra
+        .iter()
+        .map(|cst| {
+            let mut next = FIRST_SITE;
+            for v in &cst.vertices {
+                let (origin, width) = match &v.kind {
+                    VertexKind::Root => continue,
+                    VertexKind::Loop { origin, .. }
+                    | VertexKind::Mpi { origin, .. }
+                    | VertexKind::UserCall { origin, .. } => (*origin, 1),
+                    // Both arms, `Then` first, whichever the tree kept.
+                    VertexKind::Branch { origin, .. } => (*origin, 2),
+                };
+                let site = &mut site_of[origin.0 as usize];
+                if *site == 0 {
+                    *site = next;
+                    next += width;
+                }
+            }
+            next
+        })
+        .collect();
+    (site_of, row_len)
+}
+
 /// Run the full static analysis with an explicit intra-procedural builder.
 pub fn analyze_program_with(prog: &Program, builder: IntraBuilder) -> StaticInfo {
     let intra: Vec<Cst> = prog
@@ -58,73 +92,74 @@ pub fn analyze_program_with(prog: &Program, builder: IntraBuilder) -> StaticInfo
         })
         .collect();
     let cg = CallGraph::build(prog);
+    let (site_of, row_len) = number_sites(prog, &intra);
 
     let mut inl = Inliner {
         prog,
         intra: &intra,
         cg: &cg,
         tree: Cst::with_root(),
-        raw: RawSiteMap::default(),
+        site_of: &site_of,
+        row_len: &row_len,
+        path_base: Vec::new(),
+        table: Vec::new(),
         active: HashMap::new(),
-        stack: Vec::new(),
     };
     let main_idx = prog.func_index("main").expect("checked programs have main");
-    inl.raw.path_sites.push(Vec::new()); // ROOT_PATH
+    let root_path = inl.fresh_path(main_idx);
+    debug_assert_eq!(root_path, ROOT_PATH);
     let root = inl.tree.root();
     inl.inline_func(main_idx, ROOT_PATH, root);
 
-    let Inliner { tree, raw, .. } = inl;
+    let Inliner {
+        tree,
+        path_base,
+        table,
+        ..
+    } = inl;
     let (cst, map) = tree.prune_and_finalize();
 
     // Rewrite raw vertex indices into final GIDs, dropping pruned entries.
     let remap = |v: usize| -> Option<Gid> { map[v].map(|nv| Gid(nv as u32)) };
-    let mut sm = SiteMap {
-        n_paths: raw.path_sites.len() as u32,
-        path_sites: raw.path_sites,
-        ..SiteMap::default()
-    };
-    for ((p, n), v) in raw.loops {
-        if let Some(g) = remap(v) {
-            sm.loops.insert((p, n), g);
-        }
+    let mut actions = Vec::new();
+    let table = table
+        .into_iter()
+        .map(|cell| {
+            let action = match cell {
+                RawCell::Empty => return 0,
+                RawCell::Vertex(v) => return remap(v).map_or(0, |g| g.0),
+                RawCell::Inline { path } => CallAction::Inline { path },
+                RawCell::EnterRecursive { pseudo, path } => CallAction::EnterRecursive {
+                    pseudo: remap(pseudo),
+                    path,
+                },
+                RawCell::BackCall { pseudo, path } => CallAction::BackCall {
+                    pseudo: remap(pseudo),
+                    path,
+                },
+            };
+            actions.push(action);
+            ACTION_CELL | (actions.len() - 1) as u32
+        })
+        .collect();
+    StaticInfo {
+        cst,
+        sitemap: SiteMap {
+            site_of,
+            path_base,
+            table,
+            actions,
+        },
+        resolved: resolve_program(prog).0,
     }
-    for ((p, n, a), v) in raw.branches {
-        if let Some(g) = remap(v) {
-            sm.branches.insert((p, n, a), g);
-        }
-    }
-    for ((p, n), v) in raw.mpi {
-        if let Some(g) = remap(v) {
-            sm.mpi.insert((p, n), g);
-        }
-    }
-    for ((p, n), a) in raw.actions {
-        let action = match a {
-            RawAction::Inline { path } => CallAction::Inline { path },
-            RawAction::EnterRecursive { pseudo, path } => CallAction::EnterRecursive {
-                pseudo: remap(pseudo),
-                path,
-            },
-            RawAction::BackCall { pseudo, path } => CallAction::BackCall {
-                pseudo: remap(pseudo),
-                path,
-            },
-        };
-        sm.actions.insert((p, n), action);
-    }
-    StaticInfo { cst, sitemap: sm }
 }
 
-#[derive(Default)]
-struct RawSiteMap {
-    path_sites: Vec<Vec<NodeId>>,
-    loops: HashMap<(PathId, NodeId), usize>,
-    branches: HashMap<(PathId, NodeId, Arm), usize>,
-    mpi: HashMap<(PathId, NodeId), usize>,
-    actions: HashMap<(PathId, NodeId), RawAction>,
-}
-
-enum RawAction {
+/// One cell of the site table before pruning: vertices are indices into the
+/// unpruned tree.
+#[derive(Clone)]
+enum RawCell {
+    Empty,
+    Vertex(usize),
     Inline { path: PathId },
     EnterRecursive { pseudo: usize, path: PathId },
     BackCall { pseudo: usize, path: PathId },
@@ -135,21 +170,29 @@ struct Inliner<'a> {
     intra: &'a [Cst],
     cg: &'a CallGraph,
     tree: Cst,
-    raw: RawSiteMap,
+    site_of: &'a [u32],
+    row_len: &'a [u32],
+    path_base: Vec<u32>,
+    table: Vec<RawCell>,
     /// Functions currently being inlined → (pseudo-loop vertex, body path).
     /// Only recursive functions are registered here.
     active: HashMap<usize, (usize, PathId)>,
-    /// Inline stack of function indices (for diagnostics/assertions).
-    stack: Vec<usize>,
 }
 
 impl Inliner<'_> {
-    fn fresh_path(&mut self, parent: PathId, site: NodeId) -> PathId {
-        let mut sites = self.raw.path_sites[parent.0 as usize].clone();
-        sites.push(site);
-        let id = PathId(self.raw.path_sites.len() as u32);
-        self.raw.path_sites.push(sites);
+    /// A new path through `fidx`, with an empty row of that function's sites.
+    fn fresh_path(&mut self, fidx: usize) -> PathId {
+        let id = PathId(self.path_base.len() as u32);
+        self.path_base.push(self.table.len() as u32);
+        let end = self.table.len() + self.row_len[fidx] as usize;
+        self.table.resize(end, RawCell::Empty);
         id
+    }
+
+    /// Fill the cell of site `origin` (+ `arm` for a branch) in `path`'s row.
+    fn set(&mut self, path: PathId, origin: NodeId, arm: u32, cell: RawCell) {
+        let at = self.path_base[path.0 as usize] + self.site_of[origin.0 as usize] + arm;
+        self.table[at as usize] = cell;
     }
 
     /// Copy the body of `fidx`'s intra-procedural CST under `parent`.
@@ -170,36 +213,40 @@ impl Inliner<'_> {
             VertexKind::Root => unreachable!("root is never copied"),
             VertexKind::Loop { origin, pseudo } => {
                 let nv = self.tree.add(parent, VertexKind::Loop { origin, pseudo });
-                self.raw.loops.insert((path, origin), nv);
+                self.set(path, origin, 0, RawCell::Vertex(nv));
                 self.copy_children(fidx, v, path, nv);
             }
             VertexKind::Branch { origin, arm } => {
                 let nv = self.tree.add(parent, VertexKind::Branch { origin, arm });
-                self.raw.branches.insert((path, origin, arm), nv);
+                self.set(path, origin, arm as u32, RawCell::Vertex(nv));
                 self.copy_children(fidx, v, path, nv);
             }
             VertexKind::Mpi { origin, op } => {
                 let nv = self.tree.add(parent, VertexKind::Mpi { origin, op });
-                self.raw.mpi.insert((path, origin), nv);
+                self.set(path, origin, 0, RawCell::Vertex(nv));
             }
             VertexKind::UserCall { origin, name } => {
-                let callee = self
-                    .prog
-                    .func_index(&name)
-                    .expect("checked programs only call defined functions");
+                // A call to a function that does not exist (the program
+                // skipped the check) gets no action; the interpreter reports
+                // it when — if — the call executes.
+                let Some(callee) = self.prog.func_index(&name) else {
+                    return;
+                };
                 if let Some(&(pseudo, body_path)) = self.active.get(&callee) {
                     // Re-entering a function on the inline stack: cut the
                     // recursion. No vertex is created — at runtime this call
                     // is the next iteration of the callee's pseudo loop.
-                    self.raw.actions.insert(
-                        (path, origin),
-                        RawAction::BackCall {
+                    self.set(
+                        path,
+                        origin,
+                        0,
+                        RawCell::BackCall {
                             pseudo,
                             path: body_path,
                         },
                     );
                 } else if self.cg.recursive[callee] {
-                    let new_path = self.fresh_path(path, origin);
+                    let new_path = self.fresh_path(callee);
                     let pseudo = self.tree.add(
                         parent,
                         VertexKind::Loop {
@@ -207,27 +254,23 @@ impl Inliner<'_> {
                             pseudo: true,
                         },
                     );
-                    self.raw.actions.insert(
-                        (path, origin),
-                        RawAction::EnterRecursive {
+                    self.set(
+                        path,
+                        origin,
+                        0,
+                        RawCell::EnterRecursive {
                             pseudo,
                             path: new_path,
                         },
                     );
                     self.active.insert(callee, (pseudo, new_path));
-                    self.stack.push(callee);
                     self.inline_func(callee, new_path, pseudo);
-                    self.stack.pop();
                     self.active.remove(&callee);
                 } else {
-                    let new_path = self.fresh_path(path, origin);
-                    self.raw
-                        .actions
-                        .insert((path, origin), RawAction::Inline { path: new_path });
-                    self.stack.push(callee);
+                    let new_path = self.fresh_path(callee);
+                    self.set(path, origin, 0, RawCell::Inline { path: new_path });
                     // Splice the callee's children in place of the call.
                     self.inline_func(callee, new_path, parent);
-                    self.stack.pop();
                 }
             }
         }
@@ -244,6 +287,7 @@ impl Inliner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::Arm;
     use cypress_minilang::{check_program, parse};
 
     fn analyze(src: &str) -> StaticInfo {
@@ -299,7 +343,7 @@ mod tests {
             "Root(Mpi:MPI_Sendrecv Mpi:MPI_Barrier Mpi:MPI_Sendrecv)"
         );
         // Two distinct paths exist for the two call sites.
-        assert!(info.sitemap.n_paths >= 3);
+        assert!(info.sitemap.path_base.len() >= 3);
     }
 
     #[test]
@@ -333,14 +377,14 @@ mod tests {
         let back_calls = info
             .sitemap
             .actions
-            .values()
+            .iter()
             .filter(|a| matches!(a, CallAction::BackCall { .. }))
             .count();
         assert_eq!(back_calls, 2);
         let enters = info
             .sitemap
             .actions
-            .values()
+            .iter()
             .filter(|a| {
                 matches!(
                     a,
@@ -398,19 +442,15 @@ mod tests {
         "#,
         );
         // Every non-root vertex is reachable through exactly one sitemap
-        // entry (loops ∪ branches ∪ mpi ∪ pseudo loops via actions).
+        // cell (loops ∪ branches ∪ mpi) or, for pseudo loops, one action.
+        let sm = &info.sitemap;
         let mut covered = vec![false; info.cst.len()];
         covered[0] = true;
-        for g in info.sitemap.loops.values() {
-            covered[g.0 as usize] = true;
+        for &c in sm.table.iter().filter(|&&c| c != 0 && c & ACTION_CELL == 0) {
+            assert!(!covered[c as usize], "vertex {c} has two cells");
+            covered[c as usize] = true;
         }
-        for g in info.sitemap.branches.values() {
-            covered[g.0 as usize] = true;
-        }
-        for g in info.sitemap.mpi.values() {
-            covered[g.0 as usize] = true;
-        }
-        for a in info.sitemap.actions.values() {
+        for a in &sm.actions {
             if let CallAction::EnterRecursive {
                 pseudo: Some(g), ..
             } = a
@@ -447,17 +487,23 @@ mod tests {
         let a = analyze_program_with(&p, IntraBuilder::Ast);
         let b = analyze_program_with(&p, IntraBuilder::Cfg);
         assert_eq!(a.cst.to_compact_string(), b.cst.to_compact_string());
-        assert_eq!(a.sitemap.loops, b.sitemap.loops);
-        assert_eq!(a.sitemap.mpi, b.sitemap.mpi);
-        assert_eq!(a.sitemap.branches, b.sitemap.branches);
+        assert_eq!(a.sitemap, b.sitemap);
     }
 
     #[test]
     fn pruned_branch_has_no_sitemap_entry() {
         let info = analyze("fn main() { if rank() == 0 { barrier(); } else { compute(5); } }");
         // Only the then-arm survives.
-        let arms: Vec<_> = info.sitemap.branches.keys().collect();
-        assert_eq!(arms.len(), 1);
-        assert_eq!(arms[0].2, Arm::Then);
+        assert_eq!(info.sitemap.entry_count(), 2); // the arm and the barrier
+        let if_stmt = info.sitemap.site_of.iter().position(|&s| s == FIRST_SITE);
+        let if_stmt = NodeId(if_stmt.unwrap() as u32);
+        assert!(info
+            .sitemap
+            .branch_gid(ROOT_PATH, if_stmt, Arm::Then)
+            .is_some());
+        assert!(info
+            .sitemap
+            .branch_gid(ROOT_PATH, if_stmt, Arm::Else)
+            .is_none());
     }
 }

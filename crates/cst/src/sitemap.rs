@@ -1,18 +1,27 @@
 //! The instrumentation site map — compile-time output consumed at runtime.
 //!
 //! The paper instruments the program with `PMPI_COMM_Structure(type, id)` /
-//! `..._Exit(id)` calls carrying the CST GID of each control structure. In
-//! this reproduction the "instrumented program" is the original AST plus this
-//! map: because inter-procedural inlining copies a function's subtree once
-//! per (transitive) call site, a single AST node can correspond to several
-//! CST vertices — one per *call path*. The interpreter therefore keeps a
-//! current [`PathId`] (an interned chain of call-site expression ids) and
-//! looks up `(path, ast-node)` here to learn which GID to emit, exactly as
-//! the inserted instrumentation calls would report.
+//! `..._Exit(id)` calls carrying the CST GID of each control structure as a
+//! compile-time constant. In this reproduction the "instrumented program" is
+//! the original AST plus this map: because inter-procedural inlining copies a
+//! function's subtree once per (transitive) call site, a single AST node can
+//! correspond to several CST vertices — one per *call path*. The interpreter
+//! therefore keeps a current [`PathId`] (an interned chain of call sites)
+//! and asks for `(path, ast-node)` here to learn which GID to emit, exactly
+//! as the inserted instrumentation calls would report.
+//!
+//! The answer is three loads, not a hash. Every loop, branch arm, MPI call
+//! and user call of a function is a *site*, numbered densely within its
+//! function (`site_of`, indexed by AST node; 0 for nodes that are not
+//! sites). A path lies in exactly one function, so it owns one row of
+//! `table` with a cell per site of that function, and
+//! `table[path_base[path] + site_of[node]]` is the constant the
+//! instrumentation call would have carried. Rows are as long as their
+//! function has sites, so the map is as large as the inlined tree the
+//! analysis already built — never paths × nodes.
 
 use crate::tree::{Arm, Gid};
 use cypress_minilang::ast::NodeId;
-use std::collections::HashMap;
 
 /// Interned call path (chain of call-site expression ids from `main`).
 /// `PathId(0)` is the empty path (code in `main` itself).
@@ -20,6 +29,14 @@ use std::collections::HashMap;
 pub struct PathId(pub u32);
 
 pub const ROOT_PATH: PathId = PathId(0);
+
+/// Cells 0 and 1 of every path's row stay empty: a node that is no site has
+/// site index 0, and an `if` that is none still adds its arm to that.
+pub(crate) const FIRST_SITE: u32 = 2;
+
+/// Set in a user-call cell, whose low bits index `SiteMap::actions`; clear
+/// in a loop, branch-arm or MPI cell, which holds a GID.
+pub(crate) const ACTION_CELL: u32 = 1 << 31;
 
 /// What the runtime does when it executes a user-function call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,44 +55,65 @@ pub enum CallAction {
 }
 
 /// Compile-time map from `(call path, AST node)` to CST GIDs and call
-/// actions. Entries exist only for vertices that survived pruning; a missing
-/// entry means "emit nothing" (the structure contains no MPI).
-#[derive(Debug, Clone, Default)]
+/// actions. A cell is set only for a vertex that survived pruning; an empty
+/// cell means "emit nothing" (the structure contains no MPI).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SiteMap {
-    /// Number of distinct paths interned.
-    pub n_paths: u32,
-    /// For debugging: the call-site chain of each path.
-    pub path_sites: Vec<Vec<NodeId>>,
-    /// `for`/`while` statement (and pseudo-loop-free structures) → loop GID.
-    pub loops: HashMap<(PathId, NodeId), Gid>,
-    /// `(path, if-stmt, arm)` → branch GID.
-    pub branches: HashMap<(PathId, NodeId, Arm), Gid>,
-    /// `(path, call-expr)` → MPI leaf GID.
-    pub mpi: HashMap<(PathId, NodeId), Gid>,
-    /// `(path, call-expr)` → what to do for this user-function call.
-    pub actions: HashMap<(PathId, NodeId), CallAction>,
+    /// AST node → its site index within its function; 0 for non-sites. An
+    /// `if` takes two consecutive sites, `Then` first.
+    pub(crate) site_of: Vec<u32>,
+    /// Path → offset of its row in `table`; one entry per call path, `main`
+    /// itself first.
+    pub(crate) path_base: Vec<u32>,
+    /// Loop, branch-arm and MPI sites hold the GID (0, the root, for a
+    /// pruned vertex); user-call sites hold [`ACTION_CELL`] | an index into
+    /// `actions`.
+    pub(crate) table: Vec<u32>,
+    /// Call actions, in table order.
+    pub(crate) actions: Vec<CallAction>,
 }
 
 impl SiteMap {
+    /// The cell of site `node` (+ `arm` for a branch) in `path`'s row; 0 for
+    /// anything the analysis never saw, never a panic.
+    fn cell(&self, path: PathId, node: NodeId, arm: usize) -> u32 {
+        let site = self.site_of.get(node.0 as usize).copied().unwrap_or(0);
+        let base = self.path_base.get(path.0 as usize).copied().unwrap_or(0);
+        let at = base as usize + site as usize + arm;
+        self.table.get(at).copied().unwrap_or(0)
+    }
+
+    fn gid(&self, path: PathId, node: NodeId, arm: usize) -> Option<Gid> {
+        match self.cell(path, node, arm) {
+            0 => None,
+            c if c & ACTION_CELL != 0 => None,
+            g => Some(Gid(g)),
+        }
+    }
+
     pub fn loop_gid(&self, path: PathId, stmt: NodeId) -> Option<Gid> {
-        self.loops.get(&(path, stmt)).copied()
+        self.gid(path, stmt, 0)
     }
 
     pub fn branch_gid(&self, path: PathId, stmt: NodeId, arm: Arm) -> Option<Gid> {
-        self.branches.get(&(path, stmt, arm)).copied()
+        self.gid(path, stmt, arm as usize)
     }
 
     pub fn mpi_gid(&self, path: PathId, call_expr: NodeId) -> Option<Gid> {
-        self.mpi.get(&(path, call_expr)).copied()
+        self.gid(path, call_expr, 0)
     }
 
     pub fn call_action(&self, path: PathId, call_expr: NodeId) -> Option<CallAction> {
-        self.actions.get(&(path, call_expr)).copied()
+        let c = self.cell(path, call_expr, 0);
+        if c & ACTION_CELL == 0 {
+            return None;
+        }
+        self.actions.get((c & !ACTION_CELL) as usize).copied()
     }
 
     /// Total number of instrumentation entries (a proxy for the size of the
     /// compile-time artifact).
     pub fn entry_count(&self) -> usize {
-        self.loops.len() + self.branches.len() + self.mpi.len() + self.actions.len()
+        self.table.iter().filter(|&&c| c != 0).count()
     }
 }

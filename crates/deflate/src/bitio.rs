@@ -15,20 +15,26 @@ impl BitWriter {
     }
 
     /// Write the low `n` bits of `v` (n ≤ 32), LSB first.
+    #[inline]
     pub fn write_bits(&mut self, v: u32, n: u32) {
         debug_assert!(n <= 32);
         debug_assert!(n == 32 || v < (1u32 << n));
+        // Fewer than 32 bits are pending on entry, so 64 hold the sum; four
+        // whole bytes leave at a time.
         self.bitbuf |= (v as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
         }
     }
 
     /// Write a Huffman code: DEFLATE stores Huffman codes MSB-first, so the
-    /// canonical code's bits must be reversed before packing.
+    /// canonical code's bits must be reversed before packing. A caller with
+    /// many symbols to write reverses each code once and uses
+    /// [`BitWriter::write_bits`].
     pub fn write_code(&mut self, code: u32, len: u32) {
         let rev = reverse_bits(code, len);
         self.write_bits(rev, len);
@@ -36,11 +42,11 @@ impl BitWriter {
 
     /// Pad to a byte boundary with zero bits.
     pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf = 0;
-            self.nbits = 0;
-        }
+        let pending = self.nbits.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bitbuf.to_le_bytes()[..pending]);
+        self.bitbuf = 0;
+        self.nbits = 0;
     }
 
     /// Append raw bytes (caller must be byte-aligned).

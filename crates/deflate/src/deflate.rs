@@ -8,7 +8,7 @@
 //! block neither materializes a `Vec<Token>` nor reallocates the 256 KiB of
 //! hash-chain state.
 
-use crate::bitio::BitWriter;
+use crate::bitio::{reverse_bits, BitWriter};
 use crate::huffman::{canonical_codes, code_lengths};
 use crate::lz77::{Lz77, Token};
 use crate::tables::*;
@@ -236,29 +236,39 @@ fn header_cost_estimate(lit_lens: &[u8], dist_lens: &[u8]) -> u64 {
     14 + 7 * (lit_lens.len() as u64 + dist_lens.len() as u64) / 2
 }
 
+/// Canonical codes for `lens`, each already bit-reversed into the order
+/// [`BitWriter::write_bits`] packs: once per code, not once per symbol.
+fn reversed_codes(lens: &[u8]) -> Vec<u32> {
+    let mut codes = canonical_codes(lens);
+    for (c, &l) in codes.iter_mut().zip(lens) {
+        *c = reverse_bits(*c, l as u32);
+    }
+    codes
+}
+
 fn write_tokens(w: &mut BitWriter, tokens: &[u32], lit_lens: &[u8], dist_lens: &[u8]) {
-    let lit_codes = canonical_codes(lit_lens);
-    let dist_codes = canonical_codes(dist_lens);
+    let lit_codes = reversed_codes(lit_lens);
+    let dist_codes = reversed_codes(dist_lens);
     for &p in tokens {
         match unpack(p) {
             Token::Literal(b) => {
-                w.write_code(lit_codes[b as usize], lit_lens[b as usize] as u32);
+                w.write_bits(lit_codes[b as usize], lit_lens[b as usize] as u32);
             }
             Token::Match { len, dist } => {
                 let (lc, lextra) = length_code(len);
-                w.write_code(lit_codes[257 + lc], lit_lens[257 + lc] as u32);
+                w.write_bits(lit_codes[257 + lc], lit_lens[257 + lc] as u32);
                 if LEN_EXTRA[lc] > 0 {
                     w.write_bits(lextra, LEN_EXTRA[lc] as u32);
                 }
                 let (dc, dextra) = dist_code(dist);
-                w.write_code(dist_codes[dc], dist_lens[dc] as u32);
+                w.write_bits(dist_codes[dc], dist_lens[dc] as u32);
                 if DIST_EXTRA[dc] > 0 {
                     w.write_bits(dextra, DIST_EXTRA[dc] as u32);
                 }
             }
         }
     }
-    w.write_code(lit_codes[256], lit_lens[256] as u32);
+    w.write_bits(lit_codes[256], lit_lens[256] as u32);
 }
 
 /// Encode the dynamic block header: HLIT/HDIST/HCLEN and the code lengths
@@ -290,7 +300,7 @@ fn write_dynamic_header(w: &mut BitWriter, lit_lens: &[u8], dist_lens: &[u8]) {
         clc_freq[sym as usize] += 1;
     }
     let clc_lens = code_lengths(&clc_freq, 7);
-    let clc_codes = canonical_codes(&clc_lens);
+    let clc_codes = reversed_codes(&clc_lens);
 
     let hclen = {
         let mut n = 19;
@@ -307,7 +317,7 @@ fn write_dynamic_header(w: &mut BitWriter, lit_lens: &[u8], dist_lens: &[u8]) {
         w.write_bits(clc_lens[o] as u32, 3);
     }
     for &(sym, extra) in &rle {
-        w.write_code(clc_codes[sym as usize], clc_lens[sym as usize] as u32);
+        w.write_bits(clc_codes[sym as usize], clc_lens[sym as usize] as u32);
         match sym {
             16 => w.write_bits(extra, 2),
             17 => w.write_bits(extra, 3),
@@ -430,6 +440,61 @@ mod tests {
         let data = b"deterministic deterministic deterministic!".repeat(50);
         for level in Level::ALL {
             assert_eq!(deflate(&data, level), deflate(&data, level));
+        }
+    }
+
+    /// Inputs that between them take every block type and reach both ends
+    /// of the length and distance alphabets: text (dynamic), a short string
+    /// (fixed), noise (stored), 96 KiB of LCG-driven records with a small
+    /// alphabet (matches out to the 32 KiB window), and a zero run (length
+    /// 258 at distance 1).
+    fn fixtures() -> Vec<Vec<u8>> {
+        let text = b"It was the best of times, it was the worst of times, it was the age of wisdom, it was the age of foolishness".repeat(20);
+        let short = b"abcabcabd".to_vec();
+        let mut x = 0x2545_f491u32;
+        let mut lcg = move || {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            x >> 16
+        };
+        let noise: Vec<u8> = (0..3000).map(|_| lcg() as u8).collect();
+        let mut records = Vec::with_capacity(96 * 1024);
+        for i in 0..12 * 1024u32 {
+            let r = lcg();
+            records.extend_from_slice(&[
+                (i % 251) as u8,
+                (i / 1024) as u8,
+                (r & 0x0f) as u8,
+                ((r >> 4) % 3) as u8,
+                0x80 | (r >> 8 & 0x03) as u8,
+                0,
+                0,
+                (i % 7) as u8,
+            ]);
+        }
+        let zeros = vec![0u8; 5000];
+        vec![text, short, noise, records, zeros]
+    }
+
+    /// The entropy stage may get faster but may not move a bit: CRC-32 over
+    /// the concatenated streams of every fixture, per level, captured before
+    /// the length/distance LUTs and pre-reversed codes went in.
+    #[test]
+    fn fixture_streams_are_bit_identical_to_the_committed_crcs() {
+        let want = [0xc6ae_556bu32, 0x7e4a_e429, 0xfed8_bba0];
+        for (level, want) in Level::ALL.into_iter().zip(want) {
+            let mut crc = crate::Crc32::new();
+            for data in fixtures() {
+                let c = deflate(&data, level);
+                assert_eq!(inflate(&c).unwrap(), data);
+                crc.update(&c);
+            }
+            assert_eq!(
+                crc.finish(),
+                want,
+                "{} stream changed: got {:#010x}",
+                level.name(),
+                crc.finish()
+            );
         }
     }
 

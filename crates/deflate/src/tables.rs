@@ -28,36 +28,60 @@ pub const CLC_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
+/// Index of the last entry of `bases` that is `<= v` — the code whose range
+/// holds `v`. The tables below are built from it at compile time; tests
+/// check them against it over the whole domain.
+const fn scan(bases: &[u16], v: u32) -> u8 {
+    let mut idx = 0;
+    while idx + 1 < bases.len() && bases[idx + 1] as u32 <= v {
+        idx += 1;
+    }
+    idx as u8
+}
+
+/// Length code index of every match length, indexed by `len - 3`.
+const LEN_CODE: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = scan(&LEN_BASE, i as u32 + 3);
+        i += 1;
+    }
+    t
+};
+
+/// Distance code index, zlib's two-level table: `dist - 1` below 256 indexes
+/// the first half directly; above, codes span at least 128 distances, so
+/// `(dist - 1) >> 7` indexes the second half.
+const DIST_CODE: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = scan(&DIST_BASE, i as u32 + 1);
+        t[256 + i] = scan(&DIST_BASE, ((i as u32) << 7) + 1);
+        i += 1;
+    }
+    t
+};
+
 /// Map a match length (3..=258) to (length code index, extra bits value).
+#[inline]
 pub fn length_code(len: u16) -> (usize, u32) {
     debug_assert!((3..=258).contains(&len));
-    // Linear scan is fine (29 entries); called per token.
-    let mut idx = 0;
-    for (i, &b) in LEN_BASE.iter().enumerate() {
-        if len >= b {
-            idx = i;
-        } else {
-            break;
-        }
-    }
-    // Code 285 (index 28) encodes exactly 258.
-    if idx == 28 && len != 258 {
-        idx = 27;
-    }
+    let idx = LEN_CODE[(len - 3) as usize & 0xFF] as usize;
     (idx, (len - LEN_BASE[idx]) as u32)
 }
 
 /// Map a distance (1..=32768) to (distance code index, extra bits value).
+#[inline]
 pub fn dist_code(dist: u16) -> (usize, u32) {
     debug_assert!(dist >= 1);
-    let mut idx = 0;
-    for (i, &b) in DIST_BASE.iter().enumerate() {
-        if dist >= b {
-            idx = i;
-        } else {
-            break;
-        }
-    }
+    let d = (dist - 1) as usize;
+    let idx = if d < 256 {
+        DIST_CODE[d]
+    } else {
+        DIST_CODE[256 + (d >> 7)]
+    } as usize;
     (idx, (dist - DIST_BASE[idx]) as u32)
 }
 
@@ -99,6 +123,20 @@ mod tests {
         assert_eq!(dist_code(5), (4, 0));
         assert_eq!(dist_code(6), (4, 1));
         assert_eq!(dist_code(32768), (29, 8191));
+    }
+
+    #[test]
+    fn luts_agree_with_the_scan_over_the_whole_domain() {
+        for len in 3u16..=258 {
+            assert_eq!(length_code(len).0, scan(&LEN_BASE, len as u32) as usize);
+        }
+        for dist in 1u32..=32768 {
+            assert_eq!(
+                dist_code(dist as u16).0,
+                scan(&DIST_BASE, dist) as usize,
+                "dist {dist}"
+            );
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use ast::{
 pub use error::{LangError, Result};
 pub use parser::parse_program;
 pub use pretty::{print_program, structurally_equal};
-pub use resolve::{check_program, Resolved};
+pub use resolve::{check_program, resolve_program, Resolved};
 
 /// Parse MiniMPI source into an AST (no semantic checks).
 pub fn parse(src: &str) -> Result<Program> {

@@ -7,6 +7,21 @@
 //! never depends on message payloads — so tracing `P` processes is `P`
 //! independent runs; message *matching* happens later in `cypress-simmpi`.
 //!
+//! The instrumented program is the AST plus what the static side resolved
+//! before the first rank ran ([`StaticInfo`]): a frame slot for every
+//! binding and variable, a function index for every call, and the GID of
+//! every instrumentation site per call path. Nothing is looked up by name
+//! here. All live frames share one value stack (`locals`); a frame is the
+//! `frame_size` slots from `base`, a call pushes its arguments straight into
+//! the callee's first slots, and neither a block nor a loop iteration
+//! allocates. A name the resolver could not resolve (the program skipped
+//! `check_program`) has no slot, and fails when — and only if — the
+//! statement using it executes.
+//!
+//! **Step budget.** One `tick` is charged per executed statement, per loop
+//! iteration and per evaluated expression node; `InterpConfig::max_steps`
+//! bounds their sum.
+//!
 //! Request handles are mapped to the GID of their posting operation
 //! (paper §IV-A, Fig. 12): `wait`/`waitall` records carry the posting GIDs
 //! in `params.req_gids`, which lets decompression re-pair them.
@@ -17,7 +32,7 @@ use cypress_cst::StaticInfo;
 use cypress_minilang::ast::*;
 use cypress_obs::{Counter, Gauge};
 use cypress_trace::event::{Event, MpiOp, MpiParams, MpiRecord, ANY_SOURCE, NONE};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -112,11 +127,6 @@ impl Value {
     }
 }
 
-struct Frame {
-    scopes: Vec<HashMap<String, Value>>,
-    path: PathId,
-}
-
 /// One rank's interpreter.
 pub struct Interp<'a, S: EventSink> {
     prog: &'a Program,
@@ -125,12 +135,23 @@ pub struct Interp<'a, S: EventSink> {
     rank: i64,
     nprocs: i64,
     cfg: InterpConfig,
-    frames: Vec<Frame>,
+    /// The slots of every live frame, innermost last, then any call
+    /// arguments evaluated so far.
+    locals: Vec<Value>,
+    /// Where the current frame starts in `locals`.
+    base: usize,
+    /// Call path of the current frame.
+    path: PathId,
+    /// Live MiniMPI frames (`main` is 1).
+    depth: usize,
     clock: u64,
     steps: u64,
-    next_req: u64,
-    /// Live request id → GID of the posting operation.
-    req_gids: HashMap<u64, u32>,
+    /// Posting GIDs of the requests issued from id `first_req` on, `None`
+    /// once completed. The front is always live, so the window is as long
+    /// as the oldest outstanding request is old, not as the run is.
+    reqs: VecDeque<Option<u32>>,
+    first_req: u64,
+    live_reqs: usize,
     /// Recursion depth per pseudo-loop GID (for Exit-at-outermost).
     rec_depth: HashMap<u32, u32>,
     /// Monotone counter mixed into synthetic op durations.
@@ -153,11 +174,15 @@ impl<'a, S: EventSink> Interp<'a, S> {
             rank: rank as i64,
             nprocs: nprocs as i64,
             cfg,
-            frames: Vec::new(),
+            locals: Vec::new(),
+            base: 0,
+            path: ROOT_PATH,
+            depth: 0,
             clock: 0,
             steps: 0,
-            next_req: 1,
-            req_gids: HashMap::new(),
+            reqs: VecDeque::new(),
+            first_req: 1,
+            live_reqs: 0,
             rec_depth: HashMap::new(),
             op_seq: 0,
         }
@@ -167,18 +192,14 @@ impl<'a, S: EventSink> Interp<'a, S> {
     pub fn run(&mut self) -> RunResult<u64> {
         let main = self
             .prog
-            .main()
+            .func_index("main")
             .ok_or_else(|| RuntimeError("no main function".into()))?;
-        self.frames.push(Frame {
-            scopes: vec![HashMap::new()],
-            path: ROOT_PATH,
-        });
-        self.exec_block(&main.body)?;
-        self.frames.pop();
-        if !self.req_gids.is_empty() {
+        self.enter_frame(main, 0, ROOT_PATH);
+        self.exec_stmts(&self.prog.funcs[main].body.stmts)?;
+        if self.live_reqs != 0 {
             return Err(RuntimeError(format!(
                 "{} request(s) never completed (missing wait)",
-                self.req_gids.len()
+                self.live_reqs
             )));
         }
         Ok(self.clock)
@@ -195,51 +216,37 @@ impl<'a, S: EventSink> Interp<'a, S> {
         Ok(())
     }
 
-    fn frame(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("frame stack never empty")
+    /// Make the frame of function `fidx` current: its slots start at `base`
+    /// (where the caller left the arguments) on call path `path`.
+    fn enter_frame(&mut self, fidx: usize, base: usize, path: PathId) {
+        let size = self.info.resolved.frame_sizes.get(fidx).copied();
+        self.locals
+            .resize(base + size.unwrap_or(0) as usize, Value::Int(0));
+        self.base = base;
+        self.path = path;
+        self.depth += 1;
     }
 
-    fn path(&self) -> PathId {
-        self.frames.last().expect("frame stack never empty").path
+    /// The slot node `id` resolved to in the current frame; `None` for a
+    /// name that resolved to nothing.
+    fn slot(&mut self, id: NodeId) -> Option<&mut Value> {
+        let at = self
+            .base
+            .checked_add(self.info.resolved.slot(id) as usize)?;
+        self.locals.get_mut(at)
     }
 
-    fn lookup(&self, name: &str) -> RunResult<Value> {
-        let f = self.frames.last().expect("frame stack never empty");
-        for scope in f.scopes.iter().rev() {
-            if let Some(v) = scope.get(name) {
-                return Ok(*v);
-            }
-        }
-        Err(RuntimeError(format!("undefined variable `{name}`")))
+    /// Store `v` in the slot statement `id` binds (`let`, `for`) or assigns.
+    /// Only an assignment can lack one, unless `info` is of another program.
+    fn store(&mut self, id: NodeId, name: &str, v: Value) -> RunResult<()> {
+        let slot = self
+            .slot(id)
+            .ok_or_else(|| RuntimeError(format!("assignment to undefined `{name}`")))?;
+        *slot = v;
+        Ok(())
     }
 
-    fn assign(&mut self, name: &str, v: Value) -> RunResult<()> {
-        let f = self.frames.last_mut().expect("frame stack never empty");
-        for scope in f.scopes.iter_mut().rev() {
-            if let Some(slot) = scope.get_mut(name) {
-                *slot = v;
-                return Ok(());
-            }
-        }
-        Err(RuntimeError(format!("assignment to undefined `{name}`")))
-    }
-
-    fn declare(&mut self, name: &str, v: Value) {
-        self.frame()
-            .scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_owned(), v);
-    }
-
-    /// Execute a block; `Ok(Some(v))` signals a `return`.
-    fn exec_block(&mut self, b: &Block) -> RunResult<Option<Value>> {
-        self.frame().scopes.push(HashMap::new());
-        let r = self.exec_stmts(&b.stmts);
-        self.frame().scopes.pop();
-        r
-    }
-
+    /// Execute statements in order; `Ok(Some(v))` signals a `return`.
     fn exec_stmts(&mut self, stmts: &[Stmt]) -> RunResult<Option<Value>> {
         for s in stmts {
             if let Some(v) = self.exec_stmt(s)? {
@@ -252,14 +259,9 @@ impl<'a, S: EventSink> Interp<'a, S> {
     fn exec_stmt(&mut self, s: &Stmt) -> RunResult<Option<Value>> {
         self.tick()?;
         match &s.kind {
-            StmtKind::Let { name, init } => {
-                let v = self.eval(init)?;
-                self.declare(name, v);
-                Ok(None)
-            }
-            StmtKind::Assign { name, value } => {
+            StmtKind::Let { name, init: value } | StmtKind::Assign { name, value } => {
                 let v = self.eval(value)?;
-                self.assign(name, v)?;
+                self.store(s.id, name, v)?;
                 Ok(None)
             }
             StmtKind::Expr { expr } => {
@@ -279,18 +281,17 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 else_blk,
             } => {
                 let taken = self.eval(cond)?.as_bool()?;
-                let path = self.path();
                 let (blk, arm) = if taken {
                     (Some(then_blk), Arm::Then)
                 } else {
                     (else_blk.as_ref(), Arm::Else)
                 };
-                let gid = self.info.sitemap.branch_gid(path, s.id, arm);
+                let gid = self.info.sitemap.branch_gid(self.path, s.id, arm);
                 if let Some(g) = gid {
                     self.emit(Event::Enter { gid: g.0 });
                 }
                 let r = match blk {
-                    Some(b) => self.exec_block(b)?,
+                    Some(b) => self.exec_stmts(&b.stmts)?,
                     None => None,
                 };
                 if let Some(g) = gid {
@@ -314,7 +315,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 if step == 0 {
                     return Err(RuntimeError("`for` loop with step 0".into()));
                 }
-                let gid = self.info.sitemap.loop_gid(self.path(), s.id);
+                let gid = self.info.sitemap.loop_gid(self.path, s.id);
                 let mut i = start;
                 let mut ret = None;
                 while (step > 0 && i < end) || (step < 0 && i > end) {
@@ -322,15 +323,18 @@ impl<'a, S: EventSink> Interp<'a, S> {
                     if let Some(g) = gid {
                         self.emit(Event::Enter { gid: g.0 });
                     }
-                    self.frame().scopes.push(HashMap::new());
-                    self.declare(var, Value::Int(i));
-                    let r = self.exec_stmts(&body.stmts);
-                    self.frame().scopes.pop();
-                    if let Some(v) = r? {
+                    // The trip count follows `i`, not the slot: the body may
+                    // assign to the variable without changing it.
+                    self.store(s.id, var, Value::Int(i))?;
+                    if let Some(v) = self.exec_stmts(&body.stmts)? {
                         ret = Some(v);
                         break;
                     }
-                    i += step;
+                    // Past `i64`'s range is past `end`.
+                    match i.checked_add(step) {
+                        Some(next) => i = next,
+                        None => break,
+                    }
                 }
                 if let Some(g) = gid {
                     self.emit(Event::Exit { gid: g.0 });
@@ -338,14 +342,14 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 Ok(ret)
             }
             StmtKind::While { cond, body } => {
-                let gid = self.info.sitemap.loop_gid(self.path(), s.id);
+                let gid = self.info.sitemap.loop_gid(self.path, s.id);
                 let mut ret = None;
                 while self.eval(cond)?.as_bool()? {
                     self.tick()?;
                     if let Some(g) = gid {
                         self.emit(Event::Enter { gid: g.0 });
                     }
-                    if let Some(v) = self.exec_block(body)? {
+                    if let Some(v) = self.exec_stmts(&body.stmts)? {
                         ret = Some(v);
                         break;
                     }
@@ -363,7 +367,10 @@ impl<'a, S: EventSink> Interp<'a, S> {
         match &e.kind {
             ExprKind::Int(v) => Ok(Value::Int(*v)),
             ExprKind::Bool(v) => Ok(Value::Bool(*v)),
-            ExprKind::Var(n) => self.lookup(n),
+            ExprKind::Var(n) => match self.slot(e.id) {
+                Some(v) => Ok(*v),
+                None => Err(RuntimeError(format!("undefined variable `{n}`"))),
+            },
             ExprKind::Unary(op, inner) => {
                 let v = self.eval(inner)?;
                 match op {
@@ -376,7 +383,12 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 }
             }
             ExprKind::Binary(op, l, r) => self.eval_binary(*op, l, r),
-            ExprKind::Call(c) => self.eval_call(e, c),
+            ExprKind::Call(c) => match &c.callee {
+                Callee::User(name) => self.call_user(name, e.id, &c.args),
+                Callee::Builtin(Builtin::Waitall) => self.eval_waitall(e.id, &c.args),
+                Callee::Builtin(Builtin::Waitany) => self.eval_waitany(e.id, &c.args),
+                Callee::Builtin(b) => self.eval_builtin(e.id, *b, &c.args),
+            },
         }
     }
 
@@ -426,40 +438,40 @@ impl<'a, S: EventSink> Interp<'a, S> {
         }
     }
 
-    fn eval_call(&mut self, e: &Expr, c: &Call) -> RunResult<Value> {
-        match &c.callee {
-            Callee::User(name) => {
-                let args: Vec<Value> = c
-                    .args
-                    .iter()
-                    .map(|a| self.eval(a))
-                    .collect::<RunResult<_>>()?;
-                self.call_user(name, e.id, args)
-            }
-            Callee::Builtin(b) => self.eval_builtin(e, *b, c),
+    /// Evaluate `args` left to right onto the top of `locals`; returns where
+    /// the first one landed.
+    fn push_args(&mut self, args: &[Expr]) -> RunResult<usize> {
+        let first = self.locals.len();
+        for a in args {
+            let v = self.eval(a)?;
+            self.locals.push(v);
         }
+        Ok(first)
     }
 
-    fn call_user(&mut self, name: &str, call_expr: NodeId, args: Vec<Value>) -> RunResult<Value> {
-        let fidx = self
+    fn call_user(&mut self, name: &str, call_expr: NodeId, args: &[Expr]) -> RunResult<Value> {
+        // The arguments land where the callee's parameter slots will be.
+        let callee_base = self.push_args(args)?;
+        let fidx = self.info.resolved.callee(call_expr) as usize;
+        let func = self
             .prog
-            .func_index(name)
+            .funcs
+            .get(fidx)
             .ok_or_else(|| RuntimeError(format!("call to undefined `{name}`")))?;
-        let func = &self.prog.funcs[fidx];
         if func.params.len() != args.len() {
             return Err(RuntimeError(format!("arity mismatch calling `{name}`")));
         }
         // The interpreter recurses natively per MiniMPI frame (~a dozen
         // native frames each); the driver gives it a 64 MiB stack, which
         // comfortably fits this guard even in debug builds.
-        if self.frames.len() > 2_000 {
+        if self.depth > 2_000 {
             return Err(RuntimeError("call stack overflow".into()));
         }
 
-        let cur_path = self.path();
-        let action = self.info.sitemap.call_action(cur_path, call_expr);
+        let (caller_base, caller_path) = (self.base, self.path);
+        let action = self.info.sitemap.call_action(caller_path, call_expr);
         let (new_path, enter_pseudo, exit_pseudo) = match action {
-            None => (cur_path, None, None),
+            None => (caller_path, None, None),
             Some(CallAction::Inline { path }) => (path, None, None),
             Some(CallAction::EnterRecursive { pseudo, path }) => {
                 // Each invocation of a recursive function is one iteration of
@@ -475,16 +487,12 @@ impl<'a, S: EventSink> Interp<'a, S> {
             self.emit(Event::Enter { gid: g.0 });
         }
 
-        let mut scope = HashMap::new();
-        for (p, v) in func.params.iter().zip(args) {
-            scope.insert(p.clone(), v);
-        }
-        self.frames.push(Frame {
-            scopes: vec![scope],
-            path: new_path,
-        });
-        let ret = self.exec_block(&func.body);
-        self.frames.pop();
+        self.enter_frame(fidx, callee_base, new_path);
+        let ret = self.exec_stmts(&func.body.stmts);
+        self.depth -= 1;
+        self.locals.truncate(callee_base);
+        self.base = caller_base;
+        self.path = caller_path;
         let ret = ret?;
 
         if let Some(g) = enter_pseudo {
@@ -520,7 +528,12 @@ impl<'a, S: EventSink> Interp<'a, S> {
             x ^= x >> 29;
             x % (self.cfg.op_overhead_ns / 4 + 1)
         };
-        self.cfg.op_overhead_ns + (bytes.max(0) as u64 * self.cfg.ns_per_byte_x1000) / 1000 + jitter
+        // Sizes are the program's own numbers: saturate, never wrap.
+        let size_term = (bytes.max(0) as u64).saturating_mul(self.cfg.ns_per_byte_x1000) / 1000;
+        self.cfg
+            .op_overhead_ns
+            .saturating_add(size_term)
+            .saturating_add(jitter)
     }
 
     /// Single funnel for all sink events, so the interpreter can account for
@@ -532,16 +545,39 @@ impl<'a, S: EventSink> Interp<'a, S> {
         self.sink.event(ev);
     }
 
-    fn note_req_high_water(&self) {
+    /// Issue the next request id for an operation posted at `gid`.
+    fn post_request(&mut self, gid: u32) -> Value {
+        let req = self.first_req + self.reqs.len() as u64;
+        self.reqs.push_back(Some(gid));
+        self.live_reqs += 1;
         if cypress_obs::enabled() {
-            obs()
-                .req_table_high_water
-                .set_max(self.req_gids.len() as i64);
+            obs().req_table_high_water.set_max(self.live_reqs as i64);
         }
+        Value::Req(req)
+    }
+
+    /// Complete `req`: its posting GID, or `None` if it is not outstanding.
+    fn complete_request(&mut self, req: u64) -> Option<u32> {
+        let at = usize::try_from(req.checked_sub(self.first_req)?).ok()?;
+        let gid = self.reqs.get_mut(at)?.take()?;
+        self.live_reqs -= 1;
+        while let Some(None) = self.reqs.front() {
+            self.reqs.pop_front();
+            self.first_req += 1;
+        }
+        Some(gid)
+    }
+
+    /// GID of the MPI call site `call_expr` on the current path.
+    fn mpi_gid(&self, call_expr: NodeId) -> u32 {
+        self.info
+            .sitemap
+            .mpi_gid(self.path, call_expr)
+            .map_or(0, |g| g.0)
     }
 
     fn record(&mut self, gid: u32, op: MpiOp, params: MpiParams) {
-        let bytes = params.count.max(0) + params.rcount.max(0);
+        let bytes = params.count.max(0).saturating_add(params.rcount.max(0));
         let dur = self.op_duration(bytes);
         let rec = MpiRecord {
             gid,
@@ -550,31 +586,84 @@ impl<'a, S: EventSink> Interp<'a, S> {
             t_start: self.clock,
             dur,
         };
-        self.clock += dur;
+        self.clock = self.clock.saturating_add(dur);
         self.emit(Event::Mpi(rec));
     }
 
-    fn eval_builtin(&mut self, e: &Expr, b: Builtin, c: &Call) -> RunResult<Value> {
+    /// `waitall(r, ...)`: every argument evaluates before any completes.
+    fn eval_waitall(&mut self, call_expr: NodeId, args: &[Expr]) -> RunResult<Value> {
+        let first = self.push_args(args)?;
+        let mut gids = Vec::with_capacity(args.len());
+        for at in first..self.locals.len() {
+            let req = self.locals[at].as_req()?;
+            let post_gid = self
+                .complete_request(req)
+                .ok_or_else(|| RuntimeError("waitall on unknown/completed request".into()))?;
+            gids.push(post_gid);
+        }
+        self.locals.truncate(first);
+        let gid = self.mpi_gid(call_expr);
+        self.record(gid, MpiOp::Waitall, MpiParams::completion(gids));
+        Ok(Value::Int(0))
+    }
+
+    /// `waitany(r, ...)` — partial completion (§IV-A): exactly one of the
+    /// listed requests completes. Which one is non-deterministic in real
+    /// MPI; this runtime deterministically completes the first
+    /// still-outstanding request in argument order, and the trace records
+    /// the completed request's posting GID so replay can re-pair it.
+    fn eval_waitany(&mut self, call_expr: NodeId, args: &[Expr]) -> RunResult<Value> {
+        let first = self.push_args(args)?;
+        let mut completed = None;
+        for at in first..self.locals.len() {
+            let req = self.locals[at].as_req()?;
+            completed = self.complete_request(req);
+            if completed.is_some() {
+                break;
+            }
+        }
+        self.locals.truncate(first);
+        let post_gid =
+            completed.ok_or_else(|| RuntimeError("waitany with no outstanding request".into()))?;
+        let gid = self.mpi_gid(call_expr);
+        self.record(gid, MpiOp::Waitany, MpiParams::completion(vec![post_gid]));
+        Ok(Value::Int(0))
+    }
+
+    /// Every builtin of fixed arity.
+    fn eval_builtin(
+        &mut self,
+        call_expr: NodeId,
+        b: Builtin,
+        arg_exprs: &[Expr],
+    ) -> RunResult<Value> {
+        // Only a program that skipped the check gets the count wrong.
+        if arg_exprs.len() != b.signature().0.len() {
+            return Err(RuntimeError(format!(
+                "arity mismatch calling `{}`",
+                b.name()
+            )));
+        }
         // Evaluate arguments first (left to right), as the checker promises.
-        let mut args: Vec<Value> = Vec::with_capacity(c.args.len());
-        for a in &c.args {
-            args.push(self.eval(a)?);
+        let mut args = [Value::Int(0); 6];
+        for (v, a) in args.iter_mut().zip(arg_exprs) {
+            *v = self.eval(a)?;
         }
         let int = |i: usize| -> RunResult<i64> { args[i].as_int() };
-        let gid = self
-            .info
-            .sitemap
-            .mpi_gid(self.path(), e.id)
-            .map(|g| g.0)
-            .unwrap_or(0);
+        // `rank`, `size`, `any_source` and `compute` are not sites.
+        let gid = if b.is_mpi_op() {
+            self.mpi_gid(call_expr)
+        } else {
+            0
+        };
 
         match b {
-            Builtin::Rank => Ok(Value::Int(self.rank)),
-            Builtin::Size => Ok(Value::Int(self.nprocs)),
-            Builtin::AnySource => Ok(Value::Int(ANY_SOURCE)),
+            Builtin::Rank => return Ok(Value::Int(self.rank)),
+            Builtin::Size => return Ok(Value::Int(self.nprocs)),
+            Builtin::AnySource => return Ok(Value::Int(ANY_SOURCE)),
             Builtin::Compute => {
                 let units = int(0)?.max(0) as u64;
-                let base = units * self.cfg.ns_per_compute_unit;
+                let base = units.saturating_mul(self.cfg.ns_per_compute_unit);
                 // Real computation phases vary run to run (cache effects, OS
                 // noise); add a deterministic ±6% wobble so merged records
                 // carry non-trivial gap statistics (and trace-driven
@@ -583,111 +672,60 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 let mut x = (self.rank as u64 + 17).wrapping_mul(0x9e3779b97f4a7c15)
                     ^ self.op_seq.wrapping_mul(0xd6e8feb86659fd93);
                 x ^= x >> 32;
-                let wobble_pct = (x % 13) as i64 - 6; // -6..=6
-                let adj = (base as i128 * wobble_pct as i128 / 100) as i64;
-                self.clock = self.clock.saturating_add((base as i64 + adj).max(0) as u64);
-                Ok(Value::Int(0))
+                let wobble_pct = (x % 13) as i128 - 6; // -6..=6
+                let adj = base as i128 * wobble_pct / 100;
+                let cost = u64::try_from(base as i128 + adj).unwrap_or(u64::MAX);
+                self.clock = self.clock.saturating_add(cost);
             }
             Builtin::Send => {
                 let (dest, count, tag) = (int(0)?, int(1)?, int(2)?);
                 self.check_peer(dest, "send destination")?;
                 self.record(gid, MpiOp::Send, MpiParams::send(dest, count, tag));
-                Ok(Value::Int(0))
             }
             Builtin::Recv => {
                 let (src, count, tag) = (int(0)?, int(1)?, int(2)?);
                 self.check_src(src)?;
                 self.record(gid, MpiOp::Recv, MpiParams::recv(src, count, tag));
-                Ok(Value::Int(0))
             }
             Builtin::Isend => {
                 let (dest, count, tag) = (int(0)?, int(1)?, int(2)?);
                 self.check_peer(dest, "isend destination")?;
-                let req = self.next_req;
-                self.next_req += 1;
-                self.req_gids.insert(req, gid);
-                self.note_req_high_water();
+                let req = self.post_request(gid);
                 self.record(gid, MpiOp::Isend, MpiParams::send(dest, count, tag));
-                Ok(Value::Req(req))
+                return Ok(req);
             }
             Builtin::Irecv => {
                 let (src, count, tag) = (int(0)?, int(1)?, int(2)?);
                 self.check_src(src)?;
-                let req = self.next_req;
-                self.next_req += 1;
-                self.req_gids.insert(req, gid);
-                self.note_req_high_water();
+                let req = self.post_request(gid);
                 self.record(gid, MpiOp::Irecv, MpiParams::recv(src, count, tag));
-                Ok(Value::Req(req))
+                return Ok(req);
             }
             Builtin::Wait => {
                 let req = args[0].as_req()?;
                 let post_gid = self
-                    .req_gids
-                    .remove(&req)
+                    .complete_request(req)
                     .ok_or_else(|| RuntimeError("wait on unknown/completed request".into()))?;
                 self.record(gid, MpiOp::Wait, MpiParams::completion(vec![post_gid]));
-                Ok(Value::Int(0))
             }
-            Builtin::Waitall => {
-                let mut gids = Vec::with_capacity(args.len());
-                for a in &args {
-                    let req = a.as_req()?;
-                    let post_gid = self.req_gids.remove(&req).ok_or_else(|| {
-                        RuntimeError("waitall on unknown/completed request".into())
-                    })?;
-                    gids.push(post_gid);
-                }
-                self.record(gid, MpiOp::Waitall, MpiParams::completion(gids));
-                Ok(Value::Int(0))
-            }
-            Builtin::Waitany => {
-                // Partial completion (§IV-A): exactly one of the listed
-                // requests completes. Which one is non-deterministic in real
-                // MPI; this runtime deterministically completes the first
-                // still-outstanding request in argument order, and the trace
-                // records the completed request's posting GID so replay can
-                // re-pair it.
-                let mut completed = None;
-                for a in &args {
-                    let req = a.as_req()?;
-                    if let Some(post_gid) = self.req_gids.remove(&req) {
-                        completed = Some(post_gid);
-                        break;
-                    }
-                }
-                let post_gid = completed
-                    .ok_or_else(|| RuntimeError("waitany with no outstanding request".into()))?;
-                self.record(gid, MpiOp::Waitany, MpiParams::completion(vec![post_gid]));
-                Ok(Value::Int(0))
-            }
-            Builtin::Barrier => {
-                self.record(gid, MpiOp::Barrier, MpiParams::collective(0));
-                Ok(Value::Int(0))
-            }
+            Builtin::Waitall | Builtin::Waitany => unreachable!("variadic: dispatched in eval"),
+            Builtin::Barrier => self.record(gid, MpiOp::Barrier, MpiParams::collective(0)),
             Builtin::Bcast => {
                 let (root, count) = (int(0)?, int(1)?);
                 self.check_peer(root, "bcast root")?;
                 self.record(gid, MpiOp::Bcast, MpiParams::rooted(root, count));
-                Ok(Value::Int(0))
             }
             Builtin::Reduce => {
                 let (root, count) = (int(0)?, int(1)?);
                 self.check_peer(root, "reduce root")?;
                 self.record(gid, MpiOp::Reduce, MpiParams::rooted(root, count));
-                Ok(Value::Int(0))
             }
             Builtin::Allreduce => {
-                self.record(gid, MpiOp::Allreduce, MpiParams::collective(int(0)?));
-                Ok(Value::Int(0))
+                self.record(gid, MpiOp::Allreduce, MpiParams::collective(int(0)?))
             }
-            Builtin::Alltoall => {
-                self.record(gid, MpiOp::Alltoall, MpiParams::collective(int(0)?));
-                Ok(Value::Int(0))
-            }
+            Builtin::Alltoall => self.record(gid, MpiOp::Alltoall, MpiParams::collective(int(0)?)),
             Builtin::Allgather => {
-                self.record(gid, MpiOp::Allgather, MpiParams::collective(int(0)?));
-                Ok(Value::Int(0))
+                self.record(gid, MpiOp::Allgather, MpiParams::collective(int(0)?))
             }
             Builtin::Sendrecv => {
                 let (dest, count, tag) = (int(0)?, int(1)?, int(2)?);
@@ -699,9 +737,9 @@ impl<'a, S: EventSink> Interp<'a, S> {
                     MpiOp::Sendrecv,
                     MpiParams::sendrecv(dest, count, tag, src, rcount, rtag),
                 );
-                Ok(Value::Int(0))
             }
         }
+        Ok(Value::Int(0))
     }
 
     fn check_peer(&self, r: i64, what: &str) -> RunResult<()> {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, the full test suite, example builds, the
-# end-to-end benchmark's smoke run (benchmark/: every identity assertion at
-# small scale), query/store/analysis micro-bench smokes with schema
+# Repo gate: formatting, lints, structural "exactly one" counts, the full
+# test suite, example builds, the end-to-end benchmark's smoke run
+# (benchmark/: every identity assertion at small scale),
+# query/store/analysis micro-bench smokes with schema
 # validation and perf-regression gates, and CLI smokes including a
 # serve/submit loopback collection and a queryd analysis loopback.
 # Usage: scripts/check.sh
@@ -26,6 +27,25 @@ test "$(grep -rn 'fn expect_version' crates/*/src src | wc -l)" = 1
 ! grep -rn 'fn check_version' crates/*/src src || exit 1
 test "$(grep -rnF '"\\\""' crates/*/src src --include='*.rs' | grep -c '=>')" = 1
 ! grep -rn 'too_many_arguments' crates/net/src || exit 1
+
+echo "== compile-time resolution: no name-keyed scopes, no hashed site lookups, one scope walker =="
+# The interpreter indexes what minilang::resolve and cst::sitemap resolved.
+! grep -nE 'HashMap<String|name\.to_owned\(\)' crates/runtime/src/interp.rs || exit 1
+! grep -n 'HashMap<(PathId' crates/cst/src/sitemap.rs || exit 1
+# Exactly one function opens and closes a lexical scope: resolve.rs's `scoped`.
+test "$(grep -rnE 'bindings\.truncate\(|scopes\.(push|pop)\(' \
+  crates/minilang/src crates/cst/src crates/runtime/src | wc -l)" = 1
+grep -q 'bindings.truncate(mark)' crates/minilang/src/resolve.rs
+
+echo "== byte-identity suites present (cargo test below runs them) =="
+# interp_golden pins the event stream itself against committed hashes; the
+# others compare modes, transports and formats of one build with each other.
+for suite in interp_golden wire_golden streaming pipelined pipeline_roundtrip \
+             net_collect net_tree store_queryd query_equivalence; do
+  test -s "tests/$suite.rs" || { echo "missing byte-identity suite tests/$suite.rs"; exit 1; }
+done
+test "$(grep -c '^    ("' tests/interp_golden.rs)" -ge 14 \
+  || { echo "tests/interp_golden.rs lost committed hashes"; exit 1; }
 
 echo "== cargo test =="
 cargo test --workspace -q
