@@ -1,5 +1,4 @@
-//! # cypress-bench — measurement pipeline shared by the `figures` binary and
-//! the benches.
+//! # cypress-bench — measurement pipeline behind the `figures` binary.
 //!
 //! Every experiment of the paper's §VII maps to one function here; see
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
@@ -24,8 +23,6 @@ use cypress_simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress_trace::codec::Codec;
 use cypress_trace::raw::{encode_mpi_events, RawTrace};
 use cypress_workloads::{by_name, Scale, Workload};
-
-pub mod harness;
 
 /// Byte-size histogram bounds (1 KiB … 2 GiB) for memory-footprint metrics.
 pub const SIZE_BOUNDS: [u64; 8] = [

@@ -39,8 +39,6 @@ struct SessionMetrics {
     events: Counter,
     /// Size checkpoints taken.
     checkpoints: Counter,
-    /// Checkpoints that found the CTT above the soft budget.
-    budget_violations: Counter,
     /// High-water live CTT footprint over all sessions.
     peak_ctt_bytes: Gauge,
 }
@@ -54,7 +52,6 @@ fn obs() -> &'static SessionMetrics {
             finished: s.counter("finished"),
             events: s.counter("events"),
             checkpoints: s.counter("checkpoints"),
-            budget_violations: s.counter("budget_violations"),
             peak_ctt_bytes: s.gauge("peak_ctt_bytes"),
         }
     })
@@ -68,17 +65,12 @@ pub struct SessionConfig {
     /// the vertex data (O(vertices)), so it is periodic rather than
     /// per-event.
     pub checkpoint_every: u64,
-    /// Soft budget on the live CTT footprint; checkpoints above it count as
-    /// backpressure violations in [`SessionStats::budget_violations`].
-    /// `None` disables the check.
-    pub soft_budget_bytes: Option<usize>,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
             checkpoint_every: 4096,
-            soft_budget_bytes: None,
         }
     }
 }
@@ -96,24 +88,10 @@ pub struct SessionStats {
     pub raw_mpi_bytes: u64,
     /// Size checkpoints taken.
     pub checkpoints: u64,
-    /// Checkpoints that found the CTT above the soft budget.
-    pub budget_violations: u64,
     /// Largest live CTT footprint observed at any checkpoint (or finish).
     pub peak_ctt_bytes: usize,
     /// Live CTT footprint at finish.
     pub final_ctt_bytes: usize,
-}
-
-impl SessionStats {
-    /// Peak resident bytes per streamed event — the bounded-memory headline
-    /// (a raw tracer's resident set grows linearly; a session's stays flat).
-    pub fn peak_bytes_per_event(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.peak_ctt_bytes as f64 / self.events as f64
-        }
-    }
 }
 
 /// A per-rank online compression session. Feed events with
@@ -214,14 +192,6 @@ impl<'a> CompressSession<'a> {
         let bytes = self.inner.approx_bytes();
         self.stats.checkpoints += 1;
         self.stats.peak_ctt_bytes = self.stats.peak_ctt_bytes.max(bytes);
-        if let Some(budget) = self.cfg.soft_budget_bytes {
-            if bytes > budget {
-                self.stats.budget_violations += 1;
-                if cypress_obs::enabled() {
-                    obs().budget_violations.inc();
-                }
-            }
-        }
         if cypress_obs::enabled() {
             let m = obs();
             m.checkpoints.inc();
@@ -334,7 +304,6 @@ mod tests {
             CompressConfig::default(),
             SessionConfig {
                 checkpoint_every: 16,
-                soft_budget_bytes: None,
             },
         );
         let app_time =
@@ -350,27 +319,5 @@ mod tests {
             "CTT footprint should stay flat, got {}",
             stats.peak_ctt_bytes
         );
-    }
-
-    #[test]
-    fn soft_budget_counts_violations() {
-        let p = parse(RING).unwrap();
-        check_program(&p).unwrap();
-        let info = analyze_program(&p);
-        let mut s = CompressSession::new(
-            &info.cst,
-            0,
-            2,
-            CompressConfig::default(),
-            SessionConfig {
-                checkpoint_every: 8,
-                soft_budget_bytes: Some(1), // everything violates
-            },
-        );
-        let app_time =
-            run_rank_with_sink(&p, &info, 0, 2, &InterpConfig::default(), &mut s).unwrap();
-        let (_, stats) = s.finish(app_time);
-        assert_eq!(stats.budget_violations, stats.checkpoints);
-        assert!(stats.peak_bytes_per_event() > 0.0);
     }
 }

@@ -3,13 +3,11 @@
 //! ```text
 //! cypress cst <prog.mpi>                      print the communication structure tree
 //! cypress trace <prog.mpi> -n P -o DIR        write per-rank raw traces
-//! cypress compress <prog.mpi> -n P -o FILE    trace + compress + merge to FILE
-//!   --stream                                  compress online into a .cytc container
+//! cypress compress <prog.mpi> -n P -o FILE    compress online, merge, write a .cytc
 //!   --per-rank                                also store each rank's CTT section
 //!   --level fast|default|best                 DEFLATE container sections
 //!   --threads N                               parallel section encoding workers
-//! cypress decompress FILE [-r R]              replay rank R (default 0); containers
-//!   [--cst CST]                               are self-describing, legacy dumps need --cst
+//! cypress decompress FILE [-r R]              replay rank R (default 0) of a .cytc
 //! cypress inspect FILE [--json]               container header, sections, CRCs,
 //!                                             per-section sizes + compression ratio
 //!                                             (lazy view: raw sections are never
@@ -45,10 +43,9 @@
 
 use cypress::analysis::{AnalyzeOptions, DiffReport, JobSummary};
 use cypress::core::{
-    compress_trace, decompress, merge_all_parallel, CompressConfig, CompressSession, MergedCtt,
-    SessionConfig,
+    compress_trace, decompress, CompressConfig, CompressSession, MergedCtt, SessionConfig,
 };
-use cypress::cst::{analyze_program, Cst, StaticInfo};
+use cypress::cst::{analyze_program, StaticInfo};
 use cypress::deflate::Level as ZLevel;
 use cypress::minilang::{check_program, parse, Program};
 use cypress::net::{
@@ -62,8 +59,8 @@ use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
 use cypress::trace::codec::Codec;
 use cypress::trace::commmatrix::CommMatrix;
-use cypress::trace::raw::{raw_mpi_size, RawTrace};
-use cypress::trace::{is_container, ContainerView, SectionKind};
+use cypress::trace::raw::RawTrace;
+use cypress::trace::{ContainerView, SectionKind};
 use cypress::{read_container, write_collected_container_with, Error, Pipeline};
 use std::fs;
 use std::path::Path;
@@ -187,10 +184,10 @@ USAGE:
   cypress cst <prog.mpi>
   cypress trace <prog.mpi> -n <procs> -o <dir>
   cypress dump <prog.mpi> -n <procs> [-r <rank>]
-  cypress compress <prog.mpi> -n <procs> -o <file> [--stream] [--per-rank]
+  cypress compress <prog.mpi> -n <procs> -o <file> [--per-rank]
                [--level fast|default|best] [--threads <n>]
                [--pipelined [--ring-capacity <batches>]]
-  cypress decompress <file> [-r <rank>] [--cst <cst.txt>]
+  cypress decompress <file> [-r <rank>]
   cypress inspect <file> [--json]
   cypress query <file> [--hotspots <n>] [--strategy auto|symbolic|expand]
                [--window <start>:<end>] [--json]
@@ -210,10 +207,8 @@ USAGE:
                [--mode stream|ctt] [--attempts <n>] [--level <l>|none]
 
 OPTIONS:
-  --stream     compress online (streaming sessions) into a versioned
-               .cytc container instead of a bare merged dump
-  --per-rank   with --stream: add one CRC-framed CTT section per rank
-  --pipelined  with --stream: decouple trace generation from compression
+  --per-rank   compress/serve: add one CRC-framed CTT section per rank
+  --pipelined  compress: decouple trace generation from compression
                with one bounded SPSC ring per rank (byte-identical output)
   --ring-capacity  with --pipelined: ring capacity in batches (default 8)
   --level      compress/serve: DEFLATE container sections at this effort
@@ -230,7 +225,7 @@ OPTIONS:
                results/metrics.jsonl on exit
   --trace-out  record a structured timeline and write Chrome trace-event
                JSON (Perfetto / chrome://tracing) to this file on exit;
-               compress --stream also embeds a telemetry section
+               compress also embeds a telemetry section
   --profile    print a per-stage wall-time attribution table on exit
                (implies tracing; combine with --trace-out to keep the
                timeline too)
@@ -354,7 +349,6 @@ const TAKES_VALUE: &[&str] = &[
     "--max-bytes",
     "--level",
     "--threads",
-    "--cst",
     "--timeout",
     "--workers",
     "--stats-addr",
@@ -479,43 +473,10 @@ fn cmd_dump(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Every rank feeds a session online (the raw trace never materializes) and
+/// the result persists as a versioned container.
 fn cmd_compress(args: &[String]) -> CliResult {
     let out = flag(args, "-o").ok_or_else(|| Error::Invalid("missing -o <file>".into()))?;
-    if has_flag(args, "--stream") {
-        return cmd_compress_stream(args, &out);
-    }
-    if has_flag(args, "--pipelined") || flag(args, "--ring-capacity").is_some() {
-        return Err(Error::Invalid(
-            "--pipelined/--ring-capacity require --stream".into(),
-        ));
-    }
-    // Legacy batch path: bare merged-CTT dump + CST text sidecar.
-    let (_, info, traces) = run_traces(args)?;
-    let raw: usize = traces.iter().map(raw_mpi_size).sum();
-    let cfg = CompressConfig::default();
-    let ctts: Vec<_> = traces
-        .iter()
-        .map(|t| compress_trace(&info.cst, t, &cfg))
-        .collect();
-    let merged = merge_all_parallel(&ctts, 8);
-    let bytes = merged.to_bytes();
-    fs::write(&out, &bytes)?;
-    let cst_path = format!("{out}.cst");
-    fs::write(&cst_path, info.cst.to_text())?;
-    println!(
-        "raw {} B -> merged {} B (+{} B CST) — {:.1}x",
-        raw,
-        bytes.len(),
-        info.cst.to_text().len(),
-        raw as f64 / (bytes.len() + info.cst.to_text().len()) as f64
-    );
-    println!("wrote {out} and {cst_path}");
-    Ok(())
-}
-
-/// Streaming compression: every rank feeds a session online (the raw trace
-/// never materializes) and the result persists as a versioned container.
-fn cmd_compress_stream(args: &[String], out: &str) -> CliResult {
     let t0 = cypress::obs::trace_now_ns();
     let (_, src) = read_source(args)?;
     let n = nprocs_of(args)?;
@@ -553,8 +514,8 @@ fn cmd_compress_stream(args: &[String], out: &str) -> CliResult {
     } else {
         None
     };
-    job.write_container_with(out, has_flag(args, "--per-rank"), telemetry.as_ref())?;
-    let written = fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+    job.write_container_with(&out, has_flag(args, "--per-rank"), telemetry.as_ref())?;
+    let written = fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!("streamed {events} events across {n} ranks; peak resident CTT {peak} B/rank");
     println!(
         "wrote {out} ({written} B container: cst + merged{} )",
@@ -570,21 +531,7 @@ fn cmd_compress_stream(args: &[String], out: &str) -> CliResult {
 fn cmd_decompress(args: &[String]) -> CliResult {
     let file = file_arg(args, "compressed trace file")?;
     let rank = rank_of(args)?;
-    let bytes = fs::read(&file)?;
-    let ops = if is_container(&bytes) {
-        // Self-describing container: CST travels inside.
-        read_container(&file)?.decompress(rank)?
-    } else {
-        // Legacy bare merged dump: CST text comes from --cst.
-        let cst_path = flag(args, "--cst").ok_or_else(|| {
-            Error::Invalid("missing --cst <cst.txt> (not a container file)".into())
-        })?;
-        let merged = MergedCtt::from_bytes(&bytes)?;
-        let cst_text = fs::read_to_string(&cst_path)?;
-        let cst = Cst::from_text(&cst_text)?;
-        let ctt = merged.extract_rank(rank, &cst);
-        decompress(&cst, &ctt)
-    };
+    let ops = read_container(&file)?.decompress(rank)?;
     println!("# rank {rank}: {} operations", ops.len());
     for o in &ops {
         let p = &o.params;

@@ -10,10 +10,9 @@
 //! between the two paths is pinned by `tests/net_collect.rs`.
 
 use crate::error::Result;
-use crate::pipeline::{write_container_parallel, LoadedJob, MetaInfo};
+use crate::pipeline::{job_container, write_container_parallel, LoadedJob, MetaInfo};
 use cypress_deflate::Level;
 use cypress_net::CollectedJob;
-use cypress_trace::{Codec, Container, SectionKind};
 use std::path::Path;
 
 /// Persist a collected job as a versioned `.cytc` container with the same
@@ -38,23 +37,13 @@ pub fn write_collected_container_with(
     level: Option<Level>,
     threads: usize,
 ) -> Result<()> {
-    let mut c = Container::new(job.nprocs);
-    c.push(
-        SectionKind::Meta,
+    let c = job_container(
+        &MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes),
+        job.cst_text.clone(),
+        &job.merged,
+        if per_rank { &job.rank_ctts } else { &[] },
         None,
-        MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes).to_bytes(),
     );
-    c.push(
-        SectionKind::CstText,
-        None,
-        job.cst_text.clone().into_bytes(),
-    );
-    c.push(SectionKind::MergedCtt, None, job.merged.to_bytes());
-    if per_rank {
-        for ctt in &job.rank_ctts {
-            c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
-        }
-    }
     write_container_parallel(&c, path.as_ref(), level, threads)?;
     Ok(())
 }

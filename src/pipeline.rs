@@ -126,6 +126,30 @@ pub(crate) fn write_container_parallel(
     Container::write_image(path, &image)
 }
 
+/// The one `.cytc` section layout, for locally compressed and collected
+/// jobs alike: tool metadata, CST text, the merged CTT, one CRC-framed
+/// section per CTT in `rank_ctts` (empty = merged only), then the optional
+/// telemetry summary (see [`crate::telemetry`]).
+pub(crate) fn job_container(
+    meta: &MetaInfo,
+    cst_text: String,
+    merged: &MergedCtt,
+    rank_ctts: &[Ctt],
+    telemetry: Option<&crate::telemetry::TelemetrySummary>,
+) -> Container {
+    let mut c = Container::new(meta.nprocs);
+    c.push(SectionKind::Meta, None, meta.to_bytes());
+    c.push(SectionKind::CstText, None, cst_text.into_bytes());
+    c.push(SectionKind::MergedCtt, None, merged.to_bytes());
+    for ctt in rank_ctts {
+        c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
+    }
+    if let Some(t) = telemetry {
+        c.push(SectionKind::Telemetry, None, t.to_bytes());
+    }
+    c
+}
+
 /// How rank event streams reach their compressors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Ingest {
@@ -444,30 +468,13 @@ impl CompressedJob {
         telemetry: Option<&crate::telemetry::TelemetrySummary>,
     ) -> Result<()> {
         self.merge();
-        let mut c = Container::new(self.nprocs);
-        c.push(
-            SectionKind::Meta,
-            None,
-            MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()).to_bytes(),
+        let c = job_container(
+            &MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()),
+            self.info.cst.to_text(),
+            self.merged.as_ref().expect("merged above"),
+            if per_rank { &self.ctts } else { &[] },
+            telemetry,
         );
-        c.push(
-            SectionKind::CstText,
-            None,
-            self.info.cst.to_text().into_bytes(),
-        );
-        c.push(
-            SectionKind::MergedCtt,
-            None,
-            self.merged.as_ref().expect("merged above").to_bytes(),
-        );
-        if per_rank {
-            for ctt in &self.ctts {
-                c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
-            }
-        }
-        if let Some(t) = telemetry {
-            c.push(SectionKind::Telemetry, None, t.to_bytes());
-        }
         write_container_parallel(&c, path.as_ref(), self.level, self.threads)?;
         Ok(())
     }

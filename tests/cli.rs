@@ -53,12 +53,13 @@ fn cst_command_prints_tree() {
 fn compress_then_decompress_round_trip() {
     let dir = tmpdir("compress");
     let prog = write_program(&dir);
-    let merged = dir.join("ring.ctt");
+    // No --per-rank: rank 5 is extracted from the merged section.
+    let container = dir.join("ring.cytc");
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
         .args(["-n", "8", "-o"])
-        .arg(&merged)
+        .arg(&container)
         .output()
         .expect("run compress");
     assert!(
@@ -66,15 +67,14 @@ fn compress_then_decompress_round_trip() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(merged.exists());
-    let cst = dir.join("ring.ctt.cst");
-    assert!(cst.exists());
+    let header = fs::read(&container).expect("container");
+    assert_eq!(&header[..4], b"CYTC");
+    // The container is the only output: the CST travels inside it.
+    assert!(!dir.join("ring.cytc.cst").exists());
 
     let out = cypress()
         .arg("decompress")
-        .arg(&merged)
-        .arg("--cst")
-        .arg(&cst)
+        .arg(&container)
         .args(["-r", "5"])
         .output()
         .expect("run decompress");
@@ -87,6 +87,19 @@ fn compress_then_decompress_round_trip() {
     // 30 iterations × 3 ops + 1 allreduce = 91 operations for rank 5.
     assert!(stdout.contains("# rank 5: 91 operations"), "{stdout}");
     assert!(stdout.contains("MPI_Waitall"));
+
+    // Anything else is refused by name, whatever flags come with it.
+    let bare = dir.join("ring.ctt");
+    fs::write(&bare, b"\x08\x01not a container").unwrap();
+    let out = cypress()
+        .arg("decompress")
+        .arg(&bare)
+        .args(["-r", "5"])
+        .output()
+        .expect("run decompress on a non-container");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not a cypress container"), "{stderr}");
 }
 
 #[test]
@@ -97,10 +110,10 @@ fn stream_compress_inspect_decompress_round_trip() {
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
-        .args(["-n", "8", "--stream", "--per-rank", "-o"])
+        .args(["-n", "8", "--per-rank", "-o"])
         .arg(&container)
         .output()
-        .expect("run compress --stream");
+        .expect("run compress");
     assert!(
         out.status.success(),
         "{}",
@@ -109,10 +122,6 @@ fn stream_compress_inspect_decompress_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("streamed"), "{stdout}");
     assert!(stdout.contains("peak resident CTT"), "{stdout}");
-    // No CST sidecar: the container is self-describing.
-    assert!(!dir.join("ring.cytc.cst").exists());
-    let header = fs::read(&container).expect("container");
-    assert_eq!(&header[..4], b"CYTC");
 
     let out = cypress()
         .arg("inspect")
@@ -131,7 +140,7 @@ fn stream_compress_inspect_decompress_round_trip() {
     }
     assert!(stdout.contains("rank groups"), "{stdout}");
 
-    // Decompress straight from the container — no --cst needed.
+    // With --per-rank the replay reads rank 5's own section.
     let out = cypress()
         .arg("decompress")
         .arg(&container)
@@ -155,10 +164,10 @@ fn corrupt_container_is_rejected_cleanly() {
     let out = cypress()
         .args(["compress"])
         .arg(&prog)
-        .args(["-n", "4", "--stream", "-o"])
+        .args(["-n", "4", "-o"])
         .arg(&container)
         .output()
-        .expect("run compress --stream");
+        .expect("run compress");
     assert!(out.status.success());
     let mut bytes = fs::read(&container).unwrap();
     let mid = bytes.len() / 2;
@@ -217,7 +226,7 @@ fn dump_prints_events() {
 fn metrics_flag_emits_report_and_jsonl() {
     let dir = tmpdir("metrics");
     let prog = write_program(&dir);
-    let merged = dir.join("ring.ctt");
+    let merged = dir.join("ring.cytc");
     let out = cypress()
         .current_dir(&dir)
         .args(["--metrics", "compress"])
