@@ -1,34 +1,28 @@
 //! CTT → [`Schedule`] lowering: turn compressed loop structure into a
 //! compact simulation input without unrolling it.
 //!
-//! The walker mirrors `cypress_core::decompress` vertex for vertex — same
-//! visit counters, same reader consumption — but treats each top-level
-//! (root-child) non-pseudo loop as a candidate for *symbolic* lowering:
-//! instead of replaying `n` iterations it replays iteration 1 on cloned
-//! cursors, journals exactly which per-vertex data that iteration consumed,
-//! and then proves in O(segments) — via [`IntSeqReader::take_arith`] — that
-//! iterations `2..n` would consume *identical* data:
+//! Lowering drives one [`ReplayCursor`] per rank — the same walker
+//! `cypress_core::decompress` is — over the root's children, directly on
+//! whatever [`CttSource`] it was given (owned trees or the store's pooled
+//! slabs). Each top-level non-pseudo loop on whose trip count every rank
+//! agrees is a candidate for *symbolic* lowering: instead of replaying `n`
+//! iterations, [`ReplayCursor::replay_uniform`] replays iteration 1 and
+//! proves in O(|CST| + segments) that iterations `2..=n` would consume
+//! identical data (the proof lives beside the cursor, whose positions it
+//! compares; see its docs for the three conditions).
 //!
-//! * every inner loop draws the same constant trip count each iteration,
-//! * every branch repeats its iteration-1 taken/not-taken decision (its
-//!   stored taken-index sequence continues arithmetically, and no extra
-//!   takes hide in the remaining values),
-//! * every leaf keeps drawing from the same merged record, which has enough
-//!   occurrences left for all `n` iterations.
-//!
-//! When the proof succeeds the loop becomes [`Segment::Loop`] carrying one
-//! body and a trip count — the replayed op stream is *provably identical*
-//! to full decompression, so schedule-driven simulation stays exact. When
-//! any check fails the loop is unrolled concretely; when the CST contains
-//! recursion pseudo-loops (replay is multiset- not sequence-exact) the
-//! whole job falls back to full decompression, matching the query engine's
-//! partial-expansion rule.
+//! When the proof succeeds on every rank the loop becomes [`Segment::Loop`]
+//! carrying one body and a trip count — the replayed op stream is *provably
+//! identical* to full decompression, so schedule-driven simulation stays
+//! exact. When any rank's proof fails the loop is unrolled concretely; when
+//! the CST contains recursion pseudo-loops (replay is multiset- not
+//! sequence-exact) the whole job falls back to full decompression, matching
+//! the query engine's partial-expansion rule.
 
-use cypress_core::{decompress, Ctt, CttSource, IntSeqReader, VertexData};
+use cypress_core::{decompress_into, CttSource, ReplayCursor, ReplayOp};
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_query::needs_expansion;
 use cypress_simmpi::{Schedule, Segment, SimOp};
-use std::collections::HashMap;
 
 /// How lowering handled the job's structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,18 +39,21 @@ pub struct LoweringStats {
 /// Convert one replayed op into simulator input: the compressed gap
 /// statistic becomes the compute time, the op itself is costed by LogGP.
 /// This is exactly the conversion the decompress-then-simulate oracle uses.
-pub fn replay_to_simop(
-    gid: u32,
-    rec_op: cypress_trace::event::MpiOp,
-    params: cypress_trace::event::MpiParams,
-    mean_gap: u64,
-) -> SimOp {
+pub fn replay_to_simop(o: ReplayOp) -> SimOp {
     SimOp {
-        gid,
-        op: rec_op,
-        params,
-        pre_gap: mean_gap,
+        gid: o.gid,
+        op: o.op,
+        params: o.params,
+        pre_gap: o.mean_gap,
     }
+}
+
+/// One rank fully decompressed into simulator input — the flat form every
+/// lowered schedule must flatten to.
+pub(crate) fn flat_ops<S: CttSource>(cst: &Cst, source: &S) -> Vec<SimOp> {
+    let mut ops = Vec::new();
+    decompress_into(cst, source, |o| ops.push(replay_to_simop(o)));
+    ops
 }
 
 /// Lower a job's per-rank CTTs into a [`Schedule`].
@@ -72,357 +69,59 @@ pub fn lower_schedule<S: CttSource>(cst: &Cst, sources: &[S]) -> (Schedule, Lowe
         // Recursion: pseudo-loop replay redistributes leaf occurrences
         // across visits, so only the sequential decompressor is faithful.
         stats.flattened = true;
-        let ops = sources
-            .iter()
-            .map(|s| {
-                let ctt = s.as_ctt();
-                decompress(cst, &ctt)
-                    .into_iter()
-                    .map(|o| replay_to_simop(o.gid, o.op, o.params, o.mean_gap))
-                    .collect()
-            })
-            .collect();
-        return (
-            Schedule {
-                nprocs,
-                segments: vec![Segment::Straight(ops)],
-            },
-            stats,
-        );
+        let ops = sources.iter().map(|s| flat_ops(cst, s)).collect();
+        let segments = vec![Segment::Straight(ops)];
+        return (Schedule { nprocs, segments }, stats);
     }
 
-    let owned: Vec<_> = sources.iter().map(|s| s.as_ctt()).collect();
-    let mut walkers: Vec<Walker<'_>> = owned.iter().map(|c| Walker::new(cst, c)).collect();
+    let mut cursors: Vec<_> = sources.iter().map(|s| ReplayCursor::new(cst, s)).collect();
     let mut segments = Vec::new();
     // Ops accumulated for the pending Straight segment, per rank.
-    let mut pending: Vec<Vec<SimOp>> = vec![Vec::new(); nprocs as usize];
-
-    let root_children = cst.vertex(0).children.clone();
-    for c in root_children {
-        let symbolic_trips = match &cst.vertex(c).kind {
-            VertexKind::Loop { pseudo: false, .. } => uniform_trips(&walkers, c),
-            _ => None,
-        };
-        if let Some(n) = symbolic_trips {
-            let attempts: Vec<_> = walkers.iter().map(|w| w.try_symbolic(c, n)).collect();
-            if attempts.iter().all(Option::is_some) {
-                if pending.iter().any(|p| !p.is_empty()) {
-                    segments.push(Segment::Straight(std::mem::replace(
-                        &mut pending,
-                        vec![Vec::new(); nprocs as usize],
-                    )));
-                }
-                let mut body = Vec::with_capacity(nprocs as usize);
-                for (w, a) in walkers.iter_mut().zip(attempts) {
-                    let (ops, advanced) = a.unwrap();
-                    *w = advanced;
-                    body.push(ops);
-                }
-                segments.push(Segment::Loop { trips: n, body });
+    let mut pending = vec![Vec::new(); sources.len()];
+    let flush = |pending: &mut Vec<Vec<SimOp>>, segments: &mut Vec<Segment>| {
+        if pending.iter().any(|p| !p.is_empty()) {
+            let fresh = vec![Vec::new(); pending.len()];
+            segments.push(Segment::Straight(std::mem::replace(pending, fresh)));
+        }
+    };
+    for &c in &cst.vertex(0).children {
+        if let Some(trips) = uniform_trips(cst, &cursors, c) {
+            let mut body = vec![Vec::new(); sources.len()];
+            let advanced: Option<Vec<_>> = (cursors.iter().zip(&mut body))
+                .map(|(cur, ops)| cur.replay_uniform(c, &mut |o| ops.push(replay_to_simop(o))))
+                .collect();
+            if let Some(advanced) = advanced {
+                cursors = advanced;
+                flush(&mut pending, &mut segments);
+                segments.push(Segment::Loop { trips, body });
                 stats.symbolic_loops += 1;
                 continue;
             }
             stats.unrolled_loops += 1;
         }
-        for (w, p) in walkers.iter_mut().zip(pending.iter_mut()) {
-            w.visit(c, p);
+        for (cur, ops) in cursors.iter_mut().zip(&mut pending) {
+            cur.replay(c, &mut |o| ops.push(replay_to_simop(o)));
         }
     }
-    if pending.iter().any(|p| !p.is_empty()) {
-        segments.push(Segment::Straight(pending));
-    }
+    flush(&mut pending, &mut segments);
     (Schedule { nprocs, segments }, stats)
 }
 
-/// The trip count of top-level loop `c` if every rank stores the same
-/// positive value (≥ 2 — smaller loops gain nothing from a symbolic body).
-fn uniform_trips(walkers: &[Walker<'_>], c: usize) -> Option<u64> {
-    let mut n = None;
-    for w in walkers {
-        let t = w.loops[c]
-            .as_ref()
-            .and_then(|r| r.clone().peek())
-            .unwrap_or(0);
-        if t < 2 {
-            return None;
-        }
-        match n {
-            None => n = Some(t as u64),
-            Some(prev) if prev != t as u64 => return None,
-            _ => {}
-        }
+/// The trip count of root child `c` if it is a real (non-pseudo) loop for
+/// which every rank stores the same value ≥ 2 — smaller loops gain nothing
+/// from a symbolic body.
+fn uniform_trips(cst: &Cst, cursors: &[ReplayCursor<'_>], c: usize) -> Option<u64> {
+    if !matches!(cst.vertex(c).kind, VertexKind::Loop { pseudo: false, .. }) {
+        return None;
     }
-    n
-}
-
-/// What one trial iteration consumed, per vertex.
-#[derive(Default)]
-struct Journal {
-    /// Loop GID → trip-count values consumed, in visit order.
-    loops: HashMap<usize, Vec<i64>>,
-    /// Branch GID → (parent visit index, taken) per visit, in order.
-    branches: HashMap<usize, Vec<(i64, bool)>>,
-    /// Leaf GID → (record index drawn from, uses, spans-records-or-exhausted).
-    leaves: HashMap<usize, (usize, u64, bool)>,
-    /// Vertex GID → visit-counter increment during the iteration.
-    visit_delta: HashMap<usize, u64>,
-}
-
-#[derive(Clone)]
-struct Walker<'a> {
-    cst: &'a Cst,
-    ctt: &'a Ctt,
-    rank: i64,
-    loops: Vec<Option<IntSeqReader<'a>>>,
-    branches: Vec<Option<IntSeqReader<'a>>>,
-    /// Leaf cursor per vertex: (record index, occurrences used).
-    leaves: Vec<(usize, u64)>,
-    visits: Vec<u64>,
-}
-
-impl<'a> Walker<'a> {
-    fn new(cst: &'a Cst, ctt: &'a Ctt) -> Walker<'a> {
-        assert_eq!(cst.len(), ctt.data.len(), "CTT shape must match CST");
-        Walker {
-            cst,
-            ctt,
-            rank: ctt.rank as i64,
-            loops: ctt
-                .data
-                .iter()
-                .map(|vd| match vd {
-                    VertexData::Loop { counts } => Some(counts.reader()),
-                    _ => None,
-                })
-                .collect(),
-            branches: ctt
-                .data
-                .iter()
-                .map(|vd| match vd {
-                    VertexData::Branch { taken } => Some(taken.reader()),
-                    _ => None,
-                })
-                .collect(),
-            leaves: vec![(0, 0); cst.len()],
-            visits: {
-                let mut v = vec![0u64; cst.len()];
-                v[0] = 1;
-                v
-            },
-        }
-    }
-
-    /// Concrete walk of vertex `v`, mirroring `decompress` exactly.
-    fn visit(&mut self, v: usize, out: &mut Vec<SimOp>) {
-        self.visit_inner(v, out, None);
-    }
-
-    fn visit_children(
-        &mut self,
-        v: usize,
-        out: &mut Vec<SimOp>,
-        journal: &mut Option<&mut Journal>,
-    ) {
-        let children = self.cst.vertex(v).children.clone();
-        for c in children {
-            self.visit_inner(c, out, journal.as_deref_mut());
-        }
-    }
-
-    fn visit_inner(&mut self, v: usize, out: &mut Vec<SimOp>, journal: Option<&mut Journal>) {
-        let mut journal = journal;
-        match &self.cst.vertex(v).kind {
-            VertexKind::Root | VertexKind::UserCall { .. } => {
-                unreachable!("root/user-call vertices are never visited as children")
-            }
-            VertexKind::Loop { .. } => {
-                let raw = self.loops[v].as_mut().and_then(|r| r.next());
-                if let Some(j) = journal.as_deref_mut() {
-                    j.loops.entry(v).or_default().push(raw.unwrap_or(0));
-                }
-                let n = raw.unwrap_or(0).max(0) as u64;
-                for _ in 0..n {
-                    self.bump_visit(v, &mut journal);
-                    self.visit_children(v, out, &mut journal);
-                }
-            }
-            VertexKind::Branch { .. } => {
-                let parent = self.cst.vertex(v).parent.expect("branches have parents");
-                let parent_idx = self.visits[parent].saturating_sub(1) as i64;
-                let taken = self.branches[v]
-                    .as_mut()
-                    .map(|r| {
-                        if r.peek() == Some(parent_idx) {
-                            r.next();
-                            true
-                        } else {
-                            false
-                        }
-                    })
-                    .unwrap_or(false);
-                if let Some(j) = journal.as_deref_mut() {
-                    j.branches.entry(v).or_default().push((parent_idx, taken));
-                }
-                if taken {
-                    self.bump_visit(v, &mut journal);
-                    self.visit_children(v, out, &mut journal);
-                }
-            }
-            VertexKind::Mpi { .. } => {
-                let VertexData::Leaf { records } = &self.ctt.data[v] else {
-                    return;
-                };
-                let (rec, used) = &mut self.leaves[v];
-                while *rec < records.len() && *used >= records[*rec].count {
-                    *rec += 1;
-                    *used = 0;
-                }
-                if *rec >= records.len() {
-                    // Exhausted stream (recursion approximation); a symbolic
-                    // trial must refuse — concrete decompression emits
-                    // nothing here and later iterations could differ.
-                    if let Some(j) = journal {
-                        j.leaves.entry(v).or_insert((*rec, 0, true)).2 = true;
-                    }
-                    return;
-                }
-                let r = &records[*rec];
-                *used += 1;
-                if let Some(j) = journal {
-                    let e = j.leaves.entry(v).or_insert((*rec, 0, false));
-                    if e.0 != *rec {
-                        e.2 = true;
-                    }
-                    e.1 += 1;
-                }
-                out.push(replay_to_simop(
-                    v as u32,
-                    r.params.op,
-                    r.params.decode(self.rank),
-                    r.gap.mean().round() as u64,
-                ));
-            }
-        }
-    }
-
-    fn bump_visit(&mut self, v: usize, journal: &mut Option<&mut Journal>) {
-        self.visits[v] += 1;
-        if let Some(j) = journal.as_deref_mut() {
-            *j.visit_delta.entry(v).or_insert(0) += 1;
-        }
-    }
-
-    /// Attempt symbolic lowering of top-level loop `c` with `n` uniform
-    /// trips: replay iteration 1 on a clone, then prove iterations `2..n`
-    /// consume identical data and apply their consumption in bulk. Returns
-    /// the single-iteration body and the advanced walker, or `None` if any
-    /// uniformity check fails (caller falls back to concrete unrolling on
-    /// `self`, which is left untouched).
-    fn try_symbolic(&self, c: usize, n: u64) -> Option<(Vec<SimOp>, Walker<'a>)> {
-        let mut w = self.clone();
-        // Consume the loop's own (single) trip-count value.
-        let got = w.loops[c].as_mut().and_then(|r| r.next()).unwrap_or(0);
-        debug_assert_eq!(got.max(0) as u64, n);
-
-        // Trial-replay iteration 1, journaling per-vertex consumption.
-        let mut journal = Journal::default();
-        let mut ops = Vec::new();
-        w.visits[c] += 1;
-        *journal.visit_delta.entry(c).or_insert(0) += 1;
-        {
-            let mut j = Some(&mut journal);
-            w.visit_children(c, &mut ops, &mut j);
-        }
-
-        // Inner loops: every visit must have drawn one constant value, and
-        // the next (n-1)·k stored values must all equal it.
-        for (&v, vals) in &journal.loops {
-            let first = *vals.first()?;
-            if vals.iter().any(|&x| x != first) {
-                return None;
-            }
-            let k = vals.len() as u64;
-            match w.loops[v].as_mut() {
-                Some(r) => {
-                    if !r.take_arith((n - 1) * k, first, 0) {
-                        return None;
-                    }
-                }
-                // No stored counts: every draw is 0, trivially uniform.
-                None if first == 0 => {}
-                None => return None,
-            }
-        }
-
-        // Branches: the taken-index sequence must continue as the exact
-        // arithmetic image of iteration 1's decisions, with no extra takes
-        // left anywhere in this loop's index range.
-        for (&v, log) in &journal.branches {
-            let parent = self.cst.vertex(v).parent.expect("branches have parents");
-            let dp = *journal.visit_delta.get(&parent)? as i64;
-            let taken: Vec<i64> = log.iter().filter(|(_, t)| *t).map(|(q, _)| *q).collect();
-            let v_end = (w.visits[parent] as i64) + (n as i64 - 1) * dp;
-            if w.branches[v].is_none() {
-                // No stored taken indexes: never taken, trivially uniform.
-                debug_assert!(taken.is_empty());
-                continue;
-            }
-            if !taken.is_empty() {
-                let q1 = taken[0];
-                let qt = *taken.last().unwrap();
-                let stride = if taken.len() == 1 {
-                    dp
-                } else {
-                    let s = taken[1] - taken[0];
-                    if taken.windows(2).any(|p| p[1] - p[0] != s) || q1 + dp - qt != s {
-                        return None;
-                    }
-                    s
-                };
-                let m = (n - 1) * taken.len() as u64;
-                if !w.branches[v].as_mut()?.take_arith(m, q1 + dp, stride) {
-                    return None;
-                }
-            }
-            // Guard against decisions flipping in later iterations: any
-            // remaining taken index must lie beyond this loop entirely.
-            if let Some(next) = w.branches[v].as_mut()?.peek() {
-                if next < v_end {
-                    return None;
-                }
-            }
-        }
-
-        // Leaves: all iteration-1 uses came from one record, which must
-        // hold enough occurrences for every remaining iteration.
-        for (&v, &(rec, uses, bad)) in &journal.leaves {
-            if bad || uses == 0 {
-                return None;
-            }
-            let VertexData::Leaf { records } = &w.ctt.data[v] else {
-                return None;
-            };
-            let (cur_rec, cur_used) = &mut w.leaves[v];
-            debug_assert_eq!(*cur_rec, rec);
-            let need = (n - 1) * uses;
-            if records[rec].count - *cur_used < need {
-                return None;
-            }
-            *cur_used += need;
-        }
-
-        // Visit counters advance uniformly per iteration.
-        for (&v, &d) in &journal.visit_delta {
-            w.visits[v] += (n - 1) * d;
-        }
-        Some((ops, w))
-    }
+    let trips = cursors.first()?.peek_trips(c);
+    (trips >= 2 && cursors.iter().all(|cur| cur.peek_trips(c) == trips)).then_some(trips as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cypress_core::{compress_trace, CompressConfig};
+    use cypress_core::{compress_trace, CompressConfig, Ctt};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -442,10 +141,8 @@ mod tests {
     fn oracle_ops(cst: &Cst, ctts: &[Ctt]) -> Vec<Vec<SimOp>> {
         ctts.iter()
             .map(|c| {
-                decompress(cst, c)
-                    .into_iter()
-                    .map(|o| replay_to_simop(o.gid, o.op, o.params, o.mean_gap))
-                    .collect()
+                let ops = cypress_core::decompress(cst, c);
+                ops.into_iter().map(replay_to_simop).collect()
             })
             .collect()
     }

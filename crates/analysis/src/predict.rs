@@ -1,9 +1,9 @@
 //! Analysis evaluation: schedule-driven prediction, windowed replay, and
 //! the decompress-then-analyze oracle.
 
-use crate::lower::{lower_schedule, replay_to_simop};
+use crate::lower::{flat_ops, lower_schedule, replay_to_simop};
 use crate::{AnalysisError, AnalysisStats, AnalyzeOptions, AnalyzeReport};
-use cypress_core::{decompress, Ctt, CttSource};
+use cypress_core::{decompress_into, CttSource, ReplayClock};
 use cypress_cst::Cst;
 use cypress_obs::{Counter, Histogram};
 use cypress_query::Window;
@@ -70,27 +70,23 @@ fn validate<S: CttSource>(cst: &Cst, sources: &[S]) -> Result<u32, AnalysisError
     Ok(first)
 }
 
-/// Replay one rank restricted to a time window: ops are decompressed, the
-/// replay clock reconstructed exactly as `replay_to_records` does, and only
-/// ops starting within the window survive. Completion ops (`Wait*`) have
-/// severed request handles pruned so a window never leaves a wait on a
-/// request that was cut out of existence.
-pub fn windowed_ops(cst: &Cst, ctt: &Ctt, w: Window) -> Vec<SimOp> {
-    let mut t = 0u64;
+/// Replay one rank restricted to a time window: ops are decompressed and
+/// only those starting within the window on the [`ReplayClock`] survive.
+/// Completion ops (`Wait*`) have severed request handles pruned so a window
+/// never leaves a wait on a request that was cut out of existence.
+pub fn windowed_ops<S: CttSource>(cst: &Cst, source: &S, w: Window) -> Vec<SimOp> {
+    let mut clock = ReplayClock::default();
     let mut out = Vec::new();
     // Posted-vs-consumed occurrence counts per GID, restricted to kept ops;
     // the simulator resolves request GIDs in FIFO posting order, so pruning
     // by running count matches its matching rule.
     let mut posted = std::collections::HashMap::<u32, u64>::new();
     let mut consumed = std::collections::HashMap::<u32, u64>::new();
-    for o in decompress(cst, ctt) {
-        t += o.mean_gap;
-        let t_start = t;
-        t += o.mean_dur;
-        if !w.contains(t_start) {
-            continue;
+    decompress_into(cst, source, |o| {
+        if !w.contains(clock.start(&o)) {
+            return;
         }
-        let mut op = replay_to_simop(o.gid, o.op, o.params, o.mean_gap);
+        let mut op = replay_to_simop(o);
         match op.op {
             MpiOp::Isend | MpiOp::Irecv => {
                 *posted.entry(op.gid).or_insert(0) += 1;
@@ -107,13 +103,13 @@ pub fn windowed_ops(cst: &Cst, ctt: &Ctt, w: Window) -> Vec<SimOp> {
                     }
                 });
                 if op.params.req_gids.is_empty() {
-                    continue;
+                    return;
                 }
             }
             _ => {}
         }
         out.push(op);
-    }
+    });
     out
 }
 
@@ -133,10 +129,7 @@ pub fn analyze_ctts<S: CttSource>(
     let measured_app_ns = sources.iter().map(|s| s.app_time()).max().unwrap_or(0);
 
     let (predicted, waits, stats) = if let Some(w) = opts.window {
-        let ops: Vec<Vec<SimOp>> = sources
-            .iter()
-            .map(|s| windowed_ops(cst, &s.as_ctt(), w))
-            .collect();
+        let ops: Vec<Vec<SimOp>> = sources.iter().map(|s| windowed_ops(cst, s, w)).collect();
         let fed: u64 = ops.iter().map(|o| o.len() as u64).sum();
         let (predicted, waits) = simulate_traced(&ops, model)?;
         (
@@ -184,22 +177,19 @@ pub fn analyze_ctts<S: CttSource>(
 
 /// The reference oracle: fully decompress every rank, convert to simulator
 /// input (gap statistics as compute time), and run the flat simulation.
-pub fn analyze_by_decompression(
+pub fn analyze_by_decompression<S: CttSource>(
     cst: &Cst,
-    ctts: &[Ctt],
+    sources: &[S],
     model: &LogGp,
     opts: &AnalyzeOptions,
 ) -> Result<AnalyzeReport, AnalysisError> {
-    let nprocs = validate(cst, ctts)?;
-    let measured_app_ns = ctts.iter().map(|c| c.app_time).max().unwrap_or(0);
-    let ops: Vec<Vec<SimOp>> = ctts
+    let nprocs = validate(cst, sources)?;
+    let measured_app_ns = sources.iter().map(|s| s.app_time()).max().unwrap_or(0);
+    let ops: Vec<Vec<SimOp>> = sources
         .iter()
-        .map(|c| match opts.window {
-            Some(w) => windowed_ops(cst, c, w),
-            None => decompress(cst, c)
-                .into_iter()
-                .map(|o| replay_to_simop(o.gid, o.op, o.params, o.mean_gap))
-                .collect(),
+        .map(|s| match opts.window {
+            Some(w) => windowed_ops(cst, s, w),
+            None => flat_ops(cst, s),
         })
         .collect();
     let fed: u64 = ops.iter().map(|o| o.len() as u64).sum();
@@ -222,7 +212,7 @@ pub fn analyze_by_decompression(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cypress_core::{compress_trace, CompressConfig};
+    use cypress_core::{compress_trace, CompressConfig, Ctt};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};

@@ -7,7 +7,6 @@
 //! remote evaluation.
 
 use crate::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
-use cypress_cst::tree::VertexKind;
 use cypress_cst::Cst;
 use cypress_query::Window;
 use cypress_simmpi::{SimResult, WaitReport};
@@ -75,25 +74,6 @@ impl Codec for AnalyzeReport {
             stats: AnalysisStats::decode(dec)?,
         })
     }
-}
-
-/// Render the CST ancestor chain of `gid` the way hot spots do
-/// (`Loop#3 > BrT#5`), empty for a top-level call.
-fn render_path(cst: &Cst, gid: usize) -> String {
-    if gid >= cst.len() {
-        return String::new();
-    }
-    let mut chain = Vec::new();
-    let mut cur = cst.vertex(gid).parent;
-    while let Some(p) = cur {
-        let v = cst.vertex(p);
-        if !matches!(v.kind, VertexKind::Root) {
-            chain.push(format!("{}#{}", v.kind.tag(), p));
-        }
-        cur = v.parent;
-    }
-    chain.reverse();
-    chain.join(" > ")
 }
 
 impl AnalyzeReport {
@@ -186,7 +166,7 @@ impl AnalyzeReport {
         writeln!(out, "{:<6} {:>16} {:>10}  path", "gid", "wait_ns", "late").unwrap();
         for s in self.waits.sites.iter().take(limit) {
             let path = cst
-                .map(|c| render_path(c, s.gid as usize))
+                .map(|c| c.render_path(s.gid as usize))
                 .unwrap_or_default();
             writeln!(
                 out,

@@ -321,44 +321,22 @@ impl Codec for EncParams {
         enc.put_ivar(self.tag);
         enc.put_ivar(self.rtag);
         enc.put_ivar(self.comm);
-        enc.put_uvar(self.req_gids.len() as u64);
-        for &g in self.req_gids.iter() {
-            enc.put_uvar(g as u64);
-        }
+        enc.put_seq(self.req_gids.iter(), |enc, &g| enc.put_uvar(g as u64));
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         let code = dec.get_u8()?;
-        let op =
-            MpiOp::from_code(code).ok_or_else(|| DecodeError(format!("bad op code {code}")))?;
-        let dest = RankEnc::decode(dec)?;
-        let src = RankEnc::decode(dec)?;
-        let root = RankEnc::decode(dec)?;
-        let count = dec.get_ivar()?;
-        let rcount = dec.get_ivar()?;
-        let tag = dec.get_ivar()?;
-        let rtag = dec.get_ivar()?;
-        let comm = dec.get_ivar()?;
-        let n = dec.get_uvar()? as usize;
-        if n > 1 << 24 {
-            return Err(DecodeError(format!("absurd req_gids length {n}")));
-        }
-        let mut gids = Vec::with_capacity(n);
-        for _ in 0..n {
-            gids.push(dec.get_uvar()? as u32);
-        }
-        let req_gids = intern_gids(&gids);
         Ok(EncParams {
-            op,
-            dest,
-            src,
-            root,
-            count,
-            rcount,
-            tag,
-            rtag,
-            comm,
-            req_gids,
+            op: MpiOp::from_code(code).ok_or_else(|| DecodeError(format!("bad op code {code}")))?,
+            dest: RankEnc::decode(dec)?,
+            src: RankEnc::decode(dec)?,
+            root: RankEnc::decode(dec)?,
+            count: dec.get_ivar()?,
+            rcount: dec.get_ivar()?,
+            tag: dec.get_ivar()?,
+            rtag: dec.get_ivar()?,
+            comm: dec.get_ivar()?,
+            req_gids: intern_gids(&dec.get_seq("req_gids", |d| d.get_u32("request gid"))?),
         })
     }
 }
@@ -386,6 +364,23 @@ pub(crate) const VD_LOOP: u8 = 1;
 pub(crate) const VD_BRANCH: u8 = 2;
 pub(crate) const VD_LEAF: u8 = 3;
 
+pub(crate) fn bad_vertex_tag(t: u8) -> DecodeError {
+    DecodeError(format!("bad VertexData tag {t}"))
+}
+
+/// `(rank, nprocs, app_time)`: the fields ahead of a CTT's vertex list. The
+/// owned decoder below and the pooled one ([`CttSlab`](crate::slab::CttSlab))
+/// share this, the tag error, [`LeafRecord::decode`] and
+/// [`decode_segs_into`](crate::intseq::decode_segs_into); they differ only in
+/// where a vertex's segments and records land.
+pub(crate) fn decode_ctt_header(dec: &mut Decoder<'_>) -> DecodeResult<(u32, u32, u64)> {
+    Ok((
+        dec.get_u32("ctt rank")?,
+        dec.get_u32("ctt nprocs")?,
+        dec.get_uvar()?,
+    ))
+}
+
 impl Codec for VertexData {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -400,10 +395,7 @@ impl Codec for VertexData {
             }
             VertexData::Leaf { records } => {
                 enc.put_u8(VD_LEAF);
-                enc.put_uvar(records.len() as u64);
-                for r in records {
-                    r.encode(enc);
-                }
+                enc.put_seq(records, |enc, r| r.encode(enc));
             }
         }
     }
@@ -417,18 +409,10 @@ impl Codec for VertexData {
             VD_BRANCH => VertexData::Branch {
                 taken: IntSeq::decode(dec)?,
             },
-            VD_LEAF => {
-                let n = dec.get_uvar()? as usize;
-                if n > 1 << 26 {
-                    return Err(DecodeError(format!("absurd record count {n}")));
-                }
-                let mut records = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    records.push(LeafRecord::decode(dec)?);
-                }
-                VertexData::Leaf { records }
-            }
-            t => return Err(DecodeError(format!("bad VertexData tag {t}"))),
+            VD_LEAF => VertexData::Leaf {
+                records: dec.get_seq("leaf records", LeafRecord::decode)?,
+            },
+            t => return Err(bad_vertex_tag(t)),
         })
     }
 }
@@ -438,29 +422,16 @@ impl Codec for Ctt {
         enc.put_uvar(self.rank as u64);
         enc.put_uvar(self.nprocs as u64);
         enc.put_uvar(self.app_time);
-        enc.put_uvar(self.data.len() as u64);
-        for d in &self.data {
-            d.encode(enc);
-        }
+        enc.put_seq(&self.data, |enc, d| d.encode(enc));
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let rank = dec.get_uvar()? as u32;
-        let nprocs = dec.get_uvar()? as u32;
-        let app_time = dec.get_uvar()?;
-        let n = dec.get_uvar()? as usize;
-        if n > 1 << 26 {
-            return Err(DecodeError(format!("absurd vertex count {n}")));
-        }
-        let mut data = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            data.push(VertexData::decode(dec)?);
-        }
+        let (rank, nprocs, app_time) = decode_ctt_header(dec)?;
         Ok(Ctt {
             rank,
             nprocs,
             app_time,
-            data,
+            data: dec.get_seq("ctt vertices", VertexData::decode)?,
         })
     }
 }
@@ -526,6 +497,41 @@ mod tests {
         // Codec round trip preserves the list.
         let back = EncParams::from_bytes(&e.to_bytes()).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn req_gids_count_is_held_to_the_bytes_left_before_anything_is_reserved() {
+        let e = EncParams::encode(3, MpiOp::Waitall, &MpiParams::completion(vec![]));
+        let mut bytes = e.to_bytes();
+        // The trailing byte is the empty list's count; claim a million.
+        assert_eq!(bytes.pop(), Some(0));
+        let mut enc = Encoder::new();
+        enc.put_uvar(1_000_000);
+        bytes.extend(enc.finish());
+        let err = EncParams::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.0
+                .contains("req_gids claims 1000000 entries but only 0 bytes remain"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn header_fields_wider_than_32_bits_are_refused_by_both_decoders() {
+        for (rank, nprocs, field) in [((1u64 << 32) + 1, 4, "rank"), (1, (1 << 32) + 1, "nprocs")] {
+            let mut enc = Encoder::new();
+            enc.put_uvar(rank);
+            enc.put_uvar(nprocs);
+            enc.put_uvar(999); // app_time
+            enc.put_uvar(1); // one vertex
+            enc.put_u8(VD_ROOT);
+            let bytes = enc.finish();
+            let want = format!("ctt {field} 4294967297 does not fit in 32 bits");
+            let err = Ctt::from_bytes(&bytes).unwrap_err();
+            assert!(err.0.contains(&want), "{err}");
+            let err = crate::CttSlab::from_bytes(&bytes).unwrap_err();
+            assert!(err.0.contains(&want), "{err}");
+        }
     }
 
     #[test]

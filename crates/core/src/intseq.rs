@@ -178,7 +178,7 @@ impl IntSeq {
 /// `CttSlab` (where every sequence's segments live in one contiguous
 /// arena vector). `Copy`, so it passes by value; this is what
 /// [`CttFold`](crate::visit::CttFold) callbacks receive.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeqRef<'a> {
     segs: &'a [Seg],
     total: u64,
@@ -230,14 +230,6 @@ impl<'a> SeqRef<'a> {
             seg: 0,
             rep: 0,
             idx: 0,
-        }
-    }
-
-    /// Materialize an owning [`IntSeq`] with the same contents.
-    pub fn to_int_seq(&self) -> IntSeq {
-        IntSeq {
-            segs: self.segs.to_vec(),
-            total: self.total,
         }
     }
 }
@@ -369,13 +361,12 @@ impl IntSeqReader<'_> {
 
 impl Codec for IntSeq {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_uvar(self.segs.len() as u64);
-        for s in &self.segs {
+        enc.put_seq(&self.segs, |enc, s| {
             enc.put_ivar(s.start);
             enc.put_ivar(s.stride);
             enc.put_uvar(s.len as u64);
             enc.put_uvar(s.reps as u64);
-        }
+        });
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
@@ -389,28 +380,22 @@ impl Codec for IntSeq {
 /// instead of allocating a fresh vector — the primitive pooled (slab) CTT
 /// decoding is built on. Returns the logical length of the sequence.
 pub(crate) fn decode_segs_into(dec: &mut Decoder<'_>, out: &mut Vec<Seg>) -> DecodeResult<u64> {
-    let n = dec.get_uvar()? as usize;
-    if n > 1 << 28 {
-        return Err(DecodeError(format!("absurd segment count {n}")));
-    }
-    out.reserve(n.min(1 << 16));
     let mut total = 0u64;
-    for _ in 0..n {
-        let start = dec.get_ivar()?;
-        let stride = dec.get_ivar()?;
-        let len = dec.get_uvar()? as u32;
-        let reps = dec.get_uvar()? as u32;
-        if len == 0 || reps == 0 {
+    dec.get_seq_into("segments", out, |dec| {
+        let seg = Seg {
+            start: dec.get_ivar()?,
+            stride: dec.get_ivar()?,
+            len: dec.get_u32("segment len")?,
+            reps: dec.get_u32("segment reps")?,
+        };
+        if seg.len == 0 || seg.reps == 0 {
             return Err(DecodeError("zero-length segment".into()));
         }
-        total += len as u64 * reps as u64;
-        out.push(Seg {
-            start,
-            stride,
-            len,
-            reps,
-        });
-    }
+        total = total
+            .checked_add(seg.total())
+            .ok_or_else(|| DecodeError("sequence length overflows u64".into()))?;
+        Ok(seg)
+    })?;
     Ok(total)
 }
 
@@ -593,6 +578,38 @@ mod tests {
         enc.put_uvar(0); // len 0
         enc.put_uvar(1);
         assert!(IntSeq::from_bytes(&enc.finish()).is_err());
+    }
+
+    fn encode_segs(segs: &[(u64, u64)]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_uvar(segs.len() as u64);
+        for &(len, reps) in segs {
+            enc.put_ivar(7);
+            enc.put_ivar(0);
+            enc.put_uvar(len);
+            enc.put_uvar(reps);
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn codec_refuses_a_len_or_reps_wider_than_32_bits() {
+        let wide = (1u64 << 32) + 5;
+        for (seg, field) in [((wide, 1), "len"), ((1, wide), "reps")] {
+            let err = IntSeq::from_bytes(&encode_segs(&[seg])).unwrap_err();
+            let want = format!("segment {field} 4294967301 does not fit in 32 bits");
+            assert!(err.0.contains(&want), "{err}");
+        }
+    }
+
+    #[test]
+    fn codec_refuses_a_total_past_u64() {
+        let max = u32::MAX as u64;
+        // One such segment is (2³² − 1)² terms and fits; two do not.
+        let one = IntSeq::from_bytes(&encode_segs(&[(max, max)])).unwrap();
+        assert_eq!(one.len(), max * max);
+        let err = IntSeq::from_bytes(&encode_segs(&[(max, max), (max, max)])).unwrap_err();
+        assert!(err.0.contains("overflows u64"), "{err}");
     }
 
     fn random_vec(rng: &mut Rng, lo: i64, hi: i64, max_len: usize) -> Vec<i64> {

@@ -41,10 +41,12 @@ pub mod visit;
 
 pub use compress::{compress_trace, CompressConfig, IntraCompressor};
 pub use ctt::{intern_gids, Ctt, EncParams, LeafRecord, RankEnc, VertexData};
-pub use decompress::{decompress, decompress_into, replay_to_records, ReplayOp};
+pub use decompress::{
+    decompress, decompress_into, replay_to_records, ReplayClock, ReplayCursor, ReplayOp,
+};
 pub use intseq::{IntSeq, IntSeqReader, Seg, SeqRef};
 pub use merge::{merge_all, merge_all_parallel, BinomialMerger, MergedCtt, MergedVertex, RankSet};
 pub use session::{CompressSession, SessionConfig, SessionStats};
 pub use slab::CttSlab;
 pub use timestats::{TimeMode, TimeStats, HIST_BUCKETS};
-pub use visit::{fold_ctt, fold_merged, CttFold, CttSource, RankScope};
+pub use visit::{fold_merged, CttFold, CttSource, RankScope, VertexRef};

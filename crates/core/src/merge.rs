@@ -360,12 +360,10 @@ impl MergedCtt {
                 }
             })
             .collect();
-        let app_time = self
-            .app_times
-            .to_vec()
-            .get(rank as usize)
-            .copied()
-            .unwrap_or(0) as u64;
+        // O(segments): a failed skip leaves the reader exhausted.
+        let mut times = self.app_times.reader();
+        times.skip(rank as u64);
+        let app_time = times.next().unwrap_or(0) as u64;
         Ctt {
             rank,
             nprocs: self.nprocs,
@@ -698,85 +696,40 @@ impl Codec for MergedCtt {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_uvar(self.nprocs as u64);
         self.app_times.encode(enc);
-        enc.put_uvar(self.vertices.len() as u64);
-        for mv in &self.vertices {
-            match mv {
-                MergedVertex::Empty => enc.put_u8(MV_EMPTY),
-                MergedVertex::Control(groups) => {
-                    enc.put_u8(MV_CONTROL);
-                    enc.put_uvar(groups.len() as u64);
-                    for (rs, d) in groups {
-                        rs.encode(enc);
-                        d.encode(enc);
-                    }
-                }
-                MergedVertex::Leaf(slots) => {
-                    enc.put_u8(MV_LEAF);
-                    enc.put_uvar(slots.len() as u64);
-                    for slot in slots {
-                        enc.put_uvar(slot.len() as u64);
-                        for (rs, r) in slot {
-                            rs.encode(enc);
-                            r.encode(enc);
-                        }
-                    }
-                }
-            }
+        fn group<T: Codec>(enc: &mut Encoder, (rs, t): &(RankSet, T)) {
+            rs.encode(enc);
+            t.encode(enc);
         }
+        enc.put_seq(&self.vertices, |enc, mv| match mv {
+            MergedVertex::Empty => enc.put_u8(MV_EMPTY),
+            MergedVertex::Control(groups) => {
+                enc.put_u8(MV_CONTROL);
+                enc.put_seq(groups, group);
+            }
+            MergedVertex::Leaf(slots) => {
+                enc.put_u8(MV_LEAF);
+                enc.put_seq(slots, |enc, slot| enc.put_seq(slot, group));
+            }
+        });
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let nprocs = dec.get_uvar()? as u32;
-        let app_times = IntSeq::decode(dec)?;
-        let nv = dec.get_uvar()? as usize;
-        if nv > 1 << 26 {
-            return Err(DecodeError(format!("absurd vertex count {nv}")));
-        }
-        let mut vertices = Vec::with_capacity(nv.min(1 << 16));
-        for _ in 0..nv {
-            vertices.push(match dec.get_u8()? {
-                MV_EMPTY => MergedVertex::Empty,
-                MV_CONTROL => {
-                    let ng = dec.get_uvar()? as usize;
-                    if ng > 1 << 24 {
-                        return Err(DecodeError(format!("absurd group count {ng}")));
-                    }
-                    let mut groups = Vec::with_capacity(ng.min(1 << 12));
-                    for _ in 0..ng {
-                        let rs = RankSet::decode(dec)?;
-                        let d = VertexData::decode(dec)?;
-                        groups.push((rs, d));
-                    }
-                    MergedVertex::Control(groups)
-                }
-                MV_LEAF => {
-                    let ns = dec.get_uvar()? as usize;
-                    if ns > 1 << 24 {
-                        return Err(DecodeError(format!("absurd slot count {ns}")));
-                    }
-                    let mut slots = Vec::with_capacity(ns.min(1 << 12));
-                    for _ in 0..ns {
-                        let ng = dec.get_uvar()? as usize;
-                        if ng > 1 << 24 {
-                            return Err(DecodeError(format!("absurd group count {ng}")));
-                        }
-                        let mut groups = Vec::with_capacity(ng.min(1 << 12));
-                        for _ in 0..ng {
-                            let rs = RankSet::decode(dec)?;
-                            let r = LeafRecord::decode(dec)?;
-                            groups.push((rs, r));
-                        }
-                        slots.push(groups);
-                    }
-                    MergedVertex::Leaf(slots)
-                }
-                t => return Err(DecodeError(format!("bad MergedVertex tag {t}"))),
-            });
+        fn group<T: Codec>(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, T)> {
+            Ok((RankSet::decode(dec)?, T::decode(dec)?))
         }
         Ok(MergedCtt {
-            nprocs,
-            vertices,
-            app_times,
+            nprocs: dec.get_u32("merged ctt nprocs")?,
+            app_times: IntSeq::decode(dec)?,
+            vertices: dec.get_seq("merged vertices", |dec| {
+                Ok(match dec.get_u8()? {
+                    MV_EMPTY => MergedVertex::Empty,
+                    MV_CONTROL => MergedVertex::Control(dec.get_seq("control groups", group)?),
+                    MV_LEAF => MergedVertex::Leaf(
+                        dec.get_seq("leaf slots", |d| d.get_seq("slot groups", group))?,
+                    ),
+                    t => return Err(DecodeError(format!("bad MergedVertex tag {t}"))),
+                })
+            })?,
         })
     }
 }
@@ -836,6 +789,24 @@ mod tests {
         let s64 = merge_all(&ctts64).encoded_size();
         // Sub-linear: 4x the processes should cost well under 2x the bytes.
         assert!((s64 as f64) < (s16 as f64) * 2.0, "s16={s16} s64={s64}");
+    }
+
+    #[test]
+    fn extract_rank_reads_its_own_app_time_from_first_to_last_rank() {
+        // P = 1 (a one-value sequence) and P = 8 through the last rank.
+        for nprocs in [1, 8] {
+            let (info, ctts) = pipeline(JACOBI, nprocs);
+            let merged = merge_all(&ctts);
+            for ctt in &ctts {
+                let extracted = merged.extract_rank(ctt.rank, &info.cst);
+                assert_eq!(
+                    extracted.app_time, ctt.app_time,
+                    "P {nprocs} rank {}",
+                    ctt.rank
+                );
+            }
+            assert_eq!(merged.extract_rank(nprocs, &info.cst).app_time, 0);
+        }
     }
 
     #[test]

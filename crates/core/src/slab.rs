@@ -1,30 +1,30 @@
 //! Pooled ("slab") CTT decoding for the zero-copy trace store.
 //!
-//! [`Ctt`]'s owned representation allocates per vertex: every loop/branch
-//! sequence is its own `Vec<Seg>`, every leaf its own `Vec<LeafRecord>`.
-//! That is fine for a compressor building trees incrementally, but a query
-//! daemon that decodes thousands of rank CTTs per second wants the decoded
-//! form to be a handful of large allocations with good locality, not a
-//! fresh heap object per CST vertex.
+//! [`Ctt`](crate::Ctt)'s owned representation allocates per vertex: every
+//! loop/branch sequence is its own `Vec<Seg>`, every leaf its own
+//! `Vec<LeafRecord>`. That is fine for a compressor building trees
+//! incrementally, but a query daemon that decodes thousands of rank CTTs per
+//! second wants the decoded form to be a handful of large allocations with
+//! good locality, not a fresh heap object per CST vertex.
 //!
 //! [`CttSlab`] decodes the exact same wire format as `Ctt` into three flat
 //! pools — one vertex-table entry per GID, one shared segment vector, one
 //! shared record vector — with each vertex holding index ranges into the
-//! pools. Borrowed [`SeqRef`] views (and `&LeafRecord`s) are handed to
-//! [`CttFold`] callbacks in exactly the order [`fold_ctt`](crate::fold_ctt)
-//! would produce, so any fold-based analysis (the whole compressed-domain
-//! query engine) runs on a slab with byte-identical results. The
-//! partial-expansion fallback materializes an owned [`Ctt`] on demand via
-//! [`CttSource::as_ctt`].
+//! pools. [`CttSource::vertex`] hands out the same borrowed [`VertexRef`]s an
+//! owned tree does, so every reader of a CTT — the fold behind the query
+//! engine, the replay cursor behind decompression, lowering and windowed
+//! analysis — runs on a slab directly, with identical results and without
+//! ever building an owned copy.
 
-use crate::ctt::{Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT};
+use crate::ctt::{
+    bad_vertex_tag, decode_ctt_header, LeafRecord, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT,
+};
 use crate::intseq::{decode_segs_into, Seg, SeqRef};
-use crate::visit::{CttFold, CttSource, RankScope};
+use crate::visit::{CttSource, VertexRef};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder};
-use std::borrow::Cow;
 
 /// One vertex's slot: index ranges into the shared pools. Mirrors
-/// [`VertexData`] without owning any allocation.
+/// [`VertexData`](crate::VertexData) without owning any allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SlabVertex {
     Root,
@@ -34,8 +34,8 @@ enum SlabVertex {
 }
 
 /// One process's compressed trace, decoded into pooled storage. Same wire
-/// format as [`Ctt`]; see the module docs for why the in-memory shape
-/// differs.
+/// format as [`Ctt`](crate::Ctt); see the module docs for why the in-memory
+/// shape differs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CttSlab {
     pub rank: u32,
@@ -64,53 +64,39 @@ impl CttSlab {
         Ok(slab)
     }
 
-    /// Decode from a decoder position (same guards as `Ctt::decode`).
+    /// Decode from a decoder position: `Ctt::decode` with pooled landings.
     pub fn decode(dec: &mut Decoder<'_>) -> DecodeResult<CttSlab> {
-        let rank = dec.get_uvar()? as u32;
-        let nprocs = dec.get_uvar()? as u32;
-        let app_time = dec.get_uvar()?;
-        let n = dec.get_uvar()? as usize;
-        if n > 1 << 26 {
-            return Err(DecodeError(format!("absurd vertex count {n}")));
-        }
-        let mut slab = CttSlab {
-            rank,
-            nprocs,
-            app_time,
-            verts: Vec::with_capacity(n.min(1 << 16)),
-            segs: Vec::new(),
-            records: Vec::new(),
-        };
-        for _ in 0..n {
-            let v = match dec.get_u8()? {
+        let (rank, nprocs, app_time) = decode_ctt_header(dec)?;
+        let (mut verts, mut segs, mut records) = (Vec::new(), Vec::new(), Vec::new());
+        dec.get_seq_into("ctt vertices", &mut verts, |dec| {
+            Ok::<_, DecodeError>(match dec.get_u8()? {
                 VD_ROOT => SlabVertex::Root,
                 VD_LOOP => {
-                    let (segs, total) = decode_pooled_seq(dec, &mut slab.segs)?;
+                    let (segs, total) = decode_pooled_seq(dec, &mut segs)?;
                     SlabVertex::Loop { segs, total }
                 }
                 VD_BRANCH => {
-                    let (segs, total) = decode_pooled_seq(dec, &mut slab.segs)?;
+                    let (segs, total) = decode_pooled_seq(dec, &mut segs)?;
                     SlabVertex::Branch { segs, total }
                 }
                 VD_LEAF => {
-                    let k = dec.get_uvar()? as usize;
-                    if k > 1 << 26 {
-                        return Err(DecodeError(format!("absurd record count {k}")));
-                    }
-                    let lo = slab.records.len() as u32;
-                    slab.records.reserve(k.min(1 << 16));
-                    for _ in 0..k {
-                        slab.records.push(LeafRecord::decode(dec)?);
-                    }
+                    let lo = records.len() as u32;
+                    dec.get_seq_into("leaf records", &mut records, LeafRecord::decode)?;
                     SlabVertex::Leaf {
-                        records: (lo, slab.records.len() as u32),
+                        records: (lo, records.len() as u32),
                     }
                 }
-                t => return Err(DecodeError(format!("bad VertexData tag {t}"))),
-            };
-            slab.verts.push(v);
-        }
-        Ok(slab)
+                t => return Err(bad_vertex_tag(t)),
+            })
+        })?;
+        Ok(CttSlab {
+            rank,
+            nprocs,
+            app_time,
+            verts,
+            segs,
+            records,
+        })
     }
 
     fn seq(&self, range: (u32, u32), total: u64) -> SeqRef<'_> {
@@ -139,33 +125,6 @@ impl CttSlab {
             + self.segs.capacity() * std::mem::size_of::<Seg>()
             + self.records.iter().map(|r| r.approx_bytes()).sum::<usize>()
     }
-
-    /// Materialize the equivalent owned [`Ctt`] (used by the
-    /// partial-expansion query fallback, which replays through `decompress`).
-    pub fn to_ctt(&self) -> Ctt {
-        let data = self
-            .verts
-            .iter()
-            .map(|v| match *v {
-                SlabVertex::Root => VertexData::Root,
-                SlabVertex::Loop { segs, total } => VertexData::Loop {
-                    counts: self.seq(segs, total).to_int_seq(),
-                },
-                SlabVertex::Branch { segs, total } => VertexData::Branch {
-                    taken: self.seq(segs, total).to_int_seq(),
-                },
-                SlabVertex::Leaf { records } => VertexData::Leaf {
-                    records: self.records[records.0 as usize..records.1 as usize].to_vec(),
-                },
-            })
-            .collect();
-        Ctt {
-            rank: self.rank,
-            nprocs: self.nprocs,
-            app_time: self.app_time,
-            data,
-        }
-    }
 }
 
 fn decode_pooled_seq(
@@ -190,29 +149,15 @@ impl CttSource for CttSlab {
     fn vertex_count(&self) -> usize {
         self.verts.len()
     }
-    /// Same walk, same callback order, same borrowed data as
-    /// [`fold_ctt`](crate::fold_ctt) over the equivalent [`Ctt`].
-    fn fold<F: CttFold>(&self, f: &mut F) {
-        let scope = RankScope::One(self.rank);
-        for (gid, v) in self.verts.iter().enumerate() {
-            let gid = gid as u32;
-            match *v {
-                SlabVertex::Root => {}
-                SlabVertex::Loop { segs, total } => f.on_loop(gid, scope, self.seq(segs, total)),
-                SlabVertex::Branch { segs, total } => {
-                    f.on_branch(gid, scope, self.seq(segs, total))
-                }
-                SlabVertex::Leaf { records } => {
-                    let recs = &self.records[records.0 as usize..records.1 as usize];
-                    for (slot, rec) in recs.iter().enumerate() {
-                        f.on_record(gid, slot, scope, rec);
-                    }
-                }
+    fn vertex(&self, gid: usize) -> VertexRef<'_> {
+        match self.verts[gid] {
+            SlabVertex::Root => VertexRef::Root,
+            SlabVertex::Loop { segs, total } => VertexRef::Loop(self.seq(segs, total)),
+            SlabVertex::Branch { segs, total } => VertexRef::Branch(self.seq(segs, total)),
+            SlabVertex::Leaf { records } => {
+                VertexRef::Leaf(&self.records[records.0 as usize..records.1 as usize])
             }
         }
-    }
-    fn as_ctt(&self) -> Cow<'_, Ctt> {
-        Cow::Owned(self.to_ctt())
     }
 }
 
@@ -220,6 +165,7 @@ impl CttSource for CttSlab {
 mod tests {
     use super::*;
     use crate::compress::{compress_trace, CompressConfig};
+    use crate::Ctt;
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -243,39 +189,6 @@ mod tests {
             .collect()
     }
 
-    /// Records every callback so per-Ctt and per-slab walks can be diffed.
-    #[derive(Default, PartialEq, Debug)]
-    struct RecordingFold {
-        events: Vec<String>,
-    }
-
-    impl CttFold for RecordingFold {
-        fn on_loop(&mut self, gid: u32, ranks: RankScope, counts: SeqRef<'_>) {
-            self.events.push(format!(
-                "loop g{gid} r{:?} sum{} len{} segs{:?}",
-                ranks.iter().collect::<Vec<_>>(),
-                counts.sum(),
-                counts.len(),
-                counts.segments()
-            ));
-        }
-        fn on_branch(&mut self, gid: u32, ranks: RankScope, taken: SeqRef<'_>) {
-            self.events.push(format!(
-                "branch g{gid} r{:?} sum{} len{}",
-                ranks.iter().collect::<Vec<_>>(),
-                taken.sum(),
-                taken.len()
-            ));
-        }
-        fn on_record(&mut self, gid: u32, slot: usize, ranks: RankScope, rec: &LeafRecord) {
-            self.events.push(format!(
-                "rec g{gid} s{slot} r{:?} {:?}",
-                ranks.iter().collect::<Vec<_>>(),
-                rec
-            ));
-        }
-    }
-
     #[test]
     fn slab_decodes_ctt_wire_format_and_round_trips() {
         for ctt in sample_ctts(4) {
@@ -287,19 +200,11 @@ mod tests {
             assert_eq!(slab.vertex_count(), ctt.data.len());
             assert_eq!(slab.record_count(), ctt.record_count());
             assert_eq!(slab.op_count(), ctt.op_count());
-            assert_eq!(slab.to_ctt(), ctt, "to_ctt must reconstruct exactly");
-        }
-    }
-
-    #[test]
-    fn slab_fold_matches_ctt_fold_exactly() {
-        for ctt in sample_ctts(6) {
-            let slab = CttSlab::from_bytes(&ctt.to_bytes()).unwrap();
-            let mut on_ctt = RecordingFold::default();
-            crate::visit::fold_ctt(&ctt, &mut on_ctt);
-            let mut on_slab = RecordingFold::default();
-            slab.fold(&mut on_slab);
-            assert_eq!(on_ctt, on_slab, "rank {}", ctt.rank);
+            // The provided `fold` and the replay cursor read nothing but
+            // `vertex()`, so equal views are equal folds and equal replays.
+            for gid in 0..ctt.data.len() {
+                assert_eq!(slab.vertex(gid), ctt.vertex(gid), "vertex {gid}");
+            }
         }
     }
 

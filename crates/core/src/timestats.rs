@@ -268,15 +268,13 @@ impl Codec for TimeStats {
             }
             TAG_HIST => {
                 let n = dec.get_uvar()?;
-                let nz = dec.get_uvar()? as usize;
                 let mut buckets = vec![0u32; HIST_BUCKETS];
-                for _ in 0..nz {
-                    let i = dec.get_uvar()? as usize;
-                    let c = dec.get_uvar()? as u32;
-                    if i >= HIST_BUCKETS {
-                        return Err(DecodeError(format!("bucket index {i} out of range")));
-                    }
-                    buckets[i] = c;
+                let sparse = dec.get_seq("histogram buckets", |d| {
+                    Ok::<_, DecodeError>((d.get_uvar()?, d.get_u32("bucket count")?))
+                })?;
+                for (i, c) in sparse {
+                    let slot = usize::try_from(i).ok().and_then(|i| buckets.get_mut(i));
+                    *slot.ok_or_else(|| DecodeError(format!("bucket index {i} out of range")))? = c;
                 }
                 Ok(TimeStats::Histogram { n, buckets })
             }

@@ -1,14 +1,18 @@
-//! Structure-preserving traversal of compressed trace trees.
+//! Structure-preserving access to compressed trace trees.
 //!
-//! The compressed-domain query engine (`cypress-query`) and any other
-//! CTT-shaped analysis share one access pattern: walk every vertex's recorded
-//! data exactly once, knowing which ranks the data applies to. This module
-//! provides that walk as a fold so analyses run in O(|CTT|) — proportional to
-//! the number of stored segments/records, never the number of original
-//! events.
+//! There is one way to read a per-process CTT: [`CttSource::vertex`], a
+//! borrowed [`VertexRef`] of one vertex's recorded data, whether the tree is
+//! an owned [`Ctt`] or a pooled [`CttSlab`](crate::slab::CttSlab). Both
+//! readers in the workspace are built on it and nothing else:
 //!
-//! [`fold_ctt`] visits a single process's tree (every callback scoped to that
-//! one rank); [`fold_merged`] visits an inter-process [`MergedCtt`], handing
+//! - the *fold* ([`CttSource::fold`], a provided method): every vertex's data
+//!   exactly once, in GID order, into a [`CttFold`] — how the compressed-domain
+//!   query engine runs in O(|CTT|), proportional to the stored segments and
+//!   records and never to the original events;
+//! - the *replay cursor* ([`ReplayCursor`](crate::decompress::ReplayCursor)):
+//!   the paper's pre-order decompression walk.
+//!
+//! [`fold_merged`] is the fold over an inter-process [`MergedCtt`], handing
 //! each group's [`RankSet`] to the callback so per-rank quantities can be
 //! expanded symbolically (e.g. resolving `rank ± c` relative encodings per
 //! member rank) without materializing per-rank trees.
@@ -16,7 +20,6 @@
 use crate::ctt::{Ctt, LeafRecord, VertexData};
 use crate::intseq::SeqRef;
 use crate::merge::{MergedCtt, MergedVertex, RankSet};
-use std::borrow::Cow;
 
 /// The set of ranks a folded datum applies to: a single process's rank when
 /// folding a per-rank [`Ctt`], or a merged group's [`RankSet`].
@@ -64,41 +67,48 @@ pub trait CttFold {
     fn on_record(&mut self, gid: u32, slot: usize, ranks: RankScope, rec: &LeafRecord);
 }
 
-/// Fold one process's CTT. Every callback receives `RankScope::One(ctt.rank)`.
-pub fn fold_ctt<F: CttFold>(ctt: &Ctt, f: &mut F) {
-    let scope = RankScope::One(ctt.rank);
-    for (gid, vd) in ctt.data.iter().enumerate() {
-        let gid = gid as u32;
-        match vd {
-            VertexData::Root => {}
-            VertexData::Loop { counts } => f.on_loop(gid, scope, counts.view()),
-            VertexData::Branch { taken } => f.on_branch(gid, scope, taken.view()),
-            VertexData::Leaf { records } => {
-                for (slot, rec) in records.iter().enumerate() {
-                    f.on_record(gid, slot, scope, rec);
-                }
-            }
-        }
-    }
+/// One vertex's recorded data, borrowed from wherever the tree keeps it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum VertexRef<'a> {
+    Root,
+    /// Per-visit iteration counts.
+    Loop(SeqRef<'a>),
+    /// Parent-visit indices at which this arm was taken.
+    Branch(SeqRef<'a>),
+    /// Merged communication records, in first-occurrence order.
+    Leaf(&'a [LeafRecord]),
 }
 
-/// Anything a fold (and the query engine) can treat as one process's
-/// compressed trace tree: an owned [`Ctt`], or a pooled
-/// [`CttSlab`](crate::slab::CttSlab) whose vertices live in shared arena
-/// vectors. Keeping the engine generic over this trait is what lets the
-/// trace store query slab-decoded jobs through exactly the same fold code
-/// paths as owned CTTs — identical callback order, identical results.
+/// One process's compressed trace tree, however it is stored: an owned
+/// [`Ctt`], or a pooled [`CttSlab`](crate::slab::CttSlab) whose vertices live
+/// in shared arena vectors. Folds, replay, lowering and queries are generic
+/// over this trait, so the trace store answers from slab-decoded jobs through
+/// exactly the code paths owned CTTs take — no copy, identical results.
 pub trait CttSource {
     fn rank(&self) -> u32;
     fn nprocs(&self) -> u32;
     fn app_time(&self) -> u64;
     /// Number of CTT vertices (must mirror the CST shape).
     fn vertex_count(&self) -> usize;
-    /// Walk the tree, invoking `f` exactly as [`fold_ctt`] would.
-    fn fold<F: CttFold>(&self, f: &mut F);
-    /// An owned (or borrowed) [`Ctt`] with identical contents — the
-    /// partial-expansion fallback decompresses through this.
-    fn as_ctt(&self) -> Cow<'_, Ctt>;
+    /// The data recorded at vertex `gid` (`gid < vertex_count()`).
+    fn vertex(&self, gid: usize) -> VertexRef<'_>;
+
+    /// Hand every vertex's data to `f`, in GID order, scoped to this rank.
+    fn fold<F: CttFold>(&self, f: &mut F) {
+        let scope = RankScope::One(self.rank());
+        for gid in 0..self.vertex_count() {
+            match self.vertex(gid) {
+                VertexRef::Root => {}
+                VertexRef::Loop(counts) => f.on_loop(gid as u32, scope, counts),
+                VertexRef::Branch(taken) => f.on_branch(gid as u32, scope, taken),
+                VertexRef::Leaf(records) => {
+                    for (slot, rec) in records.iter().enumerate() {
+                        f.on_record(gid as u32, slot, scope, rec);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// A shared reference to a source is itself a source, so callers can build
@@ -116,11 +126,8 @@ impl<S: CttSource> CttSource for &S {
     fn vertex_count(&self) -> usize {
         (**self).vertex_count()
     }
-    fn fold<F: CttFold>(&self, f: &mut F) {
-        (**self).fold(f);
-    }
-    fn as_ctt(&self) -> Cow<'_, Ctt> {
-        (**self).as_ctt()
+    fn vertex(&self, gid: usize) -> VertexRef<'_> {
+        (**self).vertex(gid)
     }
 }
 
@@ -137,11 +144,13 @@ impl CttSource for Ctt {
     fn vertex_count(&self) -> usize {
         self.data.len()
     }
-    fn fold<F: CttFold>(&self, f: &mut F) {
-        fold_ctt(self, f);
-    }
-    fn as_ctt(&self) -> Cow<'_, Ctt> {
-        Cow::Borrowed(self)
+    fn vertex(&self, gid: usize) -> VertexRef<'_> {
+        match &self.data[gid] {
+            VertexData::Root => VertexRef::Root,
+            VertexData::Loop { counts } => VertexRef::Loop(counts.view()),
+            VertexData::Branch { taken } => VertexRef::Branch(taken.view()),
+            VertexData::Leaf { records } => VertexRef::Leaf(records),
+        }
     }
 }
 
@@ -230,7 +239,7 @@ mod tests {
             total_occurrences: 0,
         };
         for ctt in &ctts {
-            fold_ctt(ctt, &mut per_rank);
+            ctt.fold(&mut per_rank);
         }
         let merged = merge_all(&ctts);
         let mut m = CountFold {

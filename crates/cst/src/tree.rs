@@ -239,6 +239,23 @@ impl Cst {
         d
     }
 
+    /// Loop/branch provenance of vertex `gid`: its ancestor chain (root and
+    /// the vertex itself excluded) rendered as `Loop#3 > BrT#5`. Empty for a
+    /// top-level vertex and for a GID this tree does not have.
+    pub fn render_path(&self, gid: usize) -> String {
+        let mut chain = Vec::new();
+        let mut cur = self.vertices.get(gid).and_then(|v| v.parent);
+        while let Some(p) = cur {
+            let v = self.vertex(p);
+            if !matches!(v.kind, VertexKind::Root) {
+                chain.push(format!("{}#{}", v.kind.tag(), p));
+            }
+            cur = v.parent;
+        }
+        chain.reverse();
+        chain.join(" > ")
+    }
+
     /// Compact single-line rendering, e.g.
     /// `Root(Loop(BrT(Mpi:MPI_Send) BrE(Mpi:MPI_Recv)) Mpi:MPI_Reduce)`.
     pub fn to_compact_string(&self) -> String {

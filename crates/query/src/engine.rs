@@ -4,8 +4,8 @@
 use crate::accum::Accum;
 use crate::{QueryError, QueryOptions, QueryResult, Strategy, StrategyUsed, Window};
 use cypress_core::{
-    decompress, decompress_into, fold_ctt, fold_merged, replay_to_records, Ctt, CttFold, CttSource,
-    LeafRecord, MergedCtt, RankScope, SeqRef,
+    decompress, decompress_into, fold_merged, replay_to_records, CttFold, CttSource, LeafRecord,
+    MergedCtt, RankScope, ReplayClock, SeqRef,
 };
 use cypress_cst::tree::VertexKind;
 use cypress_cst::Cst;
@@ -172,8 +172,7 @@ pub fn query_ctts<S: CttSource>(
             let mut events = 0u64;
             for ctt in ctts {
                 let rank = ctt.rank();
-                let owned = ctt.as_ctt();
-                expand_into(cst, &owned, opts.window, |op| {
+                expand_into(cst, ctt, opts.window, |op| {
                     acc.add_replay(rank, op);
                     events += 1;
                 });
@@ -261,19 +260,16 @@ pub fn query_job<S: CttSource>(
 }
 
 /// Stream-decompress one rank into `sink`, optionally restricted to ops
-/// whose reconstructed start time (the `replay_to_records` clock: gap, then
-/// op) falls inside `window`.
-fn expand_into(
+/// whose start time on the [`ReplayClock`] falls inside `window`.
+fn expand_into<S: CttSource>(
     cst: &Cst,
-    ctt: &Ctt,
+    ctt: &S,
     window: Option<Window>,
     mut sink: impl FnMut(&cypress_core::ReplayOp),
 ) {
-    let mut t = 0u64;
+    let mut clock = ReplayClock::default();
     decompress_into(cst, ctt, |op| {
-        t += op.mean_gap;
-        let t_start = t;
-        t += op.mean_dur;
+        let t_start = clock.start(&op);
         if window.is_none_or(|w| w.contains(t_start)) {
             sink(&op);
         }
@@ -294,21 +290,24 @@ fn note_run(symbolic_records: u64, expanded_events: u64) {
 /// and profile go through the production iterator-based builders; per-rank
 /// totals and GID attribution are recomputed here from the replayed ops so
 /// the oracle's arithmetic is independent of [`Accum`].
-pub fn query_by_decompression(cst: &Cst, ctts: &[Ctt]) -> Result<QueryResult, QueryError> {
+pub fn query_by_decompression<S: CttSource>(
+    cst: &Cst,
+    ctts: &[S],
+) -> Result<QueryResult, QueryError> {
     query_by_decompression_windowed(cst, ctts, None)
 }
 
 /// The windowed reference oracle: decompress, reconstruct the replay clock,
 /// drop every op starting outside `window`, then run the classic analyses
 /// over what remains.
-pub fn query_by_decompression_windowed(
+pub fn query_by_decompression_windowed<S: CttSource>(
     cst: &Cst,
-    ctts: &[Ctt],
+    ctts: &[S],
     window: Option<Window>,
 ) -> Result<QueryResult, QueryError> {
     let nprocs = world_size(ctts)?;
     for c in ctts {
-        check_shape(cst, c.data.len())?;
+        check_shape(cst, c.vertex_count())?;
     }
     let mut matrix = CommMatrix::new(nprocs as usize);
     let mut profile = Profile::new(nprocs as usize);
@@ -317,8 +316,8 @@ pub fn query_by_decompression_windowed(
     let mut gid_bytes = vec![0u64; cst.len()];
     let mut trips = TripsFold { trips: 0 };
     for ctt in ctts {
-        fold_ctt(ctt, &mut trips);
-        let rank = ctt.rank as usize;
+        ctt.fold(&mut trips);
+        let rank = ctt.rank() as usize;
         let mut ops = decompress(cst, ctt);
         let mut records = replay_to_records(&ops);
         if let Some(w) = window {
@@ -328,8 +327,8 @@ pub fn query_by_decompression_windowed(
             let mut it = keep.iter();
             records.retain(|_| *it.next().unwrap());
         }
-        let mut raw = RawTrace::new(ctt.rank, nprocs);
-        raw.app_time = ctt.app_time;
+        let mut raw = RawTrace::new(ctt.rank(), nprocs);
+        raw.app_time = ctt.app_time();
         raw.events = records.into_iter().map(Event::Mpi).collect();
         matrix.add_rank_events(rank, raw.mpi_records());
         profile.set_app_time(rank, raw.app_time);
@@ -388,7 +387,7 @@ pub fn query_by_decompression_windowed(
 mod tests {
     use super::*;
     use crate::Strategy;
-    use cypress_core::{compress_trace, merge_all, CompressConfig};
+    use cypress_core::{compress_trace, merge_all, CompressConfig, Ctt};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};

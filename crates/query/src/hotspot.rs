@@ -41,24 +41,9 @@ impl HotSpot {
             op,
             calls,
             bytes,
-            path: render_path(cst, gid as usize),
+            path: cst.render_path(gid as usize),
         }
     }
-}
-
-/// Render the ancestor chain of `gid` (root and the leaf itself excluded).
-fn render_path(cst: &Cst, gid: usize) -> String {
-    let mut chain = Vec::new();
-    let mut cur = cst.vertex(gid).parent;
-    while let Some(p) = cur {
-        let v = cst.vertex(p);
-        if !matches!(v.kind, VertexKind::Root) {
-            chain.push(format!("{}#{}", v.kind.tag(), p));
-        }
-        cur = v.parent;
-    }
-    chain.reverse();
-    chain.join(" > ")
 }
 
 #[cfg(test)]

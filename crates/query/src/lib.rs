@@ -98,8 +98,8 @@ impl StrategyUsed {
 }
 
 /// A half-open time interval `[start_ns, end_ns)` over reconstructed replay
-/// timestamps (the clock `cypress_core::replay_to_records` rebuilds from
-/// the compressed gap/duration statistics). Windowed queries restrict which
+/// timestamps ([`cypress_core::ReplayClock`], rebuilt from the compressed
+/// gap/duration statistics). Windowed queries restrict which
 /// *operations* are aggregated — an op counts iff its start time falls in
 /// the window; whole-trace quantities that are not per-op (per-rank app
 /// time, total loop trips) are reported unrestricted.

@@ -8,11 +8,12 @@
 //! built from the primitives here plus three combinators that hold the
 //! checks every decoder of outside input needs, so they exist once:
 //!
-//! - [`Encoder::put_seq`] / [`Decoder::get_seq`] — a count-prefixed
-//!   sequence. The count is held to [`Decoder::remaining`] *before* anything
-//!   is allocated (every element costs at least one byte), and the
-//!   preallocation is capped, so a hostile count can neither reserve memory
-//!   nor run the element decoder once.
+//! - [`Encoder::put_seq`] / [`Decoder::get_seq`] (and
+//!   [`Decoder::get_seq_into`], which appends to a pooled vector) — a
+//!   count-prefixed sequence. The count is held to [`Decoder::remaining`]
+//!   *before* anything is allocated (every element costs at least one byte),
+//!   and the preallocation is capped, so a hostile count can neither reserve
+//!   memory nor run the element decoder once.
 //! - [`Decoder::get_u32`] / [`Decoder::get_u16`] — a varint that must fit
 //!   the field it is stored into; an error naming the field, never an `as`
 //!   truncation.
@@ -310,8 +311,31 @@ impl<'a> Decoder<'a> {
         &mut self,
         what: &str,
         cap: usize,
-        mut get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+        get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
+        let mut out = Vec::new();
+        self.seq_into(what, cap, &mut out, get)?;
+        Ok(out)
+    }
+
+    /// [`Decoder::get_seq`] appending to `out` instead of returning a fresh
+    /// vector: pooled decoders land many sequences in one allocation.
+    pub fn get_seq_into<T, E: From<DecodeError>>(
+        &mut self,
+        what: &str,
+        out: &mut Vec<T>,
+        get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+    ) -> Result<(), E> {
+        self.seq_into(what, usize::MAX, out, get)
+    }
+
+    fn seq_into<T, E: From<DecodeError>>(
+        &mut self,
+        what: &str,
+        cap: usize,
+        out: &mut Vec<T>,
+        mut get: impl FnMut(&mut Decoder<'a>) -> Result<T, E>,
+    ) -> Result<(), E> {
         let n = self.get_uvar()?;
         let n = self.check_count(n, what)?;
         if n > cap {
@@ -319,11 +343,11 @@ impl<'a> Decoder<'a> {
                 DecodeError(format!("{what} claims {n} entries, at most {cap} allowed")).into(),
             );
         }
-        let mut out = Vec::with_capacity(n.min(SEQ_PREALLOC));
+        out.reserve(n.min(SEQ_PREALLOC));
         for _ in 0..n {
             out.push(get(self)?);
         }
-        Ok(out)
+        Ok(())
     }
 }
 

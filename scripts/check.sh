@@ -28,6 +28,14 @@ test "$(grep -rn 'fn expect_version' crates/*/src src | wc -l)" = 1
 test "$(grep -rnF '"\\\""' crates/*/src src --include='*.rs' | grep -c '=>')" = 1
 ! grep -rn 'too_many_arguments' crates/net/src || exit 1
 
+echo "== one way to read a CTT: one walker, no owned copy of a slab, core on the codec's combinators =="
+# Replay is core's ReplayCursor over CttSource::vertex; nothing else walks a CTT by vertex kind.
+! grep -rn 'as_ctt' crates src || exit 1
+! grep -nE 'VertexKind::(Branch|Mpi|UserCall|Root)' crates/analysis/src/lower.rs \
+  crates/analysis/src/predict.rs crates/query/src/engine.rs || exit 1
+! grep -rnE 'absurd|get_uvar\(\)\? as (u32|usize|u16)' crates/core/src || exit 1
+test "$(grep -rn 'fn render_path' crates | wc -l)" = 1
+
 echo "== compile-time resolution: no name-keyed scopes, no hashed site lookups, one scope walker =="
 # The interpreter indexes what minilang::resolve and cst::sitemap resolved.
 ! grep -nE 'HashMap<String|name\.to_owned\(\)' crates/runtime/src/interp.rs || exit 1
@@ -50,7 +58,7 @@ echo "== byte-identity suites present (cargo test below runs them) =="
 # interp_golden pins the event stream itself against committed hashes; the
 # others compare modes, transports and formats of one build with each other.
 for suite in interp_golden wire_golden streaming pipelined pipeline_roundtrip \
-             net_collect net_tree store_queryd query_equivalence; do
+             net_collect net_tree store_queryd query_equivalence slab_replay; do
   test -s "tests/$suite.rs" || { echo "missing byte-identity suite tests/$suite.rs"; exit 1; }
 done
 test "$(grep -c '^    ("' tests/interp_golden.rs)" -ge 14 \

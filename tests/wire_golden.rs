@@ -29,7 +29,7 @@ impl Visitor for Golden {
 fn every_payload_encodes_to_its_pre_refactor_bytes() {
     let mut g = Golden(0);
     for_each_sample(&mut g);
-    assert_eq!(g.0, frames().len() + 11, "a sample went missing");
+    assert_eq!(g.0, frames().len() + 13, "a sample went missing");
 }
 
 #[test]

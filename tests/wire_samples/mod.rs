@@ -8,13 +8,16 @@
 //! and crc32 trailer around a body are derived from it, not stored.
 
 use cypress::analysis::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
+use cypress::core::{
+    merge_all, Ctt, EncParams, IntSeq, LeafRecord, MergedCtt, TimeMode, TimeStats, VertexData,
+};
 use cypress::net::proto::{codes, Hello, MergedBlock};
 use cypress::net::{
     ClientStat, ClientState, Frame, QuantileStat, Stats, SubmitMode, PROTO_VERSION, STATS_VERSION,
 };
 use cypress::query::{HotSpot, QueryResult, RankTotals, Strategy, StrategyUsed, Window};
 use cypress::simmpi::{SimResult, WaitReport, WaitSite};
-use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Profile};
+use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Profile, ANY_SOURCE};
 use cypress::{MetaInfo, QueryOptions, StageSummary, TelemetrySummary, TELEMETRY_VERSION};
 use std::fmt::Debug;
 
@@ -237,6 +240,112 @@ fn meta() -> MetaInfo {
     }
 }
 
+/// One rank of a four-rank job, written out by hand so the sample cannot move
+/// with the compressor: an outer loop over a branch (relative-peer `isend`,
+/// wildcard `irecv`, a `waitall` naming both requests) and a triangular inner
+/// loop whose leaf holds two records, then a histogram-timed collective. Rank
+/// 0 takes the branch on other iterations and rank 3's peer wraps, so the
+/// merge of all four forms more than one group. Normalised through one
+/// encode/decode, as a decoded CTT is what every reader holds.
+pub fn rank_ctt(rank: u32) -> Ctt {
+    let stats = |mode, xs: &[u64]| {
+        let mut t = TimeStats::new(mode);
+        xs.iter().for_each(|&x| t.add(x));
+        t
+    };
+    let mean = |xs: &[u64]| stats(TimeMode::MeanStd, xs);
+    let rec = |op, p: &MpiParams, count, time, gap| LeafRecord {
+        params: EncParams::encode(rank as i64, op, p),
+        count,
+        time,
+        gap,
+    };
+    let r = rank as u64;
+    let taken: &[i64] = if rank == 0 {
+        &[1, 3, 5, 7, 9]
+    } else {
+        &[0, 2, 4, 6, 8]
+    };
+    let ctt = Ctt {
+        rank,
+        nprocs: 4,
+        app_time: 1_000_000 + 17 * r,
+        data: vec![
+            VertexData::Root,
+            VertexData::Loop {
+                counts: IntSeq::from_slice(&[10]),
+            },
+            VertexData::Branch {
+                taken: IntSeq::from_slice(taken),
+            },
+            VertexData::Leaf {
+                records: vec![rec(
+                    MpiOp::Isend,
+                    &MpiParams::send((rank as i64 + 1) % 4, 4096, 7),
+                    5,
+                    mean(&[120 + r, 130, 125, 140, 300_000]),
+                    mean(&[1_000, 1_000, 1_010, 990, 1_000]),
+                )],
+            },
+            VertexData::Leaf {
+                records: vec![rec(
+                    MpiOp::Irecv,
+                    &MpiParams::recv(ANY_SOURCE, 4096, 7),
+                    5,
+                    mean(&[40, 41, 39, 40, 40]),
+                    mean(&[0, 0, 0, 0, 0]),
+                )],
+            },
+            VertexData::Leaf {
+                records: vec![rec(
+                    MpiOp::Waitall,
+                    &MpiParams::completion(vec![3, 4]),
+                    5,
+                    mean(&[9_000, 8_500 + r, 70_000, 9_100, 9_050]),
+                    mean(&[15, 15, 15, 15, 15]),
+                )],
+            },
+            VertexData::Loop {
+                counts: IntSeq::from_slice(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            },
+            VertexData::Leaf {
+                records: vec![
+                    rec(
+                        MpiOp::Send,
+                        &MpiParams::send((rank as i64 + 3) % 4, 64, 0),
+                        40,
+                        mean(&[55; 40]),
+                        mean(&[200; 40]),
+                    ),
+                    rec(
+                        MpiOp::Send,
+                        &MpiParams::send((rank as i64 + 3) % 4, 128, 1),
+                        5,
+                        mean(&[60, 61, 62, 63, 64]),
+                        TimeStats::new(TimeMode::MeanStd),
+                    ),
+                ],
+            },
+            VertexData::Leaf {
+                records: vec![rec(
+                    MpiOp::Allreduce,
+                    &MpiParams::collective(8),
+                    1,
+                    stats(TimeMode::Histogram, &[70_000 + r]),
+                    stats(TimeMode::Histogram, &[3]),
+                )],
+            },
+        ],
+    };
+    Ctt::from_bytes(&ctt.to_bytes()).expect("own bytes decode")
+}
+
+/// The inter-process merge of [`rank_ctt`]`(0..4)`.
+pub fn merged_ctt() -> MergedCtt {
+    let merged = merge_all(&(0..4).map(rank_ctt).collect::<Vec<_>>());
+    MergedCtt::from_bytes(&merged.to_bytes()).expect("own bytes decode")
+}
+
 /// One frame of every kind, with the body bytes the pre-refactor commit
 /// encoded for it.
 pub fn frames() -> Vec<(&'static str, Frame, &'static str)> {
@@ -425,4 +534,8 @@ pub fn for_each_sample(v: &mut impl Visitor) {
         &meta(),
         "076379707265737305302e312e3004e80780f403",
     );
+    // `crates/core`'s section payloads, captured on the commit before its
+    // decoders moved onto the combinators.
+    v.visit("Ctt", &rank_ctt(1), "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201");
+    v.visit("MergedCtt", &merged_ctt(), "040180897a220401090001010100020401010114000101010201000001010201020405010102020301020100040501020102010002030102030200008040010e01000005030f00ac833700ecb490eaed0778e0a712030f0098750098c89307de07f207010600010102030500008040010e01000005030500e6ab1200b695b0a3cf027be0a7120305008827008898b102de07f2070201010100020401030001008040010e01000005031400a0060088fa0127290314000000000000020101010002040105000000010101010002030405031400cee519008eedc2e04db442f0a204031400ac020094230f0f01010100020401010100020a01020202010000010100030600008001010001000028032800981100a8b1073737032800c03e0080d461c801c801010202030100030100008001010001000028037800c83300f893163737037800c0bb010080fca402c801c80102010000010100030600008002010201000005030500b602009e96013c400300000000000000010202030100030100008002010201000005030f00a20700dac2033c4003000000000000000201010100020401090000001001010100000101040111040104010204");
 }

@@ -10,12 +10,13 @@
 
 mod wire_samples;
 
+use cypress::core::{Ctt, CttSlab, CttSource};
 use cypress::deflate::crc32;
 use cypress::net::proto::FrameBuf;
 use cypress::net::{Frame, NetError};
 use cypress::trace::Codec;
 use std::fmt::Debug;
-use wire_samples::{for_each_sample, frames, unhex, Visitor};
+use wire_samples::{for_each_sample, frames, rank_ctt, unhex, Visitor};
 
 /// Low bit (varint value), high bit (varint continuation), full inversion.
 const MASKS: [u8; 3] = [0x01, 0x80, 0xff];
@@ -55,6 +56,47 @@ impl Visitor for Sweep {
 #[test]
 fn every_payload_survives_the_hostile_bytes_sweep() {
     for_each_sample(&mut Sweep);
+}
+
+/// The `Ctt` row once more, through both of its decoders: over every
+/// truncation, mutation and the appended byte, the pooled decoder refuses
+/// exactly what the owned one refuses, and where both accept they hold the
+/// same tree — header and every `vertex()` view.
+#[test]
+fn slab_and_owned_decoders_agree_on_every_damaged_ctt() {
+    let agree =
+        |bytes: &[u8], what: &str| match (Ctt::from_bytes(bytes), CttSlab::from_bytes(bytes)) {
+            (Ok(ctt), Ok(slab)) => {
+                assert_eq!(
+                    (slab.rank, slab.nprocs, slab.app_time, slab.vertex_count()),
+                    (ctt.rank, ctt.nprocs, ctt.app_time, ctt.data.len()),
+                    "{what}"
+                );
+                for gid in 0..ctt.data.len() {
+                    assert_eq!(slab.vertex(gid), ctt.vertex(gid), "{what}: vertex {gid}");
+                }
+            }
+            (Err(_), Err(_)) => {}
+            (owned, pooled) => panic!(
+                "{what}: owned decode ok = {}, pooled decode ok = {}",
+                owned.is_ok(),
+                pooled.is_ok()
+            ),
+        };
+    let bytes = rank_ctt(1).to_bytes();
+    for cut in 0..=bytes.len() {
+        agree(&bytes[..cut], &format!("cut {cut}"));
+    }
+    let mut work = bytes.clone();
+    for pos in 0..bytes.len() {
+        for mask in MASKS {
+            work[pos] ^= mask;
+            agree(&work, &format!("pos {pos} mask {mask:#04x}"));
+            work[pos] = bytes[pos];
+        }
+    }
+    work.push(0x2a);
+    agree(&work, "appended byte");
 }
 
 /// `body` as it would sit on the wire, with a CRC that vouches for it.
