@@ -5,34 +5,17 @@ use crate::lower::{flat_ops, lower_schedule, replay_to_simop};
 use crate::{AnalysisError, AnalysisStats, AnalyzeOptions, AnalyzeReport};
 use cypress_core::{decompress_into, CttSource, ReplayClock};
 use cypress_cst::Cst;
-use cypress_obs::{Counter, Histogram};
+use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
 use cypress_query::Window;
 use cypress_simmpi::{simulate_schedule, simulate_traced, LogGp, SimOp};
 use cypress_trace::event::MpiOp;
-use std::sync::OnceLock;
 
-/// Analysis instrumentation handles (scope `analysis`).
-struct AnalysisMetrics {
-    runs: Counter,
-    symbolic_loops: Counter,
-    extrapolated_trips: Counter,
-    fed_ops: Counter,
-    analyze_ns: Histogram,
-}
-
-fn obs() -> &'static AnalysisMetrics {
-    static M: OnceLock<AnalysisMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("analysis");
-        AnalysisMetrics {
-            runs: s.counter("runs"),
-            symbolic_loops: s.counter("symbolic_loops"),
-            extrapolated_trips: s.counter("extrapolated_trips"),
-            fed_ops: s.counter("fed_ops"),
-            analyze_ns: s.histogram("analyze_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+// Scope `analysis`.
+static RUNS: Counter = Counter::new("analysis", "runs");
+static SYMBOLIC_LOOPS: Counter = Counter::new("analysis", "symbolic_loops");
+static EXTRAPOLATED_TRIPS: Counter = Counter::new("analysis", "extrapolated_trips");
+static FED_OPS: Counter = Counter::new("analysis", "fed_ops");
+static ANALYZE_NS: Histogram = Histogram::new("analysis", "analyze_ns", &TIME_BOUNDS_NS);
 
 fn validate<S: CttSource>(cst: &Cst, sources: &[S]) -> Result<u32, AnalysisError> {
     let first = sources
@@ -124,7 +107,7 @@ pub fn analyze_ctts<S: CttSource>(
     model: &LogGp,
     opts: &AnalyzeOptions,
 ) -> Result<AnalyzeReport, AnalysisError> {
-    let _span = cypress_obs::enabled().then(|| obs().analyze_ns.start_span());
+    let _span = ANALYZE_NS.span("analysis", "analyze_ctts");
     let nprocs = validate(cst, sources)?;
     let measured_app_ns = sources.iter().map(|s| s.app_time()).max().unwrap_or(0);
 
@@ -159,13 +142,10 @@ pub fn analyze_ctts<S: CttSource>(
             },
         )
     };
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.runs.inc();
-        m.symbolic_loops.add(stats.symbolic_loops as u64);
-        m.extrapolated_trips.add(stats.extrapolated_trips);
-        m.fed_ops.add(stats.fed_ops);
-    }
+    RUNS.inc();
+    SYMBOLIC_LOOPS.add(stats.symbolic_loops as u64);
+    EXTRAPOLATED_TRIPS.add(stats.extrapolated_trips);
+    FED_OPS.add(stats.fed_ops);
     Ok(AnalyzeReport {
         nprocs,
         measured_app_ns,

@@ -7,9 +7,10 @@
 //! therefore depend on the virtual-time calibration, but the cross-method
 //! comparisons (the paper's claims) do not.
 //!
-//! All overhead timings go through `cypress-obs` stopwatches and size
-//! histograms under the `bench` scope, so the Fig. 16/18 CSV columns and
-//! the `--metrics` report are two views of one measurement path.
+//! All overhead timings are a plain `Instant` recorded, always on, into
+//! `cypress-obs` histograms under the `bench` scope (sizes likewise), so the
+//! Fig. 16/18 CSV columns and the `--metrics` report are two views of one
+//! measurement path.
 
 use cypress_baselines::{
     Scala2Config, Scala2Merged, Scala2Trace, ScalaConfig, ScalaMerged, ScalaTrace,
@@ -19,10 +20,12 @@ use cypress_core::{
 };
 use cypress_cst::StaticInfo;
 use cypress_deflate::{gzip_compress, Level};
+use cypress_obs::{Histogram, TIME_BOUNDS_NS};
 use cypress_simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress_trace::codec::Codec;
 use cypress_trace::raw::{encode_mpi_events, RawTrace};
 use cypress_workloads::{by_name, Scale, Workload};
+use std::time::Instant;
 
 /// Byte-size histogram bounds (1 KiB … 2 GiB) for memory-footprint metrics.
 pub const SIZE_BOUNDS: [u64; 8] = [
@@ -143,15 +146,33 @@ pub struct IntraOverhead {
     pub mem_cypress: usize,
 }
 
+/// A `bench`-scope duration histogram. The harness measures through the
+/// always-on [`Histogram::record_since`], so the figure columns and the
+/// `--metrics` report come from the same recordings.
+const fn bench_ns(name: &'static str) -> Histogram {
+    Histogram::new("bench", name, &TIME_BOUNDS_NS)
+}
+
+/// Record the time since `t0` into `hist`; returns it in seconds.
+fn record_secs(hist: &'static Histogram, t0: Instant) -> f64 {
+    hist.record_since(t0) as f64 / 1e9
+}
+
+static INTRA_SCALATRACE_NS: Histogram = bench_ns("intra_scalatrace_ns");
+static INTRA_SCALATRACE2_NS: Histogram = bench_ns("intra_scalatrace2_ns");
+static INTRA_CYPRESS_NS: Histogram = bench_ns("intra_cypress_ns");
+static INTRA_MEM_SCALATRACE: Histogram =
+    Histogram::new("bench", "intra_mem_scalatrace_bytes", &SIZE_BOUNDS);
+static INTRA_MEM_CYPRESS: Histogram =
+    Histogram::new("bench", "intra_mem_cypress_bytes", &SIZE_BOUNDS);
+static INTER_SCALATRACE_NS: Histogram = bench_ns("inter_scalatrace_ns");
+static INTER_SCALATRACE2_NS: Histogram = bench_ns("inter_scalatrace2_ns");
+static INTER_CYPRESS_NS: Histogram = bench_ns("inter_cypress_ns");
+static COMPILE_BASE_NS: Histogram = bench_ns("compile_base_ns");
+static COMPILE_WITH_CST_NS: Histogram = bench_ns("compile_with_cst_ns");
+
 /// Measure intra-process compression cost for every rank of a traced run.
-///
-/// Timing goes through always-on `cypress-obs` stopwatches and memory
-/// through size histograms (`bench` scope): the returned Fig. 16 columns
-/// and the `--metrics` report come from the same recordings.
 pub fn intra_overhead(t: &Traced) -> IntraOverhead {
-    let m = cypress_obs::scope("bench");
-    let mem_st_hist = m.histogram("intra_mem_scalatrace_bytes", &SIZE_BOUNDS);
-    let mem_cy_hist = m.histogram("intra_mem_cypress_bytes", &SIZE_BOUNDS);
     let mut ts_st = 0.0;
     let mut ts_st2 = 0.0;
     let mut ts_cy = 0.0;
@@ -160,25 +181,25 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
     for tr in &t.traces {
         let app = (tr.app_time.max(1)) as f64;
 
-        let sw = m.timer("intra_scalatrace");
+        let t0 = Instant::now();
         let mut c = cypress_baselines::ScalaCompressor::new(tr.rank, ScalaConfig::default());
         for r in tr.mpi_records() {
             c.push(r);
         }
         let st_bytes = c.approx_bytes();
-        ts_st += sw.stop_ns() as f64 / app;
-        mem_st_hist.record(st_bytes as u64);
+        ts_st += INTRA_SCALATRACE_NS.record_since(t0) as f64 / app;
+        INTRA_MEM_SCALATRACE.record(st_bytes as u64);
         mem_st += st_bytes;
 
-        let sw = m.timer("intra_scalatrace2");
+        let t0 = Instant::now();
         let _ = Scala2Trace::compress(tr, &Scala2Config::default());
-        ts_st2 += sw.stop_ns() as f64 / app;
+        ts_st2 += INTRA_SCALATRACE2_NS.record_since(t0) as f64 / app;
 
-        let sw = m.timer("intra_cypress");
+        let t0 = Instant::now();
         let ctt = compress_trace(&t.info.cst, tr, &CompressConfig::default());
-        ts_cy += sw.stop_ns() as f64 / app;
+        ts_cy += INTRA_CYPRESS_NS.record_since(t0) as f64 / app;
         let cy_bytes = ctt.approx_bytes();
-        mem_cy_hist.record(cy_bytes as u64);
+        INTRA_MEM_CYPRESS.record(cy_bytes as u64);
         mem_cy += cy_bytes;
     }
     let n = t.traces.len() as f64;
@@ -202,33 +223,32 @@ pub struct InterOverhead {
 }
 
 pub fn inter_overhead(t: &Traced) -> InterOverhead {
-    let m = cypress_obs::scope("bench");
     let st: Vec<ScalaTrace> = t
         .traces
         .iter()
         .map(|tr| ScalaTrace::compress(tr, &ScalaConfig::default()))
         .collect();
-    let sw = m.timer("inter_scalatrace");
+    let t0 = Instant::now();
     let _ = ScalaMerged::merge_all(&st);
-    let scalatrace_s = sw.stop_secs();
+    let scalatrace_s = record_secs(&INTER_SCALATRACE_NS, t0);
 
     let st2: Vec<Scala2Trace> = t
         .traces
         .iter()
         .map(|tr| Scala2Trace::compress(tr, &Scala2Config::default()))
         .collect();
-    let sw = m.timer("inter_scalatrace2");
+    let t0 = Instant::now();
     let _ = Scala2Merged::merge_all(&st2);
-    let scalatrace2_s = sw.stop_secs();
+    let scalatrace2_s = record_secs(&INTER_SCALATRACE2_NS, t0);
 
     let ctts: Vec<Ctt> = t
         .traces
         .iter()
         .map(|tr| compress_trace(&t.info.cst, tr, &CompressConfig::default()))
         .collect();
-    let sw = m.timer("inter_cypress");
+    let t0 = Instant::now();
     let _ = merge_all_parallel(&ctts, num_threads());
-    let cypress_s = sw.stop_secs();
+    let cypress_s = record_secs(&INTER_CYPRESS_NS, t0);
 
     InterOverhead {
         nprocs: t.workload.nprocs,
@@ -257,22 +277,21 @@ impl CompileOverhead {
 pub fn compile_overhead(name: &str, reps: u32) -> CompileOverhead {
     let w = by_name(name, cypress_workloads::quick_procs(name), Scale::Quick)
         .unwrap_or_else(|| panic!("unknown workload {name}"));
-    let m = cypress_obs::scope("bench");
-    let sw = m.timer("compile_base");
+    let t0 = Instant::now();
     for _ in 0..reps {
         let p = cypress_minilang::parse(&w.source).expect("workload parses");
         cypress_minilang::check_program(&p).expect("workload checks");
         std::hint::black_box(&p);
     }
-    let base_s = sw.stop_secs() / reps as f64;
-    let sw = m.timer("compile_with_cst");
+    let base_s = record_secs(&COMPILE_BASE_NS, t0) / reps as f64;
+    let t0 = Instant::now();
     for _ in 0..reps {
         let p = cypress_minilang::parse(&w.source).expect("workload parses");
         cypress_minilang::check_program(&p).expect("workload checks");
         let info = cypress_cst::analyze_program(&p);
         std::hint::black_box(&info);
     }
-    let with_cst_s = sw.stop_secs() / reps as f64;
+    let with_cst_s = record_secs(&COMPILE_WITH_CST_NS, t0) / reps as f64;
     CompileOverhead { base_s, with_cst_s }
 }
 

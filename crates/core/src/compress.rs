@@ -26,44 +26,35 @@ use crate::ctt::{Ctt, EncParams, LeafRecord, VertexData};
 use crate::intseq::IntSeq;
 use crate::timestats::{TimeMode, TimeStats};
 use cypress_cst::tree::{Cst, VertexKind};
-use cypress_obs::{Counter, Gauge, Histogram};
+use cypress_obs::{Counter, Gauge, Histogram, TIME_BOUNDS_NS};
 use cypress_trace::event::{Event, EventSink, MpiOp, MpiRecord, ANY_SOURCE};
 use cypress_trace::raw::RawTrace;
-use std::sync::OnceLock;
 
-/// Compressor-wide instrumentation handles (scope `compressor`), aggregated
-/// across all ranks/compressor instances in the process.
-struct CompressorMetrics {
-    /// Incoming leaf events folded into an existing record.
-    fold_hits: Counter,
-    /// Incoming leaf events that opened a new record.
-    fold_misses: Counter,
-    /// Wildcard (`MPI_ANY_SOURCE`) non-blocking receives cached for deferral.
-    wildcard_cached: Counter,
-    /// Cached wildcard receives flushed by a matching completion op.
-    wildcard_flushed: Counter,
-    /// Stride segments held by loop/branch IntSeqs at finish().
-    intseq_segments: Counter,
-    /// High-water live footprint of a single compressor at finish().
-    ctt_live_bytes: Gauge,
-    /// Wall time of whole-trace offline compression calls.
-    compress_ns: Histogram,
-}
+// Scope `compressor`, aggregated across all ranks/compressor instances in
+// the process. A compressor tallies into its own `Tally` per event and
+// flushes once, in `finish`.
+/// Incoming leaf events folded into an existing record.
+static FOLD_HITS: Counter = Counter::new("compressor", "leaf_fold_hits");
+/// Incoming leaf events that opened a new record.
+static FOLD_MISSES: Counter = Counter::new("compressor", "leaf_fold_misses");
+/// Wildcard (`MPI_ANY_SOURCE`) non-blocking receives cached for deferral.
+static WILDCARD_CACHED: Counter = Counter::new("compressor", "wildcard_cached");
+/// Cached wildcard receives flushed by a matching completion op.
+static WILDCARD_FLUSHED: Counter = Counter::new("compressor", "wildcard_flushed");
+/// Stride segments held by loop/branch IntSeqs at finish().
+static INTSEQ_SEGMENTS: Counter = Counter::new("compressor", "intseq_segments");
+/// High-water live footprint of a single compressor at finish().
+static CTT_LIVE_BYTES: Gauge = Gauge::new("compressor", "ctt_live_bytes");
+/// Wall time of whole-trace offline compression calls.
+static COMPRESS_NS: Histogram = Histogram::new("compressor", "compress_ns", &TIME_BOUNDS_NS);
 
-fn obs() -> &'static CompressorMetrics {
-    static M: OnceLock<CompressorMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("compressor");
-        CompressorMetrics {
-            fold_hits: s.counter("leaf_fold_hits"),
-            fold_misses: s.counter("leaf_fold_misses"),
-            wildcard_cached: s.counter("wildcard_cached"),
-            wildcard_flushed: s.counter("wildcard_flushed"),
-            intseq_segments: s.counter("intseq_segments"),
-            ctt_live_bytes: s.gauge("ctt_live_bytes"),
-            compress_ns: s.histogram("compress_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
+/// Per-compressor event tallies behind the `compressor` counters.
+#[derive(Default)]
+struct Tally {
+    fold_hits: u64,
+    fold_misses: u64,
+    wildcard_cached: u64,
+    wildcard_flushed: u64,
 }
 
 /// Compression knobs.
@@ -116,6 +107,7 @@ pub struct IntraCompressor<'a> {
     pending_wild: Vec<PendingWild>,
     /// End timestamp of the previous traced operation (for compute gaps).
     prev_end: u64,
+    tally: Tally,
 }
 
 struct PendingWild {
@@ -159,6 +151,7 @@ impl<'a> IntraCompressor<'a> {
             stale_exits: vec![0; n],
             pending_wild: Vec::new(),
             prev_end: 0,
+            tally: Tally::default(),
         }
     }
 
@@ -268,9 +261,7 @@ impl<'a> IntraCompressor<'a> {
                 dur: rec.dur,
                 gap,
             });
-            if cypress_obs::enabled() {
-                obs().wildcard_cached.inc();
-            }
+            self.tally.wildcard_cached += 1;
             return;
         }
         if rec.op.is_completion() {
@@ -288,9 +279,7 @@ impl<'a> IntraCompressor<'a> {
                         r.count += 1;
                         r.time.add(rec.dur);
                         r.gap.add(gap);
-                        if cypress_obs::enabled() {
-                            obs().fold_hits.inc();
-                        }
+                        self.tally.fold_hits += 1;
                         return;
                     }
                 }
@@ -311,9 +300,7 @@ impl<'a> IntraCompressor<'a> {
         for p in std::mem::take(&mut self.pending_wild) {
             if completed_gids.contains(&(p.vertex as u32)) {
                 self.append(p.vertex, p.params, p.dur, p.gap);
-                if cypress_obs::enabled() {
-                    obs().wildcard_flushed.inc();
-                }
+                self.tally.wildcard_flushed += 1;
             } else {
                 remaining.push(p);
             }
@@ -333,14 +320,10 @@ impl<'a> IntraCompressor<'a> {
             r.count += 1;
             r.time.add(dur);
             r.gap.add(gap);
-            if cypress_obs::enabled() {
-                obs().fold_hits.inc();
-            }
+            self.tally.fold_hits += 1;
             return;
         }
-        if cypress_obs::enabled() {
-            obs().fold_misses.inc();
-        }
+        self.tally.fold_misses += 1;
         let mut time = TimeStats::new(time_mode);
         time.add(dur);
         let mut g = TimeStats::new(time_mode);
@@ -362,9 +345,13 @@ impl<'a> IntraCompressor<'a> {
         while let Some(o) = self.open.pop() {
             self.close(o);
         }
+        FOLD_HITS.add(self.tally.fold_hits);
+        FOLD_MISSES.add(self.tally.fold_misses);
+        WILDCARD_CACHED.add(self.tally.wildcard_cached);
+        WILDCARD_FLUSHED.add(self.tally.wildcard_flushed);
+        // Guarded: both arguments walk every vertex.
         if cypress_obs::enabled() {
-            let m = obs();
-            m.ctt_live_bytes.set_max(self.approx_bytes() as i64);
+            CTT_LIVE_BYTES.set_max(self.approx_bytes() as i64);
             let segs: usize = self
                 .data
                 .iter()
@@ -374,7 +361,7 @@ impl<'a> IntraCompressor<'a> {
                     _ => 0,
                 })
                 .sum();
-            m.intseq_segments.add(segs as u64);
+            INTSEQ_SEGMENTS.add(segs as u64);
         }
         Ctt {
             rank: self.rank as u32,
@@ -404,9 +391,9 @@ impl EventSink for IntraCompressor<'_> {
 /// Compress a recorded raw trace (offline convenience used by benches; the
 /// work performed is identical to the online path).
 pub fn compress_trace(cst: &Cst, trace: &RawTrace, cfg: &CompressConfig) -> Ctt {
-    let _span = obs().compress_ns.start_span();
-    let mut t = cypress_obs::trace_span("session", "compress_trace");
-    t.set_arg(trace.events.len() as u64);
+    let _span = COMPRESS_NS
+        .span("session", "compress_trace")
+        .arg(trace.events.len() as u64);
     let mut c = IntraCompressor::new(cst, trace.rank, trace.nprocs, cfg.clone());
     c.push_batch(&trace.events);
     c.finish(trace.app_time)

@@ -20,48 +20,35 @@
 
 use crate::ctt::{Ctt, LeafRecord, VertexData};
 use crate::intseq::IntSeq;
-use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level};
+use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
-use std::sync::OnceLock;
 
-/// Merge instrumentation handles (scope `merge`).
-struct MergeMetrics {
-    /// Pairwise `absorb` operations performed.
-    pair_merges: Counter,
-    /// New rank groups opened because no existing group was compatible.
-    groups_formed: Counter,
-    /// Final group count of the last full merge.
-    merged_groups: Gauge,
-    /// Levels of the (binomial) parallel reduction tree.
-    parallel_levels: Gauge,
-    /// Chunks handed to worker threads by `merge_all_parallel`.
-    parallel_chunks: Counter,
-    /// Wall time per pairwise absorb.
-    pair_merge_ns: Histogram,
-    /// Wall time per whole-job merge.
-    merge_ns: Histogram,
-    /// High-water depth of the incremental binomial buddy tree.
-    binomial_depth: Gauge,
-    /// Partial blocks currently resident in a [`BinomialMerger`].
-    binomial_blocks: Gauge,
-}
+// Scope `merge`.
+/// Pairwise `absorb` operations performed.
+static PAIR_MERGES: Counter = Counter::new("merge", "pair_merges");
+/// New rank groups opened because no existing group was compatible.
+static GROUPS_FORMED: Counter = Counter::new("merge", "groups_formed");
+/// Final group count of the last full merge.
+static MERGED_GROUPS: Gauge = Gauge::new("merge", "merged_groups");
+/// Levels of the (binomial) parallel reduction tree.
+static PARALLEL_LEVELS: Gauge = Gauge::new("merge", "parallel_levels");
+/// Chunks handed to worker threads by `merge_all_parallel`.
+static PARALLEL_CHUNKS: Counter = Counter::new("merge", "parallel_chunks");
+/// Wall time per pairwise absorb.
+static PAIR_MERGE_NS: Histogram = Histogram::new("merge", "pair_merge_ns", &TIME_BOUNDS_NS);
+/// Wall time per whole-job merge.
+static MERGE_NS: Histogram = Histogram::new("merge", "merge_ns", &TIME_BOUNDS_NS);
+/// High-water depth of the incremental binomial buddy tree.
+static BINOMIAL_DEPTH: Gauge = Gauge::new("merge", "binomial_depth");
+/// Partial blocks currently resident in a [`BinomialMerger`].
+static BINOMIAL_BLOCKS: Gauge = Gauge::new("merge", "binomial_blocks");
 
-fn obs() -> &'static MergeMetrics {
-    static M: OnceLock<MergeMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("merge");
-        MergeMetrics {
-            pair_merges: s.counter("pair_merges"),
-            groups_formed: s.counter("groups_formed"),
-            merged_groups: s.gauge("merged_groups"),
-            parallel_levels: s.gauge("parallel_levels"),
-            parallel_chunks: s.counter("parallel_chunks"),
-            pair_merge_ns: s.histogram("pair_merge_ns", &cypress_obs::TIME_BOUNDS_NS),
-            merge_ns: s.histogram("merge_ns", &cypress_obs::TIME_BOUNDS_NS),
-            binomial_depth: s.gauge("binomial_depth"),
-            binomial_blocks: s.gauge("binomial_blocks"),
-        }
-    })
+/// Record `acc`'s group count as the last full merge's (guarded: counting
+/// walks every vertex).
+fn note_merged_groups(acc: &MergedCtt) {
+    if cypress_obs::enabled() {
+        MERGED_GROUPS.set_max(acc.group_count() as i64);
+    }
 }
 
 /// A compressed set of ranks (stride-encoded: "ranks 1..size-2" is one
@@ -231,10 +218,9 @@ impl MergedCtt {
     /// stay sorted and stride-compressible.
     pub fn absorb(&mut self, other: MergedCtt) {
         assert_eq!(self.vertices.len(), other.vertices.len());
-        let _span = obs().pair_merge_ns.start_span();
-        if cypress_obs::enabled() {
-            obs().pair_merges.inc();
-        }
+        let _span = PAIR_MERGE_NS.span("merge", "absorb");
+        PAIR_MERGES.inc();
+        let mut groups_formed = 0u64;
         for (mine, theirs) in self.vertices.iter_mut().zip(other.vertices) {
             match theirs {
                 MergedVertex::Empty => {}
@@ -256,9 +242,7 @@ impl MergedCtt {
                         match dst.iter_mut().find(|(_, d)| control_mergeable(d, &data)) {
                             Some((rs, _)) => rs.extend(&ranks),
                             None => {
-                                if cypress_obs::enabled() {
-                                    obs().groups_formed.inc();
-                                }
+                                groups_formed += 1;
                                 dst.push((ranks, data));
                             }
                         }
@@ -290,9 +274,7 @@ impl MergedCtt {
                                     r.gap.merge(&rec.gap);
                                 }
                                 None => {
-                                    if cypress_obs::enabled() {
-                                        obs().groups_formed.inc();
-                                    }
+                                    groups_formed += 1;
                                     dst[si].push((ranks, rec));
                                 }
                             }
@@ -305,6 +287,7 @@ impl MergedCtt {
         while let Some(v) = r.next() {
             self.app_times.push(v);
         }
+        GROUPS_FORMED.add(groups_formed);
     }
 
     /// Total group count across vertices (the merged trace's record
@@ -384,16 +367,12 @@ impl MergedCtt {
 /// Sequentially merge all per-process CTTs (must be in rank order).
 pub fn merge_all(ctts: &[Ctt]) -> MergedCtt {
     assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
-    let _span = obs().merge_ns.start_span();
-    let mut t = cypress_obs::trace_span("merge", "merge_all");
-    t.set_arg(ctts.len() as u64);
+    let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
     let mut acc = MergedCtt::from_ctt(&ctts[0]);
     for c in &ctts[1..] {
         acc.absorb(MergedCtt::from_ctt(c));
     }
-    if cypress_obs::enabled() {
-        obs().merged_groups.set_max(acc.group_count() as i64);
-    }
+    note_merged_groups(&acc);
     obs_log!(
         Level::Info,
         "merge",
@@ -425,13 +404,9 @@ pub fn merge_all_parallel(ctts: &[Ctt], threads: usize) -> MergedCtt {
     }
     let chunk = ctts.len().div_ceil(threads);
     let nchunks = ctts.len().div_ceil(chunk);
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.parallel_chunks.add(nchunks as u64);
-        // Depth of the binomial reduction over the per-thread partials.
-        m.parallel_levels
-            .set_max(nchunks.next_power_of_two().trailing_zeros() as i64);
-    }
+    PARALLEL_CHUNKS.add(nchunks as u64);
+    // Depth of the binomial reduction over the per-thread partials.
+    PARALLEL_LEVELS.set_max(nchunks.next_power_of_two().trailing_zeros() as i64);
     let mut partials: Vec<Option<MergedCtt>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = ctts
@@ -449,9 +424,7 @@ pub fn merge_all_parallel(ctts: &[Ctt], threads: usize) -> MergedCtt {
     for p in iter {
         acc.absorb(p);
     }
-    if cypress_obs::enabled() {
-        obs().merged_groups.set_max(acc.group_count() as i64);
-    }
+    note_merged_groups(&acc);
     acc
 }
 
@@ -516,8 +489,7 @@ impl BinomialMerger {
         self.seen[w] |= bit;
         self.received += 1;
 
-        let mut t = cypress_obs::trace_span("merge", "binomial_add");
-        t.set_arg(ctt.rank as u64);
+        let _t = cypress_obs::trace_span("merge", "binomial_add").arg(ctt.rank as u64);
         self.fold_block(ctt.rank, 1, MergedCtt::from_ctt(ctt));
         true
     }
@@ -551,11 +523,8 @@ impl BinomialMerger {
             break;
         }
         self.blocks.insert(start, (len, cur));
-        if cypress_obs::enabled() {
-            let m = obs();
-            m.binomial_depth.set_max(len.trailing_zeros() as i64);
-            m.binomial_blocks.set_max(self.blocks.len() as i64);
-        }
+        BINOMIAL_DEPTH.set_max(len.trailing_zeros() as i64);
+        BINOMIAL_BLOCKS.set_max(self.blocks.len() as i64);
     }
 
     /// Offer an already-merged aligned buddy block covering ranks
@@ -602,8 +571,7 @@ impl BinomialMerger {
             self.seen[r as usize / 64] |= 1u64 << (r % 64);
         }
         self.received += count;
-        let mut t = cypress_obs::trace_span("merge", "binomial_add_block");
-        t.set_arg(first as u64);
+        let _t = cypress_obs::trace_span("merge", "binomial_add_block").arg(first as u64);
         self.fold_block(first, count, block);
         Ok(true)
     }
@@ -668,15 +636,13 @@ impl BinomialMerger {
             "binomial merge incomplete: missing ranks {:?}",
             self.missing_ranks()
         );
-        let _span = obs().merge_ns.start_span();
+        let _span = MERGE_NS.span("merge", "binomial_finish");
         let mut iter = self.blocks.into_values();
         let (_, mut acc) = iter.next().expect("complete merger has blocks");
         for (_, part) in iter {
             acc.absorb(part);
         }
-        if cypress_obs::enabled() {
-            obs().merged_groups.set_max(acc.group_count() as i64);
-        }
+        note_merged_groups(&acc);
         obs_log!(
             Level::Info,
             "merge",

@@ -26,36 +26,25 @@ use crate::ctt::Ctt;
 use cypress_cst::Cst;
 use cypress_obs::{Counter, Gauge};
 use cypress_trace::event::{Event, EventSink};
-use std::sync::OnceLock;
 
-/// Session instrumentation handles (scope `session`), aggregated across all
-/// concurrently live sessions in the process.
-struct SessionMetrics {
-    /// Sessions opened.
-    opened: Counter,
-    /// Sessions finished into a CTT.
-    finished: Counter,
-    /// Events streamed through sessions.
-    events: Counter,
-    /// Size checkpoints taken.
-    checkpoints: Counter,
-    /// High-water live CTT footprint over all sessions.
-    peak_ctt_bytes: Gauge,
-}
+// Scope `session`, aggregated across all concurrently live sessions in the
+// process.
+/// Sessions opened.
+static OPENED: Counter = Counter::new("session", "opened");
+/// Sessions finished into a CTT.
+static FINISHED: Counter = Counter::new("session", "finished");
+/// Events streamed through finished sessions.
+static EVENTS: Counter = Counter::new("session", "events");
+/// Size checkpoints taken.
+static CHECKPOINTS: Counter = Counter::new("session", "checkpoints");
+/// High-water live CTT footprint over all sessions.
+static PEAK_CTT_BYTES: Gauge = Gauge::new("session", "peak_ctt_bytes");
 
-fn obs() -> &'static SessionMetrics {
-    static M: OnceLock<SessionMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("session");
-        SessionMetrics {
-            opened: s.counter("opened"),
-            finished: s.counter("finished"),
-            events: s.counter("events"),
-            checkpoints: s.counter("checkpoints"),
-            peak_ctt_bytes: s.gauge("peak_ctt_bytes"),
-        }
-    })
-}
+/// With the timeline on, [`CompressSession::push`] times one push in this
+/// many (prime, so the samples do not lock onto a loop body's period).
+const SAMPLE_STRIDE: u32 = 61;
+/// A timed push longer than this was pre-empted, not slow: count it as this.
+const SAMPLE_CAP_NS: u64 = 20_000;
 
 /// Streaming-session knobs (orthogonal to [`CompressConfig`], which shapes
 /// the compression itself).
@@ -97,18 +86,35 @@ pub struct SessionStats {
 /// A per-rank online compression session. Feed events with
 /// [`CompressSession::push`] (or via [`EventSink`]), then call
 /// [`CompressSession::finish`] to obtain the CTT and the session stats.
+///
+/// **Timeline.** The session's work interleaves with the interpreter on the
+/// same thread, so `finish` emits one synthetic `Complete` span of the
+/// *accumulated* session time, anchored at the first timed entry — it nests
+/// inside the enclosing rank span and splits interpreter from session time.
+/// `push_batch` and `finish` are timed exactly. Per-event `push` is
+/// **estimated** (the span is then named `compress~`): one push in
+/// [`SAMPLE_STRIDE`] is timed, each sample less the cost of a clock read
+/// (priced by a back-to-back read right after it) and capped at
+/// [`SAMPLE_CAP_NS`], and the estimate is the mean sample × the number of
+/// pushes. Sum of samples × stride is not usable: every sample carries a
+/// clock read, and one pre-empted sample would be multiplied by the stride.
 pub struct CompressSession<'a> {
     inner: IntraCompressor<'a>,
-    cfg: SessionConfig,
     stats: SessionStats,
-    /// Timeline-trace accumulator: first push timestamp and total ns spent
-    /// inside the session (push/push_batch/checkpoint). The session's work
-    /// interleaves with the interpreter on the same thread, so at finish we
-    /// emit one synthetic `Complete` span of the *accumulated* duration
-    /// anchored at the first push — it nests inside the enclosing rank span
-    /// and splits interpreter-vs-session time exactly.
+    /// Events between periodic checkpoints (at least 1), and until the next.
+    cadence: u64,
+    until_checkpoint: u64,
+    /// Pushes until the next timed one.
+    until_sample: u32,
+    /// Events that arrived through `push_batch`.
+    batched: u64,
+    /// Start of the first timed entry, the anchor of the synthetic span.
     trace_first_ns: Option<u64>,
-    trace_accum_ns: u64,
+    /// Exactly measured ns inside `push_batch`.
+    trace_exact_ns: u64,
+    /// Timed pushes, and their summed (corrected, capped) ns.
+    samples: u64,
+    sample_ns: u64,
 }
 
 impl<'a> CompressSession<'a> {
@@ -119,43 +125,58 @@ impl<'a> CompressSession<'a> {
         compress: CompressConfig,
         cfg: SessionConfig,
     ) -> Self {
-        if cypress_obs::enabled() {
-            obs().opened.inc();
-        }
+        OPENED.inc();
+        let cadence = cfg.checkpoint_every.max(1);
         CompressSession {
             inner: IntraCompressor::new(cst, rank, nprocs, compress),
-            cfg,
             stats: SessionStats::default(),
+            cadence,
+            until_checkpoint: cadence,
+            until_sample: SAMPLE_STRIDE,
+            batched: 0,
             trace_first_ns: None,
-            trace_accum_ns: 0,
+            trace_exact_ns: 0,
+            samples: 0,
+            sample_ns: 0,
         }
     }
 
     #[inline]
     fn trace_start(&mut self) -> Option<u64> {
-        if cypress_obs::trace_enabled() {
-            let now = cypress_obs::trace_now_ns();
-            if self.trace_first_ns.is_none() {
-                self.trace_first_ns = Some(now);
-            }
-            Some(now)
-        } else {
-            None
+        if !cypress_obs::trace_enabled() {
+            return None;
         }
-    }
-
-    #[inline]
-    fn trace_stop(&mut self, t0: Option<u64>) {
-        if let Some(t0) = t0 {
-            self.trace_accum_ns += cypress_obs::trace_now_ns().saturating_sub(t0);
-        }
+        let now = cypress_obs::trace_now_ns();
+        self.trace_first_ns.get_or_insert(now);
+        Some(now)
     }
 
     /// Feed one event; periodically samples the live footprint.
     pub fn push(&mut self, ev: &Event) {
-        let t0 = self.trace_start();
+        self.until_sample -= 1;
+        if self.until_sample == 0 {
+            self.until_sample = SAMPLE_STRIDE;
+            if cypress_obs::trace_enabled() {
+                return self.push_timed(ev);
+            }
+        }
         self.ingest(ev);
-        self.trace_stop(t0);
+    }
+
+    /// One sample of the per-push estimate (see the type docs).
+    #[cold]
+    fn push_timed(&mut self, ev: &Event) {
+        use cypress_obs::trace_now_ns as now;
+        let t0 = now();
+        self.trace_first_ns.get_or_insert(t0);
+        self.ingest(ev);
+        let t1 = now();
+        // A second, back-to-back read prices the clock itself, warm and on
+        // this core: what the first pair measured beyond it is the push.
+        let clock = now().saturating_sub(t1);
+        let push = t1.saturating_sub(t0).saturating_sub(clock);
+        self.sample_ns += push.min(SAMPLE_CAP_NS);
+        self.samples += 1;
     }
 
     /// Feed a batch of events: exactly `push` on each, in order, so
@@ -166,7 +187,10 @@ impl<'a> CompressSession<'a> {
         for ev in evs {
             self.ingest(ev);
         }
-        self.trace_stop(t0);
+        self.batched += evs.len() as u64;
+        if let Some(t0) = t0 {
+            self.trace_exact_ns += cypress_obs::trace_now_ns().saturating_sub(t0);
+        }
     }
 
     fn ingest(&mut self, ev: &Event) {
@@ -178,11 +202,9 @@ impl<'a> CompressSession<'a> {
             // serializing each record into a scratch buffer.
             self.stats.raw_mpi_bytes += rec.encoded_len() as u64;
         }
-        if self
-            .stats
-            .events
-            .is_multiple_of(self.cfg.checkpoint_every.max(1))
-        {
+        self.until_checkpoint -= 1;
+        if self.until_checkpoint == 0 {
+            self.until_checkpoint = self.cadence;
             self.checkpoint();
         }
     }
@@ -192,11 +214,6 @@ impl<'a> CompressSession<'a> {
         let bytes = self.inner.approx_bytes();
         self.stats.checkpoints += 1;
         self.stats.peak_ctt_bytes = self.stats.peak_ctt_bytes.max(bytes);
-        if cypress_obs::enabled() {
-            let m = obs();
-            m.checkpoints.inc();
-            m.peak_ctt_bytes.set_max(bytes as i64);
-        }
         cypress_obs::trace_instant("session", "checkpoint", bytes as u64);
         bytes
     }
@@ -212,30 +229,32 @@ impl<'a> CompressSession<'a> {
     }
 
     /// Close the session: flush deferred wildcard receives, close open
-    /// structures, and return the per-process CTT plus final stats.
+    /// structures, and return the per-process CTT plus final stats. The
+    /// `session` metrics are flushed here, once, from the stats.
     pub fn finish(mut self, app_time: u64) -> (Ctt, SessionStats) {
         let t0 = self.trace_start();
         let bytes = self.checkpoint();
         self.stats.final_ctt_bytes = bytes;
-        if cypress_obs::enabled() {
-            let m = obs();
-            m.finished.inc();
-            m.events.add(self.stats.events);
-        }
+        FINISHED.inc();
+        EVENTS.add(self.stats.events);
+        CHECKPOINTS.add(self.stats.checkpoints);
+        PEAK_CTT_BYTES.set_max(self.stats.peak_ctt_bytes as i64);
         let ctt = self.inner.finish(app_time);
-        if let Some(t0) = t0 {
-            self.trace_accum_ns += cypress_obs::trace_now_ns().saturating_sub(t0);
-        }
-        if let Some(first) = self.trace_first_ns {
-            // One synthetic span for the whole session: accumulated active
-            // time anchored at the first push (see the field docs).
-            cypress_obs::trace_complete(
-                "session",
-                "compress",
-                first,
-                self.trace_accum_ns,
-                self.stats.events,
-            );
+        if let (Some(t0), Some(first)) = (t0, self.trace_first_ns) {
+            let now = cypress_obs::trace_now_ns();
+            let pushes = self.stats.events - self.batched;
+            let estimate = self.sample_ns as u128 * pushes as u128 / self.samples.max(1) as u128;
+            // Never longer than the wall since the anchor, or the span
+            // would stick out of the rank span it nests in.
+            let active = (self.trace_exact_ns + now.saturating_sub(t0))
+                .saturating_add(estimate as u64)
+                .min(now.saturating_sub(first));
+            let name = if self.samples > 0 {
+                "compress~"
+            } else {
+                "compress"
+            };
+            cypress_obs::trace_complete("session", name, first, active, self.stats.events);
         }
         (ctt, self.stats)
     }
@@ -289,6 +308,46 @@ mod tests {
             assert_eq!(ctt, offline, "rank {rank}");
             assert_eq!(stats.events as usize, trace.events.len());
             assert_eq!(stats.mpi_events as usize, trace.mpi_count());
+        }
+    }
+
+    /// The cadence is a countdown, not `events % cadence`: checkpoints must
+    /// still land on the same event indices, however the events arrive.
+    #[test]
+    fn checkpoints_land_on_every_cadence_multiple_by_push_and_by_batch() {
+        let p = parse(RING).unwrap();
+        check_program(&p).unwrap();
+        let info = analyze_program(&p);
+        let trace = trace_rank(&p, &info, 0, 2, &InterpConfig::default()).unwrap();
+        for checkpoint_every in [0, 1, 16, 4096] {
+            let session = || {
+                let cfg = SessionConfig { checkpoint_every };
+                CompressSession::new(&info.cst, 0, 2, CompressConfig::default(), cfg)
+            };
+            let mut pushed = session();
+            for ev in &trace.events {
+                pushed.push(ev);
+            }
+            let (_, pushed) = pushed.finish(trace.app_time);
+            let mut batched = session();
+            for chunk in trace.events.chunks(7) {
+                batched.push_batch(chunk);
+            }
+            let (_, batched) = batched.finish(trace.app_time);
+
+            let cadence = checkpoint_every.max(1);
+            assert_eq!(pushed.events, trace.events.len() as u64);
+            // The `+ 1` is `finish`.
+            assert_eq!(
+                pushed.checkpoints,
+                pushed.events / cadence + 1,
+                "cadence {checkpoint_every}"
+            );
+            assert_eq!(
+                (batched.checkpoints, batched.peak_ctt_bytes),
+                (pushed.checkpoints, pushed.peak_ctt_bytes),
+                "cadence {checkpoint_every}: push_batch in chunks of 7 against push"
+            );
         }
     }
 

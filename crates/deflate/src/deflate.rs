@@ -116,15 +116,12 @@ thread_local! {
 
 /// Compress `data` into a raw DEFLATE stream.
 pub fn deflate(data: &[u8], level: Level) -> Vec<u8> {
-    let mut t = cypress_obs::trace_span(
-        "deflate",
-        match level {
-            Level::Fast => "deflate_fast",
-            Level::Default => "deflate_default",
-            Level::Best => "deflate_best",
-        },
-    );
-    t.set_arg(data.len() as u64);
+    let name = match level {
+        Level::Fast => "deflate_fast",
+        Level::Default => "deflate_default",
+        Level::Best => "deflate_best",
+    };
+    let _t = cypress_obs::trace_span("deflate", name).arg(data.len() as u64);
     SCRATCH.with(|s| {
         // A panic while the scratch is borrowed would poison nothing (no
         // locks), and `deflate` never re-enters itself.

@@ -5,39 +5,22 @@ use crate::bitio::BitError;
 use crate::crc32::crc32;
 use crate::deflate::{deflate, Level};
 use crate::inflate::inflate;
-use std::sync::OnceLock;
+use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
 const CM_DEFLATE: u8 = 8;
 const OS_UNKNOWN: u8 = 255;
 
-struct GzipMetrics {
-    compress_in: cypress_obs::Counter,
-    compress_out: cypress_obs::Counter,
-    decompress_in: cypress_obs::Counter,
-    decompress_out: cypress_obs::Counter,
-    compress_ns: cypress_obs::Histogram,
-    decompress_ns: cypress_obs::Histogram,
-}
-
-fn metrics() -> &'static GzipMetrics {
-    static METRICS: OnceLock<GzipMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let m = cypress_obs::scope("deflate");
-        GzipMetrics {
-            compress_in: m.counter("compress_bytes_in"),
-            compress_out: m.counter("compress_bytes_out"),
-            decompress_in: m.counter("decompress_bytes_in"),
-            decompress_out: m.counter("decompress_bytes_out"),
-            compress_ns: m.histogram("compress_ns", &cypress_obs::TIME_BOUNDS_NS),
-            decompress_ns: m.histogram("decompress_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+static COMPRESS_IN: Counter = Counter::new("deflate", "compress_bytes_in");
+static COMPRESS_OUT: Counter = Counter::new("deflate", "compress_bytes_out");
+static DECOMPRESS_IN: Counter = Counter::new("deflate", "decompress_bytes_in");
+static DECOMPRESS_OUT: Counter = Counter::new("deflate", "decompress_bytes_out");
+static COMPRESS_NS: Histogram = Histogram::new("deflate", "compress_ns", &TIME_BOUNDS_NS);
+static DECOMPRESS_NS: Histogram = Histogram::new("deflate", "decompress_ns", &TIME_BOUNDS_NS);
 
 /// Compress into a gzip member.
 pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
-    let _span = cypress_obs::enabled().then(|| metrics().compress_ns.start_span());
+    let _span = COMPRESS_NS.span("deflate", "gzip_compress");
     let mut out = Vec::with_capacity(data.len() / 2 + 32);
     out.extend_from_slice(&MAGIC);
     out.push(CM_DEFLATE);
@@ -52,17 +35,14 @@ pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
     out.extend_from_slice(&deflate(data, level));
     out.extend_from_slice(&crc32(data).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    if cypress_obs::enabled() {
-        let m = metrics();
-        m.compress_in.add(data.len() as u64);
-        m.compress_out.add(out.len() as u64);
-    }
+    COMPRESS_IN.add(data.len() as u64);
+    COMPRESS_OUT.add(out.len() as u64);
     out
 }
 
 /// Decompress a gzip member, verifying CRC-32 and ISIZE.
 pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, BitError> {
-    let _span = cypress_obs::enabled().then(|| metrics().decompress_ns.start_span());
+    let _span = DECOMPRESS_NS.span("deflate", "gzip_decompress");
     if data.len() < 18 {
         return Err(BitError("gzip input too short".into()));
     }
@@ -118,11 +98,8 @@ pub fn gzip_decompress(data: &[u8]) -> Result<Vec<u8>, BitError> {
     if out.len() as u32 != want_len {
         return Err(BitError("gzip ISIZE mismatch".into()));
     }
-    if cypress_obs::enabled() {
-        let m = metrics();
-        m.decompress_in.add(data.len() as u64);
-        m.decompress_out.add(out.len() as u64);
-    }
+    DECOMPRESS_IN.add(data.len() as u64);
+    DECOMPRESS_OUT.add(out.len() as u64);
     Ok(out)
 }
 

@@ -7,8 +7,33 @@ use crate::tables::*;
 
 /// Decompress a raw DEFLATE stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, BitError> {
-    let mut r = BitReader::new(data);
     let mut out = Vec::new();
+    inflate_into(data, usize::MAX, &mut out)?;
+    Ok(out)
+}
+
+/// Decompress a raw DEFLATE stream that was declared to hold exactly
+/// `raw_len` bytes. The declaration bounds the work: decoding stops with an
+/// error as soon as the output would pass `raw_len`, so a lying length
+/// cannot make the reader allocate more than it announced; a stream that
+/// ends short of it is an error too.
+pub fn inflate_exact(data: &[u8], raw_len: usize) -> Result<Vec<u8>, BitError> {
+    let mut out = Vec::new();
+    inflate_into(data, raw_len, &mut out)?;
+    if out.len() != raw_len {
+        let msg = format!("declared {raw_len} bytes, got {}", out.len());
+        return Err(BitError(msg));
+    }
+    Ok(out)
+}
+
+fn past_limit(limit: usize) -> BitError {
+    BitError(format!("output would pass the declared {limit} bytes"))
+}
+
+/// Inflate `data` onto `out`, which never grows beyond `limit` bytes.
+fn inflate_into(data: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<(), BitError> {
+    let mut r = BitReader::new(data);
     loop {
         let bfinal = r.read_bit()?;
         let btype = r.read_bits(2)?;
@@ -22,6 +47,9 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, BitError> {
                 if len != !nlen {
                     return Err(BitError("stored block LEN/NLEN mismatch".into()));
                 }
+                if len as usize > limit - out.len() {
+                    return Err(past_limit(limit));
+                }
                 out.extend(r.read_bytes(len as usize)?);
             }
             1 => {
@@ -29,16 +57,16 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, BitError> {
                     Decoder::new(&fixed_litlen_lens()).expect("fixed litlen code is well-formed");
                 let dist =
                     Decoder::new(&fixed_dist_lens()).expect("fixed distance code is well-formed");
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, limit, out)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_header(&mut r)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, limit, out)?;
             }
             _ => return Err(BitError("reserved block type 3".into())),
         }
         if bfinal == 1 {
-            return Ok(out);
+            return Ok(());
         }
     }
 }
@@ -94,12 +122,18 @@ fn inflate_block(
     r: &mut BitReader<'_>,
     lit: &Decoder,
     dist: &Decoder,
+    limit: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), BitError> {
     loop {
         let sym = lit.decode(r)?;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                if out.len() == limit {
+                    return Err(past_limit(limit));
+                }
+                out.push(sym as u8);
+            }
             256 => return Ok(()),
             257..=285 => {
                 let li = sym as usize - 257;
@@ -111,6 +145,9 @@ fn inflate_block(
                 let d = DIST_BASE[dsym] as usize + r.read_bits(DIST_EXTRA[dsym] as u32)? as usize;
                 if d > out.len() {
                     return Err(BitError("back-reference before start of output".into()));
+                }
+                if len > limit - out.len() {
+                    return Err(past_limit(limit));
                 }
                 let start = out.len() - d;
                 for k in 0..len {
@@ -140,6 +177,34 @@ mod tests {
         // BFINAL=1, BTYPE=0, then LEN=1 NLEN=1 (mismatch).
         let bytes = [0b001u8, 1, 0, 1, 0, 42];
         assert!(inflate(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_declared_length_bounds_the_output() {
+        // 4 MiB of zeros is a few KiB of stream: the bomb a lying
+        // `raw_len` would otherwise inflate in full before the compare.
+        let zeros = vec![0u8; 4 << 20];
+        for level in [Level::Fast, Level::Default, Level::Best] {
+            let z = deflate(&zeros, level);
+            assert!(z.len() < 64 << 10);
+            let mut out = Vec::new();
+            let err = inflate_into(&z, 16, &mut out).unwrap_err();
+            assert!(err.0.contains("declared 16 bytes"), "{err}");
+            assert!(
+                out.len() <= 16,
+                "{} bytes written past a limit of 16",
+                out.len()
+            );
+            assert_eq!(inflate_exact(&z, 16).unwrap_err(), err);
+            assert_eq!(inflate_exact(&z, zeros.len()).unwrap(), zeros);
+            let short = inflate_exact(&z, zeros.len() + 1).unwrap_err();
+            assert!(short.0.contains("bytes, got 4194304"), "{short}");
+        }
+        // Stored blocks copy whole: the bound is checked before the copy.
+        let stored = [0b001u8, 5, 0, !5, !0, 1, 2, 3, 4, 5];
+        assert_eq!(inflate_exact(&stored, 5).unwrap(), [1, 2, 3, 4, 5]);
+        let err = inflate_exact(&stored, 4).unwrap_err();
+        assert!(err.0.contains("declared 4 bytes"), "{err}");
     }
 
     #[test]

@@ -29,4 +29,4 @@ pub mod tables;
 pub use crc32::{crc32, Crc32};
 pub use deflate::{deflate, Level};
 pub use gzip::{gzip_compress, gzip_decompress, gzip_size};
-pub use inflate::inflate;
+pub use inflate::{inflate, inflate_exact};

@@ -46,6 +46,7 @@ use cypress_core::{
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
 use cypress_obs::{obs_log, Level};
+use cypress_obs::{Histogram, TIME_BOUNDS_NS};
 use cypress_trace::codec::Codec;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -207,27 +208,14 @@ impl Role {
     }
 }
 
-/// Collector-side measurements feeding the `Stats` quantile rows. These use
-/// the ungated [`cypress_obs::Histogram::record`] path so the stats
-/// endpoint reports real numbers whether or not the daemon runs with
-/// metrics enabled.
-struct CollectorHists {
-    /// Events per `Events` frame (client batch sizes as received).
-    batch_events: cypress_obs::Histogram,
-    /// Wall time of one binomial merge step (`BinomialMerger::add`).
-    merge_step_ns: cypress_obs::Histogram,
-}
-
-fn hists() -> &'static CollectorHists {
-    static H: OnceLock<CollectorHists> = OnceLock::new();
-    H.get_or_init(|| {
-        let s = cypress_obs::scope("collector");
-        CollectorHists {
-            batch_events: s.histogram("batch_events", &[1, 8, 64, 512, 4096, 32768]),
-            merge_step_ns: s.histogram("merge_step_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+// Collector-side measurements feeding the `Stats` quantile rows. These use
+// the ungated [`Histogram::record`] path so the stats endpoint reports real
+// numbers whether or not the daemon runs with metrics enabled.
+/// Events per `Events` frame (client batch sizes as received).
+static BATCH_EVENTS: Histogram =
+    Histogram::new("collector", "batch_events", &[1, 8, 64, 512, 4096, 32768]);
+/// Wall time of one binomial merge step (`BinomialMerger::add`).
+static MERGE_STEP_NS: Histogram = Histogram::new("collector", "merge_step_ns", &TIME_BOUNDS_NS);
 
 /// Everything the handler needs, cheap to copy into each event loop.
 #[derive(Clone, Copy)]
@@ -273,7 +261,7 @@ impl Conn<'_> {
     /// This connection's submission ended without merging.
     fn mark_aborted(&self, sh: Shared<'_>) {
         if matches!(self.state, ConnState::Streaming { .. }) {
-            obs().sessions_aborted.inc();
+            obs::SESSIONS_ABORTED.inc();
         }
         if let Some(rank) = self.rank {
             sh.state.mark_client(rank, ClientState::Aborted);
@@ -292,7 +280,7 @@ impl<'a> Handler for Shared<'a> {
 
     fn accept(&self, listener: usize) -> Conn<'a> {
         let state = if listener == JOB {
-            obs().connections.inc();
+            obs::CONNECTIONS.inc();
             ConnState::AwaitHello
         } else {
             ConnState::AwaitStatsReq
@@ -558,7 +546,7 @@ fn handle_frame<'a>(
             Frame::Events { events },
         ) => {
             count += events.len() as u64;
-            hists().batch_events.record(events.len() as u64);
+            BATCH_EVENTS.record(events.len() as u64);
             {
                 let mut g = sh.state.inner.lock().unwrap();
                 let rank = c.rank.expect("streaming conn has a rank");
@@ -719,7 +707,7 @@ fn on_hello<'a>(
     cypress_obs::trace_instant("net", "client_accepted", rank as u64);
     c.state = match hello.mode {
         SubmitMode::Stream => {
-            obs().sessions_started.inc();
+            obs::SESSIONS_STARTED.inc();
             let (compress, limits) = (sh.cfg.compress.clone(), sh.cfg.session.clone());
             let session = CompressSession::new(&job.cst, rank, nprocs, compress, limits);
             ConnState::Streaming {
@@ -736,16 +724,11 @@ fn on_hello<'a>(
     Ok(())
 }
 
-/// Inflate a `…Z` frame payload and hold it to its declared raw length.
+/// Inflate a `…Z` frame payload, stopping at its declared raw length.
 fn inflate_exact(what: &str, raw_len: u64, bytes: &[u8]) -> Result<Vec<u8>, Reject> {
-    match cypress_deflate::inflate(bytes) {
-        Ok(raw) if raw.len() as u64 == raw_len => Ok(raw),
-        Ok(raw) => {
-            let msg = format!("{what} declared {raw_len} bytes, got {}", raw.len());
-            Err((codes::PROTOCOL, msg))
-        }
-        Err(e) => Err((codes::PROTOCOL, format!("undecodable deflate: {e}"))),
-    }
+    let raw_len = usize::try_from(raw_len).unwrap_or(usize::MAX);
+    cypress_deflate::inflate_exact(bytes, raw_len)
+        .map_err(|e| (codes::PROTOCOL, format!("{what}: {}", e.0)))
 }
 
 /// Finish a ctt-mode submission from decoded CTT bytes.
@@ -787,7 +770,7 @@ fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
     };
     let t0 = Instant::now();
     let res = m.add_block(first_rank, nranks, merged);
-    hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
+    MERGE_STEP_NS.record_since(t0);
     // `Ok(false)`: a relay retry re-sending blocks its first attempt landed.
     if !res.map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))? {
         return Ok(());
@@ -810,7 +793,7 @@ fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
 /// `received` ranks are merged; when that is every rank this collector
 /// expects, the collection is complete and the loops stop.
 fn note_merged(sh: Shared<'_>, mut g: MutexGuard<'_, Inner>, received: u32) {
-    obs().ranks_merged.set_max(received as i64);
+    obs::RANKS_MERGED.set_max(received as i64);
     let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
     if received == sh.role.expected(job_nprocs) {
         g.done = true;
@@ -828,7 +811,7 @@ fn merge_in(sh: Shared<'_>, out: &mut Outbox, ctt: Ctt, stats: Option<cypress_co
         let m = g.merger.as_mut().expect("merger installed at Hello");
         let t0 = Instant::now();
         let newly = m.add(&ctt);
-        hists().merge_step_ns.record(t0.elapsed().as_nanos() as u64);
+        MERGE_STEP_NS.record_since(t0);
         (newly, m.received())
     };
     if newly_merged {
@@ -856,7 +839,7 @@ fn merge_in(sh: Shared<'_>, out: &mut Outbox, ctt: Ctt, stats: Option<cypress_co
         if sh.cfg.keep_rank_ctts {
             g.rank_ctts.push(ctt);
         }
-        obs().sessions_completed.inc();
+        obs::SESSIONS_COMPLETED.inc();
     }
     note_merged(sh, g, received);
     out.send(&Frame::FinAck {
@@ -892,10 +875,9 @@ fn build_stats(state: &State) -> Stats {
             events,
         })
         .collect();
-    let h = hists();
     let quantiles = [
-        ("batch_events", &h.batch_events),
-        ("merge_step_ns", &h.merge_step_ns),
+        ("batch_events", &BATCH_EVENTS),
+        ("merge_step_ns", &MERGE_STEP_NS),
     ]
     .into_iter()
     .filter(|(_, h)| h.count() > 0)
@@ -1155,6 +1137,51 @@ mod tests {
         .unwrap();
         match read_frame(&mut stream).unwrap() {
             Frame::Error { code, .. } => assert_eq!(code, codes::PROTOCOL),
+            f => panic!("expected Error, got {}", f.name()),
+        }
+        // Finish the job properly so the server exits.
+        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
+        server.join().unwrap().unwrap();
+    }
+
+    /// A few KiB of stream that would inflate to 4 MiB behind a declared 16
+    /// bytes: refused at the declared length, where the collector used to
+    /// inflate all of it on its event loop and compare afterwards.
+    #[test]
+    fn compressed_ctt_past_its_declared_length_is_refused_at_the_bound() {
+        let (info, traces) = traces(1);
+        let cst_text = info.cst.to_text();
+        let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
+        let (addr, server) = serve_in_background(CollectorConfig {
+            workers: 1,
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+        let hello = Frame::Hello(Hello {
+            version: PROTO_VERSION,
+            rank: 0,
+            nprocs: 1,
+            mode: SubmitMode::Ctt,
+            cst_text: cst_text.clone(),
+        });
+        write_frame(&mut stream, &hello).unwrap();
+        let _ack = read_frame(&mut stream).unwrap();
+        let bomb = cypress_deflate::deflate(&vec![0u8; 4 << 20], cypress_deflate::Level::Fast);
+        let frame = Frame::RankCttZ {
+            raw_len: 16,
+            bytes: bomb,
+        };
+        write_frame(&mut stream, &frame).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error { code, message } => {
+                assert_eq!(code, codes::PROTOCOL, "{message}");
+                assert!(message.contains("declared 16 bytes"), "{message}");
+                assert!(
+                    !message.contains("got"),
+                    "inflated past the bound: {message}"
+                );
+            }
             f => panic!("expected Error, got {}", f.name()),
         }
         // Finish the job properly so the server exits.

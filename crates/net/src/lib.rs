@@ -61,7 +61,6 @@ pub use transport::{Addr, Listener, Stream};
 pub use tree::{spawn_tree, Tree, TreeConfig};
 
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Network-layer errors.
 #[derive(Debug)]
@@ -162,45 +161,28 @@ impl NetError {
     }
 }
 
-/// Network instrumentation handles (scope `net`).
-pub(crate) struct NetMetrics {
+/// Scope `net`.
+pub(crate) mod obs {
+    use cypress_obs::{Counter, Gauge};
+
     /// Frame bytes received (framing + body), both sides.
-    pub bytes_in: cypress_obs::Counter,
+    pub static BYTES_IN: Counter = Counter::new("net", "bytes_in");
     /// Frame bytes sent (framing + body), both sides.
-    pub bytes_out: cypress_obs::Counter,
-    pub frames_in: cypress_obs::Counter,
-    pub frames_out: cypress_obs::Counter,
+    pub static BYTES_OUT: Counter = Counter::new("net", "bytes_out");
+    pub static FRAMES_IN: Counter = Counter::new("net", "frames_in");
+    pub static FRAMES_OUT: Counter = Counter::new("net", "frames_out");
     /// Connections the collector accepted.
-    pub connections: cypress_obs::Counter,
+    pub static CONNECTIONS: Counter = Counter::new("net", "connections");
     /// Compression sessions the collector opened for stream-mode clients.
-    pub sessions_started: cypress_obs::Counter,
+    pub static SESSIONS_STARTED: Counter = Counter::new("net", "sessions_started");
     /// Sessions that reached Finish and merged.
-    pub sessions_completed: cypress_obs::Counter,
+    pub static SESSIONS_COMPLETED: Counter = Counter::new("net", "sessions_completed");
     /// Sessions dropped mid-stream (disconnect, frame error); the partial
     /// CTT is discarded and the client is expected to retry from scratch.
-    pub sessions_aborted: cypress_obs::Counter,
+    pub static SESSIONS_ABORTED: Counter = Counter::new("net", "sessions_aborted");
     /// Accepted connections dealt to an event loop whose mailbox already
     /// held sockets it had not yet adopted.
-    pub backpressure_stalls: cypress_obs::Counter,
+    pub static BACKPRESSURE_STALLS: Counter = Counter::new("net", "backpressure_stalls");
     /// Ranks merged into the collector's binomial tree so far.
-    pub ranks_merged: cypress_obs::Gauge,
-}
-
-pub(crate) fn obs() -> &'static NetMetrics {
-    static M: OnceLock<NetMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("net");
-        NetMetrics {
-            bytes_in: s.counter("bytes_in"),
-            bytes_out: s.counter("bytes_out"),
-            frames_in: s.counter("frames_in"),
-            frames_out: s.counter("frames_out"),
-            connections: s.counter("connections"),
-            sessions_started: s.counter("sessions_started"),
-            sessions_completed: s.counter("sessions_completed"),
-            sessions_aborted: s.counter("sessions_aborted"),
-            backpressure_stalls: s.counter("backpressure_stalls"),
-            ranks_merged: s.gauge("ranks_merged"),
-        }
-    })
+    pub static RANKS_MERGED: Gauge = Gauge::new("net", "ranks_merged");
 }

@@ -457,11 +457,8 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(&body);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.bytes_out.add(body.len() as u64 + 8);
-        m.frames_out.inc();
-    }
+    obs::BYTES_OUT.add(body.len() as u64 + 8);
+    obs::FRAMES_OUT.inc();
     cypress_obs::trace_instant("net", "frame_tx", body.len() as u64 + 8);
 }
 
@@ -490,11 +487,8 @@ fn check_and_decode(body: &[u8], stored: u32) -> Result<Frame, NetError> {
     if stored != computed {
         return Err(NetError::Crc { stored, computed });
     }
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.bytes_in.add(body.len() as u64 + 8);
-        m.frames_in.inc();
-    }
+    obs::BYTES_IN.add(body.len() as u64 + 8);
+    obs::FRAMES_IN.inc();
     cypress_obs::trace_instant("net", "frame_rx", body.len() as u64 + 8);
     Ok(Frame::from_bytes(body)?)
 }

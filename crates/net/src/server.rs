@@ -332,8 +332,8 @@ impl Server {
                             }
                             let tl = &self.loops[target];
                             let mut mb = tl.mailbox.lock().expect(POISON);
-                            if !mb.is_empty() && cypress_obs::enabled() {
-                                obs().backpressure_stalls.inc();
+                            if !mb.is_empty() {
+                                obs::BACKPRESSURE_STALLS.inc();
                             }
                             mb.push_back((s, li));
                             drop(mb);

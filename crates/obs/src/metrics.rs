@@ -1,14 +1,18 @@
-//! Metric primitives and the global registry.
+//! Metric primitives and the registry.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared atomics:
-//! registration takes the registry mutex once, recording never does. All
-//! record paths check [`crate::enabled`] first so disabled instrumentation
-//! costs one relaxed load.
+//! A metric is a const-constructed `static` ([`Counter`], [`Gauge`],
+//! [`Histogram`]) declared next to the code it measures. It links itself
+//! into the registry the first time it records, so there is nothing to
+//! register, look up or cache, and a metric that never recorded is simply
+//! absent from the report. Gated record paths check [`crate::enabled`]
+//! first, so disabled instrumentation costs one relaxed load; recording
+//! never takes the registry lock once linked.
 
-use crate::span::{Span, Stopwatch};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::report::{MetricKind, MetricSnapshot};
+use crate::span::Span;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Default histogram bucket upper bounds for span durations, in
 /// nanoseconds: 1 µs … 10 s, one decade per bucket (plus the implicit
@@ -24,117 +28,265 @@ pub const TIME_BOUNDS_NS: [u64; 8] = [
     10_000_000_000,
 ];
 
+/// Every metric that has recorded since the last [`reset`].
+static REGISTRY: Mutex<Vec<&'static dyn Metric>> = Mutex::new(Vec::new());
+
+const POISON: &str = "obs registry poisoned";
+
+trait Metric: Sync {
+    fn id(&self) -> &Id;
+    /// Fill the value fields of a snapshot that already carries the id.
+    fn snapshot(&self, snap: &mut MetricSnapshot);
+    fn zero(&self);
+}
+
+/// Scope, name and registry link shared by every metric kind.
+#[derive(Debug)]
+struct Id {
+    scope: &'static str,
+    name: &'static str,
+    linked: AtomicBool,
+}
+
+impl Id {
+    const fn new(scope: &'static str, name: &'static str) -> Id {
+        Id {
+            scope,
+            name,
+            linked: AtomicBool::new(false),
+        }
+    }
+
+    #[inline(always)]
+    fn link(&self, metric: &'static dyn Metric) {
+        if !self.linked.load(Relaxed) {
+            self.link_slow(metric);
+        }
+    }
+
+    #[cold]
+    fn link_slow(&self, metric: &'static dyn Metric) {
+        let mut reg = REGISTRY.lock().expect(POISON);
+        // Swapped under the lock: racing first records push exactly once.
+        if !self.linked.swap(true, Relaxed) {
+            reg.push(metric);
+        }
+    }
+}
+
+/// Snapshot every linked metric, sorted by (scope, name).
+pub(crate) fn snapshot_all() -> Vec<MetricSnapshot> {
+    let mut out: Vec<MetricSnapshot> = REGISTRY
+        .lock()
+        .expect(POISON)
+        .iter()
+        .map(|m| {
+            let mut snap = MetricSnapshot {
+                subsystem: m.id().scope.to_owned(),
+                name: m.id().name.to_owned(),
+                ..MetricSnapshot::default()
+            };
+            m.snapshot(&mut snap);
+            snap
+        })
+        .collect();
+    out.sort_by(|a, b| (&a.subsystem, &a.name).cmp(&(&b.subsystem, &b.name)));
+    out
+}
+
+/// Zero every linked metric in place and unlink it: the next report is
+/// empty, and a metric reappears — from zero — with its next record.
+pub(crate) fn reset() {
+    for m in REGISTRY.lock().expect(POISON).drain(..) {
+        m.zero();
+        m.id().linked.store(false, Relaxed);
+    }
+}
+
 /// Monotone event counter.
-#[derive(Clone, Debug)]
-pub struct Counter(pub(crate) Arc<AtomicU64>);
+#[derive(Debug)]
+pub struct Counter {
+    id: Id,
+    value: AtomicU64,
+}
 
 impl Counter {
+    pub const fn new(scope: &'static str, name: &'static str) -> Counter {
+        Counter {
+            id: Id::new(scope, name),
+            value: AtomicU64::new(0),
+        }
+    }
+
     #[inline(always)]
-    pub fn inc(&self) {
+    pub fn inc(&'static self) {
         self.add(1);
     }
 
     #[inline(always)]
-    pub fn add(&self, n: u64) {
+    pub fn add(&'static self, n: u64) {
         if crate::enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
+            self.value.fetch_add(n, Relaxed);
+            self.id.link(self);
         }
     }
 
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Relaxed)
+    }
+}
+
+impl Metric for Counter {
+    fn id(&self) -> &Id {
+        &self.id
+    }
+    fn snapshot(&self, snap: &mut MetricSnapshot) {
+        snap.kind = MetricKind::Counter;
+        snap.value = self.get() as i64;
+    }
+    fn zero(&self) {
+        self.value.store(0, Relaxed);
     }
 }
 
 /// Point-in-time value; `set_max` turns it into a high-water mark.
-#[derive(Clone, Debug)]
-pub struct Gauge(pub(crate) Arc<AtomicI64>);
+#[derive(Debug)]
+pub struct Gauge {
+    id: Id,
+    value: AtomicI64,
+}
 
 impl Gauge {
-    #[inline(always)]
-    pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            self.0.store(v, Ordering::Relaxed);
+    pub const fn new(scope: &'static str, name: &'static str) -> Gauge {
+        Gauge {
+            id: Id::new(scope, name),
+            value: AtomicI64::new(0),
         }
     }
 
     #[inline(always)]
-    pub fn add(&self, delta: i64) {
+    pub fn set(&'static self, v: i64) {
         if crate::enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
+            self.value.store(v, Relaxed);
+            self.id.link(self);
         }
     }
 
     /// Raise the gauge to `v` if larger (high-water mark).
     #[inline(always)]
-    pub fn set_max(&self, v: i64) {
+    pub fn set_max(&'static self, v: i64) {
         if crate::enabled() {
-            self.0.fetch_max(v, Ordering::Relaxed);
+            self.value.fetch_max(v, Relaxed);
+            self.id.link(self);
         }
     }
 
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Relaxed)
     }
 }
 
-#[derive(Debug)]
-pub(crate) struct HistInner {
-    /// Inclusive upper bounds, strictly increasing; an implicit +inf bucket
-    /// follows.
-    pub(crate) bounds: Vec<u64>,
-    /// `bounds.len() + 1` buckets; the last is the overflow bucket.
-    pub(crate) buckets: Vec<AtomicU64>,
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
-    pub(crate) min: AtomicU64,
-    pub(crate) max: AtomicU64,
+impl Metric for Gauge {
+    fn id(&self) -> &Id {
+        &self.id
+    }
+    fn snapshot(&self, snap: &mut MetricSnapshot) {
+        snap.kind = MetricKind::Gauge;
+        snap.value = self.get();
+    }
+    fn zero(&self) {
+        self.value.store(0, Relaxed);
+    }
 }
 
+/// Bucket slots of a [`Histogram`]: up to 8 bounds plus the overflow bucket.
+const MAX_BUCKETS: usize = 9;
+
 /// Fixed-bucket histogram (`observe` ≤ bound goes in that bucket).
-#[derive(Clone, Debug)]
-pub struct Histogram(pub(crate) Arc<HistInner>);
+#[derive(Debug)]
+pub struct Histogram {
+    id: Id,
+    /// Inclusive upper bounds, strictly increasing; an implicit +inf bucket
+    /// follows.
+    bounds: &'static [u64],
+    /// The first `bounds.len() + 1` slots are live; the last of those is
+    /// the overflow bucket.
+    buckets: [AtomicU64; MAX_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+}
 
 impl Histogram {
+    /// `bounds` are inclusive upper bounds: at most 8, strictly increasing
+    /// (checked at compile time for a `static`).
+    pub const fn new(scope: &'static str, name: &'static str, bounds: &'static [u64]) -> Histogram {
+        assert!(bounds.len() < MAX_BUCKETS, "at most 8 histogram bounds");
+        let mut i = 1;
+        while i < bounds.len() {
+            assert!(
+                bounds[i - 1] < bounds[i],
+                "histogram bounds must be strictly increasing"
+            );
+            i += 1;
+        }
+        Histogram {
+            id: Id::new(scope, name),
+            bounds,
+            buckets: [const { AtomicU64::new(0) }; MAX_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+
     #[inline(always)]
-    pub fn observe(&self, v: u64) {
+    pub fn observe(&'static self, v: u64) {
         if crate::enabled() {
             self.record(v);
         }
     }
 
-    /// Record unconditionally — the benchmark harness measures through this
-    /// path, so the measurement exists whether or not `--metrics` is on.
-    pub fn record(&self, v: u64) {
-        let h = &*self.0;
-        let idx = h
+    /// Record unconditionally — the measurement path of `crates/bench` and
+    /// of the collector's stats rows, which exist whether or not
+    /// `--metrics` is on.
+    pub fn record(&'static self, v: u64) {
+        let idx = self
             .bounds
             .iter()
             .position(|&b| v <= b)
-            .unwrap_or(h.bounds.len());
-        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(v, Ordering::Relaxed);
-        h.min.fetch_min(v, Ordering::Relaxed);
-        h.max.fetch_max(v, Ordering::Relaxed);
+            .unwrap_or(self.bounds.len());
+        self.buckets[idx].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.sum.fetch_add(v, Relaxed);
+        self.min.fetch_min(v, Relaxed);
+        self.max.fetch_max(v, Relaxed);
+        self.id.link(self);
+    }
+
+    /// [`record`](Self::record) the nanoseconds since `t0`; returns them.
+    pub fn record_since(&'static self, t0: Instant) -> u64 {
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.record(ns);
+        ns
+    }
+
+    /// Start the RAII guard over this histogram: on drop it records the
+    /// elapsed nanoseconds here when metrics are on and one `Complete`
+    /// `stage`/`name` timeline event when tracing is on (see [`Span`]).
+    #[inline]
+    pub fn span(&'static self, stage: &'static str, name: &'static str) -> Span {
+        Span::start(Some(self), stage, name)
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.count.load(Relaxed)
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observed value, 0 if empty.
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
+        self.sum.load(Relaxed)
     }
 
     /// Estimate the `q`-quantile (`0.0..=1.0`) by linear interpolation
@@ -148,8 +300,8 @@ impl Histogram {
         if n == 0 {
             return 0;
         }
-        let min = self.0.min.load(Ordering::Relaxed);
-        let max = self.0.max.load(Ordering::Relaxed);
+        let min = self.min.load(Relaxed);
+        let max = self.max.load(Relaxed);
         if q <= 0.0 {
             return min;
         }
@@ -159,24 +311,15 @@ impl Histogram {
         // Rank of the target observation, 1-based: ceil(q * n), at least 1.
         let target = ((q * n as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for (i, b) in self.0.buckets.iter().enumerate() {
-            let c = b.load(Ordering::Relaxed);
-            if c == 0 {
-                cum += c;
-                continue;
-            }
-            if cum + c >= target {
+        for (i, c) in self.bucket_counts().into_iter().enumerate() {
+            if c > 0 && cum + c >= target {
                 // Interpolate within this bucket's value range.
                 let lo = if i == 0 {
                     min
                 } else {
-                    self.0.bounds[i - 1].saturating_add(1)
+                    self.bounds[i - 1].saturating_add(1)
                 };
-                let hi = if i < self.0.bounds.len() {
-                    self.0.bounds[i]
-                } else {
-                    max
-                };
+                let hi = self.bounds.get(i).copied().unwrap_or(max);
                 let (lo, hi) = (lo.clamp(min, max), hi.clamp(min, max));
                 let frac = (target - cum) as f64 / c as f64;
                 let est = lo as f64 + frac * (hi.saturating_sub(lo)) as f64;
@@ -189,134 +332,38 @@ impl Histogram {
 
     /// Per-bucket counts (overflow bucket last).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0
-            .buckets
+        self.buckets[..=self.bounds.len()]
             .iter()
-            .map(|b| b.load(Ordering::Relaxed))
+            .map(|b| b.load(Relaxed))
             .collect()
     }
-
-    pub fn bounds(&self) -> &[u64] {
-        &self.0.bounds
-    }
-
-    /// Start a gated RAII span recording into this histogram. Unlike
-    /// [`Scope::span`] this takes no registry lock, so it is safe on hot
-    /// paths when the handle is pre-registered.
-    #[inline]
-    pub fn start_span(&self) -> Span {
-        Span::start(self.clone())
-    }
-
-    /// Start an unconditional stopwatch recording into this histogram.
-    #[inline]
-    pub fn start_timer(&self) -> Stopwatch {
-        Stopwatch::start(self.clone())
-    }
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-pub(crate) type Registry = BTreeMap<(String, String), Metric>;
-
-pub(crate) fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// A named subsystem view of the registry; cheap to copy around.
-#[derive(Clone, Copy, Debug)]
-pub struct Scope {
-    subsystem: &'static str,
-}
-
-/// Get (or create) the scope for one pipeline subsystem — `"interp"`,
-/// `"compressor"`, `"merge"`, `"codec"`, `"deflate"`, `"simmpi"`, `"bench"`.
-pub fn scope(subsystem: &'static str) -> Scope {
-    Scope { subsystem }
-}
-
-impl Scope {
-    pub fn name(&self) -> &'static str {
-        self.subsystem
+impl Metric for Histogram {
+    fn id(&self) -> &Id {
+        &self.id
     }
-
-    fn key(&self, name: &str) -> (String, String) {
-        (self.subsystem.to_owned(), name.to_owned())
+    fn snapshot(&self, snap: &mut MetricSnapshot) {
+        snap.kind = MetricKind::Histogram;
+        snap.count = self.count();
+        snap.sum = self.sum();
+        let min = self.min.load(Relaxed);
+        snap.min = if min == u64::MAX { 0 } else { min };
+        snap.max = self.max.load(Relaxed);
+        snap.p50 = self.quantile(0.50);
+        snap.p90 = self.quantile(0.90);
+        snap.p99 = self.quantile(0.99);
+        snap.bounds = self.bounds.to_vec();
+        snap.buckets = self.bucket_counts();
     }
-
-    /// Get or register a counter. Registration locks the registry; do it at
-    /// construction time, not per event.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut reg = registry().lock().expect("obs registry poisoned");
-        match reg
-            .entry(self.key(name))
-            .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Metric::Counter(c) => c.clone(),
-            other => panic!(
-                "metric {}/{name} already registered as {other:?}, not a counter",
-                self.subsystem
-            ),
+    fn zero(&self) {
+        for b in &self.buckets {
+            b.store(0, Relaxed);
         }
-    }
-
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut reg = registry().lock().expect("obs registry poisoned");
-        match reg
-            .entry(self.key(name))
-            .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
-        {
-            Metric::Gauge(g) => g.clone(),
-            other => panic!(
-                "metric {}/{name} already registered as {other:?}, not a gauge",
-                self.subsystem
-            ),
-        }
-    }
-
-    /// Get or register a histogram with the given inclusive upper bounds
-    /// (strictly increasing; an overflow bucket is added). Bounds of an
-    /// already-registered histogram win.
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let mut reg = registry().lock().expect("obs registry poisoned");
-        match reg.entry(self.key(name)).or_insert_with(|| {
-            Metric::Histogram(Histogram(Arc::new(HistInner {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            })))
-        }) {
-            Metric::Histogram(h) => h.clone(),
-            other => panic!(
-                "metric {}/{name} already registered as {other:?}, not a histogram",
-                self.subsystem
-            ),
-        }
-    }
-
-    /// RAII span timer recording into the `<name>_ns` histogram when
-    /// metrics are enabled; free when disabled (no clock read).
-    pub fn span(&self, name: &str) -> Span {
-        Span::start(self.histogram(&format!("{name}_ns"), &TIME_BOUNDS_NS))
-    }
-
-    /// Always-on stopwatch over the same `<name>_ns` histogram — the
-    /// benchmark harness's measurement path (Fig. 16/18 derive from it).
-    pub fn timer(&self, name: &str) -> Stopwatch {
-        Stopwatch::start(self.histogram(&format!("{name}_ns"), &TIME_BOUNDS_NS))
+        self.count.store(0, Relaxed);
+        self.sum.store(0, Relaxed);
+        self.min.store(u64::MAX, Relaxed);
+        self.max.store(0, Relaxed);
     }
 }
 
@@ -328,22 +375,22 @@ mod tests {
     fn counter_disabled_records_nothing() {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::set_enabled(false);
-        let c = scope("t-metrics").counter("disabled");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
+        static C: Counter = Counter::new("t-metrics", "disabled");
+        C.inc();
+        C.add(10);
+        assert_eq!(C.get(), 0);
     }
 
     #[test]
     fn gauge_set_max_is_high_water() {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::set_enabled(true);
-        let g = scope("t-metrics").gauge("hw");
-        g.set(0);
-        g.set_max(5);
-        g.set_max(3);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
+        static G: Gauge = Gauge::new("t-metrics", "hw");
+        G.set(0);
+        G.set_max(5);
+        G.set_max(3);
+        G.set_max(9);
+        assert_eq!(G.get(), 9);
         crate::set_enabled(false);
     }
 
@@ -355,19 +402,19 @@ mod tests {
         // 1..=1000 uniform into decade buckets: true p50=500, p90=900,
         // p99=990. Interpolation within the 101–1000 bucket is exact for
         // uniform data up to bucket-edge rounding.
-        let h = scope("t-metrics").histogram("uniform", &[10, 100, 1_000, 10_000]);
+        static H: Histogram = Histogram::new("t-metrics", "uniform", &[10, 100, 1_000, 10_000]);
         for v in 1..=1000u64 {
-            h.observe(v);
+            H.observe(v);
         }
-        let p50 = h.quantile(0.50);
-        let p90 = h.quantile(0.90);
-        let p99 = h.quantile(0.99);
+        let p50 = H.quantile(0.50);
+        let p90 = H.quantile(0.90);
+        let p99 = H.quantile(0.99);
         assert!((490..=510).contains(&p50), "p50={p50}");
         assert!((890..=910).contains(&p90), "p90={p90}");
         assert!((980..=1000).contains(&p99), "p99={p99}");
         // Extremes clamp to observed min/max.
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0), 1000);
+        assert_eq!(H.quantile(0.0), 1);
+        assert_eq!(H.quantile(1.0), 1000);
         crate::set_enabled(false);
     }
 
@@ -376,15 +423,15 @@ mod tests {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::set_enabled(true);
         crate::reset();
-        let h = scope("t-metrics").histogram("point", &TIME_BOUNDS_NS);
-        assert_eq!(h.quantile(0.5), 0, "empty histogram");
+        static H: Histogram = Histogram::new("t-metrics", "point", &TIME_BOUNDS_NS);
+        assert_eq!(H.quantile(0.5), 0, "empty histogram");
         for _ in 0..100 {
-            h.observe(5_000);
+            H.observe(5_000);
         }
         // All mass at one value: every quantile is that value (min==max
         // clamping defeats within-bucket interpolation error).
-        assert_eq!(h.quantile(0.5), 5_000);
-        assert_eq!(h.quantile(0.99), 5_000);
+        assert_eq!(H.quantile(0.5), 5_000);
+        assert_eq!(H.quantile(0.99), 5_000);
         crate::set_enabled(false);
     }
 
@@ -396,33 +443,43 @@ mod tests {
         // 90 fast observations (~2µs) + 10 slow (~2s): p50/p90 must stay in
         // the fast decade, p99 in the slow one — the exact shape that
         // motivates quantiles over means for span histograms.
-        let h = scope("t-metrics").histogram("bimodal", &TIME_BOUNDS_NS);
+        static H: Histogram = Histogram::new("t-metrics", "bimodal", &TIME_BOUNDS_NS);
         for _ in 0..90 {
-            h.observe(2_000);
+            H.observe(2_000);
         }
         for _ in 0..10 {
-            h.observe(2_000_000_000);
+            H.observe(2_000_000_000);
         }
-        assert!(h.quantile(0.50) <= 10_000, "p50={}", h.quantile(0.50));
-        assert!(h.quantile(0.90) <= 10_000, "p90={}", h.quantile(0.90));
+        assert!(H.quantile(0.50) <= 10_000, "p50={}", H.quantile(0.50));
+        assert!(H.quantile(0.90) <= 10_000, "p90={}", H.quantile(0.90));
         assert!(
-            h.quantile(0.99) >= 1_000_000_000,
+            H.quantile(0.99) >= 1_000_000_000,
             "p99={}",
-            h.quantile(0.99)
+            H.quantile(0.99)
         );
         crate::set_enabled(false);
     }
 
     #[test]
-    fn same_name_returns_same_handle() {
+    fn reset_zeroes_in_place_and_the_next_record_relinks() {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::set_enabled(true);
-        let a = scope("t-metrics").counter("shared");
-        let b = scope("t-metrics").counter("shared");
-        let before = a.get();
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), before + 2);
+        crate::reset();
+        static C: Counter = Counter::new("t-metrics", "relinked");
+        static H: Histogram = Histogram::new("t-metrics", "relinked_h", &[10]);
+        C.add(5);
+        H.observe(50);
+        crate::reset();
+        assert_eq!((C.get(), H.count(), H.bucket_counts()), (0, 0, vec![0, 0]));
+        assert!(crate::report().metrics.is_empty());
+        C.add(2);
+        let report = crate::report();
+        assert_eq!(report.metrics.len(), 1, "only what recorded since");
+        assert_eq!(
+            (report.metrics[0].name.as_str(), report.metrics[0].value),
+            ("relinked", 2)
+        );
         crate::set_enabled(false);
+        crate::reset();
     }
 }

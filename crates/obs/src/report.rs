@@ -6,12 +6,11 @@
 //! (offline build — no serde): the shape is fixed and covered by a golden
 //! test.
 
-use crate::metrics::{registry, Metric};
 use std::fmt::{self, Write};
-use std::sync::atomic::Ordering;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricKind {
+    #[default]
     Counter,
     Gauge,
     Histogram,
@@ -28,7 +27,7 @@ impl MetricKind {
 }
 
 /// Point-in-time copy of one metric's value.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricSnapshot {
     pub subsystem: String,
     pub name: String,
@@ -64,54 +63,11 @@ pub struct Report {
     pub metrics: Vec<MetricSnapshot>,
 }
 
-/// Snapshot the global registry.
+/// Snapshot every metric that has recorded since the last reset.
 pub fn report() -> Report {
-    let reg = registry().lock().expect("obs registry poisoned");
-    let metrics = reg
-        .iter()
-        .map(|((subsystem, name), metric)| {
-            let mut snap = MetricSnapshot {
-                subsystem: subsystem.clone(),
-                name: name.clone(),
-                kind: MetricKind::Counter,
-                value: 0,
-                count: 0,
-                sum: 0,
-                min: 0,
-                max: 0,
-                p50: 0,
-                p90: 0,
-                p99: 0,
-                bounds: Vec::new(),
-                buckets: Vec::new(),
-            };
-            match metric {
-                Metric::Counter(c) => {
-                    snap.kind = MetricKind::Counter;
-                    snap.value = c.get() as i64;
-                }
-                Metric::Gauge(g) => {
-                    snap.kind = MetricKind::Gauge;
-                    snap.value = g.get();
-                }
-                Metric::Histogram(h) => {
-                    snap.kind = MetricKind::Histogram;
-                    snap.count = h.count();
-                    snap.sum = h.sum();
-                    let min = h.0.min.load(Ordering::Relaxed);
-                    snap.min = if min == u64::MAX { 0 } else { min };
-                    snap.max = h.0.max.load(Ordering::Relaxed);
-                    snap.p50 = h.quantile(0.50);
-                    snap.p90 = h.quantile(0.90);
-                    snap.p99 = h.quantile(0.99);
-                    snap.bounds = h.bounds().to_vec();
-                    snap.buckets = h.bucket_counts();
-                }
-            }
-            snap
-        })
-        .collect();
-    Report { metrics }
+    Report {
+        metrics: crate::metrics::snapshot_all(),
+    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -283,19 +239,21 @@ pub fn push_json_u64_array(out: &mut String, vals: impl IntoIterator<Item = u64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::scope;
+    use crate::metrics::{Counter, Gauge, Histogram};
 
     #[test]
     fn jsonl_golden_shape() {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::reset();
         crate::set_enabled(true);
-        let m = scope("golden");
-        m.counter("events").add(7);
-        m.gauge("live_bytes").set(-3);
-        m.histogram("lat", &[10, 100]).observe(5);
-        m.histogram("lat", &[10, 100]).observe(50);
-        m.histogram("lat", &[10, 100]).observe(5000);
+        static EVENTS: Counter = Counter::new("golden", "events");
+        static LIVE_BYTES: Gauge = Gauge::new("golden", "live_bytes");
+        static LAT: Histogram = Histogram::new("golden", "lat", &[10, 100]);
+        EVENTS.add(7);
+        LIVE_BYTES.set(-3);
+        LAT.observe(5);
+        LAT.observe(50);
+        LAT.observe(5000);
         let got = report().to_jsonl();
         let want = concat!(
             "{\"subsystem\":\"golden\",\"name\":\"events\",\"kind\":\"counter\",\"value\":7}\n",
@@ -315,9 +273,10 @@ mod tests {
         let _guard = crate::test_mutex().lock().unwrap();
         crate::reset();
         crate::set_enabled(true);
-        let m = scope("texttab");
-        m.counter("a_counter").add(42);
-        m.gauge("a_gauge").set(9);
+        static A_COUNTER: Counter = Counter::new("texttab", "a_counter");
+        static A_GAUGE: Gauge = Gauge::new("texttab", "a_gauge");
+        A_COUNTER.add(42);
+        A_GAUGE.set(9);
         let text = report().to_text();
         assert!(text.contains("a_counter"));
         assert!(text.contains("a_gauge"));

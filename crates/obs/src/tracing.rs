@@ -5,8 +5,8 @@
 //! per stage, over time*, which is exactly what the interpreter→session
 //! bottleneck hunt needs. This module records discrete timeline events:
 //!
-//! * **begin/end/instant/complete events** with nanosecond timestamps
-//!   relative to one process-wide epoch, a `&'static str` name, a
+//! * **instant and complete (start + duration) events** with nanosecond
+//!   timestamps relative to one process-wide epoch, a `&'static str` name, a
 //!   `&'static str` stage label (the Chrome "category"), the recording
 //!   thread, and an optional rank label;
 //! * **bounded per-thread rings** — each thread appends to its own
@@ -66,23 +66,16 @@ pub fn trace_now_ns() -> u64 {
 
 /// Event phase, mirroring the Chrome trace-event phases we emit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TracePhase {
-    /// `ph:"B"` — duration begin.
-    Begin = 0,
-    /// `ph:"E"` — duration end.
-    End = 1,
     /// `ph:"i"` — instant.
-    Instant = 2,
+    Instant,
     /// `ph:"X"` — complete (begin timestamp + duration in one record).
-    Complete = 3,
+    Complete,
 }
 
 impl TracePhase {
     pub fn chrome(self) -> &'static str {
         match self {
-            TracePhase::Begin => "B",
-            TracePhase::End => "E",
             TracePhase::Instant => "i",
             TracePhase::Complete => "X",
         }
@@ -100,7 +93,8 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Duration in nanoseconds (`Complete` only; 0 otherwise).
     pub dur_ns: u64,
-    /// Event name (`"rank"`, `"deflate"`, `"steal"`, …).
+    /// Event name (`"rank"`, `"deflate"`, `"steal"`, …). A trailing `~`
+    /// marks a `Complete` span whose duration is an estimate.
     pub name: &'static str,
     /// Stage label — the Chrome category: `"interp"`, `"session"`,
     /// `"merge"`, `"encode"`, `"io"`, `"net"`, `"sched"`, `"deflate"`, ….
@@ -190,7 +184,7 @@ fn push_event(ev: TraceEvent) {
 }
 
 #[inline]
-fn record(
+pub(crate) fn record(
     phase: TracePhase,
     stage: &'static str,
     name: &'static str,
@@ -218,72 +212,12 @@ pub fn trace_instant(stage: &'static str, name: &'static str, arg: u64) {
     }
 }
 
-/// Record an explicit duration-begin event (prefer [`trace_span`], which
-/// emits one `Complete` record instead of two).
-#[inline]
-pub fn trace_begin(stage: &'static str, name: &'static str) {
-    if trace_enabled() {
-        record(TracePhase::Begin, stage, name, trace_now_ns(), 0, 0);
-    }
-}
-
-/// Record the matching duration-end event for [`trace_begin`].
-#[inline]
-pub fn trace_end(stage: &'static str, name: &'static str) {
-    if trace_enabled() {
-        record(TracePhase::End, stage, name, trace_now_ns(), 0, 0);
-    }
-}
-
 /// Record a pre-measured complete span (e.g. accumulated non-contiguous
 /// time reported as one synthetic interval).
 #[inline]
 pub fn trace_complete(stage: &'static str, name: &'static str, ts_ns: u64, dur_ns: u64, arg: u64) {
     if trace_enabled() {
         record(TracePhase::Complete, stage, name, ts_ns, dur_ns, arg);
-    }
-}
-
-/// Start a gated RAII span; on drop it records one `Complete` event. When
-/// tracing is disabled at start, the span is inert (no clock read).
-#[inline]
-pub fn trace_span(stage: &'static str, name: &'static str) -> TraceSpan {
-    TraceSpan {
-        inner: if trace_enabled() {
-            Some((trace_now_ns(), stage, name))
-        } else {
-            None
-        },
-        arg: 0,
-    }
-}
-
-/// RAII timeline span (see [`trace_span`]).
-#[derive(Debug)]
-pub struct TraceSpan {
-    inner: Option<(u64, &'static str, &'static str)>,
-    arg: u64,
-}
-
-impl TraceSpan {
-    /// Attach the free numeric argument recorded with the span.
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let Some((start, stage, name)) = self.inner.take() {
-            record(
-                TracePhase::Complete,
-                stage,
-                name,
-                start,
-                trace_now_ns().saturating_sub(start),
-                self.arg,
-            );
-        }
     }
 }
 
@@ -456,6 +390,9 @@ pub struct StageProfile {
     pub ranks: Vec<RankRow>,
     /// Events lost to ring overflow (attribution is partial if nonzero).
     pub dropped: u64,
+    /// Stages fed by a span named `…~`: their time is a sampled estimate
+    /// (a session's per-push time), and what encloses them holds the rest.
+    pub estimated: Vec<String>,
 }
 
 impl StageProfile {
@@ -563,11 +500,21 @@ impl StageProfile {
             .collect();
         ranks.sort_by(|a, b| (a.rank, &a.stage).cmp(&(b.rank, &b.stage)));
 
+        let mut estimated: Vec<String> = dump
+            .events
+            .iter()
+            .filter(|e| e.phase == TracePhase::Complete && e.name.ends_with('~'))
+            .map(|e| e.stage.to_owned())
+            .collect();
+        estimated.sort();
+        estimated.dedup();
+
         StageProfile {
             total_ns,
             stages,
             ranks,
             dropped: dump.dropped,
+            estimated,
         }
     }
 
@@ -629,6 +576,16 @@ impl StageProfile {
         format!("{:.3}ms", ns as f64 / 1e6)
     }
 
+    /// `ns` of `stage` for the cpu columns, `~`-prefixed when estimated.
+    fn fmt_cpu(&self, stage: &str, ns: u64) -> String {
+        let mark = if self.estimated.iter().any(|s| s == stage) {
+            "~"
+        } else {
+            ""
+        };
+        format!("{mark}{}", Self::fmt_ms(ns))
+    }
+
     /// Aligned attribution table.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -656,7 +613,7 @@ impl StageProfile {
                 s.stage,
                 Self::fmt_ms(s.wall_ns),
                 pct,
-                Self::fmt_ms(s.cpu_ns),
+                self.fmt_cpu(&s.stage, s.cpu_ns),
                 s.spans
             ));
         }
@@ -672,9 +629,14 @@ impl StageProfile {
                     "{:<6} {:<12} {:>12}\n",
                     r.rank,
                     r.stage,
-                    Self::fmt_ms(r.cpu_ns)
+                    self.fmt_cpu(&r.stage, r.cpu_ns)
                 ));
             }
+        }
+        if !self.estimated.is_empty() {
+            out.push_str(
+                "~ estimated from timed samples, not measured; the enclosing stage holds the rest\n",
+            );
         }
         out
     }
@@ -738,9 +700,7 @@ mod tests {
         set_trace_enabled(false);
         trace_reset();
         trace_instant("t", "noop", 1);
-        drop(trace_span("t", "noop"));
-        trace_begin("t", "noop");
-        trace_end("t", "noop");
+        drop(crate::trace_span("t", "noop"));
         assert!(trace_drain().events.is_empty());
     }
 
@@ -751,8 +711,7 @@ mod tests {
         set_trace_enabled(true);
         set_thread_rank(7);
         {
-            let mut s = trace_span("stage-a", "work");
-            s.set_arg(42);
+            let _s = crate::trace_span("stage-a", "work").arg(42);
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         trace_instant("stage-a", "tick", 3);

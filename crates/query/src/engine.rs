@@ -9,38 +9,21 @@ use cypress_core::{
 };
 use cypress_cst::tree::VertexKind;
 use cypress_cst::Cst;
-use cypress_obs::{Counter, Histogram};
+use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
 use cypress_trace::raw::RawTrace;
 use cypress_trace::{CommMatrix, ContainerError, Event, MpiOp, Profile};
-use std::sync::OnceLock;
 
-/// Query instrumentation handles (scope `query`).
-struct QueryMetrics {
-    /// Queries evaluated (any strategy).
-    runs: Counter,
-    /// Merged leaf records folded symbolically.
-    symbolic_records: Counter,
-    /// Events streamed through partial expansion.
-    expanded_events: Counter,
-    /// `Strategy::Auto` decisions that fell back to partial expansion.
-    fallbacks: Counter,
-    /// Wall time per query.
-    query_ns: Histogram,
-}
-
-fn obs() -> &'static QueryMetrics {
-    static M: OnceLock<QueryMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("query");
-        QueryMetrics {
-            runs: s.counter("runs"),
-            symbolic_records: s.counter("symbolic_records"),
-            expanded_events: s.counter("expanded_events"),
-            fallbacks: s.counter("fallbacks"),
-            query_ns: s.histogram("query_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+// Scope `query`.
+/// Queries evaluated (any strategy).
+static RUNS: Counter = Counter::new("query", "runs");
+/// Merged leaf records folded symbolically.
+static SYMBOLIC_RECORDS: Counter = Counter::new("query", "symbolic_records");
+/// Events streamed through partial expansion.
+static EXPANDED_EVENTS: Counter = Counter::new("query", "expanded_events");
+/// `Strategy::Auto` decisions that fell back to partial expansion.
+static FALLBACKS: Counter = Counter::new("query", "fallbacks");
+/// Wall time per query.
+static QUERY_NS: Histogram = Histogram::new("query", "query_ns", &TIME_BOUNDS_NS);
 
 /// Does this program require partial expansion for replay-exact results?
 /// True iff the CST contains a recursion pseudo-loop — the one construct
@@ -63,9 +46,7 @@ fn resolve_strategy(requested: Strategy, cst: &Cst, window: Option<Window>) -> S
         Strategy::PartialExpansion => StrategyUsed::PartialExpansion,
         Strategy::Auto => {
             if needs_expansion(cst) {
-                if cypress_obs::enabled() {
-                    obs().fallbacks.inc();
-                }
+                FALLBACKS.inc();
                 StrategyUsed::PartialExpansion
             } else {
                 StrategyUsed::Symbolic
@@ -145,7 +126,7 @@ pub fn query_ctts<S: CttSource>(
     ctts: &[S],
     opts: &QueryOptions,
 ) -> Result<QueryResult, QueryError> {
-    let _span = cypress_obs::enabled().then(|| obs().query_ns.start_span());
+    let _span = QUERY_NS.span("query", "query_ctts");
     let nprocs = world_size(ctts)?;
     for c in ctts {
         check_shape(cst, c.vertex_count())?;
@@ -192,7 +173,7 @@ pub fn query_merged(
     merged: &MergedCtt,
     opts: &QueryOptions,
 ) -> Result<QueryResult, QueryError> {
-    let _span = cypress_obs::enabled().then(|| obs().query_ns.start_span());
+    let _span = QUERY_NS.span("query", "query_merged");
     check_shape(cst, merged.vertices.len())?;
     let nprocs = merged.nprocs;
     let used = resolve_strategy(opts.strategy, cst, opts.window);
@@ -277,12 +258,9 @@ fn expand_into<S: CttSource>(
 }
 
 fn note_run(symbolic_records: u64, expanded_events: u64) {
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.runs.inc();
-        m.symbolic_records.add(symbolic_records);
-        m.expanded_events.add(expanded_events);
-    }
+    RUNS.inc();
+    SYMBOLIC_RECORDS.add(symbolic_records);
+    EXPANDED_EVENTS.add(expanded_events);
 }
 
 /// The reference oracle: fully decompress every rank to a materialized

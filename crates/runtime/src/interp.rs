@@ -34,26 +34,13 @@ use cypress_obs::{Counter, Gauge};
 use cypress_trace::event::{Event, MpiOp, MpiParams, MpiRecord, ANY_SOURCE, NONE};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::OnceLock;
 
-/// Interpreter instrumentation handles (scope `interp`), shared by all ranks.
-struct InterpMetrics {
-    /// Structure enter/exit + MPI events handed to the sink.
-    events_emitted: Counter,
-    /// High-water mark of the live request-handle → GID table.
-    req_table_high_water: Gauge,
-}
-
-fn obs() -> &'static InterpMetrics {
-    static M: OnceLock<InterpMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("interp");
-        InterpMetrics {
-            events_emitted: s.counter("events_emitted"),
-            req_table_high_water: s.gauge("req_table_high_water"),
-        }
-    })
-}
+// Scope `interp`, shared by all ranks; each interpreter tallies into its own
+// fields and flushes once, at the end of `run`.
+/// Structure enter/exit + MPI events handed to the sink.
+static EVENTS_EMITTED: Counter = Counter::new("interp", "events_emitted");
+/// High-water mark of the live request-handle → GID table.
+static REQ_TABLE_HIGH_WATER: Gauge = Gauge::new("interp", "req_table_high_water");
 
 /// Runtime failure (arithmetic fault, budget exhaustion, internal error).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,6 +139,9 @@ pub struct Interp<'a, S: EventSink> {
     reqs: VecDeque<Option<u32>>,
     first_req: u64,
     live_reqs: usize,
+    /// Most requests ever live at once, and events handed to the sink.
+    peak_live_reqs: usize,
+    emitted: u64,
     /// Recursion depth per pseudo-loop GID (for Exit-at-outermost).
     rec_depth: HashMap<u32, u32>,
     /// Monotone counter mixed into synthetic op durations.
@@ -183,6 +173,8 @@ impl<'a, S: EventSink> Interp<'a, S> {
             reqs: VecDeque::new(),
             first_req: 1,
             live_reqs: 0,
+            peak_live_reqs: 0,
+            emitted: 0,
             rec_depth: HashMap::new(),
             op_seq: 0,
         }
@@ -190,6 +182,13 @@ impl<'a, S: EventSink> Interp<'a, S> {
 
     /// Run `main` to completion; returns total virtual time (ns).
     pub fn run(&mut self) -> RunResult<u64> {
+        let result = self.run_main();
+        EVENTS_EMITTED.add(self.emitted);
+        REQ_TABLE_HIGH_WATER.set_max(self.peak_live_reqs as i64);
+        result
+    }
+
+    fn run_main(&mut self) -> RunResult<u64> {
         let main = self
             .prog
             .func_index("main")
@@ -539,9 +538,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
     /// Single funnel for all sink events, so the interpreter can account for
     /// its own emission volume (`interp/events_emitted`).
     fn emit(&mut self, ev: Event) {
-        if cypress_obs::enabled() {
-            obs().events_emitted.inc();
-        }
+        self.emitted += 1;
         self.sink.event(ev);
     }
 
@@ -550,9 +547,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
         let req = self.first_req + self.reqs.len() as u64;
         self.reqs.push_back(Some(gid));
         self.live_reqs += 1;
-        if cypress_obs::enabled() {
-            obs().req_table_high_water.set_max(self.live_reqs as i64);
-        }
+        self.peak_live_reqs = self.peak_live_reqs.max(self.live_reqs);
         Value::Req(req)
     }
 

@@ -35,29 +35,15 @@ use cypress_obs::Counter;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Ring instrumentation handles (scope `ring`), shared by all rings.
-struct RingMetrics {
-    /// Items (batches) pushed through any ring.
-    batches: Counter,
-    /// Producer-side full-ring stalls (backpressure events).
-    producer_stalls: Counter,
-    /// Consumer-side empty-ring stalls while the producer was still open.
-    consumer_stalls: Counter,
-}
-
-fn obs() -> &'static RingMetrics {
-    static M: OnceLock<RingMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("ring");
-        RingMetrics {
-            batches: s.counter("batches"),
-            producer_stalls: s.counter("producer_stalls"),
-            consumer_stalls: s.counter("consumer_stalls"),
-        }
-    })
-}
+// Scope `ring`, shared by all rings.
+/// Items (batches) pushed through any ring.
+static BATCHES: Counter = Counter::new("ring", "batches");
+/// Producer-side full-ring stalls (backpressure events).
+static PRODUCER_STALLS: Counter = Counter::new("ring", "producer_stalls");
+/// Consumer-side empty-ring stalls while the producer was still open.
+static CONSUMER_STALLS: Counter = Counter::new("ring", "consumer_stalls");
 
 /// Pad-and-align wrapper keeping the producer's and consumer's hot counters
 /// on separate cache lines, so head/tail updates never false-share.
@@ -177,10 +163,8 @@ impl<T: Send> Producer<T> {
                 if self.shared.abandoned.load(Ordering::Acquire) {
                     return false; // nothing will ever drain us
                 }
-                if step == 0 && cypress_obs::enabled() {
-                    obs().producer_stalls.inc();
-                }
                 if step == 0 {
+                    PRODUCER_STALLS.inc();
                     cypress_obs::trace_instant("ring", "stall_full", tail);
                 }
                 backoff(step);
@@ -194,9 +178,7 @@ impl<T: Send> Producer<T> {
             (*self.shared.slots[(tail % cap) as usize].get()).write(item);
         }
         self.shared.tail.0.store(tail + 1, Ordering::Release);
-        if cypress_obs::enabled() {
-            obs().batches.inc();
-        }
+        BATCHES.inc();
         true
     }
 
@@ -269,8 +251,8 @@ impl<T: Send> Consumer<T> {
             if self.shared.closed.load(Ordering::Acquire) {
                 return self.try_pop();
             }
-            if step == 0 && cypress_obs::enabled() {
-                obs().consumer_stalls.inc();
+            if step == 0 {
+                CONSUMER_STALLS.inc();
             }
             backoff(step);
             step = step.saturating_add(1);

@@ -17,32 +17,16 @@
 use cypress_obs::{Counter, Gauge};
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::sync::OnceLock;
 
-/// Scheduler instrumentation handles (scope `sched`).
-struct SchedMetrics {
-    /// Rank tasks executed by the pool.
-    tasks_run: Counter,
-    /// Tasks obtained by stealing from another worker's deque.
-    steals: Counter,
-    /// Pools spun up.
-    pools: Counter,
-    /// High-water worker count of any pool.
-    workers: Gauge,
-}
-
-fn obs() -> &'static SchedMetrics {
-    static M: OnceLock<SchedMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("sched");
-        SchedMetrics {
-            tasks_run: s.counter("tasks_run"),
-            steals: s.counter("steals"),
-            pools: s.counter("pools"),
-            workers: s.gauge("workers"),
-        }
-    })
-}
+// Scope `sched`.
+/// Rank tasks executed by the pool.
+static TASKS_RUN: Counter = Counter::new("sched", "tasks_run");
+/// Tasks obtained by stealing from another worker's deque.
+static STEALS: Counter = Counter::new("sched", "steals");
+/// Pools spun up.
+static POOLS: Counter = Counter::new("sched", "pools");
+/// High-water worker count of any pool.
+static WORKERS: Gauge = Gauge::new("sched", "workers");
 
 /// Stack size for pool workers. Large enough for the interpreter's guarded
 /// native recursion (same budget `trace_rank` gives its dedicated thread).
@@ -68,11 +52,8 @@ where
         return Vec::new();
     }
     let workers = workers.clamp(1, n);
-    if cypress_obs::enabled() {
-        let m = obs();
-        m.pools.inc();
-        m.workers.set_max(workers as i64);
-    }
+    POOLS.inc();
+    WORKERS.set_max(workers as i64);
 
     // Seed worker deques with contiguous rank runs.
     let chunk = n.div_ceil(workers);
@@ -102,9 +83,7 @@ where
                             let victim = &queues[(w + off) % queues.len()];
                             if let Some(r) = victim.lock().expect("sched queue poisoned").pop_back()
                             {
-                                if cypress_obs::enabled() {
-                                    obs().steals.inc();
-                                }
+                                STEALS.inc();
                                 cypress_obs::trace_instant("sched", "steal", r as u64);
                                 next = Some(r);
                                 break;
@@ -118,9 +97,7 @@ where
                     cypress_obs::set_thread_rank(rank);
                     let out = f(rank);
                     cypress_obs::clear_thread_rank();
-                    if cypress_obs::enabled() {
-                        obs().tasks_run.inc();
-                    }
+                    TASKS_RUN.inc();
                     *results[rank as usize]
                         .lock()
                         .expect("sched result slot poisoned") = Some(out);

@@ -20,40 +20,24 @@
 //! remaining *exactly* equal to a one-shot simulation.
 
 use crate::model::LogGp;
-use cypress_obs::{obs_log, Counter, Histogram, Level};
+use cypress_obs::{obs_log, Counter, Histogram, Level, TIME_BOUNDS_NS};
 use cypress_trace::event::{MpiOp, MpiParams, ANY_SOURCE};
 use cypress_trace::raw::RawTrace;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::OnceLock;
 
-/// Simulator instrumentation handles (scope `simmpi`).
-struct SimMetrics {
-    /// Operations completed across all ranks.
-    ops_simulated: Counter,
-    /// Round-robin passes where a rank stayed blocked (retried next round).
-    blocked_rank_rounds: Counter,
-    /// Posted-receive arrival polls that found no matching message yet.
-    unmatched_recv_polls: Counter,
-    /// Simulations aborted with a deadlock report.
-    deadlocks_detected: Counter,
-    /// Wall time per whole-job simulation.
-    simulate_ns: Histogram,
-}
-
-fn obs() -> &'static SimMetrics {
-    static M: OnceLock<SimMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("simmpi");
-        SimMetrics {
-            ops_simulated: s.counter("ops_simulated"),
-            blocked_rank_rounds: s.counter("blocked_rank_rounds"),
-            unmatched_recv_polls: s.counter("unmatched_recv_polls"),
-            deadlocks_detected: s.counter("deadlocks_detected"),
-            simulate_ns: s.histogram("simulate_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+// Scope `simmpi`. The op loop tallies into plain fields of the simulation;
+// `Sim::into_result` flushes them, once per completed simulation.
+/// Operations completed across all ranks.
+static OPS_SIMULATED: Counter = Counter::new("simmpi", "ops_simulated");
+/// Round-robin passes where a rank stayed blocked (retried next round).
+static BLOCKED_RANK_ROUNDS: Counter = Counter::new("simmpi", "blocked_rank_rounds");
+/// Posted-receive arrival polls that found no matching message yet.
+static UNMATCHED_RECV_POLLS: Counter = Counter::new("simmpi", "unmatched_recv_polls");
+/// Simulations aborted with a deadlock report.
+static DEADLOCKS_DETECTED: Counter = Counter::new("simmpi", "deadlocks_detected");
+/// Wall time per whole-job simulation.
+static SIMULATE_NS: Histogram = Histogram::new("simmpi", "simulate_ns", &TIME_BOUNDS_NS);
 
 /// One operation to simulate: optional preceding computation, then the op.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,6 +194,9 @@ struct RankState {
     cur_msg: Option<usize>,
     cur_recv: Option<usize>,
     done: bool,
+    /// Tallies behind `ops_simulated` and `unmatched_recv_polls`.
+    ops_done: u64,
+    unmatched_polls: u64,
 }
 
 impl RankState {
@@ -226,6 +213,8 @@ impl RankState {
             cur_msg: None,
             cur_recv: None,
             done: false,
+            ops_done: 0,
+            unmatched_polls: 0,
         }
     }
 
@@ -279,12 +268,10 @@ impl RankState {
 
     /// Arrival-completion time of the message matched to `posted_idx`, or
     /// `None` if unmatched.
-    fn recv_arrival(&self, posted_idx: usize, model: &LogGp) -> Option<u64> {
+    fn recv_arrival(&mut self, posted_idx: usize, model: &LogGp) -> Option<u64> {
         let p = &self.posted[posted_idx];
         let Some(mi) = p.matched else {
-            if cypress_obs::enabled() {
-                obs().unmatched_recv_polls.inc();
-            }
+            self.unmatched_polls += 1;
             return None;
         };
         let m = &self.inbox[mi];
@@ -347,6 +334,8 @@ pub struct Sim {
     trace_waits: bool,
     /// Per-rank: gid → (total late-sender wait ns, late-arrival count).
     waits: Vec<HashMap<u32, (u64, u64)>>,
+    /// Tally behind `blocked_rank_rounds`.
+    blocked_rounds: u64,
 }
 
 impl Sim {
@@ -359,6 +348,7 @@ impl Sim {
             collectives: Vec::new(),
             trace_waits,
             waits: vec![HashMap::new(); nprocs],
+            blocked_rounds: 0,
         }
     }
 
@@ -382,9 +372,7 @@ impl Sim {
                 }
                 if !self.ranks[r].done {
                     all_done = false;
-                    if cypress_obs::enabled() {
-                        obs().blocked_rank_rounds.inc();
-                    }
+                    self.blocked_rounds += 1;
                 }
             }
             if finalize && all_done {
@@ -401,9 +389,7 @@ impl Sim {
                         format!("rank {r} at op {} ({})", self.ranks[r].idx, o.op)
                     })
                     .collect();
-                if cypress_obs::enabled() {
-                    obs().deadlocks_detected.inc();
-                }
+                DEADLOCKS_DETECTED.inc();
                 obs_log!(
                     Level::Warn,
                     "simmpi",
@@ -489,6 +475,9 @@ impl Sim {
 
     /// Finish a completed simulation (after `run(true)` returned `Done`).
     pub fn into_result(mut self) -> (SimResult, WaitReport) {
+        OPS_SIMULATED.add(self.ranks.iter().map(|s| s.ops_done).sum());
+        UNMATCHED_RECV_POLLS.add(self.ranks.iter().map(|s| s.unmatched_polls).sum());
+        BLOCKED_RANK_ROUNDS.add(self.blocked_rounds);
         let finish: Vec<u64> = self.ranks.iter().map(|s| s.time).collect();
         let total = finish.iter().copied().max().unwrap_or(0);
         let result = SimResult {
@@ -553,6 +542,7 @@ impl Sim {
             collectives,
             trace_waits,
             waits,
+            ..
         } = self;
         let trace_waits = *trace_waits;
         let op = &ops[r][ranks[r].idx];
@@ -834,7 +824,7 @@ fn run_all(
 ) -> Result<(SimResult, WaitReport), SimError> {
     let p = ops.len();
     assert!(p > 0, "simulate needs at least one rank");
-    let _span = obs().simulate_ns.start_span();
+    let _span = SIMULATE_NS.span("simmpi", "simulate").arg(p as u64);
     let mut sim = Sim::new(p, model, trace_waits);
     for (r, rank_ops) in ops.iter().enumerate() {
         sim.feed(r, rank_ops.iter().cloned());
@@ -870,9 +860,7 @@ fn record_wait(
 
 /// Complete the current op of rank `r`: advance clocks and op index.
 fn complete(st: &mut RankState, ready: u64, t: u64) {
-    if cypress_obs::enabled() {
-        obs().ops_simulated.inc();
-    }
+    st.ops_done += 1;
     st.comm += t.saturating_sub(ready);
     st.time = t;
     st.idx += 1;

@@ -2,6 +2,7 @@
 //! handles.
 
 use crate::{StoreError, StoreJob};
+use cypress_obs::{Counter, Gauge};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,29 +68,13 @@ struct Inner {
     resident_bytes: usize,
 }
 
-struct StoreObs {
-    hits: cypress_obs::Counter,
-    misses: cypress_obs::Counter,
-    evictions: cypress_obs::Counter,
-    loads: cypress_obs::Counter,
-    resident_bytes: cypress_obs::Gauge,
-    resident_jobs: cypress_obs::Gauge,
-}
-
-fn obs() -> &'static StoreObs {
-    static OBS: OnceLock<StoreObs> = OnceLock::new();
-    OBS.get_or_init(|| {
-        let s = cypress_obs::scope("store");
-        StoreObs {
-            hits: s.counter("hits"),
-            misses: s.counter("misses"),
-            evictions: s.counter("evictions"),
-            loads: s.counter("loads"),
-            resident_bytes: s.gauge("resident_bytes"),
-            resident_jobs: s.gauge("resident_jobs"),
-        }
-    })
-}
+// Scope `store`.
+static HITS: Counter = Counter::new("store", "hits");
+static MISSES: Counter = Counter::new("store", "misses");
+static EVICTIONS: Counter = Counter::new("store", "evictions");
+static LOADS: Counter = Counter::new("store", "loads");
+static RESIDENT_BYTES: Gauge = Gauge::new("store", "resident_bytes");
+static RESIDENT_JOBS: Gauge = Gauge::new("store", "resident_jobs");
 
 /// A directory of `.cytc` jobs with bounded-residency caching.
 ///
@@ -202,9 +187,7 @@ impl JobStore {
         };
         if was_hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().hits.inc();
-            }
+            HITS.inc();
         } else {
             self.note_miss();
         }
@@ -213,9 +196,7 @@ impl JobStore {
         let result = cell.get_or_init(|| {
             loaded_here = true;
             self.loads.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().loads.inc();
-            }
+            LOADS.inc();
             StoreJob::open(&self.path_of(name), name)
                 .map(Arc::new)
                 .map_err(|e| e.to_string())
@@ -245,9 +226,7 @@ impl JobStore {
 
     fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if cypress_obs::enabled() {
-            obs().misses.inc();
-        }
+        MISSES.inc();
     }
 
     /// Charge a freshly loaded job against the budgets, then evict LRU
@@ -281,15 +260,10 @@ impl JobStore {
             g.resident_jobs -= 1;
             g.resident_bytes -= e.charged_bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if cypress_obs::enabled() {
-                obs().evictions.inc();
-            }
+            EVICTIONS.inc();
         }
-        if cypress_obs::enabled() {
-            let o = obs();
-            o.resident_jobs.set(g.resident_jobs as i64);
-            o.resident_bytes.set(g.resident_bytes as i64);
-        }
+        RESIDENT_JOBS.set(g.resident_jobs as i64);
+        RESIDENT_BYTES.set(g.resident_bytes as i64);
     }
 
     /// Current counters.

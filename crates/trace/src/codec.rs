@@ -24,16 +24,11 @@
 //! these encodings. Whole-artifact traffic through [`Codec::to_bytes`] /
 //! [`Codec::from_bytes`] is counted under the `codec` observability scope.
 
-use std::sync::OnceLock;
+use cypress_obs::Counter;
 
-/// Byte counters for whole-artifact encode/decode traffic, registered once.
-fn codec_counters() -> &'static (cypress_obs::Counter, cypress_obs::Counter) {
-    static COUNTERS: OnceLock<(cypress_obs::Counter, cypress_obs::Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let m = cypress_obs::scope("codec");
-        (m.counter("bytes_encoded"), m.counter("bytes_decoded"))
-    })
-}
+// Byte counters for whole-artifact encode/decode traffic.
+static BYTES_ENCODED: Counter = Counter::new("codec", "bytes_encoded");
+static BYTES_DECODED: Counter = Counter::new("codec", "bytes_decoded");
 
 /// Encoding error-free writer over a growable buffer.
 #[derive(Default)]
@@ -385,17 +380,13 @@ pub trait Codec: Sized {
         let mut enc = Encoder::new();
         self.encode(&mut enc);
         let out = enc.finish();
-        if cypress_obs::enabled() {
-            codec_counters().0.add(out.len() as u64);
-        }
+        BYTES_ENCODED.add(out.len() as u64);
         out
     }
 
     /// Decode from a standalone buffer, requiring full consumption.
     fn from_bytes(buf: &[u8]) -> DecodeResult<Self> {
-        if cypress_obs::enabled() {
-            codec_counters().1.add(buf.len() as u64);
-        }
+        BYTES_DECODED.add(buf.len() as u64);
         let mut dec = Decoder::new(buf);
         let v = Self::decode(&mut dec)?;
         if !dec.is_done() {

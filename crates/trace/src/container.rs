@@ -48,9 +48,9 @@
 
 use crate::codec::{DecodeError, Encoder};
 use cypress_deflate::{crc32, deflate, Level};
+use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
 use std::fmt;
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// File magic: CYpress Trace Container.
 pub const CONTAINER_MAGIC: [u8; 4] = *b"CYTC";
@@ -67,51 +67,19 @@ pub(crate) const ENC_DEFLATE: u8 = 1;
 /// the extra encoding byte already costs one.
 const MIN_COMPRESS_LEN: usize = 64;
 
-/// Container instrumentation handles (scope `container`).
-struct ContainerMetrics {
-    bytes_written: cypress_obs::Counter,
-    bytes_read: cypress_obs::Counter,
-    crc_failures: cypress_obs::Counter,
-    /// Sections actually stored deflated (compression won).
-    sections_deflated: cypress_obs::Counter,
-    /// Raw payload bytes that went into section deflate.
-    deflate_in_bytes: cypress_obs::Counter,
-    /// Stored bytes that came out.
-    deflate_out_bytes: cypress_obs::Counter,
-    /// Wall time of per-section encode (deflate + fallback decision).
-    section_encode_ns: cypress_obs::Histogram,
-}
-
-fn obs() -> &'static ContainerMetrics {
-    static M: OnceLock<ContainerMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("container");
-        ContainerMetrics {
-            bytes_written: s.counter("bytes_written"),
-            bytes_read: s.counter("bytes_read"),
-            crc_failures: s.counter("crc_failures"),
-            sections_deflated: s.counter("sections_deflated"),
-            deflate_in_bytes: s.counter("deflate_in_bytes"),
-            deflate_out_bytes: s.counter("deflate_out_bytes"),
-            section_encode_ns: s.histogram("section_encode_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
-
-/// Record a CRC failure in the `container` metrics scope (raised by the
-/// parser in [`crate::view`]).
-pub(crate) fn note_crc_failure() {
-    if cypress_obs::enabled() {
-        obs().crc_failures.inc();
-    }
-}
-
-/// Record an image handed to the parser in [`crate::view`].
-pub(crate) fn note_bytes_read(len: usize) {
-    if cypress_obs::enabled() {
-        obs().bytes_read.add(len as u64);
-    }
-}
+// Scope `container`.
+static BYTES_WRITTEN: Counter = Counter::new("container", "bytes_written");
+pub(crate) static BYTES_READ: Counter = Counter::new("container", "bytes_read");
+pub(crate) static CRC_FAILURES: Counter = Counter::new("container", "crc_failures");
+/// Sections actually stored deflated (compression won).
+static SECTIONS_DEFLATED: Counter = Counter::new("container", "sections_deflated");
+/// Raw payload bytes that went into section deflate.
+static DEFLATE_IN_BYTES: Counter = Counter::new("container", "deflate_in_bytes");
+/// Stored bytes that came out.
+static DEFLATE_OUT_BYTES: Counter = Counter::new("container", "deflate_out_bytes");
+/// Wall time of per-section encode (deflate + fallback decision).
+static SECTION_ENCODE_NS: Histogram =
+    Histogram::new("container", "section_encode_ns", &TIME_BOUNDS_NS);
 
 /// What a section's payload contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,18 +291,14 @@ impl Container {
         self.check_no_empty_sections()?;
         let bytes = self.to_bytes_with(level);
         cypress_obs::write_atomic(path.as_ref(), &bytes)?;
-        if cypress_obs::enabled() {
-            obs().bytes_written.add(bytes.len() as u64);
-        }
+        BYTES_WRITTEN.add(bytes.len() as u64);
         Ok(())
     }
 
     /// Write an already-assembled image (from [`assemble`]) atomically.
     pub fn write_image(path: impl AsRef<Path>, image: &[u8]) -> Result<(), ContainerError> {
         cypress_obs::write_atomic(path.as_ref(), image)?;
-        if cypress_obs::enabled() {
-            obs().bytes_written.add(image.len() as u64);
-        }
+        BYTES_WRITTEN.add(image.len() as u64);
         Ok(())
     }
 
@@ -387,19 +351,16 @@ impl EncodedSection {
 /// store raw otherwise. Pure function of `(section, level)` — parallel and
 /// sequential encodes are byte-identical.
 pub fn encode_section(s: &Section, level: Option<Level>) -> EncodedSection {
-    let _span = cypress_obs::enabled().then(|| obs().section_encode_ns.start_span());
-    let mut t = cypress_obs::trace_span("encode", "section");
-    t.set_arg(s.payload.len() as u64);
+    let _span = SECTION_ENCODE_NS
+        .span("encode", "section")
+        .arg(s.payload.len() as u64);
     if let Some(level) = level {
         if s.payload.len() >= MIN_COMPRESS_LEN {
             let z = deflate(&s.payload, level);
             if z.len() < s.payload.len() {
-                if cypress_obs::enabled() {
-                    let m = obs();
-                    m.sections_deflated.inc();
-                    m.deflate_in_bytes.add(s.payload.len() as u64);
-                    m.deflate_out_bytes.add(z.len() as u64);
-                }
+                SECTIONS_DEFLATED.inc();
+                DEFLATE_IN_BYTES.add(s.payload.len() as u64);
+                DEFLATE_OUT_BYTES.add(z.len() as u64);
                 return EncodedSection {
                     kind: s.kind,
                     rank: s.rank,

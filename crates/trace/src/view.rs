@@ -20,10 +20,10 @@
 
 use crate::codec::{narrow, DecodeError, Decoder};
 use crate::container::{
-    note_bytes_read, note_crc_failure, ContainerError, SectionKind, CONTAINER_MAGIC,
-    CONTAINER_VERSION, ENC_DEFLATE,
+    ContainerError, SectionKind, BYTES_READ, CONTAINER_MAGIC, CONTAINER_VERSION, CRC_FAILURES,
+    ENC_DEFLATE,
 };
-use cypress_deflate::{crc32, inflate};
+use cypress_deflate::{crc32, inflate_exact};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -85,7 +85,7 @@ impl SectionTable {
         if image.len() < 5 || image[..4] != CONTAINER_MAGIC {
             return Err(ContainerError::BadMagic);
         }
-        note_bytes_read(image.len());
+        BYTES_READ.add(image.len() as u64);
         let version = image[4];
         if version != CONTAINER_VERSION {
             return Err(ContainerError::UnsupportedVersion(version));
@@ -97,7 +97,7 @@ impl SectionTable {
         let stored = u32::from_le_bytes(image[body_end..].try_into().unwrap());
         let computed = crc32(&image[..body_end]);
         if stored != computed {
-            note_crc_failure();
+            CRC_FAILURES.inc();
             return Err(ContainerError::ImageCrcMismatch { stored, computed });
         }
         const BODY_START: usize = 5;
@@ -136,7 +136,7 @@ impl SectionTable {
             // file), so corruption is caught before any decompression.
             let computed = crc32(stored_bytes);
             if crc_stored != computed {
-                note_crc_failure();
+                CRC_FAILURES.inc();
                 return Err(ContainerError::CrcMismatch {
                     index,
                     stored: crc_stored,
@@ -263,26 +263,22 @@ impl PayloadArena {
         }
         let res = self.slots[index].get_or_init(|| {
             self.inflations.fetch_add(1, Ordering::Relaxed);
-            inflate_payload(image, info, index).map(Vec::into_boxed_slice)
+            // Held to the header's length: a lying `raw_len` is refused at
+            // that bound, not after inflating whatever the stream holds.
+            inflate_exact(&image[info.stored.clone()], info.raw_len)
+                .map(Vec::into_boxed_slice)
+                .map_err(|e| {
+                    format!(
+                        "section {index}, header said {} bytes: {}",
+                        info.raw_len, e.0
+                    )
+                })
         });
         match res {
             Ok(b) => Ok(b),
             Err(msg) => Err(ContainerError::Corrupt(DecodeError(msg.clone()))),
         }
     }
-}
-
-fn inflate_payload(image: &[u8], info: &SectionInfo, index: usize) -> Result<Vec<u8>, String> {
-    let raw = inflate(&image[info.stored.clone()])
-        .map_err(|e| format!("section {index} inflate failed: {e:?}"))?;
-    if raw.len() != info.raw_len {
-        return Err(format!(
-            "section {index} inflated to {} bytes, header said {}",
-            raw.len(),
-            info.raw_len
-        ));
-    }
-    Ok(raw)
 }
 
 /// A lazily-decoded container borrowing its backing image: the parsed

@@ -126,3 +126,37 @@ fn resealed_out_of_range_header_fields_are_corrupt_not_narrowed() {
         }
     }
 }
+
+/// A deflated section whose header declares 16 bytes over a stream that
+/// holds 4 MiB: CRCs are honest, so the table opens; the payload must be
+/// refused at the declared length, not inflated in full and then compared.
+#[test]
+fn lying_raw_len_is_refused_at_the_declared_length() {
+    let bomb = cypress_deflate::deflate(&vec![0u8; 4 << 20], Level::Fast);
+    assert!(bomb.len() < 64 << 10, "a zero run deflates to a few KiB");
+    let mut enc = Encoder::new();
+    enc.put_uvar(4);
+    enc.put_uvar(1); // section count
+    enc.put_u8(SectionKind::MergedCtt.code());
+    enc.put_uvar(0); // no rank
+    enc.put_u8(1); // deflate encoding
+    enc.put_uvar(16); // the lie
+    enc.put_bytes(&bomb);
+    enc.put_uvar(u64::from(crc32(&bomb)));
+    let mut image = b"CYTC".to_vec();
+    image.push(cypress_trace::CONTAINER_VERSION);
+    image.extend_from_slice(&enc.finish());
+    let trailer = crc32(&image);
+    image.extend_from_slice(&trailer.to_le_bytes());
+
+    let view = cypress_trace::ContainerView::parse(&image).expect("framing and CRCs are honest");
+    match view.payload(0) {
+        Err(ContainerError::Corrupt(e)) => {
+            assert!(e.0.contains("declared 16 bytes"), "{e}");
+            assert!(!e.0.contains("got"), "stopped at the bound, not after: {e}");
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(p) => panic!("a 16-byte section opened with {} bytes", p.len()),
+    }
+    assert_eq!(view.arena().resident_bytes(), 0, "nothing was kept");
+}

@@ -54,6 +54,19 @@ test ! -e crates/bench/benches
 ! grep -rnE 'CYPRESS_BENCH_FAST|CYPRESS_RESULTS_DIR' crates src scripts --exclude=check.sh || exit 1
 test -s tests/scaling_claims.rs
 
+echo "== one probe vocabulary: metrics are statics, one guard, no probe in a per-event body =="
+! grep -rnE 'cypress_obs::scope\(|OnceLock<\(?[A-Za-z_:]*(Metrics|Obs|Hists|Counter)' crates src || exit 1
+test "$(grep -rn 'cypress_obs::enabled()' crates src | grep -vc '^crates/obs/')" -le 8
+test "$(cat crates/obs/src/span.rs crates/obs/src/tracing.rs | grep -c '^impl Drop for')" = 1
+# Per-event bodies tally into plain fields: they name no metric static and no clock.
+for site in runtime/src/interp.rs:{emit,post_request} core/src/session.rs:ingest \
+            core/src/compress.rs:{push,enter,exit,mpi,append}; do
+  body=$(awk -v n="${site#*:}" '$0 ~ "^    (pub )?fn " n "\\(" {p=1} p {print} p && /^    }$/ {exit}' \
+    "crates/${site%:*}")
+  test -n "$body" && ! grep -nE 'cypress_obs|Instant|[A-Z][A-Z_]{2,}\.[a-z_]+\(' <<<"$body" \
+    || { echo "no body, or a probe or a clock in it: $site"; exit 1; }
+done
+
 echo "== byte-identity suites present (cargo test below runs them) =="
 # interp_golden pins the event stream itself against committed hashes; the
 # others compare modes, transports and formats of one build with each other.
@@ -128,7 +141,7 @@ assert doc["otherData"]["droppedEvents"] == 0, "trace ring overflowed in smoke r
 by_tid = collections.defaultdict(list)
 complete = 0
 for e in evs:
-    assert e["ph"] in ("B", "E", "X", "i"), f"unknown phase {e['ph']!r}"
+    assert e["ph"] in ("X", "i"), f"unknown phase {e['ph']!r}"
     assert isinstance(e["name"], str) and isinstance(e["cat"], str)
     if e["ph"] == "X":
         complete += 1
@@ -139,6 +152,14 @@ for tid, ts in by_tid.items():
     assert ts == sorted(ts), f"timestamps regress within tid {tid}"
 print(f"trace schema ok: {len(evs)} events, {complete} complete, {len(by_tid)} threads")
 PY
+# Rank rows survive (session marked ~), a longer run attributes >= 95%, --metrics moves no byte.
+echo "$profile_out" | grep -Eq '^0 +interp ' && echo "$profile_out" | grep -Eq '^0 +session +~' \
+  || { echo "profile lost its interp/session rank rows"; exit 1; }
+sed 's/0\.\.20 /0..5000 /' "$smoke/stencil.mpi" > "$smoke/long.mpi"
+"$cypress_bin" compress "$smoke/long.mpi" -n 6 -o "$smoke/long.cytc" --profile \
+  | awk '/^coverage:/ {ok = $2 + 0 >= 95} END {exit !ok}' || { echo "profile coverage < 95%"; exit 1; }
+"$cypress_bin" --metrics compress "$smoke/stencil.mpi" -n 6 -o "$smoke/probed.cytc" --per-rank &> /dev/null
+cmp "$smoke/probed.cytc" "$smoke/stencil.cytc" || { echo "--metrics changed the container"; exit 1; }
 traced_inspect=$("$cypress_bin" inspect "$smoke/traced.cytc")
 echo "$traced_inspect" | grep -q "telemetry (v" \
   || { echo "inspect missing telemetry section"; exit 1; }

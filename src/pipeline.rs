@@ -43,6 +43,7 @@ use cypress_core::{
 use cypress_cst::{analyze_program, Cst, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
+use cypress_obs::{Histogram, TIME_BOUNDS_NS};
 use cypress_query::{query_ctts, query_job, QueryOptions, QueryResult};
 use cypress_runtime::{
     run_rank_with_sink, run_ranks, run_ranks_pipelined, trace_program_parallel, InterpConfig,
@@ -53,7 +54,6 @@ use cypress_trace::{
     Decoder, EncodedSection, Encoder, SectionKind,
 };
 use std::path::Path;
-use std::sync::OnceLock;
 
 fn default_threads() -> usize {
     std::thread::available_parallelism()
@@ -61,28 +61,13 @@ fn default_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Pipeline stage timing (scope `pipeline`): with `--metrics` the report
-/// attributes wall time to ingest (rank execution + compression) vs merge vs
-/// encode (section serialization/deflate) vs I/O (atomic file write).
-struct PipelineMetrics {
-    ingest_ns: cypress_obs::Histogram,
-    merge_ns: cypress_obs::Histogram,
-    encode_ns: cypress_obs::Histogram,
-    io_ns: cypress_obs::Histogram,
-}
-
-fn obs() -> &'static PipelineMetrics {
-    static M: OnceLock<PipelineMetrics> = OnceLock::new();
-    M.get_or_init(|| {
-        let s = cypress_obs::scope("pipeline");
-        PipelineMetrics {
-            ingest_ns: s.histogram("ingest_ns", &cypress_obs::TIME_BOUNDS_NS),
-            merge_ns: s.histogram("merge_ns", &cypress_obs::TIME_BOUNDS_NS),
-            encode_ns: s.histogram("encode_ns", &cypress_obs::TIME_BOUNDS_NS),
-            io_ns: s.histogram("io_ns", &cypress_obs::TIME_BOUNDS_NS),
-        }
-    })
-}
+// Pipeline stage timing (scope `pipeline`): with `--metrics` the report
+// attributes wall time to ingest (rank execution + compression) vs merge vs
+// encode (section serialization/deflate) vs I/O (atomic file write).
+static INGEST_NS: Histogram = Histogram::new("pipeline", "ingest_ns", &TIME_BOUNDS_NS);
+static MERGE_NS: Histogram = Histogram::new("pipeline", "merge_ns", &TIME_BOUNDS_NS);
+static ENCODE_NS: Histogram = Histogram::new("pipeline", "encode_ns", &TIME_BOUNDS_NS);
+static IO_NS: Histogram = Histogram::new("pipeline", "io_ns", &TIME_BOUNDS_NS);
 
 /// Serialize a container image, deflating sections at `level` — on the
 /// work-stealing pool when `threads > 1` and compression is on (sections are
@@ -95,9 +80,9 @@ pub(crate) fn encode_container_parallel(
     threads: usize,
 ) -> std::result::Result<Vec<u8>, ContainerError> {
     c.check_no_empty_sections()?;
-    let _span = obs().encode_ns.start_span();
-    let mut _t = cypress_obs::trace_span("encode", "container");
-    _t.set_arg(c.sections.len() as u64);
+    let _span = ENCODE_NS
+        .span("encode", "container")
+        .arg(c.sections.len() as u64);
     let encoded: Vec<EncodedSection> = if level.is_some() && threads > 1 && c.sections.len() > 1 {
         run_ranks(c.sections.len() as u32, threads, |i| {
             encode_section(&c.sections[i as usize], level)
@@ -120,9 +105,7 @@ pub(crate) fn write_container_parallel(
     threads: usize,
 ) -> std::result::Result<(), ContainerError> {
     let image = encode_container_parallel(c, level, threads)?;
-    let _span = obs().io_ns.start_span();
-    let mut _t = cypress_obs::trace_span("io", "write_container");
-    _t.set_arg(image.len() as u64);
+    let _span = IO_NS.span("io", "write_container").arg(image.len() as u64);
     Container::write_image(path, &image)
 }
 
@@ -287,9 +270,7 @@ impl Pipeline {
             (prog, info)
         };
 
-        let _ingest = obs().ingest_ns.start_span();
-        let mut _ingest_t = cypress_obs::trace_span("ingest", "run_ranks");
-        _ingest_t.set_arg(nprocs as u64);
+        let ingest = INGEST_NS.span("ingest", "run_ranks").arg(nprocs as u64);
         let (ctts, stats) = match cfg.mode {
             Ingest::Sequential => {
                 let per_rank = run_ranks(nprocs, cfg.threads, |rank| {
@@ -359,8 +340,7 @@ impl Pipeline {
             }
         };
 
-        drop(_ingest_t);
-        drop(_ingest);
+        drop(ingest);
 
         Ok(CompressedJob {
             info,
@@ -396,9 +376,9 @@ impl CompressedJob {
     /// cached tree.
     pub fn merge(&mut self) -> &MergedCtt {
         if self.merged.is_none() {
-            let _span = obs().merge_ns.start_span();
-            let mut _t = cypress_obs::trace_span("merge", "merge_parallel");
-            _t.set_arg(self.ctts.len() as u64);
+            let _span = MERGE_NS
+                .span("merge", "merge_parallel")
+                .arg(self.ctts.len() as u64);
             self.merged = Some(merge_all_parallel(&self.ctts, self.threads));
         }
         self.merged.as_ref().expect("just populated")
