@@ -4,22 +4,17 @@
 //! the CTT immediately and only the finished per-process trees are merged at
 //! `MPI_Finalize` (§IV, Fig. 13). [`CompressSession`] is that layer as a
 //! first-class object: a per-rank [`IntraCompressor`] plus the accounting a
-//! long-running tracer needs —
-//!
-//! * **periodic CTT size checkpoints** (every [`SessionConfig::checkpoint_every`]
-//!   events the live footprint is sampled and the peak retained), the
-//!   Fig. 16 "flat compressor memory" claim measured continuously instead of
-//!   once at the end;
-//! * **backpressure accounting** against an optional soft byte budget —
-//!   a real deployment would throttle or spill when the CTT outgrows its
-//!   arena; we count the violations so schedulers can react.
+//! long-running tracer needs — **periodic CTT size checkpoints** (every
+//! [`SessionConfig::checkpoint_every`] events the live footprint is sampled
+//! and the peak retained), the Fig. 16 "flat compressor memory" claim
+//! measured continuously instead of once at the end.
 //!
 //! A session holds **bounded memory**: the CTT plus O(open-structures)
 //! bookkeeping, never the raw event stream. Feeding a session during
 //! execution produces a byte-identical CTT to offline
 //! [`compress_trace`](crate::compress::compress_trace) on a recorded trace
-//! (pinned by `online_sink_equals_offline_compression` and the
-//! streaming-vs-batch suite in the umbrella crate).
+//! (pinned by `online_sink_equals_offline_compression` and
+//! `tests/streaming.rs` in the umbrella crate).
 
 use crate::compress::{CompressConfig, IntraCompressor};
 use crate::ctt::Ctt;
@@ -180,8 +175,8 @@ impl<'a> CompressSession<'a> {
     }
 
     /// Feed a batch of events: exactly `push` on each, in order, so
-    /// footprint sampling, budget accounting, and stats land on the same
-    /// event indices — with the timeline bookkeeping paid once per batch.
+    /// footprint sampling and stats land on the same event indices — with
+    /// the timeline bookkeeping paid once per batch.
     pub fn push_batch(&mut self, evs: &[Event]) {
         let t0 = self.trace_start();
         for ev in evs {

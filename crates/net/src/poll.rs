@@ -2,11 +2,10 @@
 //!
 //! The repo's offline-build rule forbids external crates, so instead of mio
 //! we declare `poll(2)` directly with an `extern "C"` block (std already
-//! links libc; this adds no dependency), mirroring the std-only discipline
-//! of `cypress_runtime::ring`. Level-triggered `poll` is the right tool at
-//! this scale: the fd set is rebuilt per wait, which is O(n) — exactly
-//! `poll`'s own cost — and stays allocation-free after warmup because the
-//! backing `Vec` is reused.
+//! links libc; this adds no dependency). Level-triggered `poll` is the
+//! right tool at this scale: the fd set is rebuilt per wait, which is O(n) —
+//! exactly `poll`'s own cost — and stays allocation-free after warmup
+//! because the backing `Vec` is reused.
 //!
 //! [`Waker`] is the classic self-pipe: a nonblocking `UnixStream::pair`
 //! whose read end sits in every poll set, so another thread can interrupt a

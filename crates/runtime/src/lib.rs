@@ -12,15 +12,9 @@
 //! timing live in `cypress-simmpi`.
 
 pub mod driver;
-pub mod ingest;
 pub mod interp;
-pub mod ring;
 pub mod sched;
 
 pub use driver::{run_rank_with_sink, trace_program, trace_program_parallel, trace_rank};
-pub use ingest::{
-    run_ranks_pipelined, IngestMsg, RingSink, DEFAULT_BATCH_EVENTS, DEFAULT_RING_CAPACITY,
-};
 pub use interp::{has_op, well_nested, EventSink, Interp, InterpConfig, RunResult, RuntimeError};
-pub use ring::{ring, Consumer, Producer};
-pub use sched::{run_ranks, WORKER_STACK_BYTES};
+pub use sched::{run_ranks, DEFAULT_BATCH_EVENTS, WORKER_STACK_BYTES};

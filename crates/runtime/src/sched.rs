@@ -32,6 +32,11 @@ static WORKERS: Gauge = Gauge::new("sched", "workers");
 /// native recursion (same budget `trace_rank` gives its dedicated thread).
 pub const WORKER_STACK_BYTES: usize = 64 * 1024 * 1024;
 
+// Placeholder for `benchmark/` (its `push_batch` chunk size); nothing in the
+// workspace reads it. Goes with ROADMAP item 1 step (a).
+#[doc(hidden)]
+pub const DEFAULT_BATCH_EVENTS: usize = 256;
+
 /// Run `f(rank)` for every rank in `0..nranks` on a pool of `workers`
 /// threads and return the results in rank order.
 ///

@@ -67,10 +67,31 @@ for site in runtime/src/interp.rs:{emit,post_request} core/src/session.rs:ingest
     || { echo "no body, or a probe or a clock in it: $site"; exit 1; }
 done
 
+echo "== one ingest path: no ring, no mode switch, unsafe only in poll.rs, docs name what exists =="
+test ! -e crates/runtime/src/ring.rs -a ! -e crates/runtime/src/ingest.rs
+test "$(grep -rl unsafe crates/*/src src)" = crates/net/src/poll.rs
+! grep -n 'cfg.mode\|match .*mode' src/pipeline.rs || exit 1
+test "$(grep -rl 'Ingest::' crates src tests examples)" = src/pipeline.rs
+# DESIGN §3's inventory block names exactly the directories under crates/.
+diff <(ls crates) <(awk '/^## 3\./ {s = 1} s && /^  [a-z]+\/ / {sub("/", "", $1); print $1} /^## 4\./ {exit}' \
+  DESIGN.md | sort) || { echo "DESIGN §3 inventory and crates/ disagree"; exit 1; }
+# Every --flag on a `cypress …` line of the docs, and in usage(), is in the
+# binary's FLAGS table; every table entry is in usage().
+flags=$(awk '/^const FLAGS/,/^];/' src/bin/cypress.rs | grep -oE '"--?[a-z-]+"' | tr -d '"')
+usage=$(awk '/^fn usage\(\)/,/^}/' src/bin/cypress.rs)
+not_ours="--bin --release --example --workspace --smoke --trace --seconds --workload --seed" # cargo, benchmark/
+for f in $({ grep -hE '(^|[^a-z-])cypress [a-z]' README.md DESIGN.md; echo "$usage"; } | grep -oE -- '--[a-z][a-z-]*' | sort -u); do
+  grep -qwe "$f" <<<"$flags $not_ours" || { echo "docs name $f, which is not in FLAGS"; exit 1; }
+done
+for f in $flags; do
+  grep -qe "$f\b" <<<"$usage" || { echo "FLAGS has $f, which usage() does not explain"; exit 1; }
+done
+
 echo "== byte-identity suites present (cargo test below runs them) =="
-# interp_golden pins the event stream itself against committed hashes; the
-# others compare modes, transports and formats of one build with each other.
-for suite in interp_golden wire_golden streaming pipelined pipeline_roundtrip \
+# interp_golden and ctt_golden pin the event stream and the CTT bytes against
+# committed tables; the others compare computations, transports and formats
+# of one build with each other.
+for suite in interp_golden ctt_golden wire_golden streaming pipeline_roundtrip \
              net_collect net_tree store_queryd query_equivalence slab_replay; do
   test -s "tests/$suite.rs" || { echo "missing byte-identity suite tests/$suite.rs"; exit 1; }
 done

@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Size census by the rule CHANGES.md has used since PR 13, so before/after
+# numbers in a subtraction PR come from one place.
+# Usage: scripts/recount.sh   (from any directory; prints one line per count)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Non-test lines: everything above each file's first `#[cfg(test)]`.
+find crates/*/src src -name '*.rs' -print0 | sort -z \
+  | xargs -0 awk 'FNR == 1 {t = 0} /^ *#\[cfg\(test\)\]/ {t = 1} !t {n++} END {print "non-test lines:", n}'
+
+# Pub fields of every `pub struct *Config` / `*Options`.
+find crates/*/src src -name '*.rs' -print0 | sort -z \
+  | xargs -0 awk '/^pub struct [A-Za-z]*(Config|Options)[ <{]/ {s = 1} s && /^    pub [a-z_]+:/ {n++} /^}/ {s = 0}
+                  END {print "Config/Options pub fields:", n}'
+
+echo "CLI flag literals: $(grep -oE '"--[a-z-]+"' src/bin/cypress.rs | sort -u | wc -l)"
+echo "env::var sites: $(grep -rn 'env::var' crates/*/src src | wc -l)"
+echo "Cargo features: $(grep -l '^\[features\]' Cargo.toml crates/*/Cargo.toml | wc -l || true)"
+echo "files containing unsafe: $(grep -rl unsafe crates/*/src src | tr '\n' ' ')"

@@ -186,7 +186,6 @@ USAGE:
   cypress dump <prog.mpi> -n <procs> [-r <rank>]
   cypress compress <prog.mpi> -n <procs> -o <file> [--per-rank]
                [--level fast|default|best] [--threads <n>]
-               [--pipelined [--ring-capacity <batches>]]
   cypress decompress <file> [-r <rank>]
   cypress inspect <file> [--json]
   cypress query <file> [--hotspots <n>] [--strategy auto|symbolic|expand]
@@ -208,9 +207,6 @@ USAGE:
 
 OPTIONS:
   --per-rank   compress/serve: add one CRC-framed CTT section per rank
-  --pipelined  compress: decouple trace generation from compression
-               with one bounded SPSC ring per rank (byte-identical output)
-  --ring-capacity  with --pipelined: ring capacity in batches (default 8)
   --level      compress/serve: DEFLATE container sections at this effort
                (fast, default, best; omitted = raw sections);
                submit --mode ctt: wire compression level, or `none`
@@ -286,29 +282,6 @@ fn level_of(args: &[String]) -> cypress::Result<Option<Option<ZLevel>>> {
     }
 }
 
-/// Parse `--pipelined` / `--ring-capacity` into an ingest mode.
-fn ingest_of(args: &[String]) -> cypress::Result<cypress::Ingest> {
-    let capacity = match flag(args, "--ring-capacity") {
-        None => None,
-        Some(s) => Some(
-            s.parse::<usize>()
-                .map_err(|e| Error::Invalid(format!("bad --ring-capacity value: {e}")))?,
-        ),
-    };
-    if has_flag(args, "--pipelined") {
-        Ok(match capacity {
-            Some(capacity) => cypress::Ingest::Pipelined { capacity },
-            None => cypress::Ingest::pipelined(),
-        })
-    } else if capacity.is_some() {
-        Err(Error::Invalid(
-            "--ring-capacity requires --pipelined".into(),
-        ))
-    } else {
-        Ok(cypress::Ingest::Sequential)
-    }
-}
-
 fn threads_of(args: &[String]) -> cypress::Result<Option<usize>> {
     match flag(args, "--threads") {
         None => Ok(None),
@@ -328,60 +301,63 @@ fn rank_of(args: &[String]) -> cypress::Result<u32> {
     }
 }
 
-fn file_arg(args: &[String], what: &str) -> cypress::Result<String> {
-    args.iter()
-        .find(|a| !a.starts_with('-'))
-        .cloned()
-        .ok_or_else(|| Error::Invalid(format!("missing {what}")))
-}
-
-/// Flags that consume the following argument, so positional scans can skip
-/// flag *values* too (e.g. `--connect addr` before a positional).
-const TAKES_VALUE: &[&str] = &[
-    "--connect",
-    "--hotspots",
-    "--strategy",
-    "--window",
-    "--limit",
-    "--listen",
-    "--store",
-    "--max-jobs",
-    "--max-bytes",
-    "--level",
-    "--threads",
-    "--timeout",
-    "--workers",
-    "--stats-addr",
-    "--tree",
-    "--rank",
-    "--mode",
-    "--attempts",
-    "--ring-capacity",
-    "-n",
-    "-r",
-    "-o",
+/// Every flag the binary knows, and whether it consumes the following
+/// argument (so positional scans skip flag *values* too).
+const FLAGS: &[(&str, bool)] = &[
+    ("--attempts", true),
+    ("--connect", true),
+    ("--hotspots", true),
+    ("--json", false),
+    ("--level", true),
+    ("--limit", true),
+    ("--listen", true),
+    ("--max-bytes", true),
+    ("--max-jobs", true),
+    ("--metrics", false),
+    ("--mode", true),
+    ("--out", true),
+    ("--per-rank", false),
+    ("--profile", false),
+    ("--rank", true),
+    ("--stats-addr", true),
+    ("--store", true),
+    ("--strategy", true),
+    ("--threads", true),
+    ("--timeout", true),
+    ("--trace-out", true),
+    ("--tree", true),
+    ("--window", true),
+    ("--workers", true),
+    ("-n", true),
+    ("-o", true),
+    ("-r", true),
 ];
 
-/// All positional arguments, in order, skipping flags and their values.
-fn positionals(args: &[String]) -> Vec<String> {
+/// All positional arguments, in order, skipping flags and their values. A
+/// flag outside [`FLAGS`], or a value-taking one with nothing after it, is
+/// an error.
+fn positionals(args: &[String]) -> cypress::Result<Vec<String>> {
     let mut out = Vec::new();
-    let mut i = 0;
-    while let Some(a) = args.get(i) {
-        if TAKES_VALUE.contains(&a.as_str()) {
-            i += 2;
-        } else if a.starts_with('-') {
-            i += 1;
-        } else {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with('-') {
             out.push(a.clone());
-            i += 1;
+            continue;
+        }
+        match FLAGS.iter().find(|(name, _)| name == a) {
+            None => return Err(Error::Invalid(format!("unknown flag {a}"))),
+            Some((_, true)) if it.next().is_none() => {
+                return Err(Error::Invalid(format!("{a} needs a value")))
+            }
+            Some(_) => {}
         }
     }
-    out
+    Ok(out)
 }
 
 /// First positional argument.
 fn positional(args: &[String], what: &str) -> cypress::Result<String> {
-    positionals(args)
+    positionals(args)?
         .into_iter()
         .next()
         .ok_or_else(|| Error::Invalid(format!("missing {what}")))
@@ -407,7 +383,7 @@ fn window_of(args: &[String]) -> cypress::Result<Option<Window>> {
 }
 
 fn read_source(args: &[String]) -> cypress::Result<(String, String)> {
-    let path = file_arg(args, "program file")?;
+    let path = positional(args, "program file")?;
     let src = fs::read_to_string(&path).map_err(|e| Error::Invalid(format!("read {path}: {e}")))?;
     Ok((path, src))
 }
@@ -483,7 +459,6 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let threads = threads_of(args)?;
     let mut cfg = cypress::PipelineConfig {
         level: level_of(args)?.unwrap_or(None),
-        mode: ingest_of(args)?,
         ..cypress::PipelineConfig::default()
     };
     if let Some(t) = threads {
@@ -529,7 +504,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
 }
 
 fn cmd_decompress(args: &[String]) -> CliResult {
-    let file = file_arg(args, "compressed trace file")?;
+    let file = positional(args, "compressed trace file")?;
     let rank = rank_of(args)?;
     let ops = read_container(&file)?.decompress(rank)?;
     println!("# rank {rank}: {} operations", ops.len());
@@ -774,7 +749,7 @@ fn render_query(label: &str, q: &QueryResult, limit: usize, json: bool) {
 /// answers are byte-identical to local ones: the daemon runs the same
 /// engine with the same canonical `LogGp::default()` model.
 fn cmd_analyze(args: &[String]) -> CliResult {
-    let pos = positionals(args);
+    let pos = positionals(args)?;
     let sub = pos.first().map(String::as_str).ok_or_else(|| {
         Error::Invalid("missing analyze subcommand (predict, latesender, or diff)".into())
     })?;

@@ -2,8 +2,8 @@
 //!
 //! Umbrella crate for the CYPRESS reproduction (SC'14, Zhai et al.). The
 //! front door is [`Pipeline`]: parse → static analysis → per-rank execution
-//! with online streaming compression on a work-stealing pool → merge →
-//! container persistence, all behind one builder:
+//! on a work-stealing pool, each rank compressing in-line as it runs → merge
+//! → container persistence, all behind one builder:
 //!
 //! ```
 //! use cypress::Pipeline;
@@ -18,8 +18,8 @@
 //!
 //! The individual layers stay available as re-exported subcrates for code
 //! that needs one piece (e.g. just the CST builder), and the types a typical
-//! caller touches ([`PipelineConfig`], [`Ingest`], [`QueryOptions`],
-//! [`Level`]) are re-exported at the root so examples never reach into
+//! caller touches ([`PipelineConfig`], [`QueryOptions`], [`Level`]) are
+//! re-exported at the root so examples never reach into
 //! subcrates. Errors from every layer unify into [`Error`]. Networked
 //! collection (the `cypress serve` / `cypress submit` daemon pair) lives in
 //! [`collect`] atop the [`net`](cypress_net) subcrate. See `README.md` for

@@ -19,36 +19,21 @@
 //! assert_eq!(job.decompress(3).unwrap().len(), 64);
 //! ```
 //!
-//! How events flow from interpreters to compressors is one typed knob,
-//! [`PipelineConfig::mode`]:
-//!
-//! * [`Ingest::Sequential`] (default) — each rank's interpreter feeds a
-//!   [`CompressSession`] event-by-event on a work-stealing worker pool, so
-//!   the raw trace never materializes — the paper's online PMPI deployment.
-//! * [`Ingest::Pipelined`] — same online compression, but generation and
-//!   compression are decoupled by a bounded SPSC ring per rank
-//!   ([`cypress_runtime::ring`]): interpreters produce event batches while a
-//!   consumer thread drains every rank's ring into its session.
-//! * [`Ingest::Batch`] — record raw traces first, then compress; linearly
-//!   growing memory, kept as the offline baseline.
-//!
-//! All three produce byte-identical CTTs (pinned by `tests/streaming.rs`
-//! and `tests/pipelined.rs`).
+//! Compression is in-line, as in the paper's PMPI deployment (§IV): each
+//! rank's interpreter feeds a [`CompressSession`] event by event on the
+//! worker that runs the rank, so the raw trace never materializes.
 
 use crate::error::{Error, Result};
 use cypress_core::{
-    compress_trace, decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt,
-    MergedCtt, ReplayOp, SessionConfig, SessionStats,
+    decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt, MergedCtt, ReplayOp,
+    SessionConfig, SessionStats,
 };
 use cypress_cst::{analyze_program, Cst, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
 use cypress_obs::{Histogram, TIME_BOUNDS_NS};
 use cypress_query::{query_ctts, query_job, QueryOptions, QueryResult};
-use cypress_runtime::{
-    run_rank_with_sink, run_ranks, run_ranks_pipelined, trace_program_parallel, InterpConfig,
-    DEFAULT_BATCH_EVENTS, DEFAULT_RING_CAPACITY,
-};
+use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_trace::{
     assemble, encode_section, Codec, Container, ContainerError, ContainerView, DecodeResult,
     Decoder, EncodedSection, Encoder, SectionKind,
@@ -133,35 +118,20 @@ pub(crate) fn job_container(
     c
 }
 
-/// How rank event streams reach their compressors.
+// Placeholder for `benchmark/`, which still names the three ingest modes:
+// every variant runs the one in-line path. Goes with ROADMAP item 1 step (a).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Ingest {
-    /// Record each rank's full raw trace, then compress — the offline
-    /// baseline. Memory grows linearly with trace length; no session stats.
     Batch,
-    /// Compress online: interpreter and [`CompressSession`] in lockstep on
-    /// the same worker thread (the paper's PMPI deployment). Default.
     #[default]
     Sequential,
-    /// Compress online with generation and compression decoupled: each
-    /// rank's interpreter pushes event batches into a bounded SPSC ring
-    /// (`capacity` batches of up to
-    /// [`DEFAULT_BATCH_EVENTS`](cypress_runtime::DEFAULT_BATCH_EVENTS)
-    /// events) and a consumer thread drains every ring into its rank's
-    /// session. Backpressure blocks the producer when the consumer falls
-    /// behind, so memory stays bounded.
-    Pipelined {
-        /// Ring capacity in batches (clamped to ≥ 1).
-        capacity: usize,
-    },
+    Pipelined,
 }
 
 impl Ingest {
-    /// [`Ingest::Pipelined`] with the default ring capacity.
     pub fn pipelined() -> Self {
-        Ingest::Pipelined {
-            capacity: DEFAULT_RING_CAPACITY,
-        }
+        Ingest::Pipelined
     }
 }
 
@@ -169,11 +139,11 @@ impl Ingest {
 /// the typed replacement for the builder's accreted per-knob methods.
 ///
 /// ```
-/// use cypress::{Ingest, Pipeline, PipelineConfig};
+/// use cypress::{Level, Pipeline, PipelineConfig};
 ///
 /// let cfg = PipelineConfig {
 ///     threads: 2,
-///     mode: Ingest::pipelined(),
+///     level: Some(Level::Default),
 ///     ..PipelineConfig::default()
 /// };
 /// let job = Pipeline::new("fn main() { barrier(); }")
@@ -189,11 +159,13 @@ pub struct PipelineConfig {
     pub compress: CompressConfig,
     /// Interpreter knobs (step budget, virtual time model).
     pub interp: InterpConfig,
-    /// Streaming-session knobs (checkpoint cadence, soft byte budget).
+    /// Streaming-session knobs (checkpoint cadence).
     pub session: SessionConfig,
     /// Worker-pool width for rank execution, merging, and section encoding.
     pub threads: usize,
-    /// How events travel from interpreters to compressors.
+    // Placeholder for `benchmark/`; [`Pipeline::run`] never reads it. Goes
+    // with ROADMAP item 1 step (a).
+    #[doc(hidden)]
     pub mode: Ingest,
     /// DEFLATE container sections at this level when persisting
     /// ([`CompressedJob::write_container`]); `None` stores raw sections.
@@ -223,8 +195,7 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Start a pipeline over MiniMPI source text. Defaults: 4 ranks and
-    /// [`PipelineConfig::default`] (sequential streaming compression, one
-    /// worker per available core).
+    /// [`PipelineConfig::default`] (one worker per available core).
     pub fn new(source: impl Into<String>) -> Self {
         Pipeline {
             source: source.into(),
@@ -250,9 +221,9 @@ impl Pipeline {
         &self.cfg
     }
 
-    /// Parse, analyze, execute every rank, and compress. Rank execution runs
-    /// on a work-stealing pool of [`PipelineConfig::threads`] workers; how
-    /// events reach the compressors is [`PipelineConfig::mode`].
+    /// Parse, analyze, execute every rank, and compress. Ranks run on a
+    /// work-stealing pool of [`PipelineConfig::threads`] workers, each
+    /// interpreter feeding its own [`CompressSession`] in lockstep.
     pub fn run(self) -> Result<CompressedJob> {
         if self.nprocs == 0 {
             return Err(Error::Invalid("pipeline needs at least 1 rank".into()));
@@ -271,75 +242,29 @@ impl Pipeline {
         };
 
         let ingest = INGEST_NS.span("ingest", "run_ranks").arg(nprocs as u64);
-        let (ctts, stats) = match cfg.mode {
-            Ingest::Sequential => {
-                let per_rank = run_ranks(nprocs, cfg.threads, |rank| {
-                    // Rank span on the worker thread: the session's synthetic
-                    // complete event nests inside it, splitting interpreter
-                    // time from compression time in the profile.
-                    let _t = cypress_obs::trace_span("interp", "rank");
-                    let mut session = CompressSession::new(
-                        &info.cst,
-                        rank,
-                        nprocs,
-                        cfg.compress.clone(),
-                        cfg.session.clone(),
-                    );
-                    let app_time =
-                        run_rank_with_sink(&prog, &info, rank, nprocs, &cfg.interp, &mut session)?;
-                    Ok(session.finish(app_time))
-                });
-                let mut ctts = Vec::with_capacity(per_rank.len());
-                let mut stats = Vec::with_capacity(per_rank.len());
-                for r in per_rank {
-                    let (ctt, st) = r.map_err(Error::Runtime)?;
-                    ctts.push(ctt);
-                    stats.push(st);
-                }
-                (ctts, stats)
-            }
-            Ingest::Pipelined { capacity } => {
-                let per_rank = run_ranks_pipelined(
-                    nprocs,
-                    cfg.threads,
-                    capacity,
-                    DEFAULT_BATCH_EVENTS,
-                    |rank, sink| {
-                        let _t = cypress_obs::trace_span("interp", "rank");
-                        run_rank_with_sink(&prog, &info, rank, nprocs, &cfg.interp, sink)
-                    },
-                    |rank| {
-                        CompressSession::new(
-                            &info.cst,
-                            rank,
-                            nprocs,
-                            cfg.compress.clone(),
-                            cfg.session.clone(),
-                        )
-                    },
-                    |session, batch| session.push_batch(batch),
-                    |session, app_time| session.finish(app_time),
-                )
-                .map_err(Error::Runtime)?;
-                let mut ctts = Vec::with_capacity(per_rank.len());
-                let mut stats = Vec::with_capacity(per_rank.len());
-                for (ctt, st) in per_rank {
-                    ctts.push(ctt);
-                    stats.push(st);
-                }
-                (ctts, stats)
-            }
-            Ingest::Batch => {
-                let traces =
-                    trace_program_parallel(&prog, &info, nprocs, &cfg.interp, cfg.threads)?;
-                let ctts = traces
-                    .iter()
-                    .map(|t| compress_trace(&info.cst, t, &cfg.compress))
-                    .collect();
-                (ctts, Vec::new())
-            }
-        };
-
+        let per_rank = run_ranks(nprocs, cfg.threads, |rank| {
+            // Rank span on the worker thread: the session's synthetic
+            // complete event nests inside it, splitting interpreter time
+            // from compression time in the profile.
+            let _t = cypress_obs::trace_span("interp", "rank");
+            let mut session = CompressSession::new(
+                &info.cst,
+                rank,
+                nprocs,
+                cfg.compress.clone(),
+                cfg.session.clone(),
+            );
+            let app_time =
+                run_rank_with_sink(&prog, &info, rank, nprocs, &cfg.interp, &mut session)?;
+            Ok(session.finish(app_time))
+        });
+        let mut ctts = Vec::with_capacity(per_rank.len());
+        let mut stats = Vec::with_capacity(per_rank.len());
+        for r in per_rank {
+            let (ctt, st) = r.map_err(Error::Runtime)?;
+            ctts.push(ctt);
+            stats.push(st);
+        }
         drop(ingest);
 
         Ok(CompressedJob {
@@ -362,7 +287,7 @@ pub struct CompressedJob {
     pub nprocs: u32,
     /// Per-rank compressed trace trees, indexed by rank.
     pub ctts: Vec<Ctt>,
-    /// Per-rank session accounting (empty on the batch path).
+    /// Per-rank session accounting, indexed by rank.
     pub stats: Vec<SessionStats>,
     /// Cached merge result; populated by [`CompressedJob::merge`].
     pub merged: Option<MergedCtt>,
@@ -405,23 +330,18 @@ impl CompressedJob {
         Ok(query_ctts(&self.info.cst, &self.ctts, opts)?)
     }
 
-    /// Total MPI events this job traced (from session accounting when
-    /// streaming, otherwise from the stored record counts — identical).
+    /// Total MPI events this job traced.
     pub fn total_events(&self) -> u64 {
-        if self.stats.is_empty() {
-            self.ctts.iter().map(|c| c.op_count()).sum()
-        } else {
-            self.stats.iter().map(|s| s.mpi_events).sum()
-        }
+        self.stats.iter().map(|s| s.mpi_events).sum()
     }
 
     /// Serialized size of the raw MPI records this job would have written
-    /// without compression (streaming path only; 0 on the batch path).
+    /// without compression.
     pub fn raw_mpi_bytes(&self) -> u64 {
         self.stats.iter().map(|s| s.raw_mpi_bytes).sum()
     }
 
-    /// Peak live CTT bytes across ranks (streaming path only; 0 otherwise).
+    /// Peak live CTT bytes across ranks.
     pub fn peak_ctt_bytes(&self) -> usize {
         self.stats
             .iter()
@@ -468,8 +388,7 @@ pub struct MetaInfo {
     pub nprocs: u32,
     /// Total MPI events the job traced.
     pub events: u64,
-    /// Serialized size of the raw MPI records before compression (0 when
-    /// unknown: batch-path jobs).
+    /// Serialized size of the raw MPI records before compression.
     pub raw_bytes: u64,
 }
 
@@ -622,6 +541,8 @@ mod tests {
         barrier();
     }"#;
 
+    /// The in-line path against the offline reference: record every rank's
+    /// raw trace, then compress it.
     #[test]
     fn streaming_and_batch_produce_identical_ctts() {
         let cfg = PipelineConfig {
@@ -633,17 +554,20 @@ mod tests {
             .configure(cfg.clone())
             .run()
             .unwrap();
-        let b = Pipeline::new(STENCIL)
-            .ranks(6)
-            .configure(PipelineConfig {
-                mode: Ingest::Batch,
-                ..cfg
-            })
-            .run()
-            .unwrap();
-        assert_eq!(a.ctts, b.ctts);
+        let traces = cypress_runtime::trace_program_parallel(
+            &parse(STENCIL).unwrap(),
+            &a.info,
+            6,
+            &cfg.interp,
+            3,
+        )
+        .unwrap();
+        let b: Vec<Ctt> = traces
+            .iter()
+            .map(|t| cypress_core::compress_trace(&a.info.cst, t, &cfg.compress))
+            .collect();
+        assert_eq!(a.ctts, b);
         assert_eq!(a.stats.len(), 6);
-        assert!(b.stats.is_empty());
         assert!(a.peak_ctt_bytes() > 0);
     }
 

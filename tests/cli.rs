@@ -102,6 +102,40 @@ fn compress_then_decompress_round_trip() {
     assert!(stderr.contains("not a cypress container"), "{stderr}");
 }
 
+/// A flag's value ahead of the file is not taken for the file: flags-first
+/// spellings write and print what the flags-last ones do.
+#[test]
+fn flags_before_the_positional_are_skipped_with_their_values() {
+    let dir = tmpdir("flags-first");
+    let prog = write_program(&dir);
+    let (last, first) = (dir.join("last.cytc"), dir.join("first.cytc"));
+    let run = |cmd: &mut Command| {
+        let out = cmd.output().expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    run(cypress()
+        .arg("compress")
+        .arg(&prog)
+        .args(["-n", "4", "-o"])
+        .arg(&last));
+    run(cypress()
+        .args(["compress", "-n", "4"])
+        .arg(&prog)
+        .arg("-o")
+        .arg(&first));
+    assert_eq!(fs::read(&last).unwrap(), fs::read(&first).unwrap());
+
+    let flags_last = run(cypress().arg("decompress").arg(&last).args(["-r", "1"]));
+    let flags_first = run(cypress().args(["decompress", "-r", "1"]).arg(&last));
+    assert!(!flags_last.is_empty());
+    assert_eq!(flags_last, flags_first);
+}
+
 #[test]
 fn stream_compress_inspect_decompress_round_trip() {
     let dir = tmpdir("stream");
@@ -270,4 +304,28 @@ fn bad_input_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
     let out = cypress().arg("nonsense").output().expect("run");
     assert!(!out.status.success());
+
+    // A flag the binary does not know (one it never had, one it used to
+    // have) or a value-taking flag with nothing after it: exit 1, the
+    // message names the flag, nothing is written.
+    let prog = write_program(&dir);
+    let container = dir.join("never.cytc");
+    for (extra, want) in [
+        ("--bogus", "unknown flag --bogus"),
+        ("--pipelined", "unknown flag --pipelined"),
+        ("--level", "--level needs a value"),
+    ] {
+        let out = cypress()
+            .arg("compress")
+            .arg(&prog)
+            .args(["-n", "4", "-o"])
+            .arg(&container)
+            .arg(extra)
+            .output()
+            .expect("run compress");
+        assert_eq!(out.status.code(), Some(1), "{extra}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{extra}: {stderr}");
+        assert!(!container.exists(), "{extra} still wrote the container");
+    }
 }

@@ -2,8 +2,8 @@
 //! stream, captured at the commit before the interpreter was rewritten to
 //! index resolved slots and direct site tables.
 //!
-//! The identity suites next to this one compare modes of one commit with
-//! each other (streaming = batch = pipelined = collected); an interpreter
+//! The identity suites next to this one compare computations of one commit
+//! with each other (in-line = offline reference = collected); an interpreter
 //! that changed every mode alike — a GID off by one, a tick charged twice, a
 //! duration computed differently — would pass all of them. This one pins the
 //! stream itself: `Enter`/`Exit` GIDs in order and, per MPI record, `gid, op,

@@ -15,9 +15,17 @@
 //!    equals the decompress-then-analyze oracle exactly, tracks the
 //!    raw-trace `simmpi::simulate` within the timing-averaging tolerance,
 //!    and agrees with both on which programs are replay-invalid.
+//!
+//! Each seed's CTT bytes are also pinned across commits: `check_seed` returns
+//! the job's digest row (see `ctt_digest`), compared against the tables
+//! committed at the bottom of this file — the random-program half of
+//! `ctt_golden.rs`.
 
+mod ctt_digest;
+
+use ctt_digest::{assert_matches, job_digest, Row};
 use cypress::analysis::{analyze_by_decompression, analyze_ctts, AnalyzeOptions};
-use cypress::core::{compress_trace, decompress, CompressConfig};
+use cypress::core::{compress_trace, decompress, merge_all, CompressConfig};
 use cypress::cst::{analyze_program_with, IntraBuilder};
 use cypress::minilang::{check_program, parse};
 use cypress::obs::rng::Rng;
@@ -205,7 +213,8 @@ fn gen_stmt(
     }
 }
 
-fn check_seed(seed: u64) {
+/// Check every invariant for one seed; returns its CTT digest row.
+fn check_seed(seed: u64) -> (u32, u32) {
     let src = gen_program(seed);
     let prog = parse(&src).unwrap_or_else(|e| panic!("seed {seed}: parse error {e}\n{src}"));
     check_program(&prog).unwrap_or_else(|e| panic!("seed {seed}: check error {e}\n{src}"));
@@ -247,6 +256,7 @@ fn check_seed(seed: u64) {
         .iter()
         .map(|t| compress_trace(&b.cst, t, &cfg))
         .collect();
+    let digest = job_digest(&ctts, &merge_all(&ctts));
     for (t, ctt) in traces.iter().zip(&ctts) {
         let replay = decompress(&b.cst, ctt);
         let want: Vec<_> = t
@@ -353,6 +363,7 @@ fn check_seed(seed: u64) {
             "seed {seed}: native and oracle disagree on replay validity: {a:?} vs {b:?}\n{src}"
         ),
     }
+    digest
 }
 
 /// Analyze one source at a world size; assert the partial-expansion
@@ -450,16 +461,181 @@ fn random_programs_round_trip() {
     // 80 wide-range seeds derived from one master stream (the replacement
     // for the proptest `any::<u64>()` sweep; fully deterministic).
     let mut master = Rng::new(0x9e3779b97f4a7c15);
-    for _ in 0..80 {
-        check_seed(master.next_u64());
-    }
+    let actual: Vec<_> = (0..80)
+        .map(|_| {
+            let seed = master.next_u64();
+            (format!("{seed:#018x}"), check_seed(seed))
+        })
+        .collect();
+    assert_matches(
+        "tests/random_programs.rs::MASTER_GOLDEN",
+        &actual,
+        MASTER_GOLDEN,
+    );
 }
 
 #[test]
 fn specific_seeds_round_trip() {
     // Fixed small seeds keep a deterministic floor of coverage independent
     // of the master-stream constants above.
-    for seed in 0..64u64 {
-        check_seed(seed);
-    }
+    let actual: Vec<_> = (0..64u64)
+        .map(|seed| (seed.to_string(), check_seed(seed)))
+        .collect();
+    assert_matches(
+        "tests/random_programs.rs::FIXED_GOLDEN",
+        &actual,
+        FIXED_GOLDEN,
+    );
 }
+
+#[rustfmt::skip]
+const MASTER_GOLDEN: &[Row] = &[
+    ("0x6e789e6aa1b965f4", 0x9196644b, 0x608183c2),
+    ("0x06c45d188009454f", 0xeae184ca, 0xfbf0c46d),
+    ("0xf88bb8a8724c81ec", 0x7c2dd79a, 0x4f3c0e3c),
+    ("0x1b39896a51a8749b", 0xc4d33c92, 0x2488c81c),
+    ("0x53cb9f0c747ea2ea", 0xad9d0cf2, 0x6e78a01d),
+    ("0x2c829abe1f4532e1", 0xcb18e4ad, 0x376851d3),
+    ("0xc584133ac916ab3c", 0x32606f38, 0xde1be31e),
+    ("0x3ee5789041c98ac3", 0x20c249cb, 0x821da6a2),
+    ("0xf3b8488c368cb0a6", 0xb2f2b80b, 0x35ad7b86),
+    ("0x657eecdd3cb13d09", 0x88131929, 0x2a956c04),
+    ("0xc2d326e0055bdef6", 0x6cdf34e1, 0xf6300c90),
+    ("0x8621a03fe0bbdb7b", 0x19c6c82a, 0x7d5d25ec),
+    ("0x8e1f7555983aa92f", 0x3438cdea, 0x4b2eeaff),
+    ("0xb54e0f1600cc4d19", 0xc66ffb4d, 0xca1429b6),
+    ("0x84bb3f97971d80ab", 0xc2d80239, 0x319bbc78),
+    ("0x7d29825c75521255", 0x1012ead4, 0x3db1a3d3),
+    ("0xc3cf17102b7f7f86", 0x39c6e0e0, 0xf59d6b93),
+    ("0x3466e9a083914f64", 0x2967f961, 0x4d145e2c),
+    ("0xd81a8d2b5a4485ac", 0x2fa0e679, 0x6ff3c0ea),
+    ("0xdb01602b100b9ed7", 0xb75a1028, 0xf0443614),
+    ("0xa9038a921825f10d", 0x63272972, 0x93c59741),
+    ("0xedf5f1d90dca2f6a", 0xccfdac83, 0xc362e32d),
+    ("0x54496ad67bd2634c", 0xd4e9f076, 0xc4028643),
+    ("0xdd7c01d4f5407269", 0x38100942, 0x3524dbb7),
+    ("0x935e82f1db4c4f7b", 0x70b10c0e, 0x30ec8a62),
+    ("0x69b82ebc92233300", 0x958a05dd, 0x8e0bbca5),
+    ("0x40d29eb57de1d510", 0xa2ddf34d, 0x173fa7b3),
+    ("0xa2f09dabb45c6316", 0x58fce586, 0x4e9db7e2),
+    ("0xee521d7a0f4d3872", 0x6e3bf03b, 0x1a90bab4),
+    ("0xf16952ee72f3454f", 0x1da711d6, 0x76bf81bc),
+    ("0x377d35dea8e40225", 0x9ec45327, 0xadb63f97),
+    ("0x0c7de8064963bab0", 0xedf70634, 0x80503bc8),
+    ("0x05582d37111ac529", 0x98a09911, 0x95ff32e6),
+    ("0xd254741f599dc6f7", 0x4973d1c6, 0xe810d908),
+    ("0x69630f7593d108c3", 0xfd649cc8, 0x90a8a846),
+    ("0x417ef96181daa383", 0xe454d618, 0xc0f190d4),
+    ("0x3c3c41a3b43343a1", 0x1cdfbf20, 0x5a674498),
+    ("0x6e19905dcbe531df", 0x9965d3ce, 0xcf52e619),
+    ("0x4fa9fa7324851729", 0xe5a99cc3, 0xaf1169ae),
+    ("0x84eb4454a792922a", 0xe715a82b, 0xe4789300),
+    ("0x134f7096918175ce", 0x74b3088d, 0x2bcf48f8),
+    ("0x07dc930b302278a8", 0xb78a234e, 0x90370bee),
+    ("0x12c015a97019e937", 0x97ab6ad6, 0xe3bd3fdb),
+    ("0xcc06c31652ebf438", 0x98a7ea13, 0x4ff4cb5f),
+    ("0xecee65630a691e37", 0xe5a0f6b0, 0xe6d032e8),
+    ("0x3e84ecb1763e79ad", 0xe3dc8df2, 0xf31a7d7c),
+    ("0x690ed476743aae49", 0x6bf7d860, 0xdd5de66c),
+    ("0x774615d7b1a1f2e1", 0xc6618e35, 0x9c36f896),
+    ("0x22b353f04f4f52da", 0x579822bd, 0xbbf218ed),
+    ("0xe3ddd86ba71a5eb1", 0x7be91612, 0xa1013cb0),
+    ("0xdf268adeb6513356", 0x87330af5, 0xde5d73bf),
+    ("0x2098eb73d4367d77", 0xc8baf501, 0xd8ddc98e),
+    ("0x03d6845323ce3c71", 0x44718240, 0x3cb010e6),
+    ("0xc952c5620043c714", 0x03b1899a, 0x802f9e1e),
+    ("0x9b196bca844f1705", 0xc6618e35, 0x9c36f896),
+    ("0x30260345dd9e0ec1", 0x4fb9790c, 0xb5c5c19f),
+    ("0xcf448a5882bb9698", 0xda5293fb, 0xc86dc6f2),
+    ("0xf4a578dccbc87656", 0xd188ca3c, 0x8a31ea6a),
+    ("0xbfdeaed9a17b3c8f", 0x64c06eda, 0x453fe066),
+    ("0xed79402d1d5c5d7b", 0x013f5add, 0x0d0ec6f7),
+    ("0x55f070ab1cbbf170", 0x5193e299, 0xe830f03c),
+    ("0x3e00a34929a88f1d", 0xa549fa27, 0xd595bde0),
+    ("0xe255b237b8bb18fb", 0xca492eb0, 0x920a7698),
+    ("0x2a7b67af6c6ad50e", 0x6e0f47be, 0x31bfdef6),
+    ("0x466d5e7f3e46f143", 0xc5209d12, 0xca636d6c),
+    ("0x42375cb399a4fc72", 0xac3163d6, 0x2b65646f),
+    ("0x8c8a1f148a8bb259", 0xbbd47fff, 0x7ab7ed79),
+    ("0x32fcab5daed5bdfc", 0x5dd62cf0, 0xa205d4a2),
+    ("0x9e60398c8d8553c0", 0x597e4036, 0x6f2f5472),
+    ("0xee89cceb8c4064c0", 0xb20d9946, 0xc403ae37),
+    ("0xdb0215941d86a66f", 0xf91693f3, 0xc1848112),
+    ("0x5ccde78203c367a8", 0xedc1820d, 0xe1c41dcd),
+    ("0xf1bcbc6a1ec11786", 0x4ece6625, 0x47e55124),
+    ("0xef054fceee954551", 0x3d36a728, 0x395db09a),
+    ("0xdf82012d0555c6df", 0x333b8148, 0xd80133aa),
+    ("0x292566ff72403c08", 0xf6ce89b0, 0x14b0850c),
+    ("0xc4dd302a1bfa1137", 0x91a51045, 0x4d239430),
+    ("0xd85f219db5c554e1", 0xc4f2ccb2, 0xa9520cfa),
+    ("0x6a27ff807441bcd2", 0xf7e796d6, 0xcd3d03b0),
+    ("0x96a573e9b48216e8", 0x3ec6b42d, 0xbd8b0708),
+];
+
+#[rustfmt::skip]
+const FIXED_GOLDEN: &[Row] = &[
+    ("0", 0x62903035, 0x96809658),
+    ("1", 0xa77684c6, 0xeac295f9),
+    ("2", 0x382be769, 0xf8e751a5),
+    ("3", 0xdcd02446, 0x36ba3627),
+    ("4", 0x8f613244, 0xf32433df),
+    ("5", 0x7282eab1, 0x55a9b8cb),
+    ("6", 0xd73bc09b, 0xf661fd94),
+    ("7", 0x51dcc6a3, 0x7c9eae05),
+    ("8", 0x596c4bc2, 0xac41f294),
+    ("9", 0xdc0b0b81, 0x8bd5983c),
+    ("10", 0x858418a3, 0xe7361592),
+    ("11", 0xb5fa490a, 0xe01cf36e),
+    ("12", 0x9271b0a0, 0x10473320),
+    ("13", 0xecdcd1af, 0xf8e4cd75),
+    ("14", 0xd275bf4d, 0x485b6cd8),
+    ("15", 0xc6a89a0c, 0xfd52600e),
+    ("16", 0x98100f6a, 0xad134a38),
+    ("17", 0xe57bb4ee, 0xe8f7c57b),
+    ("18", 0x7d1cf9cd, 0x85668c5f),
+    ("19", 0x733b17cc, 0xf6722d0f),
+    ("20", 0x5643913c, 0x85fbcbd1),
+    ("21", 0x582cbf57, 0xed67396a),
+    ("22", 0xa8b30e70, 0xdd837ded),
+    ("23", 0x6506a883, 0xa2fbaf15),
+    ("24", 0x2aac83ab, 0x05267a02),
+    ("25", 0x69ac59ff, 0x24ed17c7),
+    ("26", 0xf0b732a2, 0x89354ea3),
+    ("27", 0x2cf19489, 0x35fe1ff3),
+    ("28", 0x12e1e67f, 0x218a3336),
+    ("29", 0xf0ffeb72, 0x07f456e2),
+    ("30", 0x316f6bd7, 0x35602321),
+    ("31", 0x56f9c533, 0x538416dd),
+    ("32", 0x2d3c8770, 0xfce1ad0d),
+    ("33", 0x71c04ff0, 0x0af01f97),
+    ("34", 0x6f6e9fd7, 0xe7f9886a),
+    ("35", 0x4ce2aa31, 0x8f7425d5),
+    ("36", 0xc521ca1f, 0xd464d069),
+    ("37", 0x6ffce7cb, 0x83acdde1),
+    ("38", 0x2ac9f28a, 0xaea2075b),
+    ("39", 0x38100942, 0x3524dbb7),
+    ("40", 0xca09de85, 0xe2ec79e6),
+    ("41", 0x6fa089d8, 0x13c880c5),
+    ("42", 0x4c96d67f, 0xea032177),
+    ("43", 0x3de0b0f4, 0x7f582cbb),
+    ("44", 0xdaafe942, 0xc994cea8),
+    ("45", 0xb53432f3, 0x0a2a6fa3),
+    ("46", 0xb204224f, 0x7a9838d5),
+    ("47", 0x45458c1a, 0x394dd80a),
+    ("48", 0xa8a92dd4, 0x04bac735),
+    ("49", 0xcdf3303f, 0x4449e971),
+    ("50", 0xc6d2b31e, 0x43f9d8f3),
+    ("51", 0x733b813b, 0x4dde5673),
+    ("52", 0x6d785c49, 0x1044e459),
+    ("53", 0x57500d3c, 0x9ce23364),
+    ("54", 0x7879f36d, 0xa739cdd8),
+    ("55", 0x79130207, 0xc4eb702d),
+    ("56", 0x873fc1e8, 0x9ecf52aa),
+    ("57", 0xf409d541, 0xfcee038d),
+    ("58", 0xd6f6fbda, 0x1026a208),
+    ("59", 0x284d3c01, 0xb2eae696),
+    ("60", 0x566be159, 0xe7e6f7ba),
+    ("61", 0xe5a0f6b0, 0xe6d032e8),
+    ("62", 0xcf106d87, 0xf4bcffaf),
+    ("63", 0x8afe35b5, 0xbb731f7f),
+];

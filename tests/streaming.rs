@@ -1,12 +1,14 @@
-//! Streaming-session acceptance tests: the online path must be
-//! *byte-identical* to the batch path, and the on-disk container must round
-//! trip every workload's exact event sequence without re-simulation.
+//! Streaming-session acceptance tests: the in-line path must be
+//! *byte-identical* to the offline reference (record every raw trace, then
+//! `compress_trace` it) at every pool width, and the on-disk container must
+//! round trip every workload's exact event sequence without re-simulation.
 
-use cypress::core::{merge_all, merge_all_parallel};
+use cypress::core::{compress_trace, merge_all, merge_all_parallel, Ctt};
+use cypress::runtime::{trace_program_parallel, InterpConfig};
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
-use cypress::{Ingest, Pipeline, PipelineConfig};
+use cypress::{Pipeline, PipelineConfig};
 
 type OpSeq = Vec<(u32, MpiOp, MpiParams)>;
 
@@ -33,9 +35,9 @@ fn tmpdir(name: &str) -> std::path::PathBuf {
 }
 
 /// The headline acceptance criterion: for every workload, the streaming
-/// pipeline's merged CTT *encoding* is byte-for-byte the batch pipeline's.
-/// Both paths merge with the same thread count, so even the floating-point
-/// time statistics fold in the same order.
+/// pipeline's per-rank and merged CTT *encodings* are byte-for-byte those of
+/// the offline reference. Both sides merge with the same thread count, so
+/// even the floating-point time statistics fold in the same order.
 #[test]
 fn streaming_merged_bytes_equal_batch_on_all_workloads() {
     for name in all_workload_names() {
@@ -49,17 +51,15 @@ fn streaming_merged_bytes_equal_batch_on_all_workloads() {
             .configure(cfg.clone())
             .run()
             .unwrap_or_else(|e| panic!("{name}: streaming run failed: {e}"));
-        let mut batch = Pipeline::new(w.source.clone())
-            .ranks(w.nprocs)
-            .configure(PipelineConfig {
-                mode: Ingest::Batch,
-                ..cfg
-            })
-            .run()
-            .unwrap_or_else(|e| panic!("{name}: batch run failed: {e}"));
+        let (prog, info) = w.compile();
+        let batch: Vec<Ctt> = trace_program_parallel(&prog, &info, w.nprocs, &cfg.interp, 4)
+            .unwrap_or_else(|e| panic!("{name}: offline trace failed: {e}"))
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &cfg.compress))
+            .collect();
 
-        assert_eq!(stream.ctts, batch.ctts, "{name}: per-rank CTTs diverged");
-        for (a, b) in stream.ctts.iter().zip(&batch.ctts) {
+        assert_eq!(stream.ctts, batch, "{name}: per-rank CTTs diverged");
+        for (a, b) in stream.ctts.iter().zip(&batch) {
             assert_eq!(
                 a.to_bytes(),
                 b.to_bytes(),
@@ -69,13 +69,87 @@ fn streaming_merged_bytes_equal_batch_on_all_workloads() {
         }
         assert_eq!(
             stream.merge().to_bytes(),
-            batch.merge().to_bytes(),
+            merge_all_parallel(&batch, 4).to_bytes(),
             "{name}: merged CTT encodings diverged"
         );
         // The streaming path actually streamed: per-rank session stats exist
         // and the resident footprint was sampled.
         assert_eq!(stream.stats.len(), w.nprocs as usize, "{name}");
         assert!(stream.peak_ctt_bytes() > 0, "{name}");
+    }
+}
+
+/// Pool width changes which worker runs a rank and nothing else: per-rank
+/// encodings, the merged encoding and the session accounting are equal at
+/// 1, 2 and 8 workers on every workload.
+#[test]
+fn thread_count_changes_no_byte_and_no_session_count() {
+    for name in all_workload_names() {
+        let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
+        let run = |threads: usize| {
+            Pipeline::new(w.source.clone())
+                .ranks(w.nprocs)
+                .configure(PipelineConfig {
+                    threads,
+                    ..PipelineConfig::default()
+                })
+                .run()
+                .unwrap_or_else(|e| panic!("{name} threads={threads}: {e}"))
+        };
+        let mut reference = run(4);
+        let want_merged = reference.merge().to_bytes();
+        for threads in [1usize, 2, 8] {
+            let mut job = run(threads);
+            assert_eq!(
+                job.ctts.len(),
+                reference.ctts.len(),
+                "{name} threads={threads}"
+            );
+            for (a, b) in job.ctts.iter().zip(&reference.ctts) {
+                assert_eq!(
+                    a.to_bytes(),
+                    b.to_bytes(),
+                    "{name} threads={threads}: rank {} CTT encodings diverged",
+                    a.rank
+                );
+            }
+            assert_eq!(
+                job.merge().to_bytes(),
+                want_merged,
+                "{name} threads={threads}: merged CTT encodings diverged"
+            );
+            assert_eq!(job.stats.len(), w.nprocs as usize, "{name}");
+            for (a, b) in job.stats.iter().zip(&reference.stats) {
+                assert_eq!(a.events, b.events, "{name} threads={threads}");
+                assert_eq!(a.mpi_events, b.mpi_events, "{name} threads={threads}");
+                assert_eq!(a.raw_mpi_bytes, b.raw_mpi_bytes, "{name} threads={threads}");
+                assert_eq!(a.checkpoints, b.checkpoints, "{name} threads={threads}");
+            }
+        }
+    }
+}
+
+/// A rank that hits its step budget mid-stream fails the whole run with the
+/// interpreter's error — with more ranks than workers, and without hanging.
+#[test]
+fn interpreter_error_mid_stream_surfaces_as_runtime_error() {
+    let src = "fn main() { for i in 0..100000 { allreduce(8); } }";
+    let r = Pipeline::new(src)
+        .ranks(8)
+        .configure(PipelineConfig {
+            threads: 2,
+            interp: InterpConfig {
+                max_steps: 5_000,
+                ..InterpConfig::default()
+            },
+            ..PipelineConfig::default()
+        })
+        .run();
+    match r {
+        Err(cypress::Error::Runtime(e)) => {
+            assert!(e.to_string().contains("budget"), "unexpected error: {e}")
+        }
+        other => panic!("expected runtime error, got {:?}", other.map(|j| j.nprocs)),
     }
 }
 
@@ -240,7 +314,7 @@ fn push_batch_byte_identical_to_push_on_all_workloads() {
 /// and the CTT must stay byte-identical even when batch boundaries straddle
 /// checkpoint boundaries.
 #[test]
-fn push_batch_checkpoint_and_backpressure_match_push() {
+fn push_batch_checkpoints_match_push() {
     use cypress::core::{CompressConfig, CompressSession, SessionConfig};
     let w = by_name("cg", 8, Scale::Quick).unwrap();
     let (_, info) = w.compile();
