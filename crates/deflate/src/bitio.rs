@@ -1,4 +1,6 @@
-//! LSB-first bit I/O as required by DEFLATE (RFC 1951 §3.1.1).
+//! LSB-first bit I/O as required by DEFLATE (RFC 1951 §3.1.1). The reader
+//! refills a whole `u64` word at a time and hands out bits by peek and
+//! consume, so a table decoder takes a Huffman code in one lookup.
 
 /// Bit-level writer: bits are packed starting from the least significant bit
 /// of each output byte.
@@ -78,6 +80,11 @@ pub fn reverse_bits(v: u32, n: u32) -> u32 {
 }
 
 /// Bit-level reader, LSB first.
+///
+/// `bitbuf` holds `nbits` unread bits for `data[..pos]`. Bits above `nbits`
+/// are either zero or the true leading bits of `data[pos..]` (a word refill
+/// loads eight bytes and counts only the whole ones that fit), so a peek
+/// never shows a bit the stream does not have.
 pub struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -106,7 +113,16 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top the buffer up to at least 56 bits, or to the end of the input:
+    /// one word load while eight input bytes remain, bytewise after that.
     fn fill(&mut self) {
+        if let Some(word) = self.data[self.pos..].first_chunk::<8>() {
+            self.bitbuf |= u64::from_le_bytes(*word) << self.nbits;
+            let whole = (63 - self.nbits) / 8;
+            self.pos += whole as usize;
+            self.nbits += whole * 8;
+            return;
+        }
         while self.nbits <= 56 && self.pos < self.data.len() {
             self.bitbuf |= (self.data[self.pos] as u64) << self.nbits;
             self.pos += 1;
@@ -114,26 +130,35 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Read `n` bits (n ≤ 32), LSB first.
-    pub fn read_bits(&mut self, n: u32) -> Result<u32, BitError> {
-        debug_assert!(n <= 32);
-        self.fill();
-        if self.nbits < n {
-            return Err(BitError("unexpected end of input".into()));
+    /// The buffered bits, LSB first, and how many of them are input: at
+    /// least 32 unless the input ends sooner. Bits past that count read as
+    /// zero. Take them with [`BitReader::consume`].
+    #[inline]
+    pub fn peek(&mut self) -> (u64, u32) {
+        if self.nbits < 32 {
+            self.fill();
         }
-        let v = if n == 0 {
-            0
-        } else {
-            (self.bitbuf & ((1u64 << n) - 1)) as u32
-        };
-        self.bitbuf >>= n;
-        self.nbits -= n;
-        Ok(v)
+        (self.bitbuf, self.nbits)
     }
 
-    /// Read a single bit.
-    pub fn read_bit(&mut self) -> Result<u32, BitError> {
-        self.read_bits(1)
+    /// Drop `n` bits a [`BitReader::peek`] showed to be there.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits);
+        self.bitbuf >>= n;
+        self.nbits -= n;
+    }
+
+    /// Read `n` bits (n ≤ 32), LSB first.
+    #[inline]
+    pub fn read_bits(&mut self, n: u32) -> Result<u32, BitError> {
+        debug_assert!(n <= 32);
+        let (bits, avail) = self.peek();
+        if avail < n {
+            return Err(eof());
+        }
+        self.consume(n);
+        Ok((bits & ((1u64 << n) - 1)) as u32)
     }
 
     /// Discard bits up to the next byte boundary.
@@ -143,16 +168,21 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Read raw bytes after alignment.
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>, BitError> {
+    /// The next `n` bytes of input, borrowed (caller must be byte-aligned).
+    /// Whole bytes still buffered are handed back to the input first.
+    pub fn read_slice(&mut self, n: usize) -> Result<&'a [u8], BitError> {
         debug_assert_eq!(self.nbits % 8, 0);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let b = self.read_bits(8)?;
-            out.push(b as u8);
-        }
-        Ok(out)
+        let start = self.pos - (self.nbits / 8) as usize;
+        let bytes = self.data[start..].get(..n).ok_or_else(eof)?;
+        self.pos = start + n;
+        self.bitbuf = 0;
+        self.nbits = 0;
+        Ok(bytes)
     }
+}
+
+pub(crate) fn eof() -> BitError {
+    BitError("unexpected end of input".into())
 }
 
 #[cfg(test)]
@@ -189,9 +219,33 @@ mod tests {
         w.write_bytes(&[0xDE, 0xAD]);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.read_bit().unwrap(), 1);
+        assert_eq!(r.read_bits(1).unwrap(), 1);
         r.align_byte();
-        assert_eq!(r.read_bytes(2).unwrap(), vec![0xDE, 0xAD]);
+        assert_eq!(r.read_slice(2).unwrap(), [0xDE, 0xAD]);
+        assert!(r.read_slice(1).is_err());
+    }
+
+    #[test]
+    fn word_refill_and_slices_agree_with_the_bytes() {
+        let data: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        // Bit-exact against a bytewise model at every split of a 3-bit
+        // read and a byte-aligned slice.
+        for skip in 0..data.len() {
+            let mut r = BitReader::new(&data);
+            for (i, &b) in data[..skip].iter().enumerate() {
+                assert_eq!(r.read_bits(8).unwrap(), b as u32, "byte {i}");
+            }
+            let (bits, avail) = r.peek();
+            assert!(avail >= 32 || avail as usize == 8 * (data.len() - skip));
+            assert_eq!(bits as u8, data[skip]);
+            assert_eq!(r.read_bits(3).unwrap(), (data[skip] & 7) as u32);
+            r.align_byte();
+            assert_eq!(
+                r.read_slice(data.len() - skip - 1).unwrap(),
+                &data[skip + 1..]
+            );
+            assert!(r.read_bits(1).is_err());
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Canonical Huffman codes: length-limited construction (package-merge) and
 //! canonical decoding, per RFC 1951 §3.2.2.
 
-use crate::bitio::{BitError, BitReader};
+use crate::bitio::{eof, reverse_bits, BitError, BitReader};
 
 /// Compute length-limited Huffman code lengths for the given symbol
 /// frequencies via the package-merge algorithm. Symbols with zero frequency
@@ -114,17 +114,26 @@ pub fn canonical_codes(lens: &[u8]) -> Vec<u32> {
         .collect()
 }
 
-/// Canonical Huffman decoder.
+/// Index width of the decode table: codes up to this long take one lookup.
+const TABLE_BITS: usize = 10;
+
+/// Canonical Huffman decoder: one table lookup on the next
+/// `min(max code length, TABLE_BITS)` input bits, and the canonical walk over
+/// the same peeked bits for the rare longer code.
 pub struct Decoder {
     /// count[l] = number of codes of length l.
     counts: Vec<u32>,
     /// Symbols sorted by (length, symbol) — canonical order.
     symbols: Vec<u16>,
+    /// Indexed by the next input bits (LSB first): `symbol << 4 | length`
+    /// for the code those bits start with, or 0 when no code that short does.
+    table: Vec<u16>,
 }
 
 impl Decoder {
-    /// Build from code lengths. Returns `None` for an over-subscribed or
-    /// incomplete (but non-trivial) code.
+    /// Build from code lengths. Returns `None` for an over-subscribed code;
+    /// an incomplete code is accepted, and its unused bit patterns fail to
+    /// decode.
     pub fn new(lens: &[u8]) -> Option<Decoder> {
         let max = lens.iter().copied().max().unwrap_or(0) as usize;
         let mut counts = vec![0u32; max + 1];
@@ -150,18 +159,60 @@ impl Decoder {
                 }
             }
         }
-        Some(Decoder { counts, symbols })
+        // Each code of length l ≤ width owns every table index whose low l
+        // bits are the code, bit-reversed into stream order.
+        let width = max.min(TABLE_BITS) as u32;
+        let mut table = vec![0u16; 1 << width];
+        for (sym, (&l, &code)) in lens.iter().zip(&canonical_codes(lens)).enumerate() {
+            let l = l as u32;
+            if l == 0 || l > width {
+                continue;
+            }
+            let entry = (sym as u16) << 4 | l as u16;
+            for slot in table
+                .iter_mut()
+                .skip(reverse_bits(code, l) as usize)
+                .step_by(1 << l)
+            {
+                *slot = entry;
+            }
+        }
+        Some(Decoder {
+            counts,
+            symbols,
+            table,
+        })
     }
 
     /// Decode one symbol from the bit reader.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, BitError> {
+        let (bits, avail) = r.peek();
+        let entry = self.table[bits as usize & (self.table.len() - 1)];
+        let len = (entry & 0xF) as u32;
+        if len != 0 && len <= avail {
+            r.consume(len);
+            return Ok(entry >> 4);
+        }
+        self.decode_long(r, bits, avail)
+    }
+
+    /// The canonical walk (RFC 1951 §3.2.2) over peeked bits: codes longer
+    /// than the table, and input that ends inside a code or on a pattern an
+    /// incomplete code leaves unused.
+    #[cold]
+    fn decode_long(&self, r: &mut BitReader<'_>, bits: u64, avail: u32) -> Result<u16, BitError> {
         let mut code = 0i64;
         let mut first = 0i64;
         let mut index = 0i64;
         for len in 1..self.counts.len() {
-            code |= r.read_bit()? as i64;
+            if len as u32 > avail {
+                return Err(eof());
+            }
+            code |= (bits >> (len - 1) & 1) as i64;
             let count = self.counts[len] as i64;
             if code - first < count {
+                r.consume(len as u32);
                 return Ok(self.symbols[(index + (code - first)) as usize]);
             }
             index += count;
@@ -231,6 +282,46 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &s in &msg {
             assert_eq!(dec.decode(&mut r).unwrap(), s);
+        }
+    }
+
+    /// The table is a cache of the canonical walk: on every input of zero,
+    /// one and two bytes, for complete, incomplete and long codes, both give
+    /// the same symbol and consume the same bits, or both fail.
+    #[test]
+    fn table_lookup_equals_the_canonical_walk() {
+        let mut rng = Rng::new(0x7ab1e);
+        let fixed = crate::tables::fixed_litlen_lens();
+        let mut cases = vec![vec![1u8, 2, 3, 3], vec![2, 2, 2], vec![0; 4], fixed];
+        for _ in 0..16 {
+            let nsyms = rng.range_usize(2..60);
+            let freqs: Vec<u64> = (0..nsyms).map(|_| 1 << rng.range_u64(0..20)).collect();
+            let mut lens = code_lengths(&freqs, 15);
+            // Drop one symbol half the time: an incomplete code.
+            if rng.range_u64(0..2) == 0 {
+                lens[rng.range_usize(0..nsyms)] = 0;
+            }
+            cases.push(lens);
+        }
+        for lens in cases {
+            let dec = Decoder::new(&lens).unwrap();
+            for nbytes in 0..=2 {
+                for pattern in 0..1u32 << (8 * nbytes) {
+                    let input = &pattern.to_le_bytes()[..nbytes];
+                    let (mut fast, mut slow) = (BitReader::new(input), BitReader::new(input));
+                    let got = dec.decode(&mut fast);
+                    let (bits, avail) = slow.peek();
+                    let want = dec.decode_long(&mut slow, bits, avail);
+                    match (got, want) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a, b, "lens {lens:?} input {input:?}");
+                            assert_eq!(fast.peek(), slow.peek(), "lens {lens:?} input {input:?}");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (a, b) => panic!("lens {lens:?} input {input:?}: {a:?} vs {b:?}"),
+                    }
+                }
+            }
         }
     }
 

@@ -1,9 +1,14 @@
 //! DEFLATE decompression (RFC 1951): stored, fixed- and dynamic-Huffman
-//! blocks.
+//! blocks, decoded a table lookup per symbol (see [`Decoder`]).
 
 use crate::bitio::{BitError, BitReader};
 use crate::huffman::Decoder;
 use crate::tables::*;
+use std::sync::OnceLock;
+
+/// The most bytes one input byte of DEFLATE can decode to: a 258-byte match
+/// costs at least two bits.
+const MAX_EXPANSION: usize = 1032;
 
 /// Decompress a raw DEFLATE stream.
 pub fn inflate(data: &[u8]) -> Result<Vec<u8>, BitError> {
@@ -16,9 +21,10 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>, BitError> {
 /// `raw_len` bytes. The declaration bounds the work: decoding stops with an
 /// error as soon as the output would pass `raw_len`, so a lying length
 /// cannot make the reader allocate more than it announced; a stream that
-/// ends short of it is an error too.
+/// ends short of it is an error too. The output is reserved up front, but
+/// never past what `data` could decode to.
 pub fn inflate_exact(data: &[u8], raw_len: usize) -> Result<Vec<u8>, BitError> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(raw_len.min(data.len().saturating_mul(MAX_EXPANSION)));
     inflate_into(data, raw_len, &mut out)?;
     if out.len() != raw_len {
         let msg = format!("declared {raw_len} bytes, got {}", out.len());
@@ -31,33 +37,38 @@ fn past_limit(limit: usize) -> BitError {
     BitError(format!("output would pass the declared {limit} bytes"))
 }
 
+/// The fixed literal/length and distance decoders (RFC 1951 §3.2.6), built
+/// on first use and shared by every fixed block after it.
+fn fixed_decoders() -> &'static [Decoder; 2] {
+    static FIXED: OnceLock<[Decoder; 2]> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        [fixed_litlen_lens(), fixed_dist_lens()]
+            .map(|fixed_lens| Decoder::new(&fixed_lens).expect("the fixed codes are well-formed"))
+    })
+}
+
 /// Inflate `data` onto `out`, which never grows beyond `limit` bytes.
 fn inflate_into(data: &[u8], limit: usize, out: &mut Vec<u8>) -> Result<(), BitError> {
     let mut r = BitReader::new(data);
     loop {
-        let bfinal = r.read_bit()?;
+        let bfinal = r.read_bits(1)?;
         let btype = r.read_bits(2)?;
         match btype {
             0 => {
                 r.align_byte();
-                let len_bytes = r.read_bytes(2)?;
-                let nlen_bytes = r.read_bytes(2)?;
-                let len = u16::from_le_bytes([len_bytes[0], len_bytes[1]]);
-                let nlen = u16::from_le_bytes([nlen_bytes[0], nlen_bytes[1]]);
-                if len != !nlen {
+                let len = r.read_bits(16)?;
+                let nlen = r.read_bits(16)?;
+                if len != !nlen & 0xFFFF {
                     return Err(BitError("stored block LEN/NLEN mismatch".into()));
                 }
                 if len as usize > limit - out.len() {
                     return Err(past_limit(limit));
                 }
-                out.extend(r.read_bytes(len as usize)?);
+                out.extend_from_slice(r.read_slice(len as usize)?);
             }
             1 => {
-                let lit =
-                    Decoder::new(&fixed_litlen_lens()).expect("fixed litlen code is well-formed");
-                let dist =
-                    Decoder::new(&fixed_dist_lens()).expect("fixed distance code is well-formed");
-                inflate_block(&mut r, &lit, &dist, limit, out)?;
+                let [lit, dist] = fixed_decoders();
+                inflate_block(&mut r, lit, dist, limit, out)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_header(&mut r)?;
@@ -149,10 +160,14 @@ fn inflate_block(
                 if len > limit - out.len() {
                     return Err(past_limit(limit));
                 }
+                // Bulk copies: the whole match when it does not overlap its
+                // source, else the period so far, which doubles each round.
                 let start = out.len() - d;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let n = left.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    left -= n;
                 }
             }
             _ => return Err(BitError(format!("bad literal/length symbol {sym}"))),

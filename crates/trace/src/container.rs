@@ -337,6 +337,8 @@ pub struct EncodedSection {
     /// Decompressed payload length (deflate encoding only).
     raw_len: usize,
     stored: Vec<u8>,
+    /// crc32 of `stored`, computed where the bytes were made.
+    crc: u32,
 }
 
 impl EncodedSection {
@@ -348,44 +350,48 @@ impl EncodedSection {
 
 /// Encode one section for storage: deflate the payload at `level` when that
 /// is enabled, the payload is large enough, and compression actually wins;
-/// store raw otherwise. Pure function of `(section, level)` — parallel and
+/// store raw otherwise. The section CRC is taken here, on the worker, over
+/// the stored bytes. Pure function of `(section, level)` — parallel and
 /// sequential encodes are byte-identical.
 pub fn encode_section(s: &Section, level: Option<Level>) -> EncodedSection {
     let _span = SECTION_ENCODE_NS
         .span("encode", "section")
         .arg(s.payload.len() as u64);
-    if let Some(level) = level {
-        if s.payload.len() >= MIN_COMPRESS_LEN {
-            let z = deflate(&s.payload, level);
-            if z.len() < s.payload.len() {
-                SECTIONS_DEFLATED.inc();
-                DEFLATE_IN_BYTES.add(s.payload.len() as u64);
-                DEFLATE_OUT_BYTES.add(z.len() as u64);
-                return EncodedSection {
-                    kind: s.kind,
-                    rank: s.rank,
-                    encoding: ENC_DEFLATE,
-                    raw_len: s.payload.len(),
-                    stored: z,
-                };
-            }
+    let deflated = level
+        .filter(|_| s.payload.len() >= MIN_COMPRESS_LEN)
+        .map(|level| deflate(&s.payload, level))
+        .filter(|z| z.len() < s.payload.len());
+    let (encoding, stored) = match deflated {
+        Some(z) => {
+            SECTIONS_DEFLATED.inc();
+            DEFLATE_IN_BYTES.add(s.payload.len() as u64);
+            DEFLATE_OUT_BYTES.add(z.len() as u64);
+            (ENC_DEFLATE, z)
         }
-    }
+        None => (ENC_RAW, s.payload.clone()),
+    };
     EncodedSection {
         kind: s.kind,
         rank: s.rank,
-        encoding: ENC_RAW,
+        encoding,
         raw_len: s.payload.len(),
-        stored: s.payload.clone(),
+        crc: crc32(&stored),
+        stored,
     }
 }
 
 /// Assemble encoded sections into a container image: the framed body
 /// followed by a whole-image crc32 trailer that lets readers reject any
-/// corruption — framing included — before parsing a single body byte.
+/// corruption — framing included — before parsing a single body byte. The
+/// section CRCs come from [`encode_section`]; the trailer is the one pass
+/// over the image here.
 pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
-    let mut enc =
-        Encoder::with_capacity(8 + encoded.iter().map(|e| e.stored.len() + 20).sum::<usize>());
+    let framed: usize = encoded.iter().map(|e| e.stored.len() + 20).sum();
+    let mut enc = Encoder::with_capacity(CONTAINER_MAGIC.len() + 1 + 8 + framed + 4);
+    for b in CONTAINER_MAGIC {
+        enc.put_u8(b);
+    }
+    enc.put_u8(CONTAINER_VERSION);
     enc.put_uvar(nprocs as u64);
     enc.put_uvar(encoded.len() as u64);
     for e in encoded {
@@ -396,12 +402,9 @@ pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
             enc.put_uvar(e.raw_len as u64);
         }
         enc.put_bytes(&e.stored);
-        enc.put_uvar(crc32(&e.stored) as u64);
+        enc.put_uvar(e.crc as u64);
     }
-    let mut out = Vec::with_capacity(5 + enc.len() + 4);
-    out.extend_from_slice(&CONTAINER_MAGIC);
-    out.push(CONTAINER_VERSION);
-    out.extend_from_slice(&enc.finish());
+    let mut out = enc.finish();
     let image_crc = crc32(&out);
     out.extend_from_slice(&image_crc.to_le_bytes());
     out

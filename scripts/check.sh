@@ -97,6 +97,14 @@ for suite in interp_golden ctt_golden wire_golden streaming pipeline_roundtrip \
 done
 test "$(grep -c '^    ("' tests/interp_golden.rs)" -ge 14 \
   || { echo "tests/interp_golden.rs lost committed hashes"; exit 1; }
+test "$(grep -c '^    ("' crates/deflate/tests/inflate_sweep.rs)" = 15 \
+  || { echo "crates/deflate/tests/inflate_sweep.rs lost its digest table"; exit 1; }
+
+echo "== byte path: no bit-at-a-time decode, one CRC per section on write =="
+! grep -n 'read_bit()' crates/deflate/src/huffman.rs || exit 1
+grep -q 'chunks_exact(8)' crates/deflate/src/crc32.rs && grep -q 'OnceLock' crates/deflate/src/inflate.rs
+test "$(grep -c 'Decoder::new(&fixed_' crates/deflate/src/inflate.rs)" = 1
+! awk '/^pub fn assemble/,/^}/' crates/trace/src/container.rs | grep -n 'crc32(&e.stored)' || exit 1
 
 echo "== cargo test =="
 cargo test --workspace -q
