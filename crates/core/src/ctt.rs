@@ -10,6 +10,7 @@
 
 use crate::intseq::IntSeq;
 use crate::timestats::TimeStats;
+use crate::visit::VertexRef;
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 use cypress_trace::event::{MpiOp, MpiParams, ANY_SOURCE, NONE};
 use std::sync::{Arc, OnceLock};
@@ -368,21 +369,19 @@ pub(crate) fn bad_vertex_tag(t: u8) -> DecodeError {
     DecodeError(format!("bad VertexData tag {t}"))
 }
 
-/// `(rank, nprocs, app_time)`: the fields ahead of a CTT's vertex list. The
-/// owned decoder below and the pooled one ([`CttSlab`](crate::slab::CttSlab))
-/// share this, the tag error, [`LeafRecord::decode`] and
-/// [`decode_segs_into`](crate::intseq::decode_segs_into); they differ only in
-/// where a vertex's segments and records land.
-pub(crate) fn decode_ctt_header(dec: &mut Decoder<'_>) -> DecodeResult<(u32, u32, u64)> {
-    Ok((
-        dec.get_u32("ctt rank")?,
-        dec.get_u32("ctt nprocs")?,
-        dec.get_uvar()?,
-    ))
-}
+impl VertexData {
+    /// This vertex's data as the borrowed view every reader takes.
+    pub fn view(&self) -> VertexRef<'_> {
+        match self {
+            VertexData::Root => VertexRef::Root,
+            VertexData::Loop { counts } => VertexRef::Loop(counts.view()),
+            VertexData::Branch { taken } => VertexRef::Branch(taken.view()),
+            VertexData::Leaf { records } => VertexRef::Leaf(records),
+        }
+    }
 
-impl Codec for VertexData {
-    fn encode(&self, enc: &mut Encoder) {
+    /// The wire form: a tag, then the sequence or the records.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
         match self {
             VertexData::Root => enc.put_u8(VD_ROOT),
             VertexData::Loop { counts } => {
@@ -399,40 +398,18 @@ impl Codec for VertexData {
             }
         }
     }
-
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(match dec.get_u8()? {
-            VD_ROOT => VertexData::Root,
-            VD_LOOP => VertexData::Loop {
-                counts: IntSeq::decode(dec)?,
-            },
-            VD_BRANCH => VertexData::Branch {
-                taken: IntSeq::decode(dec)?,
-            },
-            VD_LEAF => VertexData::Leaf {
-                records: dec.get_seq("leaf records", LeafRecord::decode)?,
-            },
-            t => return Err(bad_vertex_tag(t)),
-        })
-    }
 }
 
-impl Codec for Ctt {
-    fn encode(&self, enc: &mut Encoder) {
+impl Ctt {
+    /// The `RankCtt` section payload and `RankCtt` frame body. The one
+    /// decoder of these bytes is [`CttSlab::from_bytes`](crate::CttSlab::from_bytes).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
         enc.put_uvar(self.rank as u64);
         enc.put_uvar(self.nprocs as u64);
         enc.put_uvar(self.app_time);
         enc.put_seq(&self.data, |enc, d| d.encode(enc));
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let (rank, nprocs, app_time) = decode_ctt_header(dec)?;
-        Ok(Ctt {
-            rank,
-            nprocs,
-            app_time,
-            data: dec.get_seq("ctt vertices", VertexData::decode)?,
-        })
+        enc.finish()
     }
 }
 
@@ -440,6 +417,7 @@ impl Codec for Ctt {
 mod tests {
     use super::*;
     use crate::timestats::TimeMode;
+    use crate::visit::CttSource;
 
     #[test]
     fn relative_encoding_makes_stencil_params_rank_invariant() {
@@ -517,25 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn header_fields_wider_than_32_bits_are_refused_by_both_decoders() {
-        for (rank, nprocs, field) in [((1u64 << 32) + 1, 4, "rank"), (1, (1 << 32) + 1, "nprocs")] {
-            let mut enc = Encoder::new();
-            enc.put_uvar(rank);
-            enc.put_uvar(nprocs);
-            enc.put_uvar(999); // app_time
-            enc.put_uvar(1); // one vertex
-            enc.put_u8(VD_ROOT);
-            let bytes = enc.finish();
-            let want = format!("ctt {field} 4294967297 does not fit in 32 bits");
-            let err = Ctt::from_bytes(&bytes).unwrap_err();
-            assert!(err.0.contains(&want), "{err}");
-            let err = crate::CttSlab::from_bytes(&bytes).unwrap_err();
-            assert!(err.0.contains(&want), "{err}");
-        }
-    }
-
-    #[test]
-    fn ctt_codec_round_trip() {
+    fn ctt_bytes_decode_to_the_vertices_written() {
         let mut time = TimeStats::new(TimeMode::MeanStd);
         time.add(120);
         time.add(130);
@@ -561,12 +521,17 @@ mod tests {
                 },
             ],
         };
-        let back = Ctt::from_bytes(&ctt.to_bytes()).unwrap();
-        // Timing statistics are quantized by the codec; the encoding itself
-        // is canonical (re-encoding is byte-stable), and everything except
-        // timing round-trips exactly.
-        assert_eq!(back.to_bytes(), ctt.to_bytes());
-        assert_eq!(back.rank, ctt.rank);
+        // Timing moments are exact on the wire, so every field comes back:
+        // the one decoder yields the header and every vertex as written.
+        let back = crate::CttSlab::from_bytes(&ctt.to_bytes()).unwrap();
+        assert_eq!(
+            (back.rank, back.nprocs, back.app_time),
+            (ctt.rank, ctt.nprocs, ctt.app_time)
+        );
+        assert_eq!(back.vertex_count(), ctt.data.len());
+        for (gid, data) in ctt.data.iter().enumerate() {
+            assert_eq!(back.vertex(gid), data.view(), "vertex {gid}");
+        }
         assert_eq!(back.record_count(), ctt.record_count());
         assert_eq!(back.op_count(), ctt.op_count());
     }

@@ -234,6 +234,17 @@ impl<'a> SeqRef<'a> {
     }
 }
 
+/// An owned copy of a view: exactly the [`IntSeq`] the view's bytes decode
+/// to, so a tree lifted from pooled storage equals one lifted from owned.
+impl From<SeqRef<'_>> for IntSeq {
+    fn from(view: SeqRef<'_>) -> IntSeq {
+        IntSeq {
+            segs: view.segs.to_vec(),
+            total: view.total,
+        }
+    }
+}
+
 /// Sequential consumer of a compressed sequence (supports peek, used by
 /// branch outcome matching during decompression). Works over any segment
 /// slice, so it serves both [`IntSeq`] and [`SeqRef`].
@@ -567,6 +578,24 @@ mod tests {
         let s = IntSeq::from_slice(&[0, 2, 4, 9, 9, 9, -1]);
         let b = s.to_bytes();
         assert_eq!(IntSeq::from_bytes(&b).unwrap(), s);
+    }
+
+    #[test]
+    fn owning_a_pooled_view_equals_decoding_the_same_bytes() {
+        let mut rng = Rng::new(0x0f1e);
+        let mut pool = vec![Seg {
+            start: 9,
+            stride: 0,
+            len: 1,
+            reps: 1,
+        }];
+        for _ in 0..64 {
+            let bytes = IntSeq::from_slice(&random_vec(&mut rng, -6, 6, 80)).to_bytes();
+            let lo = pool.len();
+            let total = decode_segs_into(&mut Decoder::new(&bytes), &mut pool).unwrap();
+            let view = SeqRef::from_parts(&pool[lo..], total);
+            assert_eq!(IntSeq::from(view), IntSeq::from_bytes(&bytes).unwrap());
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub use decompress::{
     decompress, decompress_into, replay_to_records, ReplayClock, ReplayCursor, ReplayOp,
 };
 pub use intseq::{IntSeq, IntSeqReader, Seg, SeqRef};
-pub use merge::{merge_all, merge_all_parallel, BinomialMerger, MergedCtt, MergedVertex, RankSet};
+pub use merge::{
+    check_shape, merge_all, merge_all_parallel, BinomialMerger, MergedCtt, MergedVertex, RankSet,
+};
 pub use session::{CompressSession, SessionConfig, SessionStats};
 pub use slab::CttSlab;
 pub use timestats::{TimeMode, TimeStats, HIST_BUCKETS};

@@ -18,8 +18,10 @@
 //! with std scoped threads — the O(n log P) schedule the paper
 //! describes for end-of-job merging inside `MPI_Finalize`.
 
-use crate::ctt::{Ctt, LeafRecord, VertexData};
+use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
 use crate::intseq::IntSeq;
+use crate::visit::{CttSource, VertexRef};
+use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 
@@ -175,42 +177,104 @@ pub fn record_mergeable(a: &LeafRecord, b: &LeafRecord) -> bool {
     a.params == b.params && a.count == b.count
 }
 
+/// Does a tree fit the job it is offered to? Its job size, vertex count,
+/// and the variant of every vertex's data against the CST vertex it
+/// records — what [`MergedCtt::absorb`] and [`BinomialMerger`] assert, so a
+/// peer's tree can be refused with an error before it reaches them.
+/// [`MergedCtt::check_shape`] is this check for a merged block.
+pub fn check_shape<S: CttSource>(ctt: &S, cst: &Cst, nprocs: u32) -> Result<(), String> {
+    check_size(cst, nprocs, ctt.nprocs(), ctt.vertex_count())?;
+    (0..ctt.vertex_count()).try_for_each(|gid| check_vertex(cst, gid, ctt.vertex(gid)))
+}
+
+fn check_size(cst: &Cst, nprocs: u32, tree_nprocs: u32, vertices: usize) -> Result<(), String> {
+    if tree_nprocs != nprocs {
+        return Err(format!(
+            "tree is for {tree_nprocs} ranks, the job has {nprocs}"
+        ));
+    }
+    if vertices != cst.len() {
+        return Err(format!(
+            "tree has {vertices} vertices, the job's CST {}",
+            cst.len()
+        ));
+    }
+    Ok(())
+}
+
+fn check_vertex(cst: &Cst, gid: usize, data: VertexRef<'_>) -> Result<(), String> {
+    let kind = &cst.vertex(gid).kind;
+    let held = match (kind, data) {
+        (VertexKind::Root, VertexRef::Root)
+        | (VertexKind::Loop { .. }, VertexRef::Loop(_))
+        | (VertexKind::Branch { .. }, VertexRef::Branch(_))
+        | (VertexKind::Mpi { .. } | VertexKind::UserCall { .. }, VertexRef::Leaf(_)) => {
+            return Ok(())
+        }
+        (_, VertexRef::Root) => "root",
+        (_, VertexRef::Loop(_)) => "loop",
+        (_, VertexRef::Branch(_)) => "branch",
+        (_, VertexRef::Leaf(_)) => "leaf",
+    };
+    Err(format!("vertex {gid} ({}) holds {held} data", kind.tag()))
+}
+
 impl MergedCtt {
-    /// Lift one per-process CTT into a (singleton-groups) merged form.
-    pub fn from_ctt(ctt: &Ctt) -> Self {
-        let rank = ctt.rank;
-        let vertices = ctt
-            .data
-            .iter()
-            .map(|vd| match vd {
-                VertexData::Root => MergedVertex::Empty,
+    /// Lift one per-process CTT, owned or pooled, into a (singleton-groups)
+    /// merged form. Only what the merged tree keeps is copied out of it.
+    pub fn from_ctt<S: CttSource>(ctt: &S) -> Self {
+        let single = || RankSet::singleton(ctt.rank());
+        let control = |d| MergedVertex::Control(vec![(single(), d)]);
+        let vertices = (0..ctt.vertex_count())
+            .map(|gid| match ctt.vertex(gid) {
                 // Empty data = the rank never reached this vertex: it
                 // contributes nothing there (paper: "if a process has not
                 // executed a certain call path, the path is ignored").
-                VertexData::Loop { counts } if counts.is_empty() => MergedVertex::Empty,
-                VertexData::Branch { taken } if taken.is_empty() => MergedVertex::Empty,
-                VertexData::Leaf { records } => {
-                    if records.is_empty() {
-                        MergedVertex::Empty
-                    } else {
-                        MergedVertex::Leaf(
-                            records
-                                .iter()
-                                .map(|r| vec![(RankSet::singleton(rank), r.clone())])
-                                .collect(),
-                        )
-                    }
-                }
-                other => MergedVertex::Control(vec![(RankSet::singleton(rank), other.clone())]),
+                VertexRef::Root | VertexRef::Leaf([]) => MergedVertex::Empty,
+                VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => MergedVertex::Empty,
+                VertexRef::Loop(s) => control(VertexData::Loop { counts: s.into() }),
+                VertexRef::Branch(s) => control(VertexData::Branch { taken: s.into() }),
+                VertexRef::Leaf(records) => MergedVertex::Leaf(
+                    records
+                        .iter()
+                        .map(|r| vec![(single(), r.clone())])
+                        .collect(),
+                ),
             })
             .collect();
         let mut app_times = IntSeq::new();
-        app_times.push(ctt.app_time as i64);
+        app_times.push(ctt.app_time() as i64);
         MergedCtt {
-            nprocs: ctt.nprocs,
+            nprocs: ctt.nprocs(),
             vertices,
             app_times,
         }
+    }
+
+    /// [`check_shape`] for a merged block said to cover `nranks` ranks: the
+    /// same job size, vertex count and per-vertex data checks (every group of
+    /// a control vertex, and leaf data only at leaves), plus one application
+    /// time per covered rank.
+    pub fn check_shape(&self, cst: &Cst, nprocs: u32, nranks: u32) -> Result<(), String> {
+        check_size(cst, nprocs, self.nprocs, self.vertices.len())?;
+        for (gid, mv) in self.vertices.iter().enumerate() {
+            match mv {
+                MergedVertex::Empty => {}
+                MergedVertex::Control(groups) => {
+                    for (_, d) in groups {
+                        check_vertex(cst, gid, d.view())?;
+                    }
+                }
+                MergedVertex::Leaf(_) => check_vertex(cst, gid, VertexRef::Leaf(&[]))?,
+            }
+        }
+        if self.app_times.len() != nranks as u64 {
+            let times = self.app_times.len();
+            return Err(format!(
+                "block holds {times} application times for {nranks} ranks"
+            ));
+        }
+        Ok(())
     }
 
     /// Merge `other` into `self`, vertex by vertex. Ranks in `other` must be
@@ -298,8 +362,7 @@ impl MergedCtt {
 
     /// Extract one rank's view back out as a per-process CTT (inverse of the
     /// merge, used for per-rank decompression and replay).
-    pub fn extract_rank(&self, rank: u32, cst: &cypress_cst::Cst) -> Ctt {
-        use cypress_cst::tree::VertexKind;
+    pub fn extract_rank(&self, rank: u32, cst: &Cst) -> Ctt {
         let data = self
             .vertices
             .iter()
@@ -365,7 +428,7 @@ impl MergedCtt {
 }
 
 /// Sequentially merge all per-process CTTs (must be in rank order).
-pub fn merge_all(ctts: &[Ctt]) -> MergedCtt {
+pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
     let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
     let mut acc = MergedCtt::from_ctt(&ctts[0]);
@@ -393,7 +456,7 @@ pub fn merge_all(ctts: &[Ctt]) -> MergedCtt {
 /// for every thread count.
 ///
 /// [`TimeStats`]: crate::timestats::TimeStats
-pub fn merge_all_parallel(ctts: &[Ctt], threads: usize) -> MergedCtt {
+pub fn merge_all_parallel<S: CttSource + Sync>(ctts: &[S], threads: usize) -> MergedCtt {
     assert!(
         !ctts.is_empty(),
         "merge_all_parallel needs at least one CTT"
@@ -470,27 +533,29 @@ impl BinomialMerger {
     /// Offer one rank's finished CTT. Returns `false` (and changes nothing)
     /// if this rank was already merged — a retried client re-submitting a
     /// rank the collector completed earlier is a no-op, not corruption.
-    pub fn add(&mut self, ctt: &Ctt) -> bool {
+    pub fn add<S: CttSource>(&mut self, ctt: &S) -> bool {
+        let rank = ctt.rank();
         assert_eq!(
-            ctt.nprocs, self.nprocs,
+            ctt.nprocs(),
+            self.nprocs,
             "CTT job size {} does not match merger size {}",
-            ctt.nprocs, self.nprocs
-        );
-        assert!(
-            ctt.rank < self.nprocs,
-            "rank {} out of range for {} procs",
-            ctt.rank,
+            ctt.nprocs(),
             self.nprocs
         );
-        let (w, bit) = (ctt.rank as usize / 64, 1u64 << (ctt.rank % 64));
+        assert!(
+            rank < self.nprocs,
+            "rank {rank} out of range for {} procs",
+            self.nprocs
+        );
+        let (w, bit) = (rank as usize / 64, 1u64 << (rank % 64));
         if self.seen[w] & bit != 0 {
             return false;
         }
         self.seen[w] |= bit;
         self.received += 1;
 
-        let _t = cypress_obs::trace_span("merge", "binomial_add").arg(ctt.rank as u64);
-        self.fold_block(ctt.rank, 1, MergedCtt::from_ctt(ctt));
+        let _t = cypress_obs::trace_span("merge", "binomial_add").arg(rank as u64);
+        self.fold_block(rank, 1, MergedCtt::from_ctt(ctt));
         true
     }
 
@@ -662,26 +727,45 @@ impl Codec for MergedCtt {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_uvar(self.nprocs as u64);
         self.app_times.encode(enc);
-        fn group<T: Codec>(enc: &mut Encoder, (rs, t): &(RankSet, T)) {
-            rs.encode(enc);
-            t.encode(enc);
-        }
         enc.put_seq(&self.vertices, |enc, mv| match mv {
             MergedVertex::Empty => enc.put_u8(MV_EMPTY),
             MergedVertex::Control(groups) => {
                 enc.put_u8(MV_CONTROL);
-                enc.put_seq(groups, group);
+                enc.put_seq(groups, |enc, (rs, d)| {
+                    rs.encode(enc);
+                    d.encode(enc);
+                });
             }
             MergedVertex::Leaf(slots) => {
                 enc.put_u8(MV_LEAF);
-                enc.put_seq(slots, |enc, slot| enc.put_seq(slot, group));
+                enc.put_seq(slots, |enc, slot| {
+                    enc.put_seq(slot, |enc, (rs, r)| {
+                        rs.encode(enc);
+                        r.encode(enc);
+                    })
+                });
             }
         });
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        fn group<T: Codec>(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, T)> {
-            Ok((RankSet::decode(dec)?, T::decode(dec)?))
+        /// A control group holds a loop's counts or a branch's taken
+        /// indices, never root or leaf data.
+        fn control(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, VertexData)> {
+            let ranks = RankSet::decode(dec)?;
+            let data = match dec.get_u8()? {
+                VD_LOOP => VertexData::Loop {
+                    counts: IntSeq::decode(dec)?,
+                },
+                VD_BRANCH => VertexData::Branch {
+                    taken: IntSeq::decode(dec)?,
+                },
+                t => return Err(bad_vertex_tag(t)),
+            };
+            Ok((ranks, data))
+        }
+        fn record(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, LeafRecord)> {
+            Ok((RankSet::decode(dec)?, LeafRecord::decode(dec)?))
         }
         Ok(MergedCtt {
             nprocs: dec.get_u32("merged ctt nprocs")?,
@@ -689,9 +773,9 @@ impl Codec for MergedCtt {
             vertices: dec.get_seq("merged vertices", |dec| {
                 Ok(match dec.get_u8()? {
                     MV_EMPTY => MergedVertex::Empty,
-                    MV_CONTROL => MergedVertex::Control(dec.get_seq("control groups", group)?),
+                    MV_CONTROL => MergedVertex::Control(dec.get_seq("control groups", control)?),
                     MV_LEAF => MergedVertex::Leaf(
-                        dec.get_seq("leaf slots", |d| d.get_seq("slot groups", group))?,
+                        dec.get_seq("leaf slots", |d| d.get_seq("slot groups", record))?,
                     ),
                     t => return Err(DecodeError(format!("bad MergedVertex tag {t}"))),
                 })
@@ -705,6 +789,7 @@ mod tests {
     use super::*;
     use crate::compress::{compress_trace, CompressConfig};
     use crate::decompress::decompress;
+    use crate::slab::CttSlab;
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -743,7 +828,7 @@ mod tests {
         }
         // The merged trace is far smaller than the sum of per-process CTTs.
         let merged_sz = merged.encoded_size();
-        let sum_sz: usize = ctts.iter().map(|c| c.encoded_size()).sum();
+        let sum_sz: usize = ctts.iter().map(|c| c.to_bytes().len()).sum();
         assert!(merged_sz * 4 < sum_sz, "merged {merged_sz} vs sum {sum_sz}");
     }
 
@@ -1066,6 +1151,60 @@ mod tests {
         assert!(!bm.add_block(first, count, part.clone()).unwrap());
         assert_eq!(bm.received(), 4);
         assert!(bm.add_block(0, 8, part).is_err());
+    }
+
+    #[test]
+    fn slabs_merge_to_the_bytes_owned_ctts_merge_to() {
+        let (_, ctts) = pipeline(JACOBI, 13);
+        let slabs: Vec<CttSlab> = ctts
+            .iter()
+            .map(|c| CttSlab::from_bytes(&c.to_bytes()).unwrap())
+            .collect();
+        let want = merge_all(&ctts).to_bytes();
+        assert_eq!(merge_all(&slabs).to_bytes(), want);
+        assert_eq!(merge_all_parallel(&slabs, 3).to_bytes(), want);
+        let mut bm = BinomialMerger::new(13);
+        for s in slabs.iter().rev() {
+            assert!(bm.add(s));
+        }
+        assert_eq!(bm.finish().to_bytes(), want);
+    }
+
+    #[test]
+    fn shape_check_refuses_what_the_merge_would_assert_on() {
+        let (info, mut ctts) = pipeline(JACOBI, 4);
+        let cst = &info.cst;
+        assert_eq!(check_shape(&ctts[1], cst, 4), Ok(()));
+        let err = check_shape(&ctts[1], cst, 5).unwrap_err();
+        assert!(err.contains("for 4 ranks, the job has 5"), "{err}");
+
+        let loop_gid = (0..cst.len())
+            .find(|&g| cst.vertex(g).kind.is_loop())
+            .unwrap();
+        let leaf_gid = (0..cst.len())
+            .find(|&g| cst.vertex(g).kind.is_mpi())
+            .unwrap();
+        let block = merge_all(&ctts[..2]);
+        assert_eq!(block.check_shape(cst, 4, 2), Ok(()));
+        let err = block.check_shape(cst, 4, 3).unwrap_err();
+        assert!(err.contains("2 application times for 3 ranks"), "{err}");
+        let mut bad = block.clone();
+        bad.vertices[loop_gid] = bad.vertices[leaf_gid].clone();
+        let err = bad.check_shape(cst, 4, 2).unwrap_err();
+        assert!(
+            err.contains(&format!("vertex {loop_gid} (Loop) holds leaf data")),
+            "{err}"
+        );
+
+        ctts[1].data.pop();
+        let err = check_shape(&ctts[1], cst, 4).unwrap_err();
+        assert!(err.contains("vertices, the job's CST"), "{err}");
+        ctts[2].data.swap(loop_gid, leaf_gid);
+        let err = check_shape(&ctts[2], cst, 4).unwrap_err();
+        assert!(
+            err.contains(&format!("vertex {loop_gid} (Loop) holds leaf data")),
+            "{err}"
+        );
     }
 
     #[test]

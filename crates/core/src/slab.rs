@@ -1,24 +1,23 @@
-//! Pooled ("slab") CTT decoding for the zero-copy trace store.
+//! Pooled ("slab") CTT decoding: the one decoder of the CTT wire format.
 //!
 //! [`Ctt`](crate::Ctt)'s owned representation allocates per vertex: every
 //! loop/branch sequence is its own `Vec<Seg>`, every leaf its own
-//! `Vec<LeafRecord>`. That is fine for a compressor building trees
-//! incrementally, but a query daemon that decodes thousands of rank CTTs per
-//! second wants the decoded form to be a handful of large allocations with
-//! good locality, not a fresh heap object per CST vertex.
+//! `Vec<LeafRecord>`. That suits a compressor building trees incrementally,
+//! and `Ctt` is build-and-write only: it has an encoder and no decoder.
+//! Everything that reads CTT bytes — the trace store, `cypress::read_container`,
+//! the collector — wants the decoded form to be a handful of large
+//! allocations with good locality, not a fresh heap object per CST vertex.
 //!
-//! [`CttSlab`] decodes the exact same wire format as `Ctt` into three flat
+//! [`CttSlab`] decodes the wire format `Ctt::to_bytes` writes into three flat
 //! pools — one vertex-table entry per GID, one shared segment vector, one
 //! shared record vector — with each vertex holding index ranges into the
 //! pools. [`CttSource::vertex`] hands out the same borrowed [`VertexRef`]s an
 //! owned tree does, so every reader of a CTT — the fold behind the query
 //! engine, the replay cursor behind decompression, lowering and windowed
-//! analysis — runs on a slab directly, with identical results and without
-//! ever building an owned copy.
+//! analysis, the inter-process merge — runs on a slab directly, with
+//! identical results and without ever building an owned copy.
 
-use crate::ctt::{
-    bad_vertex_tag, decode_ctt_header, LeafRecord, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT,
-};
+use crate::ctt::{bad_vertex_tag, LeafRecord, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT};
 use crate::intseq::{decode_segs_into, Seg, SeqRef};
 use crate::visit::{CttSource, VertexRef};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder};
@@ -33,9 +32,9 @@ enum SlabVertex {
     Leaf { records: (u32, u32) },
 }
 
-/// One process's compressed trace, decoded into pooled storage. Same wire
-/// format as [`Ctt`](crate::Ctt); see the module docs for why the in-memory
-/// shape differs.
+/// One process's compressed trace, decoded into pooled storage from the
+/// bytes [`Ctt::to_bytes`](crate::Ctt::to_bytes) writes; see the module docs
+/// for why the in-memory shape differs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CttSlab {
     pub rank: u32,
@@ -50,23 +49,15 @@ pub struct CttSlab {
 }
 
 impl CttSlab {
-    /// Decode a full buffer (the payload of a `RankCtt` container section),
-    /// rejecting trailing bytes — the slab twin of `Ctt::from_bytes`.
+    /// Decode a whole buffer (the payload of a `RankCtt` container section
+    /// or frame): the header `(rank, nprocs, app_time)`, then the vertex
+    /// list, each vertex's segments and records appended to the shared
+    /// pools. Trailing bytes are an error.
     pub fn from_bytes(buf: &[u8]) -> DecodeResult<CttSlab> {
-        let mut dec = Decoder::new(buf);
-        let slab = CttSlab::decode(&mut dec)?;
-        if !dec.is_done() {
-            return Err(DecodeError(format!(
-                "{} trailing bytes after CttSlab",
-                dec.remaining()
-            )));
-        }
-        Ok(slab)
-    }
-
-    /// Decode from a decoder position: `Ctt::decode` with pooled landings.
-    pub fn decode(dec: &mut Decoder<'_>) -> DecodeResult<CttSlab> {
-        let (rank, nprocs, app_time) = decode_ctt_header(dec)?;
+        let dec = &mut Decoder::new(buf);
+        let rank = dec.get_u32("ctt rank")?;
+        let nprocs = dec.get_u32("ctt nprocs")?;
+        let app_time = dec.get_uvar()?;
         let (mut verts, mut segs, mut records) = (Vec::new(), Vec::new(), Vec::new());
         dec.get_seq_into("ctt vertices", &mut verts, |dec| {
             Ok::<_, DecodeError>(match dec.get_u8()? {
@@ -89,6 +80,10 @@ impl CttSlab {
                 t => return Err(bad_vertex_tag(t)),
             })
         })?;
+        if !dec.is_done() {
+            let n = dec.remaining();
+            return Err(DecodeError(format!("{n} trailing bytes after CttSlab")));
+        }
         Ok(CttSlab {
             rank,
             nprocs,
@@ -169,6 +164,7 @@ mod tests {
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
+    use cypress_trace::codec::Encoder;
 
     fn sample_ctts(nprocs: u32) -> Vec<Ctt> {
         let src = r#"fn main() {
@@ -209,19 +205,30 @@ mod tests {
     }
 
     #[test]
-    fn slab_rejects_what_ctt_rejects() {
-        let ctt = sample_ctts(2).remove(1);
-        let bytes = ctt.to_bytes();
+    fn slab_rejects_every_truncation_and_a_trailing_byte() {
+        let bytes = sample_ctts(2).remove(1).to_bytes();
         for cut in 0..bytes.len() {
-            assert_eq!(
-                CttSlab::from_bytes(&bytes[..cut]).is_err(),
-                Ctt::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut}"
-            );
+            assert!(CttSlab::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(CttSlab::from_bytes(&trailing).is_err());
+        let err = CttSlab::from_bytes(&trailing).unwrap_err();
+        assert!(err.0.contains("1 trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn header_fields_wider_than_32_bits_are_refused() {
+        for (rank, nprocs, field) in [((1u64 << 32) + 1, 4, "rank"), (1, (1 << 32) + 1, "nprocs")] {
+            let mut enc = Encoder::new();
+            enc.put_uvar(rank);
+            enc.put_uvar(nprocs);
+            enc.put_uvar(999); // app_time
+            enc.put_uvar(1); // one vertex
+            enc.put_u8(VD_ROOT);
+            let err = CttSlab::from_bytes(&enc.finish()).unwrap_err();
+            let want = format!("ctt {field} 4294967297 does not fit in 32 bits");
+            assert!(err.0.contains(&want), "{err}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! expanded symbolically (e.g. resolving `rank ± c` relative encodings per
 //! member rank) without materializing per-rank trees.
 
-use crate::ctt::{Ctt, LeafRecord, VertexData};
+use crate::ctt::{Ctt, LeafRecord};
 use crate::intseq::SeqRef;
 use crate::merge::{MergedCtt, MergedVertex, RankSet};
 
@@ -145,12 +145,7 @@ impl CttSource for Ctt {
         self.data.len()
     }
     fn vertex(&self, gid: usize) -> VertexRef<'_> {
-        match &self.data[gid] {
-            VertexData::Root => VertexRef::Root,
-            VertexData::Loop { counts } => VertexRef::Loop(counts.view()),
-            VertexData::Branch { taken } => VertexRef::Branch(taken.view()),
-            VertexData::Leaf { records } => VertexRef::Leaf(records),
-        }
+        self.data[gid].view()
     }
 }
 
@@ -163,13 +158,9 @@ pub fn fold_merged<F: CttFold>(m: &MergedCtt, f: &mut F) {
             MergedVertex::Empty => {}
             MergedVertex::Control(groups) => {
                 for (rs, vd) in groups {
-                    match vd {
-                        VertexData::Loop { counts } => {
-                            f.on_loop(gid, RankScope::Set(rs), counts.view())
-                        }
-                        VertexData::Branch { taken } => {
-                            f.on_branch(gid, RankScope::Set(rs), taken.view())
-                        }
+                    match vd.view() {
+                        VertexRef::Loop(counts) => f.on_loop(gid, RankScope::Set(rs), counts),
+                        VertexRef::Branch(taken) => f.on_branch(gid, RankScope::Set(rs), taken),
                         _ => {}
                     }
                 }

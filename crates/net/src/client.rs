@@ -18,7 +18,6 @@ use crate::transport::{Addr, Stream};
 use crate::NetError;
 use cypress_core::Ctt;
 use cypress_deflate::{deflate, Level};
-use cypress_trace::codec::Codec;
 use cypress_trace::event::{Event, EventSink};
 use std::io::Write;
 use std::time::Duration;

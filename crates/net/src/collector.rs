@@ -41,7 +41,8 @@ use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
-    BinomialMerger, CompressConfig, CompressSession, Ctt, MergedCtt, SessionConfig,
+    check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, CttSource, MergedCtt,
+    SessionConfig, SessionStats,
 };
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
@@ -135,10 +136,12 @@ pub struct CollectedJob {
     /// The binomial-merged whole-job tree — byte-identical to a local
     /// `merge_all` over the same rank CTTs.
     pub merged: MergedCtt,
-    /// Per-rank CTTs in rank order (empty when
+    /// Per-rank CTT bytes `(rank, bytes)` in rank order, as a `RankCtt`
+    /// section stores them: what a ctt-mode client sent (inflated), or the
+    /// encoding of a stream-mode session's tree. Empty when
     /// [`CollectorConfig::keep_rank_ctts`] is off, and always empty for
-    /// ranks that arrived as relay blocks).
-    pub rank_ctts: Vec<Ctt>,
+    /// ranks that arrived as relay blocks.
+    pub rank_ctts: Vec<(u32, Vec<u8>)>,
     /// Total MPI events across ranks (session accounting for stream mode,
     /// record counts for ctt mode, relay-reported totals for blocks mode).
     pub total_events: u64,
@@ -160,7 +163,7 @@ struct JobInfo {
 #[derive(Default)]
 struct Inner {
     merger: Option<BinomialMerger>,
-    rank_ctts: Vec<Ctt>,
+    rank_ctts: Vec<(u32, Vec<u8>)>,
     total_events: u64,
     raw_mpi_bytes: u64,
     peak_ctt_bytes: usize,
@@ -404,7 +407,7 @@ impl Collector {
             .ok_or_else(|| NetError::Collect("no rank completed".into()))?;
         let merged = merger.finish();
         let mut rank_ctts = inner.rank_ctts;
-        rank_ctts.sort_by_key(|c| c.rank);
+        rank_ctts.sort_by_key(|&(rank, _)| rank);
         Ok(CollectedJob {
             nprocs: job.nprocs,
             cst: job.cst,
@@ -570,7 +573,8 @@ fn handle_frame<'a>(
                 return Err((codes::PROTOCOL, msg));
             }
             let (ctt, stats) = session.finish(app_time);
-            merge_in(sh, out, ctt, Some(stats));
+            let bytes = sh.cfg.keep_rank_ctts.then(|| ctt.to_bytes());
+            merge_in(sh, out, &ctt, bytes, stats);
             Ok(())
         }
         (ConnState::AwaitCtt, Frame::RankCtt { bytes }) => on_ctt_bytes(sh, c, out, bytes),
@@ -731,7 +735,8 @@ fn inflate_exact(what: &str, raw_len: u64, bytes: &[u8]) -> Result<Vec<u8>, Reje
         .map_err(|e| (codes::PROTOCOL, format!("{what}: {}", e.0)))
 }
 
-/// Finish a ctt-mode submission from decoded CTT bytes.
+/// Finish a ctt-mode submission from (inflated) CTT bytes. A tree that
+/// does not fit the job is refused here, before the merge's lock is taken.
 fn on_ctt_bytes(
     sh: Shared<'_>,
     c: &mut Conn<'_>,
@@ -739,13 +744,22 @@ fn on_ctt_bytes(
     bytes: Vec<u8>,
 ) -> Result<(), Reject> {
     let rank = c.rank.expect("ctt conn has a rank");
-    let ctt =
-        Ctt::from_bytes(&bytes).map_err(|e| (codes::PROTOCOL, format!("undecodable CTT: {e}")))?;
-    if ctt.rank != rank {
-        let msg = format!("Hello said rank {rank}, CTT says {}", ctt.rank);
+    let slab = CttSlab::from_bytes(&bytes)
+        .map_err(|e| (codes::PROTOCOL, format!("undecodable CTT: {e}")))?;
+    if slab.rank != rank {
+        let msg = format!("Hello said rank {rank}, CTT says {}", slab.rank);
         return Err((codes::BAD_RANK, msg));
     }
-    merge_in(sh, out, ctt, None);
+    let job = sh.state.job.get().expect("job fixed");
+    let misfit = |e: String| (codes::PROTOCOL, format!("CTT does not fit the job: {e}"));
+    check_shape(&slab, &job.cst, job.nprocs).map_err(misfit)?;
+    // No Events frames in ctt mode: the records count the events.
+    let stats = SessionStats {
+        mpi_events: slab.op_count(),
+        ..SessionStats::default()
+    };
+    let keep = sh.cfg.keep_rank_ctts.then_some(bytes);
+    merge_in(sh, out, &slab, keep, stats);
     Ok(())
 }
 
@@ -755,6 +769,11 @@ fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
     let raw = inflate_exact("merged block", block.raw_len, &block.bytes)?;
     let merged = MergedCtt::from_bytes(&raw)
         .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
+    let job = sh.state.job.get().expect("job fixed");
+    let misfit = |e: String| (codes::PROTOCOL, format!("block does not fit the job: {e}"));
+    merged
+        .check_shape(&job.cst, job.nprocs, nranks)
+        .map_err(misfit)?;
     // Both ends of the range are the peer's: add them where they cannot wrap.
     let end = first_rank as u64 + nranks as u64;
     if let Role::Relay { first, last, .. } = sh.role {
@@ -803,41 +822,35 @@ fn note_merged(sh: Shared<'_>, mut g: MutexGuard<'_, Inner>, received: u32) {
 }
 
 /// Fold one finished rank CTT into the incremental binomial merge and
-/// acknowledge it. First-completion-wins: duplicates are acknowledged but
-/// discarded.
-fn merge_in(sh: Shared<'_>, out: &mut Outbox, ctt: Ctt, stats: Option<cypress_core::SessionStats>) {
+/// acknowledge it, keeping its `bytes` when there are any to keep.
+/// First-completion-wins: duplicates are acknowledged but discarded.
+fn merge_in<S: CttSource>(
+    sh: Shared<'_>,
+    out: &mut Outbox,
+    ctt: &S,
+    bytes: Option<Vec<u8>>,
+    stats: SessionStats,
+) {
+    let rank = ctt.rank();
     let mut g = sh.state.inner.lock().unwrap();
     let (newly_merged, received) = {
         let m = g.merger.as_mut().expect("merger installed at Hello");
         let t0 = Instant::now();
-        let newly = m.add(&ctt);
+        let newly = m.add(ctt);
         MERGE_STEP_NS.record_since(t0);
         (newly, m.received())
     };
     if newly_merged {
-        let entry = g
-            .clients
-            .entry(ctt.rank)
-            .or_insert((ClientState::Merged, 0));
+        let entry = g.clients.entry(rank).or_insert((ClientState::Merged, 0));
         entry.0 = ClientState::Merged;
         if entry.1 == 0 {
-            // Ctt-mode ranks stream no Events frames; credit the record
-            // count so per-client telemetry is nonzero either way.
-            entry.1 = match &stats {
-                Some(st) => st.mpi_events,
-                None => ctt.op_count(),
-            };
+            entry.1 = stats.mpi_events;
         }
-        match stats {
-            Some(st) => {
-                g.total_events += st.mpi_events;
-                g.raw_mpi_bytes += st.raw_mpi_bytes;
-                g.peak_ctt_bytes = g.peak_ctt_bytes.max(st.peak_ctt_bytes);
-            }
-            None => g.total_events += ctt.op_count(),
-        }
-        if sh.cfg.keep_rank_ctts {
-            g.rank_ctts.push(ctt);
+        g.total_events += stats.mpi_events;
+        g.raw_mpi_bytes += stats.raw_mpi_bytes;
+        g.peak_ctt_bytes = g.peak_ctt_bytes.max(stats.peak_ctt_bytes);
+        if let Some(bytes) = bytes {
+            g.rank_ctts.push((rank, bytes));
         }
         obs::SESSIONS_COMPLETED.inc();
     }
@@ -908,7 +921,7 @@ mod tests {
     use super::*;
     use crate::client::{submit_ctt, submit_stream, ClientConfig};
     use crate::proto::{read_frame, write_frame};
-    use cypress_core::{compress_trace, merge_all};
+    use cypress_core::{compress_trace, merge_all, IntSeq, Seg, SeqRef};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -982,8 +995,9 @@ mod tests {
         assert_eq!(job.nprocs, nprocs);
         assert_eq!(job.merged.to_bytes(), want);
         assert_eq!(job.rank_ctts.len(), nprocs as usize);
-        for (ctt, local) in job.rank_ctts.iter().zip(&local) {
-            assert_eq!(ctt, local, "rank {} ctt differs", ctt.rank);
+        for ((rank, bytes), local) in job.rank_ctts.iter().zip(&local) {
+            assert_eq!(*rank, local.rank);
+            assert_eq!(*bytes, local.to_bytes(), "rank {rank} ctt differs");
         }
         assert_eq!(
             job.total_events,
@@ -1220,7 +1234,17 @@ mod tests {
         });
         write_frame(&mut stream, &hello).unwrap();
         let _ack = read_frame(&mut stream).unwrap();
-        let raw = MergedCtt::from_ctt(&local[0]).to_bytes();
+        // One application time per claimed rank (a single segment), so the
+        // block passes the shape check and reaches the range check.
+        let mut one = MergedCtt::from_ctt(&local[0]);
+        let seg = Seg {
+            start: local[0].app_time as i64,
+            stride: 0,
+            len: 0x8000_0000,
+            reps: 1,
+        };
+        one.app_times = IntSeq::from(SeqRef::from_parts(&[seg], 0x8000_0000));
+        let raw = one.to_bytes();
         let block = Frame::MergedBlockZ(MergedBlock {
             first_rank: 0x8000_0000,
             nranks: 0x8000_0000,
@@ -1247,6 +1271,102 @@ mod tests {
             job.total_events,
             local.iter().map(|c| c.op_count()).sum::<u64>()
         );
+    }
+
+    /// Open a connection as rank 0 in `mode`, send `frame`, and return the
+    /// `Error` frame the collector answers with.
+    fn refused(
+        addr: &Addr,
+        cst_text: &str,
+        nprocs: u32,
+        mode: SubmitMode,
+        frame: Frame,
+    ) -> (u16, String) {
+        let mut stream = crate::transport::Stream::connect(addr, Duration::from_secs(5)).unwrap();
+        stream.set_io_timeout(Duration::from_secs(5)).unwrap();
+        let hello = Frame::Hello(Hello {
+            version: PROTO_VERSION,
+            rank: 0,
+            nprocs,
+            mode,
+            cst_text: cst_text.into(),
+        });
+        write_frame(&mut stream, &hello).unwrap();
+        let _ack = read_frame(&mut stream).unwrap();
+        write_frame(&mut stream, &frame).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error { code, message } => (code, message),
+            f => panic!("expected Error, got {}", f.name()),
+        }
+    }
+
+    /// A decodable tree of the wrong shape used to reach `BinomialMerger`'s
+    /// and `absorb`'s asserts under the state lock, poisoning it for every
+    /// later client. Each is now a `PROTOCOL` refusal that costs only the
+    /// sender its connection.
+    #[test]
+    fn wrong_shape_ctts_and_blocks_are_refused_and_the_job_still_completes() {
+        let nprocs = 4;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            workers: 1,
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+
+        let mut five = local[0].clone();
+        five.nprocs = 5;
+        let mut short = local[0].clone();
+        short.data.pop();
+        let cst = &info.cst;
+        let gid_of = |is: fn(&cypress_cst::tree::VertexKind) -> bool| {
+            (0..cst.len()).find(|&g| is(&cst.vertex(g).kind)).unwrap()
+        };
+        let (loop_gid, leaf_gid) = (gid_of(|k| k.is_loop()), gid_of(|k| k.is_mpi()));
+        let mut leaf_at_loop = MergedCtt::from_ctt(&local[0]);
+        leaf_at_loop.vertices[loop_gid] = leaf_at_loop.vertices[leaf_gid].clone();
+        let raw = leaf_at_loop.to_bytes();
+        let block = Frame::MergedBlockZ(MergedBlock {
+            first_rank: 0,
+            nranks: 1,
+            events: 1,
+            raw_mpi_bytes: 1,
+            raw_len: raw.len() as u64,
+            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+        });
+        for (mode, frame, why) in [
+            (
+                SubmitMode::Ctt,
+                Frame::RankCtt {
+                    bytes: five.to_bytes(),
+                },
+                "for 5 ranks, the job has 4",
+            ),
+            (
+                SubmitMode::Ctt,
+                Frame::RankCtt {
+                    bytes: short.to_bytes(),
+                },
+                "vertices, the job's CST",
+            ),
+            (SubmitMode::Blocks, block, "(Loop) holds leaf data"),
+        ] {
+            let (code, message) = refused(&addr, &cst_text, nprocs, mode, frame);
+            assert_eq!(code, codes::PROTOCOL, "{message}");
+            assert!(message.contains(why), "{message}");
+        }
+
+        for ctt in &local {
+            submit_ctt(&addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+        }
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), want);
     }
 
     #[test]

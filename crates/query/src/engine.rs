@@ -11,7 +11,7 @@ use cypress_cst::tree::VertexKind;
 use cypress_cst::Cst;
 use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
 use cypress_trace::raw::RawTrace;
-use cypress_trace::{CommMatrix, ContainerError, Event, MpiOp, Profile};
+use cypress_trace::{CommMatrix, Event, MpiOp, Profile};
 
 // Scope `query`.
 /// Queries evaluated (any strategy).
@@ -214,30 +214,6 @@ pub fn has_complete_rank_set<S: CttSource>(nprocs: u32, rank_ctts: &[S]) -> bool
     nprocs > 0
         && u32::try_from(rank_ctts.len()) == Ok(nprocs)
         && (0..nprocs).all(|r| rank_ctts.iter().any(|c| c.rank() == r))
-}
-
-/// Query a job as loaded from a container — the one place that decides
-/// which of its trees answers. A complete per-rank set is preferred (its
-/// per-rank timing is exact); otherwise the merged tree, whose
-/// group-aggregated timing is what the format stores; with neither, the job
-/// cannot be queried. Every opener (`LoadedJob`, the store's `StoreJob`, and
-/// through it the daemon and the CLI) calls this, so they cannot disagree.
-pub fn query_job<S: CttSource>(
-    cst: &Cst,
-    nprocs: u32,
-    rank_ctts: &[S],
-    merged: Option<&MergedCtt>,
-    opts: &QueryOptions,
-) -> Result<QueryResult, QueryError> {
-    if has_complete_rank_set(nprocs, rank_ctts) {
-        return query_ctts(cst, rank_ctts, opts);
-    }
-    match merged {
-        Some(merged) => query_merged(cst, merged, opts),
-        None => Err(QueryError::Container(ContainerError::MissingSection(
-            "merged-ctt or complete rank-ctt set",
-        ))),
-    }
 }
 
 /// Stream-decompress one rank into `sink`, optionally restricted to ops

@@ -50,7 +50,7 @@ mod wire;
 
 pub use engine::{
     has_complete_rank_set, needs_expansion, query_by_decompression,
-    query_by_decompression_windowed, query_ctts, query_job, query_merged,
+    query_by_decompression_windowed, query_ctts, query_merged,
 };
 pub use hotspot::HotSpot;
 pub use wire::QUERY_WIRE_VERSION;

@@ -1,10 +1,12 @@
-//! One opened container, held zero-copy and query-ready.
+//! One opened container, held zero-copy and query-ready: the one way a
+//! `.cytc` job is opened, by the store, the daemon, the CLI and
+//! `cypress::read_container` alike.
 
 use crate::StoreError;
 use cypress_analysis::{analyze_ctts, AnalyzeOptions, AnalyzeReport};
-use cypress_core::{CttSlab, CttSource, MergedCtt};
+use cypress_core::{decompress, CttSlab, CttSource, MergedCtt, ReplayOp};
 use cypress_cst::Cst;
-use cypress_query::{has_complete_rank_set, query_job, QueryOptions, QueryResult};
+use cypress_query::{has_complete_rank_set, query_ctts, query_merged, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
 use cypress_trace::{Codec, ContainerError, PayloadArena, SectionKind, SectionTable};
 use std::path::Path;
@@ -56,8 +58,8 @@ impl StoreJob {
             let payload = arena.payload(&image, &table.sections()[idx], idx)?;
             slabs.push(CttSlab::from_bytes(payload)?);
         }
-        // `query_job` never reads the merged tree of a complete job, so its
-        // (often large) section stays un-inflated and un-decoded.
+        // Nothing reads the merged tree of a complete job, so its (often
+        // large) section stays un-inflated and un-decoded.
         let complete = has_complete_rank_set(nprocs, &slabs);
         let merged = if complete {
             None
@@ -83,17 +85,19 @@ impl StoreJob {
         })
     }
 
-    /// Evaluate the compressed-domain query suite through
-    /// [`cypress_query::query_job`], the same selection the umbrella
-    /// `LoadedJob::query_with` calls. Slab evaluation is pinned
-    /// byte-identical to owned-CTT evaluation, so daemon answers equal
-    /// local ones bit for bit.
+    /// Evaluate the compressed-domain query suite on the complete per-rank
+    /// set (its per-rank timing is exact), else on the merged tree, whose
+    /// group-aggregated timing is what the format stores. Slab evaluation is
+    /// pinned byte-identical to owned-CTT evaluation, so answers from a file
+    /// equal those of the in-memory job bit for bit.
     pub fn query(&self, opts: &QueryOptions) -> Result<QueryResult, StoreError> {
-        Ok(query_job(
+        if self.complete {
+            return Ok(query_ctts(&self.cst, &self.slabs, opts)?);
+        }
+        let missing = ContainerError::MissingSection("merged-ctt or complete rank-ctt set");
+        Ok(query_merged(
             &self.cst,
-            self.table.nprocs,
-            &self.slabs,
-            self.merged.as_ref(),
+            self.merged.as_ref().ok_or(missing)?,
             opts,
         )?)
     }
@@ -120,6 +124,23 @@ impl StoreJob {
         ordered.sort_by_key(|s| s.rank());
         analyze_ctts(&self.cst, &ordered, &LogGp::default(), opts)
             .map_err(|e| StoreError::Invalid(e.to_string()))
+    }
+
+    /// Replay one rank's exact MPI operation sequence from its own section
+    /// when the container has one, else extracted from the merged tree.
+    pub fn decompress(&self, rank: u32) -> Result<Vec<ReplayOp>, StoreError> {
+        let nprocs = self.table.nprocs;
+        if rank >= nprocs {
+            return Err(StoreError::Invalid(format!(
+                "rank {rank} out of 0..{nprocs}"
+            )));
+        }
+        if let Some(slab) = self.slabs.iter().find(|s| s.rank == rank) {
+            return Ok(decompress(&self.cst, slab));
+        }
+        let missing = ContainerError::MissingSection("merged-ctt or rank-ctt");
+        let merged = self.merged.as_ref().ok_or(missing)?;
+        Ok(decompress(&self.cst, &merged.extract_rank(rank, &self.cst)))
     }
 
     pub fn name(&self) -> &str {

@@ -7,9 +7,8 @@
 //!   stays in one buffer, raw sections are served as slices of it, deflated
 //!   sections inflate exactly once into a [`cypress_trace::PayloadArena`]
 //!   owned by the handle, and per-rank CTTs decode into pooled
-//!   [`cypress_core::CttSlab`]s instead of per-node heap allocations.
-//!   [`StoreJob::query`] replicates the umbrella `LoadedJob::query`
-//!   selection exactly, so answers are byte-identical.
+//!   [`cypress_core::CttSlab`]s instead of per-node heap allocations. It is
+//!   the one job opener: `cypress::read_container` returns one too.
 //! * [`JobStore`] — a directory of jobs behind an LRU of hot handles with
 //!   byte- and entry-count budgets ([`StoreConfig`]), duplicate-open
 //!   coalescing, and hit/miss/eviction metrics ([`StoreStats`], mirrored

@@ -8,7 +8,7 @@ use cypress_minilang::{check_program, parse};
 use cypress_query::{query_ctts, QueryOptions};
 use cypress_runtime::{trace_program, InterpConfig};
 use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError};
-use cypress_trace::{Codec, Container, ContainerView, SectionKind};
+use cypress_trace::{Codec, Container, SectionKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
@@ -36,9 +36,9 @@ impl Drop for TempStore {
     }
 }
 
-/// Build a complete job container (CST + merged + per-rank CTTs) and write
-/// it as `<name>.cytc` under `dir`.
-fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) {
+/// Build a complete job container (CST + merged + per-rank CTTs), write it
+/// as `<name>.cytc` under `dir`, and return the CST and the in-memory CTTs.
+fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) -> (Cst, Vec<Ctt>) {
     let prog = parse(src).unwrap();
     check_program(&prog).unwrap();
     let info = analyze_program(&prog);
@@ -59,6 +59,7 @@ fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) {
         Some(cypress_deflate::Level::Fast),
     )
     .unwrap();
+    (info.cst, ctts)
 }
 
 const PROG: &str = r#"fn main() {
@@ -70,24 +71,15 @@ const PROG: &str = r#"fn main() {
 }"#;
 
 #[test]
-fn open_query_matches_query_ctts_on_the_same_image() {
+fn open_query_matches_query_ctts_on_the_ctts_written() {
     let tmp = TempStore::new();
-    write_job(&tmp.0, "job-a", PROG, 4);
+    let (cst, ctts) = write_job(&tmp.0, "job-a", PROG, 4);
     let store = JobStore::new(&tmp.0, StoreConfig::default()).unwrap();
     let job = store.open("job-a").unwrap();
     let from_store = job.query(&QueryOptions::default()).unwrap();
 
-    // Reference: owned CTTs decoded from the same image, straight into the
-    // engine — no store, no slabs.
-    let image = std::fs::read(tmp.0.join("job-a.cytc")).unwrap();
-    let view = ContainerView::parse(&image).unwrap();
-    let cst_text = view.find_payload(SectionKind::CstText).unwrap().unwrap();
-    let cst = Cst::from_text(std::str::from_utf8(cst_text).unwrap()).unwrap();
-    let ctts: Vec<Ctt> = view
-        .table()
-        .rank_indices()
-        .map(|i| Ctt::from_bytes(view.payload(i).unwrap()).unwrap())
-        .collect();
+    // Reference: the owned CTTs the image was written from, straight into
+    // the engine — no file, no store, no slabs.
     let reference = query_ctts(&cst, &ctts, &QueryOptions::default()).unwrap();
     assert_eq!(from_store, reference);
     assert_eq!(from_store.to_bytes(), reference.to_bytes());

@@ -283,9 +283,9 @@ impl PayloadArena {
 
 /// A lazily-decoded container borrowing its backing image: the parsed
 /// [`SectionTable`] plus a [`PayloadArena`]. Convenient for one-shot readers
-/// (`cypress inspect`, `cypress::read_container`). Long-lived owners
-/// like the trace store hold the image, table, and arena as separate fields
-/// instead, to avoid a self-referential struct.
+/// (`cypress inspect`). Long-lived owners like the trace store's job handle
+/// hold the image, table, and arena as separate fields instead, to avoid a
+/// self-referential struct.
 pub struct ContainerView<'a> {
     image: &'a [u8],
     table: SectionTable,

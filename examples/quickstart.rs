@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use cypress::trace::codec::Codec;
-use cypress::Pipeline;
+use cypress::{Pipeline, QueryOptions};
 
 const JACOBI: &str = r#"
     // Simplified MPI program for Jacobi iteration (paper Fig. 3).
@@ -64,11 +64,18 @@ fn main() {
         job.merge().group_count()
     );
 
-    // 4. Persist as a versioned, CRC-checked container and reload it — no
-    //    re-simulation needed on the read side.
+    // 4. Persist as a versioned, CRC-checked container and reopen it — no
+    //    re-simulation needed on the read side. The handle is the trace
+    //    store's `StoreJob`; with no per-rank sections it answers from the
+    //    merged tree.
     let path = std::env::temp_dir().join("cypress-quickstart.cytc");
     job.write_container(&path, false).expect("write container");
     let loaded = cypress::read_container(&path).expect("read container");
+    let calls = |q: cypress::query::QueryResult| q.total_calls();
+    assert_eq!(
+        calls(loaded.query(&QueryOptions::default()).expect("query file")),
+        calls(job.query().expect("query job"))
+    );
 
     // 5. Decompression (from the reloaded file!) preserves each rank's
     //    exact sequence.

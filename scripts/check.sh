@@ -36,6 +36,13 @@ echo "== one way to read a CTT: one walker, no owned copy of a slab, core on the
 ! grep -rnE 'absurd|get_uvar\(\)\? as (u32|usize|u16)' crates/core/src || exit 1
 test "$(grep -rn 'fn render_path' crates | wc -l)" = 1
 
+echo "== one CTT decoder, one job opener: Ctt only encodes, read_container opens a StoreJob =="
+# CttSlab decodes every rank CTT; tests/wire_sweep.rs pins its damage outcomes.
+! grep -rnwE 'impl Codec for Ctt|Ctt::(from_bytes|decode)|VertexData::decode' crates src tests examples || exit 1
+! grep -rnwE 'LoadedJob|loaded_from_collected' crates src tests examples README.md DESIGN.md || exit 1
+test "$(grep -rn 'fn read_container' crates src | wc -l)" = 1
+test "$(grep -c '^    ("' tests/wire_sweep.rs)" = 5 || { echo "tests/wire_sweep.rs lost its CTT digest table"; exit 1; }
+
 echo "== compile-time resolution: no name-keyed scopes, no hashed site lookups, one scope walker =="
 # The interpreter indexes what minilang::resolve and cst::sitemap resolved.
 ! grep -nE 'HashMap<String|name\.to_owned\(\)' crates/runtime/src/interp.rs || exit 1
@@ -92,7 +99,7 @@ echo "== byte-identity suites present (cargo test below runs them) =="
 # committed tables; the others compare computations, transports and formats
 # of one build with each other.
 for suite in interp_golden ctt_golden wire_golden streaming pipeline_roundtrip \
-             net_collect net_tree store_queryd query_equivalence slab_replay; do
+             net_collect net_tree store_queryd query_equivalence slab_replay wire_sweep; do
   test -s "tests/$suite.rs" || { echo "missing byte-identity suite tests/$suite.rs"; exit 1; }
 done
 test "$(grep -c '^    ("' tests/interp_golden.rs)" -ge 14 \

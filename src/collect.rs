@@ -2,15 +2,14 @@
 //!
 //! A [`CollectedJob`](cypress_net::CollectedJob) produced by `cypress serve`
 //! carries exactly what a locally-run [`Pipeline`](crate::Pipeline) job
-//! does — CST, merged CTT, optional per-rank CTTs, event accounting — so
-//! this module makes the two interchangeable: write a collected job into
-//! the same `.cytc` container format ([`write_collected_container`]) and
-//! lift one into a [`LoadedJob`] ([`loaded_from_collected`]) so the
-//! query/inspect/decompress surface works on it unchanged. Byte-identity
-//! between the two paths is pinned by `tests/net_collect.rs`.
+//! does — CST, merged CTT, optional per-rank CTT bytes, event accounting —
+//! so this module writes it into the same `.cytc` container format
+//! ([`write_collected_container`]), and [`read_container`](crate::read_container)
+//! opens either the same way. Byte-identity between the two paths is pinned
+//! by `tests/net_collect.rs`.
 
 use crate::error::Result;
-use crate::pipeline::{job_container, write_container_parallel, LoadedJob, MetaInfo};
+use crate::pipeline::{job_container, write_container_parallel, MetaInfo};
 use cypress_deflate::Level;
 use cypress_net::CollectedJob;
 use std::path::Path;
@@ -19,7 +18,8 @@ use std::path::Path;
 /// section layout [`CompressedJob::write_container`](crate::CompressedJob::write_container)
 /// uses: tool metadata, the CST text exactly as the clients submitted it,
 /// the binomially-merged CTT, and (when `per_rank` is set and the collector
-/// kept them) every rank's CTT as its own CRC-framed section.
+/// kept them) every rank's CTT bytes, as received, in their own CRC-framed
+/// sections.
 pub fn write_collected_container(
     job: &CollectedJob,
     path: impl AsRef<Path>,
@@ -41,29 +41,15 @@ pub fn write_collected_container_with(
         &MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes),
         job.cst_text.clone(),
         &job.merged,
-        if per_rank { &job.rank_ctts } else { &[] },
+        if per_rank {
+            job.rank_ctts.clone()
+        } else {
+            Vec::new()
+        },
         None,
     );
     write_container_parallel(&c, path.as_ref(), level, threads)?;
     Ok(())
-}
-
-/// Lift a collected job into the [`LoadedJob`] surface without a disk
-/// round trip, so query/decompress work on it exactly as on a reloaded
-/// container.
-pub fn loaded_from_collected(job: CollectedJob) -> LoadedJob {
-    LoadedJob {
-        nprocs: job.nprocs,
-        meta: Some(MetaInfo::new(
-            job.nprocs,
-            job.total_events,
-            job.raw_mpi_bytes,
-        )),
-        cst: job.cst,
-        merged: Some(job.merged),
-        rank_ctts: job.rank_ctts,
-        telemetry: None,
-    }
 }
 
 #[cfg(test)]
@@ -72,6 +58,9 @@ mod tests {
     use crate::pipeline::read_container;
     use crate::Pipeline;
     use cypress_core::merge_all;
+    use cypress_query::QueryOptions;
+    use cypress_trace::{Codec, ContainerView, SectionKind};
+    use std::path::PathBuf;
 
     const SRC: &str = r#"fn main() {
         for it in 0..24 {
@@ -84,7 +73,7 @@ mod tests {
 
     /// Build a CollectedJob out of a local pipeline run (the loopback
     /// network path itself is pinned in crates/net and tests/net_collect.rs;
-    /// here we only exercise the container/LoadedJob bridge).
+    /// here we only exercise the container bridge).
     fn fake_collected(nprocs: u32) -> (CollectedJob, crate::CompressedJob) {
         let job = Pipeline::new(SRC).ranks(nprocs).run().unwrap();
         let merged = merge_all(&job.ctts);
@@ -93,7 +82,7 @@ mod tests {
             cst: cypress_cst::Cst::from_text(&job.info.cst.to_text()).unwrap(),
             cst_text: job.info.cst.to_text(),
             merged,
-            rank_ctts: job.ctts.clone(),
+            rank_ctts: job.ctts.iter().map(|c| (c.rank, c.to_bytes())).collect(),
             total_events: job.total_events(),
             raw_mpi_bytes: job.raw_mpi_bytes(),
             peak_ctt_bytes: job.peak_ctt_bytes(),
@@ -101,21 +90,32 @@ mod tests {
         (collected, job)
     }
 
-    #[test]
-    fn collected_container_loads_like_a_local_one() {
-        let dir = std::env::temp_dir().join(format!("cypress-collect-{}", std::process::id()));
+    /// Write `collected` with its per-rank sections into a directory of its
+    /// own; returns the directory and the container path.
+    fn written(collected: &CollectedJob, tag: &str) -> (PathBuf, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("cypress-collect-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("collected.cytc");
+        write_collected_container(collected, &path, true).unwrap();
+        (dir, path)
+    }
 
+    #[test]
+    fn collected_container_loads_like_a_local_one() {
         let (collected, job) = fake_collected(4);
-        write_collected_container(&collected, &path, true).unwrap();
+        let (dir, path) = written(&collected, "load");
 
-        let loaded = read_container(&path).unwrap();
-        assert_eq!(loaded.nprocs, 4);
-        let meta = loaded.meta.as_ref().unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let view = ContainerView::parse(&image).unwrap();
+        let meta = view.find_payload(SectionKind::Meta).unwrap().unwrap();
+        let meta = MetaInfo::from_bytes(meta).unwrap();
         assert_eq!(meta.tool, "cypress");
         assert_eq!(meta.events, job.total_events());
-        assert_eq!(loaded.rank_ctts.len(), 4);
+
+        let loaded = read_container(&path).unwrap();
+        assert_eq!(loaded.nprocs(), 4);
+        assert_eq!(loaded.rank_count(), 4);
         for rank in 0..4 {
             assert_eq!(
                 loaded.decompress(rank).unwrap(),
@@ -127,11 +127,15 @@ mod tests {
     }
 
     #[test]
-    fn loaded_from_collected_queries_like_local() {
+    fn collected_container_queries_like_local() {
         let (collected, job) = fake_collected(3);
-        let loaded = loaded_from_collected(collected);
-        let a = loaded.query().unwrap();
+        let (dir, path) = written(&collected, "query");
+        let a = read_container(&path)
+            .unwrap()
+            .query(&QueryOptions::default())
+            .unwrap();
         let b = job.query().unwrap();
         assert_eq!(a, b, "collected and local query results must match");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -160,8 +160,7 @@ mod tests {
         assert!(matches!(parse_and_fail(), Err(Error::Lang(_))));
 
         fn decode_and_fail() -> Result<()> {
-            use cypress_trace::Codec;
-            cypress_core::Ctt::from_bytes(&[0xff])?;
+            cypress_core::CttSlab::from_bytes(&[0xff])?;
             Ok(())
         }
         assert!(matches!(decode_and_fail(), Err(Error::Decode(_))));

@@ -30,13 +30,9 @@ pub mod error;
 pub mod pipeline;
 pub mod telemetry;
 
-pub use collect::{
-    loaded_from_collected, write_collected_container, write_collected_container_with,
-};
+pub use collect::{write_collected_container, write_collected_container_with};
 pub use error::{Error, Result};
-pub use pipeline::{
-    read_container, CompressedJob, Ingest, LoadedJob, MetaInfo, Pipeline, PipelineConfig,
-};
+pub use pipeline::{read_container, CompressedJob, Ingest, MetaInfo, Pipeline, PipelineConfig};
 pub use telemetry::{StageSummary, TelemetrySummary, TELEMETRY_VERSION};
 
 pub use cypress_deflate::Level;

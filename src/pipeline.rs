@@ -28,15 +28,16 @@ use cypress_core::{
     decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt, MergedCtt, ReplayOp,
     SessionConfig, SessionStats,
 };
-use cypress_cst::{analyze_program, Cst, StaticInfo};
+use cypress_cst::{analyze_program, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
 use cypress_obs::{Histogram, TIME_BOUNDS_NS};
-use cypress_query::{query_ctts, query_job, QueryOptions, QueryResult};
+use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
+use cypress_store::StoreJob;
 use cypress_trace::{
-    assemble, encode_section, Codec, Container, ContainerError, ContainerView, DecodeResult,
-    Decoder, EncodedSection, Encoder, SectionKind,
+    assemble, encode_section, Codec, Container, ContainerError, DecodeResult, Decoder,
+    EncodedSection, Encoder, SectionKind,
 };
 use std::path::Path;
 
@@ -96,21 +97,21 @@ pub(crate) fn write_container_parallel(
 
 /// The one `.cytc` section layout, for locally compressed and collected
 /// jobs alike: tool metadata, CST text, the merged CTT, one CRC-framed
-/// section per CTT in `rank_ctts` (empty = merged only), then the optional
-/// telemetry summary (see [`crate::telemetry`]).
+/// section per `(rank, CTT bytes)` in `rank_ctts` (empty = merged only),
+/// then the optional telemetry summary (see [`crate::telemetry`]).
 pub(crate) fn job_container(
     meta: &MetaInfo,
     cst_text: String,
     merged: &MergedCtt,
-    rank_ctts: &[Ctt],
+    rank_ctts: Vec<(u32, Vec<u8>)>,
     telemetry: Option<&crate::telemetry::TelemetrySummary>,
 ) -> Container {
     let mut c = Container::new(meta.nprocs);
     c.push(SectionKind::Meta, None, meta.to_bytes());
     c.push(SectionKind::CstText, None, cst_text.into_bytes());
     c.push(SectionKind::MergedCtt, None, merged.to_bytes());
-    for ctt in rank_ctts {
-        c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
+    for (rank, bytes) in rank_ctts {
+        c.push(SectionKind::RankCtt, Some(rank), bytes);
     }
     if let Some(t) = telemetry {
         c.push(SectionKind::Telemetry, None, t.to_bytes());
@@ -368,11 +369,16 @@ impl CompressedJob {
         telemetry: Option<&crate::telemetry::TelemetrySummary>,
     ) -> Result<()> {
         self.merge();
+        let rank_ctts = if per_rank {
+            self.ctts.iter().map(|c| (c.rank, c.to_bytes())).collect()
+        } else {
+            Vec::new()
+        };
         let c = job_container(
             &MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()),
             self.info.cst.to_text(),
             self.merged.as_ref().expect("merged above"),
-            if per_rank { &self.ctts } else { &[] },
+            rank_ctts,
             telemetry,
         );
         write_container_parallel(&c, path.as_ref(), self.level, self.threads)?;
@@ -436,95 +442,14 @@ impl Codec for MetaInfo {
     }
 }
 
-/// A compression job reloaded from a container file — everything needed to
-/// inspect or decompress without re-running the simulation.
-pub struct LoadedJob {
-    pub nprocs: u32,
-    pub meta: Option<MetaInfo>,
-    pub cst: Cst,
-    pub merged: Option<MergedCtt>,
-    /// Rank-scoped CTT sections, in file order.
-    pub rank_ctts: Vec<Ctt>,
-    /// How the job was produced, when the writer traced itself
-    /// (`cypress compress --trace-out`); absent otherwise.
-    pub telemetry: Option<crate::telemetry::TelemetrySummary>,
-}
-
-impl LoadedJob {
-    /// Run the compressed-domain query suite on the loaded job; which tree
-    /// answers is [`cypress_query::query_job`]'s decision.
-    pub fn query(&self) -> Result<QueryResult> {
-        self.query_with(&QueryOptions::default())
-    }
-
-    /// [`LoadedJob::query`] with explicit strategy/reporting knobs.
-    pub fn query_with(&self, opts: &QueryOptions) -> Result<QueryResult> {
-        Ok(query_job(
-            &self.cst,
-            self.nprocs,
-            &self.rank_ctts,
-            self.merged.as_ref(),
-            opts,
-        )?)
-    }
-
-    /// Replay one rank's sequence, preferring its dedicated section and
-    /// falling back to extraction from the merged tree.
-    pub fn decompress(&self, rank: u32) -> Result<Vec<ReplayOp>> {
-        if rank >= self.nprocs {
-            return Err(Error::Invalid(format!(
-                "rank {rank} out of 0..{}",
-                self.nprocs
-            )));
-        }
-        if let Some(ctt) = self.rank_ctts.iter().find(|c| c.rank == rank) {
-            return Ok(decompress(&self.cst, ctt));
-        }
-        if let Some(merged) = &self.merged {
-            return Ok(decompress(&self.cst, &merged.extract_rank(rank, &self.cst)));
-        }
-        Err(Error::Container(ContainerError::MissingSection(
-            "merged-ctt or rank-ctt",
-        )))
-    }
-}
-
-/// Load and verify a container file written by
-/// [`CompressedJob::write_container`], decoding every section it carries
-/// straight out of the image (raw payloads are never copied).
-pub fn read_container(path: impl AsRef<Path>) -> Result<LoadedJob> {
-    let image = std::fs::read(path.as_ref()).map_err(ContainerError::Io)?;
-    let view = ContainerView::parse(&image)?;
-    let find = |kind| view.find_payload(kind).transpose();
-
-    let cst_text = find(SectionKind::CstText)?.ok_or(ContainerError::MissingSection("cst-text"))?;
-    let cst_text = std::str::from_utf8(cst_text)
-        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
-    let cst = Cst::from_text(cst_text)?;
-
-    let meta = find(SectionKind::Meta)?
-        .map(MetaInfo::from_bytes)
-        .transpose()?;
-    let merged = find(SectionKind::MergedCtt)?
-        .map(MergedCtt::from_bytes)
-        .transpose()?;
-    let rank_ctts = view
-        .table()
-        .rank_indices()
-        .map(|i| Ok(Ctt::from_bytes(view.payload(i)?)?))
-        .collect::<Result<Vec<_>>>()?;
-    let telemetry = find(SectionKind::Telemetry)?
-        .map(crate::telemetry::TelemetrySummary::from_bytes)
-        .transpose()?;
-
-    Ok(LoadedJob {
-        nprocs: view.nprocs(),
-        meta,
-        cst,
-        merged,
-        rank_ctts,
-        telemetry,
-    })
+/// Open a container written by [`CompressedJob::write_container`] or a
+/// collector through the one job opener, [`StoreJob::open`], named by its
+/// path as the CLI names it. Framing and every CRC are verified; per-rank
+/// sections decode into pooled slabs, the merged tree only when they do not
+/// cover every rank.
+pub fn read_container(path: impl AsRef<Path>) -> Result<StoreJob> {
+    let path = path.as_ref();
+    Ok(StoreJob::open(path, &path.to_string_lossy())?)
 }
 
 #[cfg(test)]
@@ -581,9 +506,8 @@ mod tests {
         job.write_container(&path, true).unwrap();
 
         let loaded = read_container(&path).unwrap();
-        assert_eq!(loaded.nprocs, 4);
-        assert_eq!(loaded.meta.as_ref().unwrap().tool, "cypress");
-        assert_eq!(loaded.rank_ctts.len(), 4);
+        assert_eq!(loaded.nprocs(), 4);
+        assert!(loaded.has_complete_rank_set());
         for rank in 0..4 {
             assert_eq!(
                 loaded.decompress(rank).unwrap(),

@@ -17,7 +17,7 @@ use cypress::runtime::{run_rank_with_sink, InterpConfig};
 use cypress::trace::event::Event;
 use cypress::trace::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
-use cypress::{read_container, write_collected_container, Pipeline};
+use cypress::{read_container, write_collected_container, Pipeline, QueryOptions};
 use std::time::Duration;
 
 const STENCIL: &str = r#"fn main() {
@@ -96,8 +96,9 @@ fn out_of_order_submission_is_byte_identical_to_local_merge() {
         "networked merge must be byte-identical to local merge_all"
     );
     assert_eq!(job.rank_ctts.len(), nprocs as usize);
-    for (got, want) in job.rank_ctts.iter().zip(&ctts) {
-        assert_eq!(got, want, "rank {} CTT differs", want.rank);
+    for ((rank, bytes), want) in job.rank_ctts.iter().zip(&ctts) {
+        assert_eq!(*rank, want.rank);
+        assert_eq!(*bytes, want.to_bytes(), "rank {rank} CTT differs");
     }
     assert_eq!(
         job.total_events,
@@ -215,7 +216,7 @@ fn every_bundled_workload_collects_identically() {
         write_collected_container(&job, &path, true).unwrap();
         let loaded = read_container(&path).unwrap();
         assert_eq!(
-            loaded.query().unwrap(),
+            loaded.query(&QueryOptions::default()).unwrap(),
             local.query().unwrap(),
             "{name}: query results differ"
         );

@@ -6,7 +6,6 @@
 //! `obs::test_mutex()`; nothing else in this binary runs a pipeline.
 
 use cypress::obs;
-use cypress::trace::codec::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 use cypress::{CompressedJob, Pipeline, PipelineConfig};
 

@@ -113,6 +113,7 @@ fn forced_partial_expansion_equals_symbolic() {
 fn container_round_trip_preserves_query_results() {
     let dir = std::env::temp_dir().join(format!("cypress_query_rt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let opts = QueryOptions::default();
 
     for name in ["jacobi", "mg", "leslie3d"] {
         let nprocs = quick_procs(name);
@@ -124,7 +125,7 @@ fn container_round_trip_preserves_query_results() {
         // bit-identical to the in-memory one.
         let path = dir.join(format!("{name}_ranks.cytc"));
         job.write_container(&path, true).unwrap();
-        let q = read_container(&path).unwrap().query().unwrap();
+        let q = read_container(&path).unwrap().query(&opts).unwrap();
         assert_same(&format!("{name} per_rank"), &q, &direct);
 
         // A merged-only container evaluates on the merged CTT, whose
@@ -133,7 +134,7 @@ fn container_round_trip_preserves_query_results() {
         // attribution must still match exactly.
         let path = dir.join(format!("{name}_merged.cytc"));
         job.write_container(&path, false).unwrap();
-        let q = read_container(&path).unwrap().query().unwrap();
+        let q = read_container(&path).unwrap().query(&opts).unwrap();
         let ctx = format!("{name} merged");
         assert_eq!(q.matrix, direct.matrix, "{ctx}: comm matrix diverged");
         assert_eq!(q.totals, direct.totals, "{ctx}: rank totals diverged");

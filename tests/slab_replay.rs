@@ -16,7 +16,6 @@ use cypress::cst::{analyze_program, Cst};
 use cypress::minilang::{check_program, parse};
 use cypress::query::Window;
 use cypress::runtime::{trace_program, InterpConfig};
-use cypress::trace::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 
 /// The irregular shape of `benchmark/src/gen.rs` (40 outer trips), copied as

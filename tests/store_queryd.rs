@@ -1,7 +1,8 @@
 //! End-to-end identity across the three query paths: for bundled
-//! workloads, the eager local load ([`cypress::LoadedJob`]), the zero-copy
-//! store ([`cypress::store::JobStore`]), and the resident daemon must
-//! produce byte-identical answers — same canonical wire bytes, same JSON.
+//! workloads, the in-memory job ([`cypress::CompressedJob`], owned CTTs),
+//! the zero-copy store ([`cypress::store::JobStore`], slabs decoded from the
+//! file), and the resident daemon must produce byte-identical answers —
+//! same canonical wire bytes, same JSON.
 //! Also pins the analysis frames (protocol v3) and both directions of
 //! version negotiation on the query port.
 
@@ -43,6 +44,7 @@ impl Drop for TempDir {
 fn all_three_query_paths_agree_on_bundled_workloads() {
     let tmp = TempDir::new("identity");
     let names = ["jacobi", "cg", "dt", "mg"];
+    let mut jobs = Vec::new();
     for name in names {
         let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
         let mut job = Pipeline::new(w.source)
@@ -52,6 +54,7 @@ fn all_three_query_paths_agree_on_bundled_workloads() {
         job.merge();
         job.write_container_with(tmp.0.join(format!("{name}.cytc")), true, None)
             .unwrap();
+        jobs.push(job);
     }
 
     let store = Arc::new(JobStore::new(&tmp.0, StoreConfig::default()).unwrap());
@@ -66,12 +69,11 @@ fn all_three_query_paths_agree_on_bundled_workloads() {
             window: None,
         },
     ];
-    for name in names {
-        let local = cypress::read_container(tmp.0.join(format!("{name}.cytc"))).unwrap();
+    for (name, local) in names.into_iter().zip(&jobs) {
         for opt in &opts {
             let reference = local.query_with(opt).unwrap();
             let via_store = store.open(name).unwrap().query(opt).unwrap();
-            assert_eq!(via_store, reference, "{name}: store != local");
+            assert_eq!(via_store, reference, "{name}: store != in-memory");
             assert_eq!(
                 via_store.to_bytes(),
                 reference.to_bytes(),

@@ -171,7 +171,7 @@ fn container_round_trips_all_workloads() {
 
         let loaded = cypress::read_container(&path)
             .unwrap_or_else(|e| panic!("{name}: read_container failed: {e}"));
-        assert_eq!(loaded.nprocs, w.nprocs, "{name}");
+        assert_eq!(loaded.nprocs(), w.nprocs, "{name}");
         for t in &traces {
             let replay = loaded
                 .decompress(t.rank)
@@ -187,32 +187,35 @@ fn container_round_trips_all_workloads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Per-rank sections take the dedicated-section path in `LoadedJob` and must
-/// agree with merged-tree extraction.
+/// A rank replays from its own section when the container has one, else
+/// from the merged tree: the same job written with and without per-rank
+/// sections must replay every rank alike, and a rank past the job is an
+/// error either way.
 #[test]
 fn per_rank_sections_agree_with_merged_extraction() {
     let dir = tmpdir("per-rank");
     let w = by_name("cg", 8, Scale::Quick).unwrap();
-    let path = dir.join("cg.cytc");
     let mut job = Pipeline::new(w.source.clone()).ranks(8).run().unwrap();
-    job.write_container(&path, true).unwrap();
+    let (with, without) = (dir.join("cg-ranks.cytc"), dir.join("cg-merged.cytc"));
+    job.write_container(&with, true).unwrap();
+    job.write_container(&without, false).unwrap();
 
-    let loaded = cypress::read_container(&path).unwrap();
-    assert_eq!(loaded.rank_ctts.len(), 8);
+    let sections = cypress::read_container(&with).unwrap();
+    let merged_only = cypress::read_container(&without).unwrap();
+    assert_eq!(sections.rank_count(), 8);
+    assert_eq!(merged_only.rank_count(), 0);
     for rank in 0..8u32 {
-        // Dedicated section…
-        let via_section = loaded.decompress(rank).unwrap();
-        // …vs extraction from the merged tree only.
-        let merged_only = cypress::LoadedJob {
-            nprocs: loaded.nprocs,
-            meta: None,
-            cst: loaded.cst.clone(),
-            merged: loaded.merged.clone(),
-            rank_ctts: Vec::new(),
-            telemetry: None,
-        };
+        let via_section = sections.decompress(rank).unwrap();
         let via_merged = merged_only.decompress(rank).unwrap();
-        assert_eq!(strip_replay(&via_section), strip_replay(&via_merged));
+        assert_eq!(
+            strip_replay(&via_section),
+            strip_replay(&via_merged),
+            "rank {rank}"
+        );
+    }
+    for opened in [&sections, &merged_only] {
+        let err = opened.decompress(8).unwrap_err();
+        assert!(err.to_string().contains("rank 8 out of 0..8"), "{err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,7 @@
 
 mod wire_samples;
 
+use cypress::core::{Ctt, CttSlab, CttSource};
 use cypress::deflate::crc32;
 use cypress::net::proto::{encode_frame_into, read_frame, FrameBuf};
 use cypress::trace::Codec;
@@ -21,6 +22,28 @@ impl Visitor for Golden {
         assert_eq!(sample.to_bytes(), golden, "{name}: encoded bytes moved");
         let back = T::from_bytes(&golden).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&back, sample, "{name}: golden bytes decode differently");
+        self.0 += 1;
+    }
+
+    /// The rank CTT decodes through its one decoder, `CttSlab`: the same
+    /// header and the same `vertex()` view at every vertex.
+    fn visit_ctt(&mut self, name: &str, sample: &Ctt, golden_hex: &str) {
+        let golden = unhex(golden_hex);
+        assert_eq!(sample.to_bytes(), golden, "{name}: encoded bytes moved");
+        let back = CttSlab::from_bytes(&golden).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            (back.rank, back.nprocs, back.app_time, back.vertex_count()),
+            (
+                sample.rank,
+                sample.nprocs,
+                sample.app_time,
+                sample.data.len()
+            ),
+            "{name}: header"
+        );
+        for gid in 0..sample.data.len() {
+            assert_eq!(back.vertex(gid), sample.vertex(gid), "{name}: vertex {gid}");
+        }
         self.0 += 1;
     }
 }

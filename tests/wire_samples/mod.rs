@@ -9,7 +9,8 @@
 
 use cypress::analysis::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
 use cypress::core::{
-    merge_all, Ctt, EncParams, IntSeq, LeafRecord, MergedCtt, TimeMode, TimeStats, VertexData,
+    merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, TimeMode, TimeStats,
+    VertexData,
 };
 use cypress::net::proto::{codes, Hello, MergedBlock};
 use cypress::net::{
@@ -21,9 +22,12 @@ use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Prof
 use cypress::{MetaInfo, QueryOptions, StageSummary, TelemetrySummary, TELEMETRY_VERSION};
 use std::fmt::Debug;
 
-/// What a test does with each `(sample, golden bytes)` pair.
+/// What a test does with each `(sample, golden bytes)` pair. A rank CTT has
+/// no `Codec` impl — `Ctt` only encodes, `CttSlab` decodes — so it has a
+/// visit of its own.
 pub trait Visitor {
     fn visit<T: Codec + PartialEq + Debug>(&mut self, name: &str, sample: &T, golden_hex: &str);
+    fn visit_ctt(&mut self, name: &str, sample: &Ctt, golden_hex: &str);
 }
 
 pub fn unhex(hex: &str) -> Vec<u8> {
@@ -245,8 +249,7 @@ fn meta() -> MetaInfo {
 /// wildcard `irecv`, a `waitall` naming both requests) and a triangular inner
 /// loop whose leaf holds two records, then a histogram-timed collective. Rank
 /// 0 takes the branch on other iterations and rank 3's peer wraps, so the
-/// merge of all four forms more than one group. Normalised through one
-/// encode/decode, as a decoded CTT is what every reader holds.
+/// merge of all four forms more than one group.
 pub fn rank_ctt(rank: u32) -> Ctt {
     let stats = |mode, xs: &[u64]| {
         let mut t = TimeStats::new(mode);
@@ -266,7 +269,7 @@ pub fn rank_ctt(rank: u32) -> Ctt {
     } else {
         &[0, 2, 4, 6, 8]
     };
-    let ctt = Ctt {
+    Ctt {
         rank,
         nprocs: 4,
         app_time: 1_000_000 + 17 * r,
@@ -336,13 +339,17 @@ pub fn rank_ctt(rank: u32) -> Ctt {
                 )],
             },
         ],
-    };
-    Ctt::from_bytes(&ctt.to_bytes()).expect("own bytes decode")
+    }
 }
 
-/// The inter-process merge of [`rank_ctt`]`(0..4)`.
+/// The inter-process merge of [`rank_ctt`]`(0..4)`, as decoded slabs: what
+/// a collector merges. Normalised through one encode/decode, as a decoded
+/// tree is what every reader holds.
 pub fn merged_ctt() -> MergedCtt {
-    let merged = merge_all(&(0..4).map(rank_ctt).collect::<Vec<_>>());
+    let slabs: Vec<CttSlab> = (0..4)
+        .map(|rank| CttSlab::from_bytes(&rank_ctt(rank).to_bytes()).expect("own bytes decode"))
+        .collect();
+    let merged = merge_all(&slabs);
     MergedCtt::from_bytes(&merged.to_bytes()).expect("own bytes decode")
 }
 
@@ -536,6 +543,6 @@ pub fn for_each_sample(v: &mut impl Visitor) {
     );
     // `crates/core`'s section payloads, captured on the commit before its
     // decoders moved onto the combinators.
-    v.visit("Ctt", &rank_ctt(1), "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201");
+    v.visit_ctt("Ctt", &rank_ctt(1), "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201");
     v.visit("MergedCtt", &merged_ctt(), "040180897a220401090001010100020401010114000101010201000001010201020405010102020301020100040501020102010002030102030200008040010e01000005030f00ac833700ecb490eaed0778e0a712030f0098750098c89307de07f207010600010102030500008040010e01000005030500e6ab1200b695b0a3cf027be0a7120305008827008898b102de07f2070201010100020401030001008040010e01000005031400a0060088fa0127290314000000000000020101010002040105000000010101010002030405031400cee519008eedc2e04db442f0a204031400ac020094230f0f01010100020401010100020a01020202010000010100030600008001010001000028032800981100a8b1073737032800c03e0080d461c801c801010202030100030100008001010001000028037800c83300f893163737037800c0bb010080fca402c801c80102010000010100030600008002010201000005030500b602009e96013c400300000000000000010202030100030100008002010201000005030f00a20700dac2033c4003000000000000000201010100020401090000001001010100000101040111040104010204");
 }
