@@ -9,7 +9,7 @@ use crate::bitio::{eof, reverse_bits, BitError, BitReader};
 /// code-length code.
 pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
     let n = freqs.len();
-    let active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
+    let mut active: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
     let mut lens = vec![0u8; n];
     match active.len() {
         0 => return lens,
@@ -25,62 +25,46 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
         "too many symbols for the length limit"
     );
 
-    // Package-merge: items are (weight, coin) where a coin is a set of
-    // original symbols; each level produces packages of pairs.
-    #[derive(Clone)]
-    struct Coin {
-        weight: u64,
-        symbols: Vec<usize>,
-    }
-    let base: Vec<Coin> = {
-        let mut v: Vec<Coin> = active
-            .iter()
-            .map(|&i| Coin {
-                weight: freqs[i],
-                symbols: vec![i],
-            })
-            .collect();
-        v.sort_by_key(|c| c.weight);
-        v
-    };
-    let mut prev: Vec<Coin> = Vec::new();
-    for _level in 0..max_len {
-        // Merge base coins with packages from the previous level.
-        let mut merged: Vec<Coin> = Vec::with_capacity(base.len() + prev.len() / 2);
-        let mut packages = Vec::with_capacity(prev.len() / 2);
-        let mut it = prev.chunks_exact(2);
-        for pair in &mut it {
-            let mut syms = pair[0].symbols.clone();
-            syms.extend_from_slice(&pair[1].symbols);
-            packages.push(Coin {
-                weight: pair[0].weight + pair[1].weight,
-                symbols: syms,
-            });
-        }
-        let (mut a, mut b) = (base.iter().peekable(), packages.into_iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.weight <= y.weight {
-                        merged.push((*a.next().expect("peeked")).clone());
-                    } else {
-                        merged.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => merged.push((*a.next().expect("peeked")).clone()),
-                (None, Some(_)) => merged.push(b.next().expect("peeked")),
-                (None, None) => break,
+    // Package-merge over counts instead of coin sets. Row `r` merges the
+    // symbols (by weight, a symbol first on ties) with the pairwise
+    // packages of row `r - 1`; `is_leaf` remembers which entries of each
+    // row were symbols. A prefix of a row holds a prefix of the sorted
+    // symbols and a prefix of the packages, and the first `p` packages
+    // are the first `2p` entries of the row before: so the code lengths
+    // follow from counting the symbols in ever shorter prefixes.
+    active.sort_by_key(|&i| freqs[i]);
+    let m = active.len();
+    let mut is_leaf: Vec<Vec<bool>> = Vec::with_capacity(max_len as usize);
+    let mut row: Vec<u64> = active.iter().map(|&i| freqs[i]).collect();
+    is_leaf.push(vec![true; m]);
+    for _ in 1..max_len {
+        let packages: Vec<u64> = row.chunks_exact(2).map(|p| p[0] + p[1]).collect();
+        let mut next = Vec::with_capacity(m + packages.len());
+        let mut leaf = Vec::with_capacity(m + packages.len());
+        let (mut a, mut b) = (0, 0);
+        while a < m || b < packages.len() {
+            let take_leaf = b == packages.len() || (a < m && freqs[active[a]] <= packages[b]);
+            if take_leaf {
+                next.push(freqs[active[a]]);
+                a += 1;
+            } else {
+                next.push(packages[b]);
+                b += 1;
             }
+            leaf.push(take_leaf);
         }
-        prev = merged;
+        row = next;
+        is_leaf.push(leaf);
     }
-    // Take the first 2·(m−1) coins; each appearance of a symbol adds one to
-    // its code length.
-    let take = 2 * (active.len() - 1);
-    for coin in prev.iter().take(take) {
-        for &s in &coin.symbols {
+    // Take the first 2·(m−1) entries of the last row; each appearance of a
+    // symbol in them, through packages, adds one to its code length.
+    let mut take = 2 * (m - 1);
+    for leaf in is_leaf.iter().rev() {
+        let leaves = leaf[..take].iter().filter(|&&l| l).count();
+        for &s in &active[..leaves] {
             lens[s] += 1;
         }
+        take = 2 * (take - leaves);
     }
     lens
 }
@@ -241,6 +225,67 @@ mod tests {
                 .map(|&l| 2f64.powi(-(l as i32)))
                 .sum();
             assert!(kraft <= 1.0 + 1e-12, "kraft {kraft}");
+        }
+    }
+
+    /// Package-merge as first written: every coin carries its symbol set,
+    /// and a symbol's length is how many of the taken coins hold it.
+    fn coin_set_lengths(freqs: &[u64], max_len: u32) -> Vec<u8> {
+        let mut base: Vec<(u64, Vec<usize>)> = (0..freqs.len())
+            .filter(|&i| freqs[i] > 0)
+            .map(|i| (freqs[i], vec![i]))
+            .collect();
+        base.sort_by_key(|c| c.0);
+        let mut prev: Vec<(u64, Vec<usize>)> = Vec::new();
+        for _ in 0..max_len {
+            let packages: Vec<(u64, Vec<usize>)> = prev
+                .chunks_exact(2)
+                .map(|p| (p[0].0 + p[1].0, [p[0].1.clone(), p[1].1.clone()].concat()))
+                .collect();
+            let (mut a, mut b) = (0, 0);
+            prev = Vec::new();
+            while a < base.len() || b < packages.len() {
+                if b == packages.len() || (a < base.len() && base[a].0 <= packages[b].0) {
+                    prev.push(base[a].clone());
+                    a += 1;
+                } else {
+                    prev.push(packages[b].clone());
+                    b += 1;
+                }
+            }
+        }
+        let mut lens = vec![0u8; freqs.len()];
+        for (_, syms) in prev.iter().take(2 * (base.len() - 1)) {
+            for &s in syms {
+                lens[s] += 1;
+            }
+        }
+        lens
+    }
+
+    /// Counting symbols through prefixes gives the coin sets' lengths on
+    /// every alphabet size, skew and limit the encoder uses.
+    #[test]
+    fn counted_package_merge_equals_coin_sets() {
+        let mut rng = Rng::new(0xc01d);
+        for round in 0..300 {
+            let nsyms = [19, 30, 286][round % 3];
+            let limit = if nsyms == 19 { 7 } else { 15 };
+            let freqs: Vec<u64> = (0..nsyms)
+                .map(|_| match rng.range_u64(0..4) {
+                    0 => 0,
+                    1 => 1 << rng.range_u64(0..30),
+                    _ => rng.range_u64(1..1000),
+                })
+                .collect();
+            if freqs.iter().filter(|&&f| f > 0).count() < 2 {
+                continue;
+            }
+            assert_eq!(
+                code_lengths(&freqs, limit),
+                coin_set_lengths(&freqs, limit),
+                "freqs {freqs:?}"
+            );
         }
     }
 

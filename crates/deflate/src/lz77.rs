@@ -1,11 +1,13 @@
 //! LZ77 matching with hash chains (32 KiB window, matches 3..=258), the
-//! front end of DEFLATE compression.
+//! front end of DEFLATE compression, shaped like zlib's `deflate_slow` and
+//! `deflate_fast`: every position is searched at most once, and a [`Search`]
+//! bounds how hard.
 //!
-//! The tokenizer is a reusable object ([`Lz77`]): the 32 K-entry hash head
-//! and chain tables persist across calls (a `memset` instead of a fresh
-//! allocation per block), tokens stream out through a caller-supplied sink
-//! instead of materializing a `Vec<Token>`, and match extension compares
-//! eight bytes at a time.
+//! The tokenizer is a reusable object ([`Lz77`]): the 64 K-entry hash head
+//! and 32 K-entry chain tables persist across calls (a `memset` instead of
+//! a fresh allocation per input), tokens stream out through a
+//! caller-supplied sink instead of materializing a `Vec<Token>`, and match
+//! extension compares eight bytes at a time.
 
 pub const WINDOW_SIZE: usize = 32 * 1024;
 pub const MIN_MATCH: usize = 3;
@@ -22,7 +24,7 @@ pub enum Token {
     },
 }
 
-const HASH_BITS: u32 = 15;
+const HASH_BITS: u32 = 16;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 /// Empty-slot sentinel in the hash tables (positions are stored as `u32`).
 const NIL: u32 = u32::MAX;
@@ -54,8 +56,24 @@ fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     l
 }
 
-/// Reusable hash-chain tokenizer state. Construct once (two 128 KiB tables)
-/// and call [`Lz77::tokenize_with`] per block; the tables are wiped with a
+/// How hard one compression level searches: zlib's `configuration_table`
+/// (deflate.c), under its names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Search {
+    /// Walk only a quarter of the chain when the match held back for the
+    /// lazy probe is already this long.
+    pub good: usize,
+    /// Hold a match shorter than this back one position and take the next
+    /// position's match instead if it is longer (lazy matching); 0 is greedy.
+    pub lazy: usize,
+    /// Stop walking the chain at a match this long.
+    pub nice: usize,
+    /// Most chain links one search follows.
+    pub chain: usize,
+}
+
+/// Reusable hash-chain tokenizer state. Construct once (256 + 128 KiB)
+/// and call [`Lz77::tokenize_with`] per input; the tables are wiped with a
 /// fill, not reallocated.
 pub struct Lz77 {
     /// `head[h]` = most recent position with hash `h`.
@@ -78,114 +96,160 @@ impl Lz77 {
         }
     }
 
+    /// Chain position `i` in and return the chain it joined (its most
+    /// recent earlier position with the same hash, or [`NIL`]). Positions
+    /// with fewer than [`MIN_MATCH`] bytes left start no match and are not
+    /// chained.
     #[inline]
-    fn insert(&mut self, data: &[u8], i: usize) {
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            self.prev[i % WINDOW_SIZE] = self.head[h];
-            self.head[h] = i as u32;
-        }
-    }
-
-    fn best_match(&self, data: &[u8], i: usize, max_chain: usize) -> (usize, usize) {
+    fn insert(&mut self, data: &[u8], i: usize) -> u32 {
         if i + MIN_MATCH > data.len() {
-            return (0, 0);
+            return NIL;
         }
         let h = hash3(data, i);
-        let mut cand = self.head[h];
+        let head = self.head[h];
+        self.prev[i % WINDOW_SIZE] = head;
+        self.head[h] = i as u32;
+        head
+    }
+
+    /// zlib's `longest_match`: walk the chain from `cand` for a match at `i`
+    /// longer than `best_len`, following at most `chain` links and stopping
+    /// at `nice`. Returns `(best_len, 0)` when there is none.
+    ///
+    /// Positions at least [`WINDOW_SIZE`] back end the walk, so every link
+    /// followed was written by the insert of the position it belongs to,
+    /// and links only go backwards.
+    fn longest(
+        &self,
+        data: &[u8],
+        i: usize,
+        mut cand: u32,
+        mut best_len: usize,
+        mut chain: usize,
+        nice: usize,
+    ) -> (usize, usize) {
         let max_len = MAX_MATCH.min(data.len() - i);
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        let mut chains = 0usize;
-        while cand != NIL && chains < max_chain {
-            chains += 1;
+        if best_len >= max_len {
+            return (best_len, 0);
+        }
+        let nice = nice.min(max_len);
+        let limit = i.saturating_sub(WINDOW_SIZE - 1);
+        let mut best_dist = 0;
+        while chain > 0 && cand != NIL && cand as usize >= limit {
+            chain -= 1;
             let c = cand as usize;
-            let dist = i - c;
-            if dist == 0 || dist > WINDOW_SIZE {
-                break;
-            }
-            // Cheap reject: a longer match must improve on the byte one past
+            // Cheap reject: a longer match must agree on the byte one past
             // the current best before a full extension is worth doing.
-            if best_len == 0 || data[c + best_len] == data[i + best_len] {
+            if data[c + best_len] == data[i + best_len] {
                 let l = match_len(data, c, i, max_len);
                 if l > best_len {
                     best_len = l;
-                    best_dist = dist;
-                    if l >= max_len {
+                    best_dist = i - c;
+                    if l >= nice {
                         break;
                     }
                 }
             }
             cand = self.prev[c % WINDOW_SIZE];
-            // Chains referencing positions outside the window are stale.
-            if cand != NIL && (cand as usize) + WINDOW_SIZE < i {
-                break;
-            }
         }
         (best_len, best_dist)
     }
 
-    /// Tokenize `data`, streaming each token into `emit`. `max_chain` bounds
-    /// the hash-chain search; `lazy` enables one-step lazy matching (as in
-    /// zlib's default strategy — the fast level turns it off and takes the
-    /// first acceptable match).
+    /// Tokenize `data`, streaming each token into `emit`: greedy when
+    /// `search.lazy` is 0 (zlib's `deflate_fast`), else one-step lazy
+    /// (`deflate_slow`).
     ///
     /// The hash state is wiped at entry, so repeated calls on one `Lz77` are
     /// independent; only the allocations are reused.
-    pub fn tokenize_with<F: FnMut(Token)>(
-        &mut self,
-        data: &[u8],
-        max_chain: usize,
-        lazy: bool,
-        mut emit: F,
-    ) {
-        let n = data.len();
-        assert!(n < NIL as usize, "block too large for u32 positions");
-        if n < MIN_MATCH {
-            for &b in data {
-                emit(Token::Literal(b));
-            }
-            return;
-        }
+    pub fn tokenize_with<F: FnMut(Token)>(&mut self, data: &[u8], search: Search, emit: F) {
+        assert!(
+            data.len() < NIL as usize,
+            "input too large for u32 positions"
+        );
         self.head.fill(NIL);
         self.prev.fill(NIL);
+        if search.lazy == 0 {
+            self.greedy(data, search, emit);
+        } else {
+            self.lazy(data, search, emit);
+        }
+    }
 
-        let mut i = 0usize;
-        while i < n {
-            let (len, dist) = self.best_match(data, i, max_chain);
+    fn greedy<F: FnMut(Token)>(&mut self, data: &[u8], s: Search, mut emit: F) {
+        let mut i = 0;
+        while i < data.len() {
+            let head = self.insert(data, i);
+            let (len, dist) = self.longest(data, i, head, MIN_MATCH - 1, s.chain, s.nice);
             if len >= MIN_MATCH {
-                if lazy && i + 1 < n {
-                    // One-step lazy evaluation: prefer a longer match at i+1.
-                    let (len2, _) = self.best_match(data, i + 1, max_chain);
-                    if len2 > len + 1 {
-                        self.insert(data, i);
-                        emit(Token::Literal(data[i]));
-                        i += 1;
-                        continue;
-                    }
-                }
-                emit(Token::Match {
-                    len: len as u16,
-                    dist: dist as u16,
-                });
-                for k in 0..len {
-                    self.insert(data, i + k);
+                emit(match_token(len, dist));
+                for k in i + 1..i + len {
+                    self.insert(data, k);
                 }
                 i += len;
             } else {
-                self.insert(data, i);
                 emit(Token::Literal(data[i]));
                 i += 1;
             }
         }
     }
+
+    /// Each position is searched once: the match found at `i - 1` is held
+    /// back (`held`) while `i` is searched for a longer one, and emitted as
+    /// a match if none turns up, as a literal otherwise.
+    fn lazy<F: FnMut(Token)>(&mut self, data: &[u8], s: Search, mut emit: F) {
+        // The match found at `i - 1` (length < MIN_MATCH: none), and whether
+        // `data[i - 1]` still awaits a token.
+        let (mut prev_len, mut prev_dist, mut held) = (MIN_MATCH - 1, 0, false);
+        let mut i = 0;
+        while i < data.len() {
+            let head = self.insert(data, i);
+            let (mut len, mut dist) = (MIN_MATCH - 1, 0);
+            if prev_len < s.lazy {
+                let chain = if prev_len >= s.good {
+                    s.chain >> 2
+                } else {
+                    s.chain
+                };
+                (len, dist) = self.longest(data, i, head, prev_len, chain, s.nice);
+                if dist == 0 {
+                    len = MIN_MATCH - 1;
+                }
+            }
+            if prev_len >= MIN_MATCH && len <= prev_len {
+                emit(match_token(prev_len, prev_dist));
+                // `i - 1` and `i` are chained already.
+                for k in i + 1..i - 1 + prev_len {
+                    self.insert(data, k);
+                }
+                i += prev_len - 1;
+                (prev_len, held) = (MIN_MATCH - 1, false);
+            } else {
+                if held {
+                    emit(Token::Literal(data[i - 1]));
+                }
+                (prev_len, prev_dist, held) = (len, dist, true);
+                i += 1;
+            }
+        }
+        if held {
+            emit(Token::Literal(data[i - 1]));
+        }
+    }
+}
+
+#[inline]
+fn match_token(len: usize, dist: usize) -> Token {
+    Token::Match {
+        len: len as u16,
+        dist: dist as u16,
+    }
 }
 
 /// Tokenize into a materialized vector (test/bench convenience; the
 /// compressor proper streams through [`Lz77::tokenize_with`]).
-pub fn tokenize(data: &[u8], max_chain: usize) -> Vec<Token> {
+pub fn tokenize(data: &[u8], search: Search) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(data.len() / 2 + 16);
-    Lz77::new().tokenize_with(data, max_chain, true, |t| tokens.push(t));
+    Lz77::new().tokenize_with(data, search, |t| tokens.push(t));
     tokens
 }
 
@@ -213,24 +277,34 @@ mod tests {
     use super::*;
     use cypress_obs::rng::Rng;
 
+    /// Lazy matching over `chain` links (zlib's level-6 limits otherwise).
+    fn lazy(chain: usize) -> Search {
+        Search {
+            good: 8,
+            lazy: 16,
+            nice: 128,
+            chain,
+        }
+    }
+
     #[test]
     fn repetitive_input_produces_matches() {
         let data = b"abcabcabcabcabcabc";
-        let toks = tokenize(data, 64);
+        let toks = tokenize(data, lazy(64));
         assert!(toks.iter().any(|t| matches!(t, Token::Match { .. })));
         assert_eq!(expand(&toks), data);
     }
 
     #[test]
     fn short_input_is_literals() {
-        let toks = tokenize(b"ab", 64);
+        let toks = tokenize(b"ab", lazy(64));
         assert_eq!(toks, vec![Token::Literal(b'a'), Token::Literal(b'b')]);
     }
 
     #[test]
     fn run_of_same_byte_overlapping_match() {
         let data = vec![7u8; 1000];
-        let toks = tokenize(&data, 64);
+        let toks = tokenize(&data, lazy(64));
         assert!(
             toks.len() < 20,
             "run should compress well, got {}",
@@ -241,7 +315,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(tokenize(&[], 64).is_empty());
+        assert!(tokenize(&[], lazy(64)).is_empty());
     }
 
     #[test]
@@ -251,7 +325,7 @@ mod tests {
         for i in 0..40_000u32 {
             data.push((i % 251) as u8);
         }
-        let toks = tokenize(&data, 32);
+        let toks = tokenize(&data, lazy(32));
         assert_eq!(expand(&toks), data);
     }
 
@@ -262,7 +336,7 @@ mod tests {
             let n = rng.range_usize(0..5000);
             let mut data = vec![0u8; n];
             rng.fill_bytes(&mut data);
-            let toks = tokenize(&data, 16);
+            let toks = tokenize(&data, lazy(16));
             assert_eq!(expand(&toks), data);
         }
     }
@@ -273,7 +347,7 @@ mod tests {
         for _ in 0..128 {
             let n = rng.range_usize(0..5000);
             let data: Vec<u8> = (0..n).map(|_| rng.range_u64(0..4) as u8).collect();
-            let toks = tokenize(&data, 16);
+            let toks = tokenize(&data, lazy(16));
             assert_eq!(expand(&toks), data.clone());
             // Low-entropy inputs must actually compress.
             if data.len() > 200 {
@@ -292,8 +366,8 @@ mod tests {
             let n = rng.range_usize(0..3000);
             let data: Vec<u8> = (0..n).map(|_| rng.range_u64(0..7) as u8).collect();
             let mut reused = Vec::new();
-            shared.tokenize_with(&data, 16, true, |t| reused.push(t));
-            assert_eq!(reused, tokenize(&data, 16));
+            shared.tokenize_with(&data, lazy(16), |t| reused.push(t));
+            assert_eq!(reused, tokenize(&data, lazy(16)));
         }
     }
 
@@ -304,7 +378,8 @@ mod tests {
             let n = rng.range_usize(0..4000);
             let data: Vec<u8> = (0..n).map(|_| rng.range_u64(0..5) as u8).collect();
             let mut toks = Vec::new();
-            Lz77::new().tokenize_with(&data, 8, false, |t| toks.push(t));
+            let greedy = Search { lazy: 0, ..lazy(8) };
+            Lz77::new().tokenize_with(&data, greedy, |t| toks.push(t));
             assert_eq!(expand(&toks), data);
         }
     }

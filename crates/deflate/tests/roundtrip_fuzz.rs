@@ -2,6 +2,7 @@
 //! every compression level for random and adversarial inputs. The decoder is
 //! an independent implementation of RFC 1951, so agreement is meaningful.
 
+use cypress_deflate::deflate::BLOCK_TOKENS;
 use cypress_deflate::{deflate, gzip_compress, gzip_decompress, inflate, Level};
 use cypress_obs::rng::Rng;
 
@@ -142,4 +143,111 @@ fn levels_trade_effort_for_ratio_sanely() {
         sizes[2],
         sizes[0]
     );
+}
+
+/// `assert_round_trip`, plus the same through a gzip member.
+fn assert_round_trip_gzip(data: &[u8], what: &str) {
+    assert_round_trip(data, what);
+    for level in Level::ALL {
+        let z = gzip_compress(data, level);
+        assert_eq!(
+            gzip_decompress(&z).unwrap(),
+            data,
+            "{what}: gzip at {}",
+            level.name()
+        );
+    }
+}
+
+/// The first `n` bytes of a de Bruijn sequence of 3-byte strings (the
+/// Lyndon words of length 1 and 3 in lexicographic order): no 3-byte string
+/// occurs twice, so LZ77 finds no match and the input is exactly `n`
+/// literal tokens at every level.
+fn distinct_trigrams(n: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(n + 3);
+    let mut w: Vec<i32> = vec![-1];
+    while !w.is_empty() && out.len() < n {
+        *w.last_mut().expect("non-empty") += 1;
+        let m = w.len();
+        if 3 % m == 0 {
+            out.extend(w.iter().map(|&b| b as u8));
+        }
+        while w.len() < 3 {
+            w.push(w[w.len() - m]);
+        }
+        while w.last() == Some(&255) {
+            w.pop();
+        }
+    }
+    out.truncate(n);
+    let mut seen = std::collections::HashSet::new();
+    assert!(
+        out.windows(3).all(|t| seen.insert(t)),
+        "a 3-byte string repeats"
+    );
+    out
+}
+
+#[test]
+fn inputs_of_one_two_and_many_blocks_round_trip() {
+    let b = BLOCK_TOKENS;
+    let inputs: Vec<(String, Vec<u8>)> = [b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1, 4 * b + 1]
+        .into_iter()
+        .map(|n| (format!("{n} literal tokens"), distinct_trigrams(n)))
+        .chain([("empty".to_string(), Vec::new())])
+        .collect();
+    let first: Vec<Vec<u8>> = inputs
+        .iter()
+        .map(|(what, data)| {
+            assert_round_trip_gzip(data, what);
+            deflate(data, Level::Default)
+        })
+        .collect();
+    // The per-thread scratch carries no state from one input to the next:
+    // the same bytes in the opposite order.
+    for ((what, data), want) in inputs.iter().zip(&first).rev() {
+        assert_eq!(
+            deflate(data, Level::Default),
+            *want,
+            "{what}: order changed the bytes"
+        );
+    }
+}
+
+#[test]
+fn a_block_boundary_inside_a_max_match_run_round_trips() {
+    // The first block ends `k` tokens into a run of one byte, so the next
+    // block opens with 258-byte matches at distance 1 into the block before.
+    for k in 1..=3 {
+        let mut data = distinct_trigrams(BLOCK_TOKENS - k);
+        data.extend(std::iter::repeat_n(b'Z', 1000));
+        data.extend_from_slice(b"tail");
+        assert_round_trip_gzip(&data, &format!("run {k} tokens before the boundary"));
+    }
+}
+
+#[test]
+fn an_incompressible_stretch_between_compressible_ones_is_stored_mid_stream() {
+    let text = b"the compressible part of the input, said again and again; ".repeat(400);
+    let mut noise = vec![0u8; 3 * BLOCK_TOKENS];
+    Rng::new(0x5707ed).fill_bytes(&mut noise);
+    let data = [&text[..], &noise, &text].concat();
+    assert_round_trip_gzip(&data, "text, noise, text");
+    // A stored block copies its bytes verbatim: a slice from the middle of
+    // the noise, well inside one block's first 65535-byte chunk, appears in
+    // the stream as it is.
+    let inside = &noise[3 * BLOCK_TOKENS / 2..][..256];
+    for level in Level::ALL {
+        let z = deflate(&data, level);
+        assert!(
+            z.windows(inside.len()).any(|w| w == inside),
+            "{}: no stored block holds the noise",
+            level.name()
+        );
+        assert!(
+            z.len() < data.len(),
+            "{}: the text did not compress",
+            level.name()
+        );
+    }
 }

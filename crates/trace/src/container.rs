@@ -354,27 +354,38 @@ impl EncodedSection {
 /// the stored bytes. Pure function of `(section, level)` — parallel and
 /// sequential encodes are byte-identical.
 pub fn encode_section(s: &Section, level: Option<Level>) -> EncodedSection {
+    encode_payload(s.kind, s.rank, &s.payload, level)
+}
+
+/// [`encode_section`] of a payload the caller holds outside a [`Section`]
+/// (made on the worker that encodes it, or borrowed).
+pub fn encode_payload(
+    kind: SectionKind,
+    rank: Option<u32>,
+    payload: &[u8],
+    level: Option<Level>,
+) -> EncodedSection {
     let _span = SECTION_ENCODE_NS
         .span("encode", "section")
-        .arg(s.payload.len() as u64);
+        .arg(payload.len() as u64);
     let deflated = level
-        .filter(|_| s.payload.len() >= MIN_COMPRESS_LEN)
-        .map(|level| deflate(&s.payload, level))
-        .filter(|z| z.len() < s.payload.len());
+        .filter(|_| payload.len() >= MIN_COMPRESS_LEN)
+        .map(|level| deflate(payload, level))
+        .filter(|z| z.len() < payload.len());
     let (encoding, stored) = match deflated {
         Some(z) => {
             SECTIONS_DEFLATED.inc();
-            DEFLATE_IN_BYTES.add(s.payload.len() as u64);
+            DEFLATE_IN_BYTES.add(payload.len() as u64);
             DEFLATE_OUT_BYTES.add(z.len() as u64);
             (ENC_DEFLATE, z)
         }
-        None => (ENC_RAW, s.payload.clone()),
+        None => (ENC_RAW, payload.to_vec()),
     };
     EncodedSection {
-        kind: s.kind,
-        rank: s.rank,
+        kind,
+        rank,
         encoding,
-        raw_len: s.payload.len(),
+        raw_len: payload.len(),
         crc: crc32(&stored),
         stored,
     }

@@ -106,11 +106,17 @@ test "$(grep -c '^    ("' tests/interp_golden.rs)" -ge 14 \
   || { echo "tests/interp_golden.rs lost committed hashes"; exit 1; }
 test "$(grep -c '^    ("' crates/deflate/tests/inflate_sweep.rs)" = 15 \
   || { echo "crates/deflate/tests/inflate_sweep.rs lost its digest table"; exit 1; }
+test "$(grep -c '^    ("' crates/deflate/tests/ratio.rs)" = 15 \
+  || { echo "crates/deflate/tests/ratio.rs lost its deflated-length table"; exit 1; }
 
-echo "== byte path: no bit-at-a-time decode, one CRC per section on write =="
+echo "== byte path: no bit-at-a-time decode, one CRC per section on write, one block of tokens =="
 ! grep -n 'read_bit()' crates/deflate/src/huffman.rs || exit 1
 grep -q 'chunks_exact(8)' crates/deflate/src/crc32.rs && grep -q 'OnceLock' crates/deflate/src/inflate.rs
 test "$(grep -c 'Decoder::new(&fixed_' crates/deflate/src/inflate.rs)" = 1
+# No whole-input token pass: the one token push fills a block that is
+# written once it holds BLOCK_TOKENS.
+test "$(grep -c 'tokens\.push(' crates/deflate/src/deflate.rs)" = 1
+grep -q 'if block.tokens.len() == BLOCK_TOKENS' crates/deflate/src/deflate.rs
 ! awk '/^pub fn assemble/,/^}/' crates/trace/src/container.rs | grep -n 'crc32(&e.stored)' || exit 1
 
 echo "== cargo test =="

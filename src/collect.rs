@@ -9,7 +9,7 @@
 //! by `tests/net_collect.rs`.
 
 use crate::error::Result;
-use crate::pipeline::{job_container, write_container_parallel, MetaInfo};
+use crate::pipeline::{job_sections, write_job_container, MetaInfo, Payload};
 use cypress_deflate::Level;
 use cypress_net::CollectedJob;
 use std::path::Path;
@@ -37,18 +37,15 @@ pub fn write_collected_container_with(
     level: Option<Level>,
     threads: usize,
 ) -> Result<()> {
-    let c = job_container(
+    let rank_ctts = job.rank_ctts.iter().filter(|_| per_rank);
+    let sections = job_sections(
         &MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes),
-        job.cst_text.clone(),
+        &job.cst_text,
         &job.merged,
-        if per_rank {
-            job.rank_ctts.clone()
-        } else {
-            Vec::new()
-        },
+        rank_ctts.map(|(rank, bytes)| (*rank, Payload::Bytes(bytes.into()))),
         None,
     );
-    write_container_parallel(&c, path.as_ref(), level, threads)?;
+    write_job_container(path.as_ref(), job.nprocs, &sections, level, threads)?;
     Ok(())
 }
 

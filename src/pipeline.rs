@@ -36,9 +36,10 @@ use cypress_query::{query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_store::StoreJob;
 use cypress_trace::{
-    assemble, encode_section, Codec, Container, ContainerError, DecodeResult, Decoder,
-    EncodedSection, Encoder, SectionKind,
+    assemble, encode_payload, Codec, Container, ContainerError, DecodeResult, Decoder, Encoder,
+    SectionKind,
 };
+use std::borrow::Cow;
 use std::path::Path;
 
 fn default_threads() -> usize {
@@ -55,68 +56,105 @@ static MERGE_NS: Histogram = Histogram::new("pipeline", "merge_ns", &TIME_BOUNDS
 static ENCODE_NS: Histogram = Histogram::new("pipeline", "encode_ns", &TIME_BOUNDS_NS);
 static IO_NS: Histogram = Histogram::new("pipeline", "io_ns", &TIME_BOUNDS_NS);
 
-/// Serialize a container image, deflating sections at `level` — on the
-/// work-stealing pool when `threads > 1` and compression is on (sections are
-/// independent, so per-section deflate parallelizes embarrassingly).
-/// Byte-identical to the sequential [`Container::to_bytes_with`] at every
-/// level and thread count.
-pub(crate) fn encode_container_parallel(
-    c: &Container,
-    level: Option<Level>,
-    threads: usize,
-) -> std::result::Result<Vec<u8>, ContainerError> {
-    c.check_no_empty_sections()?;
-    let _span = ENCODE_NS
-        .span("encode", "container")
-        .arg(c.sections.len() as u64);
-    let encoded: Vec<EncodedSection> = if level.is_some() && threads > 1 && c.sections.len() > 1 {
-        run_ranks(c.sections.len() as u32, threads, |i| {
-            encode_section(&c.sections[i as usize], level)
-        })
-    } else {
-        c.sections
-            .iter()
-            .map(|s| encode_section(s, level))
-            .collect()
-    };
-    Ok(assemble(c.nprocs, &encoded))
+/// What one section of a job container is made from. The CTTs stay trees
+/// until the worker that deflates their section encodes them, so their
+/// `to_bytes` fans out across the section pool with the deflate.
+pub(crate) enum Payload<'a> {
+    Bytes(Cow<'a, [u8]>),
+    Merged(&'a MergedCtt),
+    Rank(&'a Ctt),
 }
 
-/// Write a container atomically with parallel section encoding plus I/O span
-/// accounting.
-pub(crate) fn write_container_parallel(
-    c: &Container,
-    path: &Path,
-    level: Option<Level>,
-    threads: usize,
-) -> std::result::Result<(), ContainerError> {
-    let image = encode_container_parallel(c, level, threads)?;
-    let _span = IO_NS.span("io", "write_container").arg(image.len() as u64);
-    Container::write_image(path, &image)
+impl Payload<'_> {
+    fn bytes(&self) -> Cow<'_, [u8]> {
+        match self {
+            Payload::Bytes(b) => Cow::Borrowed(b),
+            Payload::Merged(m) => Cow::Owned(m.to_bytes()),
+            Payload::Rank(c) => Cow::Owned(c.to_bytes()),
+        }
+    }
 }
+
+/// One section of the `.cytc` layout [`job_sections`] lays out.
+pub(crate) type JobSection<'a> = (SectionKind, Option<u32>, Payload<'a>);
 
 /// The one `.cytc` section layout, for locally compressed and collected
 /// jobs alike: tool metadata, CST text, the merged CTT, one CRC-framed
-/// section per `(rank, CTT bytes)` in `rank_ctts` (empty = merged only),
-/// then the optional telemetry summary (see [`crate::telemetry`]).
-pub(crate) fn job_container(
+/// section per `(rank, CTT)` in `rank_ctts` (empty = merged only), then the
+/// optional telemetry summary (see [`crate::telemetry`]).
+pub(crate) fn job_sections<'a>(
     meta: &MetaInfo,
-    cst_text: String,
-    merged: &MergedCtt,
-    rank_ctts: Vec<(u32, Vec<u8>)>,
+    cst_text: &'a str,
+    merged: &'a MergedCtt,
+    rank_ctts: impl IntoIterator<Item = (u32, Payload<'a>)>,
     telemetry: Option<&crate::telemetry::TelemetrySummary>,
-) -> Container {
-    let mut c = Container::new(meta.nprocs);
-    c.push(SectionKind::Meta, None, meta.to_bytes());
-    c.push(SectionKind::CstText, None, cst_text.into_bytes());
-    c.push(SectionKind::MergedCtt, None, merged.to_bytes());
-    for (rank, bytes) in rank_ctts {
-        c.push(SectionKind::RankCtt, Some(rank), bytes);
-    }
+) -> Vec<JobSection<'a>> {
+    let mut sections = vec![
+        (
+            SectionKind::Meta,
+            None,
+            Payload::Bytes(meta.to_bytes().into()),
+        ),
+        (
+            SectionKind::CstText,
+            None,
+            Payload::Bytes(cst_text.as_bytes().into()),
+        ),
+        (SectionKind::MergedCtt, None, Payload::Merged(merged)),
+    ];
+    sections.extend(
+        rank_ctts
+            .into_iter()
+            .map(|(rank, ctt)| (SectionKind::RankCtt, Some(rank), ctt)),
+    );
     if let Some(t) = telemetry {
-        c.push(SectionKind::Telemetry, None, t.to_bytes());
+        sections.push((
+            SectionKind::Telemetry,
+            None,
+            Payload::Bytes(t.to_bytes().into()),
+        ));
     }
-    c
+    sections
+}
+
+/// Write a job container atomically. Each section is made into bytes and
+/// deflated at `level` on a work-stealing pool of `threads` workers, its CRC
+/// taken there too, and `assemble` puts the sections in index order: the
+/// image is byte-identical at every thread count.
+pub(crate) fn write_job_container(
+    path: &Path,
+    nprocs: u32,
+    sections: &[JobSection<'_>],
+    level: Option<Level>,
+    threads: usize,
+) -> std::result::Result<(), ContainerError> {
+    let image = {
+        let _span = ENCODE_NS
+            .span("encode", "container")
+            .arg(sections.len() as u64);
+        let encode = |index: usize| {
+            let (kind, rank, payload) = &sections[index];
+            let bytes = payload.bytes();
+            if bytes.is_empty() {
+                return Err(ContainerError::EmptySection {
+                    index,
+                    kind: kind.name(),
+                });
+            }
+            Ok(encode_payload(*kind, *rank, &bytes, level))
+        };
+        let encoded: Vec<_> = if threads > 1 && sections.len() > 1 {
+            run_ranks(sections.len() as u32, threads, |i| encode(i as usize))
+        } else {
+            (0..sections.len()).map(encode).collect()
+        };
+        let encoded = encoded
+            .into_iter()
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        assemble(nprocs, &encoded)
+    };
+    let _span = IO_NS.span("io", "write_container").arg(image.len() as u64);
+    Container::write_image(path, &image)
 }
 
 // Placeholder for `benchmark/`, which still names the three ingest modes:
@@ -369,19 +407,22 @@ impl CompressedJob {
         telemetry: Option<&crate::telemetry::TelemetrySummary>,
     ) -> Result<()> {
         self.merge();
-        let rank_ctts = if per_rank {
-            self.ctts.iter().map(|c| (c.rank, c.to_bytes())).collect()
-        } else {
-            Vec::new()
-        };
-        let c = job_container(
+        let cst_text = self.info.cst.to_text();
+        let rank_ctts = self.ctts.iter().filter(|_| per_rank);
+        let sections = job_sections(
             &MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()),
-            self.info.cst.to_text(),
+            &cst_text,
             self.merged.as_ref().expect("merged above"),
-            rank_ctts,
+            rank_ctts.map(|c| (c.rank, Payload::Rank(c))),
             telemetry,
         );
-        write_container_parallel(&c, path.as_ref(), self.level, self.threads)?;
+        write_job_container(
+            path.as_ref(),
+            self.nprocs,
+            &sections,
+            self.level,
+            self.threads,
+        )?;
         Ok(())
     }
 }
