@@ -17,5 +17,5 @@
 pub mod scalatrace;
 pub mod scalatrace2;
 
-pub use scalatrace::{Elem, ScalaCompressor, ScalaConfig, ScalaMerged, ScalaTrace};
-pub use scalatrace2::{Elem2, ParamShape, Scala2Config, Scala2Merged, Scala2Trace};
+pub use scalatrace::{Elem, ScalaCompressor, ScalaMerged, ScalaTrace};
+pub use scalatrace2::{Elem2, ParamShape, Scala2Merged, Scala2Trace};

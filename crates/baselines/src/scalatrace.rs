@@ -53,23 +53,12 @@ impl Elem {
     }
 }
 
-/// Configuration of the greedy folding search.
-#[derive(Debug, Clone)]
-pub struct ScalaConfig {
-    /// Maximum tail length (in elements) considered when searching for a
-    /// repeat — ScalaTrace's match window.
-    pub max_window: usize,
-}
-
-impl Default for ScalaConfig {
-    fn default() -> Self {
-        ScalaConfig { max_window: 32 }
-    }
-}
+/// Maximum tail length (in elements) considered when searching for a
+/// repeat — ScalaTrace's match window.
+const MAX_WINDOW: usize = 32;
 
 /// Online intra-process compressor.
 pub struct ScalaCompressor {
-    cfg: ScalaConfig,
     rank: i64,
     elems: Vec<Elem>,
     /// Total events consumed (for accounting).
@@ -77,9 +66,8 @@ pub struct ScalaCompressor {
 }
 
 impl ScalaCompressor {
-    pub fn new(rank: u32, cfg: ScalaConfig) -> Self {
+    pub fn new(rank: u32) -> Self {
         ScalaCompressor {
-            cfg,
             rank: rank as i64,
             elems: Vec::new(),
             events_in: 0,
@@ -112,7 +100,7 @@ impl ScalaCompressor {
             let n = self.elems.len();
             let mut folded = false;
             // Try RSD increment: Rsd{X,c} ++ X.
-            'k: for k in 1..=self.cfg.max_window.min(n.saturating_sub(1)) {
+            'k: for k in 1..=MAX_WINDOW.min(n.saturating_sub(1)) {
                 if n < k + 1 {
                     break;
                 }
@@ -131,7 +119,7 @@ impl ScalaCompressor {
             }
             if !folded {
                 // Try fresh fold: X ++ X.
-                'k2: for k in 1..=self.cfg.max_window.min(n / 2) {
+                'k2: for k in 1..=MAX_WINDOW.min(n / 2) {
                     let (a, b) = (&self.elems[n - 2 * k..n - k], &self.elems[n - k..]);
                     if a == b {
                         let body: Vec<Elem> = self.elems[n - k..].to_vec();
@@ -172,8 +160,8 @@ pub struct ScalaTrace {
 impl ScalaTrace {
     /// Compress a raw trace (MPI events only — a dynamic tool sees no
     /// structure markers).
-    pub fn compress(trace: &RawTrace, cfg: &ScalaConfig) -> ScalaTrace {
-        let mut c = ScalaCompressor::new(trace.rank, cfg.clone());
+    pub fn compress(trace: &RawTrace) -> ScalaTrace {
+        let mut c = ScalaCompressor::new(trace.rank);
         for r in trace.mpi_records() {
             c.push(r);
         }
@@ -421,7 +409,7 @@ mod tests {
     }
 
     fn compress_seq(rank: u32, recs: &[MpiRecord]) -> ScalaTrace {
-        let mut c = ScalaCompressor::new(rank, ScalaConfig::default());
+        let mut c = ScalaCompressor::new(rank);
         for r in recs {
             c.push(r);
         }

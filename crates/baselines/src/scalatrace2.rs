@@ -104,18 +104,8 @@ impl Elem2 {
     }
 }
 
-/// Elastic folding configuration.
-#[derive(Debug, Clone)]
-pub struct Scala2Config {
-    /// How many trailing elements are scanned for an elastic match.
-    pub window: usize,
-}
-
-impl Default for Scala2Config {
-    fn default() -> Self {
-        Scala2Config { window: 8 }
-    }
-}
+/// How many trailing elements are scanned for an elastic match.
+const WINDOW: usize = 8;
 
 /// One process's ScalaTrace-2 compressed trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,14 +115,14 @@ pub struct Scala2Trace {
 }
 
 impl Scala2Trace {
-    pub fn compress(trace: &RawTrace, cfg: &Scala2Config) -> Scala2Trace {
+    pub fn compress(trace: &RawTrace) -> Scala2Trace {
         let rank = trace.rank as i64;
         let mut elems: Vec<Elem2> = Vec::new();
         for rec in trace.mpi_records() {
             let shape = ParamShape::of(rec);
             let key = (rec.op, shape);
             let n = elems.len();
-            let lo = n.saturating_sub(cfg.window);
+            let lo = n.saturating_sub(WINDOW);
             if let Some(e) = elems[lo..n].iter_mut().rev().find(|e| e.key() == key) {
                 e.absorb(rank, rec);
             } else {
@@ -398,7 +388,7 @@ mod tests {
         let recs: Vec<MpiRecord> = (0..64i64)
             .map(|i| rec(MpiOp::Send, MpiParams::send(1, 8 + i, 0)))
             .collect();
-        let t = Scala2Trace::compress(&trace_of(0, recs), &Scala2Config::default());
+        let t = Scala2Trace::compress(&trace_of(0, recs));
         assert_eq!(t.len(), 1, "elastic folding absorbs varied sizes");
         assert_eq!(t.op_count(), 64);
         // The size sequence is an AP: one stride segment.
@@ -412,7 +402,7 @@ mod tests {
             recs.push(rec(MpiOp::Send, MpiParams::send(1, 8, 0)));
             recs.push(rec(MpiOp::Recv, MpiParams::recv(1, 8, 0)));
         }
-        let t = Scala2Trace::compress(&trace_of(0, recs), &Scala2Config::default());
+        let t = Scala2Trace::compress(&trace_of(0, recs));
         assert_eq!(t.len(), 2);
         assert_eq!(t.op_count(), 20);
     }
@@ -427,7 +417,7 @@ mod tests {
             recs.push(rec(MpiOp::Bcast, MpiParams::rooted(0, 64)));
             recs.push(rec(MpiOp::Bcast, MpiParams::rooted(0, 128)));
         }
-        let t = Scala2Trace::compress(&trace_of(0, recs), &Scala2Config::default());
+        let t = Scala2Trace::compress(&trace_of(0, recs));
         assert_eq!(t.len(), 1);
         assert_eq!(t.op_count(), 16);
         let sizes = t.elems[0].bytes.to_vec();
@@ -440,7 +430,7 @@ mod tests {
         let recs: Vec<MpiRecord> = (0..20i64)
             .map(|i| rec(MpiOp::Send, MpiParams::send(1, 8 * i, i % 3)))
             .collect();
-        let t = Scala2Trace::compress(&trace_of(2, recs), &Scala2Config::default());
+        let t = Scala2Trace::compress(&trace_of(2, recs));
         let back = Scala2Trace::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(back, t);
     }
@@ -451,7 +441,7 @@ mod tests {
             let recs: Vec<MpiRecord> = (0..16)
                 .map(|_| rec(MpiOp::Allreduce, MpiParams::collective(64)))
                 .collect();
-            Scala2Trace::compress(&trace_of(rank, recs), &Scala2Config::default())
+            Scala2Trace::compress(&trace_of(rank, recs))
         };
         let traces: Vec<Scala2Trace> = (0..8).map(make).collect();
         let merged = Scala2Merged::merge_all(&traces);
@@ -469,7 +459,7 @@ mod tests {
                 MpiOp::Send,
                 MpiParams::send(1 + rank as i64 % 7, 1000 + rank as i64, 0),
             )];
-            Scala2Trace::compress(&trace_of(rank, recs), &Scala2Config::default())
+            Scala2Trace::compress(&trace_of(rank, recs))
         };
         let traces: Vec<Scala2Trace> = (0..6).map(make).collect();
         let merged = Scala2Merged::merge_all(&traces);
@@ -485,7 +475,7 @@ mod tests {
             let recs: Vec<MpiRecord> = (0..4)
                 .map(|i| rec(MpiOp::Bcast, MpiParams::rooted(0, 64 << i)))
                 .collect();
-            Scala2Trace::compress(&trace_of(rank, recs), &Scala2Config::default())
+            Scala2Trace::compress(&trace_of(rank, recs))
         };
         let traces: Vec<Scala2Trace> = (0..4).map(make).collect();
         let merged = Scala2Merged::merge_all(&traces);

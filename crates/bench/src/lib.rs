@@ -12,9 +12,7 @@
 //! Fig. 16/18 CSV columns and the `--metrics` report are two views of one
 //! measurement path.
 
-use cypress_baselines::{
-    Scala2Config, Scala2Merged, Scala2Trace, ScalaConfig, ScalaMerged, ScalaTrace,
-};
+use cypress_baselines::{Scala2Merged, Scala2Trace, ScalaMerged, ScalaTrace};
 use cypress_core::{
     compress_trace, decompress, merge_all, merge_all_parallel, CompressConfig, Ctt,
 };
@@ -90,18 +88,10 @@ pub fn trace_sizes(t: &Traced) -> TraceSizes {
         .map(|b| gzip_compress(b, Level::Default).len())
         .sum();
 
-    let st: Vec<ScalaTrace> = t
-        .traces
-        .iter()
-        .map(|tr| ScalaTrace::compress(tr, &ScalaConfig::default()))
-        .collect();
+    let st: Vec<ScalaTrace> = t.traces.iter().map(ScalaTrace::compress).collect();
     let scalatrace = ScalaMerged::merge_all(&st).encoded_size();
 
-    let st2: Vec<Scala2Trace> = t
-        .traces
-        .iter()
-        .map(|tr| Scala2Trace::compress(tr, &Scala2Config::default()))
-        .collect();
+    let st2: Vec<Scala2Trace> = t.traces.iter().map(Scala2Trace::compress).collect();
     let st2_merged = Scala2Merged::merge_all(&st2);
     let scalatrace2 = st2_merged.encoded_size();
     let scalatrace2_gzip = gzip_compress(&st2_merged.to_bytes(), Level::Default).len();
@@ -182,7 +172,7 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
         let app = (tr.app_time.max(1)) as f64;
 
         let t0 = Instant::now();
-        let mut c = cypress_baselines::ScalaCompressor::new(tr.rank, ScalaConfig::default());
+        let mut c = cypress_baselines::ScalaCompressor::new(tr.rank);
         for r in tr.mpi_records() {
             c.push(r);
         }
@@ -192,7 +182,7 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
         mem_st += st_bytes;
 
         let t0 = Instant::now();
-        let _ = Scala2Trace::compress(tr, &Scala2Config::default());
+        let _ = Scala2Trace::compress(tr);
         ts_st2 += INTRA_SCALATRACE2_NS.record_since(t0) as f64 / app;
 
         let t0 = Instant::now();
@@ -223,20 +213,12 @@ pub struct InterOverhead {
 }
 
 pub fn inter_overhead(t: &Traced) -> InterOverhead {
-    let st: Vec<ScalaTrace> = t
-        .traces
-        .iter()
-        .map(|tr| ScalaTrace::compress(tr, &ScalaConfig::default()))
-        .collect();
+    let st: Vec<ScalaTrace> = t.traces.iter().map(ScalaTrace::compress).collect();
     let t0 = Instant::now();
     let _ = ScalaMerged::merge_all(&st);
     let scalatrace_s = record_secs(&INTER_SCALATRACE_NS, t0);
 
-    let st2: Vec<Scala2Trace> = t
-        .traces
-        .iter()
-        .map(|tr| Scala2Trace::compress(tr, &Scala2Config::default()))
-        .collect();
+    let st2: Vec<Scala2Trace> = t.traces.iter().map(Scala2Trace::compress).collect();
     let t0 = Instant::now();
     let _ = Scala2Merged::merge_all(&st2);
     let scalatrace2_s = record_secs(&INTER_SCALATRACE2_NS, t0);

@@ -24,7 +24,7 @@
 
 use crate::ctt::{Ctt, EncParams, LeafRecord, VertexData};
 use crate::intseq::IntSeq;
-use crate::timestats::{TimeMode, TimeStats};
+use crate::timestats::TimeStats;
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{Counter, Gauge, Histogram, TIME_BOUNDS_NS};
 use cypress_trace::event::{Event, EventSink, MpiOp, MpiRecord, ANY_SOURCE};
@@ -64,8 +64,6 @@ pub struct CompressConfig {
     /// compares with the last record only (window = 1); larger windows trade
     /// compression time for ratio and give up exact ordering (ablation knob).
     pub window: usize,
-    /// Timing representation.
-    pub time_mode: TimeMode,
     /// Encode point-to-point peers relative to the owning rank (§IV-B).
     /// Disabling this is the ablation that shows why relative ranking is
     /// essential for inter-process merging.
@@ -76,7 +74,6 @@ impl Default for CompressConfig {
     fn default() -> Self {
         CompressConfig {
             window: 1,
-            time_mode: TimeMode::MeanStd,
             relative_ranks: true,
         }
     }
@@ -309,7 +306,6 @@ impl<'a> IntraCompressor<'a> {
     }
 
     fn append(&mut self, v: usize, params: EncParams, dur: u64, gap: u64) {
-        let time_mode = self.cfg.time_mode;
         let window = self.cfg.window.max(1);
         let VertexData::Leaf { records } = &mut self.data[v] else {
             return;
@@ -324,9 +320,9 @@ impl<'a> IntraCompressor<'a> {
             return;
         }
         self.tally.fold_misses += 1;
-        let mut time = TimeStats::new(time_mode);
+        let mut time = TimeStats::new();
         time.add(dur);
-        let mut g = TimeStats::new(time_mode);
+        let mut g = TimeStats::new();
         g.add(gap);
         records.push(LeafRecord {
             params,

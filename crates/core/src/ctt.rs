@@ -416,7 +416,6 @@ impl Ctt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timestats::TimeMode;
     use crate::visit::CttSource;
 
     #[test]
@@ -496,7 +495,7 @@ mod tests {
 
     #[test]
     fn ctt_bytes_decode_to_the_vertices_written() {
-        let mut time = TimeStats::new(TimeMode::MeanStd);
+        let mut time = TimeStats::new();
         time.add(120);
         time.add(130);
         let ctt = Ctt {
@@ -516,7 +515,7 @@ mod tests {
                         params: EncParams::encode(3, MpiOp::Send, &MpiParams::send(4, 64, 0)),
                         count: 5,
                         time,
-                        gap: TimeStats::new(TimeMode::MeanStd),
+                        gap: TimeStats::new(),
                     }],
                 },
             ],
@@ -549,14 +548,14 @@ mod tests {
                         LeafRecord {
                             params: EncParams::encode(0, MpiOp::Barrier, &MpiParams::collective(0)),
                             count: 7,
-                            time: TimeStats::None,
-                            gap: TimeStats::None,
+                            time: TimeStats::new(),
+                            gap: TimeStats::new(),
                         },
                         LeafRecord {
                             params: EncParams::encode(0, MpiOp::Bcast, &MpiParams::rooted(0, 4)),
                             count: 3,
-                            time: TimeStats::None,
-                            gap: TimeStats::None,
+                            time: TimeStats::new(),
+                            gap: TimeStats::new(),
                         },
                     ],
                 },

@@ -50,5 +50,5 @@ pub use merge::{
 };
 pub use session::{CompressSession, SessionConfig, SessionStats};
 pub use slab::CttSlab;
-pub use timestats::{TimeMode, TimeStats, HIST_BUCKETS};
+pub use timestats::TimeStats;
 pub use visit::{fold_merged, CttFold, CttSource, RankScope, VertexRef};

@@ -53,13 +53,11 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Collector knobs.
+/// Collector knobs. The collector runs one event loop per core, capped at
+/// 8, as queryd does (`Server::new(0)`); stream-mode sessions compress
+/// with the default `CompressConfig` and `SessionConfig`.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    /// Event-loop workers (0 = one per core, capped at 8). Each loop
-    /// multiplexes many connections; this is parallelism for per-client
-    /// compression work, not a connection limit.
-    pub workers: usize,
     /// Idle timeout: a connection silent this long mid-protocol is dropped
     /// (its client retries from scratch).
     pub io_timeout: Duration,
@@ -69,10 +67,6 @@ pub struct CollectorConfig {
     /// Overall wall-clock budget; when it expires with ranks missing the
     /// run fails listing them instead of hanging forever.
     pub deadline: Option<Duration>,
-    /// Compression knobs for server-side sessions (stream mode).
-    pub compress: CompressConfig,
-    /// Session knobs for server-side sessions (stream mode).
-    pub session: SessionConfig,
     /// Serve live [`Stats`] snapshots on a second endpoint
     /// (`cypress serve --stats-addr`). `None` disables telemetry.
     /// Ephemeral-port callers (tests) should prefer
@@ -83,12 +77,9 @@ pub struct CollectorConfig {
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
-            workers: 0,
             io_timeout: Duration::from_secs(10),
             keep_rank_ctts: true,
             deadline: None,
-            compress: CompressConfig::default(),
-            session: SessionConfig::default(),
             stats_addr: None,
         }
     }
@@ -506,7 +497,7 @@ fn run_core(
     if let Some(sl) = stats_listener {
         obs_log!(Level::Info, "net", "collector stats endpoint on {}", at(sl));
     }
-    let server = Server::new(cfg.workers)?;
+    let server = Server::new(0)?;
     let (on, loops) = (at(listener), server.loops());
     obs_log!(
         Level::Info,
@@ -712,8 +703,13 @@ fn on_hello<'a>(
     c.state = match hello.mode {
         SubmitMode::Stream => {
             obs::SESSIONS_STARTED.inc();
-            let (compress, limits) = (sh.cfg.compress.clone(), sh.cfg.session.clone());
-            let session = CompressSession::new(&job.cst, rank, nprocs, compress, limits);
+            let session = CompressSession::new(
+                &job.cst,
+                rank,
+                nprocs,
+                CompressConfig::default(),
+                SessionConfig::default(),
+            );
             ConnState::Streaming {
                 session: Box::new(session),
                 count: 0,
@@ -969,7 +965,6 @@ mod tests {
         let want = merge_all(&local).to_bytes();
 
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 3,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1017,7 +1012,6 @@ mod tests {
         let want = merge_all(&local).to_bytes();
 
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 2,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1047,7 +1041,6 @@ mod tests {
             Some(cypress_deflate::Level::Best),
         ] {
             let (addr, server) = serve_in_background(CollectorConfig {
-                workers: 2,
                 deadline: Some(Duration::from_secs(60)),
                 ..CollectorConfig::default()
             });
@@ -1072,7 +1065,6 @@ mod tests {
         let cst_text = info.cst.to_text();
         let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1122,7 +1114,6 @@ mod tests {
         let raw = ctt.to_bytes();
 
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1167,7 +1158,6 @@ mod tests {
         let cst_text = info.cst.to_text();
         let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1218,7 +1208,6 @@ mod tests {
             .collect();
         let want = merge_all(&local).to_bytes();
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1273,12 +1262,12 @@ mod tests {
         );
     }
 
-    /// Open a connection as rank 0 in `mode`, send `frame`, and return the
+    /// Open a connection as `rank` in `mode`, send `frame`, and return the
     /// `Error` frame the collector answers with.
     fn refused(
         addr: &Addr,
         cst_text: &str,
-        nprocs: u32,
+        (rank, nprocs): (u32, u32),
         mode: SubmitMode,
         frame: Frame,
     ) -> (u16, String) {
@@ -1286,7 +1275,7 @@ mod tests {
         stream.set_io_timeout(Duration::from_secs(5)).unwrap();
         let hello = Frame::Hello(Hello {
             version: PROTO_VERSION,
-            rank: 0,
+            rank,
             nprocs,
             mode,
             cst_text: cst_text.into(),
@@ -1315,7 +1304,6 @@ mod tests {
             .collect();
         let want = merge_all(&local).to_bytes();
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 1,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });
@@ -1357,7 +1345,7 @@ mod tests {
             ),
             (SubmitMode::Blocks, block, "(Loop) holds leaf data"),
         ] {
-            let (code, message) = refused(&addr, &cst_text, nprocs, mode, frame);
+            let (code, message) = refused(&addr, &cst_text, (0, nprocs), mode, frame);
             assert_eq!(code, codes::PROTOCOL, "{message}");
             assert!(message.contains(why), "{message}");
         }
@@ -1369,12 +1357,75 @@ mod tests {
         assert_eq!(job.merged.to_bytes(), want);
     }
 
+    /// Rank 1 of `SRC` at two ranks, compressed by a build that could keep
+    /// no timing: every record's `TimeStats` is tag 2.
+    const UNTIMED_CTT: &str = "0102c5bf010700010110000101020003000201000208010301010003010080200100010000080202030109000000200101010000080202";
+    /// The same tree lifted to a one-rank merged block.
+    const UNTIMED_BLOCK: &str = "02018aff020001010700010101020001010101100001010000010101020001010201000208010201010102000101010003010080200100010000080202020101010200010109000000200101010000080202";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A well-formed tree whose timing is not exact moments used to pass
+    /// the decode and the shape check, then panic in `TimeStats::merge`
+    /// against rank 0's timing under the state lock, poisoning it: the job
+    /// never completed. The decoder now refuses the tag, so the sender gets
+    /// a `PROTOCOL` error naming it and a good retry completes the job — as
+    /// a rank CTT, and as a relay's merged block.
+    #[test]
+    fn ctts_and_blocks_with_other_timing_are_refused_and_the_job_still_completes() {
+        let nprocs = 2;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let block = unhex(UNTIMED_BLOCK);
+        let attempts = [
+            (
+                SubmitMode::Ctt,
+                Frame::RankCtt {
+                    bytes: unhex(UNTIMED_CTT),
+                },
+            ),
+            (
+                SubmitMode::Blocks,
+                Frame::MergedBlockZ(MergedBlock {
+                    first_rank: 1,
+                    nranks: 1,
+                    events: 1,
+                    raw_mpi_bytes: 1,
+                    raw_len: block.len() as u64,
+                    bytes: cypress_deflate::deflate(&block, cypress_deflate::Level::Fast),
+                }),
+            ),
+        ];
+        for (mode, frame) in attempts {
+            let (addr, server) = serve_in_background(CollectorConfig {
+                deadline: Some(Duration::from_secs(60)),
+                ..CollectorConfig::default()
+            });
+            submit_ctt(&addr, &ClientConfig::default(), &local[0], &cst_text).unwrap();
+            let (code, message) = refused(&addr, &cst_text, (1, nprocs), mode, frame);
+            assert_eq!(code, codes::PROTOCOL, "{mode:?}: {message}");
+            assert!(message.contains("TimeStats tag 2 "), "{mode:?}: {message}");
+            submit_ctt(&addr, &ClientConfig::default(), &local[1], &cst_text).unwrap();
+            let job = server.join().unwrap().unwrap();
+            assert_eq!(job.merged.to_bytes(), want, "{mode:?}");
+        }
+    }
+
     #[test]
     fn deadline_reports_missing_ranks() {
         let (info, traces) = traces(4);
         let cst_text = info.cst.to_text();
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 2,
             deadline: Some(Duration::from_millis(300)),
             ..CollectorConfig::default()
         });
@@ -1414,7 +1465,6 @@ mod tests {
             .bind_stats(&Addr::parse("127.0.0.1:0").unwrap())
             .unwrap();
         let cfg = CollectorConfig {
-            workers: 2,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         };
@@ -1480,7 +1530,6 @@ mod tests {
         let (info, traces) = traces(2);
         let cst_text = info.cst.to_text();
         let (addr, server) = serve_in_background(CollectorConfig {
-            workers: 2,
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
         });

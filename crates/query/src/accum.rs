@@ -48,7 +48,8 @@ impl Accum {
     /// Accumulate `times` identical calls made by `rank` at CST vertex
     /// `gid`. `dest` is the already-resolved absolute destination rank
     /// (negative for wildcards/inapplicable); `count`/`rcount` are the
-    /// posted element counts; `dur` the per-call duration.
+    /// posted element counts; `dur` the per-call duration. Every product
+    /// and sum saturates: a peer's record may claim any count.
     #[allow(clippy::too_many_arguments)]
     pub fn add(
         &mut self,
@@ -66,22 +67,23 @@ impl Accum {
         }
         self.profile
             .add_repeated(rank as usize, op, count, dur, times);
+        let volume = |n: i64| (n.max(0) as u64).saturating_mul(times);
         if let Some(t) = self.totals.get_mut(rank as usize) {
-            t.calls += times;
+            t.calls = t.calls.saturating_add(times);
             if op.is_send_like() {
-                t.send_bytes += count.max(0) as u64 * times;
+                t.send_bytes = t.send_bytes.saturating_add(volume(count));
             }
             if op.is_recv_like() {
                 let posted = if op == MpiOp::Sendrecv { rcount } else { count };
-                t.recv_bytes += posted.max(0) as u64 * times;
+                t.recv_bytes = t.recv_bytes.saturating_add(volume(posted));
             }
         }
         if let Some(g) = self.by_gid.get_mut(gid as usize) {
-            g.calls += times;
+            g.calls = g.calls.saturating_add(times);
             // Hot-spot volume uses the matrix's exact attribution rule so
             // the per-GID report sums to the matrix total.
             if op.is_send_like() && dest >= 0 && (dest as usize) < self.nprocs as usize {
-                g.bytes += count.max(0) as u64 * times;
+                g.bytes = g.bytes.saturating_add(volume(count));
             }
         }
         if op.is_send_like() {

@@ -2,7 +2,7 @@
 //! decompress-then-analyze reference oracle.
 
 use crate::accum::Accum;
-use crate::{QueryError, QueryOptions, QueryResult, Strategy, StrategyUsed, Window};
+use crate::{QueryError, QueryOptions, QueryResult, StrategyUsed, Window};
 use cypress_core::{
     decompress, decompress_into, fold_merged, replay_to_records, CttFold, CttSource, LeafRecord,
     MergedCtt, RankScope, ReplayClock, SeqRef,
@@ -20,7 +20,7 @@ static RUNS: Counter = Counter::new("query", "runs");
 static SYMBOLIC_RECORDS: Counter = Counter::new("query", "symbolic_records");
 /// Events streamed through partial expansion.
 static EXPANDED_EVENTS: Counter = Counter::new("query", "expanded_events");
-/// `Strategy::Auto` decisions that fell back to partial expansion.
+/// Unwindowed queries that fell back to partial expansion (recursion).
 static FALLBACKS: Counter = Counter::new("query", "fallbacks");
 /// Wall time per query.
 static QUERY_NS: Histogram = Histogram::new("query", "query_ns", &TIME_BOUNDS_NS);
@@ -35,23 +35,19 @@ pub fn needs_expansion(cst: &Cst) -> bool {
         .any(|v| matches!(v.kind, VertexKind::Loop { pseudo: true, .. }))
 }
 
-fn resolve_strategy(requested: Strategy, cst: &Cst, window: Option<Window>) -> StrategyUsed {
+/// The evaluation path the input calls for: symbolic when exact, partial
+/// expansion for a window or a CST with recursion pseudo-loops.
+fn resolve_strategy(cst: &Cst, window: Option<Window>) -> StrategyUsed {
     if window.is_some() {
         // Timestamps only exist on the replay clock; a window can never be
         // evaluated symbolically.
         return StrategyUsed::PartialExpansion;
     }
-    match requested {
-        Strategy::Symbolic => StrategyUsed::Symbolic,
-        Strategy::PartialExpansion => StrategyUsed::PartialExpansion,
-        Strategy::Auto => {
-            if needs_expansion(cst) {
-                FALLBACKS.inc();
-                StrategyUsed::PartialExpansion
-            } else {
-                StrategyUsed::Symbolic
-            }
-        }
+    if needs_expansion(cst) {
+        FALLBACKS.inc();
+        StrategyUsed::PartialExpansion
+    } else {
+        StrategyUsed::Symbolic
     }
 }
 
@@ -131,7 +127,7 @@ pub fn query_ctts<S: CttSource>(
     for c in ctts {
         check_shape(cst, c.vertex_count())?;
     }
-    let used = resolve_strategy(opts.strategy, cst, opts.window);
+    let used = resolve_strategy(cst, opts.window);
     let mut acc = Accum::new(nprocs, cst.len());
     let mut trips = TripsFold { trips: 0 };
     for ctt in ctts {
@@ -176,7 +172,7 @@ pub fn query_merged(
     let _span = QUERY_NS.span("query", "query_merged");
     check_shape(cst, merged.vertices.len())?;
     let nprocs = merged.nprocs;
-    let used = resolve_strategy(opts.strategy, cst, opts.window);
+    let used = resolve_strategy(cst, opts.window);
     let mut acc = Accum::new(nprocs, cst.len());
     let app_times = merged.app_times.to_vec();
     for r in 0..nprocs {
@@ -340,8 +336,7 @@ pub fn query_by_decompression_windowed<S: CttSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Strategy;
-    use cypress_core::{compress_trace, merge_all, CompressConfig, Ctt};
+    use cypress_core::{compress_trace, merge_all, CompressConfig, Ctt, VertexData};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -402,29 +397,51 @@ mod tests {
         assert_equivalent(&sym, &reference);
     }
 
+    /// A window over all of time: the engine expands, and nothing is cut.
+    fn full_span() -> QueryOptions {
+        QueryOptions {
+            window: Some(Window {
+                start_ns: 0,
+                end_ns: u64::MAX,
+            }),
+        }
+    }
+
     #[test]
     fn partial_expansion_equals_symbolic() {
         let (cst, ctts) = compile(STENCIL, 4);
-        let sym = query_ctts(
-            &cst,
-            &ctts,
-            &QueryOptions {
-                strategy: Strategy::Symbolic,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let exp = query_ctts(
-            &cst,
-            &ctts,
-            &QueryOptions {
-                strategy: Strategy::PartialExpansion,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sym = query_ctts(&cst, &ctts, &QueryOptions::default()).unwrap();
+        assert_eq!(sym.strategy, StrategyUsed::Symbolic);
+        let exp = query_ctts(&cst, &ctts, &full_span()).unwrap();
         assert_eq!(exp.strategy, StrategyUsed::PartialExpansion);
         assert_equivalent(&sym, &exp);
+    }
+
+    /// One leaf record claiming 2^62 sends of 2^40 bytes each: its volume
+    /// and time products saturate instead of overflowing (a panic in a
+    /// debug-built queryd handler, a silent wrap in release).
+    #[test]
+    fn huge_record_counts_saturate_the_symbolic_fold() {
+        let (cst, mut ctts) = compile("fn main() { send((rank() + 1) % size(), 8, 0); }", 2);
+        for ctt in &mut ctts {
+            for data in &mut ctt.data {
+                if let VertexData::Leaf { records } = data {
+                    for r in records.iter_mut() {
+                        r.count = 1 << 62;
+                        r.params.count = 1 << 40;
+                    }
+                }
+            }
+        }
+        let q = query_ctts(&cst, &ctts, &QueryOptions::default()).unwrap();
+        assert_eq!(q.strategy, StrategyUsed::Symbolic);
+        assert_eq!(q.matrix.get(0, 1), u64::MAX);
+        assert_eq!(q.totals[0].send_bytes, u64::MAX);
+        assert_eq!(q.total_volume(), u64::MAX);
+        assert_eq!(q.hotspot_volume(), u64::MAX);
+        assert_eq!(q.total_calls(), 1 << 63);
+        assert_eq!(q.profile.rank_mpi_time[0], u64::MAX);
+        assert!(q.render(5).contains("MPI_Send"));
     }
 
     #[test]
@@ -470,10 +487,7 @@ mod tests {
             start_ns: 0,
             end_ns: span / 2,
         };
-        let opts = QueryOptions {
-            window: Some(w),
-            ..Default::default()
-        };
+        let opts = QueryOptions { window: Some(w) };
         let got = query_ctts(&cst, &ctts, &opts).unwrap();
         assert_eq!(got.strategy, StrategyUsed::PartialExpansion);
         let oracle = query_by_decompression_windowed(&cst, &ctts, Some(w)).unwrap();
@@ -484,18 +498,7 @@ mod tests {
         assert!(got.total_calls() < full.total_calls());
         assert!(got.total_calls() > 0);
         // Full-span window equals the unwindowed expansion result.
-        let all = query_ctts(
-            &cst,
-            &ctts,
-            &QueryOptions {
-                window: Some(Window {
-                    start_ns: 0,
-                    end_ns: u64::MAX,
-                }),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let all = query_ctts(&cst, &ctts, &full_span()).unwrap();
         assert_eq!(all.matrix, full.matrix);
         assert_eq!(all.profile, full.profile);
         assert_eq!(all.totals, full.totals);

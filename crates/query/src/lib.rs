@@ -30,8 +30,9 @@
 //! aggregates — so the symbolic fold is exact whenever decompression itself
 //! is sequence-exact. The one approximate corner of the format is recursion:
 //! pseudo-loop replay is multiset-preserving per iteration but its leaf
-//! cursors may redistribute occurrences across visits. For such programs
-//! [`Strategy::Auto`] falls back to **bounded partial expansion**: the CTT
+//! cursors may redistribute occurrences across visits. For such programs,
+//! and for any windowed query, the engine picks **bounded partial
+//! expansion** itself: the CTT
 //! is streamed through [`cypress_core::decompress_into`] directly into the
 //! same accumulators — O(events) time but O(1) extra memory, never a
 //! materialized trace. Wildcard receives need no fallback: volume is
@@ -57,24 +58,6 @@ pub use wire::QUERY_WIRE_VERSION;
 
 use cypress_trace::{CommMatrix, MpiOp, Profile};
 use std::fmt;
-
-/// How to evaluate a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Strategy {
-    /// Symbolic when exact, partial expansion when the program's CST
-    /// contains recursion pseudo-loops (the format's one approximate
-    /// construct). The right default.
-    #[default]
-    Auto,
-    /// Always evaluate symbolically in O(|CTT|). For recursive programs
-    /// this aggregates the stored records directly, which may differ from
-    /// replay-based results when pseudo-loop replay redistributes
-    /// occurrences.
-    Symbolic,
-    /// Always stream-decompress into the accumulators (O(events) time,
-    /// O(1) extra memory).
-    PartialExpansion,
-}
 
 /// Which evaluation path actually ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,27 +98,14 @@ impl Window {
     }
 }
 
-/// Query knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Query knobs. How many hot spots to print is the renderer's business
+/// ([`QueryResult::render`]): the result always holds every GID.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryOptions {
-    pub strategy: Strategy,
-    /// Maximum hot spots retained in [`QueryResult::hotspots`] *rendering*;
-    /// the result always accumulates every GID so volumes sum exactly.
-    pub hotspot_limit: usize,
     /// Restrict aggregation to ops starting within this window. Timestamps
     /// require the replay clock, so a window always evaluates via partial
-    /// expansion (O(events)), whatever strategy was requested.
+    /// expansion (O(events)); a full-span window is how a caller forces it.
     pub window: Option<Window>,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            strategy: Strategy::Auto,
-            hotspot_limit: 10,
-            window: None,
-        }
-    }
 }
 
 /// Per-rank point-to-point byte totals and call counts.
@@ -177,7 +147,9 @@ impl QueryResult {
     /// Sum of per-GID hot-spot volumes; equals [`QueryResult::total_volume`]
     /// because both apply the same sender-attribution rule.
     pub fn hotspot_volume(&self) -> u64 {
-        self.hotspots.iter().map(|h| h.bytes).sum()
+        self.hotspots
+            .iter()
+            .fold(0, |a, h| a.saturating_add(h.bytes))
     }
 
     /// Per-op call counts, in stable op order.

@@ -14,14 +14,15 @@
 //! `cypress query --json` / `cypress inspect --json` so the queryd smoke
 //! test can diff local and remote answers structurally.
 
-use crate::{HotSpot, QueryOptions, QueryResult, RankTotals, Strategy, StrategyUsed, Window};
+use crate::{HotSpot, QueryOptions, QueryResult, RankTotals, StrategyUsed, Window};
 use cypress_obs::{json_str, push_json_u64_array};
 use cypress_trace::{
     Codec, CommMatrix, DecodeError, DecodeResult, Decoder, Encoder, MpiOp, Profile,
 };
 
 /// Version byte leading every [`QueryOptions`] / [`QueryResult`] blob.
-pub const QUERY_WIRE_VERSION: u8 = 1;
+/// Version 2: the options carry the window alone.
+pub const QUERY_WIRE_VERSION: u8 = 2;
 
 impl Codec for RankTotals {
     fn encode(&self, enc: &mut Encoder) {
@@ -82,25 +83,6 @@ impl StrategyUsed {
     }
 }
 
-impl Strategy {
-    fn code(self) -> u8 {
-        match self {
-            Strategy::Auto => 0,
-            Strategy::Symbolic => 1,
-            Strategy::PartialExpansion => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<Strategy> {
-        Some(match c {
-            0 => Strategy::Auto,
-            1 => Strategy::Symbolic,
-            2 => Strategy::PartialExpansion,
-            _ => return None,
-        })
-    }
-}
-
 impl Window {
     /// Wire form of an optional window, shared by every options blob that
     /// carries one: a presence flag, then the two bounds.
@@ -130,22 +112,13 @@ impl Window {
 impl Codec for QueryOptions {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u8(QUERY_WIRE_VERSION);
-        enc.put_u8(self.strategy.code());
-        enc.put_uvar(self.hotspot_limit as u64);
         Window::encode_opt(self.window, enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
         dec.expect_version("query options wire", QUERY_WIRE_VERSION)?;
-        let code = dec.get_u8()?;
-        let strategy = Strategy::from_code(code)
-            .ok_or_else(|| DecodeError(format!("unknown strategy code {code}")))?;
-        let hotspot_limit = dec.get_uvar()? as usize;
-        let window = Window::decode_opt(dec)?;
         Ok(QueryOptions {
-            strategy,
-            hotspot_limit,
-            window,
+            window: Window::decode_opt(dec)?,
         })
     }
 }
@@ -298,7 +271,6 @@ mod tests {
                 start_ns: 1,
                 end_ns: 2,
             }),
-            ..QueryOptions::default()
         };
         check::<QueryOptions>("query options", QueryOptions::default().to_bytes());
         check::<QueryOptions>("query options", windowed.to_bytes());

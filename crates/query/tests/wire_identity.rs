@@ -11,7 +11,7 @@
 use cypress_core::{compress_trace, CompressConfig, Ctt, CttSlab};
 use cypress_cst::analyze_program;
 use cypress_minilang::{check_program, parse};
-use cypress_query::{query_ctts, QueryOptions, QueryResult, Strategy};
+use cypress_query::{query_ctts, QueryOptions, QueryResult, Window};
 use cypress_runtime::{trace_program, InterpConfig};
 use cypress_trace::Codec;
 
@@ -54,18 +54,16 @@ fn slab_queries_match_ctt_queries_byte_for_byte() {
         .iter()
         .map(|c| CttSlab::from_bytes(&c.to_bytes()).unwrap())
         .collect();
-    for strategy in [
-        Strategy::Auto,
-        Strategy::Symbolic,
-        Strategy::PartialExpansion,
-    ] {
-        let opts = QueryOptions {
-            strategy,
-            ..QueryOptions::default()
-        };
+    // Symbolic, then partial expansion through a full-span window.
+    let full_span = Window {
+        start_ns: 0,
+        end_ns: u64::MAX,
+    };
+    for window in [None, Some(full_span)] {
+        let opts = QueryOptions { window };
         let from_ctt = query_ctts(&cst, &ctts, &opts).unwrap();
         let from_slab = query_ctts(&cst, &slabs, &opts).unwrap();
-        assert_eq!(from_slab, from_ctt, "strategy {strategy:?}");
+        assert_eq!(from_slab, from_ctt, "window {window:?}");
         assert_eq!(from_slab.to_bytes(), from_ctt.to_bytes());
         assert_eq!(from_slab.render_json(), from_ctt.render_json());
     }

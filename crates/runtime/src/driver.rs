@@ -248,10 +248,7 @@ mod tests {
         let p = parse("fn main() { let i = 0; while i >= 0 { i = i + 1; } }").unwrap();
         check_program(&p).unwrap();
         let info = analyze_program(&p);
-        let cfg = InterpConfig {
-            max_steps: 10_000,
-            ..InterpConfig::default()
-        };
+        let cfg = InterpConfig { max_steps: 10_000 };
         assert!(trace_program(&p, &info, 1, &cfg).is_err());
     }
 

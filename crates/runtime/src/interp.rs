@@ -64,25 +64,23 @@ pub struct InterpConfig {
     /// Hard budget on executed statements+expressions, to bound runaway
     /// `while` loops (important for randomly generated programs).
     pub max_steps: u64,
-    /// Virtual nanoseconds per `compute(1)` unit.
-    pub ns_per_compute_unit: u64,
-    /// Fixed per-operation software overhead (ns) in the local time model.
-    pub op_overhead_ns: u64,
-    /// Additional ns per payload byte in the local time model.
-    pub ns_per_byte_x1000: u64,
 }
 
 impl Default for InterpConfig {
     fn default() -> Self {
         InterpConfig {
             max_steps: 200_000_000,
-            ns_per_compute_unit: 1,
-            op_overhead_ns: 1_000,
-            // 0.4 ns/byte ≈ 2.5 GB/s effective local copy bandwidth.
-            ns_per_byte_x1000: 400,
         }
     }
 }
+
+/// Fixed per-operation software overhead (ns) in the local time model.
+const OP_OVERHEAD_NS: u64 = 1_000;
+/// Additional ns per 1000 payload bytes in the local time model: 0.4 ns/byte
+/// ≈ 2.5 GB/s effective local copy bandwidth.
+const NS_PER_BYTE_X1000: u64 = 400;
+/// Virtual nanoseconds per `compute(1)` unit.
+const NS_PER_COMPUTE_UNIT: u64 = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Value {
@@ -525,12 +523,11 @@ impl<'a, S: EventSink> Interp<'a, S> {
             x ^= x >> 31;
             x = x.wrapping_mul(0x94d049bb133111eb);
             x ^= x >> 29;
-            x % (self.cfg.op_overhead_ns / 4 + 1)
+            x % (OP_OVERHEAD_NS / 4 + 1)
         };
         // Sizes are the program's own numbers: saturate, never wrap.
-        let size_term = (bytes.max(0) as u64).saturating_mul(self.cfg.ns_per_byte_x1000) / 1000;
-        self.cfg
-            .op_overhead_ns
+        let size_term = (bytes.max(0) as u64).saturating_mul(NS_PER_BYTE_X1000) / 1000;
+        OP_OVERHEAD_NS
             .saturating_add(size_term)
             .saturating_add(jitter)
     }
@@ -658,7 +655,7 @@ impl<'a, S: EventSink> Interp<'a, S> {
             Builtin::AnySource => return Ok(Value::Int(ANY_SOURCE)),
             Builtin::Compute => {
                 let units = int(0)?.max(0) as u64;
-                let base = units.saturating_mul(self.cfg.ns_per_compute_unit);
+                let base = units.saturating_mul(NS_PER_COMPUTE_UNIT);
                 // Real computation phases vary run to run (cache effects, OS
                 // noise); add a deterministic ±6% wobble so merged records
                 // carry non-trivial gap statistics (and trace-driven

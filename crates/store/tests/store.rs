@@ -8,7 +8,7 @@ use cypress_minilang::{check_program, parse};
 use cypress_query::{query_ctts, QueryOptions};
 use cypress_runtime::{trace_program, InterpConfig};
 use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError};
-use cypress_trace::{Codec, Container, SectionKind};
+use cypress_trace::{assemble, encode_payload, Codec, Container, SectionKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
@@ -47,18 +47,18 @@ fn write_job(dir: &Path, name: &str, src: &str, nprocs: u32) -> (Cst, Vec<Ctt>) 
         .iter()
         .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
         .collect();
-    let merged = merge_all(&ctts);
-    let mut c = Container::new(nprocs);
-    c.push(SectionKind::CstText, None, info.cst.to_text().into_bytes());
-    c.push(SectionKind::MergedCtt, None, merged.to_bytes());
-    for ctt in &ctts {
-        c.push(SectionKind::RankCtt, Some(ctt.rank), ctt.to_bytes());
-    }
-    c.write_file_with(
-        dir.join(format!("{name}.cytc")),
-        Some(cypress_deflate::Level::Fast),
-    )
-    .unwrap();
+    let level = Some(cypress_deflate::Level::Fast);
+    let section = |kind, rank, payload: &[u8]| encode_payload(kind, rank, payload, level);
+    let mut encoded = vec![
+        section(SectionKind::CstText, None, info.cst.to_text().as_bytes()),
+        section(SectionKind::MergedCtt, None, &merge_all(&ctts).to_bytes()),
+    ];
+    encoded.extend(
+        ctts.iter()
+            .map(|c| section(SectionKind::RankCtt, Some(c.rank), &c.to_bytes())),
+    );
+    let path = dir.join(format!("{name}.cytc"));
+    Container::write_image(path, &assemble(nprocs, &encoded)).unwrap();
     (info.cst, ctts)
 }
 

@@ -30,12 +30,13 @@ impl CommMatrix {
     }
 
     pub fn add(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.data[src * self.nprocs + dst] += bytes;
+        let cell = &mut self.data[src * self.nprocs + dst];
+        *cell = cell.saturating_add(bytes);
     }
 
     /// Total bytes in the matrix.
     pub fn total(&self) -> u64 {
-        self.data.iter().sum()
+        crate::profile::saturating_sum(&self.data)
     }
 
     /// Largest single cell.
@@ -64,12 +65,13 @@ impl CommMatrix {
     /// contribute nothing, and negative counts clamp to zero. This is the
     /// single accumulation path shared by raw traces, decompressed replays,
     /// and the compressed-domain query engine (which passes `times > 1` for
-    /// merged records).
+    /// merged records). The volume saturates, as a record may claim any
+    /// count.
     pub fn add_send(&mut self, src: usize, dest: i64, count: i64, times: u64) {
         if dest >= 0 {
             let dst = dest as usize;
             if src < self.nprocs && dst < self.nprocs {
-                self.add(src, dst, count.max(0) as u64 * times);
+                self.add(src, dst, (count.max(0) as u64).saturating_mul(times));
             }
         }
     }

@@ -26,14 +26,14 @@
 //!
 //! Each section is independently framed and CRC-protected, so a reader can
 //! skip kinds it does not understand and detect torn or corrupted writes
-//! per-section. Writers go through [`Container::write_file`], which is
-//! atomic (temp + rename).
+//! per-section.
 //!
-//! [`Container::to_bytes_with`] deflates eligible payloads at a chosen
-//! [`Level`]. Sections can also be encoded independently
-//! ([`encode_section`]) and assembled later ([`assemble`]) — that split is
-//! what lets the umbrella crate compress sections on a worker pool without
-//! this crate depending on a scheduler.
+//! Writing is three steps: each section is encoded on its own
+//! ([`encode_payload`] / [`encode_section`], deflating eligible payloads at
+//! a chosen [`Level`]), [`assemble`] frames them in order, and
+//! [`Container::write_image`] persists the image atomically (temp + rename).
+//! That split is what lets the umbrella crate compress sections on a worker
+//! pool without this crate depending on a scheduler.
 //!
 //! Per-section CRCs protect payload bytes but not the *framing* varints
 //! (section counts, lengths): a single flipped length byte could send a
@@ -43,8 +43,8 @@
 //! [`SectionTable::parse`](crate::view::SectionTable::parse)), so every
 //! single-byte corruption is rejected up front with a clean error.
 //!
-//! [`Container`] is the build-and-write type; reading goes through
-//! [`crate::view`] only, and accepts exactly the version this build writes.
+//! Reading goes through [`crate::view`] only, and accepts exactly the
+//! version this build writes.
 
 use crate::codec::{DecodeError, Encoder};
 use cypress_deflate::{crc32, deflate, Level};
@@ -232,96 +232,16 @@ impl From<DecodeError> for ContainerError {
     }
 }
 
-/// A whole container: world size plus framed sections in file order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Container {
-    pub nprocs: u32,
-    pub sections: Vec<Section>,
-}
+/// The container writer's namespace: an image made by [`assemble`] goes to
+/// disk through [`Container::write_image`].
+pub struct Container;
 
 impl Container {
-    pub fn new(nprocs: u32) -> Self {
-        Container {
-            nprocs,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Append a section.
-    pub fn push(&mut self, kind: SectionKind, rank: Option<u32>, payload: Vec<u8>) {
-        self.sections.push(Section {
-            kind,
-            rank,
-            payload,
-        });
-    }
-
-    /// Serialize with raw (uncompressed) sections: magic, version byte, then
-    /// the varint-framed body. Equivalent to `to_bytes_with(None)`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with(None)
-    }
-
-    /// Serialize, deflating eligible section payloads at `level`; `None`
-    /// stores every section raw. Deterministic: the same container and
-    /// level always produce the same bytes (a parallel encoder assembling
-    /// [`encode_section`] results via [`assemble`] is byte-identical).
-    pub fn to_bytes_with(&self, level: Option<Level>) -> Vec<u8> {
-        let encoded: Vec<EncodedSection> = self
-            .sections
-            .iter()
-            .map(|s| encode_section(s, level))
-            .collect();
-        assemble(self.nprocs, &encoded)
-    }
-
-    /// Write atomically (temp sibling + rename). Refuses to persist a
-    /// container any reader would reject (zero-length sections).
-    pub fn write_file(&self, path: impl AsRef<Path>) -> Result<(), ContainerError> {
-        self.write_file_with(path, None)
-    }
-
-    /// Write atomically, deflating eligible sections at `level` (see
-    /// [`Container::to_bytes_with`]).
-    pub fn write_file_with(
-        &self,
-        path: impl AsRef<Path>,
-        level: Option<Level>,
-    ) -> Result<(), ContainerError> {
-        self.check_no_empty_sections()?;
-        let bytes = self.to_bytes_with(level);
-        cypress_obs::write_atomic(path.as_ref(), &bytes)?;
-        BYTES_WRITTEN.add(bytes.len() as u64);
-        Ok(())
-    }
-
-    /// Write an already-assembled image (from [`assemble`]) atomically.
+    /// Write an already-assembled image atomically (temp sibling + rename).
     pub fn write_image(path: impl AsRef<Path>, image: &[u8]) -> Result<(), ContainerError> {
         cypress_obs::write_atomic(path.as_ref(), image)?;
         BYTES_WRITTEN.add(image.len() as u64);
         Ok(())
-    }
-
-    /// Reject containers any reader would reject (zero-length sections) —
-    /// called by every write path before touching the filesystem.
-    pub fn check_no_empty_sections(&self) -> Result<(), ContainerError> {
-        if let Some((index, s)) = self
-            .sections
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.payload.is_empty())
-        {
-            return Err(ContainerError::EmptySection {
-                index,
-                kind: s.kind.name(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Total payload bytes across sections (excludes framing).
-    pub fn payload_bytes(&self) -> usize {
-        self.sections.iter().map(|s| s.payload.len()).sum()
     }
 }
 
@@ -431,24 +351,39 @@ mod tests {
     use super::*;
     use crate::view::ContainerView;
 
-    fn sample() -> Container {
-        let mut c = Container::new(8);
-        c.push(SectionKind::Meta, None, b"meta-payload".to_vec());
-        c.push(SectionKind::CstText, None, b"Root()".to_vec());
-        c.push(SectionKind::MergedCtt, None, vec![1, 2, 3, 4, 5]);
-        c.push(SectionKind::RankCtt, Some(0), vec![9, 9]);
-        c.push(SectionKind::RankCtt, Some(7), vec![7; 100]);
-        c
+    fn section(kind: SectionKind, rank: Option<u32>, payload: Vec<u8>) -> Section {
+        Section {
+            kind,
+            rank,
+            payload,
+        }
+    }
+
+    /// The writer's path: encode each section, assemble in order.
+    fn image(nprocs: u32, sections: &[Section], level: Option<Level>) -> Vec<u8> {
+        let encoded: Vec<EncodedSection> =
+            sections.iter().map(|s| encode_section(s, level)).collect();
+        assemble(nprocs, &encoded)
+    }
+
+    fn sample() -> Vec<Section> {
+        vec![
+            section(SectionKind::Meta, None, b"meta-payload".to_vec()),
+            section(SectionKind::CstText, None, b"Root()".to_vec()),
+            section(SectionKind::MergedCtt, None, vec![1, 2, 3, 4, 5]),
+            section(SectionKind::RankCtt, Some(0), vec![9, 9]),
+            section(SectionKind::RankCtt, Some(7), vec![7; 100]),
+        ]
     }
 
     /// Materialize every section of `image` through the one reader.
-    fn read_back(image: &[u8]) -> Result<Container, ContainerError> {
+    fn read_back(image: &[u8]) -> Result<(u32, Vec<Section>), ContainerError> {
         let view = ContainerView::parse(image)?;
-        let mut c = Container::new(view.nprocs());
+        let mut sections = Vec::new();
         for (i, info) in view.table().sections().iter().enumerate() {
-            c.push(info.kind, info.rank, view.payload(i)?.to_vec());
+            sections.push(section(info.kind, info.rank, view.payload(i)?.to_vec()));
         }
-        Ok(c)
+        Ok((view.nprocs(), sections))
     }
 
     /// Recompute the image-CRC trailer after editing `image` in place.
@@ -460,15 +395,13 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let c = sample();
-        let back = read_back(&c.to_bytes()).unwrap();
-        assert_eq!(back, c);
-        assert_eq!(back.nprocs, 8);
+        let back = read_back(&image(8, &sample(), None)).unwrap();
+        assert_eq!(back, (8, sample()));
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = image(8, &sample(), None);
         bytes[0] = b'X';
         assert!(matches!(read_back(&bytes), Err(ContainerError::BadMagic)));
         assert!(!is_container(&bytes));
@@ -481,7 +414,7 @@ mod tests {
     #[test]
     fn wrong_version_is_a_loud_error_naming_both_versions() {
         for offered in [0, CONTAINER_VERSION - 1, CONTAINER_VERSION + 1, 0xff] {
-            let mut bytes = sample().to_bytes();
+            let mut bytes = image(8, &sample(), None);
             bytes[4] = offered;
             // Re-seal so the version byte is the only thing wrong.
             reseal(&mut bytes);
@@ -501,8 +434,7 @@ mod tests {
 
     #[test]
     fn payload_corruption_fails_image_crc() {
-        let c = sample();
-        let clean = c.to_bytes();
+        let clean = image(8, &sample(), None);
         // Flip one byte inside the merged-ctt payload (find it by value).
         // The whole-image CRC catches this before body parsing.
         let pos = clean
@@ -519,7 +451,7 @@ mod tests {
 
     #[test]
     fn truncation_is_corrupt_not_panic() {
-        let bytes = sample().to_bytes();
+        let bytes = image(8, &sample(), None);
         for cut in [5, 8, bytes.len() - 1] {
             let err = read_back(&bytes[..cut]).unwrap_err();
             assert!(
@@ -534,7 +466,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut bytes = sample().to_bytes();
+        let mut bytes = image(8, &sample(), None);
         bytes.push(0);
         assert!(matches!(
             read_back(&bytes),
@@ -543,43 +475,37 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_section_rejected_on_read_and_write() {
-        let mut c = Container::new(2);
-        c.push(SectionKind::Meta, None, b"m".to_vec());
-        c.push(SectionKind::RankCtt, Some(1), Vec::new());
-        let err = read_back(&c.to_bytes()).unwrap_err();
+    fn zero_length_section_rejected_on_read() {
+        let sections = [
+            section(SectionKind::Meta, None, b"m".to_vec()),
+            section(SectionKind::RankCtt, Some(1), Vec::new()),
+        ];
+        let err = read_back(&image(2, &sections, None)).unwrap_err();
         assert!(
             matches!(err, ContainerError::EmptySection { index: 1, kind } if kind == "rank-ctt"),
             "{err}"
         );
         assert!(err.to_string().contains("zero-length"), "{err}");
-        // The writer refuses before touching the filesystem.
-        let path = std::env::temp_dir().join(format!("cypress-empty-{}.cytc", std::process::id()));
-        let werr = c.write_file(&path).unwrap_err();
-        assert!(
-            matches!(werr, ContainerError::EmptySection { .. }),
-            "{werr}"
-        );
-        assert!(!path.exists());
     }
 
-    fn compressible_sample() -> Container {
-        let mut c = Container::new(4);
-        c.push(SectionKind::Meta, None, b"meta-payload".to_vec());
-        c.push(
-            SectionKind::CstText,
-            None,
-            b"Root() Loop() Mpi()".repeat(40).to_vec(),
-        );
-        c.push(SectionKind::MergedCtt, None, vec![42; 4096]);
+    fn compressible_sample() -> Vec<Section> {
+        let mut sections = vec![
+            section(SectionKind::Meta, None, b"meta-payload".to_vec()),
+            section(
+                SectionKind::CstText,
+                None,
+                b"Root() Loop() Mpi()".repeat(40).to_vec(),
+            ),
+            section(SectionKind::MergedCtt, None, vec![42; 4096]),
+        ];
         for rank in 0..4u32 {
-            c.push(
+            sections.push(section(
                 SectionKind::RankCtt,
                 Some(rank),
                 (0..2000u32).map(|i| (i % 17) as u8).collect(),
-            );
+            ));
         }
-        c
+        sections
     }
 
     #[test]
@@ -591,25 +517,25 @@ mod tests {
             Some(Level::Default),
             Some(Level::Best),
         ] {
-            let bytes = c.to_bytes_with(level);
+            let bytes = image(4, &c, level);
             let back = read_back(&bytes).unwrap_or_else(|e| panic!("level {level:?}: {e}"));
-            assert_eq!(back, c, "level {level:?}");
+            assert_eq!(back, (4, c.clone()), "level {level:?}");
         }
     }
 
     #[test]
     fn raw_serialization_is_current_version_and_stable() {
         let c = compressible_sample();
-        let raw = c.to_bytes_with(None);
+        let raw = image(4, &c, None);
         assert_eq!(raw[4], CONTAINER_VERSION);
-        assert_eq!(raw, c.to_bytes());
+        assert_eq!(raw, image(4, &c, None));
     }
 
     #[test]
     fn compressed_image_is_current_version_and_smaller() {
         let c = compressible_sample();
-        let raw = c.to_bytes();
-        let z = c.to_bytes_with(Some(Level::Default));
+        let raw = image(4, &c, None);
+        let z = image(4, &c, Some(Level::Default));
         assert_eq!(z[4], CONTAINER_VERSION);
         assert!(
             z.len() < raw.len() / 2,
@@ -633,29 +559,28 @@ mod tests {
                 (x & 0xFF) as u8
             })
             .collect();
-        let mut c = Container::new(1);
-        c.push(SectionKind::MergedCtt, None, noise);
-        let z = c.to_bytes_with(Some(Level::Best));
-        assert_eq!(z, c.to_bytes(), "nothing compressed ⇒ same image as raw");
-        assert_eq!(read_back(&z).unwrap(), c);
+        let c = [section(SectionKind::MergedCtt, None, noise)];
+        let z = image(1, &c, Some(Level::Best));
+        assert_eq!(
+            z,
+            image(1, &c, None),
+            "nothing compressed ⇒ same image as raw"
+        );
+        assert_eq!(read_back(&z).unwrap(), (1, c.to_vec()));
     }
 
     #[test]
     fn per_section_encode_plus_assemble_matches_sequential() {
         // The parallel encode path: encode sections independently, assemble
-        // in order — must be byte-identical to the sequential writer.
+        // in order — byte-identical to encoding them in file order.
         let c = compressible_sample();
         for level in [None, Some(Level::Fast), Some(Level::Default)] {
             // Encode in reverse order to prove order independence, then
             // restore file order for assembly.
-            let mut encoded: Vec<EncodedSection> = c
-                .sections
-                .iter()
-                .rev()
-                .map(|s| encode_section(s, level))
-                .collect();
+            let mut encoded: Vec<EncodedSection> =
+                c.iter().rev().map(|s| encode_section(s, level)).collect();
             encoded.reverse();
-            assert_eq!(assemble(c.nprocs, &encoded), c.to_bytes_with(level));
+            assert_eq!(assemble(4, &encoded), image(4, &c, level));
         }
     }
 
@@ -664,8 +589,7 @@ mod tests {
         // Someone who recomputes the image trailer after tampering still
         // has to get past the per-section CRC over the stored bytes — for a
         // deflated section that is before any inflation.
-        let c = compressible_sample();
-        let mut bytes = c.to_bytes_with(Some(Level::Default));
+        let mut bytes = image(4, &compressible_sample(), Some(Level::Default));
         let n = bytes.len();
         bytes[n / 2] ^= 0xff;
         reseal(&mut bytes);
@@ -680,10 +604,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cypress-container-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job.cytc");
-        let c = sample();
-        c.write_file(&path).unwrap();
+        Container::write_image(&path, &image(8, &sample(), None)).unwrap();
         let back = read_back(&std::fs::read(&path).unwrap()).unwrap();
-        assert_eq!(back, c);
+        assert_eq!(back, (8, sample()));
         // No temp litter.
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()

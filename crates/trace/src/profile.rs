@@ -28,6 +28,7 @@ impl OpStats {
     /// exactly equivalent to `times` individual `add` calls, in O(1). This
     /// is how the compressed-domain query engine folds a merged leaf record
     /// (count × identical parameters, mean duration) without expansion.
+    /// Products and sums saturate, since a record may claim any count.
     pub fn add_repeated(&mut self, bytes: i64, dur: u64, times: u64) {
         if times == 0 {
             return;
@@ -35,9 +36,11 @@ impl OpStats {
         if self.calls == 0 {
             self.min_time_ns = dur;
         }
-        self.calls += times;
-        self.total_bytes += bytes.max(0) as u64 * times;
-        self.total_time_ns += dur * times;
+        self.calls = self.calls.saturating_add(times);
+        let volume = (bytes.max(0) as u64).saturating_mul(times);
+        self.total_bytes = self.total_bytes.saturating_add(volume);
+        let time = dur.saturating_mul(times);
+        self.total_time_ns = self.total_time_ns.saturating_add(time);
         self.min_time_ns = self.min_time_ns.min(dur);
         self.max_time_ns = self.max_time_ns.max(dur);
     }
@@ -64,6 +67,11 @@ pub struct Profile {
     /// messages with `2^(i-1) ≤ bytes < 2^i`; bucket 0 counts empty
     /// messages.
     pub size_buckets: Vec<u64>,
+}
+
+/// Σ `xs`, pinned at `u64::MAX`: the addends may come from a peer.
+pub(crate) fn saturating_sum(xs: &[u64]) -> u64 {
+    xs.iter().fold(0, |a, &b| a.saturating_add(b))
 }
 
 /// Power-of-two message-size bucket index: 0 for empty messages, otherwise
@@ -106,10 +114,11 @@ impl Profile {
             .entry(op)
             .or_default()
             .add_repeated(bytes, dur, times);
-        if rank < self.rank_mpi_time.len() {
-            self.rank_mpi_time[rank] += dur * times;
+        if let Some(t) = self.rank_mpi_time.get_mut(rank) {
+            *t = t.saturating_add(dur.saturating_mul(times));
         }
-        self.size_buckets[size_bucket(bytes.max(0) as u64)] += times;
+        let bucket = &mut self.size_buckets[size_bucket(bytes.max(0) as u64)];
+        *bucket = bucket.saturating_add(times);
     }
 
     /// Accumulate one raw record emitted by `rank`.
@@ -138,16 +147,18 @@ impl Profile {
 
     /// Total MPI calls.
     pub fn total_calls(&self) -> u64 {
-        self.by_op.values().map(|s| s.calls).sum()
+        self.by_op
+            .values()
+            .fold(0, |a, s| a.saturating_add(s.calls))
     }
 
     /// Aggregate MPI time fraction of aggregate app time.
     pub fn mpi_fraction(&self) -> f64 {
-        let app: u64 = self.rank_app_time.iter().sum();
+        let app = saturating_sum(&self.rank_app_time);
         if app == 0 {
             return 0.0;
         }
-        self.rank_mpi_time.iter().sum::<u64>() as f64 / app as f64
+        saturating_sum(&self.rank_mpi_time) as f64 / app as f64
     }
 
     /// Load-imbalance ratio: max rank MPI time / mean rank MPI time.
@@ -156,7 +167,7 @@ impl Profile {
             return 1.0;
         }
         let max = *self.rank_mpi_time.iter().max().expect("non-empty") as f64;
-        let mean = self.rank_mpi_time.iter().sum::<u64>() as f64 / self.rank_mpi_time.len() as f64;
+        let mean = saturating_sum(&self.rank_mpi_time) as f64 / self.rank_mpi_time.len() as f64;
         if mean == 0.0 {
             1.0
         } else {

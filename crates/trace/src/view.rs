@@ -345,33 +345,44 @@ impl<'a> ContainerView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::container::{Container, Section};
+    use crate::container::{assemble, encode_section, Section};
     use cypress_deflate::Level;
 
-    fn sample() -> Container {
-        let mut c = Container::new(4);
-        c.push(SectionKind::Meta, None, b"meta-payload".to_vec());
-        c.push(
-            SectionKind::CstText,
-            None,
-            b"Root() Loop()".repeat(50).to_vec(),
-        );
-        c.push(SectionKind::MergedCtt, None, vec![42; 4096]);
-        c.push(
-            SectionKind::RankCtt,
-            Some(3),
-            (0..500u32).map(|i| i as u8).collect(),
-        );
-        c
+    fn sample() -> Vec<Section> {
+        let section = |kind, rank, payload| Section {
+            kind,
+            rank,
+            payload,
+        };
+        vec![
+            section(SectionKind::Meta, None, b"meta-payload".to_vec()),
+            section(
+                SectionKind::CstText,
+                None,
+                b"Root() Loop()".repeat(50).to_vec(),
+            ),
+            section(SectionKind::MergedCtt, None, vec![42; 4096]),
+            section(
+                SectionKind::RankCtt,
+                Some(3),
+                (0..500u32).map(|i| i as u8).collect(),
+            ),
+        ]
+    }
+
+    /// The 4-rank image of `sections`, deflated at `level`.
+    fn image(sections: &[Section], level: Option<Level>) -> Vec<u8> {
+        let encoded: Vec<_> = sections.iter().map(|s| encode_section(s, level)).collect();
+        assemble(4, &encoded)
     }
 
     #[test]
     fn raw_image_is_served_zero_copy_with_no_inflation() {
         let c = sample();
-        let image = c.to_bytes();
+        let image = image(&c, None);
         let view = ContainerView::parse(&image).unwrap();
         assert_eq!(view.nprocs(), 4);
-        for (i, s) in c.sections.iter().enumerate() {
+        for (i, s) in c.iter().enumerate() {
             let p = view.payload(i).unwrap();
             assert_eq!(p, &s.payload[..], "section {i}");
             // Zero-copy: the returned slice points into the image itself.
@@ -385,7 +396,7 @@ mod tests {
     #[test]
     fn deflated_sections_inflate_exactly_once() {
         let c = sample();
-        let image = c.to_bytes_with(Some(Level::Default));
+        let image = image(&c, Some(Level::Default));
         let view = ContainerView::parse(&image).unwrap();
         assert_eq!(view.inflations(), 0, "parse alone must not inflate");
         let deflated = view
@@ -396,7 +407,7 @@ mod tests {
             .count();
         assert!(deflated > 0, "sample should compress");
         for _ in 0..3 {
-            for (i, s) in c.sections.iter().enumerate() {
+            for (i, s) in c.iter().enumerate() {
                 assert_eq!(view.payload(i).unwrap(), &s.payload[..]);
             }
         }
@@ -407,11 +418,12 @@ mod tests {
     #[test]
     fn table_metadata_matches_the_written_container() {
         let c = sample();
-        let image = c.to_bytes_with(Some(Level::Fast));
+        let image = image(&c, Some(Level::Fast));
         let table = SectionTable::parse(&image).unwrap();
         assert_eq!(table.version, CONTAINER_VERSION);
-        assert_eq!(table.len(), c.sections.len());
-        assert_eq!(table.payload_bytes(), c.payload_bytes());
+        assert_eq!(table.len(), c.len());
+        let payload_bytes: usize = c.iter().map(|s| s.payload.len()).sum();
+        assert_eq!(table.payload_bytes(), payload_bytes);
         assert_eq!(table.find(SectionKind::MergedCtt), Some(2));
         assert_eq!(table.rank_indices().collect::<Vec<_>>(), vec![3]);
     }
@@ -426,9 +438,9 @@ mod tests {
             rank: None,
             payload: vec![7; 1024],
         };
-        let encoded = crate::container::encode_section(&section, Some(Level::Default));
+        let encoded = encode_section(&section, Some(Level::Default));
         assert!(encoded.stored_len() < 1024, "sample should compress");
-        let image = crate::container::assemble(4, &[encoded]);
+        let image = assemble(4, &[encoded]);
         let mut table = SectionTable::parse(&image).unwrap();
         table.sections[0].raw_len += 1;
         let arena = PayloadArena::new(table.len());

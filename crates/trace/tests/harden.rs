@@ -11,26 +11,28 @@
 //! on their own: the crafted-image cases at the end re-seal each edit.
 
 use cypress_deflate::{crc32, Level};
-use cypress_trace::{Container, ContainerError, Encoder, SectionKind, SectionTable};
+use cypress_trace::{assemble, encode_payload, ContainerError, Encoder, SectionKind, SectionTable};
 
 /// A container with every section kind the pipeline writes, sized so the
 /// exhaustive sweeps below stay fast.
 fn sample(level: Option<Level>) -> Vec<u8> {
-    let mut c = Container::new(4);
-    c.push(SectionKind::Meta, None, b"meta payload bytes".to_vec());
-    c.push(
-        SectionKind::CstText,
-        None,
-        b"Root() Loop(12) Leaf(3)".repeat(20).to_vec(),
-    );
-    c.push(
-        SectionKind::MergedCtt,
-        None,
-        (0..800u32).map(|i| (i % 251) as u8).collect(),
-    );
-    c.push(SectionKind::RankCtt, Some(0), vec![9; 300]);
-    c.push(SectionKind::RankCtt, Some(1), vec![11; 300]);
-    c.to_bytes_with(level)
+    let merged: Vec<u8> = (0..800u32).map(|i| (i % 251) as u8).collect();
+    let sections: [(SectionKind, Option<u32>, &[u8]); 5] = [
+        (SectionKind::Meta, None, b"meta payload bytes"),
+        (
+            SectionKind::CstText,
+            None,
+            &b"Root() Loop(12) Leaf(3)".repeat(20),
+        ),
+        (SectionKind::MergedCtt, None, &merged),
+        (SectionKind::RankCtt, Some(0), &[9; 300]),
+        (SectionKind::RankCtt, Some(1), &[11; 300]),
+    ];
+    let encoded: Vec<_> = sections
+        .iter()
+        .map(|&(kind, rank, payload)| encode_payload(kind, rank, payload, level))
+        .collect();
+    assemble(4, &encoded)
 }
 
 fn assert_rejected(bytes: &[u8], what: &str) {

@@ -4,9 +4,7 @@
 //! Run with: `cargo run --release --example compare_compressors [workload] [nprocs]`
 //! (defaults: `lu 16`; try `sp 16` for CYPRESS's hard case).
 
-use cypress::baselines::{
-    Scala2Config, Scala2Merged, Scala2Trace, ScalaConfig, ScalaMerged, ScalaTrace,
-};
+use cypress::baselines::{Scala2Merged, Scala2Trace, ScalaMerged, ScalaTrace};
 use cypress::core::{compress_trace, decompress, merge_all, CompressConfig};
 use cypress::deflate::{gzip_compress, Level};
 use cypress::trace::codec::Codec;
@@ -34,10 +32,7 @@ fn main() {
         .sum();
 
     // ScalaTrace: lossless RSD folding + O(n²) alignment merge.
-    let st: Vec<ScalaTrace> = traces
-        .iter()
-        .map(|t| ScalaTrace::compress(t, &ScalaConfig::default()))
-        .collect();
+    let st: Vec<ScalaTrace> = traces.iter().map(ScalaTrace::compress).collect();
     for (t, s) in traces.iter().zip(&st) {
         assert_eq!(
             s.expand().len(),
@@ -48,10 +43,7 @@ fn main() {
     let st_size = ScalaMerged::merge_all(&st).encoded_size();
 
     // ScalaTrace-2: elastic (partially lossy) folding.
-    let st2: Vec<Scala2Trace> = traces
-        .iter()
-        .map(|t| Scala2Trace::compress(t, &Scala2Config::default()))
-        .collect();
+    let st2: Vec<Scala2Trace> = traces.iter().map(Scala2Trace::compress).collect();
     let st2_size = Scala2Merged::merge_all(&st2).encoded_size();
 
     // CYPRESS: static CST + top-down CTT compression.

@@ -94,6 +94,17 @@ for f in $flags; do
   grep -qe "$f\b" <<<"$usage" || { echo "FLAGS has $f, which usage() does not explain"; exit 1; }
 done
 
+echo "== knob census: settings with one value in use stay constants =="
+# scripts/recount.sh's counts may only fall; the deleted modes and flags
+# stay deleted (DESIGN §4c names the consumer of every surviving knob).
+census=$(scripts/recount.sh)
+test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 32 \
+  || { echo "more *Config/*Options fields than the census allows"; exit 1; }
+test "$(sed -n 's/^CLI flag literals: //p' <<<"$census")" -le 22 \
+  || { echo "more CLI flags than the census allows"; exit 1; }
+! grep -rnwE 'TimeMode|enum Strategy|ScalaConfig|Scala2Config' crates/*/src src || exit 1
+! grep -rnF -e '"--strategy"' -e '"--workers"' -e '"--hotspots"' crates/*/src src || exit 1
+
 echo "== byte-identity suites present (cargo test below runs them) =="
 # interp_golden and ctt_golden pin the event stream and the CTT bytes against
 # committed tables; the others compare computations, transports and formats
@@ -161,7 +172,9 @@ echo "$inspect_out" | grep -q "MPI events" || { echo "inspect missing event coun
 query_out=$(cargo run -q --bin cypress -- query "$smoke/stencil.cytc")
 echo "$query_out" | grep -q "evaluated via symbolic" || { echo "query not symbolic"; exit 1; }
 echo "$query_out" | grep -q "Hot spots by GID" || { echo "query missing hot spots"; exit 1; }
-expand_out=$(cargo run -q --bin cypress -- query "$smoke/stencil.cytc" --strategy expand)
+# A full-span window forces partial expansion and keeps every op.
+expand_out=$(cargo run -q --bin cypress -- query "$smoke/stencil.cytc" \
+  --window 0:18446744073709551615)
 echo "$expand_out" | grep -q "evaluated via partial-expansion" \
   || { echo "forced expansion failed"; exit 1; }
 echo "$inspect_out" | grep -q "crc32 checks verified" \
@@ -276,12 +289,12 @@ grep -q "cypress queryd serving" "$smoke/queryd.log" \
 qd_addr=$(sed -n 's/.* on \(.*\) (query with.*/\1/p' "$smoke/queryd.log")
 test -n "$qd_addr" || { echo "could not parse queryd address"; kill "$qd_pid" 2>/dev/null; exit 1; }
 # The daemon's answer must be byte-identical to local evaluation — same
-# JSON, for the raw container and for both strategies.
+# JSON, for the raw container, symbolic and expanded (full-span window).
 diff <("$cypress_bin" query --connect "$qd_addr" stencil --json) \
      <("$cypress_bin" query "$smoke/stencil.cytc" --json) \
   || { echo "remote query differs from local"; kill "$qd_pid" 2>/dev/null; exit 1; }
-diff <("$cypress_bin" query --connect "$qd_addr" stencil --strategy expand --json) \
-     <("$cypress_bin" query "$smoke/stencil.cytc" --strategy expand --json) \
+diff <("$cypress_bin" query --connect "$qd_addr" stencil --window 0:18446744073709551615 --json) \
+     <("$cypress_bin" query "$smoke/stencil.cytc" --window 0:18446744073709551615 --json) \
   || { echo "remote expand query differs from local"; kill "$qd_pid" 2>/dev/null; exit 1; }
 # Compressed-domain analysis: the daemon's answers must match local
 # evaluation byte-for-byte, for replay prediction and late-sender

@@ -9,9 +9,10 @@ cd "$(dirname "$0")/.."
 find crates/*/src src -name '*.rs' -print0 | sort -z \
   | xargs -0 awk 'FNR == 1 {t = 0} /^ *#\[cfg\(test\)\]/ {t = 1} !t {n++} END {print "non-test lines:", n}'
 
-# Pub fields of every `pub struct *Config` / `*Options`.
+# Pub fields of every `pub struct *Config` / `*Options` (names may hold
+# digits: `Scala2Config`, `ns_per_byte_x1000`).
 find crates/*/src src -name '*.rs' -print0 | sort -z \
-  | xargs -0 awk '/^pub struct [A-Za-z]*(Config|Options)[ <{]/ {s = 1} s && /^    pub [a-z_]+:/ {n++} /^}/ {s = 0}
+  | xargs -0 awk '/^pub struct [A-Za-z0-9]*(Config|Options)[ <{]/ {s = 1} s && /^    pub [a-z0-9_]+:/ {n++} /^}/ {s = 0}
                   END {print "Config/Options pub fields:", n}'
 
 echo "CLI flag literals: $(grep -oE '"--[a-z-]+"' src/bin/cypress.rs | sort -u | wc -l)"

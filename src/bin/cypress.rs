@@ -13,7 +13,7 @@
 //!                                             (lazy view: raw sections are never
 //!                                             copied, nothing is inflated up front)
 //! cypress query FILE                          compressed-domain analysis of a .cytc
-//!   [--hotspots N] [--strategy auto|symbolic|expand] [--window S:E] [--json]
+//!   [--limit N] [--window S:E] [--json]
 //! cypress query --connect ADDR JOB            same analysis served by a queryd
 //!                                             daemon (byte-identical to local)
 //! cypress analyze predict FILE                CTT-native LogGP replay prediction
@@ -53,7 +53,7 @@ use cypress::net::{
     CollectorConfig, TreeConfig,
 };
 use cypress::obs::json_str;
-use cypress::query::{QueryOptions, QueryResult, Strategy, Window};
+use cypress::query::{QueryOptions, QueryResult, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
@@ -188,9 +188,8 @@ USAGE:
                [--level fast|default|best] [--threads <n>]
   cypress decompress <file> [-r <rank>]
   cypress inspect <file> [--json]
-  cypress query <file> [--hotspots <n>] [--strategy auto|symbolic|expand]
-               [--window <start>:<end>] [--json]
-  cypress query --connect <addr> <job> [--hotspots <n>] [--strategy ...] [--json]
+  cypress query <file> [--limit <n>] [--window <start>:<end>] [--json]
+  cypress query --connect <addr> <job> [--limit <n>] [--window ...] [--json]
   cypress analyze predict <file> [--window <start>:<end>] [--json]
   cypress analyze latesender <file> [--limit <n>] [--window <start>:<end>] [--json]
   cypress analyze diff <fileA> <fileB> [--window <start>:<end>] [--json]
@@ -200,7 +199,7 @@ USAGE:
   cypress stats --connect <addr> [--json]
   cypress simulate <prog.mpi> -n <procs>
   cypress serve --listen <addr> --out <file> [--per-rank] [--timeout <secs>]
-               [--workers <n>] [--level fast|default|best] [--threads <n>]
+               [--level fast|default|best] [--threads <n>]
                [--stats-addr <addr>] [--tree <relays> -n <procs>]
   cypress submit <prog.mpi> --rank <r> -n <procs> --connect <addr>
                [--mode stream|ctt] [--attempts <n>] [--level <l>|none]
@@ -211,12 +210,11 @@ OPTIONS:
                (fast, default, best; omitted = raw sections);
                submit --mode ctt: wire compression level, or `none`
   --threads    compress/serve: workers for parallel section encoding
-  --hotspots   number of GID hot spots to print (default 10)
-  --strategy   query evaluation: auto (default), symbolic (always fold the
-               CTT in O(|CTT|)), expand (always stream-decompress)
   --window     query/analyze: restrict to ops whose reconstructed start time
-               falls in [start, end) nanoseconds (forces O(events) replay)
-  --limit      analyze latesender: wait sites to print (default 10)
+               falls in [start, end) nanoseconds (forces O(events) replay;
+               0:18446744073709551615 keeps every op)
+  --limit      query: GID hot spots to print; analyze latesender: wait
+               sites to print (default 10)
   --metrics    collect pipeline metrics; print a report and append
                results/metrics.jsonl on exit
   --trace-out  record a structured timeline and write Chrome trace-event
@@ -292,6 +290,16 @@ fn threads_of(args: &[String]) -> cypress::Result<Option<usize>> {
     }
 }
 
+/// `--limit`: rows of a ranked report to print (default 10).
+fn limit_of(args: &[String]) -> cypress::Result<usize> {
+    match flag(args, "--limit") {
+        None => Ok(10),
+        Some(s) => s
+            .parse()
+            .map_err(|e| Error::Invalid(format!("bad --limit value: {e}"))),
+    }
+}
+
 fn rank_of(args: &[String]) -> cypress::Result<u32> {
     match flag(args, "-r") {
         None => Ok(0),
@@ -306,7 +314,6 @@ fn rank_of(args: &[String]) -> cypress::Result<u32> {
 const FLAGS: &[(&str, bool)] = &[
     ("--attempts", true),
     ("--connect", true),
-    ("--hotspots", true),
     ("--json", false),
     ("--level", true),
     ("--limit", true),
@@ -321,13 +328,11 @@ const FLAGS: &[(&str, bool)] = &[
     ("--rank", true),
     ("--stats-addr", true),
     ("--store", true),
-    ("--strategy", true),
     ("--threads", true),
     ("--timeout", true),
     ("--trace-out", true),
     ("--tree", true),
     ("--window", true),
-    ("--workers", true),
     ("-n", true),
     ("-o", true),
     ("-r", true),
@@ -690,25 +695,8 @@ fn cmd_inspect(args: &[String]) -> CliResult {
 /// `--connect ADDR JOB` asks a resident `cypress queryd` daemon instead of
 /// reading a local file; the answer is byte-identical either way.
 fn cmd_query(args: &[String]) -> CliResult {
-    let limit: usize = match flag(args, "--hotspots") {
-        None => 10,
-        Some(s) => s
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --hotspots value: {e}")))?,
-    };
-    let strategy = match flag(args, "--strategy").as_deref() {
-        None | Some("auto") => Strategy::Auto,
-        Some("symbolic") => Strategy::Symbolic,
-        Some("expand") => Strategy::PartialExpansion,
-        Some(other) => {
-            return Err(Error::Invalid(format!(
-                "unknown strategy `{other}` (expected auto, symbolic, or expand)"
-            )))
-        }
-    };
+    let limit = limit_of(args)?;
     let opts = QueryOptions {
-        strategy,
-        hotspot_limit: limit,
         window: window_of(args)?,
     };
     let (label, q) = if let Some(connect) = flag(args, "--connect") {
@@ -756,12 +744,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     let json = has_flag(args, "--json");
     let window = window_of(args)?;
     let opts = AnalyzeOptions { window };
-    let limit: usize = match flag(args, "--limit") {
-        None => 10,
-        Some(s) => s
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --limit value: {e}")))?,
-    };
+    let limit = limit_of(args)?;
     let connect = match flag(args, "--connect") {
         Some(c) => Some(Addr::parse(&c)?),
         None => None,
@@ -804,11 +787,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         "diff" => {
             let a = operand(1, "first container/job")?;
             let b = operand(2, "second container/job")?;
-            let qopts = QueryOptions {
-                strategy: Strategy::Auto,
-                hotspot_limit: limit,
-                window,
-            };
+            let qopts = QueryOptions { window };
             let summarize = |name: &str| -> cypress::Result<JobSummary> {
                 let (query, analyze) = match &connect {
                     Some(addr) => {
@@ -924,11 +903,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .parse()
             .map_err(|e| Error::Invalid(format!("bad --timeout value: {e}")))?;
         cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
-    if let Some(w) = flag(args, "--workers") {
-        cfg.workers = w
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --workers value: {e}")))?;
     }
 
     let level = level_of(args)?.unwrap_or(None);

@@ -175,7 +175,10 @@ impl Ingest {
 }
 
 /// Everything a [`Pipeline`] run needs beyond the program and rank count —
-/// the typed replacement for the builder's accreted per-knob methods.
+/// the typed replacement for the builder's accreted per-knob methods. Ranks
+/// compress with the default [`CompressConfig`] and [`SessionConfig`]: the
+/// paper's window of one, relative ranks, and the default checkpoint
+/// cadence (`compress_trace` takes the ablation's other settings).
 ///
 /// ```
 /// use cypress::{Level, Pipeline, PipelineConfig};
@@ -194,12 +197,8 @@ impl Ingest {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
-    /// Compression knobs (window, time mode, relative ranks).
-    pub compress: CompressConfig,
-    /// Interpreter knobs (step budget, virtual time model).
+    /// Interpreter knobs (step budget).
     pub interp: InterpConfig,
-    /// Streaming-session knobs (checkpoint cadence).
-    pub session: SessionConfig,
     /// Worker-pool width for rank execution, merging, and section encoding.
     pub threads: usize,
     // Placeholder for `benchmark/`; [`Pipeline::run`] never reads it. Goes
@@ -214,9 +213,7 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            compress: CompressConfig::default(),
             interp: InterpConfig::default(),
-            session: SessionConfig::default(),
             threads: default_threads(),
             mode: Ingest::Sequential,
             level: None,
@@ -290,8 +287,8 @@ impl Pipeline {
                 &info.cst,
                 rank,
                 nprocs,
-                cfg.compress.clone(),
-                cfg.session.clone(),
+                CompressConfig::default(),
+                SessionConfig::default(),
             );
             let app_time =
                 run_rank_with_sink(&prog, &info, rank, nprocs, &cfg.interp, &mut session)?;
@@ -530,7 +527,7 @@ mod tests {
         .unwrap();
         let b: Vec<Ctt> = traces
             .iter()
-            .map(|t| cypress_core::compress_trace(&a.info.cst, t, &cfg.compress))
+            .map(|t| cypress_core::compress_trace(&a.info.cst, t, &CompressConfig::default()))
             .collect();
         assert_eq!(a.ctts, b);
         assert_eq!(a.stats.len(), 6);

@@ -1,7 +1,7 @@
 //! Cross-compressor consistency: every method must account for the same
 //! operations, and the lossless ones must reproduce them exactly.
 
-use cypress::baselines::{Scala2Config, Scala2Trace, ScalaConfig, ScalaTrace};
+use cypress::baselines::{Scala2Trace, ScalaTrace};
 use cypress::core::{compress_trace, CompressConfig, EncParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 
@@ -20,14 +20,14 @@ fn all_methods_account_for_every_operation() {
                 "{name}: CYPRESS lost ops on rank {}",
                 t.rank
             );
-            let st = ScalaTrace::compress(t, &ScalaConfig::default());
+            let st = ScalaTrace::compress(t);
             assert_eq!(
                 st.expand().len() as u64,
                 n,
                 "{name}: ScalaTrace lost ops on rank {}",
                 t.rank
             );
-            let st2 = Scala2Trace::compress(t, &Scala2Config::default());
+            let st2 = Scala2Trace::compress(t);
             assert_eq!(
                 st2.op_count(),
                 n,
@@ -46,7 +46,7 @@ fn scalatrace_expansion_matches_encoded_events() {
         let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
         let traces = w.trace().unwrap();
         for t in &traces {
-            let st = ScalaTrace::compress(t, &ScalaConfig::default());
+            let st = ScalaTrace::compress(t);
             let expanded = st.expand();
             let want: Vec<EncParams> = t
                 .mpi_records()
@@ -89,7 +89,7 @@ fn cypress_beats_dynamic_folding_on_loop_count_variation() {
         let info = cypress::cst::analyze_program(&prog);
         let t = &trace_program(&prog, &info, 2, &InterpConfig::default()).unwrap()[0];
         let cy = compress_trace(&info.cst, t, &CompressConfig::default());
-        let st = ScalaTrace::compress(t, &ScalaConfig::default());
+        let st = ScalaTrace::compress(t);
         (cy.record_count(), st.len())
     };
     let (cy_small, st_small) = sizes(10);
@@ -109,8 +109,8 @@ fn scalatrace2_elastic_beats_scalatrace_on_varied_params() {
     let w = by_name("sp", 9, Scale::Quick).unwrap();
     let traces = w.trace().unwrap();
     let t = &traces[4];
-    let st = ScalaTrace::compress(t, &ScalaConfig::default());
-    let st2 = Scala2Trace::compress(t, &Scala2Config::default());
+    let st = ScalaTrace::compress(t);
+    let st2 = Scala2Trace::compress(t);
     assert!(
         st2.len() * 4 < st.len(),
         "elastic folding should collapse SP ({} vs {})",

@@ -29,10 +29,7 @@ fn counts(src: &str) -> Vec<i64> {
 fn unchecked(src: &str, max_steps: u64) -> (Vec<Event>, Result<u64, String>) {
     let prog = parse(src).expect("parses");
     let info = analyze_program(&prog);
-    let cfg = InterpConfig {
-        max_steps,
-        ..InterpConfig::default()
-    };
+    let cfg = InterpConfig { max_steps };
     let mut events: Vec<Event> = Vec::new();
     let end = run_rank_with_sink(&prog, &info, 0, 1, &cfg, &mut events);
     (events, end.map_err(|e| e.to_string()))

@@ -129,47 +129,6 @@ fn gzip_layer_is_lossless_over_merged_trace() {
 }
 
 #[test]
-fn histogram_time_mode_round_trips_sequences() {
-    use cypress::core::TimeMode;
-    let w = by_name("bt", 9, Scale::Quick).unwrap();
-    let (_, info) = w.compile();
-    let traces = w.trace().unwrap();
-    let cfg = CompressConfig {
-        time_mode: TimeMode::Histogram,
-        ..CompressConfig::default()
-    };
-    for t in &traces {
-        let ctt = compress_trace(&info.cst, t, &cfg);
-        let replay = decompress(&info.cst, &ctt);
-        assert_eq!(strip_replay(&replay), strip_raw(t), "rank {}", t.rank);
-        // Histogram means are coarse but positive for real durations.
-        assert!(replay.iter().all(|o| o.mean_dur > 0));
-    }
-}
-
-#[test]
-fn no_time_mode_shrinks_the_artifact() {
-    use cypress::core::TimeMode;
-    let w = by_name("lu", 8, Scale::Quick).unwrap();
-    let (_, info) = w.compile();
-    let traces = w.trace().unwrap();
-    let with_time = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
-    let without = compress_trace(
-        &info.cst,
-        &traces[0],
-        &CompressConfig {
-            time_mode: TimeMode::None,
-            ..CompressConfig::default()
-        },
-    );
-    assert!(without.to_bytes().len() < with_time.to_bytes().len());
-    // Sequences still identical.
-    let a = decompress(&info.cst, &with_time);
-    let b = decompress(&info.cst, &without);
-    assert_eq!(strip_replay(&a), strip_replay(&b));
-}
-
-#[test]
 fn merge_is_associative_over_contiguous_partitions() {
     // DESIGN §5: merging per-rank CTTs must give the same result no matter
     // how the (rank-ordered) reduction tree is shaped. Exercise several

@@ -9,7 +9,8 @@
 
 use cypress::core::{compress_trace, merge_all, CompressConfig};
 use cypress::query::{
-    query_by_decompression, query_ctts, query_merged, QueryOptions, QueryResult, Strategy,
+    query_by_decompression, query_ctts, query_merged, QueryOptions, QueryResult, StrategyUsed,
+    Window,
 };
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 use cypress::{read_container, Pipeline};
@@ -95,16 +96,17 @@ fn forced_partial_expansion_equals_symbolic() {
             .map(|t| compress_trace(&info.cst, t, &cfg))
             .collect();
 
-        let sym = QueryOptions {
-            strategy: Strategy::Symbolic,
-            ..QueryOptions::default()
-        };
+        // A full-span window is how a caller forces partial expansion.
         let exp = QueryOptions {
-            strategy: Strategy::PartialExpansion,
-            ..QueryOptions::default()
+            window: Some(Window {
+                start_ns: 0,
+                end_ns: u64::MAX,
+            }),
         };
-        let q = query_ctts(&info.cst, &ctts, &sym).unwrap();
+        let q = query_ctts(&info.cst, &ctts, &QueryOptions::default()).unwrap();
         let r = query_ctts(&info.cst, &ctts, &exp).unwrap();
+        assert_eq!(q.strategy, StrategyUsed::Symbolic, "{name}");
+        assert_eq!(r.strategy, StrategyUsed::PartialExpansion, "{name}");
         assert_same(name, &q, &r);
     }
 }

@@ -64,9 +64,10 @@ fn all_three_query_paths_agree_on_bundled_workloads() {
     let opts = [
         QueryOptions::default(),
         QueryOptions {
-            strategy: cypress::query::Strategy::PartialExpansion,
-            hotspot_limit: 5,
-            window: None,
+            window: Some(cypress::query::Window {
+                start_ns: 0,
+                end_ns: u64::MAX,
+            }),
         },
     ];
     for (name, local) in names.into_iter().zip(&jobs) {

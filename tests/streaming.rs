@@ -3,7 +3,7 @@
 //! `compress_trace` it) at every pool width, and the on-disk container must
 //! round trip every workload's exact event sequence without re-simulation.
 
-use cypress::core::{compress_trace, merge_all, merge_all_parallel, Ctt};
+use cypress::core::{compress_trace, merge_all, merge_all_parallel, CompressConfig, Ctt};
 use cypress::runtime::{trace_program_parallel, InterpConfig};
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
@@ -55,7 +55,7 @@ fn streaming_merged_bytes_equal_batch_on_all_workloads() {
         let batch: Vec<Ctt> = trace_program_parallel(&prog, &info, w.nprocs, &cfg.interp, 4)
             .unwrap_or_else(|e| panic!("{name}: offline trace failed: {e}"))
             .iter()
-            .map(|t| compress_trace(&info.cst, t, &cfg.compress))
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
             .collect();
 
         assert_eq!(stream.ctts, batch, "{name}: per-rank CTTs diverged");
@@ -138,10 +138,7 @@ fn interpreter_error_mid_stream_surfaces_as_runtime_error() {
         .ranks(8)
         .configure(PipelineConfig {
             threads: 2,
-            interp: InterpConfig {
-                max_steps: 5_000,
-                ..InterpConfig::default()
-            },
+            interp: InterpConfig { max_steps: 5_000 },
             ..PipelineConfig::default()
         })
         .run();

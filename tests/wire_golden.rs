@@ -46,13 +46,19 @@ impl Visitor for Golden {
         }
         self.0 += 1;
     }
+
+    fn refused_ctt(&mut self, name: &str, hex: &str, why: &str) {
+        let err = CttSlab::from_bytes(&unhex(hex)).expect_err(name);
+        assert!(err.0.contains(why), "{name}: {err}");
+        self.0 += 1;
+    }
 }
 
 #[test]
 fn every_payload_encodes_to_its_pre_refactor_bytes() {
     let mut g = Golden(0);
     for_each_sample(&mut g);
-    assert_eq!(g.0, frames().len() + 13, "a sample went missing");
+    assert_eq!(g.0, frames().len() + 14, "a sample went missing");
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! One fixed sample of every payload this build puts on a socket or into a
 //! container section, next to the bytes the commit *before* the one-codec
-//! refactor wrote for it (captured there, never regenerated). The golden test
+//! refactor wrote for it (captured there; a row re-captured since says which
+//! change moved it). The golden test
 //! in `wire_golden.rs` holds today's encoders to those bytes; `wire_sweep.rs`
 //! feeds the same samples to the hostile-bytes sweep.
 //!
@@ -9,14 +10,13 @@
 
 use cypress::analysis::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
 use cypress::core::{
-    merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, TimeMode, TimeStats,
-    VertexData,
+    merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, TimeStats, VertexData,
 };
 use cypress::net::proto::{codes, Hello, MergedBlock};
 use cypress::net::{
     ClientStat, ClientState, Frame, QuantileStat, Stats, SubmitMode, PROTO_VERSION, STATS_VERSION,
 };
-use cypress::query::{HotSpot, QueryResult, RankTotals, Strategy, StrategyUsed, Window};
+use cypress::query::{HotSpot, QueryResult, RankTotals, StrategyUsed, Window};
 use cypress::simmpi::{SimResult, WaitReport, WaitSite};
 use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Profile, ANY_SOURCE};
 use cypress::{MetaInfo, QueryOptions, StageSummary, TelemetrySummary, TELEMETRY_VERSION};
@@ -28,6 +28,8 @@ use std::fmt::Debug;
 pub trait Visitor {
     fn visit<T: Codec + PartialEq + Debug>(&mut self, name: &str, sample: &T, golden_hex: &str);
     fn visit_ctt(&mut self, name: &str, sample: &Ctt, golden_hex: &str);
+    /// Rank-CTT bytes this build refuses, with what the error must say.
+    fn refused_ctt(&mut self, name: &str, hex: &str, why: &str);
 }
 
 pub fn unhex(hex: &str) -> Vec<u8> {
@@ -109,11 +111,7 @@ fn window() -> Option<Window> {
 }
 
 fn windowed_query_options() -> QueryOptions {
-    QueryOptions {
-        strategy: Strategy::Symbolic,
-        hotspot_limit: 25,
-        window: window(),
-    }
+    QueryOptions { window: window() }
 }
 
 fn query_result() -> QueryResult {
@@ -247,16 +245,15 @@ fn meta() -> MetaInfo {
 /// One rank of a four-rank job, written out by hand so the sample cannot move
 /// with the compressor: an outer loop over a branch (relative-peer `isend`,
 /// wildcard `irecv`, a `waitall` naming both requests) and a triangular inner
-/// loop whose leaf holds two records, then a histogram-timed collective. Rank
-/// 0 takes the branch on other iterations and rank 3's peer wraps, so the
-/// merge of all four forms more than one group.
+/// loop whose leaf holds two records, then a collective. Rank 0 takes the
+/// branch on other iterations and rank 3's peer wraps, so the merge of all
+/// four forms more than one group.
 pub fn rank_ctt(rank: u32) -> Ctt {
-    let stats = |mode, xs: &[u64]| {
-        let mut t = TimeStats::new(mode);
+    let mean = |xs: &[u64]| {
+        let mut t = TimeStats::new();
         xs.iter().for_each(|&x| t.add(x));
         t
     };
-    let mean = |xs: &[u64]| stats(TimeMode::MeanStd, xs);
     let rec = |op, p: &MpiParams, count, time, gap| LeafRecord {
         params: EncParams::encode(rank as i64, op, p),
         count,
@@ -325,7 +322,7 @@ pub fn rank_ctt(rank: u32) -> Ctt {
                         &MpiParams::send((rank as i64 + 3) % 4, 128, 1),
                         5,
                         mean(&[60, 61, 62, 63, 64]),
-                        TimeStats::new(TimeMode::MeanStd),
+                        TimeStats::new(),
                     ),
                 ],
             },
@@ -334,8 +331,8 @@ pub fn rank_ctt(rank: u32) -> Ctt {
                     MpiOp::Allreduce,
                     &MpiParams::collective(8),
                     1,
-                    stats(TimeMode::Histogram, &[70_000 + r]),
-                    stats(TimeMode::Histogram, &[3]),
+                    mean(&[70_000 + r]),
+                    mean(&[3]),
                 )],
             },
         ],
@@ -499,16 +496,17 @@ pub fn for_each_sample(v: &mut impl Visitor) {
         &stats(),
         "01d285d8cc040805c0b802f4c8b90f0202040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
     );
-    v.visit("QueryOptions", &QueryOptions::default(), "01000a00");
+    // Query blobs at query wire version 2, whose options carry the window alone.
+    v.visit("QueryOptions", &QueryOptions::default(), "0200");
     v.visit(
         "QueryOptions+window",
         &windowed_query_options(),
-        "01011901e807fface204",
+        "0201e807fface204",
     );
     v.visit(
         "QueryResult",
         &query_result(),
-        "0103010300960100000000f0a204000003000c8060a4032323010c8060b8085a5a090318f02ed00fd00f03a403b808f02e03c0843d00809f492800000000030000000000001800000000000000000000000000000000000000000000000000000000038060000d0080600d0000000207000c80600e4c6f6f702333203e204272542335c8010903000024",
+        "0203010300960100000000f0a204000003000c8060a4032323010c8060b8085a5a090318f02ed00fd00f03a403b808f02e03c0843d00809f492800000000030000000000001800000000000000000000000000000000000000000000000000000000038060000d0080600d0000000207000c80600e4c6f6f702333203e204272542335c8010903000024",
     );
     v.visit("AnalyzeOptions", &AnalyzeOptions::default(), "0100");
     v.visit(
@@ -542,7 +540,11 @@ pub fn for_each_sample(v: &mut impl Visitor) {
         "076379707265737305302e312e3004e80780f403",
     );
     // `crates/core`'s section payloads, captured on the commit before its
-    // decoders moved onto the combinators.
-    v.visit_ctt("Ctt", &rank_ctt(1), "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201");
-    v.visit("MergedCtt", &merged_ctt(), "040180897a220401090001010100020401010114000101010201000001010201020405010102020301020100040501020102010002030102030200008040010e01000005030f00ac833700ecb490eaed0778e0a712030f0098750098c89307de07f207010600010102030500008040010e01000005030500e6ab1200b695b0a3cf027be0a7120305008827008898b102de07f2070201010100020401030001008040010e01000005031400a0060088fa0127290314000000000000020101010002040105000000010101010002030405031400cee519008eedc2e04db442f0a204031400ac020094230f0f01010100020401010100020a01020202010000010100030600008001010001000028032800981100a8b1073737032800c03e0080d461c801c801010202030100030100008001010001000028037800c83300f893163737037800c0bb010080fca402c801c80102010000010100030600008002010201000005030500b602009e96013c400300000000000000010202030100030100008002010201000005030f00a20700dac2033c4003000000000000000201010100020401090000001001010100000101040111040104010204");
+    // decoders moved onto the combinators and re-captured when the
+    // collective's histogram timing became exact moments.
+    v.visit_ctt("Ctt", &rank_ctt(1), "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c40030000000000000003010900000010010101000001030100f1a20400e1e7c8a012f1a204f1a2040301000300090303");
+    // The same rank as the build with three time modes wrote it, its
+    // collective timed by a histogram: refused, naming the tag.
+    v.refused_ctt("Ctt/histogram", "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201", "TimeStats tag 1 ");
+    v.visit("MergedCtt", &merged_ctt(), "040180897a220401090001010100020401010114000101010201000001010201020405010102020301020100040501020102010002030102030200008040010e01000005030f00ac833700ecb490eaed0778e0a712030f0098750098c89307de07f207010600010102030500008040010e01000005030500e6ab1200b695b0a3cf027be0a7120305008827008898b102de07f2070201010100020401030001008040010e01000005031400a0060088fa0127290314000000000000020101010002040105000000010101010002030405031400cee519008eedc2e04db442f0a204031400ac020094230f0f01010100020401010100020a01020202010000010100030600008001010001000028032800981100a8b1073737032800c03e0080d461c801c801010202030100030100008001010001000028037800c83300f893163737037800c0bb010080fca402c801c80102010000010100030600008002010201000005030500b602009e96013c400300000000000000010202030100030100008002010201000005030f00a20700dac2033c40030000000000000002010101000204010900000010010101000001030400c68b1100ceaab48249f0a204f3a2040304000c00240303");
 }
