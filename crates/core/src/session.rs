@@ -218,11 +218,6 @@ impl<'a> CompressSession<'a> {
         &self.stats
     }
 
-    /// Current live CTT footprint (without recording a checkpoint).
-    pub fn live_bytes(&self) -> usize {
-        self.inner.approx_bytes()
-    }
-
     /// Close the session: flush deferred wildcard receives, close open
     /// structures, and return the per-process CTT plus final stats. The
     /// `session` metrics are flushed here, once, from the stats.

@@ -54,10 +54,6 @@ impl VertexKind {
         matches!(self, VertexKind::Loop { .. })
     }
 
-    pub fn is_branch(&self) -> bool {
-        matches!(self, VertexKind::Branch { .. })
-    }
-
     pub fn is_user_call(&self) -> bool {
         matches!(self, VertexKind::UserCall { .. })
     }

@@ -61,11 +61,6 @@ impl BitWriter {
         self.align_byte();
         self.out
     }
-
-    /// Bits written so far (useful for size accounting).
-    pub fn bit_len(&self) -> u64 {
-        self.out.len() as u64 * 8 + self.nbits as u64
-    }
 }
 
 /// Reverse the low `n` bits of `v`.

@@ -136,51 +136,7 @@ impl EventSink for ChunkSink<'_> {
     }
 }
 
-/// Returns `already_done`. A collector that acks with any version but our
-/// own is a different protocol: stop before sending it anything else.
-fn hello_exchange(
-    stream: &mut Stream,
-    rank: u32,
-    nprocs: u32,
-    mode: SubmitMode,
-    cst_text: &str,
-) -> Result<bool, NetError> {
-    write_frame(
-        stream,
-        &Frame::Hello(Hello {
-            version: PROTO_VERSION,
-            rank,
-            nprocs,
-            mode,
-            cst_text: cst_text.to_string(),
-        }),
-    )?;
-    match read_frame(stream)? {
-        Frame::HelloAck {
-            version: PROTO_VERSION,
-            already_done,
-        } => Ok(already_done),
-        Frame::HelloAck { version, .. } => Err(NetError::Version { theirs: version }),
-        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-        f => Err(NetError::Protocol(format!(
-            "expected HelloAck, got {}",
-            f.name()
-        ))),
-    }
-}
-
-fn read_fin_ack(stream: &mut Stream) -> Result<u32, NetError> {
-    match read_frame(stream)? {
-        Frame::FinAck { ranks_done } => Ok(ranks_done),
-        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-        f => Err(NetError::Protocol(format!(
-            "expected FinAck, got {}",
-            f.name()
-        ))),
-    }
-}
-
-/// One retry loop shared by both submit modes: run `attempt` until it
+/// One retry loop shared by every submit mode: run `attempt` until it
 /// succeeds, the error is non-retryable, or attempts are exhausted.
 fn with_retry<T>(
     cfg: &ClientConfig,
@@ -210,6 +166,71 @@ fn with_retry<T>(
     Err(NetError::RetriesExhausted { attempts, last })
 }
 
+/// A reply other than the one the protocol expects here: the collector's
+/// refusal, or a protocol violation.
+fn unexpected(want: &str, reply: Frame) -> NetError {
+    match reply {
+        Frame::Error { code, message } => NetError::Remote { code, message },
+        f => NetError::Protocol(format!("expected {want}, got {}", f.name())),
+    }
+}
+
+/// The one submission routine behind every mode. Each attempt connects,
+/// sends `hello` and, unless the collector already has the rank, runs
+/// `body` (which returns the events it streamed) and waits for the
+/// `FinAck`.
+fn submit(
+    addr: &Addr,
+    cfg: &ClientConfig,
+    hello: Hello,
+    mut body: impl FnMut(&mut Stream) -> Result<u64, NetError>,
+) -> Result<SubmitOutcome, NetError> {
+    let rank = hello.rank;
+    let hello = Frame::Hello(hello);
+    with_retry(cfg, |attempts| {
+        let mut stream = Stream::connect(addr, cfg.io_timeout)?;
+        cypress_obs::trace_instant("net", "connect", rank as u64);
+        stream.set_io_timeout(cfg.io_timeout)?;
+        write_frame(&mut stream, &hello)?;
+        let already_done = match read_frame(&mut stream)? {
+            Frame::HelloAck {
+                version: PROTO_VERSION,
+                already_done,
+            } => already_done,
+            // Any other version is a different protocol: stop before
+            // sending it anything else.
+            Frame::HelloAck { version, .. } => return Err(NetError::Version { theirs: version }),
+            f => return Err(unexpected("HelloAck", f)),
+        };
+        let (events_sent, ranks_done) = if already_done {
+            (0, 0)
+        } else {
+            let sent = body(&mut stream)?;
+            match read_frame(&mut stream)? {
+                Frame::FinAck { ranks_done } => (sent, ranks_done),
+                f => return Err(unexpected("FinAck", f)),
+            }
+        };
+        stream.shutdown();
+        Ok(SubmitOutcome {
+            already_done,
+            events_sent,
+            attempts,
+            ranks_done,
+        })
+    })
+}
+
+fn hello(rank: u32, nprocs: u32, mode: SubmitMode, cst_text: &str) -> Hello {
+    Hello {
+        version: PROTO_VERSION,
+        rank,
+        nprocs,
+        mode,
+        cst_text: cst_text.to_string(),
+    }
+}
+
 /// Stream one rank's events to a collector, retrying whole attempts with
 /// exponential backoff on transport failures.
 ///
@@ -225,54 +246,31 @@ pub fn submit_stream(
     cst_text: &str,
     mut produce: impl FnMut(&mut dyn EventSink) -> Result<u64, String>,
 ) -> Result<SubmitOutcome, NetError> {
-    with_retry(cfg, |attempt| {
-        let mut stream = Stream::connect(addr, cfg.io_timeout)?;
-        cypress_obs::trace_instant("net", "connect", rank as u64);
-        stream.set_io_timeout(cfg.io_timeout)?;
-        if hello_exchange(&mut stream, rank, nprocs, SubmitMode::Stream, cst_text)? {
-            stream.shutdown();
-            return Ok(SubmitOutcome {
-                already_done: true,
-                events_sent: 0,
-                attempts: attempt,
-                ranks_done: 0,
-            });
-        }
-        let sent = {
-            let mut sink = ChunkSink {
-                stream: &mut stream,
-                buf: Vec::new(),
-                wire: Vec::new(),
-                chunk: cfg.chunk_events.max(1),
-                sent: 0,
-                err: None,
-            };
-            let app_time = produce(&mut sink).map_err(NetError::Source)?;
-            sink.flush_events();
-            // The Finish rides the same write as the stream's tail — the
-            // whole submission is one pipelined burst with a single
-            // round-trip at the end.
-            encode_frame_into(
-                &Frame::Finish {
-                    app_time,
-                    event_count: sink.sent,
-                },
-                &mut sink.wire,
-            );
-            sink.flush_wire();
-            if let Some(e) = sink.err.take() {
-                return Err(e);
-            }
-            sink.sent
+    let hello = hello(rank, nprocs, SubmitMode::Stream, cst_text);
+    submit(addr, cfg, hello, |stream| {
+        let mut sink = ChunkSink {
+            stream,
+            buf: Vec::new(),
+            wire: Vec::new(),
+            chunk: cfg.chunk_events.max(1),
+            sent: 0,
+            err: None,
         };
-        let ranks_done = read_fin_ack(&mut stream)?;
-        stream.shutdown();
-        Ok(SubmitOutcome {
-            already_done: false,
-            events_sent: sent,
-            attempts: attempt,
-            ranks_done,
-        })
+        let app_time = produce(&mut sink).map_err(NetError::Source)?;
+        sink.flush_events();
+        // The Finish rides the same write as the stream's tail — the
+        // whole submission is one pipelined burst with a single
+        // round-trip at the end.
+        let finish = Frame::Finish {
+            app_time,
+            event_count: sink.sent,
+        };
+        encode_frame_into(&finish, &mut sink.wire);
+        sink.flush_wire();
+        match sink.err {
+            Some(e) => Err(e),
+            None => Ok(sink.sent),
+        }
     })
 }
 
@@ -287,43 +285,17 @@ pub fn submit_ctt(
     let bytes = ctt.to_bytes();
     // Compress once up front; retried attempts reuse it. Kept only when it
     // actually wins.
-    let compressed = cfg
-        .ctt_level
-        .map(|lvl| deflate(&bytes, lvl))
-        .filter(|z| z.len() < bytes.len());
-    with_retry(cfg, |attempt| {
-        let mut stream = Stream::connect(addr, cfg.io_timeout)?;
-        cypress_obs::trace_instant("net", "connect", ctt.rank as u64);
-        stream.set_io_timeout(cfg.io_timeout)?;
-        let already_done =
-            hello_exchange(&mut stream, ctt.rank, ctt.nprocs, SubmitMode::Ctt, cst_text)?;
-        if already_done {
-            stream.shutdown();
-            return Ok(SubmitOutcome {
-                already_done: true,
-                events_sent: 0,
-                attempts: attempt,
-                ranks_done: 0,
-            });
-        }
-        let frame = match &compressed {
-            Some(z) => Frame::RankCttZ {
-                raw_len: bytes.len() as u64,
-                bytes: z.clone(),
-            },
-            None => Frame::RankCtt {
-                bytes: bytes.clone(),
-            },
-        };
-        write_frame(&mut stream, &frame)?;
-        let ranks_done = read_fin_ack(&mut stream)?;
-        stream.shutdown();
-        Ok(SubmitOutcome {
-            already_done: false,
-            events_sent: 0,
-            attempts: attempt,
-            ranks_done,
-        })
+    let frame = match cfg.ctt_level.map(|lvl| deflate(&bytes, lvl)) {
+        Some(z) if z.len() < bytes.len() => Frame::RankCttZ {
+            raw_len: bytes.len() as u64,
+            bytes: z,
+        },
+        _ => Frame::RankCtt { bytes },
+    };
+    let hello = hello(ctt.rank, ctt.nprocs, SubmitMode::Ctt, cst_text);
+    submit(addr, cfg, hello, |stream| {
+        write_frame(stream, &frame)?;
+        Ok(0)
     })
 }
 
@@ -331,47 +303,29 @@ pub fn submit_ctt(
 /// blocks plus the `Finish` pipeline in one write with a single
 /// round-trip; duplicates are upstream no-ops, so a retry that re-sends
 /// blocks which already landed is harmless.
-pub fn submit_merged_blocks(
+pub(crate) fn submit_merged_blocks(
     addr: &Addr,
     cfg: &ClientConfig,
     nprocs: u32,
     cst_text: &str,
-    blocks: &[MergedBlock],
+    blocks: Vec<MergedBlock>,
 ) -> Result<SubmitOutcome, NetError> {
     // The Hello rank only identifies the shard for validation.
-    let hello_rank = blocks.first().map(|b| b.first_rank).unwrap_or(0);
-    with_retry(cfg, |attempt| {
-        let mut stream = Stream::connect(addr, cfg.io_timeout)?;
-        cypress_obs::trace_instant("net", "connect", hello_rank as u64);
-        stream.set_io_timeout(cfg.io_timeout)?;
-        hello_exchange(
-            &mut stream,
-            hello_rank,
-            nprocs,
-            SubmitMode::Blocks,
-            cst_text,
-        )?;
+    let hello_rank = blocks.first().map_or(0, |b| b.first_rank);
+    let finish = Frame::Finish {
+        app_time: 0,
+        event_count: blocks.len() as u64,
+    };
+    let frames: Vec<Frame> = blocks.into_iter().map(Frame::MergedBlockZ).collect();
+    let hello = hello(hello_rank, nprocs, SubmitMode::Blocks, cst_text);
+    submit(addr, cfg, hello, |stream| {
         let mut wire = Vec::new();
-        for b in blocks {
-            encode_frame_into(&Frame::MergedBlockZ(b.clone()), &mut wire);
+        for f in frames.iter().chain([&finish]) {
+            encode_frame_into(f, &mut wire);
         }
-        encode_frame_into(
-            &Frame::Finish {
-                app_time: 0,
-                event_count: blocks.len() as u64,
-            },
-            &mut wire,
-        );
         stream.write_all(&wire)?;
         stream.flush()?;
-        let ranks_done = read_fin_ack(&mut stream)?;
-        stream.shutdown();
-        Ok(SubmitOutcome {
-            already_done: false,
-            events_sent: 0,
-            attempts: attempt,
-            ranks_done,
-        })
+        Ok(0)
     })
 }
 

@@ -9,14 +9,16 @@
 //! Sockets, buffers and wake-ups belong to [`crate::server`]; this module
 //! is the collection [`Handler`] on it — a per-connection state machine
 //! ([`ConnState`]) that advances on whole frames, on a job listener and an
-//! optional stats listener.
+//! optional stats listener. The job is one [`Job`], installed by the first
+//! valid `Hello`; every submission state carries it and the rank its
+//! `Hello` named.
 //!
 //! Two roles share that handler:
 //!
 //! - **Root** (plain `serve`): completes when all `nprocs` ranks are
 //!   merged, yields the [`CollectedJob`].
-//! - **Relay** ([`Collector::run_relay`], `serve --tree`): accepts only a
-//!   contiguous rank shard, merges it with a *global-sized*
+//! - **Relay** (`serve --tree`, started by [`crate::tree::spawn_tree`]):
+//!   accepts only a contiguous rank shard, merges it with a *global-sized*
 //!   [`BinomialMerger`], then forwards its resident buddy blocks upstream
 //!   as `MergedBlockZ` frames. Because a global-sized merger's blocks are
 //!   aligned on the global association tree, the root absorbing them is
@@ -34,7 +36,7 @@
 //! failure at the root naming the shard's missing ranks — loud, never a
 //! hang.
 
-use crate::client::ClientConfig;
+use crate::client::{submit_merged_blocks, ClientConfig};
 use crate::proto::{codes, Frame, Hello, MergedBlock, SubmitMode, PROTO_VERSION};
 use crate::server::{Handler, Outbox, Server};
 use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
@@ -55,12 +57,10 @@ use std::time::{Duration, Instant};
 
 /// Collector knobs. The collector runs one event loop per core, capped at
 /// 8, as queryd does (`Server::new(0)`); stream-mode sessions compress
-/// with the default `CompressConfig` and `SessionConfig`.
+/// with the default `CompressConfig` and `SessionConfig`, and a connection
+/// silent for [`IO_TIMEOUT`] mid-protocol is dropped.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    /// Idle timeout: a connection silent this long mid-protocol is dropped
-    /// (its client retries from scratch).
-    pub io_timeout: Duration,
     /// Keep every rank's CTT (exact per-rank timing in queries and
     /// `--per-rank` containers) in addition to the incremental merge.
     pub keep_rank_ctts: bool,
@@ -77,42 +77,11 @@ pub struct CollectorConfig {
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
-            io_timeout: Duration::from_secs(10),
             keep_rank_ctts: true,
             deadline: None,
             stats_addr: None,
         }
     }
-}
-
-/// A mid-tier collector's configuration: accept ranks
-/// `[first_rank, last_rank)` of an `nprocs`-rank job, then forward the
-/// merged blocks to `upstream` with the given client retry policy.
-#[derive(Debug, Clone)]
-pub struct RelayConfig {
-    pub first_rank: u32,
-    /// Exclusive upper bound of the shard.
-    pub last_rank: u32,
-    /// Global job size (the merger is global-sized so its blocks stay
-    /// aligned on the whole job's buddy tree).
-    pub nprocs: u32,
-    /// The parent collector (root or another relay).
-    pub upstream: Addr,
-    /// Retry/backoff/compression policy for the upstream submission.
-    pub client: ClientConfig,
-    pub collector: CollectorConfig,
-}
-
-/// What a finished relay did.
-#[derive(Debug, Clone, Copy)]
-pub struct RelaySummary {
-    /// Ranks in this relay's shard.
-    pub ranks: u32,
-    /// Aligned buddy blocks forwarded upstream (≤ 2·log2 P for any
-    /// contiguous shard).
-    pub blocks_forwarded: u32,
-    /// Total MPI events the shard's clients submitted.
-    pub events: u64,
 }
 
 /// Everything a finished collection produced — the networked counterpart
@@ -143,45 +112,51 @@ pub struct CollectedJob {
     pub peak_ctt_bytes: usize,
 }
 
-/// Job identity, fixed by the first client's `Hello`.
-struct JobInfo {
+/// The job, fixed by the first valid `Hello`: its CST, size and merge.
+/// Later clients must match it exactly (CRC over the canonical CST text).
+struct Job {
     nprocs: u32,
     cst_text: String,
     cst_crc: u32,
     cst: Cst,
+    merge: Mutex<Merge>,
 }
 
-#[derive(Default)]
-struct Inner {
-    merger: Option<BinomialMerger>,
+/// The incremental merge and the job's accounting.
+struct Merge {
+    merger: BinomialMerger,
     rank_ctts: Vec<(u32, Vec<u8>)>,
     total_events: u64,
     raw_mpi_bytes: u64,
     peak_ctt_bytes: usize,
-    done: bool,
-    fatal: Option<String>,
     /// Per-rank submission state and received-event counts, feeding the
     /// live [`Stats`] snapshot. Rank-keyed: a retry of a merged rank never
     /// regresses its state.
     clients: BTreeMap<u32, (ClientState, u64)>,
 }
 
-struct State {
-    job: OnceLock<JobInfo>,
-    inner: Mutex<Inner>,
-    started: Instant,
-}
+impl Job {
+    fn lock(&self) -> MutexGuard<'_, Merge> {
+        self.merge.lock().unwrap()
+    }
 
-impl State {
     /// Mark a rank's submission state, never downgrading `Merged` (a late
     /// duplicate or abort of a rank that already landed changes nothing).
     fn mark_client(&self, rank: u32, st: ClientState) {
-        let mut g = self.inner.lock().unwrap();
-        let e = g.clients.entry(rank).or_insert((st, 0));
+        let mut m = self.lock();
+        let e = m.clients.entry(rank).or_insert((st, 0));
         if e.0 != ClientState::Merged {
             e.0 = st;
         }
     }
+}
+
+struct State {
+    job: OnceLock<Job>,
+    /// The first collection-wide failure. A job that completes anyway
+    /// still succeeds.
+    fatal: Mutex<Option<String>>,
+    started: Instant,
 }
 
 /// Which slice of the job this collector is responsible for.
@@ -222,23 +197,27 @@ struct Shared<'a> {
 
 /// Record a collection-wide failure (first one wins) and stop the loops.
 fn fail_collection(sh: Shared<'_>, msg: String) {
-    let mut g = sh.state.inner.lock().unwrap();
-    if !g.done && g.fatal.is_none() {
-        g.fatal = Some(msg);
-    }
-    drop(g);
+    sh.state.fatal.lock().unwrap().get_or_insert(msg);
     sh.server.stop();
 }
 
-/// Protocol position of one multiplexed connection.
+/// Protocol position of one multiplexed connection. A submission's states
+/// carry the job its `Hello` joined and the rank that `Hello` named.
 enum ConnState<'a> {
     AwaitHello,
     Streaming {
+        job: &'a Job,
+        rank: u32,
         session: Box<CompressSession<'a>>,
         count: u64,
     },
-    AwaitCtt,
+    AwaitCtt {
+        job: &'a Job,
+        rank: u32,
+    },
     Blocks {
+        job: &'a Job,
+        rank: u32,
         nblocks: u64,
     },
     AwaitStatsReq,
@@ -246,19 +225,18 @@ enum ConnState<'a> {
     Done,
 }
 
-struct Conn<'a> {
-    state: ConnState<'a>,
-    rank: Option<u32>,
-}
-
-impl Conn<'_> {
+impl ConnState<'_> {
     /// This connection's submission ended without merging.
-    fn mark_aborted(&self, sh: Shared<'_>) {
-        if matches!(self.state, ConnState::Streaming { .. }) {
-            obs::SESSIONS_ABORTED.inc();
-        }
-        if let Some(rank) = self.rank {
-            sh.state.mark_client(rank, ClientState::Aborted);
+    fn mark_aborted(&self) {
+        match *self {
+            ConnState::Streaming { job, rank, .. } => {
+                obs::SESSIONS_ABORTED.inc();
+                job.mark_client(rank, ClientState::Aborted);
+            }
+            ConnState::AwaitCtt { job, rank } | ConnState::Blocks { job, rank, .. } => {
+                job.mark_client(rank, ClientState::Aborted);
+            }
+            ConnState::AwaitHello | ConnState::AwaitStatsReq | ConnState::Done => {}
         }
     }
 }
@@ -267,43 +245,50 @@ impl Conn<'_> {
 /// listener, when there is one, follows it.
 const JOB: usize = 0;
 
+/// A connection silent this long mid-protocol is dropped (its client
+/// retries from scratch).
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The collector as a [`Handler`]: the server loop owns sockets, buffers
 /// and wake-ups, this owns what the frames mean.
 impl<'a> Handler for Shared<'a> {
-    type Conn = Conn<'a>;
+    type Conn = ConnState<'a>;
 
-    fn accept(&self, listener: usize) -> Conn<'a> {
-        let state = if listener == JOB {
+    fn accept(&self, listener: usize) -> ConnState<'a> {
+        if listener == JOB {
             obs::CONNECTIONS.inc();
             ConnState::AwaitHello
         } else {
             ConnState::AwaitStatsReq
-        };
-        Conn { state, rank: None }
-    }
-
-    fn on_frame(&self, c: &mut Conn<'a>, frame: Frame, out: &mut Outbox) {
-        // A refused frame: answer with an `Error` frame, then flush and close.
-        if let Err((code, message)) = handle_frame(*self, c, frame, out) {
-            c.mark_aborted(*self);
-            let name = codes::name(code);
-            obs_log!(Level::Warn, "net", "rejecting client ({name}): {message}");
-            out.send(&Frame::Error { code, message });
-            c.state = ConnState::Done;
-            out.close();
         }
     }
 
+    fn on_frame(&self, c: &mut ConnState<'a>, frame: Frame, out: &mut Outbox) {
+        let st = std::mem::replace(c, ConnState::Done);
+        *c = match handle_frame(*self, st, frame, out) {
+            Ok(next) => next,
+            // A refused frame: answer with an `Error` frame, then flush and close.
+            Err((refused_in, (code, message))) => {
+                refused_in.mark_aborted();
+                let name = codes::name(code);
+                obs_log!(Level::Warn, "net", "rejecting client ({name}): {message}");
+                out.send(&Frame::Error { code, message });
+                out.close();
+                ConnState::Done
+            }
+        };
+    }
+
     /// Abort bookkeeping for a connection dropped mid-protocol.
-    fn on_drop(&self, c: &mut Conn<'a>, why: &str) {
-        if !matches!(c.state, ConnState::Done) {
-            c.mark_aborted(*self);
+    fn on_drop(&self, c: &mut ConnState<'a>, why: &str) {
+        if !matches!(c, ConnState::Done) {
+            c.mark_aborted();
             obs_log!(Level::Warn, "net", "connection dropped: {why}");
         }
     }
 
     fn idle_timeout(&self) -> Option<Duration> {
-        Some(self.cfg.io_timeout)
+        Some(IO_TIMEOUT)
     }
 
     fn deadline(&self) -> Option<Instant> {
@@ -311,23 +296,20 @@ impl<'a> Handler for Shared<'a> {
     }
 
     fn on_deadline(&self) {
-        let missing = {
-            let g = self.state.inner.lock().unwrap();
-            match (&g.merger, self.role) {
-                (Some(m), _) => {
-                    let mut v = m.missing_ranks();
-                    if let Role::Relay { first, last, .. } = self.role {
-                        v.retain(|r| *r >= first && *r < last);
-                    }
-                    format!("{v:?}")
+        let missing = match (self.state.job.get(), self.role) {
+            (Some(job), role) => {
+                let mut v = job.lock().merger.missing_ranks();
+                if let Role::Relay { first, last, .. } = role {
+                    v.retain(|r| *r >= first && *r < last);
                 }
-                // No client ever connected, but a relay still
-                // knows exactly which ranks it was waiting for.
-                (None, Role::Relay { first, last, .. }) => {
-                    format!("{:?}", (first..last).collect::<Vec<u32>>())
-                }
-                (None, Role::Root) => "all".into(),
+                format!("{v:?}")
             }
+            // No client ever connected, but a relay still
+            // knows exactly which ranks it was waiting for.
+            (None, Role::Relay { first, last, .. }) => {
+                format!("{:?}", (first..last).collect::<Vec<u32>>())
+            }
+            (None, Role::Root) => "all".into(),
         };
         let deadline = self.cfg.deadline.unwrap_or_default();
         fail_collection(
@@ -386,63 +368,55 @@ impl Collector {
                 self.bind_stats(addr)?;
             }
         }
-        let (job, inner) = run_core(
+        let job = run_core(
             &self.listener,
             self.stats_listener.as_ref(),
             cfg,
             Role::Root,
         )?;
-        let job = job.ok_or_else(|| NetError::Collect("no client ever connected".into()))?;
-        let merger = inner
-            .merger
-            .ok_or_else(|| NetError::Collect("no rank completed".into()))?;
-        let merged = merger.finish();
-        let mut rank_ctts = inner.rank_ctts;
+        let m = job.merge.into_inner().unwrap();
+        let mut rank_ctts = m.rank_ctts;
         rank_ctts.sort_by_key(|&(rank, _)| rank);
         Ok(CollectedJob {
             nprocs: job.nprocs,
             cst: job.cst,
             cst_text: job.cst_text,
-            merged,
+            merged: m.merger.finish(),
             rank_ctts,
-            total_events: inner.total_events,
-            raw_mpi_bytes: inner.raw_mpi_bytes,
-            peak_ctt_bytes: inner.peak_ctt_bytes,
+            total_events: m.total_events,
+            raw_mpi_bytes: m.raw_mpi_bytes,
+            peak_ctt_bytes: m.peak_ctt_bytes,
         })
     }
 
-    /// Serve as a mid-tier relay: collect ranks
-    /// `[cfg.first_rank, cfg.last_rank)`, then forward the shard's merged
-    /// buddy blocks to `cfg.upstream` and return a summary. Per-rank CTT
-    /// retention and the stats endpoint are root-only concerns and are
-    /// disabled here regardless of `cfg.collector`.
-    pub fn run_relay(self, cfg: &RelayConfig) -> Result<RelaySummary, NetError> {
-        if cfg.first_rank >= cfg.last_rank || cfg.last_rank > cfg.nprocs {
-            return Err(NetError::Collect(format!(
-                "bad relay shard [{}, {}) for {} procs",
-                cfg.first_rank, cfg.last_rank, cfg.nprocs
-            )));
-        }
-        let mut ccfg = cfg.collector.clone();
-        ccfg.keep_rank_ctts = false;
-        ccfg.stats_addr = None;
-        let role = Role::Relay {
-            first: cfg.first_rank,
-            last: cfg.last_rank,
-            nprocs: cfg.nprocs,
+    /// Serve as a mid-tier relay: collect ranks `[first, last)` of an
+    /// `nprocs`-rank job, then forward the shard's merged buddy blocks to
+    /// `upstream` with `client`'s retry policy. Per-rank CTT retention and
+    /// the stats endpoint are root-only concerns and are off here.
+    pub(crate) fn run_relay(
+        self,
+        (first, last): (u32, u32),
+        nprocs: u32,
+        upstream: &Addr,
+        client: &ClientConfig,
+        cfg: &CollectorConfig,
+    ) -> Result<(), NetError> {
+        let cfg = CollectorConfig {
+            keep_rank_ctts: false,
+            ..cfg.clone()
         };
-        let Collector { listener, .. } = self;
-        let (job, inner) = run_core(&listener, None, &ccfg, role)?;
+        let role = Role::Relay {
+            first,
+            last,
+            nprocs,
+        };
+        let job = run_core(&self.listener, None, &cfg, role)?;
         // Free the shard's endpoint before the (possibly retried) upstream
         // submission; nothing else will connect here.
-        drop(listener);
-        let job =
-            job.ok_or_else(|| NetError::Collect("no client ever connected to this relay".into()))?;
-        let merger = inner
-            .merger
-            .ok_or_else(|| NetError::Collect("no rank completed at this relay".into()))?;
-        let level = cfg.client.ctt_level.unwrap_or_default();
-        let blocks = merger.into_blocks();
+        drop(self);
+        let m = job.merge.into_inner().unwrap();
+        let level = client.ctt_level.unwrap_or_default();
+        let blocks = m.merger.into_blocks();
         let mut uploads = Vec::with_capacity(blocks.len());
         for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
             let raw = part.to_bytes();
@@ -452,45 +426,34 @@ impl Collector {
                 // The shard's accounting totals ride on the first block;
                 // the root sums per-frame, so totals stay exact even though
                 // per-rank attribution is lost above the relay.
-                events: if i == 0 { inner.total_events } else { 0 },
-                raw_mpi_bytes: if i == 0 { inner.raw_mpi_bytes } else { 0 },
+                events: if i == 0 { m.total_events } else { 0 },
+                raw_mpi_bytes: if i == 0 { m.raw_mpi_bytes } else { 0 },
                 raw_len: raw.len() as u64,
                 bytes: cypress_deflate::deflate(&raw, level),
             });
         }
-        let blocks_forwarded = uploads.len() as u32;
-        crate::client::submit_merged_blocks(
-            &cfg.upstream,
-            &cfg.client,
-            cfg.nprocs,
-            &job.cst_text,
-            &uploads,
-        )?;
-        let (first, last) = (cfg.first_rank, cfg.last_rank);
+        let forwarded = uploads.len();
+        submit_merged_blocks(upstream, client, nprocs, &job.cst_text, uploads)?;
         obs_log!(
             Level::Info,
             "net",
-            "relay for ranks [{first}, {last}) forwarded {blocks_forwarded} blocks upstream"
+            "relay for ranks [{first}, {last}) forwarded {forwarded} blocks upstream"
         );
-        Ok(RelaySummary {
-            ranks: last - first,
-            blocks_forwarded,
-            events: inner.total_events,
-        })
+        Ok(())
     }
 }
 
-/// Run the server loops until completion or failure; returns the fixed job
-/// identity (if any client connected) and the accumulated state.
+/// Run the server loops until the collection completes or fails; returns
+/// the job with every rank of `role` merged.
 fn run_core(
     listener: &Listener,
     stats_listener: Option<&Listener>,
     cfg: &CollectorConfig,
     role: Role,
-) -> Result<(Option<JobInfo>, Inner), NetError> {
+) -> Result<Job, NetError> {
     let state = State {
         job: OnceLock::new(),
-        inner: Mutex::default(),
+        fatal: Mutex::new(None),
         started: Instant::now(),
     };
     let at = |l: &Listener| l.local_addr().map(|a| a.to_string()).unwrap_or_default();
@@ -512,115 +475,138 @@ fn run_core(
     };
     let listeners: Vec<&Listener> = std::iter::once(listener).chain(stats_listener).collect();
     server.run(&sh, &listeners)?;
-    let inner = state.inner.into_inner().unwrap();
-    if let Some(f) = inner.fatal {
-        return Err(NetError::Collect(f));
+    let fatal = state.fatal.into_inner().unwrap();
+    match state.job.into_inner() {
+        Some(job) if job.lock().merger.received() == role.expected(job.nprocs) => Ok(job),
+        _ => Err(NetError::Collect(
+            fatal.unwrap_or_else(|| "stopped with ranks missing".into()),
+        )),
     }
-    Ok((state.job.into_inner(), inner))
 }
 
 /// Why a frame is refused: the `Error` frame's code and message.
 type Reject = (u16, String);
 
+/// What one frame does to a connection: its next state, or the state that
+/// refused the frame and why.
+type Step<'a> = Result<ConnState<'a>, (ConnState<'a>, Reject)>;
+
+/// A step that ends the connection when it succeeds and is refused in `st`
+/// when it does not.
+fn done_or<'a>(st: ConnState<'a>, step: Result<(), Reject>) -> Step<'a> {
+    step.map(|()| ConnState::Done).map_err(|r| (st, r))
+}
+
 /// The per-connection protocol state machine.
-fn handle_frame<'a>(
-    sh: Shared<'a>,
-    c: &mut Conn<'a>,
-    frame: Frame,
-    out: &mut Outbox,
-) -> Result<(), Reject> {
-    let st = std::mem::replace(&mut c.state, ConnState::Done);
+fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut Outbox) -> Step<'a> {
     match (st, frame) {
-        (ConnState::AwaitHello, Frame::Hello(hello)) => on_hello(sh, c, out, hello),
+        (ConnState::AwaitHello, Frame::Hello(hello)) => {
+            on_hello(sh, out, hello).map_err(|r| (ConnState::AwaitHello, r))
+        }
         (
             ConnState::Streaming {
+                job,
+                rank,
                 mut session,
-                mut count,
+                count,
             },
             Frame::Events { events },
         ) => {
-            count += events.len() as u64;
-            BATCH_EVENTS.record(events.len() as u64);
-            {
-                let mut g = sh.state.inner.lock().unwrap();
-                let rank = c.rank.expect("streaming conn has a rank");
-                let e = g.clients.entry(rank).or_insert((ClientState::Streaming, 0));
-                e.1 += events.len() as u64;
-            }
+            let n = events.len() as u64;
+            BATCH_EVENTS.record(n);
+            job.lock()
+                .clients
+                .entry(rank)
+                .or_insert((ClientState::Streaming, 0))
+                .1 += n;
             session.push_batch(&events);
-            c.state = ConnState::Streaming { session, count };
-            Ok(())
+            Ok(ConnState::Streaming {
+                job,
+                rank,
+                session,
+                count: count + n,
+            })
         }
         (
-            ConnState::Streaming { session, count },
+            ConnState::Streaming {
+                job,
+                rank,
+                session,
+                count,
+            },
             Frame::Finish {
                 app_time,
                 event_count,
             },
         ) => {
             if event_count != count {
-                c.state = ConnState::Streaming { session, count };
                 let msg = format!("client sent {event_count} events, collector saw {count}");
-                return Err((codes::PROTOCOL, msg));
+                let st = ConnState::Streaming {
+                    job,
+                    rank,
+                    session,
+                    count,
+                };
+                return Err((st, (codes::PROTOCOL, msg)));
             }
             let (ctt, stats) = session.finish(app_time);
             let bytes = sh.cfg.keep_rank_ctts.then(|| ctt.to_bytes());
-            merge_in(sh, out, &ctt, bytes, stats);
-            Ok(())
+            merge_in(sh, job, out, &ctt, bytes, stats);
+            Ok(ConnState::Done)
         }
-        (ConnState::AwaitCtt, Frame::RankCtt { bytes }) => on_ctt_bytes(sh, c, out, bytes),
-        (ConnState::AwaitCtt, Frame::RankCttZ { raw_len, bytes }) => {
-            let raw = inflate_exact("compressed CTT", raw_len, &bytes)?;
-            on_ctt_bytes(sh, c, out, raw)
+        (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCtt { bytes }) => {
+            done_or(st, on_ctt_bytes(sh, job, rank, out, bytes))
         }
-        (ConnState::Blocks { nblocks }, Frame::MergedBlockZ(block)) => {
-            on_merged_block(sh, block)?;
-            c.state = ConnState::Blocks {
-                nblocks: nblocks + 1,
-            };
-            Ok(())
+        (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCttZ { raw_len, bytes }) => {
+            let step = inflate_exact("compressed CTT", raw_len, &bytes)
+                .and_then(|raw| on_ctt_bytes(sh, job, rank, out, raw));
+            done_or(st, step)
         }
-        (ConnState::Blocks { nblocks }, Frame::Finish { event_count, .. }) => {
+        (st @ ConnState::Blocks { job, rank, nblocks }, Frame::MergedBlockZ(block)) => {
+            match on_merged_block(sh, job, block) {
+                Ok(()) => Ok(ConnState::Blocks {
+                    job,
+                    rank,
+                    nblocks: nblocks + 1,
+                }),
+                Err(r) => Err((st, r)),
+            }
+        }
+        (st @ ConnState::Blocks { job, nblocks, .. }, Frame::Finish { event_count, .. }) => {
             // In blocks mode the Finish cross-check counts blocks.
             if event_count != nblocks {
                 let msg = format!("relay sent {event_count} blocks, collector saw {nblocks}");
-                return Err((codes::PROTOCOL, msg));
+                return Err((st, (codes::PROTOCOL, msg)));
             }
-            let g = sh.state.inner.lock().unwrap();
-            let ranks_done = g.merger.as_ref().map_or(0, |m| m.received());
-            drop(g);
+            let ranks_done = job.lock().merger.received();
             out.send(&Frame::FinAck { ranks_done });
             out.close();
-            Ok(())
+            Ok(ConnState::Done)
         }
         (ConnState::AwaitStatsReq, Frame::StatsRequest) => {
             let stats = build_stats(sh.state);
             out.send(&Frame::Stats { stats });
             out.close();
-            Ok(())
+            Ok(ConnState::Done)
         }
-        (ConnState::AwaitStatsReq, f) => {
+        (st @ ConnState::AwaitStatsReq, f) => {
             let msg = format!("stats endpoint expects StatsRequest, got {}", f.name());
-            Err((codes::PROTOCOL, msg))
+            Err((st, (codes::PROTOCOL, msg)))
         }
-        (ConnState::AwaitHello, f) => {
+        (st @ ConnState::AwaitHello, f) => {
             let msg = format!("first frame must be Hello, got {}", f.name());
-            Err((codes::PROTOCOL, msg))
+            Err((st, (codes::PROTOCOL, msg)))
         }
         (st, f) => {
-            c.state = st;
             let msg = format!("unexpected {} frame here", f.name());
-            Err((codes::PROTOCOL, msg))
+            Err((st, (codes::PROTOCOL, msg)))
         }
     }
 }
 
-fn on_hello<'a>(
-    sh: Shared<'a>,
-    c: &mut Conn<'a>,
-    out: &mut Outbox,
-    hello: Hello,
-) -> Result<(), Reject> {
+/// Admit a client: the first valid `Hello` installs the job, later ones
+/// must match it. Returns the connection's submission state.
+fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnState<'a>, Reject> {
     let (rank, nprocs) = (hello.rank, hello.nprocs);
     if hello.version != PROTO_VERSION {
         let msg = format!(
@@ -649,23 +635,28 @@ fn on_hello<'a>(
         }
     }
 
-    // First Hello fixes the job: CST, job size, and the merger. Later
-    // clients must match it exactly (CRC over the canonical CST text).
     let client_crc = crc32(hello.cst_text.as_bytes());
     let job = match sh.state.job.get() {
-        Some(j) => j,
+        Some(job) => job,
         None => {
             let cst = Cst::from_text(&hello.cst_text)
                 .map_err(|e| (codes::INTERNAL, format!("unparseable CST: {e}")))?;
             // Another loop may have won the race; either way the stored job
             // is authoritative and validated below.
-            let _ = sh.state.job.set(JobInfo {
+            sh.state.job.get_or_init(|| Job {
                 nprocs,
-                cst_crc: client_crc,
                 cst_text: hello.cst_text,
+                cst_crc: client_crc,
                 cst,
-            });
-            sh.state.job.get().expect("just set")
+                merge: Mutex::new(Merge {
+                    merger: BinomialMerger::new(nprocs),
+                    rank_ctts: Vec::new(),
+                    total_events: 0,
+                    raw_mpi_bytes: 0,
+                    peak_ctt_bytes: 0,
+                    clients: BTreeMap::new(),
+                }),
+            })
         }
     };
     if job.nprocs != nprocs {
@@ -677,30 +668,22 @@ fn on_hello<'a>(
         return Err((codes::CST_MISMATCH, msg.into()));
     }
 
-    let already_done = {
-        let mut g = sh.state.inner.lock().unwrap();
-        if g.merger.is_none() {
-            g.merger = Some(BinomialMerger::new(job.nprocs));
-        }
-        match hello.mode {
-            // A relay's Hello rank only identifies the shard; duplicate
-            // blocks are per-frame no-ops, so there is no whole-session
-            // short-circuit.
-            SubmitMode::Blocks => false,
-            _ => g.merger.as_ref().expect("just set").has_rank(rank),
-        }
-    };
+    // A relay's Hello rank only identifies the shard; duplicate blocks are
+    // per-frame no-ops, so there is no whole-session short-circuit.
+    let already_done = hello.mode != SubmitMode::Blocks && job.lock().merger.has_rank(rank);
     out.send(&Frame::HelloAck {
         version: PROTO_VERSION,
         already_done,
     });
     if already_done {
         out.close();
-        return Ok(());
+        return Ok(ConnState::Done);
     }
-    c.rank = Some(rank);
     cypress_obs::trace_instant("net", "client_accepted", rank as u64);
-    c.state = match hello.mode {
+    if hello.mode != SubmitMode::Blocks {
+        job.mark_client(rank, ClientState::Streaming);
+    }
+    Ok(match hello.mode {
         SubmitMode::Stream => {
             obs::SESSIONS_STARTED.inc();
             let session = CompressSession::new(
@@ -711,17 +694,19 @@ fn on_hello<'a>(
                 SessionConfig::default(),
             );
             ConnState::Streaming {
+                job,
+                rank,
                 session: Box::new(session),
                 count: 0,
             }
         }
-        SubmitMode::Ctt => ConnState::AwaitCtt,
-        SubmitMode::Blocks => ConnState::Blocks { nblocks: 0 },
-    };
-    if hello.mode != SubmitMode::Blocks {
-        sh.state.mark_client(rank, ClientState::Streaming);
-    }
-    Ok(())
+        SubmitMode::Ctt => ConnState::AwaitCtt { job, rank },
+        SubmitMode::Blocks => ConnState::Blocks {
+            job,
+            rank,
+            nblocks: 0,
+        },
+    })
 }
 
 /// Inflate a `…Z` frame payload, stopping at its declared raw length.
@@ -735,18 +720,17 @@ fn inflate_exact(what: &str, raw_len: u64, bytes: &[u8]) -> Result<Vec<u8>, Reje
 /// does not fit the job is refused here, before the merge's lock is taken.
 fn on_ctt_bytes(
     sh: Shared<'_>,
-    c: &mut Conn<'_>,
+    job: &Job,
+    rank: u32,
     out: &mut Outbox,
     bytes: Vec<u8>,
 ) -> Result<(), Reject> {
-    let rank = c.rank.expect("ctt conn has a rank");
     let slab = CttSlab::from_bytes(&bytes)
         .map_err(|e| (codes::PROTOCOL, format!("undecodable CTT: {e}")))?;
     if slab.rank != rank {
         let msg = format!("Hello said rank {rank}, CTT says {}", slab.rank);
         return Err((codes::BAD_RANK, msg));
     }
-    let job = sh.state.job.get().expect("job fixed");
     let misfit = |e: String| (codes::PROTOCOL, format!("CTT does not fit the job: {e}"));
     check_shape(&slab, &job.cst, job.nprocs).map_err(misfit)?;
     // No Events frames in ctt mode: the records count the events.
@@ -755,17 +739,16 @@ fn on_ctt_bytes(
         ..SessionStats::default()
     };
     let keep = sh.cfg.keep_rank_ctts.then_some(bytes);
-    merge_in(sh, out, &slab, keep, stats);
+    merge_in(sh, job, out, &slab, keep, stats);
     Ok(())
 }
 
 /// Absorb one relay-forwarded buddy block into the merge.
-fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
+fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), Reject> {
     let (first_rank, nranks, events) = (block.first_rank, block.nranks, block.events);
     let raw = inflate_exact("merged block", block.raw_len, &block.bytes)?;
     let merged = MergedCtt::from_bytes(&raw)
         .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
-    let job = sh.state.job.get().expect("job fixed");
     let misfit = |e: String| (codes::PROTOCOL, format!("block does not fit the job: {e}"));
     merged
         .check_shape(&job.cst, job.nprocs, nranks)
@@ -779,42 +762,38 @@ fn on_merged_block(sh: Shared<'_>, block: MergedBlock) -> Result<(), Reject> {
             return Err((codes::BAD_RANK, msg));
         }
     }
-    let mut g = sh.state.inner.lock().unwrap();
-    let Some(m) = g.merger.as_mut() else {
-        return Err((codes::INTERNAL, "merger missing at block time".into()));
-    };
+    let mut m = job.lock();
     let t0 = Instant::now();
-    let res = m.add_block(first_rank, nranks, merged);
+    let res = m.merger.add_block(first_rank, nranks, merged);
     MERGE_STEP_NS.record_since(t0);
     // `Ok(false)`: a relay retry re-sending blocks its first attempt landed.
     if !res.map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))? {
         return Ok(());
     }
-    let received = g.merger.as_ref().expect("still set").received();
-    g.total_events += events;
-    g.raw_mpi_bytes += block.raw_mpi_bytes;
+    m.total_events += events;
+    m.raw_mpi_bytes += block.raw_mpi_bytes;
     // `add_block` accepted the range, so it lies inside the job.
     for r in first_rank..end as u32 {
-        let e = g.clients.entry(r).or_insert((ClientState::Merged, 0));
+        let e = m.clients.entry(r).or_insert((ClientState::Merged, 0));
         e.0 = ClientState::Merged;
     }
-    if let Some(e) = g.clients.get_mut(&first_rank) {
+    if let Some(e) = m.clients.get_mut(&first_rank) {
         e.1 += events;
     }
-    note_merged(sh, g, received);
+    note_merged(sh, job, m);
     Ok(())
 }
 
-/// `received` ranks are merged; when that is every rank this collector
+/// Report the ranks merged so far; when that is every rank this collector
 /// expects, the collection is complete and the loops stop.
-fn note_merged(sh: Shared<'_>, mut g: MutexGuard<'_, Inner>, received: u32) {
+fn note_merged(sh: Shared<'_>, job: &Job, m: MutexGuard<'_, Merge>) -> u32 {
+    let received = m.merger.received();
+    drop(m);
     obs::RANKS_MERGED.set_max(received as i64);
-    let job_nprocs = sh.state.job.get().expect("job fixed").nprocs;
-    if received == sh.role.expected(job_nprocs) {
-        g.done = true;
-        drop(g);
+    if received == sh.role.expected(job.nprocs) {
         sh.server.stop();
     }
+    received
 }
 
 /// Fold one finished rank CTT into the incremental binomial merge and
@@ -822,68 +801,39 @@ fn note_merged(sh: Shared<'_>, mut g: MutexGuard<'_, Inner>, received: u32) {
 /// First-completion-wins: duplicates are acknowledged but discarded.
 fn merge_in<S: CttSource>(
     sh: Shared<'_>,
+    job: &Job,
     out: &mut Outbox,
     ctt: &S,
     bytes: Option<Vec<u8>>,
     stats: SessionStats,
 ) {
     let rank = ctt.rank();
-    let mut g = sh.state.inner.lock().unwrap();
-    let (newly_merged, received) = {
-        let m = g.merger.as_mut().expect("merger installed at Hello");
-        let t0 = Instant::now();
-        let newly = m.add(ctt);
-        MERGE_STEP_NS.record_since(t0);
-        (newly, m.received())
-    };
+    let mut m = job.lock();
+    let t0 = Instant::now();
+    let newly_merged = m.merger.add(ctt);
+    MERGE_STEP_NS.record_since(t0);
     if newly_merged {
-        let entry = g.clients.entry(rank).or_insert((ClientState::Merged, 0));
+        let entry = m.clients.entry(rank).or_insert((ClientState::Merged, 0));
         entry.0 = ClientState::Merged;
         if entry.1 == 0 {
             entry.1 = stats.mpi_events;
         }
-        g.total_events += stats.mpi_events;
-        g.raw_mpi_bytes += stats.raw_mpi_bytes;
-        g.peak_ctt_bytes = g.peak_ctt_bytes.max(stats.peak_ctt_bytes);
+        m.total_events += stats.mpi_events;
+        m.raw_mpi_bytes += stats.raw_mpi_bytes;
+        m.peak_ctt_bytes = m.peak_ctt_bytes.max(stats.peak_ctt_bytes);
         if let Some(bytes) = bytes {
-            g.rank_ctts.push((rank, bytes));
+            m.rank_ctts.push((rank, bytes));
         }
         obs::SESSIONS_COMPLETED.inc();
     }
-    note_merged(sh, g, received);
-    out.send(&Frame::FinAck {
-        ranks_done: received,
-    });
+    let ranks_done = note_merged(sh, job, m);
+    out.send(&Frame::FinAck { ranks_done });
     out.close();
 }
 
 /// Snapshot the running collection into a wire-ready [`Stats`].
 fn build_stats(state: &State) -> Stats {
-    let g = state.inner.lock().unwrap();
     let uptime_ns = state.started.elapsed().as_nanos() as u64;
-    let (ranks_done, merge_depth, resident_blocks) = match &g.merger {
-        Some(m) => (m.received(), m.max_depth(), m.pending_blocks() as u32),
-        None => (0, 0, 0),
-    };
-    let events_total = g.total_events.max(
-        // Mid-stream events are not yet in total_events; count them so the
-        // rate reflects live receive progress, not just merged ranks.
-        g.clients.values().map(|&(_, ev)| ev).sum(),
-    );
-    let events_per_sec_x1000 = if uptime_ns == 0 {
-        0
-    } else {
-        ((events_total as u128 * 1_000_000_000_000u128) / uptime_ns as u128) as u64
-    };
-    let clients = g
-        .clients
-        .iter()
-        .map(|(&rank, &(state, events))| ClientStat {
-            rank,
-            state,
-            events,
-        })
-        .collect();
     let quantiles = [
         ("batch_events", &BATCH_EVENTS),
         ("merge_step_ns", &MERGE_STEP_NS),
@@ -898,18 +848,46 @@ fn build_stats(state: &State) -> Stats {
         p99: h.quantile(0.99),
     })
     .collect();
-    Stats {
+    let mut stats = Stats {
         version: STATS_VERSION,
         uptime_ns,
-        nprocs: state.job.get().map(|j| j.nprocs).unwrap_or(0),
-        ranks_done,
-        events_total,
-        events_per_sec_x1000,
-        merge_depth,
-        resident_blocks,
-        clients,
+        nprocs: 0,
+        ranks_done: 0,
+        events_total: 0,
+        events_per_sec_x1000: 0,
+        merge_depth: 0,
+        resident_blocks: 0,
+        clients: Vec::new(),
         quantiles,
+    };
+    let Some(job) = state.job.get() else {
+        return stats;
+    };
+    let m = job.lock();
+    // Mid-stream events are not yet in total_events; count them so the
+    // rate reflects live receive progress, not just merged ranks.
+    let events_total = m
+        .total_events
+        .max(m.clients.values().map(|&(_, ev)| ev).sum());
+    stats.nprocs = job.nprocs;
+    stats.ranks_done = m.merger.received();
+    stats.merge_depth = m.merger.max_depth();
+    stats.resident_blocks = m.merger.pending_blocks() as u32;
+    stats.events_total = events_total;
+    if uptime_ns > 0 {
+        stats.events_per_sec_x1000 =
+            ((events_total as u128 * 1_000_000_000_000u128) / uptime_ns as u128) as u64;
     }
+    stats.clients = m
+        .clients
+        .iter()
+        .map(|(&rank, &(state, events))| ClientStat {
+            rank,
+            state,
+            events,
+        })
+        .collect();
+    stats
 }
 
 #[cfg(test)]
@@ -1022,6 +1000,47 @@ mod tests {
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.merged.to_bytes(), want);
         assert_eq!(job.raw_mpi_bytes, 0);
+    }
+
+    /// A repeat of a merged rank, in either mode, is answered `already_done`
+    /// at the `Hello` and sends nothing, and the job still completes
+    /// byte-identical to the local merge.
+    #[test]
+    fn repeated_rank_is_already_done_in_every_mode() {
+        let nprocs = 2;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let cfg = ClientConfig::default();
+        let first = submit_ctt(&addr, &cfg, &local[0], &cst_text).unwrap();
+        assert!(!first.already_done);
+        assert_eq!(first.ranks_done, 1);
+        let t = &traces[0];
+        let repeats = [
+            submit_ctt(&addr, &cfg, &local[0], &cst_text).unwrap(),
+            submit_stream(&addr, &cfg, t.rank, t.nprocs, &cst_text, |sink| {
+                for ev in &t.events {
+                    sink.event(ev.clone());
+                }
+                Ok(t.app_time)
+            })
+            .unwrap(),
+        ];
+        for out in repeats {
+            assert!(out.already_done, "{out:?}");
+            assert_eq!(out.events_sent, 0, "{out:?}");
+        }
+        submit_ctt(&addr, &cfg, &local[1], &cst_text).unwrap();
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), want);
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub mod stats;
 pub mod transport;
 pub mod tree;
 
-pub use client::{submit_ctt, submit_merged_blocks, submit_stream, ClientConfig, SubmitOutcome};
-pub use collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
+pub use client::{submit_ctt, submit_stream, ClientConfig, SubmitOutcome};
+pub use collector::{CollectedJob, Collector, CollectorConfig};
 pub use proto::{Frame, Hello, MergedBlock, SubmitMode, MAX_FRAME_BODY, PROTO_VERSION};
 pub use server::{Handler, Outbox, Server};
 pub use stats::{fetch_stats, ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
@@ -153,11 +153,10 @@ impl NetError {
     /// Whether a fresh attempt against the same collector could succeed:
     /// transport-level failures are retryable, semantic rejections are not.
     pub fn is_retryable(&self) -> bool {
-        match self {
-            NetError::Io(_) | NetError::Frame(_) | NetError::Crc { .. } => true,
-            NetError::Remote { code, .. } => *code == proto::codes::BUSY,
-            _ => false,
-        }
+        matches!(
+            self,
+            NetError::Io(_) | NetError::Frame(_) | NetError::Crc { .. }
+        )
     }
 }
 

@@ -82,12 +82,9 @@ pub mod codes {
     pub const CST_MISMATCH: u16 = 3;
     /// Frame sequence violation (e.g. `Events` before `Hello`).
     pub const PROTOCOL: u16 = 4;
-    /// The collector is shutting down and no longer accepts submissions.
-    pub const SHUTDOWN: u16 = 5;
+    // 5 and 7 are unassigned: no peer ever sent them.
     /// Internal collector failure.
     pub const INTERNAL: u16 = 6;
-    /// Transient overload; the client should back off and retry.
-    pub const BUSY: u16 = 7;
     /// The requested job does not exist in the served store.
     pub const NOT_FOUND: u16 = 8;
 
@@ -97,9 +94,7 @@ pub mod codes {
             BAD_RANK => "bad-rank",
             CST_MISMATCH => "cst-mismatch",
             PROTOCOL => "protocol",
-            SHUTDOWN => "shutdown",
             INTERNAL => "internal",
-            BUSY => "busy",
             NOT_FOUND => "not-found",
             _ => "unknown",
         }

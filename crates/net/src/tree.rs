@@ -17,7 +17,7 @@
 //! (reported by [`Tree::leaves`]).
 
 use crate::client::ClientConfig;
-use crate::collector::{CollectedJob, Collector, CollectorConfig, RelayConfig, RelaySummary};
+use crate::collector::{CollectedJob, Collector, CollectorConfig};
 use crate::transport::Addr;
 use crate::NetError;
 use std::thread::JoinHandle;
@@ -44,7 +44,7 @@ pub struct Tree {
     ranges: Vec<(u32, u32)>,
     stats_addr: Option<Addr>,
     root: JoinHandle<Result<CollectedJob, NetError>>,
-    relays: Vec<JoinHandle<Result<RelaySummary, NetError>>>,
+    relays: Vec<JoinHandle<Result<(), NetError>>>,
 }
 
 impl Tree {
@@ -79,7 +79,7 @@ impl Tree {
         let mut relay_err = None;
         for h in self.relays {
             match h.join() {
-                Ok(Ok(_)) => {}
+                Ok(Ok(())) => {}
                 Ok(Err(e)) => {
                     relay_err.get_or_insert(e);
                 }
@@ -158,16 +158,12 @@ pub fn spawn_tree(root_listen: &Addr, cfg: &TreeConfig) -> Result<Tree, NetError
     let root_cfg = cfg.collector.clone();
     let root_handle = std::thread::spawn(move || root.run(&root_cfg));
     let mut relays = Vec::with_capacity(bound.len());
-    for (c, &(first, last)) in bound.into_iter().zip(&ranges) {
-        let rcfg = RelayConfig {
-            first_rank: first,
-            last_rank: last,
-            nprocs: cfg.nprocs,
-            upstream: root_addr.clone(),
-            client: cfg.client.clone(),
-            collector: cfg.collector.clone(),
-        };
-        relays.push(std::thread::spawn(move || c.run_relay(&rcfg)));
+    for (c, &shard) in bound.into_iter().zip(&ranges) {
+        let (nprocs, upstream) = (cfg.nprocs, root_addr.clone());
+        let (client, collector) = (cfg.client.clone(), cfg.collector.clone());
+        relays.push(std::thread::spawn(move || {
+            c.run_relay(shard, nprocs, &upstream, &client, &collector)
+        }));
     }
     Ok(Tree {
         leaves,

@@ -24,10 +24,6 @@ impl Rng {
         z ^ (z >> 31)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -55,10 +51,6 @@ impl Rng {
         assert!(r.start < r.end, "empty range");
         let span = r.end.wrapping_sub(r.start) as u64;
         r.start.wrapping_add(self.below(span) as i64)
-    }
-
-    pub fn range_i32(&mut self, r: Range<i32>) -> i32 {
-        self.range_i64(r.start as i64..r.end as i64) as i32
     }
 
     /// `true` with probability `p`.

@@ -2,11 +2,11 @@
 //!
 //! The build environment is fully offline (no serde, no format crates), so
 //! everything that is written to disk or to a socket is serialized with this
-//! small hand-rolled codec: LEB128 varints for unsigned integers,
-//! zigzag+LEB128 for signed, raw little-endian bits for `f64`. Every frame,
-//! self-versioned blob and container-section payload is an `impl` [`Codec`]
-//! built from the primitives here plus three combinators that hold the
-//! checks every decoder of outside input needs, so they exist once:
+//! small hand-rolled codec: LEB128 varints for unsigned integers and
+//! zigzag+LEB128 for signed. Every frame, self-versioned blob and
+//! container-section payload is an `impl` [`Codec`] built from the
+//! primitives here plus three combinators that hold the checks every
+//! decoder of outside input needs, so they exist once:
 //!
 //! - [`Encoder::put_seq`] / [`Decoder::get_seq`] (and
 //!   [`Decoder::get_seq_into`], which appends to a pooled vector) — a
@@ -87,10 +87,6 @@ impl Encoder {
     /// Zigzag-encoded signed varint.
     pub fn put_ivar(&mut self, v: i64) {
         self.put_uvar(zigzag(v));
-    }
-
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
     pub fn put_bytes(&mut self, b: &[u8]) {
@@ -218,16 +214,6 @@ impl<'a> Decoder<'a> {
 
     pub fn get_ivar(&mut self) -> DecodeResult<i64> {
         Ok(unzigzag(self.get_uvar()?))
-    }
-
-    pub fn get_f64(&mut self) -> DecodeResult<f64> {
-        if self.buf.len() < 8 {
-            return Err(DecodeError("unexpected end of input (f64)".into()));
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[..8]);
-        self.buf = &self.buf[8..];
-        Ok(f64::from_bits(u64::from_le_bytes(raw)))
     }
 
     pub fn get_bytes(&mut self) -> DecodeResult<Vec<u8>> {
@@ -536,20 +522,6 @@ mod tests {
             let b = e.finish();
             let mut d = Decoder::new(&b);
             assert_eq!(d.get_ivar().unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn f64_round_trip_random_bits() {
-        let mut rng = Rng::new(0xf64f_64f6);
-        for _ in 0..2000 {
-            let v = f64::from_bits(rng.next_u64());
-            let mut e = Encoder::new();
-            e.put_f64(v);
-            let b = e.finish();
-            let mut d = Decoder::new(&b);
-            let got = d.get_f64().unwrap();
-            assert_eq!(got.to_bits(), v.to_bits());
         }
     }
 

@@ -6,7 +6,7 @@
 //! harness here emits CSV plus a coarse ASCII heatmap.
 
 use crate::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
-use crate::event::{MpiOp, MpiRecord, ANY_SOURCE};
+use crate::event::MpiRecord;
 use crate::raw::RawTrace;
 
 /// A dense P×P communication-volume matrix (bytes from row=sender to
@@ -167,30 +167,10 @@ impl Codec for CommMatrix {
     }
 }
 
-/// Count wildcard receives in a set of traces (used by tests and stats).
-pub fn wildcard_recv_count(traces: &[RawTrace]) -> usize {
-    traces
-        .iter()
-        .flat_map(|t| t.mpi_records())
-        .filter(|r| r.op.is_recv_like() && r.params.src == ANY_SOURCE)
-        .count()
-}
-
-/// Aggregate per-op event counts across traces (quick profile, à la mpiP).
-pub fn op_histogram(traces: &[RawTrace]) -> Vec<(MpiOp, usize)> {
-    let mut counts = std::collections::BTreeMap::new();
-    for t in traces {
-        for r in t.mpi_records() {
-            *counts.entry(r.op).or_insert(0usize) += 1;
-        }
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, MpiParams, MpiRecord};
+    use crate::event::{Event, MpiOp, MpiParams, MpiRecord};
 
     fn send_event(dest: i64, count: i64) -> Event {
         Event::Mpi(MpiRecord {

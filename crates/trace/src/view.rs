@@ -56,11 +56,6 @@ impl SectionInfo {
     pub fn stored_len(&self) -> usize {
         self.stored.len()
     }
-
-    /// Byte range of the stored bytes within the image.
-    pub fn stored_range(&self) -> Range<usize> {
-        self.stored.clone()
-    }
 }
 
 /// Parsed container framing: version, world size, and one [`SectionInfo`]

@@ -98,11 +98,14 @@ echo "== knob census: settings with one value in use stay constants =="
 # scripts/recount.sh's counts may only fall; the deleted modes and flags
 # stay deleted (DESIGN §4c names the consumer of every surviving knob).
 census=$(scripts/recount.sh)
-test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 32 \
+test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 25 \
   || { echo "more *Config/*Options fields than the census allows"; exit 1; }
 test "$(sed -n 's/^CLI flag literals: //p' <<<"$census")" -le 22 \
   || { echo "more CLI flags than the census allows"; exit 1; }
+test "$(sed -n 's/^crates\/net\/src unwrap\/expect sites: //p' <<<"$census")" -le 17 \
+  || { echo "more unwrap/expect sites in crates/net/src than the census allows"; exit 1; }
 ! grep -rnwE 'TimeMode|enum Strategy|ScalaConfig|Scala2Config' crates/*/src src || exit 1
+! grep -rnwE 'RelayConfig|RelaySummary|const (SHUTDOWN|BUSY)' crates/*/src src || exit 1
 ! grep -rnF -e '"--strategy"' -e '"--workers"' -e '"--hotspots"' crates/*/src src || exit 1
 
 echo "== byte-identity suites present (cargo test below runs them) =="

@@ -62,9 +62,11 @@ use cypress::trace::commmatrix::CommMatrix;
 use cypress::trace::raw::RawTrace;
 use cypress::trace::{ContainerView, SectionKind};
 use cypress::{read_container, write_collected_container_with, Error, Pipeline};
+use std::fmt::Display;
 use std::fs;
 use std::path::Path;
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -259,11 +261,21 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The value after `name`, parsed, when the flag is given.
+fn parsed<T: FromStr>(args: &[String], name: &str) -> cypress::Result<Option<T>>
+where
+    T::Err: Display,
+{
+    flag(args, name)
+        .map(|s| {
+            s.parse()
+                .map_err(|e| Error::Invalid(format!("bad {name} value: {e}")))
+        })
+        .transpose()
+}
+
 fn nprocs_of(args: &[String]) -> cypress::Result<u32> {
-    flag(args, "-n")
-        .ok_or_else(|| Error::Invalid("missing -n <procs>".into()))?
-        .parse()
-        .map_err(|e| Error::Invalid(format!("bad -n value: {e}")))
+    parsed(args, "-n")?.ok_or_else(|| Error::Invalid("missing -n <procs>".into()))
 }
 
 /// Parse `--level` into a section/wire compression level. `none` is
@@ -280,33 +292,9 @@ fn level_of(args: &[String]) -> cypress::Result<Option<Option<ZLevel>>> {
     }
 }
 
-fn threads_of(args: &[String]) -> cypress::Result<Option<usize>> {
-    match flag(args, "--threads") {
-        None => Ok(None),
-        Some(s) => s
-            .parse()
-            .map(Some)
-            .map_err(|e| Error::Invalid(format!("bad --threads value: {e}"))),
-    }
-}
-
 /// `--limit`: rows of a ranked report to print (default 10).
 fn limit_of(args: &[String]) -> cypress::Result<usize> {
-    match flag(args, "--limit") {
-        None => Ok(10),
-        Some(s) => s
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --limit value: {e}"))),
-    }
-}
-
-fn rank_of(args: &[String]) -> cypress::Result<u32> {
-    match flag(args, "-r") {
-        None => Ok(0),
-        Some(s) => s
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad -r value: {e}"))),
-    }
+    Ok(parsed(args, "--limit")?.unwrap_or(10))
 }
 
 /// Every flag the binary knows, and whether it consumes the following
@@ -446,7 +434,7 @@ fn cmd_trace(args: &[String]) -> CliResult {
 
 fn cmd_dump(args: &[String]) -> CliResult {
     let (_, _, traces) = run_traces(args)?;
-    let rank = rank_of(args)? as usize;
+    let rank = parsed(args, "-r")?.unwrap_or(0usize);
     let t = traces
         .get(rank)
         .ok_or_else(|| Error::Invalid(format!("rank {rank} out of range")))?;
@@ -461,7 +449,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let t0 = cypress::obs::trace_now_ns();
     let (_, src) = read_source(args)?;
     let n = nprocs_of(args)?;
-    let threads = threads_of(args)?;
+    let threads: Option<usize> = parsed(args, "--threads")?;
     let mut cfg = cypress::PipelineConfig {
         level: level_of(args)?.unwrap_or(None),
         ..cypress::PipelineConfig::default()
@@ -510,7 +498,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
 
 fn cmd_decompress(args: &[String]) -> CliResult {
     let file = positional(args, "compressed trace file")?;
-    let rank = rank_of(args)?;
+    let rank = parsed(args, "-r")?.unwrap_or(0);
     let ops = read_container(&file)?.decompress(rank)?;
     println!("# rank {rank}: {} operations", ops.len());
     for o in &ops {
@@ -831,17 +819,11 @@ fn cmd_queryd(args: &[String]) -> CliResult {
     })?;
     let dir = flag(args, "--store")
         .ok_or_else(|| Error::Invalid("missing --store <dir> of .cytc containers".into()))?;
-    let mut cfg = StoreConfig::default();
-    if let Some(n) = flag(args, "--max-jobs") {
-        cfg.max_jobs = n
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --max-jobs value: {e}")))?;
-    }
-    if let Some(b) = flag(args, "--max-bytes") {
-        cfg.max_bytes = b
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --max-bytes value: {e}")))?;
-    }
+    let unbounded = StoreConfig::default();
+    let cfg = StoreConfig {
+        max_jobs: parsed(args, "--max-jobs")?.unwrap_or(unbounded.max_jobs),
+        max_bytes: parsed(args, "--max-bytes")?.unwrap_or(unbounded.max_bytes),
+    };
     let store = Arc::new(JobStore::new(&dir, cfg)?);
     let jobs = store.list()?.len();
     let listener = cypress::net::Listener::bind(&Addr::parse(&listen)?)?;
@@ -892,31 +874,23 @@ fn cmd_serve(args: &[String]) -> CliResult {
     })?;
     let out = flag(args, "--out").ok_or_else(|| Error::Invalid("missing --out <file>".into()))?;
     let addr = Addr::parse(&listen)?;
-    let per_rank = has_flag(args, "--per-rank");
+    let mut per_rank = has_flag(args, "--per-rank");
 
     let mut cfg = CollectorConfig {
         keep_rank_ctts: per_rank,
+        deadline: parsed(args, "--timeout")?.map(Duration::from_secs_f64),
         ..CollectorConfig::default()
     };
-    if let Some(secs) = flag(args, "--timeout") {
-        let secs: f64 = secs
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --timeout value: {e}")))?;
-        cfg.deadline = Some(std::time::Duration::from_secs_f64(secs));
-    }
 
     let level = level_of(args)?.unwrap_or(None);
-    let threads = threads_of(args)?.unwrap_or_else(|| {
+    let threads = parsed(args, "--threads")?.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .min(8)
     });
 
-    if let Some(relays) = flag(args, "--tree") {
-        let relays: u32 = relays
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --tree value: {e}")))?;
+    let job = if let Some(relays) = parsed::<u32>(args, "--tree")? {
         if relays == 0 {
             return Err(Error::Invalid("--tree needs at least 1 relay".into()));
         }
@@ -925,12 +899,12 @@ fn cmd_serve(args: &[String]) -> CliResult {
         let n = nprocs_of(args).map_err(|_| {
             Error::Invalid("serve --tree requires -n <procs> (shards are fixed up front)".into())
         })?;
-        let mut cfg = cfg;
         if per_rank {
             eprintln!(
                 "warning: --per-rank is unavailable with --tree (relays forward merged \
                  blocks, not rank CTTs); writing the merged container only"
             );
+            per_rank = false;
             cfg.keep_rank_ctts = false;
         }
         if let Some(sa) = flag(args, "--stats-addr") {
@@ -952,30 +926,19 @@ fn cmd_serve(args: &[String]) -> CliResult {
             eprintln!("cypress relay for ranks {first}..{last} listening on {leaf}");
         }
         eprintln!("cypress collector tree root on {addr} ({relays} relays, {n} ranks)");
-        let job = tree.join()?;
-        let merged_bytes = job.merged.to_bytes().len();
-        write_collected_container_with(&job, &out, false, level, threads)?;
-        println!(
-            "collected {} ranks, {} MPI events; merged CTT {} B ({} rank groups)",
-            job.nprocs,
-            job.total_events,
-            merged_bytes,
-            job.merged.group_count()
+        tree.join()?
+    } else {
+        let mut collector = Collector::bind(&addr)?;
+        if let Some(sa) = flag(args, "--stats-addr") {
+            let resolved = collector.bind_stats(&Addr::parse(&sa)?)?;
+            eprintln!("cypress collector stats endpoint on {resolved} (poll with `cypress stats --connect {resolved}`)");
+        }
+        eprintln!(
+            "cypress collector listening on {} (job size set by the first client)",
+            collector.local_addr()?
         );
-        println!("wrote {out}");
-        return Ok(());
-    }
-
-    let mut collector = Collector::bind(&addr)?;
-    if let Some(sa) = flag(args, "--stats-addr") {
-        let resolved = collector.bind_stats(&Addr::parse(&sa)?)?;
-        eprintln!("cypress collector stats endpoint on {resolved} (poll with `cypress stats --connect {resolved}`)");
-    }
-    eprintln!(
-        "cypress collector listening on {} (job size set by the first client)",
-        collector.local_addr()?
-    );
-    let job = collector.run(&cfg)?;
+        collector.run(&cfg)?
+    };
     let merged_bytes = job.merged.to_bytes().len();
     write_collected_container_with(&job, &out, per_rank, level, threads)?;
     println!(
@@ -995,10 +958,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
 fn cmd_submit(args: &[String]) -> CliResult {
     let (prog, info) = load_program(args)?;
     let n = nprocs_of(args)?;
-    let rank: u32 = flag(args, "--rank")
-        .ok_or_else(|| Error::Invalid("missing --rank <r>".into()))?
-        .parse()
-        .map_err(|e| Error::Invalid(format!("bad --rank value: {e}")))?;
+    let rank: u32 =
+        parsed(args, "--rank")?.ok_or_else(|| Error::Invalid("missing --rank <r>".into()))?;
     if rank >= n {
         return Err(Error::Invalid(format!("rank {rank} out of 0..{n}")));
     }
@@ -1006,10 +967,8 @@ fn cmd_submit(args: &[String]) -> CliResult {
         flag(args, "--connect").ok_or_else(|| Error::Invalid("missing --connect <addr>".into()))?;
     let addr = Addr::parse(&connect)?;
     let mut cfg = ClientConfig::default();
-    if let Some(a) = flag(args, "--attempts") {
-        cfg.attempts = a
-            .parse()
-            .map_err(|e| Error::Invalid(format!("bad --attempts value: {e}")))?;
+    if let Some(attempts) = parsed(args, "--attempts")? {
+        cfg.attempts = attempts;
     }
     if let Some(level) = level_of(args)? {
         cfg.ctt_level = level;

@@ -252,11 +252,6 @@ impl Pipeline {
         self
     }
 
-    /// The current run configuration (what [`Pipeline::run`] will use).
-    pub fn config_ref(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
     /// Parse, analyze, execute every rank, and compress. Ranks run on a
     /// work-stealing pool of [`PipelineConfig::threads`] workers, each
     /// interpreter feeding its own [`CompressSession`] in lockstep.
@@ -445,16 +440,6 @@ impl MetaInfo {
             nprocs,
             events,
             raw_bytes,
-        }
-    }
-
-    /// Raw-over-compressed compression ratio against a given compressed
-    /// size, when the raw size is known.
-    pub fn compression_ratio(&self, compressed_bytes: usize) -> Option<f64> {
-        if self.raw_bytes == 0 || compressed_bytes == 0 {
-            None
-        } else {
-            Some(self.raw_bytes as f64 / compressed_bytes as f64)
         }
     }
 }

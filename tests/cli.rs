@@ -328,4 +328,39 @@ fn bad_input_fails_cleanly() {
         assert!(stderr.contains(want), "{extra}: {stderr}");
         assert!(!container.exists(), "{extra} still wrote the container");
     }
+
+    // A numeric flag whose value does not parse: exit 1 naming the flag,
+    // before anything is read, bound or connected. The listen socket's
+    // directory does not exist, so a value that slipped through would fail
+    // at bind rather than serve.
+    let prog = prog.to_str().unwrap();
+    let file = container.to_str().unwrap();
+    let sock = format!("unix:{}", dir.join("missing/c.sock").display());
+    let store = dir.join("missing").display().to_string();
+    let serve = ["serve", "--listen", &sock, "--out", file];
+    let queryd = ["queryd", "--listen", &sock, "--store", &store];
+    let submit = ["submit", prog, "-n", "4", "--connect", "127.0.0.1:1"];
+    let cases: [(&str, Vec<&str>); 10] = [
+        ("-n", vec!["compress", prog, "-o", file]),
+        ("--threads", vec!["compress", prog, "-o", file, "-n", "4"]),
+        ("-r", vec!["decompress", file]),
+        ("--limit", vec!["query", file]),
+        ("--max-jobs", queryd.to_vec()),
+        ("--max-bytes", queryd.to_vec()),
+        ("--timeout", serve.to_vec()),
+        ("--tree", [&serve[..], &["-n", "4"]].concat()),
+        ("--rank", submit.to_vec()),
+        ("--attempts", [&submit[..], &["--rank", "0"]].concat()),
+    ];
+    for (flag, mut argv) in cases {
+        argv.extend([flag, "x"]);
+        let out = cypress().args(&argv).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag} value")),
+            "{flag}: {stderr}"
+        );
+    }
+    assert!(!container.exists());
 }
