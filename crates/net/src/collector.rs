@@ -8,10 +8,12 @@
 //!
 //! Sockets, buffers and wake-ups belong to [`crate::server`]; this module
 //! is the collection [`Handler`] on it — a per-connection state machine
-//! ([`ConnState`]) that advances on whole frames, on a job listener and an
-//! optional stats listener. The job is one [`Job`], installed by the first
-//! valid `Hello`; every submission state carries it and the rank its
-//! `Hello` named.
+//! ([`ConnState`]) that advances on whole frames, on the one listener its
+//! clients use. The job is one [`Job`], installed by the first valid
+//! `Hello`; every submission state carries it and the rank its `Hello`
+//! named. A connection whose first frame is `StatsRequest` instead gets one
+//! live [`Stats`] snapshot and is closed: the protocol state is per
+//! connection, so a poll never touches a submission.
 //!
 //! Two roles share that handler:
 //!
@@ -67,11 +69,6 @@ pub struct CollectorConfig {
     /// Overall wall-clock budget; when it expires with ranks missing the
     /// run fails listing them instead of hanging forever.
     pub deadline: Option<Duration>,
-    /// Serve live [`Stats`] snapshots on a second endpoint
-    /// (`cypress serve --stats-addr`). `None` disables telemetry.
-    /// Ephemeral-port callers (tests) should prefer
-    /// [`Collector::bind_stats`], which reports the resolved address.
-    pub stats_addr: Option<Addr>,
 }
 
 impl Default for CollectorConfig {
@@ -79,7 +76,6 @@ impl Default for CollectorConfig {
         CollectorConfig {
             keep_rank_ctts: true,
             deadline: None,
-            stats_addr: None,
         }
     }
 }
@@ -203,7 +199,10 @@ fn fail_collection(sh: Shared<'_>, msg: String) {
 
 /// Protocol position of one multiplexed connection. A submission's states
 /// carry the job its `Hello` joined and the rank that `Hello` named.
+#[derive(Default)]
 enum ConnState<'a> {
+    /// Accepted: a `Hello` opens a submission, a `StatsRequest` is answered.
+    #[default]
     AwaitHello,
     Streaming {
         job: &'a Job,
@@ -220,7 +219,6 @@ enum ConnState<'a> {
         rank: u32,
         nblocks: u64,
     },
-    AwaitStatsReq,
     /// Terminal: everything left to do is flush the replies and close.
     Done,
 }
@@ -236,14 +234,10 @@ impl ConnState<'_> {
             ConnState::AwaitCtt { job, rank } | ConnState::Blocks { job, rank, .. } => {
                 job.mark_client(rank, ClientState::Aborted);
             }
-            ConnState::AwaitHello | ConnState::AwaitStatsReq | ConnState::Done => {}
+            ConnState::AwaitHello | ConnState::Done => {}
         }
     }
 }
-
-/// Index of the job listener in the slice `run_core` serves; the stats
-/// listener, when there is one, follows it.
-const JOB: usize = 0;
 
 /// A connection silent this long mid-protocol is dropped (its client
 /// retries from scratch).
@@ -253,15 +247,6 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// and wake-ups, this owns what the frames mean.
 impl<'a> Handler for Shared<'a> {
     type Conn = ConnState<'a>;
-
-    fn accept(&self, listener: usize) -> ConnState<'a> {
-        if listener == JOB {
-            obs::CONNECTIONS.inc();
-            ConnState::AwaitHello
-        } else {
-            ConnState::AwaitStatsReq
-        }
-    }
 
     fn on_frame(&self, c: &mut ConnState<'a>, frame: Frame, out: &mut Outbox) {
         let st = std::mem::replace(c, ConnState::Done);
@@ -318,12 +303,8 @@ impl<'a> Handler for Shared<'a> {
         );
     }
 
-    fn on_accept_error(&self, listener: usize, e: std::io::Error) {
-        if listener == JOB {
-            fail_collection(*self, format!("listener failed: {e}"));
-        } else {
-            obs_log!(Level::Warn, "net", "stats listener failed: {e}");
-        }
+    fn on_accept_error(&self, e: std::io::Error) {
+        fail_collection(*self, format!("listener failed: {e}"));
     }
 }
 
@@ -332,14 +313,12 @@ impl<'a> Handler for Shared<'a> {
 /// before clients start.
 pub struct Collector {
     listener: Listener,
-    stats_listener: Option<Listener>,
 }
 
 impl Collector {
     pub fn bind(addr: &Addr) -> Result<Collector, NetError> {
         Ok(Collector {
             listener: Listener::bind(addr)?,
-            stats_listener: None,
         })
     }
 
@@ -348,32 +327,11 @@ impl Collector {
         self.listener.local_addr()
     }
 
-    /// Bind the live-telemetry endpoint up front and return its resolved
-    /// address. Takes precedence over [`CollectorConfig::stats_addr`];
-    /// callers using ephemeral ports (tests, `--stats-addr 127.0.0.1:0`)
-    /// need the resolved address before `run` blocks.
-    pub fn bind_stats(&mut self, addr: &Addr) -> Result<Addr, NetError> {
-        let l = Listener::bind(addr)?;
-        let resolved = l.local_addr()?;
-        self.stats_listener = Some(l);
-        Ok(resolved)
-    }
-
     /// Serve until every rank of the job (sized by the first `Hello`) is
     /// merged, then return the collected job. Blocks the calling thread
     /// (which runs event loop 0).
-    pub fn run(mut self, cfg: &CollectorConfig) -> Result<CollectedJob, NetError> {
-        if self.stats_listener.is_none() {
-            if let Some(addr) = &cfg.stats_addr {
-                self.bind_stats(addr)?;
-            }
-        }
-        let job = run_core(
-            &self.listener,
-            self.stats_listener.as_ref(),
-            cfg,
-            Role::Root,
-        )?;
+    pub fn run(self, cfg: &CollectorConfig) -> Result<CollectedJob, NetError> {
+        let job = run_core(&self.listener, cfg, Role::Root)?;
         let m = job.merge.into_inner().unwrap();
         let mut rank_ctts = m.rank_ctts;
         rank_ctts.sort_by_key(|&(rank, _)| rank);
@@ -391,8 +349,8 @@ impl Collector {
 
     /// Serve as a mid-tier relay: collect ranks `[first, last)` of an
     /// `nprocs`-rank job, then forward the shard's merged buddy blocks to
-    /// `upstream` with `client`'s retry policy. Per-rank CTT retention and
-    /// the stats endpoint are root-only concerns and are off here.
+    /// `upstream` with `client`'s retry policy. Per-rank CTT retention is a
+    /// root-only concern and is off here.
     pub(crate) fn run_relay(
         self,
         (first, last): (u32, u32),
@@ -410,7 +368,7 @@ impl Collector {
             last,
             nprocs,
         };
-        let job = run_core(&self.listener, None, &cfg, role)?;
+        let job = run_core(&self.listener, &cfg, role)?;
         // Free the shard's endpoint before the (possibly retried) upstream
         // submission; nothing else will connect here.
         drop(self);
@@ -445,23 +403,15 @@ impl Collector {
 
 /// Run the server loops until the collection completes or fails; returns
 /// the job with every rank of `role` merged.
-fn run_core(
-    listener: &Listener,
-    stats_listener: Option<&Listener>,
-    cfg: &CollectorConfig,
-    role: Role,
-) -> Result<Job, NetError> {
+fn run_core(listener: &Listener, cfg: &CollectorConfig, role: Role) -> Result<Job, NetError> {
     let state = State {
         job: OnceLock::new(),
         fatal: Mutex::new(None),
         started: Instant::now(),
     };
-    let at = |l: &Listener| l.local_addr().map(|a| a.to_string()).unwrap_or_default();
-    if let Some(sl) = stats_listener {
-        obs_log!(Level::Info, "net", "collector stats endpoint on {}", at(sl));
-    }
     let server = Server::new(0)?;
-    let (on, loops) = (at(listener), server.loops());
+    let on = listener.local_addr().map(|a| a.to_string());
+    let (on, loops) = (on.unwrap_or_default(), server.loops());
     obs_log!(
         Level::Info,
         "net",
@@ -473,8 +423,7 @@ fn run_core(
         role,
         server: &server,
     };
-    let listeners: Vec<&Listener> = std::iter::once(listener).chain(stats_listener).collect();
-    server.run(&sh, &listeners)?;
+    server.run(&sh, listener)?;
     let fatal = state.fatal.into_inner().unwrap();
     match state.job.into_inner() {
         Some(job) if job.lock().merger.received() == role.expected(job.nprocs) => Ok(job),
@@ -502,6 +451,13 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
     match (st, frame) {
         (ConnState::AwaitHello, Frame::Hello(hello)) => {
             on_hello(sh, out, hello).map_err(|r| (ConnState::AwaitHello, r))
+        }
+        (ConnState::AwaitHello, Frame::StatsRequest) => {
+            out.send(&Frame::Stats {
+                stats: build_stats(sh.state),
+            });
+            out.close();
+            Ok(ConnState::Done)
         }
         (
             ConnState::Streaming {
@@ -583,18 +539,11 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
             out.close();
             Ok(ConnState::Done)
         }
-        (ConnState::AwaitStatsReq, Frame::StatsRequest) => {
-            let stats = build_stats(sh.state);
-            out.send(&Frame::Stats { stats });
-            out.close();
-            Ok(ConnState::Done)
-        }
-        (st @ ConnState::AwaitStatsReq, f) => {
-            let msg = format!("stats endpoint expects StatsRequest, got {}", f.name());
-            Err((st, (codes::PROTOCOL, msg)))
-        }
         (st @ ConnState::AwaitHello, f) => {
-            let msg = format!("first frame must be Hello, got {}", f.name());
+            let msg = format!(
+                "first frame must be Hello or StatsRequest, got {}",
+                f.name()
+            );
             Err((st, (codes::PROTOCOL, msg)))
         }
         (st, f) => {
@@ -1478,19 +1427,14 @@ mod tests {
         let (info, traces) = traces(nprocs);
         let cst_text = info.cst.to_text();
 
-        let mut collector = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
-        let addr = collector.local_addr().unwrap();
-        let stats_addr = collector
-            .bind_stats(&Addr::parse("127.0.0.1:0").unwrap())
-            .unwrap();
-        let cfg = CollectorConfig {
+        // Stats are polled on the address the clients submit to.
+        let (addr, server) = serve_in_background(CollectorConfig {
             deadline: Some(Duration::from_secs(60)),
             ..CollectorConfig::default()
-        };
-        let server = std::thread::spawn(move || collector.run(&cfg));
+        });
 
         // Before any client: an empty but well-formed snapshot.
-        let s0 = crate::stats::fetch_stats(&stats_addr, Duration::from_secs(5)).unwrap();
+        let s0 = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
         assert_eq!(s0.version, STATS_VERSION);
         assert_eq!(s0.nprocs, 0);
         assert_eq!(s0.ranks_done, 0);
@@ -1511,7 +1455,7 @@ mod tests {
         for t in traces.iter().take(nprocs as usize - 1) {
             submit(t);
         }
-        let s1 = crate::stats::fetch_stats(&stats_addr, Duration::from_secs(5)).unwrap();
+        let s1 = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
         assert_eq!(s1.nprocs, nprocs);
         assert_eq!(s1.ranks_done, nprocs - 1);
         assert_eq!(s1.clients.len(), nprocs as usize - 1);
@@ -1534,14 +1478,54 @@ mod tests {
             assert!(q.count > 0);
         }
 
-        // Completing the job shuts the stats loop down with the collector.
+        // Completing the job shuts the stats endpoint down with the collector.
         submit(&traces[nprocs as usize - 1]);
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.nprocs, nprocs);
         assert!(
-            crate::stats::fetch_stats(&stats_addr, Duration::from_millis(500)).is_err(),
+            crate::stats::fetch_stats(&addr, Duration::from_millis(500)).is_err(),
             "stats endpoint must die with the collection"
         );
+    }
+
+    /// A stats poll is a first frame only: sent after a `Hello` it is a
+    /// `PROTOCOL` refusal that aborts that submission, the next snapshot
+    /// says so, and a retry of the rank completes the job unperturbed.
+    #[test]
+    fn stats_request_mid_submission_is_refused_and_the_rank_retries() {
+        let nprocs = 2;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let cfg = ClientConfig::default();
+        submit_ctt(&addr, &cfg, &local[0], &cst_text).unwrap();
+        let (code, message) = refused(
+            &addr,
+            &cst_text,
+            (1, nprocs),
+            SubmitMode::Ctt,
+            Frame::StatsRequest,
+        );
+        assert_eq!(code, codes::PROTOCOL, "{message}");
+        assert!(message.contains("StatsRequest"), "{message}");
+        let s = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
+        assert_eq!((s.nprocs, s.ranks_done), (nprocs, 1));
+        let states: Vec<_> = s.clients.iter().map(|c| (c.rank, c.state)).collect();
+        assert_eq!(
+            states,
+            [(0, ClientState::Merged), (1, ClientState::Aborted)]
+        );
+        submit_ctt(&addr, &cfg, &local[1], &cst_text).unwrap();
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), want);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!   sleep loop.
 //! - [`server`] — the one server loop: a small pool of event loops
 //!   multiplexing thousands of nonblocking connections, generic over a
-//!   [`Handler`] that sees whole frames and queues replies. The collector
-//!   and its stats endpoint are one handler; `cypress queryd`
-//!   (`cypress-store`) is another.
+//!   [`Handler`] that sees whole frames and queues replies, on one listener
+//!   per daemon. The collector (submissions and stats polls alike) is one
+//!   handler; `cypress queryd` (`cypress-store`) is another.
 //! - [`client`] / [`collector`] — the submitting side (connect/send retry
 //!   with exponential backoff, frame pipelining in coalesced writes,
 //!   per-request timeouts, drain-on-finish) and the collection handler
@@ -170,7 +170,7 @@ pub(crate) mod obs {
     pub static BYTES_OUT: Counter = Counter::new("net", "bytes_out");
     pub static FRAMES_IN: Counter = Counter::new("net", "frames_in");
     pub static FRAMES_OUT: Counter = Counter::new("net", "frames_out");
-    /// Connections the collector accepted.
+    /// Connections a server loop accepted (collector and queryd alike).
     pub static CONNECTIONS: Counter = Counter::new("net", "connections");
     /// Compression sessions the collector opened for stream-mode clients.
     pub static SESSIONS_STARTED: Counter = Counter::new("net", "sessions_started");

@@ -31,7 +31,7 @@
 //! ctt mode:     Hello → (HelloAck ←) → RankCtt | RankCttZ → (FinAck ←)
 //! blocks mode:  Hello → (HelloAck ←) → MergedBlockZ* → Finish → (FinAck ←)
 //! query mode:   QueryRequest | AnalyzeRequest → (…Response ←), repeated
-//! stats mode:   StatsRequest → (Stats ←)
+//! stats mode:   StatsRequest → (Stats ←)       first frame instead of Hello
 //! any point:    Error ← (collector rejects; see codes)
 //! ```
 //!

@@ -2,11 +2,12 @@
 //!
 //! A [`Server`] is a small pool of **event loops** (see [`crate::poll`]),
 //! each multiplexing many non-blocking sockets. Loop 0 runs on the thread
-//! that calls [`Server::run`] and owns the listeners; accepted sockets are
-//! dealt round-robin to the loops through waker-signalled mailboxes. Nothing
-//! sleeps on a timer: the loops block in `poll(2)` until a socket, a peer
-//! loop, the handler's deadline or [`Server::stop`] wakes them, and only
-//! the connections `poll` reported ready are read from or written to.
+//! that calls [`Server::run`] and owns the daemon's one listener; accepted
+//! sockets are dealt round-robin to the loops through waker-signalled
+//! mailboxes. Nothing sleeps on a timer: the loops block in `poll(2)` until
+//! a socket, a peer loop, the handler's deadline or [`Server::stop`] wakes
+//! them, and only the connections `poll` reported ready are read from or
+//! written to.
 //!
 //! What a handler never sees: the poll set, the mailboxes and wakers,
 //! partial frames (bytes wait in the connection's [`FrameBuf`] until a frame
@@ -33,13 +34,10 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a daemon is, seen from the server loop. One value is shared by all
-/// loops; `Conn` is the protocol state it keeps per connection.
+/// loops; `Conn` is the protocol state it keeps per connection, starting
+/// from its `Default` when the socket is accepted.
 pub trait Handler: Sync {
-    type Conn;
-
-    /// Initial state for a connection accepted on `listeners[listener]`
-    /// (the slice given to [`Server::run`]).
-    fn accept(&self, listener: usize) -> Self::Conn;
+    type Conn: Default;
 
     /// One whole frame arrived. Replies go to `out`; [`Outbox::close`] ends
     /// the connection once they are flushed.
@@ -63,10 +61,10 @@ pub trait Handler: Sync {
     /// [`Server::stop`].
     fn on_deadline(&self) {}
 
-    /// `accept(2)` failed on a listener with something other than
-    /// `WouldBlock`; the listener is polled again on the next wake-up.
-    fn on_accept_error(&self, listener: usize, e: std::io::Error) {
-        obs_log!(Level::Warn, "net", "listener {listener} failed: {e}");
+    /// `accept(2)` failed with something other than `WouldBlock`; the
+    /// listener is polled again on the next wake-up.
+    fn on_accept_error(&self, e: std::io::Error) {
+        obs_log!(Level::Warn, "net", "listener failed: {e}");
     }
 }
 
@@ -111,14 +109,14 @@ struct Conn<S> {
     last_activity: Instant,
 }
 
-impl<S> Conn<S> {
-    fn new(stream: Stream, state: S) -> Conn<S> {
+impl<S: Default> Conn<S> {
+    fn new(stream: Stream) -> Conn<S> {
         let _ = stream.set_nonblocking(true);
         Conn {
             stream,
             rx: FrameBuf::new(),
             out: Outbox::default(),
-            state,
+            state: S::default(),
             last_activity: Instant::now(),
         }
     }
@@ -203,11 +201,10 @@ impl<S> Conn<S> {
     }
 }
 
-/// Per-event-loop handoff slot: loop 0 deals accepted sockets (tagged with
-/// their listener) here and rings the waker so the owning loop adopts them
-/// without polling.
+/// Per-event-loop handoff slot: loop 0 deals accepted sockets here and
+/// rings the waker so the owning loop adopts them without polling.
 struct LoopShared {
-    mailbox: Mutex<VecDeque<(Stream, usize)>>,
+    mailbox: Mutex<VecDeque<Stream>>,
     waker: Waker,
 }
 
@@ -252,22 +249,21 @@ impl Server {
         }
     }
 
-    /// Serve `listeners` until [`Server::stop`]. Blocks the calling thread,
-    /// which runs loop 0; the other loops are scoped threads.
-    pub fn run<H: Handler>(&self, h: &H, listeners: &[&Listener]) -> Result<(), NetError> {
-        for l in listeners {
-            l.set_nonblocking(true)?;
-        }
+    /// Serve `listener` until [`Server::stop`]. Blocks the calling thread,
+    /// which runs loop 0 and holds the listener; the other loops are scoped
+    /// threads.
+    pub fn run<H: Handler>(&self, h: &H, listener: &Listener) -> Result<(), NetError> {
+        listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
             for idx in 1..self.loops.len() {
-                scope.spawn(move || self.event_loop(idx, h, &[]));
+                scope.spawn(move || self.event_loop(idx, h, None));
             }
-            self.event_loop(0, h, listeners);
+            self.event_loop(0, h, Some(listener));
         });
         Ok(())
     }
 
-    fn event_loop<H: Handler>(&self, idx: usize, h: &H, listeners: &[&Listener]) {
+    fn event_loop<H: Handler>(&self, idx: usize, h: &H, listener: Option<&Listener>) {
         const POISON: &str = "mailbox lock poisoned";
         let me = &self.loops[idx];
         let idle = h.idle_timeout();
@@ -277,8 +273,8 @@ impl Server {
         let mut next_loop = 0usize;
         loop {
             // Adopt connections handed over by the accepting loop.
-            for (s, l) in me.mailbox.lock().expect(POISON).drain(..) {
-                conns.push(Conn::new(s, h.accept(l)));
+            for s in me.mailbox.lock().expect(POISON).drain(..) {
+                conns.push(Conn::new(s));
             }
             if self.stop.load(Ordering::SeqCst) {
                 for c in conns.drain(..) {
@@ -300,15 +296,15 @@ impl Server {
                 timeout = Some(timeout.map_or(idle, |t: Duration| t.min(idle)));
             }
 
-            // Rebuild the poll set: waker, listeners (loop 0), then every
+            // Rebuild the poll set: waker, listener (loop 0), then every
             // connection — read interest unless closing or backpressured,
             // write interest only while replies are pending.
             poll.clear();
             poll.push(me.waker.fd(), true, false);
-            for l in listeners {
+            if let Some(l) = listener {
                 poll.push(l.raw_fd(), true, false);
             }
-            let first_conn = 1 + listeners.len();
+            let first_conn = 1 + usize::from(listener.is_some());
             for c in &conns {
                 poll.push(c.stream.raw_fd(), c.wants_read(), c.out.pending() > 0);
             }
@@ -320,30 +316,29 @@ impl Server {
             me.waker.drain();
 
             // Accept everything pending, dealing sockets round-robin.
-            for (li, l) in listeners.iter().enumerate() {
-                while poll.readable(1 + li) {
-                    match l.accept() {
-                        Ok(s) => {
-                            let target = next_loop % self.loops.len();
-                            next_loop += 1;
-                            if target == idx {
-                                conns.push(Conn::new(s, h.accept(li)));
-                                continue;
-                            }
-                            let tl = &self.loops[target];
-                            let mut mb = tl.mailbox.lock().expect(POISON);
-                            if !mb.is_empty() {
-                                obs::BACKPRESSURE_STALLS.inc();
-                            }
-                            mb.push_back((s, li));
-                            drop(mb);
-                            tl.waker.wake();
+            while let Some(l) = listener.filter(|_| poll.readable(1)) {
+                match l.accept() {
+                    Ok(s) => {
+                        obs::CONNECTIONS.inc();
+                        let target = next_loop % self.loops.len();
+                        next_loop += 1;
+                        if target == idx {
+                            conns.push(Conn::new(s));
+                            continue;
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) => {
-                            h.on_accept_error(li, e);
-                            break;
+                        let tl = &self.loops[target];
+                        let mut mb = tl.mailbox.lock().expect(POISON);
+                        if !mb.is_empty() {
+                            obs::BACKPRESSURE_STALLS.inc();
                         }
+                        mb.push_back(s);
+                        drop(mb);
+                        tl.waker.wake();
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) => {
+                        h.on_accept_error(e);
+                        break;
                     }
                 }
             }
@@ -384,8 +379,6 @@ mod tests {
     impl Handler for Fragile {
         type Conn = ();
 
-        fn accept(&self, _listener: usize) {}
-
         fn on_frame(&self, _: &mut (), frame: Frame, out: &mut Outbox) {
             match frame {
                 Frame::Finish { event_count, .. } => out.send(&Frame::FinAck {
@@ -403,7 +396,7 @@ mod tests {
         // One loop, so both connections share it.
         let server = Server::new(1).unwrap();
         std::thread::scope(|scope| {
-            scope.spawn(|| server.run(&Fragile, &[&listener]).unwrap());
+            scope.spawn(|| server.run(&Fragile, &listener).unwrap());
             let connect = || {
                 let s = Stream::connect(&addr, Duration::from_secs(5)).unwrap();
                 s.set_io_timeout(Duration::from_secs(20)).unwrap();

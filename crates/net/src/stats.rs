@@ -1,12 +1,14 @@
 //! Live collector telemetry: the versioned `Stats` payload and the client
 //! side that fetches it.
 //!
-//! A running collector (`cypress serve --stats-addr`) listens on a second
-//! endpoint speaking the same framed transport as the job protocol, but a
-//! trivial state machine: one `StatsRequest` in, one `Stats` out, done.
-//! Keeping telemetry off the job listener means a monitoring poll can never
-//! perturb the Hello/Events/Finish sequence, and the job protocol version
-//! stays untouched.
+//! Every running collector — a `cypress serve` root, a tree root, each
+//! relay leaf — answers on the address its clients submit to: a connection
+//! whose first frame is `StatsRequest` gets one `Stats` back and is closed.
+//! The protocol state is per connection, so a monitoring poll never touches
+//! another connection's Hello/Events/Finish sequence; a `StatsRequest` sent
+//! after a `Hello` is a `protocol` refusal of that submission. A relay
+//! reports its own shard: `nprocs` is the whole job's, `ranks_done` the
+//! ranks merged there.
 //!
 //! The payload is **self-versioned**: [`STATS_VERSION`] is the first byte of
 //! the body, and a reader accepts exactly that version and exactly the

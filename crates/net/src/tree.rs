@@ -14,7 +14,8 @@
 //! their relay without a discovery protocol: a Unix root at
 //! `unix:/run/cypress.sock` puts relay `k` at `unix:/run/cypress.sock.rk`;
 //! a TCP root binds each relay on an ephemeral port of the root's host
-//! (reported by [`Tree::leaves`]).
+//! (reported by [`Tree::leaves`]). Every endpoint, root and leaves alike,
+//! also answers `cypress stats --connect` with its own progress.
 
 use crate::client::ClientConfig;
 use crate::collector::{CollectedJob, Collector, CollectorConfig};
@@ -30,8 +31,8 @@ pub struct TreeConfig {
     /// Global job size; fixed up front so relays can size their mergers
     /// and validate shard membership before the first client connects.
     pub nprocs: u32,
-    /// Applied to the root; relays inherit it minus root-only concerns
-    /// (per-rank CTT retention, the stats endpoint).
+    /// Applied to the root; relays inherit it minus the root-only per-rank
+    /// CTT retention.
     pub collector: CollectorConfig,
     /// Retry policy for relay → root submissions.
     pub client: ClientConfig,
@@ -42,7 +43,6 @@ pub struct TreeConfig {
 pub struct Tree {
     leaves: Vec<Addr>,
     ranges: Vec<(u32, u32)>,
-    stats_addr: Option<Addr>,
     root: JoinHandle<Result<CollectedJob, NetError>>,
     relays: Vec<JoinHandle<Result<(), NetError>>>,
 }
@@ -56,11 +56,6 @@ impl Tree {
     /// The rank ranges `[first, last)` served by each leaf, in shard order.
     pub fn ranges(&self) -> &[(u32, u32)] {
         &self.ranges
-    }
-
-    /// The root's resolved stats endpoint, when one was configured.
-    pub fn stats_addr(&self) -> Option<&Addr> {
-        self.stats_addr.as_ref()
     }
 
     /// The leaf endpoint rank `rank` must submit to.
@@ -141,12 +136,8 @@ pub fn spawn_tree(root_listen: &Addr, cfg: &TreeConfig) -> Result<Tree, NetError
     if cfg.nprocs == 0 {
         return Err(NetError::Collect("tree needs nprocs > 0".into()));
     }
-    let mut root = Collector::bind(root_listen)?;
+    let root = Collector::bind(root_listen)?;
     let root_addr = root.local_addr()?;
-    let stats_addr = match &cfg.collector.stats_addr {
-        Some(a) => Some(root.bind_stats(a)?),
-        None => None,
-    };
     let ranges = shard_ranges(cfg.nprocs, cfg.relays);
     let mut leaves = Vec::with_capacity(ranges.len());
     let mut bound = Vec::with_capacity(ranges.len());
@@ -168,7 +159,6 @@ pub fn spawn_tree(root_listen: &Addr, cfg: &TreeConfig) -> Result<Tree, NetError
     Ok(Tree {
         leaves,
         ranges,
-        stats_addr,
         root: root_handle,
         relays,
     })

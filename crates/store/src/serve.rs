@@ -52,8 +52,6 @@ impl JobStore {
 impl Handler for JobStore {
     type Conn = ();
 
-    fn accept(&self, _listener: usize) {}
-
     fn on_frame(&self, _: &mut (), frame: Frame, out: &mut Outbox) {
         let reply = match frame {
             Frame::QueryRequest { job, options } => {
@@ -77,7 +75,7 @@ impl Handler for JobStore {
 /// Serve `store` on `listener` from the calling thread (which runs event
 /// loop 0) until the process ends.
 pub fn serve(store: Arc<JobStore>, listener: &Listener) -> Result<(), StoreError> {
-    Ok(Server::new(0)?.run(&*store, &[listener])?)
+    Ok(Server::new(0)?.run(&*store, listener)?)
 }
 
 /// A running daemon. Dropping (or calling [`ServerHandle::stop`]) stops the
@@ -116,7 +114,7 @@ pub fn spawn(store: Arc<JobStore>, addr: &Addr) -> Result<ServerHandle, StoreErr
     let server = Arc::new(Server::new(0)?);
     let s = server.clone();
     let thread = std::thread::spawn(move || {
-        if let Err(e) = s.run(&*store, &[&listener]) {
+        if let Err(e) = s.run(&*store, &listener) {
             cypress_obs::obs_log!(cypress_obs::Level::Error, "store", "queryd failed: {e}");
         }
     });

@@ -308,3 +308,21 @@ fn queryd_loopback_byte_identical_and_persistent() {
     assert!(store.stats().hits > 0, "daemon reuses the hot handle");
     server.stop();
 }
+
+/// Only a collector answers stats polls: a queryd refuses one with a
+/// `protocol` error frame.
+#[test]
+fn stats_poll_at_queryd_is_a_protocol_error() {
+    let tmp = TempStore::new();
+    let store = Arc::new(JobStore::new(&tmp.0, StoreConfig::default()).unwrap());
+    let addr = cypress_net::Addr::parse("127.0.0.1:0").unwrap();
+    let server = cypress_store::spawn(store, &addr).unwrap();
+    match cypress_net::fetch_stats(server.addr(), Duration::from_secs(10)) {
+        Err(cypress_net::NetError::Remote { code, message }) => {
+            assert_eq!(code, cypress_net::proto::codes::PROTOCOL, "{message}");
+            assert!(message.contains("StatsRequest"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    server.stop();
+}

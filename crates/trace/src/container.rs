@@ -349,7 +349,7 @@ pub fn is_container(prefix: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::ContainerView;
+    use crate::view::{PayloadArena, SectionTable};
 
     fn section(kind: SectionKind, rank: Option<u32>, payload: Vec<u8>) -> Section {
         Section {
@@ -378,12 +378,14 @@ mod tests {
 
     /// Materialize every section of `image` through the one reader.
     fn read_back(image: &[u8]) -> Result<(u32, Vec<Section>), ContainerError> {
-        let view = ContainerView::parse(image)?;
+        let table = SectionTable::parse(image)?;
+        let arena = PayloadArena::new(table.len());
         let mut sections = Vec::new();
-        for (i, info) in view.table().sections().iter().enumerate() {
-            sections.push(section(info.kind, info.rank, view.payload(i)?.to_vec()));
+        for (i, info) in table.sections().iter().enumerate() {
+            let payload = arena.payload(image, info, i)?;
+            sections.push(section(info.kind, info.rank, payload.to_vec()));
         }
-        Ok((view.nprocs(), sections))
+        Ok((table.nprocs, sections))
     }
 
     /// Recompute the image-CRC trailer after editing `image` in place.
@@ -594,7 +596,7 @@ mod tests {
         bytes[n / 2] ^= 0xff;
         reseal(&mut bytes);
         assert!(matches!(
-            ContainerView::parse(&bytes).err(),
+            SectionTable::parse(&bytes).err(),
             Some(ContainerError::CrcMismatch { .. } | ContainerError::Corrupt(_))
         ));
     }

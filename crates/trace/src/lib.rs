@@ -26,4 +26,4 @@ pub use event::{Event, EventSink, MpiOp, MpiParams, MpiRecord, ANY_SOURCE, NONE}
 pub use profile::{size_bucket, OpStats, Profile};
 pub use raw::{encode_mpi_events, raw_mpi_size, RawTrace};
 pub use textfmt::{format_record, format_trace};
-pub use view::{ContainerView, PayloadArena, SectionInfo, SectionTable};
+pub use view::{PayloadArena, SectionInfo, SectionTable};

@@ -15,8 +15,9 @@
 //!   zero-copy as `&image[range]`, deflated sections are inflated **exactly
 //!   once** into an arena slot (failures are cached too, so a corrupt
 //!   section reports the same error on every access).
-//! - [`ContainerView`] bundles an image borrow with its table and arena —
-//!   the convenient form for one-shot readers like `cypress inspect`.
+//!
+//! A reader holds the image, the table and the arena side by side — the
+//! trace store's job handle as fields, `cypress inspect` as locals.
 
 use crate::codec::{narrow, DecodeError, Decoder};
 use crate::container::{
@@ -276,67 +277,6 @@ impl PayloadArena {
     }
 }
 
-/// A lazily-decoded container borrowing its backing image: the parsed
-/// [`SectionTable`] plus a [`PayloadArena`]. Convenient for one-shot readers
-/// (`cypress inspect`). Long-lived owners like the trace store's job handle
-/// hold the image, table, and arena as separate fields instead, to avoid a
-/// self-referential struct.
-pub struct ContainerView<'a> {
-    image: &'a [u8],
-    table: SectionTable,
-    arena: PayloadArena,
-}
-
-impl<'a> ContainerView<'a> {
-    /// Parse and verify framing over `image` (see [`SectionTable::parse`]).
-    /// No payload is inflated.
-    pub fn parse(image: &'a [u8]) -> Result<ContainerView<'a>, ContainerError> {
-        let table = SectionTable::parse(image)?;
-        let arena = PayloadArena::new(table.len());
-        Ok(ContainerView {
-            image,
-            table,
-            arena,
-        })
-    }
-
-    pub fn image(&self) -> &'a [u8] {
-        self.image
-    }
-
-    pub fn table(&self) -> &SectionTable {
-        &self.table
-    }
-
-    pub fn version(&self) -> u8 {
-        self.table.version
-    }
-
-    pub fn nprocs(&self) -> u32 {
-        self.table.nprocs
-    }
-
-    /// The decoded payload of section `index` (zero-copy when raw).
-    pub fn payload(&self, index: usize) -> Result<&[u8], ContainerError> {
-        self.arena
-            .payload(self.image, &self.table.sections()[index], index)
-    }
-
-    /// Decoded payload of the first section of `kind`.
-    pub fn find_payload(&self, kind: SectionKind) -> Option<Result<&[u8], ContainerError>> {
-        self.table.find(kind).map(|i| self.payload(i))
-    }
-
-    /// Inflations performed through this view so far.
-    pub fn inflations(&self) -> u64 {
-        self.arena.inflations()
-    }
-
-    pub fn arena(&self) -> &PayloadArena {
-        &self.arena
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,39 +315,37 @@ mod tests {
     fn raw_image_is_served_zero_copy_with_no_inflation() {
         let c = sample();
         let image = image(&c, None);
-        let view = ContainerView::parse(&image).unwrap();
-        assert_eq!(view.nprocs(), 4);
+        let table = SectionTable::parse(&image).unwrap();
+        let arena = PayloadArena::new(table.len());
+        assert_eq!(table.nprocs, 4);
         for (i, s) in c.iter().enumerate() {
-            let p = view.payload(i).unwrap();
+            let p = arena.payload(&image, &table.sections()[i], i).unwrap();
             assert_eq!(p, &s.payload[..], "section {i}");
             // Zero-copy: the returned slice points into the image itself.
             let image_range = image.as_ptr() as usize..image.as_ptr() as usize + image.len();
             assert!(image_range.contains(&(p.as_ptr() as usize)), "section {i}");
         }
-        assert_eq!(view.inflations(), 0, "raw sections must never inflate");
-        assert_eq!(view.arena().resident_bytes(), 0);
+        assert_eq!(arena.inflations(), 0, "raw sections must never inflate");
+        assert_eq!(arena.resident_bytes(), 0);
     }
 
     #[test]
     fn deflated_sections_inflate_exactly_once() {
         let c = sample();
         let image = image(&c, Some(Level::Default));
-        let view = ContainerView::parse(&image).unwrap();
-        assert_eq!(view.inflations(), 0, "parse alone must not inflate");
-        let deflated = view
-            .table()
-            .sections()
-            .iter()
-            .filter(|s| s.is_deflated())
-            .count();
+        let table = SectionTable::parse(&image).unwrap();
+        let arena = PayloadArena::new(table.len());
+        assert_eq!(arena.inflations(), 0, "parse alone must not inflate");
+        let deflated = table.sections().iter().filter(|s| s.is_deflated()).count();
         assert!(deflated > 0, "sample should compress");
         for _ in 0..3 {
             for (i, s) in c.iter().enumerate() {
-                assert_eq!(view.payload(i).unwrap(), &s.payload[..]);
+                let p = arena.payload(&image, &table.sections()[i], i).unwrap();
+                assert_eq!(p, &s.payload[..]);
             }
         }
-        assert_eq!(view.inflations(), deflated as u64);
-        assert!(view.arena().resident_bytes() > 0);
+        assert_eq!(arena.inflations(), deflated as u64);
+        assert!(arena.resident_bytes() > 0);
     }
 
     #[test]

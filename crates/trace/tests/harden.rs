@@ -151,8 +151,9 @@ fn lying_raw_len_is_refused_at_the_declared_length() {
     let trailer = crc32(&image);
     image.extend_from_slice(&trailer.to_le_bytes());
 
-    let view = cypress_trace::ContainerView::parse(&image).expect("framing and CRCs are honest");
-    match view.payload(0) {
+    let table = cypress_trace::SectionTable::parse(&image).expect("framing and CRCs are honest");
+    let arena = cypress_trace::PayloadArena::new(table.len());
+    match arena.payload(&image, &table.sections()[0], 0) {
         Err(ContainerError::Corrupt(e)) => {
             assert!(e.0.contains("declared 16 bytes"), "{e}");
             assert!(!e.0.contains("got"), "stopped at the bound, not after: {e}");
@@ -160,5 +161,5 @@ fn lying_raw_len_is_refused_at_the_declared_length() {
         Err(other) => panic!("expected Corrupt, got {other}"),
         Ok(p) => panic!("a 16-byte section opened with {} bytes", p.len()),
     }
-    assert_eq!(view.arena().resident_bytes(), 0, "nothing was kept");
+    assert_eq!(arena.resident_bytes(), 0, "nothing was kept");
 }

@@ -98,15 +98,17 @@ echo "== knob census: settings with one value in use stay constants =="
 # scripts/recount.sh's counts may only fall; the deleted modes and flags
 # stay deleted (DESIGN §4c names the consumer of every surviving knob).
 census=$(scripts/recount.sh)
-test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 25 \
+test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 24 \
   || { echo "more *Config/*Options fields than the census allows"; exit 1; }
-test "$(sed -n 's/^CLI flag literals: //p' <<<"$census")" -le 22 \
+test "$(sed -n 's/^CLI flag literals: //p' <<<"$census")" -le 21 \
   || { echo "more CLI flags than the census allows"; exit 1; }
 test "$(sed -n 's/^crates\/net\/src unwrap\/expect sites: //p' <<<"$census")" -le 17 \
   || { echo "more unwrap/expect sites in crates/net/src than the census allows"; exit 1; }
 ! grep -rnwE 'TimeMode|enum Strategy|ScalaConfig|Scala2Config' crates/*/src src || exit 1
 ! grep -rnwE 'RelayConfig|RelaySummary|const (SHUTDOWN|BUSY)' crates/*/src src || exit 1
-! grep -rnF -e '"--strategy"' -e '"--workers"' -e '"--hotspots"' crates/*/src src || exit 1
+! grep -rnF -e '"--strategy"' -e '"--workers"' -e '"--hotspots"' -e '"--stats-addr"' crates/*/src src || exit 1
+# One listener per daemon: stats are answered on the job port; one container reader.
+! grep -rnwE 'stats_addr|bind_stats|AwaitStatsReq|ContainerView' crates/*/src src || exit 1
 
 echo "== byte-identity suites present (cargo test below runs them) =="
 # interp_golden and ctt_golden pin the event stream and the CTT bytes against
@@ -222,11 +224,9 @@ traced_inspect=$("$cypress_bin" inspect "$smoke/traced.cytc")
 echo "$traced_inspect" | grep -q "telemetry (v" \
   || { echo "inspect missing telemetry section"; exit 1; }
 
-echo "== cypress serve/submit loopback smoke (with stats endpoint) =="
+echo "== cypress serve/submit loopback smoke (stats polled on the job socket) =="
 sock="$smoke/collector.sock"
-stats_sock="$smoke/stats.sock"
-"$cypress_bin" serve --listen "unix:$sock" --out "$smoke/net.cytc" --per-rank --timeout 60 \
-  --stats-addr "unix:$stats_sock" &
+"$cypress_bin" serve --listen "unix:$sock" --out "$smoke/net.cytc" --per-rank --timeout 60 &
 serve_pid=$!
 for _ in $(seq 1 50); do [ -S "$sock" ] && break; sleep 0.1; done
 test -S "$sock" || { echo "collector socket never appeared"; exit 1; }
@@ -235,12 +235,12 @@ for r in 5 3 1 0 4; do
     || { echo "submit rank $r failed"; kill "$serve_pid" 2>/dev/null; exit 1; }
 done
 # Poll live telemetry mid-job (5 of 6 ranks in), then finish the job.
-stats_out=$("$cypress_bin" stats --connect "unix:$stats_sock") \
+stats_out=$("$cypress_bin" stats --connect "unix:$sock") \
   || { echo "stats endpoint unreachable"; kill "$serve_pid" 2>/dev/null; exit 1; }
 echo "$stats_out" | grep -q "5/6 ranks merged" || { echo "stats missing rank progress"; exit 1; }
 echo "$stats_out" | grep -Eq "rank 0 +merged +[1-9][0-9]* events" \
   || { echo "stats missing nonzero per-client events"; exit 1; }
-"$cypress_bin" stats --connect "unix:$stats_sock" --json | python3 -c '
+"$cypress_bin" stats --connect "unix:$sock" --json | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
 assert s["version"] == 1 and s["ranks_done"] == 5 and s["nprocs"] == 6
@@ -275,6 +275,11 @@ done
 for r in 5 3 4; do
   "$cypress_bin" submit "$smoke/stencil.mpi" --rank "$r" -n 6 --connect "unix:$tsock.r1" \
     || { echo "tree submit rank $r failed"; kill "$tree_pid" 2>/dev/null; exit 1; }
+  # A relay leaf answers stats on its client socket with its shard's progress.
+  if [ "$r" = 3 ]; then
+    "$cypress_bin" stats --connect "unix:$tsock.r1" | grep -q "2/6 ranks merged" \
+      || { echo "relay leaf stats missing shard progress"; kill "$tree_pid" 2>/dev/null; exit 1; }
+  fi
 done
 wait "$tree_pid" || { echo "serve --tree failed"; exit 1; }
 # The relayed merge must answer queries identically to the flat-collected

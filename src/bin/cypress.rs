@@ -31,8 +31,8 @@
 //! cypress simulate <prog.mpi> -n P            measured vs predicted LogGP times
 //! cypress serve --listen ADDR --out FILE      collector daemon: accept rank
 //!   [--per-rank] [--timeout S]                submissions, merge incrementally,
-//!   [--stats-addr ADDR]                       write a .cytc container; optionally
-//!                                             serve live stats on a second endpoint
+//!                                             write a .cytc container; answers
+//!                                             `stats --connect` on the same address
 //! cypress submit <prog.mpi> --rank R -n P     run one rank and stream its trace
 //!   --connect ADDR [--mode stream|ctt]        to a collector (with retry/backoff)
 //! ```
@@ -60,7 +60,7 @@ use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreC
 use cypress::trace::codec::Codec;
 use cypress::trace::commmatrix::CommMatrix;
 use cypress::trace::raw::RawTrace;
-use cypress::trace::{ContainerView, SectionKind};
+use cypress::trace::{PayloadArena, SectionKind, SectionTable};
 use cypress::{read_container, write_collected_container_with, Error, Pipeline};
 use std::fmt::Display;
 use std::fs;
@@ -198,11 +198,11 @@ USAGE:
   cypress analyze <sub> --connect <addr> <job>... [same options]
   cypress queryd --listen <addr> --store <dir> [--max-jobs <n>] [--max-bytes <b>]
   cypress stats <prog.mpi> -n <procs>
-  cypress stats --connect <addr> [--json]
+  cypress stats --connect <addr> [--json]   (a serve or relay address)
   cypress simulate <prog.mpi> -n <procs>
   cypress serve --listen <addr> --out <file> [--per-rank] [--timeout <secs>]
                [--level fast|default|best] [--threads <n>]
-               [--stats-addr <addr>] [--tree <relays> -n <procs>]
+               [--tree <relays> -n <procs>]
   cypress submit <prog.mpi> --rank <r> -n <procs> --connect <addr>
                [--mode stream|ctt] [--attempts <n>] [--level <l>|none]
 
@@ -225,8 +225,6 @@ OPTIONS:
   --profile    print a per-stage wall-time attribution table on exit
                (implies tracing; combine with --trace-out to keep the
                timeline too)
-  --stats-addr serve: answer `cypress stats --connect` on this second
-               endpoint with live per-client collection telemetry
   --tree       serve: spawn this many relay collectors in front of the
                root (requires -n; clients submit to the printed per-shard
                leaf endpoints; unix root at unix:P puts relay k at
@@ -314,7 +312,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--per-rank", false),
     ("--profile", false),
     ("--rank", true),
-    ("--stats-addr", true),
     ("--store", true),
     ("--threads", true),
     ("--timeout", true),
@@ -533,28 +530,30 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Print a container's header and section table through the lazy
-/// [`ContainerView`]: framing and every CRC are verified by the parse, raw
-/// section payloads are served zero-copy out of the mapped image, and only
-/// the deflated sections the report actually reads (meta, merged CTT,
-/// telemetry) are inflated. For an all-raw container the command asserts
-/// that **no inflation happened at all**.
+/// Print a container's header and section table through the reader pair
+/// every opener uses, [`SectionTable`] + [`PayloadArena`]: framing and every
+/// CRC are verified by the parse, raw section payloads are served zero-copy
+/// out of the image, and only the deflated sections the report actually
+/// reads (meta, merged CTT, telemetry) are inflated. For an all-raw
+/// container the command asserts that **no inflation happened at all**.
 fn cmd_inspect(args: &[String]) -> CliResult {
     let file = positional(args, "container file")?;
     let image = fs::read(&file)?;
     let file_bytes = image.len() as u64;
-    let view = ContainerView::parse(&image)?;
-    let table = view.table();
+    let table = SectionTable::parse(&image)?;
+    let arena = PayloadArena::new(table.len());
+    let payload = |i: usize| arena.payload(&image, &table.sections()[i], i);
+    let find_payload = |kind| table.find(kind).map(payload);
     let json = has_flag(args, "--json");
 
-    let meta = match view.find_payload(SectionKind::Meta) {
+    let meta = match find_payload(SectionKind::Meta) {
         Some(payload) => Some(cypress::MetaInfo::from_bytes(payload?)?),
         None => None,
     };
     let raw_bytes = meta.as_ref().map_or(0, |m| m.raw_bytes);
     let merged_stats = match table.find(SectionKind::MergedCtt) {
         Some(i) => {
-            let merged = MergedCtt::from_bytes(view.payload(i)?)?;
+            let merged = MergedCtt::from_bytes(payload(i)?)?;
             Some((merged.vertices.len(), merged.group_count()))
         }
         None => None,
@@ -563,8 +562,8 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     if json {
         let mut out = String::from("{");
         out.push_str(&format!("\"file\":{},", json_str(&file)));
-        out.push_str(&format!("\"version\":{},", view.version()));
-        out.push_str(&format!("\"nprocs\":{},", view.nprocs()));
+        out.push_str(&format!("\"version\":{},", table.version));
+        out.push_str(&format!("\"nprocs\":{},", table.nprocs));
         if let Some(m) = &meta {
             out.push_str(&format!(
                 "\"written_by\":{{\"tool\":{},\"version\":{}}},\"events\":{},\"raw_bytes\":{raw_bytes},",
@@ -600,7 +599,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
             "\"payload_bytes\":{},\"file_bytes\":{file_bytes},\"crc_checks\":{},\"inflations\":{}}}",
             table.payload_bytes(),
             table.len(),
-            view.inflations()
+            arena.inflations()
         ));
         println!("{out}");
         return Ok(());
@@ -608,8 +607,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
 
     println!(
         "{file}: cypress container v{}, {} ranks",
-        view.version(),
-        view.nprocs()
+        table.version, table.nprocs
     );
     if let Some(m) = &meta {
         println!("written by {} {}", m.tool, m.version);
@@ -651,7 +649,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     if let Some((vertices, groups)) = merged_stats {
         println!("merged CTT: {vertices} vertices, {groups} rank groups");
     }
-    if let Some(s) = view.find_payload(SectionKind::Telemetry) {
+    if let Some(s) = find_payload(SectionKind::Telemetry) {
         match cypress::TelemetrySummary::from_bytes(s?) {
             Ok(t) => print!("{}", t.to_text()),
             Err(e) => println!("telemetry section unreadable: {e}"),
@@ -670,10 +668,10 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     if table.sections().iter().any(|s| s.is_deflated()) {
         println!(
             "lazy view: {} deflated sections inflated on demand, raw sections served zero-copy",
-            view.inflations()
+            arena.inflations()
         );
     } else {
-        assert_eq!(view.inflations(), 0, "raw-only inspect must not inflate");
+        assert_eq!(arena.inflations(), 0, "raw-only inspect must not inflate");
         println!("lazy view: no inflation performed (all sections served zero-copy)");
     }
     Ok(())
@@ -878,8 +876,12 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
     let mut cfg = CollectorConfig {
         keep_rank_ctts: per_rank,
-        deadline: parsed(args, "--timeout")?.map(Duration::from_secs_f64),
-        ..CollectorConfig::default()
+        deadline: parsed(args, "--timeout")?
+            .map(|s| {
+                Duration::try_from_secs_f64(s)
+                    .map_err(|e| Error::Invalid(format!("bad --timeout value: {e}")))
+            })
+            .transpose()?,
     };
 
     let level = level_of(args)?.unwrap_or(None);
@@ -907,9 +909,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             per_rank = false;
             cfg.keep_rank_ctts = false;
         }
-        if let Some(sa) = flag(args, "--stats-addr") {
-            cfg.stats_addr = Some(Addr::parse(&sa)?);
-        }
         let tree = spawn_tree(
             &addr,
             &TreeConfig {
@@ -919,20 +918,13 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 client: ClientConfig::default(),
             },
         )?;
-        if let Some(sa) = tree.stats_addr() {
-            eprintln!("cypress collector stats endpoint on {sa} (poll with `cypress stats --connect {sa}`)");
-        }
         for (leaf, &(first, last)) in tree.leaves().iter().zip(tree.ranges()) {
             eprintln!("cypress relay for ranks {first}..{last} listening on {leaf}");
         }
         eprintln!("cypress collector tree root on {addr} ({relays} relays, {n} ranks)");
         tree.join()?
     } else {
-        let mut collector = Collector::bind(&addr)?;
-        if let Some(sa) = flag(args, "--stats-addr") {
-            let resolved = collector.bind_stats(&Addr::parse(&sa)?)?;
-            eprintln!("cypress collector stats endpoint on {resolved} (poll with `cypress stats --connect {resolved}`)");
-        }
+        let collector = Collector::bind(&addr)?;
         eprintln!(
             "cypress collector listening on {} (job size set by the first client)",
             collector.local_addr()?

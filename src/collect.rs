@@ -56,7 +56,7 @@ mod tests {
     use crate::Pipeline;
     use cypress_core::merge_all;
     use cypress_query::QueryOptions;
-    use cypress_trace::{Codec, ContainerView, SectionKind};
+    use cypress_trace::{Codec, PayloadArena, SectionKind, SectionTable};
     use std::path::PathBuf;
 
     const SRC: &str = r#"fn main() {
@@ -104,8 +104,10 @@ mod tests {
         let (dir, path) = written(&collected, "load");
 
         let image = std::fs::read(&path).unwrap();
-        let view = ContainerView::parse(&image).unwrap();
-        let meta = view.find_payload(SectionKind::Meta).unwrap().unwrap();
+        let table = SectionTable::parse(&image).unwrap();
+        let arena = PayloadArena::new(table.len());
+        let i = table.find(SectionKind::Meta).unwrap();
+        let meta = arena.payload(&image, &table.sections()[i], i).unwrap();
         let meta = MetaInfo::from_bytes(meta).unwrap();
         assert_eq!(meta.tool, "cypress");
         assert_eq!(meta.events, job.total_events());

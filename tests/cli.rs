@@ -362,5 +362,19 @@ fn bad_input_fails_cleanly() {
             "{flag}: {stderr}"
         );
     }
+    // Seconds that parse but are no duration: refused the same way.
+    for secs in ["-1", "nan", "1e300"] {
+        let out = cypress()
+            .args(serve)
+            .args(["--timeout", secs])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(1), "--timeout {secs}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad --timeout value"),
+            "--timeout {secs}: {stderr}"
+        );
+    }
     assert!(!container.exists());
 }

@@ -9,8 +9,8 @@ use cypress::core::merge_all;
 use cypress::cst::analyze_program;
 use cypress::minilang::{check_program, parse};
 use cypress::net::{
-    spawn_tree, submit_stream, Addr, ClientConfig, CollectedJob, CollectorConfig, NetError, Tree,
-    TreeConfig,
+    fetch_stats, spawn_tree, submit_stream, Addr, ClientConfig, ClientState, CollectedJob,
+    CollectorConfig, NetError, Tree, TreeConfig,
 };
 use cypress::runtime::{run_rank_with_sink, InterpConfig};
 use cypress::trace::Codec;
@@ -186,4 +186,61 @@ fn dead_relay_fails_loudly_with_missing_ranks() {
     for r in ["4", "5", "6", "7"] {
         assert!(msg.contains(r), "missing rank {r} not named: {msg}");
     }
+}
+
+/// Every endpoint of a tree answers a stats poll on the address its clients
+/// use: each relay leaf reports its own shard's progress against the whole
+/// job's size, and the root, which no relay has reached yet, reports none.
+#[test]
+fn relay_leaves_and_root_answer_stats_on_their_client_address() {
+    let nprocs = 8u32;
+    let prog = parse(STENCIL).unwrap();
+    check_program(&prog).unwrap();
+    let info = analyze_program(&prog);
+    let cst_text = info.cst.to_text();
+    let dir = std::env::temp_dir().join(format!("cypress-tree-stats-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let root = Addr::parse(&format!("unix:{}", dir.join("root.sock").display())).unwrap();
+    let tree = spawn_tree(&root, &tree_cfg(2, nprocs)).unwrap();
+    assert_eq!(tree.ranges(), [(0, 4), (4, 8)]);
+    let submit = |rank: u32| {
+        submit_stream(
+            tree.leaf_for_rank(rank),
+            &client_cfg(),
+            rank,
+            nprocs,
+            &cst_text,
+            |sink| {
+                run_rank_with_sink(&prog, &info, rank, nprocs, &InterpConfig::default(), {
+                    #[allow(clippy::needless_borrow)]
+                    &mut &mut *sink
+                })
+                .map_err(|e| e.to_string())
+            },
+        )
+        .unwrap();
+    };
+    // Neither shard is complete, so nothing has been forwarded to the root.
+    for rank in [0, 1, 2, 4] {
+        submit(rank);
+    }
+    let poll = |addr: &Addr| fetch_stats(addr, Duration::from_secs(5)).unwrap();
+    for (leaf, merged) in tree.leaves().iter().zip([vec![0, 1, 2], vec![4]]) {
+        let s = poll(leaf);
+        assert_eq!(s.nprocs, nprocs, "{leaf}");
+        assert_eq!(s.ranks_done, merged.len() as u32, "{leaf}");
+        let rows: Vec<_> = s.clients.iter().map(|c| (c.rank, c.state)).collect();
+        let want: Vec<_> = merged.iter().map(|&r| (r, ClientState::Merged)).collect();
+        assert_eq!(rows, want, "{leaf}");
+    }
+    let s = poll(&root);
+    assert_eq!((s.nprocs, s.ranks_done), (0, 0));
+    assert!(s.clients.is_empty());
+
+    for rank in [3, 5, 6, 7] {
+        submit(rank);
+    }
+    let job = tree.join().unwrap();
+    assert_matches_local(&job, STENCIL, nprocs);
+    let _ = std::fs::remove_dir_all(&dir);
 }
