@@ -12,14 +12,13 @@
 //! Fig. 16/18 CSV columns and the `--metrics` report are two views of one
 //! measurement path.
 
+use cypress_analysis::{analyze_by_decompression, AnalysisError, AnalyzeOptions};
 use cypress_baselines::{Scala2Merged, Scala2Trace, ScalaMerged, ScalaTrace};
-use cypress_core::{
-    compress_trace, decompress, merge_all, merge_all_parallel, CompressConfig, Ctt,
-};
+use cypress_core::{compress_trace, merge_all, merge_all_parallel, CompressConfig, Ctt};
 use cypress_cst::StaticInfo;
 use cypress_deflate::{gzip_compress, Level};
 use cypress_obs::{Histogram, TIME_BOUNDS_NS};
-use cypress_simmpi::{from_raw_traces, simulate, LogGp, SimOp};
+use cypress_simmpi::{from_raw_traces, simulate, LogGp};
 use cypress_trace::codec::Codec;
 use cypress_trace::raw::{encode_mpi_events, RawTrace};
 use cypress_workloads::{by_name, Scale, Workload};
@@ -296,29 +295,19 @@ impl Prediction {
 }
 
 /// Simulate raw traces ("measured") and CYPRESS-decompressed traces
-/// ("predicted") through the LogGP simulator.
-pub fn predict(t: &Traced) -> Result<Prediction, cypress_simmpi::SimError> {
+/// ("predicted", the analysis crate's decompress-then-simulate oracle)
+/// through the LogGP simulator.
+pub fn predict(t: &Traced) -> Result<Prediction, AnalysisError> {
     let model = LogGp::default();
     let measured = simulate(&from_raw_traces(&t.traces), &model)?;
-
     let cfg = CompressConfig::default();
-    let predicted_ops: Vec<Vec<SimOp>> = t
+    let ctts: Vec<Ctt> = t
         .traces
         .iter()
-        .map(|tr| {
-            let ctt = compress_trace(&t.info.cst, tr, &cfg);
-            decompress(&t.info.cst, &ctt)
-                .into_iter()
-                .map(|o| SimOp {
-                    gid: o.gid,
-                    op: o.op,
-                    params: o.params,
-                    pre_gap: o.mean_gap,
-                })
-                .collect()
-        })
+        .map(|tr| compress_trace(&t.info.cst, tr, &cfg))
         .collect();
-    let predicted = simulate(&predicted_ops, &model)?;
+    let predicted =
+        analyze_by_decompression(&t.info.cst, &ctts, &model, &AnalyzeOptions::default())?.predicted;
     Ok(Prediction {
         nprocs: t.workload.nprocs,
         measured_s: measured.total as f64 / 1e9,

@@ -621,15 +621,15 @@ mod tests {
         let p = parse(src).unwrap();
         check_program(&p).unwrap();
         let info = analyze_program(&p);
+        let traces = trace_program(&p, &info, 4, &InterpConfig::default()).unwrap();
         for rank in 0..4u32 {
             let mut online = IntraCompressor::new(&info.cst, rank, 4, CompressConfig::default());
             let app_time =
                 run_rank_with_sink(&p, &info, rank, 4, &InterpConfig::default(), &mut online)
                     .unwrap();
             let online_ctt = online.finish(app_time);
-            let trace =
-                cypress_runtime::trace_rank(&p, &info, rank, 4, &InterpConfig::default()).unwrap();
-            let offline_ctt = compress_trace(&info.cst, &trace, &CompressConfig::default());
+            let trace = &traces[rank as usize];
+            let offline_ctt = compress_trace(&info.cst, trace, &CompressConfig::default());
             assert_eq!(online_ctt, offline_ctt, "rank {rank}");
         }
     }

@@ -266,7 +266,7 @@ mod tests {
     use crate::compress::compress_trace;
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
-    use cypress_runtime::{run_rank_with_sink, trace_rank, InterpConfig};
+    use cypress_runtime::{run_rank_with_sink, trace_program, InterpConfig};
 
     const RING: &str = r#"fn main() {
         for k in 0..200 {
@@ -282,6 +282,7 @@ mod tests {
         let p = parse(RING).unwrap();
         check_program(&p).unwrap();
         let info = analyze_program(&p);
+        let traces = trace_program(&p, &info, 4, &InterpConfig::default()).unwrap();
         for rank in 0..4u32 {
             let mut s = CompressSession::new(
                 &info.cst,
@@ -293,8 +294,8 @@ mod tests {
             let app_time =
                 run_rank_with_sink(&p, &info, rank, 4, &InterpConfig::default(), &mut s).unwrap();
             let (ctt, stats) = s.finish(app_time);
-            let trace = trace_rank(&p, &info, rank, 4, &InterpConfig::default()).unwrap();
-            let offline = compress_trace(&info.cst, &trace, &CompressConfig::default());
+            let trace = &traces[rank as usize];
+            let offline = compress_trace(&info.cst, trace, &CompressConfig::default());
             assert_eq!(ctt, offline, "rank {rank}");
             assert_eq!(stats.events as usize, trace.events.len());
             assert_eq!(stats.mpi_events as usize, trace.mpi_count());
@@ -308,7 +309,7 @@ mod tests {
         let p = parse(RING).unwrap();
         check_program(&p).unwrap();
         let info = analyze_program(&p);
-        let trace = trace_rank(&p, &info, 0, 2, &InterpConfig::default()).unwrap();
+        let trace = &trace_program(&p, &info, 2, &InterpConfig::default()).unwrap()[0];
         for checkpoint_every in [0, 1, 16, 4096] {
             let session = || {
                 let cfg = SessionConfig { checkpoint_every };

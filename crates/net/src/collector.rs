@@ -104,8 +104,6 @@ pub struct CollectedJob {
     /// Raw serialized size of the MPI records before compression (stream
     /// mode only; 0 for ctt-mode ranks).
     pub raw_mpi_bytes: u64,
-    /// Largest live server-side CTT footprint any session reached.
-    pub peak_ctt_bytes: usize,
 }
 
 /// The job, fixed by the first valid `Hello`: its CST, size and merge.
@@ -124,7 +122,6 @@ struct Merge {
     rank_ctts: Vec<(u32, Vec<u8>)>,
     total_events: u64,
     raw_mpi_bytes: u64,
-    peak_ctt_bytes: usize,
     /// Per-rank submission state and received-event counts, feeding the
     /// live [`Stats`] snapshot. Rank-keyed: a retry of a merged rank never
     /// regresses its state.
@@ -343,7 +340,6 @@ impl Collector {
             rank_ctts,
             total_events: m.total_events,
             raw_mpi_bytes: m.raw_mpi_bytes,
-            peak_ctt_bytes: m.peak_ctt_bytes,
         })
     }
 
@@ -602,7 +598,6 @@ fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnSt
                     rank_ctts: Vec::new(),
                     total_events: 0,
                     raw_mpi_bytes: 0,
-                    peak_ctt_bytes: 0,
                     clients: BTreeMap::new(),
                 }),
             })
@@ -769,7 +764,6 @@ fn merge_in<S: CttSource>(
         }
         m.total_events += stats.mpi_events;
         m.raw_mpi_bytes += stats.raw_mpi_bytes;
-        m.peak_ctt_bytes = m.peak_ctt_bytes.max(stats.peak_ctt_bytes);
         if let Some(bytes) = bytes {
             m.rank_ctts.push((rank, bytes));
         }

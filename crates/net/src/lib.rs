@@ -42,6 +42,13 @@
 //! `tests/net_collect.rs` (out-of-order submission, mid-stream client
 //! kills) and `tests/net_tree.rs` (shuffled arrival through relays, relay
 //! death).
+//!
+//! The crate is unix only: [`poll`] calls `poll(2)` and [`transport`] serves
+//! Unix-domain sockets next to TCP, each with one implementation. Any other
+//! target fails here, at compile time, with one message.
+
+#[cfg(not(unix))]
+compile_error!("cypress-net needs a unix target: poll(2) and Unix-domain sockets");
 
 pub mod client;
 pub mod collector;

@@ -1,5 +1,7 @@
 //! Readiness polling in pure std — the server's event loops block here.
 //!
+//! Unix only, like the whole crate (its root refuses other targets).
+//!
 //! The repo's offline-build rule forbids external crates, so instead of mio
 //! we declare `poll(2)` directly with an `extern "C"` block (std already
 //! links libc; this adds no dependency). Level-triggered `poll` is the
@@ -12,20 +14,12 @@
 //! blocked `poll` by writing one byte. That is what replaces the old
 //! `sleep(5ms)` accept/stats loops — a server loop sleeps *in the
 //! kernel* until a socket or a peer loop has something for it.
-//!
-//! On non-unix targets the same API degrades to a short-timeout shim that
-//! reports every registered fd as ready (the nonblocking reads/writes
-//! sort out who actually was); correctness is preserved, efficiency is not.
 
 use std::io;
 use std::time::Duration;
 
-#[cfg(unix)]
 pub use std::os::unix::io::RawFd;
-#[cfg(not(unix))]
-pub type RawFd = i32;
 
-#[cfg(unix)]
 mod sys {
     use super::RawFd;
     use std::os::raw::{c_int, c_ulong};
@@ -53,13 +47,11 @@ mod sys {
 }
 
 /// A reusable, rebuilt-per-wait `poll(2)` fd set.
-#[cfg(unix)]
 #[derive(Default)]
 pub struct PollSet {
     fds: Vec<sys::pollfd>,
 }
 
-#[cfg(unix)]
 impl PollSet {
     pub fn new() -> PollSet {
         PollSet { fds: Vec::new() }
@@ -126,50 +118,14 @@ impl PollSet {
     }
 }
 
-/// Degraded non-unix fallback: every registered fd reports ready after a
-/// short sleep, and the caller's nonblocking I/O discovers the truth. Keeps
-/// the collector compiling (and correct, if slow) off unix.
-#[cfg(not(unix))]
-#[derive(Default)]
-pub struct PollSet {
-    n: usize,
-}
-
-#[cfg(not(unix))]
-impl PollSet {
-    pub fn new() -> PollSet {
-        PollSet { n: 0 }
-    }
-    pub fn clear(&mut self) {
-        self.n = 0;
-    }
-    pub fn push(&mut self, _fd: RawFd, _read: bool, _write: bool) -> usize {
-        self.n += 1;
-        self.n - 1
-    }
-    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-        let cap = Duration::from_millis(10);
-        std::thread::sleep(timeout.map_or(cap, |t| t.min(cap)));
-        Ok(self.n)
-    }
-    pub fn readable(&self, _i: usize) -> bool {
-        true
-    }
-    pub fn writable(&self, _i: usize) -> bool {
-        true
-    }
-}
-
 /// Self-pipe wakeup: `wake()` from any thread interrupts a `PollSet::wait`
 /// that includes `fd()`. Writes are nonblocking and coalesce (a full pipe
 /// already guarantees a pending wakeup), `drain()` empties the pipe.
-#[cfg(unix)]
 pub struct Waker {
     tx: std::os::unix::net::UnixStream,
     rx: std::os::unix::net::UnixStream,
 }
 
-#[cfg(unix)]
 impl Waker {
     pub fn new() -> io::Result<Waker> {
         let (tx, rx) = std::os::unix::net::UnixStream::pair()?;
@@ -199,22 +155,7 @@ impl Waker {
     }
 }
 
-#[cfg(not(unix))]
-pub struct Waker;
-
-#[cfg(not(unix))]
-impl Waker {
-    pub fn new() -> io::Result<Waker> {
-        Ok(Waker)
-    }
-    pub fn fd(&self) -> RawFd {
-        -1
-    }
-    pub fn wake(&self) {}
-    pub fn drain(&self) {}
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

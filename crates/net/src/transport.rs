@@ -6,11 +6,14 @@
 //! TCP `host:port`. `host:0` binds an ephemeral port;
 //! [`Listener::local_addr`] reports the resolved address so tests and the
 //! CLI can hand it to clients.
+//!
+//! The crate builds for unix only (see its root), so both families exist
+//! wherever it compiles and every `raw_fd` is a real fd for [`crate::poll`].
 
 use crate::NetError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -58,7 +61,6 @@ impl std::fmt::Display for Addr {
 /// A bound server socket.
 pub enum Listener {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(UnixListener, PathBuf),
 }
 
@@ -66,7 +68,6 @@ impl Listener {
     pub fn bind(addr: &Addr) -> Result<Listener, NetError> {
         match addr {
             Addr::Tcp(hp) => Ok(Listener::Tcp(TcpListener::bind(hp)?)),
-            #[cfg(unix)]
             Addr::Unix(path) => {
                 // A stale socket file from a crashed collector would make
                 // bind fail; remove it (connect() to a dead socket errors,
@@ -74,10 +75,6 @@ impl Listener {
                 let _ = std::fs::remove_file(path);
                 Ok(Listener::Unix(UnixListener::bind(path)?, path.clone()))
             }
-            #[cfg(not(unix))]
-            Addr::Unix(_) => Err(NetError::Addr(
-                "unix sockets unsupported on this platform".into(),
-            )),
         }
     }
 
@@ -85,7 +82,6 @@ impl Listener {
     pub fn local_addr(&self) -> Result<Addr, NetError> {
         match self {
             Listener::Tcp(l) => Ok(Addr::Tcp(l.local_addr()?.to_string())),
-            #[cfg(unix)]
             Listener::Unix(_, path) => Ok(Addr::Unix(path.clone())),
         }
     }
@@ -93,7 +89,6 @@ impl Listener {
     pub fn set_nonblocking(&self, nb: bool) -> Result<(), NetError> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(nb)?,
-            #[cfg(unix)]
             Listener::Unix(l, _) => l.set_nonblocking(nb)?,
         }
         Ok(())
@@ -109,7 +104,6 @@ impl Listener {
                 let _ = s.set_nodelay(true);
                 Ok(Stream::Tcp(s))
             }
-            #[cfg(unix)]
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
                 Ok(Stream::Unix(s))
@@ -118,24 +112,16 @@ impl Listener {
     }
 
     /// The raw fd for readiness polling (see [`crate::poll`]).
-    #[cfg(unix)]
     pub fn raw_fd(&self) -> crate::poll::RawFd {
-        use std::os::unix::io::AsRawFd;
         match self {
             Listener::Tcp(l) => l.as_raw_fd(),
             Listener::Unix(l, _) => l.as_raw_fd(),
         }
     }
-
-    #[cfg(not(unix))]
-    pub fn raw_fd(&self) -> crate::poll::RawFd {
-        -1
-    }
 }
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        #[cfg(unix)]
         if let Listener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
@@ -145,7 +131,6 @@ impl Drop for Listener {
 /// A connected socket, either family.
 pub enum Stream {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(UnixStream),
 }
 
@@ -174,12 +159,7 @@ impl Stream {
                     None => NetError::Addr(format!("{hp} resolved to no addresses")),
                 })
             }
-            #[cfg(unix)]
             Addr::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
-            #[cfg(not(unix))]
-            Addr::Unix(_) => Err(NetError::Addr(
-                "unix sockets unsupported on this platform".into(),
-            )),
         }
     }
 
@@ -191,7 +171,6 @@ impl Stream {
                 s.set_read_timeout(t)?;
                 s.set_write_timeout(t)?;
             }
-            #[cfg(unix)]
             Stream::Unix(s) => {
                 s.set_read_timeout(t)?;
                 s.set_write_timeout(t)?;
@@ -205,24 +184,16 @@ impl Stream {
     pub fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_nonblocking(nb),
-            #[cfg(unix)]
             Stream::Unix(s) => s.set_nonblocking(nb),
         }
     }
 
     /// The raw fd for readiness polling (see [`crate::poll`]).
-    #[cfg(unix)]
     pub fn raw_fd(&self) -> crate::poll::RawFd {
-        use std::os::unix::io::AsRawFd;
         match self {
             Stream::Tcp(s) => s.as_raw_fd(),
             Stream::Unix(s) => s.as_raw_fd(),
         }
-    }
-
-    #[cfg(not(unix))]
-    pub fn raw_fd(&self) -> crate::poll::RawFd {
-        -1
     }
 
     /// Best-effort full shutdown (used after the drain handshake).
@@ -231,7 +202,6 @@ impl Stream {
             Stream::Tcp(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
-            #[cfg(unix)]
             Stream::Unix(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
@@ -243,7 +213,6 @@ impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.read(buf),
         }
     }
@@ -253,7 +222,6 @@ impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
         }
     }
@@ -261,7 +229,6 @@ impl Write for Stream {
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
         }
     }
@@ -304,7 +271,6 @@ mod tests {
         assert_ne!(port, 0);
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_listener_cleans_up_socket_file() {
         let path = std::env::temp_dir().join(format!("cypress-net-{}.sock", std::process::id()));

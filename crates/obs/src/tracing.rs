@@ -320,28 +320,6 @@ impl TraceDump {
         out
     }
 
-    /// One JSON object per event (raw analysis-friendly form).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
-        for e in &self.events {
-            out.push_str("{\"ts_ns\":");
-            out.push_str(&e.ts_ns.to_string());
-            out.push_str(",\"dur_ns\":");
-            out.push_str(&e.dur_ns.to_string());
-            out.push_str(",\"ph\":\"");
-            out.push_str(e.phase.chrome());
-            let (stage, name) = (json_str(e.stage), json_str(e.name));
-            write!(out, "\",\"stage\":{stage},\"name\":{name},\"tid\":").expect(STRING_WRITE);
-            out.push_str(&e.tid.to_string());
-            out.push_str(",\"rank\":");
-            out.push_str(&e.rank.to_string());
-            out.push_str(",\"arg\":");
-            out.push_str(&e.arg.to_string());
-            out.push_str("}\n");
-        }
-        out
-    }
-
     /// Roll the dump up into a per-stage / per-rank wall-time attribution
     /// table. `root` names the outermost `Complete` span covering the whole
     /// run (usually `"total"`).
@@ -759,10 +737,5 @@ mod tests {
         assert!(json.contains("\"droppedEvents\":0"));
         // 1000 ns root span = 1.000 us.
         assert!(json.contains("\"dur\":1.000"));
-        let jsonl = dump.to_jsonl();
-        assert_eq!(jsonl.lines().count(), dump.events.len());
-        assert!(jsonl
-            .lines()
-            .all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

@@ -1,58 +1,25 @@
 //! SPMD tracing driver: run every rank's interpreter and collect raw traces.
+//!
+//! Every raw trace runs on the [`crate::sched`] pool (sequential tracing is
+//! the pool with one worker), so an interpreter panic propagates to the
+//! caller on every path.
 
-use crate::interp::{EventSink, Interp, InterpConfig, RunResult, RuntimeError};
+use crate::interp::{EventSink, Interp, InterpConfig, RunResult};
 use cypress_cst::StaticInfo;
 use cypress_minilang::ast::Program;
 use cypress_obs::{obs_log, Level};
 use cypress_trace::event::Event;
 use cypress_trace::raw::RawTrace;
 
-/// Trace a program for `nprocs` ranks, sequentially.
+/// Trace a program for `nprocs` ranks, one at a time: the pool of
+/// [`trace_program_parallel`] with a single worker.
 pub fn trace_program(
     prog: &Program,
     info: &StaticInfo,
     nprocs: u32,
     cfg: &InterpConfig,
 ) -> RunResult<Vec<RawTrace>> {
-    (0..nprocs)
-        .map(|r| trace_rank(prog, info, r, nprocs, cfg))
-        .collect()
-}
-
-/// Trace a single rank.
-///
-/// The interpreter recurses natively per MiniMPI call frame, so this runs it
-/// on a dedicated 64 MiB-stack thread — deep (but guarded) recursion then
-/// behaves identically whether the caller is the main thread or a small
-/// test-harness thread.
-pub fn trace_rank(
-    prog: &Program,
-    info: &StaticInfo,
-    rank: u32,
-    nprocs: u32,
-    cfg: &InterpConfig,
-) -> RunResult<RawTrace> {
-    std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn_scoped(scope, || {
-                cypress_obs::set_thread_rank(rank);
-                let _t = cypress_obs::trace_span("interp", "rank");
-                let mut events: Vec<Event> = Vec::new();
-                let mut interp = Interp::new(prog, info, rank, nprocs, cfg.clone(), &mut events);
-                let app_time = interp.run()?;
-                Ok(RawTrace {
-                    rank,
-                    nprocs,
-                    events,
-                    app_time,
-                })
-            })
-            .expect("spawn interpreter thread");
-        handle
-            .join()
-            .map_err(|_| RuntimeError("interpreter thread panicked".into()))?
-    })
+    trace_program_parallel(prog, info, nprocs, cfg, 1)
 }
 
 /// Trace a program with ranks interpreted in parallel on a fixed

@@ -15,6 +15,6 @@ pub mod driver;
 pub mod interp;
 pub mod sched;
 
-pub use driver::{run_rank_with_sink, trace_program, trace_program_parallel, trace_rank};
+pub use driver::{run_rank_with_sink, trace_program, trace_program_parallel};
 pub use interp::{has_op, well_nested, EventSink, Interp, InterpConfig, RunResult, RuntimeError};
 pub use sched::{run_ranks, DEFAULT_BATCH_EVENTS, WORKER_STACK_BYTES};

@@ -12,7 +12,8 @@
 //!
 //! Workers are spawned with large stacks ([`WORKER_STACK_BYTES`]) so the
 //! MiniMPI interpreter's native recursion can run directly on the worker —
-//! no per-rank thread spawn, unlike [`crate::driver::trace_rank`].
+//! no per-rank thread spawn. It is the one rank runner for raw traces:
+//! [`crate::driver::trace_program`] is this pool with one worker.
 
 use cypress_obs::{Counter, Gauge};
 use std::collections::VecDeque;
@@ -29,7 +30,7 @@ static POOLS: Counter = Counter::new("sched", "pools");
 static WORKERS: Gauge = Gauge::new("sched", "workers");
 
 /// Stack size for pool workers. Large enough for the interpreter's guarded
-/// native recursion (same budget `trace_rank` gives its dedicated thread).
+/// native recursion; every traced rank runs on one of these workers.
 pub const WORKER_STACK_BYTES: usize = 64 * 1024 * 1024;
 
 // Placeholder for `benchmark/` (its `push_batch` chunk size); nothing in the

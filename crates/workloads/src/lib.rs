@@ -65,7 +65,7 @@ impl Workload {
         (prog, info)
     }
 
-    /// Trace all ranks sequentially.
+    /// Trace all ranks one at a time: the rank pool with one worker.
     pub fn trace(&self) -> RunResult<Vec<RawTrace>> {
         let (prog, info) = self.compile();
         trace_program(&prog, &info, self.nprocs, &InterpConfig::default())

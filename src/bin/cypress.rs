@@ -41,9 +41,9 @@
 //! commands report failures through [`cypress::Error`] — no panics on bad
 //! input files.
 
-use cypress::analysis::{AnalyzeOptions, DiffReport, JobSummary};
+use cypress::analysis::{analyze_by_decompression, AnalyzeOptions, DiffReport, JobSummary};
 use cypress::core::{
-    compress_trace, decompress, CompressConfig, CompressSession, MergedCtt, SessionConfig,
+    compress_trace, CompressConfig, CompressSession, Ctt, MergedCtt, SessionConfig,
 };
 use cypress::cst::{analyze_program, StaticInfo};
 use cypress::deflate::Level as ZLevel;
@@ -55,7 +55,7 @@ use cypress::net::{
 use cypress::obs::json_str;
 use cypress::query::{QueryOptions, QueryResult, Window};
 use cypress::runtime::{run_rank_with_sink, trace_program_parallel, InterpConfig};
-use cypress::simmpi::{from_raw_traces, simulate, LogGp, SimOp};
+use cypress::simmpi::{from_raw_traces, simulate, LogGp};
 use cypress::store::{analyze_remote, query_remote, JobStore, QueryClient, StoreConfig, StoreJob};
 use cypress::trace::codec::Codec;
 use cypress::trace::commmatrix::CommMatrix;
@@ -273,7 +273,11 @@ where
 }
 
 fn nprocs_of(args: &[String]) -> cypress::Result<u32> {
-    parsed(args, "-n")?.ok_or_else(|| Error::Invalid("missing -n <procs>".into()))
+    match parsed(args, "-n")? {
+        None => Err(Error::Invalid("missing -n <procs>".into())),
+        Some(0) => Err(Error::Invalid("-n must be at least 1".into())),
+        Some(n) => Ok(n),
+    }
 }
 
 /// Parse `--level` into a section/wire compression level. `none` is
@@ -1009,22 +1013,13 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let measured =
         simulate(&from_raw_traces(&traces), &model).map_err(|e| Error::Invalid(e.to_string()))?;
     let cfg = CompressConfig::default();
-    let predicted_ops: Vec<Vec<SimOp>> = traces
+    let ctts: Vec<Ctt> = traces
         .iter()
-        .map(|t| {
-            let ctt = compress_trace(&info.cst, t, &cfg);
-            decompress(&info.cst, &ctt)
-                .into_iter()
-                .map(|o| SimOp {
-                    gid: o.gid,
-                    op: o.op,
-                    params: o.params,
-                    pre_gap: o.mean_gap,
-                })
-                .collect()
-        })
+        .map(|t| compress_trace(&info.cst, t, &cfg))
         .collect();
-    let predicted = simulate(&predicted_ops, &model).map_err(|e| Error::Invalid(e.to_string()))?;
+    let predicted = analyze_by_decompression(&info.cst, &ctts, &model, &AnalyzeOptions::default())
+        .map_err(|e| Error::Invalid(e.to_string()))?
+        .predicted;
     println!(
         "measured (raw traces):        {:.3} ms",
         measured.total as f64 / 1e6

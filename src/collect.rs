@@ -82,7 +82,6 @@ mod tests {
             rank_ctts: job.ctts.iter().map(|c| (c.rank, c.to_bytes())).collect(),
             total_events: job.total_events(),
             raw_mpi_bytes: job.raw_mpi_bytes(),
-            peak_ctt_bytes: job.peak_ctt_bytes(),
         };
         (collected, job)
     }

@@ -238,6 +238,36 @@ fn simulate_reports_prediction() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("measured"));
     assert!(stdout.contains("prediction error"));
+
+    // The predicted line is the decompress-then-simulate oracle's total for
+    // the same program and -n, to the three printed decimals.
+    use cypress::analysis::{analyze_by_decompression, AnalyzeOptions};
+    use cypress::core::{compress_trace, CompressConfig, Ctt};
+    use cypress::runtime::{trace_program, InterpConfig};
+    let p = cypress::minilang::parse(&fs::read_to_string(&prog).unwrap()).unwrap();
+    cypress::minilang::check_program(&p).unwrap();
+    let info = cypress::cst::analyze_program(&p);
+    let ctts: Vec<Ctt> = trace_program(&p, &info, 4, &InterpConfig::default())
+        .unwrap()
+        .iter()
+        .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+        .collect();
+    let oracle = analyze_by_decompression(
+        &info.cst,
+        &ctts,
+        &cypress::simmpi::LogGp::default(),
+        &AnalyzeOptions::default(),
+    )
+    .unwrap();
+    let want = format!("{:.3} ms", oracle.predicted.total as f64 / 1e6);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("predicted (compressed):"))
+        .unwrap_or_else(|| panic!("no predicted line in {stdout}"));
+    assert_eq!(
+        line.trim_start_matches("predicted (compressed):").trim(),
+        want
+    );
 }
 
 #[test]
@@ -376,5 +406,29 @@ fn bad_input_fails_cleanly() {
             "--timeout {secs}: {stderr}"
         );
     }
+    // A job of zero ranks is refused by every command that runs one, naming
+    // -n, before anything is traced, simulated or written.
+    let traces = dir.join("never-traces");
+    let traces = traces.to_str().unwrap();
+    for argv in [
+        vec!["trace", prog, "-o", traces],
+        vec!["dump", prog],
+        vec!["stats", prog],
+        vec!["simulate", prog],
+        vec!["compress", prog, "-o", file],
+    ] {
+        let out = cypress()
+            .args(&argv)
+            .args(["-n", "0"])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(1), "{argv:?} -n 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("-n must be at least 1"),
+            "{argv:?} -n 0: {stderr}"
+        );
+    }
+    assert!(!dir.join("never-traces").exists());
     assert!(!container.exists());
 }
