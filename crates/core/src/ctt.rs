@@ -13,23 +13,66 @@ use crate::timestats::TimeStats;
 use crate::visit::VertexRef;
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 use cypress_trace::event::{MpiOp, MpiParams, ANY_SOURCE, NONE};
-use std::sync::{Arc, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
-/// The shared empty request-GID list. Almost every record has no request
-/// GIDs (only completion ops carry them), so the empty case must not
-/// allocate — every `EncParams` without requests shares this one slice.
-fn empty_gids() -> Arc<[u32]> {
-    static EMPTY: OnceLock<Arc<[u32]>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::from(Vec::new())).clone()
+/// A completion record's request GIDs. Almost every record has none (only
+/// completion ops carry them), and the empty list holds no allocation and
+/// no refcount: a refcount shared by every record would be one cache line
+/// that every decode, clone and drop on every thread writes. A non-empty
+/// list is one `Arc<[u32]>`, so cloning its record (merge, decode) is a
+/// refcount bump, not a heap copy. Equality, hashing and `Debug` are the
+/// slice's.
+///
+/// `Some` is never empty, so equality tests the `Option` first and never
+/// hands `memcmp` an empty list: its pointer is dangling, and a zero-length
+/// `memcmp` of dangling pointers is ~50× slower than of live ones on AVX-512
+/// x86 (DESIGN §10), which the compare-with-last path would pay per event.
+#[derive(Clone, Default)]
+pub struct ReqGids(Option<Arc<[u32]>>);
+
+impl ReqGids {
+    pub fn new(gids: &[u32]) -> Self {
+        ReqGids((!gids.is_empty()).then(|| Arc::from(gids)))
+    }
+
+    /// `**self == *gids`, without a `memcmp` of two empty slices.
+    #[inline]
+    fn eq_slice(&self, gids: &[u32]) -> bool {
+        match &self.0 {
+            None => gids.is_empty(),
+            Some(list) => **list == *gids,
+        }
+    }
 }
 
-/// Intern a request-GID list behind a refcounted slice: cloning the result
-/// (and any `EncParams` holding it) is a refcount bump, not a heap copy.
-pub fn intern_gids(gids: &[u32]) -> Arc<[u32]> {
-    if gids.is_empty() {
-        empty_gids()
-    } else {
-        Arc::from(gids)
+impl Deref for ReqGids {
+    type Target = [u32];
+
+    #[inline]
+    fn deref(&self) -> &[u32] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl PartialEq for ReqGids {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for ReqGids {}
+
+impl Hash for ReqGids {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state)
+    }
+}
+
+impl std::fmt::Debug for ReqGids {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -90,9 +133,8 @@ pub struct EncParams {
     pub tag: i64,
     pub rtag: i64,
     pub comm: i64,
-    /// Request GIDs for completion ops, interned behind a refcounted slice
-    /// so record cloning (merge, decode) never copies the list.
-    pub req_gids: Arc<[u32]>,
+    /// Request GIDs for completion ops.
+    pub req_gids: ReqGids,
 }
 
 impl EncParams {
@@ -126,7 +168,7 @@ impl EncParams {
             tag: p.tag,
             rtag: p.rtag,
             comm: p.comm,
-            req_gids: intern_gids(&p.req_gids),
+            req_gids: ReqGids::new(&p.req_gids),
         }
     }
 
@@ -155,7 +197,7 @@ impl EncParams {
             && self.dest == peer(p.dest)
             && self.src == peer(p.src)
             && self.root == RankEnc::encode_root(p.root)
-            && self.req_gids[..] == p.req_gids[..]
+            && self.req_gids.eq_slice(&p.req_gids)
     }
 
     /// Decode back to absolute parameters for process `rank`.
@@ -337,7 +379,7 @@ impl Codec for EncParams {
             tag: dec.get_ivar()?,
             rtag: dec.get_ivar()?,
             comm: dec.get_ivar()?,
-            req_gids: intern_gids(&dec.get_seq("req_gids", |d| d.get_u32("request gid"))?),
+            req_gids: ReqGids::new(&dec.get_seq("req_gids", |d| d.get_u32("request gid"))?),
         })
     }
 }
@@ -466,11 +508,31 @@ mod tests {
         assert!(!e.matches_raw(3, MpiOp::Waitall, &other, true));
         // Cloning is a refcount bump, not a copy…
         let c = e.clone();
-        assert!(Arc::ptr_eq(&e.req_gids, &c.req_gids));
-        // …and the (dominant) empty case shares one allocation everywhere.
+        let (eg, cg) = (e.req_gids.0.as_ref(), c.req_gids.0.as_ref());
+        assert!(Arc::ptr_eq(eg.unwrap(), cg.unwrap()));
+        assert_eq!(Arc::strong_count(eg.unwrap()), 2);
+        // …and the (dominant) empty case holds no allocation, so cloning it
+        // touches no refcount shared with any other record.
         let a = EncParams::encode(0, MpiOp::Send, &MpiParams::send(1, 8, 0));
-        let b = EncParams::encode(5, MpiOp::Recv, &MpiParams::recv(4, 8, 0));
-        assert!(Arc::ptr_eq(&a.req_gids, &b.req_gids));
+        assert!(a.req_gids.0.is_none() && a.clone().req_gids.0.is_none());
+        assert!(ReqGids::new(&[]).0.is_none());
+        // Equality and hashing are the slice's, empty or not, so merge
+        // grouping sees what it saw when the field was an `Arc<[u32]>`.
+        fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+            let mut s = std::collections::hash_map::DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        }
+        for gids in [&[][..], &[4, 7], &[4, 8], &[4]] {
+            let r = ReqGids::new(gids);
+            assert_eq!(hash_of(&r), hash_of(gids));
+            assert_eq!(format!("{r:?}"), format!("{gids:?}"));
+            for other in [&[][..], &[4, 7], &[4, 8], &[4]] {
+                assert_eq!(r == ReqGids::new(other), gids == other);
+                assert_eq!(r.eq_slice(other), gids == other);
+            }
+        }
+        assert!(std::mem::size_of::<EncParams>() <= 112);
         // Codec round trip preserves the list.
         let back = EncParams::from_bytes(&e.to_bytes()).unwrap();
         assert_eq!(back, e);

@@ -40,7 +40,7 @@ pub mod timestats;
 pub mod visit;
 
 pub use compress::{compress_trace, CompressConfig, IntraCompressor};
-pub use ctt::{intern_gids, Ctt, EncParams, LeafRecord, RankEnc, VertexData};
+pub use ctt::{Ctt, EncParams, LeafRecord, RankEnc, ReqGids, VertexData};
 pub use decompress::{
     decompress, decompress_into, replay_to_records, ReplayClock, ReplayCursor, ReplayOp,
 };

@@ -67,12 +67,18 @@ impl Encoder {
         self.buf.clear();
     }
 
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// LEB128 unsigned varint.
+    #[inline]
     pub fn put_uvar(&mut self, mut v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+            return;
+        }
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -85,6 +91,7 @@ impl Encoder {
     }
 
     /// Zigzag-encoded signed varint.
+    #[inline]
     pub fn put_ivar(&mut self, v: i64) {
         self.put_uvar(zigzag(v));
     }
@@ -129,11 +136,13 @@ pub fn ivar_len(v: i64) -> usize {
 }
 
 /// Zigzag map i64 -> u64 (small magnitudes become small codes).
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
@@ -183,6 +192,7 @@ impl<'a> Decoder<'a> {
         Ok(())
     }
 
+    #[inline]
     pub fn get_u8(&mut self) -> DecodeResult<u8> {
         if self.buf.is_empty() {
             return Err(DecodeError("unexpected end of input (u8)".into()));
@@ -192,11 +202,49 @@ impl<'a> Decoder<'a> {
         Ok(v)
     }
 
+    /// LEB128 unsigned varint: at most ten bytes, the tenth contributing
+    /// one bit. Every field of every record crosses this, so a one-byte
+    /// varint returns at once, and with ten bytes left the varint decodes
+    /// without a bounds check or a `Result` per byte. Only a short tail, or
+    /// input that is an error, takes [`Decoder::get_uvar_tail`].
+    #[inline]
     pub fn get_uvar(&mut self) -> DecodeResult<u64> {
+        let buf = self.buf;
+        if let [b, rest @ ..] = buf {
+            if *b < 0x80 {
+                self.buf = rest;
+                return Ok(*b as u64);
+            }
+        }
+        if let Some(head) = buf.first_chunk::<10>() {
+            let mut v = 0u64;
+            for (i, &b) in head[..9].iter().enumerate() {
+                v |= ((b & 0x7f) as u64) << (7 * i);
+                if b < 0x80 {
+                    self.buf = &buf[i + 1..];
+                    return Ok(v);
+                }
+            }
+            // A 10th byte of 0 or 1 ends the varint; any other is an error.
+            if head[9] <= 1 {
+                self.buf = &buf[10..];
+                return Ok(v | (head[9] as u64) << 63);
+            }
+        }
+        self.get_uvar_tail()
+    }
+
+    /// [`Decoder::get_uvar`] a byte at a time: a varint near the end of the
+    /// input, and every malformed one, whose error this names.
+    #[cold]
+    fn get_uvar_tail(&mut self) -> DecodeResult<u64> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
-            let b = self.get_u8()?;
+            let Some((&b, rest)) = self.buf.split_first() else {
+                return Err(DecodeError("unexpected end of input (varint)".into()));
+            };
+            self.buf = rest;
             if shift >= 64 {
                 return Err(DecodeError("varint too long".into()));
             }
@@ -212,6 +260,7 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    #[inline]
     pub fn get_ivar(&mut self) -> DecodeResult<i64> {
         Ok(unzigzag(self.get_uvar()?))
     }
@@ -241,6 +290,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// A varint stored into a 32-bit field (a rank, a job size, a GID).
+    #[inline]
     pub fn get_u32(&mut self, what: &str) -> DecodeResult<u32> {
         narrow(self.get_uvar()?, what)
     }
@@ -265,6 +315,7 @@ impl<'a> Decoder<'a> {
     /// Hold a claimed element count to the bytes left: every element costs
     /// at least one encoded byte, so a larger count is a lie, refused before
     /// anything is allocated for it.
+    #[inline]
     pub(crate) fn check_count(&self, n: u64, what: &str) -> DecodeResult<usize> {
         if n > self.remaining() as u64 {
             return Err(DecodeError(format!(
@@ -340,6 +391,7 @@ const SEQ_PREALLOC: usize = 1 << 16;
 
 /// A decoded varint that must fit a narrower field. `as` would let a peer's
 /// `rank = 2³² + 3` in as rank 3.
+#[inline]
 pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> DecodeResult<T> {
     T::try_from(v).map_err(|_| {
         DecodeError(format!(
@@ -435,6 +487,118 @@ mod tests {
         let b = [0xffu8; 11];
         let mut d = Decoder::new(&b);
         assert!(d.get_uvar().is_err());
+    }
+
+    /// `get_uvar` as it was before its fast paths, a byte at a time: the
+    /// value and the bytes consumed, or the error text.
+    fn reference_uvar(buf: &[u8]) -> Result<(u64, usize), String> {
+        let mut v = 0u64;
+        let mut shift = 0u32;
+        for (i, &b) in buf.iter().enumerate() {
+            if shift >= 64 {
+                return Err("varint too long".into());
+            }
+            if shift == 63 && (b & 0x7e) != 0 {
+                return Err("varint overflows u64".into());
+            }
+            v |= ((b & 0x7f) as u64) << shift;
+            if b & 0x80 == 0 {
+                return Ok((v, i + 1));
+            }
+            shift += 7;
+        }
+        Err("unexpected end of input (varint)".into())
+    }
+
+    /// `put_uvar` as it was before its one-byte fast path.
+    fn reference_put_uvar(mut v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        loop {
+            let byte = (v & 0x7f) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return out;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    fn assert_uvar_matches_reference(input: &[u8]) {
+        let mut d = Decoder::new(input);
+        let got = d.get_uvar().map(|v| (v, input.len() - d.remaining()));
+        assert_eq!(got.map_err(|e| e.0), reference_uvar(input), "{input:02x?}");
+    }
+
+    #[test]
+    fn uvar_fast_paths_decode_and_refuse_exactly_what_the_byte_loop_did() {
+        for a in 0..=255u8 {
+            assert_uvar_matches_reference(&[a]);
+            for b in 0..=255u8 {
+                assert_uvar_matches_reference(&[a, b]);
+            }
+        }
+        let mut rng = Rng::new(0x7a11_0c0d);
+        for len in 1..=11usize {
+            for _ in 0..3000 {
+                let mut input = vec![0u8; len];
+                rng.fill_bytes(&mut input);
+                // Continuation bits on a random prefix, so every varint length
+                // (and the 10th and 11th bytes) is reached often.
+                let run = rng.range_usize(0..len + 1);
+                for b in &mut input[..run] {
+                    *b |= 0x80;
+                }
+                if run < len && rng.chance(0.5) {
+                    input[run] &= 0x7f;
+                }
+                assert_uvar_matches_reference(&input);
+            }
+        }
+        // Every 10th byte after nine continuation bytes: 0 and 1 end the
+        // varint, 2..=0x7f set bits above bit 63, 0x80/0x81 go on to an
+        // overlong 11th byte; each followed by nothing and by a tail.
+        for tenth in 0..=255u8 {
+            let mut input = vec![0xff; 9];
+            input.push(tenth);
+            assert_uvar_matches_reference(&input);
+            for eleventh in [0x00, 0x01, 0x7f, 0x80, 0xff] {
+                input.truncate(10);
+                input.extend([eleventh, 0x05, 0x06]);
+                assert_uvar_matches_reference(&input);
+            }
+        }
+        // Every truncation of every varint length, with and without the
+        // bytes that would follow it in a record.
+        for width in 1..=64u32 {
+            let v = u64::MAX >> (64 - width);
+            let mut full = reference_put_uvar(v);
+            for cut in 0..full.len() {
+                assert_uvar_matches_reference(&full[..cut]);
+            }
+            full.extend([0x80; 12]);
+            for end in 0..full.len() {
+                assert_uvar_matches_reference(&full[..=end]);
+            }
+        }
+    }
+
+    #[test]
+    fn put_uvar_writes_the_reference_bytes() {
+        let mut values = vec![0, u64::MAX];
+        for k in 1..=9 {
+            values.extend([(1u64 << (7 * k)) - 1, 1 << (7 * k)]);
+        }
+        let mut rng = Rng::new(0x9e7_5eed);
+        for _ in 0..4000 {
+            let width = rng.range_u64(1..65) as u32;
+            values.push(rng.next_u64() >> (64 - width));
+        }
+        for v in values {
+            let mut e = Encoder::new();
+            e.put_uvar(v);
+            assert_eq!(e.finish(), reference_put_uvar(v), "{v}");
+        }
     }
 
     #[test]

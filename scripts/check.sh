@@ -43,6 +43,12 @@ echo "== one CTT decoder, one job opener: Ctt only encodes, read_container opens
 test "$(grep -rn 'fn read_container' crates src | wc -l)" = 1
 test "$(grep -c '^    ("' tests/wire_sweep.rs)" = 5 || { echo "tests/wire_sweep.rs lost its CTT digest table"; exit 1; }
 
+echo "== contention-free record path: no process-wide Arc in core or trace =="
+# Every record is decoded, cloned and dropped through these crates on many
+# threads at once; an Arc in a static or a OnceLock is one refcount, one
+# cache line, that all of them write.
+! grep -rnE '\bstatic\b[^=]*\bArc\b|OnceLock<[^=]*\bArc\b' crates/core/src crates/trace/src || exit 1
+
 echo "== compile-time resolution: no name-keyed scopes, no hashed site lookups, one scope walker =="
 # The interpreter indexes what minilang::resolve and cst::sitemap resolved.
 ! grep -nE 'HashMap<String|name\.to_owned\(\)' crates/runtime/src/interp.rs || exit 1
