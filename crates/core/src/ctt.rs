@@ -533,6 +533,11 @@ mod tests {
             }
         }
         assert!(std::mem::size_of::<EncParams>() <= 112);
+        // Every rank CTT, slab record pool and merged group is made of these:
+        // 8-byte-aligned `TimeStats` keep a record at 232 bytes (256 with
+        // `u128` fields), and an inline one-rank set keeps a group at 264.
+        assert_eq!(std::mem::size_of::<LeafRecord>(), 232);
+        assert!(std::mem::size_of::<(crate::merge::RankSet, LeafRecord)>() <= 264);
         // Codec round trip preserves the list.
         let back = EncParams::from_bytes(&e.to_bytes()).unwrap();
         assert_eq!(back, e);

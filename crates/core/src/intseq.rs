@@ -78,6 +78,11 @@ impl IntSeq {
         &self.segs
     }
 
+    /// The last value, in O(1).
+    pub fn last(&self) -> Option<i64> {
+        self.segs.last().map(|s| s.value_at(s.len - 1))
+    }
+
     /// Append one value, extending the trailing segment when possible.
     pub fn push(&mut self, v: i64) {
         self.total += 1;
@@ -162,6 +167,13 @@ impl IntSeq {
     /// [`Seg::value_at`]'s wrapping semantics.
     pub fn sum(&self) -> i64 {
         self.view().sum()
+    }
+
+    /// The sequence of exactly these segments, as decoded; `total` is their
+    /// term count.
+    pub(crate) fn from_segs(segs: Vec<Seg>, total: u64) -> IntSeq {
+        debug_assert_eq!(total, segs.iter().map(Seg::total).sum::<u64>());
+        IntSeq { segs, total }
     }
 
     /// A borrowed [`SeqRef`] view of this sequence.
@@ -392,22 +404,40 @@ impl Codec for IntSeq {
 /// decoding is built on. Returns the logical length of the sequence.
 pub(crate) fn decode_segs_into(dec: &mut Decoder<'_>, out: &mut Vec<Seg>) -> DecodeResult<u64> {
     let mut total = 0u64;
-    dec.get_seq_into("segments", out, |dec| {
-        let seg = Seg {
-            start: dec.get_ivar()?,
-            stride: dec.get_ivar()?,
-            len: dec.get_u32("segment len")?,
-            reps: dec.get_u32("segment reps")?,
-        };
-        if seg.len == 0 || seg.reps == 0 {
-            return Err(DecodeError("zero-length segment".into()));
-        }
-        total = total
-            .checked_add(seg.total())
-            .ok_or_else(|| DecodeError("sequence length overflows u64".into()))?;
-        Ok(seg)
+    dec.get_seq_into("segments", out, |dec| decode_seg(dec, &mut total))?;
+    Ok(total)
+}
+
+/// [`decode_segs_into`] handing each segment to `each` instead: the
+/// caller decides where (and whether) segments are stored.
+pub(crate) fn decode_segs_with(
+    dec: &mut Decoder<'_>,
+    mut each: impl FnMut(Seg),
+) -> DecodeResult<u64> {
+    let mut total = 0u64;
+    // A vector of `()` never allocates; it only carries the count.
+    dec.get_seq_into("segments", &mut Vec::new(), |dec| {
+        each(decode_seg(dec, &mut total)?);
+        Ok::<(), DecodeError>(())
     })?;
     Ok(total)
+}
+
+/// One segment of the wire form, adding its term count to `total`.
+fn decode_seg(dec: &mut Decoder<'_>, total: &mut u64) -> DecodeResult<Seg> {
+    let seg = Seg {
+        start: dec.get_ivar()?,
+        stride: dec.get_ivar()?,
+        len: dec.get_u32("segment len")?,
+        reps: dec.get_u32("segment reps")?,
+    };
+    if seg.len == 0 || seg.reps == 0 {
+        return Err(DecodeError("zero-length segment".into()));
+    }
+    *total = total
+        .checked_add(seg.total())
+        .ok_or_else(|| DecodeError("sequence length overflows u64".into()))?;
+    Ok(seg)
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! describes for end-of-job merging inside `MPI_Finalize`.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
-use crate::intseq::IntSeq;
+use crate::intseq::{decode_segs_with, IntSeq, IntSeqReader};
 use crate::visit::{CttSource, VertexRef};
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
@@ -53,65 +53,223 @@ fn note_merged_groups(acc: &MergedCtt) {
     }
 }
 
-/// A compressed set of ranks (stride-encoded: "ranks 1..size-2" is one
-/// segment).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RankSet(IntSeq);
+/// A compressed set of ranks, in ascending order. A set of one rank —
+/// almost every group of an irregular job — is held inline; two or more
+/// ranks are stride-encoded ("ranks 1..size-2" is one segment). The wire
+/// form is the [`IntSeq`]'s either way.
+#[derive(Clone, PartialEq, Eq)]
+pub struct RankSet(Ranks);
+
+/// Invariant: `Seq` never holds the set `One` stands for, so the derived
+/// equality is the sequences' equality.
+#[derive(Clone, PartialEq, Eq)]
+enum Ranks {
+    /// Exactly the set `IntSeq::from_slice(&[r])` encodes.
+    One(u32),
+    /// Any other set: two or more ranks, none, or a one-value sequence in a
+    /// form other than that one (kept as decoded, so it re-encodes alike).
+    Seq(IntSeq),
+}
+
+impl Default for RankSet {
+    fn default() -> Self {
+        RankSet(Ranks::Seq(IntSeq::new()))
+    }
+}
+
+/// Every set prints as the [`IntSeq`] it encodes as, one-rank sets included.
+impl std::fmt::Debug for RankSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let one;
+        let seq = match &self.0 {
+            Ranks::One(r) => {
+                one = IntSeq::from_slice(&[*r as i64]);
+                &one
+            }
+            Ranks::Seq(s) => s,
+        };
+        f.debug_tuple("RankSet").field(seq).finish()
+    }
+}
 
 impl RankSet {
     pub fn singleton(rank: u32) -> Self {
-        RankSet(IntSeq::from_slice(&[rank as i64]))
+        RankSet(Ranks::One(rank))
     }
 
     pub fn len(&self) -> u64 {
-        self.0.len()
+        match &self.0 {
+            Ranks::One(_) => 1,
+            Ranks::Seq(s) => s.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
     }
 
     pub fn contains(&self, rank: u32) -> bool {
-        let mut r = self.0.reader();
-        while let Some(v) = r.next() {
-            if v == rank as i64 {
-                return true;
+        match &self.0 {
+            Ranks::One(r) => *r == rank,
+            Ranks::Seq(s) => {
+                let mut r = s.reader();
+                while let Some(v) = r.next() {
+                    if v == rank as i64 {
+                        return true;
+                    }
+                }
+                false
             }
         }
-        false
     }
 
     pub fn ranks(&self) -> Vec<u32> {
-        self.0.to_vec().into_iter().map(|v| v as u32).collect()
+        self.iter().collect()
     }
 
     /// Allocation-free iteration over the member ranks, in stored order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut r = self.0.reader();
-        std::iter::from_fn(move || r.next().map(|v| v as u32))
+    pub fn iter(&self) -> RankIter<'_> {
+        match &self.0 {
+            Ranks::One(r) => RankIter::One(Some(*r)),
+            Ranks::Seq(s) => RankIter::Seq(s.reader()),
+        }
+    }
+
+    /// Append one value, as `IntSeq::push` would.
+    fn push_value(&mut self, v: i64) {
+        match &mut self.0 {
+            Ranks::One(r) => {
+                let mut s = IntSeq::from_slice(&[*r as i64]);
+                s.push(v);
+                self.0 = Ranks::Seq(s);
+            }
+            Ranks::Seq(s) => match u32::try_from(v) {
+                Ok(r) if s.is_empty() => self.0 = Ranks::One(r),
+                _ => s.push(v),
+            },
+        }
+    }
+
+    /// Append `rank`, which must be above every rank already here: the
+    /// order that keeps sets ascending and stride-compressible.
+    fn push_above(&mut self, rank: u32) {
+        let last = match &self.0 {
+            Ranks::One(r) => Some(*r as i64),
+            Ranks::Seq(s) => s.last(),
+        };
+        assert!(
+            last.is_none_or(|l| l < rank as i64),
+            "rank {rank} absorbed after rank {last:?}: ranks must arrive in ascending order"
+        );
+        self.push_value(rank as i64);
     }
 
     /// Append all ranks of `other` (callers maintain sorted order by merging
     /// lower-rank halves first).
     pub fn extend(&mut self, other: &RankSet) {
-        let mut r = other.0.reader();
-        while let Some(v) = r.next() {
-            self.0.push(v);
+        match &other.0 {
+            Ranks::One(r) => self.push_value(*r as i64),
+            Ranks::Seq(s) => {
+                let mut r = s.reader();
+                while let Some(v) = r.next() {
+                    self.push_value(v);
+                }
+            }
         }
     }
 
+    /// Whether every member lies in `[lo, hi)`, in strictly ascending order —
+    /// what a relay's block must hold for the ranks it says it covers.
+    /// O(segments), whatever the set's length.
+    fn check_within(&self, lo: u32, hi: u64) -> Result<(), String> {
+        let (lo, hi) = (lo as i128, hi as i128);
+        let outside = |v: i128| format!("rank {v} outside the block's ranks [{lo}, {hi})");
+        let segs = match &self.0 {
+            Ranks::One(r) if (lo..hi).contains(&(*r as i128)) => return Ok(()),
+            Ranks::One(r) => return Err(outside(*r as i128)),
+            Ranks::Seq(s) if s.is_empty() => return Err("a group names no rank".into()),
+            Ranks::Seq(s) => s.segments(),
+        };
+        let mut next = lo;
+        for s in segs {
+            let first = s.start as i128;
+            let last = first + s.stride as i128 * (s.len as i128 - 1);
+            let (min, max) = (first.min(last), first.max(last));
+            if min < lo || max >= hi {
+                return Err(outside(if min < lo { min } else { max }));
+            }
+            if first < next || s.reps != 1 || (s.len > 1 && s.stride <= 0) {
+                return Err("a group's ranks are not strictly ascending".into());
+            }
+            next = last + 1;
+        }
+        Ok(())
+    }
+
     pub fn approx_bytes(&self) -> usize {
-        self.0.approx_bytes()
+        match &self.0 {
+            Ranks::One(_) => std::mem::size_of::<Self>(),
+            Ranks::Seq(s) => s.approx_bytes(),
+        }
+    }
+}
+
+/// The members of a [`RankSet`] or a [`RankScope`](crate::visit::RankScope):
+/// one flat enum, so the per-record loop over a single rank is one branch
+/// and a copy, never a chain of adapters.
+#[derive(Debug, Clone)]
+pub enum RankIter<'a> {
+    One(Option<u32>),
+    Seq(IntSeqReader<'a>),
+}
+
+impl Iterator for RankIter<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            RankIter::One(r) => r.take(),
+            RankIter::Seq(r) => r.next().map(|v| v as u32),
+        }
     }
 }
 
 impl Codec for RankSet {
     fn encode(&self, enc: &mut Encoder) {
-        self.0.encode(enc);
+        match &self.0 {
+            // `IntSeq::from_slice(&[r])`'s bytes: one segment
+            // `(start r, stride 0, len 1, reps 1)`.
+            Ranks::One(r) => {
+                enc.put_uvar(1);
+                enc.put_ivar(*r as i64);
+                enc.put_ivar(0);
+                enc.put_uvar(1);
+                enc.put_uvar(1);
+            }
+            Ranks::Seq(s) => s.encode(enc),
+        }
     }
 
+    /// The canonical one-rank form decodes without allocating; every other
+    /// form keeps its segments, so decode → encode is byte-stable.
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(RankSet(IntSeq::decode(dec)?))
+        let (mut first, mut rest) = (None, Vec::new());
+        let total = decode_segs_with(dec, |seg| match first {
+            None => first = Some(seg),
+            Some(_) => rest.push(seg),
+        })?;
+        Ok(match first {
+            None => RankSet::default(),
+            Some(seg) if rest.is_empty() => match u32::try_from(seg.start) {
+                Ok(r) if (seg.stride, seg.len, seg.reps) == (0, 1, 1) => RankSet::singleton(r),
+                _ => RankSet(Ranks::Seq(IntSeq::from_segs(vec![seg], total))),
+            },
+            Some(seg) => {
+                rest.insert(0, seg);
+                RankSet(Ranks::Seq(IntSeq::from_segs(rest, total)))
+            }
+        })
     }
 }
 
@@ -127,6 +285,34 @@ pub enum MergedVertex {
 }
 
 impl MergedVertex {
+    /// The control groups here, opened empty at a vertex no rank reached yet.
+    fn control_groups(&mut self) -> &mut Vec<(RankSet, VertexData)> {
+        if let MergedVertex::Empty = self {
+            *self = MergedVertex::Control(Vec::new());
+        }
+        match self {
+            MergedVertex::Control(g) => g,
+            _ => unreachable!("CTTs share the CST shape: leaf vs control mismatch"),
+        }
+    }
+
+    /// The leaf slots here, at least `n` of them, opened empty at a vertex no
+    /// rank reached yet.
+    fn leaf_slots(&mut self, n: usize) -> &mut [Vec<(RankSet, LeafRecord)>] {
+        if let MergedVertex::Empty = self {
+            *self = MergedVertex::Leaf(Vec::new());
+        }
+        match self {
+            MergedVertex::Leaf(slots) => {
+                if slots.len() < n {
+                    slots.resize_with(n, Vec::new);
+                }
+                slots
+            }
+            _ => unreachable!("CTTs share the CST shape: control vs leaf mismatch"),
+        }
+    }
+
     fn group_count(&self) -> usize {
         match self {
             MergedVertex::Empty => 0,
@@ -151,7 +337,14 @@ impl MergedVertex {
     }
 }
 
-/// The merged (inter-process compressed) trace of a whole job.
+/// The merged (inter-process compressed) trace of a whole job, or of a
+/// contiguous block of its ranks.
+///
+/// Contract: ranks enter in ascending order. Whatever is merged in —
+/// one rank through [`absorb_rank`](Self::absorb_rank), a block through
+/// [`absorb`](Self::absorb) — lies above every rank already held, so each
+/// group's [`RankSet`] stays ascending and stride-compressible, and
+/// `app_times` stays in rank order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedCtt {
     pub nprocs: u32,
@@ -174,7 +367,9 @@ pub fn control_mergeable(a: &VertexData, b: &VertexData) -> bool {
 /// Record compatibility: parameters and repeat count match ("all but the
 /// communication time", §IV-A).
 pub fn record_mergeable(a: &LeafRecord, b: &LeafRecord) -> bool {
-    a.params == b.params && a.count == b.count
+    // Message sizes and repeat counts are what tell ranks apart at one call
+    // site, so they are compared before the rest of the parameters.
+    a.params.count == b.params.count && a.count == b.count && a.params == b.params
 }
 
 /// Does a tree fit the job it is offered to? Its job size, vertex count,
@@ -220,52 +415,53 @@ fn check_vertex(cst: &Cst, gid: usize, data: VertexRef<'_>) -> Result<(), String
 }
 
 impl MergedCtt {
-    /// Lift one per-process CTT, owned or pooled, into a (singleton-groups)
-    /// merged form. Only what the merged tree keeps is copied out of it.
-    pub fn from_ctt<S: CttSource>(ctt: &S) -> Self {
-        let single = || RankSet::singleton(ctt.rank());
-        let control = |d| MergedVertex::Control(vec![(single(), d)]);
-        let vertices = (0..ctt.vertex_count())
-            .map(|gid| match ctt.vertex(gid) {
-                // Empty data = the rank never reached this vertex: it
-                // contributes nothing there (paper: "if a process has not
-                // executed a certain call path, the path is ignored").
-                VertexRef::Root | VertexRef::Leaf([]) => MergedVertex::Empty,
-                VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => MergedVertex::Empty,
-                VertexRef::Loop(s) => control(VertexData::Loop { counts: s.into() }),
-                VertexRef::Branch(s) => control(VertexData::Branch { taken: s.into() }),
-                VertexRef::Leaf(records) => MergedVertex::Leaf(
-                    records
-                        .iter()
-                        .map(|r| vec![(single(), r.clone())])
-                        .collect(),
-                ),
-            })
-            .collect();
-        let mut app_times = IntSeq::new();
-        app_times.push(ctt.app_time() as i64);
+    /// The merge of no rank yet: a job of `nprocs` ranks over a CST of
+    /// `vertices` vertices, every vertex empty.
+    pub fn new(nprocs: u32, vertices: usize) -> Self {
         MergedCtt {
-            nprocs: ctt.nprocs(),
-            vertices,
-            app_times,
+            nprocs,
+            vertices: vec![MergedVertex::Empty; vertices],
+            app_times: IntSeq::new(),
         }
     }
 
-    /// [`check_shape`] for a merged block said to cover `nranks` ranks: the
-    /// same job size, vertex count and per-vertex data checks (every group of
-    /// a control vertex, and leaf data only at leaves), plus one application
-    /// time per covered rank.
-    pub fn check_shape(&self, cst: &Cst, nprocs: u32, nranks: u32) -> Result<(), String> {
+    /// [`check_shape`] for a merged block said to cover ranks
+    /// `[first, first + nranks)`: the same job size, vertex count and
+    /// per-vertex data checks (every group of a control vertex, and leaf data
+    /// only at leaves), a range inside the job, every group's ranks inside
+    /// that range in strictly ascending order, and one application time per
+    /// covered rank.
+    pub fn check_shape(
+        &self,
+        cst: &Cst,
+        nprocs: u32,
+        first: u32,
+        nranks: u32,
+    ) -> Result<(), String> {
         check_size(cst, nprocs, self.nprocs, self.vertices.len())?;
+        let end = first as u64 + nranks as u64;
+        if end > nprocs as u64 {
+            return Err(format!("block [{first}, {end}) exceeds job size {nprocs}"));
+        }
+        let ranks = |gid: usize, rs: &RankSet| {
+            rs.check_within(first, end)
+                .map_err(|e| format!("vertex {gid}: {e}"))
+        };
         for (gid, mv) in self.vertices.iter().enumerate() {
             match mv {
                 MergedVertex::Empty => {}
                 MergedVertex::Control(groups) => {
-                    for (_, d) in groups {
+                    for (rs, d) in groups {
                         check_vertex(cst, gid, d.view())?;
+                        ranks(gid, rs)?;
                     }
                 }
-                MergedVertex::Leaf(_) => check_vertex(cst, gid, VertexRef::Leaf(&[]))?,
+                MergedVertex::Leaf(slots) => {
+                    check_vertex(cst, gid, VertexRef::Leaf(&[]))?;
+                    for (rs, _) in slots.iter().flatten() {
+                        ranks(gid, rs)?;
+                    }
+                }
             }
         }
         if self.app_times.len() != nranks as u64 {
@@ -275,6 +471,63 @@ impl MergedCtt {
             ));
         }
         Ok(())
+    }
+
+    /// Merge one rank's CTT, owned or pooled, into `self`, vertex by vertex,
+    /// straight from its view: a record is copied out only when it opens a
+    /// new group.
+    ///
+    /// The rank must be above every rank already merged — the order that
+    /// keeps rank sets ascending and stride-compressible. A rank that would
+    /// join a group holding a higher rank panics; [`check_shape`] refuses a
+    /// peer's tree before it gets here.
+    pub fn absorb_rank<S: CttSource>(&mut self, ctt: &S) {
+        assert_eq!(self.vertices.len(), ctt.vertex_count());
+        let _span = PAIR_MERGE_NS.span("merge", "absorb_rank");
+        PAIR_MERGES.inc();
+        let rank = ctt.rank();
+        let mut groups_formed = 0u64;
+        for (gid, mine) in self.vertices.iter_mut().enumerate() {
+            match ctt.vertex(gid) {
+                // Empty data = the rank never reached this vertex: it
+                // contributes nothing there (paper: "if a process has not
+                // executed a certain call path, the path is ignored").
+                VertexRef::Root | VertexRef::Leaf([]) => {}
+                VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => {}
+                theirs @ (VertexRef::Loop(s) | VertexRef::Branch(s)) => {
+                    let dst = mine.control_groups();
+                    match dst.iter_mut().find(|(_, d)| d.view() == theirs) {
+                        Some((rs, _)) => rs.push_above(rank),
+                        None => {
+                            groups_formed += 1;
+                            let data = match theirs {
+                                VertexRef::Loop(_) => VertexData::Loop { counts: s.into() },
+                                _ => VertexData::Branch { taken: s.into() },
+                            };
+                            dst.push((RankSet::singleton(rank), data));
+                        }
+                    }
+                }
+                VertexRef::Leaf(records) => {
+                    let dst = mine.leaf_slots(records.len());
+                    for (slot, rec) in dst.iter_mut().zip(records) {
+                        match slot.iter_mut().find(|(_, r)| record_mergeable(r, rec)) {
+                            Some((rs, r)) => {
+                                rs.push_above(rank);
+                                r.time.merge(&rec.time);
+                                r.gap.merge(&rec.gap);
+                            }
+                            None => {
+                                groups_formed += 1;
+                                slot.push((RankSet::singleton(rank), rec.clone()));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        self.app_times.push(ctt.app_time() as i64);
+        GROUPS_FORMED.add(groups_formed);
     }
 
     /// Merge `other` into `self`, vertex by vertex. Ranks in `other` must be
@@ -289,19 +542,7 @@ impl MergedCtt {
             match theirs {
                 MergedVertex::Empty => {}
                 MergedVertex::Control(groups) => {
-                    let dst = match mine {
-                        MergedVertex::Control(g) => g,
-                        MergedVertex::Empty => {
-                            *mine = MergedVertex::Control(Vec::new());
-                            let MergedVertex::Control(g) = mine else {
-                                unreachable!()
-                            };
-                            g
-                        }
-                        MergedVertex::Leaf(_) => {
-                            unreachable!("CTTs share the CST shape: control vs leaf mismatch")
-                        }
-                    };
+                    let dst = mine.control_groups();
                     for (ranks, data) in groups {
                         match dst.iter_mut().find(|(_, d)| control_mergeable(d, &data)) {
                             Some((rs, _)) => rs.extend(&ranks),
@@ -313,25 +554,10 @@ impl MergedCtt {
                     }
                 }
                 MergedVertex::Leaf(slots) => {
-                    let dst = match mine {
-                        MergedVertex::Leaf(s) => s,
-                        MergedVertex::Empty => {
-                            *mine = MergedVertex::Leaf(Vec::new());
-                            let MergedVertex::Leaf(s) = mine else {
-                                unreachable!()
-                            };
-                            s
-                        }
-                        MergedVertex::Control(_) => {
-                            unreachable!("CTTs share the CST shape: leaf vs control mismatch")
-                        }
-                    };
-                    if dst.len() < slots.len() {
-                        dst.resize_with(slots.len(), Vec::new);
-                    }
-                    for (si, groups) in slots.into_iter().enumerate() {
+                    let dst = mine.leaf_slots(slots.len());
+                    for (slot, groups) in dst.iter_mut().zip(slots) {
                         for (ranks, rec) in groups {
-                            match dst[si].iter_mut().find(|(_, r)| record_mergeable(r, &rec)) {
+                            match slot.iter_mut().find(|(_, r)| record_mergeable(r, &rec)) {
                                 Some((rs, r)) => {
                                     rs.extend(&ranks);
                                     r.time.merge(&rec.time);
@@ -339,7 +565,7 @@ impl MergedCtt {
                                 }
                                 None => {
                                     groups_formed += 1;
-                                    dst[si].push((ranks, rec));
+                                    slot.push((ranks, rec));
                                 }
                             }
                         }
@@ -427,13 +653,14 @@ impl MergedCtt {
     }
 }
 
-/// Sequentially merge all per-process CTTs (must be in rank order).
+/// Sequentially merge all per-process CTTs (must be in rank order): each
+/// rank is absorbed from its view into one growing tree.
 pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
     let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
-    let mut acc = MergedCtt::from_ctt(&ctts[0]);
-    for c in &ctts[1..] {
-        acc.absorb(MergedCtt::from_ctt(c));
+    let mut acc = MergedCtt::new(ctts[0].nprocs(), ctts[0].vertex_count());
+    for c in ctts {
+        acc.absorb_rank(c);
     }
     note_merged_groups(&acc);
     obs_log!(
@@ -555,14 +782,26 @@ impl BinomialMerger {
         self.received += 1;
 
         let _t = cypress_obs::trace_span("merge", "binomial_add").arg(rank as u64);
-        self.fold_block(rank, 1, MergedCtt::from_ctt(ctt));
+        // An odd rank whose lower buddy is resident alone joins it directly;
+        // any other rank starts a one-rank block. Either way the rank is
+        // absorbed from its view, above every rank in the block.
+        let lower = rank.wrapping_sub(1);
+        let paired =
+            !rank.is_multiple_of(2) && self.blocks.get(&lower).is_some_and(|(l, _)| *l == 1);
+        let (start, len, mut block) = if paired {
+            (lower, 2, self.blocks.remove(&lower).unwrap().1)
+        } else {
+            (rank, 1, MergedCtt::new(self.nprocs, ctt.vertex_count()))
+        };
+        block.absorb_rank(ctt);
+        self.fold_block(start, len, block);
         true
     }
 
     /// Climb the buddy tree from an aligned block `[start, start+len)`:
     /// blocks are always power-of-two sized and len-aligned, so
     /// `start % (2·len)` is 0 (we are the lower sibling) or `len` (we are
-    /// the upper sibling). Shared by [`add`](Self::add) (len 1) and
+    /// the upper sibling). Shared by [`add`](Self::add) (len 1 or 2) and
     /// [`add_block`](Self::add_block) (relay-forwarded partial merges).
     fn fold_block(&mut self, mut start: u32, mut len: u32, mut cur: MergedCtt) {
         loop {
@@ -789,6 +1028,7 @@ mod tests {
     use super::*;
     use crate::compress::{compress_trace, CompressConfig};
     use crate::decompress::decompress;
+    use crate::intseq::Seg;
     use crate::slab::CttSlab;
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
@@ -1131,7 +1371,7 @@ mod tests {
     #[test]
     fn add_block_rejects_bad_and_duplicate_blocks() {
         let (_, ctts) = pipeline(JACOBI, 8);
-        let one = MergedCtt::from_ctt(&ctts[0]);
+        let one = merge_all(&ctts[..1]);
         let mut bm = BinomialMerger::new(8);
         // Misaligned, non-power-of-two, and out-of-range blocks are errors.
         assert!(bm.add_block(1, 2, one.clone()).is_err());
@@ -1185,12 +1425,21 @@ mod tests {
             .find(|&g| cst.vertex(g).kind.is_mpi())
             .unwrap();
         let block = merge_all(&ctts[..2]);
-        assert_eq!(block.check_shape(cst, 4, 2), Ok(()));
-        let err = block.check_shape(cst, 4, 3).unwrap_err();
+        assert_eq!(block.check_shape(cst, 4, 0, 2), Ok(()));
+        let err = block.check_shape(cst, 4, 0, 3).unwrap_err();
         assert!(err.contains("2 application times for 3 ranks"), "{err}");
+        // Ranks 0 and 1 offered as the block [2, 4): their groups name ranks
+        // outside it, which the merge would silently file under 2 and 3.
+        let err = block.check_shape(cst, 4, 2, 2).unwrap_err();
+        assert!(
+            err.contains("rank 0 outside the block's ranks [2, 4)"),
+            "{err}"
+        );
+        let err = block.check_shape(cst, 4, 3, 2).unwrap_err();
+        assert!(err.contains("block [3, 5) exceeds job size 4"), "{err}");
         let mut bad = block.clone();
         bad.vertices[loop_gid] = bad.vertices[leaf_gid].clone();
-        let err = bad.check_shape(cst, 4, 2).unwrap_err();
+        let err = bad.check_shape(cst, 4, 0, 2).unwrap_err();
         assert!(
             err.contains(&format!("vertex {loop_gid} (Loop) holds leaf data")),
             "{err}"
@@ -1217,6 +1466,97 @@ mod tests {
         assert_eq!(back.app_times.to_vec(), merged.app_times.to_vec());
         // Canonical encoding: decode → encode is byte-stable.
         assert_eq!(back.to_bytes(), merged.to_bytes());
+    }
+
+    /// Every `IntSeq` encoding the sequence-backed `RankSet` decoded keeps
+    /// its bytes, its `Debug` text and its `extend` behaviour; only the
+    /// canonical one-rank form is held inline.
+    #[test]
+    fn rank_sets_keep_every_encoding_an_int_seq_had() {
+        assert!(std::mem::size_of::<RankSet>() <= 32);
+        let seg = |start, stride, len, reps| Seg {
+            start,
+            stride,
+            len,
+            reps,
+        };
+        let raw = |segs: &[Seg]| {
+            let total = segs.iter().map(Seg::total).sum();
+            IntSeq::from(crate::intseq::SeqRef::from_parts(segs, total))
+        };
+        let cases = [
+            (IntSeq::from_slice(&[7]), true),
+            (IntSeq::from_slice(&[0]), true),
+            (IntSeq::from_slice(&[u32::MAX as i64]), true),
+            (raw(&[seg(7, 3, 1, 1)]), false),
+            (raw(&[seg(7, 0, 1, 2)]), false),
+            (IntSeq::new(), false),
+            (IntSeq::from_slice(&[-1]), false),
+            (IntSeq::from_slice(&[-3, -2]), false),
+            (IntSeq::from_slice(&[1 << 32]), false),
+            (IntSeq::from_slice(&[5, 1 << 33]), false),
+            (IntSeq::from_slice(&[0, 1, 4, 5, 8]), false),
+            (IntSeq::from_slice(&[2, 4]), false),
+        ];
+        for (seq, inline) in cases {
+            let bytes = seq.to_bytes();
+            let rs = RankSet::from_bytes(&bytes).unwrap();
+            let what = format!("{seq:?}");
+            assert_eq!(matches!(rs.0, Ranks::One(_)), inline, "{what}");
+            assert_eq!(rs.to_bytes(), bytes, "{what}");
+            assert_eq!(format!("{rs:?}"), format!("RankSet({seq:?})"));
+            assert_eq!(rs.len(), seq.len(), "{what}");
+            let values: Vec<u32> = seq.to_vec().into_iter().map(|v| v as u32).collect();
+            assert_eq!(rs.ranks(), values, "{what}");
+            // Appending a rank, and appending the set to an empty one, give
+            // the bytes pushing onto the sequence gave.
+            let mut grown = rs.clone();
+            grown.extend(&RankSet::singleton(9));
+            let mut pushed = seq.clone();
+            pushed.push(9);
+            assert_eq!(grown.to_bytes(), pushed.to_bytes(), "{what}");
+            let mut copied = RankSet::default();
+            copied.extend(&rs);
+            let repushed = IntSeq::from_slice(&seq.to_vec()).to_bytes();
+            assert_eq!(copied.to_bytes(), repushed, "{what}");
+            // Equality stays the sequences' equality.
+            assert_eq!(copied, RankSet::from_bytes(&repushed).unwrap(), "{what}");
+        }
+        assert_eq!(
+            RankSet::singleton(3).to_bytes(),
+            IntSeq::from_slice(&[3]).to_bytes()
+        );
+    }
+
+    #[test]
+    fn block_rank_sets_must_lie_in_the_block_in_ascending_order() {
+        let seq = |xs: &[i64]| RankSet::from_bytes(&IntSeq::from_slice(xs).to_bytes()).unwrap();
+        for ok in [seq(&[4]), seq(&[4, 5, 6, 7]), seq(&[4, 6, 7])] {
+            assert_eq!(ok.check_within(4, 8), Ok(()), "{ok:?}");
+        }
+        for (bad, why) in [
+            (seq(&[3]), "rank 3 outside the block's ranks [4, 8)"),
+            (seq(&[8]), "rank 8 outside the block's ranks [4, 8)"),
+            (seq(&[5, 9]), "rank 9 outside"),
+            (seq(&[-1, 5]), "rank -1 outside"),
+            (seq(&[1 << 32]), "rank 4294967296 outside"),
+            (seq(&[6, 5]), "not strictly ascending"),
+            (seq(&[5, 5]), "not strictly ascending"),
+            (seq(&[4, 6, 5]), "not strictly ascending"),
+            (seq(&[4, 5, 4, 5]), "not strictly ascending"),
+            (RankSet::default(), "names no rank"),
+        ] {
+            let err = bad.check_within(4, 8).unwrap_err();
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ranks must arrive in ascending order")]
+    fn absorbing_a_rank_below_a_group_it_joins_panics() {
+        let (_, ctts) = pipeline(JACOBI, 4);
+        let mut m = merge_all(&ctts[2..3]);
+        m.absorb_rank(&ctts[1]);
     }
 
     #[test]

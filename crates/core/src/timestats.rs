@@ -19,17 +19,56 @@
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 
 /// Aggregated timing of a merged record: exact moments of its durations.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The 128-bit sums are held as `Wide` pairs of 8-byte words, so the
+/// struct is 8-byte aligned: a `u128` field would raise every record that
+/// holds two of these to 16-byte alignment and pad it by 24 bytes.
+#[derive(Clone, PartialEq)]
 pub struct TimeStats {
     /// Samples recorded (wrapping at 2^64 like the sums beside it).
     n: u64,
     /// Exact Σx over all recorded durations (wrapping at 2^128, which is
     /// unreachable for ns-scale virtual times).
-    sum: u128,
+    sum: Wide,
     /// Exact Σx².
-    sumsq: u128,
+    sumsq: Wide,
     min: u64,
     max: u64,
+}
+
+/// A `u128` in two 8-byte-aligned words, low word first.
+#[derive(Clone, Copy, PartialEq)]
+struct Wide([u64; 2]);
+
+impl Wide {
+    #[inline]
+    fn get(self) -> u128 {
+        (self.0[1] as u128) << 64 | self.0[0] as u128
+    }
+
+    #[inline]
+    fn new(v: u128) -> Wide {
+        Wide([v as u64, (v >> 64) as u64])
+    }
+
+    #[inline]
+    fn wrapping_add(self, x: u128) -> Wide {
+        Wide::new(self.get().wrapping_add(x))
+    }
+}
+
+/// The sums print as `u128`s, the text a derived `Debug` gives `u128`
+/// fields: `tests/wire_sweep.rs` digests the `Debug` text of records.
+impl std::fmt::Debug for TimeStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TimeStats")
+            .field("n", &self.n)
+            .field("sum", &self.sum.get())
+            .field("sumsq", &self.sumsq.get())
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .finish()
+    }
 }
 
 impl Default for TimeStats {
@@ -43,8 +82,8 @@ impl TimeStats {
     pub fn new() -> Self {
         TimeStats {
             n: 0,
-            sum: 0,
-            sumsq: 0,
+            sum: Wide::new(0),
+            sumsq: Wide::new(0),
             min: u64::MAX,
             max: 0,
         }
@@ -65,8 +104,8 @@ impl TimeStats {
     /// moment can overflow it.
     pub fn merge(&mut self, other: &TimeStats) {
         self.n = self.n.wrapping_add(other.n);
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.sumsq = self.sumsq.wrapping_add(other.sumsq);
+        self.sum = self.sum.wrapping_add(other.sum.get());
+        self.sumsq = self.sumsq.wrapping_add(other.sumsq.get());
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -80,7 +119,7 @@ impl TimeStats {
         if self.n == 0 {
             0.0
         } else {
-            self.sum as f64 / self.n as f64
+            self.sum.get() as f64 / self.n as f64
         }
     }
 
@@ -90,8 +129,8 @@ impl TimeStats {
             return 0.0;
         }
         let nf = self.n as f64;
-        let s = self.sum as f64;
-        let var = ((self.sumsq as f64 - s * s / nf) / (nf - 1.0)).max(0.0);
+        let s = self.sum.get() as f64;
+        let var = ((self.sumsq.get() as f64 - s * s / nf) / (nf - 1.0)).max(0.0);
         var.sqrt()
     }
 
@@ -122,8 +161,8 @@ impl Codec for TimeStats {
         // merge order can never perturb the bytes.
         enc.put_u8(TAG_MEANSTD);
         enc.put_uvar(self.n);
-        put_u128(enc, self.sum);
-        put_u128(enc, self.sumsq);
+        put_u128(enc, self.sum.get());
+        put_u128(enc, self.sumsq.get());
         enc.put_uvar(if self.min == u64::MAX { 0 } else { self.min });
         enc.put_uvar(self.max);
     }
@@ -142,8 +181,8 @@ impl Codec for TimeStats {
         let max = dec.get_uvar()?;
         Ok(TimeStats {
             n,
-            sum,
-            sumsq,
+            sum: Wide::new(sum),
+            sumsq: Wide::new(sumsq),
             min: if n == 0 { u64::MAX } else { min },
             max,
         })
@@ -241,6 +280,31 @@ mod tests {
         assert_eq!(left, right);
         assert_eq!(left.to_bytes(), right.to_bytes());
         assert_eq!(TimeStats::from_bytes(&left.to_bytes()).unwrap(), left);
+    }
+
+    /// `tests/wire_sweep.rs` digests the `Debug` text of decoded records:
+    /// it must read as it did when the sums were `u128` fields.
+    #[test]
+    fn debug_text_prints_the_sums_as_u128() {
+        assert_eq!(
+            format!("{:?}", of(&[5, 9])),
+            "TimeStats { n: 2, sum: 14, sumsq: 106, min: 5, max: 9 }"
+        );
+        let mut big = of(&[u64::MAX]);
+        big.merge(&of(&[u64::MAX]));
+        let (sum, sumsq) = (
+            2 * u64::MAX as u128,
+            (u64::MAX as u128).pow(2).wrapping_mul(2),
+        );
+        assert_eq!(
+            format!("{big:?}"),
+            format!(
+                "TimeStats {{ n: 2, sum: {sum}, sumsq: {sumsq}, min: {m}, max: {m} }}",
+                m = u64::MAX
+            )
+        );
+        assert_eq!(std::mem::align_of::<TimeStats>(), 8);
+        assert_eq!(std::mem::size_of::<TimeStats>(), 56);
     }
 
     #[test]

@@ -695,7 +695,7 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
         .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
     let misfit = |e: String| (codes::PROTOCOL, format!("block does not fit the job: {e}"));
     merged
-        .check_shape(&job.cst, job.nprocs, nranks)
+        .check_shape(&job.cst, job.nprocs, first_rank, nranks)
         .map_err(misfit)?;
     // Both ends of the range are the peer's: add them where they cannot wrap.
     let end = first_rank as u64 + nranks as u64;
@@ -1187,7 +1187,7 @@ mod tests {
         let _ack = read_frame(&mut stream).unwrap();
         // One application time per claimed rank (a single segment), so the
         // block passes the shape check and reaches the range check.
-        let mut one = MergedCtt::from_ctt(&local[0]);
+        let mut one = merge_all(&local[..1]);
         let seg = Seg {
             start: local[0].app_time as i64,
             stride: 0,
@@ -1251,6 +1251,48 @@ mod tests {
         }
     }
 
+    /// A block's rank sets must name ranks of the block. Rank 0's tree
+    /// offered as block `[1, 2)` used to be accepted, and rank 1's records
+    /// vanished from the merged job; it is now a `PROTOCOL` refusal, and the
+    /// real rank 1 still merges.
+    #[test]
+    fn block_naming_ranks_outside_its_range_is_refused() {
+        let nprocs = 4;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+
+        let raw = merge_all(&local[..1]).to_bytes();
+        let block = Frame::MergedBlockZ(MergedBlock {
+            first_rank: 1,
+            nranks: 1,
+            events: local[0].op_count(),
+            raw_mpi_bytes: 1,
+            raw_len: raw.len() as u64,
+            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+        });
+        let (code, message) = refused(&addr, &cst_text, (1, nprocs), SubmitMode::Blocks, block);
+        assert_eq!(code, codes::PROTOCOL, "{message}");
+        assert!(
+            message.contains("rank 0 outside the block's ranks [1, 2)"),
+            "{message}"
+        );
+
+        for ctt in &local {
+            submit_ctt(&addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+        }
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), want);
+    }
+
     /// A decodable tree of the wrong shape used to reach `BinomialMerger`'s
     /// and `absorb`'s asserts under the state lock, poisoning it for every
     /// later client. Each is now a `PROTOCOL` refusal that costs only the
@@ -1279,7 +1321,7 @@ mod tests {
             (0..cst.len()).find(|&g| is(&cst.vertex(g).kind)).unwrap()
         };
         let (loop_gid, leaf_gid) = (gid_of(|k| k.is_loop()), gid_of(|k| k.is_mpi()));
-        let mut leaf_at_loop = MergedCtt::from_ctt(&local[0]);
+        let mut leaf_at_loop = merge_all(&local[..1]);
         leaf_at_loop.vertices[loop_gid] = leaf_at_loop.vertices[leaf_gid].clone();
         let raw = leaf_at_loop.to_bytes();
         let block = Frame::MergedBlockZ(MergedBlock {

@@ -61,11 +61,11 @@ fn slab_queries_match_ctt_queries_byte_for_byte() {
     };
     for window in [None, Some(full_span)] {
         let opts = QueryOptions { window };
-        let from_ctt = query_ctts(&cst, &ctts, &opts).unwrap();
+        let from_owned = query_ctts(&cst, &ctts, &opts).unwrap();
         let from_slab = query_ctts(&cst, &slabs, &opts).unwrap();
-        assert_eq!(from_slab, from_ctt, "window {window:?}");
-        assert_eq!(from_slab.to_bytes(), from_ctt.to_bytes());
-        assert_eq!(from_slab.render_json(), from_ctt.render_json());
+        assert_eq!(from_slab, from_owned, "window {window:?}");
+        assert_eq!(from_slab.to_bytes(), from_owned.to_bytes());
+        assert_eq!(from_slab.render_json(), from_owned.render_json());
     }
 }
 
