@@ -17,7 +17,6 @@ use crate::proto::{
 use crate::transport::{Addr, Stream};
 use crate::NetError;
 use cypress_core::Ctt;
-use cypress_deflate::{deflate, Level};
 use cypress_trace::event::{Event, EventSink};
 use std::io::Write;
 use std::time::Duration;
@@ -35,9 +34,6 @@ pub struct ClientConfig {
     pub io_timeout: Duration,
     /// Events per `Events` frame in streaming mode.
     pub chunk_events: usize,
-    /// DEFLATE level for ctt-mode submissions. Only kept when compression
-    /// actually shrinks the payload; `None` always sends raw `RankCtt`.
-    pub ctt_level: Option<Level>,
 }
 
 impl Default for ClientConfig {
@@ -48,7 +44,6 @@ impl Default for ClientConfig {
             backoff_max: Duration::from_secs(2),
             io_timeout: Duration::from_secs(10),
             chunk_events: 512,
-            ctt_level: Some(Level::Default),
         }
     }
 }
@@ -275,22 +270,17 @@ pub fn submit_stream(
 }
 
 /// Submit a locally-compressed CTT (the paper's merge-at-finalize artifact)
-/// instead of raw events. Same retry/backoff/drain behavior.
+/// instead of raw events, as its codec bytes: the wire compresses nothing.
+/// Same retry/backoff/drain behavior.
 pub fn submit_ctt(
     addr: &Addr,
     cfg: &ClientConfig,
     ctt: &Ctt,
     cst_text: &str,
 ) -> Result<SubmitOutcome, NetError> {
-    let bytes = ctt.to_bytes();
-    // Compress once up front; retried attempts reuse it. Kept only when it
-    // actually wins.
-    let frame = match cfg.ctt_level.map(|lvl| deflate(&bytes, lvl)) {
-        Some(z) if z.len() < bytes.len() => Frame::RankCttZ {
-            raw_len: bytes.len() as u64,
-            bytes: z,
-        },
-        _ => Frame::RankCtt { bytes },
+    // Encoded once up front; retried attempts reuse it.
+    let frame = Frame::RankCtt {
+        bytes: ctt.to_bytes(),
     };
     let hello = hello(ctt.rank, ctt.nprocs, SubmitMode::Ctt, cst_text);
     submit(addr, cfg, hello, |stream| {
@@ -316,7 +306,7 @@ pub(crate) fn submit_merged_blocks(
         app_time: 0,
         event_count: blocks.len() as u64,
     };
-    let frames: Vec<Frame> = blocks.into_iter().map(Frame::MergedBlockZ).collect();
+    let frames: Vec<Frame> = blocks.into_iter().map(Frame::MergedBlock).collect();
     let hello = hello(hello_rank, nprocs, SubmitMode::Blocks, cst_text);
     submit(addr, cfg, hello, |stream| {
         let mut wire = Vec::new();

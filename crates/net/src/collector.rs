@@ -22,7 +22,7 @@
 //! - **Relay** (`serve --tree`, started by [`crate::tree::spawn_tree`]):
 //!   accepts only a contiguous rank shard, merges it with a *global-sized*
 //!   [`BinomialMerger`], then forwards its resident buddy blocks upstream
-//!   as `MergedBlockZ` frames. Because a global-sized merger's blocks are
+//!   as raw `MergedBlock` frames. Because a global-sized merger's blocks are
 //!   aligned on the global association tree, the root absorbing them is
 //!   byte-identical to a local `merge_all` — relaying never perturbs the
 //!   merge.
@@ -93,7 +93,7 @@ pub struct CollectedJob {
     /// `merge_all` over the same rank CTTs.
     pub merged: MergedCtt,
     /// Per-rank CTT bytes `(rank, bytes)` in rank order, as a `RankCtt`
-    /// section stores them: what a ctt-mode client sent (inflated), or the
+    /// section stores them: what a ctt-mode client sent, or the
     /// encoding of a stream-mode session's tree. Empty when
     /// [`CollectorConfig::keep_rank_ctts`] is off, and always empty for
     /// ranks that arrived as relay blocks.
@@ -369,11 +369,9 @@ impl Collector {
         // submission; nothing else will connect here.
         drop(self);
         let m = job.merge.into_inner().unwrap();
-        let level = client.ctt_level.unwrap_or_default();
         let blocks = m.merger.into_blocks();
         let mut uploads = Vec::with_capacity(blocks.len());
         for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
-            let raw = part.to_bytes();
             uploads.push(MergedBlock {
                 first_rank,
                 nranks,
@@ -382,8 +380,7 @@ impl Collector {
                 // per-rank attribution is lost above the relay.
                 events: if i == 0 { m.total_events } else { 0 },
                 raw_mpi_bytes: if i == 0 { m.raw_mpi_bytes } else { 0 },
-                raw_len: raw.len() as u64,
-                bytes: cypress_deflate::deflate(&raw, level),
+                bytes: part.to_bytes(),
             });
         }
         let forwarded = uploads.len();
@@ -509,12 +506,7 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
         (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCtt { bytes }) => {
             done_or(st, on_ctt_bytes(sh, job, rank, out, bytes))
         }
-        (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCttZ { raw_len, bytes }) => {
-            let step = inflate_exact("compressed CTT", raw_len, &bytes)
-                .and_then(|raw| on_ctt_bytes(sh, job, rank, out, raw));
-            done_or(st, step)
-        }
-        (st @ ConnState::Blocks { job, rank, nblocks }, Frame::MergedBlockZ(block)) => {
+        (st @ ConnState::Blocks { job, rank, nblocks }, Frame::MergedBlock(block)) => {
             match on_merged_block(sh, job, block) {
                 Ok(()) => Ok(ConnState::Blocks {
                     job,
@@ -653,14 +645,7 @@ fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnSt
     })
 }
 
-/// Inflate a `…Z` frame payload, stopping at its declared raw length.
-fn inflate_exact(what: &str, raw_len: u64, bytes: &[u8]) -> Result<Vec<u8>, Reject> {
-    let raw_len = usize::try_from(raw_len).unwrap_or(usize::MAX);
-    cypress_deflate::inflate_exact(bytes, raw_len)
-        .map_err(|e| (codes::PROTOCOL, format!("{what}: {}", e.0)))
-}
-
-/// Finish a ctt-mode submission from (inflated) CTT bytes. A tree that
+/// Finish a ctt-mode submission from its CTT bytes. A tree that
 /// does not fit the job is refused here, before the merge's lock is taken.
 fn on_ctt_bytes(
     sh: Shared<'_>,
@@ -690,8 +675,7 @@ fn on_ctt_bytes(
 /// Absorb one relay-forwarded buddy block into the merge.
 fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), Reject> {
     let (first_rank, nranks, events) = (block.first_rank, block.nranks, block.events);
-    let raw = inflate_exact("merged block", block.raw_len, &block.bytes)?;
-    let merged = MergedCtt::from_bytes(&raw)
+    let merged = MergedCtt::from_bytes(&block.bytes)
         .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
     let misfit = |e: String| (codes::PROTOCOL, format!("block does not fit the job: {e}"));
     merged
@@ -945,6 +929,136 @@ mod tests {
         assert_eq!(job.raw_mpi_bytes, 0);
     }
 
+    /// Accept one connection on `l`, acknowledge its `Hello`, and collect
+    /// every frame up to and including the one `last` picks out; answer
+    /// that one with `FinAck`. A hand-rolled peer, so a test sees exactly
+    /// what a client or relay puts on the wire.
+    fn capture_submission(l: Listener, last: fn(&Frame) -> bool) -> (Hello, Vec<Frame>) {
+        let mut s = l.accept().unwrap();
+        s.set_io_timeout(Duration::from_secs(30)).unwrap();
+        let hello = match read_frame(&mut s).unwrap() {
+            Frame::Hello(hello) => hello,
+            f => panic!("expected Hello, got {}", f.name()),
+        };
+        let ack = Frame::HelloAck {
+            version: PROTO_VERSION,
+            already_done: false,
+        };
+        write_frame(&mut s, &ack).unwrap();
+        let mut frames = Vec::new();
+        loop {
+            let f = read_frame(&mut s).unwrap();
+            let done = last(&f);
+            frames.push(f);
+            if done {
+                break;
+            }
+        }
+        write_frame(&mut s, &Frame::FinAck { ranks_done: 1 }).unwrap();
+        (hello, frames)
+    }
+
+    /// The wire compresses nothing: `submit_ctt` sends one `RankCtt` whose
+    /// bytes are exactly `Ctt::to_bytes`.
+    #[test]
+    fn submit_ctt_sends_the_tree_as_its_codec_bytes() {
+        let (info, traces) = traces(4);
+        let cst_text = info.cst.to_text();
+        let ctt = compress_trace(&info.cst, &traces[1], &CompressConfig::default());
+        let l = Listener::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let addr = l.local_addr().unwrap();
+        let peer = std::thread::spawn(move || capture_submission(l, |_| true));
+        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
+        let (hello, frames) = peer.join().unwrap();
+        assert_eq!(
+            (hello.mode, hello.rank, hello.nprocs),
+            (SubmitMode::Ctt, 1, 4)
+        );
+        match &frames[..] {
+            [Frame::RankCtt { bytes }] => assert_eq!(*bytes, ctt.to_bytes()),
+            [f] => panic!("expected RankCtt, got {}", f.name()),
+            _ => unreachable!(),
+        }
+    }
+
+    /// A relay forwards its buddy blocks as `MergedCtt` codec bytes: each
+    /// block decodes as it arrives, and the blocks re-merge to the bytes
+    /// of the local `merge_all`.
+    #[test]
+    fn relay_forwards_merged_blocks_as_their_codec_bytes() {
+        let nprocs = 6;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let l = Listener::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let upstream = l.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            capture_submission(l, |f| matches!(f, Frame::Finish { .. }))
+        });
+        let relay = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let relay_addr = relay.local_addr().unwrap();
+        let cfg = CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        };
+        let client = ClientConfig::default();
+        let forwarded = std::thread::spawn(move || {
+            relay.run_relay((0, nprocs), nprocs, &upstream, &client, &cfg)
+        });
+        for ctt in local.iter().rev() {
+            submit_ctt(&relay_addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+        }
+        forwarded.join().unwrap().unwrap();
+        let (hello, mut frames) = peer.join().unwrap();
+        assert_eq!(hello.mode, SubmitMode::Blocks);
+        let Some(Frame::Finish { event_count, .. }) = frames.pop() else {
+            unreachable!()
+        };
+        assert_eq!(event_count, frames.len() as u64);
+        // Ranks [0, 6) of 6: the buddy blocks [0, 4) and [4, 6).
+        assert_eq!(frames.len(), 2);
+        let mut merger = BinomialMerger::new(nprocs);
+        let mut events = 0;
+        for f in frames {
+            let Frame::MergedBlock(b) = f else {
+                panic!("expected MergedBlock, got {}", f.name())
+            };
+            let merged = MergedCtt::from_bytes(&b.bytes).unwrap_or_else(|e| {
+                panic!(
+                    "block [{}, +{}) is not MergedCtt bytes: {e}",
+                    b.first_rank, b.nranks
+                )
+            });
+            assert!(merger.add_block(b.first_rank, b.nranks, merged).unwrap());
+            events += b.events;
+        }
+        assert_eq!(merger.finish().to_bytes(), want);
+        assert_eq!(events, local.iter().map(|c| c.op_count()).sum::<u64>());
+    }
+
+    /// Frame code 8 once carried a compressed rank CTT. It is retired: a
+    /// peer that still sends it gets a `PROTOCOL` refusal, and the rank
+    /// still merges when sent as it is.
+    #[test]
+    fn retired_compressed_ctt_code_is_a_protocol_refusal() {
+        let (info, traces) = traces(1);
+        let cst_text = info.cst.to_text();
+        let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let retired = Frame::Unknown { code: 8 };
+        let (code, message) = refused(&addr, &cst_text, (0, 1), SubmitMode::Ctt, retired);
+        assert_eq!(code, codes::PROTOCOL, "{message}");
+        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
+        server.join().unwrap().unwrap();
+    }
+
     /// A repeat of a merged rank, in either mode, is answered `already_done`
     /// at the `Hello` and sends nothing, and the job still completes
     /// byte-identical to the local merge.
@@ -984,38 +1098,6 @@ mod tests {
         submit_ctt(&addr, &cfg, &local[1], &cst_text).unwrap();
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.merged.to_bytes(), want);
-    }
-
-    #[test]
-    fn ctt_submission_levels_and_raw_agree() {
-        let nprocs = 3;
-        let (info, traces) = traces(nprocs);
-        let cst_text = info.cst.to_text();
-        let local: Vec<_> = traces
-            .iter()
-            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
-            .collect();
-        let want = merge_all(&local).to_bytes();
-
-        for level in [
-            None,
-            Some(cypress_deflate::Level::Fast),
-            Some(cypress_deflate::Level::Best),
-        ] {
-            let (addr, server) = serve_in_background(CollectorConfig {
-                deadline: Some(Duration::from_secs(60)),
-                ..CollectorConfig::default()
-            });
-            let cfg = ClientConfig {
-                ctt_level: level,
-                ..ClientConfig::default()
-            };
-            for ctt in &local {
-                submit_ctt(&addr, &cfg, ctt, &cst_text).unwrap();
-            }
-            let job = server.join().unwrap().unwrap();
-            assert_eq!(job.merged.to_bytes(), want, "level {level:?}");
-        }
     }
 
     /// One version: a Hello one version older or newer is answered over
@@ -1068,93 +1150,6 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
-    #[test]
-    fn corrupt_compressed_ctt_is_rejected() {
-        let (info, traces) = traces(1);
-        let cst_text = info.cst.to_text();
-        let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
-        let raw = ctt.to_bytes();
-
-        let (addr, server) = serve_in_background(CollectorConfig {
-            deadline: Some(Duration::from_secs(60)),
-            ..CollectorConfig::default()
-        });
-        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
-        write_frame(
-            &mut stream,
-            &Frame::Hello(Hello {
-                version: PROTO_VERSION,
-                rank: 0,
-                nprocs: 1,
-                mode: SubmitMode::Ctt,
-                cst_text: cst_text.clone(),
-            }),
-        )
-        .unwrap();
-        let _ack = read_frame(&mut stream).unwrap();
-        // Declare the wrong raw length; the collector must reject before
-        // decoding the CTT.
-        write_frame(
-            &mut stream,
-            &Frame::RankCttZ {
-                raw_len: raw.len() as u64 + 1,
-                bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
-            },
-        )
-        .unwrap();
-        match read_frame(&mut stream).unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, codes::PROTOCOL),
-            f => panic!("expected Error, got {}", f.name()),
-        }
-        // Finish the job properly so the server exits.
-        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
-        server.join().unwrap().unwrap();
-    }
-
-    /// A few KiB of stream that would inflate to 4 MiB behind a declared 16
-    /// bytes: refused at the declared length, where the collector used to
-    /// inflate all of it on its event loop and compare afterwards.
-    #[test]
-    fn compressed_ctt_past_its_declared_length_is_refused_at_the_bound() {
-        let (info, traces) = traces(1);
-        let cst_text = info.cst.to_text();
-        let ctt = compress_trace(&info.cst, &traces[0], &CompressConfig::default());
-        let (addr, server) = serve_in_background(CollectorConfig {
-            deadline: Some(Duration::from_secs(60)),
-            ..CollectorConfig::default()
-        });
-        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
-        let hello = Frame::Hello(Hello {
-            version: PROTO_VERSION,
-            rank: 0,
-            nprocs: 1,
-            mode: SubmitMode::Ctt,
-            cst_text: cst_text.clone(),
-        });
-        write_frame(&mut stream, &hello).unwrap();
-        let _ack = read_frame(&mut stream).unwrap();
-        let bomb = cypress_deflate::deflate(&vec![0u8; 4 << 20], cypress_deflate::Level::Fast);
-        let frame = Frame::RankCttZ {
-            raw_len: 16,
-            bytes: bomb,
-        };
-        write_frame(&mut stream, &frame).unwrap();
-        match read_frame(&mut stream).unwrap() {
-            Frame::Error { code, message } => {
-                assert_eq!(code, codes::PROTOCOL, "{message}");
-                assert!(message.contains("declared 16 bytes"), "{message}");
-                assert!(
-                    !message.contains("got"),
-                    "inflated past the bound: {message}"
-                );
-            }
-            f => panic!("expected Error, got {}", f.name()),
-        }
-        // Finish the job properly so the server exits.
-        submit_ctt(&addr, &ClientConfig::default(), &ctt, &cst_text).unwrap();
-        server.join().unwrap().unwrap();
-    }
-
     /// A block whose `first_rank + nranks` wraps `u32` used to pass the
     /// range checks (release) or panic under the state lock (debug). Any
     /// peer can send one; it must cost that peer an `Error` frame and
@@ -1195,14 +1190,12 @@ mod tests {
             reps: 1,
         };
         one.app_times = IntSeq::from(SeqRef::from_parts(&[seg], 0x8000_0000));
-        let raw = one.to_bytes();
-        let block = Frame::MergedBlockZ(MergedBlock {
+        let block = Frame::MergedBlock(MergedBlock {
             first_rank: 0x8000_0000,
             nranks: 0x8000_0000,
             events: 1,
             raw_mpi_bytes: 1,
-            raw_len: raw.len() as u64,
-            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+            bytes: one.to_bytes(),
         });
         write_frame(&mut stream, &block).unwrap();
         match read_frame(&mut stream).unwrap() {
@@ -1270,14 +1263,12 @@ mod tests {
             ..CollectorConfig::default()
         });
 
-        let raw = merge_all(&local[..1]).to_bytes();
-        let block = Frame::MergedBlockZ(MergedBlock {
+        let block = Frame::MergedBlock(MergedBlock {
             first_rank: 1,
             nranks: 1,
             events: local[0].op_count(),
             raw_mpi_bytes: 1,
-            raw_len: raw.len() as u64,
-            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+            bytes: merge_all(&local[..1]).to_bytes(),
         });
         let (code, message) = refused(&addr, &cst_text, (1, nprocs), SubmitMode::Blocks, block);
         assert_eq!(code, codes::PROTOCOL, "{message}");
@@ -1323,14 +1314,12 @@ mod tests {
         let (loop_gid, leaf_gid) = (gid_of(|k| k.is_loop()), gid_of(|k| k.is_mpi()));
         let mut leaf_at_loop = merge_all(&local[..1]);
         leaf_at_loop.vertices[loop_gid] = leaf_at_loop.vertices[leaf_gid].clone();
-        let raw = leaf_at_loop.to_bytes();
-        let block = Frame::MergedBlockZ(MergedBlock {
+        let block = Frame::MergedBlock(MergedBlock {
             first_rank: 0,
             nranks: 1,
             events: 1,
             raw_mpi_bytes: 1,
-            raw_len: raw.len() as u64,
-            bytes: cypress_deflate::deflate(&raw, cypress_deflate::Level::Fast),
+            bytes: leaf_at_loop.to_bytes(),
         });
         for (mode, frame, why) in [
             (
@@ -1390,7 +1379,6 @@ mod tests {
             .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
             .collect();
         let want = merge_all(&local).to_bytes();
-        let block = unhex(UNTIMED_BLOCK);
         let attempts = [
             (
                 SubmitMode::Ctt,
@@ -1400,13 +1388,12 @@ mod tests {
             ),
             (
                 SubmitMode::Blocks,
-                Frame::MergedBlockZ(MergedBlock {
+                Frame::MergedBlock(MergedBlock {
                     first_rank: 1,
                     nranks: 1,
                     events: 1,
                     raw_mpi_bytes: 1,
-                    raw_len: block.len() as u64,
-                    bytes: cypress_deflate::deflate(&block, cypress_deflate::Level::Fast),
+                    bytes: unhex(UNTIMED_BLOCK),
                 }),
             ),
         ];

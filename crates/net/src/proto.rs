@@ -28,19 +28,20 @@
 //!
 //! ```text
 //! stream mode:  Hello → (HelloAck ←) → Events* → Finish → (FinAck ←)
-//! ctt mode:     Hello → (HelloAck ←) → RankCtt | RankCttZ → (FinAck ←)
-//! blocks mode:  Hello → (HelloAck ←) → MergedBlockZ* → Finish → (FinAck ←)
+//! ctt mode:     Hello → (HelloAck ←) → RankCtt → (FinAck ←)
+//! blocks mode:  Hello → (HelloAck ←) → MergedBlock* → Finish → (FinAck ←)
 //! query mode:   QueryRequest | AnalyzeRequest → (…Response ←), repeated
 //! stats mode:   StatsRequest → (Stats ←)       first frame instead of Hello
 //! any point:    Error ← (collector rejects; see codes)
 //! ```
 //!
-//! `RankCttZ` is a DEFLATE-compressed rank CTT with the raw length up front
-//! so the collector can bound decompression; a client sends the raw
-//! `RankCtt` instead when deflate does not shrink the payload.
+//! The wire carries trees as their codec bytes and compresses nothing:
+//! `RankCtt` is `Ctt::to_bytes`, and a `MergedBlock`'s bytes are
+//! `MergedCtt::to_bytes`. Compression happens once, at rest, when the
+//! container is written; [`MAX_FRAME_BODY`] is the memory bound on a frame.
 //!
 //! Blocks mode (`SubmitMode::Blocks`) is the inter-collector session of a
-//! relay tree: each `MergedBlockZ` frame carries one DEFLATE-compressed
+//! relay tree: each `MergedBlock` frame carries one
 //! *aligned buddy block* of the global binomial merge — a relay's resident
 //! partial merges, forwarded upstream without re-expanding to per-rank
 //! CTTs. `Finish.event_count` then counts *blocks* (the cross-check the
@@ -66,7 +67,7 @@ use cypress_trace::event::Event;
 use std::io::{Read, Write};
 
 /// The protocol version this build speaks — the only one it accepts.
-pub const PROTO_VERSION: u8 = 4;
+pub const PROTO_VERSION: u8 = 5;
 
 /// Upper bound on a frame body; larger length prefixes are rejected before
 /// any allocation.
@@ -140,14 +141,15 @@ const FR_FINISH: u8 = 4;
 const FR_FIN_ACK: u8 = 5;
 const FR_RANK_CTT: u8 = 6;
 const FR_ERROR: u8 = 7;
-const FR_RANK_CTT_Z: u8 = 8;
+// 8 is retired: it was a DEFLATE-compressed rank CTT. A peer that still
+// sends it gets `Frame::Unknown`, which a collector refuses.
 const FR_STATS_REQ: u8 = 9;
 const FR_STATS: u8 = 10;
 const FR_QUERY_REQ: u8 = 11;
 const FR_QUERY_RESP: u8 = 12;
 const FR_ANALYZE_REQ: u8 = 13;
 const FR_ANALYZE_RESP: u8 = 14;
-const FR_MERGED_BLOCK_Z: u8 = 15;
+const FR_MERGED_BLOCK: u8 = 15;
 
 /// A client's identification: protocol version, rank, job size, delivery
 /// mode, and the CST text the trace was recorded against. The first
@@ -162,18 +164,17 @@ pub struct Hello {
 }
 
 /// One aligned buddy block of the global binomial merge, forwarded by a
-/// relay collector (blocks mode). `bytes` is a DEFLATE-compressed
-/// `MergedCtt` covering ranks `[first_rank, first_rank + nranks)`;
-/// `raw_len` bounds inflation like `RankCttZ`. `events`/`raw_mpi_bytes`
-/// carry the relay's accounting totals for the ranks in this frame (a relay
-/// puts its whole subtree's totals on the first block it forwards).
+/// relay collector (blocks mode). `bytes` is the codec encoding of a
+/// `MergedCtt` covering ranks `[first_rank, first_rank + nranks)`.
+/// `events`/`raw_mpi_bytes` carry the relay's accounting totals for the
+/// ranks in this frame (a relay puts its whole subtree's totals on the
+/// first block it forwards).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedBlock {
     pub first_rank: u32,
     pub nranks: u32,
     pub events: u64,
     pub raw_mpi_bytes: u64,
-    pub raw_len: u64,
     pub bytes: Vec<u8>,
 }
 
@@ -195,10 +196,6 @@ pub enum Frame {
     FinAck { ranks_done: u32 },
     /// A finished per-rank CTT in codec bytes (ctt mode).
     RankCtt { bytes: Vec<u8> },
-    /// A finished per-rank CTT, DEFLATE-compressed (ctt mode).
-    /// `raw_len` is the decompressed size, checked by the collector before
-    /// and after inflation.
-    RankCttZ { raw_len: u64, bytes: Vec<u8> },
     /// Ask a collector's stats endpoint for a live snapshot.
     StatsRequest,
     /// The snapshot. The payload is a self-versioned blob (see
@@ -221,7 +218,7 @@ pub enum Frame {
     /// The answer: an opaque, self-versioned `AnalyzeReport` blob.
     AnalyzeResponse { result: Vec<u8> },
     /// One relay-merged block (blocks mode).
-    MergedBlockZ(MergedBlock),
+    MergedBlock(MergedBlock),
     /// Rejection; `code` is one of [`codes`].
     Error { code: u16, message: String },
     /// A frame code this build does not know, produced by the decoder with
@@ -239,14 +236,13 @@ impl Frame {
             Frame::Finish { .. } => FR_FINISH,
             Frame::FinAck { .. } => FR_FIN_ACK,
             Frame::RankCtt { .. } => FR_RANK_CTT,
-            Frame::RankCttZ { .. } => FR_RANK_CTT_Z,
             Frame::StatsRequest => FR_STATS_REQ,
             Frame::Stats { .. } => FR_STATS,
             Frame::QueryRequest { .. } => FR_QUERY_REQ,
             Frame::QueryResponse { .. } => FR_QUERY_RESP,
             Frame::AnalyzeRequest { .. } => FR_ANALYZE_REQ,
             Frame::AnalyzeResponse { .. } => FR_ANALYZE_RESP,
-            Frame::MergedBlockZ(_) => FR_MERGED_BLOCK_Z,
+            Frame::MergedBlock(_) => FR_MERGED_BLOCK,
             Frame::Error { .. } => FR_ERROR,
             Frame::Unknown { code } => *code,
         }
@@ -261,28 +257,17 @@ impl Frame {
             Frame::Finish { .. } => "Finish",
             Frame::FinAck { .. } => "FinAck",
             Frame::RankCtt { .. } => "RankCtt",
-            Frame::RankCttZ { .. } => "RankCttZ",
             Frame::StatsRequest => "StatsRequest",
             Frame::Stats { .. } => "Stats",
             Frame::QueryRequest { .. } => "QueryRequest",
             Frame::QueryResponse { .. } => "QueryResponse",
             Frame::AnalyzeRequest { .. } => "AnalyzeRequest",
             Frame::AnalyzeResponse { .. } => "AnalyzeResponse",
-            Frame::MergedBlockZ(_) => "MergedBlockZ",
+            Frame::MergedBlock(_) => "MergedBlock",
             Frame::Error { .. } => "Error",
             Frame::Unknown { .. } => "Unknown",
         }
     }
-}
-
-/// The declared inflated size of a `…Z` payload, bounded like a frame body
-/// so the collector never inflates toward an absurd target.
-fn get_raw_len(dec: &mut Decoder<'_>, what: &str) -> DecodeResult<u64> {
-    let raw_len = dec.get_uvar()?;
-    if raw_len > MAX_FRAME_BODY as u64 {
-        return Err(DecodeError(format!("absurd {what} raw length {raw_len}")));
-    }
-    Ok(raw_len)
 }
 
 impl Codec for Hello {
@@ -317,7 +302,6 @@ impl Codec for MergedBlock {
         enc.put_uvar(self.nranks as u64);
         enc.put_uvar(self.events);
         enc.put_uvar(self.raw_mpi_bytes);
-        enc.put_uvar(self.raw_len);
         enc.put_bytes(&self.bytes);
     }
 
@@ -327,7 +311,6 @@ impl Codec for MergedBlock {
             nranks: dec.get_u32("block nranks")?,
             events: dec.get_uvar()?,
             raw_mpi_bytes: dec.get_uvar()?,
-            raw_len: get_raw_len(dec, "merged-block")?,
             bytes: dec.get_bytes()?,
         })
     }
@@ -357,10 +340,6 @@ impl Codec for Frame {
             }
             Frame::FinAck { ranks_done } => enc.put_uvar(*ranks_done as u64),
             Frame::RankCtt { bytes } => enc.put_bytes(bytes),
-            Frame::RankCttZ { raw_len, bytes } => {
-                enc.put_uvar(*raw_len);
-                enc.put_bytes(bytes);
-            }
             Frame::Stats { stats } => enc.put_bytes(&stats.to_bytes()),
             Frame::QueryRequest { job, options } | Frame::AnalyzeRequest { job, options } => {
                 enc.put_str(job);
@@ -369,7 +348,7 @@ impl Codec for Frame {
             Frame::QueryResponse { result } | Frame::AnalyzeResponse { result } => {
                 enc.put_bytes(result)
             }
-            Frame::MergedBlockZ(block) => block.encode(enc),
+            Frame::MergedBlock(block) => block.encode(enc),
             Frame::Error { code, message } => {
                 enc.put_uvar(*code as u64);
                 enc.put_str(message);
@@ -398,10 +377,6 @@ impl Codec for Frame {
             FR_RANK_CTT => Frame::RankCtt {
                 bytes: dec.get_bytes()?,
             },
-            FR_RANK_CTT_Z => Frame::RankCttZ {
-                raw_len: get_raw_len(dec, "compressed-ctt")?,
-                bytes: dec.get_bytes()?,
-            },
             FR_STATS_REQ => Frame::StatsRequest,
             FR_STATS => Frame::Stats {
                 stats: crate::stats::Stats::from_bytes(dec.get_bytes_ref()?)?,
@@ -420,7 +395,7 @@ impl Codec for Frame {
             FR_ANALYZE_RESP => Frame::AnalyzeResponse {
                 result: dec.get_bytes()?,
             },
-            FR_MERGED_BLOCK_Z => Frame::MergedBlockZ(MergedBlock::decode(dec)?),
+            FR_MERGED_BLOCK => Frame::MergedBlock(MergedBlock::decode(dec)?),
             FR_ERROR => Frame::Error {
                 code: dec.get_u16("Error code")?,
                 message: dec.get_str()?,
@@ -642,10 +617,6 @@ mod tests {
             Frame::RankCtt {
                 bytes: vec![1, 2, 3],
             },
-            Frame::RankCttZ {
-                raw_len: 4096,
-                bytes: vec![9, 8, 7, 6],
-            },
             Frame::StatsRequest,
             Frame::Stats {
                 stats: crate::stats::Stats {
@@ -679,12 +650,11 @@ mod tests {
             Frame::AnalyzeResponse {
                 result: vec![1, 2, 0, 0],
             },
-            Frame::MergedBlockZ(MergedBlock {
+            Frame::MergedBlock(MergedBlock {
                 first_rank: 4,
                 nranks: 4,
                 events: 2048,
                 raw_mpi_bytes: 1 << 20,
-                raw_len: 512,
                 bytes: vec![5, 4, 3, 2, 1],
             }),
             Frame::Error {
@@ -744,32 +714,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn absurd_compressed_ctt_raw_length_rejected() {
-        let mut enc = Encoder::new();
-        enc.put_u8(FR_RANK_CTT_Z);
-        enc.put_uvar(MAX_FRAME_BODY as u64 + 1);
-        enc.put_bytes(&[1, 2, 3]);
-        let body = enc.finish();
-        let err = Frame::from_bytes(&body).unwrap_err();
-        assert!(err.to_string().contains("raw length"), "{err}");
-    }
-
-    #[test]
-    fn absurd_merged_block_raw_length_rejected() {
-        let mut enc = Encoder::new();
-        enc.put_u8(FR_MERGED_BLOCK_Z);
-        enc.put_uvar(0);
-        enc.put_uvar(4);
-        enc.put_uvar(10);
-        enc.put_uvar(10);
-        enc.put_uvar(MAX_FRAME_BODY as u64 + 1);
-        enc.put_bytes(&[1, 2, 3]);
-        let body = enc.finish();
-        let err = Frame::from_bytes(&body).unwrap_err();
-        assert!(err.to_string().contains("raw length"), "{err}");
-    }
-
     /// The frame-level twin of `harden.rs`'s re-sealed header fields: a
     /// varint one past its field's width is a frame error naming the field,
     /// not a frame for the rank (or code) it would truncate to.
@@ -788,8 +732,8 @@ mod tests {
         };
         let block = |first_rank: u64, nranks: u64| {
             let mut enc = Encoder::new();
-            enc.put_u8(FR_MERGED_BLOCK_Z);
-            for v in [first_rank, nranks, 10, 10, 3] {
+            enc.put_u8(FR_MERGED_BLOCK);
+            for v in [first_rank, nranks, 10, 10] {
                 enc.put_uvar(v);
             }
             enc.put_bytes(&[1, 2, 3]);

@@ -104,7 +104,7 @@ echo "== knob census: settings with one value in use stay constants =="
 # scripts/recount.sh's counts may only fall; the deleted modes and flags
 # stay deleted (DESIGN §4c names the consumer of every surviving knob).
 census=$(scripts/recount.sh)
-test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 24 \
+test "$(sed -n 's/^Config\/Options pub fields: //p' <<<"$census")" -le 23 \
   || { echo "more *Config/*Options fields than the census allows"; exit 1; }
 test "$(sed -n 's/^CLI flag literals: //p' <<<"$census")" -le 21 \
   || { echo "more CLI flags than the census allows"; exit 1; }
@@ -115,6 +115,17 @@ test "$(sed -n 's/^crates\/net\/src unwrap\/expect sites: //p' <<<"$census")" -l
 ! grep -rnF -e '"--strategy"' -e '"--workers"' -e '"--hotspots"' -e '"--stats-addr"' crates/*/src src || exit 1
 # One listener per daemon: stats are answered on the job port; one container reader.
 ! grep -rnwE 'stats_addr|bind_stats|AwaitStatsReq|ContainerView' crates/*/src src || exit 1
+
+echo "== compress once, at rest: the collection wire carries codec bytes =="
+# crates/net takes only crc32 (frame checksums) from cypress-deflate;
+# deflate, inflate and Level belong to the container writer and readers.
+! grep -rn 'cypress_deflate' crates/net/src | grep -v ':use cypress_deflate::crc32;$' || exit 1
+! grep -rnE '(^|[^a-z_])(deflate|inflate[a-z_]*)\(' crates/net/src || exit 1
+! grep -rnwE 'RankCttZ|MergedBlockZ|ctt_level|get_raw_len' crates/*/src src tests || exit 1
+
+echo "== a closed stdout ends the CLI quietly: no panicking print in the binary =="
+# outln!/out! return the write error to main, which maps BrokenPipe.
+! grep -nE '(^|[^e])print(ln)?!\(' src/bin/cypress.rs || exit 1
 
 echo "== one copy of each path: unix only, one rank runner, one decompress-then-simulate =="
 # crates/net states its one platform in a single compile_error!; nothing else forks on it.

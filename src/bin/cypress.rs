@@ -64,11 +64,28 @@ use cypress::trace::{PayloadArena, SectionKind, SectionTable};
 use cypress::{read_container, write_collected_container_with, Error, Pipeline};
 use std::fmt::Display;
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 use std::process::exit;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `println!` that hands a failed write back instead of panicking, so a
+/// closed stdout (`cypress decompress … | head -1`) ends the command
+/// through `main`.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout().lock(), $($arg)*)
+    };
+}
+
+/// `print!` with [`outln!`]'s failure path.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout().lock(), $($arg)*)
+    };
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,7 +126,7 @@ fn main() {
     // wall time across parse/ingest/merge/encode/io (inert when tracing
     // is off).
     let root = cypress::obs::trace_span("cli", "total");
-    let result = match cmd.as_str() {
+    let mut result = match cmd.as_str() {
         "cst" => cmd_cst(rest),
         "trace" => cmd_trace(rest),
         "dump" => cmd_dump(rest),
@@ -151,31 +168,40 @@ fn main() {
             }
         }
         if profile {
-            println!("\n== profile ==\n{}", dump.profile("total").to_text());
+            let printed = outln!("\n== profile ==\n{}", dump.profile("total").to_text());
+            result = result.and(printed.map_err(Error::from));
         }
     }
     if metrics {
-        emit_metrics();
+        result = result.and(emit_metrics());
     }
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        exit(1);
+    match result {
+        Ok(()) => {}
+        // The reader closed stdout (`| head`) and has what it wanted: end
+        // quietly, with the exit code of an output left unfinished.
+        Err(Error::Io(e)) if e.kind() == ErrorKind::BrokenPipe => exit(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            exit(1);
+        }
     }
 }
 
 /// Dump the pipeline-wide metrics report: human table to stdout, JSON lines
 /// appended to `results/metrics.jsonl` (best-effort — failure to write is
 /// non-fatal). The append is atomic (temp + rename), so concurrent runs
-/// never leave a torn file, and `results/` is created on demand.
-fn emit_metrics() {
+/// never leave a torn file, and `results/` is created on demand — also
+/// when stdout is closed, whose error is returned afterwards.
+fn emit_metrics() -> CliResult {
     let report = cypress::obs::report();
-    println!("\n== metrics ==\n{}", report.to_text());
+    let printed = outln!("\n== metrics ==\n{}", report.to_text());
     let path = Path::new("results/metrics.jsonl");
     if cypress::obs::append_atomic(path, report.to_jsonl().as_bytes()).is_ok() {
         eprintln!("metrics appended to {}", path.display());
     } else {
         eprintln!("warning: could not write {}", path.display());
     }
+    Ok(printed?)
 }
 
 fn usage() {
@@ -204,13 +230,12 @@ USAGE:
                [--level fast|default|best] [--threads <n>]
                [--tree <relays> -n <procs>]
   cypress submit <prog.mpi> --rank <r> -n <procs> --connect <addr>
-               [--mode stream|ctt] [--attempts <n>] [--level <l>|none]
+               [--mode stream|ctt] [--attempts <n>]
 
 OPTIONS:
   --per-rank   compress/serve: add one CRC-framed CTT section per rank
   --level      compress/serve: DEFLATE container sections at this effort
-               (fast, default, best; omitted = raw sections);
-               submit --mode ctt: wire compression level, or `none`
+               (fast, default, best; omitted = raw sections)
   --threads    compress/serve: workers for parallel section encoding
   --window     query/analyze: restrict to ops whose reconstructed start time
                falls in [start, end) nanoseconds (forces O(events) replay;
@@ -280,18 +305,18 @@ fn nprocs_of(args: &[String]) -> cypress::Result<u32> {
     }
 }
 
-/// Parse `--level` into a section/wire compression level. `none` is
-/// accepted so `submit` (which compresses by default) can opt out.
-fn level_of(args: &[String]) -> cypress::Result<Option<Option<ZLevel>>> {
-    match flag(args, "--level").as_deref() {
-        None => Ok(None),
-        Some("none") => Ok(Some(None)),
-        Some(s) => ZLevel::from_name(s).map(|l| Some(Some(l))).ok_or_else(|| {
-            Error::Invalid(format!(
-                "unknown --level `{s}` (expected fast, default, best, or none)"
-            ))
-        }),
-    }
+/// Parse `--level` into a container section compression level; without
+/// the flag, sections are stored raw.
+fn level_of(args: &[String]) -> cypress::Result<Option<ZLevel>> {
+    flag(args, "--level")
+        .map(|s| {
+            ZLevel::from_name(&s).ok_or_else(|| {
+                Error::Invalid(format!(
+                    "unknown --level `{s}` (expected fast, default, or best)"
+                ))
+            })
+        })
+        .transpose()
 }
 
 /// `--limit`: rows of a ranked report to print (default 10).
@@ -402,9 +427,9 @@ fn run_traces(args: &[String]) -> cypress::Result<(Program, StaticInfo, Vec<RawT
 
 fn cmd_cst(args: &[String]) -> CliResult {
     let (_, info) = load_program(args)?;
-    println!("{}", info.cst.to_compact_string());
-    println!();
-    print!("{}", info.cst.to_text());
+    outln!("{}", info.cst.to_compact_string())?;
+    outln!()?;
+    out!("{}", info.cst.to_text())?;
     eprintln!(
         "\n{} vertices ({} MPI leaves), {} instrumentation entries",
         info.cst.len(),
@@ -425,11 +450,11 @@ fn cmd_trace(args: &[String]) -> CliResult {
         total += bytes.len();
         fs::write(&path, &bytes)?;
     }
-    println!(
+    outln!(
         "wrote {} raw traces to {dir}/ ({} bytes total)",
         traces.len(),
         total
-    );
+    )?;
     Ok(())
 }
 
@@ -439,7 +464,7 @@ fn cmd_dump(args: &[String]) -> CliResult {
     let t = traces
         .get(rank)
         .ok_or_else(|| Error::Invalid(format!("rank {rank} out of range")))?;
-    print!("{}", cypress::trace::format_trace(t));
+    out!("{}", cypress::trace::format_trace(t))?;
     Ok(())
 }
 
@@ -452,7 +477,7 @@ fn cmd_compress(args: &[String]) -> CliResult {
     let n = nprocs_of(args)?;
     let threads: Option<usize> = parsed(args, "--threads")?;
     let mut cfg = cypress::PipelineConfig {
-        level: level_of(args)?.unwrap_or(None),
+        level: level_of(args)?,
         ..cypress::PipelineConfig::default()
     };
     if let Some(t) = threads {
@@ -485,15 +510,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
     };
     job.write_container_with(&out, has_flag(args, "--per-rank"), telemetry.as_ref())?;
     let written = fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-    println!("streamed {events} events across {n} ranks; peak resident CTT {peak} B/rank");
-    println!(
+    outln!("streamed {events} events across {n} ranks; peak resident CTT {peak} B/rank")?;
+    outln!(
         "wrote {out} ({written} B container: cst + merged{} )",
         if has_flag(args, "--per-rank") {
             format!(" + {n} rank sections")
         } else {
             String::new()
         }
-    );
+    )?;
     Ok(())
 }
 
@@ -501,7 +526,7 @@ fn cmd_decompress(args: &[String]) -> CliResult {
     let file = positional(args, "compressed trace file")?;
     let rank = parsed(args, "-r")?.unwrap_or(0);
     let ops = read_container(&file)?.decompress(rank)?;
-    println!("# rank {rank}: {} operations", ops.len());
+    outln!("# rank {rank}: {} operations", ops.len())?;
     for o in &ops {
         let p = &o.params;
         let mut fields = Vec::new();
@@ -523,13 +548,13 @@ fn cmd_decompress(args: &[String]) -> CliResult {
         if !p.req_gids.is_empty() {
             fields.push(format!("reqs={:?}", p.req_gids));
         }
-        println!(
+        outln!(
             "g{:<4} {:<14} {}  ~{}ns",
             o.gid,
             o.op.name(),
             fields.join(" "),
             o.mean_dur
-        );
+        )?;
     }
     Ok(())
 }
@@ -605,30 +630,31 @@ fn cmd_inspect(args: &[String]) -> CliResult {
             table.len(),
             arena.inflations()
         ));
-        println!("{out}");
+        outln!("{out}")?;
         return Ok(());
     }
 
-    println!(
+    outln!(
         "{file}: cypress container v{}, {} ranks",
-        table.version, table.nprocs
-    );
+        table.version,
+        table.nprocs
+    )?;
     if let Some(m) = &meta {
-        println!("written by {} {}", m.tool, m.version);
-        println!(
+        outln!("written by {} {}", m.tool, m.version)?;
+        outln!(
             "traced {} MPI events, raw record size {raw_bytes} B",
             m.events
-        );
+        )?;
     }
     let payload = table.payload_bytes();
-    println!("{} sections, {payload} payload bytes:", table.len());
+    outln!("{} sections, {payload} payload bytes:", table.len())?;
     // Every section frame carries its own crc32 over the stored bytes,
     // verified by the table parse (which fails before we get here if any
     // check misses), so "crc ok" below is a statement, not a hope.
-    println!(
+    outln!(
         "integrity: {} per-section crc32 checks verified on load (coverage: every payload byte)",
         table.len()
-    );
+    )?;
     for (i, s) in table.sections().iter().enumerate() {
         let scope = match s.rank {
             Some(r) => format!(" rank {r}"),
@@ -644,39 +670,39 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "  [{i}] {:<10}{scope:<9} {:>8} B {share:>5.1}%  crc ok{stored}",
             s.kind.name(),
             s.raw_len
-        );
+        )?;
     }
     if let Some((vertices, groups)) = merged_stats {
-        println!("merged CTT: {vertices} vertices, {groups} rank groups");
+        outln!("merged CTT: {vertices} vertices, {groups} rank groups")?;
     }
     if let Some(s) = find_payload(SectionKind::Telemetry) {
         match cypress::TelemetrySummary::from_bytes(s?) {
-            Ok(t) => print!("{}", t.to_text()),
-            Err(e) => println!("telemetry section unreadable: {e}"),
+            Ok(t) => out!("{}", t.to_text())?,
+            Err(e) => outln!("telemetry section unreadable: {e}")?,
         }
     }
     if raw_bytes > 0 && file_bytes > 0 {
-        println!(
+        outln!(
             "compression ratio: {:.1}x (raw {} B / container {} B)",
             raw_bytes as f64 / file_bytes as f64,
             raw_bytes,
             file_bytes
-        );
+        )?;
     }
     // The lazy-view contract, pinned where it is most visible: inspecting a
     // raw-layout container must not inflate anything, ever.
     if table.sections().iter().any(|s| s.is_deflated()) {
-        println!(
+        outln!(
             "lazy view: {} deflated sections inflated on demand, raw sections served zero-copy",
             arena.inflations()
-        );
+        )?;
     } else {
         assert_eq!(arena.inflations(), 0, "raw-only inspect must not inflate");
-        println!("lazy view: no inflation performed (all sections served zero-copy)");
+        outln!("lazy view: no inflation performed (all sections served zero-copy)")?;
     }
     Ok(())
 }
@@ -699,25 +725,25 @@ fn cmd_query(args: &[String]) -> CliResult {
         let q = StoreJob::open(Path::new(&file), &file)?.query(&opts)?;
         (file, q)
     };
-    render_query(&label, &q, limit, has_flag(args, "--json"));
-    Ok(())
+    render_query(&label, &q, limit, has_flag(args, "--json"))
 }
 
-fn render_query(label: &str, q: &QueryResult, limit: usize, json: bool) {
+fn render_query(label: &str, q: &QueryResult, limit: usize, json: bool) -> CliResult {
     if json {
-        println!("{}", q.render_json());
-        return;
+        outln!("{}", q.render_json())?;
+        return Ok(());
     }
-    println!(
+    outln!(
         "{label}: {} ranks, evaluated via {}\n",
         q.nprocs,
         q.strategy.name()
-    );
-    print!("{}", q.render(limit));
+    )?;
+    out!("{}", q.render(limit))?;
     if q.nprocs <= 64 && q.total_volume() > 0 {
-        println!("\nvolume heatmap (row = sender):");
-        print!("{}", q.matrix.to_ascii());
+        outln!("\nvolume heatmap (row = sender):")?;
+        out!("{}", q.matrix.to_ascii())?;
     }
+    Ok(())
 }
 
 /// Compressed-domain analysis: CTT-native LogGP replay prediction,
@@ -761,16 +787,16 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                 }
             };
             if json {
-                println!("{}", report.render_json());
+                outln!("{}", report.render_json())?;
             } else if sub == "predict" {
-                println!("{label}:");
-                print!("{}", report.render_predict());
+                outln!("{label}:")?;
+                out!("{}", report.render_predict())?;
             } else {
-                println!("{label}:");
-                print!(
+                outln!("{label}:")?;
+                out!(
                     "{}",
                     report.render_latesender(limit, local_job.as_ref().map(|j| j.cst()))
-                );
+                )?;
             }
             Ok(())
         }
@@ -800,9 +826,9 @@ fn cmd_analyze(args: &[String]) -> CliResult {
                 b: summarize(&b)?,
             };
             if json {
-                println!("{}", d.render_json());
+                outln!("{}", d.render_json())?;
             } else {
-                print!("{}", d.render());
+                out!("{}", d.render())?;
             }
             Ok(())
         }
@@ -844,25 +870,25 @@ fn cmd_stats(args: &[String]) -> CliResult {
         let addr = Addr::parse(&connect)?;
         let stats = fetch_stats(&addr, std::time::Duration::from_secs(5))?;
         if has_flag(args, "--json") {
-            println!("{}", stats.to_json());
+            outln!("{}", stats.to_json())?;
         } else {
-            print!("{}", stats.to_text());
+            out!("{}", stats.to_text())?;
         }
         return Ok(());
     }
     let (_, _, traces) = run_traces(args)?;
-    print!("{}", cypress::trace::Profile::from_traces(&traces).report());
+    out!("{}", cypress::trace::Profile::from_traces(&traces).report())?;
     let m = CommMatrix::from_traces(&traces);
-    println!(
+    outln!(
         "\npoint-to-point volume: {} bytes across {} edges",
         m.total(),
         (0..traces.len())
             .map(|r| m.peers_of(r).len())
             .sum::<usize>()
-    );
+    )?;
     if traces.len() <= 64 {
-        println!("\nheatmap (row = sender):");
-        print!("{}", m.to_ascii());
+        outln!("\nheatmap (row = sender):")?;
+        out!("{}", m.to_ascii())?;
     }
     Ok(())
 }
@@ -888,7 +914,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .transpose()?,
     };
 
-    let level = level_of(args)?.unwrap_or(None);
+    let level = level_of(args)?;
     let threads = parsed(args, "--threads")?.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -937,14 +963,14 @@ fn cmd_serve(args: &[String]) -> CliResult {
     };
     let merged_bytes = job.merged.to_bytes().len();
     write_collected_container_with(&job, &out, per_rank, level, threads)?;
-    println!(
+    outln!(
         "collected {} ranks, {} MPI events; merged CTT {} B ({} rank groups)",
         job.nprocs,
         job.total_events,
         merged_bytes,
         job.merged.group_count()
-    );
-    println!("wrote {out}");
+    )?;
+    outln!("wrote {out}")?;
     Ok(())
 }
 
@@ -952,6 +978,15 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// the per-process side of the paper's deployment, over a socket instead
 /// of `MPI_Finalize`.
 fn cmd_submit(args: &[String]) -> CliResult {
+    // The flag table is global, so a stale script's `--level` would
+    // otherwise be read by nobody.
+    if has_flag(args, "--level") {
+        return Err(Error::Invalid(
+            "submit takes no --level: it sends the CTT raw, and serve --level \
+             compresses the container"
+                .into(),
+        ));
+    }
     let (prog, info) = load_program(args)?;
     let n = nprocs_of(args)?;
     let rank: u32 =
@@ -965,9 +1000,6 @@ fn cmd_submit(args: &[String]) -> CliResult {
     let mut cfg = ClientConfig::default();
     if let Some(attempts) = parsed(args, "--attempts")? {
         cfg.attempts = attempts;
-    }
-    if let Some(level) = level_of(args)? {
-        cfg.ctt_level = level;
     }
     let cst_text = info.cst.to_text();
     let interp = InterpConfig::default();
@@ -997,12 +1029,15 @@ fn cmd_submit(args: &[String]) -> CliResult {
     };
 
     if outcome.already_done {
-        println!("rank {rank}: collector already has this rank (previous attempt landed)");
+        outln!("rank {rank}: collector already has this rank (previous attempt landed)")?;
     } else {
-        println!(
+        outln!(
             "rank {rank}: submitted ({} events streamed, attempt {}/{}); collector has {} ranks",
-            outcome.events_sent, outcome.attempts, cfg.attempts, outcome.ranks_done
-        );
+            outcome.events_sent,
+            outcome.attempts,
+            cfg.attempts,
+            outcome.ranks_done
+        )?;
     }
     Ok(())
 }
@@ -1020,22 +1055,22 @@ fn cmd_simulate(args: &[String]) -> CliResult {
     let predicted = analyze_by_decompression(&info.cst, &ctts, &model, &AnalyzeOptions::default())
         .map_err(|e| Error::Invalid(e.to_string()))?
         .predicted;
-    println!(
+    outln!(
         "measured (raw traces):        {:.3} ms",
         measured.total as f64 / 1e6
-    );
-    println!(
+    )?;
+    outln!(
         "predicted (compressed):       {:.3} ms",
         predicted.total as f64 / 1e6
-    );
-    println!(
+    )?;
+    outln!(
         "prediction error:             {:.2}%",
         (predicted.total as f64 - measured.total as f64).abs() / measured.total.max(1) as f64
             * 100.0
-    );
-    println!(
+    )?;
+    outln!(
         "communication time share:     {:.2}%",
         measured.comm_fraction() * 100.0
-    );
+    )?;
     Ok(())
 }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `cypress` command-line binary.
 
 use std::fs;
-use std::process::Command;
+use std::io::BufRead;
+use std::process::{Command, Stdio};
 
 fn cypress() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cypress"))
@@ -359,12 +360,72 @@ fn bad_input_fails_cleanly() {
         assert!(!container.exists(), "{extra} still wrote the container");
     }
 
+    // `--level` is the container's: `none` is no level (leaving the flag
+    // out already stores raw sections), and submit, which sends its CTT
+    // raw, refuses the flag instead of ignoring it.
+    let prog = prog.to_str().unwrap();
+    let file = container.to_str().unwrap();
+    let compress = ["compress", prog, "-n", "4", "-o", file];
+    let submit_ctt = ["submit", prog, "-n", "4", "--rank", "0", "--mode", "ctt"];
+    for (argv, level, want) in [
+        (&compress[..], "none", "unknown --level `none`"),
+        (&compress[..], "max", "unknown --level `max`"),
+        (&submit_ctt[..], "fast", "submit takes no --level"),
+        (&submit_ctt[..], "none", "submit takes no --level"),
+    ] {
+        let out = cypress()
+            .args(argv)
+            .args(["--connect", "127.0.0.1:1", "--level", level])
+            .output()
+            .expect("run");
+        let what = format!("{} --level {level}", argv[0]);
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{what}: {stderr}");
+        assert!(!container.exists(), "{what} still wrote the container");
+    }
+
+    // A reader that closes the pipe early (`| head -1`) ends the command
+    // quietly: no panic, no exit 101. The output is far larger than a pipe
+    // buffer, so the writer is still writing when the pipe goes.
+    let long = dir.join("long.mpi");
+    fs::write(
+        &long,
+        "fn main() { for k in 0..20000 { send((rank() + 1) % size(), 8, 0); \
+         recv((rank() + size() - 1) % size(), 8, 0); } }",
+    )
+    .unwrap();
+    let long_cytc = dir.join("long.cytc");
+    let out = cypress()
+        .arg("compress")
+        .arg(&long)
+        .args(["-n", "4", "--per-rank", "-o"])
+        .arg(&long_cytc)
+        .output()
+        .expect("run compress");
+    assert!(out.status.success(), "{out:?}");
+    let mut child = cypress()
+        .arg("decompress")
+        .arg(&long_cytc)
+        .args(["-r", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn decompress");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.starts_with("# rank 2: "), "{first}");
+    let out = child.wait_with_output().expect("wait for decompress");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+
     // A numeric flag whose value does not parse: exit 1 naming the flag,
     // before anything is read, bound or connected. The listen socket's
     // directory does not exist, so a value that slipped through would fail
     // at bind rather than serve.
-    let prog = prog.to_str().unwrap();
-    let file = container.to_str().unwrap();
     let sock = format!("unix:{}", dir.join("missing/c.sock").display());
     let store = dir.join("missing").display().to_string();
     let serve = ["serve", "--listen", &sock, "--out", file];

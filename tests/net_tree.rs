@@ -34,7 +34,6 @@ fn client_cfg() -> ClientConfig {
         backoff_max: Duration::from_millis(50),
         io_timeout: Duration::from_secs(10),
         chunk_events: 64,
-        ..ClientConfig::default()
     }
 }
 
