@@ -305,7 +305,7 @@ fn fig20(cfg: &Cfg) {
 }
 
 fn ablation(cfg: &Cfg) {
-    use cypress_core::{compress_trace, merge_all, merge_all_parallel, CompressConfig};
+    use cypress_core::{compress_trace, merge_all, BinomialMerger, CompressConfig};
     use cypress_trace::codec::Codec;
     use std::time::Instant;
 
@@ -358,7 +358,7 @@ fn ablation(cfg: &Cfg) {
         }
     }
 
-    // (c) Sequential vs parallel (binomial) inter-process merge.
+    // (c) Sequential vs binomial (§IV-B) inter-process merge: the same tree.
     let t = trace_workload("lu", if cfg.paper { 128 } else { 64 }, cfg.scale);
     let ctts: Vec<_> = t
         .traces
@@ -369,15 +369,19 @@ fn ablation(cfg: &Cfg) {
     let seq = merge_all(&ctts);
     let seq_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let par = merge_all_parallel(&ctts, 8);
-    let par_s = t0.elapsed().as_secs_f64();
-    assert_eq!(seq.group_count(), par.group_count());
+    let mut bm = BinomialMerger::new(ctts.len() as u32);
+    for c in &ctts {
+        bm.add(c);
+    }
+    let tree = bm.finish();
+    let tree_s = t0.elapsed().as_secs_f64();
+    assert_eq!(seq.to_bytes(), tree.to_bytes());
     println!(
-        "merge lu@{}: sequential {seq_s:.5}s, parallel(8) {par_s:.5}s",
+        "merge lu@{}: sequential {seq_s:.5}s, binomial {tree_s:.5}s",
         t.workload.nprocs
     );
     writeln!(csv, "merge,sequential_s,{seq_s:.6}").unwrap();
-    writeln!(csv, "merge,parallel8_s,{par_s:.6}").unwrap();
+    writeln!(csv, "merge,binomial_s,{tree_s:.6}").unwrap();
 
     save("ablation", &csv);
 }

@@ -14,7 +14,7 @@
 
 use cypress_analysis::{analyze_by_decompression, AnalysisError, AnalyzeOptions};
 use cypress_baselines::{Scala2Merged, Scala2Trace, ScalaMerged, ScalaTrace};
-use cypress_core::{compress_trace, merge_all, merge_all_parallel, CompressConfig, Ctt};
+use cypress_core::{compress_trace, merge_all, CompressConfig, Ctt};
 use cypress_cst::StaticInfo;
 use cypress_deflate::{gzip_compress, Level};
 use cypress_obs::{Histogram, TIME_BOUNDS_NS};
@@ -228,7 +228,7 @@ pub fn inter_overhead(t: &Traced) -> InterOverhead {
         .map(|tr| compress_trace(&t.info.cst, tr, &CompressConfig::default()))
         .collect();
     let t0 = Instant::now();
-    let _ = merge_all_parallel(&ctts, num_threads());
+    let _ = merge_all(&ctts);
     let cypress_s = record_secs(&INTER_CYPRESS_NS, t0);
 
     InterOverhead {

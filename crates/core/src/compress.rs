@@ -104,6 +104,9 @@ pub struct IntraCompressor<'a> {
     pending_wild: Vec<PendingWild>,
     /// End timestamp of the previous traced operation (for compute gaps).
     prev_end: u64,
+    /// Running footprint of `data`: what [`approx_bytes`](Self::approx_bytes)
+    /// reports for it, kept up to date by every push that changes it.
+    data_bytes: usize,
     tally: Tally,
 }
 
@@ -137,6 +140,7 @@ impl<'a> IntraCompressor<'a> {
         }
         let mut visits = vec![0u64; n];
         visits[0] = 1; // the root is visited exactly once
+        let data_bytes = data_footprint(&data);
         IntraCompressor {
             cst,
             cfg,
@@ -148,6 +152,7 @@ impl<'a> IntraCompressor<'a> {
             stale_exits: vec![0; n],
             pending_wild: Vec::new(),
             prev_end: 0,
+            data_bytes,
             tally: Tally::default(),
         }
     }
@@ -193,7 +198,7 @@ impl<'a> IntraCompressor<'a> {
                 let parent = self.cst.vertex(v).parent.expect("branches have parents");
                 let parent_idx = self.visits[parent].saturating_sub(1);
                 if let VertexData::Branch { taken } = &mut self.data[v] {
-                    taken.push(parent_idx as i64);
+                    push_counted(taken, parent_idx as i64, &mut self.data_bytes);
                 }
                 self.visits[v] += 1;
                 self.open.push(Open {
@@ -223,7 +228,7 @@ impl<'a> IntraCompressor<'a> {
             return;
         }
         if let VertexData::Loop { counts } = &mut self.data[v] {
-            counts.push(0);
+            push_counted(counts, 0, &mut self.data_bytes);
         }
     }
 
@@ -235,7 +240,7 @@ impl<'a> IntraCompressor<'a> {
 
     fn close(&mut self, o: Open) {
         if let VertexData::Loop { counts } = &mut self.data[o.vertex] {
-            counts.push(o.iters as i64);
+            push_counted(counts, o.iters as i64, &mut self.data_bytes);
         }
     }
 
@@ -324,15 +329,19 @@ impl<'a> IntraCompressor<'a> {
         time.add(dur);
         let mut g = TimeStats::new();
         g.add(gap);
-        records.push(LeafRecord {
+        let rec = LeafRecord {
             params,
             count: 1,
             time,
             gap: g,
-        });
+        };
+        self.data_bytes += rec.approx_bytes();
+        records.push(rec);
     }
 
-    /// Close out the compression and produce the per-process CTT.
+    /// Close out the compression and produce the per-process CTT. Every
+    /// leaf's record list is trimmed to its length: a finished tree holds no
+    /// growth slack.
     pub fn finish(mut self, app_time: u64) -> Ctt {
         // Flush any never-completed wildcard receives in arrival order.
         for p in std::mem::take(&mut self.pending_wild) {
@@ -359,6 +368,11 @@ impl<'a> IntraCompressor<'a> {
                 .sum();
             INTSEQ_SEGMENTS.add(segs as u64);
         }
+        for d in &mut self.data {
+            if let VertexData::Leaf { records } = d {
+                records.shrink_to_fit();
+            }
+        }
         Ctt {
             rank: self.rank as u32,
             nprocs: self.nprocs,
@@ -367,15 +381,35 @@ impl<'a> IntraCompressor<'a> {
         }
     }
 
-    /// Live memory footprint of the compressor state (Fig. 16 metric).
+    /// Live memory footprint of the compressor state (Fig. 16 metric), in
+    /// O(1): the vertex data's share is a running total.
     pub fn approx_bytes(&self) -> usize {
-        self.data
-            .iter()
-            .map(|d| d.approx_bytes() + std::mem::size_of::<VertexData>())
-            .sum::<usize>()
-            + self.visits.len() * 8
-            + self.open.capacity() * std::mem::size_of::<Open>()
+        self.data_bytes + self.bookkeeping_bytes()
     }
+
+    /// [`approx_bytes`](Self::approx_bytes) by walking every vertex: the
+    /// definition the running total is tested against.
+    #[doc(hidden)]
+    pub fn approx_bytes_walked(&self) -> usize {
+        data_footprint(&self.data) + self.bookkeeping_bytes()
+    }
+
+    fn bookkeeping_bytes(&self) -> usize {
+        self.visits.len() * 8 + self.open.capacity() * std::mem::size_of::<Open>()
+    }
+}
+
+fn data_footprint(data: &[VertexData]) -> usize {
+    data.iter()
+        .map(|d| d.approx_bytes() + std::mem::size_of::<VertexData>())
+        .sum()
+}
+
+/// `seq.push(v)`, adding what the push grew `seq`'s footprint by to `bytes`.
+fn push_counted(seq: &mut IntSeq, v: i64, bytes: &mut usize) {
+    let before = seq.approx_bytes();
+    seq.push(v);
+    *bytes += seq.approx_bytes() - before;
 }
 
 impl EventSink for IntraCompressor<'_> {

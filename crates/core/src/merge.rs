@@ -14,8 +14,12 @@
 //! per-vertex linked list — so ranks that agree on their first record but
 //! diverge later still share the common slots.
 //!
-//! [`merge_all_parallel`] reduces the per-process CTTs over a binomial tree
-//! with std scoped threads — the O(n log P) schedule the paper
+//! A group is found by key, not by a scan: a hash of the fields the
+//! compatibility test compares leads to the group's position in its slot,
+//! and the test itself confirms every hit. So an absorb costs O(records)
+//! however many rank groups a slot holds. [`merge_all`] absorbs rank after
+//! rank into one tree; [`BinomialMerger`] reduces ranks arriving in any
+//! order over a binomial tree — the O(n log P) schedule the paper
 //! describes for end-of-job merging inside `MPI_Finalize`.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
@@ -24,6 +28,7 @@ use crate::visit::{CttSource, VertexRef};
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use std::hash::{Hash, Hasher};
 
 // Scope `merge`.
 /// Pairwise `absorb` operations performed.
@@ -32,10 +37,9 @@ static PAIR_MERGES: Counter = Counter::new("merge", "pair_merges");
 static GROUPS_FORMED: Counter = Counter::new("merge", "groups_formed");
 /// Final group count of the last full merge.
 static MERGED_GROUPS: Gauge = Gauge::new("merge", "merged_groups");
-/// Levels of the (binomial) parallel reduction tree.
-static PARALLEL_LEVELS: Gauge = Gauge::new("merge", "parallel_levels");
-/// Chunks handed to worker threads by `merge_all_parallel`.
-static PARALLEL_CHUNKS: Counter = Counter::new("merge", "parallel_chunks");
+/// Group compatibility tests (`record_mergeable`, control-data equality)
+/// run by the absorbs.
+static COMPARISONS: Counter = Counter::new("merge", "comparisons");
 /// Wall time per pairwise absorb.
 static PAIR_MERGE_NS: Histogram = Histogram::new("merge", "pair_merge_ns", &TIME_BOUNDS_NS);
 /// Wall time per whole-job merge.
@@ -481,12 +485,22 @@ impl MergedCtt {
     /// keeps rank sets ascending and stride-compressible. A rank that would
     /// join a group holding a higher rank panics; [`check_shape`] refuses a
     /// peer's tree before it gets here.
+    ///
+    /// A list that, with the rank's group, holds more than [`SCAN_GROUPS`]
+    /// is matched by key, through one scratch table refilled from it;
+    /// [`merge_all`] keeps a table per long list instead, from rank to rank.
     pub fn absorb_rank<S: CttSource>(&mut self, ctt: &S) {
+        self.absorb_rank_with(ctt, &mut Tables::Scratch(KeyTable::default()));
+    }
+
+    /// [`absorb_rank`](Self::absorb_rank), finding each list's groups through
+    /// `tables`.
+    fn absorb_rank_with<S: CttSource>(&mut self, ctt: &S, tables: &mut Tables<'_>) {
         assert_eq!(self.vertices.len(), ctt.vertex_count());
         let _span = PAIR_MERGE_NS.span("merge", "absorb_rank");
         PAIR_MERGES.inc();
         let rank = ctt.rank();
-        let mut groups_formed = 0u64;
+        let mut tally = Tally::default();
         for (gid, mine) in self.vertices.iter_mut().enumerate() {
             match ctt.vertex(gid) {
                 // Empty data = the rank never reached this vertex: it
@@ -496,10 +510,18 @@ impl MergedCtt {
                 VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => {}
                 theirs @ (VertexRef::Loop(s) | VertexRef::Branch(s)) => {
                     let dst = mine.control_groups();
-                    match dst.iter_mut().find(|(_, d)| d.view() == theirs) {
-                        Some((rs, _)) => rs.push_above(rank),
+                    let found = tally.find(
+                        dst,
+                        1,
+                        tables.of(gid, 0),
+                        || control_key(theirs),
+                        |(_, d)| control_key(d.view()),
+                        |(_, d)| d.view() == theirs,
+                    );
+                    match found {
+                        Some(p) => dst[p].0.push_above(rank),
                         None => {
-                            groups_formed += 1;
+                            tally.groups_formed += 1;
                             let data = match theirs {
                                 VertexRef::Loop(_) => VertexData::Loop { counts: s.into() },
                                 _ => VertexData::Branch { taken: s.into() },
@@ -510,15 +532,24 @@ impl MergedCtt {
                 }
                 VertexRef::Leaf(records) => {
                     let dst = mine.leaf_slots(records.len());
-                    for (slot, rec) in dst.iter_mut().zip(records) {
-                        match slot.iter_mut().find(|(_, r)| record_mergeable(r, rec)) {
-                            Some((rs, r)) => {
+                    for (at, (slot, rec)) in dst.iter_mut().zip(records).enumerate() {
+                        let found = tally.find(
+                            slot,
+                            1,
+                            tables.of(gid, at),
+                            || record_key(rec),
+                            |(_, r)| record_key(r),
+                            |(_, r)| record_mergeable(r, rec),
+                        );
+                        match found {
+                            Some(p) => {
+                                let (rs, r) = &mut slot[p];
                                 rs.push_above(rank);
                                 r.time.merge(&rec.time);
                                 r.gap.merge(&rec.gap);
                             }
                             None => {
-                                groups_formed += 1;
+                                tally.groups_formed += 1;
                                 slot.push((RankSet::singleton(rank), rec.clone()));
                             }
                         }
@@ -527,48 +558,48 @@ impl MergedCtt {
             }
         }
         self.app_times.push(ctt.app_time() as i64);
-        GROUPS_FORMED.add(groups_formed);
+        tally.flush();
     }
 
     /// Merge `other` into `self`, vertex by vertex. Ranks in `other` must be
     /// greater than ranks in `self` (reduce contiguous halves) so rank sets
     /// stay sorted and stride-compressible.
+    ///
+    /// A vertex or slot whose groups, with the incoming ones, number more
+    /// than [`SCAN_GROUPS`] is matched through a key table filled with them
+    /// (one scratch table, reused), so it costs O(g_self + g_other) rather
+    /// than a scan's O(g_self · g_other).
     pub fn absorb(&mut self, other: MergedCtt) {
         assert_eq!(self.vertices.len(), other.vertices.len());
         let _span = PAIR_MERGE_NS.span("merge", "absorb");
         PAIR_MERGES.inc();
-        let mut groups_formed = 0u64;
+        let mut tally = Tally::default();
+        let mut scratch = KeyTable::default();
         for (mine, theirs) in self.vertices.iter_mut().zip(other.vertices) {
             match theirs {
                 MergedVertex::Empty => {}
-                MergedVertex::Control(groups) => {
-                    let dst = mine.control_groups();
-                    for (ranks, data) in groups {
-                        match dst.iter_mut().find(|(_, d)| control_mergeable(d, &data)) {
-                            Some((rs, _)) => rs.extend(&ranks),
-                            None => {
-                                groups_formed += 1;
-                                dst.push((ranks, data));
-                            }
-                        }
-                    }
-                }
+                MergedVertex::Control(groups) => tally.absorb_groups(
+                    mine.control_groups(),
+                    groups,
+                    &mut scratch,
+                    |d| control_key(d.view()),
+                    control_mergeable,
+                    |_, _| {},
+                ),
                 MergedVertex::Leaf(slots) => {
                     let dst = mine.leaf_slots(slots.len());
                     for (slot, groups) in dst.iter_mut().zip(slots) {
-                        for (ranks, rec) in groups {
-                            match slot.iter_mut().find(|(_, r)| record_mergeable(r, &rec)) {
-                                Some((rs, r)) => {
-                                    rs.extend(&ranks);
-                                    r.time.merge(&rec.time);
-                                    r.gap.merge(&rec.gap);
-                                }
-                                None => {
-                                    groups_formed += 1;
-                                    slot.push((ranks, rec));
-                                }
-                            }
-                        }
+                        tally.absorb_groups(
+                            slot,
+                            groups,
+                            &mut scratch,
+                            record_key,
+                            record_mergeable,
+                            |r, rec| {
+                                r.time.merge(&rec.time);
+                                r.gap.merge(&rec.gap);
+                            },
+                        );
                     }
                 }
             }
@@ -577,7 +608,7 @@ impl MergedCtt {
         while let Some(v) = r.next() {
             self.app_times.push(v);
         }
-        GROUPS_FORMED.add(groups_formed);
+        tally.flush();
     }
 
     /// Total group count across vertices (the merged trace's record
@@ -654,13 +685,16 @@ impl MergedCtt {
 }
 
 /// Sequentially merge all per-process CTTs (must be in rank order): each
-/// rank is absorbed from its view into one growing tree.
+/// rank is absorbed from its view into one growing tree, its records matched
+/// through one key index kept for the whole merge — O(records), however
+/// many rank groups a slot holds.
 pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
     let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
     let mut acc = MergedCtt::new(ctts[0].nprocs(), ctts[0].vertex_count());
+    let mut index = Index(acc.vertices.iter().map(|_| Vec::new()).collect());
     for c in ctts {
-        acc.absorb_rank(c);
+        acc.absorb_rank_with(c, &mut Tables::Kept(&mut index));
     }
     note_merged_groups(&acc);
     obs_log!(
@@ -673,49 +707,266 @@ pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     acc
 }
 
-/// Merge with a binomial reduction tree across `threads` workers — the
-/// parallel O(n log P) schedule of §IV-B.
-///
-/// `threads` is advisory and clamped to `1..=ctts.len()`: `0` (an
-/// uninitialised pool size) degrades to sequential, and more threads than
-/// CTTs would only spawn idle workers. Because [`TimeStats`] aggregation is
-/// exactly associative, the result is **byte-identical** to [`merge_all`]
-/// for every thread count.
-///
-/// [`TimeStats`]: crate::timestats::TimeStats
-pub fn merge_all_parallel<S: CttSource + Sync>(ctts: &[S], threads: usize) -> MergedCtt {
-    assert!(
-        !ctts.is_empty(),
-        "merge_all_parallel needs at least one CTT"
-    );
-    let threads = threads.clamp(1, ctts.len());
-    if threads == 1 {
-        return merge_all(ctts);
+/// [`merge_all`], whatever `threads` says: the one merge is sequential.
+#[doc(hidden)]
+pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCtt {
+    merge_all(ctts)
+}
+
+/// A group list is scanned while it and the groups coming into it number
+/// at most this many; past that it is matched by key. A scan test that
+/// fails on the message size costs a few nanoseconds, a key a hash and a
+/// probe, so short lists scan faster. On the 64 `local-irregular` rank CTTs
+/// (DESIGN §10 has the numbers) a `BinomialMerger` is about a third slower
+/// when every list is keyed and runs fastest at 32 or 64, and `merge_all`
+/// runs fastest at 16 or 32 and slows at 64, where it scans every
+/// rank-unique list. Either way an absorb runs at most half this many tests
+/// per group of the lists it touches, short of crafted key collisions
+/// ([`KeyTable`]).
+const SCAN_GROUPS: usize = 32;
+
+/// Where [`MergedCtt::absorb_rank_with`] finds a group list's key table.
+enum Tables<'a> {
+    /// [`merge_all`]'s: one table per list, kept from rank to rank.
+    Kept(&'a mut Index),
+    /// One table, emptied for each list it is asked for: an absorb that
+    /// meets each list once.
+    Scratch(KeyTable),
+}
+
+impl Tables<'_> {
+    /// The table of list `slot` of vertex `gid` (a control vertex's one list
+    /// is slot 0).
+    fn of(&mut self, gid: usize, slot: usize) -> &mut KeyTable {
+        match self {
+            Tables::Kept(index) => index.table(gid, slot),
+            Tables::Scratch(table) => {
+                table.clear();
+                table
+            }
+        }
     }
-    let chunk = ctts.len().div_ceil(threads);
-    let nchunks = ctts.len().div_ceil(chunk);
-    PARALLEL_CHUNKS.add(nchunks as u64);
-    // Depth of the binomial reduction over the per-thread partials.
-    PARALLEL_LEVELS.set_max(nchunks.next_power_of_two().trailing_zeros() as i64);
-    let mut partials: Vec<Option<MergedCtt>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ctts
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || merge_all(part)))
-            .collect();
-        partials = handles
-            .into_iter()
-            .map(|h| Some(h.join().expect("merge worker panicked")))
-            .collect();
-    });
-    // Reduce the per-thread partials in rank order.
-    let mut iter = partials.into_iter().flatten();
-    let mut acc = iter.next().expect("at least one partial");
-    for p in iter {
-        acc.absorb(p);
+}
+
+/// [`merge_all`]'s key index: one table per group list, by vertex and slot,
+/// filled once the list outgrows a scan. One table for every list, keyed by
+/// vertex and slot too, grows to megabytes and misses the cache on every
+/// probe: DESIGN §10 has it ~30% slower.
+struct Index(Vec<Vec<KeyTable>>);
+
+impl Index {
+    fn table(&mut self, gid: usize, slot: usize) -> &mut KeyTable {
+        let tables = &mut self.0[gid];
+        if tables.len() <= slot {
+            tables.resize_with(slot + 1, KeyTable::default);
+        }
+        &mut tables[slot]
     }
-    note_merged_groups(&acc);
-    acc
+}
+
+/// Per-absorb tallies, flushed into the `merge` counters once.
+#[derive(Default)]
+struct Tally {
+    groups_formed: u64,
+    comparisons: u64,
+}
+
+impl Tally {
+    /// The position of the first of `groups` that `matches`. A list that
+    /// holds, with the `incoming` groups still to meet it, at most
+    /// [`SCAN_GROUPS`] is scanned; a longer one is looked up under `key()`
+    /// in `table`, once that has entered every group.
+    fn find<G>(
+        &mut self,
+        groups: &[G],
+        incoming: usize,
+        table: &mut KeyTable,
+        key: impl FnOnce() -> u32,
+        key_of: impl Fn(&G) -> u32,
+        matches: impl Fn(&G) -> bool,
+    ) -> Option<usize> {
+        let mut hit = |p: usize| {
+            self.comparisons += 1;
+            matches(&groups[p])
+        };
+        if groups.len() + incoming <= SCAN_GROUPS {
+            return (0..groups.len()).find(|&p| hit(p));
+        }
+        table.catch_up(groups, incoming, key_of);
+        table.find(key(), hit)
+    }
+
+    /// Merge `groups` into `dst` for [`MergedCtt::absorb`]: each group's
+    /// ranks and data `join` the compatible group already there, or it opens
+    /// its own after them.
+    fn absorb_groups<T>(
+        &mut self,
+        dst: &mut Vec<(RankSet, T)>,
+        groups: Vec<(RankSet, T)>,
+        scratch: &mut KeyTable,
+        key: impl Fn(&T) -> u32,
+        compatible: impl Fn(&T, &T) -> bool,
+        join: impl Fn(&mut T, &T),
+    ) {
+        scratch.clear();
+        let mut incoming = groups.len();
+        for (ranks, data) in groups {
+            let found = self.find(
+                dst,
+                incoming,
+                scratch,
+                || key(&data),
+                |(_, d)| key(d),
+                |(_, d)| compatible(d, &data),
+            );
+            incoming -= 1;
+            match found {
+                Some(p) => {
+                    let (rs, d) = &mut dst[p];
+                    rs.extend(&ranks);
+                    join(d, &data);
+                }
+                None => {
+                    self.groups_formed += 1;
+                    dst.push((ranks, data));
+                }
+            }
+        }
+    }
+
+    fn flush(self) {
+        GROUPS_FORMED.add(self.groups_formed);
+        COMPARISONS.add(self.comparisons);
+    }
+}
+
+/// Open-addressing multimap from a group's key to its position in its group
+/// list. The key hashes the fields the compatibility test compares, so equal
+/// groups share a key; distinct groups may too, and every hit is confirmed
+/// by the test. Never part of a [`MergedCtt`]: group order, rank sets and
+/// bytes are what a scan gives, because the groups of one list are pairwise
+/// incompatible and a scan's first hit is the only one. The hash is not
+/// keyed, so a peer can craft relay blocks whose keys collide; a probe then
+/// tests at most every group of the list, which is what a scan costs.
+#[derive(Default)]
+struct KeyTable {
+    /// `(key, position)`; a `VACANT` position marks a free bucket.
+    buckets: Vec<(u32, u32)>,
+    /// The list's positions `0..len` are entered.
+    len: usize,
+}
+
+const VACANT: u32 = u32::MAX;
+
+impl KeyTable {
+    /// Forget every entry, keeping the allocation.
+    fn clear(&mut self) {
+        self.buckets.clear();
+        self.len = 0;
+    }
+
+    /// Enter the groups the table has not seen, those from position `len`
+    /// on, with room, at most half full, for `more` after them.
+    fn catch_up<G>(&mut self, groups: &[G], more: usize, key_of: impl Fn(&G) -> u32) {
+        let want = ((groups.len() + more) * 2).next_power_of_two();
+        if want > self.buckets.len() {
+            let old: Vec<_> = self
+                .buckets
+                .drain(..)
+                .filter(|&(_, p)| p != VACANT)
+                .collect();
+            self.buckets.resize(want, (0, VACANT));
+            for (k, p) in old {
+                self.put(k, p);
+            }
+        }
+        for (p, g) in groups.iter().enumerate().skip(self.len) {
+            self.put(key_of(g), p as u32);
+        }
+        self.len = groups.len();
+    }
+
+    fn put(&mut self, key: u32, pos: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut i = key as usize & mask;
+        while self.buckets[i].1 != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = (key, pos);
+    }
+
+    /// The first position entered under `key` that `hit` accepts.
+    fn find(&self, key: u32, mut hit: impl FnMut(usize) -> bool) -> Option<usize> {
+        let mask = self.buckets.len().checked_sub(1)?;
+        let mut i = key as usize & mask;
+        loop {
+            match self.buckets[i] {
+                (_, VACANT) => return None,
+                (k, p) if k == key && hit(p as usize) => return Some(p as usize),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+}
+
+/// FxHash's word step: cheap and well spread for the integer fields a
+/// group key is made of.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// Finalized (MurmurHash3's `fmix64`), so the low bits a table indexes
+    /// by depend on every field.
+    fn finish(&self) -> u64 {
+        let mut x = self.0;
+        x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
+    }
+}
+
+/// Key of a leaf record: what [`record_mergeable`] compares.
+fn record_key(r: &LeafRecord) -> u32 {
+    let mut h = KeyHasher::default();
+    r.params.hash(&mut h);
+    h.write_u64(r.count);
+    h.finish() as u32
+}
+
+/// Key of control data: its kind and segments, what [`control_mergeable`]
+/// compares.
+fn control_key(d: VertexRef<'_>) -> u32 {
+    let mut h = KeyHasher::default();
+    match d {
+        VertexRef::Loop(s) => (VD_LOOP, s.segments()).hash(&mut h),
+        VertexRef::Branch(s) => (VD_BRANCH, s.segments()).hash(&mut h),
+        _ => unreachable!("control groups hold loop or branch data"),
+    }
+    h.finish() as u32
 }
 
 /// Incremental binomial reduction over per-rank CTTs arriving in **any
@@ -1557,6 +1808,24 @@ mod tests {
         let (_, ctts) = pipeline(JACOBI, 4);
         let mut m = merge_all(&ctts[2..3]);
         m.absorb_rank(&ctts[1]);
+    }
+
+    #[test]
+    fn key_table_confirms_every_hit_across_growth() {
+        // Keys collide in pairs; the table grows and rehashes between the
+        // two catch-ups.
+        let groups: Vec<u32> = (0..100).collect();
+        let key = |g: &u32| g / 2;
+        let mut t = KeyTable::default();
+        t.catch_up(&groups[..10], 0, key);
+        t.catch_up(&groups, 1, key);
+        for g in 0..100u32 {
+            assert_eq!(t.find(g / 2, |p| groups[p] == g), Some(g as usize));
+        }
+        assert_eq!(t.find(7, |_| false), None);
+        assert_eq!(t.find(500, |_| true), None);
+        t.clear();
+        assert_eq!(t.find(0, |_| true), None);
     }
 
     #[test]

@@ -45,9 +45,9 @@ const SAMPLE_CAP_NS: u64 = 20_000;
 /// the compression itself).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Sample the live CTT footprint every this many events. Sampling walks
-    /// the vertex data (O(vertices)), so it is periodic rather than
-    /// per-event.
+    /// Sample the live CTT footprint every this many events. A sample reads
+    /// the compressor's running total in O(1); the cadence sets how finely
+    /// the peak is resolved.
     pub checkpoint_every: u64,
 }
 

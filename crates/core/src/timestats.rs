@@ -11,10 +11,9 @@
 //! Welford state. Integer addition is associative and commutative, so
 //! [`TimeStats::merge`] yields bit-identical results no matter how a set of
 //! partial aggregates is parenthesised — the property the distributed
-//! binomial merge (ranks arriving over the network in any order) and
-//! `merge_all_parallel` (machine-dependent chunking) both rely on for
-//! canonical, byte-stable merged encodings. Mean and deviation are derived
-//! on demand.
+//! binomial merge (ranks arriving over the network in any order) relies on
+//! to give `merge_all`'s bytes exactly. Mean and deviation are derived on
+//! demand.
 
 use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 

@@ -123,6 +123,15 @@ echo "== compress once, at rest: the collection wire carries codec bytes =="
 ! grep -rnE '(^|[^a-z_])(deflate|inflate[a-z_]*)\(' crates/net/src || exit 1
 ! grep -rnwE 'RankCttZ|MergedBlockZ|ctt_level|get_raw_len' crates/*/src src tests || exit 1
 
+echo "== one merge: merge_all_parallel is a shim nothing in the library or the figures calls =="
+# Its callers outside the library are tests, which keep it pinned to merge_all,
+# and benchmark/, which names it until the benchmark changes.
+! find src crates/*/src -name '*.rs' -print0 | sort -z \
+  | xargs -0 awk 'FNR == 1 {t = 0} /^ *#\[cfg\((.*[^a-z_])?test([^a-z_].*)?\)\]/ {t = 1}
+                  !t && /merge_all_parallel\(/ && !/pub fn merge_all_parallel/ {print FILENAME ":" FNR ": " $0}' \
+  | grep . || exit 1
+! grep -rn 'merge_all_parallel' crates/bench || exit 1
+
 echo "== a closed stdout ends the CLI quietly: no panicking print in the binary =="
 # outln!/out! return the write error to main, which maps BrokenPipe.
 ! grep -nE '(^|[^e])print(ln)?!\(' src/bin/cypress.rs || exit 1
@@ -168,12 +177,13 @@ grep -q 'if block.tokens.len() == BLOCK_TOKENS' crates/deflate/src/deflate.rs
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== merge identity at P = 4096 (release) =="
-# tests/merge_identity.rs runs at P = 1024 in the suite above; its 4096 point
-# is ignored there and runs here (0.4 s with a built release tree, ~27 s on
-# 2 cores from a cold one). Ranks merge from their views: nothing lifts a
-# rank into a one-rank tree first.
-cargo test --release -q --test merge_identity -- --ignored
+echo "== merge identity and merge comparison counts at P = 4096 (release) =="
+# tests/merge_identity.rs and tests/merge_scaling.rs run at P <= 1024 in the
+# suite above; their 4096 points are ignored there and run here (under a
+# second each with a built release tree, ~30 s on 2 cores from a cold one).
+# Ranks merge from their views: nothing lifts a rank into a one-rank tree
+# first.
+cargo test --release -q --test merge_identity --test merge_scaling -- --ignored
 ! grep -rnw 'from_ctt' crates src tests examples benchmark/src || exit 1
 
 echo "== examples build =="

@@ -25,7 +25,7 @@
 
 use crate::error::{Error, Result};
 use cypress_core::{
-    decompress, merge_all_parallel, CompressConfig, CompressSession, Ctt, MergedCtt, ReplayOp,
+    decompress, merge_all, CompressConfig, CompressSession, Ctt, MergedCtt, ReplayOp,
     SessionConfig, SessionStats,
 };
 use cypress_cst::{analyze_program, StaticInfo};
@@ -199,7 +199,7 @@ impl Ingest {
 pub struct PipelineConfig {
     /// Interpreter knobs (step budget).
     pub interp: InterpConfig,
-    /// Worker-pool width for rank execution, merging, and section encoding.
+    /// Worker-pool width for rank execution and section encoding.
     pub threads: usize,
     // Placeholder for `benchmark/`; [`Pipeline::run`] never reads it. Goes
     // with ROADMAP item 1 step (a).
@@ -328,14 +328,12 @@ pub struct CompressedJob {
 }
 
 impl CompressedJob {
-    /// Merge all rank CTTs (parallel, cached). Subsequent calls return the
+    /// Merge all rank CTTs with [`merge_all`], once: later calls return the
     /// cached tree.
     pub fn merge(&mut self) -> &MergedCtt {
         if self.merged.is_none() {
-            let _span = MERGE_NS
-                .span("merge", "merge_parallel")
-                .arg(self.ctts.len() as u64);
-            self.merged = Some(merge_all_parallel(&self.ctts, self.threads));
+            let _span = MERGE_NS.span("merge", "merge").arg(self.ctts.len() as u64);
+            self.merged = Some(merge_all(&self.ctts));
         }
         self.merged.as_ref().expect("just populated")
     }

@@ -22,6 +22,7 @@
 //! `ctt_golden.rs`.
 
 mod ctt_digest;
+mod footprint;
 
 use ctt_digest::{assert_matches, job_digest, Row};
 use cypress::analysis::{analyze_by_decompression, analyze_ctts, AnalyzeOptions};
@@ -32,6 +33,7 @@ use cypress::obs::rng::Rng;
 use cypress::query::{query_by_decompression, query_ctts, QueryOptions, Window};
 use cypress::runtime::{trace_program, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate_traced, LogGp};
+use footprint::{assert_footprint_is_the_walk, assert_trimmed};
 use std::fmt::Write;
 
 /// Generate a random well-formed MiniMPI program.
@@ -257,6 +259,12 @@ fn check_seed(seed: u64) -> (u32, u32) {
         .map(|t| compress_trace(&b.cst, t, &cfg))
         .collect();
     let digest = job_digest(&ctts, &merge_all(&ctts));
+    // The compressor's running footprint is the walk, and finished trees,
+    // `compress_trace`'s included, are trimmed.
+    for (t, ctt) in traces.iter().zip(&ctts) {
+        assert_footprint_is_the_walk(&b.cst, t, &format!("seed {seed}"));
+        assert_trimmed(ctt, &format!("seed {seed}"));
+    }
     for (t, ctt) in traces.iter().zip(&ctts) {
         let replay = decompress(&b.cst, ctt);
         let want: Vec<_> = t

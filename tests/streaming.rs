@@ -3,12 +3,15 @@
 //! `compress_trace` it) at every pool width, and the on-disk container must
 //! round trip every workload's exact event sequence without re-simulation.
 
+mod footprint;
+
 use cypress::core::{compress_trace, merge_all, merge_all_parallel, CompressConfig, Ctt};
 use cypress::runtime::{trace_program_parallel, InterpConfig};
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 use cypress::{Pipeline, PipelineConfig};
+use footprint::{assert_footprint_is_the_walk, assert_trimmed};
 
 type OpSeq = Vec<(u32, MpiOp, MpiParams)>;
 
@@ -76,6 +79,34 @@ fn streaming_merged_bytes_equal_batch_on_all_workloads() {
         // and the resident footprint was sampled.
         assert_eq!(stream.stats.len(), w.nprocs as usize, "{name}");
         assert!(stream.peak_ctt_bytes() > 0, "{name}");
+    }
+}
+
+/// What a session samples is a running total, not a walk: on every rank of
+/// every workload it equals the walk at every checkpoint. And a finished tree
+/// holds no growth slack, whether a session made it (`Pipeline::run`) or
+/// `compress_trace` did.
+#[test]
+fn footprint_is_the_walk_and_finished_trees_are_trimmed_on_all_workloads() {
+    for name in all_workload_names() {
+        let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
+        let (prog, info) = w.compile();
+        let traces = trace_program_parallel(&prog, &info, w.nprocs, &InterpConfig::default(), 2)
+            .unwrap_or_else(|e| panic!("{name}: offline trace failed: {e}"));
+        for t in &traces {
+            assert_footprint_is_the_walk(&info.cst, t, name);
+            assert_trimmed(
+                &compress_trace(&info.cst, t, &CompressConfig::default()),
+                name,
+            );
+        }
+        let job = Pipeline::new(w.source.clone())
+            .ranks(w.nprocs)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: streaming run failed: {e}"));
+        for ctt in &job.ctts {
+            assert_trimmed(ctt, name);
+        }
     }
 }
 
