@@ -205,11 +205,15 @@ pub fn query_merged(
     Ok(acc.finish(cst, used, trips.trips))
 }
 
-/// Does `rank_ctts` hold exactly one tree for every rank `0..nprocs`?
-pub fn has_complete_rank_set<S: CttSource>(nprocs: u32, rank_ctts: &[S]) -> bool {
+/// Do `ranks` name every rank `0..nprocs` exactly once? The one
+/// completeness rule: a reader that finds it true answers from the rank
+/// trees alone, and a writer that finds it true stores no merged tree.
+pub fn has_complete_rank_set(nprocs: u32, ranks: impl IntoIterator<Item = u32>) -> bool {
+    let mut ranks: Vec<u32> = ranks.into_iter().collect();
+    ranks.sort_unstable();
     nprocs > 0
-        && u32::try_from(rank_ctts.len()) == Ok(nprocs)
-        && (0..nprocs).all(|r| rank_ctts.iter().any(|c| c.rank() == r))
+        && u32::try_from(ranks.len()) == Ok(nprocs)
+        && ranks.iter().zip(0..).all(|(&r, i)| r == i)
 }
 
 /// Stream-decompress one rank into `sink`, optionally restricted to ops

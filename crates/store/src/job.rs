@@ -9,6 +9,7 @@ use cypress_cst::Cst;
 use cypress_query::{has_complete_rank_set, query_ctts, query_merged, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
 use cypress_trace::{Codec, ContainerError, PayloadArena, SectionKind, SectionTable};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// A `.cytc` job opened by the store: the raw image in one backing buffer,
@@ -22,8 +23,9 @@ use std::path::Path;
 /// regardless of tree size.
 ///
 /// The merged tree is only decoded when the per-rank set is incomplete:
-/// a complete set answers every query with exact per-rank timing, and
-/// skipping the merged section keeps its (often large) payload un-inflated.
+/// a complete set answers every query with exact per-rank timing. Writers
+/// store no merged section beside a complete set; an older container that
+/// holds both opens the same way, its merged payload left un-inflated.
 pub struct StoreJob {
     name: String,
     image: Box<[u8]>,
@@ -53,14 +55,35 @@ impl StoreJob {
             .map_err(|e| StoreError::Invalid(format!("cst section is not utf-8: {e}")))?;
         let cst = Cst::from_text(cst_text).map_err(StoreError::Invalid)?;
 
+        // A slab's rank is the one its section header names: the writer
+        // decided from the headers whether to store the merged tree, so a
+        // payload that disagrees, or a rank stored twice, is refused.
         let mut slabs = Vec::new();
+        let mut seen = HashMap::new();
         for idx in table.rank_indices() {
+            let header = table.sections()[idx].rank;
             let payload = arena.payload(&image, &table.sections()[idx], idx)?;
-            slabs.push(CttSlab::from_bytes(payload)?);
+            let slab = CttSlab::from_bytes(payload)?;
+            if header != Some(slab.rank) {
+                let label = header.map_or("no rank".into(), |r| format!("rank {r}"));
+                return Err(StoreError::Invalid(format!(
+                    "rank-ctt section [{idx}] is labelled {label} \
+                     but holds the CTT of rank {}",
+                    slab.rank
+                )));
+            }
+            if let Some(first) = seen.insert(slab.rank, idx) {
+                return Err(StoreError::Invalid(format!(
+                    "rank-ctt sections [{first}] and [{idx}] both hold rank {}",
+                    slab.rank
+                )));
+            }
+            slabs.push(slab);
         }
         // Nothing reads the merged tree of a complete job, so its (often
-        // large) section stays un-inflated and un-decoded.
-        let complete = has_complete_rank_set(nprocs, &slabs);
+        // large) section, if the writer stored one, stays un-inflated and
+        // un-decoded.
+        let complete = has_complete_rank_set(nprocs, slabs.iter().map(|s| s.rank));
         let merged = if complete {
             None
         } else {

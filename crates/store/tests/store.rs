@@ -7,7 +7,7 @@ use cypress_cst::{analyze_program, Cst};
 use cypress_minilang::{check_program, parse};
 use cypress_query::{query_ctts, QueryOptions};
 use cypress_runtime::{trace_program, InterpConfig};
-use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError};
+use cypress_store::{query_remote, JobStore, QueryClient, StoreConfig, StoreError, StoreJob};
 use cypress_trace::{assemble, encode_payload, Codec, Container, SectionKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -83,6 +83,48 @@ fn open_query_matches_query_ctts_on_the_ctts_written() {
     let reference = query_ctts(&cst, &ctts, &QueryOptions::default()).unwrap();
     assert_eq!(from_store, reference);
     assert_eq!(from_store.to_bytes(), reference.to_bytes());
+}
+
+/// A rank section's header must name the rank its payload holds, and name
+/// it once: a writer stores no merged tree beside a complete rank set, so a
+/// mislabelled or repeated section would open as a job no query can answer.
+#[test]
+fn open_refuses_mislabelled_or_repeated_rank_sections() {
+    let tmp = TempStore::new();
+    let (cst, ctts) = write_job(&tmp.0, "good", PROG, 4);
+    let open = |name: &str, labels: [u32; 4], payloads: [usize; 4]| {
+        let mut encoded = vec![encode_payload(
+            SectionKind::CstText,
+            None,
+            cst.to_text().as_bytes(),
+            None,
+        )];
+        encoded.extend(labels.iter().zip(payloads).map(|(&label, i)| {
+            encode_payload(SectionKind::RankCtt, Some(label), &ctts[i].to_bytes(), None)
+        }));
+        let path = tmp.0.join(format!("{name}.cytc"));
+        Container::write_image(&path, &assemble(4, &encoded)).unwrap();
+        StoreJob::open(&path, name)
+    };
+    assert!(open("ordered", [0, 1, 2, 3], [0, 1, 2, 3])
+        .unwrap()
+        .has_complete_rank_set());
+    assert!(open("any-order", [3, 1, 0, 2], [3, 1, 0, 2])
+        .unwrap()
+        .has_complete_rank_set());
+
+    let err = open("swapped", [1, 0, 2, 3], [0, 1, 2, 3]).err().unwrap();
+    assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "rank-ctt section [1] is labelled rank 1 but holds the CTT of rank 0"
+    );
+    let err = open("repeated", [0, 1, 2, 0], [0, 1, 2, 0]).err().unwrap();
+    assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "rank-ctt sections [1] and [4] both hold rank 0"
+    );
 }
 
 #[test]

@@ -306,6 +306,19 @@ diff <("$cypress_bin" decompress "$smoke/net.cytc" -r 3) \
 diff <("$cypress_bin" query "$smoke/net.cytc" | tail -n +2) \
      <("$cypress_bin" query "$smoke/stencil.cytc" | tail -n +2) \
   || { echo "collected query differs from local"; exit 1; }
+# Every rank's section makes the merged one redundant: a --per-rank container,
+# local or collected, stores none (inspect derives its counts); a merged-only
+# one keeps it.
+for f in stencil traced net; do "$cypress_bin" inspect "$smoke/$f.cytc" --json > "$smoke/$f.json"; done
+python3 - "$smoke" <<'PY' || { echo "merged-ctt section layout check failed"; exit 1; }
+import json, sys
+kinds = {f: [s["kind"] for s in json.load(open(f"{sys.argv[1]}/{f}.json"))["sections"]]
+         for f in ("stencil", "traced", "net")}
+assert "merged-ctt" not in kinds["stencil"] and "rank-ctt" in kinds["stencil"], kinds["stencil"]
+assert "merged-ctt" in kinds["traced"], kinds["traced"]
+assert kinds["net"] == kinds["stencil"], (kinds["net"], kinds["stencil"])
+print(f"section layout ok: per-rank {kinds['stencil'][:3]}..., merged-only {kinds['traced']}")
+PY
 
 echo "== cypress serve --tree loopback smoke =="
 tsock="$smoke/tree.sock"

@@ -43,9 +43,10 @@
 
 use cypress::analysis::{analyze_by_decompression, AnalyzeOptions, DiffReport, JobSummary};
 use cypress::core::{
-    compress_trace, CompressConfig, CompressSession, Ctt, MergedCtt, SessionConfig,
+    check_shape, compress_trace, merge_all, CompressConfig, CompressSession, Ctt, CttSlab,
+    MergedCtt, SessionConfig,
 };
-use cypress::cst::{analyze_program, StaticInfo};
+use cypress::cst::{analyze_program, Cst, StaticInfo};
 use cypress::deflate::Level as ZLevel;
 use cypress::minilang::{check_program, parse, Program};
 use cypress::net::{
@@ -483,10 +484,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
     if let Some(t) = threads {
         cfg.threads = t.max(1);
     }
+    let per_rank = has_flag(args, "--per-rank");
     let mut job = Pipeline::new(src).ranks(n).configure(cfg).run()?;
     let events: u64 = job.stats.iter().map(|s| s.events).sum();
     let peak = job.peak_ctt_bytes();
-    job.merge();
+    // Every rank's section makes the merged tree redundant, so only a
+    // merged-only container merges (here, inside the traced region).
+    if !per_rank {
+        job.merge();
+    }
     // When the run traces itself, roll the compute phases (parse → merge)
     // into a compact summary and persist it as a trailing section; the
     // final encode/io spans still land in the full --trace-out timeline.
@@ -508,17 +514,15 @@ fn cmd_compress(args: &[String]) -> CliResult {
     } else {
         None
     };
-    job.write_container_with(&out, has_flag(args, "--per-rank"), telemetry.as_ref())?;
+    job.write_container_with(&out, per_rank, telemetry.as_ref())?;
     let written = fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     outln!("streamed {events} events across {n} ranks; peak resident CTT {peak} B/rank")?;
-    outln!(
-        "wrote {out} ({written} B container: cst + merged{} )",
-        if has_flag(args, "--per-rank") {
-            format!(" + {n} rank sections")
-        } else {
-            String::new()
-        }
-    )?;
+    let trees = if per_rank {
+        format!("{n} rank sections")
+    } else {
+        "merged".into()
+    };
+    outln!("wrote {out} ({written} B container: cst + {trees})")?;
     Ok(())
 }
 
@@ -563,8 +567,9 @@ fn cmd_decompress(args: &[String]) -> CliResult {
 /// every opener uses, [`SectionTable`] + [`PayloadArena`]: framing and every
 /// CRC are verified by the parse, raw section payloads are served zero-copy
 /// out of the image, and only the deflated sections the report actually
-/// reads (meta, merged CTT, telemetry) are inflated. For an all-raw
-/// container the command asserts that **no inflation happened at all**.
+/// reads (meta, the merged CTT or else the rank CTTs it is derived from,
+/// telemetry) are inflated. For an all-raw container the command asserts
+/// that **no inflation happened at all**.
 fn cmd_inspect(args: &[String]) -> CliResult {
     let file = positional(args, "container file")?;
     let image = fs::read(&file)?;
@@ -580,13 +585,15 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         None => None,
     };
     let raw_bytes = meta.as_ref().map_or(0, |m| m.raw_bytes);
-    let merged_stats = match table.find(SectionKind::MergedCtt) {
-        Some(i) => {
-            let merged = MergedCtt::from_bytes(payload(i)?)?;
-            Some((merged.vertices.len(), merged.group_count()))
-        }
-        None => None,
+    // A container whose rank sections cover every rank stores no merged
+    // tree; its counts are those of `merge_all` over the rank sections.
+    let stored = table.find(SectionKind::MergedCtt);
+    let derived = stored.is_none();
+    let merged = match stored {
+        Some(i) => Some(MergedCtt::from_bytes(payload(i)?)?),
+        None => merge_rank_sections(&table, &payload)?,
     };
+    let merged_stats = merged.map(|m| (m.vertices.len(), m.group_count()));
 
     if json {
         let mut out = String::from("{");
@@ -621,7 +628,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         out.push_str("],");
         if let Some((vertices, groups)) = merged_stats {
             out.push_str(&format!(
-                "\"merged_ctt\":{{\"vertices\":{vertices},\"rank_groups\":{groups}}},"
+                "\"merged_ctt\":{{\"vertices\":{vertices},\"rank_groups\":{groups},\"derived\":{derived}}},"
             ));
         }
         out.push_str(&format!(
@@ -677,7 +684,12 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         )?;
     }
     if let Some((vertices, groups)) = merged_stats {
-        outln!("merged CTT: {vertices} vertices, {groups} rank groups")?;
+        let source = if derived {
+            " (derived from the rank sections)"
+        } else {
+            ""
+        };
+        outln!("merged CTT{source}: {vertices} vertices, {groups} rank groups")?;
     }
     if let Some(s) = find_payload(SectionKind::Telemetry) {
         match cypress::TelemetrySummary::from_bytes(s?) {
@@ -705,6 +717,33 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         outln!("lazy view: no inflation performed (all sections served zero-copy)")?;
     }
     Ok(())
+}
+
+/// `merge_all` over a container's rank sections (`None` if it has none),
+/// each checked against the CST section first so that a malformed tree is
+/// an error, not a merge assert.
+fn merge_rank_sections<'a>(
+    table: &SectionTable,
+    payload: &impl Fn(usize) -> std::result::Result<&'a [u8], cypress::trace::ContainerError>,
+) -> cypress::Result<Option<MergedCtt>> {
+    let slabs = table
+        .rank_indices()
+        .map(|i| Ok(CttSlab::from_bytes(payload(i)?)?))
+        .collect::<cypress::Result<Vec<_>>>()?;
+    if slabs.is_empty() {
+        return Ok(None);
+    }
+    let cst_idx = table
+        .find(SectionKind::CstText)
+        .ok_or(cypress::trace::ContainerError::MissingSection("cst-text"))?;
+    let cst_text = std::str::from_utf8(payload(cst_idx)?)
+        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
+    let cst = Cst::from_text(cst_text).map_err(Error::Invalid)?;
+    for slab in &slabs {
+        check_shape(slab, &cst, table.nprocs)
+            .map_err(|e| Error::Invalid(format!("rank-ctt section of rank {}: {e}", slab.rank)))?;
+    }
+    Ok(Some(merge_all(&slabs)))
 }
 
 /// Analyze a container directly in the compressed domain — no decompression.

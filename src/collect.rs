@@ -17,9 +17,9 @@ use std::path::Path;
 /// Persist a collected job as a versioned `.cytc` container with the same
 /// section layout [`CompressedJob::write_container`](crate::CompressedJob::write_container)
 /// uses: tool metadata, the CST text exactly as the clients submitted it,
-/// the binomially-merged CTT, and (when `per_rank` is set and the collector
-/// kept them) every rank's CTT bytes, as received, in their own CRC-framed
-/// sections.
+/// (when `per_rank` is set and the collector kept them) every rank's CTT
+/// bytes, as received, in their own CRC-framed sections, and the
+/// binomially-merged CTT unless those sections cover every rank.
 pub fn write_collected_container(
     job: &CollectedJob,
     path: impl AsRef<Path>,
@@ -41,8 +41,10 @@ pub fn write_collected_container_with(
     let sections = job_sections(
         &MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes),
         &job.cst_text,
-        &job.merged,
-        rank_ctts.map(|(rank, bytes)| (*rank, Payload::Bytes(bytes.into()))),
+        || &job.merged,
+        rank_ctts
+            .map(|(rank, bytes)| (*rank, Payload::Bytes(bytes.into())))
+            .collect(),
         None,
     );
     write_job_container(path.as_ref(), job.nprocs, &sections, level, threads)?;
@@ -121,6 +123,40 @@ mod tests {
                 "rank {rank}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The merged section is stored exactly when the rank sections leave
+    /// some rank without its own: a partial set {0, 1, 3} of 4 keeps it and
+    /// answers from it, the complete set drops it.
+    #[test]
+    fn merged_section_is_written_unless_every_rank_has_a_section() {
+        let (mut collected, job) = fake_collected(4);
+        let merged_section = |path: &Path| {
+            let table = SectionTable::parse(&std::fs::read(path).unwrap()).unwrap();
+            (
+                table.find(SectionKind::MergedCtt).is_some(),
+                table.rank_indices().count(),
+            )
+        };
+        let (dir, complete) = written(&collected, "partial");
+        assert_eq!(merged_section(&complete), (false, 4));
+
+        collected.rank_ctts.retain(|(rank, _)| *rank != 2);
+        let partial = dir.join("partial.cytc");
+        write_collected_container(&collected, &partial, true).unwrap();
+        assert_eq!(merged_section(&partial), (true, 3));
+        let loaded = read_container(&partial).unwrap();
+        assert!(!loaded.has_complete_rank_set());
+        assert_eq!(loaded.rank_count(), 3);
+        // Rank 2 comes out of the merged tree, its timing that of its group.
+        let ops = |ops: Vec<cypress_core::ReplayOp>| -> Vec<_> {
+            ops.into_iter().map(|o| (o.gid, o.op, o.params)).collect()
+        };
+        assert_eq!(
+            ops(loaded.decompress(2).unwrap()),
+            ops(job.decompress(2).unwrap())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

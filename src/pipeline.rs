@@ -32,7 +32,7 @@ use cypress_cst::{analyze_program, StaticInfo};
 use cypress_deflate::Level;
 use cypress_minilang::{check_program, parse};
 use cypress_obs::{Histogram, TIME_BOUNDS_NS};
-use cypress_query::{query_ctts, QueryOptions, QueryResult};
+use cypress_query::{has_complete_rank_set, query_ctts, QueryOptions, QueryResult};
 use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_store::StoreJob;
 use cypress_trace::{
@@ -79,14 +79,21 @@ impl Payload<'_> {
 pub(crate) type JobSection<'a> = (SectionKind, Option<u32>, Payload<'a>);
 
 /// The one `.cytc` section layout, for locally compressed and collected
-/// jobs alike: tool metadata, CST text, the merged CTT, one CRC-framed
-/// section per `(rank, CTT)` in `rank_ctts` (empty = merged only), then the
-/// optional telemetry summary (see [`crate::telemetry`]).
+/// jobs alike: tool metadata, CST text, the merged CTT unless `rank_ctts`
+/// covers every rank, one CRC-framed section per `(rank, CTT)` in
+/// `rank_ctts`, then the optional telemetry summary (see
+/// [`crate::telemetry`]).
+///
+/// The merged tree is `merge_all` of the rank trees, and a reader with the
+/// complete set never decodes it ([`StoreJob::open`] uses the same
+/// [`has_complete_rank_set`] rule), so it is stored only for a job whose
+/// rank sections leave it as the one source of some rank: a merged-only job,
+/// or one that keeps some ranks. `merged` is called only then.
 pub(crate) fn job_sections<'a>(
     meta: &MetaInfo,
     cst_text: &'a str,
-    merged: &'a MergedCtt,
-    rank_ctts: impl IntoIterator<Item = (u32, Payload<'a>)>,
+    merged: impl FnOnce() -> &'a MergedCtt,
+    rank_ctts: Vec<(u32, Payload<'a>)>,
     telemetry: Option<&crate::telemetry::TelemetrySummary>,
 ) -> Vec<JobSection<'a>> {
     let mut sections = vec![
@@ -100,8 +107,10 @@ pub(crate) fn job_sections<'a>(
             None,
             Payload::Bytes(cst_text.as_bytes().into()),
         ),
-        (SectionKind::MergedCtt, None, Payload::Merged(merged)),
     ];
+    if !has_complete_rank_set(meta.nprocs, rank_ctts.iter().map(|(rank, _)| *rank)) {
+        sections.push((SectionKind::MergedCtt, None, Payload::Merged(merged())));
+    }
     sections.extend(
         rank_ctts
             .into_iter()
@@ -331,11 +340,7 @@ impl CompressedJob {
     /// Merge all rank CTTs with [`merge_all`], once: later calls return the
     /// cached tree.
     pub fn merge(&mut self) -> &MergedCtt {
-        if self.merged.is_none() {
-            let _span = MERGE_NS.span("merge", "merge").arg(self.ctts.len() as u64);
-            self.merged = Some(merge_all(&self.ctts));
-        }
-        self.merged.as_ref().expect("just populated")
+        merged_of(&mut self.merged, &self.ctts)
     }
 
     /// Replay one rank's exact MPI operation sequence.
@@ -380,8 +385,9 @@ impl CompressedJob {
     }
 
     /// Persist the job as a versioned container: tool metadata, CST text,
-    /// the merged CTT, and (when `per_rank` is set) every rank's CTT as its
-    /// own CRC-framed section. Merges first if not already merged.
+    /// and every rank's CTT as its own CRC-framed section when `per_rank`
+    /// is set, else the merged CTT (see [`job_sections`]). Merges first only
+    /// when the merged CTT is written and not already merged.
     pub fn write_container(&mut self, path: impl AsRef<Path>, per_rank: bool) -> Result<()> {
         self.write_container_with(path, per_rank, None)
     }
@@ -396,14 +402,15 @@ impl CompressedJob {
         per_rank: bool,
         telemetry: Option<&crate::telemetry::TelemetrySummary>,
     ) -> Result<()> {
-        self.merge();
+        let meta = MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes());
         let cst_text = self.info.cst.to_text();
         let rank_ctts = self.ctts.iter().filter(|_| per_rank);
+        let (ctts, slot) = (&self.ctts, &mut self.merged);
         let sections = job_sections(
-            &MetaInfo::new(self.nprocs, self.total_events(), self.raw_mpi_bytes()),
+            &meta,
             &cst_text,
-            self.merged.as_ref().expect("merged above"),
-            rank_ctts.map(|c| (c.rank, Payload::Rank(c))),
+            || merged_of(slot, ctts),
+            rank_ctts.map(|c| (c.rank, Payload::Rank(c))).collect(),
             telemetry,
         );
         write_job_container(
@@ -415,6 +422,15 @@ impl CompressedJob {
         )?;
         Ok(())
     }
+}
+
+/// The merged tree of `ctts`, made with [`merge_all`] on first use and kept
+/// in `slot`.
+fn merged_of<'a>(slot: &'a mut Option<MergedCtt>, ctts: &[Ctt]) -> &'a MergedCtt {
+    slot.get_or_insert_with(|| {
+        let _span = MERGE_NS.span("merge", "merge").arg(ctts.len() as u64);
+        merge_all(ctts)
+    })
 }
 
 /// Tool metadata stored in a container's `Meta` section.

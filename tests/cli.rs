@@ -103,6 +103,45 @@ fn compress_then_decompress_round_trip() {
     assert!(stderr.contains("not a cypress container"), "{stderr}");
 }
 
+/// `inspect` reports the merged CTT's counts whether the container stores
+/// the merged section (no `--per-rank`) or derives it from every rank's
+/// section (`--per-rank`), and the two agree; `--json` says which it is.
+#[test]
+fn inspect_reports_merged_counts_with_or_without_the_section() {
+    let dir = tmpdir("merged-counts");
+    let prog = write_program(&dir);
+    let run = |args: &[&str]| {
+        let out = cypress().args(args).output().expect("run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (merged, ranks) = (dir.join("merged.cytc"), dir.join("ranks.cytc"));
+    let (merged, ranks) = (merged.to_str().unwrap(), ranks.to_str().unwrap());
+    let prog = prog.to_str().unwrap();
+    let out = run(&["compress", prog, "-n", "8", "-o", merged]);
+    assert!(out.contains("container: cst + merged)"), "{out}");
+    run(&["compress", prog, "-n", "8", "-o", ranks, "--per-rank"]);
+
+    let stored = run(&["inspect", merged]);
+    assert!(stored.contains("merged-ctt"), "{stored}");
+    assert!(!stored.contains("rank-ctt"), "{stored}");
+    let derived = run(&["inspect", ranks]);
+    let counts = |text: &str| {
+        let line = text.lines().find(|l| l.starts_with("merged CTT")).unwrap();
+        line.rsplit_once(": ").unwrap().1.to_string()
+    };
+    assert!(counts(&stored).ends_with("rank groups"), "{stored}");
+    assert_eq!(counts(&stored), counts(&derived));
+
+    let json = |path| run(&["inspect", path, "--json"]);
+    assert!(json(merged).contains(",\"derived\":false}"));
+    assert!(json(ranks).contains(",\"derived\":true}"));
+}
+
 /// A flag's value ahead of the file is not taken for the file: flags-first
 /// spellings write and print what the flags-last ones do.
 #[test]
@@ -157,6 +196,10 @@ fn stream_compress_inspect_decompress_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("streamed"), "{stdout}");
     assert!(stdout.contains("peak resident CTT"), "{stdout}");
+    assert!(
+        stdout.contains("container: cst + 8 rank sections)"),
+        "{stdout}"
+    );
 
     let out = cypress()
         .arg("inspect")
@@ -170,10 +213,14 @@ fn stream_compress_inspect_decompress_round_trip() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("cypress container v3, 8 ranks"), "{stdout}");
-    for kind in ["meta", "cst-text", "merged-ctt", "rank-ctt"] {
+    for kind in ["meta", "cst-text", "rank-ctt"] {
         assert!(stdout.contains(kind), "missing {kind} in:\n{stdout}");
     }
+    // Every rank has its section, so no merged one is stored; the merged
+    // counts are still reported, labelled as derived from the rank sections.
+    assert!(!stdout.contains("merged-ctt"), "{stdout}");
     assert!(stdout.contains("rank groups"), "{stdout}");
+    assert!(stdout.contains("merged CTT (derived"), "{stdout}");
 
     // With --per-rank the replay reads rank 5's own section.
     let out = cypress()

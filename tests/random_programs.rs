@@ -23,6 +23,7 @@
 
 mod ctt_digest;
 mod footprint;
+mod lossless;
 
 use ctt_digest::{assert_matches, job_digest, Row};
 use cypress::analysis::{analyze_by_decompression, analyze_ctts, AnalyzeOptions};
@@ -34,6 +35,7 @@ use cypress::query::{query_by_decompression, query_ctts, QueryOptions, Window};
 use cypress::runtime::{trace_program, InterpConfig};
 use cypress::simmpi::{from_raw_traces, simulate_traced, LogGp};
 use footprint::{assert_footprint_is_the_walk, assert_trimmed};
+use lossless::assert_per_rank_container_loses_nothing;
 use std::fmt::Write;
 
 /// Generate a random well-formed MiniMPI program.
@@ -494,6 +496,22 @@ fn specific_seeds_round_trip() {
         &actual,
         FIXED_GOLDEN,
     );
+}
+
+/// A per-rank container of a random program stores no merged section and
+/// still rebuilds it, and answers, exactly (even and odd world sizes).
+#[test]
+fn per_rank_containers_of_random_programs_lose_nothing() {
+    let dir = std::env::temp_dir().join(format!("cypress-random-ranks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for seed in 0..8u64 {
+        let mut job = cypress::Pipeline::new(gen_program(seed))
+            .ranks(4 + (seed % 2) as u32)
+            .run()
+            .unwrap();
+        assert_per_rank_container_loses_nothing(&format!("seed{seed}"), &mut job, &dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[rustfmt::skip]
