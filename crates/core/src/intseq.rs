@@ -12,7 +12,7 @@
 //! Lossless: `decompress(compress(xs)) == xs` for every `Vec<i64>`
 //! (property-tested).
 
-use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
 
 /// One arithmetic-progression segment, repeated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -393,51 +393,51 @@ impl Codec for IntSeq {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let mut segs = Vec::new();
-        let total = decode_segs_into(dec, &mut segs)?;
-        Ok(IntSeq { segs, total })
+        dec.read(IntSeq::read)
     }
 }
 
-/// Decode the wire form of an [`IntSeq`], appending its segments to `out`
-/// instead of allocating a fresh vector — the primitive pooled (slab) CTT
-/// decoding is built on. Returns the logical length of the sequence.
-pub(crate) fn decode_segs_into(dec: &mut Decoder<'_>, out: &mut Vec<Seg>) -> DecodeResult<u64> {
-    let mut total = 0u64;
-    dec.get_seq_into("segments", out, |dec| decode_seg(dec, &mut total))?;
-    Ok(total)
+impl IntSeq {
+    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        let mut segs = Vec::new();
+        let total = read_segs_into(cur, &mut segs)?;
+        Some(IntSeq { segs, total })
+    }
 }
 
-/// [`decode_segs_into`] handing each segment to `each` instead: the
-/// caller decides where (and whether) segments are stored.
-pub(crate) fn decode_segs_with(
-    dec: &mut Decoder<'_>,
-    mut each: impl FnMut(Seg),
-) -> DecodeResult<u64> {
+/// Read the wire form of an [`IntSeq`], appending its segments to `out`
+/// instead of allocating a fresh vector — the primitive pooled (slab) CTT
+/// decoding is built on. Returns the logical length of the sequence.
+pub(crate) fn read_segs_into(cur: &mut Cursor<'_>, out: &mut Vec<Seg>) -> Option<u64> {
+    let n = cur.count("segments")?;
+    read_segs(cur, n, out)
+}
+
+/// The `n` segments after a sequence's count, appended to `out`; their
+/// term count.
+pub(crate) fn read_segs(cur: &mut Cursor<'_>, n: usize, out: &mut Vec<Seg>) -> Option<u64> {
     let mut total = 0u64;
-    // A vector of `()` never allocates; it only carries the count.
-    dec.get_seq_into("segments", &mut Vec::new(), |dec| {
-        each(decode_seg(dec, &mut total)?);
-        Ok::<(), DecodeError>(())
-    })?;
-    Ok(total)
+    cur.items(n, out, |cur| read_seg(cur, &mut total))?;
+    Some(total)
 }
 
 /// One segment of the wire form, adding its term count to `total`.
-fn decode_seg(dec: &mut Decoder<'_>, total: &mut u64) -> DecodeResult<Seg> {
+#[inline]
+pub(crate) fn read_seg(cur: &mut Cursor<'_>, total: &mut u64) -> Option<Seg> {
     let seg = Seg {
-        start: dec.get_ivar()?,
-        stride: dec.get_ivar()?,
-        len: dec.get_u32("segment len")?,
-        reps: dec.get_u32("segment reps")?,
+        start: cur.ivar()?,
+        stride: cur.ivar()?,
+        len: cur.u32("segment len")?,
+        reps: cur.u32("segment reps")?,
     };
     if seg.len == 0 || seg.reps == 0 {
-        return Err(DecodeError("zero-length segment".into()));
+        return cur.refuse(0, |_| "zero-length segment".into());
     }
-    *total = total
-        .checked_add(seg.total())
-        .ok_or_else(|| DecodeError("sequence length overflows u64".into()))?;
-    Ok(seg)
+    let Some(sum) = total.checked_add(seg.total()) else {
+        return cur.refuse(0, |_| "sequence length overflows u64".into());
+    };
+    *total = sum;
+    Some(seg)
 }
 
 #[cfg(test)]
@@ -622,7 +622,9 @@ mod tests {
         for _ in 0..64 {
             let bytes = IntSeq::from_slice(&random_vec(&mut rng, -6, 6, 80)).to_bytes();
             let lo = pool.len();
-            let total = decode_segs_into(&mut Decoder::new(&bytes), &mut pool).unwrap();
+            let total = Decoder::new(&bytes)
+                .read(|cur| read_segs_into(cur, &mut pool))
+                .unwrap();
             let view = SeqRef::from_parts(&pool[lo..], total);
             assert_eq!(IntSeq::from(view), IntSeq::from_bytes(&bytes).unwrap());
         }

@@ -23,11 +23,11 @@
 //! describes for end-of-job merging inside `MPI_Finalize`.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
-use crate::intseq::{decode_segs_with, IntSeq, IntSeqReader};
+use crate::intseq::{read_seg, read_segs, IntSeq, IntSeqReader};
 use crate::visit::{CttSource, VertexRef};
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
-use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
 use std::hash::{Hash, Hasher};
 
 // Scope `merge`.
@@ -255,25 +255,29 @@ impl Codec for RankSet {
         }
     }
 
-    /// The canonical one-rank form decodes without allocating; every other
-    /// form keeps its segments, so decode → encode is byte-stable.
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let (mut first, mut rest) = (None, Vec::new());
-        let total = decode_segs_with(dec, |seg| match first {
-            None => first = Some(seg),
-            Some(_) => rest.push(seg),
-        })?;
-        Ok(match first {
-            None => RankSet::default(),
-            Some(seg) if rest.is_empty() => match u32::try_from(seg.start) {
+        dec.read(RankSet::read)
+    }
+}
+
+impl RankSet {
+    /// The canonical one-rank form reads without allocating; every other
+    /// form keeps its segments, in one allocation, so read → encode is
+    /// byte-stable.
+    #[inline]
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        let n = cur.count("segments")?;
+        if n == 1 {
+            let mut total = 0;
+            let seg = read_seg(cur, &mut total)?;
+            return Some(match u32::try_from(seg.start) {
                 Ok(r) if (seg.stride, seg.len, seg.reps) == (0, 1, 1) => RankSet::singleton(r),
                 _ => RankSet(Ranks::Seq(IntSeq::from_segs(vec![seg], total))),
-            },
-            Some(seg) => {
-                rest.insert(0, seg);
-                RankSet(Ranks::Seq(IntSeq::from_segs(rest, total)))
-            }
-        })
+            });
+        }
+        let mut segs = Vec::new();
+        let total = read_segs(cur, n, &mut segs)?;
+        Some(RankSet(Ranks::Seq(IntSeq::from_segs(segs, total))))
     }
 }
 
@@ -1239,35 +1243,41 @@ impl Codec for MergedCtt {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
+        dec.read(MergedCtt::read)
+    }
+}
+
+impl MergedCtt {
+    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
         /// A control group holds a loop's counts or a branch's taken
         /// indices, never root or leaf data.
-        fn control(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, VertexData)> {
-            let ranks = RankSet::decode(dec)?;
-            let data = match dec.get_u8()? {
+        fn control(cur: &mut Cursor<'_>) -> Option<(RankSet, VertexData)> {
+            let ranks = RankSet::read(cur)?;
+            let data = match cur.u8()? {
                 VD_LOOP => VertexData::Loop {
-                    counts: IntSeq::decode(dec)?,
+                    counts: IntSeq::read(cur)?,
                 },
                 VD_BRANCH => VertexData::Branch {
-                    taken: IntSeq::decode(dec)?,
+                    taken: IntSeq::read(cur)?,
                 },
-                t => return Err(bad_vertex_tag(t)),
+                t => return bad_vertex_tag(cur, t),
             };
-            Ok((ranks, data))
+            Some((ranks, data))
         }
-        fn record(dec: &mut Decoder<'_>) -> DecodeResult<(RankSet, LeafRecord)> {
-            Ok((RankSet::decode(dec)?, LeafRecord::decode(dec)?))
+        fn record(cur: &mut Cursor<'_>) -> Option<(RankSet, LeafRecord)> {
+            Some((RankSet::read(cur)?, LeafRecord::read(cur)?))
         }
-        Ok(MergedCtt {
-            nprocs: dec.get_u32("merged ctt nprocs")?,
-            app_times: IntSeq::decode(dec)?,
-            vertices: dec.get_seq("merged vertices", |dec| {
-                Ok(match dec.get_u8()? {
+        Some(MergedCtt {
+            nprocs: cur.u32("merged ctt nprocs")?,
+            app_times: IntSeq::read(cur)?,
+            vertices: cur.seq("merged vertices", |cur| {
+                Some(match cur.u8()? {
                     MV_EMPTY => MergedVertex::Empty,
-                    MV_CONTROL => MergedVertex::Control(dec.get_seq("control groups", control)?),
+                    MV_CONTROL => MergedVertex::Control(cur.seq("control groups", control)?),
                     MV_LEAF => MergedVertex::Leaf(
-                        dec.get_seq("leaf slots", |d| d.get_seq("slot groups", record))?,
+                        cur.seq("leaf slots", |cur| cur.seq("slot groups", record))?,
                     ),
-                    t => return Err(DecodeError(format!("bad MergedVertex tag {t}"))),
+                    t => return cur.refuse(t as u64, |t| format!("bad MergedVertex tag {t}")),
                 })
             })?,
         })

@@ -15,7 +15,7 @@
 //! to give `merge_all`'s bytes exactly. Mean and deviation are derived on
 //! demand.
 
-use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
 
 /// Aggregated timing of a merged record: exact moments of its durations.
 ///
@@ -148,10 +148,12 @@ fn put_u128(enc: &mut Encoder, v: u128) {
     enc.put_uvar(v as u64);
 }
 
-fn get_u128(dec: &mut Decoder<'_>) -> DecodeResult<u128> {
-    let hi = dec.get_uvar()? as u128;
-    let lo = dec.get_uvar()? as u128;
-    Ok((hi << 64) | lo)
+/// [`put_u128`]'s two varints, high word first.
+#[inline]
+fn read_wide(cur: &mut Cursor<'_>) -> Option<Wide> {
+    let hi = cur.uvar()?;
+    let lo = cur.uvar()?;
+    Some(Wide([lo, hi]))
 }
 
 impl Codec for TimeStats {
@@ -167,21 +169,29 @@ impl Codec for TimeStats {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let tag = dec.get_u8()?;
+        dec.read(TimeStats::read)
+    }
+}
+
+impl TimeStats {
+    /// The exact-moment layout: its tag, then seven varints.
+    #[inline]
+    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+        let tag = cur.u8()?;
         if tag != TAG_MEANSTD {
-            return Err(DecodeError(format!(
-                "bad TimeStats tag {tag} (only {TAG_MEANSTD}, exact moments, is read)"
-            )));
+            return cur.refuse(tag as u64, |tag| {
+                format!("bad TimeStats tag {tag} (only {TAG_MEANSTD}, exact moments, is read)")
+            });
         }
-        let n = dec.get_uvar()?;
-        let sum = get_u128(dec)?;
-        let sumsq = get_u128(dec)?;
-        let min = dec.get_uvar()?;
-        let max = dec.get_uvar()?;
-        Ok(TimeStats {
+        let n = cur.uvar()?;
+        let sum = read_wide(cur)?;
+        let sumsq = read_wide(cur)?;
+        let min = cur.uvar()?;
+        let max = cur.uvar()?;
+        Some(TimeStats {
             n,
-            sum: Wide::new(sum),
-            sumsq: Wide::new(sumsq),
+            sum,
+            sumsq,
             min: if n == 0 { u64::MAX } else { min },
             max,
         })

@@ -127,6 +127,55 @@ fn open_refuses_mislabelled_or_repeated_rank_sections() {
     );
 }
 
+/// Trees from another program's run do not fit the container's CST: `open`
+/// refuses them, naming the section, before a query, an analysis or a
+/// replay walks a tree against the wrong CST.
+#[test]
+fn open_refuses_trees_that_do_not_fit_the_cst() {
+    let tmp = TempStore::new();
+    let (cst, _) = write_job(&tmp.0, "ring", PROG, 4);
+    let (_, other) = write_job(&tmp.0, "other", "fn main() { barrier(); }", 4);
+    let open = |name: &str, trees: Vec<(SectionKind, Option<u32>, Vec<u8>)>| {
+        let mut encoded = vec![encode_payload(
+            SectionKind::CstText,
+            None,
+            cst.to_text().as_bytes(),
+            None,
+        )];
+        encoded.extend(
+            trees
+                .iter()
+                .map(|(kind, rank, bytes)| encode_payload(*kind, *rank, bytes, None)),
+        );
+        let path = tmp.0.join(format!("{name}.cytc"));
+        Container::write_image(&path, &assemble(4, &encoded)).unwrap();
+        StoreJob::open(&path, name)
+    };
+    let ranks = other
+        .iter()
+        .map(|c| (SectionKind::RankCtt, Some(c.rank), c.to_bytes()))
+        .collect();
+    let err = open("misfit-ranks", ranks).err().unwrap();
+    assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "rank-ctt section [1] (rank 0): tree has 2 vertices, the job's CST {}",
+            cst.len()
+        )
+    );
+    let merged = vec![(SectionKind::MergedCtt, None, merge_all(&other).to_bytes())];
+    let err = open("misfit-merged", merged).err().unwrap();
+    assert!(matches!(err, StoreError::Invalid(_)), "{err}");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "merged-ctt section [1]: tree has 2 vertices, the job's CST {}",
+            cst.len()
+        )
+    );
+}
+
 #[test]
 fn hits_require_no_filesystem() {
     let tmp = TempStore::new();

@@ -37,11 +37,12 @@ echo "== one way to read a CTT: one walker, no owned copy of a slab, core on the
 test "$(grep -rn 'fn render_path' crates | wc -l)" = 1
 
 echo "== one CTT decoder, one job opener: Ctt only encodes, read_container opens a StoreJob =="
-# CttSlab decodes every rank CTT; tests/wire_sweep.rs pins its damage outcomes.
+# CttSlab decodes every rank CTT; tests/wire_sweep.rs pins its damage
+# outcomes and the merged CTT's, five rows each.
 ! grep -rnwE 'impl Codec for Ctt|Ctt::(from_bytes|decode)|VertexData::decode' crates src tests examples || exit 1
 ! grep -rnwE 'LoadedJob|loaded_from_collected' crates src tests examples README.md DESIGN.md || exit 1
 test "$(grep -rn 'fn read_container' crates src | wc -l)" = 1
-test "$(grep -c '^    ("' tests/wire_sweep.rs)" = 5 || { echo "tests/wire_sweep.rs lost its CTT digest table"; exit 1; }
+test "$(grep -c '^    ("' tests/wire_sweep.rs)" = 10 || { echo "tests/wire_sweep.rs lost a CTT digest table"; exit 1; }
 
 echo "== contention-free record path: no process-wide Arc in core or trace =="
 # Every record is decoded, cloned and dropped through these crates on many
@@ -185,6 +186,12 @@ echo "== merge identity and merge comparison counts at P = 4096 (release) =="
 # first.
 cargo test --release -q --test merge_identity --test merge_scaling -- --ignored
 ! grep -rnw 'from_ctt' crates src tests examples benchmark/src || exit 1
+
+echo "== hostile-bytes sweeps (release) =="
+# The decoders' refusals must hold with overflow checks off as well as on:
+# the suite above runs these sweeps in debug only.
+cargo test --release -q --test wire_sweep --test slab_replay
+cargo test --release -q -p cypress-trace --test harden
 
 echo "== examples build =="
 cargo build -q --examples

@@ -469,6 +469,39 @@ fn bad_input_fails_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
 
+    // Rank sections from another program's run: the container's CST has
+    // 2 vertices, its trees 7. Every command that opens the job refuses it
+    // with exit 1, naming the section, never a panic in the replay.
+    let tiny = dir.join("tiny.mpi");
+    fs::write(&tiny, "fn main() { barrier(); }").unwrap();
+    let tiny_cytc = dir.join("tiny.cytc");
+    let ring_cytc = dir.join("ring.cytc");
+    for (src, out) in [(&tiny, &tiny_cytc), (&dir.join("ring.mpi"), &ring_cytc)] {
+        let run = cypress()
+            .arg("compress")
+            .arg(src)
+            .args(["-n", "4", "--per-rank", "-o"])
+            .arg(out)
+            .output()
+            .expect("run compress");
+        assert!(run.status.success(), "{run:?}");
+    }
+    let misfit = dir.join("misfit.cytc");
+    splice_cst(&tiny_cytc, &ring_cytc, &misfit);
+    let misfit = misfit.to_str().unwrap();
+    for argv in [
+        vec!["decompress", misfit, "--rank", "0"],
+        vec!["query", misfit],
+        vec!["analyze", "predict", misfit],
+        vec!["inspect", misfit],
+    ] {
+        let out = cypress().args(&argv).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.contains("rank-ctt section"), "{argv:?}: {stderr}");
+        assert!(stderr.contains("the job's CST 2"), "{argv:?}: {stderr}");
+    }
+
     // A numeric flag whose value does not parse: exit 1 naming the flag,
     // before anything is read, bound or connected. The listen socket's
     // directory does not exist, so a value that slipped through would fail
@@ -539,4 +572,39 @@ fn bad_input_fails_cleanly() {
     }
     assert!(!dir.join("never-traces").exists());
     assert!(!container.exists());
+}
+
+/// Write to `out` the container of `cst_from`'s CST and `trees_from`'s rank
+/// sections.
+fn splice_cst(cst_from: &std::path::Path, trees_from: &std::path::Path, out: &std::path::Path) {
+    use cypress::trace::{
+        assemble, encode_payload, Container, PayloadArena, SectionKind, SectionTable,
+    };
+    let sections = |path: &std::path::Path| {
+        let image = fs::read(path).expect("read container");
+        let table = SectionTable::parse(&image).expect("container parses");
+        let arena = PayloadArena::new(table.len());
+        let nprocs = table.nprocs;
+        let all = (0..table.len())
+            .map(|i| {
+                let info = &table.sections()[i];
+                let payload = arena.payload(&image, info, i).expect("payload");
+                (info.kind, info.rank, payload.to_vec())
+            })
+            .collect::<Vec<_>>();
+        (nprocs, all)
+    };
+    let (nprocs, cst) = sections(cst_from);
+    let (_, trees) = sections(trees_from);
+    let encoded: Vec<_> = cst
+        .iter()
+        .filter(|(kind, ..)| *kind == SectionKind::CstText)
+        .chain(
+            trees
+                .iter()
+                .filter(|(kind, ..)| *kind == SectionKind::RankCtt),
+        )
+        .map(|(kind, rank, payload)| encode_payload(*kind, *rank, payload, None))
+        .collect();
+    Container::write_image(out, &assemble(nprocs, &encoded)).expect("write container");
 }

@@ -7,17 +7,18 @@
 //! byte is an error. Frames get the same treatment through [`FrameBuf`] with
 //! the CRC resealed, so the damage reaches the body decoder instead of
 //! stopping at the checksum. The rank CTT, whose one decoder is `CttSlab`,
-//! is swept on its own against a committed digest table.
+//! and the merged CTT are swept on their own against committed digest
+//! tables.
 
 mod wire_samples;
 
-use cypress::core::{Ctt, CttSlab, CttSource};
+use cypress::core::{Ctt, CttSlab, CttSource, MergedCtt};
 use cypress::deflate::{crc32, Crc32};
 use cypress::net::proto::FrameBuf;
 use cypress::net::{Frame, NetError};
 use cypress::trace::Codec;
 use std::fmt::Debug;
-use wire_samples::{for_each_sample, frames, rank_ctt, unhex, Visitor};
+use wire_samples::{for_each_sample, frames, merged_ctt, rank_ctt, unhex, Visitor};
 
 /// Low bit (varint value), high bit (varint continuation), full inversion.
 const MASKS: [u8; 3] = [0x01, 0x80, 0xff];
@@ -96,17 +97,57 @@ fn every_damaged_ctt_decodes_as_the_owned_decoder_did() {
         }
         Some(crc.finish())
     };
-    let bytes = rank_ctt(1).to_bytes();
+    assert_damage_digests("damaged-CTT", &rank_ctt(1).to_bytes(), decoded, CTT_GOLDEN);
+}
+
+/// (damage, inputs, digest) for [`merged_ctt`], captured on the commit
+/// before the merged tree's decoder moved onto the checked cursor.
+#[rustfmt::skip]
+const MERGED_GOLDEN: &[(&str, usize, u32)] = &[
+    ("truncations", 457, 0x965fe4aa),
+    ("mask 0x01", 457, 0xea5c3042),
+    ("mask 0x80", 457, 0xb39b9190),
+    ("mask 0xff", 457, 0x227cbfff),
+    ("appended byte", 1, 0x1899d7fe),
+];
+
+/// The `MergedCtt` row under the same damage as the rank CTT: each
+/// outcome is a marker for `Err`, else the CRC of the decoded tree's
+/// `Debug` text, folded into one digest per kind of damage.
+#[test]
+fn every_damaged_merged_ctt_decodes_as_before() {
+    let decoded = |input: &[u8]| -> Option<u32> {
+        let tree = MergedCtt::from_bytes(input).ok()?;
+        Some(crc32(format!("{tree:?}").as_bytes()))
+    };
+    assert_damage_digests(
+        "damaged-merged-CTT",
+        &merged_ctt().to_bytes(),
+        decoded,
+        MERGED_GOLDEN,
+    );
+}
+
+/// Every truncation of `bytes`, every byte flipped under each mask, and one
+/// appended byte through `decoded`. No call panics, every truncation and
+/// the appended byte is refused, and the outcomes of each kind of damage
+/// fold into one digest, held to `golden`.
+fn assert_damage_digests(
+    what: &str,
+    bytes: &[u8],
+    decoded: impl Fn(&[u8]) -> Option<u32>,
+    golden: &[(&str, usize, u32)],
+) {
     let flips = |mask: u8| -> Vec<Vec<u8>> {
         (0..bytes.len())
             .map(|pos| {
-                let mut work = bytes.clone();
+                let mut work = bytes.to_vec();
                 work[pos] ^= mask;
                 work
             })
             .collect()
     };
-    let mut appended = bytes.clone();
+    let mut appended = bytes.to_vec();
     appended.push(0x2a);
     let cases = [
         (
@@ -129,7 +170,7 @@ fn every_damaged_ctt_decodes_as_the_owned_decoder_did() {
             };
             assert!(
                 !must_fail || tag == 0,
-                "{name}: {} bytes decoded",
+                "{what} {name}: {} bytes decoded",
                 input.len()
             );
             digest.update(&[tag]);
@@ -137,12 +178,12 @@ fn every_damaged_ctt_decodes_as_the_owned_decoder_did() {
         }
         actual.push((name, inputs.len(), digest.finish()));
     }
-    if actual != CTT_GOLDEN {
+    if actual != golden {
         let table: String = actual
             .iter()
             .map(|(name, n, d)| format!("    ({name:?}, {n}, {d:#010x}),\n"))
             .collect();
-        panic!("damaged-CTT digests moved; the table this build computes:\n{table}");
+        panic!("{what} digests moved; the table this build computes:\n{table}");
     }
 }
 
