@@ -17,10 +17,11 @@
 //! A group is found by key, not by a scan: a hash of the fields the
 //! compatibility test compares leads to the group's position in its slot,
 //! and the test itself confirms every hit. So an absorb costs O(records)
-//! however many rank groups a slot holds. [`merge_all`] absorbs rank after
-//! rank into one tree; [`BinomialMerger`] reduces ranks arriving in any
-//! order over a binomial tree — the O(n log P) schedule the paper
-//! describes for end-of-job merging inside `MPI_Finalize`.
+//! however many rank groups a slot holds. [`merge_all`] merges vertex by
+//! vertex, every rank's data at one vertex before the next;
+//! [`BinomialMerger`] reduces ranks arriving in any order over a binomial
+//! tree — the O(n log P) schedule the paper describes for end-of-job
+//! merging inside `MPI_Finalize`.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
 use crate::intseq::{read_seg, read_segs, IntSeq, IntSeqReader};
@@ -491,75 +492,17 @@ impl MergedCtt {
     /// peer's tree before it gets here.
     ///
     /// A list that, with the rank's group, holds more than [`SCAN_GROUPS`]
-    /// is matched by key, through one scratch table refilled from it;
-    /// [`merge_all`] keeps a table per long list instead, from rank to rank.
+    /// is matched by key, through a table filled from it and emptied once
+    /// the vertex is done.
     pub fn absorb_rank<S: CttSource>(&mut self, ctt: &S) {
-        self.absorb_rank_with(ctt, &mut Tables::Scratch(KeyTable::default()));
-    }
-
-    /// [`absorb_rank`](Self::absorb_rank), finding each list's groups through
-    /// `tables`.
-    fn absorb_rank_with<S: CttSource>(&mut self, ctt: &S, tables: &mut Tables<'_>) {
         assert_eq!(self.vertices.len(), ctt.vertex_count());
         let _span = PAIR_MERGE_NS.span("merge", "absorb_rank");
         PAIR_MERGES.inc();
         let rank = ctt.rank();
-        let mut tally = Tally::default();
+        let (mut tables, mut tally) = (Vec::new(), Tally::default());
         for (gid, mine) in self.vertices.iter_mut().enumerate() {
-            match ctt.vertex(gid) {
-                // Empty data = the rank never reached this vertex: it
-                // contributes nothing there (paper: "if a process has not
-                // executed a certain call path, the path is ignored").
-                VertexRef::Root | VertexRef::Leaf([]) => {}
-                VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => {}
-                theirs @ (VertexRef::Loop(s) | VertexRef::Branch(s)) => {
-                    let dst = mine.control_groups();
-                    let found = tally.find(
-                        dst,
-                        1,
-                        tables.of(gid, 0),
-                        || control_key(theirs),
-                        |(_, d)| control_key(d.view()),
-                        |(_, d)| d.view() == theirs,
-                    );
-                    match found {
-                        Some(p) => dst[p].0.push_above(rank),
-                        None => {
-                            tally.groups_formed += 1;
-                            let data = match theirs {
-                                VertexRef::Loop(_) => VertexData::Loop { counts: s.into() },
-                                _ => VertexData::Branch { taken: s.into() },
-                            };
-                            dst.push((RankSet::singleton(rank), data));
-                        }
-                    }
-                }
-                VertexRef::Leaf(records) => {
-                    let dst = mine.leaf_slots(records.len());
-                    for (at, (slot, rec)) in dst.iter_mut().zip(records).enumerate() {
-                        let found = tally.find(
-                            slot,
-                            1,
-                            tables.of(gid, at),
-                            || record_key(rec),
-                            |(_, r)| record_key(r),
-                            |(_, r)| record_mergeable(r, rec),
-                        );
-                        match found {
-                            Some(p) => {
-                                let (rs, r) = &mut slot[p];
-                                rs.push_above(rank);
-                                r.time.merge(&rec.time);
-                                r.gap.merge(&rec.gap);
-                            }
-                            None => {
-                                tally.groups_formed += 1;
-                                slot.push((RankSet::singleton(rank), rec.clone()));
-                            }
-                        }
-                    }
-                }
-            }
+            let lists = absorb_vertex(mine, ctt.vertex(gid), rank, &mut tables, &mut tally);
+            tables[..lists].iter_mut().for_each(KeyTable::clear);
         }
         self.app_times.push(ctt.app_time() as i64);
         tally.flush();
@@ -688,18 +631,29 @@ impl MergedCtt {
     }
 }
 
-/// Sequentially merge all per-process CTTs (must be in rank order): each
-/// rank is absorbed from its view into one growing tree, its records matched
-/// through one key index kept for the whole merge — O(records), however
-/// many rank groups a slot holds.
+/// Sequentially merge all per-process CTTs (must be in rank order), vertex
+/// by vertex as the paper does: every rank's data at one vertex is absorbed
+/// from its view before the next vertex, so a long list's key table lives
+/// only while its vertex is merged — O(records), however many rank groups
+/// a slot holds.
 pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
     let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
     let mut acc = MergedCtt::new(ctts[0].nprocs(), ctts[0].vertex_count());
-    let mut index = Index(acc.vertices.iter().map(|_| Vec::new()).collect());
     for c in ctts {
-        acc.absorb_rank_with(c, &mut Tables::Kept(&mut index));
+        assert_eq!(acc.vertices.len(), c.vertex_count());
+        acc.app_times.push(c.app_time() as i64);
     }
+    let (mut tables, mut tally) = (Vec::new(), Tally::default());
+    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
+        let mut lists = 0;
+        for c in ctts {
+            let used = absorb_vertex(mine, c.vertex(gid), c.rank(), &mut tables, &mut tally);
+            lists = lists.max(used);
+        }
+        tables[..lists].iter_mut().for_each(KeyTable::clear);
+    }
+    tally.flush();
     note_merged_groups(&acc);
     obs_log!(
         Level::Info,
@@ -709,6 +663,84 @@ pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
         acc.group_count()
     );
     acc
+}
+
+/// Merge one rank's data at one vertex into `mine`, finding a long list's
+/// group through `tables[slot]` (a control vertex's one list is slot 0).
+/// Returns how many lists it met: the tables it may have filled, which the
+/// caller empties once every rank it merges here is done.
+fn absorb_vertex(
+    mine: &mut MergedVertex,
+    theirs: VertexRef<'_>,
+    rank: u32,
+    tables: &mut Vec<KeyTable>,
+    tally: &mut Tally,
+) -> usize {
+    match theirs {
+        // Empty data = the rank never reached this vertex: it contributes
+        // nothing there (paper: "if a process has not executed a certain
+        // call path, the path is ignored").
+        VertexRef::Root | VertexRef::Leaf([]) => 0,
+        VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => 0,
+        VertexRef::Loop(s) | VertexRef::Branch(s) => {
+            let dst = mine.control_groups();
+            let found = tally.find(
+                dst,
+                1,
+                &mut first_tables(tables, 1)[0],
+                || control_key(theirs),
+                |(_, d)| control_key(d.view()),
+                |(_, d)| d.view() == theirs,
+            );
+            match found {
+                Some(p) => dst[p].0.push_above(rank),
+                None => {
+                    tally.groups_formed += 1;
+                    let data = match theirs {
+                        VertexRef::Loop(_) => VertexData::Loop { counts: s.into() },
+                        _ => VertexData::Branch { taken: s.into() },
+                    };
+                    dst.push((RankSet::singleton(rank), data));
+                }
+            }
+            1
+        }
+        VertexRef::Leaf(records) => {
+            let dst = mine.leaf_slots(records.len());
+            let tables = first_tables(tables, records.len());
+            for ((slot, rec), table) in dst.iter_mut().zip(records).zip(tables) {
+                let found = tally.find(
+                    slot,
+                    1,
+                    table,
+                    || record_key(rec),
+                    |(_, r)| record_key(r),
+                    |(_, r)| record_mergeable(r, rec),
+                );
+                match found {
+                    Some(p) => {
+                        let (rs, r) = &mut slot[p];
+                        rs.push_above(rank);
+                        r.time.merge(&rec.time);
+                        r.gap.merge(&rec.gap);
+                    }
+                    None => {
+                        tally.groups_formed += 1;
+                        slot.push((RankSet::singleton(rank), rec.clone()));
+                    }
+                }
+            }
+            records.len()
+        }
+    }
+}
+
+/// The first `n` of `tables`, grown to hold them.
+fn first_tables(tables: &mut Vec<KeyTable>, n: usize) -> &mut [KeyTable] {
+    if tables.len() < n {
+        tables.resize_with(n, KeyTable::default);
+    }
+    &mut tables[..n]
 }
 
 /// [`merge_all`], whatever `threads` says: the one merge is sequential.
@@ -729,46 +761,8 @@ pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCt
 /// ([`KeyTable`]).
 const SCAN_GROUPS: usize = 32;
 
-/// Where [`MergedCtt::absorb_rank_with`] finds a group list's key table.
-enum Tables<'a> {
-    /// [`merge_all`]'s: one table per list, kept from rank to rank.
-    Kept(&'a mut Index),
-    /// One table, emptied for each list it is asked for: an absorb that
-    /// meets each list once.
-    Scratch(KeyTable),
-}
-
-impl Tables<'_> {
-    /// The table of list `slot` of vertex `gid` (a control vertex's one list
-    /// is slot 0).
-    fn of(&mut self, gid: usize, slot: usize) -> &mut KeyTable {
-        match self {
-            Tables::Kept(index) => index.table(gid, slot),
-            Tables::Scratch(table) => {
-                table.clear();
-                table
-            }
-        }
-    }
-}
-
-/// [`merge_all`]'s key index: one table per group list, by vertex and slot,
-/// filled once the list outgrows a scan. One table for every list, keyed by
-/// vertex and slot too, grows to megabytes and misses the cache on every
-/// probe: DESIGN §10 has it ~30% slower.
-struct Index(Vec<Vec<KeyTable>>);
-
-impl Index {
-    fn table(&mut self, gid: usize, slot: usize) -> &mut KeyTable {
-        let tables = &mut self.0[gid];
-        if tables.len() <= slot {
-            tables.resize_with(slot + 1, KeyTable::default);
-        }
-        &mut tables[slot]
-    }
-}
-
-/// Per-absorb tallies, flushed into the `merge` counters once.
+/// The tallies of one absorb or one whole merge, flushed into the `merge`
+/// counters once.
 #[derive(Default)]
 struct Tally {
     groups_formed: u64,
@@ -1818,6 +1812,97 @@ mod tests {
         let (_, ctts) = pipeline(JACOBI, 4);
         let mut m = merge_all(&ctts[2..3]);
         m.absorb_rank(&ctts[1]);
+    }
+
+    /// Long lists at two leaves and a loop, over several slots, whose first
+    /// group is shared by later ranks, and ranks that skip a vertex: a list
+    /// must find its groups through a table of its own, empty when its
+    /// vertex begins, on every merge path.
+    #[test]
+    fn keyed_lists_merge_alike_on_every_path() {
+        use crate::ctt::EncParams;
+        use crate::timestats::TimeStats;
+        use cypress_trace::event::{MpiOp, MpiParams};
+        const P: u32 = 80;
+        let rank_ctt = |rank: u32| {
+            let r = rank as i64;
+            let rec = |size: i64, tag: i64| {
+                let mut time = TimeStats::new();
+                time.add(100 + rank as u64);
+                let send = MpiParams::send(r + 1, size, tag);
+                LeafRecord {
+                    params: EncParams::encode(r, MpiOp::Send, &send),
+                    count: 1,
+                    time,
+                    gap: TimeStats::new(),
+                }
+            };
+            // A size of `1000 + rank` is no other rank's; 64 is rank 0's.
+            let mine = |tag| rec(1000 + r, tag);
+            let every = |k: u32, tag| {
+                if rank.is_multiple_of(k) {
+                    rec(64, tag)
+                } else {
+                    mine(tag)
+                }
+            };
+            let counts = match rank {
+                _ if rank % 6 == 1 => IntSeq::new(),
+                _ if rank.is_multiple_of(5) => IntSeq::from_slice(&[7]),
+                _ => IntSeq::from_slice(&[3, r]),
+            };
+            let last = match rank % 7 {
+                3 => vec![],
+                _ => vec![every(4, 3), mine(4)],
+            };
+            Ctt {
+                rank,
+                nprocs: P,
+                app_time: 10_000 + rank as u64,
+                data: vec![
+                    VertexData::Root,
+                    VertexData::Leaf {
+                        records: vec![mine(0), every(3, 1), mine(2)],
+                    },
+                    VertexData::Loop { counts },
+                    VertexData::Leaf { records: last },
+                ],
+            }
+        };
+        let ctts: Vec<Ctt> = (0..P).map(rank_ctt).collect();
+        let merged = merge_all(&ctts);
+        let want = merged.to_bytes();
+        let mut one_by_one = MergedCtt::new(P, 4);
+        let mut bm = BinomialMerger::new(P);
+        for c in &ctts {
+            one_by_one.absorb_rank(c);
+            bm.add(c);
+        }
+        assert!(one_by_one.to_bytes() == want, "absorb_rank rank by rank");
+        assert!(bm.finish().to_bytes() == want, "BinomialMerger");
+
+        // Every list named is long enough to be keyed, and its first group
+        // holds the ranks that share it.
+        let first = |gid: usize, slot: usize| match &merged.vertices[gid] {
+            MergedVertex::Leaf(slots) => {
+                assert!(slots[slot].len() > SCAN_GROUPS, "vertex {gid} slot {slot}");
+                slots[slot][0].0.ranks()
+            }
+            MergedVertex::Control(groups) => {
+                assert!(groups.len() > SCAN_GROUPS, "vertex {gid}");
+                groups[0].0.ranks()
+            }
+            MergedVertex::Empty => unreachable!(),
+        };
+        let sharing = |k: u32, skip: &dyn Fn(u32) -> bool| {
+            (0..P)
+                .filter(|r| r % k == 0 && !skip(*r))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(first(1, 0), vec![0]);
+        assert_eq!(first(1, 1), sharing(3, &|_| false));
+        assert_eq!(first(2, 0), sharing(5, &|r| r % 6 == 1));
+        assert_eq!(first(3, 0), sharing(4, &|r| r % 7 == 3));
     }
 
     #[test]

@@ -4,22 +4,23 @@
 
 use crate::StoreError;
 use cypress_analysis::{analyze_ctts, AnalyzeOptions, AnalyzeReport};
-use cypress_core::{check_shape, decompress, CttSlab, CttSource, MergedCtt, ReplayOp};
-use cypress_cst::Cst;
+use cypress_core::{check_shape, decompress, CttSlab, MergedCtt, ReplayOp};
+use cypress_cst::tree::{Cst, Vertex, VertexKind};
 use cypress_query::{has_complete_rank_set, query_ctts, query_merged, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
 use cypress_trace::{Codec, ContainerError, PayloadArena, SectionKind, SectionTable};
 use std::collections::HashMap;
 use std::path::Path;
 
-/// A `.cytc` job opened by the store: the raw image in one backing buffer,
-/// the parsed section table over it, the inflation arena, and the decoded
-/// query inputs (CST + pooled per-rank CTT slabs, or the merged tree).
+/// A `.cytc` job opened by the store: what it answers from, and nothing
+/// else — the CST, the per-rank CTT slabs in rank order, or the merged
+/// tree.
 ///
-/// Raw sections are never copied out of the image; deflated sections are
-/// inflated exactly once into the arena, shared by every reader of this
-/// handle. Per-rank CTTs decode into [`CttSlab`]s — index-based vertices
-/// over two shared pools — so opening a job costs a handful of allocations
+/// Opening reads the image once, serving raw sections as slices of it and
+/// inflating each deflated section it decodes once; the image, its section
+/// table and the inflated payloads are dropped before `open` returns.
+/// Per-rank CTTs decode into [`CttSlab`]s — index-based vertices over two
+/// shared pools — so opening a job costs a handful of allocations
 /// regardless of tree size.
 ///
 /// The merged tree is only decoded when the per-rank set is incomplete:
@@ -28,10 +29,9 @@ use std::path::Path;
 /// holds both opens the same way, its merged payload left un-inflated.
 pub struct StoreJob {
     name: String,
-    image: Box<[u8]>,
-    table: SectionTable,
-    arena: PayloadArena,
+    nprocs: u32,
     cst: Cst,
+    /// In rank order, whatever order the sections were stored in.
     slabs: Vec<CttSlab>,
     merged: Option<MergedCtt>,
     complete: bool,
@@ -87,6 +87,7 @@ impl StoreJob {
             })?;
             slabs.push(slab);
         }
+        slabs.sort_by_key(|s| s.rank);
         // Nothing reads the merged tree of a complete job, so its (often
         // large) section, if the writer stored one, stays un-inflated and
         // un-decoded.
@@ -109,9 +110,7 @@ impl StoreJob {
 
         Ok(StoreJob {
             name: name.to_string(),
-            image,
-            table,
-            arena,
+            nprocs,
             cst,
             slabs,
             merged,
@@ -149,21 +148,17 @@ impl StoreJob {
                  analysis needs per-rank timing",
                 self.name,
                 self.slabs.len(),
-                self.table.nprocs
+                self.nprocs
             )));
         }
-        // Sections may be stored in any order; analysis wants rank-indexed
-        // sources.
-        let mut ordered: Vec<&CttSlab> = self.slabs.iter().collect();
-        ordered.sort_by_key(|s| s.rank());
-        analyze_ctts(&self.cst, &ordered, &LogGp::default(), opts)
+        analyze_ctts(&self.cst, &self.slabs, &LogGp::default(), opts)
             .map_err(|e| StoreError::Invalid(e.to_string()))
     }
 
     /// Replay one rank's exact MPI operation sequence from its own section
     /// when the container has one, else extracted from the merged tree.
     pub fn decompress(&self, rank: u32) -> Result<Vec<ReplayOp>, StoreError> {
-        let nprocs = self.table.nprocs;
+        let nprocs = self.nprocs;
         if rank >= nprocs {
             return Err(StoreError::Invalid(format!(
                 "rank {rank} out of 0..{nprocs}"
@@ -182,12 +177,17 @@ impl StoreJob {
     }
 
     pub fn nprocs(&self) -> u32 {
-        self.table.nprocs
+        self.nprocs
     }
 
     /// Number of per-rank CTT sections decoded.
     pub fn rank_count(&self) -> usize {
         self.slabs.len()
+    }
+
+    /// The per-rank CTTs, checked against the CST, in rank order.
+    pub fn rank_ctts(&self) -> &[CttSlab] {
+        &self.slabs
     }
 
     /// Whether queries run on the complete per-rank set (vs. merged tree).
@@ -200,19 +200,26 @@ impl StoreJob {
         &self.cst
     }
 
-    /// Inflations performed for this job so far (0 for all-raw images).
-    pub fn inflations(&self) -> u64 {
-        self.arena.inflations()
-    }
-
-    /// Approximate bytes this handle keeps resident: the backing image,
-    /// inflated arena payloads, decoded slab pools, and the merged tree.
-    /// This is the figure the store charges against its byte budget.
+    /// Approximate bytes this handle keeps resident: the CST, the decoded
+    /// slab pools, the merged tree and the name. This is the figure the store
+    /// charges against its byte budget.
     pub fn resident_bytes(&self) -> usize {
-        self.image.len()
-            + self.arena.resident_bytes()
+        cst_heap(&self.cst)
             + self.slabs.iter().map(|s| s.approx_bytes()).sum::<usize>()
             + self.merged.as_ref().map_or(0, |m| m.approx_bytes())
             + self.name.len()
     }
+}
+
+/// The heap a parsed CST holds: its vertex table, child lists and call
+/// names.
+fn cst_heap(cst: &Cst) -> usize {
+    let held = |v: &Vertex| {
+        let name = match &v.kind {
+            VertexKind::UserCall { name, .. } => name.capacity(),
+            _ => 0,
+        };
+        v.children.capacity() * size_of::<usize>() + name
+    };
+    cst.vertices.capacity() * size_of::<Vertex>() + cst.vertices.iter().map(held).sum::<usize>()
 }

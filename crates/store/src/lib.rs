@@ -3,12 +3,13 @@
 //! A `.cytc` container is a directly servable analysis artifact; this crate
 //! makes serving *directories* of them cheap:
 //!
-//! * [`StoreJob`] — one opened container held zero-copy: the backing image
-//!   stays in one buffer, raw sections are served as slices of it, deflated
-//!   sections inflate exactly once into a [`cypress_trace::PayloadArena`]
-//!   owned by the handle, and per-rank CTTs decode into pooled
-//!   [`cypress_core::CttSlab`]s instead of per-node heap allocations. It is
-//!   the one job opener: `cypress::read_container` returns one too.
+//! * [`StoreJob`] — one opened container, holding only what it answers
+//!   from: the CST and the per-rank CTTs, decoded into pooled
+//!   [`cypress_core::CttSlab`]s in rank order, or the merged tree. Opening
+//!   serves raw sections as slices of the image and inflates each deflated
+//!   section it reads once, into a [`cypress_trace::PayloadArena`] dropped
+//!   with the image when `open` returns. It is the one job opener:
+//!   `cypress::read_container` and `cypress inspect` open through it too.
 //! * [`JobStore`] — a directory of jobs behind an LRU of hot handles with
 //!   byte- and entry-count budgets ([`StoreConfig`]), duplicate-open
 //!   coalescing, and hit/miss/eviction metrics ([`StoreStats`], mirrored

@@ -56,8 +56,8 @@ struct Entry {
     /// Whether this entry's bytes are counted in the store totals. Set once
     /// after a successful load; in-flight loads are never eviction victims.
     charged: bool,
-    /// Bytes charged at load time (fixed for the entry's lifetime, so
-    /// accounting stays exact even if the arena inflates more later).
+    /// Bytes charged at load time: a job holds nothing more once opened, so
+    /// eviction gives back exactly this.
     charged_bytes: usize,
 }
 

@@ -133,6 +133,12 @@ echo "== one merge: merge_all_parallel is a shim nothing in the library or the f
   | grep . || exit 1
 ! grep -rn 'merge_all_parallel' crates/bench || exit 1
 
+echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
+# merge_all and absorb_rank share one per-vertex absorb whose key tables live
+# for one vertex; inspect opens rank sections through StoreJob::open.
+! grep -nE 'struct Index|enum Tables|absorb_rank_with' crates/core/src/merge.rs || exit 1
+! grep -n 'fn merge_rank_sections' src/bin/cypress.rs || exit 1
+
 echo "== a closed stdout ends the CLI quietly: no panicking print in the binary =="
 # outln!/out! return the write error to main, which maps BrokenPipe.
 ! grep -nE '(^|[^e])print(ln)?!\(' src/bin/cypress.rs || exit 1

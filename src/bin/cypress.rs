@@ -43,10 +43,9 @@
 
 use cypress::analysis::{analyze_by_decompression, AnalyzeOptions, DiffReport, JobSummary};
 use cypress::core::{
-    check_shape, compress_trace, merge_all, CompressConfig, CompressSession, Ctt, CttSlab,
-    MergedCtt, SessionConfig,
+    compress_trace, merge_all, CompressConfig, CompressSession, Ctt, MergedCtt, SessionConfig,
 };
-use cypress::cst::{analyze_program, Cst, StaticInfo};
+use cypress::cst::{analyze_program, StaticInfo};
 use cypress::deflate::Level as ZLevel;
 use cypress::minilang::{check_program, parse, Program};
 use cypress::net::{
@@ -566,10 +565,11 @@ fn cmd_decompress(args: &[String]) -> CliResult {
 /// Print a container's header and section table through the reader pair
 /// every opener uses, [`SectionTable`] + [`PayloadArena`]: framing and every
 /// CRC are verified by the parse, raw section payloads are served zero-copy
-/// out of the image, and only the deflated sections the report actually
-/// reads (meta, the merged CTT or else the rank CTTs it is derived from,
-/// telemetry) are inflated. For an all-raw container the command asserts
-/// that **no inflation happened at all**.
+/// out of the image, and only the deflated sections the report reads itself
+/// (meta, a stored merged CTT, telemetry) are inflated and counted. Merged
+/// counts derived from the rank sections come from [`StoreJob::open`], the
+/// one job opener. For an all-raw container the command asserts that **no
+/// inflation happened at all**.
 fn cmd_inspect(args: &[String]) -> CliResult {
     let file = positional(args, "container file")?;
     let image = fs::read(&file)?;
@@ -586,12 +586,16 @@ fn cmd_inspect(args: &[String]) -> CliResult {
     };
     let raw_bytes = meta.as_ref().map_or(0, |m| m.raw_bytes);
     // A container whose rank sections cover every rank stores no merged
-    // tree; its counts are those of `merge_all` over the rank sections.
+    // tree; its counts are those of `merge_all` over the rank sections, as
+    // the job opener checks them and in rank order.
     let stored = table.find(SectionKind::MergedCtt);
     let derived = stored.is_none();
     let merged = match stored {
         Some(i) => Some(MergedCtt::from_bytes(payload(i)?)?),
-        None => merge_rank_sections(&table, &payload)?,
+        None if table.rank_indices().next().is_some() => Some(merge_all(
+            StoreJob::open(Path::new(&file), &file)?.rank_ctts(),
+        )),
+        None => None,
     };
     let merged_stats = merged.map(|m| (m.vertices.len(), m.group_count()));
 
@@ -717,33 +721,6 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         outln!("lazy view: no inflation performed (all sections served zero-copy)")?;
     }
     Ok(())
-}
-
-/// `merge_all` over a container's rank sections (`None` if it has none),
-/// each checked against the CST section first so that a malformed tree is
-/// an error, not a merge assert.
-fn merge_rank_sections<'a>(
-    table: &SectionTable,
-    payload: &impl Fn(usize) -> std::result::Result<&'a [u8], cypress::trace::ContainerError>,
-) -> cypress::Result<Option<MergedCtt>> {
-    let slabs = table
-        .rank_indices()
-        .map(|i| Ok(CttSlab::from_bytes(payload(i)?)?))
-        .collect::<cypress::Result<Vec<_>>>()?;
-    if slabs.is_empty() {
-        return Ok(None);
-    }
-    let cst_idx = table
-        .find(SectionKind::CstText)
-        .ok_or(cypress::trace::ContainerError::MissingSection("cst-text"))?;
-    let cst_text = std::str::from_utf8(payload(cst_idx)?)
-        .map_err(|e| Error::Invalid(format!("cst section is not utf-8: {e}")))?;
-    let cst = Cst::from_text(cst_text).map_err(Error::Invalid)?;
-    for slab in &slabs {
-        check_shape(slab, &cst, table.nprocs)
-            .map_err(|e| Error::Invalid(format!("rank-ctt section of rank {}: {e}", slab.rank)))?;
-    }
-    Ok(Some(merge_all(&slabs)))
 }
 
 /// Analyze a container directly in the compressed domain — no decompression.

@@ -9,6 +9,11 @@
 //! - A merged tree costs at most one allocation per vertex, per slot (a
 //!   leaf's slot, or a control group's sequence), per multi-rank group and
 //!   per record with request GIDs, and one for the application times.
+//! - `merge_all` over `merge_identity.rs`'s P = 1024 job holds at most a
+//!   pinned number of bytes live at once: the tree it builds and the key
+//!   tables of the vertex it is merging.
+
+mod merge_job;
 
 use cypress::core::{
     merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, MergedVertex, RankSet,
@@ -20,11 +25,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// `System`, counting every allocation and reallocation made on this
-/// thread.
+/// thread, and the bytes it holds live by layout size.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Live bytes and their high-water mark. Signed: a block freed on
+    /// another thread than the one that allocated it is taken off there.
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
 fn count_one() {
@@ -32,28 +40,39 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn hold(bytes: i64) {
+    let _ = LIVE.try_with(|l| {
+        let live = l.get().0 + bytes;
+        l.set((live, l.get().1.max(live)));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
-// only a thread-local `Cell`, which never allocates.
+// only thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        hold(layout.size() as i64);
         // SAFETY: the caller's contract is `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        hold(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        hold(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -67,6 +86,18 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the most bytes it held live at once on this thread,
+/// above what the thread held when it began.
+fn peak_live<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let base = LIVE.with(|l| {
+        let (live, _) = l.get();
+        l.set((live, live));
+        live
+    });
+    let out = f();
+    (out, LIVE.with(Cell::get).1 - base)
 }
 
 fn record(rank: i64, i: i64, gids: Vec<u32>) -> LeafRecord {
@@ -195,4 +226,25 @@ fn a_merged_decode_allocates_per_vertex_slot_group_and_request_list() {
     // their own, so control groups count beside the slots; so are the
     // application times.
     assert!(count <= vertices + slots + controls + multi_rank + gids + 1);
+}
+
+/// `merge_all`'s peak live bytes over `merge_identity.rs`'s P = 1024 job,
+/// pinned within `MERGE_PEAK_SLACK` of this value. The merge holds its
+/// growing tree and the key tables of one vertex at a time; a table kept per
+/// list for the whole merge, or a second copy of the tree, moves it.
+const MERGE_PEAK_BYTES: i64 = 862_824;
+/// 1%: allocation sizes are deterministic, but `Vec`'s growth policy belongs
+/// to the standard library, not to this repository.
+const MERGE_PEAK_SLACK: f64 = 0.01;
+
+#[test]
+fn merge_all_peak_live_bytes_stay_pinned() {
+    let ctts = merge_job::job(1024);
+    let (merged, peak) = peak_live(|| merge_all(&ctts));
+    assert_eq!(merged.nprocs, 1024);
+    let off = (peak - MERGE_PEAK_BYTES).abs() as f64 / MERGE_PEAK_BYTES as f64;
+    assert!(
+        off <= MERGE_PEAK_SLACK,
+        "merge_all held {peak} B at its peak, pinned at {MERGE_PEAK_BYTES} B"
+    );
 }

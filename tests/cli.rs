@@ -502,6 +502,52 @@ fn bad_input_fails_cleanly() {
         assert!(stderr.contains("the job's CST 2"), "{argv:?}: {stderr}");
     }
 
+    // The same rank sections stored out of order, and with rank 0 stored in
+    // rank 1's place: `inspect` opens them as `query` does. The swapped job
+    // reports the in-order counts and answers alike; the repeated rank is
+    // refused with exit 1, naming both sections, never a merge panic.
+    let (nprocs, in_order) = sections(&ring_cytc);
+    let ranks: Vec<usize> = (0..in_order.len())
+        .filter(|&i| in_order[i].0 == cypress::trace::SectionKind::RankCtt)
+        .collect();
+    let mut swapped = in_order.clone();
+    swapped.swap(ranks[0], ranks[1]);
+    let mut repeated = in_order.clone();
+    repeated[ranks[1]] = in_order[ranks[0]].clone();
+    let (swapped_cytc, repeated_cytc) = (dir.join("swapped.cytc"), dir.join("repeated.cytc"));
+    write_sections(&swapped_cytc, nprocs, &swapped);
+    write_sections(&repeated_cytc, nprocs, &repeated);
+    let stdout = |argv: &[&std::path::Path]| {
+        let out = cypress().args(argv).output().expect("run");
+        assert!(out.status.success(), "{argv:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let counts = |path: &std::path::Path| {
+        let text = stdout(&["inspect".as_ref(), path]);
+        let line = text.lines().find(|l| l.starts_with("merged CTT")).unwrap();
+        line.to_string()
+    };
+    assert_eq!(counts(&swapped_cytc), counts(&ring_cytc));
+    let query = |path: &std::path::Path| stdout(&["query".as_ref(), path]);
+    assert_eq!(
+        query(&swapped_cytc).replace("swapped.cytc", "ring.cytc"),
+        query(&ring_cytc)
+    );
+    for cmd in ["inspect", "query"] {
+        let out = cypress()
+            .arg(cmd)
+            .arg(&repeated_cytc)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        let both = format!(
+            "sections [{}] and [{}] both hold rank 0",
+            ranks[0], ranks[1]
+        );
+        assert!(stderr.contains(&both), "{cmd}: {stderr}");
+    }
+
     // A numeric flag whose value does not parse: exit 1 naming the flag,
     // before anything is read, bound or connected. The listen socket's
     // directory does not exist, so a value that slipped through would fail
@@ -574,37 +620,49 @@ fn bad_input_fails_cleanly() {
     assert!(!container.exists());
 }
 
-/// Write to `out` the container of `cst_from`'s CST and `trees_from`'s rank
-/// sections.
-fn splice_cst(cst_from: &std::path::Path, trees_from: &std::path::Path, out: &std::path::Path) {
-    use cypress::trace::{
-        assemble, encode_payload, Container, PayloadArena, SectionKind, SectionTable,
-    };
-    let sections = |path: &std::path::Path| {
-        let image = fs::read(path).expect("read container");
-        let table = SectionTable::parse(&image).expect("container parses");
-        let arena = PayloadArena::new(table.len());
-        let nprocs = table.nprocs;
-        let all = (0..table.len())
-            .map(|i| {
-                let info = &table.sections()[i];
-                let payload = arena.payload(&image, info, i).expect("payload");
-                (info.kind, info.rank, payload.to_vec())
-            })
-            .collect::<Vec<_>>();
-        (nprocs, all)
-    };
-    let (nprocs, cst) = sections(cst_from);
-    let (_, trees) = sections(trees_from);
-    let encoded: Vec<_> = cst
+/// Each section's `(kind, rank, payload)`.
+type Sections = Vec<(cypress::trace::SectionKind, Option<u32>, Vec<u8>)>;
+
+/// A container's job size and sections, payloads inflated.
+fn sections(path: &std::path::Path) -> (u32, Sections) {
+    use cypress::trace::{PayloadArena, SectionTable};
+    let image = fs::read(path).expect("read container");
+    let table = SectionTable::parse(&image).expect("container parses");
+    let arena = PayloadArena::new(table.len());
+    let all = (0..table.len())
+        .map(|i| {
+            let info = &table.sections()[i];
+            let payload = arena.payload(&image, info, i).expect("payload");
+            (info.kind, info.rank, payload.to_vec())
+        })
+        .collect();
+    (table.nprocs, all)
+}
+
+/// Write `sections` as a container, raw, every frame sealed with its CRC.
+fn write_sections(out: &std::path::Path, nprocs: u32, sections: &Sections) {
+    use cypress::trace::{assemble, encode_payload, Container};
+    let encoded: Vec<_> = sections
         .iter()
-        .filter(|(kind, ..)| *kind == SectionKind::CstText)
-        .chain(
-            trees
-                .iter()
-                .filter(|(kind, ..)| *kind == SectionKind::RankCtt),
-        )
         .map(|(kind, rank, payload)| encode_payload(*kind, *rank, payload, None))
         .collect();
     Container::write_image(out, &assemble(nprocs, &encoded)).expect("write container");
+}
+
+/// Write to `out` the container of `cst_from`'s CST and `trees_from`'s rank
+/// sections.
+fn splice_cst(cst_from: &std::path::Path, trees_from: &std::path::Path, out: &std::path::Path) {
+    use cypress::trace::SectionKind;
+    let (nprocs, cst) = sections(cst_from);
+    let (_, trees) = sections(trees_from);
+    let spliced: Sections = cst
+        .into_iter()
+        .filter(|(kind, ..)| *kind == SectionKind::CstText)
+        .chain(
+            trees
+                .into_iter()
+                .filter(|(kind, ..)| *kind == SectionKind::RankCtt),
+        )
+        .collect();
+    write_sections(out, nprocs, &spliced);
 }
