@@ -63,6 +63,9 @@ pub struct ScalaCompressor {
     elems: Vec<Elem>,
     /// Total events consumed (for accounting).
     pub events_in: u64,
+    /// Window comparisons run: the run-length test against the previous
+    /// event, and every tail length each fold tries.
+    pub comparisons: u64,
 }
 
 impl ScalaCompressor {
@@ -71,6 +74,7 @@ impl ScalaCompressor {
             rank: rank as i64,
             elems: Vec::new(),
             events_in: 0,
+            comparisons: 0,
         }
     }
 
@@ -80,6 +84,7 @@ impl ScalaCompressor {
         let key = EncParams::encode(self.rank, rec.op, &rec.params);
         // 1. Run-length with the immediately preceding event.
         if let Some(Elem::Ev { key: k, count }) = self.elems.last_mut() {
+            self.comparisons += 1;
             if *k == key {
                 *count += 1;
                 self.try_fold();
@@ -104,6 +109,7 @@ impl ScalaCompressor {
                 if n < k + 1 {
                     break;
                 }
+                self.comparisons += 1;
                 let tail = &self.elems[n - k..];
                 if let Elem::Rsd { body, .. } = &self.elems[n - k - 1] {
                     if body.len() == k && body.as_slice() == tail {
@@ -120,6 +126,7 @@ impl ScalaCompressor {
             if !folded {
                 // Try fresh fold: X ++ X.
                 'k2: for k in 1..=MAX_WINDOW.min(n / 2) {
+                    self.comparisons += 1;
                     let (a, b) = (&self.elems[n - 2 * k..n - k], &self.elems[n - k..]);
                     if a == b {
                         let body: Vec<Elem> = self.elems[n - k..].to_vec();

@@ -51,6 +51,9 @@ static COMPRESS_NS: Histogram = Histogram::new("compressor", "compress_ns", &TIM
 /// Per-compressor event tallies behind the `compressor` counters.
 #[derive(Default)]
 struct Tally {
+    /// Record comparisons: the compare-with-last test and each record the
+    /// window scan tries.
+    compares: u64,
     fold_hits: u64,
     fold_misses: u64,
     wildcard_cached: u64,
@@ -275,6 +278,7 @@ impl<'a> IntraCompressor<'a> {
         if self.cfg.window <= 1 {
             if let VertexData::Leaf { records } = &mut self.data[v] {
                 if let Some(r) = records.last_mut() {
+                    self.tally.compares += 1;
                     if r.params
                         .matches_raw(self.rank, rec.op, &rec.params, self.cfg.relative_ranks)
                     {
@@ -317,7 +321,12 @@ impl<'a> IntraCompressor<'a> {
         };
         let n = records.len();
         let lo = n.saturating_sub(window);
-        if let Some(r) = records[lo..n].iter_mut().rev().find(|r| r.matches(&params)) {
+        // The scan runs from the newest record back: a hit at `i` tested
+        // the `n - lo - i` records from it to the end.
+        let hit = records[lo..n].iter().rposition(|r| r.matches(&params));
+        self.tally.compares += (n - lo - hit.unwrap_or(0)) as u64;
+        if let Some(i) = hit {
+            let r = &mut records[lo + i];
             r.count += 1;
             r.time.add(dur);
             r.gap.add(gap);
@@ -379,6 +388,13 @@ impl<'a> IntraCompressor<'a> {
             app_time,
             data: self.data,
         }
+    }
+
+    /// Record comparisons run so far: one compare-with-last test per event
+    /// whose leaf holds a record, plus each record a window scan tries (the
+    /// Fig. 16 work count; a clock-free stand-in for compression time).
+    pub fn compares(&self) -> u64 {
+        self.tally.compares
     }
 
     /// Live memory footprint of the compressor state (Fig. 16 metric), in

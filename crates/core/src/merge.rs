@@ -967,10 +967,28 @@ fn control_key(d: VertexRef<'_>) -> u32 {
     h.finish() as u32
 }
 
+/// The maximal aligned buddy blocks that tile ranks `[first, end)`, in
+/// ascending order, as `(start, len)`: each is the largest power-of-two
+/// block aligned at its start that ends by `end`. A contiguous shard of a
+/// job folds into exactly these blocks on the job's buddy tree.
+pub fn buddy_pieces(first: u32, end: u32) -> impl Iterator<Item = (u32, u32)> {
+    let mut start = first;
+    std::iter::from_fn(move || {
+        (start < end).then(|| {
+            let len = 1 << start.trailing_zeros().min((end - start).ilog2());
+            start += len;
+            (start - len, len)
+        })
+    })
+}
+
 /// Incremental binomial reduction over per-rank CTTs arriving in **any
 /// order** — the event-driven form of the paper's `MPI_Finalize` merge
-/// schedule, used by the network collector to reduce rank CTTs as they
-/// complete instead of barriering for the full set.
+/// schedule, used by the network collector's root to reduce rank CTTs as
+/// they complete instead of barriering for the full set. A relay, which
+/// holds its shard and merges it once, enters whole runs of ranks through
+/// [`add_run`](Self::add_run) instead: one linear merge per buddy piece
+/// rather than `log2` of the piece's size pairwise merges per rank.
 ///
 /// Blocks of merged ranks live on the fixed *buddy tree* over rank indices:
 /// a block covering `[start, start+len)` (with `len` a power of two and
@@ -1023,12 +1041,10 @@ impl BinomialMerger {
             "rank {rank} out of range for {} procs",
             self.nprocs
         );
-        let (w, bit) = (rank as usize / 64, 1u64 << (rank % 64));
-        if self.seen[w] & bit != 0 {
+        if self.has_rank(rank) {
             return false;
         }
-        self.seen[w] |= bit;
-        self.received += 1;
+        self.mark(rank, rank + 1);
 
         let _t = cypress_obs::trace_span("merge", "binomial_add").arg(rank as u64);
         // An odd rank whose lower buddy is resident alone joins it directly;
@@ -1050,7 +1066,8 @@ impl BinomialMerger {
     /// Climb the buddy tree from an aligned block `[start, start+len)`:
     /// blocks are always power-of-two sized and len-aligned, so
     /// `start % (2·len)` is 0 (we are the lower sibling) or `len` (we are
-    /// the upper sibling). Shared by [`add`](Self::add) (len 1 or 2) and
+    /// the upper sibling). Shared by [`add`](Self::add) (len 1 or 2),
+    /// [`add_run`](Self::add_run) (a run's pieces) and
     /// [`add_block`](Self::add_block) (relay-forwarded partial merges).
     fn fold_block(&mut self, mut start: u32, mut len: u32, mut cur: MergedCtt) {
         loop {
@@ -1111,7 +1128,7 @@ impl BinomialMerger {
             ));
         }
         let end = end as u32;
-        let seen: u32 = (first..end).map(|r| self.has_rank(r) as u32).sum();
+        let seen = self.seen_in(first, end);
         if seen == count {
             return Ok(false);
         }
@@ -1120,13 +1137,82 @@ impl BinomialMerger {
                 "block [{first}, {end}) partially overlaps {seen} already-merged ranks"
             ));
         }
-        for r in first..end {
-            self.seen[r as usize / 64] |= 1u64 << (r % 64);
-        }
-        self.received += count;
+        self.mark(first, end);
         let _t = cypress_obs::trace_span("merge", "binomial_add_block").arg(first as u64);
         self.fold_block(first, count, block);
         Ok(true)
+    }
+
+    /// Offer a run of consecutive ranks in ascending order, none of them
+    /// merged yet: what a relay holds between the blocks it was sent. The
+    /// run splits into its maximal aligned buddy pieces ([`buddy_pieces`]).
+    /// Each piece is merged vertex by vertex ([`merge_all`], linear in its
+    /// records) and entered as [`add_block`](Self::add_block) enters a
+    /// forwarded block. `merge_all` over a piece is the block that adding
+    /// its ranks one by one builds, so the bytes are [`add`](Self::add)'s.
+    ///
+    /// `Err` naming the run's range, with the merger unchanged, when the
+    /// run is not consecutive ranks in ascending order, belongs to another
+    /// job size, or overlaps a rank or block already merged. An empty run
+    /// adds nothing.
+    pub fn add_run<S: CttSource>(&mut self, run: &[S]) -> Result<(), String> {
+        let Some(head) = run.first() else {
+            return Ok(());
+        };
+        let first = head.rank();
+        // Ranks come from the caller's trees: the run's end must not wrap.
+        let end = first as u64 + run.len() as u64;
+        let out_of_order = run
+            .iter()
+            .enumerate()
+            .find(|(i, c)| c.rank() as u64 != first as u64 + *i as u64);
+        if let Some((i, c)) = out_of_order {
+            return Err(format!(
+                "run [{first}, {end}) is not consecutive ranks in order: rank {} at position {i}",
+                c.rank()
+            ));
+        }
+        if let Some(c) = run.iter().find(|c| c.nprocs() != self.nprocs) {
+            return Err(format!(
+                "run [{first}, {end}): rank {} is of a {}-rank job, the merger's has {}",
+                c.rank(),
+                c.nprocs(),
+                self.nprocs
+            ));
+        }
+        if end > self.nprocs as u64 {
+            return Err(format!(
+                "run [{first}, {end}) exceeds job size {}",
+                self.nprocs
+            ));
+        }
+        let end = end as u32;
+        let seen = self.seen_in(first, end);
+        if seen != 0 {
+            return Err(format!(
+                "run [{first}, {end}) overlaps {seen} already-merged ranks"
+            ));
+        }
+        let _t = cypress_obs::trace_span("merge", "binomial_add_run").arg(first as u64);
+        for (start, len) in buddy_pieces(first, end) {
+            let piece = &run[(start - first) as usize..][..len as usize];
+            self.mark(start, start + len);
+            self.fold_block(start, len, merge_all(piece));
+        }
+        Ok(())
+    }
+
+    /// How many of ranks `[first, end)` are merged.
+    fn seen_in(&self, first: u32, end: u32) -> u32 {
+        (first..end).map(|r| self.has_rank(r) as u32).sum()
+    }
+
+    /// Count ranks `[first, end)`, none of them merged before, as merged.
+    fn mark(&mut self, first: u32, end: u32) {
+        for r in first..end {
+            self.seen[r as usize / 64] |= 1u64 << (r % 64);
+        }
+        self.received += end - first;
     }
 
     /// Consume the merger, yielding its resident blocks in ascending start

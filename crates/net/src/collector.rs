@@ -3,8 +3,9 @@
 //! One [`Collector`] gathers a whole job: it accepts many concurrent
 //! clients (TCP or Unix sockets), feeds each stream-mode client into its
 //! own [`CompressSession`] so raw events never accumulate server-side, and
-//! reduces finished rank CTTs through a [`BinomialMerger`] **as they
-//! arrive** — no barrier on the full rank set.
+//! takes in finished rank CTTs **as they arrive**: the root reduces each
+//! through a [`BinomialMerger`] at once, with no barrier on the full rank
+//! set, and a relay holds its shard and merges it once it is complete.
 //!
 //! Sockets, buffers and wake-ups belong to [`crate::server`]; this module
 //! is the collection [`Handler`] on it — a per-connection state machine
@@ -20,8 +21,12 @@
 //! - **Root** (plain `serve`): completes when all `nprocs` ranks are
 //!   merged, yields the [`CollectedJob`].
 //! - **Relay** (`serve --tree`, started by [`crate::tree::spawn_tree`]):
-//!   accepts only a contiguous rank shard, merges it with a *global-sized*
-//!   [`BinomialMerger`], then forwards its resident buddy blocks upstream
+//!   accepts only a contiguous rank shard. It checks each rank as the root
+//!   does, holds its slab and acknowledges it at once; no merge runs on the
+//!   ack path. Once the shard is complete it folds every run of held ranks
+//!   into a *global-sized* [`BinomialMerger`] with
+//!   [`BinomialMerger::add_run`], one vertex-by-vertex `merge_all` per
+//!   aligned buddy piece, then forwards the merger's buddy blocks upstream
 //!   as raw `MergedBlock` frames. Because a global-sized merger's blocks are
 //!   aligned on the global association tree, the root absorbing them is
 //!   byte-identical to a local `merge_all` — relaying never perturbs the
@@ -31,8 +36,9 @@
 //! mid-stream loses only its own partial session — the collector discards
 //! it and the retried client re-streams from scratch. A rank submitted
 //! twice (a retry whose first attempt actually landed) is acknowledged and
-//! discarded; [`BinomialMerger`] is first-completion-wins, so a
-//! killed-and-retried client can never corrupt the merged job. A relay
+//! discarded; the merge and a relay's held shard are
+//! first-completion-wins, so a killed-and-retried client can never corrupt
+//! the merged job. A relay
 //! retry re-forwarding blocks that already landed is absorbed the same way
 //! (duplicate blocks are no-ops). A dead relay surfaces as a deadline
 //! failure at the root naming the shard's missing ranks — loud, never a
@@ -45,8 +51,8 @@ use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
-    check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, CttSource, MergedCtt,
-    SessionConfig, SessionStats,
+    buddy_pieces, check_shape, BinomialMerger, CompressConfig, CompressSession, Ctt, CttSlab,
+    MergedCtt, SessionConfig, SessionStats,
 };
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
@@ -90,7 +96,9 @@ pub struct CollectedJob {
     /// verbatim into containers).
     pub cst_text: String,
     /// The binomial-merged whole-job tree — byte-identical to a local
-    /// `merge_all` over the same rank CTTs.
+    /// `merge_all` over the same rank CTTs. Read it through
+    /// [`merged`](Self::merged); the field stays public while
+    /// `benchmark/` reads it directly.
     pub merged: MergedCtt,
     /// Per-rank CTT bytes `(rank, bytes)` in rank order, as a `RankCtt`
     /// section stores them: what a ctt-mode client sent, or the
@@ -106,6 +114,13 @@ pub struct CollectedJob {
     pub raw_mpi_bytes: u64,
 }
 
+impl CollectedJob {
+    /// The whole job's merged tree.
+    pub fn merged(&self) -> &MergedCtt {
+        &self.merged
+    }
+}
+
 /// The job, fixed by the first valid `Hello`: its CST, size and merge.
 /// Later clients must match it exactly (CRC over the canonical CST text).
 struct Job {
@@ -119,6 +134,9 @@ struct Job {
 /// The incremental merge and the job's accounting.
 struct Merge {
     merger: BinomialMerger,
+    /// A relay's checked ranks, kept until its shard is complete
+    /// (`run_relay` merges them then). Always empty at the root.
+    held: BTreeMap<u32, CttSlab>,
     rank_ctts: Vec<(u32, Vec<u8>)>,
     total_events: u64,
     raw_mpi_bytes: u64,
@@ -126,6 +144,18 @@ struct Merge {
     /// live [`Stats`] snapshot. Rank-keyed: a retry of a merged rank never
     /// regresses its state.
     clients: BTreeMap<u32, (ClientState, u64)>,
+}
+
+impl Merge {
+    /// Whether this rank is merged, held, or covered by a block.
+    fn has_rank(&self, rank: u32) -> bool {
+        self.merger.has_rank(rank) || self.held.contains_key(&rank)
+    }
+
+    /// Ranks merged or held: what `FinAck`, the stats and completion count.
+    fn received(&self) -> u32 {
+        self.merger.received() + self.held.len() as u32
+    }
 }
 
 impl Job {
@@ -176,7 +206,8 @@ impl Role {
 /// Events per `Events` frame (client batch sizes as received).
 static BATCH_EVENTS: Histogram =
     Histogram::new("collector", "batch_events", &[1, 8, 64, 512, 4096, 32768]);
-/// Wall time of one binomial merge step (`BinomialMerger::add`).
+/// Wall time of one merge step at the root (`BinomialMerger::add` or
+/// `add_block`); a relay's ranks take none.
 static MERGE_STEP_NS: Histogram = Histogram::new("collector", "merge_step_ns", &TIME_BOUNDS_NS);
 
 /// Everything the handler needs, cheap to copy into each event loop.
@@ -280,10 +311,12 @@ impl<'a> Handler for Shared<'a> {
     fn on_deadline(&self) {
         let missing = match (self.state.job.get(), self.role) {
             (Some(job), role) => {
-                let mut v = job.lock().merger.missing_ranks();
-                if let Role::Relay { first, last, .. } = role {
-                    v.retain(|r| *r >= first && *r < last);
-                }
+                let (first, last) = match role {
+                    Role::Root => (0, job.nprocs),
+                    Role::Relay { first, last, .. } => (first, last),
+                };
+                let m = job.lock();
+                let v: Vec<u32> = (first..last).filter(|&r| !m.has_rank(r)).collect();
                 format!("{v:?}")
             }
             // No client ever connected, but a relay still
@@ -344,9 +377,10 @@ impl Collector {
     }
 
     /// Serve as a mid-tier relay: collect ranks `[first, last)` of an
-    /// `nprocs`-rank job, then forward the shard's merged buddy blocks to
-    /// `upstream` with `client`'s retry policy. Per-rank CTT retention is a
-    /// root-only concern and is off here.
+    /// `nprocs`-rank job, holding each rank's slab, then merge every run of
+    /// held ranks and forward the shard's buddy blocks to `upstream` with
+    /// `client`'s retry policy. Per-rank CTT retention is a root-only
+    /// concern and is off here.
     pub(crate) fn run_relay(
         self,
         (first, last): (u32, u32),
@@ -368,7 +402,23 @@ impl Collector {
         // Free the shard's endpoint before the (possibly retried) upstream
         // submission; nothing else will connect here.
         drop(self);
-        let m = job.merge.into_inner().unwrap();
+        let mut m = job.merge.into_inner().unwrap();
+        // Fold each maximal run of held ranks one buddy piece at a time, so
+        // a piece's slabs are dropped as soon as it is merged.
+        while let Some(run_first) = m.held.keys().next().copied() {
+            let run_len = m
+                .held
+                .keys()
+                .zip(run_first..)
+                .take_while(|(r, want)| **r == *want);
+            let run_end = run_first + run_len.count() as u32;
+            for (start, len) in buddy_pieces(run_first, run_end) {
+                let rest = m.held.split_off(&(start + len));
+                let piece: Vec<CttSlab> =
+                    std::mem::replace(&mut m.held, rest).into_values().collect();
+                m.merger.add_run(&piece).map_err(NetError::Collect)?;
+            }
+        }
         let blocks = m.merger.into_blocks();
         let mut uploads = Vec::with_capacity(blocks.len());
         for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
@@ -419,7 +469,7 @@ fn run_core(listener: &Listener, cfg: &CollectorConfig, role: Role) -> Result<Jo
     server.run(&sh, listener)?;
     let fatal = state.fatal.into_inner().unwrap();
     match state.job.into_inner() {
-        Some(job) if job.lock().merger.received() == role.expected(job.nprocs) => Ok(job),
+        Some(job) if job.lock().received() == role.expected(job.nprocs) => Ok(job),
         _ => Err(NetError::Collect(
             fatal.unwrap_or_else(|| "stopped with ranks missing".into()),
         )),
@@ -500,8 +550,11 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
             }
             let (ctt, stats) = session.finish(app_time);
             let bytes = sh.cfg.keep_rank_ctts.then(|| ctt.to_bytes());
-            merge_in(sh, job, out, &ctt, bytes, stats);
-            Ok(ConnState::Done)
+            let st = ConnState::AwaitCtt { job, rank };
+            done_or(
+                st,
+                merge_in(sh, job, out, Finished::Built(ctt), bytes, stats),
+            )
         }
         (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCtt { bytes }) => {
             done_or(st, on_ctt_bytes(sh, job, rank, out, bytes))
@@ -522,7 +575,7 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
                 let msg = format!("relay sent {event_count} blocks, collector saw {nblocks}");
                 return Err((st, (codes::PROTOCOL, msg)));
             }
-            let ranks_done = job.lock().merger.received();
+            let ranks_done = job.lock().received();
             out.send(&Frame::FinAck { ranks_done });
             out.close();
             Ok(ConnState::Done)
@@ -587,6 +640,7 @@ fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnSt
                 cst,
                 merge: Mutex::new(Merge {
                     merger: BinomialMerger::new(nprocs),
+                    held: BTreeMap::new(),
                     rank_ctts: Vec::new(),
                     total_events: 0,
                     raw_mpi_bytes: 0,
@@ -606,7 +660,7 @@ fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnSt
 
     // A relay's Hello rank only identifies the shard; duplicate blocks are
     // per-frame no-ops, so there is no whole-session short-circuit.
-    let already_done = hello.mode != SubmitMode::Blocks && job.lock().merger.has_rank(rank);
+    let already_done = hello.mode != SubmitMode::Blocks && job.lock().has_rank(rank);
     out.send(&Frame::HelloAck {
         version: PROTO_VERSION,
         already_done,
@@ -668,8 +722,7 @@ fn on_ctt_bytes(
         ..SessionStats::default()
     };
     let keep = sh.cfg.keep_rank_ctts.then_some(bytes);
-    merge_in(sh, job, out, &slab, keep, stats);
-    Ok(())
+    merge_in(sh, job, out, Finished::Slab(slab), keep, stats)
 }
 
 /// Absorb one relay-forwarded buddy block into the merge.
@@ -691,6 +744,25 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
         }
     }
     let mut m = job.lock();
+    // A relay's held ranks are not in its merger yet: a block naming only
+    // ranks it knows is a retry, one naming some of them is corrupt, as
+    // `add_block` rules for merged ranks.
+    let held = m
+        .held
+        .range(first_rank..)
+        .take_while(|(r, _)| (**r as u64) < end);
+    let held = held.count() as u64;
+    if held > 0 {
+        let merged = (first_rank..end as u32).filter(|&r| m.merger.has_rank(r));
+        let known = held + merged.count() as u64;
+        if known == nranks as u64 {
+            return Ok(());
+        }
+        let msg = format!(
+            "bad merged block: block [{first_rank}, {end}) partially overlaps {known} already-merged ranks"
+        );
+        return Err((codes::PROTOCOL, msg));
+    }
     let t0 = Instant::now();
     let res = m.merger.add_block(first_rank, nranks, merged);
     MERGE_STEP_NS.record_since(t0);
@@ -715,7 +787,7 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
 /// Report the ranks merged so far; when that is every rank this collector
 /// expects, the collection is complete and the loops stop.
 fn note_merged(sh: Shared<'_>, job: &Job, m: MutexGuard<'_, Merge>) -> u32 {
-    let received = m.merger.received();
+    let received = m.received();
     drop(m);
     obs::RANKS_MERGED.set_max(received as i64);
     if received == sh.role.expected(job.nprocs) {
@@ -724,22 +796,50 @@ fn note_merged(sh: Shared<'_>, job: &Job, m: MutexGuard<'_, Merge>) -> u32 {
     received
 }
 
-/// Fold one finished rank CTT into the incremental binomial merge and
-/// acknowledge it, keeping its `bytes` when there are any to keep.
-/// First-completion-wins: duplicates are acknowledged but discarded.
-fn merge_in<S: CttSource>(
+/// A finished rank CTT: a ctt-mode rank's slab, or the tree a stream-mode
+/// session built.
+enum Finished {
+    Slab(CttSlab),
+    Built(Ctt),
+}
+
+/// Take one finished rank CTT into the job and acknowledge it, keeping its
+/// `bytes` when there are any to keep. The root folds it into the
+/// incremental binomial merge; a relay holds it as a slab (a built tree as
+/// the slab of its bytes, the form a ctt-mode rank arrives in), so its
+/// acknowledgement waits on no merge. First-completion-wins: duplicates are
+/// acknowledged but discarded.
+fn merge_in(
     sh: Shared<'_>,
     job: &Job,
     out: &mut Outbox,
-    ctt: &S,
+    tree: Finished,
     bytes: Option<Vec<u8>>,
     stats: SessionStats,
-) {
-    let rank = ctt.rank();
+) -> Result<(), Reject> {
+    let relay = matches!(sh.role, Role::Relay { .. });
+    let tree = match tree {
+        Finished::Built(ctt) if relay => {
+            let slab = CttSlab::from_bytes(&ctt.to_bytes());
+            Finished::Slab(slab.map_err(|e| (codes::INTERNAL, format!("session tree: {e}")))?)
+        }
+        tree => tree,
+    };
+    let rank = match &tree {
+        Finished::Slab(slab) => slab.rank,
+        Finished::Built(ctt) => ctt.rank,
+    };
     let mut m = job.lock();
     let t0 = Instant::now();
-    let newly_merged = m.merger.add(ctt);
-    MERGE_STEP_NS.record_since(t0);
+    let newly_merged = match tree {
+        Finished::Slab(_) if relay && m.has_rank(rank) => false,
+        Finished::Slab(slab) if relay => m.held.insert(rank, slab).is_none(),
+        Finished::Slab(slab) => m.merger.add(&slab),
+        Finished::Built(ctt) => m.merger.add(&ctt),
+    };
+    if !relay {
+        MERGE_STEP_NS.record_since(t0);
+    }
     if newly_merged {
         let entry = m.clients.entry(rank).or_insert((ClientState::Merged, 0));
         entry.0 = ClientState::Merged;
@@ -756,6 +856,7 @@ fn merge_in<S: CttSource>(
     let ranks_done = note_merged(sh, job, m);
     out.send(&Frame::FinAck { ranks_done });
     out.close();
+    Ok(())
 }
 
 /// Snapshot the running collection into a wire-ready [`Stats`].
@@ -797,7 +898,7 @@ fn build_stats(state: &State) -> Stats {
         .total_events
         .max(m.clients.values().map(|&(_, ev)| ev).sum());
     stats.nprocs = job.nprocs;
-    stats.ranks_done = m.merger.received();
+    stats.ranks_done = m.received();
     stats.merge_depth = m.merger.max_depth();
     stats.resident_blocks = m.merger.pending_blocks() as u32;
     stats.events_total = events_total;
@@ -1038,6 +1139,241 @@ mod tests {
         }
         assert_eq!(merger.finish().to_bytes(), want);
         assert_eq!(events, local.iter().map(|c| c.op_count()).sum::<u64>());
+    }
+
+    /// A relay for ranks `[first, last)` of an `nprocs`-rank job, with a
+    /// hand-rolled upstream that captures what the relay forwards: the
+    /// relay's address, its thread, and the upstream's.
+    #[allow(clippy::type_complexity)]
+    fn relay_in_background(
+        shard: (u32, u32),
+        nprocs: u32,
+    ) -> (
+        Addr,
+        std::thread::JoinHandle<Result<(), NetError>>,
+        std::thread::JoinHandle<(Hello, Vec<Frame>)>,
+    ) {
+        let l = Listener::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let upstream = l.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            capture_submission(l, |f| matches!(f, Frame::Finish { .. }))
+        });
+        let relay = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let addr = relay.local_addr().unwrap();
+        let cfg = CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        };
+        let handle = std::thread::spawn(move || {
+            relay.run_relay(shard, nprocs, &upstream, &ClientConfig::default(), &cfg)
+        });
+        (addr, handle, peer)
+    }
+
+    /// The blocks a relay forwarded, as `(first_rank, nranks, events,
+    /// bytes)`, once its `Finish` has been checked against their count.
+    fn forwarded_blocks(mut frames: Vec<Frame>) -> Vec<(u32, u32, u64, Vec<u8>)> {
+        let Some(Frame::Finish { event_count, .. }) = frames.pop() else {
+            unreachable!()
+        };
+        assert_eq!(event_count, frames.len() as u64);
+        frames
+            .into_iter()
+            .map(|f| match f {
+                Frame::MergedBlock(b) => (b.first_rank, b.nranks, b.events, b.bytes),
+                f => panic!("expected MergedBlock, got {}", f.name()),
+            })
+            .collect()
+    }
+
+    /// The one buddy block a merger builds from `ctts`, rank by rank.
+    fn one_block(ctts: &[Ctt], nprocs: u32) -> MergedCtt {
+        let mut bm = BinomialMerger::new(nprocs);
+        for c in ctts {
+            assert!(bm.add(c));
+        }
+        let mut blocks = bm.into_blocks();
+        assert_eq!(blocks.len(), 1);
+        blocks.pop().unwrap().2
+    }
+
+    /// A relay acknowledges each rank once it is checked and held: the
+    /// `FinAck` comes back while the shard is incomplete and counts the
+    /// held ranks, and nothing is merged yet. A repeat of a held rank, in
+    /// either mode, is `already_done`. The complete shard still forwards
+    /// blocks that re-merge to the local `merge_all`.
+    #[test]
+    fn relay_acks_held_ranks_before_its_shard_is_complete() {
+        let nprocs = 4;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&local).to_bytes();
+        let (addr, relay, peer) = relay_in_background((0, nprocs), nprocs);
+        let cfg = ClientConfig::default();
+        for (held, r) in [2usize, 0].into_iter().enumerate() {
+            let out = submit_ctt(&addr, &cfg, &local[r], &cst_text).unwrap();
+            assert!(!out.already_done, "rank {r}");
+            assert_eq!(out.ranks_done, held as u32 + 1, "rank {r}");
+        }
+        let s = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
+        assert_eq!((s.nprocs, s.ranks_done), (nprocs, 2));
+        // Held, not merged: the relay's merger has no block yet.
+        assert_eq!((s.resident_blocks, s.merge_depth), (0, 0));
+        let states: Vec<_> = s.clients.iter().map(|c| (c.rank, c.state)).collect();
+        assert_eq!(states, [(0, ClientState::Merged), (2, ClientState::Merged)]);
+        let stream = |t: &RawTrace| {
+            submit_stream(&addr, &cfg, t.rank, t.nprocs, &cst_text, |sink| {
+                for ev in &t.events {
+                    sink.event(ev.clone());
+                }
+                Ok(t.app_time)
+            })
+            .unwrap()
+        };
+        let repeats = [
+            submit_ctt(&addr, &cfg, &local[2], &cst_text).unwrap(),
+            stream(&traces[2]),
+        ];
+        for out in repeats {
+            assert!(out.already_done, "{out:?}");
+            assert_eq!(out.events_sent, 0, "{out:?}");
+        }
+        // A stream-mode rank is held as the slab of its tree's bytes.
+        assert_eq!(stream(&traces[1]).ranks_done, 3);
+        assert_eq!(
+            submit_ctt(&addr, &cfg, &local[3], &cst_text)
+                .unwrap()
+                .ranks_done,
+            4
+        );
+        relay.join().unwrap().unwrap();
+        let (_, frames) = peer.join().unwrap();
+        let mut merger = BinomialMerger::new(nprocs);
+        for (first, count, _, bytes) in forwarded_blocks(frames) {
+            let block = MergedCtt::from_bytes(&bytes).unwrap();
+            assert!(merger.add_block(first, count, block).unwrap());
+        }
+        assert_eq!(merger.finish().to_bytes(), want);
+    }
+
+    /// A relay sent some ranks directly and a lower tier's block for others
+    /// forwards what a relay that merged each rank on arrival forwarded:
+    /// the same ranges, events and bytes. A block naming only held ranks
+    /// is a retry, one naming some of them a `PROTOCOL` refusal.
+    #[test]
+    fn relay_with_ranks_and_a_block_forwards_what_merging_each_rank_did() {
+        let nprocs = 8;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let ops = |ranks: std::ops::Range<usize>| local[ranks].iter().map(|c| c.op_count()).sum();
+        let block = |first: u32, nranks: u32| MergedBlock {
+            first_rank: first,
+            nranks,
+            events: ops(first as usize..(first + nranks) as usize),
+            raw_mpi_bytes: 0,
+            bytes: one_block(&local[first as usize..][..nranks as usize], nprocs).to_bytes(),
+        };
+        // Ranks [1, 8): rank 1 and ranks [4, 8) directly, [2, 4) as a block,
+        // each merged as it arrives.
+        let mut each = BinomialMerger::new(nprocs);
+        for r in [7usize, 1, 5, 6] {
+            assert!(each.add(&local[r]));
+        }
+        let lower = one_block(&local[2..4], nprocs);
+        assert_eq!(each.add_block(2, 2, lower), Ok(true));
+        assert!(each.add(&local[4]));
+        let want: Vec<_> = each
+            .into_blocks()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (first, count, part))| {
+                let events = if i == 0 { ops(1..8) } else { 0 };
+                (first, count, events, part.to_bytes())
+            })
+            .collect();
+        assert_eq!(want.len(), 3, "[1, 2), [2, 4) and [4, 8)");
+
+        let (addr, relay, peer) = relay_in_background((1, nprocs), nprocs);
+        let cfg = ClientConfig {
+            attempts: 1,
+            ..ClientConfig::default()
+        };
+        for r in [7usize, 1, 5, 6] {
+            submit_ctt(&addr, &cfg, &local[r], &cst_text).unwrap();
+        }
+        let blocks = |b: Vec<MergedBlock>| submit_merged_blocks(&addr, &cfg, nprocs, &cst_text, b);
+        // Every rank of [6, 8) is held: a retry, acknowledged and dropped.
+        assert_eq!(blocks(vec![block(6, 2)]).unwrap().ranks_done, 4);
+        match blocks(vec![block(4, 4)]).unwrap_err() {
+            NetError::Remote { code, message } => {
+                assert_eq!(code, codes::PROTOCOL, "{message}");
+                assert!(message.contains("[4, 8) partially overlaps 3"), "{message}");
+            }
+            e => panic!("expected a PROTOCOL refusal, got {e}"),
+        }
+        assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
+        // A retry of a merged block is a no-op as well.
+        assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
+        submit_ctt(&addr, &cfg, &local[4], &cst_text).unwrap();
+        relay.join().unwrap().unwrap();
+        let (hello, frames) = peer.join().unwrap();
+        assert_eq!(hello.mode, SubmitMode::Blocks);
+        assert_eq!(forwarded_blocks(frames), want);
+    }
+
+    /// A relay's deadline names the ranks of its shard that are neither
+    /// held nor covered by a block it was sent.
+    #[test]
+    fn relay_deadline_names_ranks_neither_held_nor_in_a_block() {
+        let nprocs = 8;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let relay = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+        let addr = relay.local_addr().unwrap();
+        let cfg = CollectorConfig {
+            deadline: Some(Duration::from_secs(1)),
+            ..CollectorConfig::default()
+        };
+        // Nothing listens upstream; the relay fails before it gets there.
+        let upstream = Addr::parse("127.0.0.1:1").unwrap();
+        let handle = std::thread::spawn(move || {
+            relay.run_relay(
+                (0, nprocs),
+                nprocs,
+                &upstream,
+                &ClientConfig::default(),
+                &cfg,
+            )
+        });
+        let client = ClientConfig::default();
+        for r in [2usize, 0] {
+            submit_ctt(&addr, &client, &local[r], &cst_text).unwrap();
+        }
+        let block = MergedBlock {
+            first_rank: 4,
+            nranks: 2,
+            events: 1,
+            raw_mpi_bytes: 0,
+            bytes: one_block(&local[4..6], nprocs).to_bytes(),
+        };
+        submit_merged_blocks(&addr, &client, nprocs, &cst_text, vec![block]).unwrap();
+        let msg = handle.join().unwrap().unwrap_err().to_string();
+        assert!(
+            msg.contains("deadline") && msg.contains("ranks missing: [1, 3, 6, 7]"),
+            "{msg}"
+        );
     }
 
     /// Frame code 8 once carried a compressed rank CTT. It is retired: a

@@ -192,7 +192,8 @@ pub enum Frame {
     /// End of stream: the rank's application time and the total number of
     /// events sent (the collector cross-checks its own count).
     Finish { app_time: u64, event_count: u64 },
-    /// The rank is merged; `ranks_done` of `nprocs` are in the tree.
+    /// The rank is held: merged at the root, kept for its shard's one merge
+    /// at a relay. `ranks_done` of `nprocs` are held there.
     FinAck { ranks_done: u32 },
     /// A finished per-rank CTT in codec bytes (ctt mode).
     RankCtt { bytes: Vec<u8> },

@@ -4,8 +4,11 @@
 //!
 //! Ranks are split into `relays` contiguous shards of (near-)equal size;
 //! each relay accepts its shard's clients on its own **leaf endpoint**,
-//! merges them with a global-sized [`cypress_core::BinomialMerger`], and
-//! forwards the resulting aligned buddy blocks to the root. Because every
+//! holds each checked rank and acknowledges it at once, merges the
+//! complete shard with a global-sized [`cypress_core::BinomialMerger`]
+//! (one `merge_all` per aligned buddy piece, through
+//! [`cypress_core::BinomialMerger::add_run`]), and forwards the resulting
+//! aligned buddy blocks to the root. Because every
 //! forwarded block sits exactly on the global buddy tree, the root's merged
 //! job is byte-identical to a flat collection — or a local `merge_all` —
 //! over the same ranks.

@@ -68,6 +68,14 @@ test ! -e crates/bench/benches
 ! grep -rnE 'CYPRESS_BENCH_FAST|CYPRESS_RESULTS_DIR' crates src scripts --exclude=check.sh || exit 1
 test -s tests/scaling_claims.rs
 
+echo "== no gate reads a clock: crates/bench tests hold counts, not wall-time shares =="
+# figures fig16 prints the time_frac_* shares; its test asserts compares per
+# event instead (a test region starts at a file's first test cfg; tests/ is all test).
+! find crates/bench -name '*.rs' -print0 | sort -z \
+  | xargs -0 awk 'FNR == 1 {t = FILENAME ~ /\/tests\//} /^ *#\[cfg\((.*[^a-z_])?test([^a-z_].*)?\)\]/ {t = 1}
+                  t && /time_frac_/ {print FILENAME ":" FNR ": " $0}' \
+  | grep . || exit 1
+
 echo "== one probe vocabulary: metrics are statics, one guard, no probe in a per-event body =="
 ! grep -rnE 'cypress_obs::scope\(|OnceLock<\(?[A-Za-z_:]*(Metrics|Obs|Hists|Counter)' crates src || exit 1
 test "$(grep -rn 'cypress_obs::enabled()' crates src | grep -vc '^crates/obs/')" -le 8
@@ -349,10 +357,15 @@ done
 for r in 5 3 4; do
   "$cypress_bin" submit "$smoke/stencil.mpi" --rank "$r" -n 6 --connect "unix:$tsock.r1" \
     || { echo "tree submit rank $r failed"; kill "$tree_pid" 2>/dev/null; exit 1; }
-  # A relay leaf answers stats on its client socket with its shard's progress.
+  # A relay leaf answers stats on its client socket with its shard's progress;
+  # a held rank counts, and resubmitting it is acknowledged and changes nothing.
   if [ "$r" = 3 ]; then
     "$cypress_bin" stats --connect "unix:$tsock.r1" | grep -q "2/6 ranks merged" \
       || { echo "relay leaf stats missing shard progress"; kill "$tree_pid" 2>/dev/null; exit 1; }
+    "$cypress_bin" submit "$smoke/stencil.mpi" --rank 3 -n 6 --connect "unix:$tsock.r1" \
+      || { echo "resubmitting held rank 3 failed"; kill "$tree_pid" 2>/dev/null; exit 1; }
+    "$cypress_bin" stats --connect "unix:$tsock.r1" | grep -q "2/6 ranks merged" \
+      || { echo "a resubmitted held rank moved the relay's count"; kill "$tree_pid" 2>/dev/null; exit 1; }
   fi
 done
 wait "$tree_pid" || { echo "serve --tree failed"; exit 1; }

@@ -977,14 +977,14 @@ fn cmd_serve(args: &[String]) -> CliResult {
         );
         collector.run(&cfg)?
     };
-    let merged_bytes = job.merged.to_bytes().len();
+    let merged_bytes = job.merged().to_bytes().len();
     write_collected_container_with(&job, &out, per_rank, level, threads)?;
     outln!(
         "collected {} ranks, {} MPI events; merged CTT {} B ({} rank groups)",
         job.nprocs,
         job.total_events,
         merged_bytes,
-        job.merged.group_count()
+        job.merged().group_count()
     )?;
     outln!("wrote {out}")?;
     Ok(())

@@ -41,7 +41,7 @@ pub fn write_collected_container_with(
     let sections = job_sections(
         &MetaInfo::new(job.nprocs, job.total_events, job.raw_mpi_bytes),
         &job.cst_text,
-        || &job.merged,
+        || job.merged(),
         rank_ctts
             .map(|(rank, bytes)| (*rank, Payload::Bytes(bytes.into())))
             .collect(),

@@ -13,8 +13,10 @@
 //!
 //! Three things are checked:
 //! - every merge path gives `merge_all`'s bytes: `BinomialMerger` fed in rank
-//!   order, in reverse and shuffled, and relays forwarding their blocks over
-//!   the wire form to a root;
+//!   order, in reverse and shuffled, relays forwarding their blocks over
+//!   the wire form to a root, and `add_run` over aligned, unaligned and
+//!   next-to-a-block runs beside single ranks and blocks (P = 7, 13, 64),
+//!   refusing a bad run without changing the merger;
 //! - the merged tree is the merge's definition: per vertex and slot, ranks
 //!   with equal data share exactly one group, groups are in order of their
 //!   lowest rank, and each group's timing is its members' timing;
@@ -222,4 +224,142 @@ fn merge_identity_at_a_ragged_size() {
 #[ignore = "P = 4096: run in release by scripts/check.sh"]
 fn merge_identity_at_4096() {
     identity_at(4096);
+}
+
+/// One step of a merge plan: a rank by `add`, a run by `add_run`, or a
+/// buddy block `[first, first + count)` built rank by rank elsewhere and
+/// entered by `add_block`.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Rank(u32),
+    Run(u32, u32),
+    Block(u32, u32),
+}
+
+/// The block a separate merger builds from ranks `[first, first + count)`.
+fn block(ctts: &[Ctt], first: u32, count: u32) -> MergedCtt {
+    let mut bm = BinomialMerger::new(ctts.len() as u32);
+    for c in &ctts[first as usize..][..count as usize] {
+        assert!(bm.add(c));
+    }
+    let mut blocks = bm.into_blocks();
+    assert_eq!(
+        blocks.len(),
+        1,
+        "[{first}, +{count}) is not one buddy block"
+    );
+    blocks.pop().unwrap().2
+}
+
+/// Follow `plan`, add every rank it left out one by one in reverse, and
+/// finish.
+fn planned(ctts: &[Ctt], plan: &[Step]) -> Vec<u8> {
+    let p = ctts.len() as u32;
+    let mut bm = BinomialMerger::new(p);
+    for &step in plan {
+        match step {
+            Step::Rank(r) => assert!(bm.add(&ctts[r as usize])),
+            Step::Run(first, end) => {
+                let run = &ctts[first as usize..end as usize];
+                assert_eq!(bm.add_run(run), Ok(()), "{step:?}");
+            }
+            Step::Block(first, count) => {
+                let b = block(ctts, first, count);
+                assert_eq!(bm.add_block(first, count, b), Ok(true), "{step:?}");
+            }
+        }
+    }
+    for r in bm.missing_ranks().into_iter().rev() {
+        assert!(bm.add(&ctts[r as usize]));
+    }
+    bm.finish().to_bytes()
+}
+
+/// `add_run` over aligned runs, unaligned runs and runs next to a block,
+/// mixed with `add` and `add_block`, finishes to `merge_all`'s bytes.
+#[test]
+fn add_run_is_merge_all_whatever_the_run() {
+    for p in [7u32, 13, 64] {
+        let ctts = merge_job::job(p);
+        let want = merge_all(&ctts).to_bytes();
+        // [q, 2q) is an aligned buddy block of the job.
+        let q = 1 << (p / 2).ilog2();
+        let plans = [
+            vec![Step::Run(0, p)],
+            vec![Step::Run(q, 2 * q)],
+            vec![Step::Run(1, p - 1)],
+            vec![Step::Rank(p - 1), Step::Rank(0), Step::Run(3, p - 1)],
+            vec![Step::Block(0, q), Step::Run(q, p)],
+            vec![Step::Block(q, q), Step::Run(1, q), Step::Rank(0)],
+            vec![Step::Block(0, 2), Step::Run(2, q), Step::Block(q, q)],
+        ];
+        for plan in plans {
+            assert!(planned(&ctts, &plan) == want, "P {p}: {plan:?}");
+        }
+        // Slabs are a run as well as owned trees are.
+        let slabs: Vec<CttSlab> = ctts
+            .iter()
+            .map(|c| CttSlab::from_bytes(&c.to_bytes()).unwrap())
+            .collect();
+        let mut bm = BinomialMerger::new(p);
+        bm.add_run(&slabs[..1]).unwrap();
+        bm.add_run(&slabs[1..]).unwrap();
+        assert!(bm.finish().to_bytes() == want, "P {p}: slabs");
+    }
+}
+
+/// What a merger shows of itself: refused runs must leave it as it was.
+fn snapshot(bm: &BinomialMerger) -> (u32, Vec<u32>, usize, u32) {
+    (
+        bm.received(),
+        bm.missing_ranks(),
+        bm.pending_blocks(),
+        bm.max_depth(),
+    )
+}
+
+/// A run that is not consecutive, not in order, of another job size, or
+/// overlaps a merged rank or block is refused naming its range, and the
+/// merger is unchanged: completing it still gives `merge_all`'s bytes.
+#[test]
+fn add_run_refuses_bad_runs_and_changes_nothing() {
+    let p = 16u32;
+    let ctts = merge_job::job(p);
+    let want = merge_all(&ctts).to_bytes();
+    let mut bm = BinomialMerger::new(p);
+    assert!(bm.add(&ctts[5]));
+    assert_eq!(bm.add_block(8, 8, block(&ctts, 8, 8)), Ok(true));
+    let pick = |ranks: &[usize]| -> Vec<&Ctt> { ranks.iter().map(|&r| &ctts[r]).collect() };
+    let other = merge_job::job(p + 1);
+    let cases: [(Vec<&Ctt>, &str); 6] = [
+        (pick(&[0, 1, 3]), "run [0, 3) is not consecutive"),
+        (pick(&[2, 1, 3]), "run [2, 5) is not consecutive"),
+        (pick(&[1, 0]), "run [1, 3) is not consecutive"),
+        (
+            pick(&[4, 5, 6]),
+            "run [4, 7) overlaps 1 already-merged ranks",
+        ),
+        (
+            pick(&[6, 7, 8, 9]),
+            "run [6, 10) overlaps 2 already-merged ranks",
+        ),
+        (
+            other.iter().take(2).collect(),
+            "run [0, 2): rank 0 is of a 17-rank job",
+        ),
+    ];
+    for (run, why) in cases {
+        let before = snapshot(&bm);
+        let err = bm.add_run(&run).unwrap_err();
+        assert!(err.contains(why), "{err}");
+        assert_eq!(snapshot(&bm), before, "{why}");
+    }
+    // An empty run adds nothing.
+    let before = snapshot(&bm);
+    assert_eq!(bm.add_run(&ctts[..0]), Ok(()));
+    assert_eq!(snapshot(&bm), before);
+
+    bm.add_run(&ctts[6..8]).unwrap();
+    bm.add_run(&ctts[..5]).unwrap();
+    assert!(bm.finish().to_bytes() == want);
 }

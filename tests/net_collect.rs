@@ -90,7 +90,7 @@ fn out_of_order_submission_is_byte_identical_to_local_merge() {
     let ctts = local_ctts(STENCIL, nprocs);
     let local = merge_all(&ctts);
     assert_eq!(
-        job.merged.to_bytes(),
+        job.merged().to_bytes(),
         local.to_bytes(),
         "networked merge must be byte-identical to local merge_all"
     );
@@ -183,7 +183,7 @@ fn killed_mid_stream_client_retry_leaves_job_uncorrupted() {
     let job = server.join().unwrap();
     let local = merge_all(&local_ctts(STENCIL, nprocs));
     assert_eq!(
-        job.merged.to_bytes(),
+        job.merged().to_bytes(),
         local.to_bytes(),
         "a killed-and-retried client must not corrupt the merged job"
     );
@@ -204,7 +204,7 @@ fn every_bundled_workload_collects_identically() {
             .run()
             .unwrap();
         assert_eq!(
-            job.merged.to_bytes(),
+            job.merged().to_bytes(),
             local.merge().to_bytes(),
             "{name}: merged CTT bytes differ between network and local paths"
         );

@@ -92,7 +92,7 @@ fn assert_matches_local(job: &CollectedJob, source: &str, nprocs: u32) {
     let ctts = Pipeline::new(source).ranks(nprocs).run().unwrap().ctts;
     let local = merge_all(&ctts);
     assert_eq!(
-        job.merged.to_bytes(),
+        job.merged().to_bytes(),
         local.to_bytes(),
         "tree-collected merge must be byte-identical to local merge_all"
     );
