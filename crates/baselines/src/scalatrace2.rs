@@ -116,25 +116,37 @@ pub struct Scala2Trace {
 
 impl Scala2Trace {
     pub fn compress(trace: &RawTrace) -> Scala2Trace {
+        Self::compress_counted(trace).0
+    }
+
+    /// [`compress`](Self::compress), with the comparisons its elastic window
+    /// scan ran: each trailing element tried against an event's key.
+    pub fn compress_counted(trace: &RawTrace) -> (Scala2Trace, u64) {
         let rank = trace.rank as i64;
         let mut elems: Vec<Elem2> = Vec::new();
+        let mut comparisons = 0u64;
         for rec in trace.mpi_records() {
             let shape = ParamShape::of(rec);
             let key = (rec.op, shape);
             let n = elems.len();
             let lo = n.saturating_sub(WINDOW);
-            if let Some(e) = elems[lo..n].iter_mut().rev().find(|e| e.key() == key) {
-                e.absorb(rank, rec);
+            // From the newest element back: a hit at `i` tried the
+            // `n - lo - i` elements from it to the end.
+            let hit = elems[lo..n].iter().rposition(|e| e.key() == key);
+            comparisons += (n - lo - hit.unwrap_or(0)) as u64;
+            if let Some(i) = hit {
+                elems[lo + i].absorb(rank, rec);
             } else {
                 let mut e = Elem2::new(rec.op, shape);
                 e.absorb(rank, rec);
                 elems.push(e);
             }
         }
-        Scala2Trace {
+        let trace = Scala2Trace {
             rank: trace.rank,
             elems,
-        }
+        };
+        (trace, comparisons)
     }
 
     pub fn len(&self) -> usize {

@@ -134,10 +134,11 @@ pub struct IntraOverhead {
     pub mem_scalatrace: usize,
     pub mem_cypress: usize,
     /// Compressor work per MPI event, in comparisons: ScalaTrace's window
-    /// comparisons and CYPRESS's compare-with-last tests (with its window
-    /// scan). Counts, so a test can hold the Fig. 16 time claim without a
-    /// clock.
+    /// comparisons, ScalaTrace-2's elastic window scan and CYPRESS's
+    /// compare-with-last tests (with its window scan). Counts, so a test can
+    /// hold the Fig. 16 time claim without a clock.
     pub compares_per_event_scalatrace: f64,
+    pub compares_per_event_scalatrace2: f64,
     pub compares_per_event_cypress: f64,
 }
 
@@ -173,7 +174,7 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
     let mut ts_cy = 0.0;
     let mut mem_st = 0usize;
     let mut mem_cy = 0usize;
-    let (mut cmp_st, mut cmp_cy, mut events) = (0u64, 0u64, 0u64);
+    let (mut cmp_st, mut cmp_st2, mut cmp_cy, mut events) = (0u64, 0u64, 0u64, 0u64);
     for tr in &t.traces {
         let app = (tr.app_time.max(1)) as f64;
 
@@ -190,7 +191,7 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
         mem_st += st_bytes;
 
         let t0 = Instant::now();
-        let _ = Scala2Trace::compress(tr);
+        cmp_st2 += Scala2Trace::compress_counted(tr).1;
         ts_st2 += INTRA_SCALATRACE2_NS.record_since(t0) as f64 / app;
 
         let t0 = Instant::now();
@@ -213,6 +214,7 @@ pub fn intra_overhead(t: &Traced) -> IntraOverhead {
         mem_scalatrace: mem_st / t.traces.len(),
         mem_cypress: mem_cy / t.traces.len(),
         compares_per_event_scalatrace: cmp_st as f64 / events.max(1) as f64,
+        compares_per_event_scalatrace2: cmp_st2 as f64 / events.max(1) as f64,
         compares_per_event_cypress: cmp_cy as f64 / events.max(1) as f64,
     }
 }
@@ -365,7 +367,8 @@ mod tests {
         // The Fig. 16 time claim, in counts: CYPRESS tests each event
         // against the last record of its own leaf, so its work per event
         // does not grow with the trace, and it stays below ScalaTrace's,
-        // which tries every window length at the tail of one long list.
+        // which tries every window length at the tail of one long list, and
+        // below ScalaTrace-2's, which scans a window of elements per event.
         let (quick, paper) = (
             o.compares_per_event_cypress,
             o_long.compares_per_event_cypress,
@@ -378,6 +381,11 @@ mod tests {
             paper < o_long.compares_per_event_scalatrace,
             "cypress {paper:.3} vs scalatrace {:.3} compares per event",
             o_long.compares_per_event_scalatrace
+        );
+        assert!(
+            paper < o_long.compares_per_event_scalatrace2,
+            "cypress {paper:.3} vs scalatrace-2 {:.3} compares per event",
+            o_long.compares_per_event_scalatrace2
         );
         assert!(
             o_long.mem_cypress < 64 * 1024,

@@ -273,28 +273,33 @@ impl<'a> IntraCompressor<'a> {
             self.flush_pending(&rec.params.req_gids);
         }
 
-        // Fast path: the paper's compare-with-last-record merge, without
-        // allocating an encoded parameter block for the incoming event.
-        if self.cfg.window <= 1 {
-            if let VertexData::Leaf { records } = &mut self.data[v] {
-                if let Some(r) = records.last_mut() {
-                    self.tally.compares += 1;
-                    if r.params
-                        .matches_raw(self.rank, rec.op, &rec.params, self.cfg.relative_ranks)
-                    {
-                        r.count += 1;
-                        r.time.add(rec.dur);
-                        r.gap.add(gap);
-                        self.tally.fold_hits += 1;
-                        return;
-                    }
+        let encode =
+            || EncParams::encode_with(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
+        if self.cfg.window > 1 {
+            let params = encode();
+            return self.append(v, params, rec.dur, gap);
+        }
+        // The paper's compare-with-last-record merge, without allocating an
+        // encoded parameter block for an event that folds. A miss is the one
+        // compare a window of one makes: the new record is pushed at once.
+        if let VertexData::Leaf { records } = &mut self.data[v] {
+            if let Some(r) = records.last_mut() {
+                self.tally.compares += 1;
+                let hit =
+                    r.params
+                        .matches_raw(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
+                debug_assert_eq!(hit, r.matches(&encode()), "matches_raw disagrees");
+                if hit {
+                    r.count += 1;
+                    r.time.add(rec.dur);
+                    r.gap.add(gap);
+                    self.tally.fold_hits += 1;
+                    return;
                 }
             }
         }
-
-        let params =
-            EncParams::encode_with(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
-        self.append(v, params, rec.dur, gap);
+        let params = encode();
+        self.push_record(v, params, rec.dur, gap);
     }
 
     /// Flush cached wildcard receives whose posting GID is being completed.
@@ -333,6 +338,14 @@ impl<'a> IntraCompressor<'a> {
             self.tally.fold_hits += 1;
             return;
         }
+        self.push_record(v, params, dur, gap);
+    }
+
+    /// Open a new record at leaf `v`: the event matched none the scan tried.
+    fn push_record(&mut self, v: usize, params: EncParams, dur: u64, gap: u64) {
+        let VertexData::Leaf { records } = &mut self.data[v] else {
+            return;
+        };
         self.tally.fold_misses += 1;
         let mut time = TimeStats::new();
         time.add(dur);
@@ -533,6 +546,21 @@ mod tests {
         assert_eq!(branches.len(), 2);
         assert_eq!(branches[0], vec![0, 2, 4, 6, 8]);
         assert_eq!(branches[1], vec![1, 3, 5, 7, 9]);
+    }
+
+    /// At a window of one a miss is one compare: the event is tested
+    /// against its leaf's last record once, then pushed. An A,B,A,B leaf
+    /// misses on every event after the first.
+    #[test]
+    fn a_miss_at_window_one_is_one_compare() {
+        let (info, traces, _) = compress_src(
+            "fn main() { for i in 0..10 { bcast(0, 8 + 8 * (i % 2)); } }",
+            1,
+        );
+        let mut c = IntraCompressor::new(&info.cst, 0, 1, CompressConfig::default());
+        c.push_batch(&traces[0].events);
+        assert_eq!(c.compares(), 9, "one compare per event but the first");
+        assert_eq!(c.finish(0).record_count(), 10);
     }
 
     #[test]

@@ -350,10 +350,9 @@ impl MergedVertex {
 /// contiguous block of its ranks.
 ///
 /// Contract: ranks enter in ascending order. Whatever is merged in —
-/// one rank through [`absorb_rank`](Self::absorb_rank), a block through
-/// [`absorb`](Self::absorb) — lies above every rank already held, so each
-/// group's [`RankSet`] stays ascending and stride-compressible, and
-/// `app_times` stays in rank order.
+/// ranks through [`merge_all`], a block through [`absorb`](Self::absorb) —
+/// lies above every rank already held, so each group's [`RankSet`] stays
+/// ascending and stride-compressible, and `app_times` stays in rank order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedCtt {
     pub nprocs: u32,
@@ -480,32 +479,6 @@ impl MergedCtt {
             ));
         }
         Ok(())
-    }
-
-    /// Merge one rank's CTT, owned or pooled, into `self`, vertex by vertex,
-    /// straight from its view: a record is copied out only when it opens a
-    /// new group.
-    ///
-    /// The rank must be above every rank already merged — the order that
-    /// keeps rank sets ascending and stride-compressible. A rank that would
-    /// join a group holding a higher rank panics; [`check_shape`] refuses a
-    /// peer's tree before it gets here.
-    ///
-    /// A list that, with the rank's group, holds more than [`SCAN_GROUPS`]
-    /// is matched by key, through a table filled from it and emptied once
-    /// the vertex is done.
-    pub fn absorb_rank<S: CttSource>(&mut self, ctt: &S) {
-        assert_eq!(self.vertices.len(), ctt.vertex_count());
-        let _span = PAIR_MERGE_NS.span("merge", "absorb_rank");
-        PAIR_MERGES.inc();
-        let rank = ctt.rank();
-        let (mut tables, mut tally) = (Vec::new(), Tally::default());
-        for (gid, mine) in self.vertices.iter_mut().enumerate() {
-            let lists = absorb_vertex(mine, ctt.vertex(gid), rank, &mut tables, &mut tally);
-            tables[..lists].iter_mut().for_each(KeyTable::clear);
-        }
-        self.app_times.push(ctt.app_time() as i64);
-        tally.flush();
     }
 
     /// Merge `other` into `self`, vertex by vertex. Ranks in `other` must be
@@ -982,20 +955,18 @@ pub fn buddy_pieces(first: u32, end: u32) -> impl Iterator<Item = (u32, u32)> {
     })
 }
 
-/// Incremental binomial reduction over per-rank CTTs arriving in **any
-/// order** — the event-driven form of the paper's `MPI_Finalize` merge
-/// schedule, used by the network collector's root to reduce rank CTTs as
-/// they complete instead of barriering for the full set. A relay, which
-/// holds its shard and merges it once, enters whole runs of ranks through
-/// [`add_run`](Self::add_run) instead: one linear merge per buddy piece
-/// rather than `log2` of the piece's size pairwise merges per rank.
+/// Binomial reduction over ranks and merged blocks arriving in **any
+/// order** — the paper's `MPI_Finalize` merge schedule. The network
+/// collector, root and relay alike, holds each checked rank and enters the
+/// complete runs through [`add_run`](Self::add_run): one linear
+/// vertex-by-vertex merge per aligned buddy piece. A lower tier's merged
+/// block enters through [`add_block`](Self::add_block) as it arrives.
 ///
 /// Blocks of merged ranks live on the fixed *buddy tree* over rank indices:
 /// a block covering `[start, start+len)` (with `len` a power of two and
 /// `start % len == 0`) merges with its sibling `[start+len, start+2·len)`
-/// the moment both are complete. At most `⌈log2 P⌉ + 1` partial merges are
-/// resident at any time, and each rank's CTT participates in at most
-/// `log2 P` pairwise merges — O(n log P) total work.
+/// the moment both are complete. Ranks added in rank order leave at most
+/// `⌈log2 P⌉ + 1` partial merges resident.
 ///
 /// The association tree is determined by rank indices alone (never by
 /// arrival order), and [`TimeStats`] aggregation is exactly associative, so
@@ -1024,51 +995,27 @@ impl BinomialMerger {
         }
     }
 
-    /// Offer one rank's finished CTT. Returns `false` (and changes nothing)
-    /// if this rank was already merged — a retried client re-submitting a
-    /// rank the collector completed earlier is a no-op, not corruption.
+    /// Offer one rank's finished CTT: a one-rank [`add_run`](Self::add_run).
+    /// Returns `false` (and changes nothing) if this rank was already merged
+    /// — a retried client re-submitting a rank the collector completed
+    /// earlier is a no-op, not corruption. Panics, naming both numbers, on a
+    /// CTT of another job size or a rank outside the job.
     pub fn add<S: CttSource>(&mut self, ctt: &S) -> bool {
-        let rank = ctt.rank();
-        assert_eq!(
-            ctt.nprocs(),
-            self.nprocs,
-            "CTT job size {} does not match merger size {}",
-            ctt.nprocs(),
-            self.nprocs
-        );
-        assert!(
-            rank < self.nprocs,
-            "rank {rank} out of range for {} procs",
-            self.nprocs
-        );
-        if self.has_rank(rank) {
+        if ctt.nprocs() == self.nprocs && self.has_rank(ctt.rank()) {
             return false;
         }
-        self.mark(rank, rank + 1);
-
-        let _t = cypress_obs::trace_span("merge", "binomial_add").arg(rank as u64);
-        // An odd rank whose lower buddy is resident alone joins it directly;
-        // any other rank starts a one-rank block. Either way the rank is
-        // absorbed from its view, above every rank in the block.
-        let lower = rank.wrapping_sub(1);
-        let paired =
-            !rank.is_multiple_of(2) && self.blocks.get(&lower).is_some_and(|(l, _)| *l == 1);
-        let (start, len, mut block) = if paired {
-            (lower, 2, self.blocks.remove(&lower).unwrap().1)
-        } else {
-            (rank, 1, MergedCtt::new(self.nprocs, ctt.vertex_count()))
-        };
-        block.absorb_rank(ctt);
-        self.fold_block(start, len, block);
+        if let Err(e) = self.add_run(std::slice::from_ref(ctt)) {
+            panic!("{e}");
+        }
         true
     }
 
     /// Climb the buddy tree from an aligned block `[start, start+len)`:
     /// blocks are always power-of-two sized and len-aligned, so
     /// `start % (2·len)` is 0 (we are the lower sibling) or `len` (we are
-    /// the upper sibling). Shared by [`add`](Self::add) (len 1 or 2),
-    /// [`add_run`](Self::add_run) (a run's pieces) and
-    /// [`add_block`](Self::add_block) (relay-forwarded partial merges).
+    /// the upper sibling). Shared by [`add_run`](Self::add_run) (a run's
+    /// pieces) and [`add_block`](Self::add_block) (relay-forwarded partial
+    /// merges).
     fn fold_block(&mut self, mut start: u32, mut len: u32, mut cur: MergedCtt) {
         loop {
             if start.is_multiple_of(2 * len) {
@@ -1144,12 +1091,13 @@ impl BinomialMerger {
     }
 
     /// Offer a run of consecutive ranks in ascending order, none of them
-    /// merged yet: what a relay holds between the blocks it was sent. The
+    /// merged yet: what a collector holds between the blocks it was sent. The
     /// run splits into its maximal aligned buddy pieces ([`buddy_pieces`]).
     /// Each piece is merged vertex by vertex ([`merge_all`], linear in its
     /// records) and entered as [`add_block`](Self::add_block) enters a
-    /// forwarded block. `merge_all` over a piece is the block that adding
-    /// its ranks one by one builds, so the bytes are [`add`](Self::add)'s.
+    /// forwarded block. `merge_all` over a piece is the block that absorbing
+    /// its ranks one by one up the buddy tree builds, so the bytes do not
+    /// depend on how a run is cut.
     ///
     /// `Err` naming the run's range, with the merger unchanged, when the
     /// run is not consecutive ranks in ascending order, belongs to another
@@ -1523,56 +1471,61 @@ mod tests {
         }
     }
 
+    /// `ctts` (rank order) merged in `k` uneven contiguous chunks: even
+    /// chunks enter a `BinomialMerger` through `add_run`, odd ones as the
+    /// blocks another job-sized merger built from them, through `add_block`.
+    fn merge_in_chunks<S: CttSource>(ctts: &[S], k: usize) -> MergedCtt {
+        let nprocs = ctts[0].nprocs();
+        let mut bm = BinomialMerger::new(nprocs);
+        // Chunk i ends at (i+1)·len/k, rounded up: sizes differ by one.
+        let ends = (1..=k).map(|i| (i * ctts.len()).div_ceil(k));
+        let mut first = 0;
+        for (i, end) in ends.enumerate() {
+            let chunk = &ctts[first..end];
+            first = end;
+            if i % 2 == 0 {
+                bm.add_run(chunk).unwrap();
+                continue;
+            }
+            let mut elsewhere = BinomialMerger::new(nprocs);
+            elsewhere.add_run(chunk).unwrap();
+            for (start, len, block) in elsewhere.into_blocks() {
+                assert_eq!(bm.add_block(start, len, block), Ok(true));
+            }
+        }
+        bm.finish()
+    }
+
     #[test]
-    fn parallel_merge_equals_sequential() {
+    fn chunked_merge_equals_sequential() {
         let (_, ctts) = pipeline(JACOBI, 32);
         let seq = merge_all(&ctts);
-        for threads in [2, 3, 8] {
-            let par = merge_all_parallel(&ctts, threads);
-            assert_eq!(par.nprocs, seq.nprocs);
-            assert_eq!(par.group_count(), seq.group_count());
-            for (vs, vp) in seq.vertices.iter().zip(&par.vertices) {
-                assert_eq!(vs.group_count(), vp.group_count());
+        for k in [2, 3, 8] {
+            let chunked = merge_in_chunks(&ctts, k);
+            assert_eq!(chunked.nprocs, seq.nprocs);
+            assert_eq!(chunked.group_count(), seq.group_count());
+            for (vs, vc) in seq.vertices.iter().zip(&chunked.vertices) {
+                assert_eq!(vs.group_count(), vc.group_count());
             }
         }
     }
 
     #[test]
-    fn parallel_merge_byte_identical_for_any_thread_count() {
-        // 19 ranks: non-power-of-two, so chunk boundaries differ per thread
-        // count. Exact TimeStats make every association byte-identical.
+    fn chunked_merge_byte_identical_for_any_chunking() {
+        // 19 ranks: non-power-of-two, so chunk boundaries fall across the
+        // buddy tree differently per chunk count. Exact TimeStats make every
+        // association byte-identical.
         let (_, ctts) = pipeline(JACOBI, 19);
         let seq = merge_all(&ctts).to_bytes();
-        for threads in [0, 1, 2, 3, 5, 8, 19, 64] {
-            let par = merge_all_parallel(&ctts, threads).to_bytes();
-            assert_eq!(par, seq, "threads={threads} diverged from sequential");
+        for k in [1, 2, 3, 5, 8, 19] {
+            let chunked = merge_in_chunks(&ctts, k).to_bytes();
+            assert_eq!(chunked, seq, "{k} chunks diverged from sequential");
         }
-    }
-
-    #[test]
-    fn parallel_merge_clamps_zero_threads() {
-        let (_, ctts) = pipeline(JACOBI, 4);
-        // threads == 0 (e.g. an unconfigured pool) degrades to sequential.
-        let m = merge_all_parallel(&ctts, 0);
-        assert_eq!(m.to_bytes(), merge_all(&ctts).to_bytes());
-    }
-
-    #[test]
-    fn parallel_merge_clamps_excess_threads() {
-        let (_, ctts) = pipeline(JACOBI, 3);
-        // More workers than CTTs must not spawn empty chunks or panic.
-        let m = merge_all_parallel(&ctts, 1000);
-        assert_eq!(m.to_bytes(), merge_all(&ctts).to_bytes());
-    }
-
-    #[test]
-    fn parallel_merge_single_rank_input() {
-        let (_, ctts) = pipeline("fn main() { barrier(); }", 1);
-        for threads in [0, 1, 7] {
-            let m = merge_all_parallel(&ctts[..1], threads);
-            assert_eq!(m.nprocs, 1);
-            assert_eq!(m.to_bytes(), merge_all(&ctts[..1]).to_bytes());
-        }
+        let (_, one) = pipeline("fn main() { barrier(); }", 1);
+        assert_eq!(
+            merge_in_chunks(&one, 1).to_bytes(),
+            merge_all(&one).to_bytes()
+        );
     }
 
     #[test]
@@ -1743,7 +1696,7 @@ mod tests {
             .collect();
         let want = merge_all(&ctts).to_bytes();
         assert_eq!(merge_all(&slabs).to_bytes(), want);
-        assert_eq!(merge_all_parallel(&slabs, 3).to_bytes(), want);
+        assert_eq!(merge_in_chunks(&slabs, 3).to_bytes(), want);
         let mut bm = BinomialMerger::new(13);
         for s in slabs.iter().rev() {
             assert!(bm.add(s));
@@ -1896,8 +1849,7 @@ mod tests {
     #[should_panic(expected = "ranks must arrive in ascending order")]
     fn absorbing_a_rank_below_a_group_it_joins_panics() {
         let (_, ctts) = pipeline(JACOBI, 4);
-        let mut m = merge_all(&ctts[2..3]);
-        m.absorb_rank(&ctts[1]);
+        merge_all(&[ctts[2].clone(), ctts[1].clone()]);
     }
 
     /// Long lists at two leaves and a loop, over several slots, whose first
@@ -1958,14 +1910,17 @@ mod tests {
         let ctts: Vec<Ctt> = (0..P).map(rank_ctt).collect();
         let merged = merge_all(&ctts);
         let want = merged.to_bytes();
-        let mut one_by_one = MergedCtt::new(P, 4);
-        let mut bm = BinomialMerger::new(P);
+        let mut one_by_one = BinomialMerger::new(P);
         for c in &ctts {
-            one_by_one.absorb_rank(c);
-            bm.add(c);
+            assert!(one_by_one.add(c));
         }
-        assert!(one_by_one.to_bytes() == want, "absorb_rank rank by rank");
-        assert!(bm.finish().to_bytes() == want, "BinomialMerger");
+        assert!(one_by_one.finish().to_bytes() == want, "rank by rank");
+        // Uneven runs: pieces that `absorb` meets at every size.
+        let mut runs = BinomialMerger::new(P);
+        for run in [0..3, 3..40, 40..41, 41..80] {
+            runs.add_run(&ctts[run]).unwrap();
+        }
+        assert!(runs.finish().to_bytes() == want, "uneven runs");
 
         // Every list named is long enough to be keyed, and its first group
         // holds the ranks that share it.

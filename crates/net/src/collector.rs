@@ -3,9 +3,10 @@
 //! One [`Collector`] gathers a whole job: it accepts many concurrent
 //! clients (TCP or Unix sockets), feeds each stream-mode client into its
 //! own [`CompressSession`] so raw events never accumulate server-side, and
-//! takes in finished rank CTTs **as they arrive**: the root reduces each
-//! through a [`BinomialMerger`] at once, with no barrier on the full rank
-//! set, and a relay holds its shard and merges it once it is complete.
+//! checks each finished rank CTT as it arrives, holds its slab and
+//! acknowledges it at once; no merge runs on the ack path. Once every rank
+//! it collects is held or covered by a block, it merges them once, as the
+//! paper merges in `MPI_Finalize` over the complete rank set.
 //!
 //! Sockets, buffers and wake-ups belong to [`crate::server`]; this module
 //! is the collection [`Handler`] on it — a per-connection state machine
@@ -16,33 +17,32 @@
 //! live [`Stats`] snapshot and is closed: the protocol state is per
 //! connection, so a poll never touches a submission.
 //!
-//! Two roles share that handler:
+//! Two roles share that handler and its one collection path:
 //!
 //! - **Root** (plain `serve`): completes when all `nprocs` ranks are
-//!   merged, yields the [`CollectedJob`].
+//!   held or merged, then merges and yields the [`CollectedJob`].
 //! - **Relay** (`serve --tree`, started by [`crate::tree::spawn_tree`]):
-//!   accepts only a contiguous rank shard. It checks each rank as the root
-//!   does, holds its slab and acknowledges it at once; no merge runs on the
-//!   ack path. Once the shard is complete it folds every run of held ranks
-//!   into a *global-sized* [`BinomialMerger`] with
-//!   [`BinomialMerger::add_run`], one vertex-by-vertex `merge_all` per
-//!   aligned buddy piece, then forwards the merger's buddy blocks upstream
-//!   as raw `MergedBlock` frames. Because a global-sized merger's blocks are
-//!   aligned on the global association tree, the root absorbing them is
-//!   byte-identical to a local `merge_all` — relaying never perturbs the
-//!   merge.
+//!   accepts only a contiguous rank shard, then forwards its merger's
+//!   buddy blocks upstream as raw `MergedBlock` frames.
+//!
+//! Either role, once complete, folds every run of held ranks into a
+//! *global-sized* [`BinomialMerger`] with [`BinomialMerger::add_run`]:
+//! one vertex-by-vertex `merge_all` per aligned buddy piece. A lower tier's
+//! block enters through [`BinomialMerger::add_block`] on arrival. Because
+//! a global-sized merger's blocks are aligned on the global association
+//! tree, the root absorbing a relay's blocks is byte-identical to a local
+//! `merge_all` — relaying never perturbs the merge.
 //!
 //! Failure model: a client that disconnects (or corrupts a frame)
 //! mid-stream loses only its own partial session — the collector discards
 //! it and the retried client re-streams from scratch. A rank submitted
 //! twice (a retry whose first attempt actually landed) is acknowledged and
-//! discarded; the merge and a relay's held shard are
-//! first-completion-wins, so a killed-and-retried client can never corrupt
-//! the merged job. A relay
+//! discarded; the held ranks and the merge are first-completion-wins, so a
+//! killed-and-retried client can never corrupt the merged job. A relay
 //! retry re-forwarding blocks that already landed is absorbed the same way
-//! (duplicate blocks are no-ops). A dead relay surfaces as a deadline
-//! failure at the root naming the shard's missing ranks — loud, never a
-//! hang.
+//! (a block naming only held or merged ranks is a no-op). A dead relay
+//! surfaces as a deadline failure at the root naming the shard's missing
+//! ranks — loud, never a hang.
 
 use crate::client::{submit_merged_blocks, ClientConfig};
 use crate::proto::{codes, Frame, Hello, MergedBlock, SubmitMode, PROTO_VERSION};
@@ -51,8 +51,8 @@ use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
-    buddy_pieces, check_shape, BinomialMerger, CompressConfig, CompressSession, Ctt, CttSlab,
-    MergedCtt, SessionConfig, SessionStats,
+    buddy_pieces, check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, MergedCtt,
+    SessionConfig, SessionStats,
 };
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
@@ -69,8 +69,8 @@ use std::time::{Duration, Instant};
 /// silent for [`IO_TIMEOUT`] mid-protocol is dropped.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
-    /// Keep every rank's CTT (exact per-rank timing in queries and
-    /// `--per-rank` containers) in addition to the incremental merge.
+    /// Keep every rank's CTT bytes (exact per-rank timing in queries and
+    /// `--per-rank` containers) in addition to the merged tree.
     pub keep_rank_ctts: bool,
     /// Overall wall-clock budget; when it expires with ranks missing the
     /// run fails listing them instead of hanging forever.
@@ -131,11 +131,13 @@ struct Job {
     merge: Mutex<Merge>,
 }
 
-/// The incremental merge and the job's accounting.
+/// The held ranks, the merge and the job's accounting.
 struct Merge {
+    /// Relay blocks on arrival, then the held ranks once they are complete
+    /// ([`fold_held`](Self::fold_held)).
     merger: BinomialMerger,
-    /// A relay's checked ranks, kept until its shard is complete
-    /// (`run_relay` merges them then). Always empty at the root.
+    /// Checked ranks, kept until every rank this collector expects is held
+    /// or in a block.
     held: BTreeMap<u32, CttSlab>,
     rank_ctts: Vec<(u32, Vec<u8>)>,
     total_events: u64,
@@ -155,6 +157,27 @@ impl Merge {
     /// Ranks merged or held: what `FinAck`, the stats and completion count.
     fn received(&self) -> u32 {
         self.merger.received() + self.held.len() as u32
+    }
+
+    /// Fold each maximal run of held ranks into the merger one buddy piece
+    /// at a time, so a piece's slabs are dropped as soon as it is merged.
+    fn fold_held(&mut self) -> Result<(), NetError> {
+        while let Some(run_first) = self.held.keys().next().copied() {
+            let run_len = self
+                .held
+                .keys()
+                .zip(run_first..)
+                .take_while(|(r, want)| **r == *want);
+            let run_end = run_first + run_len.count() as u32;
+            for (start, len) in buddy_pieces(run_first, run_end) {
+                let rest = self.held.split_off(&(start + len));
+                let piece: Vec<CttSlab> = std::mem::replace(&mut self.held, rest)
+                    .into_values()
+                    .collect();
+                self.merger.add_run(&piece).map_err(NetError::Collect)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -206,8 +229,8 @@ impl Role {
 /// Events per `Events` frame (client batch sizes as received).
 static BATCH_EVENTS: Histogram =
     Histogram::new("collector", "batch_events", &[1, 8, 64, 512, 4096, 32768]);
-/// Wall time of one merge step at the root (`BinomialMerger::add` or
-/// `add_block`); a relay's ranks take none.
+/// Wall time of one `BinomialMerger::add_block`: a lower tier's block
+/// entering the merge on arrival. Held ranks take none.
 static MERGE_STEP_NS: Histogram = Histogram::new("collector", "merge_step_ns", &TIME_BOUNDS_NS);
 
 /// Everything the handler needs, cheap to copy into each event loop.
@@ -358,11 +381,12 @@ impl Collector {
     }
 
     /// Serve until every rank of the job (sized by the first `Hello`) is
-    /// merged, then return the collected job. Blocks the calling thread
-    /// (which runs event loop 0).
+    /// held or in a block, then merge and return the collected job. Blocks
+    /// the calling thread (which runs event loop 0).
     pub fn run(self, cfg: &CollectorConfig) -> Result<CollectedJob, NetError> {
         let job = run_core(&self.listener, cfg, Role::Root)?;
-        let m = job.merge.into_inner().unwrap();
+        let mut m = job.merge.into_inner().unwrap();
+        m.fold_held()?;
         let mut rank_ctts = m.rank_ctts;
         rank_ctts.sort_by_key(|&(rank, _)| rank);
         Ok(CollectedJob {
@@ -403,22 +427,7 @@ impl Collector {
         // submission; nothing else will connect here.
         drop(self);
         let mut m = job.merge.into_inner().unwrap();
-        // Fold each maximal run of held ranks one buddy piece at a time, so
-        // a piece's slabs are dropped as soon as it is merged.
-        while let Some(run_first) = m.held.keys().next().copied() {
-            let run_len = m
-                .held
-                .keys()
-                .zip(run_first..)
-                .take_while(|(r, want)| **r == *want);
-            let run_end = run_first + run_len.count() as u32;
-            for (start, len) in buddy_pieces(run_first, run_end) {
-                let rest = m.held.split_off(&(start + len));
-                let piece: Vec<CttSlab> =
-                    std::mem::replace(&mut m.held, rest).into_values().collect();
-                m.merger.add_run(&piece).map_err(NetError::Collect)?;
-            }
-        }
+        m.fold_held()?;
         let blocks = m.merger.into_blocks();
         let mut uploads = Vec::with_capacity(blocks.len());
         for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
@@ -445,7 +454,7 @@ impl Collector {
 }
 
 /// Run the server loops until the collection completes or fails; returns
-/// the job with every rank of `role` merged.
+/// the job with every rank of `role` held or merged.
 fn run_core(listener: &Listener, cfg: &CollectorConfig, role: Role) -> Result<Job, NetError> {
     let state = State {
         job: OnceLock::new(),
@@ -548,13 +557,18 @@ fn handle_frame<'a>(sh: Shared<'a>, st: ConnState<'a>, frame: Frame, out: &mut O
                 };
                 return Err((st, (codes::PROTOCOL, msg)));
             }
+            // The tree is encoded once: its bytes are the held slab and the
+            // kept rank CTT, the forms a ctt-mode rank arrives in.
             let (ctt, stats) = session.finish(app_time);
-            let bytes = sh.cfg.keep_rank_ctts.then(|| ctt.to_bytes());
-            let st = ConnState::AwaitCtt { job, rank };
-            done_or(
-                st,
-                merge_in(sh, job, out, Finished::Built(ctt), bytes, stats),
-            )
+            let bytes = ctt.to_bytes();
+            drop(ctt);
+            let slab = CttSlab::from_bytes(&bytes).map_err(|e| {
+                let st = ConnState::AwaitCtt { job, rank };
+                (st, (codes::INTERNAL, format!("session tree: {e}")))
+            })?;
+            let keep = sh.cfg.keep_rank_ctts.then_some(bytes);
+            merge_in(sh, job, out, slab, keep, stats);
+            Ok(ConnState::Done)
         }
         (st @ ConnState::AwaitCtt { job, rank }, Frame::RankCtt { bytes }) => {
             done_or(st, on_ctt_bytes(sh, job, rank, out, bytes))
@@ -722,7 +736,8 @@ fn on_ctt_bytes(
         ..SessionStats::default()
     };
     let keep = sh.cfg.keep_rank_ctts.then_some(bytes);
-    merge_in(sh, job, out, Finished::Slab(slab), keep, stats)
+    merge_in(sh, job, out, slab, keep, stats);
+    Ok(())
 }
 
 /// Absorb one relay-forwarded buddy block into the merge.
@@ -744,8 +759,8 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
         }
     }
     let mut m = job.lock();
-    // A relay's held ranks are not in its merger yet: a block naming only
-    // ranks it knows is a retry, one naming some of them is corrupt, as
+    // Held ranks are not in the merger yet: a block naming only ranks this
+    // collector knows is a retry, one naming some of them is corrupt, as
     // `add_block` rules for merged ranks.
     let held = m
         .held
@@ -784,8 +799,8 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
     Ok(())
 }
 
-/// Report the ranks merged so far; when that is every rank this collector
-/// expects, the collection is complete and the loops stop.
+/// Report the ranks held or merged so far; when that is every rank this
+/// collector expects, the collection is complete and the loops stop.
 fn note_merged(sh: Shared<'_>, job: &Job, m: MutexGuard<'_, Merge>) -> u32 {
     let received = m.received();
     drop(m);
@@ -796,51 +811,22 @@ fn note_merged(sh: Shared<'_>, job: &Job, m: MutexGuard<'_, Merge>) -> u32 {
     received
 }
 
-/// A finished rank CTT: a ctt-mode rank's slab, or the tree a stream-mode
-/// session built.
-enum Finished {
-    Slab(CttSlab),
-    Built(Ctt),
-}
-
-/// Take one finished rank CTT into the job and acknowledge it, keeping its
-/// `bytes` when there are any to keep. The root folds it into the
-/// incremental binomial merge; a relay holds it as a slab (a built tree as
-/// the slab of its bytes, the form a ctt-mode rank arrives in), so its
+/// Take one checked rank into the job and acknowledge it, keeping its
+/// `bytes` when there are any to keep. The rank is held, not merged, so its
 /// acknowledgement waits on no merge. First-completion-wins: duplicates are
 /// acknowledged but discarded.
 fn merge_in(
     sh: Shared<'_>,
     job: &Job,
     out: &mut Outbox,
-    tree: Finished,
+    slab: CttSlab,
     bytes: Option<Vec<u8>>,
     stats: SessionStats,
-) -> Result<(), Reject> {
-    let relay = matches!(sh.role, Role::Relay { .. });
-    let tree = match tree {
-        Finished::Built(ctt) if relay => {
-            let slab = CttSlab::from_bytes(&ctt.to_bytes());
-            Finished::Slab(slab.map_err(|e| (codes::INTERNAL, format!("session tree: {e}")))?)
-        }
-        tree => tree,
-    };
-    let rank = match &tree {
-        Finished::Slab(slab) => slab.rank,
-        Finished::Built(ctt) => ctt.rank,
-    };
+) {
+    let rank = slab.rank;
     let mut m = job.lock();
-    let t0 = Instant::now();
-    let newly_merged = match tree {
-        Finished::Slab(_) if relay && m.has_rank(rank) => false,
-        Finished::Slab(slab) if relay => m.held.insert(rank, slab).is_none(),
-        Finished::Slab(slab) => m.merger.add(&slab),
-        Finished::Built(ctt) => m.merger.add(&ctt),
-    };
-    if !relay {
-        MERGE_STEP_NS.record_since(t0);
-    }
-    if newly_merged {
+    if !m.has_rank(rank) {
+        m.held.insert(rank, slab);
         let entry = m.clients.entry(rank).or_insert((ClientState::Merged, 0));
         entry.0 = ClientState::Merged;
         if entry.1 == 0 {
@@ -856,7 +842,6 @@ fn merge_in(
     let ranks_done = note_merged(sh, job, m);
     out.send(&Frame::FinAck { ranks_done });
     out.close();
-    Ok(())
 }
 
 /// Snapshot the running collection into a wire-ready [`Stats`].
@@ -923,7 +908,7 @@ mod tests {
     use super::*;
     use crate::client::{submit_ctt, submit_stream, ClientConfig};
     use crate::proto::{read_frame, write_frame};
-    use cypress_core::{compress_trace, merge_all, IntSeq, Seg, SeqRef};
+    use cypress_core::{compress_trace, merge_all, Ctt, IntSeq, Seg, SeqRef};
     use cypress_cst::analyze_program;
     use cypress_minilang::{check_program, parse};
     use cypress_runtime::{trace_program, InterpConfig};
@@ -1262,8 +1247,9 @@ mod tests {
 
     /// A relay sent some ranks directly and a lower tier's block for others
     /// forwards what a relay that merged each rank on arrival forwarded:
-    /// the same ranges, events and bytes. A block naming only held ranks
-    /// is a retry, one naming some of them a `PROTOCOL` refusal.
+    /// the same ranges, events and bytes. A root sent the same, and rank 0
+    /// last, merges the local `merge_all`. At either, a block naming only
+    /// held ranks is a retry, one naming some of them a `PROTOCOL` refusal.
     #[test]
     fn relay_with_ranks_and_a_block_forwards_what_merging_each_rank_did() {
         let nprocs = 8;
@@ -1301,36 +1287,57 @@ mod tests {
             .collect();
         assert_eq!(want.len(), 3, "[1, 2), [2, 4) and [4, 8)");
 
-        let (addr, relay, peer) = relay_in_background((1, nprocs), nprocs);
         let cfg = ClientConfig {
             attempts: 1,
             ..ClientConfig::default()
         };
-        for r in [7usize, 1, 5, 6] {
-            submit_ctt(&addr, &cfg, &local[r], &cst_text).unwrap();
-        }
-        let blocks = |b: Vec<MergedBlock>| submit_merged_blocks(&addr, &cfg, nprocs, &cst_text, b);
-        // Every rank of [6, 8) is held: a retry, acknowledged and dropped.
-        assert_eq!(blocks(vec![block(6, 2)]).unwrap().ranks_done, 4);
-        match blocks(vec![block(4, 4)]).unwrap_err() {
-            NetError::Remote { code, message } => {
-                assert_eq!(code, codes::PROTOCOL, "{message}");
-                assert!(message.contains("[4, 8) partially overlaps 3"), "{message}");
+        for root in [false, true] {
+            let (addr, relay, server) = if root {
+                let (addr, server) = serve_in_background(CollectorConfig {
+                    deadline: Some(Duration::from_secs(60)),
+                    ..CollectorConfig::default()
+                });
+                (addr, None, Some(server))
+            } else {
+                let (addr, relay, peer) = relay_in_background((1, nprocs), nprocs);
+                (addr, Some((relay, peer)), None)
+            };
+            for r in [7usize, 1, 5, 6] {
+                submit_ctt(&addr, &cfg, &local[r], &cst_text).unwrap();
             }
-            e => panic!("expected a PROTOCOL refusal, got {e}"),
+            let blocks =
+                |b: Vec<MergedBlock>| submit_merged_blocks(&addr, &cfg, nprocs, &cst_text, b);
+            // Every rank of [6, 8) is held: a retry, acknowledged and dropped.
+            assert_eq!(blocks(vec![block(6, 2)]).unwrap().ranks_done, 4);
+            match blocks(vec![block(4, 4)]).unwrap_err() {
+                NetError::Remote { code, message } => {
+                    assert_eq!(code, codes::PROTOCOL, "{message}");
+                    assert!(message.contains("[4, 8) partially overlaps 3"), "{message}");
+                }
+                e => panic!("expected a PROTOCOL refusal, got {e}"),
+            }
+            assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
+            // A retry of a merged block is a no-op as well.
+            assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
+            submit_ctt(&addr, &cfg, &local[4], &cst_text).unwrap();
+            if let Some((relay, peer)) = relay {
+                relay.join().unwrap().unwrap();
+                let (hello, frames) = peer.join().unwrap();
+                assert_eq!(hello.mode, SubmitMode::Blocks);
+                assert_eq!(forwarded_blocks(frames), want);
+            }
+            if let Some(server) = server {
+                let out = submit_ctt(&addr, &cfg, &local[0], &cst_text).unwrap();
+                assert_eq!(out.ranks_done, nprocs);
+                let job = server.join().unwrap().unwrap();
+                assert_eq!(job.merged.to_bytes(), merge_all(&local).to_bytes());
+                assert_eq!(job.total_events, ops(0..8));
+            }
         }
-        assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
-        // A retry of a merged block is a no-op as well.
-        assert_eq!(blocks(vec![block(2, 2)]).unwrap().ranks_done, 6);
-        submit_ctt(&addr, &cfg, &local[4], &cst_text).unwrap();
-        relay.join().unwrap().unwrap();
-        let (hello, frames) = peer.join().unwrap();
-        assert_eq!(hello.mode, SubmitMode::Blocks);
-        assert_eq!(forwarded_blocks(frames), want);
     }
 
-    /// A relay's deadline names the ranks of its shard that are neither
-    /// held nor covered by a block it was sent.
+    /// A relay's deadline, and the root's, names the ranks it collects that
+    /// are neither held nor covered by a block it was sent.
     #[test]
     fn relay_deadline_names_ranks_neither_held_nor_in_a_block() {
         let nprocs = 8;
@@ -1340,40 +1347,45 @@ mod tests {
             .iter()
             .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
             .collect();
-        let relay = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
-        let addr = relay.local_addr().unwrap();
-        let cfg = CollectorConfig {
-            deadline: Some(Duration::from_secs(1)),
-            ..CollectorConfig::default()
-        };
-        // Nothing listens upstream; the relay fails before it gets there.
-        let upstream = Addr::parse("127.0.0.1:1").unwrap();
-        let handle = std::thread::spawn(move || {
-            relay.run_relay(
-                (0, nprocs),
-                nprocs,
-                &upstream,
-                &ClientConfig::default(),
-                &cfg,
-            )
-        });
-        let client = ClientConfig::default();
-        for r in [2usize, 0] {
-            submit_ctt(&addr, &client, &local[r], &cst_text).unwrap();
+        for root in [false, true] {
+            let collector = Collector::bind(&Addr::parse("127.0.0.1:0").unwrap()).unwrap();
+            let addr = collector.local_addr().unwrap();
+            let cfg = CollectorConfig {
+                deadline: Some(Duration::from_secs(1)),
+                ..CollectorConfig::default()
+            };
+            // Nothing listens upstream; the relay fails before it gets there.
+            let upstream = Addr::parse("127.0.0.1:1").unwrap();
+            let handle = std::thread::spawn(move || {
+                if root {
+                    return collector.run(&cfg).map(drop);
+                }
+                collector.run_relay(
+                    (0, nprocs),
+                    nprocs,
+                    &upstream,
+                    &ClientConfig::default(),
+                    &cfg,
+                )
+            });
+            let client = ClientConfig::default();
+            for r in [2usize, 0] {
+                submit_ctt(&addr, &client, &local[r], &cst_text).unwrap();
+            }
+            let block = MergedBlock {
+                first_rank: 4,
+                nranks: 2,
+                events: 1,
+                raw_mpi_bytes: 0,
+                bytes: one_block(&local[4..6], nprocs).to_bytes(),
+            };
+            submit_merged_blocks(&addr, &client, nprocs, &cst_text, vec![block]).unwrap();
+            let msg = handle.join().unwrap().unwrap_err().to_string();
+            assert!(
+                msg.contains("deadline") && msg.contains("ranks missing: [1, 3, 6, 7]"),
+                "root {root}: {msg}"
+            );
         }
-        let block = MergedBlock {
-            first_rank: 4,
-            nranks: 2,
-            events: 1,
-            raw_mpi_bytes: 0,
-            bytes: one_block(&local[4..6], nprocs).to_bytes(),
-        };
-        submit_merged_blocks(&addr, &client, nprocs, &cst_text, vec![block]).unwrap();
-        let msg = handle.join().unwrap().unwrap_err().to_string();
-        assert!(
-            msg.contains("deadline") && msg.contains("ranks missing: [1, 3, 6, 7]"),
-            "{msg}"
-        );
     }
 
     /// Frame code 8 once carried a compressed rank CTT. It is retired: a
@@ -1809,7 +1821,7 @@ mod tests {
             })
             .unwrap();
         };
-        // Submit ranks 0..2 in order; FinAck means each is merged, so the
+        // Submit ranks 0..2 in order; FinAck means each is held, so the
         // next snapshot is deterministic.
         for t in traces.iter().take(nprocs as usize - 1) {
             submit(t);
@@ -1825,17 +1837,10 @@ mod tests {
         }
         assert!(s1.events_total > 0);
         assert!(s1.uptime_ns > 0);
-        // Ranks {0,1,2} of 4: buddy block [0,1] plus singleton [2].
-        assert_eq!(s1.merge_depth, 1);
-        assert_eq!(s1.resident_blocks, 2);
-        for name in ["batch_events", "merge_step_ns"] {
-            let q = s1
-                .quantiles
-                .iter()
-                .find(|q| q.name == name)
-                .unwrap_or_else(|| panic!("missing quantile row {name}"));
-            assert!(q.count > 0);
-        }
+        // Ranks {0,1,2} of 4 are held, not merged: the merger has no block.
+        assert_eq!((s1.resident_blocks, s1.merge_depth), (0, 0));
+        let row = |s: &Stats, name: &str| s.quantiles.iter().find(|q| q.name == name).cloned();
+        assert!(row(&s1, "batch_events").is_some_and(|q| q.count > 0));
 
         // Completing the job shuts the stats endpoint down with the collector.
         submit(&traces[nprocs as usize - 1]);
@@ -1845,6 +1850,35 @@ mod tests {
             crate::stats::fetch_stats(&addr, Duration::from_millis(500)).is_err(),
             "stats endpoint must die with the collection"
         );
+
+        // A block enters the merge on arrival: a root sent ranks [0, 2) as
+        // one block holds it as its one resident block, of depth 1, and
+        // times the step.
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let block = MergedBlock {
+            first_rank: 0,
+            nranks: 2,
+            events: local[..2].iter().map(|c| c.op_count()).sum(),
+            raw_mpi_bytes: 0,
+            bytes: one_block(&local[..2], nprocs).to_bytes(),
+        };
+        submit_merged_blocks(&addr, &ccfg, nprocs, &cst_text, vec![block]).unwrap();
+        let s2 = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
+        assert_eq!(s2.ranks_done, 2);
+        assert_eq!((s2.resident_blocks, s2.merge_depth), (1, 1));
+        assert!(row(&s2, "merge_step_ns").is_some_and(|q| q.count > 0));
+        for ctt in &local[2..] {
+            submit_ctt(&addr, &ccfg, ctt, &cst_text).unwrap();
+        }
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), merge_all(&local).to_bytes());
     }
 
     /// A stats poll is a first frame only: sent after a `Hello` it is a

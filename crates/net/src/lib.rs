@@ -3,12 +3,13 @@
 //! The paper's dynamic module merges per-process CTTs over a binomial
 //! reduction tree inside `MPI_Finalize`. This crate lifts that reduction
 //! onto real connections: ranks (or whole nodes) stream their trace to a
-//! **collector daemon** which compresses each stream online. The root
-//! reduces the finished CTTs through [`cypress_core::BinomialMerger`] *as
-//! they arrive* — it never barriers on the full rank set before starting to
-//! merge, and at most `⌈log2 P⌉ + 1` partial merges are ever resident. A
-//! relay holds its shard's checked ranks instead and merges the complete
-//! shard once, vertex by vertex, before forwarding it.
+//! **collector daemon** which compresses each stream online. Every
+//! collector checks each finished CTT as it arrives, holds it and
+//! acknowledges it at once, and merges once every rank it collects is in,
+//! as the paper merges in `MPI_Finalize`: through
+//! [`cypress_core::BinomialMerger::add_run`], vertex by vertex, one aligned
+//! buddy piece at a time. The root yields the merged job; a relay forwards
+//! its shard's merged blocks.
 //!
 //! Layers, std-only (no external dependencies, matching the repo's
 //! offline-build rule):
@@ -31,8 +32,8 @@
 //! - [`client`] / [`collector`] — the submitting side (connect/send retry
 //!   with exponential backoff, frame pipelining in coalesced writes,
 //!   per-request timeouts, drain-on-finish) and the collection handler
-//!   (per-connection protocol state machine, incremental binomial merge at
-//!   the root, held shards at relays, duplicate-rank tolerance).
+//!   (per-connection protocol state machine, held ranks merged once they
+//!   are complete, duplicate-rank tolerance).
 //! - [`tree`] — sharded collection: mid-tier **relay** collectors each own
 //!   a contiguous rank shard, merge it once it is complete, and forward the
 //!   merged buddy blocks upstream, so

@@ -132,19 +132,20 @@ echo "== compress once, at rest: the collection wire carries codec bytes =="
 ! grep -rnE '(^|[^a-z_])(deflate|inflate[a-z_]*)\(' crates/net/src || exit 1
 ! grep -rnwE 'RankCttZ|MergedBlockZ|ctt_level|get_raw_len' crates/*/src src tests || exit 1
 
-echo "== one merge: merge_all_parallel is a shim nothing in the library or the figures calls =="
-# Its callers outside the library are tests, which keep it pinned to merge_all,
-# and benchmark/, which names it until the benchmark changes.
-! find src crates/*/src -name '*.rs' -print0 | sort -z \
-  | xargs -0 awk 'FNR == 1 {t = 0} /^ *#\[cfg\((.*[^a-z_])?test([^a-z_].*)?\)\]/ {t = 1}
-                  !t && /merge_all_parallel\(/ && !/pub fn merge_all_parallel/ {print FILENAME ":" FNR ": " $0}' \
-  | grep . || exit 1
-! grep -rn 'merge_all_parallel' crates/bench || exit 1
+echo "== one merge: merge_all_parallel is a shim nothing but benchmark/ calls =="
+# Not the library, its tests, tests/ or the figures: benchmark/ names it
+# until the benchmark changes, and the tests merge through BinomialMerger.
+! grep -rn 'merge_all_parallel' src crates tests examples \
+  | grep -v '^crates/core/src/merge.rs:[0-9]*:pub fn merge_all_parallel' \
+  | grep -v '^crates/core/src/lib.rs:' || exit 1
 
 echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
-# merge_all and absorb_rank share one per-vertex absorb whose key tables live
-# for one vertex; inspect opens rank sections through StoreJob::open.
+# merge_all runs the one per-vertex absorb, whose key tables live for one
+# vertex; a rank enters a BinomialMerger only as a run (`add` is a one-rank
+# `add_run`), and the collector holds every checked rank in either role;
+# inspect opens rank sections through StoreJob::open.
 ! grep -nE 'struct Index|enum Tables|absorb_rank_with' crates/core/src/merge.rs || exit 1
+! grep -rnE 'absorb_rank|enum Finished|binomial_add"' crates/*/src || exit 1
 ! grep -n 'fn merge_rank_sections' src/bin/cypress.rs || exit 1
 
 echo "== a closed stdout ends the CLI quietly: no panicking print in the binary =="

@@ -2,7 +2,10 @@
 //! every workload: trace → compress → (merge → extract →) decompress must
 //! reproduce each rank's exact `(gid, op, params)` sequence.
 
-use cypress::core::{compress_trace, decompress, merge_all, merge_all_parallel, CompressConfig};
+mod chunked;
+
+use chunked::merge_in_chunks;
+use cypress::core::{compress_trace, decompress, merge_all, CompressConfig};
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 
@@ -76,9 +79,9 @@ fn parallel_merge_structurally_equals_sequential() {
         .map(|t| compress_trace(&info.cst, t, &cfg))
         .collect();
     let seq = merge_all(&ctts);
-    for threads in [2, 4, 7] {
-        let par = merge_all_parallel(&ctts, threads);
-        assert_eq!(seq.group_count(), par.group_count(), "threads={threads}");
+    for k in [2, 4, 7] {
+        let par = merge_in_chunks(&ctts, k);
+        assert_eq!(seq.group_count(), par.group_count(), "chunks={k}");
         // Extraction must agree rank-for-rank.
         for rank in 0..16 {
             let a = decompress(&info.cst, &seq.extract_rank(rank, &info.cst));

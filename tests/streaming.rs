@@ -3,9 +3,11 @@
 //! `compress_trace` it) at every pool width, and the on-disk container must
 //! round trip every workload's exact event sequence without re-simulation.
 
+mod chunked;
 mod footprint;
 
-use cypress::core::{compress_trace, merge_all, merge_all_parallel, CompressConfig, Ctt};
+use chunked::merge_in_chunks;
+use cypress::core::{compress_trace, merge_all, CompressConfig, Ctt};
 use cypress::runtime::{trace_program_parallel, InterpConfig};
 use cypress::trace::codec::Codec;
 use cypress::trace::event::{MpiOp, MpiParams};
@@ -72,7 +74,7 @@ fn streaming_merged_bytes_equal_batch_on_all_workloads() {
         }
         assert_eq!(
             stream.merge().to_bytes(),
-            merge_all_parallel(&batch, 4).to_bytes(),
+            merge_in_chunks(&batch, 4).to_bytes(),
             "{name}: merged CTT encodings diverged"
         );
         // The streaming path actually streamed: per-rank session stats exist
@@ -248,8 +250,9 @@ fn per_rank_sections_agree_with_merged_extraction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `merge_all_parallel` must be insensitive to awkward (prime, tiny,
-/// larger-than-rank-count) thread counts at rank counts 3, 5, and 17.
+/// The merge must be insensitive to how the ranks are cut into runs and
+/// relayed blocks (awkward, one-rank and whole-job chunkings) at rank
+/// counts 3, 5, and 17.
 #[test]
 fn parallel_merge_handles_odd_rank_counts() {
     for nranks in [3u32, 5, 17] {
@@ -265,17 +268,17 @@ fn parallel_merge_handles_odd_rank_counts() {
         );
         let job = Pipeline::new(src).ranks(nranks).run().unwrap();
         let reference = merge_all(&job.ctts);
-        for threads in [1usize, 2, 3, 5, 32] {
-            let par = merge_all_parallel(&job.ctts, threads);
+        for k in [1usize, 2, 3, 5, nranks as usize] {
+            let chunked = merge_in_chunks(&job.ctts, k.min(nranks as usize));
             assert_eq!(
-                par.group_count(),
+                chunked.group_count(),
                 reference.group_count(),
-                "nranks={nranks} threads={threads}"
+                "nranks={nranks} chunks={k}"
             );
             assert_eq!(
-                par.to_bytes(),
+                chunked.to_bytes(),
                 reference.to_bytes(),
-                "nranks={nranks} threads={threads}: encodings diverged"
+                "nranks={nranks} chunks={k}: encodings diverged"
             );
         }
     }
