@@ -358,7 +358,8 @@ fn ablation(cfg: &Cfg) {
         }
     }
 
-    // (c) Sequential vs binomial (§IV-B) inter-process merge: the same tree.
+    // (c) Sequential `merge_all` vs a `BinomialMerger` holding each rank as
+    // a piece and merging the pieces once, in rank order: the same tree.
     let t = trace_workload("lu", if cfg.paper { 128 } else { 64 }, cfg.scale);
     let ctts: Vec<_> = t
         .traces
@@ -377,11 +378,11 @@ fn ablation(cfg: &Cfg) {
     let tree_s = t0.elapsed().as_secs_f64();
     assert_eq!(seq.to_bytes(), tree.to_bytes());
     println!(
-        "merge lu@{}: sequential {seq_s:.5}s, binomial {tree_s:.5}s",
+        "merge lu@{}: sequential {seq_s:.5}s, held pieces {tree_s:.5}s",
         t.workload.nprocs
     );
     writeln!(csv, "merge,sequential_s,{seq_s:.6}").unwrap();
-    writeln!(csv, "merge,binomial_s,{tree_s:.6}").unwrap();
+    writeln!(csv, "merge,pieces_s,{tree_s:.6}").unwrap();
 
     save("ablation", &csv);
 }

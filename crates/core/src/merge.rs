@@ -19,9 +19,12 @@
 //! and the test itself confirms every hit. So an absorb costs O(records)
 //! however many rank groups a slot holds. [`merge_all`] merges vertex by
 //! vertex, every rank's data at one vertex before the next;
-//! [`BinomialMerger`] reduces ranks arriving in any order over a binomial
-//! tree — the O(n log P) schedule the paper describes for end-of-job
-//! merging inside `MPI_Finalize`.
+//! [`BinomialMerger`] holds ranks and merged blocks arriving in any order
+//! as contiguous pieces and merges them the same way, piece by piece at
+//! each vertex, once they are all in. The paper reduces pairwise on a
+//! binomial tree inside `MPI_Finalize`, where every process merges in
+//! parallel; here one process merges, so the pieces are taken in rank
+//! order, which gives the same bytes however the job is cut.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
 use crate::intseq::{read_seg, read_segs, IntSeq, IntSeqReader};
@@ -32,8 +35,6 @@ use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
 use std::hash::{Hash, Hasher};
 
 // Scope `merge`.
-/// Pairwise `absorb` operations performed.
-static PAIR_MERGES: Counter = Counter::new("merge", "pair_merges");
 /// New rank groups opened because no existing group was compatible.
 static GROUPS_FORMED: Counter = Counter::new("merge", "groups_formed");
 /// Final group count of the last full merge.
@@ -41,14 +42,8 @@ static MERGED_GROUPS: Gauge = Gauge::new("merge", "merged_groups");
 /// Group compatibility tests (`record_mergeable`, control-data equality)
 /// run by the absorbs.
 static COMPARISONS: Counter = Counter::new("merge", "comparisons");
-/// Wall time per pairwise absorb.
-static PAIR_MERGE_NS: Histogram = Histogram::new("merge", "pair_merge_ns", &TIME_BOUNDS_NS);
 /// Wall time per whole-job merge.
 static MERGE_NS: Histogram = Histogram::new("merge", "merge_ns", &TIME_BOUNDS_NS);
-/// High-water depth of the incremental binomial buddy tree.
-static BINOMIAL_DEPTH: Gauge = Gauge::new("merge", "binomial_depth");
-/// Partial blocks currently resident in a [`BinomialMerger`].
-static BINOMIAL_BLOCKS: Gauge = Gauge::new("merge", "binomial_blocks");
 
 /// Record `acc`'s group count as the last full merge's (guarded: counting
 /// walks every vertex).
@@ -350,9 +345,10 @@ impl MergedVertex {
 /// contiguous block of its ranks.
 ///
 /// Contract: ranks enter in ascending order. Whatever is merged in —
-/// ranks through [`merge_all`], a block through [`absorb`](Self::absorb) —
-/// lies above every rank already held, so each group's [`RankSet`] stays
-/// ascending and stride-compressible, and `app_times` stays in rank order.
+/// ranks through [`merge_all`], a piece through a [`BinomialMerger`]'s one
+/// pass — lies above every rank already held, so each group's [`RankSet`]
+/// stays ascending and stride-compressible, and `app_times` stays in rank
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedCtt {
     pub nprocs: u32,
@@ -382,8 +378,8 @@ pub fn record_mergeable(a: &LeafRecord, b: &LeafRecord) -> bool {
 
 /// Does a tree fit the job it is offered to? Its job size, vertex count,
 /// and the variant of every vertex's data against the CST vertex it
-/// records — what [`MergedCtt::absorb`] and [`BinomialMerger`] assert, so a
-/// peer's tree can be refused with an error before it reaches them.
+/// records — what [`merge_all`] and [`BinomialMerger`] assert, so a peer's
+/// tree can be refused with an error before it reaches them.
 /// [`MergedCtt::check_shape`] is this check for a merged block.
 pub fn check_shape<S: CttSource>(ctt: &S, cst: &Cst, nprocs: u32) -> Result<(), String> {
     check_size(cst, nprocs, ctt.nprocs(), ctt.vertex_count())?;
@@ -479,56 +475,6 @@ impl MergedCtt {
             ));
         }
         Ok(())
-    }
-
-    /// Merge `other` into `self`, vertex by vertex. Ranks in `other` must be
-    /// greater than ranks in `self` (reduce contiguous halves) so rank sets
-    /// stay sorted and stride-compressible.
-    ///
-    /// A vertex or slot whose groups, with the incoming ones, number more
-    /// than [`SCAN_GROUPS`] is matched through a key table filled with them
-    /// (one scratch table, reused), so it costs O(g_self + g_other) rather
-    /// than a scan's O(g_self · g_other).
-    pub fn absorb(&mut self, other: MergedCtt) {
-        assert_eq!(self.vertices.len(), other.vertices.len());
-        let _span = PAIR_MERGE_NS.span("merge", "absorb");
-        PAIR_MERGES.inc();
-        let mut tally = Tally::default();
-        let mut scratch = KeyTable::default();
-        for (mine, theirs) in self.vertices.iter_mut().zip(other.vertices) {
-            match theirs {
-                MergedVertex::Empty => {}
-                MergedVertex::Control(groups) => tally.absorb_groups(
-                    mine.control_groups(),
-                    groups,
-                    &mut scratch,
-                    |d| control_key(d.view()),
-                    control_mergeable,
-                    |_, _| {},
-                ),
-                MergedVertex::Leaf(slots) => {
-                    let dst = mine.leaf_slots(slots.len());
-                    for (slot, groups) in dst.iter_mut().zip(slots) {
-                        tally.absorb_groups(
-                            slot,
-                            groups,
-                            &mut scratch,
-                            record_key,
-                            record_mergeable,
-                            |r, rec| {
-                                r.time.merge(&rec.time);
-                                r.gap.merge(&rec.gap);
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        let mut r = other.app_times.reader();
-        while let Some(v) = r.next() {
-            self.app_times.push(v);
-        }
-        tally.flush();
     }
 
     /// Total group count across vertices (the merged trace's record
@@ -716,6 +662,80 @@ fn first_tables(tables: &mut Vec<KeyTable>, n: usize) -> &mut [KeyTable] {
     &mut tables[..n]
 }
 
+/// Merge `pieces`, each a contiguous run of ranks right above the one
+/// before it, into one tree, vertex by vertex as [`merge_all`] merges
+/// ranks. The first piece is the base; at each vertex every later piece's
+/// groups move into its lists, a long list's group found through one key
+/// table per list that is filled once and emptied when the vertex is done.
+/// So the pass is linear in the groups however many pieces there are, and
+/// it clones none of them.
+fn merge_pieces(pieces: Vec<MergedCtt>) -> MergedCtt {
+    let mut pieces = pieces.into_iter();
+    let mut acc = pieces.next().expect("a merge of pieces needs at least one");
+    let mut rest: Vec<MergedCtt> = pieces.collect();
+    for p in &rest {
+        assert_eq!(acc.vertices.len(), p.vertices.len());
+        let mut r = p.app_times.reader();
+        while let Some(v) = r.next() {
+            acc.app_times.push(v);
+        }
+    }
+    let (mut tables, mut tally) = (Vec::new(), Tally::default());
+    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
+        let mut lists = 0;
+        for p in &mut rest {
+            let theirs = std::mem::replace(&mut p.vertices[gid], MergedVertex::Empty);
+            lists = lists.max(absorb_piece(mine, theirs, &mut tables, &mut tally));
+        }
+        tables[..lists].iter_mut().for_each(KeyTable::clear);
+    }
+    tally.flush();
+    acc
+}
+
+/// Move one piece's groups at one vertex into `mine`, as [`absorb_vertex`]
+/// moves one rank's data: each joins the compatible group already there or
+/// opens its own after them. Returns how many lists it met.
+fn absorb_piece(
+    mine: &mut MergedVertex,
+    theirs: MergedVertex,
+    tables: &mut Vec<KeyTable>,
+    tally: &mut Tally,
+) -> usize {
+    match theirs {
+        MergedVertex::Empty => 0,
+        MergedVertex::Control(groups) => {
+            tally.absorb_groups(
+                mine.control_groups(),
+                groups,
+                &mut first_tables(tables, 1)[0],
+                |d| control_key(d.view()),
+                control_mergeable,
+                |_, _| {},
+            );
+            1
+        }
+        MergedVertex::Leaf(slots) => {
+            let n = slots.len();
+            let dst = mine.leaf_slots(n);
+            for ((slot, groups), table) in dst.iter_mut().zip(slots).zip(first_tables(tables, n)) {
+                tally.absorb_groups(
+                    slot,
+                    groups,
+                    table,
+                    record_key,
+                    record_mergeable,
+                    |r, rec| {
+                        r.time.merge(&rec.time);
+                        r.gap.merge(&rec.gap);
+                    },
+                );
+            }
+            n
+        }
+    }
+}
+
 /// [`merge_all`], whatever `threads` says: the one merge is sequential.
 #[doc(hidden)]
 pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCtt {
@@ -726,12 +746,12 @@ pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCt
 /// at most this many; past that it is matched by key. A scan test that
 /// fails on the message size costs a few nanoseconds, a key a hash and a
 /// probe, so short lists scan faster. On the 64 `local-irregular` rank CTTs
-/// (DESIGN §10 has the numbers) a `BinomialMerger` is about a third slower
-/// when every list is keyed and runs fastest at 32 or 64, and `merge_all`
-/// runs fastest at 16 or 32 and slows at 64, where it scans every
-/// rank-unique list. Either way an absorb runs at most half this many tests
-/// per group of the lists it touches, short of crafted key collisions
-/// ([`KeyTable`]).
+/// (DESIGN §10 has the numbers) the pairwise merger this crate had before
+/// was about a third slower when every list was keyed and ran fastest at
+/// 32 or 64, and `merge_all` runs fastest at 16 or 32 and slows at 64,
+/// where it scans every rank-unique list. Either way an absorb runs at most
+/// half this many tests per group of the lists it touches, short of
+/// crafted key collisions ([`KeyTable`]).
 const SCAN_GROUPS: usize = 32;
 
 /// The tallies of one absorb or one whole merge, flushed into the `merge`
@@ -767,25 +787,24 @@ impl Tally {
         table.find(key(), hit)
     }
 
-    /// Merge `groups` into `dst` for [`MergedCtt::absorb`]: each group's
-    /// ranks and data `join` the compatible group already there, or it opens
-    /// its own after them.
+    /// Merge one piece's `groups` into `dst`, whose key table is `table`:
+    /// each group's ranks and data `join` the compatible group already
+    /// there, or it opens its own after them.
     fn absorb_groups<T>(
         &mut self,
         dst: &mut Vec<(RankSet, T)>,
         groups: Vec<(RankSet, T)>,
-        scratch: &mut KeyTable,
+        table: &mut KeyTable,
         key: impl Fn(&T) -> u32,
         compatible: impl Fn(&T, &T) -> bool,
         join: impl Fn(&mut T, &T),
     ) {
-        scratch.clear();
         let mut incoming = groups.len();
         for (ranks, data) in groups {
             let found = self.find(
                 dst,
                 incoming,
-                scratch,
+                table,
                 || key(&data),
                 |(_, d)| key(d),
                 |(_, d)| compatible(d, &data),
@@ -940,45 +959,29 @@ fn control_key(d: VertexRef<'_>) -> u32 {
     h.finish() as u32
 }
 
-/// The maximal aligned buddy blocks that tile ranks `[first, end)`, in
-/// ascending order, as `(start, len)`: each is the largest power-of-two
-/// block aligned at its start that ends by `end`. A contiguous shard of a
-/// job folds into exactly these blocks on the job's buddy tree.
-pub fn buddy_pieces(first: u32, end: u32) -> impl Iterator<Item = (u32, u32)> {
-    let mut start = first;
-    std::iter::from_fn(move || {
-        (start < end).then(|| {
-            let len = 1 << start.trailing_zeros().min((end - start).ilog2());
-            start += len;
-            (start - len, len)
-        })
-    })
-}
-
-/// Binomial reduction over ranks and merged blocks arriving in **any
-/// order** — the paper's `MPI_Finalize` merge schedule. The network
-/// collector, root and relay alike, holds each checked rank and enters the
-/// complete runs through [`add_run`](Self::add_run): one linear
-/// vertex-by-vertex merge per aligned buddy piece. A lower tier's merged
-/// block enters through [`add_block`](Self::add_block) as it arrives.
+/// Ranks and merged blocks arriving in **any order**, merged once when they
+/// are all in — what the network collector, root and relay alike, runs.
+/// The merger holds disjoint contiguous *pieces*: a run of ranks enters
+/// through [`add_run`](Self::add_run) as one [`merge_all`] over it, a lower
+/// tier's merged block through [`add_block`](Self::add_block) as it came.
+/// Nothing merges while pieces arrive; [`finish`](Self::finish) and
+/// [`into_blocks`](Self::into_blocks) make one vertex-by-vertex pass over
+/// them in rank order.
 ///
-/// Blocks of merged ranks live on the fixed *buddy tree* over rank indices:
-/// a block covering `[start, start+len)` (with `len` a power of two and
-/// `start % len == 0`) merges with its sibling `[start+len, start+2·len)`
-/// the moment both are complete. Ranks added in rank order leave at most
-/// `⌈log2 P⌉ + 1` partial merges resident.
-///
-/// The association tree is determined by rank indices alone (never by
-/// arrival order), and [`TimeStats`] aggregation is exactly associative, so
-/// [`BinomialMerger::finish`] is byte-identical to [`merge_all`] over the
-/// same CTTs in rank order — the invariant `tests/net_collect.rs` pins for
-/// out-of-order network submission.
+/// The merge is associative over contiguous pieces taken in ascending rank
+/// order: the groups of one list are pairwise incompatible, so a scan's
+/// first hit is its only hit; rank sets and `app_times` are rebuilt value
+/// by value, so they come out canonical; and [`TimeStats`] holds exact
+/// integer moments. So however a job is cut, [`finish`](Self::finish) is
+/// byte-identical to [`merge_all`] over the same CTTs in rank order — the
+/// invariant `tests/merge_identity.rs` and `tests/net_collect.rs` pin. The
+/// type keeps the name of the binomial schedule it used to run.
 ///
 /// [`TimeStats`]: crate::timestats::TimeStats
 pub struct BinomialMerger {
     nprocs: u32,
-    /// Completed buddy blocks, keyed by start rank → (len, partial merge).
-    blocks: std::collections::BTreeMap<u32, (u32, MergedCtt)>,
+    /// Disjoint pieces, keyed by first rank → (rank count, merge).
+    pieces: std::collections::BTreeMap<u32, (u32, MergedCtt)>,
     /// Bitset of ranks already accepted.
     seen: Vec<u64>,
     received: u32,
@@ -989,7 +992,7 @@ impl BinomialMerger {
         assert!(nprocs > 0, "BinomialMerger needs at least one rank");
         BinomialMerger {
             nprocs,
-            blocks: std::collections::BTreeMap::new(),
+            pieces: std::collections::BTreeMap::new(),
             seen: vec![0u64; (nprocs as usize).div_ceil(64)],
             received: 0,
         }
@@ -1010,63 +1013,19 @@ impl BinomialMerger {
         true
     }
 
-    /// Climb the buddy tree from an aligned block `[start, start+len)`:
-    /// blocks are always power-of-two sized and len-aligned, so
-    /// `start % (2·len)` is 0 (we are the lower sibling) or `len` (we are
-    /// the upper sibling). Shared by [`add_run`](Self::add_run) (a run's
-    /// pieces) and [`add_block`](Self::add_block) (relay-forwarded partial
-    /// merges).
-    fn fold_block(&mut self, mut start: u32, mut len: u32, mut cur: MergedCtt) {
-        loop {
-            if start.is_multiple_of(2 * len) {
-                let buddy = start + len;
-                if self.blocks.get(&buddy).is_some_and(|(l, _)| *l == len) {
-                    let (_, upper) = self.blocks.remove(&buddy).unwrap();
-                    cur.absorb(upper);
-                    len *= 2;
-                    continue;
-                }
-            } else {
-                let buddy = start - len;
-                if self.blocks.get(&buddy).is_some_and(|(l, _)| *l == len) {
-                    let (_, mut lower) = self.blocks.remove(&buddy).unwrap();
-                    lower.absorb(cur);
-                    cur = lower;
-                    start = buddy;
-                    len *= 2;
-                    continue;
-                }
-            }
-            break;
-        }
-        self.blocks.insert(start, (len, cur));
-        BINOMIAL_DEPTH.set_max(len.trailing_zeros() as i64);
-        BINOMIAL_BLOCKS.set_max(self.blocks.len() as i64);
-    }
-
-    /// Offer an already-merged aligned buddy block covering ranks
-    /// `[first, first+count)` — what a relay collector forwards upstream.
-    ///
-    /// A block a *global-sized* merger produced for any subset of ranks is
-    /// necessarily aligned on the global buddy tree (power-of-two `count`,
-    /// `first % count == 0`), so absorbing it here continues the exact same
-    /// association as if the ranks had arrived individually — the
-    /// byte-identity invariant survives relaying.
+    /// Offer an already-merged block covering ranks `[first, first+count)`
+    /// — what a relay collector forwards upstream. It is held as one piece,
+    /// so any non-empty range inside the job will do.
     ///
     /// Returns `Ok(false)` when every covered rank was already merged (a
     /// relay retry; no-op like a duplicate rank in [`add`](Self::add)),
-    /// `Err` on a misaligned/out-of-range block or one that partially
+    /// `Err` on an empty or out-of-range block or one that partially
     /// overlaps merged ranks (protocol corruption, not a benign retry).
     pub fn add_block(&mut self, first: u32, count: u32, block: MergedCtt) -> Result<bool, String> {
-        if count == 0 || !count.is_power_of_two() {
-            return Err(format!("block rank count {count} is not a power of two"));
-        }
         // `first` and `count` come off the wire: their sum must not wrap.
         let end = first as u64 + count as u64;
-        if !first.is_multiple_of(count) {
-            return Err(format!(
-                "block [{first}, {end}) is not aligned on the buddy tree"
-            ));
+        if count == 0 {
+            return Err(format!("block [{first}, {end}) covers no rank"));
         }
         if end > self.nprocs as u64 {
             return Err(format!(
@@ -1085,19 +1044,14 @@ impl BinomialMerger {
             ));
         }
         self.mark(first, end);
-        let _t = cypress_obs::trace_span("merge", "binomial_add_block").arg(first as u64);
-        self.fold_block(first, count, block);
+        self.pieces.insert(first, (count, block));
         Ok(true)
     }
 
     /// Offer a run of consecutive ranks in ascending order, none of them
-    /// merged yet: what a collector holds between the blocks it was sent. The
-    /// run splits into its maximal aligned buddy pieces ([`buddy_pieces`]).
-    /// Each piece is merged vertex by vertex ([`merge_all`], linear in its
-    /// records) and entered as [`add_block`](Self::add_block) enters a
-    /// forwarded block. `merge_all` over a piece is the block that absorbing
-    /// its ranks one by one up the buddy tree builds, so the bytes do not
-    /// depend on how a run is cut.
+    /// merged yet: what a collector holds between the blocks it was sent.
+    /// The run is merged vertex by vertex ([`merge_all`], linear in its
+    /// records) and held as one piece.
     ///
     /// `Err` naming the run's range, with the merger unchanged, when the
     /// run is not consecutive ranks in ascending order, belongs to another
@@ -1142,11 +1096,8 @@ impl BinomialMerger {
             ));
         }
         let _t = cypress_obs::trace_span("merge", "binomial_add_run").arg(first as u64);
-        for (start, len) in buddy_pieces(first, end) {
-            let piece = &run[(start - first) as usize..][..len as usize];
-            self.mark(start, start + len);
-            self.fold_block(start, len, merge_all(piece));
-        }
+        self.mark(first, end);
+        self.pieces.insert(first, (end - first, merge_all(run)));
         Ok(())
     }
 
@@ -1163,15 +1114,25 @@ impl BinomialMerger {
         self.received += end - first;
     }
 
-    /// Consume the merger, yielding its resident blocks in ascending start
-    /// order as `(first_rank, rank_count, partial)` — the payload a relay
-    /// forwards upstream. Unlike [`finish`](Self::finish) this does not
-    /// require completeness: a relay's rank range is an arbitrary contiguous
-    /// slice of the job, which folds into ≤ 2·log2(P) aligned blocks.
+    /// Consume the merger, yielding one block per maximal contiguous range
+    /// of its ranks, in ascending order, as `(first_rank, rank_count,
+    /// merge)` — the payload a relay forwards upstream, one block for its
+    /// shard. Unlike [`finish`](Self::finish) this does not require
+    /// completeness.
     pub fn into_blocks(self) -> Vec<(u32, u32, MergedCtt)> {
-        self.blocks
+        let mut ranges: Vec<(u32, u32, Vec<MergedCtt>)> = Vec::new();
+        for (first, (count, piece)) in self.pieces {
+            match ranges.last_mut() {
+                Some((start, len, pieces)) if *start + *len == first => {
+                    *len += count;
+                    pieces.push(piece);
+                }
+                _ => ranges.push((first, count, vec![piece])),
+            }
+        }
+        ranges
             .into_iter()
-            .map(|(start, (len, part))| (start, len, part))
+            .map(|(first, count, pieces)| (first, count, merge_pieces(pieces)))
             .collect()
     }
 
@@ -1190,19 +1151,9 @@ impl BinomialMerger {
         rank < self.nprocs && self.seen[rank as usize / 64] & (1u64 << (rank % 64)) != 0
     }
 
-    /// Partial blocks currently resident (≤ ⌈log2 P⌉ + 1 once complete).
-    pub fn pending_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Depth of the largest merged buddy block: log2 of its rank count
-    /// (0 when nothing has merged yet).
-    pub fn max_depth(&self) -> u32 {
-        self.blocks
-            .values()
-            .map(|(len, _)| len.trailing_zeros())
-            .max()
-            .unwrap_or(0)
+    /// Pieces held: runs and blocks, each still a merge of its own.
+    pub fn pieces(&self) -> usize {
+        self.pieces.len()
     }
 
     /// Ranks not yet submitted, in ascending order.
@@ -1212,8 +1163,7 @@ impl BinomialMerger {
             .collect()
     }
 
-    /// Fold the remaining blocks (ascending start rank; non-power-of-two
-    /// job sizes leave a short tail) into the final merged trace.
+    /// Merge every piece, in rank order, into the whole job's tree.
     ///
     /// Panics unless [`is_complete`](Self::is_complete) — callers decide how
     /// to handle missing ranks (the collector reports them by number).
@@ -1224,16 +1174,13 @@ impl BinomialMerger {
             self.missing_ranks()
         );
         let _span = MERGE_NS.span("merge", "binomial_finish");
-        let mut iter = self.blocks.into_values();
-        let (_, mut acc) = iter.next().expect("complete merger has blocks");
-        for (_, part) in iter {
-            acc.absorb(part);
-        }
+        let pieces = self.pieces.into_values().map(|(_, piece)| piece).collect();
+        let acc = merge_pieces(pieces);
         note_merged_groups(&acc);
         obs_log!(
             Level::Info,
             "merge",
-            "binomial merge of {} ranks complete ({} groups)",
+            "merge of {} ranks complete ({} groups)",
             self.nprocs,
             acc.group_count()
         );
@@ -1473,7 +1420,7 @@ mod tests {
 
     /// `ctts` (rank order) merged in `k` uneven contiguous chunks: even
     /// chunks enter a `BinomialMerger` through `add_run`, odd ones as the
-    /// blocks another job-sized merger built from them, through `add_block`.
+    /// block another job-sized merger built from them, through `add_block`.
     fn merge_in_chunks<S: CttSource>(ctts: &[S], k: usize) -> MergedCtt {
         let nprocs = ctts[0].nprocs();
         let mut bm = BinomialMerger::new(nprocs);
@@ -1512,9 +1459,8 @@ mod tests {
 
     #[test]
     fn chunked_merge_byte_identical_for_any_chunking() {
-        // 19 ranks: non-power-of-two, so chunk boundaries fall across the
-        // buddy tree differently per chunk count. Exact TimeStats make every
-        // association byte-identical.
+        // 19 ranks, cut at unaligned boundaries that differ per chunk
+        // count. Exact TimeStats make every association byte-identical.
         let (_, ctts) = pipeline(JACOBI, 19);
         let seq = merge_all(&ctts).to_bytes();
         for k in [1, 2, 3, 5, 8, 19] {
@@ -1561,20 +1507,6 @@ mod tests {
     }
 
     #[test]
-    fn binomial_merger_bounds_resident_blocks() {
-        let (_, ctts) = pipeline(JACOBI, 32);
-        let mut bm = BinomialMerger::new(32);
-        let mut peak = 0;
-        for c in &ctts {
-            bm.add(c);
-            peak = peak.max(bm.pending_blocks());
-        }
-        // In rank order the buddy tree keeps at most log2(P)+1 partials.
-        assert!(peak <= 6, "peak resident blocks {peak}");
-        assert_eq!(bm.pending_blocks(), 1);
-    }
-
-    #[test]
     fn binomial_merger_ignores_duplicate_ranks() {
         let (_, ctts) = pipeline(JACOBI, 6);
         let mut bm = BinomialMerger::new(6);
@@ -1603,9 +1535,9 @@ mod tests {
     #[test]
     fn relayed_blocks_reproduce_merge_all_bytes() {
         // The collector-tree invariant: relays run global-sized mergers
-        // over contiguous rank shards, forward their resident blocks, and
-        // the root absorbing those blocks is byte-identical to merge_all —
-        // including ragged (non-power-of-two, unevenly split) shards.
+        // over contiguous rank shards, forward one block each, and the root
+        // merging those blocks is byte-identical to merge_all — including
+        // ragged (non-power-of-two, unevenly split) shards.
         for (nprocs, cuts) in [
             (16u32, vec![0u32, 8, 16]),
             (16, vec![0, 5, 16]),
@@ -1622,11 +1554,11 @@ mod tests {
                 for r in a..b {
                     assert!(relay.add(&ctts[r as usize]));
                 }
-                for (first, count, part) in relay.into_blocks() {
-                    assert!(count.is_power_of_two(), "{nprocs}p shard [{a},{b})");
-                    assert!(first.is_multiple_of(count));
-                    assert!(root.add_block(first, count, part).unwrap());
-                }
+                let mut blocks = relay.into_blocks();
+                let (first, count, part) = blocks.pop().unwrap();
+                assert!(blocks.is_empty(), "{nprocs}p shard [{a},{b})");
+                assert_eq!((first, count), (a, b - a));
+                assert!(root.add_block(first, count, part).unwrap());
             }
             assert!(root.is_complete(), "{nprocs}p cuts {cuts:?}");
             assert_eq!(root.finish().to_bytes(), want, "{nprocs}p cuts {cuts:?}");
@@ -1667,9 +1599,8 @@ mod tests {
         let (_, ctts) = pipeline(JACOBI, 8);
         let one = merge_all(&ctts[..1]);
         let mut bm = BinomialMerger::new(8);
-        // Misaligned, non-power-of-two, and out-of-range blocks are errors.
-        assert!(bm.add_block(1, 2, one.clone()).is_err());
-        assert!(bm.add_block(0, 3, one.clone()).is_err());
+        // Empty and out-of-range blocks are errors.
+        assert!(bm.add_block(3, 0, one.clone()).is_err());
         assert!(bm.add_block(8, 1, one.clone()).is_err());
         assert!(bm.add_block(4, 8, one.clone()).is_err());
         // first + count wraps to 0 in u32: still out of range, not accepted.
@@ -1915,7 +1846,7 @@ mod tests {
             assert!(one_by_one.add(c));
         }
         assert!(one_by_one.finish().to_bytes() == want, "rank by rank");
-        // Uneven runs: pieces that `absorb` meets at every size.
+        // Uneven runs: pieces the one pass meets at every size.
         let mut runs = BinomialMerger::new(P);
         for run in [0..3, 3..40, 40..41, 41..80] {
             runs.add_run(&ctts[run]).unwrap();

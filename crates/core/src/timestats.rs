@@ -10,9 +10,9 @@
 //! (`n`, `Σx`, `Σx²` in 128-bit arithmetic) rather than floating-point
 //! Welford state. Integer addition is associative and commutative, so
 //! [`TimeStats::merge`] yields bit-identical results no matter how a set of
-//! partial aggregates is parenthesised — the property the distributed
-//! binomial merge (ranks arriving over the network in any order) relies on
-//! to give `merge_all`'s bytes exactly. Mean and deviation are derived on
+//! partial aggregates is parenthesised — the property the piecewise merge
+//! (ranks and relay blocks arriving over the network in any order, merged
+//! as contiguous pieces) relies on to give `merge_all`'s bytes exactly. Mean and deviation are derived on
 //! demand.
 
 use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(c, a);
     }
 
-    /// The property the distributed binomial merge depends on: any
+    /// The property the piecewise merge depends on: any
     /// parenthesisation of any permutation-preserving partition of the same
     /// samples produces bit-identical aggregates and bytes.
     #[test]

@@ -289,10 +289,10 @@ pub fn submit_ctt(
     })
 }
 
-/// Forward a relay's merged buddy blocks to its upstream collector. All
-/// blocks plus the `Finish` pipeline in one write with a single
-/// round-trip; duplicates are upstream no-ops, so a retry that re-sends
-/// blocks which already landed is harmless.
+/// Forward a relay's merged blocks to its upstream collector — a relay
+/// sends one, its shard. The blocks plus the `Finish` pipeline in one
+/// write with a single round-trip; duplicates are upstream no-ops, so a
+/// retry that re-sends a block which already landed is harmless.
 pub(crate) fn submit_merged_blocks(
     addr: &Addr,
     cfg: &ClientConfig,

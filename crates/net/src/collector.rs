@@ -22,16 +22,17 @@
 //! - **Root** (plain `serve`): completes when all `nprocs` ranks are
 //!   held or merged, then merges and yields the [`CollectedJob`].
 //! - **Relay** (`serve --tree`, started by [`crate::tree::spawn_tree`]):
-//!   accepts only a contiguous rank shard, then forwards its merger's
-//!   buddy blocks upstream as raw `MergedBlock` frames.
+//!   accepts only a contiguous rank shard, then forwards its shard upstream
+//!   as one raw `MergedBlock` frame.
 //!
-//! Either role, once complete, folds every run of held ranks into a
-//! *global-sized* [`BinomialMerger`] with [`BinomialMerger::add_run`]:
-//! one vertex-by-vertex `merge_all` per aligned buddy piece. A lower tier's
-//! block enters through [`BinomialMerger::add_block`] on arrival. Because
-//! a global-sized merger's blocks are aligned on the global association
-//! tree, the root absorbing a relay's blocks is byte-identical to a local
-//! `merge_all` — relaying never perturbs the merge.
+//! Both hold their pieces in a *global-sized* [`BinomialMerger`]: a lower
+//! tier's block enters through [`BinomialMerger::add_block`] on arrival, at
+//! no merge cost, and once the collector is complete each maximal run of
+//! held ranks enters through [`BinomialMerger::add_run`]. Then one
+//! vertex-by-vertex pass merges the pieces in rank order. The merge is
+//! associative over contiguous pieces in rank order, so the root merging a
+//! relay's block is byte-identical to a local `merge_all` — relaying never
+//! perturbs the merge.
 //!
 //! Failure model: a client that disconnects (or corrupts a frame)
 //! mid-stream loses only its own partial session — the collector discards
@@ -51,13 +52,12 @@ use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
-    buddy_pieces, check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, MergedCtt,
+    check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, MergedCtt,
     SessionConfig, SessionStats,
 };
 use cypress_cst::Cst;
 use cypress_deflate::crc32;
-use cypress_obs::{obs_log, Level};
-use cypress_obs::{Histogram, TIME_BOUNDS_NS};
+use cypress_obs::{obs_log, Histogram, Level};
 use cypress_trace::codec::Codec;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -95,7 +95,7 @@ pub struct CollectedJob {
     /// Canonical CST text as received in the first `Hello` (persisted
     /// verbatim into containers).
     pub cst_text: String,
-    /// The binomial-merged whole-job tree — byte-identical to a local
+    /// The merged whole-job tree — byte-identical to a local
     /// `merge_all` over the same rank CTTs. Read it through
     /// [`merged`](Self::merged); the field stays public while
     /// `benchmark/` reads it directly.
@@ -134,7 +134,7 @@ struct Job {
 /// The held ranks, the merge and the job's accounting.
 struct Merge {
     /// Relay blocks on arrival, then the held ranks once they are complete
-    /// ([`fold_held`](Self::fold_held)).
+    /// ([`fold_held`](Self::fold_held)); merged once, at the end.
     merger: BinomialMerger,
     /// Checked ranks, kept until every rank this collector expects is held
     /// or in a block.
@@ -159,8 +159,8 @@ impl Merge {
         self.merger.received() + self.held.len() as u32
     }
 
-    /// Fold each maximal run of held ranks into the merger one buddy piece
-    /// at a time, so a piece's slabs are dropped as soon as it is merged.
+    /// Add each maximal run of held ranks to the merger, so a run's slabs
+    /// are dropped as soon as it is merged.
     fn fold_held(&mut self) -> Result<(), NetError> {
         while let Some(run_first) = self.held.keys().next().copied() {
             let run_len = self
@@ -168,14 +168,11 @@ impl Merge {
                 .keys()
                 .zip(run_first..)
                 .take_while(|(r, want)| **r == *want);
-            let run_end = run_first + run_len.count() as u32;
-            for (start, len) in buddy_pieces(run_first, run_end) {
-                let rest = self.held.split_off(&(start + len));
-                let piece: Vec<CttSlab> = std::mem::replace(&mut self.held, rest)
-                    .into_values()
-                    .collect();
-                self.merger.add_run(&piece).map_err(NetError::Collect)?;
-            }
+            let rest = self.held.split_off(&(run_first + run_len.count() as u32));
+            let run: Vec<CttSlab> = std::mem::replace(&mut self.held, rest)
+                .into_values()
+                .collect();
+            self.merger.add_run(&run).map_err(NetError::Collect)?;
         }
         Ok(())
     }
@@ -226,12 +223,10 @@ impl Role {
 // Collector-side measurements feeding the `Stats` quantile rows. These use
 // the ungated [`Histogram::record`] path so the stats endpoint reports real
 // numbers whether or not the daemon runs with metrics enabled.
-/// Events per `Events` frame (client batch sizes as received).
+/// Events per `Events` frame (client batch sizes as received). Process-wide:
+/// every collector in the process records into it.
 static BATCH_EVENTS: Histogram =
     Histogram::new("collector", "batch_events", &[1, 8, 64, 512, 4096, 32768]);
-/// Wall time of one `BinomialMerger::add_block`: a lower tier's block
-/// entering the merge on arrival. Held ranks take none.
-static MERGE_STEP_NS: Histogram = Histogram::new("collector", "merge_step_ns", &TIME_BOUNDS_NS);
 
 /// Everything the handler needs, cheap to copy into each event loop.
 #[derive(Clone, Copy)]
@@ -401,10 +396,10 @@ impl Collector {
     }
 
     /// Serve as a mid-tier relay: collect ranks `[first, last)` of an
-    /// `nprocs`-rank job, holding each rank's slab, then merge every run of
-    /// held ranks and forward the shard's buddy blocks to `upstream` with
-    /// `client`'s retry policy. Per-rank CTT retention is a root-only
-    /// concern and is off here.
+    /// `nprocs`-rank job, holding each rank's slab, then merge the shard
+    /// once and forward it as one block to `upstream` with `client`'s retry
+    /// policy. Per-rank CTT retention is a root-only concern and is off
+    /// here.
     pub(crate) fn run_relay(
         self,
         (first, last): (u32, u32),
@@ -428,26 +423,28 @@ impl Collector {
         drop(self);
         let mut m = job.merge.into_inner().unwrap();
         m.fold_held()?;
-        let blocks = m.merger.into_blocks();
-        let mut uploads = Vec::with_capacity(blocks.len());
-        for (i, (first_rank, nranks, part)) in blocks.into_iter().enumerate() {
-            uploads.push(MergedBlock {
-                first_rank,
-                nranks,
-                // The shard's accounting totals ride on the first block;
-                // the root sums per-frame, so totals stay exact even though
-                // per-rank attribution is lost above the relay.
-                events: if i == 0 { m.total_events } else { 0 },
-                raw_mpi_bytes: if i == 0 { m.raw_mpi_bytes } else { 0 },
-                bytes: part.to_bytes(),
-            });
-        }
-        let forwarded = uploads.len();
-        submit_merged_blocks(upstream, client, nprocs, &job.cst_text, uploads)?;
+        // Every rank of the shard is in: its pieces make one block.
+        let [(first_rank, nranks, part)] =
+            <[_; 1]>::try_from(m.merger.into_blocks()).map_err(|b| {
+                let n = b.len();
+                NetError::Collect(format!(
+                    "relay for ranks [{first}, {last}) holds {n} blocks"
+                ))
+            })?;
+        // The shard's accounting totals ride on its block: per-rank
+        // attribution is lost above the relay, totals are not.
+        let upload = MergedBlock {
+            first_rank,
+            nranks,
+            events: m.total_events,
+            raw_mpi_bytes: m.raw_mpi_bytes,
+            bytes: part.to_bytes(),
+        };
+        submit_merged_blocks(upstream, client, nprocs, &job.cst_text, vec![upload])?;
         obs_log!(
             Level::Info,
             "net",
-            "relay for ranks [{first}, {last}) forwarded {forwarded} blocks upstream"
+            "relay for ranks [{first}, {last}) forwarded its block upstream"
         );
         Ok(())
     }
@@ -740,7 +737,8 @@ fn on_ctt_bytes(
     Ok(())
 }
 
-/// Absorb one relay-forwarded buddy block into the merge.
+/// Take one relay-forwarded block into the merge, where it is held until
+/// the collection is complete.
 fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), Reject> {
     let (first_rank, nranks, events) = (block.first_rank, block.nranks, block.events);
     let merged = MergedCtt::from_bytes(&block.bytes)
@@ -759,32 +757,23 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
         }
     }
     let mut m = job.lock();
-    // Held ranks are not in the merger yet: a block naming only ranks this
-    // collector knows is a retry, one naming some of them is corrupt, as
-    // `add_block` rules for merged ranks.
-    let held = m
-        .held
-        .range(first_rank..)
-        .take_while(|(r, _)| (**r as u64) < end);
-    let held = held.count() as u64;
-    if held > 0 {
-        let merged = (first_rank..end as u32).filter(|&r| m.merger.has_rank(r));
-        let known = held + merged.count() as u64;
-        if known == nranks as u64 {
-            return Ok(());
+    // A block naming only ranks this collector holds or was sent is a
+    // relay retry, one naming some of them is corrupt. `check_shape` kept
+    // the range inside the job.
+    let known = (first_rank..end as u32).filter(|&r| m.has_rank(r)).count() as u64;
+    match known {
+        0 => {}
+        k if k == nranks as u64 => return Ok(()),
+        k => {
+            let msg = format!(
+                "bad merged block: block [{first_rank}, {end}) partially overlaps {k} already-merged ranks"
+            );
+            return Err((codes::PROTOCOL, msg));
         }
-        let msg = format!(
-            "bad merged block: block [{first_rank}, {end}) partially overlaps {known} already-merged ranks"
-        );
-        return Err((codes::PROTOCOL, msg));
     }
-    let t0 = Instant::now();
-    let res = m.merger.add_block(first_rank, nranks, merged);
-    MERGE_STEP_NS.record_since(t0);
-    // `Ok(false)`: a relay retry re-sending blocks its first attempt landed.
-    if !res.map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))? {
-        return Ok(());
-    }
+    m.merger
+        .add_block(first_rank, nranks, merged)
+        .map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))?;
     m.total_events += events;
     m.raw_mpi_bytes += block.raw_mpi_bytes;
     // `add_block` accepted the range, so it lies inside the job.
@@ -847,20 +836,17 @@ fn merge_in(
 /// Snapshot the running collection into a wire-ready [`Stats`].
 fn build_stats(state: &State) -> Stats {
     let uptime_ns = state.started.elapsed().as_nanos() as u64;
-    let quantiles = [
-        ("batch_events", &BATCH_EVENTS),
-        ("merge_step_ns", &MERGE_STEP_NS),
-    ]
-    .into_iter()
-    .filter(|(_, h)| h.count() > 0)
-    .map(|(name, h)| QuantileStat {
-        name: name.to_string(),
-        count: h.count(),
-        p50: h.quantile(0.50),
-        p90: h.quantile(0.90),
-        p99: h.quantile(0.99),
-    })
-    .collect();
+    let quantiles = [("batch_events", &BATCH_EVENTS)]
+        .into_iter()
+        .filter(|(_, h)| h.count() > 0)
+        .map(|(name, h)| QuantileStat {
+            name: name.to_string(),
+            count: h.count(),
+            p50: h.quantile(0.50),
+            p90: h.quantile(0.90),
+            p99: h.quantile(0.99),
+        })
+        .collect();
     let mut stats = Stats {
         version: STATS_VERSION,
         uptime_ns,
@@ -868,7 +854,6 @@ fn build_stats(state: &State) -> Stats {
         ranks_done: 0,
         events_total: 0,
         events_per_sec_x1000: 0,
-        merge_depth: 0,
         resident_blocks: 0,
         clients: Vec::new(),
         quantiles,
@@ -884,8 +869,9 @@ fn build_stats(state: &State) -> Stats {
         .max(m.clients.values().map(|&(_, ev)| ev).sum());
     stats.nprocs = job.nprocs;
     stats.ranks_done = m.received();
-    stats.merge_depth = m.merger.max_depth();
-    stats.resident_blocks = m.merger.pending_blocks() as u32;
+    // Runs enter the merger only once the collection is complete, so
+    // until then its pieces are the blocks it was sent.
+    stats.resident_blocks = m.merger.pieces() as u32;
     stats.events_total = events_total;
     if uptime_ns > 0 {
         stats.events_per_sec_x1000 =
@@ -1067,9 +1053,9 @@ mod tests {
         }
     }
 
-    /// A relay forwards its buddy blocks as `MergedCtt` codec bytes: each
-    /// block decodes as it arrives, and the blocks re-merge to the bytes
-    /// of the local `merge_all`.
+    /// A relay forwards its shard as one block of `MergedCtt` codec bytes:
+    /// the block decodes as it arrives, and it is the bytes of the local
+    /// `merge_all`.
     #[test]
     fn relay_forwards_merged_blocks_as_their_codec_bytes() {
         let nprocs = 6;
@@ -1105,25 +1091,15 @@ mod tests {
             unreachable!()
         };
         assert_eq!(event_count, frames.len() as u64);
-        // Ranks [0, 6) of 6: the buddy blocks [0, 4) and [4, 6).
-        assert_eq!(frames.len(), 2);
-        let mut merger = BinomialMerger::new(nprocs);
-        let mut events = 0;
-        for f in frames {
-            let Frame::MergedBlock(b) = f else {
-                panic!("expected MergedBlock, got {}", f.name())
-            };
-            let merged = MergedCtt::from_bytes(&b.bytes).unwrap_or_else(|e| {
-                panic!(
-                    "block [{}, +{}) is not MergedCtt bytes: {e}",
-                    b.first_rank, b.nranks
-                )
-            });
-            assert!(merger.add_block(b.first_rank, b.nranks, merged).unwrap());
-            events += b.events;
-        }
-        assert_eq!(merger.finish().to_bytes(), want);
-        assert_eq!(events, local.iter().map(|c| c.op_count()).sum::<u64>());
+        // Ranks [0, 6) of 6: one block, [0, 6).
+        let [Frame::MergedBlock(b)] = &frames[..] else {
+            panic!("expected one MergedBlock, got {} frames", frames.len())
+        };
+        assert_eq!((b.first_rank, b.nranks), (0, nprocs));
+        let merged = MergedCtt::from_bytes(&b.bytes)
+            .unwrap_or_else(|e| panic!("the block is not MergedCtt bytes: {e}"));
+        assert_eq!(merged.to_bytes(), want);
+        assert_eq!(b.events, local.iter().map(|c| c.op_count()).sum::<u64>());
     }
 
     /// A relay for ranks `[first, last)` of an `nprocs`-rank job, with a
@@ -1171,7 +1147,7 @@ mod tests {
             .collect()
     }
 
-    /// The one buddy block a merger builds from `ctts`, rank by rank.
+    /// The one block a merger builds from `ctts`, rank by rank.
     fn one_block(ctts: &[Ctt], nprocs: u32) -> MergedCtt {
         let mut bm = BinomialMerger::new(nprocs);
         for c in ctts {
@@ -1206,8 +1182,8 @@ mod tests {
         }
         let s = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
         assert_eq!((s.nprocs, s.ranks_done), (nprocs, 2));
-        // Held, not merged: the relay's merger has no block yet.
-        assert_eq!((s.resident_blocks, s.merge_depth), (0, 0));
+        // Held, not merged: the relay's merger holds no block.
+        assert_eq!(s.resident_blocks, 0);
         let states: Vec<_> = s.clients.iter().map(|c| (c.rank, c.state)).collect();
         assert_eq!(states, [(0, ClientState::Merged), (2, ClientState::Merged)]);
         let stream = |t: &RawTrace| {
@@ -1237,21 +1213,44 @@ mod tests {
         );
         relay.join().unwrap().unwrap();
         let (_, frames) = peer.join().unwrap();
-        let mut merger = BinomialMerger::new(nprocs);
-        for (first, count, _, bytes) in forwarded_blocks(frames) {
-            let block = MergedCtt::from_bytes(&bytes).unwrap();
-            assert!(merger.add_block(first, count, block).unwrap());
+        let blocks = forwarded_blocks(frames);
+        let bytes: Vec<_> = blocks.iter().map(|b| (b.0, b.1, &b.3)).collect();
+        assert_eq!(bytes, [(0, nprocs, &want)]);
+    }
+
+    /// A relay over a ragged shard, any of those 13 ranks over 3 relays
+    /// make, forwards one block: its ranks' local `merge_all`, with their
+    /// events.
+    #[test]
+    fn relay_over_a_ragged_shard_forwards_one_block() {
+        let nprocs = 13;
+        let (info, traces) = traces(nprocs);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        for (first, last) in [(0u32, 5u32), (5, 10), (10, 13)] {
+            let (addr, relay, peer) = relay_in_background((first, last), nprocs);
+            let shard = &local[first as usize..last as usize];
+            for ctt in shard.iter().rev() {
+                submit_ctt(&addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+            }
+            relay.join().unwrap().unwrap();
+            let (_, frames) = peer.join().unwrap();
+            let events = shard.iter().map(|c| c.op_count()).sum();
+            let want = (first, last - first, events, merge_all(shard).to_bytes());
+            assert_eq!(forwarded_blocks(frames), [want], "[{first}, {last})");
         }
-        assert_eq!(merger.finish().to_bytes(), want);
     }
 
     /// A relay sent some ranks directly and a lower tier's block for others
-    /// forwards what a relay that merged each rank on arrival forwarded:
-    /// the same ranges, events and bytes. A root sent the same, and rank 0
-    /// last, merges the local `merge_all`. At either, a block naming only
-    /// held ranks is a retry, one naming some of them a `PROTOCOL` refusal.
+    /// forwards its shard as one block: the local `merge_all` of its ranks,
+    /// with all their events. A root sent the same, and rank 0 last, merges
+    /// the local `merge_all` of the job. At either, a block naming only held
+    /// ranks is a retry, one naming some of them a `PROTOCOL` refusal.
     #[test]
-    fn relay_with_ranks_and_a_block_forwards_what_merging_each_rank_did() {
+    fn relay_with_ranks_and_a_block_forwards_one_block_of_its_shard() {
         let nprocs = 8;
         let (info, traces) = traces(nprocs);
         let cst_text = info.cst.to_text();
@@ -1267,25 +1266,8 @@ mod tests {
             raw_mpi_bytes: 0,
             bytes: one_block(&local[first as usize..][..nranks as usize], nprocs).to_bytes(),
         };
-        // Ranks [1, 8): rank 1 and ranks [4, 8) directly, [2, 4) as a block,
-        // each merged as it arrives.
-        let mut each = BinomialMerger::new(nprocs);
-        for r in [7usize, 1, 5, 6] {
-            assert!(each.add(&local[r]));
-        }
-        let lower = one_block(&local[2..4], nprocs);
-        assert_eq!(each.add_block(2, 2, lower), Ok(true));
-        assert!(each.add(&local[4]));
-        let want: Vec<_> = each
-            .into_blocks()
-            .into_iter()
-            .enumerate()
-            .map(|(i, (first, count, part))| {
-                let events = if i == 0 { ops(1..8) } else { 0 };
-                (first, count, events, part.to_bytes())
-            })
-            .collect();
-        assert_eq!(want.len(), 3, "[1, 2), [2, 4) and [4, 8)");
+        // Ranks [1, 8): rank 1 and ranks [4, 8) directly, [2, 4) as a block.
+        let want = vec![(1, 7, ops(1..8), merge_all(&local[1..]).to_bytes())];
 
         let cfg = ClientConfig {
             attempts: 1,
@@ -1838,7 +1820,7 @@ mod tests {
         assert!(s1.events_total > 0);
         assert!(s1.uptime_ns > 0);
         // Ranks {0,1,2} of 4 are held, not merged: the merger has no block.
-        assert_eq!((s1.resident_blocks, s1.merge_depth), (0, 0));
+        assert_eq!(s1.resident_blocks, 0);
         let row = |s: &Stats, name: &str| s.quantiles.iter().find(|q| q.name == name).cloned();
         assert!(row(&s1, "batch_events").is_some_and(|q| q.count > 0));
 
@@ -1851,9 +1833,9 @@ mod tests {
             "stats endpoint must die with the collection"
         );
 
-        // A block enters the merge on arrival: a root sent ranks [0, 2) as
-        // one block holds it as its one resident block, of depth 1, and
-        // times the step.
+        // A block is held on arrival: a root sent ranks [0, 2) as one block
+        // holds it as its one resident block, and a rank it holds beside it
+        // is no block.
         let local: Vec<_> = traces
             .iter()
             .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
@@ -1871,12 +1853,11 @@ mod tests {
         };
         submit_merged_blocks(&addr, &ccfg, nprocs, &cst_text, vec![block]).unwrap();
         let s2 = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
-        assert_eq!(s2.ranks_done, 2);
-        assert_eq!((s2.resident_blocks, s2.merge_depth), (1, 1));
-        assert!(row(&s2, "merge_step_ns").is_some_and(|q| q.count > 0));
-        for ctt in &local[2..] {
-            submit_ctt(&addr, &ccfg, ctt, &cst_text).unwrap();
-        }
+        assert_eq!((s2.ranks_done, s2.resident_blocks), (2, 1));
+        submit_ctt(&addr, &ccfg, &local[3], &cst_text).unwrap();
+        let s3 = crate::stats::fetch_stats(&addr, Duration::from_secs(5)).unwrap();
+        assert_eq!((s3.ranks_done, s3.resident_blocks), (3, 1));
+        submit_ctt(&addr, &ccfg, &local[2], &cst_text).unwrap();
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.merged.to_bytes(), merge_all(&local).to_bytes());
     }

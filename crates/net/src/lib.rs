@@ -6,18 +6,18 @@
 //! **collector daemon** which compresses each stream online. Every
 //! collector checks each finished CTT as it arrives, holds it and
 //! acknowledges it at once, and merges once every rank it collects is in,
-//! as the paper merges in `MPI_Finalize`: through
-//! [`cypress_core::BinomialMerger::add_run`], vertex by vertex, one aligned
-//! buddy piece at a time. The root yields the merged job; a relay forwards
-//! its shard's merged blocks.
+//! as the paper merges in `MPI_Finalize`: its held runs and the blocks it
+//! was sent are contiguous pieces of a [`cypress_core::BinomialMerger`],
+//! merged vertex by vertex in one pass in rank order. The root yields the
+//! merged job; a relay forwards its shard as one merged block.
 //!
 //! Layers, std-only (no external dependencies, matching the repo's
 //! offline-build rule):
 //!
 //! - [`proto`] — the framed wire protocol: length-prefixed, versioned,
 //!   CRC-checked frames (gzip polynomial via `cypress-deflate`) carrying
-//!   per-rank event chunks, finalized CTT bytes, or relay-merged buddy
-//!   blocks, plus the reusable [`proto::FrameBuf`] decode buffer.
+//!   per-rank event chunks, finalized CTT bytes, or relay-merged blocks,
+//!   plus the reusable [`proto::FrameBuf`] decode buffer.
 //! - [`transport`] — one [`transport::Addr`] / [`transport::Stream`]
 //!   abstraction over TCP and Unix-domain sockets (`TCP_NODELAY`
 //!   everywhere; small acks must not eat Nagle + delayed-ACK floors).
@@ -35,12 +35,12 @@
 //!   (per-connection protocol state machine, held ranks merged once they
 //!   are complete, duplicate-rank tolerance).
 //! - [`tree`] — sharded collection: mid-tier **relay** collectors each own
-//!   a contiguous rank shard, merge it once it is complete, and forward the
-//!   merged buddy blocks upstream, so
-//!   the root handles `FANOUT` relay connections instead of `P` clients.
+//!   a contiguous rank shard, merge it once it is complete, and forward it
+//!   upstream as one merged block, so the root handles `FANOUT` relay
+//!   connections instead of `P` clients.
 //!
-//! Because the merge association is fixed by rank indices and `TimeStats`
-//! aggregation is exactly associative, a collected job's merged CTT is
+//! Because the merge is associative over contiguous pieces taken in rank
+//! order and `TimeStats` aggregation is exact, a collected job's merged CTT is
 //! **byte-identical** to `merge_all` over the same ranks locally — whether
 //! clients hit the root directly or a relay tree sits in between. Pinned by
 //! `tests/net_collect.rs` (out-of-order submission, mid-stream client
@@ -193,6 +193,6 @@ pub(crate) mod obs {
     /// Accepted connections dealt to an event loop whose mailbox already
     /// held sockets it had not yet adopted.
     pub static BACKPRESSURE_STALLS: Counter = Counter::new("net", "backpressure_stalls");
-    /// Ranks merged into the collector's binomial tree so far.
+    /// Ranks held or merged by the collector so far.
     pub static RANKS_MERGED: Gauge = Gauge::new("net", "ranks_merged");
 }

@@ -41,13 +41,14 @@
 //! container is written; [`MAX_FRAME_BODY`] is the memory bound on a frame.
 //!
 //! Blocks mode (`SubmitMode::Blocks`) is the inter-collector session of a
-//! relay tree: each `MergedBlock` frame carries one
-//! *aligned buddy block* of the global binomial merge — a relay's resident
-//! partial merges, forwarded upstream without re-expanding to per-rank
-//! CTTs. `Finish.event_count` then counts *blocks* (the cross-check the
-//! stream mode applies to events), and a duplicate block — a relay retry
-//! whose first attempt partially landed — is absorbed as a no-op exactly
-//! like a duplicate rank.
+//! relay tree: each `MergedBlock` frame carries the merge of one contiguous
+//! range of ranks — a relay sends one, its whole shard, forwarded upstream
+//! without re-expanding to per-rank CTTs. `Finish.event_count` then counts
+//! *blocks* (the cross-check the stream mode applies to events), and a
+//! duplicate block — a relay retry whose first attempt landed — is taken
+//! as a no-op exactly like a duplicate rank. The layout is unchanged since
+//! blocks stopped being aligned on a buddy tree, so a collector of those
+//! builds refuses an unaligned block by name.
 //!
 //! The query port exchanges no `Hello`, so a frame code this build does not
 //! know decodes to [`Frame::Unknown`] instead of a hard frame error: a
@@ -110,8 +111,8 @@ pub enum SubmitMode {
     Stream,
     /// The client compressed locally and ships the finished CTT bytes.
     Ctt,
-    /// The peer is a mid-tier relay collector forwarding already-merged
-    /// buddy blocks of the global binomial tree.
+    /// The peer is a mid-tier relay collector forwarding its already-merged
+    /// shard.
     Blocks,
 }
 
@@ -163,12 +164,11 @@ pub struct Hello {
     pub cst_text: String,
 }
 
-/// One aligned buddy block of the global binomial merge, forwarded by a
-/// relay collector (blocks mode). `bytes` is the codec encoding of a
-/// `MergedCtt` covering ranks `[first_rank, first_rank + nranks)`.
-/// `events`/`raw_mpi_bytes` carry the relay's accounting totals for the
-/// ranks in this frame (a relay puts its whole subtree's totals on the
-/// first block it forwards).
+/// The merge of one contiguous range of ranks, forwarded by a relay
+/// collector (blocks mode): a relay forwards one, its whole shard. `bytes`
+/// is the codec encoding of a `MergedCtt` covering ranks
+/// `[first_rank, first_rank + nranks)`. `events`/`raw_mpi_bytes` carry the
+/// relay's accounting totals for the ranks in this frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergedBlock {
     pub first_rank: u32,
@@ -627,7 +627,6 @@ mod tests {
                     ranks_done: 2,
                     events_total: 1000,
                     events_per_sec_x1000: 200_000,
-                    merge_depth: 1,
                     resident_blocks: 1,
                     clients: vec![crate::stats::ClientStat {
                         rank: 0,

@@ -14,7 +14,11 @@
 //! the body, and a reader accepts exactly that version and exactly the
 //! fields it defines. Collector-side measurements feeding the
 //! quantiles use the ungated [`cypress_obs::Histogram::record`] path, so
-//! `stats` works whether or not the daemon runs with `--metrics`.
+//! `stats` works whether or not the daemon runs with `--metrics`. The one
+//! quantile row, `batch_events`, is a process-wide static: in a process
+//! that runs several collectors (`serve --tree`) every snapshot counts
+//! every collector's batches, until stream-mode submission, the only thing
+//! that records it, is deleted (ROADMAP item 7).
 
 use crate::proto::{read_frame, write_frame, Frame};
 use crate::transport::{Addr, Stream};
@@ -23,7 +27,7 @@ use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
 use std::time::Duration;
 
 /// Version of the `Stats` payload this build writes.
-pub const STATS_VERSION: u8 = 1;
+pub const STATS_VERSION: u8 = 2;
 
 /// Upper bound on collection sizes inside a `Stats` payload (clients,
 /// quantile rows); rejects absurd length prefixes before allocation.
@@ -34,7 +38,7 @@ const MAX_STATS_ITEMS: usize = 1 << 20;
 pub enum ClientState {
     /// Mid-stream: events are arriving (or a CTT upload is in flight).
     Streaming,
-    /// The rank is merged into the binomial tree.
+    /// The rank is held for the merge, or merged.
     Merged,
     /// The connection died mid-submission; the partial session was
     /// discarded and a retry is expected.
@@ -101,20 +105,19 @@ pub struct Stats {
     pub uptime_ns: u64,
     /// Job size fixed by the first `Hello` (0 before any client connected).
     pub nprocs: u32,
-    /// Ranks merged into the binomial tree.
+    /// Ranks held or merged.
     pub ranks_done: u32,
     /// Events received across all clients.
     pub events_total: u64,
     /// Receive rate over the whole uptime, milli-events/second
     /// (fixed-point ×1000 — the wire stays integer-only).
     pub events_per_sec_x1000: u64,
-    /// Largest merged buddy block, as log2 of its rank count.
-    pub merge_depth: u32,
-    /// Partial merge blocks currently resident (≤ ⌈log2 P⌉ + 1).
+    /// Merged blocks from a lower tier held for the one merge at the end.
     pub resident_blocks: u32,
     /// Per-client state, rank-sorted.
     pub clients: Vec<ClientStat>,
-    /// Histogram quantile rows (batch sizes, merge step latency).
+    /// Histogram quantile rows (batch sizes; process-wide, see the module
+    /// docs).
     pub quantiles: Vec<QuantileStat>,
 }
 
@@ -168,7 +171,6 @@ impl Codec for Stats {
         enc.put_uvar(self.ranks_done as u64);
         enc.put_uvar(self.events_total);
         enc.put_uvar(self.events_per_sec_x1000);
-        enc.put_uvar(self.merge_depth as u64);
         enc.put_uvar(self.resident_blocks as u64);
         enc.put_seq(&self.clients, |enc, c| c.encode(enc));
         enc.put_seq(&self.quantiles, |enc, q| q.encode(enc));
@@ -183,7 +185,6 @@ impl Codec for Stats {
             ranks_done: dec.get_u32("stats ranks_done")?,
             events_total: dec.get_uvar()?,
             events_per_sec_x1000: dec.get_uvar()?,
-            merge_depth: dec.get_u32("stats merge_depth")?,
             resident_blocks: dec.get_u32("stats resident_blocks")?,
             clients: dec.get_seq_capped("stats clients", MAX_STATS_ITEMS, ClientStat::decode)?,
             quantiles: dec.get_seq_capped(
@@ -211,12 +212,7 @@ impl Stats {
             self.events_total,
             self.events_per_sec_x1000 as f64 / 1000.0
         ));
-        out.push_str(&format!(
-            "merge: depth {} ({} ranks in largest block), {} resident block(s)\n",
-            self.merge_depth,
-            1u64 << self.merge_depth.min(63),
-            self.resident_blocks
-        ));
+        out.push_str(&format!("merge: {} block(s) held\n", self.resident_blocks));
         if !self.clients.is_empty() {
             out.push_str("clients:\n");
             for c in &self.clients {
@@ -242,7 +238,7 @@ impl Stats {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"version\":{},\"uptime_ns\":{},\"nprocs\":{},\"ranks_done\":{},\
-             \"events_total\":{},\"events_per_sec_x1000\":{},\"merge_depth\":{},\
+             \"events_total\":{},\"events_per_sec_x1000\":{},\
              \"resident_blocks\":{},\"clients\":[",
             self.version,
             self.uptime_ns,
@@ -250,7 +246,6 @@ impl Stats {
             self.ranks_done,
             self.events_total,
             self.events_per_sec_x1000,
-            self.merge_depth,
             self.resident_blocks,
         ));
         for (i, c) in self.clients.iter().enumerate() {
@@ -308,7 +303,6 @@ mod tests {
             ranks_done: 5,
             events_total: 40_000,
             events_per_sec_x1000: 32_400_500,
-            merge_depth: 2,
             resident_blocks: 2,
             clients: vec![
                 ClientStat {

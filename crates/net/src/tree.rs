@@ -5,13 +5,13 @@
 //! Ranks are split into `relays` contiguous shards of (near-)equal size;
 //! each relay accepts its shard's clients on its own **leaf endpoint**,
 //! holds each checked rank and acknowledges it at once, merges the
-//! complete shard with a global-sized [`cypress_core::BinomialMerger`]
-//! (one `merge_all` per aligned buddy piece, through
-//! [`cypress_core::BinomialMerger::add_run`]), and forwards the resulting
-//! aligned buddy blocks to the root. Because every
-//! forwarded block sits exactly on the global buddy tree, the root's merged
-//! job is byte-identical to a flat collection — or a local `merge_all` —
-//! over the same ranks.
+//! complete shard once with a global-sized
+//! [`cypress_core::BinomialMerger`] (one `merge_all` per held run, through
+//! [`cypress_core::BinomialMerger::add_run`], then one pass over the
+//! pieces in rank order), and forwards the shard to the root as one
+//! block. The merge is associative over contiguous pieces in rank order,
+//! so the root's merged job is byte-identical to a flat collection — or a
+//! local `merge_all` — over the same ranks, however the shards fall.
 //!
 //! Leaf endpoint naming is deterministic so external clients can find
 //! their relay without a discovery protocol: a Unix root at

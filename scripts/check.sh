@@ -134,7 +134,9 @@ echo "== compress once, at rest: the collection wire carries codec bytes =="
 
 echo "== one merge: merge_all_parallel is a shim nothing but benchmark/ calls =="
 # Not the library, its tests, tests/ or the figures: benchmark/ names it
-# until the benchmark changes, and the tests merge through BinomialMerger.
+# until the benchmark changes, and the tests merge through BinomialMerger,
+# whose one pass over its contiguous pieces is merge_all's vertex-by-vertex
+# merge with pieces in place of ranks.
 ! grep -rn 'merge_all_parallel' src crates tests examples \
   | grep -v '^crates/core/src/merge.rs:[0-9]*:pub fn merge_all_parallel' \
   | grep -v '^crates/core/src/lib.rs:' || exit 1
@@ -142,10 +144,15 @@ echo "== one merge: merge_all_parallel is a shim nothing but benchmark/ calls ==
 echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
 # merge_all runs the one per-vertex absorb, whose key tables live for one
 # vertex; a rank enters a BinomialMerger only as a run (`add` is a one-rank
-# `add_run`), and the collector holds every checked rank in either role;
-# inspect opens rank sections through StoreJob::open.
+# `add_run`), and the collector holds every checked rank and block in
+# either role. A BinomialMerger keeps contiguous pieces and merges them
+# once, in one vertex-by-vertex pass in rank order: no buddy tree, no
+# pairwise absorb, no merge on a block's arrival. inspect opens rank
+# sections through StoreJob::open.
 ! grep -nE 'struct Index|enum Tables|absorb_rank_with' crates/core/src/merge.rs || exit 1
 ! grep -rnE 'absorb_rank|enum Finished|binomial_add"' crates/*/src || exit 1
+! grep -rnE 'buddy_pieces|fold_block|max_depth|pending_blocks|merge_depth|MERGE_STEP_NS|binomial_depth|pub fn absorb\b' \
+  crates/*/src src tests examples || exit 1
 ! grep -n 'fn merge_rank_sections' src/bin/cypress.rs || exit 1
 
 echo "== a closed stdout ends the CLI quietly: no panicking print in the binary =="
@@ -313,7 +320,7 @@ echo "$stats_out" | grep -Eq "rank 0 +merged +[1-9][0-9]* events" \
 "$cypress_bin" stats --connect "unix:$sock" --json | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
-assert s["version"] == 1 and s["ranks_done"] == 5 and s["nprocs"] == 6
+assert s["version"] == 2 and s["ranks_done"] == 5 and s["nprocs"] == 6
 assert s["clients"] and all(c["events"] > 0 for c in s["clients"])
 nclients, total = len(s["clients"]), s["events_total"]
 print(f"stats json ok: {nclients} clients, {total} events")

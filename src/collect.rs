@@ -19,7 +19,7 @@ use std::path::Path;
 /// uses: tool metadata, the CST text exactly as the clients submitted it,
 /// (when `per_rank` is set and the collector kept them) every rank's CTT
 /// bytes, as received, in their own CRC-framed sections, and the
-/// binomially-merged CTT unless those sections cover every rank.
+/// merged CTT unless those sections cover every rank.
 pub fn write_collected_container(
     job: &CollectedJob,
     path: impl AsRef<Path>,

@@ -1,13 +1,13 @@
 //! The merge in uneven contiguous chunks, shared by `streaming.rs` and
-//! `pipeline_roundtrip.rs`: the cuts fall across the buddy tree, so the
-//! pieces `add_run` merges and the blocks `absorb` meets take every size,
-//! through both the scan and the key paths.
+//! `pipeline_roundtrip.rs`: the cuts fall anywhere, so the runs `add_run`
+//! merges and the pieces the one pass meets take every size, through both
+//! the scan and the key paths.
 
 use cypress::core::{BinomialMerger, CttSource, MergedCtt};
 
 /// `ctts` (rank order) merged in `k` contiguous chunks whose sizes differ
 /// by at most one: even chunks enter a `BinomialMerger` through `add_run`,
-/// odd ones as the blocks another job-sized merger built from them
+/// odd ones as the one block another job-sized merger built from them
 /// (a relay's), through `add_block`.
 pub fn merge_in_chunks<S: CttSource>(ctts: &[S], k: usize) -> MergedCtt {
     let nprocs = ctts[0].nprocs();
@@ -23,9 +23,8 @@ pub fn merge_in_chunks<S: CttSource>(ctts: &[S], k: usize) -> MergedCtt {
         }
         let mut elsewhere = BinomialMerger::new(nprocs);
         elsewhere.add_run(chunk).unwrap();
-        for (start, len, block) in elsewhere.into_blocks() {
-            assert_eq!(bm.add_block(start, len, block), Ok(true));
-        }
+        let [(start, len, block)] = <[_; 1]>::try_from(elsewhere.into_blocks()).unwrap();
+        assert_eq!(bm.add_block(start, len, block), Ok(true));
     }
     bm.finish()
 }

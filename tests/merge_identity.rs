@@ -14,9 +14,11 @@
 //! Three things are checked:
 //! - every merge path gives `merge_all`'s bytes: `BinomialMerger` fed in rank
 //!   order, in reverse and shuffled, relays forwarding their blocks over
-//!   the wire form to a root, and `add_run` over aligned, unaligned and
+//!   the wire form to a root, `add_run` over aligned, unaligned and
 //!   next-to-a-block runs beside single ranks and blocks (P = 7, 13, 64),
-//!   refusing a bad run without changing the merger;
+//!   refusing a bad run without changing the merger, and any random cut of
+//!   the job into contiguous pieces, entered in any order (P = 7 to 1024
+//!   and every bundled workload);
 //! - the merged tree is the merge's definition: per vertex and slot, ranks
 //!   with equal data share exactly one group, groups are in order of their
 //!   lowest rank, and each group's timing is its members' timing;
@@ -25,11 +27,12 @@
 mod merge_job;
 
 use cypress::core::{
-    merge_all, BinomialMerger, Ctt, CttSlab, IntSeq, MergedCtt, MergedVertex, RankSet, TimeStats,
-    VertexData,
+    compress_trace, merge_all, BinomialMerger, CompressConfig, Ctt, CttSlab, IntSeq, MergedCtt,
+    MergedVertex, RankSet, TimeStats, VertexData,
 };
 use cypress::obs::rng::Rng;
 use cypress::trace::codec::Codec;
+use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 
 fn shuffled(n: usize, seed: u64) -> Vec<usize> {
     let mut rng = Rng::new(seed);
@@ -227,8 +230,8 @@ fn merge_identity_at_4096() {
 }
 
 /// One step of a merge plan: a rank by `add`, a run by `add_run`, or a
-/// buddy block `[first, first + count)` built rank by rank elsewhere and
-/// entered by `add_block`.
+/// block `[first, first + count)` built rank by rank elsewhere and entered
+/// by `add_block`.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Rank(u32),
@@ -243,11 +246,7 @@ fn block(ctts: &[Ctt], first: u32, count: u32) -> MergedCtt {
         assert!(bm.add(c));
     }
     let mut blocks = bm.into_blocks();
-    assert_eq!(
-        blocks.len(),
-        1,
-        "[{first}, +{count}) is not one buddy block"
-    );
+    assert_eq!(blocks.len(), 1, "[{first}, +{count}) is not one block");
     blocks.pop().unwrap().2
 }
 
@@ -309,13 +308,8 @@ fn add_run_is_merge_all_whatever_the_run() {
 }
 
 /// What a merger shows of itself: refused runs must leave it as it was.
-fn snapshot(bm: &BinomialMerger) -> (u32, Vec<u32>, usize, u32) {
-    (
-        bm.received(),
-        bm.missing_ranks(),
-        bm.pending_blocks(),
-        bm.max_depth(),
-    )
+fn snapshot(bm: &BinomialMerger) -> (u32, Vec<u32>, usize) {
+    (bm.received(), bm.missing_ranks(), bm.pieces())
 }
 
 /// A run that is not consecutive, not in order, of another job size, or
@@ -362,4 +356,66 @@ fn add_run_refuses_bad_runs_and_changes_nothing() {
     bm.add_run(&ctts[6..8]).unwrap();
     bm.add_run(&ctts[..5]).unwrap();
     assert!(bm.finish().to_bytes() == want);
+}
+
+/// `ctts` cut into contiguous pieces of random lengths, at any rank, each
+/// entered as a block a separate merger built (half of them through the
+/// wire form), as a run, or rank by rank in reverse, the pieces in shuffled
+/// order; the finished merge's bytes.
+fn cut_at_random(ctts: &[Ctt], seed: u64) -> Vec<u8> {
+    let p = ctts.len();
+    let mut rng = Rng::new(seed);
+    let longest = 1 + rng.range_usize(0..(p / 2).max(1));
+    let mut pieces = Vec::new();
+    let mut first = 0;
+    while first < p {
+        let end = (first + 1 + rng.range_usize(0..longest)).min(p);
+        pieces.push((first, end, rng.range_usize(0..4)));
+        first = end;
+    }
+    let mut bm = BinomialMerger::new(p as u32);
+    for i in shuffled(pieces.len(), seed ^ 0xc07) {
+        let (first, end, how) = pieces[i];
+        let piece = &ctts[first..end];
+        match how {
+            0 | 1 => {
+                let (first, count) = (first as u32, (end - first) as u32);
+                let mut b = block(ctts, first, count);
+                if how == 1 {
+                    b = MergedCtt::from_bytes(&b.to_bytes()).unwrap();
+                }
+                assert_eq!(bm.add_block(first, count, b), Ok(true), "[{first}, {end})");
+            }
+            2 => bm.add_run(piece).unwrap(),
+            _ => piece.iter().rev().for_each(|c| assert!(bm.add(c))),
+        }
+    }
+    bm.finish().to_bytes()
+}
+
+/// Whatever the cut, and in whatever order its pieces arrive, the merge is
+/// `merge_all`'s bytes: pieces need no alignment.
+#[test]
+fn any_contiguous_cut_in_any_order_is_merge_all() {
+    for (p, plans) in [(7u32, 12), (13, 12), (37, 12), (64, 12), (1024, 4)] {
+        let ctts = merge_job::job(p);
+        let want = merge_all(&ctts).to_bytes();
+        for seed in 0..plans {
+            assert!(cut_at_random(&ctts, seed) == want, "P {p}: plan {seed}");
+        }
+    }
+    for name in NPB_NAMES.iter().chain(["jacobi", "leslie3d"].iter()) {
+        let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
+        let (_, info) = w.compile();
+        let ctts: Vec<Ctt> = w
+            .trace()
+            .unwrap()
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let want = merge_all(&ctts).to_bytes();
+        for seed in 0..4 {
+            assert!(cut_at_random(&ctts, seed) == want, "{name}: plan {seed}");
+        }
+    }
 }

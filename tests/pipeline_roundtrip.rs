@@ -5,7 +5,7 @@
 mod chunked;
 
 use chunked::merge_in_chunks;
-use cypress::core::{compress_trace, decompress, merge_all, CompressConfig};
+use cypress::core::{compress_trace, decompress, merge_all, BinomialMerger, CompressConfig};
 use cypress::trace::event::{MpiOp, MpiParams};
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 
@@ -136,6 +136,7 @@ fn merge_is_associative_over_contiguous_partitions() {
     // DESIGN §5: merging per-rank CTTs must give the same result no matter
     // how the (rank-ordered) reduction tree is shaped. Exercise several
     // random-ish contiguous partitions of the rank range.
+    use cypress::trace::codec::Codec;
     let w = by_name("mg", 16, Scale::Quick).unwrap();
     let (_, info) = w.compile();
     let traces = w.trace().unwrap();
@@ -149,16 +150,15 @@ fn merge_is_associative_over_contiguous_partitions() {
     let partitions: [&[usize]; 4] = [&[1, 15], &[4, 4, 4, 4], &[7, 2, 7], &[2, 3, 5, 6]];
     for cuts in partitions {
         assert_eq!(cuts.iter().sum::<usize>(), 16);
-        let mut parts = Vec::new();
+        let mut merger = BinomialMerger::new(16);
         let mut start = 0;
         for &len in cuts {
-            parts.push(merge_all(&ctts[start..start + len]));
+            let part = merge_all(&ctts[start..start + len]);
+            assert_eq!(merger.add_block(start as u32, len as u32, part), Ok(true));
             start += len;
         }
-        let mut acc = parts.remove(0);
-        for p in parts {
-            acc.absorb(p);
-        }
+        let acc = merger.finish();
+        assert!(acc.to_bytes() == reference.to_bytes(), "cuts {cuts:?}");
         assert_eq!(acc.group_count(), reference.group_count(), "cuts {cuts:?}");
         for rank in 0..16u32 {
             let a = decompress(&info.cst, &acc.extract_rank(rank, &info.cst));

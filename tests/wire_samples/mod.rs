@@ -2,7 +2,8 @@
 //! container section, next to the bytes the commit *before* the one-codec
 //! refactor wrote for it (captured there; a row re-captured since says which
 //! change moved it: the `Hello`/`HelloAck` version byte is 5 since the wire
-//! stopped compressing, and `MergedBlock` lost its raw length then). The golden test
+//! stopped compressing, and `MergedBlock` lost its raw length then; `Stats`
+//! is version 2 since it lost the buddy tree's merge depth). The golden test
 //! in `wire_golden.rs` holds today's encoders to those bytes; `wire_sweep.rs`
 //! feeds the same samples to the hostile-bytes sweep.
 //!
@@ -69,7 +70,6 @@ fn stats() -> Stats {
         ranks_done: 5,
         events_total: 40_000,
         events_per_sec_x1000: 32_400_500,
-        merge_depth: 2,
         resident_blocks: 2,
         clients: vec![
             ClientStat {
@@ -429,7 +429,7 @@ pub fn frames() -> Vec<(&'static str, Frame, &'static str)> {
         (
             "Stats",
             Frame::Stats { stats: stats() },
-            "0a3701d285d8cc040805c0b802f4c8b90f0202040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
+            "0a3602d285d8cc040805c0b802f4c8b90f02040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
         ),
         (
             "QueryRequest",
@@ -486,7 +486,7 @@ pub fn for_each_sample(v: &mut impl Visitor) {
     v.visit(
         "Stats",
         &stats(),
-        "01d285d8cc040805c0b802f4c8b90f0202040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
+        "02d285d8cc040805c0b802f4c8b90f02040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f80048020808002",
     );
     // Query blobs at query wire version 2, whose options carry the window alone.
     v.visit("QueryOptions", &QueryOptions::default(), "0200");
