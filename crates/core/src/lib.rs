@@ -52,3 +52,13 @@ pub use session::{CompressSession, SessionConfig, SessionStats};
 pub use slab::CttSlab;
 pub use timestats::TimeStats;
 pub use visit::{fold_merged, CttFold, CttSource, RankScope, VertexRef};
+
+// `tests/merge_job`, the merge job the integration tests share, names this
+// crate `cypress::core` and the codec crate `cypress::trace`, as the umbrella
+// crate re-exports them; the merge's unit tests include it under those names.
+#[cfg(test)]
+extern crate self as cypress;
+#[cfg(test)]
+use crate as core;
+#[cfg(test)]
+use cypress_trace as trace;

@@ -24,7 +24,9 @@
 //! each vertex, once they are all in. The paper reduces pairwise on a
 //! binomial tree inside `MPI_Finalize`, where every process merges in
 //! parallel; here one process merges, so the pieces are taken in rank
-//! order, which gives the same bytes however the job is cut.
+//! order, which gives the same bytes however the job is cut, and a large
+//! merge gets its parallelism from the slot lists instead: they are
+//! independent, so workers take ranges of them at the same time.
 
 use crate::ctt::{bad_vertex_tag, Ctt, LeafRecord, VertexData, VD_BRANCH, VD_LOOP};
 use crate::intseq::{read_seg, read_segs, IntSeq, IntSeqReader};
@@ -33,6 +35,7 @@ use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{obs_log, Counter, Gauge, Histogram, Level, TIME_BOUNDS_NS};
 use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 // Scope `merge`.
 /// New rank groups opened because no existing group was compatible.
@@ -550,28 +553,16 @@ impl MergedCtt {
     }
 }
 
-/// Sequentially merge all per-process CTTs (must be in rank order), vertex
-/// by vertex as the paper does: every rank's data at one vertex is absorbed
-/// from its view before the next vertex, so a long list's key table lives
-/// only while its vertex is merged — O(records), however many rank groups
-/// a slot holds.
+/// Merge all per-process CTTs (must be in rank order), vertex by vertex as
+/// the paper does: every rank's data at one vertex is absorbed from its view
+/// before the next vertex, so a long list's key table lives only while its
+/// vertex is merged — O(records), however many rank groups a slot holds.
+/// The slots of a leaf are independent lists, so a large job's slots are
+/// cut into ranges that workers merge at the same time; the bytes are the
+/// same at any worker count.
 pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
-    assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
     let _span = MERGE_NS.span("merge", "merge_all").arg(ctts.len() as u64);
-    let mut acc = MergedCtt::new(ctts[0].nprocs(), ctts[0].vertex_count());
-    for c in ctts {
-        assert_eq!(acc.vertices.len(), c.vertex_count());
-        acc.app_times.push(c.app_time() as i64);
-    }
-    let (mut tables, mut tally) = (Vec::new(), Tally::default());
-    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
-        let mut lists = 0;
-        for c in ctts {
-            let used = absorb_vertex(mine, c.vertex(gid), c.rank(), &mut tables, &mut tally);
-            lists = lists.max(used);
-        }
-        tables[..lists].iter_mut().for_each(KeyTable::clear);
-    }
+    let (acc, tally) = merge_ranks(ctts, workers_for);
     tally.flush();
     note_merged_groups(&acc);
     obs_log!(
@@ -584,72 +575,175 @@ pub fn merge_all<S: CttSource>(ctts: &[S]) -> MergedCtt {
     acc
 }
 
-/// Merge one rank's data at one vertex into `mine`, finding a long list's
-/// group through `tables[slot]` (a control vertex's one list is slot 0).
-/// Returns how many lists it met: the tables it may have filled, which the
-/// caller empties once every rank it merges here is done.
-fn absorb_vertex(
-    mine: &mut MergedVertex,
+/// [`merge_all`] on `workers(records)` workers, with the tallies it has not
+/// flushed. The caller sizes every leaf's slot list to the most records any
+/// rank has there, then each worker absorbs its slot ranges (a control
+/// vertex's one list whole) rank after rank.
+fn merge_ranks<S: CttSource>(ctts: &[S], workers: fn(u64) -> usize) -> (MergedCtt, Tally) {
+    assert!(!ctts.is_empty(), "merge_all needs at least one CTT");
+    let mut acc = MergedCtt::new(ctts[0].nprocs(), ctts[0].vertex_count());
+    for c in ctts {
+        assert_eq!(acc.vertices.len(), c.vertex_count());
+        acc.app_times.push(c.app_time() as i64);
+    }
+    // A slot's weight is the ranks that reach it: a leaf's rank of n
+    // records marks slot n - 1, and the suffix sums count the rest.
+    let mut plan = Plan::default();
+    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
+        let start = plan.begin_vertex();
+        let mut control = 0;
+        for c in ctts {
+            match c.vertex(gid) {
+                VertexRef::Root | VertexRef::Leaf([]) => {}
+                VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => {}
+                VertexRef::Loop(_) | VertexRef::Branch(_) => control += 1,
+                VertexRef::Leaf(records) => {
+                    let last = start + records.len() - 1;
+                    if plan.weights.len() <= last {
+                        plan.weights.resize(last + 1, 0);
+                    }
+                    plan.weights[last] += 1;
+                }
+            }
+        }
+        let slots = plan.weights.len() - start;
+        if slots > 0 {
+            for i in (start..plan.weights.len() - 1).rev() {
+                plan.weights[i] += plan.weights[i + 1];
+            }
+            mine.leaf_slots(slots);
+        }
+        if control > 0 {
+            mine.control_groups();
+            plan.weights.push(control);
+        }
+    }
+    plan.cut(workers(plan.total()));
+    let mut parts: Vec<Vec<Absorb<'_>>> = plan.parts();
+    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
+        match mine {
+            MergedVertex::Empty => {}
+            MergedVertex::Control(groups) => {
+                if let Some((k, _)) = plan.spans(gid).next() {
+                    parts[k].push(Absorb::Control(gid, groups));
+                }
+            }
+            MergedVertex::Leaf(slots) => {
+                let spans: Vec<_> = plan.spans(gid).collect();
+                for ((k, span), dst) in spans.iter().zip(cut_list(slots, &spans)) {
+                    parts[*k].push(Absorb::Leaf(gid, span.start, dst));
+                }
+            }
+        }
+    }
+    let tally = split(parts, |part| absorb_part(ctts, part));
+    (acc, tally.into_iter().sum())
+}
+
+/// One worker's share of a [`merge_all`] at one vertex: a control vertex's
+/// list, or the leaf slots from `.1` on.
+enum Absorb<'a> {
+    Control(usize, &'a mut Vec<(RankSet, VertexData)>),
+    Leaf(usize, usize, &'a mut [Vec<(RankSet, LeafRecord)>]),
+}
+
+/// Absorb every rank's data into one worker's lists, rank by rank at each
+/// of its vertices, finding a long list's group through its own key table,
+/// emptied when the worker's share of the vertex is merged.
+fn absorb_part<S: CttSource>(ctts: &[S], part: Vec<Absorb<'_>>) -> Tally {
+    let (mut tables, mut tally) = (Vec::new(), Tally::default());
+    for share in part {
+        match share {
+            Absorb::Control(gid, dst) => {
+                let table = &mut first_tables(&mut tables, 1)[0];
+                for c in ctts {
+                    let theirs = c.vertex(gid);
+                    if let VertexRef::Loop(s) | VertexRef::Branch(s) = theirs {
+                        if !s.is_empty() {
+                            absorb_control(dst, theirs, c.rank(), table, &mut tally);
+                        }
+                    }
+                }
+                table.clear();
+            }
+            Absorb::Leaf(gid, first, dst) => {
+                let tables = first_tables(&mut tables, dst.len());
+                for c in ctts {
+                    // Empty data = the rank never reached this vertex: it
+                    // contributes nothing there (paper: "if a process has
+                    // not executed a certain call path, the path is
+                    // ignored").
+                    let VertexRef::Leaf(records) = c.vertex(gid) else {
+                        continue;
+                    };
+                    let records = records.get(first..).unwrap_or_default();
+                    for ((slot, rec), table) in dst.iter_mut().zip(records).zip(&mut *tables) {
+                        absorb_record(slot, rec, c.rank(), table, &mut tally);
+                    }
+                }
+                tables.iter_mut().for_each(KeyTable::clear);
+            }
+        }
+    }
+    tally
+}
+
+/// Merge one rank's control data into the groups of its vertex.
+fn absorb_control(
+    dst: &mut Vec<(RankSet, VertexData)>,
     theirs: VertexRef<'_>,
     rank: u32,
-    tables: &mut Vec<KeyTable>,
+    table: &mut KeyTable,
     tally: &mut Tally,
-) -> usize {
-    match theirs {
-        // Empty data = the rank never reached this vertex: it contributes
-        // nothing there (paper: "if a process has not executed a certain
-        // call path, the path is ignored").
-        VertexRef::Root | VertexRef::Leaf([]) => 0,
-        VertexRef::Loop(s) | VertexRef::Branch(s) if s.is_empty() => 0,
-        VertexRef::Loop(s) | VertexRef::Branch(s) => {
-            let dst = mine.control_groups();
-            let found = tally.find(
-                dst,
-                1,
-                &mut first_tables(tables, 1)[0],
-                || control_key(theirs),
-                |(_, d)| control_key(d.view()),
-                |(_, d)| d.view() == theirs,
-            );
-            match found {
-                Some(p) => dst[p].0.push_above(rank),
-                None => {
-                    tally.groups_formed += 1;
-                    let data = match theirs {
-                        VertexRef::Loop(_) => VertexData::Loop { counts: s.into() },
-                        _ => VertexData::Branch { taken: s.into() },
-                    };
-                    dst.push((RankSet::singleton(rank), data));
-                }
-            }
-            1
+) {
+    let found = tally.find(
+        dst,
+        1,
+        table,
+        || control_key(theirs),
+        |(_, d)| control_key(d.view()),
+        |(_, d)| d.view() == theirs,
+    );
+    match found {
+        Some(p) => dst[p].0.push_above(rank),
+        None => {
+            tally.groups_formed += 1;
+            let data = match theirs {
+                VertexRef::Loop(s) => VertexData::Loop { counts: s.into() },
+                VertexRef::Branch(s) => VertexData::Branch { taken: s.into() },
+                _ => unreachable!("control groups hold loop or branch data"),
+            };
+            dst.push((RankSet::singleton(rank), data));
         }
-        VertexRef::Leaf(records) => {
-            let dst = mine.leaf_slots(records.len());
-            let tables = first_tables(tables, records.len());
-            for ((slot, rec), table) in dst.iter_mut().zip(records).zip(tables) {
-                let found = tally.find(
-                    slot,
-                    1,
-                    table,
-                    || record_key(rec),
-                    |(_, r)| record_key(r),
-                    |(_, r)| record_mergeable(r, rec),
-                );
-                match found {
-                    Some(p) => {
-                        let (rs, r) = &mut slot[p];
-                        rs.push_above(rank);
-                        r.time.merge(&rec.time);
-                        r.gap.merge(&rec.gap);
-                    }
-                    None => {
-                        tally.groups_formed += 1;
-                        slot.push((RankSet::singleton(rank), rec.clone()));
-                    }
-                }
-            }
-            records.len()
+    }
+}
+
+/// Merge one rank's record into the groups of its slot.
+fn absorb_record(
+    slot: &mut Vec<(RankSet, LeafRecord)>,
+    rec: &LeafRecord,
+    rank: u32,
+    table: &mut KeyTable,
+    tally: &mut Tally,
+) {
+    let found = tally.find(
+        slot,
+        1,
+        table,
+        || record_key(rec),
+        |(_, r)| record_key(r),
+        |(_, r)| record_mergeable(r, rec),
+    );
+    match found {
+        Some(p) => {
+            let (rs, r) = &mut slot[p];
+            rs.push_above(rank);
+            r.time.merge(&rec.time);
+            r.gap.merge(&rec.gap);
+        }
+        None => {
+            tally.groups_formed += 1;
+            slot.push((RankSet::singleton(rank), rec.clone()));
         }
     }
 }
@@ -664,12 +758,16 @@ fn first_tables(tables: &mut Vec<KeyTable>, n: usize) -> &mut [KeyTable] {
 
 /// Merge `pieces`, each a contiguous run of ranks right above the one
 /// before it, into one tree, vertex by vertex as [`merge_all`] merges
-/// ranks. The first piece is the base; at each vertex every later piece's
-/// groups move into its lists, a long list's group found through one key
-/// table per list that is filled once and emptied when the vertex is done.
-/// So the pass is linear in the groups however many pieces there are, and
-/// it clones none of them.
-fn merge_pieces(pieces: Vec<MergedCtt>) -> MergedCtt {
+/// ranks, on `workers(groups)` workers. The first piece is the base; the
+/// caller reserves each of its lists' final length (the sum of every
+/// piece's list there), then at each vertex every later piece's groups move
+/// into the base lists without a reallocation, a long list's group found
+/// through one key table per list that is filled once and emptied when the
+/// worker's share of the vertex is done. So the pass is linear in the
+/// groups however many pieces there are, and it clones none of them. The
+/// emptied lists of the later pieces are freed after the pass, on the
+/// calling thread.
+fn merge_pieces(pieces: Vec<MergedCtt>, workers: fn(u64) -> usize) -> (MergedCtt, Tally) {
     let mut pieces = pieces.into_iter();
     let mut acc = pieces.next().expect("a merge of pieces needs at least one");
     let mut rest: Vec<MergedCtt> = pieces.collect();
@@ -680,66 +778,297 @@ fn merge_pieces(pieces: Vec<MergedCtt>) -> MergedCtt {
             acc.app_times.push(v);
         }
     }
-    let (mut tables, mut tally) = (Vec::new(), Tally::default());
+    // A list's weight is the groups it ends with.
+    let mut plan = Plan::default();
     for (gid, mine) in acc.vertices.iter_mut().enumerate() {
-        let mut lists = 0;
-        for p in &mut rest {
-            let theirs = std::mem::replace(&mut p.vertices[gid], MergedVertex::Empty);
-            lists = lists.max(absorb_piece(mine, theirs, &mut tables, &mut tally));
-        }
-        tables[..lists].iter_mut().for_each(KeyTable::clear);
-    }
-    tally.flush();
-    acc
-}
-
-/// Move one piece's groups at one vertex into `mine`, as [`absorb_vertex`]
-/// moves one rank's data: each joins the compatible group already there or
-/// opens its own after them. Returns how many lists it met.
-fn absorb_piece(
-    mine: &mut MergedVertex,
-    theirs: MergedVertex,
-    tables: &mut Vec<KeyTable>,
-    tally: &mut Tally,
-) -> usize {
-    match theirs {
-        MergedVertex::Empty => 0,
-        MergedVertex::Control(groups) => {
-            tally.absorb_groups(
-                mine.control_groups(),
-                groups,
-                &mut first_tables(tables, 1)[0],
-                |d| control_key(d.view()),
-                control_mergeable,
-                |_, _| {},
-            );
-            1
-        }
-        MergedVertex::Leaf(slots) => {
-            let n = slots.len();
-            let dst = mine.leaf_slots(n);
-            for ((slot, groups), table) in dst.iter_mut().zip(slots).zip(first_tables(tables, n)) {
-                tally.absorb_groups(
-                    slot,
-                    groups,
-                    table,
-                    record_key,
-                    record_mergeable,
-                    |r, rec| {
-                        r.time.merge(&rec.time);
-                        r.gap.merge(&rec.gap);
-                    },
-                );
+        let start = plan.begin_vertex();
+        let (mut leaf, mut control) = (false, false);
+        for p in &rest {
+            match &p.vertices[gid] {
+                MergedVertex::Empty => {}
+                MergedVertex::Control(groups) => {
+                    control = true;
+                    plan.add_lens(start, [groups.len()]);
+                }
+                MergedVertex::Leaf(slots) => {
+                    leaf = true;
+                    plan.add_lens(start, slots.iter().map(Vec::len));
+                }
             }
-            n
         }
+        let incoming = &mut plan.weights[start..];
+        if leaf {
+            reserve_lists(mine.leaf_slots(incoming.len()), incoming);
+        }
+        if control {
+            reserve_lists(std::slice::from_mut(mine.control_groups()), incoming);
+        }
+    }
+    plan.cut(workers(plan.total()));
+    let mut parts: Vec<Vec<Move<'_>>> = plan.parts();
+    let mut theirs: Vec<_> = rest.iter_mut().map(|p| p.vertices.iter_mut()).collect();
+    for (gid, mine) in acc.vertices.iter_mut().enumerate() {
+        let from: Vec<&mut MergedVertex> = theirs
+            .iter_mut()
+            .map(|v| v.next().expect("pieces share the vertex count"))
+            .collect();
+        match mine {
+            MergedVertex::Empty => {}
+            MergedVertex::Control(dst) => {
+                if let Some((k, _)) = plan.spans(gid).next() {
+                    let from = from.into_iter().filter_map(|v| match v {
+                        MergedVertex::Control(groups) => Some(groups),
+                        _ => None,
+                    });
+                    parts[k].push(Move::Control(dst, from.collect()));
+                }
+            }
+            MergedVertex::Leaf(dst) => {
+                let spans: Vec<_> = plan.spans(gid).collect();
+                let mut moves: Vec<_> = cut_list(dst, &spans).map(|d| (d, Vec::new())).collect();
+                for v in from {
+                    if let MergedVertex::Leaf(src) = v {
+                        for (m, s) in moves.iter_mut().zip(cut_list(src, &spans)) {
+                            m.1.push(s);
+                        }
+                    }
+                }
+                for ((k, _), (dst, from)) in spans.into_iter().zip(moves) {
+                    parts[k].push(Move::Leaf(dst, from));
+                }
+            }
+        }
+    }
+    let tally = split(parts, move_groups);
+    (acc, tally.into_iter().sum())
+}
+
+/// Reserve room in each list for the groups still to come into it, whose
+/// count `incoming` holds; it then holds each list's final length.
+fn reserve_lists<T>(lists: &mut [Vec<T>], incoming: &mut [u64]) {
+    for (list, n) in lists.iter_mut().zip(incoming) {
+        list.reserve_exact(*n as usize);
+        *n += list.len() as u64;
     }
 }
 
-/// [`merge_all`], whatever `threads` says: the one merge is sequential.
+/// `list` cut into the ranges of `spans` (consecutive, from 0), each
+/// clipped to the list's length.
+fn cut_list<'a: 's, 's, T>(
+    list: &'a mut [T],
+    spans: &'s [(usize, Range<usize>)],
+) -> impl Iterator<Item = &'a mut [T]> + 's {
+    let len = list.len();
+    let mut left = list;
+    spans.iter().map(move |(_, span)| {
+        let n = span.end.min(len) - span.start.min(len);
+        let (head, tail) = std::mem::take(&mut left).split_at_mut(n);
+        left = tail;
+        head
+    })
+}
+
+/// One worker's share of a piece merge at one vertex: the base piece's
+/// lists, and the same lists of every later piece, whose groups move in.
+enum Move<'a> {
+    Control(
+        &'a mut Vec<(RankSet, VertexData)>,
+        Vec<&'a mut Vec<(RankSet, VertexData)>>,
+    ),
+    Leaf(
+        &'a mut [Vec<(RankSet, LeafRecord)>],
+        Vec<&'a mut [Vec<(RankSet, LeafRecord)>]>,
+    ),
+}
+
+/// Move one worker's groups, piece by piece at each of its vertices, as
+/// [`absorb_record`] moves one rank's data: each joins the compatible group
+/// already there or opens its own after them. The emptied lists stay where
+/// they are.
+fn move_groups(part: Vec<Move<'_>>) -> Tally {
+    let (mut tables, mut tally) = (Vec::new(), Tally::default());
+    for share in part {
+        match share {
+            Move::Control(dst, from) => {
+                let table = &mut first_tables(&mut tables, 1)[0];
+                for groups in from {
+                    tally.absorb_groups(
+                        dst,
+                        groups.drain(..),
+                        table,
+                        |d| control_key(d.view()),
+                        control_mergeable,
+                        |_, _| {},
+                    );
+                }
+                table.clear();
+            }
+            Move::Leaf(dst, from) => {
+                let tables = first_tables(&mut tables, dst.len());
+                for slots in from {
+                    for ((slot, groups), table) in dst.iter_mut().zip(slots).zip(&mut *tables) {
+                        tally.absorb_groups(
+                            slot,
+                            groups.drain(..),
+                            table,
+                            record_key,
+                            record_mergeable,
+                            |r, rec| {
+                                r.time.merge(&rec.time);
+                                r.gap.merge(&rec.gap);
+                            },
+                        );
+                    }
+                }
+                tables.iter_mut().for_each(KeyTable::clear);
+            }
+        }
+    }
+    tally
+}
+
+/// [`merge_all`], whatever `threads` says: the merge picks its own worker
+/// count from the job's size.
 #[doc(hidden)]
 pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCtt {
     merge_all(ctts)
+}
+
+/// At most this many workers split one merge or merged encode: the cap
+/// `Server::new(0)` puts on its event loops.
+const MAX_WORKERS: usize = 8;
+
+/// The items (records absorbed, groups moved or encoded) a worker must have
+/// before one more is started. Below it a merge or an encode runs on the
+/// calling thread alone: a regular job, a stream collection and every
+/// bundled workload at its quick rank count merge fewer records than this,
+/// and a thread start costs tens of microseconds.
+const ITEMS_PER_WORKER: u64 = 32_768;
+
+/// Workers for `items` items: one per [`ITEMS_PER_WORKER`], at most one per
+/// core and at most [`MAX_WORKERS`]. The core count is asked for only when
+/// a second worker is wanted: on Linux it reads the cgroup's CPU quota,
+/// ~16 µs a call on the 2-core sizing box, which a one-rank `add` should not
+/// pay.
+fn workers_for(items: u64) -> usize {
+    let wanted = (items / ITEMS_PER_WORKER).max(1) as usize;
+    if wanted == 1 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(4, |n| n.get().min(MAX_WORKERS));
+    wanted.min(cores)
+}
+
+/// Run `work` on every part, the first on the calling thread and each other
+/// on a scoped thread of its own, and return the results in part order. The
+/// one place this crate starts threads; a worker's panic resumes on the
+/// caller.
+fn split<P: Send, R: Send>(parts: Vec<P>, work: impl Fn(P) -> R + Sync) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    if parts.len() == 0 {
+        return vec![work(first)];
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let others: Vec<_> = parts.map(|p| s.spawn(move || work(p))).collect();
+        let mut out = vec![work(first)];
+        for h in others {
+            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
+/// The items of one merge or merged encode in vertex order — each slot of a
+/// leaf, the one list of a control vertex — each weighed by the groups or
+/// records it takes, and cut into one run of items per worker. A vertex's
+/// items are independent lists, so the runs can be worked at the same time
+/// and give what one worker gives.
+#[derive(Default)]
+struct Plan {
+    /// Vertex `gid`'s items are `starts[gid]..starts[gid + 1]`.
+    starts: Vec<usize>,
+    weights: Vec<u64>,
+    /// Part `k`'s items are `bounds[k]..bounds[k + 1]`.
+    bounds: Vec<usize>,
+}
+
+impl Plan {
+    /// Open the next vertex; its items are the weights pushed until the
+    /// next. Returns its first item's index.
+    fn begin_vertex(&mut self) -> usize {
+        self.starts.push(self.weights.len());
+        self.weights.len()
+    }
+
+    /// Add list lengths, from the vertex's first item (`start`) on.
+    fn add_lens(&mut self, start: usize, lens: impl IntoIterator<Item = usize>) {
+        for (i, len) in lens.into_iter().enumerate() {
+            match self.weights.get_mut(start + i) {
+                Some(w) => *w += len as u64,
+                None => self.weights.push(len as u64),
+            }
+        }
+    }
+
+    fn total(&self) -> u64 {
+        self.weights.iter().sum()
+    }
+
+    /// Close the last vertex and cut the items into `parts` runs of
+    /// near-equal weight: a part starts at the first item whose weight
+    /// before it reaches the part's share.
+    fn cut(&mut self, parts: usize) {
+        self.starts.push(self.weights.len());
+        let total = self.total() as u128;
+        let mut before = 0u128;
+        self.bounds = vec![0];
+        for (i, &w) in self.weights.iter().enumerate() {
+            while self.bounds.len() < parts
+                && before * parts as u128 >= total * self.bounds.len() as u128
+            {
+                self.bounds.push(i);
+            }
+            before += w as u128;
+        }
+        self.bounds.resize(parts + 1, self.weights.len());
+    }
+
+    /// One empty list per part.
+    fn parts<T>(&self) -> Vec<Vec<T>> {
+        (1..self.bounds.len()).map(|_| Vec::new()).collect()
+    }
+
+    /// The parts that hold items of vertex `gid`, in order, each with its
+    /// range of the vertex's items.
+    fn spans(&self, gid: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let (first, end) = (self.starts[gid], self.starts[gid + 1]);
+        self.bounds
+            .windows(2)
+            .enumerate()
+            .filter_map(move |(k, b)| {
+                let (lo, hi) = (b[0].max(first), b[1].min(end));
+                (lo < hi).then(|| (k, lo - first..hi - first))
+            })
+    }
+
+    /// What part `k` encodes of vertex `gid`: whether it writes the
+    /// vertex's header — the part holding its first item, or the last part
+    /// for a vertex after every item — and its range of the vertex's items.
+    fn part(&self, k: usize, gid: usize) -> (bool, Range<usize>) {
+        let (first, end) = (self.starts[gid], self.starts[gid + 1]);
+        let owner = self.bounds.partition_point(|&b| b <= first) - 1;
+        let (lo, hi) = (self.bounds[k].max(first), self.bounds[k + 1].min(end));
+        let items = if lo < hi {
+            lo - first..hi - first
+        } else {
+            0..0
+        };
+        (owner.min(self.bounds.len() - 2) == k, items)
+    }
 }
 
 /// A group list is scanned while it and the groups coming into it number
@@ -754,12 +1083,21 @@ pub fn merge_all_parallel<S: CttSource>(ctts: &[S], _threads: usize) -> MergedCt
 /// crafted key collisions ([`KeyTable`]).
 const SCAN_GROUPS: usize = 32;
 
-/// The tallies of one absorb or one whole merge, flushed into the `merge`
-/// counters once.
-#[derive(Default)]
+/// The tallies of one worker's share of a merge, summed over the workers
+/// and flushed into the `merge` counters once.
+#[derive(Default, Debug, PartialEq)]
 struct Tally {
     groups_formed: u64,
     comparisons: u64,
+}
+
+impl std::iter::Sum for Tally {
+    fn sum<I: Iterator<Item = Tally>>(tallies: I) -> Tally {
+        tallies.fold(Tally::default(), |a, b| Tally {
+            groups_formed: a.groups_formed + b.groups_formed,
+            comparisons: a.comparisons + b.comparisons,
+        })
+    }
 }
 
 impl Tally {
@@ -793,7 +1131,7 @@ impl Tally {
     fn absorb_groups<T>(
         &mut self,
         dst: &mut Vec<(RankSet, T)>,
-        groups: Vec<(RankSet, T)>,
+        groups: impl ExactSizeIterator<Item = (RankSet, T)>,
         table: &mut KeyTable,
         key: impl Fn(&T) -> u32,
         compatible: impl Fn(&T, &T) -> bool,
@@ -824,6 +1162,7 @@ impl Tally {
         }
     }
 
+    /// Add the tallies to the `merge` counters.
     fn flush(self) {
         GROUPS_FORMED.add(self.groups_formed);
         COMPARISONS.add(self.comparisons);
@@ -1132,7 +1471,11 @@ impl BinomialMerger {
         }
         ranges
             .into_iter()
-            .map(|(first, count, pieces)| (first, count, merge_pieces(pieces)))
+            .map(|(first, count, pieces)| {
+                let (block, tally) = merge_pieces(pieces, workers_for);
+                tally.flush();
+                (first, count, block)
+            })
             .collect()
     }
 
@@ -1175,7 +1518,8 @@ impl BinomialMerger {
         );
         let _span = MERGE_NS.span("merge", "binomial_finish");
         let pieces = self.pieces.into_values().map(|(_, piece)| piece).collect();
-        let acc = merge_pieces(pieces);
+        let (acc, tally) = merge_pieces(pieces, workers_for);
+        tally.flush();
         note_merged_groups(&acc);
         obs_log!(
             Level::Info,
@@ -1193,28 +1537,12 @@ const MV_CONTROL: u8 = 1;
 const MV_LEAF: u8 = 2;
 
 impl Codec for MergedCtt {
+    /// The one chunk of a one-worker [`MergedCtt::encode_chunks`].
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_uvar(self.nprocs as u64);
-        self.app_times.encode(enc);
-        enc.put_seq(&self.vertices, |enc, mv| match mv {
-            MergedVertex::Empty => enc.put_u8(MV_EMPTY),
-            MergedVertex::Control(groups) => {
-                enc.put_u8(MV_CONTROL);
-                enc.put_seq(groups, |enc, (rs, d)| {
-                    rs.encode(enc);
-                    d.encode(enc);
-                });
-            }
-            MergedVertex::Leaf(slots) => {
-                enc.put_u8(MV_LEAF);
-                enc.put_seq(slots, |enc, slot| {
-                    enc.put_seq(slot, |enc, (rs, r)| {
-                        rs.encode(enc);
-                        r.encode(enc);
-                    })
-                });
-            }
-        });
+        self.encode_head(enc);
+        for mv in &self.vertices {
+            encode_vertex(enc, mv, true, 0..mv.items());
+        }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
@@ -1258,6 +1586,110 @@ impl MergedCtt {
         })
     }
 }
+
+impl MergedCtt {
+    /// [`Codec::to_bytes`] as slot-range chunks encoded at the same time, one
+    /// per worker, each handed to `seal` on the worker that made it (the
+    /// container writer takes its CRC there). The chunks, in order, are
+    /// `to_bytes()`, at any worker count.
+    pub fn encode_chunks<T: Send>(&self, seal: impl Fn(Vec<u8>) -> T + Sync) -> Vec<T> {
+        self.encode_split(workers_for, seal)
+    }
+
+    /// [`MergedCtt::encode_chunks`] on `workers(items)` workers, a list of
+    /// `n` groups weighing `n + 1`.
+    fn encode_split<T: Send>(
+        &self,
+        workers: fn(u64) -> usize,
+        seal: impl Fn(Vec<u8>) -> T + Sync,
+    ) -> Vec<T> {
+        let mut plan = Plan::default();
+        for mv in &self.vertices {
+            let start = plan.begin_vertex();
+            match mv {
+                MergedVertex::Empty => {}
+                MergedVertex::Control(groups) => plan.add_lens(start, [groups.len() + 1]),
+                MergedVertex::Leaf(slots) => {
+                    plan.add_lens(start, slots.iter().map(|s| s.len() + 1))
+                }
+            }
+        }
+        plan.cut(workers(plan.total()));
+        let parts = (0..plan.bounds.len() - 1).collect();
+        split(parts, |k| {
+            let mut enc = Encoder::new();
+            if k == 0 {
+                self.encode_head(&mut enc);
+            }
+            for (gid, mv) in self.vertices.iter().enumerate() {
+                let (head, items) = plan.part(k, gid);
+                encode_vertex(&mut enc, mv, head, items);
+            }
+            seal(enc.finish())
+        })
+    }
+
+    /// Job size, application times and the vertex count: what comes before
+    /// the first vertex.
+    fn encode_head(&self, enc: &mut Encoder) {
+        enc.put_uvar(self.nprocs as u64);
+        self.app_times.encode(enc);
+        enc.put_uvar(self.vertices.len() as u64);
+    }
+}
+
+impl MergedVertex {
+    /// The lists a split encodes apart: a leaf's slots, a control vertex's
+    /// one list.
+    fn items(&self) -> usize {
+        match self {
+            MergedVertex::Empty => 0,
+            MergedVertex::Control(_) => 1,
+            MergedVertex::Leaf(slots) => slots.len(),
+        }
+    }
+}
+
+/// The one group encoder: vertex `mv`'s tag (and a leaf's slot count) when
+/// `head` is set, then its lists `items` — a leaf's slots, or a control
+/// vertex's one list as item 0.
+fn encode_vertex(enc: &mut Encoder, mv: &MergedVertex, head: bool, items: Range<usize>) {
+    match mv {
+        MergedVertex::Empty => {
+            if head {
+                enc.put_u8(MV_EMPTY);
+            }
+        }
+        MergedVertex::Control(groups) => {
+            if head {
+                enc.put_u8(MV_CONTROL);
+            }
+            if !items.is_empty() {
+                enc.put_seq(groups, |enc, (rs, d)| {
+                    rs.encode(enc);
+                    d.encode(enc);
+                });
+            }
+        }
+        MergedVertex::Leaf(slots) => {
+            if head {
+                enc.put_u8(MV_LEAF);
+                enc.put_uvar(slots.len() as u64);
+            }
+            for slot in &slots[items] {
+                enc.put_seq(slot, |enc, (rs, r)| {
+                    rs.encode(enc);
+                    r.encode(enc);
+                });
+            }
+        }
+    }
+}
+
+/// The merge job `tests/merge_identity.rs` checks.
+#[cfg(test)]
+#[path = "../../../tests/merge_job/mod.rs"]
+mod merge_job;
 
 #[cfg(test)]
 mod tests {
@@ -1875,6 +2307,108 @@ mod tests {
         assert_eq!(first(1, 1), sharing(3, &|_| false));
         assert_eq!(first(2, 0), sharing(5, &|r| r % 6 == 1));
         assert_eq!(first(3, 0), sharing(4, &|r| r % 7 == 3));
+    }
+
+    /// A worker count that ignores the job's size.
+    fn fixed<const W: usize>(_items: u64) -> usize {
+        W
+    }
+
+    /// The merge job at P = 64 and 1024, and every bundled workload at its
+    /// quick rank count, rank CTTs in rank order.
+    fn identity_jobs() -> Vec<(String, Vec<Ctt>)> {
+        use cypress_workloads::{by_name, quick_procs, Scale, NPB_NAMES};
+        let mut jobs: Vec<_> = [64, 1024]
+            .map(|p| (format!("merge job P {p}"), merge_job::job(p)))
+            .into();
+        for name in NPB_NAMES.iter().chain(&["jacobi", "leslie3d"]) {
+            let w = by_name(name, quick_procs(name), Scale::Quick).unwrap();
+            let (_, info) = w.compile();
+            let traces = w.trace().unwrap();
+            let ctts = traces.iter();
+            let ctts = ctts.map(|t| compress_trace(&info.cst, t, &CompressConfig::default()));
+            jobs.push((name.to_string(), ctts.collect()));
+        }
+        jobs
+    }
+
+    /// `merge_all`, a relay's `into_blocks` (the pieces of a middle range of
+    /// ranks), the root's `finish` (every piece, one of them through its
+    /// bytes as a decoded block) and the chunked encode give, at 2, 3 and 8
+    /// workers, the bytes and the comparison and group tallies of one
+    /// worker; the chunks' CRCs combine to the CRC of `to_bytes`.
+    #[test]
+    fn every_worker_count_gives_the_one_worker_merge_and_bytes() {
+        use cypress_deflate::{crc32, crc32_combine};
+        let runs: [fn(u64) -> usize; 3] = [fixed::<2>, fixed::<3>, fixed::<8>];
+        for (name, ctts) in identity_jobs() {
+            let (want, want_tally) = merge_ranks(&ctts, fixed::<1>);
+            let bytes = want.to_bytes();
+            // Uneven contiguous pieces, as a root holds them.
+            let p = ctts.len();
+            let cuts = [0, 1, p / 3, p / 3 + 1, p - 1, p];
+            let pieces = |range: &[usize]| -> Vec<MergedCtt> {
+                let mut pieces: Vec<_> = range
+                    .windows(2)
+                    .filter(|w| w[0] < w[1])
+                    .map(|w| merge_ranks(&ctts[w[0]..w[1]], fixed::<1>).0)
+                    .collect();
+                pieces[0] = MergedCtt::from_bytes(&pieces[0].to_bytes()).unwrap();
+                pieces
+            };
+            let (whole, whole_tally) = merge_pieces(pieces(&cuts), fixed::<1>);
+            assert!(whole.to_bytes() == bytes, "{name}: finish");
+            let (block, block_tally) = merge_pieces(pieces(&cuts[1..5]), fixed::<1>);
+            let block_bytes = block.to_bytes();
+            for (w, workers) in runs.into_iter().enumerate() {
+                let (merged, tally) = merge_ranks(&ctts, workers);
+                assert!(merged.to_bytes() == bytes, "{name}: merge_all, run {w}");
+                assert_eq!(tally, want_tally, "{name}: merge_all, run {w}");
+                let (merged, tally) = merge_pieces(pieces(&cuts), workers);
+                assert!(merged.to_bytes() == bytes, "{name}: finish, run {w}");
+                assert_eq!(tally, whole_tally, "{name}: finish, run {w}");
+                let (merged, tally) = merge_pieces(pieces(&cuts[1..5]), workers);
+                assert!(merged.to_bytes() == block_bytes, "{name}: block, run {w}");
+                assert_eq!(tally, block_tally, "{name}: block, run {w}");
+            }
+            for workers in [fixed::<1>, fixed::<2>, fixed::<3>, fixed::<8>] {
+                let chunks = want.encode_split(workers, |c| (crc32(&c), c));
+                let joined: Vec<u8> = chunks.iter().flat_map(|(_, c)| c).copied().collect();
+                assert!(joined == bytes, "{name}: {} chunks", chunks.len());
+                let crc = chunks
+                    .iter()
+                    .fold(0, |crc, (c, b)| crc32_combine(crc, *c, b.len() as u64));
+                assert_eq!(crc, crc32(&bytes), "{name}: {} chunks", chunks.len());
+            }
+        }
+    }
+
+    /// A plan's parts cover every item once, in order, and a vertex's header
+    /// goes to the part that holds its first item.
+    #[test]
+    fn plan_parts_cover_every_item_once() {
+        let mut plan = Plan::default();
+        // Vertices of 0, 3, 0, 1 and 5 items, and one more empty at the end.
+        for lens in [&[][..], &[5, 1, 1], &[], &[9], &[1, 1, 1, 1, 1], &[]] {
+            let start = plan.begin_vertex();
+            plan.add_lens(start, lens.iter().copied());
+        }
+        for parts in 1..=12 {
+            plan.starts.truncate(6);
+            plan.cut(parts);
+            assert_eq!(plan.bounds.len(), parts + 1);
+            for gid in 0..6 {
+                let heads = (0..parts).filter(|&k| plan.part(k, gid).0).count();
+                assert_eq!(heads, 1, "{parts} parts, vertex {gid}");
+                let spans: Vec<_> = plan.spans(gid).map(|(_, r)| r).collect();
+                let items = plan.starts[gid + 1] - plan.starts[gid];
+                let covered: Vec<usize> = spans.iter().flat_map(|r| r.clone()).collect();
+                assert_eq!(covered, (0..items).collect::<Vec<_>>(), "{parts} parts");
+                for (k, r) in plan.spans(gid) {
+                    assert_eq!(plan.part(k, gid).1, r);
+                }
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub enum VertexRef<'a> {
 /// in shared arena vectors. Folds, replay, lowering and queries are generic
 /// over this trait, so the trace store answers from slab-decoded jobs through
 /// exactly the code paths owned CTTs take — no copy, identical results.
-pub trait CttSource {
+/// A source is `Sync`: a large merge reads every rank's tree from several
+/// workers at once.
+pub trait CttSource: Sync {
     fn rank(&self) -> u32;
     fn nprocs(&self) -> u32;
     fn app_time(&self) -> u64;

@@ -84,6 +84,55 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
+/// The CRC-32 of `a ++ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, without the bytes: zlib's `crc32_combine`. A CRC is
+/// the message's remainder modulo the polynomial, so appending `len_b`
+/// bytes multiplies `a`'s part by x^(8·len_b) in GF(2)[x] modulo P, and
+/// the initial and final inversions cancel between the two terms. The
+/// power is a product of the squarings x^(2^k) in [`X2N`], one per set bit
+/// of the length: O(log len_b) carry-less multiplies.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let (mut n, mut k, mut p) = (len_b, 3, 1u32 << 31);
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mul_mod_p(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mul_mod_p(p, crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the polynomial, both in the reflected bit order the
+/// tables use (bit 31 is x^0).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let (mut m, mut p) = (1u32 << 31, 0u32);
+    while m != 0 {
+        if a & m != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    p
+}
+
+/// `X2N[k]` = x^(2^k) modulo the polynomial: x^1, then each the square of
+/// the one before. Squaring x 32 times gives x again modulo this
+/// polynomial, so the powers repeat every 32 entries, hence the `& 31`
+/// above (a test holds the wrap).
+static X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30;
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +174,19 @@ mod tests {
                 assert_eq!(crc32(s), bytewise(s), "start {start} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn combine_of_known_halves() {
+        assert_eq!(
+            crc32_combine(crc32(b"12345"), crc32(b"6789"), 4),
+            crc32(b"123456789")
+        );
+        assert_eq!(crc32_combine(crc32(b"abc"), 0, 0), crc32(b"abc"));
+        assert_eq!(crc32_combine(0, crc32(b"abc"), 3), crc32(b"abc"));
+        // The 33rd squaring is the first: lengths of 2^29 bytes and more
+        // index the table modulo 32.
+        assert_eq!(mul_mod_p(X2N[31], X2N[31]), X2N[0]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod inflate;
 pub mod lz77;
 pub mod tables;
 
-pub use crc32::{crc32, Crc32};
+pub use crc32::{crc32, crc32_combine, Crc32};
 pub use deflate::{deflate, Level};
 pub use gzip::{gzip_compress, gzip_decompress, gzip_size};
 pub use inflate::{inflate, inflate_exact};

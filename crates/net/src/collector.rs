@@ -134,7 +134,8 @@ struct Job {
 /// The held ranks, the merge and the job's accounting.
 struct Merge {
     /// Relay blocks on arrival, then the held ranks once they are complete
-    /// ([`fold_held`](Self::fold_held)); merged once, at the end.
+    /// ([`fold_held`](Self::fold_held)); merged once, at the end, on as
+    /// many of the machine's cores as the job's size warrants.
     merger: BinomialMerger,
     /// Checked ranks, kept until every rank this collector expects is held
     /// or in a block.

@@ -8,8 +8,11 @@
 //! acknowledges it at once, and merges once every rank it collects is in,
 //! as the paper merges in `MPI_Finalize`: its held runs and the blocks it
 //! was sent are contiguous pieces of a [`cypress_core::BinomialMerger`],
-//! merged vertex by vertex in one pass in rank order. The root yields the
-//! merged job; a relay forwards its shard as one merged block.
+//! merged vertex by vertex in one pass in rank order. The paper's reduction
+//! merges on every process at once; here a large merge splits its slot
+//! lists across the machine's cores instead (at most eight workers, the
+//! same bytes at any count). The root yields the merged job; a relay
+//! forwards its shard as one merged block.
 //!
 //! Layers, std-only (no external dependencies, matching the repo's
 //! offline-build rule):

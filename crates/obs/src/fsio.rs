@@ -8,7 +8,7 @@
 //! torn one.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -27,18 +27,29 @@ fn temp_sibling(path: &Path) -> std::path::PathBuf {
 /// Write `bytes` to `path` atomically (write temp sibling, then rename),
 /// creating parent directories as needed.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, |file| file.write_all(bytes))
+}
+
+/// [`write_atomic`] of whatever `write` puts into the temp sibling, for a
+/// file written in parts: the temp file is renamed over `path` once `write`
+/// returns, and removed if `write` or the rename fails.
+pub fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut fs::File) -> io::Result<()>,
+) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
         }
     }
     let tmp = temp_sibling(path);
-    fs::write(&tmp, bytes)?;
-    let renamed = fs::rename(&tmp, path);
-    if renamed.is_err() {
+    let done = fs::File::create(&tmp)
+        .and_then(|mut file| write(&mut file))
+        .and_then(|()| fs::rename(&tmp, path));
+    if done.is_err() {
         let _ = fs::remove_file(&tmp);
     }
-    renamed
+    done
 }
 
 /// Append `bytes` to `path` atomically: read the current contents (if any),
@@ -85,6 +96,22 @@ mod tests {
         append_atomic(&path, b"{\"a\":1}\n").unwrap();
         append_atomic(&path, b"{\"b\":2}\n").unwrap();
         assert_eq!(fs::read_to_string(&path).unwrap(), "{\"a\":1}\n{\"b\":2}\n");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_old_file_and_no_temp() {
+        let dir = tmpdir("failed");
+        let path = dir.join("out.bin");
+        write_atomic(&path, b"old").unwrap();
+        let err = write_atomic_with(&path, |file| {
+            file.write_all(b"half of the new")?;
+            Err(io::Error::other("writer gave up"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "writer gave up");
+        assert_eq!(fs::read(&path).unwrap(), b"old");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -50,7 +50,7 @@ pub mod rng;
 pub mod span;
 pub mod tracing;
 
-pub use fsio::{append_atomic, write_atomic};
+pub use fsio::{append_atomic, write_atomic, write_atomic_with};
 pub use log::{log_emit, log_enabled, log_level, set_log_level, Level};
 pub use metrics::{Counter, Gauge, Histogram, TIME_BOUNDS_NS};
 pub use report::{json_str, push_json_u64_array, report, MetricKind, MetricSnapshot, Report};

@@ -100,7 +100,7 @@ fn open_refuses_mislabelled_or_repeated_rank_sections() {
             None,
         )];
         encoded.extend(labels.iter().zip(payloads).map(|(&label, i)| {
-            encode_payload(SectionKind::RankCtt, Some(label), &ctts[i].to_bytes(), None)
+            encode_payload(SectionKind::RankCtt, Some(label), ctts[i].to_bytes(), None)
         }));
         let path = tmp.0.join(format!("{name}.cytc"));
         Container::write_image(&path, &assemble(4, &encoded)).unwrap();

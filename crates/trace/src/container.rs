@@ -28,12 +28,17 @@
 //! skip kinds it does not understand and detect torn or corrupted writes
 //! per-section.
 //!
-//! Writing is three steps: each section is encoded on its own
-//! ([`encode_payload`] / [`encode_section`], deflating eligible payloads at
-//! a chosen [`Level`]), [`assemble`] frames them in order, and
-//! [`Container::write_image`] persists the image atomically (temp + rename).
-//! That split is what lets the umbrella crate compress sections on a worker
-//! pool without this crate depending on a scheduler.
+//! Writing is two steps: each section is encoded on its own
+//! ([`encode_payload`] / [`encode_section`], or [`encode_parts`] for a
+//! payload made in chunks; eligible payloads are deflated at a chosen
+//! [`Level`]), and [`Container::write`] streams them in order into a temp
+//! file that is renamed into place. Every stored part carries the crc32
+//! taken where it was made, and the image trailer is combined from those
+//! and the framing's ([`crc32_combine`](cypress_deflate::crc32_combine)),
+//! so the write reads no payload byte twice. [`assemble`] is the same
+//! writer into a `Vec`. That split is what lets the umbrella crate
+//! compress sections on a worker pool without this crate depending on a
+//! scheduler.
 //!
 //! Per-section CRCs protect payload bytes but not the *framing* varints
 //! (section counts, lengths): a single flipped length byte could send a
@@ -47,9 +52,11 @@
 //! version this build writes.
 
 use crate::codec::{DecodeError, Encoder};
-use cypress_deflate::{crc32, deflate, Level};
+use cypress_deflate::{crc32, crc32_combine, deflate, Level};
 use cypress_obs::{Counter, Histogram, TIME_BOUNDS_NS};
+use std::borrow::Cow;
 use std::fmt;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// File magic: CYpress Trace Container.
@@ -232,11 +239,31 @@ impl From<DecodeError> for ContainerError {
     }
 }
 
-/// The container writer's namespace: an image made by [`assemble`] goes to
-/// disk through [`Container::write_image`].
+/// The container writer's namespace: encoded sections go to disk through
+/// [`Container::write`], an image made by [`assemble`] through
+/// [`Container::write_image`].
 pub struct Container;
 
 impl Container {
+    /// Write the container of `encoded` sections atomically (temp sibling +
+    /// rename), streamed: the framing and each stored part go straight to
+    /// the temp file, and the image trailer is combined from their CRCs
+    /// (`write_container`), so no image is built in memory.
+    pub fn write(
+        path: impl AsRef<Path>,
+        nprocs: u32,
+        encoded: &[EncodedSection],
+    ) -> Result<(), ContainerError> {
+        let mut written = 0;
+        cypress_obs::write_atomic_with(path.as_ref(), |file| {
+            let mut out = BufWriter::new(file);
+            written = write_container(&mut out, nprocs, encoded)?;
+            out.flush()
+        })?;
+        BYTES_WRITTEN.add(written);
+        Ok(())
+    }
+
     /// Write an already-assembled image atomically (temp sibling + rename).
     pub fn write_image(path: impl AsRef<Path>, image: &[u8]) -> Result<(), ContainerError> {
         cypress_obs::write_atomic(path.as_ref(), image)?;
@@ -245,10 +272,34 @@ impl Container {
     }
 }
 
+/// Stored bytes as they were made — a whole section, or one chunk of a
+/// section encoded in parts — with their crc32, taken where they were made.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Part {
+    bytes: Vec<u8>,
+    crc: u32,
+}
+
+impl Part {
+    /// Take `bytes`' crc32 (on the calling thread: the worker that made
+    /// them).
+    pub fn new(bytes: Vec<u8>) -> Part {
+        Part {
+            crc: crc32(&bytes),
+            bytes,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
 /// One section's serialized form: the stored bytes plus the framing fields
-/// needed to emit it. Produced by [`encode_section`] (safe to run on any
-/// thread — this is the unit of parallelism for container compression) and
-/// consumed in order by [`assemble`].
+/// needed to emit it. Produced by [`encode_section`], [`encode_payload`] or
+/// [`encode_parts`] (safe to run on any thread — this is the unit of
+/// parallelism for container compression) and written in order by
+/// `write_container`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedSection {
     kind: SectionKind,
@@ -256,15 +307,21 @@ pub struct EncodedSection {
     encoding: u8,
     /// Decompressed payload length (deflate encoding only).
     raw_len: usize,
-    stored: Vec<u8>,
-    /// crc32 of `stored`, computed where the bytes were made.
-    crc: u32,
+    /// The stored bytes, in the parts they were made in.
+    parts: Vec<Part>,
 }
 
 impl EncodedSection {
     /// Bytes as stored in the file (compressed for deflated sections).
     pub fn stored_len(&self) -> usize {
-        self.stored.len()
+        self.parts.iter().map(Part::len).sum()
+    }
+
+    /// crc32 of the stored bytes, combined from the parts'.
+    fn crc(&self) -> u32 {
+        self.parts
+            .iter()
+            .fold(0, |crc, p| crc32_combine(crc, p.crc, p.len() as u64))
     }
 }
 
@@ -274,71 +331,150 @@ impl EncodedSection {
 /// the stored bytes. Pure function of `(section, level)` — parallel and
 /// sequential encodes are byte-identical.
 pub fn encode_section(s: &Section, level: Option<Level>) -> EncodedSection {
-    encode_payload(s.kind, s.rank, &s.payload, level)
+    encode_payload(s.kind, s.rank, &s.payload[..], level)
 }
 
-/// [`encode_section`] of a payload the caller holds outside a [`Section`]
-/// (made on the worker that encodes it, or borrowed).
-pub fn encode_payload(
+/// [`encode_section`] of a payload the caller holds outside a [`Section`]:
+/// owned bytes stored raw are moved into the section, not copied.
+pub fn encode_payload<'a>(
     kind: SectionKind,
     rank: Option<u32>,
-    payload: &[u8],
+    payload: impl Into<Cow<'a, [u8]>>,
     level: Option<Level>,
 ) -> EncodedSection {
+    let payload = payload.into();
+    let raw_len = payload.len();
     let _span = SECTION_ENCODE_NS
         .span("encode", "section")
-        .arg(payload.len() as u64);
-    let deflated = level
-        .filter(|_| payload.len() >= MIN_COMPRESS_LEN)
-        .map(|level| deflate(payload, level))
-        .filter(|z| z.len() < payload.len());
-    let (encoding, stored) = match deflated {
-        Some(z) => {
-            SECTIONS_DEFLATED.inc();
-            DEFLATE_IN_BYTES.add(payload.len() as u64);
-            DEFLATE_OUT_BYTES.add(z.len() as u64);
-            (ENC_DEFLATE, z)
-        }
-        None => (ENC_RAW, payload.to_vec()),
+        .arg(raw_len as u64);
+    let (encoding, stored) = match deflated(&payload, level) {
+        Some(z) => (ENC_DEFLATE, z),
+        None => (ENC_RAW, payload.into_owned()),
     };
     EncodedSection {
         kind,
         rank,
         encoding,
-        raw_len: payload.len(),
-        crc: crc32(&stored),
-        stored,
+        raw_len,
+        parts: vec![Part::new(stored)],
     }
 }
 
-/// Assemble encoded sections into a container image: the framed body
+/// [`encode_payload`] of a payload made in parts, each CRC'd where it was
+/// made ([`Part::new`]): stored raw, the parts are the section's; deflated,
+/// they are joined first and the stream is one part.
+pub fn encode_parts(
+    kind: SectionKind,
+    rank: Option<u32>,
+    parts: Vec<Part>,
+    level: Option<Level>,
+) -> EncodedSection {
+    let raw_len = parts.iter().map(Part::len).sum();
+    let _span = SECTION_ENCODE_NS
+        .span("encode", "section")
+        .arg(raw_len as u64);
+    let z = level.filter(|_| raw_len >= MIN_COMPRESS_LEN).and_then(|_| {
+        let joined: Vec<u8> = parts.iter().flat_map(|p| &p.bytes).copied().collect();
+        deflated(&joined, level)
+    });
+    let (encoding, parts) = match z {
+        Some(z) => (ENC_DEFLATE, vec![Part::new(z)]),
+        None => (ENC_RAW, parts),
+    };
+    EncodedSection {
+        kind,
+        rank,
+        encoding,
+        raw_len,
+        parts,
+    }
+}
+
+/// `payload` deflated at `level`, when that is enabled, the payload is
+/// large enough, and compression wins.
+fn deflated(payload: &[u8], level: Option<Level>) -> Option<Vec<u8>> {
+    let z = level
+        .filter(|_| payload.len() >= MIN_COMPRESS_LEN)
+        .map(|level| deflate(payload, level))
+        .filter(|z| z.len() < payload.len())?;
+    SECTIONS_DEFLATED.inc();
+    DEFLATE_IN_BYTES.add(payload.len() as u64);
+    DEFLATE_OUT_BYTES.add(z.len() as u64);
+    Some(z)
+}
+
+/// Write the container image of `encoded` to `out`: the framed body
 /// followed by a whole-image crc32 trailer that lets readers reject any
-/// corruption — framing included — before parsing a single body byte. The
-/// section CRCs come from [`encode_section`]; the trailer is the one pass
-/// over the image here.
-pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
-    let framed: usize = encoded.iter().map(|e| e.stored.len() + 20).sum();
-    let mut enc = Encoder::with_capacity(CONTAINER_MAGIC.len() + 1 + 8 + framed + 4);
+/// corruption — framing included — before parsing a single body byte.
+/// Each stored part is written as it was made, and the trailer is combined
+/// from the framing bytes' CRCs and each part's, so no payload byte is read
+/// again here. Returns the bytes written.
+fn write_container(
+    out: &mut impl Write,
+    nprocs: u32,
+    encoded: &[EncodedSection],
+) -> std::io::Result<u64> {
+    let mut image = ImageWriter {
+        out,
+        crc: 0,
+        len: 0,
+    };
+    let mut head = Encoder::new();
     for b in CONTAINER_MAGIC {
-        enc.put_u8(b);
+        head.put_u8(b);
     }
-    enc.put_u8(CONTAINER_VERSION);
-    enc.put_uvar(nprocs as u64);
-    enc.put_uvar(encoded.len() as u64);
+    head.put_u8(CONTAINER_VERSION);
+    head.put_uvar(nprocs as u64);
+    head.put_uvar(encoded.len() as u64);
+    image.framing(head)?;
     for e in encoded {
-        enc.put_u8(e.kind.code());
-        enc.put_uvar(e.rank.map(|r| r as u64 + 1).unwrap_or(0));
-        enc.put_u8(e.encoding);
+        let mut head = Encoder::new();
+        head.put_u8(e.kind.code());
+        head.put_uvar(e.rank.map(|r| r as u64 + 1).unwrap_or(0));
+        head.put_u8(e.encoding);
         if e.encoding == ENC_DEFLATE {
-            enc.put_uvar(e.raw_len as u64);
+            head.put_uvar(e.raw_len as u64);
         }
-        enc.put_bytes(&e.stored);
-        enc.put_uvar(e.crc as u64);
+        head.put_uvar(e.stored_len() as u64);
+        image.framing(head)?;
+        for part in &e.parts {
+            image.out.write_all(&part.bytes)?;
+            image.crc = crc32_combine(image.crc, part.crc, part.len() as u64);
+            image.len += part.len() as u64;
+        }
+        let mut tail = Encoder::new();
+        tail.put_uvar(e.crc() as u64);
+        image.framing(tail)?;
     }
-    let mut out = enc.finish();
-    let image_crc = crc32(&out);
-    out.extend_from_slice(&image_crc.to_le_bytes());
-    out
+    image.out.write_all(&image.crc.to_le_bytes())?;
+    Ok(image.len + 4)
+}
+
+/// The sink [`write_container`] writes through, keeping the crc32 and the
+/// length of everything written so far.
+struct ImageWriter<'a, W> {
+    out: &'a mut W,
+    crc: u32,
+    len: u64,
+}
+
+impl<W: Write> ImageWriter<'_, W> {
+    fn framing(&mut self, enc: Encoder) -> std::io::Result<()> {
+        let bytes = enc.finish();
+        self.out.write_all(&bytes)?;
+        self.crc = crc32_combine(self.crc, crc32(&bytes), bytes.len() as u64);
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+}
+
+/// The container image of `encoded` sections in memory:
+/// `write_container` into a `Vec`, the one framing path.
+pub fn assemble(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
+    let framed: usize = encoded.iter().map(|e| e.stored_len() + 20).sum();
+    let mut image = Vec::with_capacity(CONTAINER_MAGIC.len() + 1 + 8 + framed + 4);
+    write_container(&mut image, nprocs, encoded).expect("writing to a Vec cannot fail");
+    image
 }
 
 /// Does this byte prefix look like a container file?
@@ -599,6 +735,80 @@ mod tests {
             SectionTable::parse(&bytes).err(),
             Some(ContainerError::CrcMismatch { .. } | ContainerError::Corrupt(_))
         ));
+    }
+
+    /// The image as the one-buffer writer made it before the streamed one:
+    /// framing and stored bytes copied into one buffer, then one crc32 pass
+    /// over all of it for the trailer.
+    fn one_buffer_image(nprocs: u32, encoded: &[EncodedSection]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        for b in CONTAINER_MAGIC {
+            enc.put_u8(b);
+        }
+        enc.put_u8(CONTAINER_VERSION);
+        enc.put_uvar(nprocs as u64);
+        enc.put_uvar(encoded.len() as u64);
+        for e in encoded {
+            let stored: Vec<u8> = e.parts.iter().flat_map(|p| &p.bytes).copied().collect();
+            enc.put_u8(e.kind.code());
+            enc.put_uvar(e.rank.map(|r| r as u64 + 1).unwrap_or(0));
+            enc.put_u8(e.encoding);
+            if e.encoding == ENC_DEFLATE {
+                enc.put_uvar(e.raw_len as u64);
+            }
+            enc.put_bytes(&stored);
+            enc.put_uvar(crc32(&stored) as u64);
+        }
+        let mut out = enc.finish();
+        let image_crc = crc32(&out);
+        out.extend_from_slice(&image_crc.to_le_bytes());
+        out
+    }
+
+    /// Every section kind, raw and deflated, whole and in parts: the image
+    /// streamed to a file and the one `assemble` makes are the one-buffer
+    /// image, and a section made in parts stores what its joined payload
+    /// would.
+    #[test]
+    fn streamed_image_equals_the_one_buffer_image() {
+        let dir = std::env::temp_dir().join(format!("cypress-stream-{}", std::process::id()));
+        let path = dir.join("job.cytc");
+        let mut sections = sample();
+        sections.extend(compressible_sample());
+        sections.push(section(SectionKind::Telemetry, None, vec![3; 700]));
+        for level in [
+            None,
+            Some(Level::Fast),
+            Some(Level::Default),
+            Some(Level::Best),
+        ] {
+            let whole: Vec<EncodedSection> =
+                sections.iter().map(|s| encode_section(s, level)).collect();
+            let want = one_buffer_image(9, &whole);
+            assert_eq!(assemble(9, &whole), want, "level {level:?}");
+            Container::write(&path, 9, &whole).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), want, "level {level:?}");
+            // Cut every payload into 1, 2, 3 and 7 parts, empty ones too.
+            for cuts in [1, 2, 3, 7] {
+                let parted: Vec<EncodedSection> = sections
+                    .iter()
+                    .map(|s| {
+                        let n = s.payload.len();
+                        let parts = (0..cuts)
+                            .map(|i| {
+                                Part::new(s.payload[i * n / cuts..(i + 1) * n / cuts].to_vec())
+                            })
+                            .collect();
+                        encode_parts(s.kind, s.rank, parts, level)
+                    })
+                    .collect();
+                Container::write(&path, 9, &parted).unwrap();
+                let written = std::fs::read(&path).unwrap();
+                assert_eq!(written, want, "level {level:?}, {cuts} parts");
+                assert_eq!(assemble(9, &parted), want, "level {level:?}, {cuts} parts");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

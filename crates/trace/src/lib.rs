@@ -19,8 +19,8 @@ pub mod view;
 pub use codec::{Codec, Cursor, DecodeError, DecodeResult, Decoder, Encoder};
 pub use commmatrix::CommMatrix;
 pub use container::{
-    assemble, encode_payload, encode_section, is_container, Container, ContainerError,
-    EncodedSection, Section, SectionKind, CONTAINER_MAGIC, CONTAINER_VERSION,
+    assemble, encode_parts, encode_payload, encode_section, is_container, Container,
+    ContainerError, EncodedSection, Part, Section, SectionKind, CONTAINER_MAGIC, CONTAINER_VERSION,
 };
 pub use event::{Event, EventSink, MpiOp, MpiParams, MpiRecord, ANY_SOURCE, NONE};
 pub use profile::{size_bucket, OpStats, Profile};

@@ -141,6 +141,14 @@ echo "== one merge: merge_all_parallel is a shim nothing but benchmark/ calls ==
   | grep -v '^crates/core/src/merge.rs:[0-9]*:pub fn merge_all_parallel' \
   | grep -v '^crates/core/src/lib.rs:' || exit 1
 
+echo "== one split: the merge starts its workers in one helper, sized by the machine =="
+# merge_all, a BinomialMerger's pass and the merged encode split a job's
+# slot lists across scoped workers in `split` alone; the count comes from
+# the core count and the job's size, never from a setting.
+threads=$(grep -rnE 'thread::(scope|spawn)' crates/core/src | wc -l)
+test "$threads" -ge 1 && test "$threads" = "$(awk '/^fn split</,/^}/' crates/core/src/merge.rs \
+  | grep -cE 'thread::(scope|spawn)')" || { echo "a thread started outside merge.rs's split"; exit 1; }
+
 echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
 # merge_all runs the one per-vertex absorb, whose key tables live for one
 # vertex; a rank enters a BinomialMerger only as a run (`add` is a one-rank

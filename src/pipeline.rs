@@ -36,8 +36,8 @@ use cypress_query::{has_complete_rank_set, query_ctts, QueryOptions, QueryResult
 use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_store::StoreJob;
 use cypress_trace::{
-    assemble, encode_payload, Codec, Container, ContainerError, DecodeResult, Decoder, Encoder,
-    SectionKind,
+    encode_parts, encode_payload, Codec, Container, ContainerError, DecodeResult, Decoder,
+    EncodedSection, Encoder, Part, SectionKind,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -58,7 +58,9 @@ static IO_NS: Histogram = Histogram::new("pipeline", "io_ns", &TIME_BOUNDS_NS);
 
 /// What one section of a job container is made from. The CTTs stay trees
 /// until the worker that deflates their section encodes them, so their
-/// `to_bytes` fans out across the section pool with the deflate.
+/// `to_bytes` fans out across the section pool with the deflate, and the
+/// merged tree's encode splits further, into slot-range chunks
+/// ([`MergedCtt::encode_chunks`]).
 pub(crate) enum Payload<'a> {
     Bytes(Cow<'a, [u8]>),
     Merged(&'a MergedCtt),
@@ -66,11 +68,12 @@ pub(crate) enum Payload<'a> {
 }
 
 impl Payload<'_> {
-    fn bytes(&self) -> Cow<'_, [u8]> {
+    /// The section's stored form: every byte CRC'd once, where it is made.
+    fn encode(&self, kind: SectionKind, rank: Option<u32>, level: Option<Level>) -> EncodedSection {
         match self {
-            Payload::Bytes(b) => Cow::Borrowed(b),
-            Payload::Merged(m) => Cow::Owned(m.to_bytes()),
-            Payload::Rank(c) => Cow::Owned(c.to_bytes()),
+            Payload::Bytes(b) => encode_payload(kind, rank, &b[..], level),
+            Payload::Merged(m) => encode_parts(kind, rank, m.encode_chunks(Part::new), level),
+            Payload::Rank(c) => encode_payload(kind, rank, c.to_bytes(), level),
         }
     }
 }
@@ -128,8 +131,8 @@ pub(crate) fn job_sections<'a>(
 
 /// Write a job container atomically. Each section is made into bytes and
 /// deflated at `level` on a work-stealing pool of `threads` workers, its CRC
-/// taken there too, and `assemble` puts the sections in index order: the
-/// image is byte-identical at every thread count.
+/// taken there too, and [`Container::write`] streams the sections in index
+/// order into the file: the image is byte-identical at every thread count.
 pub(crate) fn write_job_container(
     path: &Path,
     nprocs: u32,
@@ -137,33 +140,36 @@ pub(crate) fn write_job_container(
     level: Option<Level>,
     threads: usize,
 ) -> std::result::Result<(), ContainerError> {
-    let image = {
+    let encoded = {
         let _span = ENCODE_NS
             .span("encode", "container")
             .arg(sections.len() as u64);
         let encode = |index: usize| {
             let (kind, rank, payload) = &sections[index];
-            let bytes = payload.bytes();
-            if bytes.is_empty() {
+            let encoded = payload.encode(*kind, *rank, level);
+            if encoded.stored_len() == 0 {
                 return Err(ContainerError::EmptySection {
                     index,
                     kind: kind.name(),
                 });
             }
-            Ok(encode_payload(*kind, *rank, &bytes, level))
+            Ok(encoded)
         };
         let encoded: Vec<_> = if threads > 1 && sections.len() > 1 {
             run_ranks(sections.len() as u32, threads, |i| encode(i as usize))
         } else {
             (0..sections.len()).map(encode).collect()
         };
-        let encoded = encoded
+        encoded
             .into_iter()
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        assemble(nprocs, &encoded)
+            .collect::<std::result::Result<Vec<_>, _>>()?
     };
-    let _span = IO_NS.span("io", "write_container").arg(image.len() as u64);
-    Container::write_image(path, &image)
+    let stored = encoded
+        .iter()
+        .map(EncodedSection::stored_len)
+        .sum::<usize>();
+    let _span = IO_NS.span("io", "write_container").arg(stored as u64);
+    Container::write(path, nprocs, &encoded)
 }
 
 // Placeholder for `benchmark/`, which still names the three ingest modes:

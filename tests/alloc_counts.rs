@@ -1,6 +1,10 @@
-//! Allocation pins for the CTT decoders: what one decode costs the heap,
-//! counted by a global allocator over `System` with a counter per thread
-//! (tests run on parallel threads; each pin reads only its own).
+//! Allocation pins for the CTT decoders, the merge and the frame reader:
+//! what one decode costs the heap, counted by a global allocator over
+//! `System`. Allocation counts are kept per thread (tests run on parallel
+//! threads; each count pin reads only its own). Live bytes are kept for the
+//! whole process, so a merge that splits across workers counts their
+//! allocations too; the pin that reads them runs alone, in a child process
+//! of this binary ([`alone`]).
 //!
 //! - A rank CTT decodes into a vertex table, a segment pool and a record
 //!   pool: its allocations do not grow with its record count.
@@ -10,8 +14,10 @@
 //!   leaf's slot, or a control group's sequence), per multi-rank group and
 //!   per record with request GIDs, and one for the application times.
 //! - `merge_all` over `merge_identity.rs`'s P = 1024 job holds at most a
-//!   pinned number of bytes live at once: the tree it builds and the key
-//!   tables of the vertex it is merging.
+//!   pinned number of bytes live at once, on every thread: the tree it
+//!   builds and the key tables of the vertex it is merging.
+//! - One `RankCtt` frame read through a `FrameBuf` costs the same count of
+//!   allocations whatever the CTT's size.
 
 mod merge_job;
 
@@ -19,21 +25,25 @@ use cypress::core::{
     merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, MergedVertex, RankSet,
     TimeStats, VertexData,
 };
+use cypress::net::proto::{encode_frame_into, FrameBuf};
+use cypress::net::Frame;
 use cypress::trace::{Codec, MpiOp, MpiParams};
 use cypress::{Pipeline, PipelineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// `System`, counting every allocation and reallocation made on this
-/// thread, and the bytes it holds live by layout size.
+/// `System`, counting every allocation and reallocation made on each
+/// thread, and the bytes every thread holds live by layout size.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// Live bytes and their high-water mark. Signed: a block freed on
-    /// another thread than the one that allocated it is taken off there.
-    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
+
+/// Live bytes of the whole process, and their high-water mark.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
 
 fn count_one() {
     // `try_with`: an allocation while the thread is torn down goes uncounted.
@@ -41,14 +51,12 @@ fn count_one() {
 }
 
 fn hold(bytes: i64) {
-    let _ = LIVE.try_with(|l| {
-        let live = l.get().0 + bytes;
-        l.set((live, l.get().1.max(live)));
-    });
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
-// only thread-local `Cell`s, which never allocate.
+// only thread-local `Cell`s and atomics, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
@@ -88,16 +96,40 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// `f`'s result and the most bytes it held live at once on this thread,
-/// above what the thread held when it began.
+/// `f`'s result and the most bytes the process held live at once while it
+/// ran, above what it held when `f` began: `f`'s own threads included, so
+/// only meaningful in a test that runs [`alone`].
 fn peak_live<T>(f: impl FnOnce() -> T) -> (T, i64) {
-    let base = LIVE.with(|l| {
-        let (live, _) = l.get();
-        l.set((live, live));
-        live
-    });
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
     let out = f();
-    (out, LIVE.with(Cell::get).1 - base)
+    (out, PEAK.load(Ordering::Relaxed) - base)
+}
+
+/// Set in the child process [`alone`] starts.
+const ALONE: &str = "ALLOC_COUNTS_ALONE";
+
+/// Whether this process runs test `name` alone. If it does not, run the
+/// test again in a child process of this binary, with nothing else (that
+/// test only, one test thread: the harness waits while it runs), and assert
+/// that it passed there.
+fn alone(name: &str) -> bool {
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let exe = std::env::current_exe().expect("the test binary's path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads", "1"])
+        .env(ALONE, "1")
+        .output()
+        .expect("the test binary runs again");
+    assert!(
+        out.status.success() && String::from_utf8_lossy(&out.stdout).contains("1 passed"),
+        "{name} alone:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    false
 }
 
 fn record(rank: i64, i: i64, gids: Vec<u32>) -> LeafRecord {
@@ -229,9 +261,10 @@ fn a_merged_decode_allocates_per_vertex_slot_group_and_request_list() {
 }
 
 /// `merge_all`'s peak live bytes over `merge_identity.rs`'s P = 1024 job,
-/// pinned within `MERGE_PEAK_SLACK` of this value. The merge holds its
-/// growing tree and the key tables of one vertex at a time; a table kept per
-/// list for the whole merge, or a second copy of the tree, moves it.
+/// on every thread, pinned within `MERGE_PEAK_SLACK` of this value. The
+/// merge holds its growing tree and the key tables of one vertex at a time;
+/// a table kept per list for the whole merge, or a second copy of the tree,
+/// moves it.
 const MERGE_PEAK_BYTES: i64 = 862_824;
 /// 1%: allocation sizes are deterministic, but `Vec`'s growth policy belongs
 /// to the standard library, not to this repository.
@@ -239,6 +272,9 @@ const MERGE_PEAK_SLACK: f64 = 0.01;
 
 #[test]
 fn merge_all_peak_live_bytes_stay_pinned() {
+    if !alone("merge_all_peak_live_bytes_stay_pinned") {
+        return;
+    }
     let ctts = merge_job::job(1024);
     let (merged, peak) = peak_live(|| merge_all(&ctts));
     assert_eq!(merged.nprocs, 1024);
@@ -247,4 +283,33 @@ fn merge_all_peak_live_bytes_stay_pinned() {
         off <= MERGE_PEAK_SLACK,
         "merge_all held {peak} B at its peak, pinned at {MERGE_PEAK_BYTES} B"
     );
+}
+
+/// A fresh connection's read buffer grows twice — one read's chunk, then
+/// room for the whole frame once its length prefix is in — and the decoded
+/// frame's bytes are one allocation.
+const FRAME_ALLOCATIONS: u64 = 3;
+
+#[test]
+fn a_rank_ctt_frame_reads_in_a_count_of_allocations_of_any_size() {
+    for n in [1_000, 10_000, 100_000] {
+        let bytes = rank_ctt(n).to_bytes();
+        let mut wire = Vec::new();
+        encode_frame_into(&Frame::RankCtt { bytes }, &mut wire);
+        let (frame, count) = allocations(|| {
+            let mut fb = FrameBuf::new();
+            let mut r = &wire[..];
+            loop {
+                fb.fill(&mut r).unwrap();
+                if let Some(frame) = fb.try_frame().unwrap() {
+                    break frame;
+                }
+            }
+        });
+        assert!(
+            matches!(&frame, Frame::RankCtt { bytes } if bytes.len() > 16 * 1024),
+            "{n} records per leaf"
+        );
+        assert_eq!(count, FRAME_ALLOCATIONS, "{n} records per leaf");
+    }
 }
