@@ -46,7 +46,7 @@ pub use decompress::{
 };
 pub use intseq::{IntSeq, IntSeqReader, Seg, SeqRef};
 pub use merge::{
-    check_shape, merge_all, merge_all_parallel, BinomialMerger, MergedCtt, MergedVertex, RankSet,
+    check_shape, merge_all, merge_all_parallel, BinomialMerger, BlockError, MergedCtt, RankSet,
 };
 pub use session::{CompressSession, SessionConfig, SessionStats};
 pub use slab::CttSlab;

@@ -52,7 +52,7 @@ use crate::stats::{ClientStat, ClientState, QuantileStat, Stats, STATS_VERSION};
 use crate::transport::{Addr, Listener};
 use crate::{obs, NetError};
 use cypress_core::{
-    check_shape, BinomialMerger, CompressConfig, CompressSession, CttSlab, MergedCtt,
+    check_shape, BinomialMerger, BlockError, CompressConfig, CompressSession, CttSlab, MergedCtt,
     SessionConfig, SessionStats,
 };
 use cypress_cst::Cst;
@@ -742,12 +742,15 @@ fn on_ctt_bytes(
 /// the collection is complete.
 fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), Reject> {
     let (first_rank, nranks, events) = (block.first_rank, block.nranks, block.events);
-    let merged = MergedCtt::from_bytes(&block.bytes)
-        .map_err(|e| (codes::PROTOCOL, format!("undecodable merged block: {e}")))?;
-    let misfit = |e: String| (codes::PROTOCOL, format!("block does not fit the job: {e}"));
-    merged
-        .check_shape(&job.cst, job.nprocs, first_rank, nranks)
-        .map_err(misfit)?;
+    let raw_mpi_bytes = block.raw_mpi_bytes;
+    // One checked pass, which keeps the frame's bytes as the tree's.
+    let merged = MergedCtt::from_block(block.bytes, &job.cst, job.nprocs, first_rank, nranks)
+        .map_err(|e| match e {
+            BlockError::Undecodable(e) => {
+                (codes::PROTOCOL, format!("undecodable merged block: {e}"))
+            }
+            BlockError::Misfit(e) => (codes::PROTOCOL, format!("block does not fit the job: {e}")),
+        })?;
     // Both ends of the range are the peer's: add them where they cannot wrap.
     let end = first_rank as u64 + nranks as u64;
     if let Role::Relay { first, last, .. } = sh.role {
@@ -759,7 +762,7 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
     }
     let mut m = job.lock();
     // A block naming only ranks this collector holds or was sent is a
-    // relay retry, one naming some of them is corrupt. `check_shape` kept
+    // relay retry, one naming some of them is corrupt. `from_block` kept
     // the range inside the job.
     let known = (first_rank..end as u32).filter(|&r| m.has_rank(r)).count() as u64;
     match known {
@@ -776,7 +779,7 @@ fn on_merged_block(sh: Shared<'_>, job: &Job, block: MergedBlock) -> Result<(), 
         .add_block(first_rank, nranks, merged)
         .map_err(|e| (codes::PROTOCOL, format!("bad merged block: {e}")))?;
     m.total_events += events;
-    m.raw_mpi_bytes += block.raw_mpi_bytes;
+    m.raw_mpi_bytes += raw_mpi_bytes;
     // `add_block` accepted the range, so it lies inside the job.
     for r in first_rank..end as u32 {
         let e = m.clients.entry(r).or_insert((ClientState::Merged, 0));
@@ -1643,8 +1646,9 @@ mod tests {
             (0..cst.len()).find(|&g| is(&cst.vertex(g).kind)).unwrap()
         };
         let (loop_gid, leaf_gid) = (gid_of(|k| k.is_loop()), gid_of(|k| k.is_mpi()));
-        let mut leaf_at_loop = merge_all(&local[..1]);
-        leaf_at_loop.vertices[loop_gid] = leaf_at_loop.vertices[leaf_gid].clone();
+        let mut leaf_at_loop = local[0].clone();
+        leaf_at_loop.data[loop_gid] = leaf_at_loop.data[leaf_gid].clone();
+        let leaf_at_loop = merge_all(&[leaf_at_loop]);
         let block = Frame::MergedBlock(MergedBlock {
             first_rank: 0,
             nranks: 1,

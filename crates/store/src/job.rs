@@ -4,11 +4,11 @@
 
 use crate::StoreError;
 use cypress_analysis::{analyze_ctts, AnalyzeOptions, AnalyzeReport};
-use cypress_core::{check_shape, decompress, CttSlab, MergedCtt, ReplayOp};
+use cypress_core::{check_shape, decompress, BlockError, CttSlab, MergedCtt, ReplayOp};
 use cypress_cst::tree::{Cst, Vertex, VertexKind};
 use cypress_query::{has_complete_rank_set, query_ctts, query_merged, QueryOptions, QueryResult};
 use cypress_simmpi::LogGp;
-use cypress_trace::{Codec, ContainerError, PayloadArena, SectionKind, SectionTable};
+use cypress_trace::{ContainerError, PayloadArena, SectionKind, SectionTable};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -98,9 +98,14 @@ impl StoreJob {
             match table.find(SectionKind::MergedCtt) {
                 Some(idx) => {
                     let payload = arena.payload(&image, &table.sections()[idx], idx)?;
-                    let merged = MergedCtt::from_bytes(payload)?;
-                    merged.check_shape(&cst, nprocs, 0, nprocs).map_err(|e| {
-                        StoreError::Invalid(format!("merged-ctt section [{idx}]: {e}"))
+                    // The tree keeps a copy of the payload: its groups are
+                    // decoded when they are visited.
+                    let merged = MergedCtt::from_block(payload.to_vec(), &cst, nprocs, 0, nprocs)
+                        .map_err(|e| match e {
+                        BlockError::Undecodable(e) => StoreError::from(e),
+                        BlockError::Misfit(e) => {
+                            StoreError::Invalid(format!("merged-ctt section [{idx}]: {e}"))
+                        }
                     })?;
                     Some(merged)
                 }

@@ -149,6 +149,16 @@ threads=$(grep -rnE 'thread::(scope|spawn)' crates/core/src | wc -l)
 test "$threads" -ge 1 && test "$threads" = "$(awk '/^fn split</,/^}/' crates/core/src/merge.rs \
   | grep -cE 'thread::(scope|spawn)')" || { echo "a thread started outside merge.rs's split"; exit 1; }
 
+echo "== one merged layout: nothing outside crates/core/src reaches into a merged tree =="
+# A leaf group stays in its wire form until a second rank or piece joins
+# it; which form a group has is merge.rs's decision alone. Readers take
+# groups decoded (fold_merged, leaf_slots, control_groups), never by
+# matching a MergedVertex or indexing a merged tree's vertices.
+! grep -rn 'MergedVertex' crates src tests examples benchmark/src --include='*.rs' \
+  | grep -v '^crates/core/src/' || exit 1
+! grep -rnE '\.vertices\b' crates src tests examples benchmark/src --include='*.rs' \
+  | grep -vE '^crates/(core|cst)/src/' | grep -v 'cst\.vertices' || exit 1
+
 echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
 # merge_all runs the one per-vertex absorb, whose key tables live for one
 # vertex; a rank enters a BinomialMerger only as a run (`add` is a one-rank
@@ -222,6 +232,11 @@ echo "== hostile-bytes sweeps (release) =="
 # the suite above runs these sweeps in debug only.
 cargo test --release -q --test wire_sweep --test slab_replay
 cargo test --release -q -p cypress-trace --test harden
+
+echo "== allocation pins (release) =="
+# A debug build's cross-checks allocate on the record path (the suite above
+# counts them); a release build holds every pin at its bare count.
+cargo test --release -q --test alloc_counts
 
 echo "== examples build =="
 cargo build -q --examples

@@ -597,7 +597,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
         )),
         None => None,
     };
-    let merged_stats = merged.map(|m| (m.vertices.len(), m.group_count()));
+    let merged_stats = merged.map(|m| (m.vertex_count(), m.group_count()));
 
     if json {
         let mut out = String::from("{");

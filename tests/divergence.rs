@@ -50,17 +50,15 @@ fn master_worker_divergence_round_trips() {
     // different delta on every worker — the documented cost of the
     // rank±c method on master/worker codes.)
     let merged = merge_all(&ctts);
-    for v in &merged.vertices {
-        if let cypress::core::MergedVertex::Leaf(slots) = v {
-            for slot in slots {
-                let send_ranks: Vec<u32> = slot
-                    .iter()
-                    .filter(|(_, rec)| rec.params.op == cypress::trace::event::MpiOp::Send)
-                    .flat_map(|(rs, _)| rs.ranks())
-                    .collect();
-                if !send_ranks.is_empty() {
-                    assert_eq!(send_ranks, vec![1, 2, 3, 4]);
-                }
+    for gid in 0..merged.vertex_count() {
+        for slot in merged.leaf_slots(gid) {
+            let send_ranks: Vec<u32> = slot
+                .iter()
+                .filter(|(_, rec)| rec.params.op == cypress::trace::event::MpiOp::Send)
+                .flat_map(|(rs, _)| rs.ranks())
+                .collect();
+            if !send_ranks.is_empty() {
+                assert_eq!(send_ranks, vec![1, 2, 3, 4]);
             }
         }
     }

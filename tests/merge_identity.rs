@@ -28,7 +28,7 @@ mod merge_job;
 
 use cypress::core::{
     compress_trace, merge_all, BinomialMerger, CompressConfig, Ctt, CttSlab, IntSeq, MergedCtt,
-    MergedVertex, RankSet, TimeStats, VertexData,
+    RankSet, TimeStats, VertexData,
 };
 use cypress::obs::rng::Rng;
 use cypress::trace::codec::Codec;
@@ -92,80 +92,77 @@ fn check_rank_set(rs: &RankSet) -> Vec<u32> {
 
 /// The merged tree is what the merge is defined to be.
 fn check_definition(merged: &MergedCtt, ctts: &[Ctt]) {
-    for (gid, mv) in merged.vertices.iter().enumerate() {
-        match mv {
-            MergedVertex::Empty => {
-                for c in ctts {
-                    match &c.data[gid] {
-                        VertexData::Root => {}
-                        VertexData::Leaf { records } => assert!(records.is_empty()),
-                        VertexData::Loop { counts: s } | VertexData::Branch { taken: s } => {
-                            assert!(s.is_empty())
-                        }
+    for gid in 0..merged.vertex_count() {
+        let (groups, slots) = (merged.control_groups(gid), merged.leaf_slots(gid));
+        if groups.is_empty() && slots.is_empty() {
+            for c in ctts {
+                match &c.data[gid] {
+                    VertexData::Root => {}
+                    VertexData::Leaf { records } => assert!(records.is_empty()),
+                    VertexData::Loop { counts: s } | VertexData::Branch { taken: s } => {
+                        assert!(s.is_empty())
                     }
                 }
             }
-            MergedVertex::Control(groups) => {
+        } else if !groups.is_empty() {
+            let mut owner = vec![None; ctts.len()];
+            let mut lowest = None;
+            for (g, (rs, data)) in groups.iter().enumerate() {
+                let ranks = check_rank_set(rs);
+                assert!(lowest < Some(ranks[0]), "vertex {gid}: group order");
+                lowest = Some(ranks[0]);
+                for r in ranks {
+                    assert_eq!(&ctts[r as usize].data[gid], data, "vertex {gid} rank {r}");
+                    owner[r as usize] = Some(g);
+                }
+            }
+            // Two ranks with equal data share a group.
+            for (g, (_, data)) in groups.iter().enumerate() {
+                assert!(
+                    groups[..g].iter().all(|(_, other)| other != data),
+                    "vertex {gid}"
+                );
+            }
+            for (r, c) in ctts.iter().enumerate() {
+                let reached = match &c.data[gid] {
+                    VertexData::Loop { counts: s } | VertexData::Branch { taken: s } => {
+                        !s.is_empty()
+                    }
+                    _ => unreachable!(),
+                };
+                assert_eq!(owner[r].is_some(), reached, "vertex {gid} rank {r}");
+            }
+        } else {
+            for (slot, groups) in slots.iter().enumerate() {
                 let mut owner = vec![None; ctts.len()];
                 let mut lowest = None;
-                for (g, (rs, data)) in groups.iter().enumerate() {
+                for (g, (rs, rec)) in groups.iter().enumerate() {
                     let ranks = check_rank_set(rs);
-                    assert!(lowest < Some(ranks[0]), "vertex {gid}: group order");
+                    assert!(lowest < Some(ranks[0]), "vertex {gid} slot {slot}: order");
                     lowest = Some(ranks[0]);
-                    for r in ranks {
-                        assert_eq!(&ctts[r as usize].data[gid], data, "vertex {gid} rank {r}");
-                        owner[r as usize] = Some(g);
-                    }
-                }
-                // Two ranks with equal data share a group.
-                for (g, (_, data)) in groups.iter().enumerate() {
-                    assert!(
-                        groups[..g].iter().all(|(_, other)| other != data),
-                        "vertex {gid}"
-                    );
-                }
-                for (r, c) in ctts.iter().enumerate() {
-                    let reached = match &c.data[gid] {
-                        VertexData::Loop { counts: s } | VertexData::Branch { taken: s } => {
-                            !s.is_empty()
-                        }
-                        _ => unreachable!(),
-                    };
-                    assert_eq!(owner[r].is_some(), reached, "vertex {gid} rank {r}");
-                }
-            }
-            MergedVertex::Leaf(slots) => {
-                for (slot, groups) in slots.iter().enumerate() {
-                    let mut owner = vec![None; ctts.len()];
-                    let mut lowest = None;
-                    for (g, (rs, rec)) in groups.iter().enumerate() {
-                        let ranks = check_rank_set(rs);
-                        assert!(lowest < Some(ranks[0]), "vertex {gid} slot {slot}: order");
-                        lowest = Some(ranks[0]);
-                        let (mut time, mut gap) = (TimeStats::new(), TimeStats::new());
-                        for &r in &ranks {
-                            let VertexData::Leaf { records } = &ctts[r as usize].data[gid] else {
-                                unreachable!()
-                            };
-                            let mine = &records[slot];
-                            assert_eq!((&mine.params, mine.count), (&rec.params, rec.count));
-                            time.merge(&mine.time);
-                            gap.merge(&mine.gap);
-                            owner[r as usize] = Some(g);
-                        }
-                        assert_eq!((&time, &gap), (&rec.time, &rec.gap));
-                    }
-                    for (r, c) in ctts.iter().enumerate() {
-                        let VertexData::Leaf { records } = &c.data[gid] else {
+                    let (mut time, mut gap) = (TimeStats::new(), TimeStats::new());
+                    for &r in &ranks {
+                        let VertexData::Leaf { records } = &ctts[r as usize].data[gid] else {
                             unreachable!()
                         };
-                        assert_eq!(owner[r].is_some(), slot < records.len(), "rank {r}");
-                        // Two ranks with equal data share a group.
-                        if let Some(g) = owner[r] {
-                            let rec = &groups[g].1;
-                            assert!(groups.iter().enumerate().all(|(h, (_, other))| h == g
-                                || (&other.params, other.count) != (&rec.params, rec.count)));
-                        }
+                        let mine = &records[slot];
+                        assert_eq!((&mine.params, mine.count), (&rec.params, rec.count));
+                        time.merge(&mine.time);
+                        gap.merge(&mine.gap);
+                        owner[r as usize] = Some(g);
+                    }
+                    assert_eq!((&time, &gap), (&rec.time, &rec.gap));
+                }
+                for (r, c) in ctts.iter().enumerate() {
+                    let VertexData::Leaf { records } = &c.data[gid] else {
+                        unreachable!()
+                    };
+                    assert_eq!(owner[r].is_some(), slot < records.len(), "rank {r}");
+                    // Two ranks with equal data share a group.
+                    if let Some(g) = owner[r] {
+                        let rec = &groups[g].1;
+                        assert!(groups.iter().enumerate().all(|(h, (_, other))| h == g
+                            || (&other.params, other.count) != (&rec.params, rec.count)));
                     }
                 }
             }
@@ -195,9 +192,8 @@ fn identity_at(nprocs: u32) {
     // stride-2 set, a stride-3 set, a contiguous block, a many-segment set,
     // and singletons.
     let lens = |gid: usize, slot: usize| -> Vec<u64> {
-        let MergedVertex::Leaf(slots) = &merged.vertices[gid] else {
-            panic!("vertex {gid} is not a leaf")
-        };
+        let slots = merged.leaf_slots(gid);
+        assert!(!slots.is_empty(), "vertex {gid} is not a leaf");
         slots[slot].iter().map(|(rs, _)| rs.len()).collect()
     };
     let p = nprocs as u64;

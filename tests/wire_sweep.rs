@@ -128,6 +128,34 @@ fn every_damaged_merged_ctt_decodes_as_before() {
     );
 }
 
+/// Each damaged merged tree of [`every_damaged_merged_ctt_decodes_as_before`]
+/// that decodes keeps, of its leaf groups, only ones that are their own
+/// bytes: what decoding the group and encoding the result writes.
+#[test]
+fn every_damaged_merged_ctt_that_decodes_keeps_only_its_own_bytes() {
+    let bytes = merged_ctt().to_bytes();
+    let mut inputs: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+    for mask in [0x01u8, 0x80, 0xff] {
+        for pos in 0..bytes.len() {
+            let mut work = bytes.clone();
+            work[pos] ^= mask;
+            inputs.push(work);
+        }
+    }
+    let mut appended = bytes.clone();
+    appended.push(0x2a);
+    inputs.push(appended);
+    let mut kept = 0;
+    for input in &inputs {
+        if let Ok(tree) = MergedCtt::from_bytes(input) {
+            kept += tree
+                .check_kept_groups()
+                .unwrap_or_else(|e| panic!("{input:02x?}: {e}"));
+        }
+    }
+    assert!(kept > 0, "no damaged input decodes with a kept group");
+}
+
 /// Every truncation of `bytes`, every byte flipped under each mask, and one
 /// appended byte through `decoded`. No call panics, every truncation and
 /// the appended byte is refused, and the outcomes of each kind of damage
