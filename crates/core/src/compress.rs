@@ -22,12 +22,12 @@
 //! directly. That is the paper's core claim — the static tree removes the
 //! dynamic pattern-matching cost entirely.
 
-use crate::ctt::{Ctt, EncParams, LeafRecord, VertexData};
+use crate::ctt::{Ctt, EncParams, LeafRecord, ReqGids, VertexData};
 use crate::intseq::IntSeq;
 use crate::timestats::TimeStats;
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{Counter, Gauge, Histogram, TIME_BOUNDS_NS};
-use cypress_trace::event::{Event, EventSink, MpiOp, MpiRecord, ANY_SOURCE};
+use cypress_trace::event::{Event, EventSink, MpiOp, MpiParams, MpiRecord, ANY_SOURCE};
 use cypress_trace::raw::RawTrace;
 
 // Scope `compressor`, aggregated across all ranks/compressor instances in
@@ -288,7 +288,25 @@ impl<'a> IntraCompressor<'a> {
                 let hit =
                     r.params
                         .matches_raw(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
-                debug_assert_eq!(hit, r.matches(&encode()), "matches_raw disagrees");
+                // The record's encoding, less its request list, whose
+                // encoding would allocate.
+                debug_assert_eq!(
+                    hit,
+                    {
+                        let rest = MpiParams {
+                            req_gids: Vec::new(),
+                            ..rec.params
+                        };
+                        let mine = EncParams {
+                            req_gids: ReqGids::default(),
+                            ..r.params.clone()
+                        };
+                        let relative = self.cfg.relative_ranks;
+                        r.params.req_gids.eq_slice(&rec.params.req_gids)
+                            && mine == EncParams::encode_with(self.rank, rec.op, &rest, relative)
+                    },
+                    "matches_raw disagrees"
+                );
                 if hit {
                     r.count += 1;
                     r.time.add(rec.dur);

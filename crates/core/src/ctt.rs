@@ -39,7 +39,7 @@ impl ReqGids {
 
     /// `**self == *gids`, without a `memcmp` of two empty slices.
     #[inline]
-    fn eq_slice(&self, gids: &[u32]) -> bool {
+    pub(crate) fn eq_slice(&self, gids: &[u32]) -> bool {
         match &self.0 {
             None => gids.is_empty(),
             Some(list) => **list == *gids,
@@ -356,7 +356,7 @@ impl RankEnc {
 
 impl EncParams {
     #[inline]
-    fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
         let code = cur.u8()?;
         let Some(op) = MpiOp::from_code(code) else {
             return cur.refuse(code as u64, |code| format!("bad op code {code}"));

@@ -157,8 +157,8 @@ impl CttSource for Ctt {
 }
 
 /// Fold a merged CTT. Each callback receives its group's [`RankSet`]; the
-/// walk is O(total groups), independent of `nprocs * events`. A group kept
-/// in its wire form is decoded for its callback.
+/// walk is O(total groups), independent of `nprocs * events`. A group's
+/// record is read from its head and timing for its callback.
 pub fn fold_merged<F: CttFold>(m: &MergedCtt, f: &mut F) {
     m.fold(f)
 }

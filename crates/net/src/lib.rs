@@ -4,10 +4,11 @@
 //! reduction tree inside `MPI_Finalize`. This crate lifts that reduction
 //! onto real connections: ranks (or whole nodes) stream their trace to a
 //! **collector daemon** which compresses each stream online. Every
-//! collector checks each finished CTT as it arrives, holds it and
-//! acknowledges it at once, and merges once every rank it collects is in,
-//! as the paper merges in `MPI_Finalize`: its held runs and the blocks it
-//! was sent are contiguous pieces of a [`cypress_core::BinomialMerger`],
+//! collector checks each finished CTT as it arrives, holds it as a
+//! one-rank piece and acknowledges it at once, and merges once every rank
+//! it collects is in, as the paper merges in `MPI_Finalize`: its one-rank
+//! pieces and the blocks it was sent are contiguous pieces of a
+//! [`cypress_core::BinomialMerger`],
 //! merged vertex by vertex in one pass in rank order. The paper's reduction
 //! merges on every process at once; here a large merge splits its slot
 //! lists across the machine's cores instead (at most eight workers, the

@@ -4,10 +4,10 @@
 //!
 //! Ranks are split into `relays` contiguous shards of (near-)equal size;
 //! each relay accepts its shard's clients on its own **leaf endpoint**,
-//! holds each checked rank and acknowledges it at once, merges the
-//! complete shard once with a global-sized
-//! [`cypress_core::BinomialMerger`] (one `merge_all` per held run, through
-//! [`cypress_core::BinomialMerger::add_run`], then one pass over the
+//! holds each checked rank as a one-rank piece and acknowledges it at
+//! once, merges the complete shard once with a global-sized
+//! [`cypress_core::BinomialMerger`] (every piece entered through
+//! [`cypress_core::BinomialMerger::add_block`], then one pass over the
 //! pieces in rank order), and forwards the shard to the root as one
 //! block. The merge is associative over contiguous pieces in rank order,
 //! so the root's merged job is byte-identical to a flat collection — or a

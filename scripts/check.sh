@@ -37,8 +37,10 @@ echo "== one way to read a CTT: one walker, no owned copy of a slab, core on the
 test "$(grep -rn 'fn render_path' crates | wc -l)" = 1
 
 echo "== one CTT decoder, one job opener: Ctt only encodes, read_container opens a StoreJob =="
-# CttSlab decodes every rank CTT; tests/wire_sweep.rs pins its damage
-# outcomes and the merged CTT's, five rows each.
+# CttSlab decodes every rank CTT a reader keeps (a collector reads a rank
+# straight into its one-rank piece, `MergedCtt::from_rank`, which
+# merge::tests holds to the slab's outcomes); tests/wire_sweep.rs pins its
+# damage outcomes and the merged CTT's, five rows each.
 ! grep -rnwE 'impl Codec for Ctt|Ctt::(from_bytes|decode)|VertexData::decode' crates src tests examples || exit 1
 ! grep -rnwE 'LoadedJob|loaded_from_collected' crates src tests examples README.md DESIGN.md || exit 1
 test "$(grep -rn 'fn read_container' crates src | wc -l)" = 1

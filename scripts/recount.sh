@@ -17,6 +17,12 @@ find crates/net/src -name '*.rs' -print0 | sort -z \
                   !t {n++; s += gsub(/\.unwrap\(\)|\.expect\(/, "&")}
                   END {print "crates/net/src non-test lines:", n; print "crates/net/src unwrap/expect sites:", s}'
 
+# The merge kernel and the collector, each on its own, by the same rule.
+for f in crates/core/src/merge.rs crates/net/src/collector.rs; do
+  awk '/^ *#\[cfg\((.*[^a-z_])?test([^a-z_].*)?\)\]/ {t = 1} !t {n++}
+       END {print FILENAME " non-test lines:", n}' "$f"
+done
+
 # Pub fields of every `pub struct *Config` / `*Options` (names may hold
 # digits: `Scala2Config`, `ns_per_byte_x1000`).
 find crates/*/src src -name '*.rs' -print0 | sort -z \

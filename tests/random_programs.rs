@@ -24,6 +24,7 @@
 mod ctt_digest;
 mod footprint;
 mod lossless;
+mod merge_heads;
 
 use ctt_digest::{assert_matches, job_digest, Row};
 use cypress::analysis::{analyze_by_decompression, analyze_ctts, AnalyzeOptions};
@@ -261,6 +262,9 @@ fn check_seed(seed: u64) -> (u32, u32) {
         .map(|t| compress_trace(&b.cst, t, &cfg))
         .collect();
     let digest = job_digest(&ctts, &merge_all(&ctts));
+    // The merge joins records by their head bytes: equal exactly when the
+    // records are mergeable.
+    merge_heads::check_heads_decide_merges(&ctts);
     // The compressor's running footprint is the walk, and finished trees,
     // `compress_trace`'s included, are trimmed.
     for (t, ctt) in traces.iter().zip(&ctts) {
