@@ -63,23 +63,19 @@ impl BitWriter {
     }
 }
 
-/// Reverse the low `n` bits of `v`.
+/// Reverse the low `n` bits of `v` (n ≤ 32; the bits above must be 0).
 pub fn reverse_bits(v: u32, n: u32) -> u32 {
-    let mut r = 0u32;
-    for i in 0..n {
-        if v & (1 << i) != 0 {
-            r |= 1 << (n - 1 - i);
-        }
-    }
-    r
+    v.reverse_bits().checked_shr(32 - n).unwrap_or(0)
 }
 
-/// Bit-level reader, LSB first.
+/// Bit-level reader, LSB first. Cloning it is cheap: the inflate loop works
+/// on a copy held in locals and writes it back.
 ///
 /// `bitbuf` holds `nbits` unread bits for `data[..pos]`. Bits above `nbits`
 /// are either zero or the true leading bits of `data[pos..]` (a word refill
 /// loads eight bytes and counts only the whole ones that fit), so a peek
 /// never shows a bit the stream does not have.
+#[derive(Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     pos: usize,
@@ -108,14 +104,19 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Whether eight input bytes remain for one word load.
+    pub(crate) fn has_word(&self) -> bool {
+        self.data.len() - self.pos >= 8
+    }
+
     /// Top the buffer up to at least 56 bits, or to the end of the input:
-    /// one word load while eight input bytes remain, bytewise after that.
+    /// one word load, with no branch on the bits left, while eight input
+    /// bytes remain; bytewise after that.
     fn fill(&mut self) {
         if let Some(word) = self.data[self.pos..].first_chunk::<8>() {
             self.bitbuf |= u64::from_le_bytes(*word) << self.nbits;
-            let whole = (63 - self.nbits) / 8;
-            self.pos += whole as usize;
-            self.nbits += whole * 8;
+            self.pos += (63 - self.nbits as usize) / 8;
+            self.nbits |= 56;
             return;
         }
         while self.nbits <= 56 && self.pos < self.data.len() {
@@ -123,6 +124,14 @@ impl<'a> BitReader<'a> {
             self.pos += 1;
             self.nbits += 8;
         }
+    }
+
+    /// Top the buffer up and show it all: after [`BitReader::has_word`],
+    /// at least 56 of its bits are input.
+    #[inline]
+    pub(crate) fn refill(&mut self) -> u64 {
+        self.fill();
+        self.bitbuf
     }
 
     /// The buffered bits, LSB first, and how many of them are input: at

@@ -411,7 +411,8 @@ fn rle_code_lengths(lens: &[u8]) -> Vec<(u8, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflate::inflate;
+    use crate::huffman::Alphabet;
+    use crate::inflate::inflate_exact;
 
     #[test]
     fn rle_encodes_zero_runs() {
@@ -447,7 +448,7 @@ mod tests {
         for level in Level::ALL {
             let c = deflate(&data, level);
             assert!(c.len() < data.len() / 2, "should compress text well");
-            assert_eq!(inflate(&c).unwrap(), data);
+            assert_eq!(inflate_exact(&c, data.len()).unwrap(), data);
         }
     }
 
@@ -466,13 +467,13 @@ mod tests {
         let c = deflate(&data, Level::Default);
         // Stored adds ~5 bytes per 64k chunk; never blow up.
         assert!(c.len() <= data.len() + 64);
-        assert_eq!(inflate(&c).unwrap(), data);
+        assert_eq!(inflate_exact(&c, data.len()).unwrap(), data);
     }
 
     #[test]
     fn empty_input() {
         let c = deflate(&[], Level::Default);
-        assert_eq!(inflate(&c).unwrap(), Vec::<u8>::new());
+        assert_eq!(inflate_exact(&c, 0).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -526,7 +527,7 @@ mod tests {
             let mut crc = crate::Crc32::new();
             for data in fixtures() {
                 let c = deflate(&data, level);
-                assert_eq!(inflate(&c).unwrap(), data);
+                assert_eq!(inflate_exact(&c, data.len()).unwrap(), data);
                 crc.update(&c);
             }
             assert_eq!(
@@ -537,6 +538,109 @@ mod tests {
                 crc.finish()
             );
         }
+    }
+
+    /// One final dynamic block of `tokens`, coded with Huffman codes built
+    /// from their own frequencies; the bytes it expands to, by a bytewise
+    /// copy; and its literal/length and distance code lengths.
+    fn hand_block(tokens: &[Token]) -> (Vec<u8>, Vec<u8>, [Vec<u8>; 2]) {
+        let (mut lit_freq, mut dist_freq) = ([0u64; 286], [0u64; 30]);
+        let mut want = Vec::new();
+        for &t in tokens {
+            match t {
+                Token::Literal(b) => {
+                    lit_freq[b as usize] += 1;
+                    want.push(b);
+                }
+                Token::Match { len, dist } => {
+                    lit_freq[257 + length_code(len).0] += 1;
+                    dist_freq[dist_code(dist).0] += 1;
+                    for _ in 0..len {
+                        want.push(want[want.len() - dist as usize]);
+                    }
+                }
+            }
+        }
+        lit_freq[256] = 1;
+        let lit_lens = code_lengths(&lit_freq, 15);
+        let dist_lens = code_lengths(&dist_freq, 15);
+        let mut w = BitWriter::new();
+        w.write_bits(1, 1); // BFINAL
+        w.write_bits(2, 2); // dynamic
+        write_dynamic_header(&mut w, &lit_lens, &dist_lens);
+        let packed: Vec<u32> = tokens.iter().map(|&t| pack(t)).collect();
+        write_tokens(&mut w, &packed, &lit_lens, &dist_lens);
+        (w.finish(), want, [lit_lens, dist_lens])
+    }
+
+    /// Matches at distances 1 to 9 and 16 overlap their source (the fill,
+    /// the bytewise copy and the 8-byte chunks), at lengths on both sides
+    /// of a chunk and up to 258: once where the inflate loop's fast part
+    /// copies them, with output to spare behind, and once at the end of a
+    /// block, where the careful part does.
+    #[test]
+    fn overlapping_and_longest_matches_round_trip() {
+        let lead: Vec<Token> = (0..40u8)
+            .map(|i| Token::Literal(i.wrapping_mul(59)))
+            .collect();
+        let mut matches = Vec::new();
+        for dist in (1..=9).chain([16]) {
+            for len in [3, 4, 7, 8, 9, 15, 16, 17, 100, 255, 256, 257, 258] {
+                matches.push(Token::Match { len, dist });
+                matches.push(Token::Literal(len as u8 ^ dist as u8));
+            }
+        }
+        let tail: Vec<Token> = (0..300u32).map(|i| Token::Literal((i * 7) as u8)).collect();
+        for tokens in [
+            [&lead[..], &matches, &tail].concat(),
+            [&lead[..], &matches].concat(),
+        ] {
+            let (z, want, _) = hand_block(&tokens);
+            assert_eq!(inflate_exact(&z, want.len()).unwrap(), want);
+        }
+    }
+
+    /// Fibonacci-weighted literals and distances get 15-bit codes, past the
+    /// 11- and 10-bit tables: the inflate loop's fast part misses on them
+    /// and hands them to the canonical walk.
+    #[test]
+    fn fifteen_bit_codes_take_the_canonical_walk() {
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 20 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        let mut rng = cypress_obs::rng::Rng::new(0xf1b0);
+        let mut shuffled = |mut tokens: Vec<Token>| {
+            for i in (1..tokens.len()).rev() {
+                tokens.swap(i, rng.range_usize(0..i + 1));
+            }
+            tokens
+        };
+        // The end of block is the first weight 1, the first literal the
+        // second.
+        let literals = shuffled(
+            (1..20)
+                .flat_map(|i| std::iter::repeat_n(Token::Literal(b'a' + i as u8), fib[i] as usize))
+                .collect(),
+        );
+        let matches = shuffled(
+            (0..18)
+                .flat_map(|code| {
+                    let shortest = Token::Match {
+                        len: 3,
+                        dist: DIST_BASE[code],
+                    };
+                    std::iter::repeat_n(shortest, fib[code] as usize)
+                })
+                .collect(),
+        );
+        let (z, want, [lit_lens, dist_lens]) = hand_block(&[literals, matches].concat());
+        let longest = |lens: &[u8]| lens.iter().copied().max().unwrap_or(0) as u32;
+        assert_eq!(longest(&lit_lens), 15);
+        assert_eq!(longest(&dist_lens), 15);
+        assert!(longest(&lit_lens) > Alphabet::LitLen.table_bits());
+        assert!(longest(&dist_lens) > Alphabet::Dist.table_bits());
+        assert_eq!(inflate_exact(&z, want.len()).unwrap(), want);
     }
 
     #[test]

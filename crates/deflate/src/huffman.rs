@@ -1,7 +1,13 @@
 //! Canonical Huffman codes: length-limited construction (package-merge) and
 //! canonical decoding, per RFC 1951 §3.2.2.
+//!
+//! A [`Decoder`] maps the next input bits to a fused [`Entry`] (code
+//! length, extra bits, kind, value), so the inflate loop learns all it needs
+//! of a symbol from one `u32`: in an 11-bit table for literal/length codes,
+//! a 10-bit one for distances, and the canonical walk past those.
 
-use crate::bitio::{eof, reverse_bits, BitError, BitReader};
+use crate::bitio::{eof, BitError, BitReader};
+use crate::tables::{DIST_BASE, DIST_EXTRA, LEN_BASE, LEN_EXTRA};
 
 /// Compute length-limited Huffman code lengths for the given symbol
 /// frequencies via the package-merge algorithm. Symbols with zero frequency
@@ -98,106 +104,184 @@ pub fn canonical_codes(lens: &[u8]) -> Vec<u32> {
         .collect()
 }
 
-/// Index width of the decode table: codes up to this long take one lookup.
-const TABLE_BITS: usize = 10;
+/// What a code's symbols mean, which [`Decoder`] fuses into its entries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Alphabet {
+    /// Bytes, end of block, length bases; 286 and 287 are bad. Symbols
+    /// below 256 stand for themselves, as the code-length code's do.
+    LitLen,
+    /// Distance bases; 30 and 31 are bad.
+    Dist,
+}
 
-/// Canonical Huffman decoder: one table lookup on the next
-/// `min(max code length, TABLE_BITS)` input bits, and the canonical walk over
-/// the same peeked bits for the rare longer code.
+impl Alphabet {
+    /// Index width of the decode table: codes up to this long take one
+    /// lookup, longer ones the canonical walk.
+    pub const fn table_bits(self) -> u32 {
+        match self {
+            Alphabet::LitLen => 11,
+            Alphabet::Dist => 10,
+        }
+    }
+
+    fn entry(self, sym: usize) -> Entry {
+        let (kind, extra, value) = match (self, sym) {
+            (Alphabet::LitLen, 0..=255) => (Entry::LITERAL, 0, sym),
+            (Alphabet::LitLen, 256) => (Entry::END, 0, 0),
+            (Alphabet::LitLen, 257..=285) => (
+                Entry::BASE,
+                LEN_EXTRA[sym - 257],
+                LEN_BASE[sym - 257] as usize,
+            ),
+            (Alphabet::Dist, 0..=29) => (Entry::BASE, DIST_EXTRA[sym], DIST_BASE[sym] as usize),
+            _ => (Entry::BAD, 0, sym),
+        };
+        Entry((value as u32) << 16 | kind << 8 | (extra as u32) << 4)
+    }
+}
+
+/// A symbol fused with what it means, in one `u32`: bits 0–3 hold the code
+/// length, 4–7 the count of extra bits after the code, 8–9 the kind and
+/// 16–31 the value: the byte or symbol of a `LITERAL`, the length or
+/// distance a `BASE` adds its extra bits to, or the symbol of a `BAD` one.
+/// A table slot that no code of the table's width starts holds 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Entry(u32);
+
+impl Entry {
+    pub const BAD: u32 = 0;
+    pub const LITERAL: u32 = 1;
+    pub const BASE: u32 = 2;
+    pub const END: u32 = 3;
+
+    pub fn code_len(self) -> u32 {
+        self.0 & 15
+    }
+
+    pub fn extra(self) -> u32 {
+        self.0 >> 4 & 15
+    }
+
+    pub fn kind(self) -> u32 {
+        self.0 >> 8 & 3
+    }
+
+    pub fn value(self) -> usize {
+        (self.0 >> 16) as usize
+    }
+}
+
+/// Canonical Huffman decoder: one lookup of fused [`Entry`]s on the next
+/// `min(max code length, table_bits)` input bits, and the canonical walk
+/// over the same peeked bits for the rare longer code.
 pub struct Decoder {
-    /// count[l] = number of codes of length l.
-    counts: Vec<u32>,
-    /// Symbols sorted by (length, symbol) — canonical order.
-    symbols: Vec<u16>,
-    /// Indexed by the next input bits (LSB first): `symbol << 4 | length`
-    /// for the code those bits start with, or 0 when no code that short does.
-    table: Vec<u16>,
+    /// Indexed by the next input bits (LSB first): the entry of the code
+    /// they start with, or 0 when no code that short does.
+    table: Vec<Entry>,
+    /// counts[l] = number of codes of length l ≤ max.
+    counts: [u16; 16],
+    max: u32,
+    /// The entries in canonical order (by length, then symbol).
+    sorted: Vec<Entry>,
 }
 
 impl Decoder {
-    /// Build from code lengths. Returns `None` for an over-subscribed code;
-    /// an incomplete code is accepted, and its unused bit patterns fail to
-    /// decode.
-    pub fn new(lens: &[u8]) -> Option<Decoder> {
-        let max = lens.iter().copied().max().unwrap_or(0) as usize;
-        let mut counts = vec![0u32; max + 1];
+    /// Build from code lengths in one pass over them: a count per length,
+    /// then a counting sort into canonical order, from which the table is
+    /// filled code by code. Returns `None` for an over-subscribed code or a
+    /// length past 15; an incomplete code is accepted, and its unused bit
+    /// patterns fail to decode.
+    pub fn new(lens: &[u8], alphabet: Alphabet) -> Option<Decoder> {
+        let mut counts = [0u16; 16];
         for &l in lens {
-            if l > 0 {
-                counts[l as usize] += 1;
-            }
+            *counts.get_mut(l as usize)? += 1;
         }
-        // Kraft check.
-        let mut left = 1i64;
-        for &c in counts.iter().skip(1) {
-            left <<= 1;
-            left -= c as i64;
+        counts[0] = 0;
+        // Kraft check, and where each length's codes start in canonical
+        // order.
+        let mut left = 1i32;
+        let mut starts = [0usize; 16];
+        let mut total = 0;
+        for l in 1..16 {
+            left = (left << 1) - counts[l] as i32;
             if left < 0 {
                 return None; // over-subscribed
             }
+            starts[l] = total;
+            total += counts[l] as usize;
         }
-        let mut symbols = Vec::new();
-        for bits in 1..=max {
-            for (sym, &l) in lens.iter().enumerate() {
-                if l as usize == bits {
-                    symbols.push(sym as u16);
+        let mut sorted = vec![Entry(0); total];
+        for (sym, &l) in lens.iter().enumerate() {
+            if l != 0 {
+                let at = &mut starts[l as usize];
+                sorted[*at] = Entry(alphabet.entry(sym).0 | l as u32);
+                *at += 1;
+            }
+        }
+        let max = (1..16u32)
+            .rev()
+            .find(|&l| counts[l as usize] != 0)
+            .unwrap_or(0);
+        // Canonical codes count up within a length and double from one
+        // length to the next. Each code of length l ≤ width owns every
+        // table index whose low l bits are the code, bit-reversed into
+        // stream order.
+        let width = max.min(alphabet.table_bits());
+        let mut table = vec![Entry(0); 1 << width];
+        let mut code = 0u32;
+        let mut next = sorted.iter();
+        for len in 1..=width {
+            for &entry in next.by_ref().take(counts[len as usize] as usize) {
+                let at = (code.reverse_bits() >> (32 - len)) as usize;
+                for slot in table[at..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
                 }
+                code += 1;
             }
-        }
-        // Each code of length l ≤ width owns every table index whose low l
-        // bits are the code, bit-reversed into stream order.
-        let width = max.min(TABLE_BITS) as u32;
-        let mut table = vec![0u16; 1 << width];
-        for (sym, (&l, &code)) in lens.iter().zip(&canonical_codes(lens)).enumerate() {
-            let l = l as u32;
-            if l == 0 || l > width {
-                continue;
-            }
-            let entry = (sym as u16) << 4 | l as u16;
-            for slot in table
-                .iter_mut()
-                .skip(reverse_bits(code, l) as usize)
-                .step_by(1 << l)
-            {
-                *slot = entry;
-            }
+            code <<= 1;
         }
         Some(Decoder {
-            counts,
-            symbols,
             table,
+            counts,
+            max,
+            sorted,
         })
+    }
+
+    /// The table entry for the next input bits (LSB first).
+    #[inline]
+    pub(crate) fn lookup(&self, bits: u64) -> Entry {
+        self.table[bits as usize & (self.table.len() - 1)]
     }
 
     /// Decode one symbol from the bit reader.
     #[inline]
-    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, BitError> {
+    pub fn decode(&self, r: &mut BitReader<'_>) -> Result<Entry, BitError> {
         let (bits, avail) = r.peek();
-        let entry = self.table[bits as usize & (self.table.len() - 1)];
-        let len = (entry & 0xF) as u32;
-        if len != 0 && len <= avail {
-            r.consume(len);
-            return Ok(entry >> 4);
+        let mut entry = self.lookup(bits);
+        if entry.code_len() == 0 || entry.code_len() > avail {
+            entry = self.decode_long(bits, avail)?;
         }
-        self.decode_long(r, bits, avail)
+        r.consume(entry.code_len());
+        Ok(entry)
     }
 
     /// The canonical walk (RFC 1951 §3.2.2) over peeked bits: codes longer
     /// than the table, and input that ends inside a code or on a pattern an
     /// incomplete code leaves unused.
     #[cold]
-    fn decode_long(&self, r: &mut BitReader<'_>, bits: u64, avail: u32) -> Result<u16, BitError> {
-        let mut code = 0i64;
-        let mut first = 0i64;
-        let mut index = 0i64;
-        for len in 1..self.counts.len() {
-            if len as u32 > avail {
+    fn decode_long(&self, bits: u64, avail: u32) -> Result<Entry, BitError> {
+        let mut code = 0i32;
+        let mut first = 0i32;
+        let mut index = 0i32;
+        for len in 1..=self.max {
+            if len > avail {
                 return Err(eof());
             }
-            code |= (bits >> (len - 1) & 1) as i64;
-            let count = self.counts[len] as i64;
+            code |= (bits >> (len - 1) & 1) as i32;
+            let count = self.counts[len as usize] as i32;
             if code - first < count {
-                r.consume(len as u32);
-                return Ok(self.symbols[(index + (code - first)) as usize]);
+                return Ok(self.sorted[(index + (code - first)) as usize]);
             }
             index += count;
             first = (first + count) << 1;
@@ -317,7 +401,7 @@ mod tests {
         let freqs: Vec<u64> = vec![50, 20, 10, 5, 5, 5, 3, 1, 1];
         let lens = code_lengths(&freqs, 15);
         let codes = canonical_codes(&lens);
-        let dec = Decoder::new(&lens).unwrap();
+        let dec = Decoder::new(&lens, Alphabet::LitLen).unwrap();
         let msg: Vec<u16> = vec![0, 1, 2, 8, 3, 0, 0, 5, 7, 2];
         let mut w = BitWriter::new();
         for &s in &msg {
@@ -326,13 +410,14 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         for &s in &msg {
-            assert_eq!(dec.decode(&mut r).unwrap(), s);
+            assert_eq!(dec.decode(&mut r).unwrap().value(), s as usize);
         }
     }
 
     /// The table is a cache of the canonical walk: on every input of zero,
-    /// one and two bytes, for complete, incomplete and long codes, both give
-    /// the same symbol and consume the same bits, or both fail.
+    /// one and two bytes, for complete, incomplete and long codes of every
+    /// alphabet, both give the same entry and consume the same bits, or both
+    /// fail.
     #[test]
     fn table_lookup_equals_the_canonical_walk() {
         let mut rng = Rng::new(0x7ab1e);
@@ -348,18 +433,20 @@ mod tests {
             }
             cases.push(lens);
         }
-        for lens in cases {
-            let dec = Decoder::new(&lens).unwrap();
+        let alphabets = [Alphabet::LitLen, Alphabet::Dist];
+        for (lens, alphabet) in cases.iter().flat_map(|l| alphabets.map(|a| (l, a))) {
+            let dec = Decoder::new(lens, alphabet).unwrap();
             for nbytes in 0..=2 {
                 for pattern in 0..1u32 << (8 * nbytes) {
                     let input = &pattern.to_le_bytes()[..nbytes];
                     let (mut fast, mut slow) = (BitReader::new(input), BitReader::new(input));
                     let got = dec.decode(&mut fast);
                     let (bits, avail) = slow.peek();
-                    let want = dec.decode_long(&mut slow, bits, avail);
+                    let want = dec.decode_long(bits, avail);
                     match (got, want) {
                         (Ok(a), Ok(b)) => {
                             assert_eq!(a, b, "lens {lens:?} input {input:?}");
+                            slow.consume(b.code_len());
                             assert_eq!(fast.peek(), slow.peek(), "lens {lens:?} input {input:?}");
                         }
                         (Err(_), Err(_)) => {}
@@ -372,7 +459,8 @@ mod tests {
 
     #[test]
     fn oversubscribed_lengths_rejected() {
-        assert!(Decoder::new(&[1, 1, 1]).is_none());
+        assert!(Decoder::new(&[1, 1, 1], Alphabet::LitLen).is_none());
+        assert!(Decoder::new(&[1, 16], Alphabet::LitLen).is_none());
     }
 
     #[test]
@@ -387,7 +475,7 @@ mod tests {
             }
             let lens = code_lengths(&freqs, 15);
             let codes = canonical_codes(&lens);
-            let dec = Decoder::new(&lens).unwrap();
+            let dec = Decoder::new(&lens, Alphabet::LitLen).unwrap();
             let msg_len = rng.range_usize(1..200);
             let msg: Vec<u16> = (0..msg_len)
                 .map(|_| active[rng.range_usize(0..active.len())] as u16)
@@ -400,7 +488,7 @@ mod tests {
             let bytes = w.finish();
             let mut r = BitReader::new(&bytes);
             for &s in &msg {
-                assert_eq!(dec.decode(&mut r).unwrap(), s);
+                assert_eq!(dec.decode(&mut r).unwrap().value(), s as usize);
             }
         }
     }

@@ -1,15 +1,16 @@
-//! Differential round-trip fuzzing: `inflate(deflate(x)) == x` must hold at
-//! every compression level for random and adversarial inputs. The decoder is
-//! an independent implementation of RFC 1951, so agreement is meaningful.
+//! Differential round-trip fuzzing: `inflate_exact(deflate(x), x.len()) == x`
+//! must hold at every compression level for random and adversarial inputs.
+//! The decoder is an independent implementation of RFC 1951, so agreement is
+//! meaningful.
 
 use cypress_deflate::deflate::BLOCK_TOKENS;
-use cypress_deflate::{deflate, gzip_compress, gzip_decompress, inflate, Level};
+use cypress_deflate::{deflate, gzip_compress, gzip_decompress, inflate_exact, Level};
 use cypress_obs::rng::Rng;
 
 fn assert_round_trip(data: &[u8], what: &str) {
     for level in Level::ALL {
         let c = deflate(data, level);
-        let back = inflate(&c)
+        let back = inflate_exact(&c, data.len())
             .unwrap_or_else(|e| panic!("{what}: inflate failed at {} ({e:?})", level.name()));
         assert_eq!(
             back,

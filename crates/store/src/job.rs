@@ -18,7 +18,9 @@ use std::path::Path;
 ///
 /// Opening reads the image once, serving raw sections as slices of it and
 /// inflating each deflated section it decodes once; the image, its section
-/// table and the inflated payloads are dropped before `open` returns.
+/// table and the inflated payloads are dropped before `open` returns. The
+/// merged tree keeps its payload: a deflated one is inflated into the
+/// buffer it keeps, a raw one copied there.
 /// Per-rank CTTs decode into [`CttSlab`]s — index-based vertices over two
 /// shared pools — so opening a job costs a handful of allocations
 /// regardless of tree size.
@@ -97,16 +99,18 @@ impl StoreJob {
         } else {
             match table.find(SectionKind::MergedCtt) {
                 Some(idx) => {
-                    let payload = arena.payload(&image, &table.sections()[idx], idx)?;
-                    // The tree keeps a copy of the payload: its groups are
-                    // decoded when they are visited.
-                    let merged = MergedCtt::from_block(payload.to_vec(), &cst, nprocs, 0, nprocs)
-                        .map_err(|e| match e {
-                        BlockError::Undecodable(e) => StoreError::from(e),
-                        BlockError::Misfit(e) => {
-                            StoreError::Invalid(format!("merged-ctt section [{idx}]: {e}"))
-                        }
-                    })?;
+                    // The tree keeps the payload, whose groups are decoded
+                    // when they are visited: a deflated one is inflated
+                    // straight into the buffer it keeps, a raw one copied.
+                    let payload = table.sections()[idx].payload_owned(&image, idx)?;
+                    let merged = MergedCtt::from_block(payload, &cst, nprocs, 0, nprocs).map_err(
+                        |e| match e {
+                            BlockError::Undecodable(e) => StoreError::from(e),
+                            BlockError::Misfit(e) => {
+                                StoreError::Invalid(format!("merged-ctt section [{idx}]: {e}"))
+                            }
+                        },
+                    )?;
                     Some(merged)
                 }
                 None => None,

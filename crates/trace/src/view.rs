@@ -57,6 +57,28 @@ impl SectionInfo {
     pub fn stored_len(&self) -> usize {
         self.stored.len()
     }
+
+    /// The decoded payload of section `index` of `image` in a buffer of
+    /// its own, for a reader that keeps it past the image: inflated
+    /// straight into it when deflated, one copy out of the image when raw.
+    /// Nothing is kept in an arena.
+    pub fn payload_owned(&self, image: &[u8], index: usize) -> Result<Vec<u8>, ContainerError> {
+        if !self.is_deflated() {
+            return Ok(image[self.stored.clone()].to_vec());
+        }
+        self.inflate(image, index).map_err(corrupt)
+    }
+
+    fn inflate(&self, image: &[u8], index: usize) -> Result<Vec<u8>, String> {
+        // Held to the header's length: a lying `raw_len` is refused at that
+        // bound, not after inflating whatever the stream holds.
+        inflate_exact(&image[self.stored.clone()], self.raw_len).map_err(|e| {
+            format!(
+                "section {index}, header said {} bytes: {}",
+                self.raw_len, e.0
+            )
+        })
+    }
 }
 
 /// Parsed container framing: version, world size, and one [`SectionInfo`]
@@ -259,20 +281,11 @@ impl PayloadArena {
         }
         let res = self.slots[index].get_or_init(|| {
             self.inflations.fetch_add(1, Ordering::Relaxed);
-            // Held to the header's length: a lying `raw_len` is refused at
-            // that bound, not after inflating whatever the stream holds.
-            inflate_exact(&image[info.stored.clone()], info.raw_len)
-                .map(Vec::into_boxed_slice)
-                .map_err(|e| {
-                    format!(
-                        "section {index}, header said {} bytes: {}",
-                        info.raw_len, e.0
-                    )
-                })
+            info.inflate(image, index).map(Vec::into_boxed_slice)
         });
         match res {
             Ok(b) => Ok(b),
-            Err(msg) => Err(ContainerError::Corrupt(DecodeError(msg.clone()))),
+            Err(msg) => Err(corrupt(msg.clone())),
         }
     }
 }
@@ -346,6 +359,32 @@ mod tests {
         }
         assert_eq!(arena.inflations(), deflated as u64);
         assert!(arena.resident_bytes() > 0);
+    }
+
+    /// An owned payload is the section's bytes, raw or deflated, and an
+    /// owned inflate refuses a lying length as the arena does, in no slot.
+    #[test]
+    fn owned_payloads_are_the_payloads() {
+        let c = sample();
+        for level in [None, Some(Level::Default)] {
+            let image = image(&c, level);
+            let mut table = SectionTable::parse(&image).unwrap();
+            for (i, s) in c.iter().enumerate() {
+                assert_eq!(
+                    table.sections[i].payload_owned(&image, i).unwrap(),
+                    s.payload
+                );
+            }
+            table.sections[2].raw_len += 1;
+            let owned = table.sections[2].payload_owned(&image, 2);
+            match (level, owned) {
+                (None, Ok(p)) => assert_eq!(p, c[2].payload),
+                (Some(_), Err(ContainerError::Corrupt(e))) => {
+                    assert!(e.0.contains("header said 4097 bytes"), "{e}")
+                }
+                (_, got) => panic!("level {level:?}: {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 
 use cypress_deflate::{crc32, Level};
 use cypress_trace::{assemble, encode_payload, ContainerError, Encoder, SectionKind, SectionTable};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// A container with every section kind the pipeline writes, sized so the
 /// exhaustive sweeps below stay fast.
@@ -129,6 +131,26 @@ fn resealed_out_of_range_header_fields_are_corrupt_not_narrowed() {
     }
 }
 
+/// A one-section image holding a deflated merged-ctt section whose header
+/// declares `raw_len` bytes over `stream`, its CRCs honest.
+fn deflated_image(raw_len: u64, stream: &[u8]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_uvar(4);
+    enc.put_uvar(1); // section count
+    enc.put_u8(SectionKind::MergedCtt.code());
+    enc.put_uvar(0); // no rank
+    enc.put_u8(1); // deflate encoding
+    enc.put_uvar(raw_len);
+    enc.put_bytes(stream);
+    enc.put_uvar(u64::from(crc32(stream)));
+    let mut image = b"CYTC".to_vec();
+    image.push(cypress_trace::CONTAINER_VERSION);
+    image.extend_from_slice(&enc.finish());
+    let trailer = crc32(&image);
+    image.extend_from_slice(&trailer.to_le_bytes());
+    image
+}
+
 /// A deflated section whose header declares 16 bytes over a stream that
 /// holds 4 MiB: CRCs are honest, so the table opens; the payload must be
 /// refused at the declared length, not inflated in full and then compared.
@@ -136,20 +158,7 @@ fn resealed_out_of_range_header_fields_are_corrupt_not_narrowed() {
 fn lying_raw_len_is_refused_at_the_declared_length() {
     let bomb = cypress_deflate::deflate(&vec![0u8; 4 << 20], Level::Fast);
     assert!(bomb.len() < 64 << 10, "a zero run deflates to a few KiB");
-    let mut enc = Encoder::new();
-    enc.put_uvar(4);
-    enc.put_uvar(1); // section count
-    enc.put_u8(SectionKind::MergedCtt.code());
-    enc.put_uvar(0); // no rank
-    enc.put_u8(1); // deflate encoding
-    enc.put_uvar(16); // the lie
-    enc.put_bytes(&bomb);
-    enc.put_uvar(u64::from(crc32(&bomb)));
-    let mut image = b"CYTC".to_vec();
-    image.push(cypress_trace::CONTAINER_VERSION);
-    image.extend_from_slice(&enc.finish());
-    let trailer = crc32(&image);
-    image.extend_from_slice(&trailer.to_le_bytes());
+    let image = deflated_image(16, &bomb);
 
     let table = cypress_trace::SectionTable::parse(&image).expect("framing and CRCs are honest");
     let arena = cypress_trace::PayloadArena::new(table.len());
@@ -162,4 +171,90 @@ fn lying_raw_len_is_refused_at_the_declared_length() {
         Ok(p) => panic!("a 16-byte section opened with {} bytes", p.len()),
     }
     assert_eq!(arena.resident_bytes(), 0, "nothing was kept");
+}
+
+/// `System`, noting the largest allocation made on each thread.
+struct Counting;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: an allocation while the thread is torn down goes unnoted.
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; noting touches only
+// a thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The opposite lie: a section declaring far more than its ~30-byte stream
+/// holds. Past 2³² the table refuses the length itself; at 2³², the most it
+/// accepts, the payload is refused once the stream ends short, and no
+/// allocation on the way is larger than the 1032 bytes an input byte can
+/// decode to.
+#[test]
+fn a_raw_len_past_the_stream_allocates_no_more_than_it_could_decode() {
+    let payload = b"thirty bytes of honest payload";
+    let stream = cypress_deflate::deflate(payload, Level::Default);
+    assert!(
+        (20..=40).contains(&stream.len()),
+        "{} stored bytes",
+        stream.len()
+    );
+
+    match SectionTable::parse(&deflated_image(1 << 40, &stream)) {
+        Err(ContainerError::Corrupt(e)) => assert!(e.0.contains("raw length"), "{e}"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("a section of 2^40 bytes opened"),
+    }
+
+    let image = deflated_image(1 << 32, &stream);
+    let table = SectionTable::parse(&image).expect("2^32 is a length the table accepts");
+    let arena = cypress_trace::PayloadArena::new(table.len());
+    LARGEST.with(|n| n.set(0));
+    let got = arena
+        .payload(&image, &table.sections()[0], 0)
+        .map(<[u8]>::len);
+    let largest = LARGEST.with(Cell::get);
+    match got {
+        Err(ContainerError::Corrupt(e)) => {
+            let want = format!("declared 4294967296 bytes, got {}", payload.len());
+            assert!(e.0.contains(&want), "{e}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(n) => panic!("a {}-byte payload opened as {n} bytes", payload.len()),
+    }
+    assert!(
+        largest <= 1032 * stream.len(),
+        "a {}-byte stream allocated {largest} bytes at once",
+        stream.len()
+    );
 }

@@ -211,6 +211,10 @@ echo "== byte path: no bit-at-a-time decode, one CRC per section on write, one b
 ! grep -n 'read_bit()' crates/deflate/src/huffman.rs || exit 1
 grep -q 'chunks_exact(8)' crates/deflate/src/crc32.rs && grep -q 'OnceLock' crates/deflate/src/inflate.rs
 test "$(grep -c 'Decoder::new(&fixed_' crates/deflate/src/inflate.rs)" = 1
+# One Huffman block decoder (its fast part and careful part are one loop),
+# and one place the output grows, which `inflate` and `inflate_exact` share.
+test "$(grep -c 'fn inflate_block' crates/deflate/src/inflate.rs)" = 1
+test "$(grep -c 'buf\.resize(' crates/deflate/src/inflate.rs)" = 1
 # No whole-input token pass: the one token push fills a block that is
 # written once it holds BLOCK_TOKENS.
 test "$(grep -c 'tokens\.push(' crates/deflate/src/deflate.rs)" = 1
