@@ -52,13 +52,18 @@ impl Visitor for Golden {
         assert!(err.0.contains(why), "{name}: {err}");
         self.0 += 1;
     }
+
+    fn refused(&mut self, name: &str, bytes: &[u8], refuse: fn(&[u8]) -> String, why: &str) {
+        assert_eq!(refuse(bytes), why, "{name}: refused with another text");
+        self.0 += 1;
+    }
 }
 
 #[test]
 fn every_payload_encodes_to_its_pre_refactor_bytes() {
     let mut g = Golden(0);
     for_each_sample(&mut g);
-    assert_eq!(g.0, frames().len() + 14, "a sample went missing");
+    assert_eq!(g.0, frames().len() + 14 + 20, "a sample went missing");
 }
 
 #[test]

@@ -9,18 +9,27 @@
 //!
 //! Frames are listed by body (frame code, then payload); the length prefix
 //! and crc32 trailer around a body are derived from it, not stored.
+//!
+//! Next to the samples sit inputs this build refuses, one for each check a
+//! decoder of outside input makes, with the whole text of the error: a
+//! decoder change that moves a refusal, or its words, shows there.
 
 use cypress::analysis::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
 use cypress::core::{
     merge_all, Ctt, CttSlab, EncParams, IntSeq, LeafRecord, MergedCtt, TimeStats, VertexData,
 };
+use cypress::deflate::crc32;
 use cypress::net::proto::{codes, Hello, MergedBlock};
 use cypress::net::{
     ClientStat, ClientState, Frame, QuantileStat, Stats, SubmitMode, PROTO_VERSION, STATS_VERSION,
 };
 use cypress::query::{HotSpot, QueryResult, RankTotals, StrategyUsed, Window};
 use cypress::simmpi::{SimResult, WaitReport, WaitSite};
-use cypress::trace::{Codec, CommMatrix, Event, MpiOp, MpiParams, MpiRecord, Profile, ANY_SOURCE};
+use cypress::trace::container::{CONTAINER_MAGIC, CONTAINER_VERSION};
+use cypress::trace::{
+    Codec, CommMatrix, Encoder, Event, MpiOp, MpiParams, MpiRecord, Profile, SectionTable,
+    ANY_SOURCE,
+};
 use cypress::{MetaInfo, QueryOptions, StageSummary, TelemetrySummary, TELEMETRY_VERSION};
 use std::fmt::Debug;
 
@@ -32,6 +41,47 @@ pub trait Visitor {
     fn visit_ctt(&mut self, name: &str, sample: &Ctt, golden_hex: &str);
     /// Rank-CTT bytes this build refuses, with what the error must say.
     fn refused_ctt(&mut self, name: &str, hex: &str, why: &str);
+    /// Bytes this build refuses, `refuse` run on them (the text of the
+    /// error it returns), and what that text must be, whole.
+    fn refused(&mut self, _name: &str, _bytes: &[u8], _refuse: fn(&[u8]) -> String, _why: &str) {}
+}
+
+/// The text of the error `T::from_bytes` refuses `bytes` with.
+fn refusal<T: Codec + Debug>(bytes: &[u8]) -> String {
+    match T::from_bytes(bytes) {
+        Ok(v) => format!("decoded {v:?}"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// The text of the error `SectionTable::parse` refuses `image` with.
+fn container_refusal(image: &[u8]) -> String {
+    match SectionTable::parse(image) {
+        Ok(t) => format!("parsed {t:?}"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// `head`, then a sequence count of `n`, then `n` zero bytes: a count the
+/// bytes left allow, so only a cap on the sequence can refuse it.
+fn counted(head: &str, n: u64) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_raw(&unhex(head));
+    enc.put_uvar(n);
+    let mut out = enc.finish();
+    out.resize(out.len() + n as usize, 0);
+    out
+}
+
+/// A container image whose body is `body`: magic, version, body, then the
+/// whole-image CRC, so that parsing reaches the body.
+fn container(body: &[u8]) -> Vec<u8> {
+    let mut image = CONTAINER_MAGIC.to_vec();
+    image.push(CONTAINER_VERSION);
+    image.extend_from_slice(body);
+    let crc = crc32(&image);
+    image.extend_from_slice(&crc.to_le_bytes());
+    image
 }
 
 pub fn unhex(hex: &str) -> Vec<u8> {
@@ -539,4 +589,134 @@ pub fn for_each_sample(v: &mut impl Visitor) {
     // collective timed by a histogram: refused, naming the tag.
     v.refused_ctt("Ctt/histogram", "0104d1843d0900010114000101020100040501030102030200008040010e01000005030500e4ab1200ce91b0a3cf0279e0a7120305008827008898b102de07f2070301030001008040010e01000005030500c80100c23e27290305000000000000030105000000010101010002030405030500b3b90600ed9890b813b542f0a2040305004b00e5080f0f010100020a01030200030100008001010001000028032800981100a8b1073737032800c03e0080d461c801c80100030100008002010201000005030500b602009e96013c4003000000000000000301090000001001010100000101010111010101010201", "TimeStats tag 1 ");
     v.visit("MergedCtt", &merged_ctt(), "040180897a220401090001010100020401010114000101010201000001010201020405010102020301020100040501020102010002030102030200008040010e01000005030f00ac833700ecb490eaed0778e0a712030f0098750098c89307de07f207010600010102030500008040010e01000005030500e6ab1200b695b0a3cf027be0a7120305008827008898b102de07f2070201010100020401030001008040010e01000005031400a0060088fa0127290314000000000000020101010002040105000000010101010002030405031400cee519008eedc2e04db442f0a204031400ac020094230f0f01010100020401010100020a01020202010000010100030600008001010001000028032800981100a8b1073737032800c03e0080d461c801c801010202030100030100008001010001000028037800c83300f893163737037800c0bb010080fca402c801c80102010000010100030600008002010201000005030500b602009e96013c400300000000000000010202030100030100008002010201000005030f00a20700dac2033c40030000000000000002010101000204010900000010010101000001030400c68b1100ceaab48249f0a204f3a2040304000c00240303");
+    refusals(v);
+}
+
+/// One refused input for each check: a narrowing, a version, a byte
+/// string running past the input, a string that is not UTF-8, a capped
+/// count, an unknown code and a trailing byte.
+fn refusals(v: &mut impl Visitor) {
+    let frame = refusal::<Frame>;
+    // Rank 2³² + 3 is not rank 3.
+    v.refused(
+        "Hello/rank 2^32+3",
+        &unhex("01058380808010080000"),
+        frame,
+        "decode error: Hello rank 4294967299 does not fit in 32 bits",
+    );
+    v.refused(
+        "Hello/mode 9",
+        &unhex("0105030809"),
+        frame,
+        "decode error: bad submit mode 9",
+    );
+    v.refused(
+        "Events/tag 7",
+        &unhex("030107"),
+        frame,
+        "decode error: bad event tag 7",
+    );
+    v.refused(
+        "Error/overrun",
+        &unhex("07030561"),
+        frame,
+        "decode error: byte string of length 5 exceeds remaining 1",
+    );
+    v.refused(
+        "Error/utf-8",
+        &unhex("070302fffe"),
+        frame,
+        "decode error: invalid utf-8 string: invalid utf-8 sequence of 1 bytes from index 0",
+    );
+    v.refused(
+        "StatsRequest/trailing",
+        &unhex("0900"),
+        frame,
+        "decode error: 1 trailing bytes after decode",
+    );
+    v.refused(
+        "Stats frame/version 1",
+        &unhex("0a0101"),
+        frame,
+        "decode error: stats payload version 1 unsupported (expected 2)",
+    );
+    v.refused(
+        "Stats frame/trailing",
+        &unhex("0a3702d285d8cc040805c0b802f4c8b90f02040001c03e0100dc0b07020cac020300010c62617463685f6576656e74734f8004802080800200"),
+        frame,
+        "decode error: 1 trailing bytes after decode",
+    );
+    v.refused(
+        "Stats/version 1",
+        &unhex("01"),
+        refusal::<Stats>,
+        "decode error: stats payload version 1 unsupported (expected 2)",
+    );
+    v.refused(
+        "Stats/clients 2^20+1",
+        &counted("02000000000000", (1 << 20) + 1),
+        refusal::<Stats>,
+        "decode error: stats clients claims 1048577 entries, at most 1048576 allowed",
+    );
+    v.refused(
+        "QueryOptions/version 3",
+        &unhex("0300"),
+        refusal::<QueryOptions>,
+        "decode error: query options wire version 3 unsupported (expected 2)",
+    );
+    v.refused(
+        "QueryOptions/trailing",
+        &unhex("020000"),
+        refusal::<QueryOptions>,
+        "decode error: 1 trailing bytes after decode",
+    );
+    v.refused(
+        "QueryResult/version 1",
+        &unhex("01"),
+        refusal::<QueryResult>,
+        "decode error: query result wire version 1 unsupported (expected 2)",
+    );
+    v.refused(
+        "AnalyzeOptions/version 2",
+        &unhex("0200"),
+        refusal::<AnalyzeOptions>,
+        "decode error: analyze options wire version 2 unsupported (expected 1)",
+    );
+    v.refused(
+        "AnalyzeReport/version 0",
+        &unhex("00"),
+        refusal::<AnalyzeReport>,
+        "decode error: analyze report wire version 0 unsupported (expected 1)",
+    );
+    v.refused(
+        "SimResult/version 2",
+        &unhex("02"),
+        refusal::<SimResult>,
+        "decode error: sim result wire version 2 unsupported (expected 1)",
+    );
+    v.refused(
+        "WaitReport/version 2",
+        &unhex("02"),
+        refusal::<WaitReport>,
+        "decode error: wait report wire version 2 unsupported (expected 1)",
+    );
+    v.refused(
+        "TelemetrySummary/version 2",
+        &unhex("02"),
+        refusal::<TelemetrySummary>,
+        "decode error: telemetry payload version 2 unsupported (expected 1)",
+    );
+    v.refused(
+        "TelemetrySummary/stages 4097",
+        &counted("010000000000", 4097),
+        refusal::<TelemetrySummary>,
+        "decode error: telemetry stages claims 4097 entries, at most 4096 allowed",
+    );
+    v.refused(
+        "container/sections 2^24+1",
+        &container(&counted("04", (1 << 24) + 1)),
+        container_refusal,
+        "corrupt container: decode error: container sections claims 16777217 entries, \
+         at most 16777216 allowed",
+    );
 }
