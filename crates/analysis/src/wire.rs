@@ -10,7 +10,7 @@ use crate::{AnalysisStats, AnalyzeOptions, AnalyzeReport};
 use cypress_cst::Cst;
 use cypress_query::Window;
 use cypress_simmpi::{SimResult, WaitReport};
-use cypress_trace::{Codec, DecodeResult, Decoder, Encoder};
+use cypress_trace::{Codec, Cursor, Encoder};
 use std::fmt::Write;
 
 /// Version byte leading every [`AnalyzeOptions`] / [`AnalyzeReport`] blob.
@@ -22,10 +22,10 @@ impl Codec for AnalyzeOptions {
         Window::encode_opt(self.window, enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("analyze options wire", ANALYSIS_WIRE_VERSION)?;
-        Ok(AnalyzeOptions {
-            window: Window::decode_opt(dec)?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("analyze options wire", ANALYSIS_WIRE_VERSION)?;
+        Some(AnalyzeOptions {
+            window: Window::decode_opt(cur)?,
         })
     }
 }
@@ -41,15 +41,15 @@ impl Codec for AnalysisStats {
         enc.put_uvar(self.extrapolated_trips);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(AnalysisStats {
-            symbolic_loops: dec.get_u32("symbolic_loops")?,
-            unrolled_loops: dec.get_u32("unrolled_loops")?,
-            flattened: dec.get_u8()? != 0,
-            windowed: dec.get_u8()? != 0,
-            fed_ops: dec.get_uvar()?,
-            logical_ops: dec.get_uvar()?,
-            extrapolated_trips: dec.get_uvar()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(AnalysisStats {
+            symbolic_loops: cur.u32("symbolic_loops")?,
+            unrolled_loops: cur.u32("unrolled_loops")?,
+            flattened: cur.u8()? != 0,
+            windowed: cur.u8()? != 0,
+            fed_ops: cur.uvar()?,
+            logical_ops: cur.uvar()?,
+            extrapolated_trips: cur.uvar()?,
         })
     }
 }
@@ -64,14 +64,14 @@ impl Codec for AnalyzeReport {
         self.stats.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("analyze report wire", ANALYSIS_WIRE_VERSION)?;
-        Ok(AnalyzeReport {
-            nprocs: dec.get_u32("analyze report nprocs")?,
-            measured_app_ns: dec.get_uvar()?,
-            predicted: SimResult::decode(dec)?,
-            waits: WaitReport::decode(dec)?,
-            stats: AnalysisStats::decode(dec)?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("analyze report wire", ANALYSIS_WIRE_VERSION)?;
+        Some(AnalyzeReport {
+            nprocs: cur.u32("analyze report nprocs")?,
+            measured_app_ns: cur.uvar()?,
+            predicted: SimResult::decode(cur)?,
+            waits: WaitReport::decode(cur)?,
+            stats: AnalysisStats::decode(cur)?,
         })
     }
 }

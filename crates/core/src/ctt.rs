@@ -11,7 +11,7 @@
 use crate::intseq::IntSeq;
 use crate::timestats::TimeStats;
 use crate::visit::VertexRef;
-use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, Encoder};
 use cypress_trace::event::{MpiOp, MpiParams, ANY_SOURCE, NONE};
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -354,28 +354,6 @@ impl RankEnc {
     }
 }
 
-impl EncParams {
-    #[inline]
-    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
-        let code = cur.u8()?;
-        let Some(op) = MpiOp::from_code(code) else {
-            return cur.refuse(code as u64, |code| format!("bad op code {code}"));
-        };
-        Some(EncParams {
-            op,
-            dest: RankEnc::read(cur)?,
-            src: RankEnc::read(cur)?,
-            root: RankEnc::read(cur)?,
-            count: cur.ivar()?,
-            rcount: cur.ivar()?,
-            tag: cur.ivar()?,
-            rtag: cur.ivar()?,
-            comm: cur.ivar()?,
-            req_gids: ReqGids::read(cur)?,
-        })
-    }
-}
-
 impl ReqGids {
     /// The count-prefixed GID list, checked in full before its one
     /// allocation, which is sized from the count: none for an empty list.
@@ -411,32 +389,41 @@ impl Codec for EncParams {
         enc.put_seq(self.req_gids.iter(), |enc, &g| enc.put_uvar(g as u64));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.read(EncParams::read)
+    #[inline]
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let code = cur.u8()?;
+        let Some(op) = MpiOp::from_code(code) else {
+            return cur.refuse(code as u64, |code| format!("bad op code {code}"));
+        };
+        Some(EncParams {
+            op,
+            dest: RankEnc::read(cur)?,
+            src: RankEnc::read(cur)?,
+            root: RankEnc::read(cur)?,
+            count: cur.ivar()?,
+            rcount: cur.ivar()?,
+            tag: cur.ivar()?,
+            rtag: cur.ivar()?,
+            comm: cur.ivar()?,
+            req_gids: ReqGids::read(cur)?,
+        })
     }
 }
 
 impl LeafRecord {
-    /// One record in one checked pass: every field through the cursor, a
-    /// failure named once by whoever holds the cursor.
-    #[inline]
-    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
-        Some(Self::read_with_head(cur)?.0)
-    }
-
-    /// [`LeafRecord::read`], and the length of the record's head: the
+    /// [`LeafRecord::decode`], and the length of the record's head: the
     /// bytes [`LeafRecord::encode_head`] writes, which lead its encoding.
     #[inline]
     pub(crate) fn read_with_head(cur: &mut Cursor<'_>) -> Option<(Self, usize)> {
         let before = cur.remaining();
-        let params = EncParams::read(cur)?;
+        let params = <EncParams as Codec>::decode(cur)?;
         let count = cur.uvar()?;
         let head = before - cur.remaining();
         let rec = LeafRecord {
             params,
             count,
-            time: TimeStats::read(cur)?,
-            gap: TimeStats::read(cur)?,
+            time: TimeStats::decode(cur)?,
+            gap: TimeStats::decode(cur)?,
         };
         Some((rec, head))
     }
@@ -457,8 +444,11 @@ impl Codec for LeafRecord {
         self.gap.encode(enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.read(LeafRecord::read)
+    /// One record in one checked pass: every field through the cursor, a
+    /// failure named once by whoever holds the cursor.
+    #[inline]
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(Self::read_with_head(cur)?.0)
     }
 }
 

@@ -12,7 +12,7 @@
 //! Lossless: `decompress(compress(xs)) == xs` for every `Vec<i64>`
 //! (property-tested).
 
-use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, Encoder};
 
 /// One arithmetic-progression segment, repeated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -392,13 +392,7 @@ impl Codec for IntSeq {
         });
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.read(IntSeq::read)
-    }
-}
-
-impl IntSeq {
-    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
         let mut segs = Vec::new();
         let total = read_segs_into(cur, &mut segs)?;
         Some(IntSeq { segs, total })
@@ -622,9 +616,7 @@ mod tests {
         for _ in 0..64 {
             let bytes = IntSeq::from_slice(&random_vec(&mut rng, -6, 6, 80)).to_bytes();
             let lo = pool.len();
-            let total = Decoder::new(&bytes)
-                .read(|cur| read_segs_into(cur, &mut pool))
-                .unwrap();
+            let total = read_segs_into(&mut Cursor::new(&bytes), &mut pool).unwrap();
             let view = SeqRef::from_parts(&pool[lo..], total);
             assert_eq!(IntSeq::from(view), IntSeq::from_bytes(&bytes).unwrap());
         }

@@ -20,7 +20,7 @@
 use crate::ctt::{bad_vertex_tag, LeafRecord, VD_BRANCH, VD_LEAF, VD_LOOP, VD_ROOT};
 use crate::intseq::{read_segs_into, Seg, SeqRef};
 use crate::visit::{CttSource, VertexRef};
-use cypress_trace::codec::{Cursor, DecodeError, DecodeResult};
+use cypress_trace::codec::{Codec, Cursor, DecodeError, DecodeResult};
 
 /// One vertex's slot: index ranges into the shared pools. Mirrors
 /// [`VertexData`](crate::VertexData) without owning any allocation.
@@ -85,7 +85,7 @@ impl CttSlab {
                 VD_LEAF => {
                     let lo = records.len() as u32;
                     let n = cur.count("leaf records")?;
-                    cur.items(n, &mut records, LeafRecord::read)?;
+                    cur.items(n, &mut records, LeafRecord::decode)?;
                     SlabVertex::Leaf {
                         records: (lo, records.len() as u32),
                     }

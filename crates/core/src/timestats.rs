@@ -15,7 +15,7 @@
 //! as contiguous pieces) relies on to give `merge_all`'s bytes exactly. Mean and deviation are derived on
 //! demand.
 
-use cypress_trace::codec::{Codec, Cursor, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, Encoder};
 
 /// Aggregated timing of a merged record: exact moments of its durations.
 ///
@@ -168,15 +168,9 @@ impl Codec for TimeStats {
         enc.put_uvar(self.max);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.read(TimeStats::read)
-    }
-}
-
-impl TimeStats {
     /// The exact-moment layout: its tag, then seven varints.
     #[inline]
-    pub(crate) fn read(cur: &mut Cursor<'_>) -> Option<Self> {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
         let tag = cur.u8()?;
         if tag != TAG_MEANSTD {
             return cur.refuse(tag as u64, |tag| {

@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       4     body length N (u32, little-endian; N ≤ MAX_FRAME_BODY)
 //! 4       N     body: u8 frame code, then the payload in the cypress
-//!               varint codec (same Encoder/Decoder as the .cytc container)
+//!               varint codec (same Encoder and Cursor as the .cytc container)
 //! 4+N     4     crc32(body) (u32 LE, gzip polynomial via cypress-deflate)
 //! ```
 //!
@@ -63,7 +63,7 @@
 
 use crate::{obs, NetError};
 use cypress_deflate::crc32;
-use cypress_trace::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use cypress_trace::codec::{Codec, Cursor, Encoder};
 use cypress_trace::event::Event;
 use std::io::{Read, Write};
 
@@ -280,19 +280,20 @@ impl Codec for Hello {
         enc.put_str(&self.cst_text);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let version = dec.get_u8()?;
-        let rank = dec.get_u32("Hello rank")?;
-        let nprocs = dec.get_u32("Hello nprocs")?;
-        let mode_code = dec.get_u8()?;
-        let mode = SubmitMode::from_code(mode_code)
-            .ok_or_else(|| DecodeError(format!("bad submit mode {mode_code}")))?;
-        Ok(Hello {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let version = cur.u8()?;
+        let rank = cur.u32("Hello rank")?;
+        let nprocs = cur.u32("Hello nprocs")?;
+        let code = cur.u8()?;
+        let Some(mode) = SubmitMode::from_code(code) else {
+            return cur.refuse(code as u64, |c| format!("bad submit mode {c}"));
+        };
+        Some(Hello {
             version,
             rank,
             nprocs,
             mode,
-            cst_text: dec.get_str()?,
+            cst_text: cur.str()?,
         })
     }
 }
@@ -306,13 +307,13 @@ impl Codec for MergedBlock {
         enc.put_bytes(&self.bytes);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(MergedBlock {
-            first_rank: dec.get_u32("block first_rank")?,
-            nranks: dec.get_u32("block nranks")?,
-            events: dec.get_uvar()?,
-            raw_mpi_bytes: dec.get_uvar()?,
-            bytes: dec.get_bytes()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(MergedBlock {
+            first_rank: cur.u32("block first_rank")?,
+            nranks: cur.u32("block nranks")?,
+            events: cur.uvar()?,
+            raw_mpi_bytes: cur.uvar()?,
+            bytes: cur.bytes()?.to_vec(),
         })
     }
 }
@@ -358,48 +359,48 @@ impl Codec for Frame {
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(match dec.get_u8()? {
-            FR_HELLO => Frame::Hello(Hello::decode(dec)?),
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(match cur.u8()? {
+            FR_HELLO => Frame::Hello(Hello::decode(cur)?),
             FR_HELLO_ACK => Frame::HelloAck {
-                version: dec.get_u8()?,
-                already_done: dec.get_u8()? != 0,
+                version: cur.u8()?,
+                already_done: cur.u8()? != 0,
             },
             FR_EVENTS => Frame::Events {
-                events: dec.get_seq("Events frame", Event::decode)?,
+                events: cur.seq("Events frame", Event::decode)?,
             },
             FR_FINISH => Frame::Finish {
-                app_time: dec.get_uvar()?,
-                event_count: dec.get_uvar()?,
+                app_time: cur.uvar()?,
+                event_count: cur.uvar()?,
             },
             FR_FIN_ACK => Frame::FinAck {
-                ranks_done: dec.get_u32("FinAck ranks_done")?,
+                ranks_done: cur.u32("FinAck ranks_done")?,
             },
             FR_RANK_CTT => Frame::RankCtt {
-                bytes: dec.get_bytes()?,
+                bytes: cur.bytes()?.to_vec(),
             },
             FR_STATS_REQ => Frame::StatsRequest,
             FR_STATS => Frame::Stats {
-                stats: crate::stats::Stats::from_bytes(dec.get_bytes_ref()?)?,
+                stats: cur.nested(crate::stats::Stats::decode)?,
             },
             FR_QUERY_REQ => Frame::QueryRequest {
-                job: dec.get_str()?,
-                options: dec.get_bytes()?,
+                job: cur.str()?,
+                options: cur.bytes()?.to_vec(),
             },
             FR_QUERY_RESP => Frame::QueryResponse {
-                result: dec.get_bytes()?,
+                result: cur.bytes()?.to_vec(),
             },
             FR_ANALYZE_REQ => Frame::AnalyzeRequest {
-                job: dec.get_str()?,
-                options: dec.get_bytes()?,
+                job: cur.str()?,
+                options: cur.bytes()?.to_vec(),
             },
             FR_ANALYZE_RESP => Frame::AnalyzeResponse {
-                result: dec.get_bytes()?,
+                result: cur.bytes()?.to_vec(),
             },
-            FR_MERGED_BLOCK => Frame::MergedBlock(MergedBlock::decode(dec)?),
+            FR_MERGED_BLOCK => Frame::MergedBlock(MergedBlock::decode(cur)?),
             FR_ERROR => Frame::Error {
-                code: dec.get_u16("Error code")?,
-                message: dec.get_str()?,
+                code: cur.u16("Error code")?,
+                message: cur.str()?,
             },
             // The CRC already vouched for the body, so an unknown code is a
             // peer speaking something else, not corruption. Discard the
@@ -407,7 +408,7 @@ impl Codec for Frame {
             // server can reply with a protocol error instead of dropping
             // the connection.
             code => {
-                dec.skip(dec.remaining())?;
+                cur.skip_rest();
                 Frame::Unknown { code }
             }
         })

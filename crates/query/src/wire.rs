@@ -16,9 +16,7 @@
 
 use crate::{HotSpot, QueryOptions, QueryResult, RankTotals, StrategyUsed, Window};
 use cypress_obs::{json_str, push_json_u64_array};
-use cypress_trace::{
-    Codec, CommMatrix, DecodeError, DecodeResult, Decoder, Encoder, MpiOp, Profile,
-};
+use cypress_trace::{Codec, CommMatrix, Cursor, Encoder, MpiOp, Profile};
 
 /// Version byte leading every [`QueryOptions`] / [`QueryResult`] blob.
 /// Version 2: the options carry the window alone.
@@ -31,11 +29,11 @@ impl Codec for RankTotals {
         enc.put_uvar(self.calls);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(RankTotals {
-            send_bytes: dec.get_uvar()?,
-            recv_bytes: dec.get_uvar()?,
-            calls: dec.get_uvar()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(RankTotals {
+            send_bytes: cur.uvar()?,
+            recv_bytes: cur.uvar()?,
+            calls: cur.uvar()?,
         })
     }
 }
@@ -49,17 +47,20 @@ impl Codec for HotSpot {
         enc.put_str(&self.path);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let gid = dec.get_u32("hot spot gid")?;
-        let code = dec.get_u8()?;
-        let op = MpiOp::from_code(code)
-            .ok_or_else(|| DecodeError(format!("unknown MPI op code {code} in hot spot")))?;
-        Ok(HotSpot {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let gid = cur.u32("hot spot gid")?;
+        let code = cur.u8()?;
+        let Some(op) = MpiOp::from_code(code) else {
+            return cur.refuse(code as u64, |c| {
+                format!("unknown MPI op code {c} in hot spot")
+            });
+        };
+        Some(HotSpot {
             gid,
             op,
-            calls: dec.get_uvar()?,
-            bytes: dec.get_uvar()?,
-            path: dec.get_str()?,
+            calls: cur.uvar()?,
+            bytes: cur.uvar()?,
+            path: cur.str()?,
         })
     }
 }
@@ -97,15 +98,15 @@ impl Window {
         }
     }
 
-    pub fn decode_opt(dec: &mut Decoder<'_>) -> DecodeResult<Option<Window>> {
-        match dec.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(Window {
-                start_ns: dec.get_uvar()?,
-                end_ns: dec.get_uvar()?,
-            })),
-            f => Err(DecodeError(format!("unknown window flag {f}"))),
-        }
+    pub fn decode_opt(cur: &mut Cursor<'_>) -> Option<Option<Window>> {
+        Some(match cur.u8()? {
+            0 => None,
+            1 => Some(Window {
+                start_ns: cur.uvar()?,
+                end_ns: cur.uvar()?,
+            }),
+            f => return cur.refuse(f as u64, |f| format!("unknown window flag {f}")),
+        })
     }
 }
 
@@ -115,10 +116,10 @@ impl Codec for QueryOptions {
         Window::encode_opt(self.window, enc);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("query options wire", QUERY_WIRE_VERSION)?;
-        Ok(QueryOptions {
-            window: Window::decode_opt(dec)?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("query options wire", QUERY_WIRE_VERSION)?;
+        Some(QueryOptions {
+            window: Window::decode_opt(cur)?,
         })
     }
 }
@@ -135,20 +136,21 @@ impl Codec for QueryResult {
         enc.put_uvar(self.loop_trips);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("query result wire", QUERY_WIRE_VERSION)?;
-        let nprocs = dec.get_u32("query result nprocs")?;
-        let code = dec.get_u8()?;
-        let strategy = StrategyUsed::from_code(code)
-            .ok_or_else(|| DecodeError(format!("unknown strategy-used code {code}")))?;
-        Ok(QueryResult {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("query result wire", QUERY_WIRE_VERSION)?;
+        let nprocs = cur.u32("query result nprocs")?;
+        let code = cur.u8()?;
+        let Some(strategy) = StrategyUsed::from_code(code) else {
+            return cur.refuse(code as u64, |c| format!("unknown strategy-used code {c}"));
+        };
+        Some(QueryResult {
             nprocs,
             strategy,
-            matrix: CommMatrix::decode(dec)?,
-            profile: Profile::decode(dec)?,
-            totals: dec.get_seq("query result rank totals", RankTotals::decode)?,
-            hotspots: dec.get_seq("query result hot spots", HotSpot::decode)?,
-            loop_trips: dec.get_uvar()?,
+            matrix: CommMatrix::decode(cur)?,
+            profile: Profile::decode(cur)?,
+            totals: cur.seq("query result rank totals", RankTotals::decode)?,
+            hotspots: cur.seq("query result hot spots", HotSpot::decode)?,
+            loop_trips: cur.uvar()?,
         })
     }
 }

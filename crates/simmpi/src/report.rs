@@ -9,7 +9,7 @@
 
 use crate::engine::{SimResult, WaitReport, WaitSite};
 use cypress_obs::push_json_u64_array;
-use cypress_trace::{Codec, DecodeResult, Decoder, Encoder};
+use cypress_trace::{Codec, Cursor, Encoder};
 
 /// Version byte leading every [`SimResult`] / [`WaitReport`] blob.
 pub const SIM_WIRE_VERSION: u8 = 1;
@@ -25,15 +25,15 @@ impl Codec for SimResult {
         });
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("sim result wire", SIM_WIRE_VERSION)?;
-        Ok(SimResult {
-            finish: dec.get_seq("sim result finish", Decoder::get_uvar)?,
-            total: dec.get_uvar()?,
-            comm_time: dec.get_seq("sim result comm_time", Decoder::get_uvar)?,
-            wildcard_sources: dec.get_seq("sim result wildcard lists", |dec| {
-                dec.get_seq("sim result wildcard sources", |dec| {
-                    dec.get_u32("wildcard source")
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("sim result wire", SIM_WIRE_VERSION)?;
+        Some(SimResult {
+            finish: cur.seq("sim result finish", Cursor::uvar)?,
+            total: cur.uvar()?,
+            comm_time: cur.seq("sim result comm_time", Cursor::uvar)?,
+            wildcard_sources: cur.seq("sim result wildcard lists", |cur| {
+                cur.seq("sim result wildcard sources", |cur| {
+                    cur.u32("wildcard source")
                 })
             })?,
         })
@@ -47,11 +47,11 @@ impl Codec for WaitSite {
         enc.put_uvar(self.count);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(WaitSite {
-            gid: dec.get_u32("wait site gid")?,
-            wait_ns: dec.get_uvar()?,
-            count: dec.get_uvar()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(WaitSite {
+            gid: cur.u32("wait site gid")?,
+            wait_ns: cur.uvar()?,
+            count: cur.uvar()?,
         })
     }
 }
@@ -63,11 +63,11 @@ impl Codec for WaitReport {
         enc.put_seq(&self.sites, |enc, s| s.encode(enc));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        dec.expect_version("wait report wire", SIM_WIRE_VERSION)?;
-        Ok(WaitReport {
-            per_rank: dec.get_seq("wait report per_rank", Decoder::get_uvar)?,
-            sites: dec.get_seq("wait report sites", WaitSite::decode)?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        cur.expect_version("wait report wire", SIM_WIRE_VERSION)?;
+        Some(WaitReport {
+            per_rank: cur.seq("wait report per_rank", Cursor::uvar)?,
+            sites: cur.seq("wait report sites", WaitSite::decode)?,
         })
     }
 }

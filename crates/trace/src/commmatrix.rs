@@ -5,7 +5,7 @@
 //! heatmaps to characterise MG/SP (Fig. 17) and LESlie3d (Fig. 20); the
 //! harness here emits CSV plus a coarse ASCII heatmap.
 
-use crate::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use crate::codec::{Codec, Cursor, Encoder};
 use crate::event::MpiRecord;
 use crate::raw::RawTrace;
 
@@ -153,17 +153,19 @@ impl Codec for CommMatrix {
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let nprocs = dec.get_uvar()? as usize;
-        let cells = nprocs
-            .checked_mul(nprocs)
-            .ok_or_else(|| DecodeError(format!("comm matrix dimension {nprocs} overflows")))?;
-        dec.check_count(cells as u64, "comm matrix cells")?;
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let nprocs = cur.uvar()? as usize;
+        let Some(cells) = nprocs.checked_mul(nprocs) else {
+            return cur.refuse(nprocs as u64, |n| {
+                format!("comm matrix dimension {n} overflows")
+            });
+        };
+        cur.hold(cells as u64, "comm matrix cells")?;
         let mut m = CommMatrix::new(nprocs);
         for cell in &mut m.data {
-            *cell = dec.get_uvar()?;
+            *cell = cur.uvar()?;
         }
-        Ok(m)
+        Some(m)
     }
 }
 

@@ -16,7 +16,7 @@ pub mod raw;
 pub mod textfmt;
 pub mod view;
 
-pub use codec::{Codec, Cursor, DecodeError, DecodeResult, Decoder, Encoder};
+pub use codec::{Codec, Cursor, DecodeError, DecodeResult, Encoder};
 pub use commmatrix::CommMatrix;
 pub use container::{
     assemble, encode_parts, encode_payload, encode_section, is_container, Container,

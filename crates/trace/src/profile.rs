@@ -7,7 +7,7 @@
 //! can be recovered from a compressed trace, subsuming what a profiler
 //! would have collected.
 
-use crate::codec::{Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use crate::codec::{Codec, Cursor, Encoder};
 use crate::event::{MpiOp, MpiRecord};
 use crate::raw::RawTrace;
 use std::collections::BTreeMap;
@@ -222,13 +222,13 @@ impl Codec for OpStats {
         enc.put_uvar(self.max_time_ns);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(OpStats {
-            calls: dec.get_uvar()?,
-            total_bytes: dec.get_uvar()?,
-            total_time_ns: dec.get_uvar()?,
-            min_time_ns: dec.get_uvar()?,
-            max_time_ns: dec.get_uvar()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(OpStats {
+            calls: cur.uvar()?,
+            total_bytes: cur.uvar()?,
+            total_time_ns: cur.uvar()?,
+            min_time_ns: cur.uvar()?,
+            max_time_ns: cur.uvar()?,
         })
     }
 }
@@ -244,18 +244,21 @@ impl Codec for Profile {
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let by_op = dec.get_seq("profile ops", |dec| {
-            let code = dec.get_u8()?;
-            let op = MpiOp::from_code(code)
-                .ok_or_else(|| DecodeError(format!("unknown MPI op code {code} in profile")))?;
-            Ok::<_, DecodeError>((op, OpStats::decode(dec)?))
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let by_op = cur.seq("profile ops", |cur| {
+            let code = cur.u8()?;
+            let Some(op) = MpiOp::from_code(code) else {
+                return cur.refuse(code as u64, |c| {
+                    format!("unknown MPI op code {c} in profile")
+                });
+            };
+            Some((op, OpStats::decode(cur)?))
         })?;
-        Ok(Profile {
+        Some(Profile {
             by_op: by_op.into_iter().collect(),
-            rank_mpi_time: dec.get_seq("rank_mpi_time", Decoder::get_uvar)?,
-            rank_app_time: dec.get_seq("rank_app_time", Decoder::get_uvar)?,
-            size_buckets: dec.get_seq("size_buckets", Decoder::get_uvar)?,
+            rank_mpi_time: cur.seq("rank_mpi_time", Cursor::uvar)?,
+            rank_app_time: cur.seq("rank_app_time", Cursor::uvar)?,
+            size_buckets: cur.seq("size_buckets", Cursor::uvar)?,
         })
     }
 }

@@ -5,7 +5,7 @@
 //! Fig. 15's "Gzip" series compresses, and the reference against which
 //! compression ratios are computed.
 
-use crate::codec::{ivar_len, uvar_len, Codec, DecodeError, DecodeResult, Decoder, Encoder};
+use crate::codec::{ivar_len, uvar_len, Codec, Cursor, Encoder};
 use crate::event::{Event, MpiOp, MpiParams, MpiRecord};
 
 impl MpiParams {
@@ -92,26 +92,17 @@ impl Codec for MpiParams {
         enc.put_seq(&self.req_gids, |enc, &g| enc.put_uvar(g as u64));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let dest = dec.get_ivar()?;
-        let src = dec.get_ivar()?;
-        let count = dec.get_ivar()?;
-        let rcount = dec.get_ivar()?;
-        let tag = dec.get_ivar()?;
-        let rtag = dec.get_ivar()?;
-        let root = dec.get_ivar()?;
-        let comm = dec.get_ivar()?;
-        let req_gids = dec.get_seq("req_gids", |dec| dec.get_u32("request gid"))?;
-        Ok(MpiParams {
-            dest,
-            src,
-            count,
-            rcount,
-            tag,
-            rtag,
-            root,
-            comm,
-            req_gids,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(MpiParams {
+            dest: cur.ivar()?,
+            src: cur.ivar()?,
+            count: cur.ivar()?,
+            rcount: cur.ivar()?,
+            tag: cur.ivar()?,
+            rtag: cur.ivar()?,
+            root: cur.ivar()?,
+            comm: cur.ivar()?,
+            req_gids: cur.seq("req_gids", |cur| cur.u32("request gid"))?,
         })
     }
 }
@@ -125,20 +116,18 @@ impl Codec for MpiRecord {
         enc.put_uvar(self.dur);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let gid = dec.get_u32("gid")?;
-        let code = dec.get_u8()?;
-        let op =
-            MpiOp::from_code(code).ok_or_else(|| DecodeError(format!("bad MpiOp code {code}")))?;
-        let params = MpiParams::decode(dec)?;
-        let t_start = dec.get_uvar()?;
-        let dur = dec.get_uvar()?;
-        Ok(MpiRecord {
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        let gid = cur.u32("gid")?;
+        let code = cur.u8()?;
+        let Some(op) = MpiOp::from_code(code) else {
+            return cur.refuse(code as u64, |c| format!("bad MpiOp code {c}"));
+        };
+        Some(MpiRecord {
             gid,
             op,
-            params,
-            t_start,
-            dur,
+            params: MpiParams::decode(cur)?,
+            t_start: cur.uvar()?,
+            dur: cur.uvar()?,
         })
     }
 }
@@ -165,17 +154,17 @@ impl Codec for Event {
         }
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        match dec.get_u8()? {
-            TAG_ENTER => Ok(Event::Enter {
-                gid: dec.get_u32("gid")?,
-            }),
-            TAG_EXIT => Ok(Event::Exit {
-                gid: dec.get_u32("gid")?,
-            }),
-            TAG_MPI => Ok(Event::Mpi(MpiRecord::decode(dec)?)),
-            t => Err(DecodeError(format!("bad event tag {t}"))),
-        }
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(match cur.u8()? {
+            TAG_ENTER => Event::Enter {
+                gid: cur.u32("gid")?,
+            },
+            TAG_EXIT => Event::Exit {
+                gid: cur.u32("gid")?,
+            },
+            TAG_MPI => Event::Mpi(MpiRecord::decode(cur)?),
+            t => return cur.refuse(t as u64, |t| format!("bad event tag {t}")),
+        })
     }
 }
 
@@ -187,16 +176,12 @@ impl Codec for RawTrace {
         enc.put_seq(&self.events, |enc, e| e.encode(enc));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        let rank = dec.get_u32("rank")?;
-        let nprocs = dec.get_u32("nprocs")?;
-        let app_time = dec.get_uvar()?;
-        let events = dec.get_seq("raw trace events", Event::decode)?;
-        Ok(RawTrace {
-            rank,
-            nprocs,
-            events,
-            app_time,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(RawTrace {
+            rank: cur.u32("rank")?,
+            nprocs: cur.u32("nprocs")?,
+            app_time: cur.uvar()?,
+            events: cur.seq("raw trace events", Event::decode)?,
         })
     }
 }

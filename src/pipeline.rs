@@ -36,8 +36,8 @@ use cypress_query::{has_complete_rank_set, query_ctts, QueryOptions, QueryResult
 use cypress_runtime::{run_rank_with_sink, run_ranks, InterpConfig};
 use cypress_store::StoreJob;
 use cypress_trace::{
-    encode_parts, encode_payload, Codec, Container, ContainerError, DecodeResult, Decoder,
-    EncodedSection, Encoder, Part, SectionKind,
+    encode_parts, encode_payload, Codec, Container, ContainerError, Cursor, EncodedSection,
+    Encoder, Part, SectionKind,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -474,13 +474,13 @@ impl Codec for MetaInfo {
         enc.put_uvar(self.raw_bytes);
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> DecodeResult<Self> {
-        Ok(MetaInfo {
-            tool: dec.get_str()?,
-            version: dec.get_str()?,
-            nprocs: dec.get_u32("meta nprocs")?,
-            events: dec.get_uvar()?,
-            raw_bytes: dec.get_uvar()?,
+    fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
+        Some(MetaInfo {
+            tool: cur.str()?,
+            version: cur.str()?,
+            nprocs: cur.u32("meta nprocs")?,
+            events: cur.uvar()?,
+            raw_bytes: cur.uvar()?,
         })
     }
 }
