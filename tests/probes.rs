@@ -5,7 +5,9 @@
 //! Every test here flips the process-wide switches, so each holds
 //! `obs::test_mutex()`; nothing else in this binary runs a pipeline.
 
+use cypress::core::{merge_all, BinomialMerger};
 use cypress::obs;
+use cypress::trace::Codec;
 use cypress::workloads::{by_name, quick_procs, Scale, NPB_NAMES};
 use cypress::{CompressedJob, Pipeline, PipelineConfig};
 
@@ -127,4 +129,35 @@ fn aggregated_totals_are_exact_and_probes_change_no_byte() {
             .count();
         assert_eq!(session_spans, nprocs as usize, "{name}");
     }
+}
+
+/// Ranks offered to a `BinomialMerger` one `add` at a time are held as
+/// one-rank pieces, as a collector holds streamed ranks: the `merge` scope
+/// sees one merge, the one `finish` makes, and its bytes are `merge_all`'s.
+#[test]
+fn adding_ranks_one_at_a_time_records_one_merge() {
+    let _guard = obs::test_mutex().lock().unwrap();
+    let nprocs = 8;
+    let job = run(WILDCARD_RING, nprocs);
+    let want = merge_all(&job.ctts).to_bytes();
+
+    obs::reset();
+    obs::set_enabled(true);
+    let mut merger = BinomialMerger::new(nprocs);
+    for ctt in job.ctts.iter().rev() {
+        assert!(merger.add(ctt));
+    }
+    assert!(!merger.add(&job.ctts[3]), "a repeated rank changes nothing");
+    let merged = merger.finish();
+    obs::set_enabled(false);
+    let report = obs::report();
+    obs::reset();
+
+    let merge_ns = report
+        .metrics
+        .iter()
+        .find(|m| m.subsystem == "merge" && m.name == "merge_ns")
+        .map(|m| m.count);
+    assert_eq!(merge_ns, Some(1), "{nprocs} adds and one finish");
+    assert_eq!(merged.to_bytes(), want);
 }
