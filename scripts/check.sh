@@ -20,8 +20,16 @@ echo "== one server loop: no timeout-poll server in store, one poll-set construc
 ! grep -rnE 'thread::sleep|set_io_timeout' crates/store/src --exclude=client.rs || exit 1
 test "$(grep -rn 'PollSet::new()' crates/*/src src | grep -vc '^crates/net/src/poll.rs')" = 1
 
-echo "== one codec: one version guard, one narrowing, one JSON escaper, handlers take structs =="
-# Every payload is an `impl Codec` on cypress_trace::codec's combinators.
+echo "== one codec: one reader, one version guard, one narrowing, one JSON escaper, handlers take structs =="
+# Every payload is an `impl Codec` on cypress_trace::codec's combinators,
+# read through its one reader, `Cursor` (crates/deflate's Huffman
+# `Decoder` is another thing). A narrowing is `Cursor::u32`/`u16`/`fit`,
+# never an `as`; a count is held to the bytes left (`Cursor::seq`/`count`),
+# never to a hand-made cap. The one "absurd" text left is the deflated
+# section length bound, a limit on inflation rather than a count.
+! grep -rnE '(struct|enum|type|trait) Decoder\b' crates/*/src src | grep -v '^crates/deflate/' || exit 1
+! grep -rnE 'uvar\(\)\? as (u32|u16)\b' crates/*/src src || exit 1
+! grep -rn 'absurd' crates/*/src src | grep -v ':.*format!("absurd section raw length {n}")' || exit 1
 ! grep -n 'map_err(|e| bad(' crates/net/src/proto.rs || exit 1
 test "$(grep -rn 'fn expect_version' crates/*/src src | wc -l)" = 1
 ! grep -rn 'fn check_version' crates/*/src src || exit 1
@@ -33,7 +41,7 @@ echo "== one way to read a CTT: one walker, no owned copy of a slab, core on the
 ! grep -rn 'as_ctt' crates src || exit 1
 ! grep -nE 'VertexKind::(Branch|Mpi|UserCall|Root)' crates/analysis/src/lower.rs \
   crates/analysis/src/predict.rs crates/query/src/engine.rs || exit 1
-! grep -rnE 'absurd|get_uvar\(\)\? as (u32|usize|u16)' crates/core/src || exit 1
+! grep -rnE 'uvar\(\)\? as (u32|usize|u16)' crates/core/src || exit 1
 test "$(grep -rn 'fn render_path' crates | wc -l)" = 1
 
 echo "== one CTT decoder, one job opener: Ctt only encodes, read_container opens a StoreJob =="
@@ -163,9 +171,10 @@ echo "== one merged layout: nothing outside crates/core/src reaches into a merge
 
 echo "== merge vertex by vertex, open jobs once: deleted stays deleted =="
 # merge_all runs the one per-vertex absorb, whose key tables live for one
-# vertex; a rank enters a BinomialMerger only as a run (`add` is a one-rank
-# `add_run`), and the collector holds every checked rank and block in
-# either role. A BinomialMerger keeps contiguous pieces and merges them
+# vertex; a rank enters a BinomialMerger as its one-rank piece (`add`
+# holds `MergedCtt::one_rank`, as a collector holds a streamed rank) or in
+# a run (`add_run`, a relay's one merge of its shard), and the collector
+# holds every checked rank and block in either role. A BinomialMerger keeps contiguous pieces and merges them
 # once, in one vertex-by-vertex pass in rank order: no buddy tree, no
 # pairwise absorb, no merge on a block's arrival. inspect opens rank
 # sections through StoreJob::open.
