@@ -211,6 +211,32 @@ impl ScalaTrace {
 const EL_EV: u8 = 0;
 const EL_RSD: u8 = 1;
 
+/// Deepest RSD nesting a decode accepts. A fold repeats a non-empty body at
+/// least twice, so every level at least doubles the events an element
+/// expands to: the compressor's output never nests deeper than the 64 bits
+/// that count its events, and deeper input would only grow the stack.
+const MAX_RSD_DEPTH: u64 = 64;
+
+impl Elem {
+    /// [`Codec::decode`] of an element nested `depth` RSDs deep.
+    fn decode_at(cur: &mut Cursor<'_>, depth: u64) -> Option<Self> {
+        Some(match cur.u8()? {
+            EL_EV => Elem::Ev {
+                key: <EncParams as Codec>::decode(cur)?,
+                count: cur.uvar()?,
+            },
+            EL_RSD if depth == MAX_RSD_DEPTH => {
+                return cur.refuse(depth, |d| format!("RSD nested deeper than {d} levels"))
+            }
+            EL_RSD => Elem::Rsd {
+                body: cur.seq("RSD body", |cur| Elem::decode_at(cur, depth + 1))?,
+                count: cur.uvar()?,
+            },
+            t => return cur.refuse(t as u64, |t| format!("bad Elem tag {t}")),
+        })
+    }
+}
+
 impl Codec for Elem {
     fn encode(&self, enc: &mut Encoder) {
         match self {
@@ -228,17 +254,7 @@ impl Codec for Elem {
     }
 
     fn decode(cur: &mut Cursor<'_>) -> Option<Self> {
-        Some(match cur.u8()? {
-            EL_EV => Elem::Ev {
-                key: <EncParams as Codec>::decode(cur)?,
-                count: cur.uvar()?,
-            },
-            EL_RSD => Elem::Rsd {
-                body: cur.seq("RSD body", Elem::decode)?,
-                count: cur.uvar()?,
-            },
-            t => return cur.refuse(t as u64, |t| format!("bad Elem tag {t}")),
-        })
+        Elem::decode_at(cur, 0)
     }
 }
 
@@ -516,6 +532,40 @@ mod tests {
         let merged =
             ScalaMerged::merge(&ScalaMerged::from_trace(&t0), &ScalaMerged::from_trace(&t3));
         assert_eq!(merged.len(), 1);
+    }
+
+    /// Nested one-element RSD bodies used to recurse once per level and
+    /// abort on a stack overflow at 10⁶ levels; past the deepest nesting
+    /// the compressor can write they are refused by name.
+    #[test]
+    fn rsd_nesting_past_the_bound_is_refused() {
+        fn nested(levels: usize) -> Vec<u8> {
+            let mut enc = Encoder::new();
+            enc.put_uvar(0); // rank
+            enc.put_uvar(1); // one top-level element
+            for _ in 0..levels {
+                enc.put_u8(EL_RSD);
+                enc.put_uvar(1); // a one-element body
+            }
+            Elem::Ev {
+                key: EncParams::encode(0, MpiOp::Barrier, &MpiParams::collective(0)),
+                count: 1,
+            }
+            .encode(&mut enc);
+            for _ in 0..levels {
+                enc.put_uvar(2); // each RSD's count
+            }
+            enc.finish()
+        }
+        let deepest = nested(MAX_RSD_DEPTH as usize);
+        assert_eq!(
+            ScalaTrace::from_bytes(&deepest).unwrap().to_bytes(),
+            deepest
+        );
+        for levels in [MAX_RSD_DEPTH as usize + 1, 1_000_000] {
+            let err = ScalaTrace::from_bytes(&nested(levels)).unwrap_err();
+            assert_eq!(err.0, "RSD nested deeper than 64 levels", "{levels} levels");
+        }
     }
 
     /// A rank of 2³² + 3 is refused by name, never read as rank 3.

@@ -27,6 +27,7 @@ use crate::intseq::IntSeq;
 use crate::timestats::TimeStats;
 use cypress_cst::tree::{Cst, VertexKind};
 use cypress_obs::{Counter, Gauge, Histogram, TIME_BOUNDS_NS};
+use cypress_trace::codec::uvar_len;
 use cypress_trace::event::{Event, EventSink, MpiOp, MpiParams, MpiRecord, ANY_SOURCE};
 use cypress_trace::raw::RawTrace;
 
@@ -110,6 +111,13 @@ pub struct IntraCompressor<'a> {
     /// Running footprint of `data`: what [`approx_bytes`](Self::approx_bytes)
     /// reports for it, kept up to date by every push that changes it.
     data_bytes: usize,
+    /// Raw-trace bytes of the MPI records pushed so far
+    /// ([`raw_bytes`](Self::raw_bytes)).
+    raw_bytes: u64,
+    /// Per leaf: [`MpiRecord::untimed_len`] of the raw record that opened
+    /// the leaf's last record. A record that folds into that one has the
+    /// same raw parameters, so it adds this plus its own two timestamps.
+    raw_untimed: Vec<usize>,
     tally: Tally,
 }
 
@@ -118,6 +126,8 @@ struct PendingWild {
     params: EncParams,
     dur: u64,
     gap: u64,
+    /// [`MpiRecord::untimed_len`] of the cached record.
+    untimed: usize,
 }
 
 impl<'a> IntraCompressor<'a> {
@@ -156,6 +166,8 @@ impl<'a> IntraCompressor<'a> {
             pending_wild: Vec::new(),
             prev_end: 0,
             data_bytes,
+            raw_bytes: 0,
+            raw_untimed: vec![0; n],
             tally: Tally::default(),
         }
     }
@@ -258,6 +270,7 @@ impl<'a> IntraCompressor<'a> {
 
         // Cache wildcard non-blocking receives until completion.
         if rec.op == MpiOp::Irecv && rec.params.src == ANY_SOURCE {
+            let untimed = self.count_raw(rec);
             let params =
                 EncParams::encode_with(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
             self.pending_wild.push(PendingWild {
@@ -265,6 +278,7 @@ impl<'a> IntraCompressor<'a> {
                 params,
                 dur: rec.dur,
                 gap,
+                untimed,
             });
             self.tally.wildcard_cached += 1;
             return;
@@ -273,15 +287,17 @@ impl<'a> IntraCompressor<'a> {
             self.flush_pending(&rec.params.req_gids);
         }
 
-        let encode =
-            || EncParams::encode_with(self.rank, rec.op, &rec.params, self.cfg.relative_ranks);
+        let (rank, relative) = (self.rank, self.cfg.relative_ranks);
+        let encode = || EncParams::encode_with(rank, rec.op, &rec.params, relative);
         if self.cfg.window > 1 {
+            let untimed = self.count_raw(rec);
             let params = encode();
-            return self.append(v, params, rec.dur, gap);
+            return self.append(v, params, rec.dur, gap, untimed);
         }
         // The paper's compare-with-last-record merge, without allocating an
-        // encoded parameter block for an event that folds. A miss is the one
-        // compare a window of one makes: the new record is pushed at once.
+        // encoded parameter block or sizing the raw record for an event that
+        // folds. A miss is the one compare a window of one makes: the new
+        // record is pushed at once.
         if let VertexData::Leaf { records } = &mut self.data[v] {
             if let Some(r) = records.last_mut() {
                 self.tally.compares += 1;
@@ -308,6 +324,11 @@ impl<'a> IntraCompressor<'a> {
                     "matches_raw disagrees"
                 );
                 if hit {
+                    // Encoding is injective for one rank, so a hit's raw
+                    // parameters are those of the record `r` opened with.
+                    let untimed = self.raw_untimed[v];
+                    debug_assert_eq!(untimed, rec.untimed_len(), "cached raw length");
+                    self.raw_bytes += (untimed + uvar_len(rec.t_start) + uvar_len(rec.dur)) as u64;
                     r.count += 1;
                     r.time.add(rec.dur);
                     r.gap.add(gap);
@@ -316,8 +337,18 @@ impl<'a> IntraCompressor<'a> {
                 }
             }
         }
+        let untimed = self.count_raw(rec);
         let params = encode();
-        self.push_record(v, params, rec.dur, gap);
+        self.push_record(v, params, rec.dur, gap, untimed);
+    }
+
+    /// Add `rec`'s [`MpiRecord::encoded_len`] to the raw-byte total, for a
+    /// record that folds into no leaf record yet; returns its
+    /// [`MpiRecord::untimed_len`], for the record it opens to cache.
+    fn count_raw(&mut self, rec: &MpiRecord) -> usize {
+        let untimed = rec.untimed_len();
+        self.raw_bytes += (untimed + uvar_len(rec.t_start) + uvar_len(rec.dur)) as u64;
+        untimed
     }
 
     /// Flush cached wildcard receives whose posting GID is being completed.
@@ -328,7 +359,7 @@ impl<'a> IntraCompressor<'a> {
         let mut remaining = Vec::with_capacity(self.pending_wild.len());
         for p in std::mem::take(&mut self.pending_wild) {
             if completed_gids.contains(&(p.vertex as u32)) {
-                self.append(p.vertex, p.params, p.dur, p.gap);
+                self.append(p.vertex, p.params, p.dur, p.gap, p.untimed);
                 self.tally.wildcard_flushed += 1;
             } else {
                 remaining.push(p);
@@ -337,7 +368,7 @@ impl<'a> IntraCompressor<'a> {
         self.pending_wild = remaining;
     }
 
-    fn append(&mut self, v: usize, params: EncParams, dur: u64, gap: u64) {
+    fn append(&mut self, v: usize, params: EncParams, dur: u64, gap: u64, untimed: usize) {
         let window = self.cfg.window.max(1);
         let VertexData::Leaf { records } = &mut self.data[v] else {
             return;
@@ -356,11 +387,12 @@ impl<'a> IntraCompressor<'a> {
             self.tally.fold_hits += 1;
             return;
         }
-        self.push_record(v, params, dur, gap);
+        self.push_record(v, params, dur, gap, untimed);
     }
 
     /// Open a new record at leaf `v`: the event matched none the scan tried.
-    fn push_record(&mut self, v: usize, params: EncParams, dur: u64, gap: u64) {
+    /// `untimed` is the opening raw record's [`MpiRecord::untimed_len`].
+    fn push_record(&mut self, v: usize, params: EncParams, dur: u64, gap: u64, untimed: usize) {
         let VertexData::Leaf { records } = &mut self.data[v] else {
             return;
         };
@@ -377,6 +409,7 @@ impl<'a> IntraCompressor<'a> {
         };
         self.data_bytes += rec.approx_bytes();
         records.push(rec);
+        self.raw_untimed[v] = untimed;
     }
 
     /// Close out the compression and produce the per-process CTT. Every
@@ -385,7 +418,7 @@ impl<'a> IntraCompressor<'a> {
     pub fn finish(mut self, app_time: u64) -> Ctt {
         // Flush any never-completed wildcard receives in arrival order.
         for p in std::mem::take(&mut self.pending_wild) {
-            self.append(p.vertex, p.params, p.dur, p.gap);
+            self.append(p.vertex, p.params, p.dur, p.gap, p.untimed);
         }
         while let Some(o) = self.open.pop() {
             self.close(o);
@@ -426,6 +459,13 @@ impl<'a> IntraCompressor<'a> {
     /// Fig. 16 work count; a clock-free stand-in for compression time).
     pub fn compares(&self) -> u64 {
         self.tally.compares
+    }
+
+    /// Serialized size of the raw MPI records pushed so far: the sum of
+    /// their [`MpiRecord::encoded_len`], counted per record opened or
+    /// cached and, for a fold, from its leaf's cached length.
+    pub(crate) fn raw_bytes(&self) -> u64 {
+        self.raw_bytes
     }
 
     /// Live memory footprint of the compressor state (Fig. 16 metric), in

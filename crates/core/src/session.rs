@@ -15,6 +15,11 @@
 //! [`compress_trace`](crate::compress::compress_trace) on a recorded trace
 //! (pinned by `online_sink_equals_offline_compression` and
 //! `tests/streaming.rs` in the umbrella crate).
+//!
+//! The raw trace's size ([`SessionStats::raw_mpi_bytes`]) is counted by
+//! the compressor, per record it opens, not per event here: a record that
+//! folds has the raw parameters of the record it folds into, so it needs no
+//! varint sizing of them.
 
 use crate::compress::{CompressConfig, IntraCompressor};
 use crate::ctt::Ctt;
@@ -69,6 +74,10 @@ pub struct SessionStats {
     /// Serialized size of the raw MPI records streamed through the session
     /// — the "uncompressed trace" numerator of the container's compression
     /// ratio, accounted online so it never requires keeping the raw trace.
+    /// The compressor counts it (`IntraCompressor::raw_bytes`): a record
+    /// that opens a leaf record is sized field by field, and one that folds
+    /// into it adds that size's untimed part plus its two timestamps, since
+    /// a fold's raw parameters are those of the record it folds into.
     pub raw_mpi_bytes: u64,
     /// Size checkpoints taken.
     pub checkpoints: u64,
@@ -191,11 +200,8 @@ impl<'a> CompressSession<'a> {
     fn ingest(&mut self, ev: &Event) {
         self.inner.push(ev);
         self.stats.events += 1;
-        if let Event::Mpi(rec) = ev {
+        if let Event::Mpi(_) = ev {
             self.stats.mpi_events += 1;
-            // Arithmetic varint sizing — the raw-trace numerator without
-            // serializing each record into a scratch buffer.
-            self.stats.raw_mpi_bytes += rec.encoded_len() as u64;
         }
         self.until_checkpoint -= 1;
         if self.until_checkpoint == 0 {
@@ -214,8 +220,11 @@ impl<'a> CompressSession<'a> {
     }
 
     /// Accounting so far (peak bytes reflect the last checkpoint).
-    pub fn stats(&self) -> &SessionStats {
-        &self.stats
+    pub fn stats(&self) -> SessionStats {
+        SessionStats {
+            raw_mpi_bytes: self.inner.raw_bytes(),
+            ..self.stats
+        }
     }
 
     /// Close the session: flush deferred wildcard receives, close open
@@ -225,6 +234,7 @@ impl<'a> CompressSession<'a> {
         let t0 = self.trace_start();
         let bytes = self.checkpoint();
         self.stats.final_ctt_bytes = bytes;
+        self.stats.raw_mpi_bytes = self.inner.raw_bytes();
         FINISHED.inc();
         EVENTS.add(self.stats.events);
         CHECKPOINTS.add(self.stats.checkpoints);

@@ -320,7 +320,10 @@ impl Cst {
         out
     }
 
-    /// Parse the [`Cst::to_text`] format.
+    /// Parse the [`Cst::to_text`] format. Text that `to_text` never writes
+    /// is refused: line `i` must name index `i`, the first is the root with
+    /// parent −1, and every other names an earlier vertex that is not a
+    /// communication leaf as its parent.
     pub fn from_text(s: &str) -> Result<Cst, String> {
         let mut lines = s.lines();
         let header = lines.next().ok_or("empty CST text")?;
@@ -333,11 +336,15 @@ impl Cst {
         let mut tree = Cst::default();
         for line in lines.take(n) {
             let mut it = line.split_whitespace();
-            let _idx: usize = it
+            let at = tree.vertices.len();
+            let idx: usize = it
                 .next()
                 .ok_or("missing idx")?
                 .parse()
                 .map_err(|_| "bad idx")?;
+            if idx != at {
+                return Err(format!("vertex line {at} names index {idx}"));
+            }
             let parent: i64 = it
                 .next()
                 .ok_or("missing parent")?
@@ -390,19 +397,29 @@ impl Cst {
                 },
                 other => return Err(format!("unknown vertex tag {other}")),
             };
-            let idx = tree.vertices.len();
+            let parent = match (idx, &kind) {
+                (0, VertexKind::Root) if parent == -1 => None,
+                (0, _) => return Err(format!("vertex 0 is not the root: {line}")),
+                (_, VertexKind::Root) => return Err(format!("vertex {idx} is a second root")),
+                _ if parent < 0 || parent as usize >= idx => {
+                    return Err(format!(
+                        "vertex {idx} has parent {parent}, not an earlier vertex"
+                    ))
+                }
+                _ => Some(parent as usize),
+            };
+            if let Some(p) = parent {
+                let up = &mut tree.vertices[p];
+                if matches!(up.kind, VertexKind::Mpi { .. }) {
+                    return Err(format!("vertex {idx} has parent {p}, a communication leaf"));
+                }
+                up.children.push(idx);
+            }
             tree.vertices.push(Vertex {
                 kind,
                 children: Vec::new(),
-                parent: if parent < 0 {
-                    None
-                } else {
-                    Some(parent as usize)
-                },
+                parent,
             });
-            if parent >= 0 {
-                tree.vertices[parent as usize].children.push(idx);
-            }
         }
         if tree.vertices.len() != n {
             return Err(format!(
@@ -603,6 +620,58 @@ mod tests {
     fn from_text_rejects_garbage() {
         assert!(Cst::from_text("").is_err());
         assert!(Cst::from_text("cst 1\n0 -1 Wat").is_err());
+    }
+
+    fn refused(text: &str) -> String {
+        Cst::from_text(text).expect_err(text)
+    }
+
+    #[test]
+    fn from_text_refuses_a_first_line_other_than_the_root() {
+        assert_eq!(
+            refused("cst 2\n0 -1 Loop 0\n1 0 Mpi 1 MPI_Barrier"),
+            "vertex 0 is not the root: 0 -1 Loop 0"
+        );
+        assert_eq!(
+            refused("cst 1\n0 0 Root"),
+            "vertex 0 is not the root: 0 0 Root"
+        );
+        assert_eq!(
+            refused("cst 2\n0 -1 Root\n1 0 Root"),
+            "vertex 1 is a second root"
+        );
+    }
+
+    #[test]
+    fn from_text_refuses_an_index_other_than_the_line_position() {
+        assert_eq!(
+            refused("cst 2\n0 -1 Root\n5 0 Loop 0"),
+            "vertex line 1 names index 5"
+        );
+    }
+
+    /// `1 7 Loop 0` used to index past the end, and `1 1 Loop 0`, a vertex
+    /// that is its own parent, was accepted.
+    #[test]
+    fn from_text_refuses_a_parent_not_below_its_child() {
+        for (parent, text) in [
+            (7, "cst 2\n0 -1 Root\n1 7 Loop 0"),
+            (1, "cst 2\n0 -1 Root\n1 1 Loop 0"),
+            (-1, "cst 2\n0 -1 Root\n1 -1 Loop 0"),
+        ] {
+            assert_eq!(
+                refused(text),
+                format!("vertex 1 has parent {parent}, not an earlier vertex")
+            );
+        }
+    }
+
+    #[test]
+    fn from_text_refuses_a_communication_leaf_as_parent() {
+        assert_eq!(
+            refused("cst 3\n0 -1 Root\n1 0 Mpi 1 MPI_Barrier\n2 1 Loop 0"),
+            "vertex 2 has parent 1, a communication leaf"
+        );
     }
 
     #[test]

@@ -609,7 +609,7 @@ fn on_hello<'a>(sh: Shared<'a>, out: &mut Outbox, hello: Hello) -> Result<ConnSt
         Some(job) => job,
         None => {
             let cst = Cst::from_text(&hello.cst_text)
-                .map_err(|e| (codes::INTERNAL, format!("unparseable CST: {e}")))?;
+                .map_err(|e| (codes::PROTOCOL, format!("unparseable CST: {e}")))?;
             // Another loop may have won the race; either way the stored job
             // is authoritative and validated below.
             sh.state.job.get_or_init(|| Job {
@@ -1865,6 +1865,48 @@ mod tests {
         submit_ctt(&addr, &cfg, &local[1], &cst_text).unwrap();
         let job = server.join().unwrap().unwrap();
         assert_eq!(job.merged.to_bytes(), want);
+    }
+
+    /// A forged CST text in the first `Hello` used to panic the parser
+    /// (a parent index past the end); it is an error frame, and the job is
+    /// still open to the first client with a real CST.
+    #[test]
+    fn forged_cst_in_the_first_hello_is_refused_and_the_job_still_completes() {
+        let (info, traces) = traces(2);
+        let cst_text = info.cst.to_text();
+        let local: Vec<_> = traces
+            .iter()
+            .map(|t| compress_trace(&info.cst, t, &CompressConfig::default()))
+            .collect();
+        let (addr, server) = serve_in_background(CollectorConfig {
+            deadline: Some(Duration::from_secs(60)),
+            ..CollectorConfig::default()
+        });
+        let mut stream = crate::transport::Stream::connect(&addr, Duration::from_secs(5)).unwrap();
+        stream.set_io_timeout(Duration::from_secs(5)).unwrap();
+        let hello = Frame::Hello(Hello {
+            version: PROTO_VERSION,
+            rank: 0,
+            nprocs: 2,
+            mode: SubmitMode::Ctt,
+            cst_text: "cst 2\n0 -1 Root\n1 7 Loop 0\n".into(),
+        });
+        write_frame(&mut stream, &hello).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error { code, message } => {
+                assert_eq!(code, codes::PROTOCOL, "{message}");
+                assert!(
+                    message.contains("vertex 1 has parent 7, not an earlier vertex"),
+                    "{message}"
+                );
+            }
+            f => panic!("expected Error, got {}", f.name()),
+        }
+        for ctt in &local {
+            submit_ctt(&addr, &ClientConfig::default(), ctt, &cst_text).unwrap();
+        }
+        let job = server.join().unwrap().unwrap();
+        assert_eq!(job.merged.to_bytes(), merge_all(&local).to_bytes());
     }
 
     #[test]

@@ -89,26 +89,37 @@ enum Value {
     Req(u64),
 }
 
+/// The accessors below run on every operand; their one error, which only
+/// an unchecked program reaches, is built out of line so they inline.
 impl Value {
+    #[inline]
     fn as_int(&self) -> RunResult<i64> {
         match self {
             Value::Int(v) => Ok(*v),
-            other => Err(RuntimeError(format!("expected int, got {other:?}"))),
+            other => Err(other.type_error("int")),
         }
     }
 
+    #[inline]
     fn as_bool(&self) -> RunResult<bool> {
         match self {
             Value::Bool(v) => Ok(*v),
-            other => Err(RuntimeError(format!("expected bool, got {other:?}"))),
+            other => Err(other.type_error("bool")),
         }
     }
 
+    #[inline]
     fn as_req(&self) -> RunResult<u64> {
         match self {
             Value::Req(v) => Ok(*v),
-            other => Err(RuntimeError(format!("expected request, got {other:?}"))),
+            other => Err(other.type_error("request")),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn type_error(&self, want: &str) -> RuntimeError {
+        RuntimeError(format!("expected {want}, got {self:?}"))
     }
 }
 
@@ -664,9 +675,17 @@ impl<'a, S: EventSink> Interp<'a, S> {
                 let mut x = (self.rank as u64 + 17).wrapping_mul(0x9e3779b97f4a7c15)
                     ^ self.op_seq.wrapping_mul(0xd6e8feb86659fd93);
                 x ^= x >> 32;
-                let wobble_pct = (x % 13) as i128 - 6; // -6..=6
-                let adj = base as i128 * wobble_pct / 100;
-                let cost = u64::try_from(base as i128 + adj).unwrap_or(u64::MAX);
+                let wobble_pct = (x % 13) as i64 - 6; // -6..=6
+
+                // `base * wobble_pct` fits an i64 below `i64::MAX / 7`; the
+                // i128 form, for the rest, truncates alike.
+                let cost = if base <= (i64::MAX / 7) as u64 {
+                    let base = base as i64;
+                    (base + base * wobble_pct / 100) as u64
+                } else {
+                    let adj = base as i128 * wobble_pct as i128 / 100;
+                    u64::try_from(base as i128 + adj).unwrap_or(u64::MAX)
+                };
                 self.clock = self.clock.saturating_add(cost);
             }
             Builtin::Send => {

@@ -33,11 +33,14 @@ impl MpiParams {
 impl MpiRecord {
     /// Byte length of [`Codec::encode`] for this record, without serializing.
     pub fn encoded_len(&self) -> usize {
-        uvar_len(self.gid as u64)
-            + 1
-            + self.params.encoded_len()
-            + uvar_len(self.t_start)
-            + uvar_len(self.dur)
+        self.untimed_len() + uvar_len(self.t_start) + uvar_len(self.dur)
+    }
+
+    /// [`MpiRecord::encoded_len`] less the two timestamps: the bytes of the
+    /// gid, op and parameters, which two records of one call site with
+    /// equal parameters share.
+    pub fn untimed_len(&self) -> usize {
+        uvar_len(self.gid as u64) + 1 + self.params.encoded_len()
     }
 }
 
@@ -272,8 +275,8 @@ mod tests {
         assert!(mpi > 0);
     }
 
-    /// `encoded_len` must agree exactly with the bytes `encode` produces,
-    /// including multi-byte varints and req_gid lists.
+    /// `encoded_len` and `untimed_len` must agree exactly with the bytes
+    /// `encode` produces, including multi-byte varints and req_gid lists.
     #[test]
     fn encoded_len_matches_encode() {
         let recs = [
@@ -310,6 +313,13 @@ mod tests {
             let mut enc = Encoder::new();
             r.encode(&mut enc);
             assert_eq!(r.encoded_len(), enc.len(), "{r:?}");
+            // The two timestamps are the record's last fields.
+            let untimed = MpiRecord {
+                t_start: 0,
+                dur: 0,
+                ..r.clone()
+            };
+            assert_eq!(r.untimed_len() + 2, untimed.to_bytes().len(), "{r:?}");
         }
     }
 

@@ -98,6 +98,15 @@ for site in runtime/src/interp.rs:{emit,post_request} core/src/session.rs:ingest
   test -n "$body" && ! grep -nE 'cypress_obs|Instant|[A-Z][A-Z_]{2,}\.[a-z_]+\(' <<<"$body" \
     || { echo "no body, or a probe or a clock in it: $site"; exit 1; }
 done
+# The session sizes no record (the compressor counts raw bytes per record it
+# opens), and an interpreter type check builds its error out of line.
+body=$(awk '/^    fn ingest\(/ {p=1} p {print} p && /^    }$/ {exit}' crates/core/src/session.rs)
+test -n "$body" && ! grep -n 'encoded_len' <<<"$body" || { echo "session ingest sizes records"; exit 1; }
+for f in int bool req; do
+  body=$(awk -v n="$f" '$0 ~ "^    fn as_" n "\\(" {p=1} p {print} p && /^    }$/ {exit}' \
+    crates/runtime/src/interp.rs)
+  test -n "$body" && ! grep -n 'format!' <<<"$body" || { echo "Value::as_$f formats inline"; exit 1; }
+done
 
 echo "== one ingest path: no ring, no mode switch, unsafe only in poll.rs, docs name what exists =="
 test ! -e crates/runtime/src/ring.rs -a ! -e crates/runtime/src/ingest.rs
